@@ -2,7 +2,8 @@
 //! and full rebalance planning (greedy vs max-flow).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logstore_bench::balancing::{run, BalanceExperiment, Policy};
+use logstore_bench::balancing::{run, BalanceExperiment};
+use logstore_core::config::BalancerKind;
 use logstore_flow::FlowNetwork;
 use std::hint::black_box;
 
@@ -39,10 +40,10 @@ fn bench_dinic(c: &mut Criterion) {
 fn bench_rebalance(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow/rebalance");
     group.sample_size(10);
-    for policy in [Policy::Greedy, Policy::MaxFlow] {
-        group.bench_function(policy.name(), |b| {
+    for kind in [BalancerKind::Greedy, BalancerKind::MaxFlow] {
+        group.bench_function(kind.planner().name(), |b| {
             let exp = BalanceExperiment::paper_like(0.99);
-            b.iter(|| black_box(run(&exp, policy).after.throughput))
+            b.iter(|| black_box(run(&exp, kind).after.throughput))
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! WAL append throughput: the phase-one durability cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use logstore_wal::{FlushPolicy, Wal, WalConfig};
+use logstore_wal::{FlushPolicy, GroupCommitWal, WalConfig};
 use std::hint::black_box;
 
 fn bench_append(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_append(c: &mut Criterion) {
                 .join(format!("logstore-walbench-{name}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let config = WalConfig { max_segment_bytes: 256 << 20, flush, ..WalConfig::default() };
-            let (mut wal, _) = Wal::open(&dir, config).unwrap();
+            let (wal, _) = GroupCommitWal::open(&dir, config).unwrap();
             b.iter(|| wal.append(black_box(&payload)).unwrap());
             drop(wal);
             let _ = std::fs::remove_dir_all(dir);

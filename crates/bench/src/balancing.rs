@@ -2,37 +2,18 @@
 //!
 //! Reproduces the paper's setup: 1000 tenants with Zipfian(θ) traffic over
 //! a homogeneous cluster, initially placed by consistent hashing, then
-//! (optionally) rebalanced by the greedy or max-flow controller. Outcomes
-//! are produced by the queueing simulator in `logstore_flow::sim`.
+//! (optionally) rebalanced by the greedy or max-flow balancer. The control
+//! loop is the engine's own — `logstore_flow::ctrl::plan_tick` folded over
+//! a `ControlState` — and outcomes are produced by the queueing simulator
+//! in `logstore_flow::sim`.
 
-use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
+use logstore_core::config::BalancerKind;
+use logstore_flow::ctrl::plan_tick;
 use logstore_flow::sim::{build_snapshot, simulate, ClusterTopology, SimConfig, SimResult};
-use logstore_flow::{ConsistentHashRing, ControlAction, FlowControlConfig, TrafficController};
-use logstore_types::TenantId;
+use logstore_flow::{ControlAction, ControlState, CtrlCmd, FlowControlConfig};
+use logstore_types::{ShardId, TenantId, WorkerId};
 use logstore_workload::WorkloadSpec;
-use std::collections::HashMap;
-
-/// Which traffic-control policy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// No flow control (the collapse baseline of Fig 12).
-    None,
-    /// Algorithm 2.
-    Greedy,
-    /// Algorithm 3.
-    MaxFlow,
-}
-
-impl Policy {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::None => "none",
-            Policy::Greedy => "greedy",
-            Policy::MaxFlow => "max-flow",
-        }
-    }
-}
+use std::collections::{BTreeMap, HashMap};
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -61,11 +42,7 @@ impl BalanceExperiment {
             topology,
             spec: WorkloadSpec::paper(theta),
             total_rate: (total_capacity as f64 * 0.75) as u64,
-            flow: FlowControlConfig {
-                alpha: 0.85,
-                per_tenant_shard_limit: 100_000,
-                check_interval_secs: 300,
-            },
+            flow: FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100_000 },
             sim: SimConfig::default(),
             max_ticks: 10,
         }
@@ -85,37 +62,51 @@ pub struct Outcome {
     pub ticks: usize,
 }
 
-/// Runs one (θ, policy) cell.
-pub fn run(exp: &BalanceExperiment, policy: Policy) -> Outcome {
+/// The control state after every worker of `topology` registered and every
+/// tenant was placed on its ring home shard with 100% weight (Algorithm 1
+/// lines 4–7).
+fn initial_state(topology: &ClusterTopology, tenants: &[TenantId]) -> ControlState {
+    let mut by_worker: BTreeMap<WorkerId, Vec<(ShardId, u64)>> = BTreeMap::new();
+    for (&shard, &worker) in &topology.shard_to_worker {
+        by_worker.entry(worker).or_default().push((shard, topology.shard_capacity[&shard]));
+    }
+    let mut state = ControlState::new();
+    for (worker, shards) in by_worker {
+        state.apply(&CtrlCmd::RegisterWorker { worker, shards });
+    }
+    for &tenant in tenants {
+        let home = state.home(tenant).expect("a registered topology has a non-empty ring");
+        state.apply(&CtrlCmd::SetRoute { tenant, routes: vec![(home, 1.0)] });
+    }
+    state
+}
+
+/// Runs one (θ, balancer) cell.
+pub fn run(exp: &BalanceExperiment, kind: BalancerKind) -> Outcome {
     let rates: HashMap<TenantId, u64> = exp.spec.tenant_rates(exp.total_rate);
-    let tenants = exp.spec.tenant_ids();
-    let ring = ConsistentHashRing::new(&exp.topology.shards());
+    let mut state = initial_state(&exp.topology, &exp.spec.tenant_ids());
 
-    let balancer: Box<dyn Balancer> = match policy {
-        Policy::Greedy => Box::new(GreedyBalancer),
-        _ => Box::new(MaxFlowBalancer),
-    };
-    let mut controller = TrafficController::new(exp.flow.clone(), balancer);
-    controller.init_routes(&tenants, &ring).expect("route init cannot fail on a non-empty ring");
-
-    let before = simulate(controller.routes(), &rates, &exp.topology, &exp.sim);
-    if policy == Policy::None {
-        let routes = controller.routes().route_count();
-        return Outcome { after: before.clone(), before, routes, ticks: 0 };
+    let before = simulate(state.routing(), &rates, &exp.topology, &exp.sim);
+    if kind == BalancerKind::None {
+        return Outcome { after: before.clone(), before, routes: state.route_count(), ticks: 0 };
     }
 
+    let balancer = kind.planner();
     let mut ticks = 0;
     let mut last = before.clone();
     for _ in 0..exp.max_ticks {
         let snapshot = build_snapshot(&last, &rates, &exp.topology);
-        let action = controller.tick(&snapshot).expect("control tick");
+        let (action, plan) = plan_tick(&state, &snapshot, &exp.flow, balancer.as_ref());
+        if let Some(cmd) = plan {
+            state.apply(&cmd);
+        }
         ticks += 1;
-        last = simulate(controller.routes(), &rates, &exp.topology, &exp.sim);
+        last = simulate(state.routing(), &rates, &exp.topology, &exp.sim);
         if matches!(action, ControlAction::None) {
             break;
         }
     }
-    Outcome { before, after: last, routes: controller.routes().route_count(), ticks }
+    Outcome { before, after: last, routes: state.route_count(), ticks }
 }
 
 #[cfg(test)]
@@ -123,11 +114,32 @@ mod tests {
     use super::*;
     use logstore_flow::monitor::load_stddev;
 
+    /// Pins the Fig 12–14 harness at θ = 0.99 to the values it reported
+    /// at commit b9b76dc, when it still drove a control loop of its own
+    /// instead of the engine's `plan_tick` over `ControlState`.
+    #[test]
+    fn paper_like_outcomes_match_the_previous_control_loop() {
+        let exp = BalanceExperiment::paper_like(0.99);
+        for (kind, routes, ticks, throughput) in [
+            (BalancerKind::None, 1000, 0, 1_482_396),
+            (BalancerKind::Greedy, 1029, 10, 1_800_025),
+            (BalancerKind::MaxFlow, 1015, 2, 1_800_014),
+        ] {
+            let outcome = run(&exp, kind);
+            assert_eq!(outcome.before.throughput, 1_482_396, "{kind:?}");
+            assert_eq!(
+                (outcome.routes, outcome.ticks, outcome.after.throughput),
+                (routes, ticks, throughput),
+                "{kind:?}"
+            );
+        }
+    }
+
     #[test]
     fn skewed_workload_collapses_without_control_and_recovers_with_it() {
         let exp = BalanceExperiment::paper_like(0.99);
-        let none = run(&exp, Policy::None);
-        let maxflow = run(&exp, Policy::MaxFlow);
+        let none = run(&exp, BalancerKind::None);
+        let maxflow = run(&exp, BalancerKind::MaxFlow);
         let offered = exp.total_rate as f64;
         assert!(
             (none.after.throughput as f64) < offered * 0.9,
@@ -150,8 +162,8 @@ mod tests {
     #[test]
     fn uniform_workload_needs_no_intervention() {
         let exp = BalanceExperiment::paper_like(0.0);
-        let none = run(&exp, Policy::None);
-        let maxflow = run(&exp, Policy::MaxFlow);
+        let none = run(&exp, BalancerKind::None);
+        let maxflow = run(&exp, BalancerKind::MaxFlow);
         // Already balanced: throughput equals offered rate both ways.
         let offered = exp.total_rate as f64;
         assert!(none.after.throughput as f64 > offered * 0.95);
@@ -161,7 +173,7 @@ mod tests {
     #[test]
     fn maxflow_reduces_stddev_at_high_skew() {
         let exp = BalanceExperiment::paper_like(0.99);
-        let outcome = run(&exp, Policy::MaxFlow);
+        let outcome = run(&exp, BalancerKind::MaxFlow);
         let before = load_stddev(&outcome.before.shard_load);
         let after = load_stddev(&outcome.after.shard_load);
         assert!(after < before / 2.0, "shard stddev before {before:.0} after {after:.0}");
@@ -171,8 +183,8 @@ mod tests {
     fn maxflow_uses_fewer_routes_than_greedy_at_scale() {
         // The Fig 12(c) aggregate claim over the full 1000-tenant population.
         let exp = BalanceExperiment::paper_like(0.99);
-        let greedy = run(&exp, Policy::Greedy);
-        let maxflow = run(&exp, Policy::MaxFlow);
+        let greedy = run(&exp, BalancerKind::Greedy);
+        let maxflow = run(&exp, BalancerKind::MaxFlow);
         assert!(
             maxflow.routes <= greedy.routes,
             "max-flow {} routes vs greedy {}",

@@ -1,8 +1,9 @@
 //! Figure 13: shard / worker access standard deviation, before vs after
 //! max-flow balancing, as the skew factor grows.
 
-use logstore_bench::balancing::{run, BalanceExperiment, Policy};
+use logstore_bench::balancing::{run, BalanceExperiment};
 use logstore_bench::print_table;
+use logstore_core::config::BalancerKind;
 use logstore_flow::monitor::load_stddev;
 
 fn main() {
@@ -12,7 +13,7 @@ fn main() {
     let mut improvements = Vec::new();
     for &theta in &thetas {
         let exp = BalanceExperiment::paper_like(theta);
-        let outcome = run(&exp, Policy::MaxFlow);
+        let outcome = run(&exp, BalancerKind::MaxFlow);
         let shard_before = load_stddev(&outcome.before.shard_load);
         let shard_after = load_stddev(&outcome.after.shard_load);
         let worker_before = load_stddev(&outcome.before.worker_load);

@@ -7,13 +7,14 @@
 //!   paper observes "the workload of workers is almost balanced, and the
 //!   CPU utilization of all workers is close to α (85%)".
 
-use logstore_bench::balancing::{run, BalanceExperiment, Policy};
+use logstore_bench::balancing::{run, BalanceExperiment};
 use logstore_bench::print_table;
+use logstore_core::config::BalancerKind;
 
 fn main() {
     let theta = 0.99;
     let exp = BalanceExperiment::paper_like(theta);
-    let outcome = run(&exp, Policy::MaxFlow);
+    let outcome = run(&exp, BalancerKind::MaxFlow);
 
     // (a) shard accesses ranked by before-load.
     let mut shards: Vec<_> = outcome.before.shard_load.iter().collect();

@@ -1,6 +1,7 @@
 //! Engine configuration.
 
 use logstore_codec::Compression;
+use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 use logstore_flow::FlowControlConfig;
 use logstore_oss::{FaultScope, LatencyModel, RetryPolicy};
 use logstore_types::TableSchema;
@@ -14,6 +15,17 @@ pub enum BalancerKind {
     Greedy,
     /// Algorithm 3 (production default).
     MaxFlow,
+}
+
+impl BalancerKind {
+    /// The planner this kind names. `None` still yields one (max-flow):
+    /// callers skip the control tick for it, so it never runs.
+    pub fn planner(self) -> Box<dyn Balancer> {
+        match self {
+            BalancerKind::Greedy => Box::new(GreedyBalancer),
+            BalancerKind::MaxFlow | BalancerKind::None => Box::new(MaxFlowBalancer),
+        }
+    }
 }
 
 /// Full cluster configuration.
@@ -63,17 +75,13 @@ pub struct ClusterConfig {
     /// bound on concurrently-running per-source collection tasks across
     /// ALL in-flight queries.
     pub query_threads: usize,
-    /// Flow-control knobs (α, per-tenant shard limit, interval).
+    /// Flow-control knobs (α, per-tenant shard limit).
     pub flow: FlowControlConfig,
     /// Balancer selection.
     pub balancer: BalancerKind,
     /// Replicate each shard's writes through an in-process Raft group of
     /// this size (1 = no replication).
     pub raft_replicas: usize,
-    /// Controller replica count: the control plane's route table, topology
-    /// and rebalance decisions are a state machine replicated through a
-    /// Raft group of this size (1 = a single, unreplicated controller).
-    pub controller_replicas: usize,
     /// RNG seed for all deterministic randomness.
     pub seed: u64,
     /// When set, every shard keeps a durable WAL under this directory and
@@ -88,12 +96,6 @@ pub struct ClusterConfig {
     /// may be merged with their neighbours. `None` defaults to
     /// `max_rows_per_logblock` (any partially-filled block qualifies).
     pub compact_small_rows: Option<u64>,
-    /// Minimum run of adjacent small blocks worth rewriting.
-    pub compact_min_run: usize,
-    /// Row cap for one merged block. `None` defaults to
-    /// `4 * max_rows_per_logblock` — compaction exists to build blocks
-    /// *larger* than the flush path's cap.
-    pub compact_max_merged_rows: Option<u64>,
 }
 
 impl ClusterConfig {
@@ -119,20 +121,13 @@ impl ClusterConfig {
             cache_shards: 4,
             prefetch_threads: 4,
             query_threads: 4,
-            flow: FlowControlConfig {
-                alpha: 0.85,
-                per_tenant_shard_limit: 50_000,
-                check_interval_secs: 300,
-            },
+            flow: FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 50_000 },
             balancer: BalancerKind::MaxFlow,
             raft_replicas: 1,
-            controller_replicas: 3,
             seed: 42,
             data_dir: None,
             wal: logstore_wal::WalConfig::default(),
             compact_small_rows: None,
-            compact_min_run: 2,
-            compact_max_merged_rows: None,
         }
     }
 

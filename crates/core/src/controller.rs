@@ -38,9 +38,9 @@
 use crate::config::{BalancerKind, ClusterConfig};
 use crate::metadata::MetadataStore;
 use crate::worker::{ShardWindow, Worker};
-use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
-use logstore_flow::ctrl::{pick_routes, ControlState, CtrlCmd};
-use logstore_flow::monitor::detect_hotspots;
+use logstore_flow::balancer::Balancer;
+use logstore_flow::ctrl::{plan_tick, ControlState, CtrlCmd};
+use logstore_flow::routing::{pick, Route};
 use logstore_flow::sim::ClusterTopology;
 use logstore_flow::{ControlAction, FlowControlConfig, TrafficSnapshot};
 use logstore_net::{NetFaults, SimNet};
@@ -108,7 +108,7 @@ pub enum CtrlResponse {
     /// fallback (which must not be cached — lazy placement may follow).
     Routes {
         /// Normalized `(shard, weight)` pairs.
-        routes: Vec<(ShardId, f64)>,
+        routes: Vec<Route>,
         /// True when the state machine holds explicit routes.
         routed: bool,
         /// State epoch at evaluation (cache key).
@@ -210,6 +210,10 @@ const DEDUP_CAP: usize = 256;
 /// Leader log compaction threshold, in committed entries past the last
 /// snapshot.
 const COMPACT_EVERY: u64 = 64;
+/// Controller replica count: the route table, topology and rebalance
+/// decisions are a state machine replicated through a Raft group of this
+/// size, which survives the loss of one replica.
+const CONTROLLER_REPLICAS: usize = 3;
 
 /// A read or proposal waiting for its commit barrier.
 struct PendingReply {
@@ -271,7 +275,6 @@ struct WorkerEndpoint {
 /// simulated network, and the attached worker endpoints.
 struct ControlPlane {
     raft: InProcCluster,
-    replicas: usize,
     sms: Vec<ReplicaSm>,
     net: SimNet<CtrlMsg>,
     /// Worker endpoints keyed by raw worker id.
@@ -289,15 +292,15 @@ struct ControlPlane {
 
 impl ControlPlane {
     fn client_addr(&self) -> u32 {
-        self.replicas as u32
+        CONTROLLER_REPLICAS as u32
     }
 
     fn worker_addr(&self, worker: u32) -> u32 {
-        self.replicas as u32 + 1 + worker
+        CONTROLLER_REPLICAS as u32 + 1 + worker
     }
 
     fn next_live(&self, from: u32) -> u32 {
-        let n = self.replicas as u32;
+        let n = CONTROLLER_REPLICAS as u32;
         let mut t = (from + 1) % n;
         while self.killed == Some(t) {
             t = (t + 1) % n;
@@ -314,7 +317,7 @@ impl ControlPlane {
         logstore_sync::sync_point("core.controller.pump");
         let mut to_client = Vec::new();
         for env in self.net.step() {
-            if (env.to as usize) < self.replicas {
+            if (env.to as usize) < CONTROLLER_REPLICAS {
                 if self.killed == Some(env.to) {
                     continue; // a dead replica's inbox goes nowhere
                 }
@@ -391,8 +394,9 @@ impl ControlPlane {
                 }
             }
             CtrlRequest::Tick { windows } => {
-                let (a, proposal) =
-                    plan_tick(&self.sms[i].state, windows, &self.flow, self.balancer.as_ref());
+                let state = &self.sms[i].state;
+                let snapshot = snapshot_from_windows(state, windows);
+                let (a, proposal) = plan_tick(state, &snapshot, &self.flow, self.balancer.as_ref());
                 action = Some(a);
                 proposal
             }
@@ -425,7 +429,7 @@ impl ControlPlane {
     /// Serves a worker endpoint: window fetches with replay-by-id.
     fn serve_worker(&mut self, to: u32, from: u32, msg: CtrlMsg) {
         let CtrlMsg::WindowFetch { id } = msg else { return };
-        let Some(worker) = to.checked_sub(self.replicas as u32 + 1) else { return };
+        let Some(worker) = to.checked_sub(CONTROLLER_REPLICAS as u32 + 1) else { return };
         let Some(ep) = self.workers.get_mut(&worker) else { return };
         let windows = match ep.served.get(&id) {
             Some(cached) => cached.clone(),
@@ -451,7 +455,7 @@ impl ControlPlane {
     /// Folds newly-committed log entries (and installed snapshots) into
     /// each replica's state machine.
     fn apply_committed(&mut self) {
-        for i in 0..self.replicas {
+        for i in 0..CONTROLLER_REPLICAS {
             let node_id = NodeId(i as u32);
             if let Some((idx, data)) = self.raft.installed_snapshot(node_id) {
                 if *idx != self.sms[i].installed_idx {
@@ -476,7 +480,7 @@ impl ControlPlane {
     /// Fires pending replies whose barrier committed; bounces the pending
     /// queue of any replica that lost leadership.
     fn flush_pending(&mut self) {
-        for i in 0..self.replicas {
+        for i in 0..CONTROLLER_REPLICAS {
             if self.sms[i].pending.is_empty() || self.killed == Some(i as u32) {
                 continue;
             }
@@ -585,7 +589,9 @@ impl ControlPlane {
                 match resp {
                     CtrlResponse::NotLeader { hint } => {
                         let next = hint
-                            .filter(|&h| (h as usize) < self.replicas && self.killed != Some(h))
+                            .filter(|&h| {
+                                (h as usize) < CONTROLLER_REPLICAS && self.killed != Some(h)
+                            })
                             .unwrap_or_else(|| self.next_live(target));
                         target = if next == target { self.next_live(target) } else { next };
                         since_send = RETX_INTERVAL; // redirect: resend now
@@ -637,12 +643,10 @@ impl ControlPlane {
     }
 
     /// Kills the current leader (isolates its Raft node and blackholes its
-    /// inbox). At most one replica is down at a time: a pending kill heals
-    /// first. No-op below 3 replicas — there would be no quorum left.
+    /// inbox). At most one replica is down at a time — the group of
+    /// [`CONTROLLER_REPLICAS`] keeps its quorum — so a pending kill heals
+    /// first.
     fn kill_leader(&mut self) -> Option<u32> {
-        if self.replicas < 3 {
-            return None;
-        }
         let leader = self.raft.any_leader()?;
         if self.killed == Some(leader.raw()) {
             return None;
@@ -668,7 +672,7 @@ impl ControlPlane {
             if self.raft.sole_leader().is_none() {
                 continue;
             }
-            let live: Vec<u64> = (0..self.replicas)
+            let live: Vec<u64> = (0..CONTROLLER_REPLICAS)
                 .filter(|&i| self.killed != Some(i as u32))
                 .map(|i| self.raft.node(NodeId(i as u32)).commit_index())
                 .collect();
@@ -676,45 +680,6 @@ impl ControlPlane {
                 return;
             }
         }
-    }
-}
-
-/// Computes one control tick on the leader: hotspot detection, then either
-/// nothing, a scale-out request, or a concrete rebalancing plan to propose.
-fn plan_tick(
-    state: &ControlState,
-    windows: &HashMap<WorkerId, HashMap<ShardId, ShardWindow>>,
-    flow: &FlowControlConfig,
-    balancer: &dyn Balancer,
-) -> (ControlAction, Option<CtrlCmd>) {
-    let snapshot = snapshot_from_windows(state, windows);
-    let hotspots = detect_hotspots(&snapshot, flow.alpha);
-    if hotspots.is_empty() {
-        return (ControlAction::None, None);
-    }
-    let demand = snapshot.total_traffic();
-    let usable = (snapshot.total_worker_capacity() as f64 * flow.alpha) as u64;
-    if demand > usable {
-        return (ControlAction::ScaleCluster { demand, usable_capacity: usable }, None);
-    }
-    let current = state.routing_table();
-    let routes_before = current.route_count();
-    match balancer.rebalance(&snapshot, &current, flow) {
-        Ok(plan) => {
-            let routes_after = plan.route_count();
-            let mut assignments: Vec<(TenantId, Vec<(ShardId, f64)>)> = plan
-                .iter()
-                .map(|(t, rs)| (t, rs.iter().map(|r| (r.shard, r.weight)).collect()))
-                .collect();
-            // The balancer iterates HashMaps; the proposed payload must not.
-            assignments.sort_by_key(|(t, _)| *t);
-            (
-                ControlAction::Rebalanced { routes_before, routes_after },
-                Some(CtrlCmd::CommitRebalance { assignments }),
-            )
-        }
-        // A planner failure leaves the current table in force.
-        Err(_) => (ControlAction::None, None),
     }
 }
 
@@ -748,7 +713,7 @@ fn snapshot_from_windows(
 #[derive(Default)]
 struct RouteCache {
     epoch: u64,
-    routes: HashMap<TenantId, Vec<(ShardId, f64)>>,
+    routes: HashMap<TenantId, Vec<Route>>,
     read_shards: HashMap<TenantId, Vec<ShardId>>,
 }
 
@@ -784,22 +749,19 @@ impl ClusterController {
     /// the first leader. Workers join via [`ClusterController::register_worker`]
     /// — the topology starts empty.
     pub fn new(config: &ClusterConfig, metadata: Arc<MetadataStore>) -> Self {
-        let replicas = config.controller_replicas.max(1);
-        let balancer: Box<dyn Balancer> = match config.balancer {
-            BalancerKind::Greedy => Box::new(GreedyBalancer),
-            // `None` still needs a planner instance; its tick is never run.
-            BalancerKind::MaxFlow | BalancerKind::None => Box::new(MaxFlowBalancer),
-        };
         let mut plane = ControlPlane {
-            raft: InProcCluster::new(replicas, RaftConfig::default(), config.seed ^ 0xC7A1),
-            replicas,
-            sms: (0..replicas).map(|_| ReplicaSm::new()).collect(),
+            raft: InProcCluster::new(
+                CONTROLLER_REPLICAS,
+                RaftConfig::default(),
+                config.seed ^ 0xC7A1,
+            ),
+            sms: (0..CONTROLLER_REPLICAS).map(|_| ReplicaSm::new()).collect(),
             net: SimNet::new(config.seed ^ 0x0e47),
             workers: BTreeMap::new(),
             killed: None,
             leader_hint: 0,
             next_req: 0,
-            balancer,
+            balancer: config.balancer.planner(),
             flow: config.flow.clone(),
             arm_kill: false,
         };
@@ -862,7 +824,7 @@ impl ClusterController {
     pub fn pick_shard(&self, tenant: TenantId, selector: u64) -> Result<ShardId> {
         let mut cache = self.cache.lock();
         if let Some(routes) = cache.routes.get(&tenant) {
-            if let Some(shard) = pick_routes(routes, selector) {
+            if let Some(shard) = pick(routes, selector) {
                 return Ok(shard);
             }
         }
@@ -870,7 +832,7 @@ impl ClusterController {
         match resp {
             CtrlResponse::Routes { routes, routed, epoch } => {
                 cache.observe_epoch(epoch);
-                let shard = pick_routes(&routes, selector)
+                let shard = pick(&routes, selector)
                     .ok_or_else(|| Error::Cluster(format!("no route for {tenant}")))?;
                 if routed && epoch == cache.epoch {
                     cache.routes.insert(tenant, routes);
@@ -1032,7 +994,7 @@ impl ClusterController {
     pub fn replica_states(&self) -> Vec<(u32, Vec<u8>)> {
         let mut plane = self.plane.lock();
         plane.settle();
-        (0..plane.replicas)
+        (0..CONTROLLER_REPLICAS)
             .filter(|&i| plane.killed != Some(i as u32))
             .map(|i| (i as u32, plane.sms[i].state.encode()))
             .collect()

@@ -565,16 +565,19 @@ impl LogStore {
     }
 
     fn compaction_config(&self) -> CompactionConfig {
+        /// Minimum run of adjacent small blocks worth rewriting.
+        const MIN_RUN: usize = 2;
+        /// Row cap of one merged block, in multiples of the flush path's
+        /// `max_rows_per_logblock` — compaction exists to build blocks
+        /// *larger* than that cap.
+        const MERGED_BLOCK_FACTOR: u64 = 4;
         CompactionConfig {
             small_block_rows: self
                 .config
                 .compact_small_rows
                 .unwrap_or(self.config.max_rows_per_logblock as u64),
-            min_run: self.config.compact_min_run,
-            max_merged_rows: self
-                .config
-                .compact_max_merged_rows
-                .unwrap_or(4 * self.config.max_rows_per_logblock as u64),
+            min_run: MIN_RUN,
+            max_merged_rows: MERGED_BLOCK_FACTOR * self.config.max_rows_per_logblock as u64,
         }
     }
 

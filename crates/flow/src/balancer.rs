@@ -1,7 +1,7 @@
 //! Rebalancing planners: the greedy baseline (Algorithm 2) and the
 //! max-flow planner (Algorithm 3).
 
-use crate::controller::FlowControlConfig;
+use crate::ctrl::FlowControlConfig;
 use crate::monitor::{detect_hotspots, TrafficSnapshot};
 use crate::network::{EdgeId, FlowNetwork};
 use crate::routing::RoutingTable;
@@ -58,7 +58,7 @@ impl Balancer for GreedyBalancer {
                 continue;
             }
             let mut shards: BTreeSet<ShardId> =
-                plan.routes(tenant).into_iter().flatten().map(|r| r.shard).collect();
+                plan.routes(tenant).into_iter().flatten().map(|(shard, _)| *shard).collect();
             let total_needed =
                 (traffic as usize).div_ceil(config.per_tenant_shard_limit.max(1) as usize);
             // CalculateAddRoutesNum: edges to add beyond what exists. The
@@ -152,10 +152,10 @@ impl Balancer for MaxFlowBalancer {
         // tenant -> shard for each existing route, capped at the per-edge max.
         let mut route_edges: HashMap<(TenantId, ShardId), EdgeId> = HashMap::new();
         for &k in &tenants {
-            for route in current.routes(k).into_iter().flatten() {
-                if let Some(&pn) = shard_node.get(&route.shard) {
+            for &(shard, _) in current.routes(k).into_iter().flatten() {
+                if let Some(&pn) = shard_node.get(&shard) {
                     let e = g.add_edge(tenant_node[&k], pn, fmax_edge)?;
-                    route_edges.insert((k, route.shard), e);
+                    route_edges.insert((k, shard), e);
                 }
             }
         }
@@ -221,14 +221,8 @@ impl Balancer for MaxFlowBalancer {
                 None => {
                     // Tenant got no flow (saturated cluster) — keep its
                     // current placement so writes still have a destination.
-                    let existing: Vec<(ShardId, f64)> = current
-                        .routes(k)
-                        .into_iter()
-                        .flatten()
-                        .map(|r| (r.shard, r.weight))
-                        .collect();
-                    if !existing.is_empty() {
-                        plan.set_routes(k, existing)?;
+                    if let Some(existing) = current.routes(k) {
+                        plan.set_routes(k, existing.to_vec())?;
                     }
                 }
             }
@@ -236,7 +230,7 @@ impl Balancer for MaxFlowBalancer {
         // Zero-traffic tenants keep their routes untouched.
         for (k, routes) in current.iter() {
             if plan.routes(k).is_none() {
-                plan.set_routes(k, routes.iter().map(|r| (r.shard, r.weight)).collect())?;
+                plan.set_routes(k, routes.to_vec())?;
             }
         }
         Ok(plan)
@@ -263,7 +257,7 @@ mod tests {
     }
 
     fn config() -> FlowControlConfig {
-        FlowControlConfig { alpha: 1.0, per_tenant_shard_limit: 100, check_interval_secs: 300 }
+        FlowControlConfig { alpha: 1.0, per_tenant_shard_limit: 100 }
     }
 
     fn single_hot_tenant_snapshot() -> (TrafficSnapshot, RoutingTable) {
@@ -284,8 +278,8 @@ mod tests {
         let routes = plan.routes(TenantId(1)).unwrap();
         // 250 traffic / 100 per-shard limit → 3 shards, uniform weights.
         assert_eq!(routes.len(), 3);
-        for r in routes {
-            assert!((r.weight - 1.0 / 3.0).abs() < 1e-9);
+        for (_, weight) in routes {
+            assert!((weight - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 
@@ -296,11 +290,11 @@ mod tests {
         let routes = plan.routes(TenantId(1)).unwrap();
         // Needs >= 3 shards (100 each) and both workers (200 each).
         assert!(routes.len() >= 3, "got {routes:?}");
-        let total: f64 = routes.iter().map(|r| r.weight).sum();
+        let total: f64 = routes.iter().map(|(_, w)| w).sum();
         assert!((total - 1.0).abs() < 1e-9);
         // No route may exceed the per-edge limit share: 100/250 = 0.4.
         for r in routes {
-            assert!(r.weight <= 0.4 + 1e-9, "route {r:?} exceeds edge cap share");
+            assert!(r.1 <= 0.4 + 1e-9, "route {r:?} exceeds edge cap share");
         }
     }
 
@@ -384,6 +378,6 @@ mod tests {
         let (s, mut rt) = single_hot_tenant_snapshot();
         rt.set_routes(TenantId(99), vec![(ShardId(2), 1.0)]).unwrap();
         let plan = MaxFlowBalancer.rebalance(&s, &rt, &config()).unwrap();
-        assert_eq!(plan.routes(TenantId(99)).unwrap()[0].shard, ShardId(2));
+        assert_eq!(plan.routes(TenantId(99)).unwrap()[0].0, ShardId(2));
     }
 }

@@ -1,17 +1,23 @@
-//! The replicated controller's deterministic state machine.
+//! The global traffic control loop (Algorithm 1) as a deterministic state
+//! machine plus a pure planner.
 //!
-//! The control plane (ISSUE 9) moves route tables, topology, and rebalance
-//! decisions out of an in-process singleton and into a state machine
+//! Route tables, topology, and rebalance decisions live in a state machine
 //! replicated through the Raft log. Every mutation is a [`CtrlCmd`] —
 //! `RegisterWorker`, `SetRoute`, `CommitRebalance`, `VacateRoute` — encoded
 //! to bytes, committed by quorum, and applied by each replica in log order.
+//! One control tick is [`plan_tick`]: given the state and a
+//! [`TrafficSnapshot`] it detects hot shards and either (a) plans a
+//! rebalance when the cluster still has headroom
+//! (`Σ f(D_k) ≤ α Σ c(D_k)`), or (b) asks for more workers
+//! (`ScaleCluster`). The engine's leader replica and the Figure 12–14
+//! harness both run that one function and fold its command.
 //!
 //! Determinism contract: [`ControlState`] holds only `BTreeMap`/`BTreeSet`
 //! collections and applies commands with no randomness, no clock, and no
 //! iteration over unordered containers, so the same command log (or a
 //! snapshot plus a log suffix) produces **byte-identical** [`ControlState::encode`]
-//! output on every replica. The non-deterministic part — running the
-//! balancer, which iterates `HashMap`s — happens only on the leader, which
+//! output on every replica. Running the balancer — which reads a
+//! `HashMap`-backed traffic snapshot — happens only on the leader, which
 //! proposes the *concrete* resulting assignment as a `CommitRebalance`
 //! command ("propose the decision, not the computation").
 //!
@@ -22,11 +28,85 @@
 //! not clobber a later rebalance, and a repeated `VacateRoute` must not
 //! double-count.
 
-use crate::consistent::{fnv1a, ConsistentHashRing};
+use crate::balancer::Balancer;
+use crate::consistent::ConsistentHashRing;
+use crate::monitor::{detect_hotspots, TrafficSnapshot};
 use crate::routing::{Route, RoutingTable};
 use crate::sim::ClusterTopology;
 use logstore_types::{Error, Result, ShardId, TenantId, WorkerId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Tuning knobs of the control loop.
+#[derive(Debug, Clone)]
+pub struct FlowControlConfig {
+    /// High watermark for shard/worker load (the paper's α, e.g. 0.85).
+    pub alpha: f64,
+    /// Maximum traffic of one tenant a single shard should carry — the
+    /// per-edge capacity `f_max` of the flow network and the divisor of
+    /// `CalculateAddRoutesNum`.
+    pub per_tenant_shard_limit: u64,
+}
+
+impl Default for FlowControlConfig {
+    fn default() -> Self {
+        FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100_000 }
+    }
+}
+
+/// What one control tick decided.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlAction {
+    /// No hot spots; nothing changed.
+    None,
+    /// Traffic was rebalanced; the new table was produced.
+    Rebalanced {
+        /// Route edges before the plan.
+        routes_before: usize,
+        /// Route edges after the plan.
+        routes_after: usize,
+    },
+    /// The cluster is saturated; more workers are needed.
+    ScaleCluster {
+        /// Total offered traffic.
+        demand: u64,
+        /// `α ×` total worker capacity.
+        usable_capacity: u64,
+    },
+}
+
+/// One control tick (Algorithm 1 lines 9–29): hotspot detection, then
+/// either nothing, a scale-out request, or a concrete rebalancing plan for
+/// the caller to commit (the engine proposes it through Raft; a harness
+/// applies it directly). Pure: `state` is only read.
+pub fn plan_tick(
+    state: &ControlState,
+    snapshot: &TrafficSnapshot,
+    flow: &FlowControlConfig,
+    balancer: &dyn Balancer,
+) -> (ControlAction, Option<CtrlCmd>) {
+    if detect_hotspots(snapshot, flow.alpha).is_empty() {
+        return (ControlAction::None, None);
+    }
+    let demand = snapshot.total_traffic();
+    let usable = (snapshot.total_worker_capacity() as f64 * flow.alpha) as u64;
+    if demand > usable {
+        // Line 25: only adding workers can help.
+        return (ControlAction::ScaleCluster { demand, usable_capacity: usable }, None);
+    }
+    match balancer.rebalance(snapshot, &state.routes, flow) {
+        Ok(plan) => (
+            ControlAction::Rebalanced {
+                routes_before: state.route_count(),
+                routes_after: plan.route_count(),
+            },
+            Some(CtrlCmd::CommitRebalance {
+                assignments: plan.iter().map(|(t, routes)| (t, routes.to_vec())).collect(),
+            }),
+        ),
+        // A planner failure leaves the current table in force.
+        Err(_) => (ControlAction::None, None),
+    }
+}
 
 /// A control-plane mutation, applied through the Raft log.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +126,14 @@ pub enum CtrlCmd {
         /// The tenant being routed.
         tenant: TenantId,
         /// `(shard, weight)` pairs; weights are normalized on apply.
-        routes: Vec<(ShardId, f64)>,
+        routes: Vec<Route>,
     },
     /// Atomically replaces the whole routing table with the balancer's
     /// plan. The displaced table is retained for settling-window reads and
     /// the `(tenant, shard)` edges it loses become pending vacations.
     CommitRebalance {
         /// The complete new table: every routed tenant with its routes.
-        assignments: Vec<(TenantId, Vec<(ShardId, f64)>)>,
+        assignments: Vec<(TenantId, Vec<Route>)>,
     },
     /// Acknowledges that a vacated route's buffered rows were flushed to
     /// OSS: the edge leaves the pending set and the settling window.
@@ -143,7 +223,7 @@ impl CtrlCmd {
     }
 }
 
-fn encode_routes(out: &mut Vec<u8>, routes: &[(ShardId, f64)]) {
+fn encode_routes(out: &mut Vec<u8>, routes: &[Route]) {
     out.extend_from_slice(&(routes.len() as u32).to_le_bytes());
     for (shard, weight) in routes {
         out.extend_from_slice(&shard.raw().to_le_bytes());
@@ -151,56 +231,13 @@ fn encode_routes(out: &mut Vec<u8>, routes: &[(ShardId, f64)]) {
     }
 }
 
-fn decode_routes(r: &mut Reader<'_>) -> Result<Vec<(ShardId, f64)>> {
+fn decode_routes(r: &mut Reader<'_>) -> Result<Vec<Route>> {
     let n = r.u32()? as usize;
     let mut routes = Vec::with_capacity(n);
     for _ in 0..n {
         routes.push((ShardId(r.u32()?), f64::from_bits(r.u64()?)));
     }
     Ok(routes)
-}
-
-/// Normalizes `(shard, weight)` pairs exactly like
-/// [`RoutingTable::set_routes`]: drop non-positive weights, sort by shard,
-/// merge duplicates, scale to sum 1. `None` when nothing survives.
-pub fn normalize_routes(routes: &[(ShardId, f64)]) -> Option<Vec<(ShardId, f64)>> {
-    let mut kept: Vec<(ShardId, f64)> = routes.iter().copied().filter(|(_, w)| *w > 0.0).collect();
-    if kept.is_empty() {
-        return None;
-    }
-    kept.sort_by_key(|(s, _)| *s);
-    kept.dedup_by(|b, a| {
-        if a.0 == b.0 {
-            a.1 += b.1;
-            true
-        } else {
-            false
-        }
-    });
-    let total: f64 = kept.iter().map(|(_, w)| w).sum();
-    for (_, w) in &mut kept {
-        *w /= total;
-    }
-    Some(kept)
-}
-
-/// Weight-proportional deterministic pick over normalized `(shard,
-/// weight)` routes — the same algorithm as [`RoutingTable::pick`], shared
-/// so brokers with a cached route list pick identically to a replica.
-pub fn pick_routes(routes: &[(ShardId, f64)], selector: u64) -> Option<ShardId> {
-    if routes.len() == 1 {
-        return Some(routes[0].0);
-    }
-    let h = fnv1a(&selector.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
-    let x = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let mut acc = 0.0;
-    for (shard, weight) in routes {
-        acc += weight;
-        if x < acc {
-            return Some(*shard);
-        }
-    }
-    routes.last().map(|(s, _)| *s)
 }
 
 /// The replicated controller state. See the module docs for the
@@ -210,8 +247,10 @@ pub struct ControlState {
     shard_capacity: BTreeMap<ShardId, u64>,
     shard_to_worker: BTreeMap<ShardId, WorkerId>,
     worker_shards: BTreeMap<WorkerId, Vec<(ShardId, u64)>>,
-    routes: BTreeMap<TenantId, Vec<(ShardId, f64)>>,
-    prev_routes: BTreeMap<TenantId, Vec<(ShardId, f64)>>,
+    routes: RoutingTable,
+    /// The displaced plan, retained so reads can fan out to old ∪ new
+    /// shards until each vacated edge's flush is acknowledged.
+    prev_routes: RoutingTable,
     pending_vacated: BTreeSet<(TenantId, ShardId)>,
     version: u64,
     epoch: u64,
@@ -236,8 +275,8 @@ impl ControlState {
             shard_capacity: BTreeMap::new(),
             shard_to_worker: BTreeMap::new(),
             worker_shards: BTreeMap::new(),
-            routes: BTreeMap::new(),
-            prev_routes: BTreeMap::new(),
+            routes: RoutingTable::new(),
+            prev_routes: RoutingTable::new(),
             pending_vacated: BTreeSet::new(),
             version: 0,
             epoch: 0,
@@ -273,19 +312,22 @@ impl ControlState {
                 true
             }
             CtrlCmd::SetRoute { tenant, routes } => {
-                if self.routes.contains_key(tenant) {
+                if self.is_routed(*tenant) {
                     return false; // already routed: redelivery or lost race
                 }
-                let Some(kept) = normalize_routes(routes) else { return false };
-                self.routes.insert(*tenant, kept);
+                if self.routes.set_routes(*tenant, routes.clone()).is_err() {
+                    return false; // no positive-weight route: nothing to install
+                }
                 self.version += 1;
                 true
             }
             CtrlCmd::CommitRebalance { assignments } => {
-                let mut new_table: BTreeMap<TenantId, Vec<(ShardId, f64)>> = BTreeMap::new();
+                let mut new_table = RoutingTable::new();
                 for (tenant, routes) in assignments {
-                    if let Some(kept) = normalize_routes(routes) {
-                        new_table.insert(*tenant, kept);
+                    if new_table.set_routes(*tenant, routes.clone()).is_err() {
+                        // A plan that would leave a tenant without a shard
+                        // is malformed: the table in force stays.
+                        return false;
                     }
                 }
                 if new_table == self.routes {
@@ -293,13 +335,13 @@ impl ControlState {
                 }
                 let old = std::mem::replace(&mut self.routes, new_table);
                 self.pending_vacated.clear();
-                for (tenant, routes) in &old {
-                    let current = self.routes.get(tenant);
+                for (tenant, routes) in old.iter() {
+                    let current = self.routes.routes(tenant);
                     for (shard, _) in routes {
                         let still_routed =
                             current.is_some_and(|rs| rs.iter().any(|(s, _)| s == shard));
                         if !still_routed {
-                            self.pending_vacated.insert((*tenant, *shard));
+                            self.pending_vacated.insert((tenant, *shard));
                         }
                     }
                 }
@@ -312,12 +354,7 @@ impl ControlState {
                 if !self.pending_vacated.remove(&(*tenant, *shard)) {
                     return false; // already vacated (or never pending)
                 }
-                if let Some(routes) = self.prev_routes.get_mut(tenant) {
-                    routes.retain(|(s, _)| s != shard);
-                    if routes.is_empty() {
-                        self.prev_routes.remove(tenant);
-                    }
-                }
+                self.prev_routes.remove_route(*tenant, *shard);
                 self.vacated_total += 1;
                 self.version += 1;
                 self.epoch += 1;
@@ -326,21 +363,19 @@ impl ControlState {
         }
     }
 
+    /// The current routing table (balancer input, simulator input).
+    pub fn routing(&self) -> &RoutingTable {
+        &self.routes
+    }
+
     /// A tenant's current routes, if placed.
-    pub fn routes(&self, tenant: TenantId) -> Option<&[(ShardId, f64)]> {
-        self.routes.get(&tenant).map(Vec::as_slice)
+    pub fn routes(&self, tenant: TenantId) -> Option<&[Route]> {
+        self.routes.routes(tenant)
     }
 
     /// True when the tenant has routes.
     pub fn is_routed(&self, tenant: TenantId) -> bool {
-        self.routes.contains_key(&tenant)
-    }
-
-    /// Picks a shard for one record, weight-proportionally and
-    /// deterministically in `selector` (same algorithm as
-    /// [`RoutingTable::pick`]).
-    pub fn pick(&self, tenant: TenantId, selector: u64) -> Option<ShardId> {
-        pick_routes(self.routes.get(&tenant)?, selector)
+        self.routes.routes(tenant).is_some()
     }
 
     /// The tenant's home shard on the consistent-hash ring (initial
@@ -353,25 +388,16 @@ impl ControlState {
     /// current routes and the still-settling previous routes, falling back
     /// to the ring's home shard for unplaced tenants.
     pub fn read_shards(&self, tenant: TenantId) -> Vec<ShardId> {
-        let mut shards: Vec<ShardId> = self
-            .routes
-            .get(&tenant)
-            .into_iter()
-            .chain(self.prev_routes.get(&tenant))
-            .flatten()
-            .map(|(s, _)| *s)
-            .collect();
+        let shards = self.routes.read_shards(&self.prev_routes, tenant);
         if shards.is_empty() {
             return self.ring.assign(tenant).into_iter().collect();
         }
-        shards.sort_unstable();
-        shards.dedup();
         shards
     }
 
     /// Tenant→shard edges in the current table (Figure 12(c)'s metric).
     pub fn route_count(&self) -> usize {
-        self.routes.values().map(Vec::len).sum()
+        self.routes.route_count()
     }
 
     /// Vacated edges awaiting a flush acknowledgement.
@@ -421,31 +447,6 @@ impl ControlState {
         t
     }
 
-    /// The current table as a [`RoutingTable`] (balancer input).
-    pub fn routing_table(&self) -> RoutingTable {
-        let mut t = RoutingTable::new();
-        for (&tenant, routes) in &self.routes {
-            // Normalized non-empty routes always round-trip.
-            let _ = t.set_routes(tenant, routes.clone());
-        }
-        t
-    }
-
-    /// Current routes as `(tenant, routes)` pairs, sorted by tenant.
-    pub fn assignments(&self) -> Vec<(TenantId, Vec<(ShardId, f64)>)> {
-        self.routes.iter().map(|(t, r)| (*t, r.clone())).collect()
-    }
-
-    /// Routes still visible from the previous plan, as [`Route`] slices.
-    pub fn settling_routes(&self, tenant: TenantId) -> Vec<Route> {
-        self.prev_routes
-            .get(&tenant)
-            .into_iter()
-            .flatten()
-            .map(|&(shard, weight)| Route { shard, weight })
-            .collect()
-    }
-
     /// Serializes the full state. Byte-identical across replicas that
     /// applied the same command log (all maps are `BTree*`; floats encode
     /// via `to_bits`).
@@ -472,8 +473,8 @@ impl ControlState {
             }
         }
         for table in [&self.routes, &self.prev_routes] {
-            out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-            for (&tenant, routes) in table {
+            out.extend_from_slice(&(table.tenant_count() as u32).to_le_bytes());
+            for (tenant, routes) in table.iter() {
                 out.extend_from_slice(&tenant.raw().to_le_bytes());
                 encode_routes(&mut out, routes);
             }
@@ -514,15 +515,10 @@ impl ControlState {
             }
             state.worker_shards.insert(worker, shards);
         }
-        for table_idx in 0..2 {
+        for table in [&mut state.routes, &mut state.prev_routes] {
             for _ in 0..r.u32()? {
                 let tenant = TenantId(r.u64()?);
-                let routes = decode_routes(&mut r)?;
-                if table_idx == 0 {
-                    state.routes.insert(tenant, routes);
-                } else {
-                    state.prev_routes.insert(tenant, routes);
-                }
+                table.restore(tenant, decode_routes(&mut r)?);
             }
         }
         for _ in 0..r.u32()? {
@@ -587,12 +583,93 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balancer::MaxFlowBalancer;
 
     fn register(worker: u32, shards: &[u32], cap: u64) -> CtrlCmd {
         CtrlCmd::RegisterWorker {
             worker: WorkerId(worker),
             shards: shards.iter().map(|&s| (ShardId(s), cap)).collect(),
         }
+    }
+
+    /// Two workers × two shards of capacity 100, tenant 1 on shard 0.
+    fn two_worker_state() -> ControlState {
+        let mut state = ControlState::new();
+        state.apply(&register(0, &[0, 1], 100));
+        state.apply(&register(1, &[2, 3], 100));
+        state.apply(&CtrlCmd::SetRoute { tenant: TenantId(1), routes: vec![(ShardId(0), 1.0)] });
+        state
+    }
+
+    /// What the monitor would report with tenant 1 offering `demand`, all
+    /// of it on shard 0 when `hot`.
+    fn snapshot(state: &ControlState, hot: bool, demand: u64) -> TrafficSnapshot {
+        let topology = state.topology();
+        let mut s = TrafficSnapshot {
+            shard_capacity: topology.shard_capacity,
+            worker_capacity: topology.worker_capacity,
+            shard_to_worker: topology.shard_to_worker,
+            ..Default::default()
+        };
+        s.tenant_traffic.insert(TenantId(1), demand);
+        if hot {
+            s.shard_load.insert(ShardId(0), demand);
+            s.shard_tenants.insert(ShardId(0), vec![(TenantId(1), demand)]);
+            s.worker_load.insert(WorkerId(0), demand);
+        }
+        s
+    }
+
+    fn tick(state: &ControlState, snapshot: &TrafficSnapshot) -> (ControlAction, Option<CtrlCmd>) {
+        let flow = FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100 };
+        plan_tick(state, snapshot, &flow, &MaxFlowBalancer)
+    }
+
+    /// Algorithm 1 lines 4–7: initial placement is the ring home shard
+    /// with 100% weight.
+    #[test]
+    fn initial_placement_uses_ring() {
+        let mut state = ControlState::new();
+        state.apply(&register(0, &[0, 1], 100));
+        for t in (0..10).map(TenantId) {
+            let home = state.home(t).unwrap();
+            assert!(state.apply(&CtrlCmd::SetRoute { tenant: t, routes: vec![(home, 1.0)] }));
+            assert_eq!(state.routes(t).unwrap(), &[(home, 1.0)]);
+        }
+        assert_eq!(state.routing().tenant_count(), 10);
+        assert_eq!(state.route_count(), 10);
+    }
+
+    #[test]
+    fn cold_tick_is_noop() {
+        let state = two_worker_state();
+        assert_eq!(tick(&state, &snapshot(&state, false, 10)), (ControlAction::None, None));
+    }
+
+    #[test]
+    fn hot_tick_rebalances() {
+        let mut state = two_worker_state();
+        let (action, cmd) = tick(&state, &snapshot(&state, true, 250));
+        let ControlAction::Rebalanced { routes_before, routes_after } = action else {
+            panic!("expected rebalance, got {action:?}");
+        };
+        assert_eq!(routes_before, 1);
+        assert!(routes_after >= 3);
+        assert!(state.apply(&cmd.expect("a rebalance carries its plan")));
+        assert_eq!(state.route_count(), routes_after);
+        // Reads must consult old and new shards during switch-over.
+        let reads = state.read_shards(TenantId(1));
+        assert!(reads.contains(&ShardId(0)));
+        assert!(reads.len() >= 3);
+    }
+
+    #[test]
+    fn saturation_escalates_to_scaling() {
+        let state = two_worker_state();
+        let (action, cmd) = tick(&state, &snapshot(&state, true, 1000));
+        // 0.85 × (2 workers × 200).
+        assert_eq!(action, ControlAction::ScaleCluster { demand: 1000, usable_capacity: 340 });
+        assert_eq!(cmd, None);
     }
 
     #[test]
@@ -686,22 +763,6 @@ mod tests {
             assignments: vec![(TenantId(1), vec![(ShardId(1), 0.5), (ShardId(2), 0.5)])],
         }));
         assert_eq!(state.version(), v);
-    }
-
-    #[test]
-    fn pick_matches_routing_table() {
-        let mut state = ControlState::new();
-        state.apply(&register(0, &[0, 1], 100));
-        state.apply(&CtrlCmd::SetRoute {
-            tenant: TenantId(3),
-            routes: vec![(ShardId(0), 0.8), (ShardId(1), 0.2)],
-        });
-        let table = state.routing_table();
-        for sel in 0..2000u64 {
-            assert_eq!(state.pick(TenantId(3), sel), table.pick(TenantId(3), sel));
-        }
-        assert_eq!(state.pick(TenantId(99), 0), None);
-        assert_eq!(state.route_count(), table.route_count());
     }
 
     /// Satellite 2 (in-crate half): the same command log applied directly

@@ -12,12 +12,13 @@
 //!
 //! * [`network`] — Dinic max-flow over integer capacities.
 //! * [`consistent`] — the consistent-hash ring used for initial placement.
-//! * [`routing`] — weighted tenant→shard routing tables.
+//! * [`routing`] — weighted tenant→shard routing tables (the one route
+//!   representation: normalisation and the weighted pick live here).
 //! * [`monitor`] — traffic snapshots and hotspot detection.
 //! * [`balancer`] — the greedy (Alg 2) and max-flow (Alg 3) planners.
-//! * [`controller`] — the control loop (Alg 1) tying them together.
-//! * [`ctrl`] — the replicated controller's deterministic state machine
-//!   (commands applied through the Raft log).
+//! * [`ctrl`] — the control loop (Alg 1): the replicated controller's
+//!   deterministic state machine (commands applied through the Raft log)
+//!   and the pure `plan_tick` that decides one control interval.
 //! * [`backpressure`] — bounded queues implementing the BFC mechanism (§4.2).
 //! * [`sim`] — a queueing-theoretic traffic simulator used by tests and the
 //!   Figure 12–14 harnesses.
@@ -27,7 +28,6 @@
 pub mod backpressure;
 pub mod balancer;
 pub mod consistent;
-pub mod controller;
 pub mod ctrl;
 pub mod monitor;
 pub mod network;
@@ -37,8 +37,7 @@ pub mod sim;
 pub use backpressure::{BfcQueue, BfcQueueConfig};
 pub use balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 pub use consistent::ConsistentHashRing;
-pub use controller::{ControlAction, FlowControlConfig, TrafficController};
-pub use ctrl::{ControlState, CtrlCmd};
+pub use ctrl::{ControlAction, ControlState, CtrlCmd, FlowControlConfig};
 pub use monitor::{HotspotReport, TrafficSnapshot};
 pub use network::FlowNetwork;
 pub use routing::RoutingTable;

@@ -5,25 +5,26 @@
 //! brokers split each tenant's write traffic across its routes by weight.
 //! Route *count* (the number of tenant→shard edges) is a first-class metric:
 //! the paper's Figure 12(c) compares how many routes each balancer needs.
+//!
+//! This is the one representation of routes in the system: the replicated
+//! [`crate::ctrl::ControlState`] holds its current and settling tables as
+//! [`RoutingTable`]s, the balancers plan over them, and brokers pick from
+//! the same [`Route`] slices with [`pick`]. Tables are `BTreeMap`-backed,
+//! so iteration (and everything encoded from it) is deterministic.
 
 use crate::consistent::fnv1a;
 use logstore_types::{Error, Result, ShardId, TenantId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// One tenant→shard route with its traffic share.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Route {
-    /// Destination shard.
-    pub shard: ShardId,
-    /// Fraction of the tenant's traffic in `[0, 1]`; a tenant's routes sum
-    /// to 1.
-    pub weight: f64,
-}
+/// One tenant→shard route: the destination shard and the fraction of the
+/// tenant's traffic it carries, in `[0, 1]`. A tenant's routes are sorted
+/// by shard and sum to 1.
+pub type Route = (ShardId, f64);
 
 /// The routing table distributed to brokers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutingTable {
-    routes: HashMap<TenantId, Vec<Route>>,
+    routes: BTreeMap<TenantId, Vec<Route>>,
 }
 
 impl RoutingTable {
@@ -32,33 +33,49 @@ impl RoutingTable {
         Self::default()
     }
 
-    /// Sets a tenant's routes. Weights are normalized to sum to 1;
-    /// non-positive-weight routes are dropped.
-    pub fn set_routes(&mut self, tenant: TenantId, routes: Vec<(ShardId, f64)>) -> Result<()> {
-        let mut kept: Vec<Route> = routes
-            .into_iter()
-            .filter(|(_, w)| *w > 0.0)
-            .map(|(shard, weight)| Route { shard, weight })
-            .collect();
-        if kept.is_empty() {
+    /// Sets a tenant's routes: non-positive-weight routes are dropped,
+    /// duplicate shards merged, and weights normalized to sum to 1. Fails
+    /// when nothing survives.
+    pub fn set_routes(&mut self, tenant: TenantId, mut routes: Vec<Route>) -> Result<()> {
+        routes.retain(|(_, w)| *w > 0.0);
+        if routes.is_empty() {
             return Err(Error::invalid(format!("tenant {tenant} needs at least one route")));
         }
-        // Collapse duplicate shards.
-        kept.sort_by_key(|r| r.shard);
-        kept.dedup_by(|b, a| {
-            if a.shard == b.shard {
-                a.weight += b.weight;
+        routes.sort_by_key(|(shard, _)| *shard);
+        routes.dedup_by(|b, a| {
+            if a.0 == b.0 {
+                a.1 += b.1;
                 true
             } else {
                 false
             }
         });
-        let total: f64 = kept.iter().map(|r| r.weight).sum();
-        for r in &mut kept {
-            r.weight /= total;
+        let total: f64 = routes.iter().map(|(_, w)| w).sum();
+        for (_, w) in &mut routes {
+            *w /= total;
         }
-        self.routes.insert(tenant, kept);
+        self.routes.insert(tenant, routes);
         Ok(())
+    }
+
+    /// Reinstalls routes exactly as a snapshot recorded them. Settling
+    /// tables keep their weights when an edge is vacated, so re-normalizing
+    /// here would make a decoded replica differ from the one that encoded.
+    pub(crate) fn restore(&mut self, tenant: TenantId, routes: Vec<Route>) {
+        self.routes.insert(tenant, routes);
+    }
+
+    /// Drops one tenant→shard edge (and the tenant with its last edge).
+    /// The remaining weights are left as they were: only the settling
+    /// table loses edges, and it answers "which shards", never "what
+    /// share".
+    pub(crate) fn remove_route(&mut self, tenant: TenantId, shard: ShardId) {
+        if let Some(routes) = self.routes.get_mut(&tenant) {
+            routes.retain(|(s, _)| *s != shard);
+            if routes.is_empty() {
+                self.routes.remove(&tenant);
+            }
+        }
     }
 
     /// A tenant's routes, if any.
@@ -66,25 +83,9 @@ impl RoutingTable {
         self.routes.get(&tenant).map(Vec::as_slice)
     }
 
-    /// Picks a shard for one record of `tenant`, weight-proportionally and
-    /// deterministically in `selector` (brokers hash a record attribute or a
-    /// round-robin counter into it).
+    /// Picks a shard for one record of `tenant` (see [`pick`]).
     pub fn pick(&self, tenant: TenantId, selector: u64) -> Option<ShardId> {
-        let routes = self.routes.get(&tenant)?;
-        if routes.len() == 1 {
-            return Some(routes[0].shard);
-        }
-        // Map the selector to [0,1) and walk the cumulative weights.
-        let h = fnv1a(&selector.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
-        let x = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let mut acc = 0.0;
-        for r in routes {
-            acc += r.weight;
-            if x < acc {
-                return Some(r.shard);
-            }
-        }
-        routes.last().map(|r| r.shard)
+        pick(self.routes.get(&tenant)?, selector)
     }
 
     /// Total number of tenant→shard edges (Figure 12(c)'s "routes").
@@ -97,7 +98,7 @@ impl RoutingTable {
         self.routes.len()
     }
 
-    /// Iterates `(tenant, routes)` pairs.
+    /// Iterates `(tenant, routes)` pairs in tenant order.
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, &[Route])> {
         self.routes.iter().map(|(t, r)| (*t, r.as_slice()))
     }
@@ -112,12 +113,33 @@ impl RoutingTable {
             .into_iter()
             .chain(older.routes(tenant))
             .flatten()
-            .map(|r| r.shard)
+            .map(|(shard, _)| *shard)
             .collect();
         shards.sort_unstable();
         shards.dedup();
         shards
     }
+}
+
+/// Picks a shard for one record from a tenant's normalized routes,
+/// weight-proportionally and deterministically in `selector` (brokers hash
+/// a record attribute or a round-robin counter into it). A broker holding
+/// a cached route list picks exactly as a controller replica would.
+pub fn pick(routes: &[Route], selector: u64) -> Option<ShardId> {
+    if routes.len() == 1 {
+        return Some(routes[0].0);
+    }
+    // Map the selector to [0,1) and walk the cumulative weights.
+    let h = fnv1a(&selector.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
+    let x = (h >> 11) as f64 / (1u64 << 53) as f64;
+    let mut acc = 0.0;
+    for (shard, weight) in routes {
+        acc += weight;
+        if x < acc {
+            return Some(*shard);
+        }
+    }
+    routes.last().map(|(shard, _)| *shard)
 }
 
 #[cfg(test)]
@@ -131,8 +153,8 @@ mod tests {
             .unwrap();
         let routes = t.routes(TenantId(1)).unwrap();
         assert_eq!(routes.len(), 2);
-        let w0 = routes.iter().find(|r| r.shard == ShardId(0)).unwrap().weight;
-        let w1 = routes.iter().find(|r| r.shard == ShardId(1)).unwrap().weight;
+        let (w0, w1) = (routes[0].1, routes[1].1);
+        assert_eq!((routes[0].0, routes[1].0), (ShardId(0), ShardId(1)));
         assert!((w0 - 0.75).abs() < 1e-9);
         assert!((w1 - 0.25).abs() < 1e-9);
         assert_eq!(t.route_count(), 2);

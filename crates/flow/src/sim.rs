@@ -98,14 +98,14 @@ pub fn simulate(
     // Offered load per shard from the weighted routes.
     for (&tenant, &rate) in tenant_rates {
         let Some(tenant_routes) = routes.routes(tenant) else { continue };
-        for r in tenant_routes {
-            let share = (rate as f64 * r.weight).round() as u64;
+        for &(shard, weight) in tenant_routes {
+            let share = (rate as f64 * weight).round() as u64;
             if share == 0 {
                 continue;
             }
-            *result.shard_load.entry(r.shard).or_default() += share;
-            result.shard_tenants.entry(r.shard).or_default().push((tenant, share));
-            if let Some(w) = topology.shard_to_worker.get(&r.shard) {
+            *result.shard_load.entry(shard).or_default() += share;
+            result.shard_tenants.entry(shard).or_default().push((tenant, share));
+            if let Some(w) = topology.shard_to_worker.get(&shard) {
                 *result.worker_load.entry(*w).or_default() += share;
             }
         }
@@ -144,18 +144,18 @@ pub fn simulate(
         }
         let Some(tenant_routes) = routes.routes(tenant) else { continue };
         let mut tenant_latency = 0.0;
-        for r in tenant_routes {
-            let shard_cap = topology.shard_capacity.get(&r.shard).copied().unwrap_or(1).max(1);
+        for &(shard, weight) in tenant_routes {
+            let shard_cap = topology.shard_capacity.get(&shard).copied().unwrap_or(1).max(1);
             let shard_rho =
-                result.shard_load.get(&r.shard).copied().unwrap_or(0) as f64 / shard_cap as f64;
+                result.shard_load.get(&shard).copied().unwrap_or(0) as f64 / shard_cap as f64;
             let worker_rho = topology
                 .shard_to_worker
-                .get(&r.shard)
+                .get(&shard)
                 .and_then(|w| result.worker_utilization.get(w))
                 .copied()
                 .unwrap_or(0.0);
             let rho = shard_rho.max(worker_rho).min(config.max_rho);
-            tenant_latency += r.weight * config.base_latency_ms / (1.0 - rho);
+            tenant_latency += weight * config.base_latency_ms / (1.0 - rho);
         }
         weighted_latency += rate as f64 * tenant_latency;
         total_rate += rate as f64;

@@ -9,10 +9,10 @@
 //! later drains this store into columnar LogBlocks.
 //!
 //! * [`segment`] — CRC-framed, length-prefixed record files with rotation.
-//! * [`wal::Wal`] — the append/replay/truncate interface over segments.
-//! * [`group::GroupCommitWal`] — the concurrent leader-based group-commit
-//!   front end over the same segment files (one coalesced frame + barrier
-//!   per epoch of staged producers).
+//! * [`group::GroupCommitWal`] — the write-ahead log: concurrent
+//!   leader-based group commit over segment files (one coalesced frame +
+//!   barrier per epoch of staged producers), replay, rotation, truncation,
+//!   and its [`WalConfig`] / [`FlushPolicy`] / [`Lsn`] types.
 //! * [`rowstore::RowStore`] — the in-memory real-time store, scannable by
 //!   queries for data that has not been archived yet.
 //! * [`shard::ShardStore`] — WAL + row store glued together with crash
@@ -24,9 +24,7 @@ pub mod group;
 pub mod rowstore;
 pub mod segment;
 pub mod shard;
-pub mod wal;
 
-pub use group::{GroupCommitStats, GroupCommitWal};
+pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 pub use rowstore::RowStore;
 pub use shard::{DrainResolver, DrainSeq, NoCommittedDrains, PendingDrain, ShardStore};
-pub use wal::{FlushPolicy, Lsn, ReplayedRecord, Wal, WalConfig};

@@ -40,9 +40,8 @@
 //! counter (`epoch` file in the shard directory) and a drain is named
 //! `(epoch, counter)`.
 
-use crate::group::{GroupCommitStats, GroupCommitWal};
+use crate::group::{GroupCommitStats, GroupCommitWal, Lsn, WalConfig};
 use crate::rowstore::RowStore;
-use crate::wal::{Lsn, WalConfig};
 use logstore_codec::batch::{decode_batch, encode_batch};
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_types::{
@@ -477,7 +476,7 @@ fn decode_drain_intent(body: &[u8]) -> Result<(DrainSeq, Vec<LogRecord>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::FlushPolicy;
+    use crate::group::FlushPolicy;
     use logstore_types::{Timestamp, Value};
     use std::collections::HashMap;
     use std::path::PathBuf;

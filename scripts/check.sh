@@ -35,12 +35,12 @@ cargo test --release -q -p logstore-raft --test churn
 echo "== controller failover sweep =="
 cargo test --release -q --test controller_failover
 
-# Ingest bench smoke: a tiny producer sweep of the group-commit write
-# path against the seed-shaped baseline. Asserts fsync coalescing and
-# exact replay; the full matrix (BENCH_ingest.json) runs manually via
-# `cargo run --release -p logstore-bench --bin bench_ingest`.
-echo "== bench_ingest smoke =="
-cargo run -q --release -p logstore-bench --bin bench_ingest -- --smoke
+# End-to-end bench smoke: bench_e2e is its own workspace, so nothing above
+# notices when a crate API it imports is renamed or removed. This builds
+# it against the crates as they are now and runs all three workloads for
+# a few seconds with its output checker on (see bench_e2e/README.md).
+echo "== bench_e2e smoke =="
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke
 
 # Compaction bench smoke: ages a small fragmented dataset, compacts it,
 # and asserts the >=2x read-amplification reduction plus byte-identical

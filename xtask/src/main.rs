@@ -25,6 +25,10 @@
 //! 7. **Swallowed-`Result` ban** — `let _ =` and `.ok();` discarding a
 //!    fallible call in non-test code is budgeted per file
 //!    (`xtask/lint-allow-swallow.txt`); counts may only shrink.
+//!
+//! An allowlist entry that no longer matches anything — a path whose file
+//! was deleted, a lock label no site carries — fails the lint, so a budget
+//! cannot outlive its file and come back with a new one of the same name.
 
 #![forbid(unsafe_code)]
 
@@ -146,11 +150,30 @@ fn load_allowlist(path: &Path) -> Vec<(String, Option<u64>)> {
         .collect()
 }
 
+/// Loads a path-keyed allowlist and fails every entry whose file is gone.
+/// The checks iterate files, not entries, so without this an entry left
+/// behind by a deleted file is never looked at again and "budgets only
+/// shrink" does not hold across the delete.
+fn load_path_allowlist(
+    root: &Path,
+    name: &str,
+    failures: &mut Vec<String>,
+) -> Vec<(String, Option<u64>)> {
+    let entries = load_allowlist(&root.join(name));
+    for (path, _) in &entries {
+        if !root.join(path).is_file() {
+            failures
+                .push(format!("{name}: stale entry `{path}` names no existing file; remove it"));
+        }
+    }
+    entries
+}
+
 /// Check 1: raw lock construction outside the sync crate.
 fn check_raw_locks(root: &Path, failures: &mut Vec<String>) {
     const CONSTRUCTORS: [&str; 3] = ["Mutex::new", "RwLock::new", "Condvar::new"];
     const IMPORTS: [&str; 2] = ["use parking_lot", "parking_lot::"];
-    let allow: Vec<String> = load_allowlist(&root.join("xtask/lint-allow-locks.txt"))
+    let allow: Vec<String> = load_path_allowlist(root, "xtask/lint-allow-locks.txt", failures)
         .into_iter()
         .map(|(p, _)| p)
         .collect();
@@ -190,7 +213,7 @@ fn check_unwrap_budget(root: &Path, failures: &mut Vec<String>) {
         "crates/flow/src",
         "crates/logblock/src",
     ];
-    let budgets = load_allowlist(&root.join("xtask/lint-allow-unwrap.txt"));
+    let budgets = load_path_allowlist(root, "xtask/lint-allow-unwrap.txt", failures);
     let gated = GATED_DIRS.iter().flat_map(|d| rust_files(&root.join(d)));
     for file in gated {
         let path = rel(root, &file);
@@ -366,6 +389,7 @@ fn check_lock_labels(root: &Path, failures: &mut Vec<String>) {
         .map(|(l, _)| l)
         .collect();
     let mut seen: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
+    let mut allow_used = vec![false; allow.len()];
     for (crate_seg, dir) in crate_src_dirs(root) {
         for file in rust_files(&dir) {
             let path = rel(root, &file);
@@ -392,7 +416,8 @@ fn check_lock_labels(root: &Path, failures: &mut Vec<String>) {
                             ));
                             continue;
                         };
-                        if allow.iter().any(|a| a == &label) {
+                        if let Some(k) = allow.iter().position(|a| a == &label) {
+                            allow_used[k] = true;
                             continue;
                         }
                         let segs: Vec<&str> = label.split('.').collect();
@@ -429,6 +454,14 @@ fn check_lock_labels(root: &Path, failures: &mut Vec<String>) {
             }
         }
     }
+    for (label, used) in allow.iter().zip(allow_used) {
+        if !used {
+            failures.push(format!(
+                "xtask/lint-allow-lock-labels.txt: stale entry `{label}` matches no lock site; \
+                 remove it"
+            ));
+        }
+    }
 }
 
 /// Check 7: swallowed `Result`s. `let _ = fallible()` and
@@ -436,7 +469,7 @@ fn check_lock_labels(root: &Path, failures: &mut Vec<String>) {
 /// arguments (PR 8's GC barriers above all) depend on errors propagating.
 /// Budgeted per file like the unwrap pass; budgets only shrink.
 fn check_swallowed_results(root: &Path, failures: &mut Vec<String>) {
-    let budgets = load_allowlist(&root.join("xtask/lint-allow-swallow.txt"));
+    let budgets = load_path_allowlist(root, "xtask/lint-allow-swallow.txt", failures);
     for (_, dir) in crate_src_dirs(root) {
         for file in rust_files(&dir) {
             let path = rel(root, &file);
@@ -489,5 +522,30 @@ fn check_forbid_unsafe(root: &Path, failures: &mut Vec<String>) {
         if !text.contains("#![forbid(unsafe_code)]") {
             failures.push(format!("{path}: missing `#![forbid(unsafe_code)]`"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn allowlist_entry_for_a_deleted_file_fails_the_lint() {
+        let root =
+            std::env::temp_dir().join(format!("logstore-xtask-stale-{}", std::process::id()));
+        fs::create_dir_all(root.join("xtask")).unwrap();
+        fs::create_dir_all(root.join("crates/a/src")).unwrap();
+        fs::write(root.join("crates/a/src/kept.rs"), "").unwrap();
+        fs::write(
+            root.join("xtask/lint-allow-swallow.txt"),
+            "# budgets\ncrates/a/src/kept.rs 2\ncrates/a/src/deleted.rs 3\n",
+        )
+        .unwrap();
+        let mut failures = Vec::new();
+        let entries = load_path_allowlist(&root, "xtask/lint-allow-swallow.txt", &mut failures);
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(entries.len(), 2, "stale entries are still returned to the caller");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("crates/a/src/deleted.rs"), "{failures:?}");
     }
 }
