@@ -3,12 +3,12 @@
 //! Before a query touches a LogBlock's members, the prefetcher takes the
 //! member ranges it will need, merges duplicates and adjacent ranges
 //! ("repeated data block read IO requests will be merged"), splits the
-//! result into aligned cache blocks, and fetches them with a thread pool —
-//! turning a serial chain of high-latency OSS GETs into one parallel wave.
+//! result into aligned cache blocks, and fetches them as one
+//! [`ordered_wave`] — turning a serial chain of high-latency OSS GETs into
+//! one parallel wave.
 
 use crate::source::CachedObjectSource;
-use logstore_oss::ObjectStore;
-use logstore_sync::OrderedMutex;
+use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::Result;
 use std::collections::BTreeSet;
 
@@ -98,39 +98,16 @@ impl Prefetcher {
                 blocks.insert(b);
             }
         }
-        let work: Vec<(u64, u64)> = blocks.into_iter().collect();
-        let total = work.len();
-        if total == 0 {
-            return PrefetchOutcome::default();
-        }
-        let queue = OrderedMutex::new("cache.prefetch.queue", work.into_iter().enumerate());
-        // (block index, error) of the earliest failure, by block order —
-        // not completion order, so the report is deterministic.
-        let first_error: OrderedMutex<Option<(usize, logstore_types::Error)>> =
-            OrderedMutex::new("cache.prefetch.first_error", None);
-        let errors = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(total) {
-                scope.spawn(|| loop {
-                    // Pop under a transient guard; the block fetch below
-                    // (an OSS GET) must run with no lock held.
-                    let next = queue.lock().next();
-                    let Some((idx, (offset, len))) = next else { return };
-                    if let Err(e) = source.prefetch_block(offset, len) {
-                        errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let mut slot = first_error.lock();
-                        if slot.as_ref().is_none_or(|(held, _)| idx < *held) {
-                            *slot = Some((idx, e));
-                        }
-                    }
-                });
-            }
+        // One ordered wave over the blocks: results come back in block
+        // order — not completion order — so the report is deterministic.
+        let results = ordered_wave(self.threads, blocks, |_, (offset, len)| {
+            source.prefetch_block(offset, len)
         });
-        let errors = errors.into_inner();
+        let errors = results.iter().filter(|r| r.is_err()).count();
         PrefetchOutcome {
-            fetched: total - errors,
+            fetched: results.len() - errors,
             errors,
-            first_error: first_error.into_inner().map(|(_, e)| e),
+            first_error: results.into_iter().find_map(Result::err),
         }
     }
 }

@@ -38,7 +38,7 @@ use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
 use logstore_cache::TieredCache;
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
-use logstore_oss::ObjectStore;
+use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{Error, Result, TableSchema, TenantId, Timestamp};
 
 /// What counts as "small" and how much to merge at once.
@@ -126,9 +126,10 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
     runs
 }
 
-/// Executes every planned run through the full protocol. Per-run errors
-/// are isolated (one tenant's failure must not abort another's merge);
-/// the first error is returned after every run was attempted, alongside
+/// Executes every planned run through the full protocol, reading each
+/// run's sources with up to `width` GETs in flight. Per-run errors are
+/// isolated (one tenant's failure must not abort another's merge); the
+/// first error is returned after every run was attempted, alongside
 /// nothing — the report only counts committed work.
 pub fn run_compaction<S: ObjectStore>(
     store: &S,
@@ -137,12 +138,18 @@ pub fn run_compaction<S: ObjectStore>(
     build: &BuildConfig,
     config: &CompactionConfig,
     hooks: &dyn CrashHooks,
+    width: usize,
 ) -> Result<CompactionReport> {
     let mut report = CompactionReport::default();
     let mut first_error: Option<Error> = None;
     for run in plan_compactions(metadata, config) {
-        match compact_one_run(store, metadata, schema, build, hooks, &run, &mut report) {
-            Ok(()) => {}
+        match compact_one_run(store, metadata, schema, build, hooks, &run, width) {
+            Ok(bytes_uploaded) => {
+                report.runs_committed += 1;
+                report.blocks_merged += run.sources.len() as u64;
+                report.rows_rewritten += run.sources.iter().map(|e| e.rows).sum::<u64>();
+                report.bytes_uploaded += bytes_uploaded;
+            }
             Err(Error::Stale(_)) => report.runs_lost_races += 1,
             Err(e) => {
                 first_error.get_or_insert(e);
@@ -156,7 +163,8 @@ pub fn run_compaction<S: ObjectStore>(
 }
 
 /// One run through plan→build→upload→swap (tombstoning is part of the
-/// swap transaction; deletion belongs to [`run_gc`]).
+/// swap transaction; deletion belongs to [`run_gc`]). Returns the merged
+/// block's size in bytes.
 fn compact_one_run<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -164,15 +172,15 @@ fn compact_one_run<S: ObjectStore>(
     build: &BuildConfig,
     hooks: &dyn CrashHooks,
     run: &CompactionRun,
-    report: &mut CompactionReport,
-) -> Result<()> {
+    width: usize,
+) -> Result<u64> {
     // Protect the merged path from the stale-pending sweep while we build.
     let _build_guard = metadata.begin_build();
     let source_paths: Vec<String> = run.sources.iter().map(|e| e.path.clone()).collect();
     let merged_path = metadata.begin_compaction(run.tenant, &source_paths)?;
     hooks.reached(CrashPoint::CompactPlanned);
 
-    let built = match build_merged_block(store, schema, build, &run.sources) {
+    let built = match build_merged_block(store, schema, build, &run.sources, width) {
         Ok(bytes) => bytes,
         Err(e) => {
             // Nothing provably on OSS under the merged path; tombstone it
@@ -210,36 +218,34 @@ fn compact_one_run<S: ObjectStore>(
         return Err(e);
     }
     hooks.reached(CrashPoint::CompactCommitted);
-    report.runs_committed += 1;
-    report.blocks_merged += run.sources.len() as u64;
-    report.rows_rewritten += run.sources.iter().map(|e| e.rows).sum::<u64>();
-    report.bytes_uploaded += built.len() as u64;
-    Ok(())
+    Ok(built.len() as u64)
 }
 
-/// Reads every source block and rebuilds one merged block. Row order is
-/// the concatenation of the sources in run order (per-tenant path order) —
-/// the same order a query's scatter visits the originals — so a scan of
-/// the merged block is bit-identical to scanning the sources in sequence.
-/// The builder recomputes SMA / inverted / BKD indexes from scratch.
+/// Reads every source block and rebuilds one merged block. The sources are
+/// fetched as one [`ordered_wave`] (one GET round per `width` sources
+/// instead of one per source) and consumed in run order (per-tenant path
+/// order) — the same order a query's scatter visits the originals — so a
+/// scan of the merged block is bit-identical to scanning the sources in
+/// sequence, at any width. The builder recomputes SMA / inverted / BKD
+/// indexes from scratch.
 fn build_merged_block<S: ObjectStore>(
     store: &S,
     schema: &TableSchema,
     build: &BuildConfig,
     sources: &[LogBlockEntry],
+    width: usize,
 ) -> Result<Vec<u8>> {
+    let fetched = ordered_wave(width, sources, |_, source| store.get(&source.path));
     let mut builder =
         LogBlockBuilder::with_options(schema.clone(), build.compression, build.block_rows);
-    let width = schema.width();
-    for source in sources {
-        let bytes = store.get(&source.path)?;
-        let reader = LogBlockReader::open(bytes)?;
-        let columns: Vec<Vec<logstore_types::Value>> =
-            (0..width).map(|c| reader.read_column(c)).collect::<Result<_>>()?;
-        for r in 0..reader.row_count() as usize {
-            let row: Vec<logstore_types::Value> =
-                columns.iter().map(|column| column[r].clone()).collect();
-            builder.add_row(&row)?;
+    for bytes in fetched {
+        let reader = LogBlockReader::open(bytes?)?;
+        // The decoded values move into the builder, column by column.
+        let mut columns = (0..schema.width())
+            .map(|c| reader.read_column(c).map(Vec::into_iter))
+            .collect::<Result<Vec<_>>>()?;
+        for _ in 0..reader.row_count() {
+            builder.add_owned_row(columns.iter_mut().filter_map(Iterator::next).collect())?;
         }
     }
     builder.finish()
@@ -422,7 +428,7 @@ mod tests {
             .unwrap();
         }
         let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
-        let report = run_compaction(&store, &m, &schema, &build, &config, &NoopHooks).unwrap();
+        let report = run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4).unwrap();
         assert_eq!(report.runs_committed, 1);
         assert_eq!(report.blocks_merged, 3);
         assert_eq!(report.rows_rewritten, 30);

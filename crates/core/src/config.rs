@@ -69,7 +69,10 @@ pub struct ClusterConfig {
     /// of two). Each shard has its own mutex and byte budget, so parallel
     /// scans don't serialize on one lock.
     pub cache_shards: usize,
-    /// Prefetch thread count (the paper evaluates 32).
+    /// OSS requests one operation keeps in flight: the width of a query's
+    /// prefetch wave (the paper evaluates 32), of an archive drain's
+    /// LogBlock PUTs and of a compaction run's source GETs. `1` issues
+    /// every request inline on the calling thread.
     pub prefetch_threads: usize,
     /// Size of the engine's shared scatter/gather query pool: the upper
     /// bound on concurrently-running per-source collection tasks across

@@ -7,6 +7,17 @@
 //! registers them in the controller's LogBlock map. Oversized tenants are
 //! split across multiple LogBlocks.
 //!
+//! One drain is a pipeline, not a loop. The calling thread does what only
+//! it can do deterministically — partition, build and allocate paths in
+//! canonical chunk order — while an [`ordered_wave`] of uploader threads
+//! PUTs the blocks already built, so a drain costs about its build CPU
+//! plus one OSS round trip instead of one round trip per LogBlock.
+//! Completion order is free; **commit order is not**: after the wave
+//! joins, exactly the chunks before the lowest failed index are
+//! registered. A later chunk whose PUT happened to succeed stays an
+//! uploaded-but-unregistered orphan under its pending path, which the GC
+//! pass sweeps, tombstones and deletes like any crash-orphaned upload.
+//!
 //! Uploads are fault-tolerant: the engine's store stack retries transient
 //! OSS failures with backoff, and when an upload still fails terminally,
 //! [`build_and_upload`] hands every not-yet-durable row back in
@@ -16,8 +27,12 @@
 use crate::metadata::{DrainId, LogBlockEntry, MetadataStore};
 use logstore_codec::Compression;
 use logstore_logblock::LogBlockBuilder;
-use logstore_oss::ObjectStore;
-use logstore_types::{partition_into_chunks, Error, LogRecord, Result, TableSchema, TenantId};
+use logstore_oss::{ordered_wave, ObjectStore};
+use logstore_types::{
+    partition_into_chunks, ArchiveChunk, Error, LogRecord, Result, TableSchema, TenantId,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Builder configuration.
 #[derive(Debug, Clone)]
@@ -52,16 +67,17 @@ impl BuildReport {
 
 /// The full result of a build pass, including the failure path.
 ///
-/// Blocks uploaded before the first error are durable and registered (the
-/// report counts them); every row not covered by a registered block comes
-/// back in `unarchived`, in arrival order, so the caller can restore it.
+/// The chunks before the lowest failed index are durable and registered
+/// (the report counts them); every row not covered by a registered block
+/// comes back in `unarchived`, in chunk order, so the caller can restore
+/// it.
 #[derive(Debug, Default)]
 pub struct BuildOutcome {
     /// What was successfully uploaded and registered.
     pub report: BuildReport,
     /// Rows that are NOT durable on OSS (empty on full success).
     pub unarchived: Vec<LogRecord>,
-    /// The first terminal error, if any chunk failed.
+    /// The lowest-indexed chunk's terminal error (or the commit's), if any.
     pub error: Option<Error>,
 }
 
@@ -72,7 +88,8 @@ impl BuildOutcome {
     }
 }
 
-/// Converts drained rows into uploaded, registered LogBlocks.
+/// Converts drained rows into uploaded, registered LogBlocks — the serial
+/// reference path: one PUT at a time, inline on the caller.
 ///
 /// Never returns `Err`: failures are reported through
 /// [`BuildOutcome::error`] together with the rows that still need a home.
@@ -83,20 +100,30 @@ pub fn build_and_upload<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
 ) -> BuildOutcome {
-    build_and_upload_drain(rows, schema, config, store, metadata, None)
+    build_and_upload_drain(rows, schema, config, store, metadata, None, 1)
 }
 
-/// [`build_and_upload`] for rows that came out of a durable shard drain.
+/// [`build_and_upload`] for rows that came out of a shard drain, keeping
+/// up to `width` PUTs in flight (the engine passes its OSS request
+/// concurrency; `1` uploads inline with no thread).
 ///
-/// With a [`DrainId`], registration is deferred and atomic: every chunk is
-/// built and uploaded first, then a single
-/// [`MetadataStore::commit_drain`] registers all blocks and records how
-/// many leading chunks of the drain are durable. WAL replay after a crash
-/// re-derives the identical chunk sequence (both sides use
+/// The chunk sequence, every block's bytes and every path are the same at
+/// any width: chunks are built and their paths allocated on the calling
+/// thread in canonical order, only the PUTs overlap. After the wave joins,
+/// the committed set is the chunks before the **lowest failed index** —
+/// out-of-order completion cannot widen it, because a chunk's own success
+/// is never enough to register it. Every chunk from that index on comes
+/// back in [`BuildOutcome::unarchived`], in chunk order; the caller stops
+/// building as soon as it observes a failure.
+///
+/// With a [`DrainId`], registration is atomic: a single
+/// [`MetadataStore::commit_drain`] registers the durable prefix and
+/// records how many leading chunks of the drain it covers. WAL replay
+/// after a crash re-derives the identical chunk sequence (both sides use
 /// `partition_into_chunks`) and keeps exactly the committed prefix out of
 /// the row store — uploaded-but-uncommitted objects are garbage, never
-/// duplicates. Without a drain id (in-memory backends, tests) each chunk
-/// registers immediately, the pre-intent behavior.
+/// duplicates. Without a drain id (in-memory backends, tests) the prefix
+/// registers block by block, in chunk order.
 pub fn build_and_upload_drain<S: ObjectStore>(
     rows: Vec<LogRecord>,
     schema: &TableSchema,
@@ -104,102 +131,113 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
     drain: Option<DrainId>,
+    width: usize,
 ) -> BuildOutcome {
     let mut outcome = BuildOutcome::default();
     // The canonical chunk sequence: tenants ascending, ts-sorted, capped.
     // Identical on the WAL-replay side, so "chunk i of this drain" is
     // unambiguous across crashes.
     let chunks = partition_into_chunks(rows, config.max_rows_per_logblock);
-    // Blocks built in this pass but not yet registered (drain mode only).
-    let mut staged: Vec<(TenantId, LogBlockEntry, Vec<LogRecord>)> = Vec::new();
-    for chunk in chunks {
-        if outcome.error.is_some() {
-            // A previous chunk failed terminally: stop issuing uploads and
-            // hand the remaining rows back untouched. Stopping at the
-            // first failure is what keeps the committed set a prefix.
-            outcome.unarchived.extend(chunk.rows);
-            continue;
+    let schema = Arc::new(schema.clone());
+    // Set by whichever uploader first sees a failure; the caller checks it
+    // before building the next chunk.
+    let failed = AtomicBool::new(false);
+    let built = chunks.iter().map_while(|chunk| {
+        (!failed.load(Ordering::SeqCst)).then(|| build_chunk(chunk, &schema, config, metadata))
+    });
+    let uploads = ordered_wave(width, built, |_, block: Result<(LogBlockEntry, Vec<u8>)>| {
+        // The durability order is load-bearing: the object must exist on
+        // OSS before it is registered (a registered-but-missing block
+        // would fail queries; an uploaded-but-unregistered block merely
+        // wastes space until GC deletes it).
+        let uploaded = block.and_then(|(entry, bytes)| {
+            store.put(&entry.path, &bytes)?;
+            Ok(entry)
+        });
+        if uploaded.is_err() {
+            failed.store(true, Ordering::SeqCst);
         }
-        match upload_chunk(chunk.tenant, &chunk.rows, schema, config, store, metadata) {
-            Ok(entry) => {
-                if drain.is_some() {
-                    staged.push((chunk.tenant, entry, chunk.rows));
-                } else {
-                    match metadata.register_block(chunk.tenant, entry.clone()) {
-                        Ok(()) => {
-                            outcome.report.blocks_built += 1;
-                            outcome.report.rows_archived += entry.rows;
-                            outcome.report.bytes_uploaded += entry.bytes;
-                        }
-                        Err(e) => {
-                            outcome.error = Some(e);
-                            outcome.unarchived.extend(chunk.rows);
-                        }
-                    }
-                }
-            }
+        uploaded
+    });
+    // The durable prefix: every chunk before the lowest failed index.
+    let mut entries = Vec::with_capacity(uploads.len());
+    for upload in uploads {
+        match upload {
+            Ok(entry) => entries.push(entry),
             Err(e) => {
-                // This chunk and everything after it is not durable.
                 outcome.error = Some(e);
-                outcome.unarchived.extend(chunk.rows);
+                break;
             }
         }
     }
-    if let Some(id) = drain {
-        if !staged.is_empty() {
-            let committed = staged.len() as u64;
+    let committed = match drain {
+        Some(id) if !entries.is_empty() => {
             let blocks: Vec<(TenantId, LogBlockEntry)> =
-                staged.iter().map(|(t, e, _)| (*t, e.clone())).collect();
-            match metadata.commit_drain(id, blocks, committed) {
-                Ok(()) => {
-                    for (_, entry, _) in staged {
-                        outcome.report.blocks_built += 1;
-                        outcome.report.rows_archived += entry.rows;
-                        outcome.report.bytes_uploaded += entry.bytes;
-                    }
-                }
+                chunks.iter().map(|c| c.tenant).zip(entries.iter().cloned()).collect();
+            match metadata.commit_drain(id, blocks, entries.len() as u64) {
+                Ok(()) => entries.len(),
                 Err(e) => {
                     // Nothing registered: every uploaded chunk is orphaned
                     // garbage on OSS and its rows still need a home.
                     outcome.error = Some(e);
-                    for (_, _, rows) in staged {
-                        outcome.unarchived.extend(rows);
-                    }
+                    0
                 }
             }
         }
+        Some(_) => 0,
+        None => {
+            let mut registered = 0;
+            for (chunk, entry) in chunks.iter().zip(&entries) {
+                if let Err(e) = metadata.register_block(chunk.tenant, entry.clone()) {
+                    outcome.error = Some(e);
+                    break;
+                }
+                registered += 1;
+            }
+            registered
+        }
+    };
+    for entry in &entries[..committed] {
+        outcome.report.blocks_built += 1;
+        outcome.report.rows_archived += entry.rows;
+        outcome.report.bytes_uploaded += entry.bytes;
+    }
+    for chunk in chunks.into_iter().skip(committed) {
+        outcome.unarchived.extend(chunk.rows);
     }
     outcome
 }
 
-/// Builds and uploads one LogBlock, returning its catalog entry. The
-/// caller decides when to register it — on any error the chunk is not on
-/// OSS (or not provably so) and its rows remain the caller's
-/// responsibility.
-fn upload_chunk<S: ObjectStore>(
-    tenant: TenantId,
-    chunk: &[LogRecord],
-    schema: &TableSchema,
+/// Builds one chunk's LogBlock and allocates its path, returning the
+/// catalog entry and the packed bytes. Runs on the drain's calling thread
+/// in chunk order, which is what makes paths and bytes independent of the
+/// upload width.
+fn build_chunk(
+    chunk: &ArchiveChunk,
+    schema: &Arc<TableSchema>,
     config: &BuildConfig,
-    store: &S,
     metadata: &MetadataStore,
-) -> Result<LogBlockEntry> {
+) -> Result<(LogBlockEntry, Vec<u8>)> {
     let mut builder =
-        LogBlockBuilder::with_options(schema.clone(), config.compression, config.block_rows);
-    let (mut min_ts, mut max_ts) = (chunk[0].ts, chunk[0].ts);
-    for r in chunk {
-        builder.add_row(&r.to_row())?;
+        LogBlockBuilder::with_options(Arc::clone(schema), config.compression, config.block_rows);
+    let (mut min_ts, mut max_ts) = (chunk.rows[0].ts, chunk.rows[0].ts);
+    for r in &chunk.rows {
+        // `to_row` is the one clone per value: the drained rows must stay
+        // intact to be handed back if the upload fails.
+        builder.add_owned_row(r.to_row())?;
         min_ts = min_ts.min(r.ts);
         max_ts = max_ts.max(r.ts);
     }
     let bytes = builder.finish()?;
-    let path = metadata.allocate_block_path(tenant);
-    // The durability order is load-bearing: the object must exist on OSS
-    // before it is registered (a registered-but-missing block would fail
-    // queries; an uploaded-but-unregistered block merely wastes space until
-    // the rows are re-archived under a fresh path).
-    store.put(&path, &bytes)?;
-    Ok(LogBlockEntry { path, min_ts, max_ts, rows: chunk.len() as u64, bytes: bytes.len() as u64 })
+    let path = metadata.allocate_block_path(chunk.tenant);
+    let entry = LogBlockEntry {
+        path,
+        min_ts,
+        max_ts,
+        rows: chunk.rows.len() as u64,
+        bytes: bytes.len() as u64,
+    };
+    Ok((entry, bytes))
 }
 
 #[cfg(test)]
@@ -298,33 +336,68 @@ mod tests {
         assert_eq!(store.object_count(), 0);
     }
 
+    /// A [`MemoryStore`] whose PUTs go through a test-supplied hook: the
+    /// hook decides when each upload lands, fails or waits for another.
+    struct PutHook<F> {
+        inner: MemoryStore,
+        put: F,
+    }
+
+    impl<F: Fn(&MemoryStore, &str, &[u8]) -> Result<()> + Send + Sync> ObjectStore for PutHook<F> {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            (self.put)(&self.inner, path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.inner.get(path)
+        }
+        fn get_range(&self, path: &str, o: u64, l: u64) -> Result<Vec<u8>> {
+            self.inner.get_range(path, o, l)
+        }
+        fn head(&self, path: &str) -> Result<u64> {
+            self.inner.head(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.inner.delete(path)
+        }
+    }
+
+    fn drain_id(shard: u32, counter: u64) -> DrainId {
+        use logstore_types::ShardId;
+        use logstore_wal::DrainSeq;
+        DrainId { shard: ShardId(shard), seq: DrainSeq { epoch: 1, counter } }
+    }
+
     #[test]
     fn terminal_upload_failure_returns_every_undurable_row() {
-        let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 1);
+        // The builder uploads tenant 1's chunks first (BTreeMap order).
+        // Let exactly one PUT through, then fail the rest of this pass.
+        let puts = std::sync::atomic::AtomicU64::new(0);
+        let store = PutHook {
+            inner: MemoryStore::new(),
+            put: |inner: &MemoryStore, path: &str, data: &[u8]| {
+                if puts.fetch_add(1, Ordering::SeqCst) >= 1 {
+                    return Err(Error::Io(std::io::Error::other("injected put failure")));
+                }
+                inner.put(path, data)
+            },
+        };
         let metadata = MetadataStore::new();
         // Tenant 1: 120 rows → 3 chunks; tenants 2 and 3: 10 rows each.
         let mut rows: Vec<LogRecord> = (0..120).map(|i| rec(1, i)).collect();
         rows.extend((0..10).map(|i| rec(2, i)));
         rows.extend((0..10).map(|i| rec(3, i)));
-        // First PUT (tenant 1, chunk 1) succeeds, second fails.
-        store.fail_next(0);
-        let schema = TableSchema::request_log();
-        let outcome = {
-            let s = &store;
-            // Fail the 2nd put: let one through, then inject.
-            s.put("warmup", b"x").unwrap();
-            s.delete("warmup").unwrap();
-            s.fail_next(0);
-            // Use a closure-free approach: schedule the failure after the
-            // first real chunk upload by failing puts 2.. via probability 0
-            // and an explicit schedule below.
-            build_with_failure_after_first_put(s, &schema, &metadata, rows)
-        };
+        let outcome =
+            build_and_upload(rows, &TableSchema::request_log(), &config(), &store, &metadata);
         // Chunk 1 of tenant 1 (50 rows) is durable; everything else came back.
         assert_eq!(outcome.report.blocks_built, 1);
         assert_eq!(outcome.report.rows_archived, 50);
         assert!(outcome.error.is_some());
         assert_eq!(outcome.unarchived.len(), 120 - 50 + 10 + 10);
+        // The serial path stops at the first failure: one failed PUT, no more.
+        assert_eq!(puts.load(Ordering::SeqCst), 2);
         // The registered map matches what is actually on OSS.
         assert_eq!(metadata.all_blocks(TenantId(1)).len(), 1);
         assert!(metadata.all_blocks(TenantId(2)).is_empty());
@@ -334,55 +407,110 @@ mod tests {
         assert_eq!(t1, 70);
     }
 
-    fn build_with_failure_after_first_put(
-        store: &FaultyStore<MemoryStore>,
-        schema: &TableSchema,
-        metadata: &MetadataStore,
-        rows: Vec<LogRecord>,
-    ) -> BuildOutcome {
-        // The builder uploads tenant 1's chunks first (BTreeMap order).
-        // Let exactly one PUT through, then fail the rest of this pass.
-        struct FailAfterFirst<'a> {
-            inner: &'a FaultyStore<MemoryStore>,
-            puts: std::sync::atomic::AtomicU64,
-        }
-        impl ObjectStore for FailAfterFirst<'_> {
-            fn put(&self, path: &str, data: &[u8]) -> logstore_types::Result<()> {
-                use std::sync::atomic::Ordering;
-                if self.puts.fetch_add(1, Ordering::SeqCst) >= 1 {
-                    self.inner.fail_next(1);
+    #[test]
+    fn out_of_order_completion_commits_only_the_durable_prefix() {
+        use crate::compactor::run_gc;
+        use crate::hooks::NoopHooks;
+        // Three chunks, three PUTs in flight. The barrier makes chunk 2
+        // land first: chunk 0's PUT and chunk 1's failure both wait until
+        // chunk 2's object is stored.
+        let rendezvous = std::sync::Barrier::new(3);
+        let store = PutHook {
+            inner: MemoryStore::new(),
+            put: |inner: &MemoryStore, path: &str, data: &[u8]| {
+                if path.ends_with("000000000003.pack") {
+                    inner.put(path, data)?;
+                    rendezvous.wait();
+                    return Ok(());
                 }
-                self.inner.put(path, data)
-            }
-            fn get(&self, path: &str) -> logstore_types::Result<Vec<u8>> {
-                self.inner.get(path)
-            }
-            fn get_range(&self, path: &str, o: u64, l: u64) -> logstore_types::Result<Vec<u8>> {
-                self.inner.get_range(path, o, l)
-            }
-            fn head(&self, path: &str) -> logstore_types::Result<u64> {
-                self.inner.head(path)
-            }
-            fn list(&self, prefix: &str) -> logstore_types::Result<Vec<String>> {
-                self.inner.list(prefix)
-            }
-            fn delete(&self, path: &str) -> logstore_types::Result<()> {
-                self.inner.delete(path)
-            }
+                rendezvous.wait();
+                if path.ends_with("000000000002.pack") {
+                    return Err(Error::Io(std::io::Error::other("injected put failure")));
+                }
+                inner.put(path, data)
+            },
+        };
+        let metadata = MetadataStore::new();
+        let rows: Vec<LogRecord> = (0..120).map(|i| rec(8, i)).collect();
+        let id = drain_id(2, 5);
+        let outcome = build_and_upload_drain(
+            rows.clone(),
+            &TableSchema::request_log(),
+            &config(),
+            &store,
+            &metadata,
+            Some(id),
+            8,
+        );
+        // Exactly chunk 0 is committed, although chunk 2 is on OSS too.
+        assert!(outcome.error.is_some());
+        assert_eq!(outcome.report.blocks_built, 1);
+        assert_eq!(outcome.report.rows_archived, 50);
+        assert_eq!(metadata.drain_commit(id), Some(1));
+        let mapped = metadata.all_blocks(TenantId(8));
+        assert_eq!(mapped.len(), 1);
+        assert!(mapped[0].path.ends_with("000000000001.pack"));
+        // Chunks 1.. come back whole, in chunk order.
+        assert_eq!(outcome.unarchived, rows[50..]);
+        // Chunk 2 is an uploaded-but-unregistered orphan under its pending
+        // path; the next GC pass sweeps, tombstones and deletes it.
+        let orphan = "tenants/8/blk-000000000003.pack";
+        assert!(store.head(orphan).is_ok());
+        assert!(metadata.pending_paths().iter().any(|p| p == orphan));
+        let gc = run_gc(&store, &metadata, None, &NoopHooks);
+        assert_eq!(gc.orphans_swept, 2, "the failed and the orphaned chunk's paths");
+        assert!(store.head(orphan).is_err());
+        assert_eq!(store.inner.object_count(), 1);
+        assert!(metadata.pending_paths().is_empty() && metadata.tombstones().is_empty());
+    }
+
+    #[test]
+    fn upload_width_changes_nothing_on_a_fault_free_drain() {
+        // Five tenants, one of them split three ways: 7 chunks per drain.
+        let mut rows = Vec::new();
+        for i in 0..130i64 {
+            rows.push(rec(1 + (i % 5) as u64, 1000 - i));
         }
-        let wrapper = FailAfterFirst { inner: store, puts: std::sync::atomic::AtomicU64::new(0) };
-        build_and_upload(rows, schema, &config(), &wrapper, metadata)
+        rows.extend((0..120).map(|i| rec(2, 2000 + i)));
+        let run = |width: usize| {
+            let (store, metadata) = (MemoryStore::new(), MetadataStore::new());
+            let id = drain_id(0, 1);
+            let outcome = build_and_upload_drain(
+                rows.clone(),
+                &TableSchema::request_log(),
+                &config(),
+                &store,
+                &metadata,
+                Some(id),
+                width,
+            );
+            assert!(outcome.is_complete());
+            let objects: Vec<(String, Vec<u8>)> = store
+                .list("")
+                .unwrap()
+                .into_iter()
+                .map(|path| {
+                    let bytes = store.get(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            let map: Vec<Vec<LogBlockEntry>> =
+                (1..=5).map(|t| metadata.all_blocks(TenantId(t))).collect();
+            (objects, map, metadata.drain_commit(id), outcome.report)
+        };
+        let serial = run(1);
+        assert_eq!(serial.3.blocks_built, 7);
+        assert_eq!(serial.2, Some(7));
+        assert_eq!(run(8), serial, "paths, bytes, map and report must not depend on the width");
+        assert_eq!(run(3), serial);
     }
 
     #[test]
     fn drain_mode_commits_blocks_and_chunk_count_atomically() {
-        use crate::metadata::DrainId;
-        use logstore_types::ShardId;
-        use logstore_wal::DrainSeq;
         let store = MemoryStore::new();
         let metadata = MetadataStore::new();
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(4, i)).collect();
-        let id = DrainId { shard: ShardId(0), seq: DrainSeq { epoch: 1, counter: 1 } };
+        let id = drain_id(0, 1);
         let outcome = build_and_upload_drain(
             rows,
             &TableSchema::request_log(),
@@ -390,6 +518,7 @@ mod tests {
             &store,
             &metadata,
             Some(id),
+            1,
         );
         assert!(outcome.is_complete());
         assert_eq!(outcome.report.blocks_built, 3);
@@ -403,6 +532,7 @@ mod tests {
             &store,
             &metadata,
             Some(id),
+            1,
         );
         assert!(again.error.is_some());
         assert_eq!(again.unarchived.len(), 10, "a failed commit hands every row back");
@@ -411,13 +541,10 @@ mod tests {
 
     #[test]
     fn drain_mode_upload_failure_commits_nothing() {
-        use crate::metadata::DrainId;
-        use logstore_types::ShardId;
-        use logstore_wal::DrainSeq;
         let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 1);
         let metadata = MetadataStore::new();
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(6, i)).collect();
-        let id = DrainId { shard: ShardId(1), seq: DrainSeq { epoch: 1, counter: 1 } };
+        let id = drain_id(1, 1);
         // Fail the very first chunk: zero chunks durable → no commit row,
         // so replay treats the drain as never-uploaded and restores all.
         store.fail_next(1);
@@ -428,6 +555,7 @@ mod tests {
             &store,
             &metadata,
             Some(id),
+            1,
         );
         assert!(outcome.error.is_some());
         assert_eq!(outcome.unarchived.len(), 120);
@@ -437,13 +565,10 @@ mod tests {
 
     #[test]
     fn drain_mode_partial_failure_commits_the_prefix() {
-        use crate::metadata::DrainId;
-        use logstore_types::ShardId;
-        use logstore_wal::DrainSeq;
         let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 1);
         let metadata = MetadataStore::new();
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(8, i)).collect();
-        let id = DrainId { shard: ShardId(2), seq: DrainSeq { epoch: 2, counter: 5 } };
+        let id = drain_id(2, 5);
         // 3 chunks; the 2nd PUT fails → exactly chunk 0 is durable.
         store.fail_ops(&[1..2]);
         let outcome = build_and_upload_drain(
@@ -453,6 +578,7 @@ mod tests {
             &store,
             &metadata,
             Some(id),
+            1,
         );
         assert!(outcome.error.is_some());
         assert_eq!(outcome.report.blocks_built, 1);

@@ -4,7 +4,7 @@ use crate::broker::{Broker, QueryExecution};
 use crate::compactor::{self, CompactionConfig, CompactionReport, GcReport};
 use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
-use crate::databuilder::{build_and_upload_drain, BuildConfig, BuildReport};
+use crate::databuilder::{build_and_upload_drain, BuildConfig, BuildOutcome, BuildReport};
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore, TenantInfo};
@@ -18,6 +18,7 @@ use logstore_query::exec::QueryResult;
 use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, Timestamp, WorkerId,
 };
+use logstore_wal::DrainSeq;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -333,37 +334,44 @@ impl LogStore {
         let mut total = BuildReport::default();
         let mut first_error: Option<Error> = None;
         for worker in self.shared.worker_snapshot() {
-            let (drains, drain_error) =
-                worker.drain_for_build(self.config.rowstore_flush_bytes, force);
-            if let Some(e) = drain_error {
-                // Those shards' rows are already back in their row stores;
-                // the drains that did succeed still proceed.
-                first_error.get_or_insert(e);
-            }
-            for (shard, seq, rows) in drains {
-                self.shared.hooks.reached(CrashPoint::AfterDrain);
-                let drain_id = seq.map(|seq| DrainId { shard, seq });
-                let mut outcome = build_and_upload_drain(
-                    rows,
-                    &self.shared.schema,
-                    &self.build_config,
-                    self.shared.store.as_ref(),
-                    &self.shared.metadata,
-                    drain_id,
-                );
-                self.shared.hooks.reached(CrashPoint::AfterUpload);
+            // One shard at a time, drain to ack: a shard's rows leave the
+            // row store only when its own upload is about to start, so
+            // they are out of query reach for one drain's upload, never
+            // for the uploads of the shards ahead of it.
+            for shard in worker.shard_ids() {
+                let drained =
+                    worker.drain_shard_for_build(shard, self.config.rowstore_flush_bytes, force);
+                let (seq, rows) = match drained {
+                    Ok(Some(logged)) => logged,
+                    Ok(None) => {
+                        if force {
+                            // Nothing to drain produces no ack, yet the
+                            // shard may hold a truncation an earlier
+                            // overlapping ack had to defer — apply it now
+                            // that it is quiescent.
+                            if let Err(e) = worker.truncate_quiescent(shard) {
+                                first_error.get_or_insert(e);
+                            }
+                        }
+                        continue;
+                    }
+                    Err(e) => {
+                        // The shard's rows are already back in its row
+                        // store; the other shards still proceed.
+                        first_error.get_or_insert(e);
+                        continue;
+                    }
+                };
+                let mut outcome = self.archive_drain(shard, seq, rows);
                 total.merge(&outcome.report);
                 // An ack/restore failure on one shard must not abort the
-                // pass: the remaining drained rows still need their ack or
-                // restore, or they would vanish from the row store with
-                // their in-flight archive ops left dangling.
+                // pass: the remaining shards still need their drain, and
+                // this one its ack or restore, or its rows would vanish
+                // from the row store with the archive op left dangling.
                 let close = if outcome.is_complete() {
                     self.shared.hooks.reached(CrashPoint::BeforeAck);
                     worker.ack_archived(shard)
                 } else {
-                    self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
-                    self.archive_rows_restored
-                        .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
                     if first_error.is_none() {
                         first_error = outcome.error.take();
                     }
@@ -371,16 +379,6 @@ impl LogStore {
                 };
                 if let Err(e) = close {
                     first_error.get_or_insert(e);
-                }
-            }
-            if force {
-                // Shards with nothing to drain produce no ack, yet may hold
-                // a truncation an earlier overlapping ack had to defer —
-                // apply it now that they are quiescent.
-                for shard in worker.shard_ids() {
-                    if let Err(e) = worker.truncate_quiescent(shard) {
-                        first_error.get_or_insert(e);
-                    }
                 }
             }
         }
@@ -436,26 +434,13 @@ impl LogStore {
         let Some((seq, rows)) = worker.drain_tenant(shard, tenant)? else {
             return Ok(());
         };
-        self.shared.hooks.reached(CrashPoint::AfterDrain);
-        let drain_id = seq.map(|seq| DrainId { shard, seq });
-        let mut outcome = build_and_upload_drain(
-            rows,
-            &self.shared.schema,
-            &self.build_config,
-            self.shared.store.as_ref(),
-            &self.shared.metadata,
-            drain_id,
-        );
-        self.shared.hooks.reached(CrashPoint::AfterUpload);
+        let mut outcome = self.archive_drain(shard, seq, rows);
         if outcome.is_complete() {
             // Close the tenant drain's in-flight archive op, or the
             // shard's WAL truncation stays blocked forever.
             self.shared.hooks.reached(CrashPoint::BeforeAck);
             worker.ack_tenant_archived(shard)
         } else {
-            self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
-            self.archive_rows_restored
-                .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
             let error = outcome.error.take();
             worker.restore_unarchived(shard, outcome.unarchived)?;
             match error {
@@ -463,6 +448,35 @@ impl LogStore {
                 None => Ok(()),
             }
         }
+    }
+
+    /// Builds and uploads one logged drain with the engine's OSS request
+    /// concurrency, between the `AfterDrain` and `AfterUpload` crash
+    /// points, and counts a failed pass. The caller closes the shard's
+    /// archive op: ack when the outcome is complete, restore otherwise.
+    fn archive_drain(
+        &self,
+        shard: ShardId,
+        seq: Option<DrainSeq>,
+        rows: Vec<LogRecord>,
+    ) -> BuildOutcome {
+        self.shared.hooks.reached(CrashPoint::AfterDrain);
+        let outcome = build_and_upload_drain(
+            rows,
+            &self.shared.schema,
+            &self.build_config,
+            self.shared.store.as_ref(),
+            &self.shared.metadata,
+            seq.map(|seq| DrainId { shard, seq }),
+            self.config.prefetch_threads,
+        );
+        self.shared.hooks.reached(CrashPoint::AfterUpload);
+        if !outcome.is_complete() {
+            self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
+            self.archive_rows_restored
+                .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
+        }
+        outcome
     }
 
     /// `ScaleCluster` (Algorithm 1 lines 25–27): adds `n` workers, each
@@ -549,6 +563,7 @@ impl LogStore {
             &self.build_config,
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
+            self.config.prefetch_threads,
         )
     }
 

@@ -205,7 +205,7 @@ enum BegunDrain {
 
 /// A logged drain: the intent's seq (`None` on memory backends) plus the
 /// drained rows, ready for the archive pipeline.
-type LoggedDrain = (Option<DrainSeq>, Vec<LogRecord>);
+pub type LoggedDrain = (Option<DrainSeq>, Vec<LogRecord>);
 
 /// Logs a begun drain's intent (outside any lock) and produces the
 /// `(seq, rows)` the archive pipeline consumes. On append failure the
@@ -239,10 +239,6 @@ struct ShardState {
     raft: Option<OrderedMutex<InProcCluster>>,
     window: OrderedMutex<ShardWindow>,
 }
-
-/// One shard's drained rows: the shard, the WAL drain intent it logged
-/// (None for in-memory backends), and the rows themselves.
-pub type DrainedShard = (ShardId, Option<DrainSeq>, Vec<LogRecord>);
 
 /// One worker node.
 pub struct Worker {
@@ -463,69 +459,63 @@ impl Worker {
         Ok(self.shard(shard)?.backend.lock().tenants())
     }
 
-    /// Drains every shard whose buffer exceeds `flush_bytes` (or all when
-    /// `force`), returning `(shard, drain seq, rows)` for the data builder
-    /// (the seq is `Some` for durable shards, naming the WAL drain intent
-    /// the shard logged). Every returned entry opens an in-flight archive
-    /// op on its shard that the engine must close with exactly one
-    /// [`Worker::ack_archived`] (upload succeeded) or
-    /// [`Worker::restore_unarchived`] (upload failed) — WAL truncation
+    /// Drains `shard` if its buffer exceeds `flush_bytes` (or
+    /// unconditionally when `force`), returning the drain seq and rows for
+    /// the data builder (the seq is `Some` for durable shards, naming the
+    /// WAL drain intent the shard logged). A non-empty drain (`Some`)
+    /// opens an in-flight archive op on the shard that the engine must
+    /// close with exactly one [`Worker::ack_archived`] (upload succeeded)
+    /// or [`Worker::restore_unarchived`] (upload failed) — WAL truncation
     /// stays blocked until all ops on a shard are closed.
     ///
-    /// A shard whose drain intent fails to log is skipped (its rows are
-    /// already back in the row store); the first such error is returned
-    /// alongside the successful drains so the pass keeps going.
-    pub fn drain_for_build(
+    /// One shard per call, on purpose: drained rows are in neither the row
+    /// store nor the LogBlock map until their upload commits, so the
+    /// engine drains a shard only when it is about to build it — never a
+    /// whole worker's shards ahead of the first upload.
+    ///
+    /// When the drain intent fails to log, the rows are already back in
+    /// the row store and the error is returned.
+    pub fn drain_shard_for_build(
         &self,
+        shard: ShardId,
         flush_bytes: usize,
         force: bool,
-    ) -> (Vec<DrainedShard>, Option<Error>) {
-        let mut out = Vec::new();
-        let mut first_error = None;
-        for (&shard, state) in &self.shards {
-            let begun = {
-                let mut backend = state.backend.lock();
-                if force || backend.bytes() >= flush_bytes {
-                    backend.begin_drain_all()
-                } else {
-                    None
-                }
-            };
-            let Some(begun) = begun else { continue };
-            // The intent append (group commit; may fsync) runs with the
-            // shard lock released so ingest keeps flowing during the drain.
-            // The drained rows exist only in `begun` until the intent is
-            // logged — the window the archive-op counter guards.
-            logstore_sync::sync_point("core.worker.drain_window");
-            match log_drain_intent(begun) {
-                Ok((seq, rows)) => out.push((shard, seq, rows)),
-                Err((e, rows)) => {
-                    state.backend.lock().restore(rows);
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
+    ) -> Result<Option<LoggedDrain>> {
+        let state = self.shard(shard)?;
+        let begun = {
+            let mut backend = state.backend.lock();
+            if force || backend.bytes() >= flush_bytes {
+                backend.begin_drain_all()
+            } else {
+                None
+            }
+        };
+        let Some(begun) = begun else { return Ok(None) };
+        // The intent append (group commit; may fsync) runs with the
+        // shard lock released so ingest keeps flowing during the drain.
+        // The drained rows exist only in `begun` until the intent is
+        // logged — the window the archive-op counter guards.
+        logstore_sync::sync_point("core.worker.drain_window");
+        match log_drain_intent(begun) {
+            Ok(logged) => Ok(Some(logged)),
+            Err((e, rows)) => {
+                state.backend.lock().restore(rows);
+                Err(e)
             }
         }
-        out.sort_by_key(|(s, _, _)| *s);
-        (out, first_error)
     }
 
     /// Drains one tenant from one shard (rebalance flush, §4.1.5). A
     /// non-empty drain (`Some`) opens an in-flight archive op; close it
     /// with [`Worker::ack_tenant_archived`] or
     /// [`Worker::restore_unarchived`].
-    pub fn drain_tenant(
-        &self,
-        shard: ShardId,
-        tenant: TenantId,
-    ) -> Result<Option<(Option<DrainSeq>, Vec<LogRecord>)>> {
+    pub fn drain_tenant(&self, shard: ShardId, tenant: TenantId) -> Result<Option<LoggedDrain>> {
         let state = self.shard(shard)?;
         let Some(begun) = state.backend.lock().begin_drain_tenant(tenant) else {
             return Ok(None);
         };
         match log_drain_intent(begun) {
-            Ok((seq, rows)) => Ok(Some((seq, rows))),
+            Ok(logged) => Ok(Some(logged)),
             Err((e, rows)) => {
                 state.backend.lock().restore(rows);
                 Err(e)
@@ -718,9 +708,7 @@ mod tests {
         }
         assert!(hit_backpressure);
         // Draining relieves the pressure.
-        let (drained, err) = w.drain_for_build(0, true);
-        assert!(err.is_none());
-        assert!(!drained.is_empty());
+        assert!(w.drain_shard_for_build(ShardId(0), 0, true).unwrap().is_some());
         w.append(ShardId(0), batch).unwrap();
     }
 
@@ -728,13 +716,14 @@ mod tests {
     fn restore_unarchived_returns_rows_to_the_shard() {
         let w = worker(1);
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
-        let (mut drained, err) = w.drain_for_build(0, true);
-        assert!(err.is_none());
-        assert_eq!(drained.len(), 1);
+        let (_seq, rows) = w.drain_shard_for_build(ShardId(0), 0, true).unwrap().unwrap();
+        assert!(
+            w.drain_shard_for_build(ShardId(1), 0, true).unwrap().is_none(),
+            "shard 1 is empty"
+        );
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
         // Upload "failed": the engine hands the rows back.
-        let (shard, _seq, rows) = drained.pop().unwrap();
-        w.restore_unarchived(shard, rows).unwrap();
+        w.restore_unarchived(ShardId(0), rows).unwrap();
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
         let hits = w.scan(ShardId(0), TenantId(1), TimeRange::all(), &[]).unwrap();
         assert_eq!(hits.len(), 1);
@@ -744,7 +733,7 @@ mod tests {
     fn ack_archived_is_clean_for_memory_backends() {
         let w = worker(1);
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        w.drain_for_build(0, true);
+        w.drain_shard_for_build(ShardId(0), 0, true).unwrap();
         w.ack_archived(ShardId(0)).unwrap();
     }
 
@@ -758,14 +747,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_for_build_respects_threshold() {
+    fn drain_shard_for_build_respects_threshold() {
         let w = worker(1);
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        assert!(w.drain_for_build(usize::MAX, false).0.is_empty());
-        let (drained, err) = w.drain_for_build(0, false);
-        assert!(err.is_none());
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].0, ShardId(0));
+        assert!(w.drain_shard_for_build(ShardId(0), usize::MAX, false).unwrap().is_none());
+        let (_seq, rows) = w.drain_shard_for_build(ShardId(0), 0, false).unwrap().unwrap();
+        assert_eq!(rows.len(), 1);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
     }
 

@@ -15,6 +15,7 @@ use logstore_codec::Compression;
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::{BkdWriter, InvertedIndexWriter, Sma};
 use logstore_types::{DataType, Error, IndexKind, Result, TableSchema, Value};
+use std::sync::Arc;
 
 /// Default rows per column block.
 pub const DEFAULT_BLOCK_ROWS: usize = 4096;
@@ -37,7 +38,7 @@ struct ColumnState {
 
 /// Accumulates rows and serializes a LogBlock pack.
 pub struct LogBlockBuilder {
-    schema: TableSchema,
+    schema: Arc<TableSchema>,
     compression: Compression,
     block_rows: usize,
     columns: Vec<ColumnState>,
@@ -51,8 +52,15 @@ impl LogBlockBuilder {
     }
 
     /// Creates a builder with explicit compression and rows-per-block.
-    pub fn with_options(schema: TableSchema, compression: Compression, block_rows: usize) -> Self {
+    /// Accepts an owned schema or an `Arc` of one: a caller building many
+    /// blocks of one table (the data builder) shares a single copy.
+    pub fn with_options(
+        schema: impl Into<Arc<TableSchema>>,
+        compression: Compression,
+        block_rows: usize,
+    ) -> Self {
         assert!(block_rows > 0, "block_rows must be positive");
+        let schema = schema.into();
         let columns = schema
             .columns
             .iter()
@@ -89,23 +97,29 @@ impl LogBlockBuilder {
 
     /// Appends one row (positional, matching the schema).
     pub fn add_row(&mut self, row: &[Value]) -> Result<()> {
-        self.schema.check_row(row)?;
+        self.add_owned_row(row.to_vec())
+    }
+
+    /// [`LogBlockBuilder::add_row`] for a caller that already owns the
+    /// values: they move into the column buffers instead of being cloned.
+    pub fn add_owned_row(&mut self, row: Vec<Value>) -> Result<()> {
+        self.schema.check_row(&row)?;
         if self.row_count == u32::MAX {
             return Err(Error::invalid("logblock row limit reached"));
         }
         let row_id = self.row_count;
         for (state, (value, col)) in
-            self.columns.iter_mut().zip(row.iter().zip(&self.schema.columns))
+            self.columns.iter_mut().zip(row.into_iter().zip(&self.schema.columns))
         {
             match &mut state.index {
                 IndexState::None => {}
                 IndexState::Inverted(w) => {
-                    if let Value::Str(s) = value {
+                    if let Value::Str(s) = &value {
                         w.add(row_id, s);
                     }
                 }
                 IndexState::FullText(w) => {
-                    if let Value::Str(s) = value {
+                    if let Value::Str(s) = &value {
                         w.add_text(row_id, s);
                     }
                 }
@@ -124,7 +138,7 @@ impl LogBlockBuilder {
                     }
                 }
             }
-            state.pending.push(value.clone());
+            state.pending.push(value);
         }
         self.row_count += 1;
         if self.columns[0].pending.len() >= self.block_rows {
@@ -181,9 +195,8 @@ impl LogBlockBuilder {
             });
             index_payloads.push((index_bytes, state.data));
         }
-        let meta =
-            LogBlockMeta { schema: self.schema, row_count: self.row_count, columns: column_metas };
-        pack.add(META_MEMBER, meta.serialize())?;
+        let meta = LogBlockMeta::serialize_parts(&self.schema, self.row_count, &column_metas);
+        pack.add(META_MEMBER, meta)?;
         for (i, (index_bytes, data)) in index_payloads.into_iter().enumerate() {
             if let Some((dict, blob)) = index_bytes {
                 pack.add(index_member(i), dict)?;

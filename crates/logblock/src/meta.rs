@@ -84,18 +84,28 @@ impl LogBlockMeta {
 
     /// Serializes the meta member.
     pub fn serialize(&self) -> Vec<u8> {
+        Self::serialize_parts(&self.schema, self.row_count, &self.columns)
+    }
+
+    /// [`LogBlockMeta::serialize`] over borrowed parts, so the builder can
+    /// emit the meta member of a schema it only shares.
+    pub(crate) fn serialize_parts(
+        schema: &TableSchema,
+        row_count: u32,
+        columns: &[ColumnMeta],
+    ) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(META_MAGIC);
-        put_str(&mut out, &self.schema.name);
-        put_uvarint(&mut out, self.schema.columns.len() as u64);
-        for c in &self.schema.columns {
+        put_str(&mut out, &schema.name);
+        put_uvarint(&mut out, schema.columns.len() as u64);
+        for c in &schema.columns {
             put_str(&mut out, &c.name);
             out.push(c.data_type.tag());
             out.push(u8::from(c.nullable));
             out.push(c.index.tag());
         }
-        put_uvarint(&mut out, u64::from(self.row_count));
-        for cm in &self.columns {
+        put_uvarint(&mut out, u64::from(row_count));
+        for cm in columns {
             out.push(cm.compression.tag());
             out.extend_from_slice(&cm.sma.serialize());
             out.push(cm.index.tag());

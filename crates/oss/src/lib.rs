@@ -14,6 +14,8 @@
 //!   in [`OssMetrics`]; actually sleeping is controlled by a time-scale
 //!   knob so unit tests run instantly while figure harnesses can produce
 //!   wall-clock shapes.
+//! * [`ordered_wave`] — the bounded, index-ordered request fan-out shared
+//!   by prefetch, the archive upload and compaction reads.
 
 #![forbid(unsafe_code)]
 
@@ -23,6 +25,7 @@ pub mod memory;
 pub mod retry;
 pub mod sim;
 pub mod store;
+pub mod wave;
 
 pub use disk::DiskStore;
 pub use fault::{FaultScope, FaultyStore};
@@ -30,3 +33,4 @@ pub use memory::MemoryStore;
 pub use retry::{RetryMetrics, RetryPolicy, RetryingStore};
 pub use sim::{LatencyModel, OssMetrics, SimulatedOss};
 pub use store::{validate_path, ObjectStore};
+pub use wave::ordered_wave;

@@ -156,6 +156,14 @@ impl Episode {
         config.rowstore_flush_bytes = 24 * 1024;
         config.max_rows_per_logblock = 48;
         config.block_rows = 16;
+        // One OSS request in flight per operation: the archive upload,
+        // compaction reads and prefetch then run inline on the calling
+        // thread, so the order in which PUTs reach the fault layer — and
+        // with it which upload an injected fault hits — stays a pure
+        // function of the seed (`determinism_same_seed_same_trace`). The
+        // overlapped path gets its exactly-once coverage from
+        // `tests/archive_faults.rs`, whose oracle does not need a trace.
+        config.prefetch_threads = 1;
         let store: Arc<Store> = Arc::new(RetryingStore::new(
             SimulatedOss::new(
                 FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, seed),

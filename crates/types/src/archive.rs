@@ -9,9 +9,10 @@
 //!
 //! The order is fully determined by the input multiset: tenants ascending,
 //! each tenant's rows stable-sorted by timestamp (ties keep arrival
-//! order), then split into chunks of at most `chunk_rows` rows. Because a
-//! failed upload stops the builder at the first bad chunk, the committed
-//! set is always a prefix of this global chunk sequence.
+//! order), then split into chunks of at most `chunk_rows` rows. Because
+//! the builder commits only the chunks before the lowest failed index —
+//! however many later uploads happened to succeed — the committed set is
+//! always a prefix of this global chunk sequence.
 
 use crate::ids::TenantId;
 use crate::record::LogRecord;

@@ -6,11 +6,16 @@
 //! engine, so cross-"crash" checks exercise the WAL half of the
 //! invariant: a flush that failed (or never acked) must leave every row
 //! WAL-covered, and a reopened engine must replay exactly one copy.
+//!
+//! The loss oracles run both with one upload in flight and with eight:
+//! overlapped PUTs reach the fault injector in a scheduling-dependent
+//! order, so these tests check exactly-once counts, never a trace.
 
-use logstore::core::{ClusterConfig, LogStore, QueryOptions};
+use logstore::core::{ClusterConfig, CrashHooks, CrashPoint, LogStore, OpenParts, QueryOptions};
 use logstore::oss::{FaultScope, RetryPolicy};
-use logstore::types::{LogRecord, TenantId, Timestamp, Value};
+use logstore::types::{LogRecord, ShardId, TenantId, Timestamp, Value};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("logstore-it-faults-{tag}-{}", std::process::id()));
@@ -43,7 +48,14 @@ fn count(s: &LogStore, tenant: u64) -> u64 {
 /// At every step, per-tenant COUNT(*) equals what was ingested.
 #[test]
 fn no_row_is_lost_under_write_faults() {
+    for upload_width in [1, 8] {
+        no_row_is_lost_at(upload_width);
+    }
+}
+
+fn no_row_is_lost_at(upload_width: usize) {
     let mut config = ClusterConfig::for_testing();
+    config.prefetch_threads = upload_width;
     config.oss_fault_scope = FaultScope::Writes;
     config.oss_fault_probability = 0.3;
     config.oss_retry = RetryPolicy::archival_default().with_max_attempts(10);
@@ -132,17 +144,33 @@ fn durable_config(dir: &Path) -> ClusterConfig {
     config
 }
 
+fn durable_config_at(dir: &Path, upload_width: usize) -> ClusterConfig {
+    let mut config = durable_config(dir);
+    config.prefetch_threads = upload_width;
+    config
+}
+
 /// Crash between drain and OSS durability: a flush whose uploads fail
 /// terminally must leave every row WAL-covered, so an engine that dies
 /// right after recovers all of them.
 #[test]
 fn crash_after_failed_flush_loses_nothing() {
-    let dir = temp_dir("crash");
+    for upload_width in [1, 8] {
+        crash_after_failed_flush_at(upload_width);
+    }
+}
+
+fn crash_after_failed_flush_at(upload_width: usize) {
+    let dir = temp_dir(&format!("crash-w{upload_width}"));
     const ROWS: i64 = 500;
+    const TENANTS: u64 = 10;
+    let total = |s: &LogStore| (1..=TENANTS).map(|t| count(s, t)).sum::<u64>();
     {
-        let s = LogStore::open(durable_config(&dir)).unwrap();
+        let s = LogStore::open(durable_config_at(&dir, upload_width)).unwrap();
+        // Several tenants, so every shard's drain spans several chunks and
+        // the upload wave really has more than one PUT in flight.
         for i in 0..ROWS {
-            s.ingest(vec![rec(1, i, "must survive")]).unwrap();
+            s.ingest(vec![rec(1 + i as u64 % TENANTS, i, "must survive")]).unwrap();
         }
         // Every upload attempt fails: the flush drains the shards, exhausts
         // the retry budget, restores the rows and reports the error.
@@ -153,11 +181,11 @@ fn crash_after_failed_flush_loses_nothing() {
         assert!(stats.failed_passes > 0);
         assert_eq!(stats.rows_restored, ROWS as u64, "every drained row must be restored");
         // Restored rows are still queryable pre-crash.
-        assert_eq!(count(&s, 1), ROWS as u64);
+        assert_eq!(total(&s), ROWS as u64);
         // Engine dropped here without a successful flush = crash.
     }
-    let s = LogStore::open(durable_config(&dir)).unwrap();
-    assert_eq!(count(&s, 1), ROWS as u64, "the WAL must replay every unarchived row");
+    let s = LogStore::open(durable_config_at(&dir, upload_width)).unwrap();
+    assert_eq!(total(&s), ROWS as u64, "the WAL must replay every unarchived row");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -187,4 +215,75 @@ fn recovery_flush_acks_and_checkpoints() {
     let s = LogStore::open(durable_config(&dir)).unwrap();
     assert_eq!(count(&s, 1), 0, "acked rows must not replay: the checkpoint truncated the WAL");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Reports each `AfterDrain` to the test thread and holds the flush there
+/// until the test thread answers — the window in which the drained shard's
+/// rows are in neither the row store nor the LogBlock map.
+struct PauseAfterDrain {
+    reached: Mutex<mpsc::Sender<()>>,
+    resume: Mutex<mpsc::Receiver<()>>,
+}
+
+impl CrashHooks for PauseAfterDrain {
+    fn reached(&self, point: CrashPoint) {
+        if point == CrashPoint::AfterDrain {
+            self.reached.lock().unwrap().send(()).unwrap();
+            self.resume.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+/// Shards are drained one at a time, each right before its own upload: a
+/// query that runs while one shard's drain is outstanding still finds the
+/// rows of every other shard — in the row store if their turn has not
+/// come, on OSS if it has. (Draining a whole worker's shards ahead of the
+/// first upload, as the build pass once did, hid the second shard's rows
+/// for the whole of the first shard's upload.)
+#[test]
+fn a_query_during_one_shards_upload_sees_the_other_shards_rows() {
+    let (reached_tx, reached_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel();
+    let hooks = Arc::new(PauseAfterDrain {
+        reached: Mutex::new(reached_tx),
+        resume: Mutex::new(resume_rx),
+    });
+    let mut config = ClusterConfig::for_testing();
+    config.workers = 1;
+    config.shards_per_worker = 2;
+    let parts = OpenParts { hooks: Some(hooks), ..OpenParts::default() };
+    let s = LogStore::open_with(config, parts).unwrap();
+
+    // Find one tenant homed on each shard of the single worker.
+    const ROWS: u64 = 40;
+    for tenant in 1..=8u64 {
+        s.ingest((0..ROWS as i64).map(|i| rec(tenant, i, "shard by shard")).collect()).unwrap();
+    }
+    let worker = s.shared().worker_snapshot().remove(0);
+    let on_shard_0 = worker.buffered_tenants(ShardId(0)).unwrap();
+    let on_shard_1 = worker.buffered_tenants(ShardId(1)).unwrap();
+    let only_on = |here: &[TenantId], there: &[TenantId]| {
+        here.iter().find(|t| !there.contains(t)).expect("test sizing: a shard got no tenant").raw()
+    };
+    let first = only_on(&on_shard_0, &on_shard_1);
+    let second = only_on(&on_shard_1, &on_shard_0);
+
+    // Observe inside the pauses, assert after the flush has been released:
+    // a failed assertion must not leave the flush thread parked.
+    let (seen_second, seen_first, archived) = std::thread::scope(|scope| {
+        let flush = scope.spawn(|| s.flush());
+        // Shard 0 is drained, its upload not started.
+        reached_rx.recv().unwrap();
+        let seen_second = count(&s, second);
+        resume_tx.send(()).unwrap();
+        // Shard 1 is drained; shard 0's rows are committed and acked.
+        reached_rx.recv().unwrap();
+        let seen_first = count(&s, first);
+        resume_tx.send(()).unwrap();
+        (seen_second, seen_first, flush.join().unwrap().unwrap().rows_archived)
+    });
+    assert_eq!(seen_second, ROWS, "shard 1 was drained ahead of shard 0's upload");
+    assert_eq!(seen_first, ROWS, "shard 0's rows must be readable from OSS");
+    assert_eq!(archived, 8 * ROWS);
+    assert_eq!(count(&s, first) + count(&s, second), 2 * ROWS);
 }

@@ -99,7 +99,7 @@ proptest! {
             max_merged_rows: 1 << 20,
         };
         let report = logstore::core::compactor::run_compaction(
-            &store, &metadata, &schema, &build, &config, &NoopHooks,
+            &store, &metadata, &schema, &build, &config, &NoopHooks, 4,
         ).unwrap();
         prop_assert_eq!(report.runs_committed, 1);
         prop_assert_eq!(report.blocks_merged as usize, blocks.len());

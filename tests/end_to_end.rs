@@ -268,6 +268,9 @@ fn query_spans_row_store_and_oss_after_partial_archive() {
     config.oss_fault_scope = FaultScope::Writes;
     config.oss_retry = RetryPolicy::none();
     config.max_rows_per_logblock = 100;
+    // One upload in flight, so "the 4th upcoming write" below names a
+    // chunk rather than whichever overlapped PUT reaches the injector 4th.
+    config.prefetch_threads = 1;
     let store = LogStore::open(config).expect("open");
 
     let records: Vec<_> = (0..1_000i64)
