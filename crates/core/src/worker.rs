@@ -1,9 +1,13 @@
 //! Workers: shard ownership and the phase-one write path.
 //!
-//! A worker owns a set of shards. Each shard is a write-optimized row store
-//! (optionally WAL-durable, optionally Raft-replicated) plus ingest
-//! accounting that feeds the traffic monitor. The data builder drains
-//! shards in the background (phase two, [`crate::databuilder`]).
+//! A worker owns a set of shards. Each shard is one
+//! [`logstore_wal::ShardStore`] — the write-optimized row store, WAL-backed
+//! when the worker has a data dir — optionally Raft-replicated, plus ingest
+//! accounting that feeds the traffic monitor. The store owns the storage
+//! protocol (log → apply, drain → ack/restore, truncation); the worker adds
+//! shard lookup, validation, BFC admission, replication, window accounting
+//! and crash hooks. The data builder drains shards in the background (phase
+//! two, [`crate::databuilder`]).
 
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore};
@@ -14,12 +18,10 @@ use logstore_codec::batch::encode_batch;
 use logstore_raft::{InProcCluster, RaftConfig};
 use logstore_sync::OrderedMutex;
 use logstore_types::{
-    ColumnPredicate, Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId,
-    TimeRange, WorkerId,
+    Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, TimeRange, WorkerId,
 };
-use logstore_wal::{
-    DrainResolver, DrainSeq, GroupCommitWal, PendingDrain, RowStore, ShardStore, WalConfig,
-};
+pub use logstore_wal::LoggedDrain;
+use logstore_wal::{DrainResolver, DrainSeq, NoCommittedDrains, ShardStore, WalConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -60,182 +62,13 @@ pub struct ShardWindow {
     pub per_tenant: HashMap<TenantId, u64>,
 }
 
-enum Backend {
-    Mem(RowStore),
-    Durable(ShardStore),
-}
-
-impl Backend {
-    /// Applies a batch that is already durable (WAL lsn known) — or, for
-    /// in-memory backends, simply inserts it. The fast path's under-lock
-    /// half; the WAL append happened outside this lock.
-    fn apply_appended(&mut self, batch: RecordBatch, wal_lsn: Option<logstore_wal::Lsn>) {
-        match self {
-            Backend::Mem(rows) => {
-                for r in batch.records {
-                    rows.insert(r);
-                }
-            }
-            Backend::Durable(store) => {
-                // The fast path always supplies the lsn for durable
-                // shards; lsn 0 is never allocated, so confirming it is
-                // inert if a caller ever omits one.
-                store.apply_appended(batch, wal_lsn.unwrap_or(0));
-            }
-        }
-    }
-
-    fn scan(
-        &self,
-        tenant: TenantId,
-        range: TimeRange,
-        preds: &[ColumnPredicate],
-    ) -> Vec<LogRecord> {
-        match self {
-            Backend::Mem(rows) => rows.scan(tenant, range, preds),
-            Backend::Durable(store) => store.scan(tenant, range, preds),
-        }
-    }
-
-    /// Streaming scan: visits matching rows in arrival order until the
-    /// visitor returns `false` (early stop), cloning nothing.
-    fn for_each_in(&self, tenant: TenantId, range: TimeRange, f: impl FnMut(&LogRecord) -> bool) {
-        match self {
-            Backend::Mem(rows) => rows.for_each_in(tenant, range, f),
-            Backend::Durable(store) => store.row_store().for_each_in(tenant, range, f),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Backend::Mem(rows) => rows.bytes(),
-            Backend::Durable(store) => store.buffered_bytes(),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        match self {
-            Backend::Mem(rows) => rows.row_count(),
-            Backend::Durable(store) => store.buffered_rows(),
-        }
-    }
-
-    /// First half of a drain under the shard lock: removes the rows and
-    /// (on durable shards) opens the in-flight archive op. Durable drains
-    /// return the pending intent still to be logged — the caller appends
-    /// it durably *outside* this lock (group commit may block on an
-    /// fsync) and rolls back via `restore` on failure. Memory drains
-    /// complete immediately (`BegunDrain::Mem`).
-    ///
-    /// No checkpoint here: the WAL keeps covering the drained rows until
-    /// the engine acks that they are durable on OSS (`ack_archived`).
-    fn begin_drain_all(&mut self) -> Option<BegunDrain> {
-        match self {
-            Backend::Mem(rows) => {
-                let drained = rows.drain_oldest(usize::MAX);
-                (!drained.is_empty()).then_some(BegunDrain::Mem(drained))
-            }
-            Backend::Durable(store) => store
-                .begin_drain_all(usize::MAX)
-                .map(|pending| BegunDrain::Durable(store.wal_handle(), pending)),
-        }
-    }
-
-    /// First half of a tenant drain (see [`Backend::begin_drain_all`]).
-    fn begin_drain_tenant(&mut self, tenant: TenantId) -> Option<BegunDrain> {
-        match self {
-            Backend::Mem(rows) => {
-                let drained = rows.drain_tenant(tenant);
-                (!drained.is_empty()).then_some(BegunDrain::Mem(drained))
-            }
-            Backend::Durable(store) => store
-                .begin_drain_tenant(tenant)
-                .map(|pending| BegunDrain::Durable(store.wal_handle(), pending)),
-        }
-    }
-
-    fn restore(&mut self, rows: Vec<LogRecord>) {
-        match self {
-            Backend::Mem(store) => {
-                for r in rows {
-                    store.insert(r);
-                }
-            }
-            Backend::Durable(store) => store.restore_unarchived(rows),
-        }
-    }
-
-    fn close_archive_op(&mut self) {
-        match self {
-            Backend::Mem(_) => {}
-            Backend::Durable(store) => store.ack_archive_op(),
-        }
-    }
-
-    fn truncate_quiescent(&mut self) -> Result<usize> {
-        match self {
-            Backend::Mem(_) => Ok(0),
-            Backend::Durable(store) => store.truncate_if_quiescent(),
-        }
-    }
-
-    fn counters(&self) -> Option<(u64, u64)> {
-        match self {
-            Backend::Mem(_) => None,
-            Backend::Durable(store) => Some(store.counters()),
-        }
-    }
-
-    fn tenants(&self) -> Vec<TenantId> {
-        match self {
-            Backend::Mem(rows) => rows.tenants(),
-            Backend::Durable(store) => store.row_store().tenants(),
-        }
-    }
-}
-
-/// A drain begun under the shard lock, to be completed outside it.
-enum BegunDrain {
-    /// Memory backend: the drain is already complete.
-    Mem(Vec<LogRecord>),
-    /// Durable backend: the intent in `PendingDrain` must still be
-    /// appended durably on the WAL handle, with no shard lock held.
-    Durable(Arc<GroupCommitWal>, PendingDrain),
-}
-
-/// A logged drain: the intent's seq (`None` on memory backends) plus the
-/// drained rows, ready for the archive pipeline.
-pub type LoggedDrain = (Option<DrainSeq>, Vec<LogRecord>);
-
-/// Logs a begun drain's intent (outside any lock) and produces the
-/// `(seq, rows)` the archive pipeline consumes. On append failure the
-/// drained rows come back with the error so the caller can re-lock and
-/// restore them.
-fn log_drain_intent(begun: BegunDrain) -> Result<LoggedDrain, (Error, Vec<LogRecord>)> {
-    match begun {
-        BegunDrain::Mem(rows) => Ok((None, rows)),
-        BegunDrain::Durable(wal, pending) => match wal.append_durable(&pending.intent) {
-            Ok(lsn) => {
-                // Intents have no row-store apply; confirm immediately so
-                // they never pin WAL truncation (the open archive op
-                // blocks it for the whole drain window instead).
-                wal.confirm_applied(lsn);
-                Ok((Some(pending.seq), pending.rows))
-            }
-            Err(e) => Err((e, pending.rows)),
-        },
-    }
-}
-
-// One label per field across all shards: the worker never holds two
-// shard locks — or two of backend/raft/window — at once (each is taken
-// in its own scope), and the debug lock analysis enforces that.
+// One label per field across all shards: the worker never holds two of
+// store (`wal.shard.inner`, taken inside `ShardStore`)/raft/window at once
+// (each is taken in its own scope), and the debug lock analysis enforces
+// that.
 struct ShardState {
-    backend: OrderedMutex<Backend>,
-    /// The durable shard's WAL, shared outside the backend lock so the
-    /// ingest fast path stages/commits groups without serializing on the
-    /// shard (`None` for in-memory backends).
-    wal: Option<Arc<GroupCommitWal>>,
+    /// Phase-one storage: row store plus, on durable shards, the WAL.
+    store: ShardStore,
     raft: Option<OrderedMutex<InProcCluster>>,
     window: OrderedMutex<ShardWindow>,
 }
@@ -270,23 +103,20 @@ impl Worker {
     ) -> Result<Self> {
         let mut shards = HashMap::new();
         for &shard in shard_ids {
-            let backend = match data_dir {
+            let store = match data_dir {
                 Some(dir) => {
                     let shard_dir = dir
                         .join(format!("worker-{}", id.raw()))
                         .join(format!("shard-{}", shard.raw()));
-                    let store = match archive_catalog {
-                        Some(catalog) => ShardStore::open_with(
-                            shard_dir,
-                            schema.clone(),
-                            wal_config.clone(),
-                            &CatalogResolver { catalog: catalog.clone(), shard },
-                        )?,
-                        None => ShardStore::open(shard_dir, schema.clone(), wal_config.clone())?,
+                    let catalog = archive_catalog
+                        .map(|catalog| CatalogResolver { catalog: catalog.clone(), shard });
+                    let resolver: &dyn DrainResolver = match &catalog {
+                        Some(resolver) => resolver,
+                        None => &NoCommittedDrains,
                     };
-                    Backend::Durable(store)
+                    ShardStore::open_with(shard_dir, wal_config.clone(), resolver)?
                 }
-                None => Backend::Mem(RowStore::new(schema.clone())),
+                None => ShardStore::in_memory(),
             };
             let raft = if raft_replicas > 1 {
                 let mut cluster = InProcCluster::new(
@@ -301,15 +131,10 @@ impl Worker {
             } else {
                 None
             };
-            let wal = match &backend {
-                Backend::Durable(store) => Some(store.wal_handle()),
-                Backend::Mem(_) => None,
-            };
             shards.insert(
                 shard,
                 ShardState {
-                    backend: OrderedMutex::new("core.worker.backend", backend),
-                    wal,
+                    store,
                     raft,
                     window: OrderedMutex::new("core.worker.window", ShardWindow::default()),
                 },
@@ -337,11 +162,11 @@ impl Worker {
     }
 
     /// Phase-one ingest of a batch into one shard — the lock-light fast
-    /// path. Validation and encoding run with no locks held; the BFC
-    /// admission check and the final row-store apply each take the shard
-    /// lock only briefly; the (possibly fsyncing) WAL group append runs
-    /// with *no* locks held, so concurrent producers coalesce into shared
-    /// group commits instead of queueing on the shard.
+    /// path. Validation runs with no locks held; the BFC admission check
+    /// and the final row-store apply each take the shard store's lock only
+    /// briefly; the (possibly fsyncing) WAL group append runs with *no*
+    /// locks held, so concurrent producers coalesce into shared group
+    /// commits instead of queueing on the shard.
     ///
     /// Replication overlaps local persistence: the batch is submitted to
     /// the Raft group (short `propose` critical section) *before* the WAL
@@ -350,21 +175,15 @@ impl Worker {
     /// Consumes the batch — records move into the store, never cloned.
     pub fn append(&self, shard: ShardId, batch: RecordBatch) -> Result<()> {
         let state = self.shard(shard)?;
-        // Validate + encode outside every lock (per-producer CPU work).
         for r in &batch.records {
             r.validate(&self.schema)?;
         }
-        let wal_payload =
-            state.wal.as_ref().map(|_| ShardStore::encode_batch_payload(&batch.records));
-        // BFC admission under a short shard-lock scope.
-        {
-            let backend = state.backend.lock();
-            if backend.bytes() + batch.approx_size() > self.backpressure_bytes {
-                return Err(Error::Backpressure(format!(
-                    "shard {shard} row store at {} bytes",
-                    backend.bytes()
-                )));
-            }
+        // BFC admission: one short scope of the store's lock.
+        let buffered = state.store.buffered_bytes();
+        if buffered + batch.approx_size() > self.backpressure_bytes {
+            return Err(Error::Backpressure(format!(
+                "shard {shard} row store at {buffered} bytes"
+            )));
         }
         // Submit to replication first: propose only (short raft lock),
         // capturing the log index to wait on after local persistence.
@@ -373,11 +192,11 @@ impl Worker {
             None => None,
         };
         // Local WAL persistence with no locks held — producers staging
-        // concurrently ride one group commit.
-        let wal_lsn = match (&state.wal, wal_payload) {
-            (Some(wal), Some(payload)) => Some(wal.append(&payload)?),
-            _ => None,
-        };
+        // concurrently ride one group commit. Every error return below
+        // drops `logged`, which releases its LSN: the rows stay in the WAL
+        // in doubt (never acked, never applied live) without pinning
+        // truncation.
+        let logged = state.store.log_batch(&batch.records)?;
         // Now wait for quorum (the paper's sync_queue wait, §4.2): drive
         // the group until the proposed entry commits on the leader.
         if let (Some(raft), Some(index)) = (&state.raft, raft_index) {
@@ -395,13 +214,13 @@ impl Worker {
             }
         }
         // Window accounting happens only on success; tally before the
-        // records move into the backend.
+        // records move into the store.
         let total = batch.len() as u64;
         let mut per_tenant: HashMap<TenantId, u64> = HashMap::new();
         for r in &batch.records {
             *per_tenant.entry(r.tenant_id).or_default() += 1;
         }
-        state.backend.lock().apply_appended(batch, wal_lsn);
+        state.store.apply(batch.records, logged);
         let mut window = state.window.lock();
         window.total += total;
         for (tenant, n) in per_tenant {
@@ -413,17 +232,6 @@ impl Worker {
         // "in doubt": present after recovery, never acknowledged.
         self.hooks.reached(CrashPoint::AfterWalAppend);
         Ok(())
-    }
-
-    /// Scans one shard's real-time store.
-    pub fn scan(
-        &self,
-        shard: ShardId,
-        tenant: TenantId,
-        range: TimeRange,
-        preds: &[ColumnPredicate],
-    ) -> Result<Vec<LogRecord>> {
-        Ok(self.shard(shard)?.backend.lock().scan(tenant, range, preds))
     }
 
     /// Streams one shard's real-time rows for `tenant` within `range`
@@ -438,25 +246,25 @@ impl Worker {
         range: TimeRange,
         f: impl FnMut(&LogRecord) -> bool,
     ) -> Result<()> {
-        self.shard(shard)?.backend.lock().for_each_in(tenant, range, f);
+        self.shard(shard)?.store.for_each_in(tenant, range, f);
         Ok(())
     }
 
     /// Buffered row-store bytes of one shard.
     pub fn buffered_bytes(&self, shard: ShardId) -> Result<usize> {
-        Ok(self.shard(shard)?.backend.lock().bytes())
+        Ok(self.shard(shard)?.store.buffered_bytes())
     }
 
     /// Buffered rows of one shard.
     pub fn buffered_rows(&self, shard: ShardId) -> Result<usize> {
-        Ok(self.shard(shard)?.backend.lock().rows())
+        Ok(self.shard(shard)?.store.buffered_rows())
     }
 
     /// Tenants with buffered rows on one shard. On a durable shard right
     /// after open this is the set WAL replay resurrected — the input to
     /// recovery route restoration.
     pub fn buffered_tenants(&self, shard: ShardId) -> Result<Vec<TenantId>> {
-        Ok(self.shard(shard)?.backend.lock().tenants())
+        Ok(self.shard(shard)?.store.buffered_tenants())
     }
 
     /// Drains `shard` if its buffer exceeds `flush_bytes` (or
@@ -481,28 +289,7 @@ impl Worker {
         flush_bytes: usize,
         force: bool,
     ) -> Result<Option<LoggedDrain>> {
-        let state = self.shard(shard)?;
-        let begun = {
-            let mut backend = state.backend.lock();
-            if force || backend.bytes() >= flush_bytes {
-                backend.begin_drain_all()
-            } else {
-                None
-            }
-        };
-        let Some(begun) = begun else { return Ok(None) };
-        // The intent append (group commit; may fsync) runs with the
-        // shard lock released so ingest keeps flowing during the drain.
-        // The drained rows exist only in `begun` until the intent is
-        // logged — the window the archive-op counter guards.
-        logstore_sync::sync_point("core.worker.drain_window");
-        match log_drain_intent(begun) {
-            Ok(logged) => Ok(Some(logged)),
-            Err((e, rows)) => {
-                state.backend.lock().restore(rows);
-                Err(e)
-            }
-        }
+        self.shard(shard)?.store.drain_all(if force { 0 } else { flush_bytes })
     }
 
     /// Drains one tenant from one shard (rebalance flush, §4.1.5). A
@@ -510,46 +297,25 @@ impl Worker {
     /// with [`Worker::ack_tenant_archived`] or
     /// [`Worker::restore_unarchived`].
     pub fn drain_tenant(&self, shard: ShardId, tenant: TenantId) -> Result<Option<LoggedDrain>> {
-        let state = self.shard(shard)?;
-        let Some(begun) = state.backend.lock().begin_drain_tenant(tenant) else {
-            return Ok(None);
-        };
-        match log_drain_intent(begun) {
-            Ok(logged) => Ok(Some(logged)),
-            Err((e, rows)) => {
-                state.backend.lock().restore(rows);
-                Err(e)
-            }
-        }
+        self.shard(shard)?.store.drain_tenant(tenant)
     }
 
     /// Puts drained rows that failed to archive back into the shard's
     /// store. The shard's WAL still covers them (no ack happened), so this
     /// restores queryability without re-logging anything.
     pub fn restore_unarchived(&self, shard: ShardId, rows: Vec<LogRecord>) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        self.shard(shard)?.backend.lock().restore(rows);
+        self.shard(shard)?.store.restore_unarchived(rows);
         Ok(())
     }
 
     /// The archive ack: called by the engine once drained rows are durable
     /// on OSS. Truncates the shard's fully-archived WAL prefix and compacts
-    /// the replicated log. Checkpoint I/O errors propagate — the WAL keeps
+    /// the replicated log. Truncation I/O errors propagate — the WAL keeps
     /// the extra segments (at-least-once replay), but the condition is
     /// loud instead of silently leaking disk.
     pub fn ack_archived(&self, shard: ShardId) -> Result<()> {
-        let state = self.shard(shard)?;
-        self.hooks.reached(CrashPoint::BeforeCheckpoint);
-        state.backend.lock().close_archive_op();
-        // A crash between the two lock scopes leaves the op closed but the
-        // WAL untruncated — replay reconciles via the drain commit, and a
-        // later quiescent pass truncates.
-        self.hooks.reached(CrashPoint::BeforeTruncate);
-        logstore_sync::sync_point("core.worker.ack_window");
-        state.backend.lock().truncate_quiescent()?;
-        self.checkpoint_raft(shard)
+        self.close_archive_op(shard)?;
+        self.compact_raft_log(shard)
     }
 
     /// Acks a successful rebalance flush ([`Worker::drain_tenant`]): closes
@@ -559,11 +325,19 @@ impl Worker {
     /// row store. Actual truncation happens only once the shard is
     /// quiescent (no other archive in flight, nothing buffered).
     pub fn ack_tenant_archived(&self, shard: ShardId) -> Result<()> {
-        let state = self.shard(shard)?;
+        self.close_archive_op(shard)
+    }
+
+    /// Closes one archive op, then truncates if the shard is quiescent. A
+    /// crash between the two steps leaves the op closed but the WAL
+    /// untruncated — replay reconciles via the drain commit, and a later
+    /// quiescent pass truncates.
+    fn close_archive_op(&self, shard: ShardId) -> Result<()> {
+        let store = &self.shard(shard)?.store;
         self.hooks.reached(CrashPoint::BeforeCheckpoint);
-        state.backend.lock().close_archive_op();
+        store.ack_archive_op();
         self.hooks.reached(CrashPoint::BeforeTruncate);
-        state.backend.lock().truncate_quiescent().map(|_| ())
+        store.truncate_if_quiescent().map(|_| ())
     }
 
     /// Opportunistic WAL truncation: applies a truncation that an
@@ -572,21 +346,21 @@ impl Worker {
     /// can never strip WAL coverage from a drain still in flight. Forced
     /// build passes call this for shards that had nothing to drain.
     pub fn truncate_quiescent(&self, shard: ShardId) -> Result<usize> {
-        self.shard(shard)?.backend.lock().truncate_quiescent()
+        self.shard(shard)?.store.truncate_if_quiescent()
     }
 
-    /// Lifetime `(appended, archived)` record counters of a durable shard
-    /// (`None` for in-memory backends). The accounting invariant —
-    /// `buffered == appended − archived` — is what the simulation harness
-    /// checks after every recovery.
+    /// Lifetime `(appended, archived)` record counters of a shard (always
+    /// `Some`; memory-only shards keep them too). The accounting invariant
+    /// — `buffered == appended − archived` — is what the simulation
+    /// harness checks after every recovery.
     pub fn shard_counters(&self, shard: ShardId) -> Result<Option<(u64, u64)>> {
-        Ok(self.shard(shard)?.backend.lock().counters())
+        Ok(Some(self.shard(shard)?.store.counters()))
     }
 
     /// After the drained rows are durable on OSS, compacts the shard's
     /// replicated log up to the applied point (the checkpoint task the
     /// paper's controller schedules). No-op for unreplicated shards.
-    pub fn checkpoint_raft(&self, shard: ShardId) -> Result<()> {
+    fn compact_raft_log(&self, shard: ShardId) -> Result<()> {
         let state = self.shard(shard)?;
         let Some(raft) = &state.raft else { return Ok(()) };
         let mut cluster = raft.lock();
@@ -641,15 +415,21 @@ mod tests {
         )
     }
 
-    fn worker(replicas: usize) -> Worker {
+    fn new_worker(
+        shards: &[ShardId],
+        backpressure_bytes: usize,
+        replicas: usize,
+        data_dir: Option<&PathBuf>,
+        wal_config: WalConfig,
+    ) -> Worker {
         Worker::new(
             WorkerId(0),
-            &[ShardId(0), ShardId(1)],
+            shards,
             &TableSchema::request_log(),
-            1 << 20,
+            backpressure_bytes,
             replicas,
-            None,
-            WalConfig::default(),
+            data_dir,
+            wal_config,
             7,
             None,
             crate::hooks::noop_hooks(),
@@ -657,13 +437,41 @@ mod tests {
         .unwrap()
     }
 
+    fn worker(replicas: usize) -> Worker {
+        new_worker(&[ShardId(0), ShardId(1)], 1 << 20, replicas, None, WalConfig::default())
+    }
+
+    /// One durable shard under a fresh-per-test data dir.
+    fn durable_worker(dir: &PathBuf, replicas: usize, wal_config: WalConfig) -> Worker {
+        new_worker(&[ShardId(0)], 1 << 20, replicas, Some(dir), wal_config)
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "logstore-worker-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn rows_of(w: &Worker, shard: ShardId, tenant: u64) -> usize {
+        let mut n = 0;
+        w.for_each_record(shard, TenantId(tenant), TimeRange::all(), |_| {
+            n += 1;
+            true
+        })
+        .unwrap();
+        n
+    }
+
     #[test]
     fn append_scan_and_window_metrics() {
         let w = worker(1);
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 10), rec(2, 20)])).unwrap();
         w.append(ShardId(1), RecordBatch::from_records(vec![rec(1, 30)])).unwrap();
-        let hits = w.scan(ShardId(0), TenantId(1), TimeRange::all(), &[]).unwrap();
-        assert_eq!(hits.len(), 1);
+        assert_eq!(rows_of(&w, ShardId(0), 1), 1);
         let window = w.take_window();
         assert_eq!(window[&ShardId(0)].total, 2);
         assert_eq!(window[&ShardId(0)].per_tenant[&TenantId(1)], 1);
@@ -681,19 +489,8 @@ mod tests {
 
     #[test]
     fn backpressure_on_full_rowstore() {
-        let w = Worker::new(
-            WorkerId(0),
-            &[ShardId(0)],
-            &TableSchema::request_log(),
-            2000, // fits one batch, not many
-            1,
-            None,
-            WalConfig::default(),
-            7,
-            None,
-            crate::hooks::noop_hooks(),
-        )
-        .unwrap();
+        // The limit fits one batch, not many.
+        let w = new_worker(&[ShardId(0)], 2000, 1, None, WalConfig::default());
         let batch = RecordBatch::from_records((0..5).map(|i| rec(1, i)).collect());
         let mut hit_backpressure = false;
         for _ in 0..100 {
@@ -725,8 +522,8 @@ mod tests {
         // Upload "failed": the engine hands the rows back.
         w.restore_unarchived(ShardId(0), rows).unwrap();
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
-        let hits = w.scan(ShardId(0), TenantId(1), TimeRange::all(), &[]).unwrap();
-        assert_eq!(hits.len(), 1);
+        assert_eq!(rows_of(&w, ShardId(0), 1), 1);
+        assert_eq!(w.shard_counters(ShardId(0)).unwrap(), Some((2, 0)));
     }
 
     #[test]
@@ -742,8 +539,7 @@ mod tests {
         let w = worker(3);
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(1, 2)])).unwrap();
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
-        let hits = w.scan(ShardId(0), TenantId(1), TimeRange::all(), &[]).unwrap();
-        assert_eq!(hits.len(), 2);
+        assert_eq!(rows_of(&w, ShardId(0), 1), 2);
     }
 
     #[test]
@@ -768,42 +564,61 @@ mod tests {
 
     #[test]
     fn durable_worker_recovers_from_wal() {
-        let dir = std::env::temp_dir().join(format!(
-            "logstore-worker-durable-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let w = Worker::new(
-                WorkerId(0),
-                &[ShardId(0)],
-                &TableSchema::request_log(),
-                1 << 20,
-                1,
-                Some(&dir),
-                WalConfig::default(),
-                7,
-                None,
-                crate::hooks::noop_hooks(),
-            )
+        let dir = temp_dir("durable");
+        durable_worker(&dir, 1, WalConfig::default())
+            .append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)]))
             .unwrap();
-            w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        }
-        let w = Worker::new(
-            WorkerId(0),
-            &[ShardId(0)],
-            &TableSchema::request_log(),
-            1 << 20,
-            1,
-            Some(&dir),
-            WalConfig::default(),
-            7,
-            None,
-            crate::hooks::noop_hooks(),
-        )
-        .unwrap();
+        let w = durable_worker(&dir, 1, WalConfig::default());
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn invalid_records_rejected_before_wal() {
+        let dir = temp_dir("validate");
+        let w = durable_worker(&dir, 1, WalConfig::default());
+        let mut bad = rec(1, 1);
+        bad.fields.pop();
+        assert!(w.append(ShardId(0), RecordBatch::from_records(vec![bad])).is_err());
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
+        // WAL stayed clean: reopen sees nothing.
+        drop(w);
+        let w = durable_worker(&dir, 1, WalConfig::default());
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_failed_quorum_wait_does_not_pin_the_wal() {
+        // The local WAL append succeeds, then replication stalls: the
+        // append fails, and its LSN must stop being a truncation floor —
+        // otherwise the shard's WAL never truncates again until restart.
+        let dir = temp_dir("quorum-lost");
+        let config = WalConfig { max_segment_bytes: 256, ..WalConfig::default() };
+        let w = durable_worker(&dir, 3, config.clone());
+        let raft = || w.shards[&ShardId(0)].raft.as_ref().expect("replicated shard").lock();
+        raft().set_drop_rate(1.0);
+        let err = w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 0)])).unwrap_err();
+        assert!(matches!(err, Error::Raft(_)), "{err}");
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0, "a failed append applies nothing");
+        // Heal, and let the terms the partition inflated settle on one
+        // leader before proposing again.
+        raft().set_drop_rate(0.0);
+        for _ in 0..200 {
+            raft().step();
+        }
+        raft().run_until_leader(2000).expect("healed group elects");
+        for i in 1..40 {
+            w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+        }
+        let (_seq, rows) = w.drain_shard_for_build(ShardId(0), 0, true).unwrap().unwrap();
+        assert_eq!(rows.len(), 39);
+        w.ack_archived(ShardId(0)).unwrap();
+        let segments = w.shards[&ShardId(0)].store.wal_segments();
+        assert_eq!(segments, 1, "the ack must truncate the WAL back to its active segment");
+        drop(w);
+        let w = durable_worker(&dir, 3, config);
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0, "acked rows must not resurrect");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -19,13 +19,11 @@
 //! * [`ctrl`] — the control loop (Alg 1): the replicated controller's
 //!   deterministic state machine (commands applied through the Raft log)
 //!   and the pure `plan_tick` that decides one control interval.
-//! * [`backpressure`] — bounded queues implementing the BFC mechanism (§4.2).
 //! * [`sim`] — a queueing-theoretic traffic simulator used by tests and the
 //!   Figure 12–14 harnesses.
 
 #![forbid(unsafe_code)]
 
-pub mod backpressure;
 pub mod balancer;
 pub mod consistent;
 pub mod ctrl;
@@ -34,7 +32,6 @@ pub mod network;
 pub mod routing;
 pub mod sim;
 
-pub use backpressure::{BfcQueue, BfcQueueConfig};
 pub use balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 pub use consistent::ConsistentHashRing;
 pub use ctrl::{ControlAction, ControlState, CtrlCmd, FlowControlConfig};

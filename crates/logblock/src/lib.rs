@@ -41,6 +41,4 @@ pub use column::{ColumnData, ColumnVec};
 pub use meta::{BlockMeta, ColumnMeta, LogBlockMeta};
 pub use pack::{PackReader, PackWriter, RangeSource};
 pub use reader::LogBlockReader;
-pub use scan::{
-    eval_batch, evaluate_predicates, evaluate_predicates_vec, fetch_rows, DecodeStats, ScanStats,
-};
+pub use scan::{eval_batch, evaluate_predicates, evaluate_predicates_vec, DecodeStats, ScanStats};

@@ -454,24 +454,6 @@ fn evaluate_predicates_impl<S: RangeSource>(
     Ok(result)
 }
 
-/// Materializes the rows of `ids` with the named projection columns.
-pub fn fetch_rows<S: RangeSource>(
-    reader: &LogBlockReader<S>,
-    ids: &RowIdSet,
-    projection: &[String],
-) -> Result<Vec<Vec<Value>>> {
-    let cols: Vec<usize> = projection
-        .iter()
-        .map(|name| {
-            reader
-                .schema()
-                .column_index(name)
-                .ok_or_else(|| Error::invalid(format!("unknown column '{name}'")))
-        })
-        .collect::<Result<_>>()?;
-    reader.read_rows(&ids.to_vec(), &cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,12 +620,13 @@ mod tests {
     }
 
     #[test]
-    fn fetch_rows_projection() {
+    fn matched_ids_materialize_through_read_rows() {
         let r = block();
         let mut stats = ScanStats::default();
         let preds = vec![ColumnPredicate::new("ts", CmpOp::Eq, 1005i64)];
         let ids = evaluate_predicates(&r, &preds, true, &mut stats).unwrap();
-        let rows = fetch_rows(&r, &ids, &["log".to_string(), "latency".to_string()]).unwrap();
+        let cols = ["log", "latency"].map(|c| r.schema().column_index(c).unwrap());
+        let rows = r.read_rows(&ids.to_vec(), &cols).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::from("req 5 ok"));
         assert_eq!(rows[0][1], Value::I64(5));

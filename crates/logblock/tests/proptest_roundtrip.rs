@@ -4,7 +4,7 @@
 //! conjunctions.
 
 use logstore_codec::Compression;
-use logstore_logblock::scan::{evaluate_predicates, fetch_rows, ScanStats};
+use logstore_logblock::scan::{evaluate_predicates, ScanStats};
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
 use logstore_types::{CmpOp, ColumnPredicate, TableSchema, Value};
 use proptest::prelude::*;
@@ -111,8 +111,9 @@ proptest! {
                 got.to_vec(), expect.clone(),
                 "skipping={} preds={:?}", skipping, preds
             );
-            // fetch_rows materializes exactly the matched rows.
-            let fetched = fetch_rows(&reader, &got, &["log".to_string()]).unwrap();
+            // read_rows materializes exactly the matched rows.
+            let log = schema.column_index("log").unwrap();
+            let fetched = reader.read_rows(&got.to_vec(), &[log]).unwrap();
             prop_assert_eq!(fetched.len(), expect.len());
         }
     }

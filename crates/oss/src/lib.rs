@@ -6,8 +6,8 @@
 //!
 //! * [`ObjectStore`] — the minimal API LogStore needs (PUT / GET /
 //!   range-GET / HEAD / LIST / DELETE over immutable objects).
-//! * [`MemoryStore`] and [`DiskStore`] — fast backends for tests and for the
-//!   "local storage" baseline of Figure 16.
+//! * [`MemoryStore`] — the in-process backend: bare in tests, and the
+//!   bottom of the engine's store stack under the wrappers below.
 //! * [`SimulatedOss`] — a wrapper imposing a configurable latency and
 //!   bandwidth model, so experiments reproduce the *cost structure* of
 //!   remote object storage on a laptop. Modelled time is always accounted
@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod disk;
 pub mod fault;
 pub mod memory;
 pub mod retry;
@@ -27,7 +26,6 @@ pub mod sim;
 pub mod store;
 pub mod wave;
 
-pub use disk::DiskStore;
 pub use fault::{FaultScope, FaultyStore};
 pub use memory::MemoryStore;
 pub use retry::{RetryMetrics, RetryPolicy, RetryingStore};

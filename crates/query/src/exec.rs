@@ -11,9 +11,7 @@
 //! `ORDER BY COUNT(*)` top-k.
 
 use crate::ast::{AggFunc, GroupKey, OrderKey, Query, SelectItem};
-use logstore_logblock::pack::RangeSource;
-use logstore_logblock::reader::LogBlockReader;
-use logstore_logblock::scan::{evaluate_predicates, fetch_rows, ScanStats};
+use logstore_logblock::scan::ScanStats;
 use logstore_types::{Error, Result, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -246,123 +244,6 @@ pub(crate) fn update_states(states: &mut [AggState], row: &[Value], item_cols: &
     }
 }
 
-/// Collects a [`Partial`] from one LogBlock through the data-skipping
-/// scanner (Fig 8).
-pub fn collect_from_block<S: RangeSource>(
-    reader: &LogBlockReader<S>,
-    query: &Query,
-    use_skipping: bool,
-    stats: &mut QueryStats,
-) -> Result<Partial> {
-    stats.blocks_visited += 1;
-    let ids = evaluate_predicates(reader, &query.predicates, use_skipping, &mut stats.scan)?;
-    if query.is_aggregate() {
-        let (cols, item_cols, group) = agg_columns(query);
-        let n_items = item_cols.len();
-        // Fast path: COUNT(*)-only queries need no column data at all.
-        if cols.is_empty() {
-            let state = AggState { count: u64::from(ids.count()), ..AggState::default() };
-            return Ok(Partial::Agg(vec![state; n_items]));
-        }
-        let rows = if ids.is_empty() { Vec::new() } else { fetch_rows(reader, &ids, &cols)? };
-        if let Some(group) = group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(&group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, &row, &item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in rows {
-                update_states(&mut states, &row, &item_cols);
-            }
-            Ok(Partial::Agg(states))
-        }
-    } else {
-        let (cols, _) = internal_columns(query, reader.schema())?;
-        if ids.is_empty() {
-            return Ok(Partial::Rows(Vec::new()));
-        }
-        Ok(Partial::Rows(fetch_rows(reader, &ids, &cols)?))
-    }
-}
-
-/// Collects a [`Partial`] from full positional rows (the real-time store
-/// path — predicates are applied here, mirroring the block scanner).
-pub fn collect_from_rows<'a>(
-    rows: impl Iterator<Item = &'a [Value]>,
-    schema: &TableSchema,
-    query: &Query,
-    stats: &mut QueryStats,
-) -> Result<Partial> {
-    let pred_cols: Vec<usize> = query
-        .predicates
-        .iter()
-        .map(|p| {
-            schema
-                .column_index(&p.column)
-                .ok_or_else(|| Error::Query(format!("unknown column '{}'", p.column)))
-        })
-        .collect::<Result<_>>()?;
-    let (cols, _) = internal_columns(query, schema)?;
-    let out_cols: Vec<usize> = cols
-        .iter()
-        .map(|c| {
-            schema.column_index(c).ok_or_else(|| Error::Query(format!("unknown column '{c}'")))
-        })
-        .collect::<Result<_>>()?;
-    // Aggregate plumbing against full positional rows.
-    let group = query.group_by.clone();
-    let agg_item_cols: Vec<Option<usize>> = query
-        .aggregate_items()
-        .iter()
-        .map(|(_, col)| col.as_ref().and_then(|c| schema.column_index(c)))
-        .collect();
-    let group_idx =
-        match &group {
-            Some(g) => Some(schema.column_index(g.column()).ok_or_else(|| {
-                Error::Query(format!("unknown GROUP BY column '{}'", g.column()))
-            })?),
-            None => None,
-        };
-    let n_items = agg_item_cols.len();
-
-    let mut out_rows = Vec::new();
-    let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-    let mut global = vec![AggState::default(); n_items];
-    for row in rows {
-        stats.realtime_rows_scanned += 1;
-        let matches = query.predicates.iter().zip(&pred_cols).all(|(p, &c)| p.matches(&row[c]));
-        if !matches {
-            continue;
-        }
-        if query.is_aggregate() {
-            if let (Some(group), Some(g)) = (&group, group_idx) {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[g])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, row, &agg_item_cols);
-            } else {
-                update_states(&mut global, row, &agg_item_cols);
-            }
-        } else {
-            out_rows.push(out_cols.iter().map(|&c| row[c].clone()).collect());
-        }
-    }
-    if query.is_aggregate() {
-        if group.is_some() {
-            Ok(Partial::Groups(groups))
-        } else {
-            Ok(Partial::Agg(global))
-        }
-    } else {
-        Ok(Partial::Rows(out_rows))
-    }
-}
-
 /// Merges partials from multiple sources. All partials must share the
 /// query's shape.
 pub fn merge_partials(partials: Vec<Partial>) -> Result<Partial> {
@@ -516,8 +397,10 @@ mod tests {
     use super::*;
     use crate::analyze::bind;
     use crate::parser::parse_query;
+    use crate::plan::ScanPlan;
     use logstore_logblock::builder::LogBlockBuilder;
-    use logstore_types::TableSchema;
+    use logstore_logblock::reader::LogBlockReader;
+    use logstore_logblock::scan::DecodeStats;
 
     fn schema() -> TableSchema {
         TableSchema::request_log()
@@ -552,10 +435,24 @@ mod tests {
         bind(&parse_query(sql).unwrap(), &schema()).unwrap()
     }
 
+    /// One block's partial through the reference path `QueryOptions::
+    /// baseline()` runs: the pushdown-off plan, row-at-a-time predicate
+    /// evaluation, then `finish_partial`.
+    fn collect(
+        reader: &LogBlockReader<Vec<u8>>,
+        query: &Query,
+        use_skipping: bool,
+        stats: &mut QueryStats,
+    ) -> Partial {
+        let plan = ScanPlan::new(query, &schema(), false).unwrap();
+        let mut decode = DecodeStats::default();
+        let shipped = plan.collect_block(reader, use_skipping, stats, &mut decode).unwrap();
+        plan.finish_partial(shipped).unwrap()
+    }
+
     fn run(sql: &str, n: usize) -> QueryResult {
         let query = q(sql);
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(n), &query, true, &mut stats).unwrap();
+        let p = collect(&block(n), &query, true, &mut QueryStats::default());
         finalize(p, &query, &schema()).unwrap()
     }
 
@@ -569,27 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn block_and_rows_paths_agree() {
-        let query = q("SELECT log, latency FROM request_log WHERE tenant_id = 1 AND latency < 50");
-        let mut s1 = QueryStats::default();
-        let from_block = collect_from_block(&block(60), &query, true, &mut s1).unwrap();
-        let rows = make_rows(60);
-        let mut s2 = QueryStats::default();
-        let from_rows =
-            collect_from_rows(rows.iter().map(|r| r.as_slice()), &schema(), &query, &mut s2)
-                .unwrap();
-        assert_eq!(from_block, from_rows);
-        let Partial::Rows(r) = from_block else { panic!() };
-        assert!(!r.is_empty());
-        assert_eq!(s2.realtime_rows_scanned, 60);
-    }
-
-    #[test]
     fn count_star_merges_across_sources() {
         let query = q("SELECT COUNT(*) FROM request_log WHERE fail = true");
         let mut stats = QueryStats::default();
-        let p1 = collect_from_block(&block(40), &query, true, &mut stats).unwrap();
-        let p2 = collect_from_block(&block(40), &query, true, &mut stats).unwrap();
+        let p1 = collect(&block(40), &query, true, &mut stats);
+        let p2 = collect(&block(40), &query, true, &mut stats);
+        assert_eq!(stats.blocks_visited, 2);
         let merged = merge_partials(vec![p1, p2]).unwrap();
         let result = finalize(merged, &query, &schema()).unwrap();
         assert_eq!(result.columns, vec!["COUNT(*)"]);
@@ -651,18 +533,6 @@ mod tests {
                 vec![Value::I64(1040), Value::U64(20)],
             ]
         );
-        // Block path and rows path agree on bucketed grouping.
-        let query = q(
-            "SELECT TIMEBUCKET(ts, 32), MAX(latency) FROM request_log GROUP BY TIMEBUCKET(ts, 32)",
-        );
-        let mut s1 = QueryStats::default();
-        let from_block = collect_from_block(&block(60), &query, true, &mut s1).unwrap();
-        let rows = make_rows(60);
-        let mut s2 = QueryStats::default();
-        let from_rows =
-            collect_from_rows(rows.iter().map(|r| r.as_slice()), &schema(), &query, &mut s2)
-                .unwrap();
-        assert_eq!(from_block, from_rows);
     }
 
     #[test]
@@ -686,8 +556,7 @@ mod tests {
     #[test]
     fn order_by_non_projected_column_is_stripped() {
         let query = q("SELECT log FROM request_log ORDER BY latency DESC LIMIT 3");
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(30), &query, true, &mut stats).unwrap();
+        let p = collect(&block(30), &query, true, &mut QueryStats::default());
         let result = finalize(p, &query, &schema()).unwrap();
         assert_eq!(result.columns, vec!["log"]);
         assert_eq!(result.rows.len(), 3);
@@ -697,8 +566,7 @@ mod tests {
     #[test]
     fn select_star_expands_schema() {
         let query = q("SELECT * FROM request_log LIMIT 1");
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(5), &query, true, &mut stats).unwrap();
+        let p = collect(&block(5), &query, true, &mut QueryStats::default());
         let result = finalize(p, &query, &schema()).unwrap();
         assert_eq!(result.columns.len(), 7);
         assert_eq!(result.rows.len(), 1);
@@ -717,8 +585,8 @@ mod tests {
         let query = q("SELECT log FROM request_log WHERE latency >= 50 AND fail = false");
         let mut s1 = QueryStats::default();
         let mut s2 = QueryStats::default();
-        let with = collect_from_block(&block(100), &query, true, &mut s1).unwrap();
-        let without = collect_from_block(&block(100), &query, false, &mut s2).unwrap();
+        let with = collect(&block(100), &query, true, &mut s1);
+        let without = collect(&block(100), &query, false, &mut s2);
         assert_eq!(with, without);
         assert!(s1.scan.blocks_scanned <= s2.scan.blocks_scanned);
     }

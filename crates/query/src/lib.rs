@@ -22,11 +22,14 @@
 //! * [`ast`] — the query representation handed to brokers.
 //! * [`analyze`] — extracts the routing scope (tenant, time range) that
 //!   drives LogBlock-map pruning (Fig 8 ①).
-//! * [`exec`] — evaluation over LogBlocks (via the data-skipping scanner)
-//!   and over real-time-store records, plus partial-result merging.
-//! * [`plan`] — the physical [`plan::ScanPlan`]: aggregation pushdown into
-//!   the scan layer (or the row-transport baseline), vectorized predicate
-//!   batches, and the per-source `LIMIT` early-out.
+//! * [`exec`] — partial results: aggregate accumulators, merging across
+//!   sources, and finalization (ordering, limit, output header).
+//! * [`plan`] — the physical [`plan::ScanPlan`], the one collector for
+//!   LogBlocks ([`plan::ScanPlan::collect_block`]) and for real-time rows
+//!   ([`plan::RowCollector`]): aggregation pushdown into the scan layer
+//!   with vectorized predicate batches and the per-source `LIMIT`
+//!   early-out, or — pushdown off, the reference `QueryOptions::baseline()`
+//!   runs — row-at-a-time predicates and row transport.
 
 #![forbid(unsafe_code)]
 

@@ -24,9 +24,7 @@ use crate::exec::{
 };
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
-use logstore_logblock::scan::{
-    evaluate_predicates, evaluate_predicates_vec, DecodeStats, ScanStats,
-};
+use logstore_logblock::scan::{evaluate_predicates, evaluate_predicates_vec, DecodeStats};
 use logstore_types::{ColumnPredicate, Error, LogRecord, Result, TableSchema, Value};
 use std::collections::BTreeMap;
 
@@ -389,15 +387,11 @@ impl ExecutionCounters {
     }
 }
 
-/// Re-exported so broker code can hold scan stats without importing the
-/// logblock crate directly.
-pub type BlockScanStats = ScanStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::bind;
-    use crate::exec::{collect_from_block, collect_from_rows, finalize, merge_partials};
+    use crate::exec::{finalize, merge_partials};
     use crate::parser::parse_query;
     use logstore_logblock::builder::LogBlockBuilder;
     use logstore_types::{TenantId, Timestamp};
@@ -454,14 +448,18 @@ mod tests {
         "SELECT SUM(latency), MIN(latency), MAX(latency), AVG(latency) FROM request_log",
         "SELECT ip, COUNT(*), MAX(latency) FROM request_log GROUP BY ip",
         "SELECT TIMEBUCKET(ts, 20), COUNT(*) FROM request_log GROUP BY TIMEBUCKET(ts, 20)",
+        "SELECT TIMEBUCKET(ts, 32), MAX(latency) FROM request_log GROUP BY TIMEBUCKET(ts, 32)",
         "SELECT log FROM request_log WHERE latency >= 10 LIMIT 3",
         "SELECT log FROM request_log ORDER BY latency DESC LIMIT 3",
     ];
 
-    /// Pushdown on, pushdown off, and the pre-plan collectors all finalize
-    /// to the same result, from blocks and from the real-time path alike.
+    /// Pushdown on and the pushdown-off reference (`QueryOptions::
+    /// baseline()`: row-at-a-time predicates, row transport,
+    /// `finish_partial`) finalize to the same result, and within each mode
+    /// a LogBlock and the real-time path yield the same partial for the
+    /// same rows.
     #[test]
-    fn plan_modes_agree_with_legacy_collectors() {
+    fn plan_modes_agree_with_the_reference() {
         for sql in SHAPES {
             for use_skipping in [true, false] {
                 let query = q(sql);
@@ -482,6 +480,7 @@ mod tests {
                         }
                     }
                     let from_rt = collector.finish(&mut stats);
+                    assert_eq!(from_block, from_rt, "block vs real-time partial for {sql}");
                     let merged = merge_partials(vec![from_block, from_rt]).unwrap();
                     let done = plan.finish_partial(merged).unwrap();
                     results.push(finalize(done, &query, &schema()).unwrap());
@@ -489,27 +488,18 @@ mod tests {
                         assert_eq!(stats.realtime_rows_scanned, 60, "{sql}");
                     }
                 }
-
-                // Legacy (pre-plan) collectors as the oracle.
-                let mut stats = QueryStats::default();
-                let from_block =
-                    collect_from_block(&reader, &query, use_skipping, &mut stats).unwrap();
-                let rows = make_rows(60);
-                let from_rt = collect_from_rows(
-                    rows.iter().map(|r| r.as_slice()),
-                    &schema(),
-                    &query,
-                    &mut stats,
-                )
-                .unwrap();
-                let oracle =
-                    finalize(merge_partials(vec![from_block, from_rt]).unwrap(), &query, &schema())
-                        .unwrap();
-
-                assert_eq!(results[0], oracle, "pushdown-on diverges for {sql}");
-                assert_eq!(results[1], oracle, "pushdown-off diverges for {sql}");
+                assert_eq!(results[0], results[1], "pushdown diverges from the reference: {sql}");
             }
         }
+    }
+
+    #[test]
+    fn unknown_predicate_column_is_an_error_on_both_paths() {
+        let mut plan = ScanPlan::new(&q("SELECT log FROM request_log"), &schema(), true).unwrap();
+        plan.predicates.push(ColumnPredicate::new("ghost", logstore_types::CmpOp::Eq, 1i64));
+        assert!(RowCollector::new(&plan, &schema()).is_err());
+        let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
+        assert!(plan.collect_block(&block(5), true, &mut stats, &mut decode).is_err());
     }
 
     #[test]

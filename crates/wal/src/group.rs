@@ -491,6 +491,12 @@ impl GroupCommitWal {
         st.unapplied.remove(&lsn);
     }
 
+    /// True while any acked append is still unconfirmed (see
+    /// [`GroupCommitWal::confirm_applied`]).
+    pub fn has_unapplied(&self) -> bool {
+        !self.staging.lock().unapplied.is_empty()
+    }
+
     /// Flushes and fsyncs the active segment.
     pub fn sync(&self) -> Result<()> {
         let mut wr = self.writer.lock();

@@ -13,10 +13,15 @@
 //!   leader-based group commit over segment files (one coalesced frame +
 //!   barrier per epoch of staged producers), replay, rotation, truncation,
 //!   and its [`WalConfig`] / [`FlushPolicy`] / [`Lsn`] types.
-//! * [`rowstore::RowStore`] — the in-memory real-time store, scannable by
-//!   queries for data that has not been archived yet.
-//! * [`shard::ShardStore`] — WAL + row store glued together with crash
-//!   recovery, the per-shard storage unit a worker manages.
+//! * [`rowstore::RowStore`] — the in-memory real-time store, visited in
+//!   place by queries for data that has not been archived yet.
+//! * [`shard::ShardStore`] — the one per-shard phase-one store a worker
+//!   runs: an optional WAL (`None` = memory-only) outside one mutex
+//!   (`wal.shard.inner`) around the row store, counters and open archive
+//!   ops. It owns the whole protocol — log a batch with no lock held, apply
+//!   it under the lock, drain with a logged intent, restore or ack, truncate
+//!   when quiescent — and crash recovery (WAL replay reconciled against the
+//!   drain-commit table).
 
 #![forbid(unsafe_code)]
 
@@ -27,4 +32,4 @@ pub mod shard;
 
 pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 pub use rowstore::RowStore;
-pub use shard::{DrainResolver, DrainSeq, NoCommittedDrains, PendingDrain, ShardStore};
+pub use shard::{DrainResolver, DrainSeq, LoggedBatch, LoggedDrain, NoCommittedDrains, ShardStore};

@@ -7,27 +7,21 @@
 //! data scan it directly; the data builder drains it into per-tenant
 //! LogBlocks in the background.
 
-use logstore_types::{ColumnPredicate, LogRecord, TableSchema, TenantId, TimeRange};
+use logstore_types::{LogRecord, TenantId, TimeRange};
 use std::collections::HashMap;
 
 /// In-memory row store for one shard.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RowStore {
-    schema: TableSchema,
     rows: Vec<LogRecord>,
     bytes: usize,
     per_tenant_rows: HashMap<TenantId, u64>,
 }
 
 impl RowStore {
-    /// Creates an empty store for `schema`.
-    pub fn new(schema: TableSchema) -> Self {
-        RowStore { schema, rows: Vec::new(), bytes: 0, per_tenant_rows: HashMap::new() }
-    }
-
-    /// The table schema.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        RowStore::default()
     }
 
     /// Number of buffered rows.
@@ -52,35 +46,10 @@ impl RowStore {
         self.rows.push(record);
     }
 
-    /// Scans buffered rows for one tenant within a time range, applying
-    /// `predicates` over the full positional row.
-    pub fn scan(
-        &self,
-        tenant: TenantId,
-        range: TimeRange,
-        predicates: &[ColumnPredicate],
-    ) -> Vec<LogRecord> {
-        let cols: Vec<Option<usize>> =
-            predicates.iter().map(|p| self.schema.column_index(&p.column)).collect();
-        self.rows
-            .iter()
-            .filter(|r| r.tenant_id == tenant && range.contains(r.ts))
-            .filter(|r| {
-                let row = r.to_row();
-                predicates.iter().zip(&cols).all(|(p, col)| match col {
-                    Some(c) => p.matches(&row[*c]),
-                    None => false,
-                })
-            })
-            .cloned()
-            .collect()
-    }
-
     /// Visits buffered rows of one tenant within a time range, in arrival
-    /// order, until `f` returns `false`. The streaming cousin of
-    /// [`RowStore::scan`]: predicate logic stays with the caller, no
-    /// records are cloned, and the visitor can stop early (the query
-    /// layer's unordered-`LIMIT` short circuit).
+    /// order, until `f` returns `false`. Predicate logic stays with the
+    /// caller, no records are cloned, and the visitor can stop early (the
+    /// query layer's unordered-`LIMIT` short circuit).
     pub fn for_each_in(
         &self,
         tenant: TenantId,
@@ -183,7 +152,7 @@ impl RowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logstore_types::{CmpOp, Timestamp, Value};
+    use logstore_types::{Timestamp, Value};
 
     fn rec(t: u64, ts: i64, latency: i64) -> LogRecord {
         LogRecord::new(
@@ -200,7 +169,7 @@ mod tests {
     }
 
     fn store_with(records: Vec<LogRecord>) -> RowStore {
-        let mut s = RowStore::new(TableSchema::request_log());
+        let mut s = RowStore::new();
         for r in records {
             s.insert(r);
         }
@@ -219,28 +188,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_filters_tenant_time_and_predicates() {
-        let s = store_with(vec![rec(1, 10, 50), rec(1, 20, 150), rec(2, 15, 150)]);
+    fn for_each_in_filters_tenant_and_time_and_stops_early() {
+        let s = store_with(vec![rec(1, 10, 50), rec(1, 20, 150), rec(2, 15, 150), rec(1, 200, 1)]);
+        let visit = |range: TimeRange, limit: usize| {
+            let mut seen = Vec::new();
+            s.for_each_in(TenantId(1), range, |r| {
+                seen.push(r.ts);
+                seen.len() < limit
+            });
+            seen
+        };
         let range = TimeRange::new(Timestamp(0), Timestamp(100));
-        let all = s.scan(TenantId(1), range, &[]);
-        assert_eq!(all.len(), 2);
-        let slow =
-            s.scan(TenantId(1), range, &[ColumnPredicate::new("latency", CmpOp::Ge, 100i64)]);
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].ts, Timestamp(20));
-        let narrow = s.scan(TenantId(1), TimeRange::new(Timestamp(15), Timestamp(25)), &[]);
-        assert_eq!(narrow.len(), 1);
-    }
-
-    #[test]
-    fn scan_unknown_predicate_column_matches_nothing() {
-        let s = store_with(vec![rec(1, 10, 50)]);
-        let out = s.scan(
-            TenantId(1),
-            TimeRange::all(),
-            &[ColumnPredicate::new("ghost", CmpOp::Eq, 1i64)],
-        );
-        assert!(out.is_empty());
+        assert_eq!(visit(range, usize::MAX), vec![Timestamp(10), Timestamp(20)]);
+        assert_eq!(visit(TimeRange::new(Timestamp(15), Timestamp(25)), usize::MAX).len(), 1);
+        assert_eq!(visit(TimeRange::all(), 2), vec![Timestamp(10), Timestamp(20)], "early stop");
     }
 
     #[test]

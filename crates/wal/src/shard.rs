@@ -1,22 +1,35 @@
-//! Per-shard storage: WAL + row store with crash recovery.
+//! Per-shard phase-one storage: an optional WAL in front of the row store,
+//! with crash recovery.
 //!
-//! `ShardStore` is phase one of the two-phase write for one shard: every
-//! batch is framed into the WAL first, then applied to the in-memory row
-//! store. On restart the WAL replays into a fresh row store.
+//! [`ShardStore`] is the one type that knows whether a shard has a WAL
+//! (`None` = a memory-only shard), how a drain intent is logged, confirmed
+//! and rolled back, and when an appended LSN stops pinning truncation. Its
+//! methods take `&self`: the WAL sits *outside* the one internal mutex
+//! (`wal.shard.inner`: rows, counters, open archive ops), so every group
+//! append — a batch or a drain intent, either may block on an fsync — runs
+//! with no lock held and concurrent producers share group commits.
 //!
-//! The archive handshake is ack-based: the data builder drains rows with
-//! [`ShardStore::drain_for_archive`], uploads them, and only then acks via
-//! [`ShardStore::checkpoint`] — which truncates the archived WAL prefix.
-//! If the upload fails, [`ShardStore::restore_unarchived`] puts the rows
-//! back; since no checkpoint happened, the WAL still covers them and a
-//! crash at any point in the window replays every drained row.
+//! # Ingest
 //!
-//! Drain→ack windows may overlap (the engine runs build passes from
-//! several threads, and rebalance flushes drain single tenants in
-//! parallel with full drains). Each drain opens an in-flight archive op;
-//! truncation only fires on the ack that closes the *last* one, so one
-//! pass's ack can never drop WAL segments that still cover another
-//! pass's drained-but-not-yet-uploaded rows.
+//! [`ShardStore::log_batch`] appends the batch to the WAL (unlocked) and
+//! returns a [`LoggedBatch`] that pins truncation at its LSN;
+//! [`ShardStore::apply`] moves the rows into the row store under the lock
+//! and releases the pin. Dropping a `LoggedBatch` unapplied (the caller's
+//! replication failed) releases the pin too: the rows stay in the WAL "in
+//! doubt" — replayed by a restart, never acknowledged, never applied live.
+//!
+//! # Archive handshake
+//!
+//! [`ShardStore::drain_all`] / [`ShardStore::drain_tenant`] remove rows and
+//! open an *archive op*; the caller uploads them and closes the op with
+//! exactly one [`ShardStore::ack_archive_op`] (durable on OSS) or
+//! [`ShardStore::restore_unarchived`] (upload failed — the rows go back;
+//! the WAL never stopped covering them). Drain→ack windows may overlap
+//! (build passes and rebalance flushes run from several threads), so
+//! [`ShardStore::truncate_if_quiescent`] only drops WAL segments when no op
+//! is open, nothing is buffered and no logged batch awaits its apply: one
+//! pass's ack can never strip coverage from another pass's
+//! drained-but-not-yet-uploaded rows.
 //!
 //! # Drain intents: exactly-once across crashes
 //!
@@ -40,24 +53,25 @@
 //! counter (`epoch` file in the shard directory) and a drain is named
 //! `(epoch, counter)`.
 
-use crate::group::{GroupCommitStats, GroupCommitWal, Lsn, WalConfig};
+use crate::group::{GroupCommitWal, Lsn, WalConfig};
 use crate::rowstore::RowStore;
 use logstore_codec::batch::{decode_batch, encode_batch};
 use logstore_codec::varint::{put_uvarint, read_uvarint};
-use logstore_types::{
-    partition_into_chunks, ColumnPredicate, Error, LogRecord, RecordBatch, Result, TableSchema,
-    TenantId, TimeRange,
-};
+use logstore_sync::{sync_point, OrderedMutex};
+use logstore_types::{partition_into_chunks, Error, LogRecord, Result, TenantId, TimeRange};
+use std::fs::{self, File};
+use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
 
 /// WAL payload tag: a regular appended record batch.
 const PAYLOAD_BATCH: u8 = 0;
 /// WAL payload tag: a drain intent (seq + the drained rows).
 const PAYLOAD_DRAIN_INTENT: u8 = 1;
 
-/// Name of the per-shard epoch counter file.
+/// Name of the per-shard epoch counter file, and of the temp file a bump
+/// stages its value in before renaming it over the counter.
 const EPOCH_FILE: &str = "epoch";
+const EPOCH_TMP_FILE: &str = "epoch.tmp";
 
 /// Durable identity of one drain: unique across restarts of the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,51 +109,64 @@ impl DrainResolver for NoCommittedDrains {
     }
 }
 
-/// A drain whose intent has not been logged yet: the output of
-/// [`ShardStore::begin_drain_all`] / [`ShardStore::begin_drain_tenant`].
-///
-/// The two-step drain exists so the intent append — which may block on a
-/// group-commit fsync — can run *outside* whatever lock guards the
-/// `ShardStore`. The begin step (under the lock) removes the rows and
-/// opens the in-flight archive op, so truncation stays blocked for the
-/// whole unlocked window; the caller must then either log `intent` via
-/// [`GroupCommitWal::append_durable`] on the [`ShardStore::wal_handle`]
-/// (success) or hand `rows` back to [`ShardStore::restore_unarchived`]
-/// (failure).
-pub struct PendingDrain {
-    /// The drain's durable identity.
-    pub seq: DrainSeq,
-    /// The drained rows, in drain order.
-    pub rows: Vec<LogRecord>,
-    /// The encoded drain-intent WAL payload.
-    pub intent: Vec<u8>,
+/// A drain whose intent is logged: the intent's seq (`None` on a
+/// memory-only shard) plus the drained rows, ready for the archive
+/// pipeline.
+pub type LoggedDrain = (Option<DrainSeq>, Vec<LogRecord>);
+
+/// A batch that is in the WAL but not yet in the row store (the output of
+/// [`ShardStore::log_batch`]). Its LSN is a truncation floor until the
+/// batch is applied or this value is dropped.
+#[must_use = "apply the batch, or drop this to leave its rows in doubt"]
+pub struct LoggedBatch<'a> {
+    pin: Option<(&'a GroupCommitWal, Lsn)>,
 }
 
-/// Durable, recoverable storage for one shard.
-pub struct ShardStore {
-    wal: Arc<GroupCommitWal>,
+impl Drop for LoggedBatch<'_> {
+    fn drop(&mut self) {
+        if let Some((wal, lsn)) = self.pin {
+            wal.confirm_applied(lsn);
+        }
+    }
+}
+
+/// Everything the shard lock guards.
+#[derive(Default)]
+struct Inner {
     rows: RowStore,
-    /// Count of records ever appended (recovered + new); drives checkpoints.
+    /// Count of records ever appended (recovered + new).
     records_appended: u64,
-    /// Records drained to the archiver so far.
+    /// Records drained to the archiver so far (restores subtract).
     records_archived: u64,
-    /// Drains whose upload has neither been acked ([`ShardStore::checkpoint`])
-    /// nor rolled back ([`ShardStore::restore_unarchived`]) yet. Their rows
-    /// live only in WAL segments, so truncation must wait for all of them.
+    /// Drains neither acked nor rolled back yet. Their rows live only in
+    /// WAL segments, so truncation must wait for all of them.
     archives_inflight: u64,
-    /// This open's durable epoch (drain seq uniqueness across restarts).
-    epoch: u64,
     /// Drains issued by this open.
     drain_counter: u64,
 }
 
+/// Recoverable phase-one storage for one shard (see the module docs).
+pub struct ShardStore {
+    /// `None` on a memory-only shard.
+    wal: Option<GroupCommitWal>,
+    /// This open's durable epoch (drain seq uniqueness across restarts).
+    epoch: u64,
+    inner: OrderedMutex<Inner>,
+}
+
 impl ShardStore {
+    /// A memory-only shard: the same protocol with no WAL behind it, so
+    /// nothing survives a restart and drains carry no [`DrainSeq`].
+    pub fn in_memory() -> Self {
+        Self::assemble(None, 0, Inner::default())
+    }
+
     /// Opens the shard directory, replaying any existing WAL. Drain intents
     /// found in the WAL are treated as never-committed (their rows are
     /// restored); use [`ShardStore::open_with`] when a metadata store can
     /// say which drains actually reached OSS.
-    pub fn open(dir: impl AsRef<Path>, schema: TableSchema, config: WalConfig) -> Result<Self> {
-        Self::open_with(dir, schema, config, &NoCommittedDrains)
+    pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self> {
+        Self::open_with(dir, config, &NoCommittedDrains)
     }
 
     /// Opens the shard directory, replaying the WAL and reconciling drain
@@ -147,16 +174,14 @@ impl ShardStore {
     /// everything else returns to the row store.
     pub fn open_with(
         dir: impl AsRef<Path>,
-        schema: TableSchema,
         config: WalConfig,
         resolver: &dyn DrainResolver,
     ) -> Result<Self> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
+        fs::create_dir_all(dir)?;
         let epoch = bump_epoch(dir)?;
         let (wal, replayed) = GroupCommitWal::open(dir, config)?;
-        let wal = Arc::new(wal);
-        let mut rows = RowStore::new(schema);
+        let mut rows = RowStore::new();
         let mut records_appended = 0;
         let mut records_archived = 0;
         for (_lsn, payload) in replayed {
@@ -205,256 +230,236 @@ impl ShardStore {
                 other => return Err(Error::corruption(format!("unknown wal payload tag {other}"))),
             }
         }
-        Ok(ShardStore {
-            wal,
-            rows,
-            records_appended,
-            records_archived,
-            archives_inflight: 0,
-            epoch,
-            drain_counter: 0,
-        })
+        let inner = Inner { rows, records_appended, records_archived, ..Inner::default() };
+        Ok(Self::assemble(Some(wal), epoch, inner))
     }
 
-    /// Appends a batch durably: WAL first, then the row store. Consumes the
-    /// batch — records move into the row store, they are never cloned.
-    ///
-    /// This is the convenience path (validate + encode + group append +
-    /// apply in one call, blocking on the group barrier). The engine's
-    /// ingest fast path splits it instead: encode with
-    /// [`ShardStore::encode_batch_payload`] and append on the
-    /// [`ShardStore::wal_handle`] with *no* shard lock held, then apply
-    /// under the lock with [`ShardStore::apply_appended`].
-    pub fn append_batch(&mut self, batch: RecordBatch) -> Result<Lsn> {
-        for r in &batch.records {
-            r.validate(self.rows.schema())?;
-        }
-        let payload = Self::encode_batch_payload(&batch.records);
-        let lsn = self.wal.append(&payload)?;
-        self.apply_appended(batch, lsn);
-        Ok(lsn)
+    /// The one construction site, so the lock label names one lock.
+    fn assemble(wal: Option<GroupCommitWal>, epoch: u64, inner: Inner) -> Self {
+        ShardStore { wal, epoch, inner: OrderedMutex::new("wal.shard.inner", inner) }
     }
 
-    /// Encodes records into the tagged batch WAL payload (pure; callable
-    /// without any lock).
+    /// Encodes records into the tagged batch WAL payload (pure).
     pub fn encode_batch_payload(records: &[LogRecord]) -> Vec<u8> {
         let mut payload = vec![PAYLOAD_BATCH];
         payload.extend_from_slice(&encode_batch(records));
         payload
     }
 
-    /// Applies a batch that is already WAL-durable at `lsn` to the row
-    /// store and confirms the apply to the WAL (releasing `lsn` as a
-    /// truncation floor). Second half of the split fast path.
-    pub fn apply_appended(&mut self, batch: RecordBatch, lsn: Lsn) {
-        self.records_appended += batch.len() as u64;
-        for r in batch.records {
-            self.rows.insert(r);
+    /// First half of an append: encodes `records` and group-appends them to
+    /// the WAL, blocking on the group's barrier. Takes no shard lock — call
+    /// it with no lock held. A memory-only shard has nothing to log.
+    pub fn log_batch(&self, records: &[LogRecord]) -> Result<LoggedBatch<'_>> {
+        let pin = match &self.wal {
+            Some(wal) => Some((wal, wal.append(&Self::encode_batch_payload(records))?)),
+            None => None,
+        };
+        Ok(LoggedBatch { pin })
+    }
+
+    /// Second half of an append: moves the logged records into the row
+    /// store, then releases their LSN as a truncation floor.
+    pub fn apply(&self, records: Vec<LogRecord>, logged: LoggedBatch<'_>) {
+        let mut inner = self.inner.lock();
+        inner.records_appended += records.len() as u64;
+        for r in records {
+            inner.rows.insert(r);
         }
-        self.wal.confirm_applied(lsn);
+        drop(inner);
+        drop(logged);
     }
 
-    /// A shareable handle to the shard's WAL, for appends that must not
-    /// run under the shard's own lock (the ingest fast path and the
-    /// two-step drain).
-    pub fn wal_handle(&self) -> Arc<GroupCommitWal> {
-        Arc::clone(&self.wal)
-    }
-
-    /// WAL coalescing counters (benchmark/test observability).
-    pub fn wal_stats(&self) -> GroupCommitStats {
-        self.wal.stats()
-    }
-
-    /// fsyncs the WAL.
-    pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    /// Queries the real-time store.
-    pub fn scan(
+    /// Visits buffered rows of `tenant` within `range`, in arrival order,
+    /// under the shard lock, until `f` returns `false`. Clones nothing.
+    pub fn for_each_in(
         &self,
         tenant: TenantId,
         range: TimeRange,
-        predicates: &[ColumnPredicate],
-    ) -> Vec<LogRecord> {
-        self.rows.scan(tenant, range, predicates)
+        f: impl FnMut(&LogRecord) -> bool,
+    ) {
+        self.inner.lock().rows.for_each_in(tenant, range, f)
     }
 
     /// Rows currently buffered.
     pub fn buffered_rows(&self) -> usize {
-        self.rows.row_count()
+        self.inner.lock().rows.row_count()
     }
 
-    /// Approximate buffered bytes.
+    /// Approximate buffered bytes — what BFC admission and the flush
+    /// threshold compare against.
     pub fn buffered_bytes(&self) -> usize {
-        self.rows.bytes()
+        self.inner.lock().rows.bytes()
     }
 
-    /// The underlying row store (read access for the data builder).
-    pub fn row_store(&self) -> &RowStore {
-        &self.rows
+    /// Tenants with buffered rows.
+    pub fn buffered_tenants(&self) -> Vec<TenantId> {
+        self.inner.lock().rows.tenants()
     }
 
-    /// This open's durable epoch (test/observability hook).
+    /// This open's durable epoch (`0` on a memory-only shard).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Drains up to `max_rows` oldest rows for archiving, appending a drain
-    /// intent to the WAL before returning. `None` when nothing is buffered.
-    /// A non-empty drain opens an in-flight archive op that must be closed
-    /// by exactly one [`ShardStore::checkpoint`] (upload succeeded) or
-    /// [`ShardStore::restore_unarchived`] (upload failed). If the intent
-    /// itself cannot be logged the drained rows go straight back and the
-    /// error surfaces — no rows can leave the shard without an intent, or
-    /// a crash after their upload would replay them as duplicates.
-    pub fn drain_for_archive(
-        &mut self,
-        max_rows: usize,
-    ) -> Result<Option<(DrainSeq, Vec<LogRecord>)>> {
-        let pending = self.begin_drain_all(max_rows);
-        self.log_pending_drain(pending)
-    }
-
-    /// Drains one tenant's rows (rebalancing flush). Same intent/ack
-    /// contract as [`ShardStore::drain_for_archive`].
-    pub fn drain_tenant(&mut self, tenant: TenantId) -> Result<Option<(DrainSeq, Vec<LogRecord>)>> {
-        let pending = self.begin_drain_tenant(tenant);
-        self.log_pending_drain(pending)
-    }
-
-    /// First half of a two-step full drain: removes up to `max_rows`
-    /// oldest rows and opens the in-flight archive op, but does *not* log
-    /// the intent — the caller appends [`PendingDrain::intent`] durably
-    /// outside the shard lock (see [`PendingDrain`]).
-    pub fn begin_drain_all(&mut self, max_rows: usize) -> Option<PendingDrain> {
-        let drained = self.rows.drain_oldest(max_rows);
-        self.begin_drain(drained)
-    }
-
-    /// First half of a two-step tenant drain (see
-    /// [`ShardStore::begin_drain_all`]).
-    pub fn begin_drain_tenant(&mut self, tenant: TenantId) -> Option<PendingDrain> {
-        let drained = self.rows.drain_tenant(tenant);
-        self.begin_drain(drained)
-    }
-
-    fn begin_drain(&mut self, drained: Vec<LogRecord>) -> Option<PendingDrain> {
-        if drained.is_empty() {
-            return None;
-        }
-        self.drain_counter += 1;
-        let seq = DrainSeq { epoch: self.epoch, counter: self.drain_counter };
-        let intent = encode_drain_intent(seq, &drained);
-        // Open the op *before* the intent is logged: truncation must stay
-        // blocked across the caller's unlocked append window. A failed
-        // append rolls both counters back via restore_unarchived.
-        self.archives_inflight += 1;
-        self.records_archived += drained.len() as u64;
-        Some(PendingDrain { seq, rows: drained, intent })
-    }
-
-    /// Second half of the convenience (single-call) drains: logs the
-    /// intent with one durable group append, restoring the rows on
-    /// failure. Blocks on the group barrier — the engine uses the
-    /// two-step form instead to keep that wait outside its shard lock.
-    fn log_pending_drain(
-        &mut self,
-        pending: Option<PendingDrain>,
-    ) -> Result<Option<(DrainSeq, Vec<LogRecord>)>> {
-        let Some(pending) = pending else { return Ok(None) };
-        match self.wal.append_durable(&pending.intent) {
-            Ok(lsn) => {
-                // An intent needs no apply step; confirm immediately so it
-                // never pins truncation (the open archive op already
-                // blocks it for the whole drain window).
-                self.wal.confirm_applied(lsn);
-                Ok(Some((pending.seq, pending.rows)))
-            }
-            Err(e) => {
-                self.restore_unarchived(pending.rows);
-                Err(e)
-            }
-        }
-    }
-
-    /// Puts drained-but-unarchived rows back into the row store after a
-    /// failed upload, closing that drain's in-flight archive op. The rows
-    /// are still covered by the WAL (no checkpoint happened between the
-    /// drain and this call), so they are *not* re-appended — memory is
-    /// restored for queries, durability was never lost.
-    pub fn restore_unarchived(&mut self, rows: Vec<LogRecord>) {
-        if rows.is_empty() {
-            return; // An empty drain opened no op; nothing to close.
-        }
-        self.archives_inflight = self.archives_inflight.saturating_sub(1);
-        self.records_archived = self.records_archived.saturating_sub(rows.len() as u64);
-        for r in rows {
-            self.rows.insert(r);
-        }
-    }
-
-    /// The archive ack: closes one in-flight archive op whose drained rows
-    /// are now durable on OSS, and drops fully-archived WAL segments when
-    /// that is provably safe. Conservative: only whole segments are
-    /// removed.
-    pub fn checkpoint(&mut self) -> Result<usize> {
-        self.ack_archive_op();
-        self.truncate_if_quiescent()
-    }
-
-    /// Closes one in-flight archive op without attempting truncation.
-    /// [`ShardStore::checkpoint`] is this plus
-    /// [`ShardStore::truncate_if_quiescent`]; callers that must interleave
-    /// other work (crash hooks) between the two steps use them separately.
-    pub fn ack_archive_op(&mut self) {
-        self.archives_inflight = self.archives_inflight.saturating_sub(1);
-    }
-
-    /// Opportunistic checkpoint: truncates the WAL if that is provably
-    /// safe right now, *without* closing any in-flight archive op. Forced
-    /// build passes run this on shards that had nothing to drain, so
-    /// truncations deferred by overlapping acks are eventually applied.
-    pub fn truncate_if_quiescent(&mut self) -> Result<usize> {
-        // Records map 1:1 onto batches only loosely; truncation is safe
-        // only when *everything* ever appended is durable on OSS — i.e. no
-        // drain's upload is still in flight (its rows live only in WAL
-        // segments, anywhere in the prefix) and nothing is buffered
-        // (restored or freshly ingested rows rely on WAL coverage too).
-        // Otherwise defer: a later ack or opportunistic checkpoint that
-        // finds the shard quiescent truncates everything at once. Rotate
-        // first so the (non-deletable) active segment is empty.
-        if self.archives_inflight == 0 && self.rows.row_count() == 0 {
-            self.wal.rotate_now()?;
-            self.wal.truncate_until(self.wal.next_lsn())
-        } else {
-            Ok(0)
-        }
+    /// Live WAL segment files (`0` on a memory-only shard).
+    pub fn wal_segments(&self) -> usize {
+        self.wal.as_ref().map_or(0, GroupCommitWal::segment_count)
     }
 
     /// Lifetime counters: `(appended, archived)` record counts. The
     /// difference is always the buffered row count — the accounting
     /// invariant the simulation harness checks after every recovery.
     pub fn counters(&self) -> (u64, u64) {
-        (self.records_appended, self.records_archived)
+        let inner = self.inner.lock();
+        (inner.records_appended, inner.records_archived)
+    }
+
+    /// Drains every buffered row, oldest first, if at least `min_bytes` are
+    /// buffered (`0` = unconditionally). `None` when nothing was drained.
+    /// A non-empty drain opens an archive op and has its intent logged
+    /// before it returns; if the intent cannot be logged the rows go
+    /// straight back and the error surfaces — no rows leave the shard
+    /// without an intent, or a crash after their upload would replay them
+    /// as duplicates.
+    pub fn drain_all(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
+        self.drain(|rows| {
+            if rows.bytes() >= min_bytes {
+                rows.drain_oldest(usize::MAX)
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// Drains one tenant's rows (rebalancing flush). Same intent/ack
+    /// contract as [`ShardStore::drain_all`].
+    pub fn drain_tenant(&self, tenant: TenantId) -> Result<Option<LoggedDrain>> {
+        self.drain(|rows| rows.drain_tenant(tenant))
+    }
+
+    fn drain(
+        &self,
+        take: impl FnOnce(&mut RowStore) -> Vec<LogRecord>,
+    ) -> Result<Option<LoggedDrain>> {
+        let (seq, rows) = {
+            let mut inner = self.inner.lock();
+            let rows = take(&mut inner.rows);
+            if rows.is_empty() {
+                return Ok(None);
+            }
+            // Open the op *before* the intent is logged: truncation must
+            // stay blocked across the unlocked append below. A failed
+            // append rolls both counters back via restore_unarchived.
+            inner.drain_counter += 1;
+            inner.archives_inflight += 1;
+            inner.records_archived += rows.len() as u64;
+            (DrainSeq { epoch: self.epoch, counter: inner.drain_counter }, rows)
+        };
+        let Some(wal) = &self.wal else { return Ok(Some((None, rows))) };
+        // The drained rows exist only in `rows` until the intent is logged
+        // — the window the archive-op counter guards.
+        sync_point("wal.shard.drain_window");
+        match wal.append_durable(&encode_drain_intent(seq, &rows)) {
+            Ok(lsn) => {
+                // An intent has no apply step; release its LSN at once (the
+                // open archive op blocks truncation for the drain window).
+                wal.confirm_applied(lsn);
+                Ok(Some((Some(seq), rows)))
+            }
+            Err(e) => {
+                self.restore_unarchived(rows);
+                Err(e)
+            }
+        }
+    }
+
+    /// Puts drained-but-unarchived rows back into the row store after a
+    /// failed upload, closing that drain's archive op. The rows are still
+    /// covered by the WAL (no truncation happened between the drain and
+    /// this call), so they are *not* re-appended — memory is restored for
+    /// queries, durability was never lost.
+    pub fn restore_unarchived(&self, rows: Vec<LogRecord>) {
+        if rows.is_empty() {
+            return; // An empty drain opened no op; nothing to close.
+        }
+        let mut inner = self.inner.lock();
+        inner.archives_inflight = inner.archives_inflight.saturating_sub(1);
+        inner.records_archived = inner.records_archived.saturating_sub(rows.len() as u64);
+        for r in rows {
+            inner.rows.insert(r);
+        }
+    }
+
+    /// The archive ack: closes one archive op whose drained rows are now
+    /// durable on OSS. Truncation is a separate step
+    /// ([`ShardStore::truncate_if_quiescent`]) so callers can interleave
+    /// crash hooks between the two.
+    pub fn ack_archive_op(&self) {
+        let mut inner = self.inner.lock();
+        inner.archives_inflight = inner.archives_inflight.saturating_sub(1);
+        drop(inner);
+        sync_point("wal.shard.ack_window");
+    }
+
+    /// Drops the WAL's archived prefix if that is provably safe right now,
+    /// returning the number of segments removed. Closes no archive op, so
+    /// forced build passes also run it on shards that had nothing to drain:
+    /// truncations deferred by overlapping acks are eventually applied.
+    pub fn truncate_if_quiescent(&self) -> Result<usize> {
+        let Some(wal) = &self.wal else { return Ok(0) };
+        // Truncation is safe only when *everything* ever logged is durable
+        // on OSS — no drain's upload is still in flight (its rows live only
+        // in WAL segments, anywhere in the prefix), nothing is buffered
+        // (restored or freshly ingested rows rely on WAL coverage too) and
+        // no logged batch awaits its apply. The last matters twice: the
+        // batch's own segment must survive, and a cut clamped at its LSN
+        // would keep later drain intents while dropping the batches they
+        // name — a WAL that no longer replays. Otherwise defer to a later
+        // call that finds the shard quiescent. The lock is held across the
+        // cut so no apply or drain slips in after the check; a batch logged
+        // after it has a higher LSN than everything the cut may drop, and
+        // `truncate_until` clamps at its pin.
+        let inner = self.inner.lock();
+        if inner.archives_inflight != 0 || inner.rows.row_count() != 0 || wal.has_unapplied() {
+            return Ok(0);
+        }
+        // Rotate first so the (non-deletable) active segment is empty.
+        wal.rotate_now()?;
+        wal.truncate_until(wal.next_lsn())
     }
 }
 
-/// Reads, increments and persists the shard's epoch counter.
+/// Reads, increments and durably persists the shard's epoch counter: the
+/// new value is staged in a temp file, fsynced, renamed over the counter,
+/// and the directory fsynced — a crash leaves the old or the new value,
+/// never a torn one. The previous epoch is the larger of the counter and a
+/// staged value a crash left behind, so a handed-out epoch is never reused.
 fn bump_epoch(dir: &Path) -> Result<u64> {
-    let path = dir.join(EPOCH_FILE);
-    let previous = match std::fs::read_to_string(&path) {
-        Ok(text) => text
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| Error::corruption("epoch file is not a number"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(e.into()),
+    let (path, tmp) = (dir.join(EPOCH_FILE), dir.join(EPOCH_TMP_FILE));
+    let previous = match read_epoch(&path)?.max(read_epoch(&tmp)?) {
+        Some(epoch) => epoch,
+        // A torn counter with no staged value: the last epoch is unknown,
+        // and guessing could reuse the `DrainSeq` of a committed drain.
+        None if path.exists() => return Err(Error::corruption("epoch file is not a number")),
+        None => 0,
     };
-    let epoch = previous + 1;
-    std::fs::write(&path, epoch.to_string())?;
+    let epoch =
+        previous.checked_add(1).ok_or_else(|| Error::corruption("epoch counter exhausted"))?;
+    let mut staged = File::create(&tmp)?;
+    staged.write_all(epoch.to_string().as_bytes())?;
+    staged.sync_all()?;
+    fs::rename(&tmp, &path)?;
+    File::open(dir)?.sync_all()?;
     Ok(epoch)
+}
+
+/// The epoch stored in `path`; `None` when the file is missing or torn.
+fn read_epoch(path: &Path) -> Result<Option<u64>> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(std::str::from_utf8(&bytes).ok().and_then(|t| t.trim().parse().ok())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
 }
 
 fn encode_drain_intent(seq: DrainSeq, rows: &[LogRecord]) -> Vec<u8> {
@@ -487,7 +492,7 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&dir);
         dir
     }
 
@@ -522,109 +527,208 @@ mod tests {
         }
     }
 
-    fn drain_all(s: &mut ShardStore) -> (DrainSeq, Vec<LogRecord>) {
-        s.drain_for_archive(usize::MAX).unwrap().expect("non-empty drain")
+    fn open(dir: &Path) -> ShardStore {
+        ShardStore::open(dir, WalConfig::default()).unwrap()
+    }
+
+    /// Small segments + fsync per group, so truncation has whole segments
+    /// to drop.
+    fn small_segments() -> WalConfig {
+        WalConfig { max_segment_bytes: 256, flush: FlushPolicy::Sync, ..WalConfig::default() }
+    }
+
+    /// Both halves of an append back to back.
+    fn append(s: &ShardStore, records: Vec<LogRecord>) {
+        let logged = s.log_batch(&records).unwrap();
+        s.apply(records, logged);
+    }
+
+    fn rows_of(s: &ShardStore, tenant: u64) -> Vec<LogRecord> {
+        let mut out = Vec::new();
+        s.for_each_in(TenantId(tenant), TimeRange::all(), |r| {
+            out.push(r.clone());
+            true
+        });
+        out
+    }
+
+    fn drain_all(s: &ShardStore) -> (DrainSeq, Vec<LogRecord>) {
+        let (seq, rows) = s.drain_all(0).unwrap().expect("non-empty drain");
+        (seq.expect("durable shards name their drains"), rows)
+    }
+
+    /// The archive ack as the worker runs it: close the op, then truncate.
+    fn ack(s: &ShardStore) -> usize {
+        s.ack_archive_op();
+        s.truncate_if_quiescent().unwrap()
     }
 
     #[test]
     fn append_scan_roundtrip() {
         let dir = temp_dir("roundtrip");
-        let mut s =
-            ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        s.append_batch(RecordBatch::from_records(vec![rec(1, 10), rec(2, 20)])).unwrap();
-        let hits = s.scan(TenantId(1), TimeRange::all(), &[]);
+        let s = open(&dir);
+        append(&s, vec![rec(1, 10), rec(2, 20)]);
+        let hits = rows_of(&s, 1);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].ts, Timestamp(10));
-        let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(s.buffered_tenants(), vec![TenantId(1), TenantId(2)]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn memory_only_shard_runs_the_same_protocol_without_a_wal() {
+        let s = ShardStore::in_memory();
+        append(&s, vec![rec(1, 1), rec(2, 2), rec(1, 3)]);
+        assert!(s.drain_all(usize::MAX).unwrap().is_none(), "under the flush threshold");
+        let (seq, moved) = s.drain_tenant(TenantId(2)).unwrap().unwrap();
+        assert_eq!((seq, moved.len()), (None, 1), "no WAL, no drain intent to name");
+        let (_, rest) = s.drain_all(0).unwrap().unwrap();
+        assert_eq!(rest.len(), 2);
+        assert!(s.drain_all(0).unwrap().is_none(), "nothing left to drain");
+        s.restore_unarchived(moved);
+        s.ack_archive_op();
+        assert_eq!(s.truncate_if_quiescent().unwrap(), 0);
+        assert_eq!((s.buffered_rows(), s.counters()), (1, (3, 2)));
+        assert!(s.buffered_bytes() > 0);
     }
 
     #[test]
     fn crash_recovery_restores_rows() {
         let dir = temp_dir("recovery");
         {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+            let s = open(&dir);
             for i in 0..50 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+                append(&s, vec![rec(1, i)]);
             }
-            s.sync().unwrap();
-            // Dropped without checkpoint — simulating a crash.
+            // Dropped without an ack — simulating a crash.
         }
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+        let s = open(&dir);
         assert_eq!(s.buffered_rows(), 50);
-        assert_eq!(s.scan(TenantId(1), TimeRange::all(), &[]).len(), 50);
-        let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(rows_of(&s, 1).len(), 50);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn epochs_increase_across_opens() {
         let dir = temp_dir("epoch");
-        let first = {
-            let s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-            s.epoch()
+        let first = open(&dir).epoch();
+        assert!(open(&dir).epoch() > first, "drain seqs must stay unique across restarts");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn torn_epoch_file_beside_a_staged_value_does_not_brick_the_shard() {
+        let dir = temp_dir("epoch-torn");
+        let mut last = open(&dir).epoch();
+        let mut reopen = |what: &str| {
+            let epoch = ShardStore::open(&dir, WalConfig::default())
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .epoch();
+            assert!(epoch > last, "{what}: epoch {epoch} after {last}");
+            last = epoch;
+            epoch
         };
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        assert!(s.epoch() > first, "drain seqs must stay unique across restarts");
-        let _ = std::fs::remove_dir_all(dir);
+        // Killed after staging the next value, with the counter torn (what
+        // an in-place rewrite leaves between its truncate and its write).
+        let staged = reopen("clean reopen") + 1;
+        fs::write(dir.join(EPOCH_TMP_FILE), staged.to_string()).unwrap();
+        fs::write(dir.join(EPOCH_FILE), "").unwrap();
+        assert!(reopen("torn counter beside a staged value") > staged, "staged may be in use");
+        // Killed while staging: the temp is torn, the counter intact.
+        fs::write(dir.join(EPOCH_TMP_FILE), "").unwrap();
+        reopen("torn staged value");
+        // A stale, smaller staged value never drags the epoch backwards.
+        fs::write(dir.join(EPOCH_TMP_FILE), "1").unwrap();
+        reopen("stale staged value");
+        // With nothing to recover the last epoch from, refuse to guess.
+        fs::write(dir.join(EPOCH_FILE), "").unwrap();
+        assert!(ShardStore::open(&dir, WalConfig::default()).is_err());
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn invalid_records_rejected_before_wal() {
-        let dir = temp_dir("validate");
-        let mut s =
-            ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        let mut bad = rec(1, 1);
-        bad.fields.pop();
-        assert!(s.append_batch(RecordBatch::from_records(vec![bad])).is_err());
-        assert_eq!(s.buffered_rows(), 0);
-        // WAL stayed clean: reopen sees nothing.
-        drop(s);
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        assert_eq!(s.buffered_rows(), 0);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn drain_and_checkpoint_truncate_wal() {
+    fn drain_and_ack_truncate_wal() {
         let dir = temp_dir("checkpoint");
         let config = WalConfig { max_segment_bytes: 256, ..WalConfig::default() };
-        let mut s = ShardStore::open(&dir, TableSchema::request_log(), config.clone()).unwrap();
+        let s = ShardStore::open(&dir, config.clone()).unwrap();
         for i in 0..100 {
-            s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+            append(&s, vec![rec(1, i)]);
         }
-        let (_, drained) = drain_all(&mut s);
+        let (_, drained) = drain_all(&s);
         assert_eq!(drained.len(), 100);
         assert_eq!(s.counters(), (100, 100));
-        let deleted = s.checkpoint().unwrap();
-        assert!(deleted > 0, "expected wal segments to be dropped");
+        assert!(ack(&s) > 0, "expected wal segments to be dropped");
+        assert_eq!(s.wal_segments(), 1);
         drop(s);
-        let s = ShardStore::open(&dir, TableSchema::request_log(), config).unwrap();
+        let s = ShardStore::open(&dir, config).unwrap();
         assert_eq!(s.buffered_rows(), 0, "archived rows must not resurrect");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_dropped_logged_batch_stops_pinning_truncation() {
+        // The caller's replication failed after the WAL append: the batch
+        // is never applied, and its LSN must not block truncation forever.
+        let dir = temp_dir("in-doubt");
+        let s = ShardStore::open(&dir, small_segments()).unwrap();
+        drop(s.log_batch(&[rec(1, 0)]).unwrap());
+        assert_eq!(s.buffered_rows(), 0, "an unapplied batch is not live");
+        for i in 1..40 {
+            append(&s, vec![rec(1, i)]);
+        }
+        drain_all(&s);
+        assert!(ack(&s) > 0);
+        assert_eq!(s.wal_segments(), 1, "the in-doubt lsn still pins the wal");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn an_unapplied_logged_batch_defers_truncation() {
+        // One segment per group, so a cut could fall anywhere.
+        let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
+        let dir = temp_dir("pinned");
+        let seq = {
+            let s = ShardStore::open(&dir, config.clone()).unwrap();
+            append(&s, vec![rec(1, 0)]);
+            // A producer stalls between its WAL append and its apply while
+            // a whole drain → upload → ack cycle runs on the shard.
+            let late = vec![rec(1, 1)];
+            let logged = s.log_batch(&late).unwrap();
+            let (seq, drained) = drain_all(&s);
+            assert_eq!(drained.len(), 1);
+            // The row store is empty and no op is open — but cutting at the
+            // logged batch would keep the drain intent and drop the batch
+            // it names, and cutting past it would lose an acked-to-be row.
+            assert_eq!(ack(&s), 0, "a logged batch awaiting its apply defers truncation");
+            s.apply(late, logged);
+            seq
+        };
+        let resolver = TableResolver { commits: HashMap::from([(seq, 1)]), chunk_rows: 10 };
+        let s = ShardStore::open_with(&dir, config, &resolver).expect("the wal must replay");
+        assert_eq!(rows_of(&s, 1), vec![rec(1, 1)], "exactly the late batch is buffered");
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn restore_unarchived_rolls_back_a_failed_archive() {
         let dir = temp_dir("restore");
-        let mut s =
-            ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+        let s = open(&dir);
         for i in 0..10 {
-            s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+            append(&s, vec![rec(1, i)]);
         }
-        let (_, drained) = drain_all(&mut s);
+        let (_, drained) = drain_all(&s);
         assert_eq!(s.buffered_rows(), 0);
         assert_eq!(s.counters(), (10, 10));
         // Upload "failed": put everything back.
         s.restore_unarchived(drained);
         assert_eq!(s.buffered_rows(), 10);
         assert_eq!(s.counters(), (10, 0));
-        assert_eq!(s.scan(TenantId(1), TimeRange::all(), &[]).len(), 10);
+        assert_eq!(rows_of(&s, 1).len(), 10);
         // The rows were never re-appended: reopen replays exactly one copy.
         drop(s);
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+        let s = open(&dir);
         assert_eq!(s.buffered_rows(), 10, "WAL must hold exactly one copy of each row");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -634,19 +738,33 @@ mod tests {
         // lose nothing.
         let dir = temp_dir("drain-crash");
         {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+            let s = open(&dir);
             for i in 0..25 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+                append(&s, vec![rec(1, i)]);
             }
-            s.sync().unwrap();
-            let (_, drained) = drain_all(&mut s);
+            let (_, drained) = drain_all(&s);
             assert_eq!(drained.len(), 25);
-            // Crash before the upload completed: no checkpoint() call.
+            // Crash before the upload completed: no ack.
         }
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+        let s = open(&dir);
         assert_eq!(s.buffered_rows(), 25, "drained rows must replay after a crash");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Appends `0..n` one row per batch, drains them, and "crashes".
+    fn drained_then_crashed(dir: &Path, n: i64) -> DrainSeq {
+        let s = open(dir);
+        for i in 0..n {
+            append(&s, vec![rec(1, i)]);
+        }
+        let (seq, drained) = drain_all(&s);
+        assert_eq!(drained.len() as i64, n);
+        seq
+    }
+
+    fn open_with_commits(dir: &Path, seq: DrainSeq, chunks: u64, chunk_rows: usize) -> ShardStore {
+        let resolver = TableResolver { commits: HashMap::from([(seq, chunks)]), chunk_rows };
+        ShardStore::open_with(dir, WalConfig::default(), &resolver).unwrap()
     }
 
     #[test]
@@ -655,57 +773,24 @@ mod tests {
         // committed but before the ack truncated the WAL must NOT restore
         // rows that live in registered LogBlocks.
         let dir = temp_dir("commit-dedup");
-        let seq = {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-            for i in 0..30 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            let (seq, drained) = drain_all(&mut s);
-            assert_eq!(drained.len(), 30);
-            seq
-            // Crash: the upload finished and committed, the ack never ran.
-        };
+        let seq = drained_then_crashed(&dir, 30);
         // All 3 chunks (cap 10) committed: nothing comes back.
-        let resolver = TableResolver { commits: HashMap::from([(seq, 3)]), chunk_rows: 10 };
-        let s = ShardStore::open_with(
-            &dir,
-            TableSchema::request_log(),
-            WalConfig::default(),
-            &resolver,
-        )
-        .unwrap();
+        let s = open_with_commits(&dir, seq, 3, 10);
         assert_eq!(s.buffered_rows(), 0, "committed rows must not resurrect");
         assert_eq!(s.counters(), (30, 30));
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn partial_commit_restores_only_uncommitted_chunks() {
         let dir = temp_dir("commit-partial");
-        let seq = {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-            for i in 0..30 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            let (seq, _) = drain_all(&mut s);
-            seq
-        };
+        let seq = drained_then_crashed(&dir, 30);
         // Only the first chunk (rows ts 0..10) made it before the crash.
-        let resolver = TableResolver { commits: HashMap::from([(seq, 1)]), chunk_rows: 10 };
-        let s = ShardStore::open_with(
-            &dir,
-            TableSchema::request_log(),
-            WalConfig::default(),
-            &resolver,
-        )
-        .unwrap();
+        let s = open_with_commits(&dir, seq, 1, 10);
         assert_eq!(s.buffered_rows(), 20);
-        let restored = s.scan(TenantId(1), TimeRange::all(), &[]);
-        assert!(restored.iter().all(|r| r.ts.millis() >= 10), "committed chunk must stay out");
+        assert!(rows_of(&s, 1).iter().all(|r| r.ts.millis() >= 10), "committed chunk stays out");
         assert_eq!(s.counters(), (30, 10));
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -714,29 +799,34 @@ mod tests {
         // must keep the first drain archived and restore only the tail.
         let dir = temp_dir("interleave");
         let seq = {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+            let s = open(&dir);
             for i in 0..20 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+                append(&s, vec![rec(1, i)]);
             }
-            let (seq, _) = drain_all(&mut s);
+            let (seq, _) = drain_all(&s);
             for i in 20..40 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
+                append(&s, vec![rec(1, i)]);
             }
             seq
         };
-        let resolver = TableResolver { commits: HashMap::from([(seq, 1)]), chunk_rows: 100 };
-        let s = ShardStore::open_with(
-            &dir,
-            TableSchema::request_log(),
-            WalConfig::default(),
-            &resolver,
-        )
-        .unwrap();
+        let s = open_with_commits(&dir, seq, 1, 100);
         assert_eq!(s.buffered_rows(), 20);
-        let buffered = s.scan(TenantId(1), TimeRange::all(), &[]);
-        assert!(buffered.iter().all(|r| r.ts.millis() >= 20));
-        let _ = std::fs::remove_dir_all(dir);
+        assert!(rows_of(&s, 1).iter().all(|r| r.ts.millis() >= 20));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// 50 rows drained (pass A), 30 more appended and drained (pass B).
+    fn two_overlapping_drains(dir: &Path) -> ShardStore {
+        let s = ShardStore::open(dir, small_segments()).unwrap();
+        for i in 0..50 {
+            append(&s, vec![rec(1, i)]);
+        }
+        assert_eq!(drain_all(&s).1.len(), 50);
+        for i in 50..80 {
+            append(&s, vec![rec(1, i)]);
+        }
+        assert_eq!(drain_all(&s).1.len(), 30);
+        s
     }
 
     #[test]
@@ -746,52 +836,29 @@ mod tests {
         // acks while B's upload is still in flight. A's ack must not
         // truncate the WAL segments covering B's rows.
         let dir = temp_dir("overlap");
-        let config =
-            WalConfig { max_segment_bytes: 256, flush: FlushPolicy::Sync, ..WalConfig::default() };
         {
-            let mut s = ShardStore::open(&dir, TableSchema::request_log(), config.clone()).unwrap();
-            for i in 0..50 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            let (_, a) = drain_all(&mut s);
-            assert_eq!(a.len(), 50);
-            for i in 50..80 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            let (_, b) = drain_all(&mut s);
-            assert_eq!(b.len(), 30);
-            // A's upload finished first; B's is still in flight.
-            assert_eq!(s.checkpoint().unwrap(), 0, "ack with another archive in flight");
+            let s = two_overlapping_drains(&dir);
+            assert_eq!(ack(&s), 0, "ack with another archive in flight");
             // Crash here: B's upload never completed, so its rows must
             // still be WAL-covered (A's redundant replay is harmless —
             // its rows are durable on OSS and acked).
         }
-        let s = ShardStore::open(&dir, TableSchema::request_log(), config).unwrap();
+        let s = ShardStore::open(&dir, small_segments()).unwrap();
         assert_eq!(s.buffered_rows(), 80, "in-flight rows must survive the overlapping ack");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn last_overlapping_ack_truncates_everything() {
         let dir = temp_dir("overlap-last");
-        let config =
-            WalConfig { max_segment_bytes: 256, flush: FlushPolicy::Sync, ..WalConfig::default() };
         {
-            let mut s = ShardStore::open(&dir, TableSchema::request_log(), config.clone()).unwrap();
-            for i in 0..50 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            drain_all(&mut s);
-            for i in 50..80 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-            }
-            drain_all(&mut s);
-            assert_eq!(s.checkpoint().unwrap(), 0);
-            assert!(s.checkpoint().unwrap() > 0, "the last ack finds the shard quiescent");
+            let s = two_overlapping_drains(&dir);
+            assert_eq!(ack(&s), 0);
+            assert!(ack(&s) > 0, "the last ack finds the shard quiescent");
         }
-        let s = ShardStore::open(&dir, TableSchema::request_log(), config).unwrap();
+        let s = ShardStore::open(&dir, small_segments()).unwrap();
         assert_eq!(s.buffered_rows(), 0, "fully-acked rows must not resurrect");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -800,41 +867,37 @@ mod tests {
         // the pass's ack must keep the WAL until the tenant flush either
         // acks or restores.
         let dir = temp_dir("overlap-tenant");
-        let config =
-            WalConfig { max_segment_bytes: 256, flush: FlushPolicy::Sync, ..WalConfig::default() };
         {
-            let mut s = ShardStore::open(&dir, TableSchema::request_log(), config.clone()).unwrap();
+            let s = ShardStore::open(&dir, small_segments()).unwrap();
             for i in 0..40 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1 + (i % 2) as u64, i)]))
-                    .unwrap();
+                append(&s, vec![rec(1 + (i % 2) as u64, i)]);
             }
             let (_, moved) = s.drain_tenant(TenantId(2)).unwrap().unwrap();
             assert_eq!(moved.len(), 20);
-            let (_, rest) = drain_all(&mut s);
+            let (_, rest) = drain_all(&s);
             assert_eq!(rest.len(), 20);
             // The full pass acks first; the tenant flush is still in flight.
-            assert_eq!(s.checkpoint().unwrap(), 0, "tenant drain in flight blocks truncation");
+            assert_eq!(ack(&s), 0, "tenant drain in flight blocks truncation");
             // The tenant flush fails and rolls back: still no truncation —
             // the restored rows live only in the WAL.
             s.restore_unarchived(moved);
             assert_eq!(s.buffered_rows(), 20);
+            assert_eq!(s.truncate_if_quiescent().unwrap(), 0);
         }
-        let s = ShardStore::open(&dir, TableSchema::request_log(), config).unwrap();
+        let s = ShardStore::open(&dir, small_segments()).unwrap();
         assert_eq!(s.buffered_rows(), 40, "restored tenant rows must stay WAL-covered");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn checkpoint_keeps_wal_while_rows_buffered() {
+    fn truncation_keeps_wal_while_rows_buffered() {
         let dir = temp_dir("keep");
-        let mut s =
-            ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        s.append_batch(RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        assert_eq!(s.checkpoint().unwrap(), 0);
+        let s = open(&dir);
+        append(&s, vec![rec(1, 1)]);
+        assert_eq!(s.truncate_if_quiescent().unwrap(), 0);
         drop(s);
-        let s = ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
-        assert_eq!(s.buffered_rows(), 1);
-        let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(open(&dir).buffered_rows(), 1);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -842,17 +905,16 @@ mod tests {
         let dir = temp_dir("drain-seq");
         let mut seen = std::collections::HashSet::new();
         for _ in 0..3 {
-            let mut s =
-                ShardStore::open(&dir, TableSchema::request_log(), WalConfig::default()).unwrap();
+            let s = open(&dir);
             for round in 0..2 {
-                s.append_batch(RecordBatch::from_records(vec![rec(1, round)])).unwrap();
-                let (seq, rows) = drain_all(&mut s);
+                append(&s, vec![rec(1, round)]);
+                let (seq, rows) = drain_all(&s);
                 assert!(seen.insert(seq), "duplicate drain seq {seq:?}");
                 s.restore_unarchived(rows);
                 // Drain the restored row again next round: new seq.
             }
         }
         assert_eq!(seen.len(), 6);
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 }

@@ -6,10 +6,11 @@
 
 use logstore::core::databuilder::BuildConfig;
 use logstore::core::{CompactionConfig, LogBlockEntry, MetadataStore, NoopHooks};
+use logstore::logblock::DecodeStats;
 use logstore::logblock::{LogBlockBuilder, LogBlockReader};
 use logstore::oss::{MemoryStore, ObjectStore};
-use logstore::query::exec::{collect_from_block, finalize, merge_partials, QueryStats};
-use logstore::query::{analyze, parse_query};
+use logstore::query::exec::{finalize, merge_partials, QueryStats};
+use logstore::query::{analyze, parse_query, ScanPlan};
 use logstore::types::{TableSchema, TenantId, Timestamp, Value};
 use proptest::prelude::*;
 
@@ -133,24 +134,31 @@ proptest! {
                 .to_string(),
         ] {
             let bound = analyze::bind(&parse_query(&sql).unwrap(), &schema).unwrap();
+            // The reference path (`QueryOptions::baseline()`): pushdown-off
+            // plan, row-at-a-time predicates, aggregation in finish_partial.
+            let plan = ScanPlan::new(&bound, &schema, false).unwrap();
             for skipping in [false, true] {
-                let mut merged_stats = QueryStats::default();
+                let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
                 let via_merged = finalize(
-                    collect_from_block(&merged, &bound, skipping, &mut merged_stats).unwrap(),
+                    plan.finish_partial(
+                        plan.collect_block(&merged, skipping, &mut stats, &mut decode).unwrap(),
+                    ).unwrap(),
                     &bound,
                     &schema,
                 ).unwrap();
 
-                let mut source_stats = QueryStats::default();
                 let mut partials = Vec::new();
                 for bytes in &source_bytes {
                     let reader = LogBlockReader::open(bytes.clone()).unwrap();
                     partials.push(
-                        collect_from_block(&reader, &bound, skipping, &mut source_stats).unwrap(),
+                        plan.collect_block(&reader, skipping, &mut stats, &mut decode).unwrap(),
                     );
                 }
-                let via_sources =
-                    finalize(merge_partials(partials).unwrap(), &bound, &schema).unwrap();
+                let via_sources = finalize(
+                    plan.finish_partial(merge_partials(partials).unwrap()).unwrap(),
+                    &bound,
+                    &schema,
+                ).unwrap();
                 prop_assert_eq!(
                     &via_merged.rows, &via_sources.rows,
                     "merged vs sources diverged: {} (skipping={})", sql, skipping

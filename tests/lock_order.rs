@@ -5,7 +5,7 @@
 //! multi-lock code paths from several threads with the `logstore-sync`
 //! analysis active (debug builds, or `--features lock-analysis`): if a
 //! future change acquires any pair of engine locks in reverse order —
-//! the controller's `cache → plane`, the worker's backend/raft/window
+//! the controller's `cache → plane`, the worker's store/raft/window
 //! scopes, or the engine's worker map — the acquisition panics with a
 //! two-site cycle report and the test fails. In release builds without
 //! the feature the wrappers are passthroughs and this degenerates to a
@@ -76,9 +76,10 @@ fn controller_cache_before_plane_order_is_pinned() {
     scaler.join().unwrap();
 }
 
-/// Worker order: `append` scopes backend → raft → backend → window
-/// strictly sequentially (never two at once); the archive ack path takes
-/// backend then raft in separate scopes. Replicated shards make the raft
+/// Worker order: `append` scopes store → raft → store → window strictly
+/// sequentially (never two at once; "store" is the shard store's
+/// `wal.shard.inner`); the archive ack path takes store then raft in
+/// separate scopes. Replicated shards make the raft
 /// lock real. Any accidental nesting (e.g. holding raft while touching
 /// the window) shows up as a new edge and, combined with the reverse
 /// scope elsewhere, a cycle panic.

@@ -1,6 +1,12 @@
-//! Repo lint gate (`cargo run -p xtask -- lint`).
+//! Repo tooling: the lint gate (`cargo run -p xtask -- lint`) and the
+//! non-test line count (`cargo run -p xtask -- loc [file…]`).
 //!
-//! Token-level source checks that `cargo check` can't express:
+//! `loc` prints, per crate, the lines before the first `#[cfg(test)]` of
+//! every `crates/<name>/src/**/*.rs`, then the total over the six crates
+//! ROADMAP item 3 tracks — the one number subtraction PRs report. Extra
+//! arguments are repo-relative files counted the same way, and summed.
+//!
+//! `lint` runs token-level source checks that `cargo check` can't express:
 //!
 //! 1. **No raw locks** — every `Mutex`/`RwLock`/`Condvar` outside
 //!    `crates/sync` and `vendor/` must go through the labeled
@@ -41,8 +47,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("loc") => loc(&repo_root(), &args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- <lint | loc [file…]>");
             ExitCode::FAILURE
         }
     }
@@ -68,6 +75,41 @@ fn lint() -> ExitCode {
         eprintln!("xtask lint: {} failure(s)", failures.len());
         ExitCode::FAILURE
     }
+}
+
+/// The crates whose non-test size ROADMAP item 3 tracks.
+const ROADMAP_CRATES: [&str; 6] = ["core", "wal", "query", "logblock", "flow", "bench"];
+
+/// Lines of `file` before its first `#[cfg(test)]`.
+fn non_test_lines(file: &Path) -> usize {
+    let text = fs::read_to_string(file).expect("read source file");
+    test_boundary(&text.lines().collect::<Vec<_>>())
+}
+
+/// Non-test lines of every `.rs` file under `dir`.
+fn dir_non_test_lines(dir: &Path) -> usize {
+    rust_files(dir).iter().map(|f| non_test_lines(f)).sum()
+}
+
+fn loc(root: &Path, files: &[String]) -> ExitCode {
+    let mut total = 0;
+    // Crates only: the facade package at the repo root just re-exports them.
+    for (name, dir) in crate_src_dirs(root).iter().filter(|(name, _)| name != "logstore") {
+        let lines = dir_non_test_lines(dir);
+        if ROADMAP_CRATES.contains(&name.as_str()) {
+            total += lines;
+        }
+        println!("{lines:>6}  crates/{name}");
+    }
+    println!("{total:>6}  total of crates/{{{}}}", ROADMAP_CRATES.join(","));
+    if !files.is_empty() {
+        let counts: Vec<usize> = files.iter().map(|f| non_test_lines(&root.join(f))).collect();
+        for (file, count) in files.iter().zip(&counts) {
+            println!("{count:>6}  {file}");
+        }
+        println!("{:>6}  total of the files above", counts.iter().sum::<usize>());
+    }
+    ExitCode::SUCCESS
 }
 
 /// The workspace root: xtask runs via `cargo run -p xtask`, whose cwd is
@@ -355,10 +397,11 @@ fn crate_src_dirs(root: &Path) -> Vec<(String, PathBuf)> {
     dirs
 }
 
-/// Index of the first `#[cfg(test)]` line — the boundary below which a
-/// file is test code (test modules sit at the bottom of each file).
+/// Index of the first `#[cfg(test)]` attribute line — the boundary below
+/// which a file is test code (test modules sit at the bottom of each
+/// file). A mention inside a comment or string is not the boundary.
 fn test_boundary(lines: &[&str]) -> usize {
-    lines.iter().position(|l| l.contains("#[cfg(test)]")).unwrap_or(lines.len())
+    lines.iter().position(|l| l.trim_start().starts_with("#[cfg(test)]")).unwrap_or(lines.len())
 }
 
 /// Finds the first string literal at/after column `col` of `lines[line]`,
@@ -528,6 +571,28 @@ fn check_forbid_unsafe(root: &Path, failures: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn loc_counts_lines_before_the_first_cfg_test_of_every_src_file() {
+        let root = std::env::temp_dir().join(format!("logstore-xtask-loc-{}", std::process::id()));
+        fs::create_dir_all(root.join("crates/a/src/bin")).unwrap();
+        fs::create_dir_all(root.join("crates/a/tests")).unwrap();
+        fs::write(
+            root.join("crates/a/src/lib.rs"),
+            "//! not `#[cfg(test)]`\npub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[cfg(test)]\n}\n",
+        )
+        .unwrap();
+        fs::write(root.join("crates/a/src/bin/tool.rs"), "fn main() {\n}\n").unwrap();
+        fs::write(root.join("crates/a/tests/it.rs"), "fn not_src() {}\n").unwrap();
+        let src = root.join("crates/a/src");
+        let (lib, all) = (non_test_lines(&src.join("lib.rs")), dir_non_test_lines(&src));
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            lib, 3,
+            "everything above the first #[cfg(test)] attribute, blank lines included"
+        );
+        assert_eq!(all, 5, "a file with no test module counts whole; tests/ is not src");
+    }
 
     #[test]
     fn allowlist_entry_for_a_deleted_file_fails_the_lint() {
