@@ -1,25 +1,47 @@
 //! Index micro-benchmarks: inverted term lookup and BKD range queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logstore_index::{BkdReader, BkdWriter, InvertedIndexReader, InvertedIndexWriter};
+use logstore_index::{BkdDictReader, BkdWriter, InvertedDictReader, InvertedIndexWriter, TermKind};
 use std::hint::black_box;
 
 const ROWS: u32 = 100_000;
 
-fn inverted() -> InvertedIndexReader {
+/// The split index as a LogBlock reads it: `(dictionary, data member)`.
+fn inverted() -> (InvertedDictReader, Vec<u8>) {
     let mut w = InvertedIndexWriter::new();
     for i in 0..ROWS {
         w.add(i, &format!("GET /api/v1/endpoint{} status={}", i % 500, 200 + i % 5));
     }
-    InvertedIndexReader::open(&w.finish(), ROWS).unwrap()
+    let (dict, postings) = w.finish_split();
+    (InvertedDictReader::open(&dict).unwrap(), postings)
 }
 
-fn bkd() -> BkdReader {
+fn bkd() -> (BkdDictReader, Vec<u8>) {
     let mut w = BkdWriter::new();
     for i in 0..ROWS {
         w.add(i64::from(i % 10_000) * 3, i);
     }
-    BkdReader::open(&w.finish(), ROWS).unwrap()
+    let (fences, leaves) = w.finish_split();
+    (BkdDictReader::open(&fences).unwrap(), leaves)
+}
+
+fn lookup(idx: &(InvertedDictReader, Vec<u8>), kind: TermKind, term: &str) -> Vec<u32> {
+    match idx.0.lookup_range(kind, term) {
+        Some((offset, len)) => {
+            InvertedDictReader::decode_postings(&idx.1[offset..offset + len], ROWS).unwrap()
+        }
+        None => Vec::new(),
+    }
+}
+
+fn query_range(idx: &(BkdDictReader, Vec<u8>), lo: i64, hi: i64) -> Vec<u32> {
+    let mut out = Vec::new();
+    for (offset, len) in idx.0.leaf_ranges(lo, hi) {
+        idx.0.scan_leaf_bytes(&idx.1[offset..offset + len], lo, hi, ROWS, &mut out).unwrap();
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 fn bench_inverted(c: &mut Criterion) {
@@ -27,13 +49,13 @@ fn bench_inverted(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/inverted");
     group.sample_size(30);
     group.bench_function("token-lookup (200 hits)", |b| {
-        b.iter(|| idx.lookup_token(black_box("endpoint42")).unwrap())
+        b.iter(|| lookup(&idx, TermKind::Token, black_box("endpoint42")))
     });
     group.bench_function("token-lookup (miss)", |b| {
-        b.iter(|| idx.lookup_token(black_box("nonexistent")).unwrap())
+        b.iter(|| lookup(&idx, TermKind::Token, black_box("nonexistent")))
     });
     group.bench_function("exact-lookup", |b| {
-        b.iter(|| idx.lookup_exact(black_box("GET /api/v1/endpoint42 status=202")).unwrap())
+        b.iter(|| lookup(&idx, TermKind::Exact, black_box("GET /api/v1/endpoint42 status=202")))
     });
     group.finish();
 }
@@ -43,10 +65,10 @@ fn bench_bkd(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/bkd");
     group.sample_size(30);
     group.bench_function("narrow-range", |b| {
-        b.iter(|| idx.query_range(black_box(300), black_box(330)).unwrap())
+        b.iter(|| query_range(&idx, black_box(300), black_box(330)))
     });
     group.bench_function("wide-range (10%)", |b| {
-        b.iter(|| idx.query_range(black_box(0), black_box(3_000)).unwrap())
+        b.iter(|| query_range(&idx, black_box(0), black_box(3_000)))
     });
     group.finish();
 }

@@ -6,8 +6,9 @@ use logstore_raft::{InProcCluster, RaftConfig};
 use logstore_types::Error;
 use std::hint::black_box;
 
-fn ready_cluster(config: RaftConfig) -> InProcCluster {
-    let mut c = InProcCluster::new(3, config, 5);
+/// A 3-replica group whose replicas record the payloads they apply.
+fn ready_cluster(config: RaftConfig) -> InProcCluster<Vec<Vec<u8>>> {
+    let mut c = InProcCluster::with_replicas(vec![Vec::new(); 3], config, 5);
     c.run_until_leader(500).expect("leader");
     c
 }
@@ -26,10 +27,10 @@ fn bench_replication(c: &mut Criterion) {
                 }
                 // Drain until everything is applied on the leader.
                 let leader = cluster.any_leader().unwrap();
-                while cluster.applied(leader).len() < 100 {
+                while cluster.replica(leader).len() < 100 {
                     cluster.step();
                 }
-                black_box(cluster.applied(leader).len())
+                black_box(cluster.replica(leader).len())
             },
         )
     });

@@ -244,7 +244,7 @@ impl Broker {
         if !scope.is_empty_window() {
             // Real-time stores of every shard serving the tenant (old and
             // new routes during a rebalance window), sorted by shard id.
-            let mut shards = self.shared.controller.read_shards(tenant);
+            let mut shards = self.shared.controller.read_shards(tenant)?;
             shards.sort_unstable();
             for shard in shards {
                 let shared = Arc::clone(&self.shared);

@@ -1,10 +1,8 @@
 //! The replicated cluster controller and its message-passing control plane.
 //!
-//! Earlier revisions kept the controller as an in-process singleton called
-//! by direct method invocation — controller death and network partitions
-//! were scenarios the architecture literally could not express. This
-//! module replaces that with the paper's actual shape (LogStore keeps its
-//! control plane on a replicated coordination service):
+//! The paper's shape — LogStore keeps its control plane on a replicated
+//! coordination service — so controller death and network partitions are
+//! scenarios the architecture can express:
 //!
 //! * **Explicit messages.** Brokers, workers and controller replicas talk
 //!   through typed request/response envelopes ([`CtrlMsg`]) over a
@@ -16,15 +14,18 @@
 //! * **A Raft-replicated state machine.** Route tables, topology and
 //!   rebalance decisions live in [`ControlState`] (`logstore-flow`),
 //!   mutated only by [`CtrlCmd`]s committed through the `logstore-raft`
-//!   log. The balancer — whose `HashMap` iteration is not deterministic —
-//!   runs only on the leader, which proposes the *concrete* route table it
-//!   produced (`CommitRebalance`): replicas apply decisions, never
-//!   recompute them. Any replica serves linearizable reads after a commit
-//!   barrier, and leader failover is an ordinary Raft election.
-//! * **Snapshot catch-up.** The leader periodically compacts its log at
-//!   the commit index with `ControlState::encode()` as the snapshot, so a
-//!   lagging or freshly-healed replica restores `decode(snapshot)` and
-//!   replays only the suffix.
+//!   log: each replica's state *is* the group driver's state machine for
+//!   that node (`InProcCluster<CtrlReplica>`), fed by the driver as
+//!   entries commit. The balancer — whose `HashMap` iteration is not
+//!   deterministic — runs only on the leader, which proposes the
+//!   *concrete* route table it produced (`CommitRebalance`): replicas
+//!   apply decisions, never recompute them. Any replica serves
+//!   linearizable reads after a commit barrier, and leader failover is an
+//!   ordinary Raft election.
+//! * **Snapshot catch-up.** Every [`COMPACT_EVERY`] commits the group
+//!   compacts: each replica folds its applied prefix into
+//!   `ControlState::encode()`, so a lagging or freshly-healed replica
+//!   `restore`s the leader's snapshot and replays only the suffix.
 //!
 //! Client-side, brokers keep a per-tenant route cache keyed on the state's
 //! `epoch`, which bumps only on route-*invalidating* commands (rebalance,
@@ -36,18 +37,15 @@
 //! be held while taking the plane on a miss; never the reverse.
 
 use crate::config::{BalancerKind, ClusterConfig};
-use crate::metadata::MetadataStore;
 use crate::worker::{ShardWindow, Worker};
 use logstore_flow::balancer::Balancer;
 use logstore_flow::ctrl::{plan_tick, ControlState, CtrlCmd};
 use logstore_flow::routing::{pick, Route};
-use logstore_flow::sim::ClusterTopology;
 use logstore_flow::{ControlAction, FlowControlConfig, TrafficSnapshot};
 use logstore_net::{NetFaults, SimNet};
-use logstore_oss::ObjectStore;
-use logstore_raft::{InProcCluster, RaftConfig, Role};
+use logstore_raft::{InProcCluster, RaftConfig, Replica, Role};
 use logstore_sync::OrderedMutex;
-use logstore_types::{Error, NodeId, Result, ShardId, TenantId, Timestamp, WorkerId};
+use logstore_types::{Error, NodeId, Result, ShardId, TenantId, WorkerId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,10 +93,6 @@ pub enum CtrlRequest {
     Vacated,
     /// Total route-edge count (Fig 12(c)).
     RouteCount,
-    /// The registered topology.
-    Topology,
-    /// The replica's encoded state (convergence assertions in tests).
-    State,
 }
 
 /// A control-plane RPC response (replica → client).
@@ -146,16 +140,6 @@ pub enum CtrlResponse {
     Count {
         /// The count.
         n: usize,
-    },
-    /// Registered topology.
-    TopologySnapshot {
-        /// Shards, workers, capacities, placement.
-        topology: ClusterTopology,
-    },
-    /// Encoded replica state.
-    StateBytes {
-        /// `ControlState::encode()` output.
-        bytes: Vec<u8>,
     },
     /// This replica is not the leader; retry there.
     NotLeader {
@@ -205,10 +189,10 @@ pub enum CtrlMsg {
 const RETX_INTERVAL: usize = 30;
 /// Give up an RPC after this many net steps (covers several elections).
 const RPC_BUDGET: usize = 6000;
-/// Per-replica dedup cache size (completed request ids).
+/// Replay cache size (completed request ids per replica / worker).
 const DEDUP_CAP: usize = 256;
-/// Leader log compaction threshold, in committed entries past the last
-/// snapshot.
+/// Group log compaction threshold, in entries the leader committed past
+/// its last snapshot.
 const COMPACT_EVERY: u64 = 64;
 /// Controller replica count: the route table, topology and rebalance
 /// decisions are a state machine replicated through a Raft group of this
@@ -226,40 +210,61 @@ struct PendingReply {
     action: Option<ControlAction>,
 }
 
-/// One replica's state machine plus its serving bookkeeping.
-struct ReplicaSm {
-    state: ControlState,
-    /// Entries of the harness's applied log already folded into `state`.
-    cursor: usize,
-    /// Last snapshot index installed from a leader.
-    installed_idx: u64,
-    completed: HashMap<u64, CtrlResponse>,
-    completed_order: VecDeque<u64>,
-    pending: Vec<PendingReply>,
-}
+/// One replica's state machine in the Raft driver's seat: committed
+/// [`CtrlCmd`]s fold into it, its encoding is the compaction snapshot.
+struct CtrlReplica(ControlState);
 
-impl ReplicaSm {
-    fn new() -> Self {
-        ReplicaSm {
-            state: ControlState::new(),
-            cursor: 0,
-            installed_idx: 0,
-            completed: HashMap::new(),
-            completed_order: VecDeque::new(),
-            pending: Vec::new(),
+impl Replica for CtrlReplica {
+    fn apply(&mut self, payload: &[u8]) {
+        // Only `CtrlCmd::encode` output is ever proposed; an entry that
+        // does not decode is skipped identically on every replica.
+        if let Ok(cmd) = CtrlCmd::decode(payload) {
+            self.0.apply(&cmd);
         }
     }
 
-    fn complete(&mut self, id: u64, resp: CtrlResponse) {
-        if self.completed.insert(id, resp).is_none() {
-            self.completed_order.push_back(id);
-            while self.completed_order.len() > DEDUP_CAP {
-                if let Some(old) = self.completed_order.pop_front() {
-                    self.completed.remove(&old);
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.encode()
+    }
+
+    fn restore(&mut self, data: &[u8]) -> Result<()> {
+        self.0 = ControlState::decode(data)?;
+        Ok(())
+    }
+}
+
+/// The last [`DEDUP_CAP`] replies by request id, oldest evicted first: a
+/// redelivered request replays its reply instead of running twice.
+struct ReplayCache<T> {
+    replies: HashMap<u64, T>,
+    order: VecDeque<u64>,
+}
+
+impl<T> ReplayCache<T> {
+    fn new() -> Self {
+        ReplayCache { replies: HashMap::new(), order: VecDeque::new() }
+    }
+
+    fn get(&self, id: u64) -> Option<&T> {
+        self.replies.get(&id)
+    }
+
+    fn insert(&mut self, id: u64, reply: T) {
+        if self.replies.insert(id, reply).is_none() {
+            self.order.push_back(id);
+            if self.order.len() > DEDUP_CAP {
+                if let Some(old) = self.order.pop_front() {
+                    self.replies.remove(&old);
                 }
             }
         }
     }
+}
+
+/// One replica's serving bookkeeping (its state lives in the Raft driver).
+struct Serving {
+    completed: ReplayCache<CtrlResponse>,
+    pending: Vec<PendingReply>,
 }
 
 /// A worker's endpoint on the control-plane network.
@@ -267,15 +272,14 @@ struct WorkerEndpoint {
     worker: Arc<Worker>,
     /// Window responses by request id: `take_window` is destructive, so a
     /// redelivered fetch must replay the cached reply, not take again.
-    served: HashMap<u64, HashMap<ShardId, ShardWindow>>,
-    served_order: VecDeque<u64>,
+    served: ReplayCache<HashMap<ShardId, ShardWindow>>,
 }
 
-/// The control plane: the Raft group, one state machine per replica, the
-/// simulated network, and the attached worker endpoints.
+/// The control plane: the Raft group and its per-replica state machines,
+/// the serving state, the RPC network, and the attached worker endpoints.
 struct ControlPlane {
-    raft: InProcCluster,
-    sms: Vec<ReplicaSm>,
+    raft: InProcCluster<CtrlReplica>,
+    serving: Vec<Serving>,
     net: SimNet<CtrlMsg>,
     /// Worker endpoints keyed by raw worker id.
     workers: BTreeMap<u32, WorkerEndpoint>,
@@ -308,10 +312,15 @@ impl ControlPlane {
         t
     }
 
+    /// Replica `i`'s state machine.
+    fn state(&self, i: usize) -> &ControlState {
+        &self.raft.replica(NodeId(i as u32)).0
+    }
+
     /// One network tick: deliver envelopes, serve replicas and workers,
-    /// step Raft, apply commits, fire pending replies, maybe compact.
-    /// Returns the messages delivered to the client this tick.
-    fn pump(&mut self) -> Vec<CtrlMsg> {
+    /// step Raft (which applies commits), fire pending replies, maybe
+    /// compact. Returns the messages delivered to the client this tick.
+    fn pump(&mut self) -> Result<Vec<CtrlMsg>> {
         // Preemption point for schedule exploration: each delivered batch
         // (and the dedup decisions inside it) is one atomic step.
         logstore_sync::sync_point("core.controller.pump");
@@ -329,21 +338,20 @@ impl ControlPlane {
             }
         }
         self.raft.step();
-        self.apply_committed();
         self.flush_pending();
-        self.maybe_compact();
-        to_client
+        self.maybe_compact()?;
+        Ok(to_client)
     }
 
     /// Serves one request at replica `i`: dedup, leadership check, then
     /// either a commit-barrier read or a proposal through the log.
     fn serve_replica(&mut self, i: usize, from: u32, msg: CtrlMsg) {
         let CtrlMsg::Request { id, req } = msg else { return };
-        if let Some(resp) = self.sms[i].completed.get(&id).cloned() {
+        if let Some(resp) = self.serving[i].completed.get(id).cloned() {
             self.respond(i, from, id, resp);
             return;
         }
-        if self.sms[i].pending.iter().any(|p| p.id == id) {
+        if self.serving[i].pending.iter().any(|p| p.id == id) {
             return; // duplicate of an in-flight request
         }
         let node_id = NodeId(i as u32);
@@ -357,34 +365,22 @@ impl ControlPlane {
         let mut action = None;
         let proposal: Option<CtrlCmd> = match &req {
             CtrlRequest::Route { tenant } => {
-                let sm = &self.sms[i].state;
-                if sm.is_routed(*tenant) {
-                    None
-                } else {
-                    match sm.home(*tenant) {
-                        Some(home) => {
-                            Some(CtrlCmd::SetRoute { tenant: *tenant, routes: vec![(home, 1.0)] })
-                        }
-                        None => {
-                            let resp =
-                                CtrlResponse::Failed { error: "no shards in ring".to_string() };
-                            self.sms[i].complete(id, resp.clone());
-                            self.respond(i, from, id, resp);
-                            return;
-                        }
-                    }
-                }
+                // With no shard in the ring there is nothing to place: the
+                // barrier read below answers `Failed`.
+                let sm = self.state(i);
+                let home = sm.home(*tenant).filter(|_| !sm.is_routed(*tenant));
+                home.map(|home| CtrlCmd::SetRoute { tenant: *tenant, routes: vec![(home, 1.0)] })
             }
             CtrlRequest::RegisterWorker { worker, shards } => {
                 // The state machine is idempotent anyway; skipping the
                 // proposal for an identical re-registration keeps the log
                 // free of no-op entries.
-                let mut probe = self.sms[i].state.clone();
+                let mut probe = self.state(i).clone();
                 let cmd = CtrlCmd::RegisterWorker { worker: *worker, shards: shards.clone() };
                 probe.apply(&cmd).then_some(cmd)
             }
             CtrlRequest::RestoreRoutes { tenant, shards } => {
-                if self.sms[i].state.is_routed(*tenant) || shards.is_empty() {
+                if self.state(i).is_routed(*tenant) || shards.is_empty() {
                     None
                 } else {
                     Some(CtrlCmd::SetRoute {
@@ -394,21 +390,17 @@ impl ControlPlane {
                 }
             }
             CtrlRequest::Tick { windows } => {
-                let state = &self.sms[i].state;
+                let state = self.state(i);
                 let snapshot = snapshot_from_windows(state, windows);
                 let (a, proposal) = plan_tick(state, &snapshot, &self.flow, self.balancer.as_ref());
                 action = Some(a);
                 proposal
             }
             CtrlRequest::VacateDone { tenant, shard } => {
-                let pending = self.sms[i].state.pending_vacated().contains(&(*tenant, *shard));
+                let pending = self.state(i).pending_vacated().contains(&(*tenant, *shard));
                 pending.then_some(CtrlCmd::VacateRoute { tenant: *tenant, shard: *shard })
             }
-            CtrlRequest::ReadShards { .. }
-            | CtrlRequest::Vacated
-            | CtrlRequest::RouteCount
-            | CtrlRequest::Topology
-            | CtrlRequest::State => None,
+            CtrlRequest::ReadShards { .. } | CtrlRequest::Vacated | CtrlRequest::RouteCount => None,
         };
         let wait_index = match proposal {
             Some(cmd) => match self.raft.node_mut(node_id).propose(cmd.encode()) {
@@ -423,7 +415,7 @@ impl ControlPlane {
             // leader).
             None => self.raft.node(node_id).log_len(),
         };
-        self.sms[i].pending.push(PendingReply { id, from, wait_index, req, action });
+        self.serving[i].pending.push(PendingReply { id, from, wait_index, req, action });
     }
 
     /// Serves a worker endpoint: window fetches with replay-by-id.
@@ -431,17 +423,11 @@ impl ControlPlane {
         let CtrlMsg::WindowFetch { id } = msg else { return };
         let Some(worker) = to.checked_sub(CONTROLLER_REPLICAS as u32 + 1) else { return };
         let Some(ep) = self.workers.get_mut(&worker) else { return };
-        let windows = match ep.served.get(&id) {
+        let windows = match ep.served.get(id) {
             Some(cached) => cached.clone(),
             None => {
                 let fresh = ep.worker.take_window();
                 ep.served.insert(id, fresh.clone());
-                ep.served_order.push_back(id);
-                while ep.served_order.len() > DEDUP_CAP {
-                    if let Some(old) = ep.served_order.pop_front() {
-                        ep.served.remove(&old);
-                    }
-                }
                 fresh
             }
         };
@@ -452,64 +438,39 @@ impl ControlPlane {
         self.net.send(i as u32, to, CtrlMsg::Response { id, resp });
     }
 
-    /// Folds newly-committed log entries (and installed snapshots) into
-    /// each replica's state machine.
-    fn apply_committed(&mut self) {
-        for i in 0..CONTROLLER_REPLICAS {
-            let node_id = NodeId(i as u32);
-            if let Some((idx, data)) = self.raft.installed_snapshot(node_id) {
-                if *idx != self.sms[i].installed_idx {
-                    let idx = *idx;
-                    if let Ok(state) = ControlState::decode(data) {
-                        self.sms[i].state = state;
-                    }
-                    self.sms[i].installed_idx = idx;
-                }
-            }
-            let applied = self.raft.applied(node_id);
-            while self.sms[i].cursor < applied.len() {
-                let payload = &applied[self.sms[i].cursor];
-                if let Ok(cmd) = CtrlCmd::decode(payload) {
-                    self.sms[i].state.apply(&cmd);
-                }
-                self.sms[i].cursor += 1;
-            }
-        }
-    }
-
     /// Fires pending replies whose barrier committed; bounces the pending
     /// queue of any replica that lost leadership.
     fn flush_pending(&mut self) {
         for i in 0..CONTROLLER_REPLICAS {
-            if self.sms[i].pending.is_empty() || self.killed == Some(i as u32) {
+            if self.serving[i].pending.is_empty() || self.killed == Some(i as u32) {
                 continue;
             }
             let node_id = NodeId(i as u32);
             if self.raft.node(node_id).role() != Role::Leader {
                 let hint = self.raft.any_leader().map(NodeId::raw);
-                for p in std::mem::take(&mut self.sms[i].pending) {
+                for p in std::mem::take(&mut self.serving[i].pending) {
                     self.respond(i, p.from, p.id, CtrlResponse::NotLeader { hint });
                 }
                 continue;
             }
             let commit = self.raft.node(node_id).commit_index();
             let mut still_waiting = Vec::new();
-            for p in std::mem::take(&mut self.sms[i].pending) {
+            for p in std::mem::take(&mut self.serving[i].pending) {
                 if p.wait_index > commit {
                     still_waiting.push(p);
                     continue;
                 }
                 let resp = self.evaluate(i, &p);
-                self.sms[i].complete(p.id, resp.clone());
+                self.serving[i].completed.insert(p.id, resp.clone());
                 self.respond(i, p.from, p.id, resp);
             }
-            self.sms[i].pending = still_waiting;
+            self.serving[i].pending = still_waiting;
         }
     }
 
     /// Evaluates a barrier-cleared request against replica `i`'s state.
     fn evaluate(&self, i: usize, p: &PendingReply) -> CtrlResponse {
-        let sm = &self.sms[i].state;
+        let sm = self.state(i);
         let epoch = sm.epoch();
         match &p.req {
             CtrlRequest::Route { tenant } => match sm.routes(*tenant) {
@@ -539,26 +500,22 @@ impl ControlPlane {
                 CtrlResponse::VacatedPairs { pairs: sm.pending_vacated(), epoch }
             }
             CtrlRequest::RouteCount => CtrlResponse::Count { n: sm.route_count() },
-            CtrlRequest::Topology => CtrlResponse::TopologySnapshot { topology: sm.topology() },
-            CtrlRequest::State => CtrlResponse::StateBytes { bytes: sm.encode() },
         }
     }
 
-    /// Leader-side log compaction through Raft's snapshot hook: encode the
-    /// applied state at the commit index, so healed laggards catch up by
-    /// snapshot + suffix instead of full replay.
-    fn maybe_compact(&mut self) {
-        let Some(leader) = self.raft.sole_leader() else { return };
-        if self.killed == Some(leader.raw()) {
-            return;
-        }
+    /// Group log compaction once the leader has [`COMPACT_EVERY`] commits
+    /// past its snapshot: every replica folds its applied prefix into its
+    /// encoded state, so healed laggards catch up by snapshot + suffix
+    /// instead of full replay.
+    fn maybe_compact(&mut self) -> Result<()> {
+        let Some(leader) = self.raft.sole_leader() else { return Ok(()) };
         let node = self.raft.node(leader);
-        let commit = node.commit_index();
-        if commit < node.snapshot_index() + COMPACT_EVERY {
-            return;
+        if self.killed == Some(leader.raw())
+            || node.commit_index() < node.snapshot_index() + COMPACT_EVERY
+        {
+            return Ok(());
         }
-        let data = self.sms[leader.raw() as usize].state.encode();
-        let _ = self.raft.node_mut(leader).compact(commit, data);
+        self.raft.compact()
     }
 
     /// One client RPC: send, retransmit on silence, follow `NotLeader`
@@ -581,7 +538,7 @@ impl ControlPlane {
                 self.net.send(client, target, CtrlMsg::Request { id, req: req.clone() });
             }
             since_send += 1;
-            for msg in self.pump() {
+            for msg in self.pump()? {
                 let CtrlMsg::Response { id: rid, resp } = msg else { continue };
                 if rid != id {
                     continue; // a late response to an older request
@@ -624,7 +581,7 @@ impl ControlPlane {
                     self.net.send(client, addr, CtrlMsg::WindowFetch { id });
                 }
                 since_send += 1;
-                for msg in self.pump() {
+                for msg in self.pump()? {
                     let CtrlMsg::WindowData { id: rid, windows } = msg else { continue };
                     if rid == id {
                         got = Some(windows);
@@ -666,9 +623,9 @@ impl ControlPlane {
 
     /// Pumps until every live replica converged on one commit index under
     /// a sole leader (test/assertion support).
-    fn settle(&mut self) {
+    fn settle(&mut self) -> Result<()> {
         for _ in 0..RPC_BUDGET {
-            let _ = self.pump();
+            self.pump()?;
             if self.raft.sole_leader().is_none() {
                 continue;
             }
@@ -677,9 +634,10 @@ impl ControlPlane {
                 .map(|i| self.raft.node(NodeId(i as u32)).commit_index())
                 .collect();
             if self.net.idle() && live.windows(2).all(|w| w[0] == w[1]) {
-                return;
+                break;
             }
         }
+        Ok(())
     }
 }
 
@@ -737,7 +695,6 @@ impl RouteCache {
 /// The engine-side controller facade: every method is a client RPC into
 /// the replicated control plane (plus a route cache on the hot paths).
 pub struct ClusterController {
-    metadata: Arc<MetadataStore>,
     balancer_kind: BalancerKind,
     cache: OrderedMutex<RouteCache>,
     plane: OrderedMutex<ControlPlane>,
@@ -748,14 +705,17 @@ impl ClusterController {
     /// Builds the control plane from the cluster configuration and elects
     /// the first leader. Workers join via [`ClusterController::register_worker`]
     /// — the topology starts empty.
-    pub fn new(config: &ClusterConfig, metadata: Arc<MetadataStore>) -> Self {
+    pub fn new(config: &ClusterConfig) -> Self {
+        let replicas = (0..CONTROLLER_REPLICAS).map(|_| CtrlReplica(ControlState::new()));
+        let serving = (0..CONTROLLER_REPLICAS)
+            .map(|_| Serving { completed: ReplayCache::new(), pending: Vec::new() });
         let mut plane = ControlPlane {
-            raft: InProcCluster::new(
-                CONTROLLER_REPLICAS,
+            raft: InProcCluster::with_replicas(
+                replicas.collect(),
                 RaftConfig::default(),
                 config.seed ^ 0xC7A1,
             ),
-            sms: (0..CONTROLLER_REPLICAS).map(|_| ReplicaSm::new()).collect(),
+            serving: serving.collect(),
             net: SimNet::new(config.seed ^ 0x0e47),
             workers: BTreeMap::new(),
             killed: None,
@@ -769,7 +729,6 @@ impl ClusterController {
             plane.leader_hint = leader.raw();
         }
         ClusterController {
-            metadata,
             balancer_kind: config.balancer,
             cache: OrderedMutex::new("core.controller.cache", RouteCache::default()),
             plane: OrderedMutex::new("core.controller.plane", plane),
@@ -783,11 +742,7 @@ impl ClusterController {
         let mut plane = self.plane.lock();
         plane.workers.insert(
             worker.id().raw(),
-            WorkerEndpoint {
-                worker: Arc::clone(worker),
-                served: HashMap::new(),
-                served_order: VecDeque::new(),
-            },
+            WorkerEndpoint { worker: Arc::clone(worker), served: ReplayCache::new() },
         );
     }
 
@@ -806,15 +761,6 @@ impl ClusterController {
         match resp {
             CtrlResponse::Ack { .. } => Ok(()),
             other => Err(unexpected("RegisterWorker", &other)),
-        }
-    }
-
-    /// Snapshot of the registered topology.
-    pub fn topology(&self) -> ClusterTopology {
-        let resp = self.plane.lock().rpc(CtrlRequest::Topology);
-        match resp {
-            Ok(CtrlResponse::TopologySnapshot { topology }) => topology,
-            _ => ClusterTopology::default(),
         }
     }
 
@@ -868,10 +814,10 @@ impl ClusterController {
     /// `(tenant, shard)` pairs vacated by a rebalance and not yet
     /// flush-acknowledged — the shards whose buffered rows for that tenant
     /// should be "packaged and flushed to OSS" (paper §4.1.5).
-    pub fn vacated_routes(&self) -> Vec<(TenantId, ShardId)> {
-        match self.plane.lock().rpc(CtrlRequest::Vacated) {
-            Ok(CtrlResponse::VacatedPairs { pairs, .. }) => pairs,
-            _ => Vec::new(),
+    pub fn vacated_routes(&self) -> Result<Vec<(TenantId, ShardId)>> {
+        match self.plane.lock().rpc(CtrlRequest::Vacated)? {
+            CtrlResponse::VacatedPairs { pairs, .. } => Ok(pairs),
+            other => Err(unexpected("Vacated", &other)),
         }
     }
 
@@ -897,20 +843,20 @@ impl ClusterController {
 
     /// Shards a read for `tenant` must consult (old ∪ new plans while a
     /// rebalance settles; the ring home for unplaced tenants).
-    pub fn read_shards(&self, tenant: TenantId) -> Vec<ShardId> {
+    pub fn read_shards(&self, tenant: TenantId) -> Result<Vec<ShardId>> {
         let mut cache = self.cache.lock();
         if let Some(shards) = cache.read_shards.get(&tenant) {
-            return shards.clone();
+            return Ok(shards.clone());
         }
-        match self.plane.lock().rpc(CtrlRequest::ReadShards { tenant }) {
-            Ok(CtrlResponse::Shards { shards, routed, epoch }) => {
+        match self.plane.lock().rpc(CtrlRequest::ReadShards { tenant })? {
+            CtrlResponse::Shards { shards, routed, epoch } => {
                 cache.observe_epoch(epoch);
                 if routed && epoch == cache.epoch {
                     cache.read_shards.insert(tenant, shards.clone());
                 }
-                shards
+                Ok(shards)
             }
-            _ => Vec::new(),
+            other => Err(unexpected("ReadShards", &other)),
         }
     }
 
@@ -983,39 +929,16 @@ impl ClusterController {
         self.plane.lock().net.set_faults(NetFaults::default());
     }
 
-    /// The current controller leader replica, if one is elected.
-    pub fn controller_leader(&self) -> Option<u32> {
-        self.plane.lock().raft.any_leader().map(NodeId::raw)
-    }
-
     /// Encoded state of every live replica after letting the group settle
     /// — byte-identical entries are the convergence oracle of the
     /// failover tests.
-    pub fn replica_states(&self) -> Vec<(u32, Vec<u8>)> {
+    pub fn replica_states(&self) -> Result<Vec<(u32, Vec<u8>)>> {
         let mut plane = self.plane.lock();
-        plane.settle();
-        (0..CONTROLLER_REPLICAS)
+        plane.settle()?;
+        Ok((0..CONTROLLER_REPLICAS)
             .filter(|&i| plane.killed != Some(i as u32))
-            .map(|i| (i as u32, plane.sms[i].state.encode()))
-            .collect()
-    }
-
-    /// Runs the expiration task over every registered tenant: expired
-    /// LogBlocks move from the map to the persistent tombstone list (one
-    /// atomic metadata transaction per tenant), then a GC pass deletes the
-    /// tombstoned objects from OSS. Returns the number of deleted objects.
-    ///
-    /// The ordering is load-bearing: the map swap happens *before* any
-    /// delete, and a failed delete keeps its tombstone — so one tenant's
-    /// OSS error neither aborts the other tenants' expiration nor leaks
-    /// the object (the next pass retries it).
-    pub fn run_expiration<S: ObjectStore>(&self, store: &S, now: Timestamp) -> Result<u64> {
-        for tenant in self.metadata.tenants() {
-            self.metadata.expire(tenant, now);
-        }
-        let report =
-            crate::compactor::run_gc(store, &self.metadata, None, &crate::hooks::NoopHooks);
-        Ok(report.deleted)
+            .map(|i| (i as u32, plane.state(i).encode()))
+            .collect())
     }
 
     /// Tick entry point for tests that hand-craft windows instead of
@@ -1045,15 +968,20 @@ fn unexpected(what: &str, resp: &CtrlResponse) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::LogBlockEntry;
-    use logstore_oss::MemoryStore;
 
     /// A controller with the `for_testing` topology registered explicitly
     /// (workers no longer arrive via the constructor).
+    /// The registered topology, once every replica has caught up.
+    fn topology(c: &ClusterController) -> logstore_flow::sim::ClusterTopology {
+        let mut plane = c.plane.lock();
+        plane.settle().unwrap();
+        plane.state(0).topology()
+    }
+
     fn controller(balancer: BalancerKind) -> ClusterController {
         let mut config = ClusterConfig::for_testing();
         config.balancer = balancer;
-        let c = ClusterController::new(&config, Arc::new(MetadataStore::new()));
+        let c = ClusterController::new(&config);
         for w in 0..config.workers {
             let shard_ids: Vec<ShardId> = (0..config.shards_per_worker)
                 .map(|s| ShardId(w * config.shards_per_worker + s))
@@ -1069,21 +997,21 @@ mod tests {
         let s1 = c.pick_shard(TenantId(5), 0).unwrap();
         let s2 = c.pick_shard(TenantId(5), 1).unwrap();
         assert_eq!(s1, s2, "single-route tenant always lands on its home shard");
-        assert_eq!(c.read_shards(TenantId(5)), vec![s1]);
+        assert_eq!(c.read_shards(TenantId(5)).unwrap(), vec![s1]);
     }
 
     #[test]
     fn register_worker_redelivery_is_idempotent() {
         let c = controller(BalancerKind::MaxFlow);
-        let before = c.topology();
-        let states = c.replica_states();
+        let before = topology(&c);
+        let states = c.replica_states().unwrap();
         // Redeliver worker 0's registration several times.
         for _ in 0..3 {
             c.register_worker(WorkerId(0), &[ShardId(0), ShardId(1)], 100_000).unwrap();
         }
-        assert_eq!(c.topology().shard_capacity, before.shard_capacity);
+        assert_eq!(topology(&c).shard_capacity, before.shard_capacity);
         assert_eq!(
-            c.replica_states(),
+            c.replica_states().unwrap(),
             states,
             "redelivered registration must not change a single replicated byte"
         );
@@ -1099,7 +1027,7 @@ mod tests {
         let mut shard_windows = HashMap::new();
         let window = ShardWindow { total: 200_000, per_tenant: HashMap::from([(hot, 200_000)]) };
         shard_windows.insert(home, window);
-        let worker = c.topology().shard_to_worker[&home];
+        let worker = topology(&c).shard_to_worker[&home];
         let mut windows = HashMap::new();
         windows.insert(worker, shard_windows);
         let action = c.control_tick_with(windows).unwrap();
@@ -1107,8 +1035,10 @@ mod tests {
             matches!(action, ControlAction::Rebalanced { .. }),
             "expected rebalance, got {action:?}"
         );
-        assert!(c.read_shards(hot).len() > 1, "hot tenant must gain shards");
-        assert!(!c.vacated_routes().is_empty() || c.read_shards(hot).contains(&home));
+        assert!(c.read_shards(hot).unwrap().len() > 1, "hot tenant must gain shards");
+        assert!(
+            !c.vacated_routes().unwrap().is_empty() || c.read_shards(hot).unwrap().contains(&home)
+        );
     }
 
     #[test]
@@ -1120,9 +1050,9 @@ mod tests {
         let window = ShardWindow { total: 500_000, per_tenant: HashMap::from([(hot, 500_000)]) };
         shard_windows.insert(home, window);
         let mut windows = HashMap::new();
-        windows.insert(c.topology().shard_to_worker[&home], shard_windows);
+        windows.insert(topology(&c).shard_to_worker[&home], shard_windows);
         assert_eq!(c.control_tick_with(windows).unwrap(), ControlAction::None);
-        assert_eq!(c.read_shards(hot), vec![home]);
+        assert_eq!(c.read_shards(hot).unwrap(), vec![home]);
     }
 
     #[test]
@@ -1133,11 +1063,11 @@ mod tests {
         let killed = c.kill_controller_leader().expect("kill the leader");
         // Cached routes keep serving instantly; a fresh RPC must drive the
         // election through and land on a new leader with the same answer.
-        assert_eq!(c.read_shards(t), vec![before]);
+        assert_eq!(c.read_shards(t).unwrap(), vec![before]);
         assert_eq!(c.pick_shard(t, 0).unwrap(), before);
-        assert_ne!(c.controller_leader(), Some(killed));
+        assert_ne!(c.plane.lock().raft.any_leader(), Some(NodeId(killed)));
         c.heal_controllers();
-        let states = c.replica_states();
+        let states = c.replica_states().unwrap();
         assert_eq!(states.len(), 3, "all replicas live after heal");
         assert!(
             states.windows(2).all(|w| w[0].1 == w[1].1),
@@ -1154,37 +1084,9 @@ mod tests {
         for sel in 0..50 {
             assert_eq!(c.pick_shard(t, sel).unwrap(), shard, "routes stable under faults");
         }
-        assert_eq!(c.read_shards(t), vec![shard]);
+        assert_eq!(c.read_shards(t).unwrap(), vec![shard]);
         c.clear_net_faults();
-        let states = c.replica_states();
+        let states = c.replica_states().unwrap();
         assert!(states.windows(2).all(|w| w[0].1 == w[1].1));
-    }
-
-    #[test]
-    fn expiration_deletes_from_store() {
-        let metadata = Arc::new(MetadataStore::new());
-        let config = ClusterConfig::for_testing();
-        let c = ClusterController::new(&config, Arc::clone(&metadata));
-        let store = MemoryStore::new();
-        let tenant = TenantId(9);
-        metadata.set_retention(tenant, Some(1000));
-        let path = metadata.allocate_block_path(tenant);
-        store.put(&path, b"block").unwrap();
-        metadata
-            .register_block(
-                tenant,
-                LogBlockEntry {
-                    path: path.clone(),
-                    min_ts: Timestamp(0),
-                    max_ts: Timestamp(10),
-                    rows: 1,
-                    bytes: 5,
-                },
-            )
-            .unwrap();
-        let deleted = c.run_expiration(&store, Timestamp(5000)).unwrap();
-        assert_eq!(deleted, 1);
-        assert!(store.get(&path).is_err());
-        assert!(metadata.all_blocks(tenant).is_empty());
     }
 }

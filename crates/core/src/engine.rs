@@ -41,7 +41,7 @@ pub struct ClusterShared {
     pub workers: logstore_sync::OrderedRwLock<Vec<Arc<Worker>>>,
     /// Shard placement. Grows under `ScaleCluster`.
     pub shard_to_worker: logstore_sync::OrderedRwLock<HashMap<ShardId, usize>>,
-    /// The controller (routing, traffic control, expiration).
+    /// The controller (routing, traffic control).
     pub controller: ClusterController,
     /// Metadata / LogBlock map.
     pub metadata: Arc<MetadataStore>,
@@ -157,7 +157,7 @@ impl LogStore {
     pub fn open_with(config: ClusterConfig, parts: OpenParts) -> Result<Self> {
         let metadata = parts.metadata.unwrap_or_else(|| Arc::new(MetadataStore::new()));
         let hooks = parts.hooks.unwrap_or_else(noop_hooks);
-        let controller = ClusterController::new(&config, Arc::clone(&metadata));
+        let controller = ClusterController::new(&config);
         let store = parts.store.unwrap_or_else(|| {
             Arc::new(RetryingStore::new(
                 SimulatedOss::new(
@@ -190,10 +190,6 @@ impl LogStore {
                 TieredCache::memory_only_sharded(config.cache_memory_bytes, config.cache_shards)
             }
         });
-        let archive_catalog = ArchiveCatalog {
-            metadata: Arc::clone(&metadata),
-            chunk_rows: config.max_rows_per_logblock,
-        };
         let mut workers = Vec::with_capacity(config.workers as usize);
         let mut shard_to_worker = HashMap::new();
         for w in 0..config.workers {
@@ -203,26 +199,8 @@ impl LogStore {
             for &s in &shard_ids {
                 shard_to_worker.insert(s, w as usize);
             }
-            workers.push(Arc::new(Worker::new(
-                WorkerId(w),
-                &shard_ids,
-                &config.schema,
-                config.rowstore_backpressure_bytes,
-                config.raft_replicas,
-                config.data_dir.as_ref(),
-                config.wal.clone(),
-                config.seed,
-                Some(&archive_catalog),
-                Arc::clone(&hooks),
-            )?));
-        }
-        // Workers join the cluster through the replicated control plane:
-        // each one attaches its window endpoint to the control-plane
-        // network and registers its shards via a `RegisterWorker` command
-        // committed through the controller's Raft log.
-        for worker in &workers {
-            controller.attach_worker(worker);
-            controller.register_worker(worker.id(), &worker.shard_ids(), config.shard_capacity)?;
+            let id = WorkerId(w);
+            workers.push(spawn_worker(&config, &metadata, &hooks, &controller, id, &shard_ids)?);
         }
         // Recovery route restoration: WAL replay may have resurrected
         // tenant rows on shards the freshly-built routing table does not
@@ -405,7 +383,7 @@ impl LogStore {
         // tenant flush must not starve the others: every vacated route is
         // attempted and the first error returned afterwards.
         let mut first_error: Option<Error> = None;
-        for (tenant, shard) in self.shared.controller.vacated_routes() {
+        for (tenant, shard) in self.shared.controller.vacated_routes()? {
             match self.flush_vacated_route(tenant, shard) {
                 Ok(()) => {
                     if let Err(e) = self.shared.controller.vacate_done(tenant, shard) {
@@ -492,34 +470,19 @@ impl LogStore {
             let next_shard = shard_map.keys().map(|s| s.raw() + 1).max().unwrap_or(0);
             let shard_ids: Vec<ShardId> =
                 (0..self.config.shards_per_worker).map(|s| ShardId(next_shard + s)).collect();
-            let archive_catalog = ArchiveCatalog {
-                metadata: Arc::clone(&self.shared.metadata),
-                chunk_rows: self.config.max_rows_per_logblock,
-            };
-            let worker = Arc::new(Worker::new(
+            let shared = &self.shared;
+            let worker = spawn_worker(
+                &self.config,
+                &shared.metadata,
+                &shared.hooks,
+                &shared.controller,
                 worker_id,
                 &shard_ids,
-                &self.config.schema,
-                self.config.rowstore_backpressure_bytes,
-                self.config.raft_replicas,
-                self.config.data_dir.as_ref(),
-                self.config.wal.clone(),
-                self.config.seed ^ u64::from(worker_id.raw()),
-                Some(&archive_catalog),
-                Arc::clone(&self.shared.hooks),
-            )?);
+            )?;
             for &s in &shard_ids {
                 shard_map.insert(s, workers.len());
             }
-            workers.push(Arc::clone(&worker));
-            drop(workers);
-            drop(shard_map);
-            self.shared.controller.attach_worker(&worker);
-            self.shared.controller.register_worker(
-                worker_id,
-                &shard_ids,
-                self.config.shard_capacity,
-            )?;
+            workers.push(worker);
             added.push(worker_id);
         }
         Ok(added)
@@ -644,6 +607,38 @@ impl LogStore {
     pub fn route_count(&self) -> usize {
         self.shared.controller.route_count()
     }
+}
+
+/// The one way a worker starts: open its shards (durable ones replay
+/// against the drain-commit table), then join the cluster through the
+/// replicated control plane — attach the window endpoint to the
+/// control-plane network and register the shards via a `RegisterWorker`
+/// command committed through the controller's Raft log.
+fn spawn_worker(
+    config: &ClusterConfig,
+    metadata: &Arc<MetadataStore>,
+    hooks: &Arc<dyn CrashHooks>,
+    controller: &ClusterController,
+    id: WorkerId,
+    shard_ids: &[ShardId],
+) -> Result<Arc<Worker>> {
+    let archive_catalog =
+        ArchiveCatalog { metadata: Arc::clone(metadata), chunk_rows: config.max_rows_per_logblock };
+    let worker = Arc::new(Worker::new(
+        id,
+        shard_ids,
+        &config.schema,
+        config.rowstore_backpressure_bytes,
+        config.raft_replicas,
+        config.data_dir.as_ref(),
+        config.wal.clone(),
+        config.seed,
+        Some(&archive_catalog),
+        Arc::clone(hooks),
+    )?);
+    controller.attach_worker(&worker);
+    controller.register_worker(id, shard_ids, config.shard_capacity)?;
+    Ok(worker)
 }
 
 #[cfg(test)]
@@ -791,6 +786,29 @@ mod tests {
         assert_eq!(full.result, baseline.result);
         // And the optimized path does less scanning.
         assert!(full.stats.scan.blocks_scanned <= baseline.stats.scan.blocks_scanned);
+    }
+
+    #[test]
+    fn a_query_fails_while_the_control_plane_is_unreachable() {
+        // A tenant that was ingested but never queried has no cached read
+        // shards: the query must ask the control plane, and an unreachable
+        // control plane must fail the query — not answer it without the
+        // tenant's real-time rows. Likewise a tick that cannot learn the
+        // pending vacations (no balancer: the tick itself sends nothing).
+        let mut config = ClusterConfig::for_testing();
+        config.balancer = crate::config::BalancerKind::None;
+        let s = LogStore::open(config).unwrap();
+        for i in 0..25 {
+            s.ingest(vec![rec(7, i, 1, "unflushed")]).unwrap();
+        }
+        let sql = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 7";
+        s.shared().controller.set_net_faults(1.0, 0.0, false);
+        let err = s.query(sql).unwrap_err();
+        assert!(matches!(err, Error::Cluster(_)), "{err}");
+        let err = s.control_tick().unwrap_err();
+        assert!(matches!(err, Error::Cluster(_)), "{err}");
+        s.shared().controller.clear_net_faults();
+        assert_eq!(s.query(sql).unwrap().rows[0][0], Value::U64(25));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::metadata::{DrainId, MetadataStore};
 /// guards); re-exported for replica catch-up tooling and tests.
 pub use logstore_codec::batch::decode_batch;
 use logstore_codec::batch::encode_batch;
-use logstore_raft::{InProcCluster, RaftConfig};
+use logstore_raft::{InProcCluster, RaftConfig, Replica};
 use logstore_sync::OrderedMutex;
 use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, TimeRange, WorkerId,
@@ -62,6 +62,30 @@ pub struct ShardWindow {
     pub per_tenant: HashMap<TenantId, u64>,
 }
 
+/// What a shard replica keeps of the replicated log: the count of batches
+/// it applied, which is also its compaction snapshot — a replica that falls
+/// behind rebuilds its rows from OSS, not from the log. (The seat a
+/// follower's own `ShardStore` takes when replicas move to distinct
+/// workers, ROADMAP item 4.)
+#[derive(Clone, Default)]
+struct ArchiveWatermark(u64);
+
+impl Replica for ArchiveWatermark {
+    fn apply(&mut self, _batch: &[u8]) {
+        self.0 += 1;
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.to_le_bytes().to_vec()
+    }
+
+    fn restore(&mut self, data: &[u8]) -> Result<()> {
+        let bytes = data.try_into().map_err(|_| Error::corruption("archive watermark size"))?;
+        self.0 = u64::from_le_bytes(bytes);
+        Ok(())
+    }
+}
+
 // One label per field across all shards: the worker never holds two of
 // store (`wal.shard.inner`, taken inside `ShardStore`)/raft/window at once
 // (each is taken in its own scope), and the debug lock analysis enforces
@@ -69,7 +93,7 @@ pub struct ShardWindow {
 struct ShardState {
     /// Phase-one storage: row store plus, on durable shards, the WAL.
     store: ShardStore,
-    raft: Option<OrderedMutex<InProcCluster>>,
+    raft: Option<OrderedMutex<InProcCluster<ArchiveWatermark>>>,
     window: OrderedMutex<ShardWindow>,
 }
 
@@ -119,8 +143,8 @@ impl Worker {
                 None => ShardStore::in_memory(),
             };
             let raft = if raft_replicas > 1 {
-                let mut cluster = InProcCluster::new(
-                    raft_replicas,
+                let mut cluster = InProcCluster::with_replicas(
+                    vec![ArchiveWatermark::default(); raft_replicas],
                     RaftConfig::default(),
                     seed ^ u64::from(shard.raw()),
                 );
@@ -200,18 +224,7 @@ impl Worker {
         // Now wait for quorum (the paper's sync_queue wait, §4.2): drive
         // the group until the proposed entry commits on the leader.
         if let (Some(raft), Some(index)) = (&state.raft, raft_index) {
-            let mut cluster = raft.lock();
-            let leader = cluster
-                .any_leader()
-                .ok_or_else(|| Error::Raft("shard group lost its leader".into()))?;
-            let mut steps = 0;
-            while cluster.node(leader).commit_index() < index {
-                cluster.step();
-                steps += 1;
-                if steps > 1000 {
-                    return Err(Error::Raft("replication stalled".into()));
-                }
-            }
+            raft.lock().commit(index, 1000)?;
         }
         // Window accounting happens only on success; tally before the
         // records move into the store.
@@ -310,12 +323,16 @@ impl Worker {
 
     /// The archive ack: called by the engine once drained rows are durable
     /// on OSS. Truncates the shard's fully-archived WAL prefix and compacts
-    /// the replicated log. Truncation I/O errors propagate — the WAL keeps
-    /// the extra segments (at-least-once replay), but the condition is
-    /// loud instead of silently leaking disk.
+    /// the replicated log on every replica (the checkpoint task the paper's
+    /// controller schedules). Truncation I/O errors propagate — the WAL
+    /// keeps the extra segments (at-least-once replay), but the condition
+    /// is loud instead of silently leaking disk.
     pub fn ack_archived(&self, shard: ShardId) -> Result<()> {
         self.close_archive_op(shard)?;
-        self.compact_raft_log(shard)
+        match &self.shard(shard)?.raft {
+            Some(raft) => raft.lock().compact(),
+            None => Ok(()),
+        }
     }
 
     /// Acks a successful rebalance flush ([`Worker::drain_tenant`]): closes
@@ -355,23 +372,6 @@ impl Worker {
     /// harness checks after every recovery.
     pub fn shard_counters(&self, shard: ShardId) -> Result<Option<(u64, u64)>> {
         Ok(Some(self.shard(shard)?.store.counters()))
-    }
-
-    /// After the drained rows are durable on OSS, compacts the shard's
-    /// replicated log up to the applied point (the checkpoint task the
-    /// paper's controller schedules). No-op for unreplicated shards.
-    fn compact_raft_log(&self, shard: ShardId) -> Result<()> {
-        let state = self.shard(shard)?;
-        let Some(raft) = &state.raft else { return Ok(()) };
-        let mut cluster = raft.lock();
-        let Some(leader) = cluster.any_leader() else { return Ok(()) };
-        let applied = cluster.node(leader).commit_index();
-        if applied > 0 {
-            // The snapshot payload is the archive watermark; replicas that
-            // fall behind rebuild their row store from OSS, not the log.
-            cluster.node_mut(leader).compact(applied, applied.to_le_bytes().to_vec())?;
-        }
-        Ok(())
     }
 
     /// The replicated log's compaction point for `shard` (None when the
@@ -619,6 +619,36 @@ mod tests {
         drop(w);
         let w = durable_worker(&dir, 3, config);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0, "acked rows must not resurrect");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_replicated_shard_retains_only_its_unarchived_window() {
+        // Every replica — followers too — must drop the replicated log's
+        // archived prefix at the ack, and nothing may keep a copy of what
+        // was applied: a shard's memory is its unarchived window, however
+        // long it has been ingesting.
+        let dir = temp_dir("retained-window");
+        let w = durable_worker(&dir, 3, WalConfig::default());
+        let mut retained = Vec::new();
+        for round in 0..3 {
+            for i in 0..200 {
+                let batch = RecordBatch::from_records(vec![rec(1, round * 200 + i)]);
+                w.append(ShardId(0), batch).unwrap();
+            }
+            let (_seq, rows) = w.drain_shard_for_build(ShardId(0), 0, true).unwrap().unwrap();
+            assert_eq!(rows.len(), 200);
+            w.ack_archived(ShardId(0)).unwrap();
+            let cluster = w.shards[&ShardId(0)].raft.as_ref().expect("replicated shard").lock();
+            let worst = (0..3u32)
+                .map(|id| cluster.node(logstore_types::NodeId(id)))
+                .map(|n| n.log_len() - n.snapshot_index())
+                .max();
+            retained.push(worst.unwrap());
+        }
+        // A follower learns the last commit one append later, so it may
+        // trail the compaction point by the entries in flight at the ack.
+        assert!(retained.iter().all(|&n| n <= 4), "in-memory log entries per round: {retained:?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

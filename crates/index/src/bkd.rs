@@ -7,12 +7,13 @@
 //! the leaves that can contain matches. This is exactly the shape a 1-D BKD
 //! collapses to, with the same `O(log n + k)` query cost.
 //!
-//! Layout:
+//! Layout — two pack members, so a range query on object storage fetches
+//! the small fence array plus only the leaves that intersect the range:
 //!
 //! ```text
-//! varint n_points, varint leaf_size, varint n_leaves
-//! n_leaves * (ivarint fence_delta, varint leaf_offset_delta, varint leaf_len)
-//! leaf blobs: per leaf, varint count, ivarint value deltas, varint row ids
+//! fences: varint n_points, varint leaf_size, varint n_leaves
+//!         n_leaves * (ivarint fence_delta, varint leaf_offset_delta, varint leaf_len)
+//! leaves: per leaf, varint count, ivarint value deltas, varint row ids
 //! ```
 
 use logstore_codec::varint::{put_ivarint, put_uvarint, read_ivarint, read_uvarint};
@@ -114,15 +115,6 @@ impl BkdWriter {
         }
         (out, blobs)
     }
-
-    /// Serializes the tree into one buffer (header, fences, blob length,
-    /// blob).
-    pub fn finish(self) -> Vec<u8> {
-        let (mut out, blobs) = self.finish_split();
-        put_uvarint(&mut out, blobs.len() as u64);
-        out.extend_from_slice(&blobs);
-        out
-    }
 }
 
 /// The parsed fence array: routes range queries to leaf byte ranges.
@@ -133,10 +125,8 @@ pub struct BkdDictReader {
 }
 
 impl BkdDictReader {
-    /// Parses a header produced by [`BkdWriter::finish_split`]. Trailing
-    /// bytes after the fences are permitted (the combined format appends
-    /// the blob there).
-    pub fn open(data: &[u8]) -> Result<(Self, usize)> {
+    /// Parses a header produced by [`BkdWriter::finish_split`].
+    pub fn open(data: &[u8]) -> Result<Self> {
         let mut pos = 0;
         let n_points = read_uvarint(data, &mut pos)? as usize;
         let _leaf_size = read_uvarint(data, &mut pos)? as usize;
@@ -153,7 +143,10 @@ impl BkdDictReader {
             let len = read_uvarint(data, &mut pos)? as usize;
             fences.push((fence, offset, len));
         }
-        Ok((BkdDictReader { n_points, fences }, pos))
+        if pos != data.len() {
+            return Err(Error::corruption("trailing bytes after bkd fences"));
+        }
+        Ok(BkdDictReader { n_points, fences })
     }
 
     /// Total indexed points.
@@ -214,78 +207,48 @@ impl BkdDictReader {
     }
 }
 
-/// A fully-loaded BKD tree (fences + leaves in memory).
-#[derive(Debug)]
-pub struct BkdReader {
-    dict: BkdDictReader,
-    blobs: Vec<u8>,
-    max_row: u32,
-}
-
-impl BkdReader {
-    /// Parses a combined serialized tree. `max_row` bounds row ids.
-    pub fn open(data: &[u8], max_row: u32) -> Result<Self> {
-        let (dict, mut pos) = BkdDictReader::open(data)?;
-        let blob_len = read_uvarint(data, &mut pos)? as usize;
-        let blobs = data
-            .get(pos..pos + blob_len)
-            .ok_or_else(|| Error::corruption("bkd blob truncated"))?
-            .to_vec();
-        Ok(BkdReader { dict, blobs, max_row })
-    }
-
-    /// Builds a reader from the split representation.
-    pub fn from_parts(dict_bytes: &[u8], blobs: Vec<u8>, max_row: u32) -> Result<Self> {
-        let (dict, _) = BkdDictReader::open(dict_bytes)?;
-        Ok(BkdReader { dict, blobs, max_row })
-    }
-
-    /// Total number of indexed points.
-    pub fn len(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// True if the tree indexes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.dict.is_empty()
-    }
-
-    /// Returns the sorted, deduplicated row ids of points with
-    /// `lo <= value <= hi`.
-    pub fn query_range(&self, lo: i64, hi: i64) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        for (offset, len) in self.dict.leaf_ranges(lo, hi) {
-            let blob = self
-                .blobs
-                .get(offset..offset + len)
-                .ok_or_else(|| Error::corruption("bkd leaf range out of blob"))?;
-            self.dict.scan_leaf_bytes(blob, lo, hi, self.max_row, &mut out)?;
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::{seq::SliceRandom, SeedableRng};
 
-    fn build(points: &[(i64, u32)], leaf: usize) -> BkdReader {
+    /// A split tree held in memory, read the way a LogBlock reads it:
+    /// fence lookup, then a range of the leaves member per leaf.
+    struct Tree {
+        dict: BkdDictReader,
+        leaves: Vec<u8>,
+        max_row: u32,
+    }
+
+    impl Tree {
+        /// Sorted, deduplicated row ids of points with `lo <= value <= hi`.
+        fn query_range(&self, lo: i64, hi: i64) -> Result<Vec<u32>> {
+            let mut out = Vec::new();
+            for (offset, len) in self.dict.leaf_ranges(lo, hi) {
+                let leaf = &self.leaves[offset..offset + len];
+                self.dict.scan_leaf_bytes(leaf, lo, hi, self.max_row, &mut out)?;
+            }
+            out.sort_unstable();
+            out.dedup();
+            Ok(out)
+        }
+    }
+
+    fn build(points: &[(i64, u32)], leaf: usize) -> Tree {
         let mut w = BkdWriter::with_leaf_size(leaf);
         for &(v, id) in points {
             w.add(v, id);
         }
         let max_row = points.iter().map(|p| p.1).max().map_or(0, |m| m + 1);
-        BkdReader::open(&w.finish(), max_row).unwrap()
+        let (dict, leaves) = w.finish_split();
+        Tree { dict: BkdDictReader::open(&dict).unwrap(), leaves, max_row }
     }
 
     #[test]
     fn empty_tree() {
         let r = build(&[], 4);
-        assert!(r.is_empty());
+        assert!(r.dict.is_empty() && r.leaves.is_empty());
         assert_eq!(r.query_range(i64::MIN, i64::MAX).unwrap(), Vec::<u32>::new());
     }
 
@@ -350,8 +313,17 @@ mod tests {
         for i in 0..100 {
             w.add(i, i as u32);
         }
-        let bytes = w.finish();
-        assert!(BkdReader::open(&bytes[..bytes.len() / 2], 100).is_err());
+        let (dict, leaves) = w.finish_split();
+        assert!(BkdDictReader::open(&dict[..dict.len() / 2]).is_err());
+        // The fence array is a whole pack member: nothing may follow it.
+        let mut padded = dict.clone();
+        padded.push(0);
+        assert!(BkdDictReader::open(&padded).is_err());
+        // A leaf cut short, or naming a row the block lacks.
+        let dict = BkdDictReader::open(&dict).unwrap();
+        let mut out = Vec::new();
+        assert!(dict.scan_leaf_bytes(&leaves[..leaves.len() / 2], 0, 99, 100, &mut out).is_err());
+        assert!(dict.scan_leaf_bytes(&leaves, 0, 99, 50, &mut out).is_err());
     }
 
     proptest! {

@@ -8,16 +8,17 @@
 //! * **Token** terms — lowercased alphanumeric runs, supporting full-text
 //!   `col CONTAINS 'term'` (the paper's headline retrieval feature).
 //!
-//! Layout:
+//! Layout — two pack members, so a lookup on object storage fetches the
+//! dictionary plus *one* posting list instead of the whole index:
 //!
 //! ```text
-//! varint n_terms
-//! n_terms * (kind u8, term str, varint offset, varint len)   -- sorted
-//! varint blob_len, postings blob
+//! dictionary: varint n_terms
+//!             n_terms * (kind u8, term str, varint offset, varint len)   -- sorted
+//! postings:   the concatenated posting lists the dictionary points into
 //! ```
 //!
 //! The dictionary is parsed eagerly at open (it is small); posting lists are
-//! decoded on demand.
+//! range-read and decoded on demand.
 
 use crate::postings;
 use crate::tokenizer::{clamp_term, tokenize};
@@ -120,14 +121,6 @@ impl InvertedIndexWriter {
         }
         (dict, blob)
     }
-
-    /// Serializes the index into one buffer (dictionary, blob length, blob).
-    pub fn finish(self) -> Vec<u8> {
-        let (mut out, blob) = self.finish_split();
-        put_uvarint(&mut out, blob.len() as u64);
-        out.extend_from_slice(&blob);
-        out
-    }
 }
 
 /// The parsed term dictionary: resolves a term to its posting-list range
@@ -140,9 +133,7 @@ pub struct InvertedDictReader {
 
 impl InvertedDictReader {
     /// Parses a dictionary produced by [`InvertedIndexWriter::finish_split`].
-    /// Trailing bytes after the entries are permitted (the combined format
-    /// appends the blob there).
-    pub fn open(data: &[u8]) -> Result<(Self, usize)> {
+    pub fn open(data: &[u8]) -> Result<Self> {
         let mut pos = 0;
         let n = read_uvarint(data, &mut pos)? as usize;
         if n > data.len() {
@@ -161,7 +152,10 @@ impl InvertedDictReader {
         if !dict.windows(2).all(|w| (w[0].0, &w[0].1) <= (w[1].0, &w[1].1)) {
             return Err(Error::corruption("inverted dictionary not sorted"));
         }
-        Ok((InvertedDictReader { dict }, pos))
+        if pos != data.len() {
+            return Err(Error::corruption("trailing bytes after inverted dictionary"));
+        }
+        Ok(InvertedDictReader { dict })
     }
 
     /// Number of terms.
@@ -185,75 +179,47 @@ impl InvertedDictReader {
     }
 }
 
-/// A fully-loaded inverted index (dictionary + postings in memory).
-#[derive(Debug)]
-pub struct InvertedIndexReader {
-    dict: InvertedDictReader,
-    blob: Vec<u8>,
-    max_row: u32,
-}
-
-impl InvertedIndexReader {
-    /// Parses a combined serialized index. `max_row` is the row count of
-    /// the block (bounds posting ids).
-    pub fn open(data: &[u8], max_row: u32) -> Result<Self> {
-        let (dict, mut pos) = InvertedDictReader::open(data)?;
-        let blob_len = read_uvarint(data, &mut pos)? as usize;
-        let blob = data
-            .get(pos..pos + blob_len)
-            .ok_or_else(|| Error::corruption("posting blob truncated"))?
-            .to_vec();
-        Ok(InvertedIndexReader { dict, blob, max_row })
-    }
-
-    /// Builds a reader from the split representation.
-    pub fn from_parts(dict_bytes: &[u8], blob: Vec<u8>, max_row: u32) -> Result<Self> {
-        let (dict, _) = InvertedDictReader::open(dict_bytes)?;
-        Ok(InvertedIndexReader { dict, blob, max_row })
-    }
-
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.dict.term_count()
-    }
-
-    /// Looks up a term, returning its sorted row ids (empty if absent).
-    pub fn lookup(&self, kind: TermKind, term: &str) -> Result<Vec<u32>> {
-        match self.dict.lookup_range(kind, term) {
-            Some((offset, len)) => {
-                let bytes = self
-                    .blob
-                    .get(offset..offset + len)
-                    .ok_or_else(|| Error::corruption("posting range out of blob"))?;
-                postings::decode(bytes, self.max_row)
-            }
-            None => Ok(Vec::new()),
-        }
-    }
-
-    /// Equality lookup on the whole cell value.
-    pub fn lookup_exact(&self, value: &str) -> Result<Vec<u32>> {
-        self.lookup(TermKind::Exact, value)
-    }
-
-    /// Full-text lookup of one token (normalized like the tokenizer).
-    pub fn lookup_token(&self, token: &str) -> Result<Vec<u32>> {
-        self.lookup(TermKind::Token, &token.to_ascii_lowercase())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn build(values: &[&str]) -> InvertedIndexReader {
+    /// A split index held in memory, read the way a LogBlock reads it:
+    /// dictionary lookup, then a range of the postings member.
+    struct Index {
+        dict: InvertedDictReader,
+        blob: Vec<u8>,
+        max_row: u32,
+    }
+
+    impl Index {
+        fn lookup(&self, kind: TermKind, term: &str) -> Result<Vec<u32>> {
+            match self.dict.lookup_range(kind, term) {
+                Some((offset, len)) => InvertedDictReader::decode_postings(
+                    &self.blob[offset..offset + len],
+                    self.max_row,
+                ),
+                None => Ok(Vec::new()),
+            }
+        }
+
+        fn lookup_exact(&self, value: &str) -> Result<Vec<u32>> {
+            self.lookup(TermKind::Exact, value)
+        }
+
+        fn lookup_token(&self, token: &str) -> Result<Vec<u32>> {
+            self.lookup(TermKind::Token, &token.to_ascii_lowercase())
+        }
+    }
+
+    fn build(values: &[&str]) -> Index {
         let mut w = InvertedIndexWriter::new();
         for (i, v) in values.iter().enumerate() {
             w.add(i as u32, v);
         }
-        let bytes = w.finish();
-        InvertedIndexReader::open(&bytes, values.len() as u32).unwrap()
+        let (dict, blob) = w.finish_split();
+        let dict = InvertedDictReader::open(&dict).unwrap();
+        Index { dict, blob, max_row: values.len() as u32 }
     }
 
     #[test]
@@ -274,10 +240,9 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let w = InvertedIndexWriter::new();
-        let bytes = w.finish();
-        let r = InvertedIndexReader::open(&bytes, 0).unwrap();
-        assert_eq!(r.term_count(), 0);
+        let r = build(&[]);
+        assert_eq!(r.dict.term_count(), 0);
+        assert!(r.blob.is_empty());
         assert_eq!(r.lookup_token("x").unwrap(), Vec::<u32>::new());
     }
 
@@ -300,9 +265,21 @@ mod tests {
     fn corrupted_bytes_rejected() {
         let mut w = InvertedIndexWriter::new();
         w.add(0, "hello world");
-        let bytes = w.finish();
-        assert!(InvertedIndexReader::open(&bytes[..bytes.len() / 2], 1).is_err());
-        assert!(InvertedIndexReader::open(&[], 1).is_err());
+        let (dict, blob) = w.finish_split();
+        assert!(InvertedDictReader::open(&dict[..dict.len() / 2]).is_err());
+        assert!(InvertedDictReader::open(&[]).is_err());
+        // The dictionary is a whole pack member: nothing may follow it.
+        let mut padded = dict.clone();
+        padded.push(0);
+        assert!(InvertedDictReader::open(&padded).is_err());
+        // A posting list cut short, or naming a row the block lacks.
+        let (offset, len) = InvertedDictReader::open(&dict)
+            .unwrap()
+            .lookup_range(TermKind::Token, "hello")
+            .unwrap();
+        let list = &blob[offset..offset + len];
+        assert!(InvertedDictReader::decode_postings(&list[..len - 1], 1).is_err());
+        assert!(InvertedDictReader::decode_postings(list, 0).is_err());
     }
 
     proptest! {

@@ -16,7 +16,7 @@ pub mod rowset;
 pub mod sma;
 pub mod tokenizer;
 
-pub use bkd::{BkdDictReader, BkdReader, BkdWriter};
-pub use inverted::{InvertedDictReader, InvertedIndexReader, InvertedIndexWriter, TermKind};
+pub use bkd::{BkdDictReader, BkdWriter};
+pub use inverted::{InvertedDictReader, InvertedIndexWriter, TermKind};
 pub use rowset::RowIdSet;
 pub use sma::Sma;

@@ -9,18 +9,11 @@ use crate::column::{decode_block, decode_block_into, ColumnVec};
 use crate::meta::{col_member, index_data_member, index_member, LogBlockMeta, META_MEMBER};
 use crate::pack::{PackReader, RangeSource};
 use logstore_index::inverted::TermKind;
-use logstore_index::{BkdDictReader, BkdReader, InvertedDictReader, InvertedIndexReader};
+use logstore_index::{BkdDictReader, InvertedDictReader};
+use logstore_sync::OrderedMutex;
 use logstore_types::{Error, IndexKind, Result, TableSchema, Value};
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// A parsed per-column index.
-pub enum ColumnIndex {
-    /// Inverted index of a string column.
-    Inverted(InvertedIndexReader),
-    /// BKD tree of a numeric column.
-    Bkd(BkdReader),
-}
+use std::sync::Arc;
 
 enum CachedDict {
     Inverted(InvertedDictReader),
@@ -32,8 +25,9 @@ pub struct LogBlockReader<S> {
     pack: PackReader<S>,
     meta: LogBlockMeta,
     // Index dictionaries parsed on first use; postings/leaves are always
-    // range-read per lookup (the OSS-friendly access pattern).
-    dicts: Mutex<HashMap<usize, std::sync::Arc<CachedDict>>>,
+    // range-read per lookup (the OSS-friendly access pattern). Never held
+    // across I/O: the pack read happens between the two lock scopes.
+    dicts: OrderedMutex<HashMap<usize, Arc<CachedDict>>>,
 }
 
 impl<S: RangeSource> LogBlockReader<S> {
@@ -41,7 +35,8 @@ impl<S: RangeSource> LogBlockReader<S> {
     pub fn open(source: S) -> Result<Self> {
         let pack = PackReader::open(source)?;
         let meta = LogBlockMeta::deserialize(&pack.read_member_shared(META_MEMBER)?)?;
-        Ok(LogBlockReader { pack, meta, dicts: Mutex::new(HashMap::new()) })
+        let dicts = OrderedMutex::new("logblock.reader.dicts", HashMap::new());
+        Ok(LogBlockReader { pack, meta, dicts })
     }
 
     /// The block's metadata.
@@ -64,40 +59,9 @@ impl<S: RangeSource> LogBlockReader<S> {
         &self.pack
     }
 
-    /// Loads column `col`'s whole index into memory, if it has one.
-    /// Prefer the lazy [`LogBlockReader::index_lookup_exact`] /
-    /// [`LogBlockReader::index_lookup_token`] /
-    /// [`LogBlockReader::index_query_range`] on remote sources — those
-    /// fetch only the dictionary plus the posting lists / leaves a lookup
-    /// actually needs.
-    pub fn read_index(&self, col: usize) -> Result<Option<ColumnIndex>> {
-        let cm = self
-            .meta
-            .columns
-            .get(col)
-            .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
-        match cm.index {
-            IndexKind::None => Ok(None),
-            IndexKind::Inverted | IndexKind::FullText => {
-                let dict = self.pack.read_member_shared(&index_member(col))?;
-                let blob = self.pack.read_member(&index_data_member(col))?;
-                Ok(Some(ColumnIndex::Inverted(InvertedIndexReader::from_parts(
-                    &dict,
-                    blob,
-                    self.meta.row_count,
-                )?)))
-            }
-            IndexKind::Bkd => {
-                let dict = self.pack.read_member_shared(&index_member(col))?;
-                let blob = self.pack.read_member(&index_data_member(col))?;
-                Ok(Some(ColumnIndex::Bkd(BkdReader::from_parts(&dict, blob, self.meta.row_count)?)))
-            }
-        }
-    }
-
-    fn dict(&self, col: usize) -> Result<std::sync::Arc<CachedDict>> {
-        if let Some(dict) = self.dicts.lock().expect("dict lock").get(&col) {
-            return Ok(std::sync::Arc::clone(dict));
+    fn dict(&self, col: usize) -> Result<Arc<CachedDict>> {
+        if let Some(dict) = self.dicts.lock().get(&col) {
+            return Ok(Arc::clone(dict));
         }
         let cm = self
             .meta
@@ -107,13 +71,13 @@ impl<S: RangeSource> LogBlockReader<S> {
         let bytes = self.pack.read_member_shared(&index_member(col))?;
         let dict = match cm.index {
             IndexKind::Inverted | IndexKind::FullText => {
-                CachedDict::Inverted(InvertedDictReader::open(&bytes)?.0)
+                CachedDict::Inverted(InvertedDictReader::open(&bytes)?)
             }
-            IndexKind::Bkd => CachedDict::Bkd(BkdDictReader::open(&bytes)?.0),
+            IndexKind::Bkd => CachedDict::Bkd(BkdDictReader::open(&bytes)?),
             IndexKind::None => return Err(Error::invalid(format!("column {col} has no index"))),
         };
-        let dict = std::sync::Arc::new(dict);
-        self.dicts.lock().expect("dict lock").insert(col, std::sync::Arc::clone(&dict));
+        let dict = Arc::new(dict);
+        self.dicts.lock().insert(col, Arc::clone(&dict));
         Ok(dict)
     }
 
@@ -309,31 +273,28 @@ mod tests {
     fn inverted_index_lookup_through_reader() {
         let r = LogBlockReader::open(build_block(50, 8)).unwrap();
         let api_col = r.schema().column_index("api").unwrap();
-        let Some(ColumnIndex::Inverted(idx)) = r.read_index(api_col).unwrap() else {
-            panic!("api column should carry an inverted index");
-        };
-        let hits = idx.lookup_exact("/api/users").unwrap();
+        let hits = r.index_lookup_exact(api_col, "/api/users").unwrap();
         assert_eq!(hits, (0..50).filter(|i| i % 2 == 0).collect::<Vec<u32>>());
-        let token_hits = idx.lookup_token("orders").unwrap();
+        let token_hits = r.index_lookup_token(api_col, "ORDERS").unwrap();
         assert_eq!(token_hits, (0..50).filter(|i| i % 2 == 1).collect::<Vec<u32>>());
+        assert!(r.index_query_range(api_col, 0, 1).is_err(), "api carries no bkd tree");
     }
 
     #[test]
     fn bkd_index_lookup_through_reader() {
         let r = LogBlockReader::open(build_block(50, 8)).unwrap();
         let ts_col = r.schema().column_index("ts").unwrap();
-        let Some(ColumnIndex::Bkd(idx)) = r.read_index(ts_col).unwrap() else {
-            panic!("ts column should carry a bkd index");
-        };
-        let hits = idx.query_range(1010, 1019).unwrap();
+        let hits = r.index_query_range(ts_col, 1010, 1019).unwrap();
         assert_eq!(hits, (10..20).collect::<Vec<u32>>());
+        assert!(r.index_lookup_exact(ts_col, "1010").is_err(), "ts carries no inverted index");
     }
 
     #[test]
-    fn unindexed_column_returns_none() {
+    fn unindexed_column_has_no_index_to_look_up() {
         let r = LogBlockReader::open(build_block(10, 8)).unwrap();
         let lat = r.schema().column_index("latency").unwrap();
-        assert!(r.read_index(lat).unwrap().is_none());
+        assert!(r.index_query_range(lat, 0, 500).is_err());
+        assert!(r.index_lookup_exact(lat, "7").is_err());
     }
 
     #[test]

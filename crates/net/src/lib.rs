@@ -1,4 +1,8 @@
-//! A deterministic simulated message network for control-plane RPC.
+//! The deterministic simulated message network — the one type in the tree
+//! that queues messages between simulated nodes. The control plane's RPC
+//! links (`core::controller`) and every Raft group's links
+//! (`logstore_raft::InProcCluster`: the controller replicas and each
+//! shard's replicas) are instances of it.
 //!
 //! Endpoints are small integer addresses; [`SimNet::send`] enqueues a
 //! typed [`Envelope`] on the directed per-link queue, and each
@@ -14,7 +18,8 @@
 //! * **Drop** — a message sent while its link is within the drop
 //!   probability roll is discarded at send time and never delivered.
 //! * **Duplicate** — a message may be enqueued twice (budget: one extra
-//!   copy per send); both copies carry the same `seq`.
+//!   copy per send); both copies carry the same `seq`. Only that extra
+//!   copy is cloned: a message otherwise moves from `send` to `step`.
 //! * **Reorder** — when enabled, each copy draws an independent delivery
 //!   delay in `[1, max_delay]`, so later sends can overtake earlier ones.
 //!   When disabled every message takes exactly one tick and per-link FIFO
@@ -92,7 +97,7 @@ pub struct NetStats {
     pub duplicated: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InFlight<M> {
     env: Envelope<M>,
     /// Virtual time at which the copy becomes deliverable.
@@ -180,29 +185,29 @@ impl<M: Clone> SimNet<M> {
             self.stats.dropped += 1;
             return seq;
         }
-        let copies = if self.faults.duplicate_probability > 0.0
+        if self.faults.duplicate_probability > 0.0
             && self.rng.gen_bool(self.faults.duplicate_probability)
         {
             self.stats.duplicated += 1;
-            2
+            self.enqueue(from, to, seq, msg.clone());
+        }
+        self.enqueue(from, to, seq, msg);
+        seq
+    }
+
+    fn enqueue(&mut self, from: u32, to: u32, seq: u64, msg: M) {
+        let delay = if self.faults.reorder {
+            self.rng.gen_range(1..=self.faults.max_delay.max(1))
         } else {
             1
         };
-        for _ in 0..copies {
-            let delay = if self.faults.reorder {
-                self.rng.gen_range(1..=self.faults.max_delay.max(1))
-            } else {
-                1
-            };
-            let order = self.next_order;
-            self.next_order += 1;
-            self.links.entry((from, to)).or_default().push(InFlight {
-                env: Envelope { from, to, seq, msg: msg.clone() },
-                due: self.now + delay,
-                order,
-            });
-        }
-        seq
+        let order = self.next_order;
+        self.next_order += 1;
+        self.links.entry((from, to)).or_default().push(InFlight {
+            env: Envelope { from, to, seq, msg },
+            due: self.now + delay,
+            order,
+        });
     }
 
     /// Advances virtual time one tick and returns every envelope due for
@@ -217,15 +222,7 @@ impl<M: Clone> SimNet<M> {
             if self.cuts.contains(&link) {
                 continue;
             }
-            let mut due: Vec<InFlight<M>> = Vec::new();
-            queue.retain_mut(|m| {
-                if m.due <= now {
-                    due.push(InFlight { env: m.env.clone(), due: m.due, order: m.order });
-                    false
-                } else {
-                    true
-                }
-            });
+            let mut due: Vec<_> = queue.extract_if(.., |m| m.due <= now).collect();
             due.sort_by_key(|m| (m.due, m.order));
             out.extend(due.into_iter().map(|m| m.env));
         }

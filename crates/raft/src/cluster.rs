@@ -1,35 +1,85 @@
-//! In-process Raft cluster harness with fault injection.
+//! The Raft group driver: N [`RaftNode`]s, one [`Replica`] state machine
+//! per node, and the seeded [`SimNet`] that carries their messages.
 //!
-//! Runs N [`RaftNode`]s over a simulated network: messages produced in step
-//! `k` are delivered in step `k+1`; links can be cut (partitions) and
-//! messages dropped probabilistically. Deterministic under a fixed seed,
-//! which keeps the consensus tests reproducible.
+//! Messages produced in step `k` are delivered in step `k+1`; links can be
+//! cut (partitions) and messages dropped probabilistically. Each step hands
+//! every newly committed entry straight from a node's log to that node's
+//! replica — the driver keeps no copy of what was applied. Deterministic
+//! under a fixed seed, which keeps the consensus tests reproducible.
 
-use crate::message::Envelope;
+use crate::message::RaftMessage;
 use crate::node::{RaftConfig, RaftNode, Role};
-use logstore_types::{NodeId, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use logstore_net::{NetFaults, SimNet};
+use logstore_types::{Error, NodeId, Result};
 
-/// A simulated Raft group.
-pub struct InProcCluster {
+/// A replicated state machine: what one node of a group applies committed
+/// entries to, and what log compaction folds its applied prefix into.
+pub trait Replica {
+    /// Applies one committed payload (never the empty election barrier).
+    fn apply(&mut self, payload: &[u8]);
+    /// The state after everything applied so far.
+    fn snapshot(&self) -> Vec<u8>;
+    /// Replaces the state with a [`Replica::snapshot`] of a peer.
+    fn restore(&mut self, data: &[u8]) -> Result<()>;
+}
+
+/// The replica of a group that only needs consensus (probes, elections):
+/// applies nothing and keeps nothing.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Discard;
+
+impl Replica for Discard {
+    fn apply(&mut self, _payload: &[u8]) {}
+
+    fn snapshot(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn restore(&mut self, _data: &[u8]) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The recording replica of tests and benches: the applied payloads in
+/// order. A restored snapshot counts as one entry — the concatenation of
+/// the history it replaces — so `concat()` reads the same on a replica that
+/// caught up by snapshot as on one that replayed the full log.
+impl Replica for Vec<Vec<u8>> {
+    fn apply(&mut self, payload: &[u8]) {
+        self.push(payload.to_vec());
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.concat()
+    }
+
+    fn restore(&mut self, data: &[u8]) -> Result<()> {
+        *self = vec![data.to_vec()];
+        Ok(())
+    }
+}
+
+/// A simulated Raft group and its replicas.
+pub struct InProcCluster<R = Discard> {
     nodes: Vec<RaftNode>,
-    pending: VecDeque<Envelope>,
-    cut_links: HashSet<(u32, u32)>,
-    drop_rate: f64,
-    rng: StdRng,
-    /// Applied payloads per node, in apply order.
-    applied: Vec<Vec<Vec<u8>>>,
-    /// Last snapshot each node installed from a leader, if any:
-    /// `(last_included_index, data)`.
-    snapshots: Vec<Option<(u64, Vec<u8>)>>,
+    replicas: Vec<R>,
+    net: SimNet<RaftMessage>,
+    /// The first failed [`Replica::restore`]: that replica has diverged, so
+    /// [`InProcCluster::commit`] and [`InProcCluster::compact`] refuse.
+    diverged: Option<String>,
 }
 
 impl InProcCluster {
-    /// Creates an `n`-node cluster.
+    /// Creates an `n`-node group that discards what it commits.
     pub fn new(n: usize, config: RaftConfig, seed: u64) -> Self {
-        let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        Self::with_replicas(vec![Discard; n], config, seed)
+    }
+}
+
+impl<R: Replica> InProcCluster<R> {
+    /// Creates a group with one node per replica, in node-id order.
+    pub fn with_replicas(replicas: Vec<R>, config: RaftConfig, seed: u64) -> Self {
+        let ids: Vec<NodeId> = (0..replicas.len() as u32).map(NodeId).collect();
         let nodes = ids
             .iter()
             .map(|&id| {
@@ -37,72 +87,58 @@ impl InProcCluster {
                 RaftNode::new(id, peers, config.clone(), seed)
             })
             .collect();
-        InProcCluster {
-            nodes,
-            pending: VecDeque::new(),
-            cut_links: HashSet::new(),
-            drop_rate: 0.0,
-            rng: StdRng::seed_from_u64(seed),
-            applied: vec![Vec::new(); n],
-            snapshots: vec![None; n],
-        }
+        InProcCluster { nodes, replicas, net: SimNet::new(seed), diverged: None }
     }
 
     /// Sets a uniform message-loss probability.
     pub fn set_drop_rate(&mut self, rate: f64) {
-        self.drop_rate = rate;
+        self.net.set_faults(NetFaults { drop_probability: rate, ..NetFaults::default() });
     }
 
     /// Cuts both directions between `a` and `b`.
     pub fn cut(&mut self, a: NodeId, b: NodeId) {
-        self.cut_links.insert((a.raw(), b.raw()));
-        self.cut_links.insert((b.raw(), a.raw()));
+        self.net.cut(a.raw(), b.raw());
+        self.net.cut(b.raw(), a.raw());
     }
 
     /// Isolates a node from everyone.
     pub fn isolate(&mut self, node: NodeId) {
-        for other in 0..self.nodes.len() as u32 {
-            if other != node.raw() {
-                self.cut(node, NodeId(other));
-            }
-        }
+        self.net.isolate(node.raw(), 0..self.nodes.len() as u32);
     }
 
     /// Heals all partitions.
     pub fn heal(&mut self) {
-        self.cut_links.clear();
+        self.net.heal();
     }
 
-    /// One simulation step: deliver last step's messages, then tick.
+    /// One simulation step: deliver last step's messages, tick every node,
+    /// then hand each node's newly committed entries (or an installed
+    /// snapshot, which replaces the prefix) to its replica.
     pub fn step(&mut self) {
-        let batch: Vec<Envelope> = self.pending.drain(..).collect();
-        for env in batch {
-            if self.cut_links.contains(&(env.from.raw(), env.to.raw())) {
-                continue;
+        for env in self.net.step() {
+            for (to, message) in self.nodes[env.to as usize].handle(NodeId(env.from), env.msg) {
+                self.net.send(env.to, to.raw(), message);
             }
-            if self.drop_rate > 0.0 && self.rng.gen_bool(self.drop_rate) {
-                continue;
-            }
-            let responses = self.nodes[env.to.raw() as usize].handle(env.from, env.message);
-            self.pending.extend(responses);
         }
         for node in &mut self.nodes {
-            let out = node.tick();
-            self.pending.extend(out);
-        }
-        // Drain apply queues into the harness's applied record; restore
-        // state from installed snapshots first (they replace the prefix).
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(snapshot) = node.take_pending_snapshot() {
-                self.snapshots[i] = Some(snapshot);
+            let from = node.id().raw();
+            for (to, message) in node.tick() {
+                self.net.send(from, to.raw(), message);
             }
-            for entry in node.take_committed(usize::MAX) {
-                // Leaders append an empty no-op barrier on election; it
-                // carries no application payload.
-                if !entry.payload.is_empty() {
-                    self.applied[i].push(entry.payload);
+        }
+        for (node, replica) in self.nodes.iter_mut().zip(&mut self.replicas) {
+            if let Some(data) = node.take_snapshot_to_restore() {
+                if let Err(e) = replica.restore(data) {
+                    self.diverged.get_or_insert(format!("node {}: {e}", node.id().raw()));
                 }
             }
+            // Leaders append an empty no-op barrier on election; it carries
+            // no application payload.
+            node.apply_committed(|entry| {
+                if !entry.payload.is_empty() {
+                    replica.apply(&entry.payload);
+                }
+            });
         }
     }
 
@@ -135,9 +171,43 @@ impl InProcCluster {
 
     /// Proposes on the current leader.
     pub fn propose(&mut self, payload: Vec<u8>) -> Result<u64> {
-        let leader =
-            self.any_leader().ok_or_else(|| logstore_types::Error::Raft("no leader".into()))?;
+        let leader = self.any_leader().ok_or_else(|| Error::Raft("no leader".into()))?;
         self.nodes[leader.raw() as usize].propose(payload)
+    }
+
+    /// The quorum wait (the paper's sync-queue wait, §4.2): steps the group
+    /// until the leader's commit index covers `index`, for at most
+    /// `max_steps` steps.
+    pub fn commit(&mut self, index: u64, max_steps: usize) -> Result<()> {
+        let leader =
+            self.any_leader().ok_or_else(|| Error::Raft("group lost its leader".into()))?;
+        let mut steps = 0;
+        while self.node(leader).commit_index() < index {
+            if steps > max_steps {
+                return Err(Error::Raft("replication stalled".into()));
+            }
+            self.step();
+            steps += 1;
+        }
+        self.healthy()
+    }
+
+    /// Group-wide log compaction: every node, follower or leader, folds its
+    /// own applied prefix into its replica's snapshot, so no node retains
+    /// more than its unapplied suffix.
+    pub fn compact(&mut self) -> Result<()> {
+        self.healthy()?;
+        for (node, replica) in self.nodes.iter_mut().zip(&self.replicas) {
+            if node.last_applied() > node.snapshot_index() {
+                node.compact(node.last_applied(), replica.snapshot())?;
+            }
+        }
+        Ok(())
+    }
+
+    fn healthy(&self) -> Result<()> {
+        let failed = |why| Error::Raft(format!("replica failed to restore a snapshot: {why}"));
+        self.diverged.as_ref().map_or(Ok(()), |why| Err(failed(why)))
     }
 
     /// Immutable node access.
@@ -145,29 +215,14 @@ impl InProcCluster {
         &self.nodes[id.raw() as usize]
     }
 
-    /// Mutable node access (tests).
+    /// Mutable node access (proposing on one specific node; tests).
     pub fn node_mut(&mut self, id: NodeId) -> &mut RaftNode {
         &mut self.nodes[id.raw() as usize]
     }
 
-    /// Payloads applied by `id`, in order.
-    pub fn applied(&self, id: NodeId) -> &[Vec<u8>] {
-        &self.applied[id.raw() as usize]
-    }
-
-    /// The last snapshot `id` installed from a leader, if any.
-    pub fn installed_snapshot(&self, id: NodeId) -> Option<&(u64, Vec<u8>)> {
-        self.snapshots[id.raw() as usize].as_ref()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Clusters are never empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// The state machine of node `id`.
+    pub fn replica(&self, id: NodeId) -> &R {
+        &self.replicas[id.raw() as usize]
     }
 }
 
@@ -175,8 +230,9 @@ impl InProcCluster {
 mod tests {
     use super::*;
 
-    fn cluster(n: usize, seed: u64) -> InProcCluster {
-        InProcCluster::new(n, RaftConfig::default(), seed)
+    /// A group whose replicas record what they apply.
+    fn cluster(n: usize, seed: u64) -> InProcCluster<Vec<Vec<u8>>> {
+        InProcCluster::with_replicas(vec![Vec::new(); n], RaftConfig::default(), seed)
     }
 
     #[test]
@@ -199,7 +255,7 @@ mod tests {
         }
         let expect: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i]).collect();
         for id in 0..3u32 {
-            assert_eq!(c.applied(NodeId(id)), expect.as_slice(), "node {id} diverged");
+            assert_eq!(c.replica(NodeId(id)), &expect, "node {id} diverged");
         }
     }
 
@@ -232,7 +288,7 @@ mod tests {
         for _ in 0..50 {
             c.step();
         }
-        let applied = c.applied(second);
+        let applied = c.replica(second);
         assert!(applied.len() >= 6, "applied={applied:?}");
         assert_eq!(applied[..5], (0..5u8).map(|i| vec![i]).collect::<Vec<_>>()[..]);
         assert!(applied.contains(&vec![99]));
@@ -262,30 +318,31 @@ mod tests {
         for _ in 0..50 {
             c.step();
         }
-        // Leader compacts everything applied so far into a snapshot; the
-        // discarded entries can now only reach the laggard as a snapshot.
-        let leader_node = c.node_mut(leader);
-        let applied_idx = leader_node.commit_index();
-        leader_node.compact(applied_idx, b"archived-up-to-30".to_vec()).expect("compact");
-        assert_eq!(leader_node.snapshot_index(), applied_idx);
-        assert!(leader_node.log_len() >= applied_idx, "log_len is absolute");
+        // Every node compacts what it applied into its replica's snapshot;
+        // the entries the leader discarded can now only reach the laggard
+        // as a snapshot.
+        let applied_idx = c.node(leader).commit_index();
+        c.compact().expect("compact");
+        assert_eq!(c.node(leader).snapshot_index(), applied_idx);
+        assert!(c.node(leader).log_len() >= applied_idx, "log_len is absolute");
+        assert!(c.node(laggard).snapshot_index() < applied_idx, "the laggard applied less");
 
         c.heal();
         for _ in 0..300 {
             c.step();
         }
-        // The laggard installed the snapshot and is at the leader's commit.
-        let (snap_idx, snap_data) =
-            c.installed_snapshot(laggard).expect("snapshot installed").clone();
-        assert_eq!(snap_idx, applied_idx);
-        assert_eq!(snap_data, b"archived-up-to-30");
+        // The laggard installed the snapshot, restored its replica from it
+        // and is at the leader's commit.
+        assert_eq!(c.node(laggard).snapshot_index(), applied_idx);
+        assert_eq!(c.replica(laggard).concat(), c.replica(leader).concat());
+        assert!(c.replica(laggard).len() < 10, "the missed entries arrived as one snapshot");
         assert_eq!(c.node(laggard).commit_index(), c.node(leader).commit_index());
         // New proposals still replicate to everyone, including the laggard.
         c.propose(vec![99]).unwrap();
         for _ in 0..50 {
             c.step();
         }
-        assert!(c.applied(laggard).contains(&vec![99]));
+        assert!(c.replica(laggard).contains(&vec![99]));
     }
 
     #[test]
@@ -312,15 +369,20 @@ mod tests {
         for _ in 0..50 {
             c.step();
         }
+        // The leader alone compacts, so a follower's compaction point moves
+        // only if it installs a snapshot.
         let applied = c.node(leader).commit_index();
-        c.node_mut(leader).compact(applied, b"snap".to_vec()).unwrap();
+        let snapshot = c.replica(leader).snapshot();
+        c.node_mut(leader).compact(applied, snapshot).unwrap();
         for _ in 0..50 {
             c.step();
         }
-        for id in 0..3u32 {
-            assert!(
-                c.installed_snapshot(NodeId(id)).is_none(),
-                "node {id} needlessly received a snapshot"
+        for id in (0..3u32).map(NodeId).filter(|&id| id != leader) {
+            assert_eq!(
+                c.node(id).snapshot_index(),
+                0,
+                "node {} needlessly received a snapshot",
+                id.raw()
             );
         }
         // Replication continues normally past the compaction point.
@@ -329,7 +391,7 @@ mod tests {
             c.step();
         }
         for id in 0..3u32 {
-            assert!(c.applied(NodeId(id)).contains(&vec![42]));
+            assert!(c.replica(NodeId(id)).contains(&vec![42]));
         }
     }
 
@@ -360,10 +422,10 @@ mod tests {
             c.step();
         }
         // All nodes converge on an identical applied prefix.
-        let reference = c.applied(NodeId(0)).to_vec();
+        let reference = c.replica(NodeId(0));
         assert!(!reference.is_empty());
         for id in 1..5u32 {
-            assert_eq!(c.applied(NodeId(id)), reference.as_slice(), "node {id} diverged");
+            assert_eq!(c.replica(NodeId(id)), reference, "node {id} diverged");
         }
     }
 
@@ -386,9 +448,9 @@ mod tests {
             c.step();
         }
         // Whatever committed is identical everywhere (prefix property).
-        let a0 = c.applied(NodeId(0));
+        let a0 = c.replica(NodeId(0));
         for id in 1..3u32 {
-            let ai = c.applied(NodeId(id));
+            let ai = c.replica(NodeId(id));
             let common = a0.len().min(ai.len());
             assert_eq!(a0[..common], ai[..common], "divergent prefixes");
         }
@@ -396,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn applied_order_matches_proposal_order() {
+    fn apply_order_matches_proposal_order() {
         let mut c = cluster(3, 21);
         c.run_until_leader(200).unwrap();
         for i in 0..50u8 {
@@ -408,7 +470,44 @@ mod tests {
         for _ in 0..100 {
             c.step();
         }
-        let applied = c.applied(NodeId(0));
-        assert_eq!(applied, &(0..50u8).map(|i| vec![i]).collect::<Vec<_>>()[..]);
+        let applied = c.replica(NodeId(0));
+        assert_eq!(applied, &(0..50u8).map(|i| vec![i]).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_long_run_retains_only_the_uncompacted_suffix() {
+        // A group that commits and compacts forever must hold a bounded
+        // number of entries on EVERY node: followers fold their own applied
+        // prefix too, and the driver keeps no copy of what it delivered.
+        let mut c = InProcCluster::new(3, RaftConfig::default(), 13);
+        c.run_until_leader(200).unwrap();
+        let mut retained = Vec::new();
+        for round in 0..3u8 {
+            for i in 0..200u8 {
+                let index = c.propose(vec![round, i]).unwrap();
+                c.commit(index, 1000).unwrap();
+            }
+            c.compact().unwrap();
+            let worst = (0..3u32)
+                .map(|id| c.node(NodeId(id)))
+                .map(|n| n.log_len() - n.snapshot_index())
+                .max();
+            retained.push(worst.unwrap());
+        }
+        // A follower learns the last commit one append later, so it may
+        // trail the leader's compaction point by the entries in flight.
+        assert!(retained.iter().all(|&n| n <= 4), "in-memory entries per round: {retained:?}");
+    }
+
+    #[test]
+    fn commit_reports_a_stalled_group() {
+        let mut c = cluster(3, 15);
+        c.run_until_leader(200).unwrap();
+        let index = c.propose(vec![1]).unwrap();
+        c.commit(index, 1000).unwrap();
+        c.set_drop_rate(1.0);
+        let index = c.propose(vec![2]).unwrap();
+        let err = c.commit(index, 50).unwrap_err();
+        assert!(matches!(err, Error::Raft(_)), "{err}");
     }
 }

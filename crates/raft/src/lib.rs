@@ -10,9 +10,14 @@
 //! before the node becomes unresponsive.
 //!
 //! The implementation is a deterministic, tick-driven state machine
-//! ([`node::RaftNode`]) plus an in-process cluster harness
-//! ([`cluster::InProcCluster`]) with partition and message-loss injection
-//! for tests and benchmarks.
+//! ([`node::RaftNode`]) plus the one group driver
+//! ([`cluster::InProcCluster`]) that both the controller replicas and the
+//! shard groups run: it carries the nodes' messages over a seeded
+//! `logstore_net::SimNet` (partition and message-loss injection), hands
+//! every committed entry to that node's [`cluster::Replica`] state machine
+//! instead of keeping it, and owns the quorum wait
+//! ([`cluster::InProcCluster::commit`]) and group-wide log compaction
+//! ([`cluster::InProcCluster::compact`]).
 
 #![forbid(unsafe_code)]
 
@@ -20,6 +25,6 @@ pub mod cluster;
 pub mod message;
 pub mod node;
 
-pub use cluster::InProcCluster;
+pub use cluster::{Discard, InProcCluster, Replica};
 pub use message::{LogEntry, RaftMessage};
 pub use node::{RaftConfig, RaftNode, Role};

@@ -1,7 +1,5 @@
 //! Raft wire messages and log entries.
 
-use logstore_types::NodeId;
-
 /// One replicated log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
@@ -70,15 +68,4 @@ pub enum RaftMessage {
         /// watermark the shard can rebuild from).
         data: Vec<u8>,
     },
-}
-
-/// An addressed message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
-    /// Sender.
-    pub from: NodeId,
-    /// Recipient.
-    pub to: NodeId,
-    /// Payload.
-    pub message: RaftMessage,
 }

@@ -1,6 +1,6 @@
 //! The Raft state machine (tick-driven, deterministic).
 
-use crate::message::{Envelope, LogEntry, RaftMessage};
+use crate::message::{LogEntry, RaftMessage};
 use logstore_types::{Error, NodeId, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,9 +68,9 @@ pub struct RaftNode {
     snapshot_index: u64,
     snapshot_term: u64,
     snapshot_data: Vec<u8>,
-    // A snapshot received from the leader, waiting for the application to
-    // restore it (see `take_pending_snapshot`).
-    pending_snapshot: Option<(u64, Vec<u8>)>,
+    // `snapshot_data` came from the leader and the application has not
+    // restored it yet (see `take_snapshot_to_restore`).
+    snapshot_pending: bool,
     commit_index: u64,
     last_applied: u64,
 
@@ -79,7 +79,8 @@ pub struct RaftNode {
 
     ticks: u32,
     timeout: u32,
-    outbox: Vec<Envelope>,
+    // Messages staged by the current `tick`/`handle` call: `(to, message)`.
+    outbox: Vec<(NodeId, RaftMessage)>,
 }
 
 impl RaftNode {
@@ -101,7 +102,7 @@ impl RaftNode {
             snapshot_index: 0,
             snapshot_term: 0,
             snapshot_data: Vec::new(),
-            pending_snapshot: None,
+            snapshot_pending: false,
             commit_index: 0,
             last_applied: 0,
             next_index: HashMap::new(),
@@ -183,11 +184,11 @@ impl RaftNode {
     }
 
     fn send(&mut self, to: NodeId, message: RaftMessage) {
-        self.outbox.push(Envelope { from: self.id, to, message });
+        self.outbox.push((to, message));
     }
 
-    /// Advances time by one tick; returns messages to deliver.
-    pub fn tick(&mut self) -> Vec<Envelope> {
+    /// Advances time by one tick; returns `(to, message)` pairs to deliver.
+    pub fn tick(&mut self) -> Vec<(NodeId, RaftMessage)> {
         self.ticks += 1;
         match self.role {
             Role::Leader => {
@@ -292,8 +293,8 @@ impl RaftNode {
         self.send(peer, msg);
     }
 
-    /// Handles one incoming message; returns responses to deliver.
-    pub fn handle(&mut self, from: NodeId, message: RaftMessage) -> Vec<Envelope> {
+    /// Handles one incoming message; returns `(to, message)` responses.
+    pub fn handle(&mut self, from: NodeId, message: RaftMessage) -> Vec<(NodeId, RaftMessage)> {
         let msg_term = match &message {
             RaftMessage::RequestVote { term, .. }
             | RaftMessage::RequestVoteResp { term, .. }
@@ -430,10 +431,13 @@ impl RaftNode {
                         }
                         self.snapshot_index = last_included_index;
                         self.snapshot_term = last_included_term;
-                        self.snapshot_data = data.clone();
+                        self.snapshot_data = data;
                         self.commit_index = self.commit_index.max(last_included_index);
+                        // A node that already applied past the snapshot
+                        // holds everything in it: restoring would roll its
+                        // state machine back.
+                        self.snapshot_pending |= last_included_index > self.last_applied;
                         self.last_applied = self.last_applied.max(last_included_index);
-                        self.pending_snapshot = Some((last_included_index, data));
                     }
                     // Only the snapshot itself is known to match the
                     // leader; any retained suffix is unverified.
@@ -513,17 +517,20 @@ impl RaftNode {
         Ok(index)
     }
 
-    /// Drains up to `max` committed-but-unapplied entries (the apply queue
-    /// consumer: LogStore's worker writes them into the shard store).
-    pub fn take_committed(&mut self, max: usize) -> Vec<LogEntry> {
-        let mut out = Vec::new();
-        while self.last_applied < self.commit_index && out.len() < max {
-            let Some(pos) = self.phys(self.last_applied + 1) else { break };
-            let entry = self.log[pos].clone();
+    /// Hands every committed-but-unapplied entry to `apply` in log order,
+    /// borrowed from the log (the apply queue consumer).
+    pub fn apply_committed(&mut self, mut apply: impl FnMut(&LogEntry)) {
+        while self.last_applied < self.commit_index {
+            let next = self.phys(self.last_applied + 1).and_then(|pos| self.log.get(pos));
+            let Some(entry) = next else { break };
+            apply(entry);
             self.last_applied += 1;
-            out.push(entry);
         }
-        out
+    }
+
+    /// Index of the last entry handed to the application.
+    pub fn last_applied(&self) -> u64 {
+        self.last_applied
     }
 
     /// Log length (for tests / introspection).
@@ -544,9 +551,9 @@ impl RaftNode {
     }
 
     /// Folds every applied entry up to `up_to` into `snapshot` and drops
-    /// them from the in-memory log (leader-side log compaction). Followers
-    /// that fall behind the compaction point receive the snapshot via
-    /// `InstallSnapshot`.
+    /// them from the in-memory log (any role may compact its own applied
+    /// prefix). Followers that fall behind a leader's compaction point
+    /// receive the snapshot via `InstallSnapshot`.
     pub fn compact(&mut self, up_to: u64, snapshot: Vec<u8>) -> Result<()> {
         if up_to > self.last_applied {
             return Err(Error::Raft(format!(
@@ -568,11 +575,10 @@ impl RaftNode {
         Ok(())
     }
 
-    /// A snapshot installed from the leader, if one is waiting for the
-    /// application to restore its state machine from it. Returns
-    /// `(last_included_index, data)`.
-    pub fn take_pending_snapshot(&mut self) -> Option<(u64, Vec<u8>)> {
-        self.pending_snapshot.take()
+    /// The snapshot installed from the leader, if one is waiting for the
+    /// application to restore its state machine from it.
+    pub fn take_snapshot_to_restore(&mut self) -> Option<&[u8]> {
+        std::mem::take(&mut self.snapshot_pending).then_some(self.snapshot_data.as_slice())
     }
 }
 
@@ -591,10 +597,9 @@ mod tests {
         let idx = n.propose(b"x".to_vec()).unwrap();
         assert_eq!(idx, 2);
         assert_eq!(n.commit_index(), 2);
-        let applied = n.take_committed(10);
-        assert_eq!(applied.len(), 2);
-        assert_eq!(applied[0].payload, b"");
-        assert_eq!(applied[1].payload, b"x");
+        let mut applied = Vec::new();
+        n.apply_committed(|entry| applied.push(entry.payload.clone()));
+        assert_eq!(applied, [b"".to_vec(), b"x".to_vec()]);
         assert_eq!(n.apply_queue_len(), 0);
     }
 
@@ -636,13 +641,13 @@ mod tests {
             NodeId(1),
             RaftMessage::RequestVote { term: 1, last_log_index: 0, last_log_term: 0 },
         );
-        assert!(matches!(out[0].message, RaftMessage::RequestVoteResp { granted: true, .. }));
+        assert!(matches!(out[0].1, RaftMessage::RequestVoteResp { granted: true, .. }));
         // Second candidate in the same term is refused.
         let out = n.handle(
             NodeId(2),
             RaftMessage::RequestVote { term: 1, last_log_index: 0, last_log_term: 0 },
         );
-        assert!(matches!(out[0].message, RaftMessage::RequestVoteResp { granted: false, .. }));
+        assert!(matches!(out[0].1, RaftMessage::RequestVoteResp { granted: false, .. }));
     }
 
     #[test]
@@ -664,7 +669,7 @@ mod tests {
             NodeId(1),
             RaftMessage::RequestVote { term: 3, last_log_index: 5, last_log_term: 1 },
         );
-        assert!(matches!(out[0].message, RaftMessage::RequestVoteResp { granted: false, .. }));
+        assert!(matches!(out[0].1, RaftMessage::RequestVoteResp { granted: false, .. }));
     }
 
     #[test]
@@ -714,6 +719,6 @@ mod tests {
                 leader_commit: 0,
             },
         );
-        assert!(matches!(out[0].message, RaftMessage::AppendEntriesResp { success: false, .. }));
+        assert!(matches!(out[0].1, RaftMessage::AppendEntriesResp { success: false, .. }));
     }
 }

@@ -16,15 +16,15 @@
 //!    node's applied command log into a [`ControlState`] yields
 //!    byte-identical encodings on every node.
 //!
-//! A second test wires the controller snapshot through Raft's compaction
-//! hook: a laggard that catches up via snapshot + suffix must land on the
-//! same bytes as a full-log replay.
+//! A second test wires the controller snapshot through the driver's
+//! [`Replica`] seat: a laggard that catches up via a restored snapshot +
+//! suffix must land on the same bytes as a full-log replay.
 //!
 //! Reproduce any failure with the seed printed in its message:
 //! `SIMTEST_SEED=<seed> cargo test -p logstore-raft --test churn`.
 
 use logstore_flow::ctrl::{ControlState, CtrlCmd};
-use logstore_raft::{InProcCluster, RaftConfig};
+use logstore_raft::{InProcCluster, RaftConfig, Replica};
 use logstore_types::{NodeId, ShardId, TenantId, WorkerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,11 +87,14 @@ fn fold_state(entries: &[Vec<u8>]) -> ControlState {
     state
 }
 
+/// A group whose replicas record the payloads they apply, in order.
+type Recording = InProcCluster<Vec<Vec<u8>>>;
+
 /// Any two nodes must agree on the common prefix of their applied logs.
-fn check_prefix_consistency(c: &InProcCluster, seed: u64, round: usize) {
+fn check_prefix_consistency(c: &Recording, seed: u64, round: usize) {
     for a in 0..NODES as u32 {
         for b in (a + 1)..NODES as u32 {
-            let (la, lb) = (c.applied(NodeId(a)), c.applied(NodeId(b)));
+            let (la, lb) = (c.replica(NodeId(a)), c.replica(NodeId(b)));
             let common = la.len().min(lb.len());
             churn_assert!(
                 seed,
@@ -105,19 +108,19 @@ fn check_prefix_consistency(c: &InProcCluster, seed: u64, round: usize) {
 /// The longest prefix applied by a majority of nodes. Prefix consistency
 /// (checked first) guarantees every node with enough entries agrees on the
 /// value at each position, so counting lengths suffices.
-fn majority_prefix(c: &InProcCluster) -> Vec<Vec<u8>> {
+fn majority_prefix(c: &Recording) -> Vec<Vec<u8>> {
     let quorum = NODES / 2 + 1;
-    let mut lens: Vec<usize> = (0..NODES as u32).map(|i| c.applied(NodeId(i)).len()).collect();
+    let mut lens: Vec<usize> = (0..NODES as u32).map(|i| c.replica(NodeId(i)).len()).collect();
     lens.sort_unstable();
     let committed_len = lens[NODES - quorum];
     let longest =
-        (0..NODES as u32).map(NodeId).max_by_key(|&i| c.applied(i).len()).expect("nonempty");
-    c.applied(longest)[..committed_len].to_vec()
+        (0..NODES as u32).map(NodeId).max_by_key(|&i| c.replica(i).len()).expect("nonempty");
+    c.replica(longest)[..committed_len].to_vec()
 }
 
 fn run_churn(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc4_0a_05);
-    let mut c = InProcCluster::new(NODES, RaftConfig::default(), seed);
+    let mut c = InProcCluster::with_replicas(vec![Vec::new(); NODES], RaftConfig::default(), seed);
     c.run_until_leader(500)
         .unwrap_or_else(|| panic!("seed {seed}: no initial leader within 500 steps"));
 
@@ -183,9 +186,9 @@ fn run_churn(seed: u64) {
     let mut converged = false;
     for _ in 0..3000 {
         c.step();
-        let reference = c.applied(NodeId(0)).to_vec();
+        let reference = c.replica(NodeId(0));
         if !reference.is_empty()
-            && (1..NODES as u32).all(|i| c.applied(NodeId(i)) == reference.as_slice())
+            && (1..NODES as u32).all(|i| c.replica(NodeId(i)) == reference)
             && c.sole_leader().is_some()
         {
             converged = true;
@@ -202,7 +205,7 @@ fn run_churn(seed: u64) {
                     n.term(),
                     n.commit_index(),
                     n.log_len(),
-                    c.applied(NodeId(i)).len()
+                    c.replica(NodeId(i)).len()
                 )
             })
             .collect();
@@ -215,7 +218,7 @@ fn run_churn(seed: u64) {
     }
     check_prefix_consistency(&c, seed, ROUNDS);
 
-    let final_log = c.applied(NodeId(0)).to_vec();
+    let final_log = c.replica(NodeId(0)).clone();
     churn_assert!(
         seed,
         final_log.len() >= oracle.len() && final_log[..oracle.len()] == oracle[..],
@@ -241,12 +244,12 @@ fn run_churn(seed: u64) {
 
     // Controller-state convergence: every node's applied command log folds
     // to byte-identical route tables and topology.
-    let reference = fold_state(c.applied(NodeId(0)));
+    let reference = fold_state(c.replica(NodeId(0)));
     let reference_bytes = reference.encode();
     for i in 1..NODES as u32 {
         churn_assert!(
             seed,
-            fold_state(c.applied(NodeId(i))).encode() == reference_bytes,
+            fold_state(c.replica(NodeId(i))).encode() == reference_bytes,
             "node {i}'s folded control state diverged from node 0"
         );
     }
@@ -267,12 +270,40 @@ fn seeded_partition_heal_churn() {
     }
 }
 
-/// The controller snapshot path wired through Raft's compaction hook:
-/// a replica that catches up via an installed snapshot plus the log
-/// suffix must reach a control state byte-identical to a full replay.
+/// The controller's state machine in the driver's [`Replica`] seat, plus
+/// what the oracle needs: the payloads applied one by one and the number
+/// of snapshots restored.
+#[derive(Default)]
+struct CtrlReplica {
+    state: ControlState,
+    applied: Vec<Vec<u8>>,
+    restores: usize,
+}
+
+impl Replica for CtrlReplica {
+    fn apply(&mut self, payload: &[u8]) {
+        self.state.apply(&CtrlCmd::decode(payload).expect("committed payload decodes"));
+        self.applied.push(payload.to_vec());
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.state.encode()
+    }
+
+    fn restore(&mut self, data: &[u8]) -> logstore_types::Result<()> {
+        self.state = ControlState::decode(data)?;
+        self.restores += 1;
+        Ok(())
+    }
+}
+
+/// The controller snapshot path wired through the driver: a replica that
+/// catches up via a restored snapshot plus the log suffix must reach a
+/// control state byte-identical to a full replay.
 fn run_snapshot_catchup(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5a97);
-    let mut c = InProcCluster::new(3, RaftConfig::default(), seed);
+    let replicas = (0..3).map(|_| CtrlReplica::default()).collect();
+    let mut c = InProcCluster::with_replicas(replicas, RaftConfig::default(), seed);
     let leader =
         c.run_until_leader(500).unwrap_or_else(|| panic!("seed {seed}: no initial leader"));
     // Isolate one follower before anything commits: it will have applied
@@ -297,20 +328,10 @@ fn run_snapshot_catchup(seed: u64) {
     }
     churn_assert!(seed, accepted > 0, "no proposal accepted while the laggard was isolated");
 
-    // Every live node compacts at its own commit index, snapshotting its
-    // folded control state — so whichever of them leads after the heal
-    // can only offer the laggard a snapshot, never the compacted entries.
-    for i in 0..3u32 {
-        let node = NodeId(i);
-        if node == laggard {
-            continue;
-        }
-        let commit = c.node(node).commit_index();
-        let snapshot = fold_state(c.applied(node)).encode();
-        c.node_mut(node)
-            .compact(commit, snapshot)
-            .unwrap_or_else(|e| panic!("seed {seed}: node {i} failed to compact: {e}"));
-    }
+    // Every node compacts at its own applied index, snapshotting its
+    // control state — so whichever live node leads after the heal can only
+    // offer the laggard a snapshot, never the compacted entries.
+    c.compact().unwrap_or_else(|e| panic!("seed {seed}: group failed to compact: {e}"));
 
     c.heal();
     let mut extra_due = 10usize;
@@ -330,7 +351,7 @@ fn run_snapshot_catchup(seed: u64) {
         if extra_due == 0
             && c.sole_leader().is_some()
             && commits.windows(2).all(|w| w[0] == w[1])
-            && !c.applied(laggard).is_empty()
+            && !c.replica(laggard).applied.is_empty()
         {
             converged = true;
             break;
@@ -338,30 +359,32 @@ fn run_snapshot_catchup(seed: u64) {
     }
     churn_assert!(seed, converged, "laggard failed to catch up after heal");
 
-    let (snap_idx, snap_data) = c
-        .installed_snapshot(laggard)
-        .unwrap_or_else(|| panic!("seed {seed}: laggard caught up without a snapshot install"));
-    churn_assert!(seed, *snap_idx > 0, "snapshot index must cover the compacted prefix");
-    let mut via_snapshot = ControlState::decode(snap_data)
-        .unwrap_or_else(|e| panic!("seed {seed}: snapshot must decode: {e}"));
-    for payload in c.applied(laggard) {
-        via_snapshot.apply(&CtrlCmd::decode(payload).expect("suffix payload decodes"));
-    }
-
-    // Reference replica: the old leader never installed a snapshot, so its
-    // applied log is the full command history.
+    let caught_up = c.replica(laggard);
+    churn_assert!(seed, caught_up.restores > 0, "laggard caught up without a snapshot install");
     churn_assert!(
         seed,
-        c.installed_snapshot(leader).is_none(),
+        c.node(laggard).snapshot_index() > 0,
+        "snapshot index must cover the compacted prefix"
+    );
+
+    // Reference replica: the old leader never restored a snapshot, so it
+    // applied the full command history one entry at a time.
+    let reference = c.replica(leader);
+    churn_assert!(
+        seed,
+        reference.restores == 0,
         "the reference node must have replayed the full log"
     );
-    let full_replay = fold_state(c.applied(leader));
     churn_assert!(
         seed,
-        via_snapshot.encode() == full_replay.encode(),
-        "snapshot + suffix state diverged from full replay \
-         (snapshot at {snap_idx}, {} suffix entries)",
-        c.applied(laggard).len()
+        caught_up.applied.len() < reference.applied.len(),
+        "the laggard must have skipped the compacted prefix"
+    );
+    churn_assert!(
+        seed,
+        caught_up.state.encode() == fold_state(&reference.applied).encode(),
+        "snapshot + suffix state diverged from full replay ({} suffix entries)",
+        caught_up.applied.len()
     );
 }
 

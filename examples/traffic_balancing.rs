@@ -51,7 +51,7 @@ fn main() {
         other => println!("controller action: {other:?}"),
     }
 
-    let reads = store.shared().controller.read_shards(TenantId(1));
+    let reads = store.shared().controller.read_shards(TenantId(1)).expect("read shards");
     println!(
         "tenant 1 is now served by {} shard(s): {:?}",
         reads.len(),

@@ -43,7 +43,7 @@ fn hot_tenant_gets_split_and_keeps_its_data_visible() {
         "expected rebalance, got {action:?}"
     );
     assert!(store.route_count() > before_routes, "hot tenant must gain routes");
-    assert!(store.shared().controller.read_shards(TenantId(1)).len() >= 3);
+    assert!(store.shared().controller.read_shards(TenantId(1)).unwrap().len() >= 3);
 
     // Everything remains queryable mid-rebalance.
     let count = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").expect("query");
@@ -69,7 +69,7 @@ fn vacated_shard_rows_are_flushed_to_oss_not_migrated() {
     // nothing may be left pending, and each processed vacation put rows
     // on OSS.
     assert!(
-        store.shared().controller.vacated_routes().is_empty(),
+        store.shared().controller.vacated_routes().unwrap().is_empty(),
         "all vacated routes must be flush-acknowledged by the end of the tick"
     );
     let processed = store.shared().controller.vacated_processed();
@@ -127,7 +127,7 @@ fn scale_out_absorbs_a_saturating_tenant() {
         matches!(action, ControlAction::Rebalanced { .. }),
         "expected rebalance onto new workers, got {action:?}"
     );
-    assert!(store.shared().controller.read_shards(TenantId(1)).len() >= 4);
+    assert!(store.shared().controller.read_shards(TenantId(1)).unwrap().len() >= 4);
     // All rows remain visible.
     let count = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").expect("query");
     assert_eq!(count.rows[0][0].as_u64().unwrap(), 8000);

@@ -128,7 +128,7 @@ fn run_scenario(seed: u64, kill: KillPoint) -> Outcome {
     store.control_tick().expect("tick against the surviving quorum");
 
     if kill != KillPoint::None {
-        let live = controller.replica_states();
+        let live = controller.replica_states().unwrap();
         assert_eq!(live.len(), 2, "seed {seed} kill {kill:?}: one replica must be down");
         controller.heal_controllers();
     }
@@ -137,10 +137,10 @@ fn run_scenario(seed: u64, kill: KillPoint) -> Outcome {
     // Convergence: nothing left to vacate, and every replica — including
     // the healed one — holds byte-identical control state.
     assert!(
-        controller.vacated_routes().is_empty(),
+        controller.vacated_routes().unwrap().is_empty(),
         "seed {seed} kill {kill:?}: vacated routes never converged"
     );
-    let states = controller.replica_states();
+    let states = controller.replica_states().unwrap();
     assert_eq!(states.len(), 3, "seed {seed} kill {kill:?}: all replicas must be live after heal");
     for pair in states.windows(2) {
         assert_eq!(

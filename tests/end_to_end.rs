@@ -351,7 +351,7 @@ fn rebalanced_tenant_stays_fully_queryable() {
         matches!(action, logstore::flow::ControlAction::Rebalanced { .. }),
         "expected a rebalance, got {action:?}"
     );
-    assert!(store.shared().controller.read_shards(TenantId(1)).len() >= 3);
+    assert!(store.shared().controller.read_shards(TenantId(1)).unwrap().len() >= 3);
 
     // Mid-rebalance: counts and ordered scans both exact.
     let count = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").expect("count");

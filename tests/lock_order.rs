@@ -31,7 +31,8 @@ fn rec(t: u64, ts: i64) -> LogRecord {
 
 /// Controller order: `pick_shard`/`read_shards` take the route cache
 /// then (on a miss) the control plane; `control_tick` holds both for the
-/// whole tick; `register_worker` (via scale_out) takes the plane alone.
+/// whole tick; `register_worker` (via scale_out) takes the plane under
+/// the engine's worker map (never the reverse).
 /// Interleaving all of them from separate threads exercises every
 /// `cache → plane` edge the controller may record — plus the RPC paths
 /// into the plane's Raft group and simulated network.

@@ -17,8 +17,9 @@
 //!    is budgeted per file (`xtask/lint-allow-unwrap.txt`); counts may
 //!    only shrink.
 //! 3. **Simtest determinism** — no wall-clock or sleep APIs in
-//!    `crates/simtest/src` or `crates/net/src` (seeded simulations and
-//!    the simulated network must not observe time).
+//!    `crates/simtest/src`, `crates/net/src` or `crates/raft/src` (seeded
+//!    simulations, the simulated network and the Raft groups that ride it
+//!    must not observe time).
 //! 4. **CrashPoint coverage** — every `CrashPoint` variant is referenced
 //!    by at least one call site outside its defining module.
 //! 5. **`#![forbid(unsafe_code)]`** in every non-vendor crate root.
@@ -290,7 +291,8 @@ fn check_simtest_determinism(root: &Path, failures: &mut Vec<String>) {
     const BANNED: [&str; 3] = ["Instant::now", "SystemTime::now", "thread::sleep"];
     let gated = rust_files(&root.join("crates/simtest/src"))
         .into_iter()
-        .chain(rust_files(&root.join("crates/net/src")));
+        .chain(rust_files(&root.join("crates/net/src")))
+        .chain(rust_files(&root.join("crates/raft/src")));
     for file in gated {
         let path = rel(root, &file);
         let text = fs::read_to_string(&file).expect("read source file");
