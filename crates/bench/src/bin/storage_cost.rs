@@ -10,7 +10,7 @@
 
 use logstore_bench::print_table;
 use logstore_codec::Compression;
-use logstore_logblock::pack::PackReader;
+use logstore_logblock::pack::PackManifest;
 use logstore_logblock::LogBlockBuilder;
 use logstore_types::{TableSchema, Timestamp};
 use logstore_workload::{LogRecordGenerator, WorkloadSpec};
@@ -35,7 +35,7 @@ fn main() {
         }
         let bytes = builder.finish().expect("finish");
         let secs = wall.elapsed().as_secs_f64();
-        let pack = PackReader::open(bytes.clone()).expect("reopen");
+        let pack = PackManifest::read(&bytes).expect("reopen");
         let index_bytes: u64 =
             pack.members().iter().filter(|m| m.name.starts_with("index.")).map(|m| m.len).sum();
         let data_bytes: u64 =

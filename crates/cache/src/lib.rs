@@ -3,18 +3,23 @@
 //! Query execution over OSS pays tens of milliseconds per request; LogStore
 //! hides that with:
 //!
-//! * a **multi-level block cache** — a memory tier (the paper's 8 GB block
-//!   cache) that spills evictions to an SSD tier (the 200 GB file cache),
-//!   both managed by size-aware LRU;
+//! * a **three-level cache** — an object tier of parsed LogBlock headers
+//!   (manifest, meta, index dictionaries: what a query needs to *plan* its
+//!   reads), then a memory block tier (the paper's 8 GB block cache) that
+//!   spills evictions to an SSD block tier (the 200 GB file cache), every
+//!   tier one size-aware [`SizedLru`];
 //! * a **block-alignment adapter** — range reads are widened to fixed cache
 //!   blocks so nearby reads reuse each other's I/O;
-//! * a **parallel prefetcher** — a file's block list is deduplicated,
-//!   merged, and fetched by a thread pool before the query needs it.
+//! * a **parallel prefetcher** — every range a query will read, across all
+//!   the objects it touches, is deduplicated, merged into contiguous runs
+//!   of cold blocks and fetched as one bounded wave before any of it is
+//!   needed; the query then reads the very blocks the wave brought back.
 //!
-//! The read path is built for concurrency: both tiers are hash-sharded
-//! (one mutex and byte budget per shard), concurrent misses on the same
-//! block are deduplicated through a [`singleflight`] table, and runs of
-//! contiguous cold blocks are fetched with one coalesced origin GET.
+//! The read path is built for concurrency: the block tiers are
+//! hash-sharded (one mutex and byte budget per shard), concurrent misses
+//! on the same block are deduplicated through a [`singleflight`] table
+//! that the wave and demand reads share, and a run of contiguous cold
+//! blocks costs one origin GET.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +30,7 @@ pub mod source;
 pub mod tiered;
 
 pub use lru::SizedLru;
-pub use prefetch::{merge_ranges, PrefetchOutcome, Prefetcher};
+pub use prefetch::{merge_ranges, Fetched, ObjectPlan, Prefetcher};
 pub use singleflight::{FlightRole, SingleFlight};
 pub use source::CachedObjectSource;
 pub use tiered::{BlockKey, CacheStats, DiskBlockCache, MemoryBlockCache, TieredCache};

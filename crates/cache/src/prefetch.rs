@@ -1,16 +1,36 @@
-//! Parallel prefetch (paper Fig 10).
+//! Parallel prefetch (paper Fig 10): one planned fetch wave per query.
 //!
-//! Before a query touches a LogBlock's members, the prefetcher takes the
-//! member ranges it will need, merges duplicates and adjacent ranges
-//! ("repeated data block read IO requests will be merged"), splits the
-//! result into aligned cache blocks, and fetches them as one
-//! [`ordered_wave`] — turning a serial chain of high-latency OSS GETs into
-//! one parallel wave.
+//! Fig 10 reads: get the file meta, compute every range the query needs,
+//! merge, fetch in parallel. [`Prefetcher`] is that pipeline for a whole
+//! query at once, across every object it touches:
+//!
+//! 1. **Headers** — [`Prefetcher::handles`] resolves each LogBlock's
+//!    [`LogBlockHandle`] from the cache's object tier, and opens the ones
+//!    it does not know *together*, as one wave.
+//! 2. **Plan** — the caller computes the member ranges it needs from the
+//!    handles; [`Prefetcher::plan`] merges duplicates and adjacent ranges
+//!    ("repeated data block read IO requests will be merged") and widens
+//!    them to aligned cache blocks ([`ObjectPlan`]).
+//! 3. **Fetch** — [`Prefetcher::fetch`] resolves the blocks the memory
+//!    tier already holds inline, coalesces the cold rest into maximal
+//!    contiguous runs per object, and sends every run of every object out
+//!    as **one** [`ordered_wave`], one origin GET per run, through
+//!    [`TieredCache::get_or_fetch_run`] (so the wave shares the demand
+//!    path's singleflight table and disk tier).
+//!
+//! The blocks a wave resolved are handed to that object's
+//! [`CachedObjectSource`], which serves the query from them directly: a
+//! query reads what it fetched even when the cache is smaller than the
+//! queries in flight. Both waves run on the calling thread's behalf — the
+//! caller feeds them and blocks until they end — so nothing that merely
+//! *computes* over the fetched bytes ever sleeps on a GET.
 
-use crate::source::CachedObjectSource;
+use crate::source::{aligned_blocks, CachedObjectSource};
+use crate::tiered::{BlockKey, TieredCache};
+use logstore_logblock::LogBlockHandle;
 use logstore_oss::{ordered_wave, ObjectStore};
-use logstore_types::Result;
-use std::collections::BTreeSet;
+use logstore_types::{Error, Result};
+use std::sync::Arc;
 
 /// Merges overlapping/adjacent `(offset, len)` ranges into a minimal sorted
 /// list (the dedup step of Fig 10).
@@ -30,94 +50,198 @@ pub fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// Full accounting for one prefetch wave.
-///
-/// A failed block fetch does not stop the wave: the remaining queued
-/// blocks are still fetched (each would otherwise silently become a
-/// high-latency demand read later), and every failure is counted here so
-/// the caller can decide whether a partial wave matters.
-#[derive(Debug, Default)]
-pub struct PrefetchOutcome {
-    /// Aligned blocks fetched into the cache.
-    pub fetched: usize,
-    /// Aligned blocks whose fetch failed (served by demand reads later).
-    pub errors: usize,
-    /// The first failure, in block order, when any occurred.
-    pub first_error: Option<logstore_types::Error>,
-}
-
-/// A prefetcher with a fixed parallelism degree.
+/// One object's share of a fetch plan ([`Prefetcher::plan`]): the aligned
+/// cache blocks covering what a query will read from it.
 #[derive(Debug, Clone)]
-pub struct Prefetcher {
-    threads: usize,
+pub struct ObjectPlan {
+    path: String,
+    size: u64,
+    /// `(offset, len)`, deduplicated, in offset order.
+    blocks: Vec<(u64, u64)>,
 }
 
-impl Prefetcher {
-    /// Creates a prefetcher running `threads` parallel fetches (the paper's
-    /// evaluation uses 32).
-    pub fn new(threads: usize) -> Self {
-        Prefetcher { threads: threads.max(1) }
+impl ObjectPlan {
+    /// Bytes [`Prefetcher::fetch`] will hold for this object (whole
+    /// blocks) — what a caller budgets a batch of plans with.
+    pub fn bytes(&self) -> u64 {
+        self.blocks.iter().map(|(_, len)| len).sum()
+    }
+}
+
+/// One object's share of a finished wave.
+pub struct Fetched<S> {
+    /// A source over the object that holds every block the wave resolved
+    /// for it (warm or fetched) and demand-reads anything else.
+    pub source: CachedObjectSource<S>,
+    /// Requests of this object that failed. Non-fatal: the blocks they
+    /// would have brought are simply not held, so a read that needs them
+    /// becomes a demand read and succeeds or fails on its own terms.
+    pub errors: u64,
+}
+
+/// One origin request of a wave: the plan it belongs to and a contiguous
+/// run of that object's cold blocks.
+type Run = (usize, Vec<(u64, u64)>);
+
+/// The read path's request fan-out: a store, the cache in front of it, the
+/// block alignment, and how many requests one query keeps in flight.
+pub struct Prefetcher<S> {
+    store: Arc<S>,
+    cache: Arc<TieredCache>,
+    block_size: u64,
+    width: usize,
+}
+
+impl<S: ObjectStore> Prefetcher<S> {
+    /// A prefetcher keeping up to `width` requests in flight (the paper
+    /// evaluates 32; `1` issues every request inline on the caller).
+    pub fn new(store: Arc<S>, cache: Arc<TieredCache>, block_size: u64, width: usize) -> Self {
+        assert!(block_size > 0, "block size must be positive");
+        Prefetcher { store, cache, block_size, width: width.max(1) }
     }
 
-    /// Parallelism degree.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// A demand-reading cached source over one object of known size.
+    pub fn source(&self, path: &str, size: u64) -> CachedObjectSource<S> {
+        CachedObjectSource::open_with_known_size(
+            Arc::clone(&self.store),
+            path,
+            Arc::clone(&self.cache),
+            self.block_size,
+            size,
+        )
     }
 
-    /// Prefetches `ranges` of `source` into its cache. Returns the number
-    /// of aligned blocks fetched, or the wave's first error. The whole
-    /// wave always runs to completion (see [`Prefetcher::prefetch_wave`]);
-    /// this wrapper only collapses the outcome into a `Result` for callers
-    /// that treat any failure as fatal.
-    pub fn prefetch<S: ObjectStore>(
-        &self,
-        source: &CachedObjectSource<S>,
-        ranges: Vec<(u64, u64)>,
-    ) -> Result<usize> {
-        let outcome = self.prefetch_wave(source, ranges);
-        match outcome.first_error {
-            Some(e) => Err(e),
-            None => Ok(outcome.fetched),
+    /// Requests one wave keeps in flight.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The handle of the LogBlock behind `source`: from the object tier,
+    /// or read and parsed through `source` and then cached. A header that
+    /// fails to read or validate is returned as the error and caches
+    /// nothing.
+    pub fn handle(&self, source: &CachedObjectSource<S>) -> Result<Arc<LogBlockHandle>> {
+        if let Some(handle) = self.cache.handle(source.path()) {
+            return Ok(handle);
         }
+        self.open_handle(source)
     }
 
-    /// Prefetches `ranges` of `source` into its cache and reports the full
-    /// [`PrefetchOutcome`]. Unlike a fail-fast wave, a block failure does
-    /// not abandon the queue: every queued block is attempted, failures
-    /// are counted, and the first error (in block order) is preserved.
-    /// Blocks until the wave completes.
-    pub fn prefetch_wave<S: ObjectStore>(
-        &self,
-        source: &CachedObjectSource<S>,
-        ranges: Vec<(u64, u64)>,
-    ) -> PrefetchOutcome {
-        // Merge request ranges, expand to aligned blocks, dedup blocks.
-        let mut blocks: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for (offset, len) in merge_ranges(ranges) {
-            for b in source.aligned_blocks(offset, len) {
-                blocks.insert(b);
+    fn open_handle(&self, source: &CachedObjectSource<S>) -> Result<Arc<LogBlockHandle>> {
+        match LogBlockHandle::open(source) {
+            Ok(handle) => {
+                let handle = Arc::new(handle);
+                self.cache.insert_handle(source.path(), Arc::clone(&handle));
+                Ok(handle)
+            }
+            Err(e) => {
+                // The header bytes that failed validation came through the
+                // block tiers: drop them too, so a retry reads the origin
+                // again instead of the same bad copy.
+                if matches!(e, Error::Corruption(_)) {
+                    self.cache.evict_object(source.path());
+                }
+                Err(e)
             }
         }
-        // One ordered wave over the blocks: results come back in block
-        // order — not completion order — so the report is deterministic.
-        let results = ordered_wave(self.threads, blocks, |_, (offset, len)| {
-            source.prefetch_block(offset, len)
-        });
-        let errors = results.iter().filter(|r| r.is_err()).count();
-        PrefetchOutcome {
-            fetched: results.len() - errors,
-            errors,
-            first_error: results.into_iter().find_map(Result::err),
+    }
+
+    /// The handles of many LogBlocks `(path, size)`, in input order. Known
+    /// ones come from the object tier inline; all the unknown ones are
+    /// opened together as one wave.
+    pub fn handles(&self, objects: &[(&str, u64)]) -> Vec<Result<Arc<LogBlockHandle>>> {
+        let cached: Vec<_> = objects.iter().map(|(path, _)| self.cache.handle(path)).collect();
+        let unknown: Vec<(&str, u64)> =
+            objects.iter().zip(&cached).filter(|(_, hit)| hit.is_none()).map(|(o, _)| *o).collect();
+        let mut opened = ordered_wave(self.width, unknown, |_, (path, size)| {
+            self.open_handle(&self.source(path, size))
+        })
+        .into_iter();
+        cached
+            .into_iter()
+            // One opened handle per miss, in the same order.
+            .map(|hit| hit.map(Ok).or_else(|| opened.next()))
+            .map(|handle| {
+                handle.unwrap_or_else(|| Err(Error::Internal("header wave lost a result".into())))
+            })
+            .collect()
+    }
+
+    /// Plans the fetch of `ranges` — `(offset, len)`, any order, overlaps
+    /// allowed — of the object at `path`, whose `size` is known from
+    /// metadata (no HEAD is issued).
+    pub fn plan(&self, path: &str, size: u64, ranges: Vec<(u64, u64)>) -> ObjectPlan {
+        let mut blocks: Vec<(u64, u64)> = merge_ranges(ranges)
+            .into_iter()
+            .flat_map(|(offset, len)| aligned_blocks(self.block_size, size, offset, len))
+            .collect();
+        // Two merged ranges can share a block at their edges.
+        blocks.dedup();
+        ObjectPlan { path: path.to_string(), size, blocks }
+    }
+
+    /// Fetches everything `plans` name as one wave and returns one
+    /// [`Fetched`] per plan, in plan order.
+    ///
+    /// Blocks in the memory tier are taken inline, on the caller (a fully
+    /// warm plan starts no thread and issues no request); the rest form
+    /// maximal contiguous runs per object, and the runs of *all* objects
+    /// share one `width`-bounded wave, one origin GET each. A failed run
+    /// is counted against its object and never stops the wave.
+    pub fn fetch(&self, plans: Vec<ObjectPlan>) -> Vec<Fetched<S>> {
+        let mut held: Vec<Vec<(u64, Arc<Vec<u8>>)>> = Vec::with_capacity(plans.len());
+        // `(plan index, contiguous cold blocks)`, in plan then
+        // offset order — which makes the wave's results, and so the error
+        // accounting, a function of the plan and not of completion order.
+        let mut runs: Vec<Run> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            let mut warm = Vec::new();
+            let mut key = BlockKey { path: plan.path.clone(), offset: 0 };
+            for &block in &plan.blocks {
+                key.offset = block.0;
+                if let Some(hit) = self.cache.get_in_memory(&key) {
+                    warm.push((block.0, hit));
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some((j, run))
+                        if *j == i && run.last().is_some_and(|(o, l)| o + l == block.0) =>
+                    {
+                        run.push(block);
+                    }
+                    _ => runs.push((i, vec![block])),
+                }
+            }
+            held.push(warm);
         }
+        let results = ordered_wave(self.width, &runs, |_, (i, run): &Run| {
+            let path = &plans[*i].path;
+            self.cache.get_or_fetch_run(path, run, &|r| self.store.get_block_run(path, r))
+        });
+        let mut errors = vec![0u64; plans.len()];
+        for ((i, run), result) in runs.iter().zip(results) {
+            match result {
+                Ok(parts) => held[*i].extend(run.iter().map(|(offset, _)| *offset).zip(parts)),
+                Err(_) => errors[*i] += 1,
+            }
+        }
+        plans
+            .iter()
+            .zip(held)
+            .zip(errors)
+            .map(|((plan, held), errors)| Fetched {
+                source: self.source(&plan.path, plan.size).with_held(held),
+                errors,
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiered::TieredCache;
-    use logstore_oss::{LatencyModel, MemoryStore, SimulatedOss};
-    use std::sync::Arc;
+    use logstore_logblock::pack::RangeSource;
+    use logstore_oss::{FaultScope, FaultyStore, LatencyModel, MemoryStore, SimulatedOss};
 
     #[test]
     fn merge_ranges_cases() {
@@ -131,70 +255,102 @@ mod tests {
         assert_eq!(merge_ranges(vec![(0, 100), (10, 5)]), vec![(0, 100)]);
     }
 
-    fn setup(
-        size: usize,
-        block: u64,
-    ) -> (CachedObjectSource<SimulatedOss<MemoryStore>>, Arc<SimulatedOss<MemoryStore>>) {
+    type Sim = SimulatedOss<MemoryStore>;
+
+    fn setup(objects: &[(&str, usize)], block: u64, width: usize) -> (Prefetcher<Sim>, Arc<Sim>) {
         let store = Arc::new(SimulatedOss::new(MemoryStore::new(), LatencyModel::zero(), 1));
-        store.inner().put("obj", &vec![5u8; size]).unwrap();
+        for (path, size) in objects {
+            store.inner().put(path, &vec![5u8; *size]).unwrap();
+        }
         let cache = Arc::new(TieredCache::memory_only(1 << 24));
-        let src = CachedObjectSource::open_with_block_size(Arc::clone(&store), "obj", cache, block)
-            .unwrap();
-        (src, store)
+        (Prefetcher::new(Arc::clone(&store), cache, block, width), store)
     }
 
     #[test]
-    fn prefetch_fills_cache_for_later_reads() {
-        let (src, store) = setup(1 << 16, 4096);
-        let p = Prefetcher::new(8);
-        let fetched = p.prefetch(&src, vec![(0, 1 << 16)]).unwrap();
-        assert_eq!(fetched, 16);
-        let gets_after_prefetch = store.metrics().get_requests;
-        // Reading everything afterwards issues no further origin requests.
-        use logstore_logblock::pack::RangeSource;
-        src.read_at(0, 1 << 16).unwrap();
-        assert_eq!(store.metrics().get_requests, gets_after_prefetch);
+    fn a_contiguous_cold_range_is_one_get_and_later_reads_need_none() {
+        let (p, store) = setup(&[("obj", 1 << 16)], 4096, 8);
+        let fetched = p.fetch(vec![p.plan("obj", 1 << 16, vec![(0, 1 << 16)])]);
+        assert_eq!(fetched.len(), 1);
+        assert_eq!(fetched[0].errors, 0);
+        assert_eq!(store.metrics().get_requests, 1, "16 contiguous cold blocks are one run");
+        // The wave's own source serves everything from what it holds …
+        assert_eq!(fetched[0].source.read_at(0, 1 << 16).unwrap(), vec![5u8; 1 << 16]);
+        // … and the blocks are in the cache for everyone else.
+        assert_eq!(p.source("obj", 1 << 16).read_at(100, 50_000).unwrap().len(), 50_000);
+        assert_eq!(store.metrics().get_requests, 1);
     }
 
     #[test]
     fn duplicate_and_overlapping_requests_fetch_once() {
-        let (src, store) = setup(8192, 1024);
-        let p = Prefetcher::new(4);
-        let ranges = vec![(0, 1000), (500, 1000), (0, 1000), (2000, 10), (2001, 5)];
-        let fetched = p.prefetch(&src, ranges).unwrap();
-        // Ranges collapse to [0,1500) and [2000,2011) → blocks 0,1 and 1? —
-        // block 1 covers both 1024..2048 spans, so blocks {0, 1, 2}... block
-        // 2 is 2048.. which 2000..2011 does not reach; [2000,2011) lies in
-        // block 1. Blocks fetched: 0 and 1.
-        assert_eq!(fetched, 2);
+        let (p, store) = setup(&[("obj", 8192)], 1024, 4);
+        let ranges = vec![(0, 1000), (500, 1000), (0, 1000), (2000, 10), (2001, 5), (5000, 10)];
+        let request = p.plan("obj", 8192, ranges);
+        // [0,1500) and [2000,2011) share block 1; [5000,5010) is block 4.
+        assert_eq!(request.bytes(), 3 * 1024);
+        let fetched = p.fetch(vec![request]);
+        assert_eq!(fetched[0].errors, 0);
+        // Blocks {0, 1} are one run, block 4 another.
         assert_eq!(store.metrics().get_requests, 2);
+        assert_eq!(store.metrics().bytes_read, 3 * 1024);
     }
 
     #[test]
-    fn empty_prefetch_is_noop() {
-        let (src, store) = setup(1024, 256);
-        let p = Prefetcher::new(4);
-        assert_eq!(p.prefetch(&src, vec![]).unwrap(), 0);
-        assert_eq!(p.prefetch(&src, vec![(10, 0)]).unwrap(), 0);
+    fn one_wave_spans_objects_and_splits_runs_around_warm_blocks() {
+        let (p, store) = setup(&[("a", 8192), ("b", 4096)], 1024, 8);
+        // Warm block 2 of "a".
+        p.source("a", 8192).read_at(2048, 10).unwrap();
+        assert_eq!(store.metrics().get_requests, 1);
+        let before = p.cache.stats();
+        let fetched =
+            p.fetch(vec![p.plan("a", 8192, vec![(0, 8192)]), p.plan("b", 4096, vec![(0, 4096)])]);
+        // "a": runs [0,1] and [3..7]; "b": one run. Three GETs, one wave.
+        assert_eq!(store.metrics().get_requests, 1 + 3);
+        let stats = p.cache.stats().delta_since(&before);
+        assert_eq!(stats.memory_hits, 1, "the warm block is one inline lookup");
+        assert_eq!(stats.misses, 7 + 4);
+        assert_eq!(stats.coalesced_gets, 3);
+        for (f, size) in fetched.iter().zip([8192u64, 4096]) {
+            assert_eq!(f.errors, 0);
+            assert_eq!(f.source.read_at(0, size).unwrap().len() as u64, size);
+        }
+        // Reads were served from held blocks: not one more cache lookup.
+        assert_eq!(p.cache.stats().delta_since(&before), stats);
+    }
+
+    #[test]
+    fn an_empty_or_fully_warm_plan_issues_nothing() {
+        let (p, store) = setup(&[("obj", 1024)], 256, 4);
+        assert!(p.fetch(Vec::new()).is_empty());
+        let empty = p.plan("obj", 1024, vec![(10, 0)]);
+        assert_eq!(empty.bytes(), 0);
+        p.fetch(vec![empty]);
         assert_eq!(store.metrics().get_requests, 0);
-    }
-
-    #[test]
-    fn prefetch_errors_surface() {
-        let store = Arc::new(SimulatedOss::new(MemoryStore::new(), LatencyModel::zero(), 1));
-        store.inner().put("obj", &[0u8; 100]).unwrap();
-        let cache = Arc::new(TieredCache::memory_only(1 << 20));
-        let src =
-            CachedObjectSource::open_with_block_size(Arc::clone(&store), "obj", cache, 64).unwrap();
-        // Delete the object behind the source's back.
+        // Warm everything, then poison the origin: a warm plan never asks.
+        p.fetch(vec![p.plan("obj", 1024, vec![(0, 1024)])]);
+        assert_eq!(store.metrics().get_requests, 1);
         store.inner().delete("obj").unwrap();
-        let p = Prefetcher::new(2);
-        assert!(p.prefetch(&src, vec![(0, 100)]).is_err());
+        let warm = p.fetch(vec![p.plan("obj", 1024, vec![(0, 1024)])]);
+        assert_eq!(warm[0].errors, 0);
+        assert_eq!(warm[0].source.read_at(0, 1024).unwrap().len(), 1024);
+        assert_eq!(store.metrics().get_requests, 1);
     }
 
     #[test]
-    fn partial_wave_fetches_remaining_blocks() {
-        use logstore_oss::{FaultScope, FaultyStore};
+    fn a_failed_request_is_counted_and_the_demand_read_decides() {
+        let (p, store) = setup(&[("gone", 100), ("here", 100)], 64, 2);
+        // Delete one object behind the plan's back.
+        store.inner().delete("gone").unwrap();
+        let fetched =
+            p.fetch(vec![p.plan("gone", 100, vec![(0, 100)]), p.plan("here", 100, vec![(0, 100)])]);
+        assert_eq!(fetched[0].errors, 1, "one run, one failed request");
+        assert_eq!(fetched[1].errors, 0, "the other object's run is unaffected");
+        let err = fetched[0].source.read_at(0, 100).unwrap_err();
+        assert!(matches!(err, logstore_types::Error::NotFound(_)), "{err}");
+        assert_eq!(fetched[1].source.read_at(0, 100).unwrap(), vec![5u8; 100]);
+    }
+
+    #[test]
+    fn a_partial_wave_still_fetches_the_other_runs() {
         let store = Arc::new(SimulatedOss::new(
             FaultyStore::new(MemoryStore::new(), FaultScope::Reads, 0.0, 1),
             LatencyModel::zero(),
@@ -202,45 +358,104 @@ mod tests {
         ));
         store.inner().inner().put("obj", &vec![7u8; 8 * 1024]).unwrap();
         let cache = Arc::new(TieredCache::memory_only(1 << 20));
-        let src = CachedObjectSource::open_with_block_size(Arc::clone(&store), "obj", cache, 1024)
-            .unwrap();
-        // One scheduled fault; a single-threaded wave makes it land on a
-        // deterministic block. The other 7 blocks must still be fetched.
+        // Width 1 keeps the wave inline, so the one scheduled fault lands
+        // on a deterministic run: the first.
+        let p = Prefetcher::new(Arc::clone(&store), cache, 1024, 1);
+        let request = p.plan("obj", 8 * 1024, vec![(0, 1024), (2048, 1024), (4096, 4096)]);
         store.inner().fail_next(1);
-        let p = Prefetcher::new(1);
-        let outcome = p.prefetch_wave(&src, vec![(0, 8 * 1024)]);
-        assert_eq!(outcome.errors, 1);
-        assert_eq!(outcome.fetched, 7);
-        assert!(outcome.first_error.is_some());
-        // The fail-fast wrapper reports the same wave as an error.
-        store.inner().fail_next(1);
-        assert!(p.prefetch(&src, vec![(0, 8 * 1024)]).is_err());
-        // After faults clear, demand reads repair the one missing block
-        // and the data comes back intact.
-        store.inner().clear_faults();
-        use logstore_logblock::pack::RangeSource;
-        assert_eq!(src.read_at(0, 8 * 1024).unwrap(), vec![7u8; 8 * 1024]);
+        let fetched = p.fetch(vec![request]);
+        assert_eq!(fetched[0].errors, 1);
+        // The two later runs were fetched and are held; only the failed
+        // run's block is missing, and a demand read repairs it.
+        assert_eq!(store.metrics().get_requests, 3);
+        assert_eq!(fetched[0].source.read_at(2048, 1024).unwrap(), vec![7u8; 1024]);
+        assert_eq!(fetched[0].source.read_at(4096, 4096).unwrap(), vec![7u8; 4096]);
+        assert_eq!(store.metrics().get_requests, 3);
+        assert_eq!(fetched[0].source.read_at(0, 8 * 1024).unwrap(), vec![7u8; 8 * 1024]);
+        assert_eq!(store.metrics().get_requests, 3 + 2, "block 0 and block 1 were never held");
     }
 
     #[test]
-    fn parallelism_actually_runs_concurrently() {
-        // With per-request modelled sleep and time_scale=1, 8 blocks at 4
-        // threads should take ~2 rounds of 5 ms, far below the serial 40 ms.
-        let mut model = LatencyModel::zero();
-        model.base_latency_us = 5_000;
-        model.time_scale = 1.0;
-        let store = Arc::new(SimulatedOss::new(MemoryStore::new(), model, 1));
-        store.inner().put("obj", &vec![1u8; 8 * 1024]).unwrap();
+    fn runs_of_one_wave_are_in_flight_together() {
+        // Each GET parks until all four runs have been issued: only a wave
+        // that keeps every run of every object in flight at once finishes.
+        struct Rendezvous(MemoryStore, std::sync::Barrier);
+        impl ObjectStore for Rendezvous {
+            fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+                self.0.put(path, data)
+            }
+            fn get(&self, path: &str) -> Result<Vec<u8>> {
+                self.0.get(path)
+            }
+            fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+                self.1.wait();
+                self.0.get_range(path, offset, len)
+            }
+            fn head(&self, path: &str) -> Result<u64> {
+                self.0.head(path)
+            }
+            fn list(&self, prefix: &str) -> Result<Vec<String>> {
+                self.0.list(prefix)
+            }
+            fn delete(&self, path: &str) -> Result<()> {
+                self.0.delete(path)
+            }
+        }
+        let store = Arc::new(Rendezvous(MemoryStore::new(), std::sync::Barrier::new(4)));
+        for path in ["a", "b"] {
+            store.put(path, &[1u8; 4096]).unwrap();
+        }
         let cache = Arc::new(TieredCache::memory_only(1 << 20));
-        let src = CachedObjectSource::open_with_block_size(Arc::clone(&store), "obj", cache, 1024)
-            .unwrap();
-        let p = Prefetcher::new(4);
-        let wall = std::time::Instant::now();
-        p.prefetch(&src, vec![(0, 8 * 1024)]).unwrap();
-        let elapsed = wall.elapsed();
-        assert!(
-            elapsed < std::time::Duration::from_millis(35),
-            "prefetch looked serial: {elapsed:?}"
-        );
+        let p = Prefetcher::new(Arc::clone(&store), cache, 1024, 4);
+        let two_runs = |path: &str| p.plan(path, 4096, vec![(0, 1024), (3000, 10)]);
+        let fetched = p.fetch(vec![two_runs("a"), two_runs("b")]);
+        assert!(fetched.iter().all(|f| f.errors == 0));
+    }
+
+    #[test]
+    fn handles_come_from_the_tier_or_one_wave_and_failures_cache_nothing() {
+        use logstore_codec::Compression;
+        use logstore_logblock::LogBlockBuilder;
+        use logstore_types::{TableSchema, Value};
+        let store = Arc::new(SimulatedOss::new(MemoryStore::new(), LatencyModel::zero(), 1));
+        let mut sizes = Vec::new();
+        for path in ["blk-0", "blk-1"] {
+            let mut b =
+                LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 64);
+            for i in 0..100i64 {
+                b.add_row(&[
+                    Value::U64(1),
+                    Value::I64(i),
+                    Value::from("10.0.0.1"),
+                    Value::from("/api"),
+                    Value::I64(i % 30),
+                    Value::Bool(false),
+                    Value::from(format!("line {i}")),
+                ])
+                .unwrap();
+            }
+            let bytes = b.finish().unwrap();
+            sizes.push(bytes.len() as u64);
+            store.inner().put(path, &bytes).unwrap();
+        }
+        store.inner().put("junk", &[9u8; 500]).unwrap();
+        let cache = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+        let p = Prefetcher::new(Arc::clone(&store), Arc::clone(&cache), 64 * 1024, 4);
+        let objects = [("blk-0", sizes[0]), ("junk", 500), ("blk-1", sizes[1])];
+        let first = p.handles(&objects);
+        assert!(first[0].is_ok() && first[2].is_ok());
+        assert!(matches!(first[1], Err(logstore_types::Error::Corruption(_))));
+        assert_eq!(store.metrics().get_requests, 3, "one block-0 GET per unknown object");
+        assert!(cache.handle("junk").is_none(), "a failed open caches nothing");
+        // Second time: two tier hits, and the failed one is read again —
+        // from the origin, its bad blocks were dropped — and fails again.
+        let second = p.handles(&objects);
+        assert!(Arc::ptr_eq(first[0].as_ref().unwrap(), second[0].as_ref().unwrap()));
+        assert!(second[1].is_err());
+        assert_eq!(store.metrics().get_requests, 4);
+        // Eviction drops the handle with the blocks.
+        cache.evict_object("blk-0");
+        assert!(cache.handle("blk-0").is_none());
+        assert!(cache.handle("blk-1").is_some());
     }
 }

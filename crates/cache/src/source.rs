@@ -11,6 +11,12 @@
 //! [`TieredCache::get_or_fetch_run`] + `ObjectStore::get_block_run`), and
 //! a read for exactly one aligned block is served zero-copy as the cached
 //! `Arc` through [`RangeSource::read_at_shared`].
+//!
+//! A source can also **hold** blocks: the query's fetch wave
+//! ([`crate::prefetch::Prefetcher::fetch`]) hands it the blocks it
+//! resolved, and any read those cover is served from them — no cache
+//! lookup, no lock — whatever the cache has evicted since. Everything
+//! else falls through to the demand path above.
 
 use crate::tiered::{BlockKey, TieredCache};
 use logstore_logblock::pack::RangeSource;
@@ -22,6 +28,24 @@ use std::sync::Arc;
 /// 1k/128k/1024k block menu).
 pub const DEFAULT_BLOCK_SIZE: u64 = 128 * 1024;
 
+/// The block-aligned ranges `(offset, len)` covering `[offset, offset+len)`
+/// of an object of `size` bytes. The blocks are contiguous (each starts
+/// where the previous one ends) and the last is clipped to the object.
+pub(crate) fn aligned_blocks(block_size: u64, size: u64, offset: u64, len: u64) -> Vec<(u64, u64)> {
+    if len == 0 || offset >= size {
+        return Vec::new();
+    }
+    let end = offset.saturating_add(len).min(size);
+    let first = offset / block_size;
+    let last = (end - 1) / block_size;
+    (first..=last)
+        .map(|b| {
+            let start = b * block_size;
+            (start, block_size.min(size - start))
+        })
+        .collect()
+}
+
 /// A cached view of one object.
 pub struct CachedObjectSource<S> {
     store: Arc<S>,
@@ -29,6 +53,9 @@ pub struct CachedObjectSource<S> {
     size: u64,
     block_size: u64,
     cache: Arc<TieredCache>,
+    /// Aligned blocks `(offset, bytes)` handed over by a fetch wave, sorted
+    /// by offset.
+    held: Vec<(u64, Arc<Vec<u8>>)>,
 }
 
 impl<S: ObjectStore> CachedObjectSource<S> {
@@ -59,7 +86,16 @@ impl<S: ObjectStore> CachedObjectSource<S> {
         size: u64,
     ) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        CachedObjectSource { store, path: path.into(), size, block_size, cache }
+        CachedObjectSource { store, path: path.into(), size, block_size, cache, held: Vec::new() }
+    }
+
+    /// Hands the source aligned blocks `(offset, bytes)` of this object
+    /// that the caller already resolved; reads they cover never touch the
+    /// cache.
+    pub fn with_held(mut self, mut blocks: Vec<(u64, Arc<Vec<u8>>)>) -> Self {
+        blocks.sort_unstable_by_key(|(offset, _)| *offset);
+        self.held = blocks;
+        self
     }
 
     /// The object path.
@@ -77,34 +113,17 @@ impl<S: ObjectStore> CachedObjectSource<S> {
         &self.cache
     }
 
-    /// The block-aligned ranges `(offset, len)` covering `[offset, offset+len)`
-    /// — used by the prefetcher to plan parallel GETs. The blocks are
-    /// contiguous (each starts where the previous one ends).
-    pub fn aligned_blocks(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        if len == 0 || offset >= self.size {
-            return Vec::new();
-        }
-        let end = offset.saturating_add(len).min(self.size);
-        let first = offset / self.block_size;
-        let last = (end - 1) / self.block_size;
-        (first..=last)
-            .map(|b| {
-                let start = b * self.block_size;
-                (start, self.block_size.min(self.size - start))
-            })
-            .collect()
+    fn held_block(&self, block_offset: u64) -> Option<&Arc<Vec<u8>>> {
+        let at = self.held.binary_search_by_key(&block_offset, |(offset, _)| *offset).ok()?;
+        Some(&self.held[at].1)
     }
 
     fn fetch_block(&self, block_offset: u64, block_len: u64) -> Result<Arc<Vec<u8>>> {
+        if let Some(held) = self.held_block(block_offset) {
+            return Ok(Arc::clone(held));
+        }
         let key = BlockKey { path: self.path.clone(), offset: block_offset };
         self.cache.get_or_fetch(&key, || self.store.get_range(&self.path, block_offset, block_len))
-    }
-
-    /// Fetches one aligned block into the cache (prefetch worker entry).
-    /// Shares the cache's singleflight table with demand reads, so a
-    /// prefetch wave and a demand read never duplicate an origin GET.
-    pub fn prefetch_block(&self, block_offset: u64, block_len: u64) -> Result<()> {
-        self.fetch_block(block_offset, block_len).map(|_| ())
     }
 
     /// Checks `[offset, offset+len)` against the object, rejecting
@@ -125,9 +144,15 @@ impl<S: ObjectStore> CachedObjectSource<S> {
         Ok(())
     }
 
-    /// Resolves every aligned block covering the range through the cache,
+    /// Resolves every aligned block covering the range: from the held
+    /// blocks when they cover all of it, otherwise through the cache,
     /// coalescing runs of cold blocks into single origin GETs.
     fn fetch_covering_blocks(&self, blocks: &[(u64, u64)]) -> Result<Vec<Arc<Vec<u8>>>> {
+        let held: Option<Vec<_>> =
+            blocks.iter().map(|(offset, _)| self.held_block(*offset).cloned()).collect();
+        if let Some(held) = held {
+            return Ok(held);
+        }
         self.cache
             .get_or_fetch_run(&self.path, blocks, &|run| self.store.get_block_run(&self.path, run))
     }
@@ -139,7 +164,7 @@ impl<S: ObjectStore> RangeSource for CachedObjectSource<S> {
             return Ok(Vec::new());
         }
         self.check_range(offset, len)?;
-        let blocks = self.aligned_blocks(offset, len);
+        let blocks = aligned_blocks(self.block_size, self.size, offset, len);
         let parts = self.fetch_covering_blocks(&blocks)?;
         let mut out = Vec::with_capacity(len as usize);
         for (part, (block_offset, block_len)) in parts.iter().zip(&blocks) {
@@ -279,25 +304,33 @@ mod tests {
 
     #[test]
     fn aligned_blocks_cover_and_clip() {
-        let src = setup(&vec![0u8; 1000], 256);
-        assert_eq!(src.aligned_blocks(0, 1), vec![(0, 256)]);
-        assert_eq!(src.aligned_blocks(255, 2), vec![(0, 256), (256, 256)]);
+        let blocks = |offset, len| aligned_blocks(256, 1000, offset, len);
+        assert_eq!(blocks(0, 1), vec![(0, 256)]);
+        assert_eq!(blocks(255, 2), vec![(0, 256), (256, 256)]);
         // Tail block clipped to object size.
-        assert_eq!(src.aligned_blocks(900, 100), vec![(768, 232)]);
-        assert_eq!(src.aligned_blocks(0, 0), Vec::<(u64, u64)>::new());
-        assert_eq!(src.aligned_blocks(2000, 5), Vec::<(u64, u64)>::new());
+        assert_eq!(blocks(900, 100), vec![(768, 232)]);
+        assert_eq!(blocks(0, 0), Vec::<(u64, u64)>::new());
+        assert_eq!(blocks(2000, 5), Vec::<(u64, u64)>::new());
     }
 
     #[test]
-    fn prefetched_blocks_serve_without_origin() {
-        let object = vec![3u8; 2048];
-        let src = setup(&object, 512);
-        for (off, len) in src.aligned_blocks(0, 2048) {
-            src.prefetch_block(off, len).unwrap();
-        }
-        let misses_after_prefetch = src.cache.stats().misses;
-        src.read_at(0, 2048).unwrap();
-        assert_eq!(src.cache.stats().misses, misses_after_prefetch, "reads must hit cache");
+    fn held_blocks_serve_without_the_cache_and_the_rest_falls_through() {
+        let object: Vec<u8> = (0..=255u8).cycle().take(2048).collect();
+        let (store, src) = setup_with_store(&object, 512);
+        // Hold blocks 1 and 2 (bytes 512..1536), then poison nothing: the
+        // counters tell which path served a read.
+        let held = [512u64, 1024]
+            .map(|off| (off, Arc::new(object[off as usize..off as usize + 512].to_vec())));
+        let src = src.with_held(held.to_vec());
+        assert_eq!(src.read_at(600, 800).unwrap(), object[600..1400]);
+        let shared = src.read_at_shared(1024, 512).unwrap();
+        assert!(Arc::ptr_eq(&shared, &held[1].1), "an aligned held block is handed out as is");
+        assert_eq!(src.cache.stats().lookups(), 0, "held reads never touch the cache");
+        assert_eq!(store.metrics().get_requests, 0);
+        // A range that leaves the held blocks is a demand read, whole.
+        assert_eq!(src.read_at(400, 300).unwrap(), object[400..700]);
+        assert_eq!(store.metrics().get_requests, 1);
+        assert_eq!(src.cache.stats().misses, 2);
     }
 
     #[test]

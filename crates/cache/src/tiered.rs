@@ -1,10 +1,22 @@
-//! The multi-level block cache (paper Fig 9), built for concurrency.
+//! The multi-level cache (paper Fig 9), built for concurrency.
 //!
-//! Memory tier → disk (SSD) tier → origin. Memory evictions spill to disk
-//! ("when its size exceeds the threshold, the memory cache will spill to
-//! the SSD block cache"); disk hits are promoted back to memory.
+//! Object tier → memory block tier → disk (SSD) block tier → origin.
 //!
-//! Three mechanisms make the read path scale under parallel queries:
+//! The **object tier** keeps parsed LogBlock headers
+//! ([`LogBlockHandle`]: pack manifest, `meta`, index dictionaries) by
+//! object path, so a query can plan every read of a LogBlock it has seen
+//! before without fetching, checksumming or parsing anything. It is one
+//! byte-bounded [`SizedLru`] charged [`LogBlockHandle::charge_bytes`] per
+//! entry, fixed at insert; only a handle that opened cleanly is ever
+//! inserted, and [`TieredCache::evict_object`] drops it with the
+//! object's blocks.
+//!
+//! The **block tiers** hold fixed, aligned byte ranges. Memory evictions
+//! spill to disk ("when its size exceeds the threshold, the memory cache
+//! will spill to the SSD block cache"); disk hits are promoted back to
+//! memory.
+//!
+//! Three mechanisms make the block path scale under parallel queries:
 //!
 //! * **Sharded tiers** — each tier's [`SizedLru`] is split into 2^k
 //!   hash-sharded shards with a per-shard mutex and a per-shard byte
@@ -20,6 +32,7 @@
 use crate::lru::SizedLru;
 use crate::singleflight::{FlightRole, SingleFlight};
 use logstore_codec::crc::crc32c;
+use logstore_logblock::LogBlockHandle;
 use logstore_sync::OrderedMutex;
 use logstore_types::{Error, Result};
 use std::hash::{Hash, Hasher};
@@ -65,6 +78,11 @@ pub struct CacheStats {
     /// Disk-tier spill writes that failed. Non-fatal by design: a cache
     /// write can never fail a read.
     pub spill_failures: u64,
+    /// LogBlock headers served from the object tier.
+    pub object_hits: u64,
+    /// Object-tier lookups that found no handle (the header is then read
+    /// and parsed through the block tiers).
+    pub object_misses: u64,
 }
 
 impl CacheStats {
@@ -94,6 +112,8 @@ impl CacheStats {
             coalesced_gets: self.coalesced_gets.saturating_sub(earlier.coalesced_gets),
             singleflight_waits: self.singleflight_waits.saturating_sub(earlier.singleflight_waits),
             spill_failures: self.spill_failures.saturating_sub(earlier.spill_failures),
+            object_hits: self.object_hits.saturating_sub(earlier.object_hits),
+            object_misses: self.object_misses.saturating_sub(earlier.object_misses),
         }
     }
 }
@@ -302,10 +322,24 @@ struct Counters {
     coalesced_gets: AtomicU64,
     singleflight_waits: AtomicU64,
     spill_failures: AtomicU64,
+    object_hits: AtomicU64,
+    object_misses: AtomicU64,
 }
 
-/// Memory tier over disk tier over origin, with per-key miss dedup.
+type ObjectTier = OrderedMutex<SizedLru<String, Arc<LogBlockHandle>>>;
+
+fn object_tier(capacity_bytes: usize) -> ObjectTier {
+    OrderedMutex::new("cache.object.handles", SizedLru::new(capacity_bytes))
+}
+
+/// Object tier beside memory tier over disk tier over origin, with
+/// per-key miss dedup on the block path.
 pub struct TieredCache {
+    // Zero capacity (admits nothing) until `with_object_tier`. One lock,
+    // not a shard pool: a query takes it once per LogBlock, against once
+    // per block read for the block tiers. Never held across I/O — handles
+    // are opened before they are inserted.
+    objects: ObjectTier,
     memory: MemoryBlockCache,
     disk: Option<DiskBlockCache>,
     flights: SingleFlight<BlockKey, Arc<Vec<u8>>>,
@@ -321,6 +355,7 @@ impl TieredCache {
     /// A memory-only cache split into `shards` hash shards.
     pub fn memory_only_sharded(capacity_bytes: usize, shards: usize) -> Self {
         TieredCache {
+            objects: object_tier(0),
             memory: MemoryBlockCache::new_sharded(capacity_bytes, shards),
             disk: None,
             flights: SingleFlight::new(),
@@ -332,11 +367,36 @@ impl TieredCache {
     pub fn with_disk(memory_bytes: usize, disk: DiskBlockCache) -> Self {
         let shards = disk.shard_count();
         TieredCache {
+            objects: object_tier(0),
             memory: MemoryBlockCache::new_sharded(memory_bytes, shards),
             disk: Some(disk),
             flights: SingleFlight::new(),
             counters: Counters::default(),
         }
+    }
+
+    /// Gives the object tier room for `capacity_bytes` of LogBlock handles
+    /// (a cache built without this call keeps none).
+    pub fn with_object_tier(mut self, capacity_bytes: usize) -> Self {
+        self.objects = object_tier(capacity_bytes);
+        self
+    }
+
+    /// The cached handle of the LogBlock stored at `path`, if any.
+    pub fn handle(&self, path: &str) -> Option<Arc<LogBlockHandle>> {
+        let hit = self.objects.lock().get(&path.to_string()).cloned();
+        let counter =
+            if hit.is_some() { &self.counters.object_hits } else { &self.counters.object_misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Caches the handle of the LogBlock stored at `path`. Object paths are
+    /// never reused, so an entry can only ever describe the bytes it was
+    /// opened from.
+    pub fn insert_handle(&self, path: &str, handle: Arc<LogBlockHandle>) {
+        let charge = handle.charge_bytes();
+        self.objects.lock().put(path.to_string(), handle, charge);
     }
 
     /// Number of memory-tier shards.
@@ -352,8 +412,7 @@ impl TieredCache {
         key: &BlockKey,
         fetch: impl FnOnce() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
-        if let Some(hit) = self.memory.get(key) {
-            self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.get_in_memory(key) {
             return Ok(hit);
         }
         let (result, role) = self.flights.run(key.clone(), || self.load_through_tiers(key, fetch));
@@ -370,8 +429,7 @@ impl TieredCache {
         key: &BlockKey,
         fetch: impl FnOnce() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
-        if let Some(hit) = self.memory.get(key) {
-            self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.get_in_memory(key) {
             return Ok(hit);
         }
         if let Some(disk) = &self.disk {
@@ -411,8 +469,7 @@ impl TieredCache {
         let mut i = 0;
         while i < blocks.len() {
             let key = BlockKey { path: path.to_string(), offset: blocks[i].0 };
-            if let Some(hit) = self.memory.get(&key) {
-                self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(hit) = self.get_in_memory(&key) {
                 out.push(hit);
                 i += 1;
                 continue;
@@ -450,8 +507,7 @@ impl TieredCache {
         start: usize,
         fetch_run: &FetchRunFn<'_>,
     ) -> Result<LedRun> {
-        if let Some(hit) = self.memory.get(key) {
-            self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.get_in_memory(key) {
             return Ok((hit, Vec::new()));
         }
         if let Some(disk) = &self.disk {
@@ -525,10 +581,21 @@ impl TieredCache {
         self.memory.contains(key)
     }
 
-    /// Evicts every cached block of one object from both tiers (GC deleted
-    /// the object; dead blocks must not pin memory/disk budget). Returns
-    /// the number of evicted blocks.
+    /// Memory-tier lookup only: a hit is counted and refreshed like any
+    /// other, a miss touches nothing (no flight, no disk, no origin) — the
+    /// fetch planner resolves warm blocks with this, inline, and sends
+    /// only the rest through [`TieredCache::get_or_fetch_run`].
+    pub fn get_in_memory(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
+        let hit = self.memory.get(key)?;
+        self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Evicts one object from every tier — its handle and every cached
+    /// block (GC deleted the object; dead entries must not pin budget).
+    /// Returns the number of evicted blocks.
     pub fn evict_object(&self, path: &str) -> usize {
+        self.objects.lock().remove(&path.to_string());
         let mut removed = self.memory.evict_object(path);
         if let Some(disk) = &self.disk {
             removed += disk.evict_object(path);
@@ -546,11 +613,15 @@ impl TieredCache {
             coalesced_gets: self.counters.coalesced_gets.load(Ordering::Relaxed),
             singleflight_waits: self.counters.singleflight_waits.load(Ordering::Relaxed),
             spill_failures: self.counters.spill_failures.load(Ordering::Relaxed),
+            object_hits: self.counters.object_hits.load(Ordering::Relaxed),
+            object_misses: self.counters.object_misses.load(Ordering::Relaxed),
         }
     }
 
-    /// Clears the memory tier (tests).
+    /// Clears everything held in memory — the object tier and the memory
+    /// block tier (cold-cache experiment phases, tests).
     pub fn clear_memory(&self) {
+        self.objects.lock().clear();
         self.memory.clear();
     }
 }
@@ -811,6 +882,52 @@ mod tests {
         // The spilled files were deleted, only live cache files may remain.
         assert_eq!(cache.evict_object("dead"), 1, "only the refetched block remains");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn handle(rows: i64) -> Arc<LogBlockHandle> {
+        use logstore_types::{TableSchema, Value};
+        let mut b = logstore_logblock::LogBlockBuilder::new(TableSchema::request_log());
+        for i in 0..rows {
+            b.add_row(&[
+                Value::U64(1),
+                Value::I64(i),
+                Value::from("10.0.0.1"),
+                Value::from("/api"),
+                Value::I64(i % 30),
+                Value::Bool(false),
+                Value::from(format!("line {i}")),
+            ])
+            .unwrap();
+        }
+        Arc::new(LogBlockHandle::open(&b.finish().unwrap()).unwrap())
+    }
+
+    #[test]
+    fn object_tier_is_byte_bounded_lru_and_empty_without_a_budget() {
+        let h = handle(50);
+        let charge = h.charge_bytes();
+        // Room for two handles of this size, not three.
+        let cache = TieredCache::memory_only(1 << 20).with_object_tier(2 * charge + charge / 2);
+        for path in ["a", "b"] {
+            cache.insert_handle(path, Arc::clone(&h));
+        }
+        assert_eq!(cache.objects.lock().used_bytes(), 2 * charge);
+        assert!(cache.handle("a").is_some(), "touch a: b is now the LRU entry");
+        cache.insert_handle("c", Arc::clone(&h));
+        assert!(cache.handle("b").is_none());
+        assert!(cache.handle("a").is_some() && cache.handle("c").is_some());
+        assert_eq!(cache.objects.lock().used_bytes(), 2 * charge);
+        let stats = cache.stats();
+        assert_eq!((stats.object_hits, stats.object_misses), (3, 1));
+        // The tier is independent of the block tiers' counters.
+        assert_eq!(stats.lookups(), 0);
+        cache.clear_memory();
+        assert_eq!(cache.objects.lock().used_bytes(), 0);
+
+        let off = TieredCache::memory_only(1 << 20);
+        off.insert_handle("a", h);
+        assert!(off.handle("a").is_none());
+        assert_eq!(off.objects.lock().used_bytes(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! get/evict races, and fetch errors propagate to every waiter without
 //! becoming sticky.
 
-use logstore_cache::{BlockKey, CachedObjectSource, TieredCache};
+use logstore_cache::{BlockKey, CachedObjectSource, Prefetcher, TieredCache};
 use logstore_logblock::pack::RangeSource;
 use logstore_oss::{LatencyModel, MemoryStore, ObjectStore, SimulatedOss};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,8 +222,12 @@ fn prefetch_and_demand_read_share_one_flight() {
         object.len() as u64,
     ));
     let prefetcher = {
-        let src = Arc::clone(&src);
-        std::thread::spawn(move || src.prefetch_block(0, BLOCK).unwrap())
+        let (store, cache) = (Arc::clone(&store), Arc::clone(&cache));
+        std::thread::spawn(move || {
+            let prefetcher = Prefetcher::new(store, cache, BLOCK, 4);
+            let fetched = prefetcher.fetch(vec![prefetcher.plan("obj", BLOCK, vec![(0, BLOCK)])]);
+            assert_eq!(fetched[0].errors, 0);
+        })
     };
     // Demand-read the same block concurrently, repeatedly.
     for _ in 0..4 {

@@ -94,23 +94,20 @@ fn faults_surface_and_heal_without_wrong_results() {
 fn prefetch_reports_faults_and_retry_succeeds() {
     let store = fixture_store();
     let cache = Arc::new(TieredCache::memory_only(1 << 20));
-    let source = CachedObjectSource::open_with_block_size(
-        Arc::clone(&store),
-        "tenants/1/blk.pack",
-        cache,
-        4 * 1024,
-    )
-    .unwrap();
-    let prefetcher = Prefetcher::new(4);
-    let size = source.size();
+    let prefetcher = Prefetcher::new(Arc::clone(&store), cache, 4 * 1024, 4);
+    let path = "tenants/1/blk.pack";
+    let size = store.head(path).unwrap();
+    // Two separate runs, so both scheduled faults land on the wave.
+    let ends = prefetcher.plan(path, size, vec![(0, 10), (size - 10, 10)]);
 
     store.fail_next(2);
-    assert!(prefetcher.prefetch(&source, vec![(0, size)]).is_err());
+    assert_eq!(prefetcher.fetch(vec![ends])[0].errors, 2);
 
     // Retry fills the cache; subsequent reads never touch the origin.
-    prefetcher.prefetch(&source, vec![(0, size)]).expect("retry");
+    let whole = prefetcher.plan(path, size, vec![(0, size)]);
+    assert_eq!(prefetcher.fetch(vec![whole])[0].errors, 0);
     store.fail_next(u64::MAX); // origin is now poisoned...
-    let got = source.read_at(0, size).expect("served from cache");
+    let got = prefetcher.source(path, size).read_at(0, size).expect("served from cache");
     assert_eq!(got.len() as u64, size);
 }
 

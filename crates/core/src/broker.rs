@@ -6,20 +6,52 @@
 //! on OSS — applying the LogBlock map (Fig 8 ①), data skipping, the
 //! multi-level cache and parallel prefetch along the way.
 //!
-//! Queries scatter: every source (one real-time shard scan, one LogBlock
-//! open→prefetch→collect chain) becomes an independent task on the
-//! engine's shared [`crate::executor::QueryPool`]. Determinism rule: the
-//! task list is built in canonical order (shards sorted by id, then
-//! LogBlocks sorted by path) and the gathered partials are folded in that
-//! same order, so results, stats and first-error selection are
-//! bit-identical at every `parallelism` setting.
+//! Archived LogBlocks are read **plan → fetch → compute**:
+//!
+//! * **plan** — on the calling thread, every mapped LogBlock's header
+//!   ([`LogBlockHandle`]) is resolved from the cache's object tier (the
+//!   unknown ones are opened together, as one wave), and the plan's member
+//!   ranges are computed from the headers: everything the query will
+//!   read, known before any of it is read;
+//! * **fetch** — still on the calling thread, all of it goes out as one
+//!   wave of coalesced range GETs across all the query's LogBlocks
+//!   ([`logstore_cache::Prefetcher::fetch`]); blocks already in memory
+//!   cost no request, and a fully warm query starts no thread;
+//! * **compute** — one task per LogBlock on the engine's shared
+//!   [`crate::executor::QueryPool`] runs `collect_block` over a reader
+//!   that holds the fetched blocks. A task touches OSS only for a range
+//!   the plan missed or a request that failed.
+//!
+//! So `prefetch_threads` bounds the requests a query keeps in flight and
+//! `query_threads` bounds CPU work, and one does not starve the other.
+//! The real-time row stores are scanned on the pool *while* the caller
+//! plans and fetches the first batch, so those OSS rounds and the
+//! row-store scan overlap instead of adding up.
+//!
+//! Nothing is resolved for the whole query at once: headers are taken a
+//! chunk of LogBlocks at a time (a few per request slot), and a chunk is
+//! cut into batches whose planned bytes fit the memory tier — each batch
+//! one wave then one scatter, in canonical order. A query therefore pins
+//! one chunk of headers and one batch of blocks however many LogBlocks
+//! its time range maps to. The ablation switches only change what a
+//! task's reader is built from: `use_prefetch = false` skips plan and
+//! fetch (the task opens its header through the cache and demand-reads),
+//! `use_cache = false` reads straight from OSS. The task body is the same
+//! in every mode.
+//!
+//! Determinism rule: the task list is built in canonical order (shards
+//! sorted by id, then LogBlocks sorted by path) and the gathered partials
+//! are folded in that same order, so results, stats and first-error
+//! selection are bit-identical at every `parallelism` and
+//! `prefetch_threads` setting.
 
 use crate::config::QueryOptions;
 use crate::engine::{ClusterShared, IngestReport, Store};
 use crate::executor::Task;
-use logstore_cache::{CacheStats, CachedObjectSource};
+use crate::metadata::LogBlockEntry;
+use logstore_cache::{CacheStats, CachedObjectSource, ObjectPlan};
 use logstore_logblock::pack::RangeSource;
-use logstore_logblock::reader::LogBlockReader;
+use logstore_logblock::reader::{LogBlockHandle, LogBlockReader};
 use logstore_logblock::scan::DecodeStats;
 use logstore_query::exec::{
     empty_partial, finalize, merge_partials, Partial, QueryResult, QueryStats,
@@ -66,6 +98,40 @@ enum Source {
     Direct(DirectSource),
 }
 
+impl Source {
+    fn path(&self) -> &str {
+        match self {
+            Source::Cached(s) => s.path(),
+            Source::Direct(s) => &s.path,
+        }
+    }
+
+    /// Reads the LogBlock's header through this source (demand reads).
+    /// Only a cached source consults and feeds the object tier.
+    fn open_handle(&self, shared: &ClusterShared) -> Result<Arc<LogBlockHandle>> {
+        match self {
+            Source::Cached(s) => shared.prefetcher.handle(s),
+            Source::Direct(s) => LogBlockHandle::open(s).map(Arc::new),
+        }
+    }
+}
+
+/// One archived LogBlock on its way to a scan task.
+struct BlockRead {
+    source: Source,
+    /// The header, when the caller resolved it up front (or failed to: the
+    /// error is then this LogBlock's result). `None`: the task opens it.
+    handle: Option<Result<Arc<LogBlockHandle>>>,
+    /// Failed requests of this LogBlock's share of the fetch wave.
+    prefetch_errors: u64,
+}
+
+/// One archived LogBlock with its reads planned.
+struct PlannedBlock {
+    handle: Result<Arc<LogBlockHandle>>,
+    fetch: ObjectPlan,
+}
+
 impl RangeSource for Source {
     fn read_at(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
         match self {
@@ -94,12 +160,6 @@ struct DirectSource {
     store: Arc<Store>,
     path: String,
     size: u64,
-}
-
-impl DirectSource {
-    fn new(store: Arc<Store>, path: String, size: u64) -> Self {
-        DirectSource { store, path, size }
-    }
 }
 
 impl RangeSource for DirectSource {
@@ -238,151 +298,233 @@ impl Broker {
         opts: &QueryOptions,
     ) -> Result<(QueryResult, QueryStats, u64, ExecutionCounters)> {
         let all_blocks = self.shared.metadata.all_blocks(tenant).len() as u64;
-
-        // Scatter: one task per source, in canonical order.
-        let mut tasks: Vec<Task<SourcePartial>> = Vec::new();
+        let parallelism =
+            if opts.parallelism == 0 { self.shared.query_pool.threads() } else { opts.parallelism };
+        let pool = &self.shared.query_pool;
+        let mut gathered = Gathered::default();
         if !scope.is_empty_window() {
-            // Real-time stores of every shard serving the tenant (old and
-            // new routes during a rebalance window), sorted by shard id.
+            // Scatter: one task per source, in canonical order. Real-time
+            // stores of every shard serving the tenant (old and new routes
+            // during a rebalance window) first, sorted by shard id.
             let mut shards = self.shared.controller.read_shards(tenant)?;
             shards.sort_unstable();
-            for shard in shards {
-                let shared = Arc::clone(&self.shared);
-                let plan = Arc::clone(plan);
-                let range = scope.range;
-                tasks.push(Box::new(move || {
-                    let mut stats = QueryStats::default();
-                    let worker = shared.worker_for(shard)?;
-                    // Stream records through the plan's collector: with
-                    // pushdown the shard returns aggregate states, and an
-                    // unordered LIMIT stops the walk early.
-                    let mut collector = RowCollector::new(&plan, &shared.schema)?;
-                    worker.for_each_record(shard, tenant, range, |r| collector.push_record(r))?;
-                    let partial = collector.finish(&mut stats);
-                    Ok((partial, stats, DecodeStats::default()))
-                }));
-            }
+            let mut tasks: Vec<Task<SourcePartial>> = shards
+                .into_iter()
+                .map(|shard| self.shard_task(shard, plan, scope, tenant))
+                .collect();
             // Archived LogBlocks, pruned by the LogBlock map, sorted by
             // object path (paths embed the build sequence, so this is
             // registration order).
             let mut entries = self.shared.metadata.blocks_for(tenant, scope.range);
             entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
-            for entry in entries {
-                let shared = Arc::clone(&self.shared);
-                let plan = Arc::clone(plan);
-                let opts = opts.clone();
-                tasks.push(Box::new(move || {
-                    let mut stats = QueryStats::default();
-                    let mut decode = DecodeStats::default();
-                    let path = entry.path.clone();
-                    let scan = (|| {
-                        // The LogBlock map records each block's exact packed
-                        // size, so opening a source needs no HEAD round-trip.
-                        let source = if opts.use_cache {
-                            Source::Cached(CachedObjectSource::open_with_known_size(
-                                Arc::clone(&shared.store),
-                                entry.path.clone(),
-                                Arc::clone(&shared.cache),
-                                shared.cache_block_size,
-                                entry.bytes,
-                            ))
-                        } else {
-                            Source::Direct(DirectSource::new(
-                                Arc::clone(&shared.store),
-                                entry.path.clone(),
-                                entry.bytes,
-                            ))
-                        };
-                        let reader = LogBlockReader::open(source)?;
-                        if opts.use_cache && opts.use_prefetch {
-                            // A failed prefetch block is not fatal: it is
-                            // counted, and the scan falls through to demand
-                            // reads (which may themselves succeed or fail on
-                            // their own terms).
-                            if let Source::Cached(cached) = reader.pack().source() {
-                                let ranges = prefetch_ranges(&reader, &plan);
-                                let outcome = shared.prefetcher.prefetch_wave(cached, ranges);
-                                stats.prefetch_errors += outcome.errors as u64;
-                            }
-                        }
-                        plan.collect_block(&reader, opts.use_skipping, &mut stats, &mut decode)
-                    })();
-                    match scan {
-                        Ok(partial) => Ok((partial, stats, decode)),
-                        // A vanished object that the map no longer claims
-                        // was expired or compacted away mid-query: report
-                        // it as stale metadata so the broker replans,
-                        // instead of leaking a raw OSS NotFound.
-                        Err(Error::NotFound(_))
-                            if !shared.metadata.is_block_mapped(tenant, &path) =>
-                        {
-                            Err(Error::Stale(format!("LogBlock {path} removed mid-query")))
-                        }
-                        Err(e) => Err(e),
-                    }
+            if opts.use_cache && opts.use_prefetch && !entries.is_empty() {
+                // The row stores are scanned on the pool while this thread
+                // plans and fetches the first batch; each batch is then one
+                // scatter, folded behind the shards in canonical order.
+                let shard_scans = pool.start(parallelism, tasks);
+                let mut batches = self.fetched_batches(&entries, plan, opts);
+                let first = batches.next();
+                gathered.fold(shard_scans.wait())?;
+                for batch in first.into_iter().chain(batches) {
+                    let tasks =
+                        batch.into_iter().map(|b| self.block_task(b, plan, tenant, opts)).collect();
+                    gathered.fold(pool.scatter(parallelism, tasks))?;
+                }
+            } else {
+                // The LogBlock map records each block's exact packed size,
+                // so opening a source needs no HEAD round-trip.
+                tasks.extend(entries.into_iter().map(|entry| {
+                    let source = if opts.use_cache {
+                        Source::Cached(self.shared.prefetcher.source(&entry.path, entry.bytes))
+                    } else {
+                        Source::Direct(DirectSource {
+                            store: Arc::clone(&self.shared.store),
+                            path: entry.path,
+                            size: entry.bytes,
+                        })
+                    };
+                    let block = BlockRead { source, handle: None, prefetch_errors: 0 };
+                    self.block_task(block, plan, tenant, opts)
                 }));
+                gathered.fold(pool.scatter(parallelism, tasks))?;
             }
-        }
-
-        // Gather: fold results in submission order. The earliest source's
-        // error wins regardless of which task failed first on the clock.
-        let parallelism =
-            if opts.parallelism == 0 { self.shared.query_pool.threads() } else { opts.parallelism };
-        let mut stats = QueryStats::default();
-        let mut counters = ExecutionCounters::default();
-        let mut partials = Vec::with_capacity(tasks.len());
-        for task_result in self.shared.query_pool.scatter(parallelism, tasks) {
-            let (partial, task_stats, decode) = task_result?;
-            stats.merge(&task_stats);
-            counters.absorb(&decode, &partial);
-            partials.push(partial);
         }
 
         // `finish_partial` runs the deferred aggregation of the
         // pushdown-off baseline; with pushdown (or row queries) it is a
         // pass-through. The empty-source case already has its final shape.
-        let merged = if partials.is_empty() {
+        let merged = if gathered.partials.is_empty() {
             empty_partial(bound)
         } else {
-            plan.finish_partial(merge_partials(partials)?)?
+            plan.finish_partial(merge_partials(gathered.partials)?)?
         };
         let result = finalize(merged, bound, &self.shared.schema)?;
-        Ok((result, stats, all_blocks, counters))
+        Ok((result, gathered.stats, all_blocks, gathered.counters))
+    }
+
+    /// Plan and fetch (Fig 10) as a stream of batches, in canonical order;
+    /// each batch is the readers of one wave, ready to scan.
+    ///
+    /// Nothing about a query is resolved all at once. Headers are taken a
+    /// chunk of LogBlocks at a time — a few per request the query may keep
+    /// in flight, enough to fill its waves — and a chunk is cut into
+    /// batches whose planned bytes fit the memory tier (at least one
+    /// LogBlock each). What a wave fetched is held until its batch is
+    /// scanned, so a query pins one chunk of headers and one batch of
+    /// blocks whatever its LogBlock count.
+    fn fetched_batches<'a>(
+        &'a self,
+        entries: &'a [LogBlockEntry],
+        plan: &'a ScanPlan,
+        opts: &'a QueryOptions,
+    ) -> impl Iterator<Item = Vec<BlockRead>> + 'a {
+        const HEADERS_PER_REQUEST: usize = 4;
+        let prefetcher = &self.shared.prefetcher;
+        let budget = self.shared.cache_memory_bytes as u64;
+        let mut chunks = entries.chunks(HEADERS_PER_REQUEST * prefetcher.width());
+        let mut planned = Vec::new().into_iter().peekable();
+        std::iter::from_fn(move || {
+            if planned.peek().is_none() {
+                planned = self.plan_chunk(chunks.next()?, plan, opts).into_iter().peekable();
+            }
+            let (mut handles, mut plans, mut bytes) = (Vec::new(), Vec::new(), 0u64);
+            while let Some(next) =
+                planned.next_if(|p| plans.is_empty() || bytes + p.fetch.bytes() <= budget)
+            {
+                bytes += next.fetch.bytes();
+                handles.push(next.handle);
+                plans.push(next.fetch);
+            }
+            let batch = handles.into_iter().zip(prefetcher.fetch(plans));
+            Some(
+                batch
+                    .map(|(handle, fetched)| BlockRead {
+                        source: Source::Cached(fetched.source),
+                        handle: Some(handle),
+                        prefetch_errors: fetched.errors,
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    /// Every entry's header — from the object tier, the unknown ones opened
+    /// together as one wave — and, from the headers, the object ranges of
+    /// every member `plan` may read. A header that failed to open plans
+    /// nothing and carries its error to its task.
+    fn plan_chunk(
+        &self,
+        entries: &[LogBlockEntry],
+        plan: &ScanPlan,
+        opts: &QueryOptions,
+    ) -> Vec<PlannedBlock> {
+        let objects: Vec<(&str, u64)> =
+            entries.iter().map(|e| (e.path.as_str(), e.bytes)).collect();
+        let handles = self.shared.prefetcher.handles(&objects);
+        entries
+            .iter()
+            .zip(handles)
+            .map(|(entry, handle)| {
+                let ranges = handle.as_ref().map_or_else(
+                    |_| Vec::new(),
+                    |h| {
+                        plan.planned_members(h.meta(), opts.use_skipping)
+                            .iter()
+                            .filter_map(|member| h.manifest().member_object_range(member))
+                            .collect()
+                    },
+                );
+                let fetch = self.shared.prefetcher.plan(&entry.path, entry.bytes, ranges);
+                PlannedBlock { handle, fetch }
+            })
+            .collect()
+    }
+
+    /// The scan of one shard's real-time store.
+    fn shard_task(
+        &self,
+        shard: ShardId,
+        plan: &Arc<ScanPlan>,
+        scope: &QueryScope,
+        tenant: logstore_types::TenantId,
+    ) -> Task<SourcePartial> {
+        let shared = Arc::clone(&self.shared);
+        let plan = Arc::clone(plan);
+        let range = scope.range;
+        Box::new(move || {
+            let mut stats = QueryStats::default();
+            let worker = shared.worker_for(shard)?;
+            // Stream records through the plan's collector: with
+            // pushdown the shard returns aggregate states, and an
+            // unordered LIMIT stops the walk early.
+            let mut collector = RowCollector::new(&plan, &shared.schema)?;
+            worker.for_each_record(shard, tenant, range, |r| collector.push_record(r))?;
+            let partial = collector.finish(&mut stats);
+            Ok((partial, stats, DecodeStats::default()))
+        })
+    }
+
+    /// The scan of one archived LogBlock — the same body in every mode;
+    /// `block` decides where the bytes come from.
+    fn block_task(
+        &self,
+        block: BlockRead,
+        plan: &Arc<ScanPlan>,
+        tenant: logstore_types::TenantId,
+        opts: &QueryOptions,
+    ) -> Task<SourcePartial> {
+        let shared = Arc::clone(&self.shared);
+        let plan = Arc::clone(plan);
+        let use_skipping = opts.use_skipping;
+        Box::new(move || {
+            let BlockRead { source, handle, prefetch_errors } = block;
+            // A failed wave request is not fatal: it is counted, and the
+            // scan's own demand read succeeds or fails on its own terms.
+            let mut stats = QueryStats { prefetch_errors, ..QueryStats::default() };
+            let mut decode = DecodeStats::default();
+            let path = source.path().to_string();
+            let scan = (|| {
+                let handle = match handle {
+                    Some(resolved) => resolved?,
+                    None => source.open_handle(&shared)?,
+                };
+                let reader = LogBlockReader::with_handle(source, handle);
+                plan.collect_block(&reader, use_skipping, &mut stats, &mut decode)
+            })();
+            match scan {
+                Ok(partial) => Ok((partial, stats, decode)),
+                // A vanished object that the map no longer claims
+                // was expired or compacted away mid-query: report
+                // it as stale metadata so the broker replans,
+                // instead of leaking a raw OSS NotFound.
+                Err(Error::NotFound(_)) if !shared.metadata.is_block_mapped(tenant, &path) => {
+                    Err(Error::Stale(format!("LogBlock {path} removed mid-query")))
+                }
+                Err(e) => Err(e),
+            }
+        })
     }
 }
 
-/// Fig 10: the member ranges a query will touch in one LogBlock — the
-/// plan for a parallel prefetch wave. Free function so scattered tasks
-/// can call it without borrowing the broker. Plan-aware: only the
-/// predicate columns and the plan's materialization set are fetched, so a
-/// pure `COUNT(*)` prefetches predicate columns alone.
-fn prefetch_ranges(reader: &LogBlockReader<Source>, plan: &ScanPlan) -> Vec<(u64, u64)> {
-    let schema = reader.schema();
-    let mut needed_cols: Vec<usize> = Vec::new();
-    let mut push = |idx: Option<usize>| {
-        if let Some(i) = idx {
-            if !needed_cols.contains(&i) {
-                needed_cols.push(i);
-            }
+/// What the gather step has folded so far.
+#[derive(Default)]
+struct Gathered {
+    stats: QueryStats,
+    counters: ExecutionCounters,
+    partials: Vec<Partial>,
+}
+
+impl Gathered {
+    /// Gather: folds one scatter's results in submission order. The
+    /// earliest source's error wins regardless of which task failed first
+    /// on the clock.
+    fn fold(&mut self, results: Vec<Result<SourcePartial>>) -> Result<()> {
+        for task_result in results {
+            let (partial, task_stats, decode) = task_result?;
+            self.stats.merge(&task_stats);
+            self.counters.absorb(&decode, &partial);
+            self.partials.push(partial);
         }
-    };
-    for p in &plan.predicates {
-        push(schema.column_index(&p.column));
+        Ok(())
     }
-    for name in &plan.columns {
-        push(schema.column_index(name));
-    }
-    let mut ranges = Vec::new();
-    for &col in &needed_cols {
-        for member in [
-            logstore_logblock::meta::index_member(col),
-            logstore_logblock::meta::index_data_member(col),
-            logstore_logblock::meta::col_member(col),
-        ] {
-            if let Some(range) = reader.pack().member_object_range(&member) {
-                ranges.push(range);
-            }
-        }
-    }
-    ranges
 }

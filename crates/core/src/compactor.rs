@@ -33,13 +33,14 @@
 //! `assert_no_locks_held` guards enforce this): every metadata transaction
 //! completes before the next I/O starts.
 
-use crate::databuilder::BuildConfig;
+use crate::databuilder::{BuildConfig, RegisteredHandle};
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
 use logstore_cache::TieredCache;
-use logstore_logblock::{LogBlockBuilder, LogBlockReader};
+use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader};
 use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{Error, Result, TableSchema, TenantId, Timestamp};
+use std::sync::Arc;
 
 /// What counts as "small" and how much to merge at once.
 #[derive(Debug, Clone)]
@@ -130,7 +131,8 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
 /// run's sources with up to `width` GETs in flight. Per-run errors are
 /// isolated (one tenant's failure must not abort another's merge); the
 /// first error is returned after every run was attempted, alongside
-/// nothing — the report only counts committed work.
+/// nothing — the report only counts committed work. Beside the report
+/// comes the header of every merged block now live.
 pub fn run_compaction<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -139,16 +141,19 @@ pub fn run_compaction<S: ObjectStore>(
     config: &CompactionConfig,
     hooks: &dyn CrashHooks,
     width: usize,
-) -> Result<CompactionReport> {
+) -> Result<(CompactionReport, Vec<RegisteredHandle>)> {
     let mut report = CompactionReport::default();
+    let mut merged = Vec::new();
     let mut first_error: Option<Error> = None;
     for run in plan_compactions(metadata, config) {
         match compact_one_run(store, metadata, schema, build, hooks, &run, width) {
-            Ok(bytes_uploaded) => {
+            Ok((path, built)) => {
                 report.runs_committed += 1;
                 report.blocks_merged += run.sources.len() as u64;
                 report.rows_rewritten += run.sources.iter().map(|e| e.rows).sum::<u64>();
-                report.bytes_uploaded += bytes_uploaded;
+                report.bytes_uploaded += built.len() as u64;
+                // (The sources' handles go when GC deletes the objects.)
+                merged.extend(LogBlockHandle::open(&built).ok().map(|h| (path, Arc::new(h))));
             }
             Err(Error::Stale(_)) => report.runs_lost_races += 1,
             Err(e) => {
@@ -158,13 +163,13 @@ pub fn run_compaction<S: ObjectStore>(
     }
     match first_error {
         Some(e) => Err(e),
-        None => Ok(report),
+        None => Ok((report, merged)),
     }
 }
 
 /// One run through plan→build→upload→swap (tombstoning is part of the
 /// swap transaction; deletion belongs to [`run_gc`]). Returns the merged
-/// block's size in bytes.
+/// block's path and bytes.
 fn compact_one_run<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -173,7 +178,7 @@ fn compact_one_run<S: ObjectStore>(
     hooks: &dyn CrashHooks,
     run: &CompactionRun,
     width: usize,
-) -> Result<u64> {
+) -> Result<(String, Vec<u8>)> {
     // Protect the merged path from the stale-pending sweep while we build.
     let _build_guard = metadata.begin_build();
     let source_paths: Vec<String> = run.sources.iter().map(|e| e.path.clone()).collect();
@@ -218,7 +223,7 @@ fn compact_one_run<S: ObjectStore>(
         return Err(e);
     }
     hooks.reached(CrashPoint::CompactCommitted);
-    Ok(built.len() as u64)
+    Ok((merged_path, built))
 }
 
 /// Reads every source block and rebuilds one merged block. The sources are
@@ -256,7 +261,7 @@ fn build_merged_block<S: ObjectStore>(
 /// every tombstoned object. A failed delete *retains* the tombstone for
 /// the next pass — the object is never forgotten — and never aborts the
 /// rest of the pass. Successfully deleted paths are evicted from the
-/// block cache so dead objects stop pinning memory/disk budget.
+/// cache — handle and blocks — so dead objects stop pinning its budgets.
 pub fn run_gc<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -428,7 +433,8 @@ mod tests {
             .unwrap();
         }
         let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
-        let report = run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4).unwrap();
+        let (report, merged) =
+            run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4).unwrap();
         assert_eq!(report.runs_committed, 1);
         assert_eq!(report.blocks_merged, 3);
         assert_eq!(report.rows_rewritten, 30);
@@ -437,6 +443,9 @@ mod tests {
         assert_eq!(blocks[0].rows, 30);
         assert_eq!(blocks[0].min_ts, Timestamp(0));
         assert_eq!(blocks[0].max_ts, Timestamp(209));
+        // The live merged block's header is handed to the caller.
+        assert_eq!(merged.len(), 1);
+        assert_eq!((merged[0].0.as_str(), merged[0].1.meta().row_count), (&*blocks[0].path, 30));
         // The merged block scans to the exact concatenation of the sources.
         let reader = LogBlockReader::open(store.get(&blocks[0].path).unwrap()).unwrap();
         assert_eq!(reader.row_count(), 30);

@@ -59,7 +59,11 @@ pub struct ClusterConfig {
     pub oss_fault_scope: FaultScope,
     /// Probability that an in-scope OSS operation fails (0.0 = inert).
     pub oss_fault_probability: f64,
-    /// Memory block cache capacity in bytes.
+    /// Memory block cache capacity in bytes. Two more budgets follow it:
+    /// the object cache (parsed LogBlock headers kept across queries) gets
+    /// half as much again, and one fetch batch of a query holds at most
+    /// this many planned bytes — a larger query fetches and scans its
+    /// LogBlocks in several batches.
     pub cache_memory_bytes: usize,
     /// Optional SSD cache capacity in bytes (None = memory-only).
     pub cache_disk_bytes: Option<usize>,
@@ -70,13 +74,15 @@ pub struct ClusterConfig {
     /// scans don't serialize on one lock.
     pub cache_shards: usize,
     /// OSS requests one operation keeps in flight: the width of a query's
-    /// prefetch wave (the paper evaluates 32), of an archive drain's
+    /// fetch waves (the paper evaluates 32), of an archive drain's
     /// LogBlock PUTs and of a compaction run's source GETs. `1` issues
-    /// every request inline on the calling thread.
+    /// every request inline on the calling thread. A query plans four
+    /// times this many LogBlocks ahead of its scan, no more.
     pub prefetch_threads: usize,
     /// Size of the engine's shared scatter/gather query pool: the upper
     /// bound on concurrently-running per-source collection tasks across
-    /// ALL in-flight queries.
+    /// ALL in-flight queries. With prefetch on these tasks compute over
+    /// bytes already fetched, so this bounds CPU work, not requests.
     pub query_threads: usize,
     /// Flow-control knobs (α, per-tenant shard limit).
     pub flow: FlowControlConfig,
@@ -165,9 +171,12 @@ pub fn default_query_threads() -> usize {
 pub struct QueryOptions {
     /// Enable the multi-level data-skipping strategy (§5.1).
     pub use_skipping: bool,
-    /// Enable parallel prefetch (§5.2).
+    /// Enable parallel prefetch (§5.2): plan every read of the query from
+    /// the LogBlock headers and fetch it as one wave before scanning. When
+    /// false (or without the cache) each scan task demand-reads instead.
     pub use_prefetch: bool,
-    /// Use the shared multi-level cache; when false every read goes to OSS.
+    /// Use the shared multi-level cache — object tier and block tiers
+    /// alike; when false every read, headers included, goes to OSS.
     pub use_cache: bool,
     /// Per-source collection tasks this query may run at once. `0` means
     /// "as many as the engine's query pool allows"; `1` is the sequential

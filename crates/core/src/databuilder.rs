@@ -26,7 +26,7 @@
 
 use crate::metadata::{DrainId, LogBlockEntry, MetadataStore};
 use logstore_codec::Compression;
-use logstore_logblock::LogBlockBuilder;
+use logstore_logblock::{LogBlockBuilder, LogBlockHandle};
 use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{
     partition_into_chunks, ArchiveChunk, Error, LogRecord, Result, TableSchema, TenantId,
@@ -65,6 +65,11 @@ impl BuildReport {
     }
 }
 
+/// A LogBlock just registered: its path and its header, parsed from the
+/// bytes uploaded. The engine puts these in the object cache, so the first
+/// query of a new LogBlock plans its reads without a header round trip.
+pub type RegisteredHandle = (String, Arc<LogBlockHandle>);
+
 /// The full result of a build pass, including the failure path.
 ///
 /// The chunks before the lowest failed index are durable and registered
@@ -79,6 +84,8 @@ pub struct BuildOutcome {
     pub unarchived: Vec<LogRecord>,
     /// The lowest-indexed chunk's terminal error (or the commit's), if any.
     pub error: Option<Error>,
+    /// The header of every registered block, in chunk order.
+    pub handles: Vec<RegisteredHandle>,
 }
 
 impl BuildOutcome {
@@ -152,7 +159,9 @@ pub fn build_and_upload_drain<S: ObjectStore>(
         // wastes space until GC deletes it).
         let uploaded = block.and_then(|(entry, bytes)| {
             store.put(&entry.path, &bytes)?;
-            Ok(entry)
+            // A header that does not parse is simply not handed on: the
+            // block's first reader opens it the usual way and reports it.
+            Ok((entry, LogBlockHandle::open(&bytes).ok()))
         });
         if uploaded.is_err() {
             failed.store(true, Ordering::SeqCst);
@@ -161,9 +170,13 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     });
     // The durable prefix: every chunk before the lowest failed index.
     let mut entries = Vec::with_capacity(uploads.len());
+    let mut handles = Vec::with_capacity(uploads.len());
     for upload in uploads {
         match upload {
-            Ok(entry) => entries.push(entry),
+            Ok((entry, handle)) => {
+                entries.push(entry);
+                handles.push(handle);
+            }
             Err(e) => {
                 outcome.error = Some(e);
                 break;
@@ -197,10 +210,11 @@ pub fn build_and_upload_drain<S: ObjectStore>(
             registered
         }
     };
-    for entry in &entries[..committed] {
+    for (entry, handle) in entries[..committed].iter().zip(handles) {
         outcome.report.blocks_built += 1;
         outcome.report.rows_archived += entry.rows;
         outcome.report.bytes_uploaded += entry.bytes;
+        outcome.handles.extend(handle.map(|h| (entry.path.clone(), Arc::new(h))));
     }
     for chunk in chunks.into_iter().skip(committed) {
         outcome.unarchived.extend(chunk.rows);
@@ -450,6 +464,10 @@ mod tests {
         let mapped = metadata.all_blocks(TenantId(8));
         assert_eq!(mapped.len(), 1);
         assert!(mapped[0].path.ends_with("000000000001.pack"));
+        // Only a registered block's header is handed to the caller.
+        assert_eq!(outcome.handles.len(), 1);
+        assert_eq!(outcome.handles[0].0, mapped[0].path);
+        assert_eq!(outcome.handles[0].1.meta().row_count, 50);
         // Chunks 1.. come back whole, in chunk order.
         assert_eq!(outcome.unarchived, rows[50..]);
         // Chunk 2 is an uploaded-but-unregistered orphan under its pending

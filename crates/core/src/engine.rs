@@ -47,14 +47,14 @@ pub struct ClusterShared {
     pub metadata: Arc<MetadataStore>,
     /// The (simulated) OSS.
     pub store: Arc<Store>,
-    /// The multi-level block cache.
+    /// The multi-level cache: object tier and block tiers.
     pub cache: Arc<TieredCache>,
-    /// The parallel prefetcher.
-    pub prefetcher: Prefetcher,
+    /// The read path's request fan-out over `store` and `cache`.
+    pub prefetcher: Prefetcher<Store>,
     /// The shared scatter/gather query executor pool.
     pub query_pool: QueryPool,
-    /// Cache alignment block size.
-    pub cache_block_size: u64,
+    /// Memory block tier capacity: the byte budget of one fetch batch.
+    pub cache_memory_bytes: usize,
     /// Archive-pipeline crash hooks (no-op outside simulation).
     pub hooks: Arc<dyn CrashHooks>,
 }
@@ -174,7 +174,7 @@ impl LogStore {
                 config.seed,
             ))
         });
-        let cache = Arc::new(match config.cache_disk_bytes {
+        let block_tiers = match config.cache_disk_bytes {
             Some(disk_bytes) => {
                 let dir = config
                     .data_dir
@@ -189,7 +189,11 @@ impl LogStore {
             None => {
                 TieredCache::memory_only_sharded(config.cache_memory_bytes, config.cache_shards)
             }
-        });
+        };
+        // Headers are a few percent of a LogBlock's bytes: half the block
+        // budget keeps the header of far more LogBlocks than the block
+        // tier has room for, and both shrink and grow together.
+        let cache = Arc::new(block_tiers.with_object_tier(config.cache_memory_bytes / 2));
         let mut workers = Vec::with_capacity(config.workers as usize);
         let mut shard_to_worker = HashMap::new();
         for w in 0..config.workers {
@@ -227,11 +231,16 @@ impl LogStore {
             ),
             controller,
             metadata,
+            prefetcher: Prefetcher::new(
+                Arc::clone(&store),
+                Arc::clone(&cache),
+                config.cache_block_size,
+                config.prefetch_threads,
+            ),
             store,
             cache,
-            prefetcher: Prefetcher::new(config.prefetch_threads),
             query_pool: QueryPool::new(config.query_threads)?,
-            cache_block_size: config.cache_block_size,
+            cache_memory_bytes: config.cache_memory_bytes,
             hooks,
         });
         let broker = Broker::new(Arc::clone(&shared));
@@ -439,7 +448,7 @@ impl LogStore {
         rows: Vec<LogRecord>,
     ) -> BuildOutcome {
         self.shared.hooks.reached(CrashPoint::AfterDrain);
-        let outcome = build_and_upload_drain(
+        let mut outcome = build_and_upload_drain(
             rows,
             &self.shared.schema,
             &self.build_config,
@@ -449,6 +458,9 @@ impl LogStore {
             self.config.prefetch_threads,
         );
         self.shared.hooks.reached(CrashPoint::AfterUpload);
+        for (path, handle) in outcome.handles.drain(..) {
+            self.shared.cache.insert_handle(&path, handle);
+        }
         if !outcome.is_complete() {
             self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
             self.archive_rows_restored
@@ -519,7 +531,7 @@ impl LogStore {
     /// concurrently with ingest, queries and expiration: a lost race
     /// surfaces as a skipped run, never as data loss.
     pub fn compact(&self) -> Result<CompactionReport> {
-        compactor::run_compaction(
+        let (report, merged) = compactor::run_compaction(
             self.shared.store.as_ref(),
             &self.shared.metadata,
             &self.shared.schema,
@@ -527,12 +539,16 @@ impl LogStore {
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
             self.config.prefetch_threads,
-        )
+        )?;
+        for (path, handle) in merged {
+            self.shared.cache.insert_handle(&path, handle);
+        }
+        Ok(report)
     }
 
     /// One GC pass: sweeps orphaned uploads into the tombstone list and
-    /// deletes tombstoned objects from OSS (evicting them from the block
-    /// cache). Failed deletes are retried by the next pass.
+    /// deletes tombstoned objects from OSS (evicting their handles and
+    /// blocks from the cache). Failed deletes are retried by the next pass.
     pub fn gc(&self) -> GcReport {
         compactor::run_gc(
             self.shared.store.as_ref(),
@@ -593,7 +609,8 @@ impl LogStore {
         self.shared.cache.stats()
     }
 
-    /// Drops the memory cache tier (cold-cache experiment phases).
+    /// Drops everything the cache holds in memory — LogBlock handles and
+    /// memory-tier blocks (cold-cache experiment phases).
     pub fn clear_cache(&self) {
         self.shared.cache.clear_memory();
     }

@@ -1,6 +1,6 @@
 //! The scatter/gather query executor: a shared, bounded worker pool that
-//! fans a query's per-source work (real-time shard scans, LogBlock
-//! open→prefetch→collect chains) out across threads.
+//! fans a query's per-source work (real-time shard scans, LogBlock scans
+//! over bytes the broker already fetched) out across threads.
 //!
 //! Determinism is the design constraint: a parallel run must be
 //! bit-identical to the sequential one. The pool therefore never merges
@@ -65,18 +65,36 @@ impl QueryPool {
     /// returns their results **in submission order**.
     ///
     /// `parallelism <= 1` runs every task inline on the calling thread —
-    /// the sequential reference path, same task code, zero pool traffic.
-    /// Higher values submit `min(parallelism, tasks)` runners to the pool;
-    /// each runner pulls the next unclaimed task index until none remain,
-    /// so tasks start in order even though they finish in any order.
+    /// the sequential reference path, same task code, zero pool traffic —
+    /// and so does a single task. Higher values submit
+    /// `min(parallelism, tasks)` runners to the pool; each runner pulls the
+    /// next unclaimed task index until none remain, so tasks start in order
+    /// even though they finish in any order.
     pub fn scatter<T: Send + 'static>(
         &self,
         parallelism: usize,
         tasks: Vec<Task<T>>,
     ) -> Vec<Result<T>> {
-        let total = tasks.len();
-        if parallelism <= 1 || total <= 1 {
+        if tasks.len() <= 1 {
             return tasks.into_iter().map(run_task).collect();
+        }
+        self.start(parallelism, tasks).wait()
+    }
+
+    /// [`QueryPool::scatter`] split in two: hands `tasks` to the pool and
+    /// returns at once, so the caller can do other work — fetch what the
+    /// next tasks will read — before it [`Scattered::wait`]s. With
+    /// `parallelism <= 1` there is nobody to hand them to: they run here,
+    /// inline, before this returns.
+    pub fn start<T: Send + 'static>(
+        &self,
+        parallelism: usize,
+        tasks: Vec<Task<T>>,
+    ) -> Scattered<T> {
+        let total = tasks.len();
+        if parallelism <= 1 {
+            let results = tasks.into_iter().map(|task| Some(run_task(task))).collect();
+            return Scattered { results, pending: None };
         }
         let slots: Arc<Vec<OrderedMutex<Option<Task<T>>>>> = Arc::new(
             tasks.into_iter().map(|t| OrderedMutex::new("core.executor.slot", Some(t))).collect(),
@@ -108,23 +126,7 @@ impl QueryPool {
                 let _ = result_tx.send((idx, run_task(task)));
             }));
         }
-        drop(result_tx);
-        let mut results: Vec<Option<Result<T>>> = (0..total).map(|_| None).collect();
-        for _ in 0..total {
-            match result_rx.recv() {
-                Ok((idx, result)) => results[idx] = Some(result),
-                // Every runner sender dropped before all indices reported:
-                // a pool worker died. The fill below turns each missing
-                // slot into an error instead of hanging or panicking.
-                Err(_) => break,
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| Err(Error::Internal("query pool lost a task result".into())))
-            })
-            .collect()
+        Scattered { results: (0..total).map(|_| None).collect(), pending: Some(result_rx) }
     }
 
     fn submit(&self, job: Job) {
@@ -149,6 +151,38 @@ impl Drop for QueryPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Tasks handed to the pool by [`QueryPool::start`], not yet gathered.
+pub struct Scattered<T> {
+    /// One slot per task, in submission order; filled as results arrive.
+    results: Vec<Option<Result<T>>>,
+    /// `None` when the tasks already ran inline.
+    pending: Option<crossbeam::channel::Receiver<(usize, Result<T>)>>,
+}
+
+impl<T> Scattered<T> {
+    /// Blocks until every task has reported; results in submission order.
+    pub fn wait(mut self) -> Vec<Result<T>> {
+        if let Some(pending) = self.pending.take() {
+            for _ in 0..self.results.len() {
+                match pending.recv() {
+                    Ok((idx, result)) => self.results[idx] = Some(result),
+                    // Every runner sender dropped before all indices
+                    // reported: a pool worker died. The fill below turns
+                    // each missing slot into an error instead of hanging
+                    // or panicking.
+                    Err(_) => break,
+                }
+            }
+        }
+        self.results
+            .into_iter()
+            .map(|r| {
+                r.unwrap_or_else(|| Err(Error::Internal("query pool lost a task result".into())))
+            })
+            .collect()
     }
 }
 
@@ -238,6 +272,34 @@ mod tests {
         );
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].as_ref().unwrap(), &1);
+    }
+
+    #[test]
+    fn start_hands_tasks_over_and_wait_gathers_them_in_order() {
+        let pool = QueryPool::new(2).unwrap();
+        // Both tasks block until the caller — back from `start` — lets
+        // them go: `start` cannot have waited for them.
+        let (go_tx, go_rx) = crossbeam::channel::unbounded::<()>();
+        let tasks: Vec<Task<usize>> = (0..2usize)
+            .map(|i| {
+                let go = go_rx.clone();
+                Box::new(move || {
+                    go.recv().map_err(|e| Error::Internal(e.to_string()))?;
+                    Ok(i)
+                }) as Task<usize>
+            })
+            .collect();
+        let scattered = pool.start(2, tasks);
+        for _ in 0..2 {
+            go_tx.send(()).unwrap();
+        }
+        let values: Vec<usize> = scattered.wait().into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(values, vec![0, 1]);
+        // Sequential mode has nobody to hand over to: done at `start`.
+        let caller = std::thread::current().id();
+        let inline: Vec<Task<bool>> =
+            vec![Box::new(move || Ok(std::thread::current().id() == caller))];
+        assert!(pool.start(1, inline).wait().remove(0).unwrap());
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl LogBlockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::PackReader;
+    use crate::reader::LogBlockHandle;
 
     fn sample_row(t: u64, ts: i64, ip: &str, latency: i64) -> Vec<Value> {
         vec![
@@ -234,13 +234,14 @@ mod tests {
         }
         assert_eq!(b.row_count(), 100);
         let bytes = b.finish().unwrap();
-        let pack = PackReader::open(bytes).unwrap();
+        let handle = LogBlockHandle::open(&bytes).unwrap();
+        let pack = handle.manifest();
         // meta + 7 columns + 5 indexes x 2 members each (latency is
         // unindexed by choice, bool columns carry no index).
         assert_eq!(pack.members().len(), 1 + 7 + 5 * 2);
         assert!(pack.entry("index.4").is_none(), "latency must be unindexed");
         assert!(pack.entry("index.5").is_none(), "bool fail column has no index");
-        let meta = LogBlockMeta::deserialize(&pack.read_member(META_MEMBER).unwrap()).unwrap();
+        let meta = handle.meta();
         assert_eq!(meta.row_count, 100);
         // 100 rows at 16 rows/block = 7 blocks per column.
         assert_eq!(meta.columns[0].blocks.len(), 7);
@@ -261,8 +262,8 @@ mod tests {
     fn empty_builder_finishes() {
         let b = LogBlockBuilder::new(TableSchema::request_log());
         let bytes = b.finish().unwrap();
-        let pack = PackReader::open(bytes).unwrap();
-        let meta = LogBlockMeta::deserialize(&pack.read_member(META_MEMBER).unwrap()).unwrap();
+        let handle = LogBlockHandle::open(&bytes).unwrap();
+        let meta = handle.meta();
         assert_eq!(meta.row_count, 0);
         assert!(meta.columns.iter().all(|c| c.blocks.is_empty()));
     }
@@ -274,9 +275,8 @@ mod tests {
             b.add_row(&sample_row(1, ts, "ip", 1)).unwrap();
         }
         let bytes = b.finish().unwrap();
-        let pack = PackReader::open(bytes).unwrap();
-        let meta = LogBlockMeta::deserialize(&pack.read_member(META_MEMBER).unwrap()).unwrap();
-        let r = meta.time_range().unwrap();
+        let handle = LogBlockHandle::open(&bytes).unwrap();
+        let r = handle.meta().time_range().unwrap();
         assert_eq!(r.start.millis(), 100);
         assert_eq!(r.end.millis(), 900);
     }

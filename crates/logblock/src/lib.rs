@@ -25,7 +25,10 @@
 //! [`builder::LogBlockBuilder`] produces pack bytes; [`reader::LogBlockReader`]
 //! consumes them through a [`pack::RangeSource`], fetching only the byte
 //! ranges a query needs — which is what makes the data-skipping strategy
-//! (implemented in [`scan`]) pay off on high-latency object storage.
+//! (implemented in [`scan`]) pay off on high-latency object storage. The
+//! parsed header of a block is a shareable [`reader::LogBlockHandle`], and
+//! [`scan::predicate_reads`] plans a scan's reads from it before any data
+//! is fetched.
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +42,9 @@ pub mod scan;
 pub use builder::LogBlockBuilder;
 pub use column::{ColumnData, ColumnVec};
 pub use meta::{BlockMeta, ColumnMeta, LogBlockMeta};
-pub use pack::{PackReader, PackWriter, RangeSource};
-pub use reader::LogBlockReader;
-pub use scan::{eval_batch, evaluate_predicates, evaluate_predicates_vec, DecodeStats, ScanStats};
+pub use pack::{PackManifest, PackWriter, RangeSource};
+pub use reader::{LogBlockHandle, LogBlockReader};
+pub use scan::{
+    eval_batch, evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
+    ScanStats,
+};

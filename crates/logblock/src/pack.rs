@@ -133,33 +133,52 @@ pub struct MemberEntry {
     pub len: u64,
 }
 
-/// Reads members of a pack through a [`RangeSource`].
-#[derive(Debug)]
-pub struct PackReader<S> {
-    source: S,
+/// Reads a little-endian `u32` out of an exactly-4-byte slice.
+fn le_u32(bytes: &[u8]) -> Result<u32> {
+    <[u8; 4]>::try_from(bytes)
+        .map(u32::from_le_bytes)
+        .map_err(|_| Error::corruption("pack field is not 4 bytes"))
+}
+
+/// Checks the fixed prologue (length, magic, version) and returns the
+/// manifest length it announces.
+fn parse_prologue(prologue: &[u8]) -> Result<u64> {
+    if prologue.len() as u64 != PROLOGUE_LEN {
+        return Err(Error::corruption("short pack prologue"));
+    }
+    let (magic, rest) = prologue.split_at(MAGIC.len());
+    if magic != MAGIC {
+        return Err(Error::corruption("bad pack magic"));
+    }
+    if rest[0] != VERSION {
+        return Err(Error::corruption(format!("unsupported pack version {}", rest[0])));
+    }
+    le_u32(&rest[1..]).map(u64::from)
+}
+
+/// The parsed manifest of one pack: where every member lives inside the
+/// object. Holds no source, so one parsed manifest serves every reader of
+/// the same (immutable) object.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackManifest {
     members: Vec<MemberEntry>,
     payload_start: u64,
 }
 
-impl<S: RangeSource> PackReader<S> {
-    /// Opens a pack: fetches the prologue and manifest, verifies magic and
-    /// checksum.
-    pub fn open(source: S) -> Result<Self> {
-        let prologue = source.read_at(0, PROLOGUE_LEN)?;
-        if &prologue[0..4] != MAGIC {
-            return Err(Error::corruption("bad pack magic"));
-        }
-        if prologue[4] != VERSION {
-            return Err(Error::corruption(format!("unsupported pack version {}", prologue[4])));
-        }
-        let manifest_len = u32::from_le_bytes(prologue[5..9].try_into().expect("4 bytes")) as u64;
+impl PackManifest {
+    /// Fetches the prologue and manifest of `source`, verifying magic,
+    /// version, checksum and that every member lies inside the object.
+    pub fn read<S: RangeSource + ?Sized>(source: &S) -> Result<Self> {
+        let manifest_len = parse_prologue(&source.read_at(0, PROLOGUE_LEN)?)?;
         if manifest_len < 8 || PROLOGUE_LEN + manifest_len > source.size() {
             return Err(Error::corruption("pack manifest length out of range"));
         }
         let manifest = source.read_at(PROLOGUE_LEN, manifest_len)?;
+        if manifest.len() as u64 != manifest_len {
+            return Err(Error::corruption("short pack manifest"));
+        }
         let (body, crc_bytes) = manifest.split_at(manifest.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32c(body) != stored {
+        if crc32c(body) != le_u32(crc_bytes)? {
             return Err(Error::corruption("pack manifest checksum mismatch"));
         }
 
@@ -180,7 +199,7 @@ impl<S: RangeSource> PackReader<S> {
             }
             members.push(MemberEntry { name, offset, len });
         }
-        Ok(PackReader { source, members, payload_start })
+        Ok(PackManifest { members, payload_start })
     }
 
     /// Manifest entries in pack order.
@@ -193,43 +212,49 @@ impl<S: RangeSource> PackReader<S> {
         self.members.iter().find(|m| m.name == name)
     }
 
-    /// Reads a whole member.
-    pub fn read_member(&self, name: &str) -> Result<Vec<u8>> {
-        let entry =
-            self.entry(name).ok_or_else(|| Error::NotFound(format!("pack member '{name}'")))?;
-        self.source.read_at(self.payload_start + entry.offset, entry.len)
+    fn require(&self, name: &str) -> Result<&MemberEntry> {
+        self.entry(name).ok_or_else(|| Error::NotFound(format!("pack member '{name}'")))
+    }
+
+    /// Object offset of the first payload byte — also the size of the
+    /// prologue plus manifest this struct was parsed from.
+    pub fn payload_start(&self) -> u64 {
+        self.payload_start
+    }
+
+    /// The absolute byte range `(offset, len)` of a member within the pack
+    /// object — what a fetch plan is made of.
+    pub fn member_object_range(&self, name: &str) -> Option<(u64, u64)> {
+        self.entry(name).map(|e| (self.payload_start + e.offset, e.len))
     }
 
     /// Reads a whole member into a shared buffer — zero-copy when the
     /// source is cached and the member happens to be block-aligned.
-    pub fn read_member_shared(&self, name: &str) -> Result<std::sync::Arc<Vec<u8>>> {
-        let entry =
-            self.entry(name).ok_or_else(|| Error::NotFound(format!("pack member '{name}'")))?;
-        self.source.read_at_shared(self.payload_start + entry.offset, entry.len)
+    pub fn read_member_shared<S: RangeSource + ?Sized>(
+        &self,
+        source: &S,
+        name: &str,
+    ) -> Result<std::sync::Arc<Vec<u8>>> {
+        let entry = self.require(name)?;
+        source.read_at_shared(self.payload_start + entry.offset, entry.len)
     }
 
     /// Reads a byte range inside a member.
-    pub fn read_member_range(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let entry =
-            self.entry(name).ok_or_else(|| Error::NotFound(format!("pack member '{name}'")))?;
+    pub fn read_member_range<S: RangeSource + ?Sized>(
+        &self,
+        source: &S,
+        name: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        let entry = self.require(name)?;
         if offset.checked_add(len).is_none_or(|end| end > entry.len) {
             return Err(Error::invalid(format!(
                 "range {offset}+{len} exceeds member '{name}' of {} bytes",
                 entry.len
             )));
         }
-        self.source.read_at(self.payload_start + entry.offset + offset, len)
-    }
-
-    /// The absolute byte range `(offset, len)` of a member within the pack
-    /// object — used by the prefetcher to plan parallel range GETs.
-    pub fn member_object_range(&self, name: &str) -> Option<(u64, u64)> {
-        self.entry(name).map(|e| (self.payload_start + e.offset, e.len))
-    }
-
-    /// The underlying source.
-    pub fn source(&self) -> &S {
-        &self.source
+        source.read_at(self.payload_start + entry.offset + offset, len)
     }
 }
 
@@ -249,26 +274,28 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let bytes = sample_pack();
-        let r = PackReader::open(bytes).unwrap();
-        assert_eq!(r.members().len(), 4);
-        assert_eq!(r.read_member("meta").unwrap(), b"schema-bytes");
-        assert_eq!(r.read_member("index.0").unwrap(), b"idx0");
-        assert_eq!(r.read_member("col.0").unwrap(), vec![7u8; 1000]);
-        assert_eq!(r.read_member("empty").unwrap(), Vec::<u8>::new());
+        let m = PackManifest::read(&bytes).unwrap();
+        assert_eq!(m.members().len(), 4);
+        assert_eq!(*m.read_member_shared(&bytes, "meta").unwrap(), b"schema-bytes");
+        assert_eq!(*m.read_member_shared(&bytes, "index.0").unwrap(), b"idx0");
+        assert_eq!(*m.read_member_shared(&bytes, "col.0").unwrap(), vec![7u8; 1000]);
+        assert_eq!(*m.read_member_shared(&bytes, "empty").unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn member_range_reads() {
-        let r = PackReader::open(sample_pack()).unwrap();
-        assert_eq!(r.read_member_range("meta", 0, 6).unwrap(), b"schema");
-        assert_eq!(r.read_member_range("meta", 7, 5).unwrap(), b"bytes");
-        assert!(r.read_member_range("meta", 10, 10).is_err());
+        let bytes = sample_pack();
+        let m = PackManifest::read(&bytes).unwrap();
+        assert_eq!(m.read_member_range(&bytes, "meta", 0, 6).unwrap(), b"schema");
+        assert_eq!(m.read_member_range(&bytes, "meta", 7, 5).unwrap(), b"bytes");
+        assert!(m.read_member_range(&bytes, "meta", 10, 10).is_err());
     }
 
     #[test]
     fn missing_member() {
-        let r = PackReader::open(sample_pack()).unwrap();
-        assert!(matches!(r.read_member("nope"), Err(Error::NotFound(_))));
+        let bytes = sample_pack();
+        let m = PackManifest::read(&bytes).unwrap();
+        assert!(matches!(m.read_member_shared(&bytes, "nope"), Err(Error::NotFound(_))));
     }
 
     #[test]
@@ -282,21 +309,44 @@ mod tests {
     fn corrupted_magic_rejected() {
         let mut bytes = sample_pack();
         bytes[0] = b'X';
-        assert!(PackReader::open(bytes).is_err());
+        assert!(PackManifest::read(&bytes).is_err());
     }
 
     #[test]
     fn corrupted_manifest_rejected() {
         let mut bytes = sample_pack();
         bytes[12] ^= 0xff; // inside the manifest body
-        assert!(PackReader::open(bytes).is_err());
+        assert!(PackManifest::read(&bytes).is_err());
     }
 
     #[test]
     fn truncated_object_rejected() {
         let bytes = sample_pack();
-        assert!(PackReader::open(bytes[..PROLOGUE_LEN as usize].to_vec()).is_err());
-        assert!(PackReader::open(bytes[..4].to_vec()).is_err());
+        assert!(PackManifest::read(&bytes[..PROLOGUE_LEN as usize].to_vec()).is_err());
+        assert!(PackManifest::read(&bytes[..4].to_vec()).is_err());
+    }
+
+    #[test]
+    fn a_source_that_returns_short_reads_is_corruption_not_a_panic() {
+        /// Breaks the `RangeSource` contract: truncates every read.
+        struct Short(Vec<u8>, usize);
+        impl RangeSource for Short {
+            fn read_at(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+                let mut bytes = self.0.read_at(offset, len)?;
+                bytes.truncate(self.1);
+                Ok(bytes)
+            }
+            fn size(&self) -> u64 {
+                self.0.size()
+            }
+        }
+        for keep in [0, 3, 8] {
+            let err = PackManifest::read(&Short(sample_pack(), keep)).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "keep {keep}: {err}");
+        }
+        // A full prologue but a truncated manifest.
+        let err = PackManifest::read(&Short(sample_pack(), 9)).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
     #[test]
@@ -306,14 +356,14 @@ mod tests {
         w.add("a", vec![1, 2, 3]).unwrap();
         let mut bytes = w.finish();
         bytes.truncate(bytes.len() - 2); // shrink payload under the claim
-        assert!(PackReader::open(bytes).is_err());
+        assert!(PackManifest::read(&bytes).is_err());
     }
 
     #[test]
     fn object_range_maps_to_absolute_offsets() {
         let bytes = sample_pack();
-        let r = PackReader::open(bytes.clone()).unwrap();
-        let (off, len) = r.member_object_range("col.0").unwrap();
+        let m = PackManifest::read(&bytes).unwrap();
+        let (off, len) = m.member_object_range("col.0").unwrap();
         assert_eq!(len, 1000);
         assert_eq!(&bytes[off as usize..(off + 4) as usize], &[7u8; 4]);
     }

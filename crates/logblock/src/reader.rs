@@ -1,13 +1,26 @@
 //! Reading LogBlocks with lazy, range-based I/O.
 //!
-//! [`LogBlockReader`] never downloads a whole object: opening reads the pack
-//! manifest and the `meta` member; indexes and column blocks are fetched by
-//! range only when a query actually needs them. On top of the simulated OSS
-//! this is what turns data skipping into saved wall-clock time.
+//! A LogBlock is read in two parts. A [`LogBlockHandle`] is everything
+//! parsed from the object's header — the pack manifest, the `meta` member
+//! and the index dictionaries, parsed on first use — and none of it
+//! depends on where the bytes come from: LogBlocks are immutable, so one
+//! handle serves every reader of the same object and is what the object
+//! cache keeps across queries. A [`LogBlockReader`] pairs a handle with a
+//! [`RangeSource`] and fetches indexes and column blocks by range only
+//! when a query actually needs them.
+//!
+//! Because the handle states where every member lives, a caller that
+//! holds one can compute all the ranges a scan will touch before reading
+//! any of them (`logstore_query::ScanPlan::planned_members`) and fetch
+//! them as one parallel wave. On that path data skipping is saved
+//! wall-clock time, not only saved bytes: a column the SMAs decide is
+//! never requested, and everything that is requested shares one OSS round
+//! trip. A reader without that plan (the demand path) still downloads
+//! only what it touches, but pays one round trip per cold range.
 
 use crate::column::{decode_block, decode_block_into, ColumnVec};
 use crate::meta::{col_member, index_data_member, index_member, LogBlockMeta, META_MEMBER};
-use crate::pack::{PackReader, RangeSource};
+use crate::pack::{PackManifest, RangeSource};
 use logstore_index::inverted::TermKind;
 use logstore_index::{BkdDictReader, InvertedDictReader};
 use logstore_sync::OrderedMutex;
@@ -20,23 +33,36 @@ enum CachedDict {
     Bkd(BkdDictReader),
 }
 
-/// Reads one LogBlock through a [`RangeSource`].
-pub struct LogBlockReader<S> {
-    pack: PackReader<S>,
+/// The parsed, source-independent header of one LogBlock (the paper's
+/// "meta and index objects"). Immutable once opened, apart from the
+/// dictionary memo; shared by `Arc`.
+pub struct LogBlockHandle {
+    manifest: PackManifest,
     meta: LogBlockMeta,
     // Index dictionaries parsed on first use; postings/leaves are always
     // range-read per lookup (the OSS-friendly access pattern). Never held
-    // across I/O: the pack read happens between the two lock scopes.
+    // across I/O: the member read happens between the two lock scopes.
     dicts: OrderedMutex<HashMap<usize, Arc<CachedDict>>>,
 }
 
-impl<S: RangeSource> LogBlockReader<S> {
-    /// Opens a LogBlock: reads manifest + meta member.
-    pub fn open(source: S) -> Result<Self> {
-        let pack = PackReader::open(source)?;
-        let meta = LogBlockMeta::deserialize(&pack.read_member_shared(META_MEMBER)?)?;
+impl std::fmt::Debug for LogBlockHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogBlockHandle").field("rows", &self.meta.row_count).finish_non_exhaustive()
+    }
+}
+
+impl LogBlockHandle {
+    /// Reads and validates the manifest and the `meta` member of `source`.
+    pub fn open<S: RangeSource + ?Sized>(source: &S) -> Result<Self> {
+        let manifest = PackManifest::read(source)?;
+        let meta = LogBlockMeta::deserialize(&manifest.read_member_shared(source, META_MEMBER)?)?;
         let dicts = OrderedMutex::new("logblock.reader.dicts", HashMap::new());
-        Ok(LogBlockReader { pack, meta, dicts })
+        Ok(LogBlockHandle { manifest, meta, dicts })
+    }
+
+    /// Where every member lives inside the object.
+    pub fn manifest(&self) -> &PackManifest {
+        &self.manifest
     }
 
     /// The block's metadata.
@@ -44,31 +70,28 @@ impl<S: RangeSource> LogBlockReader<S> {
         &self.meta
     }
 
-    /// The embedded schema.
-    pub fn schema(&self) -> &TableSchema {
-        &self.meta.schema
+    /// What a cache should charge for keeping this handle: the serialized
+    /// size of everything it holds or may come to hold — prologue and
+    /// manifest, the `meta` member, and every index dictionary member.
+    /// Fixed at open, so the charge never changes while the handle is
+    /// cached.
+    pub fn charge_bytes(&self) -> usize {
+        let dicts = (0..self.meta.columns.len()).map(index_member);
+        let members = std::iter::once(META_MEMBER.to_string()).chain(dicts);
+        let bytes: u64 = members.filter_map(|name| self.manifest.entry(&name)).map(|m| m.len).sum();
+        (self.manifest.payload_start() + bytes) as usize
     }
 
-    /// Total rows in the block.
-    pub fn row_count(&self) -> u32 {
-        self.meta.row_count
-    }
-
-    /// The underlying pack (for prefetch planning).
-    pub fn pack(&self) -> &PackReader<S> {
-        &self.pack
-    }
-
-    fn dict(&self, col: usize) -> Result<Arc<CachedDict>> {
+    fn dict<S: RangeSource>(&self, source: &S, col: usize) -> Result<Arc<CachedDict>> {
         if let Some(dict) = self.dicts.lock().get(&col) {
             return Ok(Arc::clone(dict));
         }
         let cm = self
-            .meta
+            .meta()
             .columns
             .get(col)
             .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
-        let bytes = self.pack.read_member_shared(&index_member(col))?;
+        let bytes = self.manifest.read_member_shared(source, &index_member(col))?;
         let dict = match cm.index {
             IndexKind::Inverted | IndexKind::FullText => {
                 CachedDict::Inverted(InvertedDictReader::open(&bytes)?)
@@ -79,6 +102,49 @@ impl<S: RangeSource> LogBlockReader<S> {
         let dict = Arc::new(dict);
         self.dicts.lock().insert(col, Arc::clone(&dict));
         Ok(dict)
+    }
+}
+
+/// Reads one LogBlock: a [`LogBlockHandle`] over a [`RangeSource`].
+pub struct LogBlockReader<S> {
+    pub(crate) source: S,
+    pub(crate) handle: Arc<LogBlockHandle>,
+}
+
+impl<S: RangeSource> LogBlockReader<S> {
+    /// Opens a LogBlock: reads manifest + meta member.
+    pub fn open(source: S) -> Result<Self> {
+        let handle = Arc::new(LogBlockHandle::open(&source)?);
+        Ok(LogBlockReader { source, handle })
+    }
+
+    /// A reader over `source` for a LogBlock whose header is already
+    /// parsed: no I/O. `handle` must have been opened from the same object.
+    pub fn with_handle(source: S, handle: Arc<LogBlockHandle>) -> Self {
+        LogBlockReader { source, handle }
+    }
+
+    /// The block's metadata.
+    pub fn meta(&self) -> &LogBlockMeta {
+        &self.handle.meta
+    }
+
+    /// The embedded schema.
+    pub fn schema(&self) -> &TableSchema {
+        &self.handle.meta.schema
+    }
+
+    /// Total rows in the block.
+    pub fn row_count(&self) -> u32 {
+        self.handle.meta.row_count
+    }
+
+    fn dict(&self, col: usize) -> Result<Arc<CachedDict>> {
+        self.handle.dict(&self.source, col)
+    }
+
+    fn read_member_range(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+        self.handle.manifest.read_member_range(&self.source, name, offset, len)
     }
 
     /// Lazy exact-term lookup on a string column's inverted index: reads
@@ -99,12 +165,9 @@ impl<S: RangeSource> LogBlockReader<S> {
         };
         match dict.lookup_range(kind, term) {
             Some((offset, len)) => {
-                let bytes = self.pack.read_member_range(
-                    &index_data_member(col),
-                    offset as u64,
-                    len as u64,
-                )?;
-                InvertedDictReader::decode_postings(&bytes, self.meta.row_count)
+                let bytes =
+                    self.read_member_range(&index_data_member(col), offset as u64, len as u64)?;
+                InvertedDictReader::decode_postings(&bytes, self.row_count())
             }
             None => Ok(Vec::new()),
         }
@@ -120,8 +183,8 @@ impl<S: RangeSource> LogBlockReader<S> {
         let mut out = Vec::new();
         for (offset, len) in dict.leaf_ranges(lo, hi) {
             let bytes =
-                self.pack.read_member_range(&index_data_member(col), offset as u64, len as u64)?;
-            dict.scan_leaf_bytes(&bytes, lo, hi, self.meta.row_count, &mut out)?;
+                self.read_member_range(&index_data_member(col), offset as u64, len as u64)?;
+            dict.scan_leaf_bytes(&bytes, lo, hi, self.row_count(), &mut out)?;
         }
         out.sort_unstable();
         out.dedup();
@@ -131,7 +194,7 @@ impl<S: RangeSource> LogBlockReader<S> {
     /// Loads and decodes one column block, returning its positional values.
     pub fn read_block_values(&self, col: usize, block: usize) -> Result<Vec<Value>> {
         let cm = self
-            .meta
+            .meta()
             .columns
             .get(col)
             .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
@@ -139,15 +202,15 @@ impl<S: RangeSource> LogBlockReader<S> {
             .blocks
             .get(block)
             .ok_or_else(|| Error::invalid(format!("block {block} out of range")))?;
-        let bytes = self.pack.read_member_range(&col_member(col), bm.offset, bm.len)?;
-        decode_block(self.meta.schema.columns[col].data_type, &bytes, bm.row_count)
+        let bytes = self.read_member_range(&col_member(col), bm.offset, bm.len)?;
+        decode_block(self.schema().columns[col].data_type, &bytes, bm.row_count)
     }
 
     /// Loads and decodes one column block into a reusable typed batch —
     /// the vectorized counterpart of [`LogBlockReader::read_block_values`].
     pub fn read_block_vec(&self, col: usize, block: usize, out: &mut ColumnVec) -> Result<()> {
         let cm = self
-            .meta
+            .meta()
             .columns
             .get(col)
             .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
@@ -155,20 +218,20 @@ impl<S: RangeSource> LogBlockReader<S> {
             .blocks
             .get(block)
             .ok_or_else(|| Error::invalid(format!("block {block} out of range")))?;
-        let bytes = self.pack.read_member_range(&col_member(col), bm.offset, bm.len)?;
-        decode_block_into(self.meta.schema.columns[col].data_type, &bytes, bm.row_count, out)
+        let bytes = self.read_member_range(&col_member(col), bm.offset, bm.len)?;
+        decode_block_into(self.schema().columns[col].data_type, &bytes, bm.row_count, out)
     }
 
     /// Loads a whole column (all blocks, concatenated).
     pub fn read_column(&self, col: usize) -> Result<Vec<Value>> {
         let n_blocks = self
-            .meta
+            .meta()
             .columns
             .get(col)
             .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?
             .blocks
             .len();
-        let mut out = Vec::with_capacity(self.meta.row_count as usize);
+        let mut out = Vec::with_capacity(self.row_count() as usize);
         for b in 0..n_blocks {
             out.extend(self.read_block_values(col, b)?);
         }
@@ -182,7 +245,7 @@ impl<S: RangeSource> LogBlockReader<S> {
         let mut rows = vec![Vec::with_capacity(projection.len()); row_ids.len()];
         for &col in projection {
             let cm = self
-                .meta
+                .meta()
                 .columns
                 .get(col)
                 .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
@@ -256,6 +319,54 @@ mod tests {
         assert_eq!(ts[99], Value::I64(1099));
         let ips = r.read_column(2).unwrap();
         assert_eq!(ips[7], Value::from("10.0.0.2"));
+    }
+
+    #[test]
+    fn one_handle_serves_many_readers_without_reopening() {
+        let bytes = build_block(100, 16);
+        let first = LogBlockReader::open(bytes.clone()).unwrap();
+        let api_col = first.schema().column_index("api").unwrap();
+        let expected = first.index_lookup_exact(api_col, "/api/users").unwrap();
+        // A second reader over the same handle reads no header (an empty
+        // prefix would fail to open) and reuses the parsed dictionary: the
+        // `index.N` member range is never requested again.
+        let dict_range =
+            first.handle.manifest().member_object_range(&index_member(api_col)).unwrap();
+        struct NoDict(Vec<u8>, (u64, u64));
+        impl RangeSource for NoDict {
+            fn read_at(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+                assert!(
+                    offset >= self.1 .0 + self.1 .1 || offset + len <= self.1 .0,
+                    "dictionary re-read at {offset}+{len}"
+                );
+                assert!(offset >= crate::pack::PROLOGUE_LEN, "header re-read");
+                self.0.read_at(offset, len)
+            }
+            fn size(&self) -> u64 {
+                self.0.size()
+            }
+        }
+        let second =
+            LogBlockReader::with_handle(NoDict(bytes, dict_range), Arc::clone(&first.handle));
+        assert_eq!(second.index_lookup_exact(api_col, "/api/users").unwrap(), expected);
+        assert_eq!(second.read_column(1).unwrap(), first.read_column(1).unwrap());
+    }
+
+    #[test]
+    fn handle_charge_counts_header_and_dictionaries() {
+        let r = LogBlockReader::open(build_block(100, 16)).unwrap();
+        let manifest = r.handle.manifest();
+        let dicts: u64 = manifest
+            .members()
+            .iter()
+            .filter(|m| {
+                ["index.0", "index.1", "index.2", "index.3", "index.6"].contains(&m.name.as_str())
+            })
+            .map(|m| m.len)
+            .sum();
+        assert!(dicts > 0);
+        let meta = manifest.entry(META_MEMBER).unwrap().len;
+        assert_eq!(r.handle.charge_bytes() as u64, manifest.payload_start() + meta + dicts);
     }
 
     #[test]

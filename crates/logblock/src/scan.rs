@@ -16,6 +16,7 @@
 //! `use_skipping = false` disables steps 1–3 (the Figure 15 baseline).
 
 use crate::column::{ColumnData, ColumnVec};
+use crate::meta::{col_member, index_data_member, index_member, ColumnMeta, LogBlockMeta};
 use crate::pack::RangeSource;
 use crate::reader::LogBlockReader;
 use logstore_index::bkd::u64_to_ord;
@@ -261,6 +262,129 @@ fn numeric_range(dtype: DataType, op: CmpOp, literal: &Value) -> Result<Option<(
     Ok(range)
 }
 
+/// What a column block's SMA alone decides about one predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// No row of the block can match (Fig 8 ④).
+    NoMatch,
+    /// Every row of the block matches.
+    AllMatch,
+    /// The block has to be looked at: through the column index or decoded.
+    Undecided,
+}
+
+/// How one predicate is evaluated over one LogBlock column — decided from
+/// the meta member alone, before any data is read. The scan executes this
+/// and the fetch planner ([`predicate_reads`]) turns it into byte ranges,
+/// so the two cannot disagree about what gets read.
+struct PredicateAccess {
+    /// One verdict per column block, in row order.
+    verdicts: Vec<Verdict>,
+    /// True: the undecided blocks are resolved by one column-index lookup
+    /// (`index.N` + `index.N.data`). False: each is decoded from `col.N`.
+    use_index: bool,
+}
+
+impl PredicateAccess {
+    /// Plans `p` over the column described by `cm`.
+    fn plan(cm: &ColumnMeta, dtype: DataType, p: &ColumnPredicate, use_skipping: bool) -> Self {
+        // Cheapest evidence first: block SMAs can prove blocks entirely in
+        // (`always_matches`) or out (`may_match`, Fig 8 ④) without
+        // touching data.
+        let verdicts: Vec<Verdict> = cm
+            .blocks
+            .iter()
+            .map(|bm| {
+                if !use_skipping {
+                    Verdict::Undecided
+                } else if !bm.sma.may_match(p.op, &p.value) {
+                    Verdict::NoMatch
+                } else if bm.sma.always_matches(p.op, &p.value) {
+                    Verdict::AllMatch
+                } else {
+                    Verdict::Undecided
+                }
+            })
+            .collect();
+        let undecided = verdicts.iter().filter(|v| **v == Verdict::Undecided).count();
+        // String equality on long literals cannot use the inverted index:
+        // values beyond MAX_EXACT_LEN carry no exact term (see
+        // `logstore_index::inverted::MAX_EXACT_LEN`).
+        let exact_indexable = !(dtype == DataType::String
+            && p.op == CmpOp::Eq
+            && p.value.as_str().is_some_and(|s| s.len() > logstore_index::inverted::MAX_EXACT_LEN));
+        // Use the column index only when it is capable for this operator
+        // and the SMA left a substantial share of blocks undecided — for a
+        // couple of boundary blocks (the typical `ts` range case), scanning
+        // them beats fetching the whole-column index from OSS.
+        let use_index = use_skipping
+            && index_capable(cm.index, dtype, p.op)
+            && exact_indexable
+            && undecided * 4 > cm.blocks.len().max(1);
+        PredicateAccess { verdicts, use_index }
+    }
+
+    /// True when the SMAs settle every block: nothing is read.
+    fn is_decided(&self) -> bool {
+        self.verdicts.iter().all(|v| *v != Verdict::Undecided)
+    }
+}
+
+/// The pack members a predicate evaluation may read, planned from the
+/// meta member alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PredicateReads {
+    /// Member names, each at most once, in predicate order.
+    pub members: Vec<String>,
+    /// False when the SMAs already prove that no row matches, so nothing
+    /// after the predicates (the output columns) will be read either.
+    pub may_match: bool,
+}
+
+/// Plans the reads of [`evaluate_predicates`] for `predicates` over a
+/// LogBlock with this `meta`: a superset of what the evaluation touches
+/// (it stops early once an intermediate result is empty, which only data
+/// can tell). Whole members, not per-block ranges.
+pub fn predicate_reads(
+    meta: &LogBlockMeta,
+    predicates: &[ColumnPredicate],
+    use_skipping: bool,
+) -> PredicateReads {
+    // Unknown columns plan nothing; the evaluation reports them.
+    let resolved: Vec<(usize, &ColumnPredicate)> = predicates
+        .iter()
+        .filter_map(|p| meta.schema.column_index(&p.column).map(|col| (col, p)))
+        .collect();
+    let mut reads = PredicateReads { members: Vec::new(), may_match: true };
+    if use_skipping
+        && resolved.iter().any(|(col, p)| !meta.columns[*col].sma.may_match(p.op, &p.value))
+    {
+        reads.may_match = false;
+        return reads;
+    }
+    for (col, p) in resolved {
+        let dtype = meta.schema.columns[col].data_type;
+        let access = PredicateAccess::plan(&meta.columns[col], dtype, p, use_skipping);
+        let wanted = if access.use_index {
+            vec![index_member(col), index_data_member(col)]
+        } else if access.is_decided() {
+            Vec::new()
+        } else {
+            vec![col_member(col)]
+        };
+        for member in wanted {
+            if !reads.members.contains(&member) {
+                reads.members.push(member);
+            }
+        }
+        if !access.use_index && access.verdicts.iter().all(|v| *v == Verdict::NoMatch) {
+            reads.may_match = false;
+            return reads;
+        }
+    }
+    reads
+}
+
 /// Evaluates a conjunction of predicates over one LogBlock, returning the
 /// matching row ids. Row-at-a-time `Value` evaluation — kept as the oracle
 /// for [`evaluate_predicates_vec`].
@@ -322,56 +446,17 @@ fn evaluate_predicates_impl<S: RangeSource>(
         }
     }
 
-    // Steps 2–4 per predicate, cheapest evidence first: block SMAs can
-    // prove blocks entirely in (`always_matches`) or out (`may_match`,
-    // Fig 8 ④) without touching data; only blocks the SMA cannot decide
-    // need the column index (Fig 8 ③) or a scan (Fig 8 ⑤).
+    // Steps 2–4 per predicate: only blocks the SMA cannot decide need the
+    // column index (Fig 8 ③) or a scan (Fig 8 ⑤).
     // One scratch batch shared across predicates: consecutive predicates on
     // same-typed columns reuse its buffers.
     let mut scratch = ColumnVec::default();
     for (col, p) in &resolved {
         let dtype = reader.schema().columns[*col].data_type;
-        let blocks = reader.meta().columns[*col].blocks.clone();
-
-        #[derive(PartialEq)]
-        enum Verdict {
-            NoMatch,
-            AllMatch,
-            Undecided,
-        }
-        let verdicts: Vec<Verdict> = if use_skipping {
-            blocks
-                .iter()
-                .map(|bm| {
-                    if !bm.sma.may_match(p.op, &p.value) {
-                        Verdict::NoMatch
-                    } else if bm.sma.always_matches(p.op, &p.value) {
-                        Verdict::AllMatch
-                    } else {
-                        Verdict::Undecided
-                    }
-                })
-                .collect()
-        } else {
-            blocks.iter().map(|_| Verdict::Undecided).collect()
-        };
-        let undecided = verdicts.iter().filter(|v| **v == Verdict::Undecided).count();
-
-        // Use the column index only when it is capable for this operator
-        // and the SMA left a substantial share of blocks undecided — for a
-        // couple of boundary blocks (the typical `ts` range case), scanning
-        // them beats fetching the whole-column index from OSS.
-        let kind = reader.meta().columns[*col].index;
-        // String equality on long literals cannot use the inverted index:
-        // values beyond MAX_EXACT_LEN carry no exact term (see
-        // `logstore_index::inverted::MAX_EXACT_LEN`).
-        let exact_indexable = !(dtype == DataType::String
-            && p.op == CmpOp::Eq
-            && p.value.as_str().is_some_and(|s| s.len() > logstore_index::inverted::MAX_EXACT_LEN));
-        let use_index = use_skipping
-            && index_capable(kind, dtype, p.op)
-            && exact_indexable
-            && undecided * 4 > blocks.len().max(1);
+        let cm = &reader.meta().columns[*col];
+        let PredicateAccess { verdicts, use_index } =
+            PredicateAccess::plan(cm, dtype, p, use_skipping);
+        let blocks = &cm.blocks;
         if use_index {
             stats.index_lookups += 1;
             let ids = match dtype {
@@ -655,5 +740,97 @@ mod tests {
             assert_eq!(with, expect, "skipping mismatch for {preds:?}");
             assert_eq!(without, expect, "baseline mismatch for {preds:?}");
         }
+    }
+
+    /// Serves a pack from memory and records every range it is asked for.
+    struct Recording(Vec<u8>, std::cell::RefCell<Vec<(u64, u64)>>);
+
+    impl RangeSource for Recording {
+        fn read_at(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+            self.1.borrow_mut().push((offset, len));
+            self.0.read_at(offset, len)
+        }
+        fn size(&self) -> u64 {
+            self.0.size()
+        }
+    }
+
+    fn recording_block() -> LogBlockReader<Recording> {
+        let r = block();
+        let bytes = r.handle.manifest().members().iter().map(|m| m.len).sum::<u64>()
+            + r.handle.manifest().payload_start();
+        let source = Recording(r.source.read_at(0, bytes).unwrap(), Default::default());
+        LogBlockReader::with_handle(source, std::sync::Arc::clone(&r.handle))
+    }
+
+    #[test]
+    fn planned_reads_cover_every_read_the_evaluation_makes() {
+        let cases: Vec<Vec<ColumnPredicate>> = vec![
+            vec![],
+            vec![ColumnPredicate::new("fail", CmpOp::Eq, true)],
+            vec![ColumnPredicate::new("latency", CmpOp::Ge, 150i64)],
+            vec![ColumnPredicate::new("ts", CmpOp::Ge, 1190i64)],
+            vec![ColumnPredicate::new("ts", CmpOp::Eq, 1100i64)],
+            vec![ColumnPredicate::new("ip", CmpOp::Eq, "192.168.0.3")],
+            vec![
+                ColumnPredicate::new("ts", CmpOp::Gt, 1100i64),
+                ColumnPredicate::new("log", CmpOp::Contains, "error"),
+                ColumnPredicate::new("latency", CmpOp::Lt, 150i64),
+            ],
+            vec![
+                ColumnPredicate::new("api", CmpOp::Eq, "/api/other"),
+                ColumnPredicate::new("fail", CmpOp::Eq, true),
+            ],
+            vec![ColumnPredicate::new("ts", CmpOp::Ge, 5000i64)],
+        ];
+        for preds in &cases {
+            for skipping in [true, false] {
+                let r = recording_block();
+                let planned = predicate_reads(r.meta(), preds, skipping);
+                let ranges: Vec<(u64, u64)> = planned
+                    .members
+                    .iter()
+                    .map(|m| r.handle.manifest().member_object_range(m).unwrap())
+                    .collect();
+                let mut stats = ScanStats::default();
+                let ids = evaluate_predicates(&r, preds, skipping, &mut stats).unwrap();
+                for &(off, len) in r.source.1.borrow().iter() {
+                    assert!(
+                        ranges.iter().any(|&(lo, n)| lo <= off && off + len <= lo + n),
+                        "read {off}+{len} outside the plan {:?} for {preds:?} (skipping {skipping})",
+                        planned.members
+                    );
+                }
+                assert!(planned.may_match || ids.is_empty(), "{preds:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn planned_reads_name_only_what_the_smas_leave_open() {
+        let r = block();
+        let reads = |preds: &[ColumnPredicate]| predicate_reads(r.meta(), preds, true);
+        // Every block's SMA proves the predicate: nothing to read.
+        let all = reads(&[ColumnPredicate::new("ts", CmpOp::Ge, 0i64)]);
+        assert_eq!((all.members.len(), all.may_match), (0, true));
+        // The column SMA excludes the LogBlock.
+        let none = reads(&[
+            ColumnPredicate::new("latency", CmpOp::Ge, 0i64),
+            ColumnPredicate::new("ts", CmpOp::Ge, 5000i64),
+        ]);
+        assert_eq!((none.members.len(), none.may_match), (0, false));
+        // An index-capable predicate the SMAs cannot decide reads the two
+        // index members and not the column; an unindexed one reads the
+        // column; a couple of boundary blocks are scanned, not looked up.
+        let log = r.schema().column_index("log").unwrap();
+        let contains = reads(&[ColumnPredicate::new("log", CmpOp::Contains, "error")]);
+        assert_eq!(contains.members, vec![index_member(log), index_data_member(log)]);
+        let latency = reads(&[ColumnPredicate::new("latency", CmpOp::Ge, 150i64)]);
+        assert_eq!(latency.members, vec![col_member(4)]);
+        let boundary = reads(&[ColumnPredicate::new("ts", CmpOp::Ge, 1190i64)]);
+        assert_eq!(boundary.members, vec![col_member(1)]);
+        // Without skipping every predicate column is decoded.
+        let off = predicate_reads(r.meta(), &[ColumnPredicate::new("ts", CmpOp::Ge, 0i64)], false);
+        assert_eq!(off.members, vec![col_member(1)]);
     }
 }

@@ -18,6 +18,11 @@
 //!
 //! Scope, probability and the op schedule are runtime-mutable so a
 //! long-lived engine can move through fault windows mid-episode.
+//!
+//! A **read hook** ([`FaultyStore::set_read_hook`]) sees every GET before
+//! the schedule does and may hold it back — the slow-tail case, and how a
+//! test pins *which* requests are in flight together, and from which
+//! thread, without timing anything.
 
 use crate::store::ObjectStore;
 use logstore_sync::OrderedMutex;
@@ -38,14 +43,18 @@ pub enum FaultScope {
     All,
 }
 
+/// Observer of GET / range-GET requests: called with the object path on
+/// the requesting thread, before the request proceeds. May block.
+pub type ReadHook = std::sync::Arc<dyn Fn(&str) + Send + Sync>;
+
 /// The mutable part of the failure schedule.
-#[derive(Debug, Clone)]
 struct FaultPlan {
     scope: FaultScope,
     /// Probability of failing an in-scope op.
     probability: f64,
     /// Exact in-scope op indexes to fail (half-open ranges).
     fail_ops: Vec<Range<u64>>,
+    read_hook: Option<ReadHook>,
 }
 
 /// An [`ObjectStore`] decorator that fails operations on a schedule.
@@ -70,7 +79,7 @@ impl<S: ObjectStore> FaultyStore<S> {
             inner,
             plan: OrderedMutex::new(
                 "oss.fault.plan",
-                FaultPlan { scope, probability, fail_ops: Vec::new() },
+                FaultPlan { scope, probability, fail_ops: Vec::new(), read_hook: None },
             ),
             rng: OrderedMutex::new("oss.fault.rng", StdRng::seed_from_u64(seed)),
             fail_next: AtomicU64::new(0),
@@ -106,6 +115,20 @@ impl<S: ObjectStore> FaultyStore<S> {
     pub fn clear_faults(&self) {
         self.fail_next.store(0, Ordering::SeqCst);
         self.plan.lock().fail_ops.clear();
+    }
+
+    /// Installs (or, with `None`, removes) the hook every GET and
+    /// range-GET passes through first. The hook runs on the requesting
+    /// thread with no store lock held, so it may park the request.
+    pub fn set_read_hook(&self, hook: Option<ReadHook>) {
+        self.plan.lock().read_hook = hook;
+    }
+
+    fn before_get(&self, path: &str) {
+        let hook = self.plan.lock().read_hook.clone();
+        if let Some(hook) = hook {
+            hook(path);
+        }
     }
 
     /// Number of failures injected so far.
@@ -170,11 +193,13 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
+        self.before_get(path);
         self.maybe_fail(true, "get")?;
         self.inner.get(path)
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+        self.before_get(path);
         self.maybe_fail(true, "get_range")?;
         self.inner.get_range(path, offset, len)
     }

@@ -26,7 +26,7 @@ pub mod sim;
 pub mod store;
 pub mod wave;
 
-pub use fault::{FaultScope, FaultyStore};
+pub use fault::{FaultScope, FaultyStore, ReadHook};
 pub use memory::MemoryStore;
 pub use retry::{RetryMetrics, RetryPolicy, RetryingStore};
 pub use sim::{LatencyModel, OssMetrics, SimulatedOss};

@@ -22,9 +22,12 @@ use crate::exec::{
     agg_columns, group_key_value, internal_columns, update_states, AggState, OrdValue, Partial,
     QueryStats,
 };
+use logstore_logblock::meta::{col_member, LogBlockMeta};
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
-use logstore_logblock::scan::{evaluate_predicates, evaluate_predicates_vec, DecodeStats};
+use logstore_logblock::scan::{
+    evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
+};
 use logstore_types::{ColumnPredicate, Error, LogRecord, Result, TableSchema, Value};
 use std::collections::BTreeMap;
 
@@ -177,6 +180,28 @@ impl ScanPlan {
             }
             Ok(Partial::Agg(states))
         }
+    }
+
+    /// The pack members [`ScanPlan::collect_block`] may read from a LogBlock
+    /// with this `meta` — a superset, planned from the header alone, of
+    /// what it does read (Fig 10's "compute every range the query needs").
+    /// A predicate column contributes what [`predicate_reads`] says the
+    /// evaluation touches: nothing when the SMAs decide it, its two index
+    /// members when the index answers it, its data otherwise. An output
+    /// column contributes its data only, and nothing at all when the SMAs
+    /// already prove the block matches no row.
+    pub fn planned_members(&self, meta: &LogBlockMeta, use_skipping: bool) -> Vec<String> {
+        let reads = predicate_reads(meta, &self.predicates, use_skipping);
+        let mut members = reads.members;
+        if reads.may_match {
+            for col in self.columns.iter().filter_map(|name| meta.schema.column_index(name)) {
+                let member = col_member(col);
+                if !members.contains(&member) {
+                    members.push(member);
+                }
+            }
+        }
+        members
     }
 
     /// Resolves [`ScanPlan::columns`] through a name→index lookup.

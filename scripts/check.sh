@@ -60,13 +60,15 @@ cargo run -q --release -p logstore-bench --bin bench_query -- --smoke
 
 # Lock-analysis stage: the same detector that runs in every debug test,
 # but over *release* interleavings — optimized code races harder. Covers
-# the simtest episode sweep, the cache herd, the engine lock-order
-# regression tests, and the archive fault tests — whose uploader threads
-# cross the store stack's `assert_no_locks_held` guards with up to eight
-# PUTs in flight.
+# the simtest episode sweep, the cache herd, the read-path structure
+# tests (header and data waves crossing the object tier and the store
+# stack's `assert_no_locks_held` guards from wave threads), the engine
+# lock-order regression tests, and the archive fault tests — whose
+# uploader threads cross the same guards with up to eight PUTs in flight.
 echo "== release lock-analysis sweep =="
 cargo test --release -q -p logstore-simtest --features lock-analysis
 cargo test --release -q -p logstore-cache --features lock-analysis --test concurrency
+cargo test --release -q -p logstore-core --features lock-analysis --test read_path
 cargo test --release -q --features lock-analysis --test lock_order --test concurrency \
     --test archive_faults
 

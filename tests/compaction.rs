@@ -239,3 +239,55 @@ fn retention_expires_exactly_the_old_blocks() {
     assert_eq!(usage.archived_rows, 50, "expire must debit the archived-row counter");
     assert_eq!(s.shared().fault_layer().inner().list("tenants/").unwrap().len(), 1);
 }
+
+/// The object tier follows a LogBlock's life: its handle is cached when
+/// the block is registered, replaced by the merged block's when compaction
+/// commits, and evicted when GC deletes the object. A query that planned
+/// from the cached handles and loses the race to the delete — forced here,
+/// not hoped for: the query's own first GET runs the compaction and the GC
+/// — replans against the new map and returns the full result.
+#[test]
+fn cached_handles_follow_compaction_and_gc_and_a_racing_query_replans() {
+    let s = Arc::new(LogStore::open(ClusterConfig::for_testing()).unwrap());
+    let mut ts = 0i64;
+    for _ in 0..6 {
+        for _ in 0..30 {
+            ts += 1;
+            s.ingest(vec![rec(1, ts, "handle lifecycle")]).unwrap();
+        }
+        s.flush().unwrap();
+    }
+    let sources: Vec<String> =
+        s.shared().metadata.all_blocks(TenantId(1)).into_iter().map(|e| e.path).collect();
+    assert_eq!(sources.len(), 6);
+    let cache = &s.shared().cache;
+    assert!(sources.iter().all(|p| cache.handle(p).is_some()), "registered with the block");
+
+    // Nothing has read a block yet, so the query's wave has to ask OSS;
+    // the first GET for a source block does the compactor's and the
+    // collector's work before it is allowed to proceed.
+    let fired = Arc::new(AtomicBool::new(false));
+    let hook = {
+        let (engine, fired, sources) = (Arc::downgrade(&s), Arc::clone(&fired), sources.clone());
+        move |path: &str| {
+            if sources.iter().any(|p| p == path) && !fired.swap(true, Ordering::SeqCst) {
+                let engine = engine.upgrade().expect("engine outlives its queries");
+                let report = engine.compact().expect("compaction");
+                assert_eq!(report.blocks_merged, 6);
+                assert_eq!(engine.gc().deleted, 6);
+            }
+        }
+    };
+    s.shared().fault_layer().set_read_hook(Some(Arc::new(hook)));
+    let sql = "SELECT log FROM request_log WHERE tenant_id = 1";
+    let exec = s.query_with_options(sql, &QueryOptions::default()).expect("never a raw NotFound");
+    s.shared().fault_layer().set_read_hook(None);
+
+    assert!(fired.load(Ordering::SeqCst));
+    assert!(exec.stale_retries >= 1, "the planned blocks vanished mid-query");
+    assert_eq!(exec.result.rows.len(), 180, "the replanned attempt sees every row");
+    assert!(sources.iter().all(|p| cache.handle(p).is_none()), "GC evicts handles with blocks");
+    let merged = s.shared().metadata.all_blocks(TenantId(1));
+    assert_eq!(merged.len(), 1);
+    assert!(cache.handle(&merged[0].path).is_some(), "the merged block's handle is registered");
+}

@@ -99,7 +99,7 @@ proptest! {
             min_run: 2,
             max_merged_rows: 1 << 20,
         };
-        let report = logstore::core::compactor::run_compaction(
+        let (report, _) = logstore::core::compactor::run_compaction(
             &store, &metadata, &schema, &build, &config, &NoopHooks, 4,
         ).unwrap();
         prop_assert_eq!(report.runs_committed, 1);
