@@ -1,7 +1,11 @@
-//! Compression codec micro-benchmarks: the CPU/ratio trade-off behind the
-//! paper's Snappy/LZ4/ZSTD menu (our lz-fast / lz-high codecs).
+//! Codec micro-benchmarks: the CPU/ratio trade-off behind the paper's
+//! Snappy/LZ4/ZSTD menu (our lz-fast / lz-high codecs), and the two
+//! kernels every WAL byte passes through — the batch encoder and CRC32C.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use logstore_bench::dataset::drain_rows;
+use logstore_codec::batch::encode_batch;
+use logstore_codec::crc::crc32c;
 use logstore_codec::{compress, decompress, Compression};
 use std::hint::black_box;
 
@@ -53,5 +57,30 @@ fn bench_decompress(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compress, bench_decompress);
+fn bench_crc32c(c: &mut Criterion) {
+    let data = log_like_payload(16 << 10);
+    let mut group = c.benchmark_group("codec/crc32c");
+    group.sample_size(30);
+    for (name, len) in [("crc32c 1 KiB", 1 << 10), ("crc32c 1 MiB", 1 << 20)] {
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| crc32c(black_box(&data[..len]))));
+    }
+    group.finish();
+}
+
+/// A broker sub-batch (8 rows) and a whole drain intent (17 000 rows).
+fn bench_encode_batch(c: &mut Criterion) {
+    let rows = drain_rows();
+    let mut group = c.benchmark_group("codec/encode_batch");
+    group.sample_size(20);
+    for n in [8, rows.len()] {
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(format!("encode_batch {n} rows"), |b| {
+            b.iter(|| encode_batch(black_box(&rows[..n])))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_compress, bench_decompress, bench_crc32c, bench_encode_batch);
 criterion_main!(benches);

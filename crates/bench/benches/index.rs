@@ -1,6 +1,8 @@
-//! Index micro-benchmarks: inverted term lookup and BKD range queries.
+//! Index micro-benchmarks: inverted index build and term lookup, BKD range
+//! queries.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
 use logstore_index::{BkdDictReader, BkdWriter, InvertedDictReader, InvertedIndexWriter, TermKind};
 use std::hint::black_box;
 
@@ -44,6 +46,32 @@ fn query_range(idx: &(BkdDictReader, Vec<u8>), lo: i64, hi: i64) -> Vec<u32> {
     out
 }
 
+/// The write side: the three string columns of one drain, fed to their
+/// writers the way the LogBlock builder feeds them (`ip` and `api` with
+/// exact terms, `log` as free text).
+fn bench_inverted_build(c: &mut Criterion) {
+    let rows = drain_rows();
+    let cells: Vec<[&str; 3]> = rows
+        .iter()
+        .map(|r| [0, 1, 4].map(|f| r.fields[f].as_str().expect("string field")))
+        .collect();
+    let mut group = c.benchmark_group("index/inverted");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(DRAIN_ROWS as u64));
+    group.bench_function("inverted build (17 k log lines)", |b| {
+        b.iter(|| {
+            let mut writers = [(); 3].map(|()| InvertedIndexWriter::new());
+            for (row_id, [ip, api, log]) in black_box(&cells).iter().enumerate() {
+                writers[0].add(row_id as u32, ip);
+                writers[1].add(row_id as u32, api);
+                writers[2].add_text(row_id as u32, log);
+            }
+            writers.map(InvertedIndexWriter::finish_split)
+        })
+    });
+    group.finish();
+}
+
 fn bench_inverted(c: &mut Criterion) {
     let idx = inverted();
     let mut group = c.benchmark_group("index/inverted");
@@ -73,5 +101,5 @@ fn bench_bkd(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inverted, bench_bkd);
+criterion_group!(benches, bench_inverted_build, bench_inverted, bench_bkd);
 criterion_main!(benches);

@@ -2,10 +2,11 @@
 //! conversion with full indexing) and the benefit of data skipping.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
 use logstore_codec::Compression;
 use logstore_logblock::scan::{evaluate_predicates, ScanStats};
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
-use logstore_types::{CmpOp, ColumnPredicate, TableSchema, Value};
+use logstore_types::{partition_into_chunks, CmpOp, ColumnPredicate, TableSchema, Value};
 use std::hint::black_box;
 
 const ROWS: usize = 20_000;
@@ -54,6 +55,29 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one archive pass builds: a drain of interleaved tenants split into
+/// per-tenant chunks, each read in place into its own LogBlock.
+fn bench_build_drain(c: &mut Criterion) {
+    let chunks = partition_into_chunks(drain_rows(), 65_536);
+    let schema = std::sync::Arc::new(TableSchema::request_log());
+    let mut group = c.benchmark_group("logblock/build");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(DRAIN_ROWS as u64));
+    group.bench_function("build drain-sized chunk", |b| {
+        b.iter(|| {
+            for chunk in black_box(&chunks) {
+                let mut builder =
+                    LogBlockBuilder::with_options(schema.clone(), Compression::LzHigh, 1024);
+                for record in &chunk.rows {
+                    builder.add_record(record).unwrap();
+                }
+                black_box(builder.finish().unwrap());
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_scan(c: &mut Criterion) {
     let bytes = build_block(Compression::LzHigh);
     let reader = LogBlockReader::open(bytes).unwrap();
@@ -77,5 +101,5 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_scan);
+criterion_group!(benches, bench_build, bench_build_drain, bench_scan);
 criterion_main!(benches);

@@ -7,8 +7,24 @@
 
 use logstore_core::{ClusterConfig, LogStore};
 use logstore_oss::LatencyModel;
-use logstore_types::Timestamp;
+use logstore_types::{LogRecord, Timestamp};
 use logstore_workload::{LogRecordGenerator, WorkloadSpec};
+
+/// Rows in one `rowstore_flush_bytes` (4 MiB) drain of generated records.
+pub const DRAIN_ROWS: usize = 17_000;
+
+/// One drain's worth of generated `request_log` records, five Zipfian
+/// tenants interleaved in arrival order — the input the write-side kernel
+/// benches (batch encode, index build, chunk build) share.
+pub fn drain_rows() -> Vec<LogRecord> {
+    let start = Timestamp(1_600_000_000_000);
+    LogRecordGenerator::new(7).history(
+        &WorkloadSpec::new(5, 0.99),
+        DRAIN_ROWS,
+        start,
+        Timestamp(start.millis() + 60_000),
+    )
+}
 
 /// A ready-to-query engine plus its workload description.
 pub struct EngineSetup {

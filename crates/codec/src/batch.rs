@@ -7,19 +7,31 @@
 //! both the same corruption guards: an implausible record count cannot
 //! trigger an unbounded allocation, and a payload with trailing bytes after
 //! the last record is rejected instead of silently dropping a suffix.
+//!
+//! Records are written by reference — each row is framed exactly as
+//! [`crate::valser::put_row`] would frame the expanded
+//! [`LogRecord::to_row`], without building that row — and decoded values
+//! move into their record.
 
-use crate::valser::{put_row, read_row};
+use crate::valser::{put_cells, read_row};
 use crate::varint::{put_uvarint, read_uvarint};
 use logstore_types::{Error, LogRecord, Result};
 
 /// Serializes records into a WAL/Raft batch payload.
 pub fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_uvarint(&mut out, records.len() as u64);
-    for r in records {
-        put_row(&mut out, &r.to_row());
-    }
+    encode_batch_into(&mut out, records);
     out
+}
+
+/// Appends the [`encode_batch`] payload of `records` to `out`, so a caller
+/// that frames the batch (a tag, a drain seq) builds one buffer instead of
+/// copying the payload into a second.
+pub fn encode_batch_into(out: &mut Vec<u8>, records: &[LogRecord]) {
+    put_uvarint(out, records.len() as u64);
+    for r in records {
+        put_cells(out, r.fields.len() + 2, r.keys().iter().chain(&r.fields));
+    }
 }
 
 /// Decodes a payload written by [`encode_batch`].
@@ -34,8 +46,7 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<LogRecord>> {
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let row = read_row(payload, &mut pos)?;
-        out.push(LogRecord::from_row(&row)?);
+        out.push(LogRecord::from_row(read_row(payload, &mut pos)?)?);
     }
     if pos != payload.len() {
         return Err(Error::corruption("trailing bytes after batch"));
@@ -46,6 +57,7 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<LogRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::valser::put_row;
     use logstore_types::{TenantId, Timestamp, Value};
 
     fn rec(t: u64, ts: i64) -> LogRecord {
@@ -118,6 +130,21 @@ mod tests {
             fn prop_batches_roundtrip(batch in batch_strategy()) {
                 let payload = encode_batch(&batch);
                 prop_assert_eq!(decode_batch(&payload).unwrap(), batch);
+            }
+
+            // The by-reference encoder writes the bytes of the row-shaped
+            // framing it replaced, appended after whatever the buffer held.
+            #[test]
+            fn prop_encoding_is_the_put_row_framing(batch in batch_strategy()) {
+                let mut want = vec![0xa5];
+                put_uvarint(&mut want, batch.len() as u64);
+                for r in &batch {
+                    put_row(&mut want, &r.to_row());
+                }
+                let mut got = vec![0xa5];
+                encode_batch_into(&mut got, &batch);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(encode_batch(&batch), &want[1..]);
             }
 
             // Any strict truncation must surface as corruption — never a

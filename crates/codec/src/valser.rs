@@ -51,8 +51,14 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
 
 /// Serializes a row (a slice of values) with a leading arity.
 pub fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
-    put_uvarint(buf, row.len() as u64);
-    for v in row {
+    put_cells(buf, row.len(), row);
+}
+
+/// [`put_row`] over borrowed cells that need not be contiguous: `len` is
+/// how many values `cells` yields.
+pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Item = &'a Value>) {
+    put_uvarint(buf, len as u64);
+    for v in cells {
         put_value(buf, v);
     }
 }

@@ -85,10 +85,12 @@ pub fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
 /// Reads a fixed-width little-endian `u32`.
 #[inline]
 pub fn read_u32_le(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = *pos + 4;
-    let bytes = buf.get(*pos..end).ok_or_else(|| Error::corruption("u32 truncated"))?;
-    *pos = end;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("slice is 4 bytes")))
+    let bytes = buf
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or_else(|| Error::corruption("u32 truncated"))?;
+    *pos += 4;
+    Ok(u32::from_le_bytes(*bytes))
 }
 
 /// Appends a fixed-width little-endian `u64`.
@@ -100,10 +102,12 @@ pub fn put_u64_le(buf: &mut Vec<u8>, v: u64) {
 /// Reads a fixed-width little-endian `u64`.
 #[inline]
 pub fn read_u64_le(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let end = *pos + 8;
-    let bytes = buf.get(*pos..end).ok_or_else(|| Error::corruption("u64 truncated"))?;
-    *pos = end;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes")))
+    let bytes = buf
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or_else(|| Error::corruption("u64 truncated"))?;
+    *pos += 8;
+    Ok(u64::from_le_bytes(*bytes))
 }
 
 /// Appends a length-prefixed byte slice.

@@ -243,14 +243,18 @@ fn build_merged_block<S: ObjectStore>(
     let fetched = ordered_wave(width, sources, |_, source| store.get(&source.path));
     let mut builder =
         LogBlockBuilder::with_options(schema.clone(), build.compression, build.block_rows);
+    let mut row = Vec::with_capacity(schema.width());
     for bytes in fetched {
         let reader = LogBlockReader::open(bytes?)?;
-        // The decoded values move into the builder, column by column.
+        // Each source row is gathered from the decoded columns into one
+        // reused scratch row (moves, no clones) and read by reference.
         let mut columns = (0..schema.width())
             .map(|c| reader.read_column(c).map(Vec::into_iter))
             .collect::<Result<Vec<_>>>()?;
         for _ in 0..reader.row_count() {
-            builder.add_owned_row(columns.iter_mut().filter_map(Iterator::next).collect())?;
+            row.clear();
+            row.extend(columns.iter_mut().filter_map(Iterator::next));
+            builder.add_row(&row)?;
         }
     }
     builder.finish()

@@ -236,9 +236,9 @@ fn build_chunk(
         LogBlockBuilder::with_options(Arc::clone(schema), config.compression, config.block_rows);
     let (mut min_ts, mut max_ts) = (chunk.rows[0].ts, chunk.rows[0].ts);
     for r in &chunk.rows {
-        // `to_row` is the one clone per value: the drained rows must stay
-        // intact to be handed back if the upload fails.
-        builder.add_owned_row(r.to_row())?;
+        // Read in place: the drained rows must stay intact to be handed
+        // back if the upload fails.
+        builder.add_record(r)?;
         min_ts = min_ts.min(r.ts);
         max_ts = max_ts.max(r.ts);
     }

@@ -14,7 +14,6 @@ use crate::metadata::{DrainId, MetadataStore};
 /// Raft batch payloads share the WAL's codec (including its corruption
 /// guards); re-exported for replica catch-up tooling and tests.
 pub use logstore_codec::batch::decode_batch;
-use logstore_codec::batch::encode_batch;
 use logstore_raft::{InProcCluster, RaftConfig, Replica};
 use logstore_sync::OrderedMutex;
 use logstore_types::{
@@ -209,10 +208,19 @@ impl Worker {
                 "shard {shard} row store at {buffered} bytes"
             )));
         }
+        // One encode per sub-batch, shared by both durable paths: the WAL
+        // payload is a tag plus the batch body, the Raft entry an exact-size
+        // copy of the body (the replicas keep it until the archive ack). A
+        // memory-only, unreplicated shard has no log and encodes nothing.
+        let payload = if state.raft.is_some() || state.store.is_durable() {
+            ShardStore::encode_batch_payload(&batch.records)
+        } else {
+            Vec::new()
+        };
         // Submit to replication first: propose only (short raft lock),
         // capturing the log index to wait on after local persistence.
         let raft_index = match &state.raft {
-            Some(raft) => Some(raft.lock().propose(encode_batch(&batch.records))?),
+            Some(raft) => Some(raft.lock().propose(ShardStore::batch_body(&payload).to_vec())?),
             None => None,
         };
         // Local WAL persistence with no locks held — producers staging
@@ -220,7 +228,7 @@ impl Worker {
         // drops `logged`, which releases its LSN: the rows stay in the WAL
         // in doubt (never acked, never applied live) without pinning
         // truncation.
-        let logged = state.store.log_batch(&batch.records)?;
+        let logged = state.store.log_batch(&payload)?;
         // Now wait for quorum (the paper's sync_queue wait, §4.2): drive
         // the group until the proposed entry commits on the leader.
         if let (Some(raft), Some(index)) = (&state.raft, raft_index) {
@@ -654,9 +662,15 @@ mod tests {
 
     #[test]
     fn batch_payload_roundtrip() {
+        // What `append` proposes to Raft — the body of the one encoded WAL
+        // payload — is the plain batch encoding replicas decode.
         let batch = RecordBatch::from_records(vec![rec(1, 5), rec(2, 6)]);
-        let payload = encode_batch(&batch.records);
-        let decoded = decode_batch(&payload).unwrap();
+        let payload = ShardStore::encode_batch_payload(&batch.records);
+        let decoded = decode_batch(ShardStore::batch_body(&payload)).unwrap();
         assert_eq!(decoded, batch.records);
+        assert_eq!(
+            ShardStore::batch_body(&payload),
+            logstore_codec::batch::encode_batch(&batch.records)
+        );
     }
 }

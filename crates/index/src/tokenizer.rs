@@ -1,20 +1,29 @@
 //! Text tokenization for the inverted index.
 //!
 //! The tokenizer mirrors [`logstore_types::predicate::contains_term`]:
-//! maximal ASCII-alphanumeric runs, lowercased. This keeps index-accelerated
+//! terms are maximal ASCII-alphanumeric runs, compared case-insensitively
+//! (the index stores them lowercased). This keeps index-accelerated
 //! `CONTAINS` evaluation exactly consistent with the scan fallback.
 
-/// Iterates the terms of `text`: lowercased alphanumeric runs.
-pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_ascii_lowercase())
-}
-
-/// Normalizes a single term the way [`tokenize`] would (used on the query
-/// side so lookups match indexed terms).
-pub fn normalize_term(term: &str) -> String {
-    term.to_ascii_lowercase()
+/// Iterates the terms of `text` as borrowed runs: maximal
+/// ASCII-alphanumeric byte runs, in their original case. The index writer
+/// lowercases each run into its own scratch key, so tokenizing allocates
+/// nothing. Scanning bytes finds the same runs as splitting on `char`s:
+/// every byte of a multi-byte UTF-8 sequence is ≥ 0x80, hence a separator,
+/// and a run starts and ends next to ASCII bytes — on char boundaries.
+pub fn tokenize(text: &str) -> impl Iterator<Item = &str> + '_ {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        while !bytes.get(pos)?.is_ascii_alphanumeric() {
+            pos += 1;
+        }
+        let start = pos;
+        while bytes.get(pos).is_some_and(u8::is_ascii_alphanumeric) {
+            pos += 1;
+        }
+        Some(&text[start..pos])
+    })
 }
 
 /// Maximum term length stored in the dictionary; longer terms are truncated
@@ -35,20 +44,20 @@ mod tests {
 
     #[test]
     fn splits_on_non_alphanumeric() {
-        let toks: Vec<String> = tokenize("GET /api/v1/users?id=42 HTTP/1.1").collect();
-        assert_eq!(toks, vec!["get", "api", "v1", "users", "id", "42", "http", "1", "1"]);
+        let toks: Vec<&str> = tokenize("GET /api/v1/users?id=42 HTTP/1.1").collect();
+        assert_eq!(toks, vec!["GET", "api", "v1", "users", "id", "42", "HTTP", "1", "1"]);
+    }
+
+    #[test]
+    fn multi_byte_characters_separate_runs() {
+        let toks: Vec<&str> = tokenize("naïve—café ошибка42x é").collect();
+        assert_eq!(toks, vec!["na", "ve", "caf", "42x"]);
     }
 
     #[test]
     fn empty_and_symbol_only() {
         assert_eq!(tokenize("").count(), 0);
         assert_eq!(tokenize("!!! ---").count(), 0);
-    }
-
-    #[test]
-    fn lowercases() {
-        let toks: Vec<String> = tokenize("ERROR WaRn").collect();
-        assert_eq!(toks, vec!["error", "warn"]);
     }
 
     #[test]
@@ -60,13 +69,19 @@ mod tests {
 
     proptest! {
         /// The tokenizer and the scan-side `contains_term` must agree:
-        /// every token produced for a text matches CONTAINS on that text.
+        /// every token produced for a text matches CONTAINS on that text,
+        /// and the byte scan finds the runs the `char` split finds.
         #[test]
         fn prop_tokens_match_contains(text in ".{0,64}") {
             for tok in tokenize(&text) {
-                prop_assert!(contains_term(&text, &tok),
+                prop_assert!(contains_term(&text, tok),
                     "token {tok:?} of {text:?} not found by contains_term");
             }
+            let by_char: Vec<&str> = text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .collect();
+            prop_assert_eq!(tokenize(&text).collect::<Vec<_>>(), by_char);
         }
     }
 }

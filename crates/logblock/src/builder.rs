@@ -5,8 +5,16 @@
 //! which cuts column blocks every `block_rows` rows, maintains SMAs at both
 //! granularities, builds the per-column indexes and finally emits one packed
 //! object ready for upload.
+//!
+//! Rows are read **by reference**. A cell is looked at once — indexed,
+//! folded into the block SMA, and its bytes copied into the column's typed
+//! pending buffer ([`crate::column`]'s one encoder) — and the caller keeps
+//! its rows: the data builder hands them back if the upload fails. Nothing
+//! on this path clones a [`Value`] or builds a per-row `Vec`;
+//! [`LogBlockBuilder::add_record`] walks a [`LogRecord`] in place and
+//! [`LogBlockBuilder::add_row`] a positional slice, through the same body.
 
-use crate::column::encode_block;
+use crate::column::PendingBlock;
 use crate::meta::{
     col_member, index_data_member, index_member, BlockMeta, ColumnMeta, LogBlockMeta, META_MEMBER,
 };
@@ -14,7 +22,7 @@ use crate::pack::PackWriter;
 use logstore_codec::Compression;
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::{BkdWriter, InvertedIndexWriter, Sma};
-use logstore_types::{DataType, Error, IndexKind, Result, TableSchema, Value};
+use logstore_types::{DataType, Error, IndexKind, LogRecord, Result, TableSchema, Value};
 use std::sync::Arc;
 
 /// Default rows per column block.
@@ -29,7 +37,9 @@ enum IndexState {
 }
 
 struct ColumnState {
-    pending: Vec<Value>,
+    /// The column block being filled, and its SMA so far.
+    pending: PendingBlock,
+    pending_sma: Sma,
     data: Vec<u8>,
     blocks: Vec<BlockMeta>,
     sma: Sma,
@@ -65,7 +75,8 @@ impl LogBlockBuilder {
             .columns
             .iter()
             .map(|c| ColumnState {
-                pending: Vec::with_capacity(block_rows.min(4096)),
+                pending: PendingBlock::new(c.data_type),
+                pending_sma: Sma::new(),
                 data: Vec::new(),
                 blocks: Vec::new(),
                 sma: Sma::new(),
@@ -97,29 +108,35 @@ impl LogBlockBuilder {
 
     /// Appends one row (positional, matching the schema).
     pub fn add_row(&mut self, row: &[Value]) -> Result<()> {
-        self.add_owned_row(row.to_vec())
+        self.schema.check_row(row)?;
+        self.push_cells(row)
     }
 
-    /// [`LogBlockBuilder::add_row`] for a caller that already owns the
-    /// values: they move into the column buffers instead of being cloned.
-    pub fn add_owned_row(&mut self, row: Vec<Value>) -> Result<()> {
-        self.schema.check_row(&row)?;
+    /// Appends one record: the row [`LogRecord::to_row`] would expand it
+    /// to, read in place.
+    pub fn add_record(&mut self, record: &LogRecord) -> Result<()> {
+        record.validate(&self.schema)?;
+        self.push_cells(record.keys().iter().chain(&record.fields))
+    }
+
+    /// Appends the cells of one row that already passed the schema check.
+    fn push_cells<'a>(&mut self, cells: impl IntoIterator<Item = &'a Value>) -> Result<()> {
         if self.row_count == u32::MAX {
             return Err(Error::invalid("logblock row limit reached"));
         }
         let row_id = self.row_count;
         for (state, (value, col)) in
-            self.columns.iter_mut().zip(row.into_iter().zip(&self.schema.columns))
+            self.columns.iter_mut().zip(cells.into_iter().zip(&self.schema.columns))
         {
             match &mut state.index {
                 IndexState::None => {}
                 IndexState::Inverted(w) => {
-                    if let Value::Str(s) = &value {
+                    if let Value::Str(s) = value {
                         w.add(row_id, s);
                     }
                 }
                 IndexState::FullText(w) => {
-                    if let Value::Str(s) = &value {
+                    if let Value::Str(s) = value {
                         w.add_text(row_id, s);
                     }
                 }
@@ -138,28 +155,26 @@ impl LogBlockBuilder {
                     }
                 }
             }
-            state.pending.push(value);
+            state.pending_sma.update(value);
+            state.pending.push(value)?;
         }
         self.row_count += 1;
         if self.columns[0].pending.len() >= self.block_rows {
-            self.cut_blocks()?;
+            self.cut_blocks();
         }
         Ok(())
     }
 
-    fn cut_blocks(&mut self) -> Result<()> {
+    fn cut_blocks(&mut self) {
         let n = self.columns[0].pending.len();
         if n == 0 {
-            return Ok(());
+            return;
         }
         let row_start = self.row_count - n as u32;
-        for (state, col) in self.columns.iter_mut().zip(&self.schema.columns) {
+        for state in &mut self.columns {
             debug_assert_eq!(state.pending.len(), n, "columns out of step");
-            let mut sma = Sma::new();
-            for v in &state.pending {
-                sma.update(v);
-            }
-            let encoded = encode_block(col.data_type, &state.pending, self.compression)?;
+            let encoded = state.pending.encode(self.compression);
+            let sma = std::mem::take(&mut state.pending_sma);
             let offset = state.data.len() as u64;
             state.data.extend_from_slice(&encoded);
             state.sma.merge(&sma);
@@ -170,14 +185,12 @@ impl LogBlockBuilder {
                 offset,
                 len: encoded.len() as u64,
             });
-            state.pending.clear();
         }
-        Ok(())
     }
 
     /// Serializes the LogBlock into pack bytes.
     pub fn finish(mut self) -> Result<Vec<u8>> {
-        self.cut_blocks()?;
+        self.cut_blocks();
         let mut pack = PackWriter::new();
         let mut column_metas = Vec::with_capacity(self.columns.len());
         let mut index_payloads = Vec::with_capacity(self.columns.len());

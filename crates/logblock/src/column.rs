@@ -17,78 +17,129 @@ use logstore_types::{DataType, Error, Result, Value};
 /// Hard cap for a decoded data frame (decompression-bomb guard).
 const MAX_DATA_BYTES: usize = 1 << 30;
 
+/// One column block being accumulated, already in the layout its encoding
+/// reads: the null bitset, and the values as the typed buffer the column
+/// codec takes (for strings, the length-prefixed bytes that *are* the data
+/// frame's input). Cells are copied in by reference — no [`Value`] is
+/// cloned or kept — and the buffers are reused from block to block.
+///
+/// This is the one column encoder: [`crate::LogBlockBuilder`] pushes cells
+/// as rows arrive, [`encode_block`] pushes a slice of them.
+#[derive(Debug)]
+pub(crate) struct PendingBlock {
+    len: usize,
+    /// Bit `i` set ⇒ row `i` is NULL.
+    nulls: Vec<u8>,
+    data: PendingData,
+}
+
+/// Typed values of a [`PendingBlock`] (placeholder 0 / false / empty in
+/// NULL slots, so row ids stay positional).
+#[derive(Debug)]
+enum PendingData {
+    I64(Vec<i64>),
+    U64(Vec<u64>),
+    /// Bit-packed, bit `i` = row `i`.
+    Bool(Vec<u8>),
+    /// `uvarint len ++ bytes` per row.
+    Str(Vec<u8>),
+}
+
+impl PendingBlock {
+    pub(crate) fn new(dtype: DataType) -> Self {
+        let data = match dtype {
+            DataType::Int64 => PendingData::I64(Vec::new()),
+            DataType::UInt64 => PendingData::U64(Vec::new()),
+            DataType::Bool => PendingData::Bool(Vec::new()),
+            DataType::String => PendingData::Str(Vec::new()),
+        };
+        PendingBlock { len: 0, nulls: Vec::new(), data }
+    }
+
+    /// Rows pushed since the last [`PendingBlock::encode`].
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends one cell. A value of the wrong type is rejected and leaves
+    /// the block as it was.
+    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
+        // Bitsets grow a byte at a time, when a row opens a new one.
+        let (byte, bit) = (self.len / 8, 1u8 << (self.len % 8));
+        let opens_byte = self.len.is_multiple_of(8);
+        match (&mut self.data, v) {
+            (PendingData::I64(nums), Value::Null) => nums.push(0),
+            (PendingData::I64(nums), v) => nums
+                .push(v.as_i64().ok_or_else(|| Error::invalid("non-int64 value in int64 column"))?),
+            (PendingData::U64(nums), Value::Null) => nums.push(0),
+            (PendingData::U64(nums), v) => nums.push(
+                v.as_u64().ok_or_else(|| Error::invalid("non-uint64 value in uint64 column"))?,
+            ),
+            (PendingData::Bool(bits), Value::Bool(_) | Value::Null) => {
+                if opens_byte {
+                    bits.push(0);
+                }
+                if matches!(v, Value::Bool(true)) {
+                    bits[byte] |= bit;
+                }
+            }
+            (PendingData::Bool(_), _) => {
+                return Err(Error::invalid("non-bool value in bool column"))
+            }
+            (PendingData::Str(buf), Value::Null) => put_uvarint(buf, 0),
+            (PendingData::Str(buf), Value::Str(s)) => {
+                put_uvarint(buf, s.len() as u64);
+                buf.extend_from_slice(s.as_bytes());
+            }
+            (PendingData::Str(_), _) => {
+                return Err(Error::invalid("non-string value in string column"))
+            }
+        }
+        if opens_byte {
+            self.nulls.push(0);
+        }
+        if v.is_null() {
+            self.nulls[byte] |= bit;
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Encodes the pushed rows as one column block and empties the block,
+    /// keeping its buffers.
+    pub(crate) fn encode(&mut self, compression: Compression) -> Vec<u8> {
+        let bitset_frame = compress(Compression::Rle, &self.nulls);
+        let data_frame = match &self.data {
+            PendingData::I64(nums) => compress(compression, &delta::encode_i64(nums)),
+            PendingData::U64(nums) => compress(compression, &delta::encode_u64(nums)),
+            PendingData::Bool(bytes) | PendingData::Str(bytes) => compress(compression, bytes),
+        };
+        let mut out = Vec::with_capacity(bitset_frame.len() + data_frame.len() + 4);
+        put_uvarint(&mut out, bitset_frame.len() as u64);
+        out.extend_from_slice(&bitset_frame);
+        out.extend_from_slice(&data_frame);
+        self.len = 0;
+        self.nulls.clear();
+        match &mut self.data {
+            PendingData::I64(nums) => nums.clear(),
+            PendingData::U64(nums) => nums.clear(),
+            PendingData::Bool(bytes) | PendingData::Str(bytes) => bytes.clear(),
+        }
+        out
+    }
+}
+
 /// Encodes one column block.
 pub fn encode_block(
     dtype: DataType,
     values: &[Value],
     compression: Compression,
 ) -> Result<Vec<u8>> {
-    let n = values.len();
-    let mut bitset = vec![0u8; n.div_ceil(8)];
-    for (i, v) in values.iter().enumerate() {
-        if v.is_null() {
-            bitset[i / 8] |= 1 << (i % 8);
-        }
+    let mut block = PendingBlock::new(dtype);
+    for v in values {
+        block.push(v)?;
     }
-    let data = match dtype {
-        DataType::Int64 => {
-            let nums: Vec<i64> = values
-                .iter()
-                .map(|v| match v {
-                    Value::Null => Ok(0),
-                    other => other
-                        .as_i64()
-                        .ok_or_else(|| Error::invalid("non-int64 value in int64 column")),
-                })
-                .collect::<Result<_>>()?;
-            delta::encode_i64(&nums)
-        }
-        DataType::UInt64 => {
-            let nums: Vec<u64> = values
-                .iter()
-                .map(|v| match v {
-                    Value::Null => Ok(0),
-                    other => other
-                        .as_u64()
-                        .ok_or_else(|| Error::invalid("non-uint64 value in uint64 column")),
-                })
-                .collect::<Result<_>>()?;
-            delta::encode_u64(&nums)
-        }
-        DataType::Bool => {
-            let mut bits = vec![0u8; n.div_ceil(8)];
-            for (i, v) in values.iter().enumerate() {
-                match v {
-                    Value::Bool(true) => bits[i / 8] |= 1 << (i % 8),
-                    Value::Bool(false) | Value::Null => {}
-                    _ => return Err(Error::invalid("non-bool value in bool column")),
-                }
-            }
-            bits
-        }
-        DataType::String => {
-            let mut buf = Vec::new();
-            for v in values {
-                match v {
-                    Value::Null => put_uvarint(&mut buf, 0),
-                    Value::Str(s) => {
-                        put_uvarint(&mut buf, s.len() as u64);
-                        buf.extend_from_slice(s.as_bytes());
-                    }
-                    _ => return Err(Error::invalid("non-string value in string column")),
-                }
-            }
-            buf
-        }
-    };
-
-    let bitset_frame = compress(Compression::Rle, &bitset);
-    let data_frame = compress(compression, &data);
-    let mut out = Vec::with_capacity(bitset_frame.len() + data_frame.len() + 4);
-    put_uvarint(&mut out, bitset_frame.len() as u64);
-    out.extend_from_slice(&bitset_frame);
-    out.extend_from_slice(&data_frame);
-    Ok(out)
+    Ok(block.encode(compression))
 }
 
 /// Decodes one column block into positional values.

@@ -17,7 +17,7 @@
 //! three small range reads instead of downloading the object.
 
 use logstore_codec::crc::crc32c;
-use logstore_codec::varint::{put_str, put_uvarint, read_str, read_uvarint};
+use logstore_codec::varint::{put_str, put_uvarint, read_str, read_u32_le, read_uvarint};
 use logstore_types::{Error, Result};
 
 /// Magic bytes of a pack object.
@@ -133,13 +133,6 @@ pub struct MemberEntry {
     pub len: u64,
 }
 
-/// Reads a little-endian `u32` out of an exactly-4-byte slice.
-fn le_u32(bytes: &[u8]) -> Result<u32> {
-    <[u8; 4]>::try_from(bytes)
-        .map(u32::from_le_bytes)
-        .map_err(|_| Error::corruption("pack field is not 4 bytes"))
-}
-
 /// Checks the fixed prologue (length, magic, version) and returns the
 /// manifest length it announces.
 fn parse_prologue(prologue: &[u8]) -> Result<u64> {
@@ -153,7 +146,7 @@ fn parse_prologue(prologue: &[u8]) -> Result<u64> {
     if rest[0] != VERSION {
         return Err(Error::corruption(format!("unsupported pack version {}", rest[0])));
     }
-    le_u32(&rest[1..]).map(u64::from)
+    read_u32_le(&rest[1..], &mut 0).map(u64::from)
 }
 
 /// The parsed manifest of one pack: where every member lives inside the
@@ -178,7 +171,7 @@ impl PackManifest {
             return Err(Error::corruption("short pack manifest"));
         }
         let (body, crc_bytes) = manifest.split_at(manifest.len() - 4);
-        if crc32c(body) != le_u32(crc_bytes)? {
+        if crc32c(body) != read_u32_le(crc_bytes, &mut 0)? {
             return Err(Error::corruption("pack manifest checksum mismatch"));
         }
 

@@ -471,13 +471,14 @@ fn evaluate_predicates_impl<S: RangeSource>(
                         let Some(needle) = p.value.as_str() else {
                             return Err(Error::invalid("CONTAINS with non-string literal"));
                         };
-                        let tokens: Vec<String> = tokenize(needle).collect();
                         // CONTAINS matches a single whole term (see
                         // `contains_term`); multi-token or empty needles
-                        // match nothing, same as the scan path.
-                        match tokens.as_slice() {
-                            [tok] if *tok == needle.to_ascii_lowercase() => {
-                                reader.index_lookup_token(*col, tok)?
+                        // match nothing, same as the scan path. A needle
+                        // is one term when its only run is all of it.
+                        let mut runs = tokenize(needle);
+                        match (runs.next(), runs.next()) {
+                            (Some(run), None) if run.len() == needle.len() => {
+                                reader.index_lookup_token(*col, needle)?
                             }
                             _ => Vec::new(),
                         }

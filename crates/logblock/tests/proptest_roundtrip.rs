@@ -4,9 +4,11 @@
 //! conjunctions.
 
 use logstore_codec::Compression;
+use logstore_logblock::column::encode_block;
+use logstore_logblock::meta::col_member;
 use logstore_logblock::scan::{evaluate_predicates, ScanStats};
-use logstore_logblock::{LogBlockBuilder, LogBlockReader};
-use logstore_types::{CmpOp, ColumnPredicate, TableSchema, Value};
+use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader};
+use logstore_types::{CmpOp, ColumnPredicate, LogRecord, TableSchema, Value};
 use proptest::prelude::*;
 
 fn arb_row() -> impl Strategy<Value = Vec<Value>> {
@@ -73,6 +75,46 @@ proptest! {
         let all_ids: Vec<u32> = (0..rows.len() as u32).collect();
         let got = reader.read_rows(&all_ids, &(0..7).collect::<Vec<_>>()).unwrap();
         prop_assert_eq!(&got, &rows);
+    }
+
+    /// The builder's pending column buffers and `column::encode_block` are
+    /// one encoder: every column block inside a built pack is the bytes
+    /// `encode_block` gives for that block's cells — whether the rows came
+    /// in as slices or as records read in place.
+    #[test]
+    fn builder_column_bytes_are_encode_block_bytes(
+        rows in proptest::collection::vec(arb_row(), 1..120),
+        block_rows in 1usize..40,
+        codec_tag in 0u8..4,
+    ) {
+        let codec = Compression::from_tag(codec_tag).unwrap();
+        let schema = TableSchema::request_log();
+        let mut by_row = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
+        let mut by_record = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
+        for row in &rows {
+            by_row.add_row(row).unwrap();
+            by_record.add_record(&LogRecord::from_row(row.clone()).unwrap()).unwrap();
+        }
+        let pack = by_row.finish().unwrap();
+        prop_assert_eq!(&by_record.finish().unwrap(), &pack);
+
+        let handle = LogBlockHandle::open(&pack).unwrap();
+        for (c, (col, meta)) in schema.columns.iter().zip(&handle.meta().columns).enumerate() {
+            let (start, _) = handle.manifest().member_object_range(&col_member(c)).unwrap();
+            for block in &meta.blocks {
+                let cells: Vec<Value> = rows
+                    [block.row_start as usize..(block.row_start + block.row_count) as usize]
+                    .iter()
+                    .map(|row| row[c].clone())
+                    .collect();
+                let from = (start + block.offset) as usize;
+                prop_assert_eq!(
+                    &pack[from..from + block.len as usize],
+                    &encode_block(col.data_type, &cells, codec).unwrap()[..],
+                    "column {} block at row {}", c, block.row_start
+                );
+            }
+        }
     }
 
     #[test]

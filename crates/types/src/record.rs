@@ -27,7 +27,16 @@ impl LogRecord {
         LogRecord { tenant_id, ts, fields }
     }
 
-    /// Expands to a full positional row `[tenant_id, ts, fields...]`.
+    /// The two leading key cells `[tenant_id, ts]` of the positional row.
+    /// They hold no heap data, so `keys().iter().chain(&self.fields)` walks
+    /// the full row by reference — what validation, the batch codec and the
+    /// LogBlock builder do instead of cloning it with [`LogRecord::to_row`].
+    pub fn keys(&self) -> [Value; 2] {
+        [Value::U64(self.tenant_id.raw()), Value::I64(self.ts.millis())]
+    }
+
+    /// Expands to a full positional row `[tenant_id, ts, fields...]`. Deep
+    /// clones every field: for tests and tools, not for the write path.
     pub fn to_row(&self) -> Vec<Value> {
         let mut row = Vec::with_capacity(self.fields.len() + 2);
         row.push(Value::U64(self.tenant_id.raw()));
@@ -36,25 +45,23 @@ impl LogRecord {
         row
     }
 
-    /// Rebuilds a record from a full positional row.
-    pub fn from_row(row: &[Value]) -> Result<Self> {
-        if row.len() < 2 {
+    /// Rebuilds a record from a full positional row; the values after the
+    /// two keys move into the record.
+    pub fn from_row(row: Vec<Value>) -> Result<Self> {
+        let mut cells = row.into_iter();
+        let (Some(tenant_id), Some(ts)) = (cells.next(), cells.next()) else {
             return Err(Error::invalid("row shorter than the two key columns"));
-        }
+        };
         let tenant_id =
-            row[0].as_u64().ok_or_else(|| Error::invalid("tenant_id column must be UInt64"))?;
-        let ts = row[1].as_i64().ok_or_else(|| Error::invalid("ts column must be Int64"))?;
-        Ok(LogRecord {
-            tenant_id: TenantId(tenant_id),
-            ts: Timestamp(ts),
-            fields: row[2..].to_vec(),
-        })
+            tenant_id.as_u64().ok_or_else(|| Error::invalid("tenant_id column must be UInt64"))?;
+        let ts = ts.as_i64().ok_or_else(|| Error::invalid("ts column must be Int64"))?;
+        Ok(LogRecord { tenant_id: TenantId(tenant_id), ts: Timestamp(ts), fields: cells.collect() })
     }
 
     /// Validates the record against `schema` (which must include the two
-    /// leading key columns).
+    /// leading key columns), in place.
     pub fn validate(&self, schema: &TableSchema) -> Result<()> {
-        schema.check_row(&self.to_row())
+        schema.check_cells(self.fields.len() + 2, self.keys().iter().chain(&self.fields))
     }
 
     /// Approximate wire size, used for traffic accounting and backpressure.
@@ -141,14 +148,14 @@ mod tests {
         let row = r.to_row();
         assert_eq!(row[0], Value::U64(7));
         assert_eq!(row[1], Value::I64(1234));
-        assert_eq!(LogRecord::from_row(&row).unwrap(), r);
+        assert_eq!(LogRecord::from_row(row).unwrap(), r);
     }
 
     #[test]
     fn from_row_rejects_bad_keys() {
-        assert!(LogRecord::from_row(&[Value::I64(1)]).is_err());
-        assert!(LogRecord::from_row(&[Value::from("x"), Value::I64(1)]).is_err());
-        assert!(LogRecord::from_row(&[Value::U64(1), Value::from("x")]).is_err());
+        assert!(LogRecord::from_row(vec![Value::I64(1)]).is_err());
+        assert!(LogRecord::from_row(vec![Value::from("x"), Value::I64(1)]).is_err());
+        assert!(LogRecord::from_row(vec![Value::U64(1), Value::from("x")]).is_err());
     }
 
     #[test]
@@ -158,6 +165,62 @@ mod tests {
         let mut bad = sample(1, 1);
         bad.fields.pop();
         assert!(bad.validate(&schema).is_err());
+    }
+
+    /// In-place validation accepts and rejects exactly what the row-shaped
+    /// check does on `to_row()`, with the same message: wrong arity (short
+    /// and long), wrong type in a key and in a field, NULL in a NOT NULL
+    /// column, NULL in a nullable one.
+    #[test]
+    fn validate_agrees_with_check_row_on_the_expanded_row() {
+        use crate::schema::ColumnSchema;
+        use crate::value::DataType;
+        let strict = TableSchema::new(
+            "strict",
+            vec![
+                ColumnSchema::new("tenant_id", DataType::UInt64).not_null(),
+                ColumnSchema::new("ts", DataType::Int64).not_null(),
+                ColumnSchema::new("a", DataType::String).not_null(),
+                ColumnSchema::new("b", DataType::Int64),
+            ],
+        )
+        .unwrap();
+        // A schema whose key columns have the wrong types: the keys
+        // themselves must be checked, not assumed.
+        let odd_keys = TableSchema::new(
+            "odd",
+            vec![
+                ColumnSchema::new("tenant_id", DataType::Int64),
+                ColumnSchema::new("ts", DataType::String),
+            ],
+        )
+        .unwrap();
+        let rec = |fields: Vec<Value>| LogRecord::new(TenantId(3), Timestamp(9), fields);
+        let cases = [
+            rec(vec![Value::from("x"), Value::I64(1)]),
+            rec(vec![Value::from("x"), Value::Null]),
+            rec(vec![Value::Null, Value::I64(1)]),
+            rec(vec![Value::I64(1), Value::I64(1)]),
+            rec(vec![Value::from("x"), Value::U64(1)]),
+            rec(vec![Value::from("x")]),
+            rec(vec![Value::from("x"), Value::I64(1), Value::Bool(true)]),
+            rec(vec![]),
+            sample(1, 1),
+        ];
+        let mut rejected = 0;
+        for schema in [&strict, &odd_keys, &TableSchema::request_log()] {
+            for r in &cases {
+                let (got, want) = (r.validate(schema), schema.check_row(&r.to_row()));
+                assert_eq!(
+                    got.as_ref().map_err(ToString::to_string),
+                    want.as_ref().map_err(ToString::to_string),
+                    "{r:?} against '{}'",
+                    schema.name
+                );
+                rejected += usize::from(got.is_err());
+            }
+        }
+        assert!(rejected > 10 && rejected < 3 * cases.len(), "both verdicts must be exercised");
     }
 
     #[test]

@@ -185,15 +185,24 @@ impl TableSchema {
 
     /// Validates a full row against the schema.
     pub fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.columns.len() {
+        self.check_cells(row.len(), row)
+    }
+
+    /// [`TableSchema::check_row`] over borrowed cells that need not be
+    /// contiguous: `len` is how many values `cells` yields.
+    pub fn check_cells<'a>(
+        &self,
+        len: usize,
+        cells: impl IntoIterator<Item = &'a Value>,
+    ) -> Result<()> {
+        if len != self.columns.len() {
             return Err(Error::invalid(format!(
-                "row has {} values, table '{}' has {} columns",
-                row.len(),
+                "row has {len} values, table '{}' has {} columns",
                 self.name,
                 self.columns.len()
             )));
         }
-        for (col, v) in self.columns.iter().zip(row) {
+        for (col, v) in self.columns.iter().zip(cells) {
             col.check_value(v)?;
         }
         Ok(())

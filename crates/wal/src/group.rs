@@ -56,7 +56,7 @@ use crate::segment::{
     parse_segment_seq, replay_segment, segment_file_name, SegmentWriter, MAX_PAYLOAD,
 };
 use logstore_codec::crc::{crc32c, mask, unmask};
-use logstore_codec::varint::{put_uvarint, read_uvarint};
+use logstore_codec::varint::{put_uvarint, read_u32_le, read_uvarint};
 use logstore_sync::{assert_no_locks_held, OrderedCondvar, OrderedMutex};
 use logstore_types::{Error, Result};
 use std::collections::{BTreeMap, BTreeSet};
@@ -600,9 +600,9 @@ pub(crate) fn decode_group_frame(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
     if payload.len() < GROUP_MAGIC.len() + 4 || !is_group_frame(payload) {
         return Err(Error::corruption("group frame too short or bad magic"));
     }
-    let body = &payload[GROUP_MAGIC.len()..payload.len() - 4];
-    let stored_crc = u32::from_le_bytes(payload[payload.len() - 4..].try_into().expect("4 bytes"));
-    if crc32c(body) != unmask(stored_crc) {
+    let mut crc_at = payload.len() - 4;
+    let body = &payload[GROUP_MAGIC.len()..crc_at];
+    if crc32c(body) != unmask(read_u32_le(payload, &mut crc_at)?) {
         return Err(Error::corruption("group frame crc mismatch"));
     }
     let mut pos = 0usize;

@@ -11,6 +11,7 @@
 //! treated as the end of the log; corruption *before* the tail is an error.
 
 use logstore_codec::crc::{crc32c, mask, unmask};
+use logstore_codec::varint::read_u32_le;
 use logstore_types::{Error, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -143,8 +144,9 @@ pub fn replay_segment(path: impl AsRef<Path>) -> Result<SegmentReplay> {
                 torn_tail: true,
             });
         }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let stored_crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let mut header = pos;
+        let len = read_u32_le(&data, &mut header)? as usize;
+        let stored_crc = read_u32_le(&data, &mut header)?;
         if len > MAX_PAYLOAD {
             return Err(Error::corruption("wal frame length implausible"));
         }

@@ -11,8 +11,11 @@
 //!
 //! # Ingest
 //!
-//! [`ShardStore::log_batch`] appends the batch to the WAL (unlocked) and
-//! returns a [`LoggedBatch`] that pins truncation at its LSN;
+//! [`ShardStore::encode_batch_payload`] encodes a batch once — the caller's
+//! replication log carries a copy of the same bytes
+//! ([`ShardStore::batch_body`]) — [`ShardStore::log_batch`] appends that
+//! payload to the WAL (unlocked) and returns a [`LoggedBatch`] that pins
+//! truncation at its LSN;
 //! [`ShardStore::apply`] moves the rows into the row store under the lock
 //! and releases the pin. Dropping a `LoggedBatch` unapplied (the caller's
 //! replication failed) releases the pin too: the rows stay in the WAL "in
@@ -55,7 +58,7 @@
 
 use crate::group::{GroupCommitWal, Lsn, WalConfig};
 use crate::rowstore::RowStore;
-use logstore_codec::batch::{decode_batch, encode_batch};
+use logstore_codec::batch::{decode_batch, encode_batch_into};
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_sync::{sync_point, OrderedMutex};
 use logstore_types::{partition_into_chunks, Error, LogRecord, Result, TenantId, TimeRange};
@@ -239,19 +242,38 @@ impl ShardStore {
         ShardStore { wal, epoch, inner: OrderedMutex::new("wal.shard.inner", inner) }
     }
 
-    /// Encodes records into the tagged batch WAL payload (pure).
+    /// Encodes records into the tagged batch WAL payload (pure): the tag
+    /// and the batch body in one buffer.
     pub fn encode_batch_payload(records: &[LogRecord]) -> Vec<u8> {
         let mut payload = vec![PAYLOAD_BATCH];
-        payload.extend_from_slice(&encode_batch(records));
+        encode_batch_into(&mut payload, records);
         payload
     }
 
-    /// First half of an append: encodes `records` and group-appends them to
-    /// the WAL, blocking on the group's barrier. Takes no shard lock — call
-    /// it with no lock held. A memory-only shard has nothing to log.
-    pub fn log_batch(&self, records: &[LogRecord]) -> Result<LoggedBatch<'_>> {
+    /// The batch body inside a payload made by
+    /// [`ShardStore::encode_batch_payload`] — the `encode_batch` bytes a
+    /// replication log carries, so replicating costs a copy, not a second
+    /// encode.
+    pub fn batch_body(payload: &[u8]) -> &[u8] {
+        payload.get(1..).unwrap_or_default()
+    }
+
+    /// True when the shard has a WAL. A memory-only shard ignores what
+    /// [`ShardStore::log_batch`] is given, so its caller need not encode.
+    pub fn is_durable(&self) -> bool {
+        self.wal.is_some()
+    }
+
+    /// First half of an append: group-appends `payload` (made by
+    /// [`ShardStore::encode_batch_payload`]) to the WAL, blocking on the
+    /// group's barrier. Takes no shard lock — call it with no lock held. A
+    /// memory-only shard has nothing to log.
+    pub fn log_batch(&self, payload: &[u8]) -> Result<LoggedBatch<'_>> {
         let pin = match &self.wal {
-            Some(wal) => Some((wal, wal.append(&Self::encode_batch_payload(records))?)),
+            Some(wal) => {
+                debug_assert_eq!(payload.first(), Some(&PAYLOAD_BATCH), "not a batch payload");
+                Some((wal, wal.append(payload)?))
+            }
             None => None,
         };
         Ok(LoggedBatch { pin })
@@ -466,7 +488,7 @@ fn encode_drain_intent(seq: DrainSeq, rows: &[LogRecord]) -> Vec<u8> {
     let mut payload = vec![PAYLOAD_DRAIN_INTENT];
     put_uvarint(&mut payload, seq.epoch);
     put_uvarint(&mut payload, seq.counter);
-    payload.extend_from_slice(&encode_batch(rows));
+    encode_batch_into(&mut payload, rows);
     payload
 }
 
@@ -539,7 +561,7 @@ mod tests {
 
     /// Both halves of an append back to back.
     fn append(s: &ShardStore, records: Vec<LogRecord>) {
-        let logged = s.log_batch(&records).unwrap();
+        let logged = s.log_batch(&ShardStore::encode_batch_payload(&records)).unwrap();
         s.apply(records, logged);
     }
 
@@ -671,7 +693,7 @@ mod tests {
         // is never applied, and its LSN must not block truncation forever.
         let dir = temp_dir("in-doubt");
         let s = ShardStore::open(&dir, small_segments()).unwrap();
-        drop(s.log_batch(&[rec(1, 0)]).unwrap());
+        drop(s.log_batch(&ShardStore::encode_batch_payload(&[rec(1, 0)])).unwrap());
         assert_eq!(s.buffered_rows(), 0, "an unapplied batch is not live");
         for i in 1..40 {
             append(&s, vec![rec(1, i)]);
@@ -693,7 +715,7 @@ mod tests {
             // A producer stalls between its WAL append and its apply while
             // a whole drain → upload → ack cycle runs on the shard.
             let late = vec![rec(1, 1)];
-            let logged = s.log_batch(&late).unwrap();
+            let logged = s.log_batch(&ShardStore::encode_batch_payload(&late)).unwrap();
             let (seq, drained) = drain_all(&s);
             assert_eq!(drained.len(), 1);
             // The row store is empty and no op is open — but cutting at the

@@ -146,7 +146,9 @@ fn shard_store_round(upload_succeeds: bool) {
                 for i in 0..2 {
                     let ts = Timestamp(p * 2 + i);
                     let records = vec![LogRecord::new(TenantId(1), ts, vec![Value::I64(p)])];
-                    let logged = store.log_batch(&records).expect("log batch");
+                    let logged = store
+                        .log_batch(&ShardStore::encode_batch_payload(&records))
+                        .expect("log batch");
                     store.apply(records, logged);
                     // Any thread may try to truncate at any time; right
                     // after an apply that a drain may already have taken

@@ -32,6 +32,11 @@
 //! 7. **Swallowed-`Result` ban** — `let _ =` and `.ok();` discarding a
 //!    fallible call in non-test code is budgeted per file
 //!    (`xtask/lint-allow-swallow.txt`); counts may only shrink.
+//! 8. **Rows by reference** — no `.to_row()` in non-test code of the
+//!    crates a row crosses on its way to the WAL and to OSS (`codec`,
+//!    `core`, `wal`, `logblock`, `query`, `cache`): it deep-clones every
+//!    field, and the write path reads rows in place (DESIGN.md §Write
+//!    path). No allowlist — the count is zero.
 //!
 //! An allowlist entry that no longer matches anything — a path whose file
 //! was deleted, a lock label no site carries — fails the lint, so a budget
@@ -66,6 +71,7 @@ fn lint() -> ExitCode {
     check_forbid_unsafe(&root, &mut failures);
     check_lock_labels(&root, &mut failures);
     check_swallowed_results(&root, &mut failures);
+    check_rows_by_reference(&root, &mut failures);
     if failures.is_empty() {
         println!("xtask lint: all checks passed");
         ExitCode::SUCCESS
@@ -541,6 +547,30 @@ fn check_swallowed_results(root: &Path, failures: &mut Vec<String>) {
                     "xtask lint: note: {path} is under its swallow budget ({count} < {budget}); \
                      lower it in xtask/lint-allow-swallow.txt to lock in the progress"
                 );
+            }
+        }
+    }
+}
+
+/// Check 8: `LogRecord::to_row()` deep-clones a row; the crates on the
+/// row → WAL → LogBlock path read records in place instead.
+fn check_rows_by_reference(root: &Path, failures: &mut Vec<String>) {
+    const GATED_CRATES: [&str; 6] = ["codec", "core", "wal", "logblock", "query", "cache"];
+    for name in GATED_CRATES {
+        for file in rust_files(&root.join("crates").join(name).join("src")) {
+            let text = fs::read_to_string(&file).expect("read source file");
+            for (lineno, line) in text.lines().enumerate() {
+                if line.contains("#[cfg(test)]") {
+                    break;
+                }
+                if strip_line_comment(line).contains(".to_row()") {
+                    failures.push(format!(
+                        "{}:{}: `.to_row()` clones the whole row; read it by reference \
+                         (`LogRecord::keys()` chained with `fields`)",
+                        rel(root, &file),
+                        lineno + 1
+                    ));
+                }
             }
         }
     }
