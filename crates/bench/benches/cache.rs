@@ -1,13 +1,19 @@
 //! Multi-level cache benchmarks: hit paths vs the simulated OSS miss path,
-//! prefetch range merging, and the concurrent zipf hot/cold workload that
-//! exercises sharding, singleflight and run coalescing under contention.
+//! prefetch range merging, the write-through kernels (admitting a LogBlock
+//! a writer holds, assembling one back out of the memory tier), and the
+//! concurrent zipf hot/cold workload that exercises sharding, singleflight
+//! and run coalescing under contention. (The pre-sharding single-mutex
+//! control that workload was first compared against is frozen in
+//! `BENCH_cache.json`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use logstore_cache::prefetch::merge_ranges;
 use logstore_cache::tiered::{BlockKey, TieredCache};
-use logstore_cache::SizedLru;
+use logstore_cache::Prefetcher;
+use logstore_codec::Compression;
+use logstore_logblock::LogBlockBuilder;
 use logstore_oss::{LatencyModel, MemoryStore, ObjectStore, SimulatedOss};
-use parking_lot::Mutex;
+use logstore_types::{TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -44,6 +50,56 @@ fn bench_merge_ranges(c: &mut Criterion) {
     group.sample_size(50);
     group.bench_function("merge 1000 ranges", |b| {
         b.iter(|| merge_ranges(black_box(ranges.clone())))
+    });
+    group.finish();
+}
+
+/// A LogBlock of about 128 KiB: the smallest multiple of 250 rows that
+/// reaches it.
+fn logblock_128k() -> Vec<u8> {
+    let build = |rows: i64| {
+        let mut b =
+            LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 1024);
+        for i in 0..rows {
+            let trace = i.wrapping_mul(2654435761) as u32;
+            b.add_row(&[
+                Value::U64(1),
+                Value::I64(i),
+                Value::from(format!("10.0.{}.{}", i % 200, trace % 250)),
+                Value::from("/api/v1/users"),
+                Value::I64((i * 7 + 13) % 600),
+                Value::Bool(i % 9 == 0),
+                Value::from(format!("request {i} served trace={trace:08x}")),
+            ])
+            .expect("row matches the schema");
+        }
+        b.finish().expect("finish")
+    };
+    (1..).map(|n| build(n * 250)).find(|bytes| bytes.len() >= 128 * 1024).expect("unbounded")
+}
+
+/// The two kernels write-through adds to the archive and compaction
+/// paths, at the engine's 64 KiB cache block: what a drain pays to admit
+/// a block it just uploaded (header parse + one copy of every byte), and
+/// what a compaction pays to take a resident source instead of a GET
+/// (peek every block + one copy).
+fn bench_write_through(c: &mut Criterion) {
+    let bytes = logblock_128k();
+    let size = bytes.len() as u64;
+    let cache = Arc::new(TieredCache::memory_only_sharded(64 << 20, 16).with_object_tier(32 << 20));
+    let prefetcher = Prefetcher::new(Arc::new(MemoryStore::new()), cache, 64 * 1024, 8);
+
+    let mut group = c.benchmark_group("cache/write-through");
+    group.sample_size(50);
+    group.bench_function("admit 128 KiB object", |b| {
+        b.iter(|| prefetcher.admit(black_box("tenants/1/blk-000000000001.pack"), black_box(&bytes)))
+    });
+    group.bench_function("assemble 128 KiB source from memory tier", |b| {
+        b.iter(|| {
+            prefetcher
+                .resident(black_box("tenants/1/blk-000000000001.pack"), black_box(size))
+                .expect("admitted above")
+        })
     });
     group.finish();
 }
@@ -93,36 +149,6 @@ fn bench_concurrent_zipf(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cache/concurrent");
     group.sample_size(30);
-
-    // Seed shape: one global lock, one GET-shaped fetch per block.
-    group.bench_function("zipf hot/cold, seed shape (1 lock, per-block)", |b| {
-        let lru = Mutex::new(SizedLru::new(BLOCKS as usize / 4 * BLOCK));
-        let epoch = AtomicU64::new(1);
-        b.iter(|| {
-            let e = epoch.fetch_add(1, Ordering::Relaxed);
-            std::thread::scope(|scope| {
-                for per_thread in &ops {
-                    let lru = &lru;
-                    scope.spawn(move || {
-                        for &(start, is_scan) in per_thread {
-                            let (path, n): (&str, u64) =
-                                if is_scan { ("cold", SCAN) } else { ("hot", 1) };
-                            for blk in start..start + n {
-                                let offset =
-                                    if is_scan { e * BLOCKS + blk } else { blk } * BLOCK as u64;
-                                let key = BlockKey { path: path.into(), offset };
-                                let hit = lru.lock().get(&key).cloned();
-                                let data: Arc<Vec<u8>> =
-                                    hit.unwrap_or_else(|| Arc::new(vec![blk as u8; BLOCK]));
-                                lru.lock().put(key, Arc::clone(&data), BLOCK);
-                                black_box(data);
-                            }
-                        }
-                    });
-                }
-            });
-        })
-    });
 
     for shards in [1usize, 8] {
         group.bench_function(
@@ -175,5 +201,11 @@ fn bench_concurrent_zipf(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_paths, bench_merge_ranges, bench_concurrent_zipf);
+criterion_group!(
+    benches,
+    bench_cache_paths,
+    bench_merge_ranges,
+    bench_write_through,
+    bench_concurrent_zipf
+);
 criterion_main!(benches);

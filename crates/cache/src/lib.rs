@@ -13,7 +13,12 @@
 //! * a **parallel prefetcher** — every range a query will read, across all
 //!   the objects it touches, is deduplicated, merged into contiguous runs
 //!   of cold blocks and fetched as one bounded wave before any of it is
-//!   needed; the query then reads the very blocks the wave brought back.
+//!   needed; the query then reads the very blocks the wave brought back;
+//! * **write-through admission** — a writer that has just uploaded a
+//!   LogBlock hands its bytes over ([`Prefetcher::admit`]) before the
+//!   LogBlock map names it, so bytes this process wrote never cost a
+//!   round; compaction takes the sources the memory tier holds whole from
+//!   it ([`Prefetcher::resident`]) without counting as a reader.
 //!
 //! The read path is built for concurrency: the block tiers are
 //! hash-sharded (one mutex and byte budget per shard), concurrent misses

@@ -76,6 +76,11 @@ impl<K: Eq + Hash + Clone, V> SizedLru<K, V> {
         self.entries.contains_key(key)
     }
 
+    /// Looks up a key without refreshing its recency.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|(v, _, _)| v)
+    }
+
     /// Inserts an entry of `size` bytes, evicting LRU entries as needed.
     /// Returns the evicted `(key, value)` pairs (the memory tier spills
     /// these to the disk tier).

@@ -24,6 +24,11 @@
 //! queries in flight. Both waves run on the calling thread's behalf — the
 //! caller feeds them and blocks until they end — so nothing that merely
 //! *computes* over the fetched bytes ever sleeps on a GET.
+//!
+//! The prefetcher is also where bytes that need no fetch enter the cache:
+//! it owns the block alignment, so [`Prefetcher::admit`] files a LogBlock
+//! a writer still holds under exactly the keys a wave would have filled,
+//! and [`Prefetcher::resident`] hands one back whole.
 
 use crate::source::{aligned_blocks, CachedObjectSource};
 use crate::tiered::{BlockKey, TieredCache};
@@ -144,6 +149,50 @@ impl<S: ObjectStore> Prefetcher<S> {
                 Err(e)
             }
         }
+    }
+
+    /// Write-through admission: `bytes` is the LogBlock a writer has just
+    /// PUT at `path` and is about to name in the LogBlock map. Afterwards
+    /// the cache is as if a reader had opened the object and fetched all of
+    /// it — the parsed header in the object tier, every aligned block in
+    /// the block tier under the keys a [`CachedObjectSource`] computes — so
+    /// the block's first reader plans and reads without a request.
+    ///
+    /// Bytes whose header does not open admit nothing: the first reader
+    /// opens the object the usual way and reports it. An object larger
+    /// than the memory tier admits its header only; its blocks would evict
+    /// everything else and then each other.
+    pub fn admit(&self, path: &str, bytes: &Vec<u8>) {
+        let Ok(handle) = LogBlockHandle::open(bytes) else { return };
+        self.cache.insert_handle(path, Arc::new(handle));
+        if bytes.len() > self.cache.memory_capacity_bytes() {
+            return;
+        }
+        let size = bytes.len() as u64;
+        for (offset, len) in aligned_blocks(self.block_size, size, 0, size) {
+            let block = bytes[offset as usize..(offset + len) as usize].to_vec();
+            self.cache.insert(BlockKey { path: path.to_string(), offset }, Arc::new(block));
+        }
+    }
+
+    /// The whole object at `path`, assembled from the memory tier when
+    /// every aligned block of it is there, without counting a hit or
+    /// refreshing a block ([`TieredCache::peek_in_memory`]). `None` when
+    /// any block is missing: the caller GETs the object instead.
+    pub fn resident(&self, path: &str, size: u64) -> Option<Vec<u8>> {
+        let mut key = BlockKey { path: path.to_string(), offset: 0 };
+        let blocks = aligned_blocks(self.block_size, size, 0, size)
+            .into_iter()
+            .map(|(offset, _)| {
+                key.offset = offset;
+                self.cache.peek_in_memory(&key)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let mut object = Vec::with_capacity(size as usize);
+        for block in &blocks {
+            object.extend_from_slice(block);
+        }
+        (object.len() as u64 == size).then_some(object)
     }
 
     /// The handles of many LogBlocks `(path, size)`, in input order. Known
@@ -412,29 +461,130 @@ mod tests {
         assert!(fetched.iter().all(|f| f.errors == 0));
     }
 
-    #[test]
-    fn handles_come_from_the_tier_or_one_wave_and_failures_cache_nothing() {
+    /// The bytes of a LogBlock of `rows` rows.
+    fn logblock(rows: i64) -> Vec<u8> {
         use logstore_codec::Compression;
         use logstore_logblock::LogBlockBuilder;
         use logstore_types::{TableSchema, Value};
+        let mut b =
+            LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 64);
+        for i in 0..rows {
+            b.add_row(&[
+                Value::U64(1),
+                Value::I64(i),
+                Value::from("10.0.0.1"),
+                Value::from("/api"),
+                Value::I64(i % 30),
+                Value::Bool(false),
+                Value::from(format!("line {i}")),
+            ])
+            .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// An origin nobody may read: every byte has to come from the cache.
+    struct NoReads(MemoryStore);
+    impl ObjectStore for NoReads {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            self.0.put(path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            panic!("GET {path}")
+        }
+        fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+            panic!("GET {path} {offset}+{len}")
+        }
+        fn head(&self, path: &str) -> Result<u64> {
+            self.0.head(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.0.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.0.delete(path)
+        }
+    }
+
+    #[test]
+    fn an_admitted_object_is_read_under_the_keys_a_reader_computes() {
+        let bytes = logblock(400);
+        let size = bytes.len() as u64;
+        // A block size that leaves a short last block.
+        let block = 1000;
+        assert!(size > 3 * block && !size.is_multiple_of(block), "{size}");
+        let cache = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+        let p =
+            Prefetcher::new(Arc::new(NoReads(MemoryStore::new())), Arc::clone(&cache), block, 4);
+        p.admit("blk", &bytes);
+
+        // The header comes from the object tier, every member and the
+        // object's tail from the block tier: the origin is never asked.
+        let source = p.source("blk", size);
+        let handle = p.handle(&source).unwrap();
+        assert_eq!(handle.meta().row_count, 400);
+        let mut ranges = vec![(0, size), (size - 1, 1), (size / block * block, size % block)];
+        for member in handle.manifest().members() {
+            ranges.extend(handle.manifest().member_object_range(&member.name));
+        }
+        assert!(ranges.len() > 10, "{ranges:?}");
+        for (offset, len) in ranges {
+            let want = &bytes[offset as usize..(offset + len) as usize];
+            assert_eq!(source.read_at(offset, len).unwrap(), want, "{offset}+{len}");
+        }
+        // So does a planned wave, and so does the whole-object peek —
+        // which is not a lookup.
+        let fetched = p.fetch(vec![p.plan("blk", size, vec![(0, size)])]);
+        assert_eq!(fetched[0].errors, 0);
+        let before = cache.stats();
+        assert_eq!(p.resident("blk", size).unwrap(), bytes);
+        assert_eq!(cache.stats(), before);
+        assert_eq!(before.misses, 0);
+
+        // One missing block and the object is not resident.
+        cache.evict_object("blk");
+        assert!(p.resident("blk", size).is_none());
+        p.admit("blk", &bytes);
+        cache.clear_memory();
+        cache.insert(BlockKey { path: "blk".into(), offset: 0 }, Arc::new(bytes[..1000].to_vec()));
+        assert!(p.resident("blk", size).is_none());
+    }
+
+    #[test]
+    fn admission_refuses_what_does_not_open_or_does_not_fit() {
+        let store = Arc::new(MemoryStore::new());
+        let bytes = logblock(400);
+        let size = bytes.len() as u64;
+        // Room for the object's header, not for its blocks.
+        let small = size as usize / 2;
+        let cache = Arc::new(TieredCache::memory_only(small).with_object_tier(1 << 20));
+        let p = Prefetcher::new(Arc::clone(&store), Arc::clone(&cache), 512, 4);
+        let keep = BlockKey { path: "other".into(), offset: 0 };
+        cache.insert(keep.clone(), Arc::new(vec![1u8; 512]));
+        p.admit("big", &bytes);
+        assert!(cache.contains_in_memory(&keep), "an object that cannot fit evicts nothing");
+        assert!(cache.handle("big").is_some(), "its header is in the object tier all the same");
+        assert_eq!(cache.evict_object("big"), 0, "and none of its blocks is kept");
+
+        // Bytes that are not a LogBlock: no header, no block.
+        let roomy = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+        let p = Prefetcher::new(store, Arc::clone(&roomy), 512, 4);
+        p.admit("junk", &vec![9u8; 5000]);
+        let mut torn = bytes.clone();
+        torn[12] ^= 0xff;
+        p.admit("torn", &torn);
+        for path in ["junk", "torn"] {
+            assert!(roomy.handle(path).is_none(), "{path}");
+            assert_eq!(roomy.evict_object(path), 0, "{path}");
+        }
+    }
+
+    #[test]
+    fn handles_come_from_the_tier_or_one_wave_and_failures_cache_nothing() {
         let store = Arc::new(SimulatedOss::new(MemoryStore::new(), LatencyModel::zero(), 1));
         let mut sizes = Vec::new();
         for path in ["blk-0", "blk-1"] {
-            let mut b =
-                LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 64);
-            for i in 0..100i64 {
-                b.add_row(&[
-                    Value::U64(1),
-                    Value::I64(i),
-                    Value::from("10.0.0.1"),
-                    Value::from("/api"),
-                    Value::I64(i % 30),
-                    Value::Bool(false),
-                    Value::from(format!("line {i}")),
-                ])
-                .unwrap();
-            }
-            let bytes = b.finish().unwrap();
+            let bytes = logblock(100);
             sizes.push(bytes.len() as u64);
             store.inner().put(path, &bytes).unwrap();
         }

@@ -82,12 +82,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
                     let flight = Arc::clone(e.get());
                     drop(table);
                     let mut slot = flight.slot.lock();
-                    while slot.is_none() {
-                        flight.done.wait(&mut slot);
-                    }
-                    let result = match slot.as_ref().expect("flight published") {
-                        Ok(v) => Ok(v.clone()),
-                        Err(e) => Err(share_error(e)),
+                    let result = loop {
+                        match slot.as_ref() {
+                            Some(Ok(v)) => break Ok(v.clone()),
+                            Some(Err(e)) => break Err(share_error(e)),
+                            None => flight.done.wait(&mut slot),
+                        }
                     };
                     return (result, FlightRole::Waited);
                 }

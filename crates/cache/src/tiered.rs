@@ -142,6 +142,7 @@ pub struct MemoryBlockCache {
     // thread never holds two at once (the lock analysis would flag it).
     shards: Vec<OrderedMutex<SizedLru<BlockKey, Arc<Vec<u8>>>>>,
     mask: usize,
+    capacity_bytes: usize,
 }
 
 impl MemoryBlockCache {
@@ -160,6 +161,7 @@ impl MemoryBlockCache {
                 .map(|_| OrderedMutex::new("cache.memory.shard", SizedLru::new(budget)))
                 .collect(),
             mask: n - 1,
+            capacity_bytes: budget * n,
         }
     }
 
@@ -168,9 +170,19 @@ impl MemoryBlockCache {
         self.shards.len()
     }
 
+    /// Bytes the tier can hold, all shards together.
+    pub fn capacity_bytes(&self) -> usize {
+        self.capacity_bytes
+    }
+
     /// Looks up a block.
     pub fn get(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
         self.shards[shard_of(key, self.mask)].lock().get(key).cloned()
+    }
+
+    /// Looks up a block without refreshing its recency.
+    pub fn peek(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
+        self.shards[shard_of(key, self.mask)].lock().peek(key).cloned()
     }
 
     /// True if the block is cached (no recency refresh — used by the
@@ -591,6 +603,19 @@ impl TieredCache {
         Some(hit)
     }
 
+    /// Memory-tier lookup that leaves no trace: not counted as a hit, no
+    /// recency refresh, nothing on a miss. For a reader that is not a
+    /// query and whose interest says nothing about future reads —
+    /// compaction taking the sources it is about to retire.
+    pub fn peek_in_memory(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
+        self.memory.peek(key)
+    }
+
+    /// Bytes the memory block tier can hold.
+    pub fn memory_capacity_bytes(&self) -> usize {
+        self.memory.capacity_bytes()
+    }
+
     /// Evicts one object from every tier — its handle and every cached
     /// block (GC deleted the object; dead entries must not pin budget).
     /// Returns the number of evicted blocks.
@@ -882,6 +907,28 @@ mod tests {
         // The spilled files were deleted, only live cache files may remain.
         assert_eq!(cache.evict_object("dead"), 1, "only the refetched block remains");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_peek_is_not_a_hit_and_does_not_refresh() {
+        // Room for two blocks. Peeking at the older one must leave it the
+        // LRU victim; a real lookup would have saved it.
+        let cache = TieredCache::memory_only(250);
+        cache.insert(key("obj", 0), Arc::new(vec![0u8; 100]));
+        cache.insert(key("obj", 100), Arc::new(vec![1u8; 100]));
+        let before = cache.stats();
+        assert_eq!(*cache.peek_in_memory(&key("obj", 0)).unwrap(), vec![0u8; 100]);
+        assert!(cache.peek_in_memory(&key("obj", 900)).is_none());
+        assert_eq!(cache.stats(), before, "no hit, no miss, no lookup");
+        cache.insert(key("obj", 200), Arc::new(vec![2u8; 100]));
+        assert!(!cache.contains_in_memory(&key("obj", 0)), "the peeked block was still the LRU");
+        assert!(cache.contains_in_memory(&key("obj", 100)));
+        // The control: a counted lookup refreshes, and the other block goes.
+        assert!(cache.get_in_memory(&key("obj", 100)).is_some());
+        cache.insert(key("obj", 300), Arc::new(vec![3u8; 100]));
+        assert!(cache.contains_in_memory(&key("obj", 100)));
+        assert!(!cache.contains_in_memory(&key("obj", 200)));
+        assert_eq!(cache.stats().memory_hits, before.memory_hits + 1);
     }
 
     fn handle(rows: i64) -> Arc<LogBlockHandle> {

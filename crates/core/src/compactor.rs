@@ -13,7 +13,9 @@
 //!    ([`CrashPoint::CompactPlanned`]);
 //! 2. **build + upload**: the merged block goes to OSS under the new path
 //!    while the sources remain the live ones
-//!    ([`CrashPoint::CompactUploaded`]);
+//!    ([`CrashPoint::CompactUploaded`]) — and, when any source was read
+//!    from the cache, into the cache: the map never names a block whose
+//!    predecessors were in memory and which is not;
 //! 3. **swap + tombstone**: one [`MetadataStore::commit_compaction`]
 //!    transaction replaces the sources with the merged entry and moves
 //!    their paths to the persistent tombstone list
@@ -33,14 +35,13 @@
 //! `assert_no_locks_held` guards enforce this): every metadata transaction
 //! completes before the next I/O starts.
 
-use crate::databuilder::{BuildConfig, RegisteredHandle};
+use crate::databuilder::BuildConfig;
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
-use logstore_cache::TieredCache;
-use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader};
+use logstore_cache::{Prefetcher, TieredCache};
+use logstore_logblock::{LogBlockBuilder, LogBlockReader};
 use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{Error, Result, TableSchema, TenantId, Timestamp};
-use std::sync::Arc;
 
 /// What counts as "small" and how much to merge at once.
 #[derive(Debug, Clone)]
@@ -128,11 +129,12 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
 }
 
 /// Executes every planned run through the full protocol, reading each
-/// run's sources with up to `width` GETs in flight. Per-run errors are
+/// run's sources from `cache` where it holds them whole and from OSS
+/// otherwise, with up to `width` GETs in flight. Per-run errors are
 /// isolated (one tenant's failure must not abort another's merge); the
 /// first error is returned after every run was attempted, alongside
-/// nothing — the report only counts committed work. Beside the report
-/// comes the header of every merged block now live.
+/// nothing — the report only counts committed work.
+#[allow(clippy::too_many_arguments)] // one call site in the engine; a struct would only rename them
 pub fn run_compaction<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -141,19 +143,17 @@ pub fn run_compaction<S: ObjectStore>(
     config: &CompactionConfig,
     hooks: &dyn CrashHooks,
     width: usize,
-) -> Result<(CompactionReport, Vec<RegisteredHandle>)> {
+    cache: Option<&Prefetcher<S>>,
+) -> Result<CompactionReport> {
     let mut report = CompactionReport::default();
-    let mut merged = Vec::new();
     let mut first_error: Option<Error> = None;
     for run in plan_compactions(metadata, config) {
-        match compact_one_run(store, metadata, schema, build, hooks, &run, width) {
-            Ok((path, built)) => {
+        match compact_one_run(store, metadata, schema, build, hooks, &run, width, cache) {
+            Ok(bytes_uploaded) => {
                 report.runs_committed += 1;
                 report.blocks_merged += run.sources.len() as u64;
                 report.rows_rewritten += run.sources.iter().map(|e| e.rows).sum::<u64>();
-                report.bytes_uploaded += built.len() as u64;
-                // (The sources' handles go when GC deletes the objects.)
-                merged.extend(LogBlockHandle::open(&built).ok().map(|h| (path, Arc::new(h))));
+                report.bytes_uploaded += bytes_uploaded;
             }
             Err(Error::Stale(_)) => report.runs_lost_races += 1,
             Err(e) => {
@@ -163,13 +163,14 @@ pub fn run_compaction<S: ObjectStore>(
     }
     match first_error {
         Some(e) => Err(e),
-        None => Ok((report, merged)),
+        None => Ok(report),
     }
 }
 
 /// One run through plan→build→upload→swap (tombstoning is part of the
 /// swap transaction; deletion belongs to [`run_gc`]). Returns the merged
-/// block's path and bytes.
+/// block's size.
+#[allow(clippy::too_many_arguments)] // as for run_compaction
 fn compact_one_run<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -178,27 +179,37 @@ fn compact_one_run<S: ObjectStore>(
     hooks: &dyn CrashHooks,
     run: &CompactionRun,
     width: usize,
-) -> Result<(String, Vec<u8>)> {
+    cache: Option<&Prefetcher<S>>,
+) -> Result<u64> {
     // Protect the merged path from the stale-pending sweep while we build.
     let _build_guard = metadata.begin_build();
     let source_paths: Vec<String> = run.sources.iter().map(|e| e.path.clone()).collect();
     let merged_path = metadata.begin_compaction(run.tenant, &source_paths)?;
     hooks.reached(CrashPoint::CompactPlanned);
 
-    let built = match build_merged_block(store, schema, build, &run.sources, width) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            // Nothing provably on OSS under the merged path; tombstone it
-            // so GC cleans up whatever half-state a real store might hold.
-            metadata.abort_compaction(&merged_path);
-            return Err(e);
-        }
-    };
+    let (built, inherited) =
+        match build_merged_block(store, schema, build, &run.sources, width, cache) {
+            Ok(merged) => merged,
+            Err(e) => {
+                // Nothing provably on OSS under the merged path; tombstone it
+                // so GC cleans up whatever half-state a real store might hold.
+                metadata.abort_compaction(&merged_path);
+                return Err(e);
+            }
+        };
     if let Err(e) = store.put(&merged_path, &built) {
         metadata.abort_compaction(&merged_path);
         return Err(e);
     }
     hooks.reached(CrashPoint::CompactUploaded);
+    // PUT → admit → register. Residency is inherited: a block merged from
+    // anything the cache held stays readable from memory across the swap,
+    // and a merge of cold history leaves the cache alone. Should the swap
+    // below lose its race, the admitted path is tombstoned and the GC pass
+    // that deletes the object evicts it.
+    if let Some(cache) = cache.filter(|_| inherited) {
+        cache.admit(&merged_path, &built);
+    }
 
     // Source rows are a concatenation, so the merged coverage and row
     // count are exactly the union of the sources'. begin_compaction
@@ -223,29 +234,48 @@ fn compact_one_run<S: ObjectStore>(
         return Err(e);
     }
     hooks.reached(CrashPoint::CompactCommitted);
-    Ok((merged_path, built))
+    Ok(built.len() as u64)
 }
 
-/// Reads every source block and rebuilds one merged block. The sources are
-/// fetched as one [`ordered_wave`] (one GET round per `width` sources
-/// instead of one per source) and consumed in run order (per-tenant path
-/// order) — the same order a query's scatter visits the originals — so a
-/// scan of the merged block is bit-identical to scanning the sources in
-/// sequence, at any width. The builder recomputes SMA / inverted / BKD
-/// indexes from scratch.
+/// Reads every source block and rebuilds one merged block; beside it,
+/// whether any source came from the cache. A source the memory tier holds
+/// whole is taken from there — without a hit counted or a block refreshed
+/// ([`Prefetcher::resident`]: the sources are about to die, and the hit
+/// counters keep meaning queries). The rest are fetched whole as one
+/// [`ordered_wave`] (one GET round per `width` sources instead of one per
+/// source) and put nothing in the cache. All are consumed in run order
+/// (per-tenant path order) — the same order a query's scatter visits the
+/// originals — so a scan of the merged block is bit-identical to scanning
+/// the sources in sequence, at any width and any residency. The builder
+/// recomputes SMA / inverted / BKD indexes from scratch.
 fn build_merged_block<S: ObjectStore>(
     store: &S,
     schema: &TableSchema,
     build: &BuildConfig,
     sources: &[LogBlockEntry],
     width: usize,
-) -> Result<Vec<u8>> {
-    let fetched = ordered_wave(width, sources, |_, source| store.get(&source.path));
+    cache: Option<&Prefetcher<S>>,
+) -> Result<(Vec<u8>, bool)> {
+    let resident: Vec<Option<Vec<u8>>> = sources
+        .iter()
+        .map(|source| cache.and_then(|c| c.resident(&source.path, source.bytes)))
+        .collect();
+    let inherited = resident.iter().any(Option::is_some);
+    let cold: Vec<&LogBlockEntry> =
+        sources.iter().zip(&resident).filter(|(_, hit)| hit.is_none()).map(|(s, _)| s).collect();
+    let mut fetched = ordered_wave(width, cold, |_, source| store.get(&source.path)).into_iter();
     let mut builder =
         LogBlockBuilder::with_options(schema.clone(), build.compression, build.block_rows);
     let mut row = Vec::with_capacity(schema.width());
-    for bytes in fetched {
-        let reader = LogBlockReader::open(bytes?)?;
+    for hit in resident {
+        // One fetched object per miss, in the same order.
+        let bytes = match hit {
+            Some(bytes) => bytes,
+            None => fetched
+                .next()
+                .ok_or_else(|| Error::Internal("source wave lost a result".into()))??,
+        };
+        let reader = LogBlockReader::open(bytes)?;
         // Each source row is gathered from the decoded columns into one
         // reused scratch row (moves, no clones) and read by reference.
         let mut columns = (0..schema.width())
@@ -257,30 +287,37 @@ fn build_merged_block<S: ObjectStore>(
             builder.add_row(&row)?;
         }
     }
-    builder.finish()
+    Ok((builder.finish()?, inherited))
 }
 
 /// The GC pass: sweeps orphaned pending paths (no build in flight ⇒ their
 /// uploads died before committing) into the tombstone list, then deletes
-/// every tombstoned object. A failed delete *retains* the tombstone for
-/// the next pass — the object is never forgotten — and never aborts the
-/// rest of the pass. Successfully deleted paths are evicted from the
-/// cache — handle and blocks — so dead objects stop pinning its budgets.
+/// every tombstoned object, as one [`ordered_wave`] of up to `width`
+/// DELETEs ([`CrashPoint::BeforeGcDelete`] fires on the calling thread as
+/// each path is handed to the wave; `1` deletes inline, one at a time). A
+/// failed delete *retains* the tombstone for the next pass — the object is
+/// never forgotten — and never aborts the rest of the pass. After the
+/// wave, in path order, each deleted path leaves the tombstone list and
+/// the cache — handle and blocks — so dead objects stop pinning its
+/// budgets.
 pub fn run_gc<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
     cache: Option<&TieredCache>,
     hooks: &dyn CrashHooks,
+    width: usize,
 ) -> GcReport {
     let mut report =
         GcReport { orphans_swept: metadata.sweep_stale_pending() as u64, ..Default::default() };
-    for path in metadata.tombstones() {
-        hooks.reached(CrashPoint::BeforeGcDelete);
-        match store.delete(&path) {
+    let tombstones = metadata.tombstones();
+    let feed = tombstones.iter().inspect(|_| hooks.reached(CrashPoint::BeforeGcDelete));
+    let deletes = ordered_wave(width, feed, |_, path| store.delete(path));
+    for (path, deleted) in tombstones.iter().zip(deletes) {
+        match deleted {
             Ok(()) => {
-                metadata.remove_tombstone(&path);
+                metadata.remove_tombstone(path);
                 if let Some(cache) = cache {
-                    cache.evict_object(&path);
+                    cache.evict_object(path);
                 }
                 report.deleted += 1;
             }
@@ -351,26 +388,41 @@ mod tests {
 
     #[test]
     fn gc_retries_failed_deletes_without_aborting_the_pass() {
-        let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 7);
-        let m = MetadataStore::new();
-        for p in ["tenants/1/a", "tenants/1/b", "tenants/2/c"] {
-            store.put(p, b"x").unwrap();
-            m.register_block(TenantId(1), entry(p, 0, 1, 1)).unwrap();
+        /// Counts `BeforeGcDelete` and checks it fires on the GC's caller.
+        struct OnCaller(std::thread::ThreadId, std::sync::atomic::AtomicU64);
+        impl CrashHooks for OnCaller {
+            fn reached(&self, point: CrashPoint) {
+                assert_eq!(point, CrashPoint::BeforeGcDelete);
+                assert_eq!(std::thread::current().id(), self.0, "fired from a wave thread");
+                self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
         }
-        m.set_retention(TenantId(1), Some(1));
-        m.expire(TenantId(1), Timestamp(1_000));
-        assert_eq!(m.tombstones().len(), 3);
-        // The first delete of the pass fails; the other two proceed.
-        store.fail_next(1);
-        let first = run_gc(&store, &m, None, &NoopHooks);
-        assert_eq!(first.deleted, 2);
-        assert_eq!(first.retained, 1);
-        assert_eq!(m.tombstones().len(), 1);
-        // Next pass finishes the job: nothing leaked.
-        let second = run_gc(&store, &m, None, &NoopHooks);
-        assert_eq!(second.deleted, 1);
-        assert!(m.tombstones().is_empty());
-        assert_eq!(store.inner().object_count(), 0);
+        // One delete at a time, and all three as one wave.
+        for width in [1, 8] {
+            let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 7);
+            let m = MetadataStore::new();
+            for p in ["tenants/1/a", "tenants/1/b", "tenants/2/c"] {
+                store.put(p, b"x").unwrap();
+                m.register_block(TenantId(1), entry(p, 0, 1, 1)).unwrap();
+            }
+            m.set_retention(TenantId(1), Some(1));
+            m.expire(TenantId(1), Timestamp(1_000));
+            assert_eq!(m.tombstones().len(), 3);
+            // One delete of the pass fails; the other two proceed.
+            store.fail_next(1);
+            let hooks = OnCaller(std::thread::current().id(), Default::default());
+            let first = run_gc(&store, &m, None, &hooks, width);
+            assert_eq!((first.deleted, first.retained), (2, 1), "width {width}");
+            assert_eq!(hooks.1.load(std::sync::atomic::Ordering::SeqCst), 3);
+            let kept = m.tombstones();
+            assert_eq!(kept.len(), 1);
+            assert!(store.inner().head(&kept[0]).is_ok(), "the retained path is the undeleted one");
+            // Next pass finishes the job: nothing leaked.
+            let second = run_gc(&store, &m, None, &NoopHooks, width);
+            assert_eq!(second.deleted, 1);
+            assert!(m.tombstones().is_empty());
+            assert_eq!(store.inner().object_count(), 0);
+        }
     }
 
     #[test]
@@ -381,7 +433,7 @@ mod tests {
         // pending, no build is in flight any more.
         let orphan = m.allocate_block_path(TenantId(1));
         store.put(&orphan, b"garbage").unwrap();
-        let report = run_gc(&store, &m, None, &NoopHooks);
+        let report = run_gc(&store, &m, None, &NoopHooks, 1);
         assert_eq!(report.orphans_swept, 1);
         assert_eq!(report.deleted, 1);
         assert_eq!(store.object_count(), 0);
@@ -437,8 +489,8 @@ mod tests {
             .unwrap();
         }
         let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
-        let (report, merged) =
-            run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4).unwrap();
+        let report =
+            run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4, None).unwrap();
         assert_eq!(report.runs_committed, 1);
         assert_eq!(report.blocks_merged, 3);
         assert_eq!(report.rows_rewritten, 30);
@@ -447,9 +499,6 @@ mod tests {
         assert_eq!(blocks[0].rows, 30);
         assert_eq!(blocks[0].min_ts, Timestamp(0));
         assert_eq!(blocks[0].max_ts, Timestamp(209));
-        // The live merged block's header is handed to the caller.
-        assert_eq!(merged.len(), 1);
-        assert_eq!((merged[0].0.as_str(), merged[0].1.meta().row_count), (&*blocks[0].path, 30));
         // The merged block scans to the exact concatenation of the sources.
         let reader = LogBlockReader::open(store.get(&blocks[0].path).unwrap()).unwrap();
         assert_eq!(reader.row_count(), 30);
@@ -460,7 +509,7 @@ mod tests {
             }
         }
         // GC then removes the superseded objects.
-        let gc = run_gc(&store, &m, None, &NoopHooks);
+        let gc = run_gc(&store, &m, None, &NoopHooks, 1);
         assert_eq!(gc.deleted, 3);
         assert_eq!(store.object_count(), 1);
     }

@@ -75,7 +75,8 @@ pub struct ClusterConfig {
     pub cache_shards: usize,
     /// OSS requests one operation keeps in flight: the width of a query's
     /// fetch waves (the paper evaluates 32), of an archive drain's
-    /// LogBlock PUTs and of a compaction run's source GETs. `1` issues
+    /// LogBlock PUTs, of a compaction run's source GETs and of a GC pass's
+    /// DELETEs. `1` issues
     /// every request inline on the calling thread. A query plans four
     /// times this many LogBlocks ahead of its scan, no more.
     pub prefetch_threads: usize,

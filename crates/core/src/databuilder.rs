@@ -18,6 +18,11 @@
 //! uploaded-but-unregistered orphan under its pending path, which the GC
 //! pass sweeps, tombstones and deletes like any crash-orphaned upload.
 //!
+//! A drain that runs under an engine also **admits** each block of the
+//! durable prefix to the cache — between its PUT and its registration, so
+//! no reader can learn a block's path before the bytes the builder held a
+//! moment ago are in memory under it.
+//!
 //! Uploads are fault-tolerant: the engine's store stack retries transient
 //! OSS failures with backoff, and when an upload still fails terminally,
 //! [`build_and_upload`] hands every not-yet-durable row back in
@@ -25,8 +30,9 @@
 //! store. No drained row is ever dropped on an error path.
 
 use crate::metadata::{DrainId, LogBlockEntry, MetadataStore};
+use logstore_cache::Prefetcher;
 use logstore_codec::Compression;
-use logstore_logblock::{LogBlockBuilder, LogBlockHandle};
+use logstore_logblock::LogBlockBuilder;
 use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{
     partition_into_chunks, ArchiveChunk, Error, LogRecord, Result, TableSchema, TenantId,
@@ -65,11 +71,6 @@ impl BuildReport {
     }
 }
 
-/// A LogBlock just registered: its path and its header, parsed from the
-/// bytes uploaded. The engine puts these in the object cache, so the first
-/// query of a new LogBlock plans its reads without a header round trip.
-pub type RegisteredHandle = (String, Arc<LogBlockHandle>);
-
 /// The full result of a build pass, including the failure path.
 ///
 /// The chunks before the lowest failed index are durable and registered
@@ -84,8 +85,6 @@ pub struct BuildOutcome {
     pub unarchived: Vec<LogRecord>,
     /// The lowest-indexed chunk's terminal error (or the commit's), if any.
     pub error: Option<Error>,
-    /// The header of every registered block, in chunk order.
-    pub handles: Vec<RegisteredHandle>,
 }
 
 impl BuildOutcome {
@@ -107,7 +106,7 @@ pub fn build_and_upload<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
 ) -> BuildOutcome {
-    build_and_upload_drain(rows, schema, config, store, metadata, None, 1)
+    build_and_upload_drain(rows, schema, config, store, metadata, None, 1, None)
 }
 
 /// [`build_and_upload`] for rows that came out of a shard drain, keeping
@@ -131,6 +130,13 @@ pub fn build_and_upload<S: ObjectStore>(
 /// the row store — uploaded-but-uncommitted objects are garbage, never
 /// duplicates. Without a drain id (in-memory backends, tests) the prefix
 /// registers block by block, in chunk order.
+///
+/// With a `cache`, the order is PUT → admit → register: after the wave
+/// joins and before anything is registered, the calling thread admits the
+/// durable prefix, in chunk order ([`Prefetcher::admit`]). A registration
+/// that then fails leaves admitted orphans; their paths are pending, so the
+/// GC pass that deletes the objects evicts them like any other.
+#[allow(clippy::too_many_arguments)] // one call site in the engine; everyone else calls `build_and_upload`
 pub fn build_and_upload_drain<S: ObjectStore>(
     rows: Vec<LogRecord>,
     schema: &TableSchema,
@@ -139,6 +145,7 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     metadata: &MetadataStore,
     drain: Option<DrainId>,
     width: usize,
+    cache: Option<&Prefetcher<S>>,
 ) -> BuildOutcome {
     let mut outcome = BuildOutcome::default();
     // The canonical chunk sequence: tenants ascending, ts-sorted, capped.
@@ -159,9 +166,7 @@ pub fn build_and_upload_drain<S: ObjectStore>(
         // wastes space until GC deletes it).
         let uploaded = block.and_then(|(entry, bytes)| {
             store.put(&entry.path, &bytes)?;
-            // A header that does not parse is simply not handed on: the
-            // block's first reader opens it the usual way and reports it.
-            Ok((entry, LogBlockHandle::open(&bytes).ok()))
+            Ok((entry, bytes))
         });
         if uploaded.is_err() {
             failed.store(true, Ordering::SeqCst);
@@ -170,12 +175,13 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     });
     // The durable prefix: every chunk before the lowest failed index.
     let mut entries = Vec::with_capacity(uploads.len());
-    let mut handles = Vec::with_capacity(uploads.len());
     for upload in uploads {
         match upload {
-            Ok((entry, handle)) => {
+            Ok((entry, bytes)) => {
+                if let Some(cache) = cache {
+                    cache.admit(&entry.path, &bytes);
+                }
                 entries.push(entry);
-                handles.push(handle);
             }
             Err(e) => {
                 outcome.error = Some(e);
@@ -210,11 +216,10 @@ pub fn build_and_upload_drain<S: ObjectStore>(
             registered
         }
     };
-    for (entry, handle) in entries[..committed].iter().zip(handles) {
+    for entry in &entries[..committed] {
         outcome.report.blocks_built += 1;
         outcome.report.rows_archived += entry.rows;
         outcome.report.bytes_uploaded += entry.bytes;
-        outcome.handles.extend(handle.map(|h| (entry.path.clone(), Arc::new(h))));
     }
     for chunk in chunks.into_iter().skip(committed) {
         outcome.unarchived.extend(chunk.rows);
@@ -257,6 +262,7 @@ fn build_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logstore_cache::TieredCache;
     use logstore_logblock::LogBlockReader;
     use logstore_oss::{FaultScope, FaultyStore, MemoryStore};
     use logstore_types::{TableSchema, TimeRange, Timestamp, Value};
@@ -429,7 +435,7 @@ mod tests {
         // land first: chunk 0's PUT and chunk 1's failure both wait until
         // chunk 2's object is stored.
         let rendezvous = std::sync::Barrier::new(3);
-        let store = PutHook {
+        let store = Arc::new(PutHook {
             inner: MemoryStore::new(),
             put: |inner: &MemoryStore, path: &str, data: &[u8]| {
                 if path.ends_with("000000000003.pack") {
@@ -443,7 +449,9 @@ mod tests {
                 }
                 inner.put(path, data)
             },
-        };
+        });
+        let cache = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+        let prefetcher = Prefetcher::new(Arc::clone(&store), Arc::clone(&cache), 1024, 8);
         let metadata = MetadataStore::new();
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(8, i)).collect();
         let id = drain_id(2, 5);
@@ -451,10 +459,11 @@ mod tests {
             rows.clone(),
             &TableSchema::request_log(),
             &config(),
-            &store,
+            store.as_ref(),
             &metadata,
             Some(id),
             8,
+            Some(&prefetcher),
         );
         // Exactly chunk 0 is committed, although chunk 2 is on OSS too.
         assert!(outcome.error.is_some());
@@ -464,10 +473,6 @@ mod tests {
         let mapped = metadata.all_blocks(TenantId(8));
         assert_eq!(mapped.len(), 1);
         assert!(mapped[0].path.ends_with("000000000001.pack"));
-        // Only a registered block's header is handed to the caller.
-        assert_eq!(outcome.handles.len(), 1);
-        assert_eq!(outcome.handles[0].0, mapped[0].path);
-        assert_eq!(outcome.handles[0].1.meta().row_count, 50);
         // Chunks 1.. come back whole, in chunk order.
         assert_eq!(outcome.unarchived, rows[50..]);
         // Chunk 2 is an uploaded-but-unregistered orphan under its pending
@@ -475,7 +480,13 @@ mod tests {
         let orphan = "tenants/8/blk-000000000003.pack";
         assert!(store.head(orphan).is_ok());
         assert!(metadata.pending_paths().iter().any(|p| p == orphan));
-        let gc = run_gc(&store, &metadata, None, &NoopHooks);
+        // Only the committed prefix was admitted to the cache — header and
+        // every block — not the orphan whose PUT happened to succeed.
+        assert_eq!(cache.handle(&mapped[0].path).map(|h| h.meta().row_count), Some(50));
+        assert!(prefetcher.resident(&mapped[0].path, mapped[0].bytes).is_some());
+        assert!(cache.handle(orphan).is_none());
+        assert_eq!(cache.evict_object(orphan), 0, "no block of the orphan either");
+        let gc = run_gc(store.as_ref(), &metadata, Some(&cache), &NoopHooks, 1);
         assert_eq!(gc.orphans_swept, 2, "the failed and the orphaned chunk's paths");
         assert!(store.head(orphan).is_err());
         assert_eq!(store.inner.object_count(), 1);
@@ -501,6 +512,7 @@ mod tests {
                 &metadata,
                 Some(id),
                 width,
+                None,
             );
             assert!(outcome.is_complete());
             let objects: Vec<(String, Vec<u8>)> = store
@@ -537,6 +549,7 @@ mod tests {
             &metadata,
             Some(id),
             1,
+            None,
         );
         assert!(outcome.is_complete());
         assert_eq!(outcome.report.blocks_built, 3);
@@ -551,6 +564,7 @@ mod tests {
             &metadata,
             Some(id),
             1,
+            None,
         );
         assert!(again.error.is_some());
         assert_eq!(again.unarchived.len(), 10, "a failed commit hands every row back");
@@ -574,6 +588,7 @@ mod tests {
             &metadata,
             Some(id),
             1,
+            None,
         );
         assert!(outcome.error.is_some());
         assert_eq!(outcome.unarchived.len(), 120);
@@ -597,6 +612,7 @@ mod tests {
             &metadata,
             Some(id),
             1,
+            None,
         );
         assert!(outcome.error.is_some());
         assert_eq!(outcome.report.blocks_built, 1);

@@ -438,9 +438,10 @@ impl LogStore {
     }
 
     /// Builds and uploads one logged drain with the engine's OSS request
-    /// concurrency, between the `AfterDrain` and `AfterUpload` crash
-    /// points, and counts a failed pass. The caller closes the shard's
-    /// archive op: ack when the outcome is complete, restore otherwise.
+    /// concurrency, admitting its blocks to the cache, between the
+    /// `AfterDrain` and `AfterUpload` crash points, and counts a failed
+    /// pass. The caller closes the shard's archive op: ack when the
+    /// outcome is complete, restore otherwise.
     fn archive_drain(
         &self,
         shard: ShardId,
@@ -448,7 +449,7 @@ impl LogStore {
         rows: Vec<LogRecord>,
     ) -> BuildOutcome {
         self.shared.hooks.reached(CrashPoint::AfterDrain);
-        let mut outcome = build_and_upload_drain(
+        let outcome = build_and_upload_drain(
             rows,
             &self.shared.schema,
             &self.build_config,
@@ -456,11 +457,9 @@ impl LogStore {
             &self.shared.metadata,
             seq.map(|seq| DrainId { shard, seq }),
             self.config.prefetch_threads,
+            Some(&self.shared.prefetcher),
         );
         self.shared.hooks.reached(CrashPoint::AfterUpload);
-        for (path, handle) in outcome.handles.drain(..) {
-            self.shared.cache.insert_handle(&path, handle);
-        }
         if !outcome.is_complete() {
             self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
             self.archive_rows_restored
@@ -527,11 +526,13 @@ impl LogStore {
 
     /// One compaction pass: merges runs of small adjacent LogBlocks per
     /// tenant into large blocks (rebuilding all indexes), swapping the map
-    /// atomically and tombstoning the superseded objects. Safe to run
+    /// atomically and tombstoning the superseded objects. Sources the
+    /// cache holds are read from it, and what is merged from them is
+    /// cached in their place. Safe to run
     /// concurrently with ingest, queries and expiration: a lost race
     /// surfaces as a skipped run, never as data loss.
     pub fn compact(&self) -> Result<CompactionReport> {
-        let (report, merged) = compactor::run_compaction(
+        compactor::run_compaction(
             self.shared.store.as_ref(),
             &self.shared.metadata,
             &self.shared.schema,
@@ -539,22 +540,21 @@ impl LogStore {
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
             self.config.prefetch_threads,
-        )?;
-        for (path, handle) in merged {
-            self.shared.cache.insert_handle(&path, handle);
-        }
-        Ok(report)
+            Some(&self.shared.prefetcher),
+        )
     }
 
     /// One GC pass: sweeps orphaned uploads into the tombstone list and
-    /// deletes tombstoned objects from OSS (evicting their handles and
-    /// blocks from the cache). Failed deletes are retried by the next pass.
+    /// deletes tombstoned objects from OSS, `prefetch_threads` at a time
+    /// (evicting their handles and blocks from the cache). Failed deletes
+    /// are retried by the next pass.
     pub fn gc(&self) -> GcReport {
         compactor::run_gc(
             self.shared.store.as_ref(),
             &self.shared.metadata,
             Some(self.shared.cache.as_ref()),
             self.shared.hooks.as_ref(),
+            self.config.prefetch_threads,
         )
     }
 

@@ -138,6 +138,9 @@ fn cold_scans_coalesce_origin_gets() {
     let mut config = ClusterConfig::for_testing();
     config.cache_block_size = 1024;
     let s = build_store(config, 1, 400);
+    // The flush admitted the block it built; a cold scan starts from a
+    // cache that has forgotten it.
+    s.clear_cache();
 
     let sql = "SELECT log FROM request_log WHERE tenant_id = 1";
     let opts = QueryOptions { use_prefetch: false, ..QueryOptions::default() }.with_parallelism(1);
@@ -193,7 +196,9 @@ fn prefetch_fault_degrades_to_demand_reads() {
     config.cache_block_size = 1024;
     let s = build_store(config, 1, 400);
 
-    // Warm the footer/meta/latency blocks; the `log` column stays cold.
+    // Forget the block the flush admitted, then warm the footer/meta/
+    // latency blocks; the `log` column stays cold.
+    s.clear_cache();
     let warm = QueryOptions { use_prefetch: false, ..QueryOptions::default() }.with_parallelism(1);
     s.query_with_options("SELECT latency FROM request_log WHERE tenant_id = 1", &warm).unwrap();
 

@@ -146,7 +146,7 @@ fn rec(ts: i64) -> LogRecord {
 const ROWS_PER_BLOCK: i64 = 1500;
 
 /// Tenant 1 with `blocks` archived LogBlocks and nothing in the row
-/// stores. Building registers every handle; no block has been read yet.
+/// stores. Building admitted every one of them to the cache, whole.
 fn build_store(config: ClusterConfig, blocks: i64) -> LogStore {
     let s = LogStore::open(config).unwrap();
     for b in 0..blocks {
@@ -187,6 +187,21 @@ fn runs_of(handle: &LogBlockHandle, members: &[String], block: u64, warm: &[u64]
     blocks.iter().enumerate().filter(|(i, b)| *i == 0 || blocks[i - 1] + 1 != **b).count()
 }
 
+/// Leaves the cache knowing every LogBlock of tenant 1 and holding none of
+/// its data — a reader that has seen the blocks before and lost them to
+/// eviction. Everything is dropped, then a query whose predicate the SMAs
+/// refute opens each header and plans nothing. The cache block a header
+/// lives in (block 0 in every fixture here, asserted) is warm afterwards;
+/// `runs_of` is told so.
+fn forget_all_but_the_headers(s: &LogStore) {
+    s.clear_cache();
+    let sql = "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 1000000000";
+    let exec = s.query_with_options(sql, &QueryOptions::default()).unwrap();
+    assert!(exec.result.rows.is_empty());
+    let blocks = s.block_count() as u64;
+    assert_eq!((exec.cache.object_misses, exec.cache.misses), (blocks, blocks), "block 0 each");
+}
+
 const TWO_COLUMNS: &str = "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 300";
 
 /// `TWO_COLUMNS` reads `col.4` (latency: unindexed, undecided by SMA) and
@@ -202,10 +217,11 @@ fn oracle(s: &LogStore, sql: &str) -> QueryExecution {
 #[test]
 fn cold_query_with_cached_handles_is_one_round_issued_by_the_caller() {
     let s = build_store(config(), 3);
+    forget_all_but_the_headers(&s);
     let members = two_column_members();
     let runs: Vec<usize> = block_paths(&s)
         .iter()
-        .map(|(path, _)| runs_of(&raw_handle(&s, path), &members, BLOCK, &[]))
+        .map(|(path, _)| runs_of(&raw_handle(&s, path), &members, BLOCK, &[0]))
         .collect();
     assert!(runs.iter().all(|r| *r == 2), "col.4 and col.6 are apart: {runs:?}");
     let total: usize = runs.iter().sum();
@@ -226,7 +242,7 @@ fn cold_query_with_cached_handles_is_one_round_issued_by_the_caller() {
         gets.iter().all(|g| !g.thread.starts_with("query-pool-")),
         "pool tasks compute, they do not fetch: {gets:?}"
     );
-    assert_eq!(exec.cache.object_hits, 3, "the handles were registered when the blocks were built");
+    assert_eq!(exec.cache.object_hits, 3, "the handles outlived the blocks");
     assert_eq!(exec.cache.object_misses, 0);
     assert_eq!(exec.stats.prefetch_errors, 0);
     assert_eq!(exec.result, oracle(&s, TWO_COLUMNS).result);
@@ -274,11 +290,12 @@ fn cold_query_without_handles_is_exactly_two_rounds() {
 #[test]
 fn a_one_run_query_fetches_inline_on_the_calling_thread() {
     let s = build_store(config(), 3);
+    forget_all_but_the_headers(&s);
     // The LogBlock map prunes to the first block; the SMAs leave one `ts`
     // column block undecided, so the plan is `col.1` alone: one run.
     let sql = "SELECT ts FROM request_log WHERE tenant_id = 1 AND ts <= 700";
     let (path, _) = block_paths(&s).remove(0);
-    assert_eq!(runs_of(&raw_handle(&s, &path), &["col.1".to_string()], BLOCK, &[]), 1);
+    assert_eq!(runs_of(&raw_handle(&s, &path), &["col.1".to_string()], BLOCK, &[0]), 1);
 
     let gate = Gate::install(&s, &[1]);
     let exec = s.query_with_options(sql, &QueryOptions::default()).unwrap();
@@ -293,6 +310,7 @@ fn a_one_run_query_fetches_inline_on_the_calling_thread() {
 #[test]
 fn ablation_switches_still_separate() {
     let s = build_store(config(), 3);
+    forget_all_but_the_headers(&s);
     // Prefetch off: no wave — every GET is a task's demand read. With the
     // default parallelism the three tasks run on pool threads.
     let no_prefetch = QueryOptions { use_prefetch: false, ..QueryOptions::default() };
@@ -416,8 +434,14 @@ fn every_template_fetches_exactly_its_plan() {
     let templates = workload_store(config()).1;
     assert_eq!(templates.len(), 8);
     for sql in &templates {
-        // A fresh engine per template: handles registered, blocks cold.
+        // A fresh engine per template. No query has read its blocks, but
+        // the flushes admitted them: nothing is asked of OSS.
         let (s, _) = workload_store(config());
+        let fresh = s.query_with_options(sql, &QueryOptions::default()).unwrap();
+        assert_eq!((fresh.cache.object_misses, fresh.cache.misses), (0, 0), "{sql}");
+        assert_eq!(s.oss_metrics().get_requests, 0, "{sql}");
+        // Now with the handles known and the blocks cold.
+        forget_all_but_the_headers(&s);
         let bound = analyze::bind(&parse_query(sql).unwrap(), &s.shared().schema).unwrap();
         let plan = ScanPlan::new(&bound, &s.shared().schema, true).unwrap();
         let range = QueryScope::extract(&bound).range;
@@ -434,7 +458,7 @@ fn every_template_fetches_exactly_its_plan() {
                 "{members:?} for {sql}"
             );
             assert!(!members.iter().any(|m| m.ends_with(".0")), "{members:?} for {sql}");
-            expected_gets += runs_of(&handle, &members, BLOCK, &[]);
+            expected_gets += runs_of(&handle, &members, BLOCK, &[0]);
         }
 
         // The wave fetches the plan — and the scans then ask for nothing
@@ -446,13 +470,49 @@ fn every_template_fetches_exactly_its_plan() {
         assert!(gets.iter().all(|g| !g.thread.starts_with("query-pool-")), "{sql}: {gets:?}");
         assert_eq!(exec.cache.object_hits as usize, mapped.len());
         assert_eq!(exec.result, oracle(&s, sql).result, "{sql}");
-        // A handle registered at build time and one the query opens
+        // What was admitted is what OSS holds.
+        assert_eq!((&exec.result, &exec.stats), (&fresh.result, &fresh.stats), "{sql}");
+        // A handle found in the object tier and one the query opens
         // itself are the same handle: same answer, same counters.
         s.clear_cache();
         let reopened = s.query_with_options(sql, &QueryOptions::default()).unwrap();
         assert_eq!(reopened.cache.object_misses as usize, mapped.len());
         assert_eq!((&reopened.result, &reopened.stats), (&exec.result, &exec.stats), "{sql}");
     }
+}
+
+#[test]
+fn a_drain_that_fails_midway_admits_only_what_it_registered() {
+    // One tenant, three chunks, PUTs one at a time; the third fails
+    // terminally. The durable prefix is registered and cached; the failed
+    // chunk's rows are back in the row store and its path is unknown to
+    // the cache.
+    let mut config = config();
+    config.prefetch_threads = 1;
+    config.max_rows_per_logblock = 500;
+    let s = LogStore::open(config).unwrap();
+    s.ingest((0..1500).map(rec).collect::<Vec<_>>()).unwrap();
+    let faults = s.shared().fault_layer();
+    let third_put = faults.op_index() + 2;
+    faults.fail_ops(std::slice::from_ref(&(third_put..third_put + 1)));
+    assert!(s.flush().is_err());
+    assert_eq!(s.archive_stats().rows_restored, 500);
+
+    let cache = &s.shared().cache;
+    let registered = block_paths(&s);
+    assert_eq!(registered.len(), 2);
+    for (path, bytes) in &registered {
+        assert!(cache.handle(path).is_some(), "{path}");
+        assert!(s.shared().prefetcher.resident(path, *bytes).is_some(), "{path}");
+    }
+    let failed = s.shared().metadata.pending_paths();
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(cache.handle(&failed[0]).is_none());
+    assert_eq!(cache.evict_object(&failed[0]), 0);
+    // Every row is still there, and the archived ones cost no request.
+    let exec = s.query_with_options(TWO_COLUMNS, &QueryOptions::default()).unwrap();
+    assert_eq!(exec.result, oracle(&s, TWO_COLUMNS).result);
+    assert_eq!((exec.cache.object_hits, exec.cache.misses), (2, 0));
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! LogBlocks, and the query-vs-expire race surfacing as a clean retry
 //! instead of a raw OSS `NotFound`.
 
-use logstore::core::{ClusterConfig, LogStore, QueryOptions};
+use logstore::core::{ClusterConfig, CrashHooks, CrashPoint, LogStore, OpenParts, QueryOptions};
 use logstore::oss::ObjectStore;
 use logstore::types::{LogRecord, TenantId, Timestamp, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 fn rec(t: u64, ts: i64, msg: &str) -> LogRecord {
     LogRecord::new(
@@ -240,15 +240,20 @@ fn retention_expires_exactly_the_old_blocks() {
     assert_eq!(s.shared().fault_layer().inner().list("tenants/").unwrap().len(), 1);
 }
 
-/// The object tier follows a LogBlock's life: its handle is cached when
-/// the block is registered, replaced by the merged block's when compaction
-/// commits, and evicted when GC deletes the object. A query that planned
-/// from the cached handles and loses the race to the delete — forced here,
-/// not hoped for: the query's own first GET runs the compaction and the GC
-/// — replans against the new map and returns the full result.
+/// The cache follows a LogBlock's life: the block is admitted — header
+/// and bytes — when it is built, its successor when compaction merges it
+/// (next test), and it is evicted when GC deletes the object. A query that
+/// planned from the cached handles and loses the race to the delete —
+/// forced here, not hoped for: the query's own first GET runs the
+/// compaction and the GC — replans against the new map and returns the
+/// full result.
 #[test]
 fn cached_handles_follow_compaction_and_gc_and_a_racing_query_replans() {
-    let s = Arc::new(LogStore::open(ClusterConfig::for_testing()).unwrap());
+    let mut config = ClusterConfig::for_testing();
+    // Small cache blocks, so that a LogBlock's header and its `log` column
+    // are different blocks and one can be cached without the other.
+    config.cache_block_size = 512;
+    let s = Arc::new(LogStore::open(config).unwrap());
     let mut ts = 0i64;
     for _ in 0..6 {
         for _ in 0..30 {
@@ -261,11 +266,18 @@ fn cached_handles_follow_compaction_and_gc_and_a_racing_query_replans() {
         s.shared().metadata.all_blocks(TenantId(1)).into_iter().map(|e| e.path).collect();
     assert_eq!(sources.len(), 6);
     let cache = &s.shared().cache;
-    assert!(sources.iter().all(|p| cache.handle(p).is_some()), "registered with the block");
+    assert!(sources.iter().all(|p| cache.handle(p).is_some()), "admitted with the block");
 
-    // Nothing has read a block yet, so the query's wave has to ask OSS;
-    // the first GET for a source block does the compactor's and the
-    // collector's work before it is allowed to proceed.
+    // A reader that knows the blocks and has lost their data: drop
+    // everything, then let a query the SMAs refute open the six headers.
+    s.clear_cache();
+    let refuted = "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 1000000";
+    let opened = s.query_with_options(refuted, &QueryOptions::default()).unwrap();
+    assert_eq!((opened.result.rows.len(), opened.cache.object_misses), (0, 6));
+
+    // So the query's wave has to ask OSS for the `log` column; the first
+    // GET for a source block does the compactor's and the collector's
+    // work before it is allowed to proceed.
     let fired = Arc::new(AtomicBool::new(false));
     let hook = {
         let (engine, fired, sources) = (Arc::downgrade(&s), Arc::clone(&fired), sources.clone());
@@ -284,10 +296,228 @@ fn cached_handles_follow_compaction_and_gc_and_a_racing_query_replans() {
     s.shared().fault_layer().set_read_hook(None);
 
     assert!(fired.load(Ordering::SeqCst));
+    assert!(exec.cache.object_hits >= 6, "the first attempt planned from cached handles");
     assert!(exec.stale_retries >= 1, "the planned blocks vanished mid-query");
     assert_eq!(exec.result.rows.len(), 180, "the replanned attempt sees every row");
     assert!(sources.iter().all(|p| cache.handle(p).is_none()), "GC evicts handles with blocks");
     let merged = s.shared().metadata.all_blocks(TenantId(1));
     assert_eq!(merged.len(), 1);
-    assert!(cache.handle(&merged[0].path).is_some(), "the merged block's handle is registered");
+    assert!(cache.handle(&merged[0].path).is_some(), "its first reader cached the merged handle");
+}
+
+/// Tenant `t` gets `blocks` small LogBlocks of 30 rows, one per flush.
+fn small_blocks(s: &LogStore, t: u64, blocks: i64) {
+    for b in 0..blocks {
+        s.ingest((0..30).map(|i| rec(t, b * 30 + i, "write through")).collect()).unwrap();
+        s.flush().unwrap();
+    }
+}
+
+fn paths_of(s: &LogStore, t: u64) -> Vec<(String, u64)> {
+    s.shared().metadata.all_blocks(TenantId(t)).into_iter().map(|e| (e.path, e.bytes)).collect()
+}
+
+fn all_rows(t: u64) -> String {
+    format!("SELECT log, latency FROM request_log WHERE tenant_id = {t} AND log CONTAINS 'write'")
+}
+
+/// A block a flush just built is read without a request, and so is the
+/// block a compaction merged out of such blocks — a pass that itself asks
+/// OSS for nothing and leaves the hit counters to the queries. What the
+/// cache was handed is what OSS holds: the same query from a cold cache
+/// answers the same.
+#[test]
+fn fresh_and_merged_blocks_are_read_from_memory_and_compaction_reads_resident_sources() {
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 512;
+    let s = LogStore::open(config).unwrap();
+    small_blocks(&s, 1, 5);
+    assert_eq!(s.block_count(), 5);
+    let gets = || s.oss_metrics().get_requests;
+    assert_eq!(gets(), 0);
+
+    let fresh = s.query_with_options(&all_rows(1), &QueryOptions::default()).unwrap();
+    assert_eq!(fresh.result.rows.len(), 150);
+    assert_eq!(gets(), 0, "no round for bytes this process just wrote");
+    assert_eq!((fresh.cache.object_misses, fresh.cache.misses), (0, 0));
+
+    let before = s.cache_stats();
+    let report = s.compact().unwrap();
+    assert_eq!((report.runs_committed, report.blocks_merged), (1, 5));
+    assert_eq!(gets(), 0, "every source was resident");
+    assert_eq!(s.cache_stats(), before, "compaction's reads are not lookups");
+
+    let merged = s.query_with_options(&all_rows(1), &QueryOptions::default()).unwrap();
+    assert_eq!(gets(), 0, "the merged block inherited its sources' residency");
+    assert_eq!((merged.cache.object_hits, merged.cache.object_misses), (1, 0));
+    assert_eq!(merged.cache.misses, 0);
+    assert_eq!(merged.result, fresh.result);
+
+    assert_eq!(s.gc().deleted, 5);
+    s.clear_cache();
+    let cold = s.query_with_options(&all_rows(1), &QueryOptions::default()).unwrap();
+    assert!(gets() >= 2 && cold.cache.object_misses == 1, "header round, data round");
+    assert_eq!((&cold.result, &cold.stats), (&merged.result, &merged.stats));
+}
+
+/// Residency is inherited, not configured. A compaction over sources the
+/// cache does not hold whole downloads each exactly once, whole, caches
+/// none of them and does not admit what it merged; one resident source is
+/// enough for the merged block to be admitted.
+#[test]
+fn compaction_of_cold_sources_leaves_the_cache_alone() {
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 512;
+    let s = LogStore::open(config).unwrap();
+    let gets = || s.oss_metrics().get_requests;
+    let prefetcher = &s.shared().prefetcher;
+    let cache = &s.shared().cache;
+
+    // Tenant 1: five cold sources, the first one partly read back in.
+    small_blocks(&s, 1, 5);
+    s.clear_cache();
+    let partly = "SELECT latency FROM request_log WHERE tenant_id = 1 AND ts <= 10";
+    assert_eq!(s.query(partly).unwrap().rows.len(), 11);
+    let sources = paths_of(&s, 1);
+    assert!(sources.iter().all(|(path, bytes)| prefetcher.resident(path, *bytes).is_none()));
+    let before = gets();
+    let report = s.compact().unwrap();
+    assert_eq!((report.runs_committed, report.blocks_merged), (1, 5));
+    assert_eq!(gets() - before, 5, "one whole-object GET per source, partly cached or not");
+    for (path, bytes) in &sources[1..] {
+        assert!(cache.handle(path).is_none(), "{path}");
+        assert_eq!(cache.evict_object(path), 0, "no block of a cold source was cached: {path}");
+        assert!(prefetcher.resident(path, *bytes).is_none());
+    }
+    let merged = paths_of(&s, 1);
+    assert_eq!(merged.len(), 1);
+    assert!(cache.handle(&merged[0].0).is_none(), "cold stays cold");
+    assert_eq!(cache.evict_object(&merged[0].0), 0);
+
+    // Tenant 2: four cold sources and one the last flush just admitted.
+    small_blocks(&s, 2, 4);
+    s.clear_cache();
+    small_blocks(&s, 2, 1);
+    let before = gets();
+    let report = s.compact().unwrap();
+    assert_eq!((report.runs_committed, report.blocks_merged), (1, 5));
+    assert_eq!(gets() - before, 4, "the resident source is not downloaded");
+    let merged = paths_of(&s, 2);
+    assert_eq!(merged.len(), 1);
+    assert!(cache.handle(&merged[0].0).is_some());
+    assert!(prefetcher.resident(&merged[0].0, merged[0].1).is_some(), "one is enough");
+}
+
+/// Runs `act` against the engine each time `point` is reached: what
+/// someone who arrives at exactly that instant sees, or does.
+struct At {
+    point: CrashPoint,
+    engine: Mutex<Weak<LogStore>>,
+    act: Box<dyn Fn(&LogStore) + Send + Sync>,
+}
+
+impl CrashHooks for At {
+    fn reached(&self, point: CrashPoint) {
+        let engine = self.engine.lock().unwrap().upgrade();
+        if let (true, Some(s)) = (point == self.point, engine) {
+            (self.act)(&s);
+        }
+    }
+}
+
+fn open_with_hook(
+    config: ClusterConfig,
+    point: CrashPoint,
+    act: impl Fn(&LogStore) + Send + Sync + 'static,
+) -> Arc<LogStore> {
+    let hooks = Arc::new(At { point, engine: Mutex::new(Weak::new()), act: Box::new(act) });
+    let parts = OpenParts { hooks: Some(hooks.clone()), ..OpenParts::default() };
+    let s = Arc::new(LogStore::open_with(config, parts).unwrap());
+    *hooks.engine.lock().unwrap() = Arc::downgrade(&s);
+    s
+}
+
+/// `(GETs the query issued, its object-tier hits, rows returned)` of one
+/// query run from inside a crash point.
+type Seen = Arc<Mutex<Vec<(u64, u64, usize)>>>;
+
+/// An engine that runs `sql` whenever it reaches `point` — what a reader
+/// arriving at that instant pays — and keeps what the query saw for the
+/// test to judge once the operation has returned.
+fn open_querying_at(
+    config: ClusterConfig,
+    point: CrashPoint,
+    sql: String,
+) -> (Arc<LogStore>, Seen) {
+    let seen = Seen::default();
+    let record = Arc::clone(&seen);
+    let s = open_with_hook(config, point, move |s| {
+        let before = s.oss_metrics().get_requests;
+        let exec = s.query_with_options(&sql, &QueryOptions::default()).unwrap();
+        let gets = s.oss_metrics().get_requests - before;
+        record.lock().unwrap().push((gets, exec.cache.object_hits, exec.result.rows.len()));
+    });
+    (s, seen)
+}
+
+/// A block is never visible before it is cached. The map names a merged
+/// block from `commit_compaction` on and a drained block from
+/// `commit_drain` on; a query issued at the very next crash point — the
+/// first run of a two-run pass has committed, the second has not started;
+/// the drain is registered, not yet acked — must find header and bytes in
+/// memory. (Handles used to be inserted after the whole pass, or the whole
+/// drain, had returned: such a query opened the header itself and then
+/// fetched the data, two serial rounds.)
+#[test]
+fn a_block_is_cached_before_the_map_names_it() {
+    // Small cache blocks: header and columns are different blocks, as
+    // they are in a LogBlock of real size.
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 512;
+    // Compaction: tenants 1 and 2, one run each; query tenant 1 at each
+    // `CompactCommitted`.
+    let (s, seen) = open_querying_at(config.clone(), CrashPoint::CompactCommitted, all_rows(1));
+    small_blocks(&s, 1, 3);
+    small_blocks(&s, 2, 3);
+    let report = s.compact().unwrap();
+    assert_eq!(report.runs_committed, 2);
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    assert_eq!(seen.len(), 2);
+    assert_eq!(seen[0], (0, 1, 90), "after the first run's commit: (GETs, object hits, rows)");
+    assert_eq!(seen[1], (0, 1, 90));
+
+    // Drain: query the flushed tenant at `AfterUpload`.
+    let (s, seen) = open_querying_at(config, CrashPoint::AfterUpload, all_rows(3));
+    s.ingest((0..30).map(|i| rec(3, i, "write through")).collect()).unwrap();
+    assert_eq!(s.flush().unwrap().blocks_built, 1);
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    assert_eq!(seen, vec![(0, 1, 30)], "registered, not yet acked: (GETs, object hits, rows)");
+}
+
+/// An admission whose registration never happens is garbage the existing
+/// collector already collects. The run loses its race after the merged
+/// block was admitted (a source expires between upload and swap): the
+/// merged path is tombstoned, and the GC pass that deletes the object
+/// evicts header and blocks.
+#[test]
+fn a_lost_race_leaves_the_merged_block_cached_only_until_gc() {
+    let s = open_with_hook(ClusterConfig::for_testing(), CrashPoint::CompactUploaded, |s| {
+        s.set_retention(TenantId(1), Some(1));
+        assert!(!s.shared().metadata.expire(TenantId(1), Timestamp(1_000_000)).is_empty());
+    });
+    small_blocks(&s, 1, 3);
+    let sources: Vec<String> = paths_of(&s, 1).into_iter().map(|(path, _)| path).collect();
+
+    let report = s.compact().unwrap();
+    assert_eq!((report.runs_committed, report.runs_lost_races), (0, 1));
+    let tombstones = s.shared().metadata.tombstones();
+    let aborted: Vec<&String> = tombstones.iter().filter(|p| !sources.contains(p)).collect();
+    assert_eq!((tombstones.len(), aborted.len()), (4, 1), "{tombstones:?}");
+    let cache = &s.shared().cache;
+    assert!(cache.handle(aborted[0]).is_some(), "admitted before the swap was attempted");
+
+    assert_eq!(s.gc().deleted, 4);
+    assert!(cache.handle(aborted[0]).is_none());
+    assert_eq!(cache.evict_object(aborted[0]), 0, "no block of it is left either");
+    assert_eq!(count(&s, 1), 0);
 }

@@ -99,8 +99,8 @@ proptest! {
             min_run: 2,
             max_merged_rows: 1 << 20,
         };
-        let (report, _) = logstore::core::compactor::run_compaction(
-            &store, &metadata, &schema, &build, &config, &NoopHooks, 4,
+        let report = logstore::core::compactor::run_compaction(
+            &store, &metadata, &schema, &build, &config, &NoopHooks, 4, None,
         ).unwrap();
         prop_assert_eq!(report.runs_committed, 1);
         prop_assert_eq!(report.blocks_merged as usize, blocks.len());
