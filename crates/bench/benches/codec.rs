@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use logstore_bench::dataset::drain_rows;
 use logstore_codec::batch::encode_batch;
 use logstore_codec::crc::crc32c;
+use logstore_codec::varint::put_uvarint;
 use logstore_codec::{compress, decompress, Compression};
 use std::hint::black_box;
 
@@ -57,6 +58,27 @@ fn bench_decompress(c: &mut Criterion) {
     group.finish();
 }
 
+/// The data frame of one `log` column block as the LogBlock builder lays
+/// it out — `uvarint len ++ bytes` per row, 1 024 rows, lz-high — which is
+/// what loading the matched rows of a `SELECT log …` decompresses per
+/// touched block.
+fn bench_decompress_log_block(c: &mut Criterion) {
+    let mut data = Vec::new();
+    for record in drain_rows().iter().filter(|r| r.tenant_id.raw() == 1).take(1024) {
+        let log = record.fields[4].as_str().expect("log is the last string field");
+        put_uvarint(&mut data, log.len() as u64);
+        data.extend_from_slice(log.as_bytes());
+    }
+    let frame = compress(Compression::LzHigh, &data);
+    let mut group = c.benchmark_group("codec/decompress");
+    group.sample_size(30);
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("decompress log column block (1024 rows)", |b| {
+        b.iter(|| decompress(black_box(&frame), data.len()).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_crc32c(c: &mut Criterion) {
     let data = log_like_payload(16 << 10);
     let mut group = c.benchmark_group("codec/crc32c");
@@ -82,5 +104,12 @@ fn bench_encode_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compress, bench_decompress, bench_crc32c, bench_encode_batch);
+criterion_group!(
+    benches,
+    bench_compress,
+    bench_decompress,
+    bench_decompress_log_block,
+    bench_crc32c,
+    bench_encode_batch
+);
 criterion_main!(benches);

@@ -4,9 +4,12 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
 use logstore_codec::Compression;
-use logstore_logblock::scan::{evaluate_predicates, ScanStats};
+use logstore_logblock::scan::{
+    evaluate_predicates, evaluate_predicates_vec, DecodeStats, ScanStats,
+};
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
-use logstore_types::{partition_into_chunks, CmpOp, ColumnPredicate, TableSchema, Value};
+use logstore_query::{analyze, parse_query, partial_approx_bytes, QueryStats, ScanPlan};
+use logstore_types::{partition_into_chunks, CmpOp, ColumnPredicate, TableSchema, TenantId, Value};
 use std::hint::black_box;
 
 const ROWS: usize = 20_000;
@@ -101,5 +104,73 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_build_drain, bench_scan);
+/// One hot query's work on one LogBlock: the largest tenant of a drain as
+/// a single LogBlock, scanned from memory by the two `tenant_queries`
+/// templates whose cost is their output side — template 4 loads `log` and
+/// `latency` of the few rows that match, template 5 groups every row of one
+/// API by `ip` — and by template 6 as the control, whose row-id set is its
+/// answer. Each is timed whole (`collect_block`: predicates to partial)
+/// and up to the row-id set (`evaluate_predicates_vec`); the difference is
+/// the output side. The work counters of one scan are printed beside the
+/// timings.
+fn bench_collect_block(c: &mut Criterion) {
+    let schema = TableSchema::request_log();
+    let mut builder = LogBlockBuilder::with_options(schema.clone(), Compression::LzHigh, 1024);
+    let mut rows = 0u64;
+    for record in drain_rows().iter().filter(|r| r.tenant_id == TenantId(1)) {
+        builder.add_record(record).unwrap();
+        rows += 1;
+    }
+    let reader = LogBlockReader::open(builder.finish().unwrap()).unwrap();
+    let templates = [
+        (
+            "template 4",
+            "SELECT log, latency FROM request_log WHERE tenant_id = 1 \
+             AND api = '/api/v1/search' AND latency >= 500 LIMIT 1000",
+        ),
+        (
+            "template 5",
+            "SELECT ip, COUNT(*) FROM request_log WHERE tenant_id = 1 \
+             AND api = '/api/v1/search' GROUP BY ip ORDER BY COUNT(*) DESC LIMIT 10",
+        ),
+        // The control: a pure COUNT(*) has no output side at all.
+        ("template 6", "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND fail = true"),
+    ];
+    let mut group = c.benchmark_group("logblock/collect_block");
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(rows));
+    for (name, sql) in templates {
+        let bound = analyze::bind(&parse_query(sql).unwrap(), &schema).unwrap();
+        let plan = ScanPlan::new(&bound, &schema, true).unwrap();
+        let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
+        let partial = plan.collect_block(&reader, true, &mut stats, &mut decode).unwrap();
+        println!(
+            "{name}: {rows} rows, {} partial bytes; {:?}; {decode:?}",
+            partial_approx_bytes(&partial),
+            stats.scan
+        );
+        group.bench_function(format!("{name}, predicates only"), |b| {
+            b.iter(|| {
+                let (mut stats, mut decode) = (ScanStats::default(), DecodeStats::default());
+                evaluate_predicates_vec(
+                    black_box(&reader),
+                    &plan.predicates,
+                    true,
+                    &mut stats,
+                    &mut decode,
+                )
+                .unwrap()
+            })
+        });
+        group.bench_function(format!("{name}, predicates to partial"), |b| {
+            b.iter(|| {
+                let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
+                plan.collect_block(black_box(&reader), true, &mut stats, &mut decode).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_build_drain, bench_scan, bench_collect_block);
 criterion_main!(benches);

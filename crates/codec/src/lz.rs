@@ -242,15 +242,41 @@ fn read_len_nibble(input: &[u8], pos: &mut usize, nibble: usize) -> Result<usize
     }
 }
 
+/// Appends `match_len` bytes starting `offset` back from the end of `out`.
+/// The caller checked `1 <= offset <= out.len()`.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, offset: usize, match_len: usize) {
+    let start = out.len() - offset;
+    if offset >= match_len {
+        out.extend_from_within(start..start + match_len);
+        return;
+    }
+    // The match overlaps the bytes it produces: the output is the last
+    // `offset` bytes repeated. Every copy doubles the stretch from `start`
+    // that already holds whole periods, so the next one may take all of it.
+    let mut copied = 0;
+    while copied < match_len {
+        let n = (offset + copied).min(match_len - copied);
+        out.extend_from_within(start..start + n);
+        copied += n;
+    }
+}
+
 /// Decompresses a stream produced by [`compress_fast`] or [`compress_high`].
 ///
 /// `max_len` bounds the output (decompression-bomb guard); the stream's own
-/// declared length must not exceed it.
+/// declared length must not exceed it, nor what `input` can expand to.
 pub fn decompress(input: &[u8], max_len: usize) -> Result<Vec<u8>> {
     let mut pos = 0;
     let declared = read_uvarint(input, &mut pos)? as usize;
     if declared > max_len {
         return Err(Error::corruption("lz declared length exceeds limit"));
+    }
+    // The densest sequence is a run of match-length extension bytes, each
+    // worth at most 255 output bytes: a stream that declares more than
+    // that cannot be honest, and must not size the allocation below.
+    if declared > input.len().saturating_mul(255) {
+        return Err(Error::corruption("lz declared length exceeds what the stream can hold"));
     }
     let mut out = Vec::with_capacity(declared);
     while pos < input.len() {
@@ -276,12 +302,7 @@ pub fn decompress(input: &[u8], max_len: usize) -> Result<Vec<u8>> {
         if out.len() + match_len > declared {
             return Err(Error::corruption("lz output exceeds declared length"));
         }
-        // Byte-wise copy: offsets may overlap the output tail.
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
-        }
+        copy_match(&mut out, offset, match_len);
     }
     if out.len() != declared {
         return Err(Error::corruption(format!(
@@ -409,8 +430,104 @@ mod tests {
         assert!(decompress(&forged, 2000).is_err());
     }
 
+    #[test]
+    fn declared_length_beyond_the_streams_reach_rejected_before_allocating() {
+        // Six bytes that claim a gigabyte: no stream expands more than
+        // 255x, so this is refused by arithmetic, not by running out of
+        // input after reserving the gigabyte.
+        let mut forged = Vec::new();
+        put_uvarint(&mut forged, 1 << 30);
+        forged.push(0x00);
+        assert_eq!(forged.len(), 6);
+        let err = decompress(&forged, 1 << 30).unwrap_err();
+        assert!(err.to_string().contains("can hold"), "{err}");
+        // The bound is the format's, not a guess: one token, a two-byte
+        // offset and `k` saturated extension bytes after a single literal
+        // expand to just under 255x.
+        let k = 64;
+        let mut dense = Vec::new();
+        let len = 1 + MIN_MATCH + 15 + 255 * k;
+        put_uvarint(&mut dense, len as u64);
+        dense.extend_from_slice(&[0x1f, b'z', 1, 0]);
+        dense.extend(std::iter::repeat_n(255u8, k));
+        dense.push(0);
+        assert!(len > 200 * dense.len());
+        assert_eq!(decompress(&dense, len).unwrap(), vec![b'z'; len]);
+    }
+
+    /// The decoder as it was before matches were copied in chunks: one
+    /// `push` per match byte, which is correct for every overlap by
+    /// construction. Kept as the oracle for [`copy_match`].
+    fn decompress_bytewise(input: &[u8]) -> Vec<u8> {
+        let mut pos = 0;
+        let declared = read_uvarint(input, &mut pos).unwrap() as usize;
+        let mut out = Vec::new();
+        while pos < input.len() {
+            let token = input[pos];
+            pos += 1;
+            let lit_len = read_len_nibble(input, &mut pos, (token >> 4) as usize).unwrap();
+            out.extend_from_slice(&input[pos..pos + lit_len]);
+            pos += lit_len;
+            if pos == input.len() {
+                break;
+            }
+            let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
+            pos += 2;
+            let match_len =
+                MIN_MATCH + read_len_nibble(input, &mut pos, (token & 0x0f) as usize).unwrap();
+            let start = out.len() - offset;
+            for k in 0..match_len {
+                let b = out[start + k];
+                out.push(b);
+            }
+        }
+        assert_eq!(out.len(), declared);
+        out
+    }
+
+    #[test]
+    fn chunked_match_copy_is_the_bytewise_copy_at_every_overlap() {
+        let literals: Vec<u8> = (b'a'..b'a' + 16).collect();
+        for offset in 1..=16usize {
+            for match_len in MIN_MATCH..=300 {
+                let mut stream = Vec::new();
+                put_uvarint(&mut stream, (literals.len() + match_len + 3) as u64);
+                emit_sequence(&mut stream, &literals, offset, match_len);
+                emit_final(&mut stream, b"end");
+                let expected = decompress_bytewise(&stream);
+                // The period of an overlapping match is its offset.
+                let period = &literals[literals.len() - offset..];
+                assert!(expected[literals.len()..literals.len() + match_len]
+                    .iter()
+                    .zip(period.iter().cycle())
+                    .all(|(a, b)| a == b));
+                assert_eq!(
+                    decompress(&stream, expected.len()).unwrap(),
+                    expected,
+                    "offset {offset} match_len {match_len}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Short alphabets and short periods make both compressors emit
+        /// overlapping matches of every small offset.
+        #[test]
+        fn prop_chunked_copy_matches_bytewise_on_compressor_streams(
+            runs in proptest::collection::vec((proptest::collection::vec(0u8..4, 1..9), 1usize..60), 0..40)
+        ) {
+            let data: Vec<u8> = runs
+                .iter()
+                .flat_map(|(unit, times)| unit.iter().copied().cycle().take(unit.len() * times))
+                .collect();
+            for stream in [compress_fast(&data), compress_high(&data)] {
+                prop_assert_eq!(&decompress_bytewise(&stream), &data);
+                prop_assert_eq!(&decompress(&stream, data.len()).unwrap(), &data);
+            }
+        }
 
         #[test]
         fn prop_roundtrip_fast(data in proptest::collection::vec(any::<u8>(), 0..4096)) {

@@ -12,7 +12,7 @@
 
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_codec::{compress, decompress, delta, Compression};
-use logstore_types::{DataType, Error, Result, Value};
+use logstore_types::{Cell, DataType, Error, Result, Value};
 
 /// Hard cap for a decoded data frame (decompression-bomb guard).
 const MAX_DATA_BYTES: usize = 1 << 30;
@@ -142,19 +142,28 @@ pub fn encode_block(
     Ok(block.encode(compression))
 }
 
-/// Decodes one column block into positional values.
-pub fn decode_block(dtype: DataType, bytes: &[u8], row_count: u32) -> Result<Vec<Value>> {
-    let n = row_count as usize;
+/// Splits a column block into its null bitset (decoded, one bit per row of
+/// `n`) and its still-compressed data frame.
+fn split_block(bytes: &[u8], n: usize) -> Result<(Vec<u8>, &[u8])> {
     let mut pos = 0;
     let bitset_len = read_uvarint(bytes, &mut pos)? as usize;
-    let bitset_frame = bytes
-        .get(pos..pos + bitset_len)
+    let bitset_end = pos
+        .checked_add(bitset_len)
+        .filter(|end| *end <= bytes.len())
         .ok_or_else(|| Error::corruption("bitset frame truncated"))?;
-    let data_frame = &bytes[pos + bitset_len..];
-    let bitset = decompress(bitset_frame, n.div_ceil(8))?;
+    let bitset = decompress(&bytes[pos..bitset_end], n.div_ceil(8))?;
     if bitset.len() != n.div_ceil(8) {
         return Err(Error::corruption("bitset length mismatch"));
     }
+    Ok((bitset, &bytes[bitset_end..]))
+}
+
+/// Decodes one column block into positional values: one boxed [`Value`]
+/// per row. The row-at-a-time oracle of [`decode_block_into`]; no shipped
+/// read path calls it.
+pub fn decode_block(dtype: DataType, bytes: &[u8], row_count: u32) -> Result<Vec<Value>> {
+    let n = row_count as usize;
+    let (bitset, data_frame) = split_block(bytes, n)?;
     let is_null = |i: usize| bitset[i / 8] & (1 << (i % 8)) != 0;
     let data = decompress(data_frame, MAX_DATA_BYTES)?;
 
@@ -219,8 +228,7 @@ pub fn decode_block(dtype: DataType, bytes: &[u8], row_count: u32) -> Result<Vec
 
 /// A decoded column block in typed, batch-oriented layout.
 ///
-/// Unlike [`decode_block`], which materializes one boxed [`Value`] per row,
-/// a `ColumnVec` keeps the whole block in flat typed buffers (`Vec<i64>`,
+/// A `ColumnVec` keeps the whole block in flat typed buffers (`Vec<i64>`,
 /// bit-packed bools, a byte arena plus offsets for strings) so predicate
 /// evaluation and aggregation can run over the batch without per-row
 /// allocation. Buffers are reused across blocks via [`decode_block_into`].
@@ -279,35 +287,37 @@ impl ColumnVec {
         self.nulls[i / 8] & (1 << (i % 8)) != 0
     }
 
-    /// Materializes one cell (test oracle and row-loading fallback).
-    pub fn value(&self, i: usize) -> Value {
+    /// Row `i` as a typed cell borrowed from the batch: nothing is
+    /// allocated until the caller decides the cell must outlive it.
+    #[inline]
+    pub fn cell(&self, i: usize) -> Cell<'_> {
         if self.is_null(i) {
-            return Value::Null;
+            return Cell::Null;
         }
         match &self.data {
-            ColumnData::I64(vs) => Value::I64(vs[i]),
-            ColumnData::U64(vs) => Value::U64(vs[i]),
-            ColumnData::Bool(bits) => Value::Bool(bits[i / 8] & (1 << (i % 8)) != 0),
+            ColumnData::I64(vs) => Cell::I64(vs[i]),
+            ColumnData::U64(vs) => Cell::U64(vs[i]),
+            ColumnData::Bool(bits) => Cell::Bool(bits[i / 8] & (1 << (i % 8)) != 0),
             ColumnData::Str { data, ranges } => {
                 let (start, end) = ranges[i];
-                match std::str::from_utf8(&data[start as usize..end as usize]) {
-                    Ok(s) => Value::Str(s.to_string()),
-                    // Decode validated every non-null slice; unreachable in
-                    // practice, but stay total rather than panic.
-                    Err(_) => Value::Null,
-                }
+                // Decode validated every non-null slice; unreachable in
+                // practice, but stay total rather than panic.
+                std::str::from_utf8(&data[start as usize..end as usize])
+                    .map_or(Cell::Null, Cell::Str)
             }
         }
+    }
+
+    /// Materializes one cell.
+    pub fn value(&self, i: usize) -> Value {
+        self.cell(i).to_value()
     }
 
     /// The non-null string payload of row `i`, if this is a string batch.
     /// Slices were UTF-8-validated at decode time.
     pub fn str_at(&self, i: usize) -> Option<&str> {
-        match &self.data {
-            ColumnData::Str { data, ranges } if !self.is_null(i) => {
-                let (start, end) = ranges[i];
-                std::str::from_utf8(&data[start as usize..end as usize]).ok()
-            }
+        match self.cell(i) {
+            Cell::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -325,8 +335,8 @@ impl ColumnVec {
 }
 
 /// Decodes one column block into `out`, reusing its buffers when the typed
-/// variant already matches. The vectorized counterpart of [`decode_block`]
-/// (which remains the row-at-a-time oracle).
+/// variant already matches: the one way a shipped read path decodes a
+/// column block.
 pub fn decode_block_into(
     dtype: DataType,
     bytes: &[u8],
@@ -334,16 +344,7 @@ pub fn decode_block_into(
     out: &mut ColumnVec,
 ) -> Result<()> {
     let n = row_count as usize;
-    let mut pos = 0;
-    let bitset_len = read_uvarint(bytes, &mut pos)? as usize;
-    let bitset_frame = bytes
-        .get(pos..pos + bitset_len)
-        .ok_or_else(|| Error::corruption("bitset frame truncated"))?;
-    let data_frame = &bytes[pos + bitset_len..];
-    let bitset = decompress(bitset_frame, n.div_ceil(8))?;
-    if bitset.len() != n.div_ceil(8) {
-        return Err(Error::corruption("bitset length mismatch"));
-    }
+    let (bitset, data_frame) = split_block(bytes, n)?;
     let data = decompress(data_frame, MAX_DATA_BYTES)?;
 
     // A failed decode must not leave a half-written batch readable.
@@ -396,6 +397,13 @@ pub fn decode_block_into(
                 _ => Vec::new(),
             };
             ranges.reserve(n);
+            // One pass over the frame instead of one per row: short rows
+            // have one-byte (ASCII) lengths, so the frame is usually text
+            // as a whole, and then a row is valid exactly when it begins
+            // and ends on a character boundary. A frame that is not (a
+            // long row's length bytes, a stray byte in a NULL slot) is
+            // checked row by row.
+            let text = std::str::from_utf8(&data);
             let mut dpos = 0;
             for i in 0..n {
                 let len = read_uvarint(&data, &mut dpos)? as usize;
@@ -406,9 +414,12 @@ pub fn decode_block_into(
                     .get(dpos..end)
                     .ok_or_else(|| Error::corruption("string block truncated"))?;
                 let is_null = bitset[i / 8] & (1 << (i % 8)) != 0;
-                if !is_null {
-                    std::str::from_utf8(s)
-                        .map_err(|_| Error::corruption("invalid utf-8 in string block"))?;
+                let valid = match text {
+                    Ok(text) => text.is_char_boundary(dpos) && text.is_char_boundary(end),
+                    Err(_) => std::str::from_utf8(s).is_ok(),
+                };
+                if !is_null && !valid {
+                    return Err(Error::corruption("invalid utf-8 in string block"));
                 }
                 ranges.push((dpos as u32, end as u32));
                 dpos = end;
@@ -498,6 +509,58 @@ mod tests {
         let enc = encode_block(DataType::String, &values, Compression::LzHigh).unwrap();
         assert!(decode_block(DataType::String, &enc[..enc.len() / 2], 50).is_err());
         assert!(decode_block(DataType::String, &[], 50).is_err());
+    }
+
+    #[test]
+    fn bitset_length_that_overflows_the_offset_is_corruption_not_a_panic() {
+        // A ten-byte varint of u64::MAX where the bitset frame length goes:
+        // `pos + bitset_len` must not be computed unchecked.
+        let mut forged = Vec::new();
+        put_uvarint(&mut forged, u64::MAX);
+        forged.extend_from_slice(&[0, 0, 0]);
+        let mut batch = ColumnVec::default();
+        for dtype in [DataType::Int64, DataType::String] {
+            assert!(matches!(decode_block(dtype, &forged, 8), Err(Error::Corruption(_))));
+            assert!(matches!(
+                decode_block_into(dtype, &forged, 8, &mut batch),
+                Err(Error::Corruption(_))
+            ));
+        }
+    }
+
+    /// A string block of `rows.len()` non-null rows around a hand-made
+    /// data frame.
+    fn string_block(rows: usize, data: &[u8]) -> Vec<u8> {
+        let bitset = compress(Compression::Rle, &vec![0u8; rows.div_ceil(8)]);
+        let mut block = Vec::new();
+        put_uvarint(&mut block, bitset.len() as u64);
+        block.extend_from_slice(&bitset);
+        block.extend_from_slice(&compress(Compression::None, data));
+        block
+    }
+
+    #[test]
+    fn string_rows_are_validated_one_by_one_even_when_the_frame_is_text() {
+        // Long rows (two-byte lengths, so the frame as a whole is not
+        // UTF-8) and multi-byte text roundtrip.
+        roundtrip(
+            DataType::String,
+            vec![Value::from("ü".repeat(100)), Value::Null, Value::from("x".repeat(300))],
+        );
+        let mut batch = ColumnVec::default();
+        // An invalid byte inside a row.
+        let bad_row = string_block(2, &[2, b'o', b'k', 1, 0xff]);
+        assert!(decode_block(DataType::String, &bad_row, 2).is_err());
+        assert!(decode_block_into(DataType::String, &bad_row, 2, &mut batch).is_err());
+        // A frame that is valid text as a whole while its first row is not:
+        // the row ends on the lead byte of an 'é' whose second byte is the
+        // first length byte of the next row (0xa9 0x01 = 169).
+        let mut split = vec![2, b'a', 0xc3, 0xa9, 0x01];
+        split.extend(std::iter::repeat_n(b'z', 169));
+        assert!(std::str::from_utf8(&split).is_ok());
+        let split = string_block(2, &split);
+        assert!(decode_block(DataType::String, &split, 2).is_err());
+        assert!(decode_block_into(DataType::String, &split, 2, &mut batch).is_err());
     }
 
     fn arb_typed(dtype: DataType) -> impl Strategy<Value = Value> {

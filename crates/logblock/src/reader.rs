@@ -19,12 +19,15 @@
 //! only what it touches, but pays one round trip per cold range.
 
 use crate::column::{decode_block, decode_block_into, ColumnVec};
-use crate::meta::{col_member, index_data_member, index_member, LogBlockMeta, META_MEMBER};
+use crate::meta::{
+    col_member, index_data_member, index_member, BlockMeta, LogBlockMeta, META_MEMBER,
+};
 use crate::pack::{PackManifest, RangeSource};
+use crate::scan::DecodeStats;
 use logstore_index::inverted::TermKind;
 use logstore_index::{BkdDictReader, InvertedDictReader};
 use logstore_sync::OrderedMutex;
-use logstore_types::{Error, IndexKind, Result, TableSchema, Value};
+use logstore_types::{Cell, DataType, Error, IndexKind, Result, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -191,8 +194,7 @@ impl<S: RangeSource> LogBlockReader<S> {
         Ok(out)
     }
 
-    /// Loads and decodes one column block, returning its positional values.
-    pub fn read_block_values(&self, col: usize, block: usize) -> Result<Vec<Value>> {
+    fn block_meta(&self, col: usize, block: usize) -> Result<(&BlockMeta, DataType)> {
         let cm = self
             .meta()
             .columns
@@ -202,24 +204,23 @@ impl<S: RangeSource> LogBlockReader<S> {
             .blocks
             .get(block)
             .ok_or_else(|| Error::invalid(format!("block {block} out of range")))?;
-        let bytes = self.read_member_range(&col_member(col), bm.offset, bm.len)?;
-        decode_block(self.schema().columns[col].data_type, &bytes, bm.row_count)
+        Ok((bm, self.schema().columns[col].data_type))
     }
 
-    /// Loads and decodes one column block into a reusable typed batch —
-    /// the vectorized counterpart of [`LogBlockReader::read_block_values`].
-    pub fn read_block_vec(&self, col: usize, block: usize, out: &mut ColumnVec) -> Result<()> {
-        let cm = self
-            .meta()
-            .columns
-            .get(col)
-            .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
-        let bm = cm
-            .blocks
-            .get(block)
-            .ok_or_else(|| Error::invalid(format!("block {block} out of range")))?;
+    /// Loads and decodes one column block into one boxed [`Value`] per row:
+    /// the row-at-a-time oracle of [`LogBlockReader::read_block_vec`], used
+    /// by the reference scan and by tests only.
+    pub fn read_block_values(&self, col: usize, block: usize) -> Result<Vec<Value>> {
+        let (bm, dtype) = self.block_meta(col, block)?;
         let bytes = self.read_member_range(&col_member(col), bm.offset, bm.len)?;
-        decode_block_into(self.schema().columns[col].data_type, &bytes, bm.row_count, out)
+        decode_block(dtype, &bytes, bm.row_count)
+    }
+
+    /// Loads and decodes one column block into a reusable typed batch.
+    pub fn read_block_vec(&self, col: usize, block: usize, out: &mut ColumnVec) -> Result<()> {
+        let (bm, dtype) = self.block_meta(col, block)?;
+        let bytes = self.read_member_range(&col_member(col), bm.offset, bm.len)?;
+        decode_block_into(dtype, &bytes, bm.row_count, out)
     }
 
     /// Loads a whole column (all blocks, concatenated).
@@ -232,18 +233,31 @@ impl<S: RangeSource> LogBlockReader<S> {
             .blocks
             .len();
         let mut out = Vec::with_capacity(self.row_count() as usize);
+        let mut batch = ColumnVec::default();
         for b in 0..n_blocks {
-            out.extend(self.read_block_values(col, b)?);
+            self.read_block_vec(col, b, &mut batch)?;
+            out.extend((0..batch.len()).map(|i| batch.value(i)));
         }
         Ok(out)
     }
 
-    /// Materializes full rows for sorted `row_ids`, reading only the blocks
-    /// that contain them, restricted to `projection` column indices.
-    pub fn read_rows(&self, row_ids: &[u32], projection: &[usize]) -> Result<Vec<Vec<Value>>> {
+    /// The output half of a scan (Fig 8: "merge the row-id sets, *then*
+    /// load the matching rows"): for each of `columns`, in order, decodes
+    /// only the column blocks that hold at least one of the sorted
+    /// `row_ids` and hands `visit` every matched cell as
+    /// `(position in columns, position in row_ids, cell)`. Cells borrow
+    /// from one reused batch, so nothing is allocated per row; what to
+    /// keep is the visitor's decision. Volume is recorded in `decode`.
+    pub fn gather(
+        &self,
+        row_ids: &[u32],
+        columns: &[usize],
+        decode: &mut DecodeStats,
+        mut visit: impl FnMut(usize, usize, Cell<'_>),
+    ) -> Result<()> {
         debug_assert!(row_ids.windows(2).all(|w| w[0] < w[1]), "row ids must be sorted");
-        let mut rows = vec![Vec::with_capacity(projection.len()); row_ids.len()];
-        for &col in projection {
+        let mut batch = ColumnVec::default();
+        for (c, &col) in columns.iter().enumerate() {
             let cm = self
                 .meta()
                 .columns
@@ -251,32 +265,43 @@ impl<S: RangeSource> LogBlockReader<S> {
                 .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
             let mut i = 0; // cursor into row_ids
             for (bi, bm) in cm.blocks.iter().enumerate() {
-                let block_end = bm.row_start + bm.row_count;
+                let Some(&next) = row_ids.get(i) else { break };
                 // Blocks are contiguous from 0; an id below this block's
                 // start should have been consumed by an earlier block.
-                if i < row_ids.len() && row_ids[i] < bm.row_start {
+                if next < bm.row_start {
                     return Err(Error::invalid(format!(
-                        "row id {} below block start {}",
-                        row_ids[i], bm.row_start
+                        "row id {next} below block start {}",
+                        bm.row_start
                     )));
                 }
-                if i >= row_ids.len() {
-                    break;
-                }
-                if row_ids[i] >= block_end {
+                let block_end = bm.row_start + bm.row_count;
+                if next >= block_end {
                     continue;
                 }
-                let values = self.read_block_values(col, bi)?;
-                while i < row_ids.len() && row_ids[i] < block_end {
-                    let local = (row_ids[i] - bm.row_start) as usize;
-                    rows[i].push(values[local].clone());
+                self.read_block_vec(col, bi, &mut batch)?;
+                decode.output_blocks_decoded += 1;
+                let first = i;
+                while let Some(&id) = row_ids.get(i).filter(|id| **id < block_end) {
+                    visit(c, i, batch.cell((id - bm.row_start) as usize));
                     i += 1;
                 }
+                decode.cells_materialized += (i - first) as u64;
             }
             if i != row_ids.len() {
                 return Err(Error::invalid("row id beyond block rows"));
             }
         }
+        Ok(())
+    }
+
+    /// Materializes full rows for sorted `row_ids`, reading only the blocks
+    /// that contain them, restricted to `projection` column indices: one
+    /// [`Value`] per matched cell of [`LogBlockReader::gather`].
+    pub fn read_rows(&self, row_ids: &[u32], projection: &[usize]) -> Result<Vec<Vec<Value>>> {
+        let mut rows = vec![Vec::new(); row_ids.len()];
+        self.gather(row_ids, projection, &mut DecodeStats::default(), |_, i, cell| {
+            rows[i].push(cell.to_value())
+        })?;
         Ok(rows)
     }
 }

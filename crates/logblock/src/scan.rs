@@ -52,17 +52,26 @@ impl ScanStats {
     }
 }
 
-/// Decode-volume counters for the vectorized scan path. Kept separate from
+/// Decode-volume counters of a scan: the predicate side (the first three
+/// fields) and the output side (the last two). Kept separate from
 /// [`ScanStats`] so they can ride on `QueryExecution` as engine deltas
 /// without entering the bit-identical `QueryStats` contract.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// Rows decoded into typed batches.
+    /// Rows decoded into typed batches for predicate evaluation.
     pub rows_decoded: u64,
-    /// Approximate decoded bytes (typed buffers + null bitsets).
+    /// Approximate decoded bytes of those batches (typed buffers + null
+    /// bitsets).
     pub bytes_decoded: u64,
     /// Column-block batches run through vectorized predicate evaluation.
     pub batches_evaluated: u64,
+    /// Column blocks decoded to load matched rows
+    /// ([`LogBlockReader::gather`]).
+    pub output_blocks_decoded: u64,
+    /// Matched cells handed to the output stage: one per matched row per
+    /// output column, whether it became a `Value` or was folded into an
+    /// aggregate.
+    pub cells_materialized: u64,
 }
 
 impl DecodeStats {
@@ -71,9 +80,11 @@ impl DecodeStats {
         self.rows_decoded += other.rows_decoded;
         self.bytes_decoded += other.bytes_decoded;
         self.batches_evaluated += other.batches_evaluated;
+        self.output_blocks_decoded += other.output_blocks_decoded;
+        self.cells_materialized += other.cells_materialized;
     }
 
-    /// Records one decoded batch.
+    /// Records one batch decoded for predicate evaluation.
     pub fn record_batch(&mut self, batch: &ColumnVec) {
         self.rows_decoded += batch.len() as u64;
         self.bytes_decoded += batch.approx_bytes();

@@ -12,7 +12,7 @@
 
 use crate::ast::{AggFunc, GroupKey, OrderKey, Query, SelectItem};
 use logstore_logblock::scan::ScanStats;
-use logstore_types::{Error, Result, TableSchema, Value};
+use logstore_types::{Cell, Error, Result, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -51,26 +51,24 @@ pub struct AggState {
 
 impl AggState {
     /// Folds one cell in. `None` means the item is `COUNT(*)` (row-counted).
-    pub fn update(&mut self, cell: Option<&Value>) {
+    /// The cell is copied only when it becomes the new `min` or `max`.
+    pub fn update(&mut self, cell: Option<Cell<'_>>) {
         let Some(v) = cell else {
             self.count += 1;
             return;
         };
-        if v.is_null() {
-            return;
+        match v {
+            Cell::Null => return,
+            Cell::I64(n) => self.sum += i128::from(n),
+            Cell::U64(n) => self.sum += i128::from(n),
+            Cell::Str(_) | Cell::Bool(_) => {}
         }
         self.count += 1;
-        if let Some(n) = v.as_i64() {
-            self.sum += i128::from(n);
-        } else if let Some(n) = v.as_u64() {
-            self.sum += i128::from(n);
+        if self.min.as_ref().is_none_or(|m| v.total_cmp(m.0.cell()) == Ordering::Less) {
+            self.min = Some(OrdValue(v.to_value()));
         }
-        let wrapped = OrdValue(v.clone());
-        if self.min.as_ref().is_none_or(|m| wrapped < *m) {
-            self.min = Some(wrapped.clone());
-        }
-        if self.max.as_ref().is_none_or(|m| wrapped > *m) {
-            self.max = Some(wrapped);
+        if self.max.as_ref().is_none_or(|m| v.total_cmp(m.0.cell()) == Ordering::Greater) {
+            self.max = Some(OrdValue(v.to_value()));
         }
     }
 
@@ -221,27 +219,6 @@ pub(crate) fn agg_columns(query: &Query) -> (Vec<String>, Vec<Option<usize>>, Op
         item_cols.push(col.as_deref().map(&mut push));
     }
     (cols, item_cols, group)
-}
-
-/// Maps a raw group-column value to its grouping key: identity for plain
-/// `GROUP BY col`, bucket start (`v.div_euclid(w) * w`) for `TIMEBUCKET`.
-/// NULL cells (and non-Int64 cells in a bucketed group) key the NULL group.
-pub(crate) fn group_key_value(group: &GroupKey, v: &Value) -> Value {
-    match group {
-        GroupKey::Column(_) => v.clone(),
-        GroupKey::TimeBucket { width_ms, .. } => match v {
-            // `width_ms > 0` is enforced at parse/bind time; saturate the
-            // (pathological, ts near i64::MIN) bucket-start overflow.
-            Value::I64(ts) => Value::I64(ts.div_euclid(*width_ms).saturating_mul(*width_ms)),
-            _ => Value::Null,
-        },
-    }
-}
-
-pub(crate) fn update_states(states: &mut [AggState], row: &[Value], item_cols: &[Option<usize>]) {
-    for (state, col) in states.iter_mut().zip(item_cols) {
-        state.update(col.map(|c| &row[c]));
-    }
 }
 
 /// Merges partials from multiple sources. All partials must share the
@@ -460,7 +437,7 @@ mod tests {
     fn oracle<'a>(rows: impl Iterator<Item = &'a Vec<Value>>, col: usize, func: AggFunc) -> Value {
         let mut state = AggState::default();
         for row in rows {
-            state.update(Some(&row[col]));
+            state.update(Some(row[col].cell()));
         }
         state.finalize(func)
     }
@@ -592,20 +569,53 @@ mod tests {
     }
 
     #[test]
+    fn agg_state_folds_typed_cells() {
+        let mut nums = AggState::default();
+        for cell in [Cell::I64(-3), Cell::Null, Cell::U64(u64::MAX), Cell::I64(7), Cell::U64(7)] {
+            nums.update(Some(cell));
+        }
+        assert_eq!(nums.count, 4, "NULL is not counted");
+        assert_eq!(nums.sum, i128::from(u64::MAX) + 11);
+        assert_eq!(nums.min, Some(OrdValue(Value::I64(-3))));
+        assert_eq!(nums.max, Some(OrdValue(Value::U64(u64::MAX))));
+
+        // Strings and booleans order but do not sum; an equal cell does not
+        // displace the one already held.
+        let mut strs = AggState::default();
+        for cell in [Cell::Str("m"), Cell::Str("b"), Cell::Str("x"), Cell::Str("b")] {
+            strs.update(Some(cell));
+        }
+        assert_eq!((strs.count, strs.sum), (4, 0));
+        assert_eq!(strs.finalize(AggFunc::Min), Value::from("b"));
+        assert_eq!(strs.finalize(AggFunc::Max), Value::from("x"));
+        let mut ties = AggState::default();
+        ties.update(Some(Cell::I64(5)));
+        ties.update(Some(Cell::U64(5)));
+        assert_eq!(ties.min, Some(OrdValue(Value::I64(5))));
+        assert_eq!(ties.max, Some(OrdValue(Value::I64(5))));
+
+        // COUNT(*) counts rows, not cells.
+        let mut star = AggState::default();
+        star.update(None);
+        star.update(None);
+        assert_eq!((star.count, star.min.clone()), (2, None));
+    }
+
+    #[test]
     fn aggregate_states_merge_like_single_pass() {
         let rows = make_rows(90);
         let (a, b) = rows.split_at(40);
         let mut one = AggState::default();
         for r in &rows {
-            one.update(Some(&r[4]));
+            one.update(Some(r[4].cell()));
         }
         let mut left = AggState::default();
         for r in a {
-            left.update(Some(&r[4]));
+            left.update(Some(r[4].cell()));
         }
         let mut right = AggState::default();
         for r in b {
-            right.update(Some(&r[4]));
+            right.update(Some(r[4].cell()));
         }
         left.merge(&right);
         assert_eq!(left, one);

@@ -18,18 +18,15 @@
 //! at every `parallelism` setting.
 
 use crate::ast::{AggFunc, GroupKey, Query};
-use crate::exec::{
-    agg_columns, group_key_value, internal_columns, update_states, AggState, OrdValue, Partial,
-    QueryStats,
-};
+use crate::exec::{agg_columns, internal_columns, AggState, OrdValue, Partial, QueryStats};
 use logstore_logblock::meta::{col_member, LogBlockMeta};
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
 use logstore_logblock::scan::{
     evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
 };
-use logstore_types::{ColumnPredicate, Error, LogRecord, Result, TableSchema, Value};
-use std::collections::BTreeMap;
+use logstore_types::{Cell, ColumnPredicate, Error, LogRecord, Result, TableSchema, Value};
+use std::collections::{BTreeMap, HashMap};
 
 /// The aggregation half of a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,17 +86,14 @@ impl ScanPlan {
         }
     }
 
-    /// Number of aggregate items (0 for row-returning queries).
-    fn n_items(&self) -> usize {
-        self.agg.as_ref().map_or(0, |a| a.items.len())
-    }
-
     /// Collects this plan's [`Partial`] from one LogBlock.
     ///
     /// Pushdown on: vectorized predicate evaluation (decode volume recorded
-    /// in `decode`), then per-block aggregation — or, for pure `COUNT(*)`,
-    /// no column fetch at all. Pushdown off: row-at-a-time oracle evaluation
-    /// and row transport.
+    /// in `decode`), then late materialisation — only the matched cells of
+    /// the output columns are looked at ([`LogBlockReader::gather`]): a
+    /// row query turns each into the `Value` it ships, an aggregate folds
+    /// them where they lie, and pure `COUNT(*)` fetches no column at all.
+    /// Pushdown off: row-at-a-time oracle evaluation and row transport.
     pub fn collect_block<S: RangeSource>(
         &self,
         reader: &LogBlockReader<S>,
@@ -120,66 +114,51 @@ impl ScanPlan {
             evaluate_predicates(reader, &self.predicates, use_skipping, &mut stats.scan)?
         };
 
-        let Some(agg) = &self.agg else {
-            // Row-returning query: materialize only the referenced columns,
-            // cut to the limit hint before touching column data.
-            let mut idv = ids.to_vec();
-            if let Some(limit) = self.limit_hint {
-                idv.truncate(limit);
+        let agg = match &self.agg {
+            Some(agg) if self.pushdown => agg,
+            // Row transport — a row-returning query, or the baseline, which
+            // ships the matched rows of the aggregate-input columns
+            // (empty-width rows for pure COUNT(*): the row markers still
+            // travel to the executor). Only the referenced columns are
+            // read, cut to the limit hint before touching column data.
+            _ => {
+                let mut idv = ids.to_vec();
+                if let Some(limit) = self.limit_hint {
+                    idv.truncate(limit);
+                }
+                let mut rows = vec![Vec::new(); idv.len()];
+                if !rows.is_empty() && !self.columns.is_empty() {
+                    let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
+                    reader
+                        .gather(&idv, &cols, decode, |_, i, cell| rows[i].push(cell.to_value()))?;
+                }
+                return Ok(Partial::Rows(rows));
             }
-            if idv.is_empty() {
-                return Ok(Partial::Rows(Vec::new()));
-            }
-            let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-            return Ok(Partial::Rows(reader.read_rows(&idv, &cols)?));
         };
 
-        if !self.pushdown {
-            // Baseline: ship the matched rows of the aggregate-input columns
-            // (empty-width rows for pure COUNT(*) — the row markers still
-            // travel to the executor).
-            let idv = ids.to_vec();
-            let rows = if self.columns.is_empty() {
-                vec![Vec::new(); idv.len()]
-            } else if idv.is_empty() {
-                Vec::new()
-            } else {
-                let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-                reader.read_rows(&idv, &cols)?
-            };
-            return Ok(Partial::Rows(rows));
-        }
-
         // Pushdown: aggregate inside the scan.
-        let n_items = self.n_items();
         if self.columns.is_empty() {
             // Pure COUNT(*): the row-id set is the whole answer.
             let state = AggState { count: u64::from(ids.count()), ..AggState::default() };
-            return Ok(Partial::Agg(vec![state; n_items]));
+            return Ok(Partial::Agg(vec![state; agg.items.len()]));
         }
+        let mut fold = Fold::over_plan_columns(agg);
         let idv = ids.to_vec();
-        let rows = if idv.is_empty() {
-            Vec::new()
-        } else {
+        if !idv.is_empty() {
             let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-            reader.read_rows(&idv, &cols)?
-        };
-        if let Some(group) = &agg.group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, &row, &agg.item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in rows {
-                update_states(&mut states, &row, &agg.item_cols);
-            }
-            Ok(Partial::Agg(states))
+            // Columns arrive one after the other and the group column is
+            // `columns[0]`, so every matched row knows its group before the
+            // first aggregate input shows up. Without GROUP BY all rows
+            // share slot 0.
+            let mut slots = vec![0; idv.len()];
+            reader.gather(&idv, &cols, decode, |c, i, cell| {
+                if fold.group_col == Some(c) {
+                    slots[i] = fold.slot(cell);
+                }
+                fold.push_cell(slots[i], c, cell);
+            })?;
         }
+        Ok(fold.finish())
     }
 
     /// The pack members [`ScanPlan::collect_block`] may read from a LogBlock
@@ -225,23 +204,123 @@ impl ScanPlan {
         let Partial::Rows(rows) = merged else {
             return Err(Error::Internal("pushdown-off aggregate expects row transport".into()));
         };
-        let n_items = self.n_items();
-        if let Some(group) = &agg.group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in &rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, row, &agg.item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in &rows {
-                update_states(&mut states, row, &agg.item_cols);
-            }
-            Ok(Partial::Agg(states))
+        let mut fold = Fold::over_plan_columns(agg);
+        for row in &rows {
+            fold.push_row(|c| row[c].cell());
         }
+        Ok(fold.finish())
+    }
+}
+
+/// The one group/aggregate fold. A LogBlock scan feeds it column by column
+/// ([`Fold::push_cell`]), the real-time collector and the baseline's
+/// executor-side aggregation row by row ([`Fold::push_row`]); all three
+/// get the same [`Partial`] for the same rows.
+///
+/// A group is a *slot*: its key is looked up borrowed and owned once, when
+/// the group is first seen, and the `BTreeMap` a [`Partial::Groups`] is
+/// made of is built from the slots at the end.
+#[derive(Debug)]
+struct Fold {
+    group: Option<GroupKey>,
+    /// Where a row keeps its group cell and, per aggregate item, its
+    /// argument (`None`: `COUNT(*)`) — in whatever column numbering the
+    /// feeder reads rows by.
+    group_col: Option<usize>,
+    item_cols: Vec<Option<usize>>,
+    /// Slots of string keys, found by `&str`.
+    strs: HashMap<String, usize>,
+    /// Slots of every other key (NULL, numbers, booleans — building one to
+    /// look it up allocates nothing), under `total_cmp` equality like the
+    /// partial's own map, so `I64(5)` and `U64(5)` are one group here too.
+    others: BTreeMap<OrdValue, usize>,
+    /// Per slot, one accumulator per aggregate item. Without GROUP BY
+    /// there is exactly slot 0.
+    states: Vec<Vec<AggState>>,
+}
+
+impl Fold {
+    fn new(agg: &AggSpec, group_col: Option<usize>, item_cols: Vec<Option<usize>>) -> Fold {
+        let states = match group_col {
+            Some(_) => Vec::new(),
+            None => vec![vec![AggState::default(); item_cols.len()]],
+        };
+        Fold {
+            group: agg.group.clone(),
+            group_col,
+            item_cols,
+            strs: HashMap::new(),
+            others: BTreeMap::new(),
+            states,
+        }
+    }
+
+    /// A fold over rows laid out as [`ScanPlan::columns`].
+    fn over_plan_columns(agg: &AggSpec) -> Fold {
+        Fold::new(agg, agg.group.as_ref().map(|_| 0), agg.item_cols.clone())
+    }
+
+    /// The slot of the group a raw group-column cell belongs to: the cell
+    /// itself for plain `GROUP BY col`, the bucket start
+    /// (`v.div_euclid(w) * w`) for `TIMEBUCKET`. NULL cells (and non-Int64
+    /// cells in a bucketed group) key the NULL group.
+    fn slot(&mut self, raw: Cell<'_>) -> usize {
+        let key = match (&self.group, raw) {
+            // `width_ms > 0` is enforced at parse/bind time; saturate the
+            // (pathological, ts near i64::MIN) bucket-start overflow.
+            (Some(GroupKey::TimeBucket { width_ms, .. }), Cell::I64(ts)) => {
+                Cell::I64(ts.div_euclid(*width_ms).saturating_mul(*width_ms))
+            }
+            (Some(GroupKey::TimeBucket { .. }), _) => Cell::Null,
+            (_, raw) => raw,
+        };
+        let next = self.states.len();
+        let slot = match key {
+            Cell::Str(s) => match self.strs.get(s) {
+                Some(&slot) => slot,
+                None => {
+                    self.strs.insert(s.to_string(), next);
+                    next
+                }
+            },
+            other => *self.others.entry(OrdValue(other.to_value())).or_insert(next),
+        };
+        if slot == next {
+            self.states.push(vec![AggState::default(); self.item_cols.len()]);
+        }
+        slot
+    }
+
+    /// Folds the cell of column `c` of one row whose slot is known.
+    /// `COUNT(*)` items count the row when its first column passes by.
+    fn push_cell(&mut self, slot: usize, c: usize, cell: Cell<'_>) {
+        for (state, item_col) in self.states[slot].iter_mut().zip(&self.item_cols) {
+            match item_col {
+                None if c == 0 => state.update(None),
+                Some(item_col) if *item_col == c => state.update(Some(cell)),
+                _ => {}
+            }
+        }
+    }
+
+    /// Folds one whole row, read through `cell`.
+    fn push_row<'c>(&mut self, cell: impl Fn(usize) -> Cell<'c>) {
+        let slot = self.group_col.map_or(0, |g| self.slot(cell(g)));
+        for (state, item_col) in self.states[slot].iter_mut().zip(&self.item_cols) {
+            state.update(item_col.map(&cell));
+        }
+    }
+
+    fn finish(mut self) -> Partial {
+        if self.group.is_none() {
+            return Partial::Agg(self.states.swap_remove(0));
+        }
+        let strs = self.strs.into_iter().map(|(k, slot)| (OrdValue(Value::Str(k)), slot));
+        let groups = strs
+            .chain(self.others)
+            .map(|(key, slot)| (key, std::mem::take(&mut self.states[slot])))
+            .collect();
+        Partial::Groups(groups)
     }
 }
 
@@ -252,20 +331,15 @@ const NULL_VALUE: Value = Value::Null;
 /// without materializing a positional row per record.
 #[derive(Debug)]
 pub struct RowCollector {
-    pushdown: bool,
     limit_hint: Option<usize>,
     /// `(schema column index, predicate)` pairs.
     preds: Vec<(usize, ColumnPredicate)>,
     /// Schema indices of [`ScanPlan::columns`].
     out_cols: Vec<usize>,
-    agg: Option<AggSpec>,
-    /// Schema indices of the aggregate items' argument columns.
-    agg_item_cols: Vec<Option<usize>>,
-    /// Schema index of the group column.
-    group_idx: Option<usize>,
+    /// The aggregation (over schema column indices), for an aggregate plan
+    /// with pushdown; `None` means row transport into `rows`.
+    fold: Option<Fold>,
     rows: Vec<Vec<Value>>,
-    groups: BTreeMap<OrdValue, Vec<AggState>>,
-    global: Vec<AggState>,
     rows_scanned: u64,
 }
 
@@ -283,30 +357,24 @@ impl RowCollector {
             .map(|p| Ok((col(&p.column)?, p.clone())))
             .collect::<Result<_>>()?;
         let out_cols = plan.resolve_columns(|name| schema.column_index(name))?;
-        let (agg_item_cols, group_idx) = match &plan.agg {
-            Some(a) => {
+        let fold = match &plan.agg {
+            Some(a) if plan.pushdown => {
                 let items = a
                     .items
                     .iter()
                     .map(|(_, c)| c.as_deref().map(col).transpose())
                     .collect::<Result<Vec<_>>>()?;
                 let group = a.group.as_ref().map(|g| col(g.column())).transpose()?;
-                (items, group)
+                Some(Fold::new(a, group, items))
             }
-            None => (Vec::new(), None),
+            _ => None,
         };
-        let n_items = plan.n_items();
         Ok(RowCollector {
-            pushdown: plan.pushdown,
             limit_hint: plan.limit_hint,
             preds,
             out_cols,
-            agg: plan.agg.clone(),
-            agg_item_cols,
-            group_idx,
+            fold,
             rows: Vec::new(),
-            groups: BTreeMap::new(),
-            global: vec![AggState::default(); n_items],
             rows_scanned: 0,
         })
     }
@@ -319,33 +387,24 @@ impl RowCollector {
         // 1 are the record's keys, the rest live in `fields`.
         let tenant = Value::U64(record.tenant_id.raw());
         let ts = Value::I64(record.ts.millis());
-        let cell = |idx: usize| -> &Value {
+        let value = |idx: usize| -> &Value {
             match idx {
                 0 => &tenant,
                 1 => &ts,
                 i => record.fields.get(i - 2).unwrap_or(&NULL_VALUE),
             }
         };
-        if !self.preds.iter().all(|(c, p)| p.matches(cell(*c))) {
+        if !self.preds.iter().all(|(c, p)| p.matches(value(*c))) {
             return true;
         }
-        match (&self.agg, self.pushdown) {
-            (Some(agg), true) => {
-                let states = if let (Some(group), Some(g)) = (&agg.group, self.group_idx) {
-                    self.groups
-                        .entry(OrdValue(group_key_value(group, cell(g))))
-                        .or_insert_with(|| vec![AggState::default(); self.global.len()])
-                } else {
-                    &mut self.global
-                };
-                for (state, c) in states.iter_mut().zip(&self.agg_item_cols) {
-                    state.update(c.map(&cell));
-                }
+        match &mut self.fold {
+            Some(fold) => {
+                fold.push_row(|c| value(c).cell());
                 true
             }
-            _ => {
+            None => {
                 // Row transport (non-aggregate, or the pushdown-off baseline).
-                self.rows.push(self.out_cols.iter().map(|&c| cell(c).clone()).collect());
+                self.rows.push(self.out_cols.iter().map(|&c| value(c).clone()).collect());
                 match self.limit_hint {
                     Some(limit) => self.rows.len() < limit,
                     None => true,
@@ -358,15 +417,9 @@ impl RowCollector {
     /// the partial in the plan's shape.
     pub fn finish(self, stats: &mut QueryStats) -> Partial {
         stats.realtime_rows_scanned += self.rows_scanned;
-        match (&self.agg, self.pushdown) {
-            (Some(agg), true) => {
-                if agg.group.is_some() {
-                    Partial::Groups(self.groups)
-                } else {
-                    Partial::Agg(self.global)
-                }
-            }
-            _ => Partial::Rows(self.rows),
+        match self.fold {
+            Some(fold) => fold.finish(),
+            None => Partial::Rows(self.rows),
         }
     }
 }
@@ -476,6 +529,15 @@ mod tests {
         "SELECT TIMEBUCKET(ts, 32), MAX(latency) FROM request_log GROUP BY TIMEBUCKET(ts, 32)",
         "SELECT log FROM request_log WHERE latency >= 10 LIMIT 3",
         "SELECT log FROM request_log ORDER BY latency DESC LIMIT 3",
+        // NULL group keys (every 9th latency), string MIN/MAX, Int64 and
+        // UInt64 inputs side by side, a LIMIT that ends inside the second
+        // 16-row column block, and predicates nothing matches.
+        "SELECT latency, COUNT(*), COUNT(ip) FROM request_log GROUP BY latency",
+        "SELECT MIN(ip), MAX(log), COUNT(latency) FROM request_log WHERE ts >= 1010",
+        "SELECT fail, SUM(tenant_id), MAX(tenant_id), MIN(latency) FROM request_log GROUP BY fail",
+        "SELECT log, ip FROM request_log WHERE latency >= 10 LIMIT 20",
+        "SELECT ip, COUNT(*), MAX(log) FROM request_log WHERE latency > 99999 GROUP BY ip",
+        "SELECT SUM(latency), MIN(log) FROM request_log WHERE latency > 99999",
     ];
 
     /// Pushdown on and the pushdown-off reference (`QueryOptions::

@@ -23,4 +23,4 @@ pub use predicate::{CmpOp, ColumnPredicate};
 pub use record::{LogRecord, RecordBatch};
 pub use schema::{ColumnSchema, IndexKind, TableSchema};
 pub use time::{TimeRange, Timestamp};
-pub use value::{DataType, Value};
+pub use value::{Cell, DataType, Value};

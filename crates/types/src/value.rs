@@ -134,18 +134,18 @@ impl Value {
     /// are rejected earlier by the planner, but a total order keeps sorting
     /// infallible). Numeric values compare numerically across `I64`/`U64`.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (I64(a), I64(b)) => a.cmp(b),
-            (U64(a), U64(b)) => a.cmp(b),
-            (I64(a), U64(b)) => cmp_i64_u64(*a, *b),
-            (U64(a), I64(b)) => cmp_i64_u64(*b, *a).reverse(),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (a, b) => type_rank(a).cmp(&type_rank(b)),
+        self.cell().total_cmp(other.cell())
+    }
+
+    /// This value as a borrowed [`Cell`].
+    #[inline]
+    pub fn cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::I64(v) => Cell::I64(*v),
+            Value::U64(v) => Cell::U64(*v),
+            Value::Str(s) => Cell::Str(s),
+            Value::Bool(b) => Cell::Bool(*b),
         }
     }
 
@@ -159,6 +159,60 @@ impl Value {
     }
 }
 
+/// One cell borrowed from wherever it is stored — a [`Value`], or a slot of
+/// a decoded column block — so that reading a cell allocates nothing. Only
+/// a cell that has to outlive its storage becomes a [`Value`]
+/// ([`Cell::to_value`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit signed integer.
+    I64(i64),
+    /// 64-bit unsigned integer.
+    U64(u64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl Cell<'_> {
+    /// True if the cell is NULL.
+    pub fn is_null(self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// The owned copy of this cell.
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::I64(v) => Value::I64(v),
+            Cell::U64(v) => Value::U64(v),
+            Cell::Str(s) => Value::Str(s.to_string()),
+            Cell::Bool(b) => Value::Bool(b),
+        }
+    }
+
+    /// The total order of [`Value::total_cmp`].
+    #[inline]
+    pub fn total_cmp(self, other: Cell<'_>) -> Ordering {
+        use Cell::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (I64(a), I64(b)) => a.cmp(&b),
+            (U64(a), U64(b)) => a.cmp(&b),
+            (I64(a), U64(b)) => cmp_i64_u64(a, b),
+            (U64(a), I64(b)) => cmp_i64_u64(b, a).reverse(),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (a, b) => type_rank(a).cmp(&type_rank(b)),
+        }
+    }
+}
+
 fn cmp_i64_u64(a: i64, b: u64) -> Ordering {
     if a < 0 {
         Ordering::Less
@@ -167,12 +221,12 @@ fn cmp_i64_u64(a: i64, b: u64) -> Ordering {
     }
 }
 
-fn type_rank(v: &Value) -> u8 {
+fn type_rank(v: Cell<'_>) -> u8 {
     match v {
-        Value::Null => 0,
-        Value::I64(_) | Value::U64(_) => 1,
-        Value::Str(_) => 2,
-        Value::Bool(_) => 3,
+        Cell::Null => 0,
+        Cell::I64(_) | Cell::U64(_) => 1,
+        Cell::Str(_) => 2,
+        Cell::Bool(_) => 3,
     }
 }
 

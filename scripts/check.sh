@@ -13,6 +13,10 @@ cargo fmt --check
 cargo run -q -p xtask -- lint
 
 cargo build --release
+# The criterion targets are `harness = false`: neither `cargo test` nor
+# `cargo clippy` below compiles them, so an API they import can be removed
+# without anything noticing. Build them.
+cargo build --release --benches -p logstore-bench
 # --workspace: the root manifest is both a package and the workspace, so a
 # bare `cargo test -q` would only run the facade crate's suites. Debug
 # tests run with the logstore-sync lock-order analysis active.
