@@ -10,6 +10,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use logstore_bench::dataset::{build_engine, DatasetParams, EngineSetup};
 use logstore_core::QueryOptions;
 use logstore_oss::LatencyModel;
+use logstore_query::{
+    analyze, parse_query, partial_approx_bytes, ExecutionCounters, QueryStats, RowCollector,
+    ScanPlan,
+};
+use logstore_types::{TableSchema, TenantId, TimeRange, Timestamp};
+use logstore_wal::ShardStore;
+use logstore_workload::LogRecordGenerator;
 use std::hint::black_box;
 
 fn setup() -> (EngineSetup, String) {
@@ -49,5 +56,98 @@ fn bench_parallelism(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallelism);
+/// A 12 k-row shard the way ingest leaves it — 70 % of the rows one
+/// tenant's, applied in 8-row sub-batches, each sub-batch allocated right
+/// before it is applied.
+fn realtime_shard() -> ShardStore {
+    let start = Timestamp(1_600_000_000_000);
+    let mut gen = LogRecordGenerator::new(7);
+    let store = ShardStore::in_memory();
+    let mut sub_batch = Vec::with_capacity(8);
+    for i in 0..REALTIME_ROWS {
+        let tenant = if i % 10 < 7 { 1 } else { 2 + i % 3 };
+        sub_batch.push(gen.record(TenantId(tenant), Timestamp(start.millis() + i as i64 * 5)));
+        if sub_batch.len() == 8 {
+            let logged = store.log_batch(&[]).expect("memory-only shards log nothing");
+            store.apply(std::mem::replace(&mut sub_batch, Vec::with_capacity(8)), logged);
+        }
+    }
+    store
+}
+
+const REALTIME_ROWS: u64 = 12_000;
+
+/// The real-time source alone: templates 4, 5 and 6 of `tenant_queries`
+/// (no time bound, so every fresh row of the tenant is in scope) over one
+/// shard's row store, from the snapshot to the partial. Warm: back to back.
+/// Cold: 64 MB are swept between iterations, so the cached columns come
+/// from memory the way they do for a query that arrives between other
+/// work. The columns are transposed by the untimed first scan (its
+/// counters are printed): what is timed is what every later query pays.
+/// Elements are the tenant's rows in scope (`realtime_rows_scanned`):
+/// 1e9 / thrpt is the ns per fresh row DESIGN.md quotes beside
+/// `logblock.scan_us_per_krow`.
+fn bench_realtime_scan(c: &mut Criterion) {
+    let schema = TableSchema::request_log();
+    let store = realtime_shard();
+    let templates = [
+        (
+            "template 4",
+            "SELECT log, latency FROM request_log WHERE tenant_id = 1 \
+             AND api = '/api/v1/search' AND latency >= 500 LIMIT 1000",
+        ),
+        (
+            "template 5",
+            "SELECT ip, COUNT(*) FROM request_log WHERE tenant_id = 1 \
+             AND api = '/api/v1/search' GROUP BY ip ORDER BY COUNT(*) DESC LIMIT 10",
+        ),
+        ("template 6", "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND fail = true"),
+    ];
+    let mut sweep = vec![1u8; 64 << 20];
+    let mut group = c.benchmark_group("query/realtime_scan");
+    for (name, sql) in templates {
+        let bound = analyze::bind(&parse_query(sql).unwrap(), &schema).unwrap();
+        let plan = ScanPlan::new(&bound, &schema, true).unwrap();
+        let scan = || {
+            let (mut stats, mut counters) = (QueryStats::default(), ExecutionCounters::default());
+            let snapshot = store.snapshot(TenantId(1), TimeRange::all());
+            let mut collector =
+                RowCollector::new(&plan, &schema, TenantId(1), TimeRange::all()).unwrap();
+            for run in &snapshot.runs {
+                if !collector.push_run(run).unwrap() {
+                    break;
+                }
+            }
+            let partial = collector.finish(&mut stats, &mut counters);
+            (partial, stats, counters)
+        };
+        let (partial, stats, counters) = scan();
+        println!(
+            "{name}: {} rows in scope of {REALTIME_ROWS}, {} partial bytes; {} runs, {} rows \
+             transposed, {} bytes of cached columns beside {} of rows",
+            stats.realtime_rows_scanned,
+            partial_approx_bytes(&partial),
+            counters.realtime_runs_visited,
+            counters.realtime_rows_transposed,
+            store.cached_column_bytes(),
+            store.buffered_bytes(),
+        );
+        group.throughput(Throughput::Elements(stats.realtime_rows_scanned));
+        group.bench_function(format!("{name}, warm"), |b| b.iter(|| black_box(scan())));
+        group.bench_function(format!("{name}, cold"), |b| {
+            b.iter_with_setup(
+                || {
+                    for byte in sweep.iter_mut().step_by(64) {
+                        *byte = byte.wrapping_add(1);
+                    }
+                    black_box(sweep[0])
+                },
+                |_| black_box(scan()),
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_parallelism, bench_realtime_scan);
 criterion_main!(benches);

@@ -25,8 +25,15 @@
 //! So `prefetch_threads` bounds the requests a query keeps in flight and
 //! `query_threads` bounds CPU work, and one does not starve the other.
 //! The real-time row stores are scanned on the pool *while* the caller
-//! plans and fetches the first batch, so those OSS rounds and the
-//! row-store scan overlap instead of adding up.
+//! plans, fetches and scans the first batch, and only then waited for: the
+//! OSS rounds, the row-store scan and the first LogBlock scans overlap
+//! instead of adding up.
+//!
+//! A shard's real-time rows are read through a snapshot of run references
+//! (`logstore_wal::RowSnapshot`), outside the shard lock. The LogBlock map
+//! is read *before* any row store is: a row that a drain moves from one to
+//! the other in between is missed (the documented window of one drain's
+//! build and upload), never counted twice.
 //!
 //! Nothing is resolved for the whole query at once: headers are taken a
 //! chunk of LogBlocks at a time (a few per request slot), and a chunk is
@@ -48,6 +55,7 @@
 use crate::config::QueryOptions;
 use crate::engine::{ClusterShared, IngestReport, Store};
 use crate::executor::Task;
+use crate::hooks::QueryPoint;
 use crate::metadata::LogBlockEntry;
 use logstore_cache::{CacheStats, CachedObjectSource, ObjectPlan};
 use logstore_logblock::pack::RangeSource;
@@ -174,7 +182,7 @@ impl RangeSource for DirectSource {
 }
 
 /// What one scattered source task brings back to the gather step.
-type SourcePartial = (Partial, QueryStats, DecodeStats);
+type SourcePartial = (Partial, QueryStats, ExecutionCounters);
 
 /// The broker.
 pub struct Broker {
@@ -266,13 +274,12 @@ impl Broker {
         let mut stale_retries = 0u64;
         loop {
             match self.query_attempt(&bound, &plan, &scope, tenant, opts) {
-                Ok((result, stats, all_blocks, counters)) => {
-                    let visited = stats.blocks_visited;
+                Ok((result, stats, blocks_pruned_by_map, counters)) => {
                     let oss_after = self.shared.oss_sim().metrics().modelled_time_ns;
                     return Ok(QueryExecution {
                         result,
                         stats,
-                        blocks_pruned_by_map: all_blocks.saturating_sub(visited),
+                        blocks_pruned_by_map,
                         modelled_oss: Duration::from_nanos(oss_after.saturating_sub(oss_before)),
                         wall: wall_start.elapsed(),
                         cache: self.shared.cache.stats().delta_since(&cache_before),
@@ -287,8 +294,8 @@ impl Broker {
     }
 
     /// One scatter/gather pass against the current LogBlock map. Returns
-    /// the finalized result, the merged deterministic stats, and the
-    /// tenant's total mapped block count (for the pruning counter).
+    /// the finalized result, the merged deterministic stats, and how many
+    /// of the tenant's mapped blocks the map pruned.
     fn query_attempt(
         &self,
         bound: &Arc<logstore_query::Query>,
@@ -297,43 +304,53 @@ impl Broker {
         tenant: logstore_types::TenantId,
         opts: &QueryOptions,
     ) -> Result<(QueryResult, QueryStats, u64, ExecutionCounters)> {
-        let all_blocks = self.shared.metadata.all_blocks(tenant).len() as u64;
         let parallelism =
             if opts.parallelism == 0 { self.shared.query_pool.threads() } else { opts.parallelism };
         let pool = &self.shared.query_pool;
         let mut gathered = Gathered::default();
+        // Archived LogBlocks, pruned by the LogBlock map. The map is read
+        // before any row store is — a shard task snapshots its store when
+        // it starts — and read once: the entries and the total are of one
+        // map, whatever compaction or expiry does next.
+        self.shared.hooks.query_reached(QueryPoint::BeforeMapRead);
+        let (mut entries, mapped) = self.shared.metadata.blocks_for(tenant, scope.range);
+        if scope.is_empty_window() {
+            entries.clear();
+        }
+        let blocks_pruned_by_map = mapped - entries.len() as u64;
         if !scope.is_empty_window() {
             // Scatter: one task per source, in canonical order. Real-time
             // stores of every shard serving the tenant (old and new routes
-            // during a rebalance window) first, sorted by shard id.
+            // during a rebalance window) first, sorted by shard id; then
+            // the LogBlocks, sorted by object path (paths embed the build
+            // sequence, so this is registration order).
             let mut shards = self.shared.controller.read_shards(tenant)?;
             shards.sort_unstable();
+            entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
             let mut tasks: Vec<Task<SourcePartial>> = shards
                 .into_iter()
                 .map(|shard| self.shard_task(shard, plan, scope, tenant))
                 .collect();
-            // Archived LogBlocks, pruned by the LogBlock map, sorted by
-            // object path (paths embed the build sequence, so this is
-            // registration order).
-            let mut entries = self.shared.metadata.blocks_for(tenant, scope.range);
-            entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
             if opts.use_cache && opts.use_prefetch && !entries.is_empty() {
                 // The row stores are scanned on the pool while this thread
-                // plans and fetches the first batch; each batch is then one
-                // scatter, folded behind the shards in canonical order.
+                // plans and fetches the first batch — and while that batch
+                // is scanned: it is scattered before the shard scans are
+                // waited for (a single LogBlock is scanned right here). Each
+                // later batch is one more scatter. Folded shards first,
+                // then the batches, in canonical order.
                 let shard_scans = pool.start(parallelism, tasks);
-                let mut batches = self.fetched_batches(&entries, plan, opts);
-                let first = batches.next();
+                let mut batches = self.fetched_batches(&entries, plan, opts).map(|batch| {
+                    pool.scatter(parallelism, self.block_tasks(batch, plan, tenant, opts))
+                });
+                let first_scans = batches.next();
                 gathered.fold(shard_scans.wait())?;
-                for batch in first.into_iter().chain(batches) {
-                    let tasks =
-                        batch.into_iter().map(|b| self.block_task(b, plan, tenant, opts)).collect();
-                    gathered.fold(pool.scatter(parallelism, tasks))?;
+                for scans in first_scans.into_iter().chain(batches) {
+                    gathered.fold(scans)?;
                 }
             } else {
                 // The LogBlock map records each block's exact packed size,
                 // so opening a source needs no HEAD round-trip.
-                tasks.extend(entries.into_iter().map(|entry| {
+                let blocks = entries.into_iter().map(|entry| {
                     let source = if opts.use_cache {
                         Source::Cached(self.shared.prefetcher.source(&entry.path, entry.bytes))
                     } else {
@@ -343,9 +360,9 @@ impl Broker {
                             size: entry.bytes,
                         })
                     };
-                    let block = BlockRead { source, handle: None, prefetch_errors: 0 };
-                    self.block_task(block, plan, tenant, opts)
-                }));
+                    BlockRead { source, handle: None, prefetch_errors: 0 }
+                });
+                tasks.extend(self.block_tasks(blocks, plan, tenant, opts));
                 gathered.fold(pool.scatter(parallelism, tasks))?;
             }
         }
@@ -359,7 +376,7 @@ impl Broker {
             plan.finish_partial(merge_partials(gathered.partials)?)?
         };
         let result = finalize(merged, bound, &self.shared.schema)?;
-        Ok((result, gathered.stats, all_blocks, gathered.counters))
+        Ok((result, gathered.stats, blocks_pruned_by_map, gathered.counters))
     }
 
     /// Plan and fetch (Fig 10) as a stream of batches, in canonical order;
@@ -454,14 +471,36 @@ impl Broker {
         Box::new(move || {
             let mut stats = QueryStats::default();
             let worker = shared.worker_for(shard)?;
-            // Stream records through the plan's collector: with
-            // pushdown the shard returns aggregate states, and an
-            // unordered LIMIT stops the walk early.
-            let mut collector = RowCollector::new(&plan, &shared.schema)?;
-            worker.for_each_record(shard, tenant, range, |r| collector.push_record(r))?;
-            let partial = collector.finish(&mut stats);
-            Ok((partial, stats, DecodeStats::default()))
+            // The runs that may hold the tenant's rows, by reference: the
+            // shard lock is gone before the first row is looked at. With
+            // pushdown the shard returns aggregate states, and an unordered
+            // LIMIT stops the walk early.
+            let snapshot = worker.snapshot(shard, tenant, range)?;
+            shared.hooks.query_reached(QueryPoint::RowStoreSnapshot);
+            let mut counters = ExecutionCounters {
+                realtime_runs_pruned: snapshot.runs_pruned,
+                ..ExecutionCounters::default()
+            };
+            let mut collector = RowCollector::new(&plan, &shared.schema, tenant, range)?;
+            for run in &snapshot.runs {
+                if !collector.push_run(run)? {
+                    break;
+                }
+            }
+            let partial = collector.finish(&mut stats, &mut counters);
+            Ok((partial, stats, counters))
         })
+    }
+
+    /// One scan task per archived LogBlock, in the order given.
+    fn block_tasks(
+        &self,
+        blocks: impl IntoIterator<Item = BlockRead>,
+        plan: &Arc<ScanPlan>,
+        tenant: logstore_types::TenantId,
+        opts: &QueryOptions,
+    ) -> Vec<Task<SourcePartial>> {
+        blocks.into_iter().map(|block| self.block_task(block, plan, tenant, opts)).collect()
     }
 
     /// The scan of one archived LogBlock — the same body in every mode;
@@ -492,7 +531,9 @@ impl Broker {
                 plan.collect_block(&reader, use_skipping, &mut stats, &mut decode)
             })();
             match scan {
-                Ok(partial) => Ok((partial, stats, decode)),
+                Ok(partial) => {
+                    Ok((partial, stats, ExecutionCounters { decode, ..Default::default() }))
+                }
                 // A vanished object that the map no longer claims
                 // was expired or compacted away mid-query: report
                 // it as stale metadata so the broker replans,
@@ -520,9 +561,9 @@ impl Gathered {
     /// on the clock.
     fn fold(&mut self, results: Vec<Result<SourcePartial>>) -> Result<()> {
         for task_result in results {
-            let (partial, task_stats, decode) = task_result?;
+            let (partial, task_stats, task_counters) = task_result?;
             self.stats.merge(&task_stats);
-            self.counters.absorb(&decode, &partial);
+            self.counters.absorb(&task_counters, &partial);
             self.partials.push(partial);
         }
         Ok(())

@@ -304,7 +304,7 @@ mod tests {
         assert_eq!(store.list("tenants/1/").unwrap().len(), 1);
         assert_eq!(store.list("tenants/2/").unwrap().len(), 1);
         // Registered ranges prune correctly.
-        let blocks = metadata.blocks_for(TenantId(1), TimeRange::all());
+        let (blocks, _) = metadata.blocks_for(TenantId(1), TimeRange::all());
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].rows, 30);
     }

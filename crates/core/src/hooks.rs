@@ -73,7 +73,21 @@ impl CrashPoint {
     ];
 }
 
-/// Injectable observer of archive-pipeline crash points.
+/// Named points of one query attempt, in the order an attempt passes
+/// them. Nothing durable changes on the read path, so these are not crash
+/// points: a test parks a query at one to decide what happens beside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryPoint {
+    /// The attempt is about to read the LogBlock map, the first thing it
+    /// reads.
+    BeforeMapRead,
+    /// A source task holds its shard's row-store snapshot and has not
+    /// looked at a row yet; no lock is held.
+    RowStoreSnapshot,
+}
+
+/// Injectable observer of archive-pipeline crash points and read-path
+/// query points.
 pub trait CrashHooks: Send + Sync {
     /// Called when execution reaches `point`. A simulation implementation
     /// may panic with a [`SimCrash`] payload to abort the episode here;
@@ -81,6 +95,11 @@ pub trait CrashHooks: Send + Sync {
     fn reached(&self, point: CrashPoint) {
         let _ = point;
     }
+
+    /// Called when a query attempt reaches `point`, on whichever thread got
+    /// there (a pool thread for a source task), with no lock held — the
+    /// hook may park it. The default does nothing.
+    fn query_reached(&self, _point: QueryPoint) {}
 }
 
 /// The production hooks: every point is a no-op.

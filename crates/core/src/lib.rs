@@ -36,6 +36,6 @@ pub use compactor::{CompactionConfig, CompactionReport, CompactionRun, GcReport}
 pub use config::{ClusterConfig, QueryOptions};
 pub use engine::{ArchiveStats, IngestReport, LogStore, OpenParts, Store};
 pub use executor::QueryPool;
-pub use hooks::{noop_hooks, CrashHooks, CrashPoint, NoopHooks, SimCrash};
+pub use hooks::{noop_hooks, CrashHooks, CrashPoint, NoopHooks, QueryPoint, SimCrash};
 pub use metadata::{BuildGuard, DrainId, LogBlockEntry, MetadataStore, TenantInfo};
 pub use worker::ArchiveCatalog;

@@ -206,17 +206,16 @@ impl MetadataStore {
         self.inner.read().drain_commits.get(&id).copied()
     }
 
-    /// LogBlock-map pruning (Fig 8 ①): blocks of `tenant` overlapping
-    /// `range`.
-    pub fn blocks_for(&self, tenant: TenantId, range: TimeRange) -> Vec<LogBlockEntry> {
-        self.inner
-            .read()
-            .blocks
-            .get(&tenant)
-            .map(|blocks| {
-                blocks.iter().filter(|b| b.time_range().overlaps(&range)).cloned().collect()
-            })
-            .unwrap_or_default()
+    /// LogBlock-map pruning (Fig 8 ①): the blocks of `tenant` overlapping
+    /// `range`, and how many blocks the tenant has in all — one read of one
+    /// map, so "pruned = total − overlapping" holds whatever compaction or
+    /// expiry does next.
+    pub fn blocks_for(&self, tenant: TenantId, range: TimeRange) -> (Vec<LogBlockEntry>, u64) {
+        let inner = self.inner.read();
+        let Some(blocks) = inner.blocks.get(&tenant) else { return (Vec::new(), 0) };
+        let overlapping =
+            blocks.iter().filter(|b| b.time_range().overlaps(&range)).cloned().collect();
+        (overlapping, blocks.len() as u64)
     }
 
     /// All blocks of a tenant.
@@ -430,12 +429,13 @@ mod tests {
         m.register_block(t, entry("a", 0, 100, 10)).unwrap();
         m.register_block(t, entry("b", 101, 200, 10)).unwrap();
         m.register_block(t, entry("c", 201, 300, 10)).unwrap();
-        let hits = m.blocks_for(t, TimeRange::new(Timestamp(150), Timestamp(250)));
-        assert_eq!(hits.len(), 2);
+        let (hits, total) = m.blocks_for(t, TimeRange::new(Timestamp(150), Timestamp(250)));
+        assert_eq!((hits.len(), total), (2, 3));
         assert_eq!(hits[0].path, "b");
         assert_eq!(hits[1].path, "c");
-        assert!(m.blocks_for(t, TimeRange::new(Timestamp(500), Timestamp(600))).is_empty());
-        assert!(m.blocks_for(TenantId(9), TimeRange::all()).is_empty());
+        let (none, total) = m.blocks_for(t, TimeRange::new(Timestamp(500), Timestamp(600)));
+        assert_eq!((none.len(), total), (0, 3), "pruned blocks still count");
+        assert_eq!(m.blocks_for(TenantId(9), TimeRange::all()), (Vec::new(), 0));
         assert_eq!(m.block_count(), 3);
     }
 

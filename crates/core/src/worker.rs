@@ -20,7 +20,9 @@ use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, TimeRange, WorkerId,
 };
 pub use logstore_wal::LoggedDrain;
-use logstore_wal::{DrainResolver, DrainSeq, NoCommittedDrains, ShardStore, WalConfig};
+use logstore_wal::{
+    DrainResolver, DrainSeq, NoCommittedDrains, RowSnapshot, ShardStore, WalConfig,
+};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -255,25 +257,29 @@ impl Worker {
         Ok(())
     }
 
-    /// Streams one shard's real-time rows for `tenant` within `range`
-    /// through `f`, in arrival order, stopping early when `f` returns
-    /// `false`. Runs under the shard lock but clones no records — the
-    /// query layer's [`logstore_query::RowCollector`] aggregates or
-    /// projects in place.
-    pub fn for_each_record(
+    /// The real-time runs of one shard that may hold rows of `tenant`
+    /// within `range`, by reference and in arrival order. Taking it holds
+    /// the shard lock for the length of the run list; the query layer's
+    /// [`logstore_query::RowCollector`] then scans the runs with no lock
+    /// held, beside appends and drains.
+    pub fn snapshot(
         &self,
         shard: ShardId,
         tenant: TenantId,
         range: TimeRange,
-        f: impl FnMut(&LogRecord) -> bool,
-    ) -> Result<()> {
-        self.shard(shard)?.store.for_each_in(tenant, range, f);
-        Ok(())
+    ) -> Result<RowSnapshot> {
+        Ok(self.shard(shard)?.store.snapshot(tenant, range))
     }
 
     /// Buffered row-store bytes of one shard.
     pub fn buffered_bytes(&self, shard: ShardId) -> Result<usize> {
         Ok(self.shard(shard)?.store.buffered_bytes())
+    }
+
+    /// Bytes of the column batches queries have left cached on one shard's
+    /// buffered runs (not part of [`Worker::buffered_bytes`]).
+    pub fn cached_column_bytes(&self, shard: ShardId) -> Result<u64> {
+        Ok(self.shard(shard)?.store.cached_column_bytes())
     }
 
     /// Buffered rows of one shard.
@@ -464,14 +470,9 @@ mod tests {
         dir
     }
 
-    fn rows_of(w: &Worker, shard: ShardId, tenant: u64) -> usize {
-        let mut n = 0;
-        w.for_each_record(shard, TenantId(tenant), TimeRange::all(), |_| {
-            n += 1;
-            true
-        })
-        .unwrap();
-        n
+    fn rows_of(w: &Worker, shard: ShardId, tenant: u64) -> u32 {
+        let snapshot = w.snapshot(shard, TenantId(tenant), TimeRange::all()).unwrap();
+        snapshot.runs.iter().map(|run| run.tenant_rows(TenantId(tenant))).sum()
     }
 
     #[test]

@@ -90,6 +90,81 @@ fn parallel_results_bit_identical_to_sequential() {
     }
 }
 
+/// Where the real-time runs are cut is invisible: an engine whose row
+/// stores were sealed at many points (every query between two ingests
+/// seals the tails it reads) answers like one whose rows all sit in one
+/// open tail until the first query — same rows, same `QueryStats`,
+/// `realtime_rows_scanned` included — at parallelism 1 and 4, with and
+/// without pushdown, merged behind the same archived LogBlocks.
+#[test]
+fn real_time_seal_points_are_invisible_at_every_parallelism() {
+    let fresh = |tenant: u64, chunk: i64| -> Vec<LogRecord> {
+        (0..45)
+            .map(|i| {
+                let ts = 100_000 + chunk * 45 + i;
+                let msg = if i % 9 == 0 { "fresh timeout" } else { "fresh ok" };
+                rec(tenant, ts, (ts * 13) % 600, msg)
+            })
+            .collect()
+    };
+    let sqls = |tenant: u64| -> Vec<String> {
+        vec![
+            format!("SELECT log FROM request_log WHERE tenant_id = {tenant}"),
+            format!("SELECT log FROM request_log WHERE tenant_id = {tenant} LIMIT 70"),
+            format!("SELECT log, latency FROM request_log WHERE tenant_id = {tenant} AND latency >= 300 LIMIT 30"),
+            format!("SELECT COUNT(*) FROM request_log WHERE tenant_id = {tenant} AND fail = true"),
+            format!("SELECT COUNT(*) FROM request_log WHERE tenant_id = {tenant} AND ts >= 100050 AND ts <= 100170"),
+            format!("SELECT ip, COUNT(*), MAX(latency) FROM request_log WHERE tenant_id = {tenant} GROUP BY ip ORDER BY COUNT(*) DESC LIMIT 10"),
+            format!("SELECT log FROM request_log WHERE tenant_id = {tenant} AND log CONTAINS 'timeout' ORDER BY ts DESC LIMIT 5"),
+        ]
+    };
+    let open = |query_between_chunks: bool| -> LogStore {
+        // Two archived LogBlocks per tenant, then five fresh chunks.
+        let s = build_store(ClusterConfig::for_testing(), 2, 64);
+        s.ingest((0..128).map(|ts| rec(2, ts, (ts * 7) % 600, "archived")).collect()).unwrap();
+        s.flush().unwrap();
+        for chunk in 0..5 {
+            for tenant in [1, 2] {
+                s.ingest(fresh(tenant, chunk)).unwrap();
+            }
+            if query_between_chunks {
+                // Tenant 1 reads after every chunk, tenant 2 after every
+                // other one: the shards' runs end in different places.
+                for sql in sqls(1).iter().chain(sqls(2).iter().filter(|_| chunk % 2 == 0)) {
+                    s.query(sql).unwrap();
+                }
+            }
+        }
+        s
+    };
+    let (sealed_often, sealed_once) = (open(true), open(false));
+    for tenant in [1, 2] {
+        for sql in sqls(tenant) {
+            let reference = sealed_once
+                .query_with_options(&sql, &QueryOptions::default().with_parallelism(1))
+                .unwrap();
+            assert!(reference.stats.realtime_rows_scanned > 0, "{sql}");
+            let baseline = sealed_once.query_with_options(&sql, &QueryOptions::baseline()).unwrap();
+            assert_eq!(baseline.result, reference.result, "baseline diverged for {sql}");
+            for (label, engine) in [("sealed often", &sealed_often), ("sealed once", &sealed_once)]
+            {
+                for parallelism in [1usize, 4] {
+                    let opts = QueryOptions::default().with_parallelism(parallelism);
+                    let exec = engine.query_with_options(&sql, &opts).unwrap();
+                    let at = format!("{label}, parallelism {parallelism}: {sql}");
+                    assert_eq!(exec.result, reference.result, "rows diverged, {at}");
+                    assert_eq!(exec.stats, reference.stats, "stats diverged, {at}");
+                }
+            }
+        }
+    }
+    let runs = |s: &LogStore| {
+        let sql = &sqls(1)[0];
+        s.query_with_options(sql, &QueryOptions::default()).unwrap().counters.realtime_runs_visited
+    };
+    assert!(runs(&sealed_often) > runs(&sealed_once), "the two engines must differ in their runs");
+}
+
 #[test]
 fn results_identical_at_any_cache_shard_count() {
     // The sharded cache + coalesced read path must be invisible to query

@@ -12,7 +12,7 @@
 //! GET of the round saw another complete.
 
 use logstore_core::broker::QueryExecution;
-use logstore_core::{ClusterConfig, LogStore, QueryOptions};
+use logstore_core::{ClusterConfig, CrashHooks, LogStore, OpenParts, QueryOptions, QueryPoint};
 use logstore_logblock::LogBlockHandle;
 use logstore_oss::ObjectStore;
 use logstore_query::{analyze, parse_query, QueryScope, ScanPlan};
@@ -22,6 +22,7 @@ use logstore_workload::queries::tenant_queries;
 use logstore_workload::{LogRecordGenerator, WorkloadSpec};
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -446,7 +447,7 @@ fn every_template_fetches_exactly_its_plan() {
         let plan = ScanPlan::new(&bound, &s.shared().schema, true).unwrap();
         let range = QueryScope::extract(&bound).range;
         let mut expected_gets = 0;
-        let mapped = s.shared().metadata.blocks_for(TenantId(1), range);
+        let (mapped, _) = s.shared().metadata.blocks_for(TenantId(1), range);
         for entry in &mapped {
             let handle = raw_handle(&s, &entry.path);
             let members = plan.planned_members(handle.meta(), true);
@@ -573,4 +574,206 @@ fn a_failed_open_is_not_cached() {
     assert_eq!(exec.cache.object_misses, 1, "the second query re-opens");
     assert_eq!(exec.result, oracle(&s, TWO_COLUMNS).result);
     assert!(s.shared().cache.handle(&path).is_some(), "a clean open is cached");
+}
+
+// ---- The real-time source: runs read outside the shard lock ----
+
+/// Parks the first query attempt that reaches `point` — on whichever
+/// thread got there — until the test lets it go; what the test does
+/// meanwhile happens *at* that point of the attempt. Every later arrival
+/// passes straight through.
+struct ParkAt {
+    point: QueryPoint,
+    armed: AtomicBool,
+    reached: crossbeam::channel::Sender<()>,
+    resume: crossbeam::channel::Receiver<()>,
+}
+
+impl CrashHooks for ParkAt {
+    fn query_reached(&self, point: QueryPoint) {
+        if point == self.point && self.armed.swap(false, Ordering::SeqCst) {
+            self.reached.send(()).unwrap();
+            // A test that failed and hung up must not leave the query
+            // parked: a closed channel lets it go too.
+            let _ = self.resume.recv_timeout(Duration::from_secs(10));
+        }
+    }
+}
+
+/// One worker, one shard, nothing flushed unless the test does it.
+fn one_shard_config() -> ClusterConfig {
+    let mut config = config();
+    config.workers = 1;
+    config.shards_per_worker = 1;
+    config
+}
+
+/// Runs `sql` with its first attempt parked at `point`, `meanwhile` on the
+/// calling thread while it is parked, and returns the query's execution.
+fn query_parked_at(
+    config: ClusterConfig,
+    point: QueryPoint,
+    prepare: impl FnOnce(&LogStore),
+    sql: &str,
+    meanwhile: impl FnOnce(&LogStore),
+) -> (LogStore, QueryExecution) {
+    let (reached_tx, reached_rx) = crossbeam::channel::unbounded();
+    let (resume_tx, resume_rx) = crossbeam::channel::unbounded();
+    let hooks = Arc::new(ParkAt {
+        point,
+        armed: AtomicBool::new(false),
+        reached: reached_tx,
+        resume: resume_rx,
+    });
+    let parts = OpenParts { hooks: Some(hooks.clone()), ..OpenParts::default() };
+    let s = LogStore::open_with(config, parts).unwrap();
+    prepare(&s);
+    hooks.armed.store(true, Ordering::SeqCst);
+    let exec = std::thread::scope(|scope| {
+        let query = scope.spawn(|| s.query_with_options(sql, &QueryOptions::default()));
+        reached_rx.recv_timeout(Duration::from_secs(10)).expect("the query never got there");
+        meanwhile(&s);
+        resume_tx.send(()).unwrap();
+        query.join().unwrap().unwrap()
+    });
+    (s, exec)
+}
+
+const COUNT_ALL: &str = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1";
+
+fn count_of(exec: &QueryExecution) -> u64 {
+    exec.result.rows[0][0].as_u64().unwrap()
+}
+
+#[test]
+fn an_append_to_the_shard_completes_while_its_scan_is_parked() {
+    // The scan holds its snapshot and no lock: an append to the same shard
+    // goes through beside it (it would wait forever on the shard lock if
+    // the scan read rows under it), and so does a whole flush. The parked
+    // query still answers from the rows it took — each exactly once,
+    // though they have meanwhile been drained, built and registered.
+    let (s, exec) = query_parked_at(
+        one_shard_config(),
+        QueryPoint::RowStoreSnapshot,
+        |s| {
+            s.ingest((0..300).map(rec).collect::<Vec<_>>()).unwrap();
+        },
+        COUNT_ALL,
+        |s| {
+            let (done_tx, done_rx) = crossbeam::channel::unbounded();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    s.ingest((300..400).map(rec).collect::<Vec<_>>()).unwrap();
+                    s.flush().unwrap();
+                    done_tx.send(()).unwrap();
+                });
+                done_rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("an append or a drain waited for a parked scan");
+            });
+        },
+    );
+    assert_eq!(count_of(&exec), 300, "the rows of the snapshot, once each");
+    assert_eq!(exec.stats.realtime_rows_scanned, 300);
+    assert_eq!(exec.stats.blocks_visited, 0, "the map was read before the flush registered");
+    let worker = s.shared().worker_snapshot().remove(0);
+    assert_eq!(worker.buffered_rows(worker.shard_ids()[0]).unwrap(), 0);
+    assert_eq!(count_of(&s.query_with_options(COUNT_ALL, &QueryOptions::default()).unwrap()), 400);
+}
+
+#[test]
+fn a_row_racing_a_drain_is_never_counted_twice() {
+    // The LogBlock map is read before the row store. A flush that lands
+    // between the two reads moves rows from the second to the first: the
+    // attempt misses them in the map (the documented window) and finds
+    // them in its snapshot — once. Reading the row store first would find
+    // them there *and* in the map.
+    for sql in [COUNT_ALL, "SELECT ts FROM request_log WHERE tenant_id = 1"] {
+        let (s, exec) = query_parked_at(
+            one_shard_config(),
+            QueryPoint::RowStoreSnapshot,
+            |s| {
+                s.ingest((0..250).map(rec).collect::<Vec<_>>()).unwrap();
+            },
+            sql,
+            |s| {
+                s.flush().unwrap();
+            },
+        );
+        let rows = if sql == COUNT_ALL { count_of(&exec) } else { exec.result.rows.len() as u64 };
+        assert_eq!(rows, 250, "{sql}");
+        assert_eq!(exec.stats.realtime_rows_scanned + exec.stats.scan.rows_matched, 250, "{sql}");
+        assert_eq!(s.block_count(), 1, "the flush did register the rows");
+        assert_eq!(exec.result, oracle(&s, sql).result, "{sql}");
+    }
+}
+
+#[test]
+fn blocks_pruned_by_map_counts_the_map_the_blocks_came_from() {
+    // Three small LogBlocks of which the window overlaps one; at the moment
+    // the attempt is about to read the map, compaction swaps them for one
+    // merged block. Entries and total come from one read: one block
+    // visited, none pruned. (They used to be two reads with this point
+    // between them: 3 − 1 = 2 "pruned" blocks of a map that has one.)
+    let window = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND ts >= 10 AND ts <= 20";
+    let (s, exec) = query_parked_at(
+        config(),
+        QueryPoint::BeforeMapRead,
+        |s| {
+            for block in 0..3 {
+                s.ingest((block * 100..block * 100 + 100).map(rec).collect::<Vec<_>>()).unwrap();
+                s.flush().unwrap();
+            }
+            let before = s.query_with_options(window, &QueryOptions::default()).unwrap();
+            assert_eq!((before.stats.blocks_visited, before.blocks_pruned_by_map), (1, 2));
+        },
+        window,
+        |s| {
+            assert_eq!(s.compact().unwrap().runs_committed, 1);
+            assert_eq!(s.block_count(), 1);
+        },
+    );
+    assert_eq!(count_of(&exec), 11);
+    assert_eq!((exec.stats.blocks_visited, exec.blocks_pruned_by_map), (1, 0));
+    assert_eq!(exec.result, oracle(&s, window).result);
+}
+
+#[test]
+fn a_fresh_column_is_transposed_once_and_history_queries_visit_no_run() {
+    // Archived rows at ts 0..1500, fresh rows at ts 10 000.. in the row
+    // store of one shard.
+    let s = build_store(one_shard_config(), 1);
+    s.ingest((10_000..10_400).map(rec).collect::<Vec<_>>()).unwrap();
+    let unbounded = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND latency >= 300";
+    let first = s.query_with_options(unbounded, &QueryOptions::default()).unwrap();
+    // The first query seals the tail and transposes what it reads of it —
+    // `tenant_id` and `latency`, 400 rows each — the second finds both
+    // cached.
+    assert_eq!(first.counters.realtime_runs_visited, 1);
+    assert_eq!(first.counters.realtime_rows_transposed, 800);
+    let second = s.query_with_options(unbounded, &QueryOptions::default()).unwrap();
+    assert_eq!(second.counters.realtime_rows_transposed, 0);
+    assert_eq!((&second.result, &second.stats), (&first.result, &first.stats));
+    assert_eq!(second.result, oracle(&s, unbounded).result);
+    let worker = s.shared().worker_snapshot().remove(0);
+    let shard = worker.shard_ids()[0];
+    assert!(worker.cached_column_bytes(shard).unwrap() >= 400 * 16);
+    // A window inside the history: the run's time bounds exclude it, no
+    // row store row is looked at, and rows that arrive later stay in an
+    // open tail nobody seals.
+    let history =
+        "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND ts >= 100 AND ts <= 900";
+    s.ingest((10_400..10_450).map(rec).collect::<Vec<_>>()).unwrap();
+    let bounded = s.query_with_options(history, &QueryOptions::default()).unwrap();
+    assert_eq!(count_of(&bounded), 801);
+    assert_eq!(
+        (bounded.counters.realtime_runs_visited, bounded.counters.realtime_runs_pruned),
+        (0, 1)
+    );
+    assert_eq!(bounded.stats.realtime_rows_scanned, 0);
+    assert_eq!(bounded.counters.realtime_rows_transposed, 0);
+    // The drain takes the cached columns with the runs.
+    s.flush().unwrap();
+    assert_eq!(worker.cached_column_bytes(shard).unwrap(), 0);
+    assert_eq!(count_of(&s.query_with_options(COUNT_ALL, &QueryOptions::default()).unwrap()), 1950);
 }

@@ -12,7 +12,7 @@
 
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_codec::{compress, decompress, delta, Compression};
-use logstore_types::{Cell, DataType, Error, Result, Value};
+use logstore_types::{ColumnData, ColumnVec, DataType, Error, Result, Value};
 
 /// Hard cap for a decoded data frame (decompression-bomb guard).
 const MAX_DATA_BYTES: usize = 1 << 30;
@@ -226,114 +226,6 @@ pub fn decode_block(dtype: DataType, bytes: &[u8], row_count: u32) -> Result<Vec
     Ok(out)
 }
 
-/// A decoded column block in typed, batch-oriented layout.
-///
-/// A `ColumnVec` keeps the whole block in flat typed buffers (`Vec<i64>`,
-/// bit-packed bools, a byte arena plus offsets for strings) so predicate
-/// evaluation and aggregation can run over the batch without per-row
-/// allocation. Buffers are reused across blocks via [`decode_block_into`].
-#[derive(Debug, Default)]
-pub struct ColumnVec {
-    len: usize,
-    /// Null bitset, same layout as the on-disk bitset: bit `i` set ⇒ NULL.
-    nulls: Vec<u8>,
-    data: ColumnData,
-}
-
-/// Typed payload of a [`ColumnVec`].
-#[derive(Debug)]
-pub enum ColumnData {
-    /// `Int64` values (placeholder 0 in NULL slots).
-    I64(Vec<i64>),
-    /// `UInt64` values (placeholder 0 in NULL slots).
-    U64(Vec<u64>),
-    /// Bit-packed booleans, bit `i` = row `i`.
-    Bool(Vec<u8>),
-    /// String payload arena plus per-row `(start, end)` byte ranges.
-    Str {
-        /// The decompressed data frame (varint lengths interleaved with
-        /// payload bytes; `ranges` point past the varints).
-        data: Vec<u8>,
-        /// Byte range of each row's payload within `data`.
-        ranges: Vec<(u32, u32)>,
-    },
-}
-
-impl Default for ColumnData {
-    fn default() -> Self {
-        ColumnData::I64(Vec::new())
-    }
-}
-
-impl ColumnVec {
-    /// Rows in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The typed payload.
-    pub fn data(&self) -> &ColumnData {
-        &self.data
-    }
-
-    /// True when row `i` is NULL.
-    #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
-        self.nulls[i / 8] & (1 << (i % 8)) != 0
-    }
-
-    /// Row `i` as a typed cell borrowed from the batch: nothing is
-    /// allocated until the caller decides the cell must outlive it.
-    #[inline]
-    pub fn cell(&self, i: usize) -> Cell<'_> {
-        if self.is_null(i) {
-            return Cell::Null;
-        }
-        match &self.data {
-            ColumnData::I64(vs) => Cell::I64(vs[i]),
-            ColumnData::U64(vs) => Cell::U64(vs[i]),
-            ColumnData::Bool(bits) => Cell::Bool(bits[i / 8] & (1 << (i % 8)) != 0),
-            ColumnData::Str { data, ranges } => {
-                let (start, end) = ranges[i];
-                // Decode validated every non-null slice; unreachable in
-                // practice, but stay total rather than panic.
-                std::str::from_utf8(&data[start as usize..end as usize])
-                    .map_or(Cell::Null, Cell::Str)
-            }
-        }
-    }
-
-    /// Materializes one cell.
-    pub fn value(&self, i: usize) -> Value {
-        self.cell(i).to_value()
-    }
-
-    /// The non-null string payload of row `i`, if this is a string batch.
-    /// Slices were UTF-8-validated at decode time.
-    pub fn str_at(&self, i: usize) -> Option<&str> {
-        match self.cell(i) {
-            Cell::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Approximate decoded footprint in bytes (drives `bytes_decoded`).
-    pub fn approx_bytes(&self) -> u64 {
-        let payload = match &self.data {
-            ColumnData::I64(vs) => vs.len() * 8,
-            ColumnData::U64(vs) => vs.len() * 8,
-            ColumnData::Bool(bits) => bits.len(),
-            ColumnData::Str { data, ranges } => data.len() + ranges.len() * 8,
-        };
-        (payload + self.nulls.len()) as u64
-    }
-}
-
 /// Decodes one column block into `out`, reusing its buffers when the typed
 /// variant already matches: the one way a shipped read path decodes a
 /// column block.
@@ -347,49 +239,34 @@ pub fn decode_block_into(
     let (bitset, data_frame) = split_block(bytes, n)?;
     let data = decompress(data_frame, MAX_DATA_BYTES)?;
 
-    // A failed decode must not leave a half-written batch readable.
-    out.len = 0;
-    match dtype {
+    // `out` is empty from here until the block is whole: a failed decode
+    // leaves no half-written batch readable.
+    let (_, buffers) = std::mem::take(out).into_parts();
+    let decoded = match dtype {
         DataType::Int64 => {
-            let vals = match &mut out.data {
-                ColumnData::I64(vals) => vals,
-                _ => {
-                    out.data = ColumnData::I64(Vec::new());
-                    match &mut out.data {
-                        ColumnData::I64(vals) => vals,
-                        _ => unreachable!("just assigned"),
-                    }
-                }
-            };
-            delta::decode_i64_into(&data, n, vals)?;
+            let mut vals = if let ColumnData::I64(vals) = buffers { vals } else { Vec::new() };
+            delta::decode_i64_into(&data, n, &mut vals)?;
             if vals.len() != n {
                 return Err(Error::corruption("int64 block row count mismatch"));
             }
+            ColumnData::I64(vals)
         }
         DataType::UInt64 => {
-            let vals = match &mut out.data {
-                ColumnData::U64(vals) => vals,
-                _ => {
-                    out.data = ColumnData::U64(Vec::new());
-                    match &mut out.data {
-                        ColumnData::U64(vals) => vals,
-                        _ => unreachable!("just assigned"),
-                    }
-                }
-            };
-            delta::decode_u64_into(&data, n, vals)?;
+            let mut vals = if let ColumnData::U64(vals) = buffers { vals } else { Vec::new() };
+            delta::decode_u64_into(&data, n, &mut vals)?;
             if vals.len() != n {
                 return Err(Error::corruption("uint64 block row count mismatch"));
             }
+            ColumnData::U64(vals)
         }
         DataType::Bool => {
             if data.len() != n.div_ceil(8) {
                 return Err(Error::corruption("bool block length mismatch"));
             }
-            out.data = ColumnData::Bool(data);
+            ColumnData::Bool(data)
         }
         DataType::String => {
-            let mut ranges = match std::mem::take(&mut out.data) {
+            let mut ranges = match buffers {
                 ColumnData::Str { mut ranges, .. } => {
                     ranges.clear();
                     ranges
@@ -427,11 +304,10 @@ pub fn decode_block_into(
             if dpos != data.len() {
                 return Err(Error::corruption("trailing bytes in string block"));
             }
-            out.data = ColumnData::Str { data, ranges };
+            ColumnData::Str { data, ranges }
         }
-    }
-    out.len = n;
-    out.nulls = bitset;
+    };
+    *out = ColumnVec::from_parts(n, bitset, decoded)?;
     Ok(())
 }
 

@@ -40,7 +40,10 @@ pub mod reader;
 pub mod scan;
 
 pub use builder::LogBlockBuilder;
-pub use column::{ColumnData, ColumnVec};
+/// The typed column batch lives beside `Cell` in `logstore_types` (a
+/// real-time run caches its columns as the same type); re-exported here
+/// for the readers of decoded blocks.
+pub use logstore_types::{ColumnData, ColumnVec};
 pub use meta::{BlockMeta, ColumnMeta, LogBlockMeta};
 pub use pack::{PackManifest, PackWriter, RangeSource};
 pub use reader::{LogBlockHandle, LogBlockReader};

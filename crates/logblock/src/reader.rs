@@ -18,7 +18,7 @@
 //! trip. A reader without that plan (the demand path) still downloads
 //! only what it touches, but pays one round trip per cold range.
 
-use crate::column::{decode_block, decode_block_into, ColumnVec};
+use crate::column::{decode_block, decode_block_into};
 use crate::meta::{
     col_member, index_data_member, index_member, BlockMeta, LogBlockMeta, META_MEMBER,
 };
@@ -27,7 +27,7 @@ use crate::scan::DecodeStats;
 use logstore_index::inverted::TermKind;
 use logstore_index::{BkdDictReader, InvertedDictReader};
 use logstore_sync::OrderedMutex;
-use logstore_types::{Cell, DataType, Error, IndexKind, Result, TableSchema, Value};
+use logstore_types::{Cell, ColumnVec, DataType, Error, IndexKind, Result, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 

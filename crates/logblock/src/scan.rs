@@ -15,14 +15,15 @@
 //!
 //! `use_skipping = false` disables steps 1–3 (the Figure 15 baseline).
 
-use crate::column::{ColumnData, ColumnVec};
 use crate::meta::{col_member, index_data_member, index_member, ColumnMeta, LogBlockMeta};
 use crate::pack::RangeSource;
 use crate::reader::LogBlockReader;
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::tokenizer::tokenize;
 use logstore_index::RowIdSet;
-use logstore_types::{CmpOp, ColumnPredicate, DataType, Error, Result, Value};
+use logstore_types::{
+    CmpOp, ColumnData, ColumnPredicate, ColumnVec, DataType, Error, Result, Value,
+};
 use std::cmp::Ordering;
 
 /// Counters describing how much work a scan did (drives Figure 15's
@@ -92,20 +93,6 @@ impl DecodeStats {
     }
 }
 
-/// Maps a comparison operator to its accepted [`Ordering`]s, hoisting the
-/// per-row operator branch out of batch loops.
-fn ord_accepts(op: CmpOp) -> fn(Ordering) -> bool {
-    match op {
-        CmpOp::Eq => |o| o == Ordering::Equal,
-        CmpOp::Ne => |o| o != Ordering::Equal,
-        CmpOp::Lt => |o| o == Ordering::Less,
-        CmpOp::Le => |o| o != Ordering::Greater,
-        CmpOp::Gt => |o| o == Ordering::Greater,
-        CmpOp::Ge => |o| o != Ordering::Less,
-        CmpOp::Contains => |_| false,
-    }
-}
-
 /// `Value::total_cmp`'s numeric cross-type rule, replicated for typed loops.
 fn cmp_i64_u64(a: i64, b: u64) -> Ordering {
     if a < 0 {
@@ -115,8 +102,51 @@ fn cmp_i64_u64(a: i64, b: u64) -> Ordering {
     }
 }
 
-/// Evaluates `cell op literal` over a decoded batch, inserting the row id
-/// `base + i` of every match into `out`. Exactly equivalent to calling
+/// Inserts `base + i` for every non-NULL row `i` of `batch` that `keep`
+/// accepts. `keep` is a closure the loop is compiled around, and a batch
+/// without NULLs — the usual one — is not asked about them row by row.
+#[inline(always)]
+fn select_rows(batch: &ColumnVec, base: u32, out: &mut RowIdSet, keep: impl Fn(usize) -> bool) {
+    if batch.has_nulls() {
+        for i in 0..batch.len() {
+            if !batch.is_null(i) && keep(i) {
+                out.insert(base + i as u32);
+            }
+        }
+    } else {
+        for i in 0..batch.len() {
+            if keep(i) {
+                out.insert(base + i as u32);
+            }
+        }
+    }
+}
+
+/// [`select_rows`] for the ordering operators: `ord(i)` is row `i`'s
+/// ordering against the literal. The operator is matched once, outside the
+/// loop, so each loop compares the way its operator needs and no more.
+#[inline(always)]
+fn select_ord(
+    batch: &ColumnVec,
+    op: CmpOp,
+    base: u32,
+    out: &mut RowIdSet,
+    ord: impl Fn(usize) -> Ordering,
+) {
+    match op {
+        CmpOp::Eq => select_rows(batch, base, out, |i| ord(i) == Ordering::Equal),
+        CmpOp::Ne => select_rows(batch, base, out, |i| ord(i) != Ordering::Equal),
+        CmpOp::Lt => select_rows(batch, base, out, |i| ord(i) == Ordering::Less),
+        CmpOp::Le => select_rows(batch, base, out, |i| ord(i) != Ordering::Greater),
+        CmpOp::Gt => select_rows(batch, base, out, |i| ord(i) == Ordering::Greater),
+        CmpOp::Ge => select_rows(batch, base, out, |i| ord(i) != Ordering::Less),
+        CmpOp::Contains => {}
+    }
+}
+
+/// Evaluates `cell op literal` over a typed batch — a decoded column block
+/// or a real-time run's cached column — inserting the row id `base + i` of
+/// every match into `out`. Exactly equivalent to calling
 /// [`ColumnPredicate::matches`] on each materialized cell (the row-at-a-time
 /// oracle), but with the operator and literal-type dispatch hoisted out of
 /// the loop and no per-row `Value` construction.
@@ -126,35 +156,22 @@ pub fn eval_batch(batch: &ColumnVec, op: CmpOp, literal: &Value, base: u32, out:
         return;
     }
     let n = batch.len();
-    let accepts = ord_accepts(op);
     match (batch.data(), literal) {
-        (ColumnData::I64(vals), Value::I64(b)) if op != CmpOp::Contains => {
-            for (i, v) in vals.iter().enumerate() {
-                if !batch.is_null(i) && accepts(v.cmp(b)) {
-                    out.insert(base + i as u32);
-                }
-            }
+        (ColumnData::I64(vals), Value::I64(b)) => {
+            let vals = &vals[..n];
+            select_ord(batch, op, base, out, |i| vals[i].cmp(b));
         }
-        (ColumnData::I64(vals), Value::U64(b)) if op != CmpOp::Contains => {
-            for (i, v) in vals.iter().enumerate() {
-                if !batch.is_null(i) && accepts(cmp_i64_u64(*v, *b)) {
-                    out.insert(base + i as u32);
-                }
-            }
+        (ColumnData::I64(vals), Value::U64(b)) => {
+            let vals = &vals[..n];
+            select_ord(batch, op, base, out, |i| cmp_i64_u64(vals[i], *b));
         }
-        (ColumnData::U64(vals), Value::U64(b)) if op != CmpOp::Contains => {
-            for (i, v) in vals.iter().enumerate() {
-                if !batch.is_null(i) && accepts(v.cmp(b)) {
-                    out.insert(base + i as u32);
-                }
-            }
+        (ColumnData::U64(vals), Value::U64(b)) => {
+            let vals = &vals[..n];
+            select_ord(batch, op, base, out, |i| vals[i].cmp(b));
         }
-        (ColumnData::U64(vals), Value::I64(b)) if op != CmpOp::Contains => {
-            for (i, v) in vals.iter().enumerate() {
-                if !batch.is_null(i) && accepts(cmp_i64_u64(*b, *v).reverse()) {
-                    out.insert(base + i as u32);
-                }
-            }
+        (ColumnData::U64(vals), Value::I64(b)) => {
+            let vals = &vals[..n];
+            select_ord(batch, op, base, out, |i| cmp_i64_u64(*b, vals[i]).reverse());
         }
         (ColumnData::Str { .. }, Value::Str(needle)) if op == CmpOp::Contains => {
             // `contains_term` semantics with the needle lowered once.
@@ -172,23 +189,21 @@ pub fn eval_batch(batch: &ColumnVec, op: CmpOp, literal: &Value, base: u32, out:
                 }
             }
         }
-        (ColumnData::Str { .. }, Value::Str(b)) => {
-            // `str` ordering is byte-wise lexicographic, so compare payload
-            // slices directly.
-            let rhs = b.as_str();
-            for i in 0..n {
-                let Some(s) = batch.str_at(i) else { continue };
-                if accepts(s.cmp(rhs)) {
-                    out.insert(base + i as u32);
-                }
+        (ColumnData::Str { data, ranges }, Value::Str(b)) => {
+            // `str` ordering is byte-wise lexicographic, so the payload
+            // bytes are compared as they lie (they were validated as UTF-8
+            // when the batch was built); equality looks at the length
+            // first.
+            let (rhs, ranges) = (b.as_bytes(), &ranges[..n]);
+            let bytes = |i: usize| &data[ranges[i].0 as usize..ranges[i].1 as usize];
+            match op {
+                CmpOp::Eq => select_rows(batch, base, out, |i| bytes(i) == rhs),
+                CmpOp::Ne => select_rows(batch, base, out, |i| bytes(i) != rhs),
+                op => select_ord(batch, op, base, out, |i| bytes(i).cmp(rhs)),
             }
         }
-        (ColumnData::Bool(bits), Value::Bool(b)) if op != CmpOp::Contains => {
-            for i in 0..n {
-                if !batch.is_null(i) && accepts((bits[i / 8] & (1 << (i % 8)) != 0).cmp(b)) {
-                    out.insert(base + i as u32);
-                }
-            }
+        (ColumnData::Bool(bits), Value::Bool(b)) => {
+            select_ord(batch, op, base, out, |i| (bits[i / 8] & (1 << (i % 8)) != 0).cmp(b));
         }
         // Every remaining combination is cross-type with distinct
         // `type_rank`s (same-rank pairs are all handled above), so
@@ -196,22 +211,14 @@ pub fn eval_batch(batch: &ColumnVec, op: CmpOp, literal: &Value, base: u32, out:
         // all non-null rows match, or none do. CONTAINS on anything but
         // (string, string) never matches.
         (data, _) => {
-            if op == CmpOp::Contains {
-                return;
-            }
             let representative = match data {
                 ColumnData::I64(_) => Value::I64(0),
                 ColumnData::U64(_) => Value::U64(0),
                 ColumnData::Bool(_) => Value::Bool(false),
                 ColumnData::Str { .. } => Value::Str(String::new()),
             };
-            if accepts(representative.total_cmp(literal)) {
-                for i in 0..n {
-                    if !batch.is_null(i) {
-                        out.insert(base + i as u32);
-                    }
-                }
-            }
+            let constant = representative.total_cmp(literal);
+            select_ord(batch, op, base, out, |_| constant);
         }
     }
 }

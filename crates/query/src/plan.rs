@@ -5,7 +5,9 @@
 //!
 //! * **Pushdown on** (`QueryOptions::use_pushdown`, the default): each
 //!   LogBlock scan and each real-time shard scan evaluates predicates with
-//!   the vectorized batch path and returns a *partial aggregate state*
+//!   the vectorized batch path — the same [`eval_batch`] kernels over a
+//!   decoded column block or a real-time run's cached column — and returns
+//!   a *partial aggregate state*
 //!   ([`Partial::Agg`] / [`Partial::Groups`]) instead of matched rows.
 //!   Pure `COUNT(*)` queries skip column materialization entirely; unordered
 //!   non-aggregate queries stop materializing after `LIMIT` rows per source.
@@ -19,14 +21,20 @@
 
 use crate::ast::{AggFunc, GroupKey, Query};
 use crate::exec::{agg_columns, internal_columns, AggState, OrdValue, Partial, QueryStats};
+use logstore_index::RowIdSet;
 use logstore_logblock::meta::{col_member, LogBlockMeta};
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
 use logstore_logblock::scan::{
-    evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
+    eval_batch, evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
 };
-use logstore_types::{Cell, ColumnPredicate, Error, LogRecord, Result, TableSchema, Value};
+use logstore_types::{
+    Cell, CmpOp, ColumnPredicate, ColumnVec, DataType, Error, Result, TableSchema, TenantId,
+    TimeRange, Value,
+};
+use logstore_wal::Run;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The aggregation half of a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,10 +220,11 @@ impl ScanPlan {
     }
 }
 
-/// The one group/aggregate fold. A LogBlock scan feeds it column by column
-/// ([`Fold::push_cell`]), the real-time collector and the baseline's
-/// executor-side aggregation row by row ([`Fold::push_row`]); all three
-/// get the same [`Partial`] for the same rows.
+/// The one group/aggregate fold over rows laid out as [`ScanPlan::columns`].
+/// A LogBlock scan feeds it column by column ([`Fold::push_cell`]), the
+/// real-time collector and the baseline's executor-side aggregation row by
+/// row ([`Fold::push_row`]); all three get the same [`Partial`] for the
+/// same rows.
 ///
 /// A group is a *slot*: its key is looked up borrowed and owned once, when
 /// the group is first seen, and the `BTreeMap` a [`Partial::Groups`] is
@@ -224,8 +233,7 @@ impl ScanPlan {
 struct Fold {
     group: Option<GroupKey>,
     /// Where a row keeps its group cell and, per aggregate item, its
-    /// argument (`None`: `COUNT(*)`) — in whatever column numbering the
-    /// feeder reads rows by.
+    /// argument (`None`: `COUNT(*)`), as positions in [`ScanPlan::columns`].
     group_col: Option<usize>,
     item_cols: Vec<Option<usize>>,
     /// Slots of string keys, found by `&str`.
@@ -240,24 +248,19 @@ struct Fold {
 }
 
 impl Fold {
-    fn new(agg: &AggSpec, group_col: Option<usize>, item_cols: Vec<Option<usize>>) -> Fold {
-        let states = match group_col {
+    fn over_plan_columns(agg: &AggSpec) -> Fold {
+        let states = match agg.group {
             Some(_) => Vec::new(),
-            None => vec![vec![AggState::default(); item_cols.len()]],
+            None => vec![vec![AggState::default(); agg.item_cols.len()]],
         };
         Fold {
             group: agg.group.clone(),
-            group_col,
-            item_cols,
+            group_col: agg.group.as_ref().map(|_| 0),
+            item_cols: agg.item_cols.clone(),
             strs: HashMap::new(),
             others: BTreeMap::new(),
             states,
         }
-    }
-
-    /// A fold over rows laid out as [`ScanPlan::columns`].
-    fn over_plan_columns(agg: &AggSpec) -> Fold {
-        Fold::new(agg, agg.group.as_ref().map(|_| 0), agg.item_cols.clone())
     }
 
     /// The slot of the group a raw group-column cell belongs to: the cell
@@ -324,99 +327,167 @@ impl Fold {
     }
 }
 
-const NULL_VALUE: Value = Value::Null;
+/// Where [`LogRecord`](logstore_types::LogRecord) keeps its two keys in the
+/// positional row, whatever the schema calls them.
+const TENANT_COL: (usize, DataType) = (0, DataType::UInt64);
+const TS_COL: (usize, DataType) = (1, DataType::Int64);
 
-/// Streaming collector for the real-time row store: the plan's predicates,
-/// projection and (with pushdown) aggregation applied record by record,
-/// without materializing a positional row per record.
+/// The collector of one shard's real-time rows: the plan's predicates,
+/// projection and (with pushdown) aggregation applied run by run, through
+/// the typed column batches each [`Run`] caches — the kernels and the fold
+/// a LogBlock scan uses, so both sources yield the same [`Partial`] for the
+/// same rows.
+///
+/// A run holds every tenant's rows in arrival order, so the scan first
+/// narrows it to the *scope* — the rows of the query's tenant inside its
+/// time range, what [`QueryStats::realtime_rows_scanned`] counts — and then
+/// applies the WHERE conjuncts.
 #[derive(Debug)]
 pub struct RowCollector {
     limit_hint: Option<usize>,
-    /// `(schema column index, predicate)` pairs.
-    preds: Vec<(usize, ColumnPredicate)>,
-    /// Schema indices of [`ScanPlan::columns`].
-    out_cols: Vec<usize>,
-    /// The aggregation (over schema column indices), for an aggregate plan
-    /// with pushdown; `None` means row transport into `rows`.
+    /// The scope: `tenant_id = tenant` as a literal, and the time range.
+    tenant: Value,
+    range: TimeRange,
+    /// `(schema column index, type, predicate)` triples.
+    preds: Vec<(usize, DataType, ColumnPredicate)>,
+    /// Schema index and type of each of [`ScanPlan::columns`].
+    out_cols: Vec<(usize, DataType)>,
+    /// The aggregation, for an aggregate plan with pushdown; `None` means
+    /// row transport into `rows`.
     fold: Option<Fold>,
     rows: Vec<Vec<Value>>,
     rows_scanned: u64,
+    runs_visited: u64,
+    rows_transposed: u64,
 }
 
 impl RowCollector {
-    /// Builds a collector for one real-time source task.
-    pub fn new(plan: &ScanPlan, schema: &TableSchema) -> Result<RowCollector> {
+    /// Builds a collector for one real-time source task of a query over
+    /// `tenant`'s rows within `range`.
+    pub fn new(
+        plan: &ScanPlan,
+        schema: &TableSchema,
+        tenant: TenantId,
+        range: TimeRange,
+    ) -> Result<RowCollector> {
         let col = |name: &str| {
-            schema
+            let idx = schema
                 .column_index(name)
-                .ok_or_else(|| Error::Query(format!("unknown column '{name}'")))
+                .ok_or_else(|| Error::Query(format!("unknown column '{name}'")))?;
+            Ok((idx, schema.columns[idx].data_type))
         };
-        let preds = plan
+        let mut preds = plan
             .predicates
             .iter()
-            .map(|p| Ok((col(&p.column)?, p.clone())))
-            .collect::<Result<_>>()?;
-        let out_cols = plan.resolve_columns(|name| schema.column_index(name))?;
+            .map(|p| col(&p.column).map(|(idx, dtype)| (idx, dtype, p.clone())))
+            .collect::<Result<Vec<_>>>()?;
+        // The conjunct that pins the tenant is what the scope evaluates:
+        // once is enough.
+        preds.retain(|(idx, _, p)| {
+            !(*idx == TENANT_COL.0 && p.op == CmpOp::Eq && p.value.as_u64() == Some(tenant.raw()))
+        });
+        let out_cols = plan.columns.iter().map(|name| col(name)).collect::<Result<_>>()?;
         let fold = match &plan.agg {
-            Some(a) if plan.pushdown => {
-                let items = a
-                    .items
-                    .iter()
-                    .map(|(_, c)| c.as_deref().map(col).transpose())
-                    .collect::<Result<Vec<_>>>()?;
-                let group = a.group.as_ref().map(|g| col(g.column())).transpose()?;
-                Some(Fold::new(a, group, items))
-            }
+            Some(agg) if plan.pushdown => Some(Fold::over_plan_columns(agg)),
             _ => None,
         };
         Ok(RowCollector {
             limit_hint: plan.limit_hint,
+            tenant: Value::U64(tenant.raw()),
+            range,
             preds,
             out_cols,
             fold,
             rows: Vec::new(),
             rows_scanned: 0,
+            runs_visited: 0,
+            rows_transposed: 0,
         })
     }
 
-    /// Feeds one record. Returns `false` when the source may stop early
+    /// Feeds one run. Returns `false` when the source may stop early
     /// (unordered `LIMIT` satisfied) — the caller should end its scan.
-    pub fn push_record(&mut self, record: &LogRecord) -> bool {
-        self.rows_scanned += 1;
-        // Positional cell access without building `to_row()`: columns 0 and
-        // 1 are the record's keys, the rest live in `fields`.
-        let tenant = Value::U64(record.tenant_id.raw());
-        let ts = Value::I64(record.ts.millis());
-        let value = |idx: usize| -> &Value {
-            match idx {
-                0 => &tenant,
-                1 => &ts,
-                i => record.fields.get(i - 2).unwrap_or(&NULL_VALUE),
-            }
-        };
-        if !self.preds.iter().all(|(c, p)| p.matches(value(*c))) {
-            return true;
+    pub fn push_run(&mut self, run: &Run) -> Result<bool> {
+        let room =
+            self.limit_hint.map_or(usize::MAX, |limit| limit.saturating_sub(self.rows.len()));
+        if room == 0 {
+            return Ok(false);
         }
-        match &mut self.fold {
-            Some(fold) => {
-                fold.push_row(|c| value(c).cell());
-                true
+        self.runs_visited += 1;
+        let n = u32::try_from(run.len())
+            .map_err(|_| Error::Internal("real-time run exceeds the row-id space".into()))?;
+        // A column of the run as a typed batch, counting what this scan
+        // had to transpose.
+        let mut transposed = 0;
+        let mut column = |(col, dtype): (usize, DataType)| -> Result<Arc<ColumnVec>> {
+            let (batch, built) = run.column(col, dtype)?;
+            transposed += if built { run.len() as u64 } else { 0 };
+            Ok(batch)
+        };
+        let eval = |batch: &ColumnVec, op: CmpOp, literal: &Value| {
+            let mut hits = RowIdSet::empty(n);
+            eval_batch(batch, op, literal, 0, &mut hits);
+            hits
+        };
+
+        let mut scope = eval(&*column(TENANT_COL)?, CmpOp::Eq, &self.tenant);
+        if !run.within(self.range) {
+            let ts = column(TS_COL)?;
+            scope.intersect_with(&eval(&ts, CmpOp::Ge, &Value::I64(self.range.start.millis())));
+            scope.intersect_with(&eval(&ts, CmpOp::Le, &Value::I64(self.range.end.millis())));
+        }
+        let mut matched = scope.clone();
+        for (col, dtype, p) in &self.preds {
+            if matched.is_empty() {
+                break;
             }
+            matched.intersect_with(&eval(&*column((*col, *dtype))?, p.op, &p.value));
+        }
+
+        // Late materialisation, as in a LogBlock: only a run with a match
+        // has its output columns looked at, and only matched cells are.
+        let mut scanned = u64::from(scope.count());
+        match &mut self.fold {
+            // An aggregate looks at every matched cell, query after query:
+            // it folds them from the cached columns.
+            Some(fold) if !matched.is_empty() => {
+                let cols = self.out_cols.iter().map(|c| column(*c)).collect::<Result<Vec<_>>>()?;
+                for id in &matched {
+                    fold.push_row(|c| cols[c].cell(id as usize));
+                }
+            }
+            Some(_) => {}
+            // Row transport (non-aggregate, or the pushdown-off baseline)
+            // ships an owned copy of each matched cell and, under a LIMIT,
+            // of few: it copies them from where the row lies, and a column
+            // that is only ever output is never transposed.
             None => {
-                // Row transport (non-aggregate, or the pushdown-off baseline).
-                self.rows.push(self.out_cols.iter().map(|&c| value(c).clone()).collect());
-                match self.limit_hint {
-                    Some(limit) => self.rows.len() < limit,
-                    None => true,
+                let mut last = None;
+                for id in matched.iter().take(room) {
+                    let record = &run.rows()[id as usize];
+                    let row = self.out_cols.iter().map(|(col, _)| record.cell(*col).to_value());
+                    self.rows.push(row.collect());
+                    last = Some(id);
+                }
+                // An unordered LIMIT ends the scan at the row that filled
+                // it: the scope rows behind it were never looked at.
+                if let (Some(last), true) = (last, self.limit_hint == Some(self.rows.len())) {
+                    scanned = scope.iter().take_while(|id| *id <= last).count() as u64;
                 }
             }
         }
+        self.rows_transposed += transposed;
+        self.rows_scanned += scanned;
+        Ok(self.limit_hint.is_none_or(|limit| self.rows.len() < limit))
     }
 
-    /// Finishes the source: folds the scan counter into `stats` and returns
-    /// the partial in the plan's shape.
-    pub fn finish(self, stats: &mut QueryStats) -> Partial {
+    /// Finishes the source: folds the scan counter into `stats`, the run
+    /// counters into `counters`, and returns the partial in the plan's
+    /// shape.
+    pub fn finish(self, stats: &mut QueryStats, counters: &mut ExecutionCounters) -> Partial {
         stats.realtime_rows_scanned += self.rows_scanned;
+        counters.realtime_runs_visited += self.runs_visited;
+        counters.realtime_rows_transposed += self.rows_transposed;
         match self.fold {
             Some(fold) => fold.finish(),
             None => Partial::Rows(self.rows),
@@ -448,20 +519,33 @@ pub fn partial_approx_bytes(partial: &Partial) -> u64 {
 
 /// Decode/transport counters for one query execution, reported on
 /// `QueryExecution` (engine-observability: excluded from the bit-identical
-/// `QueryStats` contract, though in practice these are deterministic too).
+/// `QueryStats` contract, though in practice all but the last are
+/// deterministic too).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecutionCounters {
     /// Vectorized-decode volume across all block scans.
     pub decode: DecodeStats,
     /// Approximate bytes the source tasks shipped to the gather step.
     pub partial_bytes: u64,
+    /// Real-time runs scanned, across the shards serving the tenant.
+    pub realtime_runs_visited: u64,
+    /// Real-time runs a snapshot left out: their tenant counts or time
+    /// bounds exclude the query.
+    pub realtime_runs_pruned: u64,
+    /// Rows this query had to transpose into column batches because no
+    /// earlier query had left them cached (rows times columns asked for):
+    /// what a fresh row costs once instead of once per query.
+    pub realtime_rows_transposed: u64,
 }
 
 impl ExecutionCounters {
-    /// Accumulates one source task's contribution.
-    pub fn absorb(&mut self, decode: &DecodeStats, partial: &Partial) {
-        self.decode.merge(decode);
+    /// Accumulates one source task's counters and the partial it shipped.
+    pub fn absorb(&mut self, source: &ExecutionCounters, partial: &Partial) {
+        self.decode.merge(&source.decode);
         self.partial_bytes += partial_approx_bytes(partial);
+        self.realtime_runs_visited += source.realtime_runs_visited;
+        self.realtime_runs_pruned += source.realtime_runs_pruned;
+        self.realtime_rows_transposed += source.realtime_rows_transposed;
     }
 }
 
@@ -472,7 +556,7 @@ mod tests {
     use crate::exec::{finalize, merge_partials};
     use crate::parser::parse_query;
     use logstore_logblock::builder::LogBlockBuilder;
-    use logstore_types::{TenantId, Timestamp};
+    use logstore_types::{LogRecord, Timestamp};
 
     fn schema() -> TableSchema {
         TableSchema::request_log()
@@ -494,13 +578,30 @@ mod tests {
             .collect()
     }
 
-    fn block(n: usize) -> LogBlockReader<Vec<u8>> {
+    fn block_of(rows: impl IntoIterator<Item = Vec<Value>>) -> LogBlockReader<Vec<u8>> {
         let mut b =
             LogBlockBuilder::with_options(schema(), logstore_codec::Compression::LzHigh, 16);
-        for row in make_rows(n) {
+        for row in rows {
             b.add_row(&row).unwrap();
         }
         LogBlockReader::open(b.finish().unwrap()).unwrap()
+    }
+
+    fn block(n: usize) -> LogBlockReader<Vec<u8>> {
+        block_of(make_rows(n))
+    }
+
+    /// The real-time source: `runs` fed to a collector scoped to tenant 1
+    /// and all of time.
+    fn collect_runs(plan: &ScanPlan, runs: &[Run], stats: &mut QueryStats) -> Partial {
+        let mut collector =
+            RowCollector::new(plan, &schema(), TenantId(1), TimeRange::all()).unwrap();
+        for run in runs {
+            if !collector.push_run(run).unwrap() {
+                break;
+            }
+        }
+        collector.finish(stats, &mut ExecutionCounters::default())
     }
 
     fn records(n: usize) -> Vec<LogRecord> {
@@ -544,14 +645,17 @@ mod tests {
     /// baseline()`: row-at-a-time predicates, row transport,
     /// `finish_partial`) finalize to the same result, and within each mode
     /// a LogBlock and the real-time path yield the same partial for the
-    /// same rows.
+    /// same rows: tenant 1's, which the LogBlock holds alone and the runs
+    /// (two, cut mid-way) hold interleaved with tenant 0's.
     #[test]
     fn plan_modes_agree_with_the_reference() {
         for sql in SHAPES {
             for use_skipping in [true, false] {
                 let query = q(sql);
-                let reader = block(60);
-                let recs = records(60);
+                let reader = block_of(make_rows(60).into_iter().filter(|r| r[0] == Value::U64(1)));
+                let mut head = records(60);
+                let tail = head.split_off(23);
+                let runs = [Run::from_rows(head), Run::from_rows(tail)];
 
                 let mut results = Vec::new();
                 for pushdown in [true, false] {
@@ -560,19 +664,13 @@ mod tests {
                     let mut decode = DecodeStats::default();
                     let from_block =
                         plan.collect_block(&reader, use_skipping, &mut stats, &mut decode).unwrap();
-                    let mut collector = RowCollector::new(&plan, &schema()).unwrap();
-                    for r in &recs {
-                        if !collector.push_record(r) {
-                            break;
-                        }
-                    }
-                    let from_rt = collector.finish(&mut stats);
+                    let from_rt = collect_runs(&plan, &runs, &mut stats);
                     assert_eq!(from_block, from_rt, "block vs real-time partial for {sql}");
                     let merged = merge_partials(vec![from_block, from_rt]).unwrap();
                     let done = plan.finish_partial(merged).unwrap();
                     results.push(finalize(done, &query, &schema()).unwrap());
                     if plan.limit_hint.is_none() {
-                        assert_eq!(stats.realtime_rows_scanned, 60, "{sql}");
+                        assert_eq!(stats.realtime_rows_scanned, 30, "{sql}");
                     }
                 }
                 assert_eq!(results[0], results[1], "pushdown diverges from the reference: {sql}");
@@ -584,7 +682,7 @@ mod tests {
     fn unknown_predicate_column_is_an_error_on_both_paths() {
         let mut plan = ScanPlan::new(&q("SELECT log FROM request_log"), &schema(), true).unwrap();
         plan.predicates.push(ColumnPredicate::new("ghost", logstore_types::CmpOp::Eq, 1i64));
-        assert!(RowCollector::new(&plan, &schema()).is_err());
+        assert!(RowCollector::new(&plan, &schema(), TenantId(1), TimeRange::all()).is_err());
         let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
         assert!(plan.collect_block(&block(5), true, &mut stats, &mut decode).is_err());
     }
@@ -617,15 +715,20 @@ mod tests {
         };
         assert_eq!(rows.len(), 2, "block source must stop at the limit");
 
-        let mut collector = RowCollector::new(&plan, &schema()).unwrap();
-        let mut fed = 0;
-        for r in records(60) {
-            fed += 1;
-            if !collector.push_record(&r) {
-                break;
-            }
-        }
-        assert_eq!(fed, 2, "realtime source must stop at the limit");
+        // The real-time source stops inside the first run — at tenant 1's
+        // second row, the fourth of the run — and never opens the second.
+        let runs: Vec<Run> = records(60).chunks(7).map(|c| Run::from_rows(c.to_vec())).collect();
+        let mut collector =
+            RowCollector::new(&plan, &schema(), TenantId(1), TimeRange::all()).unwrap();
+        assert!(!collector.push_run(&runs[0]).unwrap(), "the limit is met: stop");
+        assert!(!collector.push_run(&runs[1]).unwrap());
+        let mut counters = ExecutionCounters::default();
+        let Partial::Rows(rows) = collector.finish(&mut stats, &mut counters) else {
+            panic!("expected Rows")
+        };
+        assert_eq!(rows, vec![vec![Value::from("line 1")], vec![Value::from("line 3")]]);
+        assert_eq!(stats.realtime_rows_scanned, 2, "tenant 1's rows up to the one that filled it");
+        assert_eq!(counters.realtime_runs_visited, 1);
 
         // ORDER BY disables the early-out.
         let ordered = q("SELECT log FROM request_log ORDER BY latency ASC LIMIT 2");
@@ -660,9 +763,22 @@ mod tests {
         let mut counters = ExecutionCounters::default();
         let mut decode = DecodeStats::default();
         let p = plan.collect_block(&block(60), true, &mut stats, &mut decode).unwrap();
-        counters.absorb(&decode, &p);
+        counters.absorb(&ExecutionCounters { decode, ..Default::default() }, &p);
         assert!(counters.decode.batches_evaluated > 0);
         assert!(counters.partial_bytes > 0);
+        // A real-time source: the first query over a run transposes the
+        // columns it reads, the second finds them cached.
+        let run = [Run::from_rows(records(60))];
+        for transposed in [2 * 60, 0] {
+            let mut collector =
+                RowCollector::new(&plan, &schema(), TenantId(1), TimeRange::all()).unwrap();
+            assert!(collector.push_run(&run[0]).unwrap());
+            let mut source = ExecutionCounters::default();
+            let p = collector.finish(&mut stats, &mut source);
+            assert_eq!(source.realtime_rows_transposed, transposed, "tenant_id and latency");
+            counters.absorb(&source, &p);
+        }
+        assert_eq!((counters.realtime_runs_visited, counters.realtime_rows_transposed), (2, 120));
     }
 
     #[test]

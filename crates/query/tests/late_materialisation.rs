@@ -7,7 +7,8 @@
 //!   lie) finalizes to what `QueryOptions::baseline()` finalizes to
 //!   (row-at-a-time predicates, row transport, one fold in the executor),
 //!   and a LogBlock and the real-time collector yield the same partial for
-//!   the same rows.
+//!   the same rows — one tenant's, which the LogBlock holds alone and the
+//!   real-time runs hold among the other tenants'.
 //! * Structure: a query whose matches all sit in one of four column blocks
 //!   reads exactly that block's range of each output column, and hands the
 //!   output stage exactly the matched cells.
@@ -17,8 +18,11 @@ use logstore_logblock::meta::col_member;
 use logstore_logblock::scan::DecodeStats;
 use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader, RangeSource};
 use logstore_query::exec::{finalize, merge_partials, Partial};
-use logstore_query::{analyze, parse_query, Query, QueryStats, RowCollector, ScanPlan};
-use logstore_types::{LogRecord, Result, TableSchema, TenantId, Timestamp, Value};
+use logstore_query::{
+    analyze, parse_query, ExecutionCounters, Query, QueryStats, RowCollector, ScanPlan,
+};
+use logstore_types::{LogRecord, Result, TableSchema, TenantId, TimeRange, Timestamp, Value};
+use logstore_wal::Run;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -105,11 +109,17 @@ proptest! {
         x in -20..120i64,
         n in 1usize..60,
         use_skipping in any::<bool>(),
+        tenant in prop_oneof![Just(0u64), Just(1), Just(u64::MAX)],
+        run_rows in 1usize..80,
     ) {
         let sql = SHAPES[shape].replace("{x}", &x.to_string()).replace("{n}", &n.to_string());
         let query = bind(&sql);
-        let reader = build_block(&rows, block_rows);
+        // The tenant's rows as one LogBlock, and every tenant's rows as
+        // real-time runs of `run_rows`.
+        let of_tenant: Vec<Row> = rows.iter().filter(|r| r.0 == tenant).cloned().collect();
+        let reader = build_block(&of_tenant, block_rows);
         let records: Vec<LogRecord> = rows.iter().map(to_record).collect();
+        let runs: Vec<Run> = records.chunks(run_rows).map(|c| Run::from_rows(c.to_vec())).collect();
 
         let mut results = Vec::new();
         for pushdown in [true, false] {
@@ -117,13 +127,14 @@ proptest! {
             let (mut stats, mut decode) = (QueryStats::default(), DecodeStats::default());
             let from_block =
                 plan.collect_block(&reader, use_skipping, &mut stats, &mut decode).unwrap();
-            let mut collector = RowCollector::new(&plan, &schema()).unwrap();
-            for record in &records {
-                if !collector.push_record(record) {
+            let mut collector =
+                RowCollector::new(&plan, &schema(), TenantId(tenant), TimeRange::all()).unwrap();
+            for run in &runs {
+                if !collector.push_run(run).unwrap() {
                     break;
                 }
             }
-            let from_rows = collector.finish(&mut stats);
+            let from_rows = collector.finish(&mut stats, &mut ExecutionCounters::default());
             prop_assert_eq!(&from_block, &from_rows, "block vs real-time partial: {}", &sql);
             if let Partial::Rows(shipped) = &from_block {
                 // Every cell handed to the output stage was shipped, and

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 pub mod archive;
+pub mod column;
 pub mod error;
 pub mod ids;
 pub mod predicate;
@@ -17,6 +18,7 @@ pub mod time;
 pub mod value;
 
 pub use archive::{partition_into_chunks, ArchiveChunk};
+pub use column::{ColumnData, ColumnVec};
 pub use error::{Error, Result};
 pub use ids::{BrokerId, NodeId, ShardId, TenantId, WorkerId};
 pub use predicate::{CmpOp, ColumnPredicate};

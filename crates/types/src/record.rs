@@ -3,7 +3,7 @@
 use crate::ids::TenantId;
 use crate::schema::TableSchema;
 use crate::time::Timestamp;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use crate::{Error, Result};
 
 /// One log entry as received by the ingest path.
@@ -33,6 +33,17 @@ impl LogRecord {
     /// LogBlock builder do instead of cloning it with [`LogRecord::to_row`].
     pub fn keys(&self) -> [Value; 2] {
         [Value::U64(self.tenant_id.raw()), Value::I64(self.ts.millis())]
+    }
+
+    /// Cell `col` of the positional row `[tenant_id, ts, fields...]`,
+    /// borrowed; a column past the record's fields reads as NULL.
+    #[inline]
+    pub fn cell(&self, col: usize) -> Cell<'_> {
+        match col {
+            0 => Cell::U64(self.tenant_id.raw()),
+            1 => Cell::I64(self.ts.millis()),
+            i => self.fields.get(i - 2).map_or(Cell::Null, Value::cell),
+        }
     }
 
     /// Expands to a full positional row `[tenant_id, ts, fields...]`. Deep
@@ -148,6 +159,10 @@ mod tests {
         let row = r.to_row();
         assert_eq!(row[0], Value::U64(7));
         assert_eq!(row[1], Value::I64(1234));
+        // `cell` reads the same positional row by reference, NULL beyond it.
+        let cells: Vec<Value> = (0..row.len()).map(|c| r.cell(c).to_value()).collect();
+        assert_eq!(cells, row);
+        assert_eq!(r.cell(row.len()), Cell::Null);
         assert_eq!(LogRecord::from_row(row).unwrap(), r);
     }
 

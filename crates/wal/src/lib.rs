@@ -13,8 +13,10 @@
 //!   leader-based group commit over segment files (one coalesced frame +
 //!   barrier per epoch of staged producers), replay, rotation, truncation,
 //!   and its [`WalConfig`] / [`FlushPolicy`] / [`Lsn`] types.
-//! * [`rowstore::RowStore`] — the in-memory real-time store, visited in
-//!   place by queries for data that has not been archived yet.
+//! * [`rowstore::RowStore`] — the in-memory real-time store: sealed
+//!   immutable [`Run`]s plus an open tail, read by queries through a
+//!   [`RowSnapshot`] of run references for data that has not been
+//!   archived yet.
 //! * [`shard::ShardStore`] — the one per-shard phase-one store a worker
 //!   runs: an optional WAL (`None` = memory-only) outside one mutex
 //!   (`wal.shard.inner`) around the row store, counters and open archive
@@ -31,5 +33,5 @@ pub mod segment;
 pub mod shard;
 
 pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
-pub use rowstore::RowStore;
+pub use rowstore::{Drained, RowSnapshot, RowStore, Run, RUN_ROWS};
 pub use shard::{DrainResolver, DrainSeq, LoggedBatch, LoggedDrain, NoCommittedDrains, ShardStore};

@@ -20,6 +20,8 @@
 //! and releases the pin. Dropping a `LoggedBatch` unapplied (the caller's
 //! replication failed) releases the pin too: the rows stay in the WAL "in
 //! doubt" — replayed by a restart, never acknowledged, never applied live.
+//! [`ShardStore::snapshot`] hands a query the runs it may have rows in, by
+//! reference, so that no row is ever read under the lock.
 //!
 //! # Archive handshake
 //!
@@ -57,7 +59,7 @@
 //! `(epoch, counter)`.
 
 use crate::group::{GroupCommitWal, Lsn, WalConfig};
-use crate::rowstore::RowStore;
+use crate::rowstore::{Drained, RowSnapshot, RowStore};
 use logstore_codec::batch::{decode_batch, encode_batch_into};
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_sync::{sync_point, OrderedMutex};
@@ -65,6 +67,7 @@ use logstore_types::{partition_into_chunks, Error, LogRecord, Result, TenantId, 
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// WAL payload tag: a regular appended record batch.
 const PAYLOAD_BATCH: u8 = 0;
@@ -155,6 +158,8 @@ pub struct ShardStore {
     /// This open's durable epoch (drain seq uniqueness across restarts).
     epoch: u64,
     inner: OrderedMutex<Inner>,
+    /// Drained rows that were cloned because a query still held their run.
+    rows_cloned_at_drain: AtomicU64,
 }
 
 impl ShardStore {
@@ -239,7 +244,12 @@ impl ShardStore {
 
     /// The one construction site, so the lock label names one lock.
     fn assemble(wal: Option<GroupCommitWal>, epoch: u64, inner: Inner) -> Self {
-        ShardStore { wal, epoch, inner: OrderedMutex::new("wal.shard.inner", inner) }
+        ShardStore {
+            wal,
+            epoch,
+            inner: OrderedMutex::new("wal.shard.inner", inner),
+            rows_cloned_at_drain: AtomicU64::new(0),
+        }
     }
 
     /// Encodes records into the tagged batch WAL payload (pure): the tag
@@ -291,15 +301,30 @@ impl ShardStore {
         drop(logged);
     }
 
-    /// Visits buffered rows of `tenant` within `range`, in arrival order,
-    /// under the shard lock, until `f` returns `false`. Clones nothing.
-    pub fn for_each_in(
-        &self,
-        tenant: TenantId,
-        range: TimeRange,
-        f: impl FnMut(&LogRecord) -> bool,
-    ) {
-        self.inner.lock().rows.for_each_in(tenant, range, f)
+    /// The runs that may hold rows of `tenant` within `range`, by
+    /// reference and in arrival order. The lock is held for as long as it
+    /// takes to look at each run's bounds — no row is visited under it —
+    /// and the caller reads the snapshot with no lock at all: appends and
+    /// drains go on beside it, and what a drain takes away meanwhile stays
+    /// readable through the snapshot.
+    pub fn snapshot(&self, tenant: TenantId, range: TimeRange) -> RowSnapshot {
+        let snapshot = self.inner.lock().rows.snapshot(tenant, range);
+        sync_point("wal.shard.snapshot_window");
+        snapshot
+    }
+
+    /// Bytes of the column batches queries have left cached on the
+    /// buffered runs. Not part of [`ShardStore::buffered_bytes`]: a cached
+    /// column dies with its run, at the next drain.
+    pub fn cached_column_bytes(&self) -> u64 {
+        let runs = self.inner.lock().rows.runs();
+        runs.iter().map(|run| run.cached_bytes()).sum()
+    }
+
+    /// Rows drains had to clone because a query still held their run (a
+    /// drain never waits for a reader).
+    pub fn rows_cloned_at_drain(&self) -> u64 {
+        self.rows_cloned_at_drain.load(Ordering::Relaxed)
     }
 
     /// Rows currently buffered.
@@ -344,13 +369,9 @@ impl ShardStore {
     /// without an intent, or a crash after their upload would replay them
     /// as duplicates.
     pub fn drain_all(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
-        self.drain(|rows| {
-            if rows.bytes() >= min_bytes {
-                rows.drain_oldest(usize::MAX)
-            } else {
-                Vec::new()
-            }
-        })
+        self.drain(
+            |rows| if rows.bytes() >= min_bytes { rows.drain_all() } else { Drained::default() },
+        )
     }
 
     /// Drains one tenant's rows (rebalancing flush). Same intent/ack
@@ -359,14 +380,11 @@ impl ShardStore {
         self.drain(|rows| rows.drain_tenant(tenant))
     }
 
-    fn drain(
-        &self,
-        take: impl FnOnce(&mut RowStore) -> Vec<LogRecord>,
-    ) -> Result<Option<LoggedDrain>> {
-        let (seq, rows) = {
+    fn drain(&self, take: impl FnOnce(&mut RowStore) -> Drained) -> Result<Option<LoggedDrain>> {
+        let (seq, drained) = {
             let mut inner = self.inner.lock();
-            let rows = take(&mut inner.rows);
-            if rows.is_empty() {
+            let drained = take(&mut inner.rows);
+            if drained.row_count() == 0 {
                 return Ok(None);
             }
             // Open the op *before* the intent is logged: truncation must
@@ -374,9 +392,13 @@ impl ShardStore {
             // append rolls both counters back via restore_unarchived.
             inner.drain_counter += 1;
             inner.archives_inflight += 1;
-            inner.records_archived += rows.len() as u64;
-            (DrainSeq { epoch: self.epoch, counter: inner.drain_counter }, rows)
+            inner.records_archived += drained.row_count() as u64;
+            (DrainSeq { epoch: self.epoch, counter: inner.drain_counter }, drained)
         };
+        // The runs come apart outside the lock: a run a query still reads
+        // is cloned, never waited for.
+        let (rows, cloned) = drained.into_rows();
+        self.rows_cloned_at_drain.fetch_add(cloned, Ordering::Relaxed);
         let Some(wal) = &self.wal else { return Ok(Some((None, rows))) };
         // The drained rows exist only in `rows` until the intent is logged
         // — the window the archive-op counter guards.
@@ -566,12 +588,9 @@ mod tests {
     }
 
     fn rows_of(s: &ShardStore, tenant: u64) -> Vec<LogRecord> {
-        let mut out = Vec::new();
-        s.for_each_in(TenantId(tenant), TimeRange::all(), |r| {
-            out.push(r.clone());
-            true
-        });
-        out
+        let snapshot = s.snapshot(TenantId(tenant), TimeRange::all());
+        let rows = snapshot.runs.iter().flat_map(|run| run.rows());
+        rows.filter(|r| r.tenant_id == TenantId(tenant)).cloned().collect()
     }
 
     fn drain_all(s: &ShardStore) -> (DrainSeq, Vec<LogRecord>) {

@@ -66,9 +66,13 @@ cargo run -q --release -p logstore-bench --bin bench_query -- --smoke
 # but over *release* interleavings — optimized code races harder. Covers
 # the simtest episode sweep, the cache herd, the read-path structure
 # tests (header and data waves crossing the object tier and the store
-# stack's `assert_no_locks_held` guards from wave threads), the engine
-# lock-order regression tests, and the archive fault tests — whose
-# uploader threads cross the same guards with up to eight PUTs in flight.
+# stack's `assert_no_locks_held` guards from wave threads; and the
+# real-time cases: a scan parked on its row-store snapshot while an append
+# and a whole flush go through the same shard, a flush landing between an
+# attempt's map read and its row-store read, `wal.run.columns` taken from
+# pool threads beside `wal.shard.inner`), the engine lock-order
+# regression tests, and the archive fault tests — whose uploader threads
+# cross the same guards with up to eight PUTs in flight.
 echo "== release lock-analysis sweep =="
 cargo test --release -q -p logstore-simtest --features lock-analysis
 cargo test --release -q -p logstore-cache --features lock-analysis --test concurrency
@@ -82,9 +86,12 @@ cargo test --release -q --features lock-analysis --test lock_order --test concur
 # builds keep the sweep fast). The planted-bug suite proves the checker
 # still catches each known bug class within its seed budget; the real
 # GroupCommitWal and SingleFlight protocols must survive their full
-# sweeps. The sync suite repeats 3x to pin that the sweep is
-# deterministic and clean, not flaky-green. Any failure prints its seed
-# and a `SCHED_SEED=<n>` replay command.
+# sweeps, and so must the ShardStore protocol with a reader holding a
+# row-store snapshot across the drain and its ack or restore
+# (`shard_store_survives_schedule_sweep` in the wal suite). The sync
+# suite repeats 3x to pin that the sweep is deterministic and clean, not
+# flaky-green. Any failure prints its seed and a `SCHED_SEED=<n>` replay
+# command.
 echo "== schedule exploration sweep (replay any failure with SCHED_SEED=<n>) =="
 for _ in 1 2 3; do
     cargo test --release -q -p logstore-sync --features sched-fuzz --test sched
