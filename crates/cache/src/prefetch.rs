@@ -195,6 +195,11 @@ impl<S: ObjectStore> Prefetcher<S> {
         (object.len() as u64 == size).then_some(object)
     }
 
+    /// Drops the object at `path` — header and blocks — from every tier.
+    pub fn evict(&self, path: &str) {
+        self.cache.evict_object(path);
+    }
+
     /// The handles of many LogBlocks `(path, size)`, in input order. Known
     /// ones come from the object tier inline; all the unknown ones are
     /// opened together as one wave.

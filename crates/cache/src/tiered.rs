@@ -434,23 +434,25 @@ impl TieredCache {
         result
     }
 
-    /// The flight-leader path: re-check memory (we may have lost the race
-    /// to a completed flight), then disk, then the origin.
+    /// A flight leader's first step: re-check memory (a completed flight
+    /// may have won the race), then disk, promoting a disk hit to memory.
+    fn probe_tiers(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
+        self.get_in_memory(key).or_else(|| {
+            let data = Arc::new(self.disk.as_ref()?.get(key)?);
+            self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+            self.insert(key.clone(), Arc::clone(&data));
+            Some(data)
+        })
+    }
+
+    /// The flight-leader path: the tiers, then the origin.
     fn load_through_tiers(
         &self,
         key: &BlockKey,
         fetch: impl FnOnce() -> Result<Vec<u8>>,
     ) -> Result<Arc<Vec<u8>>> {
-        if let Some(hit) = self.get_in_memory(key) {
+        if let Some(hit) = self.probe_tiers(key) {
             return Ok(hit);
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(data) = disk.get(key) {
-                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let data = Arc::new(data);
-                self.insert(key.clone(), Arc::clone(&data));
-                return Ok(data);
-            }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let data = Arc::new(fetch()?);
@@ -519,16 +521,8 @@ impl TieredCache {
         start: usize,
         fetch_run: &FetchRunFn<'_>,
     ) -> Result<LedRun> {
-        if let Some(hit) = self.get_in_memory(key) {
+        if let Some(hit) = self.probe_tiers(key) {
             return Ok((hit, Vec::new()));
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(data) = disk.get(key) {
-                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let data = Arc::new(data);
-                self.insert(key.clone(), Arc::clone(&data));
-                return Ok((data, Vec::new()));
-            }
         }
         // Extend the run over subsequent cold blocks. Stop at the first
         // block that is cached in any tier or already being fetched by

@@ -38,7 +38,7 @@
 use crate::databuilder::BuildConfig;
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
-use logstore_cache::{Prefetcher, TieredCache};
+use logstore_cache::Prefetcher;
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
 use logstore_oss::{ordered_wave, ObjectStore};
 use logstore_types::{Error, Result, TableSchema, TenantId, Timestamp};
@@ -130,11 +130,11 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
 
 /// Executes every planned run through the full protocol, reading each
 /// run's sources from `cache` where it holds them whole and from OSS
-/// otherwise, with up to `width` GETs in flight. Per-run errors are
-/// isolated (one tenant's failure must not abort another's merge); the
-/// first error is returned after every run was attempted, alongside
-/// nothing — the report only counts committed work.
-#[allow(clippy::too_many_arguments)] // one call site in the engine; a struct would only rename them
+/// otherwise, with up to [`Prefetcher::width`] GETs in flight (one at a
+/// time without a cache). Per-run errors are isolated (one tenant's
+/// failure must not abort another's merge); the first error is returned
+/// after every run was attempted, alongside nothing — the report only
+/// counts committed work.
 pub fn run_compaction<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -142,13 +142,12 @@ pub fn run_compaction<S: ObjectStore>(
     build: &BuildConfig,
     config: &CompactionConfig,
     hooks: &dyn CrashHooks,
-    width: usize,
     cache: Option<&Prefetcher<S>>,
 ) -> Result<CompactionReport> {
     let mut report = CompactionReport::default();
     let mut first_error: Option<Error> = None;
     for run in plan_compactions(metadata, config) {
-        match compact_one_run(store, metadata, schema, build, hooks, &run, width, cache) {
+        match compact_one_run(store, metadata, schema, build, hooks, &run, cache) {
             Ok(bytes_uploaded) => {
                 report.runs_committed += 1;
                 report.blocks_merged += run.sources.len() as u64;
@@ -170,7 +169,6 @@ pub fn run_compaction<S: ObjectStore>(
 /// One run through plan→build→upload→swap (tombstoning is part of the
 /// swap transaction; deletion belongs to [`run_gc`]). Returns the merged
 /// block's size.
-#[allow(clippy::too_many_arguments)] // as for run_compaction
 fn compact_one_run<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
@@ -178,7 +176,6 @@ fn compact_one_run<S: ObjectStore>(
     build: &BuildConfig,
     hooks: &dyn CrashHooks,
     run: &CompactionRun,
-    width: usize,
     cache: Option<&Prefetcher<S>>,
 ) -> Result<u64> {
     // Protect the merged path from the stale-pending sweep while we build.
@@ -187,16 +184,15 @@ fn compact_one_run<S: ObjectStore>(
     let merged_path = metadata.begin_compaction(run.tenant, &source_paths)?;
     hooks.reached(CrashPoint::CompactPlanned);
 
-    let (built, inherited) =
-        match build_merged_block(store, schema, build, &run.sources, width, cache) {
-            Ok(merged) => merged,
-            Err(e) => {
-                // Nothing provably on OSS under the merged path; tombstone it
-                // so GC cleans up whatever half-state a real store might hold.
-                metadata.abort_compaction(&merged_path);
-                return Err(e);
-            }
-        };
+    let (built, inherited) = match build_merged_block(store, schema, build, &run.sources, cache) {
+        Ok(merged) => merged,
+        Err(e) => {
+            // Nothing provably on OSS under the merged path; tombstone it
+            // so GC cleans up whatever half-state a real store might hold.
+            metadata.abort_compaction(&merged_path);
+            return Err(e);
+        }
+    };
     if let Err(e) = store.put(&merged_path, &built) {
         metadata.abort_compaction(&merged_path);
         return Err(e);
@@ -242,8 +238,8 @@ fn compact_one_run<S: ObjectStore>(
 /// whole is taken from there — without a hit counted or a block refreshed
 /// ([`Prefetcher::resident`]: the sources are about to die, and the hit
 /// counters keep meaning queries). The rest are fetched whole as one
-/// [`ordered_wave`] (one GET round per `width` sources instead of one per
-/// source) and put nothing in the cache. All are consumed in run order
+/// [`ordered_wave`] (one GET round per [`Prefetcher::width`] sources
+/// instead of one per source) and put nothing in the cache. All are consumed in run order
 /// (per-tenant path order) — the same order a query's scatter visits the
 /// originals — so a scan of the merged block is bit-identical to scanning
 /// the sources in sequence, at any width and any residency. The builder
@@ -253,7 +249,6 @@ fn build_merged_block<S: ObjectStore>(
     schema: &TableSchema,
     build: &BuildConfig,
     sources: &[LogBlockEntry],
-    width: usize,
     cache: Option<&Prefetcher<S>>,
 ) -> Result<(Vec<u8>, bool)> {
     let resident: Vec<Option<Vec<u8>>> = sources
@@ -263,6 +258,7 @@ fn build_merged_block<S: ObjectStore>(
     let inherited = resident.iter().any(Option::is_some);
     let cold: Vec<&LogBlockEntry> =
         sources.iter().zip(&resident).filter(|(_, hit)| hit.is_none()).map(|(s, _)| s).collect();
+    let width = cache.map_or(1, Prefetcher::width);
     let mut fetched = ordered_wave(width, cold, |_, source| store.get(&source.path)).into_iter();
     let mut builder =
         LogBlockBuilder::with_options(schema.clone(), build.compression, build.block_rows);
@@ -292,9 +288,10 @@ fn build_merged_block<S: ObjectStore>(
 
 /// The GC pass: sweeps orphaned pending paths (no build in flight ⇒ their
 /// uploads died before committing) into the tombstone list, then deletes
-/// every tombstoned object, as one [`ordered_wave`] of up to `width`
-/// DELETEs ([`CrashPoint::BeforeGcDelete`] fires on the calling thread as
-/// each path is handed to the wave; `1` deletes inline, one at a time). A
+/// every tombstoned object, as one [`ordered_wave`] of up to
+/// [`Prefetcher::width`] DELETEs ([`CrashPoint::BeforeGcDelete`] fires on
+/// the calling thread as each path is handed to the wave; without a cache
+/// the deletes run inline, one at a time). A
 /// failed delete *retains* the tombstone for the next pass — the object is
 /// never forgotten — and never aborts the rest of the pass. After the
 /// wave, in path order, each deleted path leaves the tombstone list and
@@ -303,21 +300,21 @@ fn build_merged_block<S: ObjectStore>(
 pub fn run_gc<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
-    cache: Option<&TieredCache>,
+    cache: Option<&Prefetcher<S>>,
     hooks: &dyn CrashHooks,
-    width: usize,
 ) -> GcReport {
     let mut report =
         GcReport { orphans_swept: metadata.sweep_stale_pending() as u64, ..Default::default() };
     let tombstones = metadata.tombstones();
     let feed = tombstones.iter().inspect(|_| hooks.reached(CrashPoint::BeforeGcDelete));
+    let width = cache.map_or(1, Prefetcher::width);
     let deletes = ordered_wave(width, feed, |_, path| store.delete(path));
     for (path, deleted) in tombstones.iter().zip(deletes) {
         match deleted {
             Ok(()) => {
                 metadata.remove_tombstone(path);
                 if let Some(cache) = cache {
-                    cache.evict_object(path);
+                    cache.evict(path);
                 }
                 report.deleted += 1;
             }
@@ -331,9 +328,17 @@ pub fn run_gc<S: ObjectStore>(
 mod tests {
     use super::*;
     use crate::hooks::NoopHooks;
+    use logstore_cache::TieredCache;
     use logstore_codec::Compression;
     use logstore_oss::{FaultScope, FaultyStore, MemoryStore};
     use logstore_types::{Timestamp, Value};
+    use std::sync::Arc;
+
+    /// An engine-style prefetcher of `width` over `store`, its cache empty.
+    fn prefetcher<S: ObjectStore>(store: &Arc<S>, width: usize) -> Prefetcher<S> {
+        let cache = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+        Prefetcher::new(Arc::clone(store), cache, 1024, width)
+    }
 
     fn entry(path: &str, min: i64, max: i64, rows: u64) -> LogBlockEntry {
         LogBlockEntry {
@@ -397,9 +402,11 @@ mod tests {
                 self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             }
         }
-        // One delete at a time, and all three as one wave.
+        // One delete at a time (no cache), and all three as one wave.
         for width in [1, 8] {
-            let store = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 7);
+            let store = Arc::new(FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 7));
+            let wave = prefetcher(&store, width);
+            let cache = (width > 1).then_some(&wave);
             let m = MetadataStore::new();
             for p in ["tenants/1/a", "tenants/1/b", "tenants/2/c"] {
                 store.put(p, b"x").unwrap();
@@ -411,14 +418,14 @@ mod tests {
             // One delete of the pass fails; the other two proceed.
             store.fail_next(1);
             let hooks = OnCaller(std::thread::current().id(), Default::default());
-            let first = run_gc(&store, &m, None, &hooks, width);
+            let first = run_gc(store.as_ref(), &m, cache, &hooks);
             assert_eq!((first.deleted, first.retained), (2, 1), "width {width}");
             assert_eq!(hooks.1.load(std::sync::atomic::Ordering::SeqCst), 3);
             let kept = m.tombstones();
             assert_eq!(kept.len(), 1);
             assert!(store.inner().head(&kept[0]).is_ok(), "the retained path is the undeleted one");
             // Next pass finishes the job: nothing leaked.
-            let second = run_gc(&store, &m, None, &NoopHooks, width);
+            let second = run_gc(store.as_ref(), &m, cache, &NoopHooks);
             assert_eq!(second.deleted, 1);
             assert!(m.tombstones().is_empty());
             assert_eq!(store.inner().object_count(), 0);
@@ -433,7 +440,7 @@ mod tests {
         // pending, no build is in flight any more.
         let orphan = m.allocate_block_path(TenantId(1));
         store.put(&orphan, b"garbage").unwrap();
-        let report = run_gc(&store, &m, None, &NoopHooks, 1);
+        let report = run_gc(&store, &m, None, &NoopHooks);
         assert_eq!(report.orphans_swept, 1);
         assert_eq!(report.deleted, 1);
         assert_eq!(store.object_count(), 0);
@@ -449,7 +456,7 @@ mod tests {
             block_rows: 8,
             max_rows_per_logblock: 4096,
         };
-        let store = MemoryStore::new();
+        let store = Arc::new(MemoryStore::new());
         let m = MetadataStore::new();
         let t = TenantId(9);
         // Three small source blocks with known rows.
@@ -489,8 +496,11 @@ mod tests {
             .unwrap();
         }
         let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
+        // Cold sources, fetched four GETs at a time.
+        let wave = prefetcher(&store, 4);
         let report =
-            run_compaction(&store, &m, &schema, &build, &config, &NoopHooks, 4, None).unwrap();
+            run_compaction(store.as_ref(), &m, &schema, &build, &config, &NoopHooks, Some(&wave))
+                .unwrap();
         assert_eq!(report.runs_committed, 1);
         assert_eq!(report.blocks_merged, 3);
         assert_eq!(report.rows_rewritten, 30);
@@ -509,7 +519,7 @@ mod tests {
             }
         }
         // GC then removes the superseded objects.
-        let gc = run_gc(&store, &m, None, &NoopHooks, 1);
+        let gc = run_gc(store.as_ref(), &m, None, &NoopHooks);
         assert_eq!(gc.deleted, 3);
         assert_eq!(store.object_count(), 1);
     }

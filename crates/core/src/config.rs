@@ -98,9 +98,8 @@ pub struct ClusterConfig {
     /// recovers from it on reopen (phase-one durability). When `None`, the
     /// row store is memory-only (fastest; fine for benchmarks).
     pub data_dir: Option<std::path::PathBuf>,
-    /// Per-shard WAL tuning: flush policy, segment size, and the
-    /// group-commit knobs (`group_commit_window`, `max_group_bytes`).
-    /// Ignored when `data_dir` is `None`.
+    /// Per-shard WAL tuning: flush policy, segment size and the
+    /// group-commit linger. Ignored when `data_dir` is `None`.
     pub wal: logstore_wal::WalConfig,
     /// Compaction candidate threshold: LogBlocks with fewer rows than this
     /// may be merged with their neighbours. `None` defaults to
@@ -142,7 +141,8 @@ impl ClusterConfig {
     }
 
     /// A configuration mirroring the paper's evaluation cluster shape:
-    /// 24 workers (the paper's 24 worker processes), OSS-like latency.
+    /// 24 shards (6 workers × 4, standing in for the paper's 24 worker
+    /// processes), OSS-like latency.
     pub fn paper_like() -> Self {
         let mut c = Self::for_testing();
         c.workers = 6;

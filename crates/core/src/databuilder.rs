@@ -106,12 +106,14 @@ pub fn build_and_upload<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
 ) -> BuildOutcome {
-    build_and_upload_drain(rows, schema, config, store, metadata, None, 1, None)
+    build_and_upload_drain(rows, schema, config, store, metadata, None, None)
 }
 
-/// [`build_and_upload`] for rows that came out of a shard drain, keeping
-/// up to `width` PUTs in flight (the engine passes its OSS request
-/// concurrency; `1` uploads inline with no thread).
+/// [`build_and_upload`] for rows that came out of a shard drain. Under an
+/// engine (`cache` is its [`Prefetcher`]) up to [`Prefetcher::width`] PUTs
+/// are in flight — the engine's OSS request concurrency — and the blocks
+/// are admitted to the cache; without one, uploads are inline, one at a
+/// time, with no thread.
 ///
 /// The chunk sequence, every block's bytes and every path are the same at
 /// any width: chunks are built and their paths allocated on the calling
@@ -136,7 +138,6 @@ pub fn build_and_upload<S: ObjectStore>(
 /// durable prefix, in chunk order ([`Prefetcher::admit`]). A registration
 /// that then fails leaves admitted orphans; their paths are pending, so the
 /// GC pass that deletes the objects evicts them like any other.
-#[allow(clippy::too_many_arguments)] // one call site in the engine; everyone else calls `build_and_upload`
 pub fn build_and_upload_drain<S: ObjectStore>(
     rows: Vec<LogRecord>,
     schema: &TableSchema,
@@ -144,7 +145,6 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
     drain: Option<DrainId>,
-    width: usize,
     cache: Option<&Prefetcher<S>>,
 ) -> BuildOutcome {
     let mut outcome = BuildOutcome::default();
@@ -159,6 +159,7 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     let built = chunks.iter().map_while(|chunk| {
         (!failed.load(Ordering::SeqCst)).then(|| build_chunk(chunk, &schema, config, metadata))
     });
+    let width = cache.map_or(1, Prefetcher::width);
     let uploads = ordered_wave(width, built, |_, block: Result<(LogBlockEntry, Vec<u8>)>| {
         // The durability order is load-bearing: the object must exist on
         // OSS before it is registered (a registered-but-missing block
@@ -462,7 +463,6 @@ mod tests {
             store.as_ref(),
             &metadata,
             Some(id),
-            8,
             Some(&prefetcher),
         );
         // Exactly chunk 0 is committed, although chunk 2 is on OSS too.
@@ -486,7 +486,7 @@ mod tests {
         assert!(prefetcher.resident(&mapped[0].path, mapped[0].bytes).is_some());
         assert!(cache.handle(orphan).is_none());
         assert_eq!(cache.evict_object(orphan), 0, "no block of the orphan either");
-        let gc = run_gc(store.as_ref(), &metadata, Some(&cache), &NoopHooks, 1);
+        let gc = run_gc(store.as_ref(), &metadata, Some(&prefetcher), &NoopHooks);
         assert_eq!(gc.orphans_swept, 2, "the failed and the orphaned chunk's paths");
         assert!(store.head(orphan).is_err());
         assert_eq!(store.inner.object_count(), 1);
@@ -501,18 +501,21 @@ mod tests {
             rows.push(rec(1 + (i % 5) as u64, 1000 - i));
         }
         rows.extend((0..120).map(|i| rec(2, 2000 + i)));
+        // Width 1 is the serial path (no cache, no thread); the others run
+        // under a prefetcher of that width, admitting as the engine does.
         let run = |width: usize| {
-            let (store, metadata) = (MemoryStore::new(), MetadataStore::new());
+            let (store, metadata) = (Arc::new(MemoryStore::new()), MetadataStore::new());
+            let cache = Arc::new(TieredCache::memory_only(1 << 20).with_object_tier(1 << 20));
+            let prefetcher = Prefetcher::new(Arc::clone(&store), cache, 1024, width);
             let id = drain_id(0, 1);
             let outcome = build_and_upload_drain(
                 rows.clone(),
                 &TableSchema::request_log(),
                 &config(),
-                &store,
+                store.as_ref(),
                 &metadata,
                 Some(id),
-                width,
-                None,
+                (width > 1).then_some(&prefetcher),
             );
             assert!(outcome.is_complete());
             let objects: Vec<(String, Vec<u8>)> = store
@@ -548,7 +551,6 @@ mod tests {
             &store,
             &metadata,
             Some(id),
-            1,
             None,
         );
         assert!(outcome.is_complete());
@@ -563,7 +565,6 @@ mod tests {
             &store,
             &metadata,
             Some(id),
-            1,
             None,
         );
         assert!(again.error.is_some());
@@ -587,7 +588,6 @@ mod tests {
             &store,
             &metadata,
             Some(id),
-            1,
             None,
         );
         assert!(outcome.error.is_some());
@@ -611,7 +611,6 @@ mod tests {
             &store,
             &metadata,
             Some(id),
-            1,
             None,
         );
         assert!(outcome.error.is_some());

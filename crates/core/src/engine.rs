@@ -4,7 +4,7 @@ use crate::broker::{Broker, QueryExecution};
 use crate::compactor::{self, CompactionConfig, CompactionReport, GcReport};
 use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
-use crate::databuilder::{build_and_upload_drain, BuildConfig, BuildOutcome, BuildReport};
+use crate::databuilder::{build_and_upload_drain, BuildConfig, BuildReport};
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore, TenantInfo};
@@ -18,7 +18,6 @@ use logstore_query::exec::QueryResult;
 use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, Timestamp, WorkerId,
 };
-use logstore_wal::DrainSeq;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,6 +117,21 @@ pub struct ArchiveStats {
     /// Rows handed back to their row store after a failed upload. Each is
     /// still WAL-covered and is re-archived by a later pass.
     pub rows_restored: u64,
+}
+
+/// Which rows one archive step takes off a shard, and so which ack closes
+/// it.
+enum Drain {
+    /// The whole shard, once it is over the flush threshold or when forced
+    /// (a build pass). Acked by [`Worker::ack_archived`].
+    Shard { force: bool },
+    /// One tenant's rows, off the shard its route left (the
+    /// flush-instead-of-migrate optimization, §4.1.5). If the upload fails
+    /// the rows stay queryable on the old shard and the next build pass
+    /// re-archives them: a missed rebalance, never a lost row. Acked by
+    /// [`Worker::ack_tenant_archived`], or the shard's WAL truncation
+    /// stays blocked forever.
+    Tenant(TenantId),
 }
 
 /// An embedded LogStore cluster.
@@ -273,7 +287,7 @@ impl LogStore {
     /// runs the data builder on any shard over its flush threshold.
     ///
     /// An archive failure does not fail an accepted ingest: the accepted
-    /// rows are durable in phase one (WAL + row store), `run_builder`
+    /// rows are durable in phase one (WAL + row store), the archive step
     /// restores any drained-but-not-uploaded rows, and a later pass
     /// re-archives them. It is surfaced as [`IngestReport::archive_degraded`]
     /// so writers notice before backpressure; counters are in
@@ -304,20 +318,11 @@ impl LogStore {
         self.run_builder(false)
     }
 
-    /// One build pass over every shard: drain → build → upload → **ack**.
-    ///
-    /// The durability order is the point of this function. Draining does
-    /// not checkpoint anything; only after *all* of a shard's drained rows
-    /// are durable on OSS does the ack ([`Worker::ack_archived`]) truncate
-    /// the WAL and compact the replicated log. On a terminal upload
-    /// failure the un-uploaded rows go back into the shard's row store —
-    /// still WAL-covered, so a crash at any point loses nothing. Every
-    /// shard is processed even when an earlier one fails; the first error
-    /// is returned after the pass completes.
+    /// One build pass: the archive step on every shard. Every shard is
+    /// processed even when an earlier one fails — the remaining shards
+    /// still need their drain — and the first error is returned after the
+    /// pass completes.
     fn run_builder(&self, force: bool) -> Result<BuildReport> {
-        // Registered before any path allocation: while this guard lives,
-        // the GC pass will not sweep our pending upload paths as orphans.
-        let _build = self.shared.metadata.begin_build();
         let mut total = BuildReport::default();
         let mut first_error: Option<Error> = None;
         for worker in self.shared.worker_snapshot() {
@@ -326,46 +331,11 @@ impl LogStore {
             // they are out of query reach for one drain's upload, never
             // for the uploads of the shards ahead of it.
             for shard in worker.shard_ids() {
-                let drained =
-                    worker.drain_shard_for_build(shard, self.config.rowstore_flush_bytes, force);
-                let (seq, rows) = match drained {
-                    Ok(Some(logged)) => logged,
-                    Ok(None) => {
-                        if force {
-                            // Nothing to drain produces no ack, yet the
-                            // shard may hold a truncation an earlier
-                            // overlapping ack had to defer — apply it now
-                            // that it is quiescent.
-                            if let Err(e) = worker.truncate_quiescent(shard) {
-                                first_error.get_or_insert(e);
-                            }
-                        }
-                        continue;
-                    }
+                match self.archive_step(&worker, shard, Drain::Shard { force }) {
+                    Ok(report) => total.merge(&report),
                     Err(e) => {
-                        // The shard's rows are already back in its row
-                        // store; the other shards still proceed.
                         first_error.get_or_insert(e);
-                        continue;
                     }
-                };
-                let mut outcome = self.archive_drain(shard, seq, rows);
-                total.merge(&outcome.report);
-                // An ack/restore failure on one shard must not abort the
-                // pass: the remaining shards still need their drain, and
-                // this one its ack or restore, or its rows would vanish
-                // from the row store with the archive op left dangling.
-                let close = if outcome.is_complete() {
-                    self.shared.hooks.reached(CrashPoint::BeforeAck);
-                    worker.ack_archived(shard)
-                } else {
-                    if first_error.is_none() {
-                        first_error = outcome.error.take();
-                    }
-                    worker.restore_unarchived(shard, outcome.unarchived)
-                };
-                if let Err(e) = close {
-                    first_error.get_or_insert(e);
                 }
             }
         }
@@ -393,61 +363,55 @@ impl LogStore {
         // attempted and the first error returned afterwards.
         let mut first_error: Option<Error> = None;
         for (tenant, shard) in self.shared.controller.vacated_routes()? {
-            match self.flush_vacated_route(tenant, shard) {
-                Ok(()) => {
-                    if let Err(e) = self.shared.controller.vacate_done(tenant, shard) {
-                        first_error.get_or_insert(e);
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+            let flushed = self
+                .shared
+                .worker_for(shard)
+                .and_then(|worker| self.archive_step(&worker, shard, Drain::Tenant(tenant)))
+                .and_then(|_| self.shared.controller.vacate_done(tenant, shard));
+            if let Err(e) = flushed {
+                first_error.get_or_insert(e);
             }
         }
-        if let Some(e) = first_error {
-            return Err(e);
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(action),
         }
-        Ok(action)
     }
 
-    /// Flushes one vacated tenant's rows off its old shard (the
-    /// flush-instead-of-migrate optimization, §4.1.5). On a terminal
-    /// upload failure the rows go back to the old shard — they stay
-    /// queryable there and the next build pass re-archives them: a missed
-    /// rebalance, never a lost row.
-    fn flush_vacated_route(&self, tenant: TenantId, shard: ShardId) -> Result<()> {
-        let _build = self.shared.metadata.begin_build();
-        let worker = self.shared.worker_for(shard)?;
-        let Some((seq, rows)) = worker.drain_tenant(shard, tenant)? else {
-            return Ok(());
+    /// The archive step, phase two for one shard: drain → build → upload →
+    /// admit → register → **ack**, with the engine's OSS request
+    /// concurrency.
+    ///
+    /// The durability order is the point of this function. Draining does
+    /// not checkpoint anything; only after *all* of the drained rows are
+    /// durable on OSS does the ack truncate the WAL. On a terminal upload
+    /// failure the un-uploaded rows go back into the shard's row store —
+    /// still WAL-covered, so a crash at any point loses nothing — and a
+    /// later step re-archives them. Every drain that took rows is closed
+    /// by exactly one ack or restore, whatever failed before it, or its
+    /// rows would vanish from the row store with the archive op left
+    /// dangling. Returns what was registered, or the first error: the
+    /// drain intent's, the upload's, else the ack's or restore's.
+    fn archive_step(&self, worker: &Worker, shard: ShardId, drain: Drain) -> Result<BuildReport> {
+        let drained = match drain {
+            Drain::Shard { force } => {
+                worker.drain_shard_for_build(shard, self.config.rowstore_flush_bytes, force)
+            }
+            Drain::Tenant(tenant) => worker.drain_tenant(shard, tenant),
         };
-        let mut outcome = self.archive_drain(shard, seq, rows);
-        if outcome.is_complete() {
-            // Close the tenant drain's in-flight archive op, or the
-            // shard's WAL truncation stays blocked forever.
-            self.shared.hooks.reached(CrashPoint::BeforeAck);
-            worker.ack_tenant_archived(shard)
-        } else {
-            let error = outcome.error.take();
-            worker.restore_unarchived(shard, outcome.unarchived)?;
-            match error {
-                Some(e) => Err(e),
-                None => Ok(()),
+        // A drain intent that failed to log left its rows in the row store.
+        let Some((seq, rows)) = drained? else {
+            if matches!(drain, Drain::Shard { force: true }) {
+                // Nothing to drain produces no ack, yet the shard may hold
+                // a truncation an earlier overlapping ack had to defer —
+                // apply it now that it is quiescent.
+                worker.truncate_quiescent(shard)?;
             }
-        }
-    }
-
-    /// Builds and uploads one logged drain with the engine's OSS request
-    /// concurrency, admitting its blocks to the cache, between the
-    /// `AfterDrain` and `AfterUpload` crash points, and counts a failed
-    /// pass. The caller closes the shard's archive op: ack when the
-    /// outcome is complete, restore otherwise.
-    fn archive_drain(
-        &self,
-        shard: ShardId,
-        seq: Option<DrainSeq>,
-        rows: Vec<LogRecord>,
-    ) -> BuildOutcome {
+            return Ok(BuildReport::default());
+        };
+        // Registered before any path allocation: while this guard lives,
+        // the GC pass will not sweep our pending upload paths as orphans.
+        let _build = self.shared.metadata.begin_build();
         self.shared.hooks.reached(CrashPoint::AfterDrain);
         let outcome = build_and_upload_drain(
             rows,
@@ -456,16 +420,25 @@ impl LogStore {
             self.shared.store.as_ref(),
             &self.shared.metadata,
             seq.map(|seq| DrainId { shard, seq }),
-            self.config.prefetch_threads,
             Some(&self.shared.prefetcher),
         );
         self.shared.hooks.reached(CrashPoint::AfterUpload);
-        if !outcome.is_complete() {
+        let closed = if outcome.is_complete() {
+            self.shared.hooks.reached(CrashPoint::BeforeAck);
+            match drain {
+                Drain::Shard { .. } => worker.ack_archived(shard),
+                Drain::Tenant(_) => worker.ack_tenant_archived(shard),
+            }
+        } else {
             self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
             self.archive_rows_restored
                 .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
+            worker.restore_unarchived(shard, outcome.unarchived)
+        };
+        match outcome.error {
+            Some(e) => Err(e),
+            None => closed.map(|()| outcome.report),
         }
-        outcome
     }
 
     /// `ScaleCluster` (Algorithm 1 lines 25–27): adds `n` workers, each
@@ -539,7 +512,6 @@ impl LogStore {
             &self.build_config,
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
-            self.config.prefetch_threads,
             Some(&self.shared.prefetcher),
         )
     }
@@ -552,9 +524,8 @@ impl LogStore {
         compactor::run_gc(
             self.shared.store.as_ref(),
             &self.shared.metadata,
-            Some(self.shared.cache.as_ref()),
+            Some(&self.shared.prefetcher),
             self.shared.hooks.as_ref(),
-            self.config.prefetch_threads,
         )
     }
 

@@ -87,10 +87,6 @@ struct Inner {
     // durable and registered. WAL replay consults this (via the worker's
     // resolver) to keep committed rows out of the row store.
     drain_commits: HashMap<DrainId, u64>,
-    // Bumped on every mutation that *removes* a path from the live map
-    // (expire, compaction swap). Queries snapshot it before scattering;
-    // a changed version explains a NotFound on a block that was mapped.
-    map_version: u64,
     // Paths whose objects must eventually be deleted from OSS but are no
     // longer (or were never) in the live map. Persistent until a delete
     // succeeds: a failed delete stays here and is retried by the next GC
@@ -275,15 +271,7 @@ impl MetadataStore {
             info.archived_bytes = info.archived_bytes.saturating_sub(removed_bytes);
         }
         inner.tombstones.extend(expired.iter().cloned());
-        inner.map_version += 1;
         expired
-    }
-
-    /// The current map version. Bumped whenever a path leaves the live map
-    /// (expiration or compaction swap); a query that hits NotFound on a
-    /// block can compare versions to recognise a stale plan.
-    pub fn map_version(&self) -> u64 {
-        self.inner.read().map_version
     }
 
     /// Whether `path` is currently in `tenant`'s live block map.
@@ -360,7 +348,6 @@ impl MetadataStore {
         }
         inner.pending_paths.remove(&path);
         inner.tombstones.extend(sources.iter().cloned());
-        inner.map_version += 1;
         Ok(())
     }
 
@@ -490,23 +477,21 @@ mod tests {
     }
 
     #[test]
-    fn expire_moves_paths_to_tombstones_and_bumps_version() {
+    fn expire_moves_paths_to_tombstones() {
         let m = MetadataStore::new();
         let t = TenantId(1);
         m.set_retention(t, Some(100));
         m.register_block(t, entry("old", 0, 50, 10)).unwrap();
         m.register_block(t, entry("fresh", 160, 200, 10)).unwrap();
-        let v0 = m.map_version();
         let expired = m.expire(t, Timestamp(200));
         assert_eq!(expired, vec!["old"]);
         assert_eq!(m.tombstones(), vec!["old"]);
-        assert!(m.map_version() > v0, "removing a mapped path must bump the version");
         assert!(!m.is_block_mapped(t, "old"));
         assert!(m.is_block_mapped(t, "fresh"));
-        // A no-op expire neither tombstones nor bumps.
-        let v1 = m.map_version();
+        // A no-op expire tombstones nothing and unmaps nothing.
         assert!(m.expire(t, Timestamp(200)).is_empty());
-        assert_eq!(m.map_version(), v1);
+        assert_eq!(m.tombstones(), vec!["old"]);
+        assert!(m.is_block_mapped(t, "fresh"));
         m.remove_tombstone("old");
         assert!(m.tombstones().is_empty());
     }
@@ -535,7 +520,6 @@ mod tests {
         let sources = vec!["a".to_string(), "b".to_string()];
         let merged_path = m.begin_compaction(t, &sources).unwrap();
         assert!(m.pending_paths().contains(&merged_path));
-        let v0 = m.map_version();
         let mut merged = entry("m", 0, 20, 20);
         merged.path = merged_path.clone();
         m.commit_compaction(t, merged, &sources).unwrap();
@@ -545,7 +529,6 @@ mod tests {
         assert!(m.is_block_mapped(t, &merged_path));
         assert_eq!(m.tombstones(), vec!["a".to_string(), "b".to_string()]);
         assert!(m.pending_paths().is_empty());
-        assert!(m.map_version() > v0);
         // Row/byte accounting is preserved across the swap.
         assert_eq!(m.tenant_info(t).archived_rows, 30);
     }

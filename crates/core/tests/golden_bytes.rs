@@ -139,7 +139,7 @@ fn drained_logblocks_and_their_compaction_are_byte_identical_to_the_parent() {
     // compactor added.
     let config = CompactionConfig { small_block_rows: 4096, min_run: 2, max_merged_rows: 4096 };
     let report =
-        run_compaction(&store, &metadata, &schema, &build_config(), &config, &NoopHooks, 1, None)
+        run_compaction(&store, &metadata, &schema, &build_config(), &config, &NoopHooks, None)
             .unwrap();
     assert_eq!((report.runs_committed, report.rows_rewritten), (2, 4501));
     let merged: Vec<Fingerprint> =

@@ -72,7 +72,10 @@ const ROW_QUERIES: &[&str] = &[
 fn pushdown_bit_identical_to_row_transport() {
     let s = build_store(8, 64);
     assert!(s.block_count() >= 8, "need a wide scatter: {} blocks", s.block_count());
+    // Bytes decoded per query under pushdown, skipping on then off.
+    let mut decoded: Vec<Vec<u64>> = Vec::new();
     for use_skipping in [true, false] {
+        decoded.push(Vec::new());
         for sql in AGG_QUERIES.iter().chain(ROW_QUERIES) {
             let base = QueryOptions { use_skipping, ..QueryOptions::default() };
             let reference = s
@@ -94,10 +97,17 @@ fn pushdown_bit_identical_to_row_transport() {
                         exec.stats, reference.stats,
                         "stats diverged for {sql:?} with {opts:?}"
                     );
+                    if use_pushdown && parallelism == 1 {
+                        decoded.last_mut().unwrap().push(exec.counters.decode.bytes_decoded);
+                    }
                 }
             }
         }
     }
+    assert!(
+        decoded[0].iter().zip(&decoded[1]).all(|(skipping, full)| skipping <= full),
+        "skipping must not increase decode volume: {decoded:?}"
+    );
 }
 
 #[test]

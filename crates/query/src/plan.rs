@@ -497,7 +497,7 @@ impl RowCollector {
 
 /// Approximate size (bytes) of a partial as shipped from a source task to
 /// the gather step — the "bytes leaving the scan layer" metric behind the
-/// pushdown-vs-materialization comparison in `BENCH_query.json`.
+/// pushdown-vs-materialization comparison (`ExecutionCounters::partial_bytes`).
 pub fn partial_approx_bytes(partial: &Partial) -> u64 {
     fn state_bytes(s: &AggState) -> u64 {
         let opt = |v: &Option<OrdValue>| v.as_ref().map_or(1, |o| o.0.approx_size() as u64);

@@ -48,9 +48,9 @@
 //! frame, truncating the file to the previous frame's end. Mid-file it is
 //! corruption. Because the leader's barrier covers the whole frame, either
 //! every producer in the epoch was acked (frame fully durable) or none
-//! were (leader never returned), so discard-on-replay is exactly-once.
-//! Legacy single-payload frames (whose first byte is a shard payload tag,
-//! never `G`) replay transparently, one record each, for upgrades.
+//! were (leader never returned), so discard-on-replay is exactly-once. A
+//! frame that does not start with the magic at all is an invalid group
+//! body like any other: the group frame is the only format replay accepts.
 
 use crate::segment::{
     parse_segment_seq, replay_segment, segment_file_name, SegmentWriter, MAX_PAYLOAD,
@@ -79,12 +79,6 @@ pub type ReplayedRecord = (Lsn, Vec<u8>);
 /// covers every producer staged in the epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Bytes stay in the user-space buffer until an explicit
-    /// [`GroupCommitWal::sync`] / rotation. Cheapest, but a *process* crash
-    /// loses unsynced appends — only safe when the caller manages barriers
-    /// itself (e.g. [`GroupCommitWal::append_durable`]) or tolerates the
-    /// loss.
-    Manual,
     /// `write(2)` to the OS per group (the default): survives a process
     /// crash, not a power failure. Matches the paper's phase-one posture —
     /// replication, not fsync, covers node loss.
@@ -104,9 +98,6 @@ pub struct WalConfig {
     /// sealing an epoch (zero = seal immediately; natural batching during
     /// the previous epoch's barrier still coalesces).
     pub group_commit_window: std::time::Duration,
-    /// Staging-arena cap per group-commit epoch: producers arriving at a
-    /// full arena wait for the next epoch.
-    pub max_group_bytes: usize,
 }
 
 impl Default for WalConfig {
@@ -115,14 +106,18 @@ impl Default for WalConfig {
             max_segment_bytes: 64 << 20,
             flush: FlushPolicy::Flush,
             group_commit_window: std::time::Duration::ZERO,
-            max_group_bytes: 8 << 20,
         }
     }
 }
 
-/// Magic prefix of a group-framed payload. Legacy shard payloads start
-/// with a tag byte (0 or 1), so the leading `G` is unambiguous.
+/// Magic prefix of a group-framed payload.
 const GROUP_MAGIC: &[u8; 4] = b"GCW1";
+
+/// Staging-arena cap per group-commit epoch: producers arriving at a full
+/// arena wait for the next epoch. A frame stays under [`MAX_PAYLOAD`] even
+/// after one oversized straggler (at most half of it) lands past the cap.
+const ARENA_CAP: usize = 8 << 20;
+const _: () = assert!(ARENA_CAP <= MAX_PAYLOAD / 4);
 
 /// Counters exposed for benchmarks and tests: how well is coalescing
 /// working?
@@ -182,9 +177,6 @@ struct WriterState {
 #[derive(Debug)]
 pub struct GroupCommitWal {
     config: WalConfig,
-    /// Effective arena cap: a frame must stay under [`MAX_PAYLOAD`] even
-    /// after one oversized straggler lands past the cap.
-    arena_cap: usize,
     staging: OrderedMutex<Staging>,
     /// Durability watermark advanced / arena room freed.
     staged_cv: OrderedCondvar,
@@ -199,9 +191,8 @@ pub struct GroupCommitWal {
 
 impl GroupCommitWal {
     /// Opens (or creates) a group-commit WAL in `dir`, recovering existing
-    /// segments. Group frames fan out into their member records; legacy
-    /// single-payload frames replay as-is. Returns the WAL and the
-    /// replayed records in LSN order.
+    /// segments. Group frames fan out into their member records. Returns
+    /// the WAL and the replayed records in LSN order.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<(Self, Vec<ReplayedRecord>)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -228,29 +219,24 @@ impl GroupCommitWal {
             let mut valid_len = replay.valid_len;
             let frames = replay.payloads.len();
             for (j, payload) in replay.payloads.iter().enumerate() {
-                if is_group_frame(payload) {
-                    match decode_group_frame(payload) {
-                        Ok(entries) => {
-                            for entry in entries {
-                                replayed.push((next_lsn, entry));
-                                next_lsn += 1;
-                            }
-                        }
-                        // An intact segment frame with an invalid group
-                        // body: in tail position the group's barrier never
-                        // completed — discard it (torn tail, nobody was
-                        // acked); anywhere else it is corruption.
-                        Err(e) => {
-                            if last_segment && j + 1 == frames {
-                                valid_len = if j == 0 { 0 } else { replay.frame_ends[j - 1] };
-                                break;
-                            }
-                            return Err(e);
+                match decode_group_frame(payload) {
+                    Ok(entries) => {
+                        for entry in entries {
+                            replayed.push((next_lsn, entry));
+                            next_lsn += 1;
                         }
                     }
-                } else {
-                    replayed.push((next_lsn, payload.clone()));
-                    next_lsn += 1;
+                    // An intact segment frame with an invalid group body:
+                    // in tail position the group's barrier never completed
+                    // — discard it (torn tail, nobody was acked); anywhere
+                    // else it is corruption.
+                    Err(e) => {
+                        if last_segment && j + 1 == frames {
+                            valid_len = if j == 0 { 0 } else { replay.frame_ends[j - 1] };
+                            break;
+                        }
+                        return Err(e);
+                    }
                 }
             }
             last_valid_len = valid_len;
@@ -266,10 +252,8 @@ impl GroupCommitWal {
                 (SegmentWriter::create(dir.join(segment_file_name(0)))?, 0)
             }
         };
-        let arena_cap = config.max_group_bytes.clamp(1, MAX_PAYLOAD / 4);
         let wal = GroupCommitWal {
             config,
-            arena_cap,
             staging: OrderedMutex::new(
                 "wal.group.staging",
                 Staging {
@@ -335,7 +319,7 @@ impl GroupCommitWal {
                 }
                 // Arena full: wait for the claimed leader to seal. A
                 // would-be leader never waits (nobody else would seal).
-                if st.leader_claimed && st.arena.len() >= self.arena_cap {
+                if st.leader_claimed && st.arena.len() >= ARENA_CAP {
                     self.staged_cv.wait(&mut st);
                     continue;
                 }
@@ -383,7 +367,7 @@ impl GroupCommitWal {
         // saturation notifies `staged_cv` to cut the linger short.
         if !self.config.group_commit_window.is_zero() {
             let mut st = self.staging.lock();
-            if st.arena.len() < self.arena_cap && st.failed.is_none() {
+            if st.arena.len() < ARENA_CAP && st.failed.is_none() {
                 let _ = self.staged_cv.wait_for(&mut st, self.config.group_commit_window);
             }
         }
@@ -460,7 +444,6 @@ impl GroupCommitWal {
         wr.active.append(frame)?;
         let barrier = if sync_requested { FlushPolicy::Sync } else { self.config.flush };
         match barrier {
-            FlushPolicy::Manual => {}
             FlushPolicy::Flush => {
                 wr.active.flush()?;
                 self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -575,11 +558,6 @@ fn poisoned(msg: &str) -> Error {
     Error::Internal(format!("group-commit wal poisoned by failed commit: {msg}"))
 }
 
-/// True when a frame payload carries a group (vs a legacy single record).
-pub(crate) fn is_group_frame(payload: &[u8]) -> bool {
-    payload.len() >= GROUP_MAGIC.len() && &payload[..GROUP_MAGIC.len()] == GROUP_MAGIC
-}
-
 /// Encodes `entries` length-prefixed payloads (already concatenated in
 /// `arena`) into one group frame payload.
 pub(crate) fn encode_group_frame(entries: u64, arena: &[u8]) -> Vec<u8> {
@@ -597,7 +575,7 @@ pub(crate) fn encode_group_frame(entries: u64, arena: &[u8]) -> Vec<u8> {
 /// overrun, trailing bytes — is a corruption error; in final-frame
 /// position the caller treats it as a torn tail instead.
 pub(crate) fn decode_group_frame(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-    if payload.len() < GROUP_MAGIC.len() + 4 || !is_group_frame(payload) {
+    if payload.len() < GROUP_MAGIC.len() + 4 || !payload.starts_with(GROUP_MAGIC) {
         return Err(Error::corruption("group frame too short or bad magic"));
     }
     let mut crc_at = payload.len() - 4;
@@ -770,85 +748,71 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    #[test]
-    fn legacy_wal_frames_replay_through_group_wal() {
-        let dir = temp_dir("legacy");
-        // The pre-group-commit writer put one shard payload per segment
-        // frame; produce that layout directly.
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = SegmentWriter::create(dir.join(segment_file_name(0))).unwrap();
-        w.append(b"\x00old-batch").unwrap();
-        w.append(b"\x01old-intent").unwrap();
-        w.sync().unwrap();
-        drop(w);
-        // Reopen through group commit: legacy records replay one-to-one,
-        // and new group appends land after them.
-        {
-            let (wal, replayed) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
-            assert_eq!(
-                replayed,
-                vec![(1, b"\x00old-batch".to_vec()), (2, b"\x01old-intent".to_vec())]
-            );
-            assert_eq!(wal.append(b"\x00new-batch").unwrap(), 3);
-        }
-        let (_, replayed) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(replayed.len(), 3);
-        assert_eq!(replayed[2], (3, b"\x00new-batch".to_vec()));
-        let _ = std::fs::remove_dir_all(dir);
+    /// A group payload whose trailing CRC is wrong, and a payload that is
+    /// not a group frame at all (the single-record layout of the writer
+    /// that predated group commit): both sit in intact segment frames.
+    fn invalid_bodies(valid_group: &[u8]) -> [Vec<u8>; 2] {
+        let mut bad_crc = valid_group.to_vec();
+        *bad_crc.last_mut().unwrap() ^= 0xff;
+        [bad_crc, b"\x00one-record-per-frame".to_vec()]
     }
 
     #[test]
     fn invalid_group_body_in_tail_position_is_torn() {
-        let dir = temp_dir("torngroup");
-        {
-            let (wal, _) = GroupCommitWal::open(&dir, sync_config()).unwrap();
-            wal.append(b"keep").unwrap();
-            wal.append(b"doomed").unwrap();
+        for case in 0..2 {
+            let dir = temp_dir("torngroup");
+            {
+                let (wal, _) = GroupCommitWal::open(&dir, sync_config()).unwrap();
+                wal.append(b"keep").unwrap();
+                wal.append(b"doomed").unwrap();
+            }
+            // Replace the final frame's payload while keeping the segment
+            // frame CRC consistent.
+            let seg = dir.join(segment_file_name(0));
+            let replay = replay_segment(&seg).unwrap();
+            assert_eq!(replay.payloads.len(), 2);
+            let bad = &invalid_bodies(&replay.payloads[1])[case];
+            let keep_end = replay.frame_ends[0];
+            let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+            f.set_len(keep_end).unwrap();
+            drop(f);
+            let mut w = SegmentWriter::open_for_append(&seg, keep_end).unwrap();
+            w.append(bad).unwrap();
+            w.sync().unwrap();
+            drop(w);
+            // The invalid tail is discarded exactly like a torn frame, and
+            // the next append lands at the cut.
+            {
+                let (wal, replayed) = GroupCommitWal::open(&dir, sync_config()).unwrap();
+                assert_eq!(replayed, vec![(1, b"keep".to_vec())], "case {case}");
+                assert_eq!(wal.append(b"next").unwrap(), 2);
+            }
+            let (_, replayed) = GroupCommitWal::open(&dir, sync_config()).unwrap();
+            assert_eq!(replayed, vec![(1, b"keep".to_vec()), (2, b"next".to_vec())]);
+            let _ = std::fs::remove_dir_all(dir);
         }
-        // Corrupt the *inner* group body of the final frame while keeping
-        // the segment frame CRC consistent: rewrite the last frame with a
-        // group payload whose trailing CRC is wrong.
-        let seg = dir.join(segment_file_name(0));
-        let replay = replay_segment(&seg).unwrap();
-        assert_eq!(replay.payloads.len(), 2);
-        let mut bad_group = replay.payloads[1].clone();
-        let last = bad_group.len() - 1;
-        bad_group[last] ^= 0xff; // break the inner CRC
-        let keep_end = replay.frame_ends[0];
-        let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(keep_end).unwrap();
-        drop(f);
-        let mut w = SegmentWriter::open_for_append(&seg, keep_end).unwrap();
-        w.append(&bad_group).unwrap();
-        w.sync().unwrap();
-        drop(w);
-        // The invalid tail group is discarded exactly like a torn frame.
-        let (wal, replayed) = GroupCommitWal::open(&dir, sync_config()).unwrap();
-        assert_eq!(replayed, vec![(1, b"keep".to_vec())]);
-        assert_eq!(wal.next_lsn(), 2);
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn invalid_group_body_mid_file_is_corruption() {
-        let dir = temp_dir("midgroup");
-        {
-            let (wal, _) = GroupCommitWal::open(&dir, sync_config()).unwrap();
-            wal.append(b"first").unwrap();
-            wal.append(b"second").unwrap();
+        for case in 0..2 {
+            let dir = temp_dir("midgroup");
+            {
+                let (wal, _) = GroupCommitWal::open(&dir, sync_config()).unwrap();
+                wal.append(b"first").unwrap();
+                wal.append(b"second").unwrap();
+            }
+            let seg = dir.join(segment_file_name(0));
+            let replay = replay_segment(&seg).unwrap();
+            let mut w = SegmentWriter::create(&seg).unwrap();
+            w.append(&invalid_bodies(&replay.payloads[0])[case]).unwrap();
+            w.append(&replay.payloads[1]).unwrap();
+            w.sync().unwrap();
+            drop(w);
+            let err = GroupCommitWal::open(&dir, sync_config()).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "case {case}: {err}");
+            let _ = std::fs::remove_dir_all(dir);
         }
-        let seg = dir.join(segment_file_name(0));
-        let replay = replay_segment(&seg).unwrap();
-        let mut bad_group = replay.payloads[0].clone();
-        let last = bad_group.len() - 1;
-        bad_group[last] ^= 0xff;
-        let mut w = SegmentWriter::create(&seg).unwrap();
-        w.append(&bad_group).unwrap();
-        w.append(&replay.payloads[1]).unwrap();
-        w.sync().unwrap();
-        drop(w);
-        assert!(GroupCommitWal::open(&dir, sync_config()).is_err());
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -904,7 +868,7 @@ mod tests {
                     arena.extend_from_slice(e);
                 }
                 let frame = encode_group_frame(entries.len() as u64, &arena);
-                prop_assert!(is_group_frame(&frame));
+                prop_assert!(frame.starts_with(GROUP_MAGIC));
                 let decoded = decode_group_frame(&frame).unwrap();
                 prop_assert_eq!(decoded, entries);
             }
@@ -945,61 +909,6 @@ mod tests {
                 let idx = GROUP_MAGIC.len() + pos % (frame.len() - GROUP_MAGIC.len());
                 frame[idx] ^= 1 << bit;
                 prop_assert!(decode_group_frame(&frame).is_err());
-            }
-
-            /// Mixed replay: legacy frames (tag byte 0/1) interleaved with
-            /// group frames replay in order with contiguous LSNs.
-            #[test]
-            fn mixed_legacy_and_group_replay(
-                script in proptest::collection::vec(
-                    (any::<bool>(), proptest::collection::vec(
-                        proptest::collection::vec(any::<u8>(), 1..30), 1..5)),
-                    1..10)
-            ) {
-                let dir = std::env::temp_dir().join(format!(
-                    "logstore-gcw-prop-mixed-{}-{:?}",
-                    std::process::id(),
-                    std::thread::current().id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                std::fs::create_dir_all(&dir).unwrap();
-                let seg = dir.join(segment_file_name(0));
-                let mut w = SegmentWriter::create(&seg).unwrap();
-                let mut expect: Vec<Vec<u8>> = Vec::new();
-                for (grouped, payloads) in &script {
-                    // Legacy payloads must not collide with the magic:
-                    // prefix with a shard-style tag byte.
-                    let tagged: Vec<Vec<u8>> = payloads
-                        .iter()
-                        .map(|p| {
-                            let mut t = vec![0u8];
-                            t.extend_from_slice(p);
-                            t
-                        })
-                        .collect();
-                    if *grouped {
-                        let mut arena = Vec::new();
-                        for p in &tagged {
-                            put_uvarint(&mut arena, p.len() as u64);
-                            arena.extend_from_slice(p);
-                        }
-                        w.append(&encode_group_frame(tagged.len() as u64, &arena)).unwrap();
-                    } else {
-                        for p in &tagged {
-                            w.append(p).unwrap();
-                        }
-                    }
-                    expect.extend(tagged);
-                }
-                w.sync().unwrap();
-                drop(w);
-                let (_, replayed) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
-                let lsns: Vec<Lsn> = replayed.iter().map(|(l, _)| *l).collect();
-                let want_lsns: Vec<Lsn> = (1..=expect.len() as Lsn).collect();
-                prop_assert_eq!(lsns, want_lsns);
-                let got: Vec<Vec<u8>> = replayed.into_iter().map(|(_, p)| p).collect();
-                prop_assert_eq!(got, expect);
-                let _ = std::fs::remove_dir_all(dir);
             }
         }
     }

@@ -54,7 +54,15 @@ fn compaction_reduces_blocks_preserving_results() {
             .to_string(),
         format!("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND ts >= {}", ts / 2),
     ];
-    let before: Vec<_> = queries.iter().map(|q| s.query(q).unwrap()).collect();
+    // The query set run cold — nothing is cold after a flush or a compact,
+    // so the cache is dropped first — and the OSS GETs it cost.
+    let run_cold = || {
+        s.clear_cache();
+        let gets = s.oss_metrics().get_requests;
+        let results: Vec<_> = queries.iter().map(|q| s.query(q).unwrap()).collect();
+        (results, s.oss_metrics().get_requests - gets)
+    };
+    let (before, gets_before) = run_cold();
 
     let report = s.compact().unwrap();
     assert!(report.runs_committed >= 1, "{report:?}");
@@ -75,12 +83,14 @@ fn compaction_reduces_blocks_preserving_results() {
     assert_eq!(on_oss, blocks_after, "OSS must hold exactly the mapped blocks");
     assert!(s.shared().metadata.tombstones().is_empty());
 
-    for (q, reference) in queries.iter().zip(before) {
-        // Scan the merged blocks cold: the block cache still holds the
-        // deleted sources' neighborhoods unless eviction did its job.
-        let after = s.query(q).unwrap();
+    let (after, gets_after) = run_cold();
+    for ((q, reference), after) in queries.iter().zip(before).zip(after) {
         assert_eq!(after.rows, reference.rows, "result changed across compaction: {q}");
     }
+    assert!(
+        gets_after * 2 <= gets_before,
+        "compaction must at least halve the cold query set's OSS GETs: {gets_before} -> {gets_after}"
+    );
 }
 
 /// The historical bug: a failed OSS delete aborted expiration *after* the

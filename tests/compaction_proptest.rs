@@ -4,6 +4,7 @@
 //! predicates, skipping on or off) return byte-equal results whether they
 //! scan the sources or the merged block.
 
+use logstore::cache::{Prefetcher, TieredCache};
 use logstore::core::databuilder::BuildConfig;
 use logstore::core::{CompactionConfig, LogBlockEntry, MetadataStore, NoopHooks};
 use logstore::logblock::DecodeStats;
@@ -13,6 +14,7 @@ use logstore::query::exec::{finalize, merge_partials, QueryStats};
 use logstore::query::{analyze, parse_query, ScanPlan};
 use logstore::types::{TableSchema, TenantId, Timestamp, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One generated source row: (ts, latency, fail, log message).
 type Row = (i64, i64, bool, String);
@@ -54,7 +56,7 @@ proptest! {
     #[test]
     fn merged_block_scans_bit_identically(blocks in blocks_strategy()) {
         let schema = TableSchema::request_log();
-        let store = MemoryStore::new();
+        let store = Arc::new(MemoryStore::new());
         let metadata = MetadataStore::new();
         let tenant = TenantId(1);
         let build = BuildConfig {
@@ -99,8 +101,12 @@ proptest! {
             min_run: 2,
             max_merged_rows: 1 << 20,
         };
+        // Every source is cold: fetched as waves of four GETs.
+        let wave = Prefetcher::new(
+            Arc::clone(&store), Arc::new(TieredCache::memory_only(1 << 20)), 1024, 4,
+        );
         let report = logstore::core::compactor::run_compaction(
-            &store, &metadata, &schema, &build, &config, &NoopHooks, 4, None,
+            store.as_ref(), &metadata, &schema, &build, &config, &NoopHooks, Some(&wave),
         ).unwrap();
         prop_assert_eq!(report.runs_committed, 1);
         prop_assert_eq!(report.blocks_merged as usize, blocks.len());

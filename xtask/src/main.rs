@@ -1,5 +1,10 @@
-//! Repo tooling: the lint gate (`cargo run -p xtask -- lint`) and the
+//! Repo tooling: the pre-merge check (`cargo run -p xtask -- check
+//! [--stage <name>]`), its lint gate (`cargo run -p xtask -- lint`) and the
 //! non-test line count (`cargo run -p xtask -- loc [file…]`).
+//!
+//! `check` runs every row of [`STAGES`] in order and stops at the first
+//! failure, printing the command that failed and how to replay its stage
+//! alone. `scripts/check.sh` is one `exec` of it.
 //!
 //! `loc` prints, per crate, the lines before the first `#[cfg(test)]` of
 //! every `crates/<name>/src/**/*.rs`, then the total over the six crates
@@ -37,6 +42,11 @@
 //!    `core`, `wal`, `logblock`, `query`, `cache`): it deep-clones every
 //!    field, and the write path reads rows in place (DESIGN.md §Write
 //!    path). No allowlist — the count is zero.
+//! 9. **Knob budget** — the `pub` fields of `ClusterConfig`, `WalConfig`
+//!    and `QueryOptions` and the variants of `FlushPolicy` are counted
+//!    against `xtask/knob-budget.txt`; counts may only shrink (each
+//!    independently settable value doubles the configurations the oracles
+//!    must cover).
 //!
 //! An allowlist entry that no longer matches anything — a path whose file
 //! was deleted, a lock label no site carries — fails the lint, so a budget
@@ -47,18 +57,212 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some("check") => check(&args[1..]),
         Some("lint") => lint(),
         Some("loc") => loc(&repo_root(), &args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | loc [file…]>");
+            eprintln!("usage: cargo run -p xtask -- <check [--stage <name>] | lint | loc [file…]>");
             ExitCode::FAILURE
         }
     }
+}
+
+/// The pre-merge check, as `(stage, cargo arguments, feature)` rows run in
+/// this order. A stage is every row of one name; a feature is passed as
+/// `--features <feature>`.
+const STAGES: &[(&str, &[&str], Option<&str>)] = &[
+    ("fmt", &["fmt", "--check"], None),
+    // Raw-lock ban, unwrap burn-down, simtest determinism, CrashPoint
+    // coverage, forbid(unsafe_code), lock-label audit, swallowed-Result
+    // ban, rows by reference, knob budget. See DESIGN.md §Static & dynamic
+    // analysis.
+    ("lint", &["run", "-q", "-p", "xtask", "--", "lint"], None),
+    ("build", &["build", "--release"], None),
+    // The criterion targets are `harness = false`: neither `cargo test` nor
+    // `cargo clippy` compiles them, so an API they import can be removed
+    // without anything noticing. Build them.
+    ("build", &["build", "--release", "--benches", "-p", "logstore-bench"], None),
+    // --workspace: the root manifest is both a package and the workspace,
+    // so a bare `cargo test -q` would only run the facade crate's suites.
+    // Debug tests run with the logstore-sync lock-order analysis active.
+    ("test", &["test", "--workspace", "-q"], None),
+    ("clippy", &["clippy", "--workspace", "--", "-D", "warnings"], None),
+    // A fixed, bounded seed sweep of whole-engine episodes plus the raft
+    // churn sweep (release mode keeps wall-clock low). The per-episode
+    // seeds are fixed so a red run here reproduces anywhere; any failure
+    // prints its own `SIMTEST_SEED=<seed>` replay command.
+    ("simulation", &["test", "--release", "-q", "-p", "logstore-simtest"], None),
+    ("simulation", &["test", "--release", "-q", "-p", "logstore-raft", "--test", "churn"], None),
+    // The replicated control plane loses its leader before / during / after
+    // a rebalance (a fixed seed sweep across all three kill points), heals,
+    // and must converge byte-identically with query results matching the
+    // fault-free run. Replay any failure with
+    // `SIMTEST_SEED=<seed> cargo test --test controller_failover`.
+    ("failover", &["test", "--release", "-q", "--test", "controller_failover"], None),
+    // bench_e2e is its own workspace, so nothing above notices when a crate
+    // API it imports is renamed or removed. This builds it against the
+    // crates as they are now and runs all three workloads for a few seconds
+    // with its output checker on (see bench_e2e/README.md).
+    (
+        "bench-e2e",
+        &[
+            "run",
+            "--release",
+            "--offline",
+            "--quiet",
+            "--manifest-path",
+            "bench_e2e/Cargo.toml",
+            "--",
+            "--smoke",
+        ],
+        None,
+    ),
+    // The same detector that runs in every debug test, but over *release*
+    // interleavings — optimized code races harder. Covers the simtest
+    // episode sweep, the cache herd, the read-path structure tests (header
+    // and data waves crossing the object tier and the store stack's
+    // `assert_no_locks_held` guards from wave threads; and the real-time
+    // cases: a scan parked on its row-store snapshot while an append and a
+    // whole flush go through the same shard, a flush landing between an
+    // attempt's map read and its row-store read, `wal.run.columns` taken
+    // from pool threads beside `wal.shard.inner`), the engine lock-order
+    // regression tests, and the archive fault tests — whose uploader
+    // threads cross the same guards with up to eight PUTs in flight.
+    (
+        "lock-analysis",
+        &["test", "--release", "-q", "-p", "logstore-simtest"],
+        Some("lock-analysis"),
+    ),
+    (
+        "lock-analysis",
+        &["test", "--release", "-q", "-p", "logstore-cache", "--test", "concurrency"],
+        Some("lock-analysis"),
+    ),
+    (
+        "lock-analysis",
+        &["test", "--release", "-q", "-p", "logstore-core", "--test", "read_path"],
+        Some("lock-analysis"),
+    ),
+    (
+        "lock-analysis",
+        &[
+            "test",
+            "--release",
+            "-q",
+            "--test",
+            "lock_order",
+            "--test",
+            "concurrency",
+            "--test",
+            "archive_faults",
+        ],
+        Some("lock-analysis"),
+    ),
+    // The seeded PCT scheduler drives every Ordered* lock/condvar op and
+    // sync_point through a fixed seed sweep (release mode — the scheduler
+    // serializes execution, so optimized builds keep the sweep fast). The
+    // planted-bug suite proves the checker still catches each known bug
+    // class within its seed budget; the real GroupCommitWal and
+    // SingleFlight protocols must survive their full sweeps, and so must
+    // the ShardStore protocol with a reader holding a row-store snapshot
+    // across the drain and its ack or restore
+    // (`shard_store_survives_schedule_sweep` in the wal suite). The sync
+    // suite is listed three times to pin that the sweep is deterministic
+    // and clean, not flaky-green. Any failure prints its seed and a
+    // `SCHED_SEED=<n>` replay command.
+    ("sched-fuzz", SCHED_SYNC, Some("sched-fuzz")),
+    ("sched-fuzz", SCHED_SYNC, Some("sched-fuzz")),
+    ("sched-fuzz", SCHED_SYNC, Some("sched-fuzz")),
+    (
+        "sched-fuzz",
+        &["test", "--release", "-q", "-p", "logstore-wal", "--test", "sched"],
+        Some("sched-fuzz"),
+    ),
+    (
+        "sched-fuzz",
+        &["test", "--release", "-q", "-p", "logstore-cache", "--test", "sched"],
+        Some("sched-fuzz"),
+    ),
+    // Deep checking, where the toolchains are installed (they are not in
+    // the offline CI container; `unavailable` skips both).
+    ("miri", &["miri", "test", "-p", "logstore-sync"], None),
+    ("tsan", &["test", "-p", "logstore-cache", "--test", "concurrency"], None),
+];
+
+const SCHED_SYNC: &[&str] = &["test", "--release", "-q", "-p", "logstore-sync", "--test", "sched"];
+
+/// Why an optional stage cannot run here, if it cannot.
+fn unavailable(stage: &str) -> Option<&'static str> {
+    // What a probe command prints, when it runs and succeeds.
+    let stdout = |program: &str, args: &[&str]| {
+        let output = Command::new(program).args(args).output().ok()?;
+        output.status.success().then(|| String::from_utf8_lossy(&output.stdout).into_owned())
+    };
+    match stage {
+        "miri" if stdout("cargo", &["miri", "--version"]).is_none() => Some("miri not installed"),
+        "tsan" if std::env::var("RUN_TSAN").as_deref() != Ok("1") => Some("RUN_TSAN unset"),
+        "tsan" if !stdout("rustc", &["-Z", "help"]).is_some_and(|h| h.contains("sanitizer")) => {
+            Some("thread sanitizer unavailable")
+        }
+        _ => None,
+    }
+}
+
+fn check(args: &[String]) -> ExitCode {
+    let only = match args {
+        [] => None,
+        [flag, stage] if flag == "--stage" && STAGES.iter().any(|(s, ..)| s == stage) => {
+            Some(stage.as_str())
+        }
+        _ => {
+            let mut stages: Vec<&str> = STAGES.iter().map(|(s, ..)| *s).collect();
+            stages.dedup();
+            eprintln!("usage: cargo run -p xtask -- check [--stage <{}>]", stages.join(" | "));
+            return ExitCode::FAILURE;
+        }
+    };
+    let root = repo_root();
+    let mut announced = "";
+    for &(stage, cargo_args, feature) in STAGES {
+        if only.is_some_and(|only| only != stage) {
+            continue;
+        }
+        let skip = unavailable(stage);
+        if stage != announced {
+            announced = stage;
+            println!(
+                "== {stage}{} ==",
+                skip.map(|why| format!(": {why}; skipping")).unwrap_or_default()
+            );
+        }
+        if skip.is_some() {
+            continue;
+        }
+        let mut argv = cargo_args.to_vec();
+        if let Some(feature) = feature {
+            argv.extend(["--features", feature]);
+        }
+        let mut cargo = Command::new("cargo");
+        cargo.current_dir(&root).args(&argv);
+        if stage == "tsan" {
+            cargo.env("RUSTFLAGS", "-Z sanitizer=thread");
+        }
+        if !cargo.status().is_ok_and(|status| status.success()) {
+            eprintln!(
+                "xtask check: stage `{stage}` failed at `cargo {}`; replay the stage with \
+                 `cargo run -p xtask -- check --stage {stage}`",
+                argv.join(" ")
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+    println!("xtask check: all stages passed");
+    ExitCode::SUCCESS
 }
 
 fn lint() -> ExitCode {
@@ -72,6 +276,7 @@ fn lint() -> ExitCode {
     check_lock_labels(&root, &mut failures);
     check_swallowed_results(&root, &mut failures);
     check_rows_by_reference(&root, &mut failures);
+    check_knob_budget(&root, &mut failures);
     if failures.is_empty() {
         println!("xtask lint: all checks passed");
         ExitCode::SUCCESS
@@ -576,6 +781,59 @@ fn check_rows_by_reference(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// Options of `item` (`struct` → its `pub` fields, `enum` → its variants)
+/// as declared in `text`, or `None` when `text` declares no such item.
+/// Line-based like the other passes: one field or variant per line, the
+/// item closed by a `}` in column 0.
+fn count_knobs(text: &str, item: &str) -> Option<u64> {
+    let mut lines = text.lines().map(strip_line_comment);
+    let is_enum = lines.find_map(|l| {
+        let decl = l.strip_prefix("pub ")?.strip_suffix(" {")?;
+        let (kind, name) = decl.split_once(' ')?;
+        (name == item).then_some(kind == "enum")
+    })?;
+    let body = lines.take_while(|l| !l.starts_with('}')).map(str::trim);
+    let knobs = body.filter(|l| match is_enum {
+        true => l.starts_with(|c: char| c.is_ascii_uppercase()),
+        false => l.starts_with("pub "),
+    });
+    Some(knobs.count() as u64)
+}
+
+/// Check 9: the option count of every type listed in
+/// `xtask/knob-budget.txt` (`<file> <type> <max>` per line) stays within
+/// its budget. Budgets only shrink.
+fn check_knob_budget(root: &Path, failures: &mut Vec<String>) {
+    const BUDGET: &str = "xtask/knob-budget.txt";
+    let text = fs::read_to_string(root.join(BUDGET)).expect("read knob budget");
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let mut fields = line.split_whitespace();
+        let (Some(file), Some(item), Some(Ok(budget)), None) =
+            (fields.next(), fields.next(), fields.next().map(str::parse::<u64>), fields.next())
+        else {
+            failures
+                .push(format!("{BUDGET}: malformed line `{line}` (want `<file> <type> <max>`)"));
+            continue;
+        };
+        let count =
+            fs::read_to_string(root.join(file)).ok().and_then(|src| count_knobs(&src, item));
+        match count {
+            None => {
+                failures.push(format!("{BUDGET}: stale entry — `{item}` is not declared in {file}"))
+            }
+            Some(count) if count > budget => failures.push(format!(
+                "{file}: `{item}` has {count} options, over its budget of {budget} ({BUDGET}; \
+                 a new option needs two callers that set it differently — budgets only shrink)"
+            )),
+            Some(count) if count < budget => println!(
+                "xtask lint: note: `{item}` is under its knob budget ({count} < {budget}); \
+                 lower it in {BUDGET} to lock in the progress"
+            ),
+            Some(_) => {}
+        }
+    }
+}
+
 /// Check 5: `#![forbid(unsafe_code)]` in every non-vendor crate root.
 fn check_forbid_unsafe(root: &Path, failures: &mut Vec<String>) {
     let mut roots: Vec<PathBuf> = Vec::new();
@@ -624,6 +882,26 @@ mod tests {
             "everything above the first #[cfg(test)] attribute, blank lines included"
         );
         assert_eq!(all, 5, "a file with no test module counts whole; tests/ is not src");
+    }
+
+    #[test]
+    fn knobs_are_pub_fields_and_variants() {
+        let src =
+            "pub struct A {\n    /// doc\n    pub x: u8,\n    y: u8, // pub z\n    pub w: u8,\n}\n\
+                   #[derive(Debug)]\npub enum B {\n    /// Doc.\n    One,\n    Two(u8),\n}\n";
+        assert_eq!(count_knobs(src, "A"), Some(2));
+        assert_eq!(count_knobs(src, "B"), Some(2));
+        assert_eq!(count_knobs(src, "C"), None);
+    }
+
+    #[test]
+    fn every_stage_of_the_check_is_replayable_by_name() {
+        let mut names: Vec<&str> = STAGES.iter().map(|(s, ..)| *s).collect();
+        names.dedup();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(names.len(), sorted.len(), "a stage's rows must be adjacent: {names:?}");
     }
 
     #[test]
