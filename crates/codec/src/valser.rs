@@ -66,7 +66,9 @@ pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Ite
 /// Reads a row written by [`put_row`].
 pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
     let n = read_uvarint(buf, pos)? as usize;
-    if n > 1 << 20 {
+    // Every value costs at least its tag byte, so an arity larger than the
+    // bytes left is corrupt — and must not size-hint an allocation.
+    if n > (1 << 20).min(buf.len().saturating_sub(*pos)) {
         return Err(Error::corruption("row arity implausibly large"));
     }
     let mut row = Vec::with_capacity(n);
@@ -124,6 +126,22 @@ mod tests {
         put_uvarint(&mut buf, u64::MAX);
         let mut pos = 0;
         assert!(read_row(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn arity_beyond_the_bytes_left_is_rejected_before_allocating() {
+        // Four bytes claiming a million values: within the absolute cap,
+        // but the buffer cannot hold them, so nothing is sized by it.
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, 1 << 20);
+        assert_eq!(buf.len(), 3);
+        buf.push(TAG_NULL);
+        let mut pos = 0;
+        let err = read_row(&buf, &mut pos).unwrap_err();
+        assert!(err.to_string().contains("implausibly large"), "{err}");
+        // An arity the bytes left can hold still decodes.
+        let mut pos = 0;
+        assert_eq!(read_row(&[1, TAG_NULL], &mut pos).unwrap(), vec![Value::Null]);
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

@@ -124,14 +124,13 @@ pub fn build_and_upload<S: ObjectStore>(
 /// back in [`BuildOutcome::unarchived`], in chunk order; the caller stops
 /// building as soon as it observes a failure.
 ///
-/// With a [`DrainId`], registration is atomic: a single
-/// [`MetadataStore::commit_drain`] registers the durable prefix and
-/// records how many leading chunks of the drain it covers. WAL replay
-/// after a crash re-derives the identical chunk sequence (both sides use
-/// `partition_into_chunks`) and keeps exactly the committed prefix out of
-/// the row store — uploaded-but-uncommitted objects are garbage, never
-/// duplicates. Without a drain id (in-memory backends, tests) the prefix
-/// registers block by block, in chunk order.
+/// Registration is atomic: a single [`MetadataStore::commit_drain`]
+/// registers the durable prefix and, with a [`DrainId`], records how many
+/// leading chunks of the drain it covers and the cap they were partitioned
+/// at. WAL replay after a crash re-derives the identical chunk sequence
+/// (both sides use `partition_into_chunks` at that cap) and keeps exactly
+/// the committed prefix out of the row store — uploaded-but-uncommitted
+/// objects are garbage, never duplicates.
 ///
 /// With a `cache`, the order is PUT → admit → register: after the wave
 /// joins and before anything is registered, the calling thread admits the
@@ -190,32 +189,18 @@ pub fn build_and_upload_drain<S: ObjectStore>(
             }
         }
     }
-    let committed = match drain {
-        Some(id) if !entries.is_empty() => {
-            let blocks: Vec<(TenantId, LogBlockEntry)> =
-                chunks.iter().map(|c| c.tenant).zip(entries.iter().cloned()).collect();
-            match metadata.commit_drain(id, blocks, entries.len() as u64) {
-                Ok(()) => entries.len(),
-                Err(e) => {
-                    // Nothing registered: every uploaded chunk is orphaned
-                    // garbage on OSS and its rows still need a home.
-                    outcome.error = Some(e);
-                    0
-                }
-            }
-        }
-        Some(_) => 0,
-        None => {
-            let mut registered = 0;
-            for (chunk, entry) in chunks.iter().zip(&entries) {
-                if let Err(e) = metadata.register_block(chunk.tenant, entry.clone()) {
-                    outcome.error = Some(e);
-                    break;
-                }
-                registered += 1;
-            }
-            registered
-        }
+    // Zero durable chunks commit nothing: replay then restores every row.
+    let blocks: Vec<(TenantId, LogBlockEntry)> =
+        chunks.iter().map(|c| c.tenant).zip(entries.iter().cloned()).collect();
+    let committed = if blocks.is_empty() {
+        0
+    } else if let Err(e) = metadata.commit_drain(drain, blocks, config.max_rows_per_logblock) {
+        // Nothing registered: every uploaded chunk is orphaned garbage on
+        // OSS and its rows still need a home.
+        outcome.error = Some(e);
+        0
+    } else {
+        entries.len()
     };
     for entry in &entries[..committed] {
         outcome.report.blocks_built += 1;
@@ -385,10 +370,13 @@ mod tests {
         }
     }
 
-    fn drain_id(shard: u32, counter: u64) -> DrainId {
-        use logstore_types::ShardId;
-        use logstore_wal::DrainSeq;
-        DrainId { shard: ShardId(shard), seq: DrainSeq { epoch: 1, counter } }
+    fn drain_id(shard: u32, lsn: u64) -> DrainId {
+        DrainId { shard: logstore_types::ShardId(shard), lsn }
+    }
+
+    /// How many chunks of drain `id` are committed.
+    fn committed_chunks(metadata: &MetadataStore, id: DrainId) -> Option<u64> {
+        metadata.drain_commit(id).map(|commit| commit.chunks)
     }
 
     #[test]
@@ -469,7 +457,7 @@ mod tests {
         assert!(outcome.error.is_some());
         assert_eq!(outcome.report.blocks_built, 1);
         assert_eq!(outcome.report.rows_archived, 50);
-        assert_eq!(metadata.drain_commit(id), Some(1));
+        assert_eq!(committed_chunks(&metadata, id), Some(1));
         let mapped = metadata.all_blocks(TenantId(8));
         assert_eq!(mapped.len(), 1);
         assert!(mapped[0].path.ends_with("000000000001.pack"));
@@ -529,7 +517,7 @@ mod tests {
                 .collect();
             let map: Vec<Vec<LogBlockEntry>> =
                 (1..=5).map(|t| metadata.all_blocks(TenantId(t))).collect();
-            (objects, map, metadata.drain_commit(id), outcome.report)
+            (objects, map, committed_chunks(&metadata, id), outcome.report)
         };
         let serial = run(1);
         assert_eq!(serial.3.blocks_built, 7);
@@ -556,7 +544,9 @@ mod tests {
         assert!(outcome.is_complete());
         assert_eq!(outcome.report.blocks_built, 3);
         assert_eq!(metadata.all_blocks(TenantId(4)).len(), 3);
-        assert_eq!(metadata.drain_commit(id), Some(3));
+        // The record carries the cap replay must re-partition with.
+        let commit = logstore_wal::DrainCommit { chunks: 3, chunk_rows: 50 };
+        assert_eq!(metadata.drain_commit(id), Some(commit));
         // The same drain cannot commit twice.
         let again = build_and_upload_drain(
             (0..10).map(|i| rec(4, i)).collect(),
@@ -592,7 +582,7 @@ mod tests {
         );
         assert!(outcome.error.is_some());
         assert_eq!(outcome.unarchived.len(), 120);
-        assert_eq!(metadata.drain_commit(id), None);
+        assert_eq!(committed_chunks(&metadata, id), None);
         assert!(metadata.all_blocks(TenantId(6)).is_empty());
     }
 
@@ -616,7 +606,7 @@ mod tests {
         assert!(outcome.error.is_some());
         assert_eq!(outcome.report.blocks_built, 1);
         assert_eq!(outcome.unarchived.len(), 70);
-        assert_eq!(metadata.drain_commit(id), Some(1));
+        assert_eq!(committed_chunks(&metadata, id), Some(1));
         assert_eq!(metadata.all_blocks(TenantId(8)).len(), 1);
     }
 

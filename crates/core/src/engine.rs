@@ -8,7 +8,7 @@ use crate::databuilder::{build_and_upload_drain, BuildConfig, BuildReport};
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore, TenantInfo};
-use crate::worker::{ArchiveCatalog, Worker};
+use crate::worker::Worker;
 use logstore_cache::{CacheStats, DiskBlockCache, Prefetcher, TieredCache};
 use logstore_flow::ControlAction;
 use logstore_oss::{
@@ -393,7 +393,7 @@ impl LogStore {
             Drain::Tenant(tenant) => store.drain_tenant(tenant),
         };
         // A drain intent that failed to log left its rows in the row store.
-        let Some((seq, rows)) = drained? else {
+        let Some((lsn, rows)) = drained? else {
             if matches!(drain, Drain::Shard { force: true }) {
                 // Nothing to drain produces no ack, yet the shard may hold
                 // a truncation an earlier overlapping ack had to defer —
@@ -412,7 +412,7 @@ impl LogStore {
             &self.build_config,
             self.shared.store.as_ref(),
             &self.shared.metadata,
-            seq.map(|seq| DrainId { shard, seq }),
+            lsn.map(|lsn| DrainId { shard, lsn }),
             Some(&self.shared.prefetcher),
         );
         self.shared.hooks.reached(CrashPoint::AfterUpload);
@@ -595,8 +595,6 @@ fn spawn_worker(
     id: WorkerId,
     shard_ids: &[ShardId],
 ) -> Result<Arc<Worker>> {
-    let archive_catalog =
-        ArchiveCatalog { metadata: Arc::clone(metadata), chunk_rows: config.max_rows_per_logblock };
     let worker = Arc::new(Worker::new(
         id,
         shard_ids,
@@ -606,7 +604,7 @@ fn spawn_worker(
         config.data_dir.as_ref(),
         config.wal.clone(),
         config.seed,
-        Some(&archive_catalog),
+        Some(metadata),
         Arc::clone(hooks),
     )?);
     controller.attach_worker(&worker);

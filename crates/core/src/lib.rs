@@ -38,4 +38,3 @@ pub use engine::{ArchiveStats, IngestReport, LogStore, OpenParts, Store};
 pub use executor::QueryPool;
 pub use hooks::{noop_hooks, CrashHooks, CrashPoint, NoopHooks, QueryPoint, SimCrash};
 pub use metadata::{BuildGuard, DrainId, LogBlockEntry, MetadataStore, TenantInfo};
-pub use worker::ArchiveCatalog;

@@ -6,19 +6,20 @@
 
 use logstore_sync::OrderedRwLock;
 use logstore_types::{Error, Result, ShardId, TenantId, TimeRange, Timestamp};
-use logstore_wal::DrainSeq;
+use logstore_wal::{DrainCommit, Lsn};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Durable identity of one shard drain across the whole cluster: the
-/// shard plus its per-shard [`DrainSeq`]. The key of the drain-commit
-/// table that makes the archive upload exactly-once across crashes.
+/// shard plus the LSN of the drain's intent in that shard's WAL. The key
+/// of the drain-commit table that makes the archive upload exactly-once
+/// across crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DrainId {
     /// The shard the rows were drained from.
     pub shard: ShardId,
-    /// That shard's drain sequence number.
-    pub seq: DrainSeq,
+    /// The LSN of the drain intent.
+    pub lsn: Lsn,
 }
 
 /// One archived LogBlock of one tenant.
@@ -84,10 +85,11 @@ struct Inner {
     blocks: HashMap<TenantId, Vec<LogBlockEntry>>,
     next_block_seq: u64,
     // Drain-commit table: how many leading chunks of each drain are
-    // durable and registered. WAL replay consults this (via the worker's
-    // resolver) to keep committed rows out of the row store; a shard's
-    // entries are pruned once its WAL no longer holds their intents.
-    drain_commits: HashMap<DrainId, u64>,
+    // durable and registered, and the cap they were partitioned at. WAL
+    // replay looks each intent up here to keep committed rows out of the
+    // row store; a shard's entries are pruned once its WAL no longer holds
+    // their intents.
+    drain_commits: HashMap<DrainId, DrainCommit>,
     // Paths whose objects must eventually be deleted from OSS but are no
     // longer (or were never) in the live map. Persistent until a delete
     // succeeds: a failed delete stays here and is retried by the next GC
@@ -151,40 +153,34 @@ impl MetadataStore {
         path
     }
 
-    /// Registers an uploaded LogBlock.
+    /// Registers one uploaded LogBlock outside any drain.
     pub fn register_block(&self, tenant: TenantId, entry: LogBlockEntry) -> Result<()> {
-        if entry.min_ts > entry.max_ts {
-            return Err(Error::invalid("block time range inverted"));
-        }
-        let mut inner = self.inner.write();
-        inner.pending_paths.remove(&entry.path);
-        let info = inner.tenants.entry(tenant).or_default();
-        info.archived_rows += entry.rows;
-        info.archived_bytes += entry.bytes;
-        inner.blocks.entry(tenant).or_default().push(entry);
-        Ok(())
+        self.commit_drain(None, vec![(tenant, entry)], usize::MAX)
     }
 
-    /// Atomically registers every block an archive drain uploaded and
-    /// records that its first `chunks` chunks are durable. One metadata
-    /// transaction is what makes the upload exactly-once: a crash before
-    /// this call leaves no trace (replay restores every drained row, the
-    /// orphaned objects are garbage, not duplicates); a crash after it
+    /// Atomically registers the blocks of a drain's durable prefix — one
+    /// per chunk, in chunk order — and, for a named drain, records that
+    /// those chunks of it, partitioned at `chunk_rows`, are durable. One
+    /// metadata transaction is what makes the upload exactly-once: a crash
+    /// before this call leaves no trace (replay restores every drained row,
+    /// the orphaned objects are garbage, not duplicates); a crash after it
     /// leaves the commit visible, so replay keeps the registered rows out.
     pub fn commit_drain(
         &self,
-        id: DrainId,
+        id: Option<DrainId>,
         blocks: Vec<(TenantId, LogBlockEntry)>,
-        chunks: u64,
+        chunk_rows: usize,
     ) -> Result<()> {
-        for (_, entry) in &blocks {
-            if entry.min_ts > entry.max_ts {
-                return Err(Error::invalid("block time range inverted"));
-            }
+        if blocks.iter().any(|(_, entry)| entry.min_ts > entry.max_ts) {
+            return Err(Error::invalid("block time range inverted"));
         }
         let mut inner = self.inner.write();
-        if inner.drain_commits.contains_key(&id) {
-            return Err(Error::invalid(format!("drain {id:?} committed twice")));
+        if let Some(id) = id {
+            if inner.drain_commits.contains_key(&id) {
+                return Err(Error::invalid(format!("drain {id:?} committed twice")));
+            }
+            let commit = DrainCommit { chunks: blocks.len() as u64, chunk_rows };
+            inner.drain_commits.insert(id, commit);
         }
         for (tenant, entry) in blocks {
             inner.pending_paths.remove(&entry.path);
@@ -193,23 +189,21 @@ impl MetadataStore {
             info.archived_bytes += entry.bytes;
             inner.blocks.entry(tenant).or_default().push(entry);
         }
-        inner.drain_commits.insert(id, chunks);
         Ok(())
     }
 
-    /// How many leading chunks of drain `id` were committed (`None` if the
-    /// drain never committed).
-    pub fn drain_commit(&self, id: DrainId) -> Option<u64> {
+    /// What drain `id` committed (`None` if the drain never committed).
+    pub fn drain_commit(&self, id: DrainId) -> Option<DrainCommit> {
         self.inner.read().drain_commits.get(&id).copied()
     }
 
-    /// Drops the commit records of `shard`'s drains up to `through` (epoch
-    /// first, so older epochs go too). Call it only after the shard's WAL
-    /// was cut past every intent of those drains: a replayed intent whose
-    /// record is gone restores rows that are already on OSS.
-    pub fn prune_drain_commits(&self, shard: ShardId, through: DrainSeq) {
+    /// Drops the commit records of `shard`'s drains whose intent LSN is
+    /// below `below`. Call it only after the shard's WAL was cut below
+    /// `below`: a replayed intent whose record is gone restores rows that
+    /// are already on OSS.
+    pub fn prune_drain_commits(&self, shard: ShardId, below: Lsn) {
         let mut inner = self.inner.write();
-        inner.drain_commits.retain(|id, _| id.shard != shard || id.seq > through);
+        inner.drain_commits.retain(|id, _| id.shard != shard || id.lsn >= below);
     }
 
     /// LogBlock-map pruning (Fig 8 ①): the blocks of `tenant` overlapping

@@ -14,37 +14,10 @@ use crate::metadata::{DrainId, MetadataStore};
 use logstore_raft::{InProcCluster, RaftConfig};
 use logstore_sync::OrderedMutex;
 use logstore_types::{Error, RecordBatch, Result, ShardId, TableSchema, TenantId, WorkerId};
-use logstore_wal::{DrainResolver, DrainSeq, NoCommittedDrains, ShardStore, WalConfig};
+use logstore_wal::{ShardStore, WalConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Links durable shards to the metadata store's drain-commit table, so
-/// WAL replay can tell committed (on-OSS) drain rows from lost ones.
-#[derive(Clone)]
-pub struct ArchiveCatalog {
-    /// The cluster metadata store holding the drain-commit table.
-    pub metadata: Arc<MetadataStore>,
-    /// The uploader's chunk row cap (`max_rows_per_logblock`) — replay
-    /// must re-chunk a drain exactly the way the uploader did.
-    pub chunk_rows: usize,
-}
-
-/// Per-shard [`DrainResolver`] over the metadata store.
-struct CatalogResolver<'a> {
-    catalog: &'a ArchiveCatalog,
-    shard: ShardId,
-}
-
-impl DrainResolver for CatalogResolver<'_> {
-    fn committed_chunks(&self, seq: DrainSeq) -> Option<u64> {
-        self.catalog.metadata.drain_commit(DrainId { shard: self.shard, seq })
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.catalog.chunk_rows
-    }
-}
 
 /// Per-shard ingest counters for one monitoring window.
 #[derive(Debug, Default, Clone)]
@@ -81,10 +54,10 @@ pub struct Worker {
 
 impl Worker {
     /// Creates a worker owning `shard_ids`. Durable shards (those with a
-    /// `data_dir`) replay their WAL on open; with an [`ArchiveCatalog`]
-    /// the replay reconciles drain intents against the drain-commit table
-    /// so rows already on OSS are not resurrected. `hooks` injects
-    /// simulated crash points ([`crate::hooks::noop_hooks`] in production).
+    /// `data_dir`) replay their WAL on open; with the `metadata` store the
+    /// replay reconciles drain intents against its drain-commit table so
+    /// rows already on OSS are not resurrected. `hooks` injects simulated
+    /// crash points ([`crate::hooks::noop_hooks`] in production).
     #[allow(clippy::too_many_arguments)] // construction-time wiring, called once per worker
     pub fn new(
         id: WorkerId,
@@ -95,7 +68,7 @@ impl Worker {
         data_dir: Option<&PathBuf>,
         wal_config: WalConfig,
         seed: u64,
-        archive_catalog: Option<&ArchiveCatalog>,
+        metadata: Option<&Arc<MetadataStore>>,
         hooks: Arc<dyn CrashHooks>,
     ) -> Result<Self> {
         let mut shards = HashMap::new();
@@ -105,12 +78,8 @@ impl Worker {
                     let shard_dir = dir
                         .join(format!("worker-{}", id.raw()))
                         .join(format!("shard-{}", shard.raw()));
-                    let catalog = archive_catalog.map(|catalog| CatalogResolver { catalog, shard });
-                    let resolver: &dyn DrainResolver = match &catalog {
-                        Some(resolver) => resolver,
-                        None => &NoCommittedDrains,
-                    };
-                    ShardStore::open_with(shard_dir, wal_config.clone(), resolver)?
+                    let committed = |lsn| metadata?.drain_commit(DrainId { shard, lsn });
+                    ShardStore::open_with(shard_dir, wal_config.clone(), &committed)?
                 }
                 None => ShardStore::in_memory(),
             };
@@ -136,7 +105,7 @@ impl Worker {
                 },
             );
         }
-        let metadata = archive_catalog.map(|catalog| Arc::clone(&catalog.metadata));
+        let metadata = metadata.cloned();
         Ok(Worker { id, shards, schema: schema.clone(), backpressure_bytes, hooks, metadata })
     }
 
@@ -278,15 +247,15 @@ impl Worker {
     /// can never strip WAL coverage from a drain still in flight. Forced
     /// build passes call this for shards that had nothing to drain.
     ///
-    /// A cut that left only the fresh segment then prunes the shard's
-    /// drain-commit records it made unreachable. After the cut, not
-    /// before: a crash in between leaves records nobody reads, while a
-    /// replayed intent whose record was already pruned would restore rows
-    /// that are on OSS.
+    /// A cut then prunes the shard's drain-commit records it made
+    /// unreachable: those of intents below the first LSN still in the WAL.
+    /// After the cut, not before: a crash in between leaves records nobody
+    /// reads, while a replayed intent whose record was already pruned would
+    /// restore rows that are on OSS.
     pub fn truncate_quiescent(&self, shard: ShardId) -> Result<()> {
         let cut = self.shard(shard)?.store.truncate_if_quiescent()?;
-        if let (Some(through), Some(metadata)) = (cut, &self.metadata) {
-            metadata.prune_drain_commits(shard, through);
+        if let (Some(below), Some(metadata)) = (cut, &self.metadata) {
+            metadata.prune_drain_commits(shard, below);
         }
         Ok(())
     }
@@ -586,7 +555,6 @@ mod tests {
         // the record is dead weight and must go.
         let dir = temp_dir("prune");
         let metadata = Arc::new(MetadataStore::new());
-        let catalog = ArchiveCatalog { metadata: Arc::clone(&metadata), chunk_rows: 4096 };
         let schema = TableSchema::request_log();
         let open = || {
             let hooks = crate::hooks::noop_hooks();
@@ -600,27 +568,37 @@ mod tests {
                 Some(&dir),
                 config,
                 7,
-                Some(&catalog),
+                Some(&metadata),
                 hooks,
             )
             .unwrap()
         };
         let w = open();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
-        let (seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
-        let id = DrainId { shard: ShardId(0), seq: seq.expect("durable shards name their drains") };
+        let (lsn, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        let id = DrainId { shard: ShardId(0), lsn: lsn.expect("durable shards name their drains") };
         let build = BuildConfig {
             compression: logstore_codec::Compression::LzHigh,
             block_rows: 256,
-            max_rows_per_logblock: catalog.chunk_rows,
+            max_rows_per_logblock: 4096,
         };
         let oss = logstore_oss::MemoryStore::new();
         let outcome =
             build_and_upload_drain(rows, &schema, &build, &oss, &metadata, Some(id), None);
         assert!(outcome.is_complete(), "{:?}", outcome.error);
         assert!(metadata.drain_commit(id).is_some(), "the upload commits its drain");
+        // A record at or past the first LSN the cut keeps is not the cut's
+        // to prune (a later drain's, or another shard's).
+        let later = DrainId { lsn: id.lsn + 1, ..id };
+        let elsewhere = DrainId { shard: ShardId(1), ..id };
+        for other in [later, elsewhere] {
+            metadata.commit_drain(Some(other), Vec::new(), 4096).unwrap();
+        }
         w.ack_archived(ShardId(0)).unwrap();
         assert_eq!(metadata.drain_commit(id), None, "the ack's cut must prune the record");
+        assert!(
+            metadata.drain_commit(later).is_some() && metadata.drain_commit(elsewhere).is_some()
+        );
         drop(w);
         assert_eq!(open().buffered_rows(ShardId(0)).unwrap(), 0, "acked rows must not resurrect");
         let _ = std::fs::remove_dir_all(dir);

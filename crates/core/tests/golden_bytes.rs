@@ -163,8 +163,8 @@ fn wal_segments_are_byte_identical_to_the_parent() {
             shard.apply(records.to_vec(), logged);
         };
         all[..1280].chunks(64).for_each(append);
-        let (seq, drained) = shard.drain_all(0).unwrap().unwrap();
-        assert_eq!((seq.map(|s| s.counter), drained.len()), (Some(1), 1280));
+        let (lsn, drained) = shard.drain_all(0).unwrap().unwrap();
+        assert_eq!((lsn, drained.len()), (Some(21), 1280), "the intent follows 20 batches");
         all[1280..1920].chunks(64).for_each(append);
         let (_, moved) = shard.drain_tenant(TenantId(2)).unwrap().unwrap();
         assert!(!moved.is_empty());
@@ -203,11 +203,12 @@ const GOLDEN_COMPACTED: &[(&str, usize, u32)] = &[
     ("tenants/1/blk-000000000007.pack", 207129, 326827125),
     ("tenants/2/blk-000000000008.pack", 110715, 886711032),
 ];
-/// Re-recorded when the group frame lost its magic and its inner CRC (the
-/// segment frame's CRC is the one checksum): each segment shrank by exactly
-/// 8 bytes per group it holds — 20, 1 and 13 groups, no boundary moved.
+/// Re-recorded when segments were named by their first LSN (1, 21, 22) and
+/// a drain intent lost its two seq varints (the intent's LSN names the
+/// drain): the segments holding an intent shrank by exactly 2 bytes each,
+/// the first is byte-identical, and no boundary moved.
 const GOLDEN_WAL: &[(&str, usize, u32)] = &[
-    ("wal-0000000000000000.log", 131363, 4294754263),
-    ("wal-0000000000000001.log", 131120, 3081680993),
-    ("wal-0000000000000002.log", 93748, 926280768),
+    ("wal-0000000000000001.log", 131363, 4294754263),
+    ("wal-0000000000000021.log", 131118, 1481871828),
+    ("wal-0000000000000022.log", 93746, 1279580537),
 ];

@@ -48,25 +48,24 @@
 //! to decode is corruption wherever it sits. Because the leader's barrier
 //! covers the whole frame, either every producer in the epoch was acked
 //! (frame fully durable) or none were (leader never returned), so
-//! discard-on-replay is exactly-once.
+//! discard-on-replay is exactly-once. Each segment file is named by its
+//! first LSN, and replay checks that every segment starts where the one
+//! before it ended: a missing segment is corruption, not a renumbering.
 
 use crate::segment::{
-    parse_segment_seq, replay_segment, segment_file_name, SegmentWriter, MAX_PAYLOAD,
+    parse_segment_lsn, replay_segment, segment_file_name, SegmentWriter, MAX_PAYLOAD,
 };
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_sync::{assert_no_locks_held, OrderedCondvar, OrderedMutex};
 use logstore_types::{Error, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A log sequence number: 1-based, monotonically increasing per WAL.
-///
-/// LSNs are contiguous within a process lifetime. After
-/// [`GroupCommitWal::truncate_until`] and a reopen, numbering restarts at 1
-/// from the first *surviving* record — callers that archive (and truncate)
-/// must not persist absolute LSNs across restarts, and LogStore's shard
-/// recovery rebuilds its row store positionally from the replay.
+/// A log sequence number: 1-based and absolute. Numbering continues across
+/// rotations, truncations and reopens (the first surviving segment's name
+/// is where replay starts counting), so an LSN names one record for the
+/// life of the WAL directory.
 pub type Lsn = u64;
 
 /// A replayed record: its LSN and payload.
@@ -158,9 +157,8 @@ struct Staging {
 struct WriterState {
     dir: PathBuf,
     active: SegmentWriter,
-    active_seq: u64,
-    // seq -> first lsn in that segment.
-    segment_first_lsn: BTreeMap<u64, Lsn>,
+    /// First LSN of every live segment; the last is the active segment's.
+    segments: BTreeSet<Lsn>,
     /// The epoch whose leader may commit next (seal order == LSN order).
     next_commit_epoch: u64,
     /// The LSN the next committed group will start at.
@@ -185,29 +183,32 @@ pub struct GroupCommitWal {
 
 impl GroupCommitWal {
     /// Opens (or creates) a group-commit WAL in `dir`, recovering existing
-    /// segments. Each frame fans out into its group's records. Returns the
-    /// WAL and the replayed records in LSN order.
+    /// segments. Each frame fans out into its group's records, numbered
+    /// from the first segment's name on. Returns the WAL and the replayed
+    /// records in LSN order.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<(Self, Vec<ReplayedRecord>)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut seqs: Vec<u64> = std::fs::read_dir(&dir)?
+        let mut segments: BTreeSet<Lsn> = std::fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().to_str().and_then(parse_segment_seq))
+            .filter_map(|e| e.file_name().to_str().and_then(parse_segment_lsn))
             .collect();
-        seqs.sort_unstable();
 
         let mut replayed = Vec::new();
-        let mut segment_first_lsn = BTreeMap::new();
-        let mut next_lsn: Lsn = 1;
+        let mut next_lsn: Lsn = segments.first().copied().unwrap_or(1);
         let mut last_valid_len = 0u64;
-        for (i, &seq) in seqs.iter().enumerate() {
-            let replay = replay_segment(dir.join(segment_file_name(seq)))?;
-            if replay.torn_tail && i + 1 != seqs.len() {
+        for &first in &segments {
+            if first != next_lsn {
                 return Err(Error::corruption(format!(
-                    "torn frame in non-final wal segment {seq}"
+                    "wal segment {first} does not start where the previous one ended ({next_lsn})"
                 )));
             }
-            segment_first_lsn.insert(seq, next_lsn);
+            let replay = replay_segment(dir.join(segment_file_name(first)))?;
+            if replay.torn_tail && segments.last() != Some(&first) {
+                return Err(Error::corruption(format!(
+                    "torn frame in non-final wal segment {first}"
+                )));
+            }
             for payload in &replay.payloads {
                 for entry in decode_group_frame(payload)? {
                     replayed.push((next_lsn, entry));
@@ -217,14 +218,13 @@ impl GroupCommitWal {
             last_valid_len = replay.valid_len;
         }
 
-        let (active, active_seq) = match seqs.last() {
-            Some(&seq) => {
-                let path = dir.join(segment_file_name(seq));
-                (SegmentWriter::open_for_append(path, last_valid_len)?, seq)
+        let active = match segments.last() {
+            Some(&first) => {
+                SegmentWriter::open_for_append(dir.join(segment_file_name(first)), last_valid_len)?
             }
             None => {
-                segment_first_lsn.insert(0, 1);
-                (SegmentWriter::create(dir.join(segment_file_name(0)))?, 0)
+                segments.insert(next_lsn);
+                SegmentWriter::create(dir.join(segment_file_name(next_lsn)))?
             }
         };
         let wal = GroupCommitWal {
@@ -250,8 +250,7 @@ impl GroupCommitWal {
                 WriterState {
                     dir,
                     active,
-                    active_seq,
-                    segment_first_lsn,
+                    segments,
                     next_commit_epoch: 0,
                     write_next_lsn: next_lsn,
                 },
@@ -413,8 +412,7 @@ impl GroupCommitWal {
         sync_requested: bool,
     ) -> Result<()> {
         if wr.active.len() >= self.config.max_segment_bytes {
-            Self::rotate_locked(wr, first_lsn)?;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.rotate_locked(wr, first_lsn)?;
         }
         wr.active.append(frame)?;
         let barrier = if sync_requested { FlushPolicy::Sync } else { self.config.flush };
@@ -431,13 +429,17 @@ impl GroupCommitWal {
         Ok(())
     }
 
-    /// Rotation under the writer lock: sync the old segment, open the
-    /// next, record the first LSN it will contain.
-    fn rotate_locked(wr: &mut WriterState, next_first_lsn: Lsn) -> Result<()> {
+    /// Rotation under the writer lock: sync the old segment and open the
+    /// next, named by the first LSN it will contain. An empty active
+    /// segment already carries that name, so rotating it is a no-op.
+    fn rotate_locked(&self, wr: &mut WriterState, next_first_lsn: Lsn) -> Result<()> {
+        if wr.active.is_empty() {
+            return Ok(());
+        }
         wr.active.sync()?;
-        wr.active_seq += 1;
-        wr.segment_first_lsn.insert(wr.active_seq, next_first_lsn);
-        wr.active = SegmentWriter::create(wr.dir.join(segment_file_name(wr.active_seq)))?;
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        wr.segments.insert(next_first_lsn);
+        wr.active = SegmentWriter::create(wr.dir.join(segment_file_name(next_first_lsn)))?;
         Ok(())
     }
 
@@ -469,9 +471,7 @@ impl GroupCommitWal {
     pub fn rotate_now(&self) -> Result<()> {
         let mut wr = self.writer.lock();
         let next_first = wr.write_next_lsn;
-        Self::rotate_locked(&mut wr, next_first)?;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.rotate_locked(&mut wr, next_first)
     }
 
     /// The LSN the next append will receive.
@@ -481,7 +481,7 @@ impl GroupCommitWal {
 
     /// Number of live segment files.
     pub fn segment_count(&self) -> usize {
-        self.writer.lock().segment_first_lsn.len()
+        self.writer.lock().segments.len()
     }
 
     /// Lifetime coalescing counters.
@@ -498,8 +498,9 @@ impl GroupCommitWal {
     /// clamped so no *unconfirmed* append (WAL-committed but not yet
     /// applied to the row store — see
     /// [`GroupCommitWal::confirm_applied`]) is ever dropped. The active
-    /// segment is never deleted. Returns the number of segments removed.
-    pub fn truncate_until(&self, up_to: Lsn) -> Result<usize> {
+    /// segment is never deleted. Returns the first LSN still in the WAL:
+    /// every record below it is gone.
+    pub fn truncate_until(&self, up_to: Lsn) -> Result<Lsn> {
         let mut wr = self.writer.lock();
         // With appends running outside the caller's shard lock, a batch
         // can be durable here but not yet visible in the row store; if we
@@ -512,20 +513,17 @@ impl GroupCommitWal {
                 None => up_to,
             }
         };
-        let seqs: Vec<u64> = wr.segment_first_lsn.keys().copied().collect();
-        let mut deleted = 0;
-        for window in seqs.windows(2) {
-            let (seq, next_seq) = (window[0], window[1]);
-            let next_first = wr.segment_first_lsn[&next_seq];
-            if next_first <= up_to && seq != wr.active_seq {
-                std::fs::remove_file(wr.dir.join(segment_file_name(seq)))?;
-                wr.segment_first_lsn.remove(&seq);
-                deleted += 1;
-            } else {
+        // A segment may go once the next one starts at or below `up_to`;
+        // the active segment has no next one.
+        let firsts: Vec<Lsn> = wr.segments.iter().copied().collect();
+        for pair in firsts.windows(2) {
+            if pair[1] > up_to {
                 break;
             }
+            std::fs::remove_file(wr.dir.join(segment_file_name(pair[0])))?;
+            wr.segments.remove(&pair[0]);
         }
-        Ok(deleted)
+        Ok(wr.segments.first().copied().unwrap_or(up_to))
     }
 }
 
@@ -671,21 +669,65 @@ mod tests {
         assert_eq!(replayed.len(), 20);
         assert_eq!(wal.next_lsn(), 21);
         // Truncating below the last record keeps its segment: a suffix
-        // still replays.
+        // still replays, under the LSNs it was appended with.
         let before = wal.segment_count();
-        let deleted = wal.truncate_until(wal.next_lsn() - 1).unwrap();
-        assert!(deleted > 0);
-        assert_eq!(wal.segment_count(), before - deleted);
+        let first = wal.truncate_until(20).unwrap();
+        assert!((2..=20).contains(&first), "first surviving lsn {first}");
+        assert!(wal.segment_count() < before);
+        drop(wal);
+        let (wal, replayed) = GroupCommitWal::open(&dir, config.clone()).unwrap();
+        assert_eq!(replayed.first().map(|(lsn, _)| *lsn), Some(first));
+        assert_eq!(replayed.last(), Some(&(20, vec![19u8; 16])));
+        // After a forced rotation everything written so far can go, and
+        // numbering continues across the whole cut and a reopen.
+        wal.rotate_now().unwrap();
+        assert_eq!(wal.truncate_until(wal.next_lsn()).unwrap(), 21);
+        assert_eq!(wal.segment_count(), 1);
         drop(wal);
         let (wal, replayed) = GroupCommitWal::open(&dir, config).unwrap();
-        assert!(!replayed.is_empty() && replayed.len() < 20);
-        assert_eq!(replayed.last().map(|(_, p)| p.clone()), Some(vec![19u8; 16]));
-        // After a forced rotation everything written so far can go.
+        assert!(replayed.is_empty());
+        assert_eq!(wal.next_lsn(), 21);
+        assert_eq!(wal.append(b"after the cut").unwrap(), 21, "lsns never restart");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn segment_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn rotating_an_empty_active_segment_creates_no_file() {
+        let dir = temp_dir("rotate-empty");
+        let (wal, _) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
         wal.rotate_now().unwrap();
-        let before = wal.segment_count();
-        let deleted = wal.truncate_until(wal.next_lsn()).unwrap();
-        assert_eq!(deleted, before - 1);
-        assert_eq!(wal.segment_count(), 1);
+        assert_eq!(segment_names(&dir), [segment_file_name(1)]);
+        wal.append(b"a").unwrap();
+        wal.rotate_now().unwrap();
+        wal.rotate_now().unwrap();
+        assert_eq!(segment_names(&dir), [segment_file_name(1), segment_file_name(2)]);
+        assert_eq!(wal.stats().fsyncs, 1, "only the rotation away from a written segment syncs");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_missing_middle_segment_is_corruption() {
+        let dir = temp_dir("missing-middle");
+        let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
+        let (wal, _) = GroupCommitWal::open(&dir, config.clone()).unwrap();
+        for i in 0..3u8 {
+            wal.append(&[i; 8]).unwrap();
+        }
+        drop(wal);
+        let names = segment_names(&dir);
+        assert_eq!(names.len(), 3, "one segment per group: {names:?}");
+        std::fs::remove_file(dir.join(&names[1])).unwrap();
+        let err = GroupCommitWal::open(&dir, config).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -698,11 +740,11 @@ mod tests {
         // the first confirmed applied.
         let l1 = wal.append(b"applied").unwrap();
         wal.confirm_applied(l1);
-        let _l2 = wal.append(b"committed-not-applied").unwrap();
-        let _l3 = wal.append(b"also-unapplied").unwrap();
+        let l2 = wal.append(b"committed-not-applied").unwrap();
+        wal.append(b"also-unapplied").unwrap();
         wal.rotate_now().unwrap();
         // Asking to truncate everything must still keep l2/l3 on disk.
-        wal.truncate_until(wal.next_lsn()).unwrap();
+        assert_eq!(wal.truncate_until(wal.next_lsn()).unwrap(), l2);
         drop(wal);
         let (_, replayed) = GroupCommitWal::open(&dir, config).unwrap();
         let payloads: Vec<&[u8]> = replayed.iter().map(|(_, p)| p.as_slice()).collect();
@@ -732,7 +774,7 @@ mod tests {
                 }
                 // Rewrite the segment through `SegmentWriter`, so every frame
                 // CRC matches, with the tail (1) or mid-file (0) body replaced.
-                let seg = dir.join(segment_file_name(0));
+                let seg = dir.join(segment_file_name(1));
                 let mut payloads = replay_segment(&seg).unwrap().payloads;
                 assert_eq!(payloads.len(), 2);
                 payloads[victim] = undecodable_bodies(&payloads[victim])[case].clone();

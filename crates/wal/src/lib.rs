@@ -23,7 +23,7 @@
 //!   ops. It owns the whole protocol — log a batch with no lock held, apply
 //!   it under the lock, drain with a logged intent, restore or ack, truncate
 //!   when quiescent — and crash recovery (WAL replay reconciled against the
-//!   drain-commit table).
+//!   drain-commit table, which names each drain by its intent's LSN).
 
 #![forbid(unsafe_code)]
 
@@ -34,4 +34,4 @@ pub mod shard;
 
 pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 pub use rowstore::{Drained, RowSnapshot, RowStore, Run, RUN_ROWS};
-pub use shard::{DrainResolver, DrainSeq, LoggedBatch, LoggedDrain, NoCommittedDrains, ShardStore};
+pub use shard::{DrainCommit, LoggedBatch, LoggedDrain, ShardStore};

@@ -22,13 +22,13 @@ pub const FRAME_HEADER: usize = 8;
 /// Maximum payload size per frame (guards corrupt length fields).
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// Builds the file name of segment `seq`.
-pub fn segment_file_name(seq: u64) -> String {
-    format!("wal-{seq:016}.log")
+/// Builds the file name of the segment whose first record is `first_lsn`.
+pub fn segment_file_name(first_lsn: u64) -> String {
+    format!("wal-{first_lsn:016}.log")
 }
 
-/// Parses a segment sequence number from a file name.
-pub fn parse_segment_seq(name: &str) -> Option<u64> {
+/// Parses a segment's first LSN from its file name.
+pub fn parse_segment_lsn(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     rest.parse().ok()
 }
@@ -231,9 +231,9 @@ mod tests {
     #[test]
     fn segment_names_roundtrip() {
         assert_eq!(segment_file_name(42), "wal-0000000000000042.log");
-        assert_eq!(parse_segment_seq("wal-0000000000000042.log"), Some(42));
-        assert_eq!(parse_segment_seq("other.log"), None);
-        assert_eq!(parse_segment_seq("wal-x.log"), None);
+        assert_eq!(parse_segment_lsn("wal-0000000000000042.log"), Some(42));
+        assert_eq!(parse_segment_lsn("other.log"), None);
+        assert_eq!(parse_segment_lsn("wal-x.log"), None);
     }
 
     #[test]

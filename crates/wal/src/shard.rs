@@ -42,83 +42,47 @@
 //! before the ack would replay rows that already live in registered
 //! LogBlocks on OSS — every acknowledged row present *twice*. To close
 //! that window each non-empty drain appends a **drain intent** to the WAL
-//! (a tagged entry carrying a [`DrainSeq`] and the drained rows) before
-//! the upload starts, and the uploader commits "the first `k` chunks of
-//! drain `seq` are durable" atomically in the metadata store. Replay
-//! re-executes history: batch entries insert rows, intent entries remove
-//! exactly the drained multiset again, and a [`DrainResolver`] (backed by
-//! the metadata store) says how many chunks of that drain were committed —
-//! rows of committed chunks stay out (they are queryable on OSS), the rest
-//! are reinserted just like a live [`ShardStore::restore_unarchived`].
-//! Both sides derive chunks with `logstore_types::partition_into_chunks`,
-//! so "chunk `i` of drain `seq`" names the same row multiset everywhere.
-//!
-//! Drain sequence numbers must stay unique across restarts even though
-//! LSNs restart after truncation, so each open bumps a durable epoch
-//! counter (`epoch` file in the shard directory) and a drain is named
-//! `(epoch, counter)`.
+//! (a tagged entry carrying the drained rows) before the upload starts. The
+//! intent's LSN names the drain — LSNs never restart, so the name is
+//! unique for the life of the shard — and the uploader commits "the first
+//! `k` chunks of drain `lsn`, partitioned at `chunk_rows`, are durable"
+//! atomically in the metadata store. Replay re-executes history: batch
+//! entries insert rows, intent entries remove exactly the drained multiset
+//! again, and one lookup (backed by the metadata store) returns the
+//! drain's [`DrainCommit`] — rows of committed chunks stay out (they are
+//! queryable on OSS), the rest are reinserted just like a live
+//! [`ShardStore::restore_unarchived`]. Both sides derive chunks with
+//! `logstore_types::partition_into_chunks` at the recorded cap, so "chunk
+//! `i` of drain `lsn`" names the same row multiset everywhere, whatever
+//! the current configuration says.
 
 use crate::group::{GroupCommitWal, Lsn, WalConfig};
 use crate::rowstore::{Drained, RowSnapshot, RowStore};
 use logstore_codec::batch::{decode_batch, encode_batch_into};
-use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_sync::{sync_point, OrderedMutex};
 use logstore_types::{partition_into_chunks, Error, LogRecord, Result, TenantId, TimeRange};
-use std::fs::{self, File};
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// WAL payload tag: a regular appended record batch.
 const PAYLOAD_BATCH: u8 = 0;
-/// WAL payload tag: a drain intent (seq + the drained rows).
+/// WAL payload tag: a drain intent (the drained rows).
 const PAYLOAD_DRAIN_INTENT: u8 = 1;
 
-/// Name of the per-shard epoch counter file, and of the temp file a bump
-/// stages its value in before renaming it over the counter.
-const EPOCH_FILE: &str = "epoch";
-const EPOCH_TMP_FILE: &str = "epoch.tmp";
-
-/// Durable identity of one drain: unique across restarts of the shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DrainSeq {
-    /// Bumped once per [`ShardStore`] open (durable in the shard dir).
-    pub epoch: u64,
-    /// Per-open drain counter, starting at 1.
-    pub counter: u64,
+/// What a drain's metadata commit recorded: its first `chunks` chunks,
+/// partitioned at `chunk_rows` rows per chunk, are durable on OSS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainCommit {
+    /// Leading chunks registered in the LogBlock map.
+    pub chunks: u64,
+    /// The chunk row cap the uploader partitioned with.
+    pub chunk_rows: usize,
 }
 
-/// Answers, during replay, whether (and how far) a drain's upload was
-/// committed. Backed by the engine's metadata store in production; the
-/// inert [`NoCommittedDrains`] treats every drain as never-uploaded
-/// (at-least-once, the pre-intent behavior).
-pub trait DrainResolver {
-    /// How many leading chunks of drain `seq` are durable and registered
-    /// on OSS (`None` = the drain never committed anything).
-    fn committed_chunks(&self, seq: DrainSeq) -> Option<u64>;
-    /// The chunk row cap the uploader used (`max_rows_per_logblock`).
-    fn chunk_rows(&self) -> usize;
-}
-
-/// A resolver that knows of no committed drains: replay restores every
-/// intent's rows. Safe (never loses a row) but re-archives under fresh
-/// paths whatever did make it to OSS.
-pub struct NoCommittedDrains;
-
-impl DrainResolver for NoCommittedDrains {
-    fn committed_chunks(&self, _seq: DrainSeq) -> Option<u64> {
-        None
-    }
-
-    fn chunk_rows(&self) -> usize {
-        usize::MAX
-    }
-}
-
-/// A drain whose intent is logged: the intent's seq (`None` on a
+/// A drain whose intent is logged: the intent's LSN (`None` on a
 /// memory-only shard) plus the drained rows, ready for the archive
 /// pipeline.
-pub type LoggedDrain = (Option<DrainSeq>, Vec<LogRecord>);
+pub type LoggedDrain = (Option<Lsn>, Vec<LogRecord>);
 
 /// A batch that is in the WAL but not yet in the row store (the output of
 /// [`ShardStore::log_batch`]). Its LSN is a truncation floor until the
@@ -147,16 +111,12 @@ struct Inner {
     /// Drains neither acked nor rolled back yet. Their rows live only in
     /// WAL segments, so truncation must wait for all of them.
     archives_inflight: u64,
-    /// Drains issued by this open.
-    drain_counter: u64,
 }
 
 /// Recoverable phase-one storage for one shard (see the module docs).
 pub struct ShardStore {
     /// `None` on a memory-only shard.
     wal: Option<GroupCommitWal>,
-    /// This open's durable epoch (drain seq uniqueness across restarts).
-    epoch: u64,
     inner: OrderedMutex<Inner>,
     /// Drained rows that were cloned because a query still held their run.
     rows_cloned_at_drain: AtomicU64,
@@ -164,9 +124,9 @@ pub struct ShardStore {
 
 impl ShardStore {
     /// A memory-only shard: the same protocol with no WAL behind it, so
-    /// nothing survives a restart and drains carry no [`DrainSeq`].
+    /// nothing survives a restart and drains carry no LSN.
     pub fn in_memory() -> Self {
-        Self::assemble(None, 0, Inner::default())
+        Self::assemble(None, Inner::default())
     }
 
     /// Opens the shard directory, replaying any existing WAL. Drain intents
@@ -174,57 +134,54 @@ impl ShardStore {
     /// restored); use [`ShardStore::open_with`] when a metadata store can
     /// say which drains actually reached OSS.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self> {
-        Self::open_with(dir, config, &NoCommittedDrains)
+        Self::open_with(dir, config, &|_| None)
     }
 
-    /// Opens the shard directory, replaying the WAL and reconciling drain
-    /// intents against `resolver`: rows of committed chunks stay archived,
-    /// everything else returns to the row store.
+    /// Opens the shard directory, replaying the WAL and reconciling each
+    /// drain intent against `committed(intent lsn)`: rows of committed
+    /// chunks stay archived, everything else returns to the row store.
     pub fn open_with(
         dir: impl AsRef<Path>,
         config: WalConfig,
-        resolver: &dyn DrainResolver,
+        committed: &dyn Fn(Lsn) -> Option<DrainCommit>,
     ) -> Result<Self> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let epoch = bump_epoch(dir)?;
         let (wal, replayed) = GroupCommitWal::open(dir, config)?;
         let mut rows = RowStore::new();
         let mut records_appended = 0;
         let mut records_archived = 0;
-        for (_lsn, payload) in replayed {
+        for (lsn, payload) in replayed {
             let (tag, body) =
                 payload.split_first().ok_or_else(|| Error::corruption("empty wal payload"))?;
+            let records = decode_batch(body)?;
             match *tag {
                 PAYLOAD_BATCH => {
-                    for record in decode_batch(body)? {
+                    records_appended += records.len() as u64;
+                    for record in records {
                         rows.insert(record);
-                        records_appended += 1;
                     }
                 }
                 PAYLOAD_DRAIN_INTENT => {
-                    let (seq, drained) = decode_drain_intent(body)?;
-                    let found = rows.remove_batch(&drained);
-                    if found != drained.len() {
+                    let found = rows.remove_batch(&records);
+                    if found != records.len() {
                         return Err(Error::corruption(format!(
-                            "drain intent {seq:?} names {} rows, only {found} buffered",
-                            drained.len()
+                            "drain intent {lsn} names {} rows, only {found} buffered",
+                            records.len()
                         )));
                     }
-                    match resolver.committed_chunks(seq) {
+                    match committed(lsn) {
                         None => {
                             // Never committed: the live path restored (or
                             // would have restored) every row.
-                            for r in drained {
+                            for r in records {
                                 rows.insert(r);
                             }
                         }
-                        Some(k) => {
-                            // The first k chunks are durable on OSS; the
-                            // rest behave like a live restore_unarchived.
-                            let chunks = partition_into_chunks(drained, resolver.chunk_rows());
+                        Some(commit) => {
+                            // The first chunks are durable on OSS; the rest
+                            // behave like a live restore_unarchived.
+                            let chunks = partition_into_chunks(records, commit.chunk_rows);
                             for (i, chunk) in chunks.into_iter().enumerate() {
-                                if (i as u64) < k {
+                                if (i as u64) < commit.chunks {
                                     records_archived += chunk.rows.len() as u64;
                                 } else {
                                     for r in chunk.rows {
@@ -239,14 +196,13 @@ impl ShardStore {
             }
         }
         let inner = Inner { rows, records_appended, records_archived, ..Inner::default() };
-        Ok(Self::assemble(Some(wal), epoch, inner))
+        Ok(Self::assemble(Some(wal), inner))
     }
 
     /// The one construction site, so the lock label names one lock.
-    fn assemble(wal: Option<GroupCommitWal>, epoch: u64, inner: Inner) -> Self {
+    fn assemble(wal: Option<GroupCommitWal>, inner: Inner) -> Self {
         ShardStore {
             wal,
-            epoch,
             inner: OrderedMutex::new("wal.shard.inner", inner),
             rows_cloned_at_drain: AtomicU64::new(0),
         }
@@ -255,9 +211,7 @@ impl ShardStore {
     /// Encodes records into the tagged batch WAL payload (pure): the tag
     /// and the batch body in one buffer.
     pub fn encode_batch_payload(records: &[LogRecord]) -> Vec<u8> {
-        let mut payload = vec![PAYLOAD_BATCH];
-        encode_batch_into(&mut payload, records);
-        payload
+        tagged_payload(PAYLOAD_BATCH, records)
     }
 
     /// The batch body inside a payload made by
@@ -343,11 +297,6 @@ impl ShardStore {
         self.inner.lock().rows.tenants()
     }
 
-    /// This open's durable epoch (`0` on a memory-only shard).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Live WAL segment files (`0` on a memory-only shard).
     pub fn wal_segments(&self) -> usize {
         self.wal.as_ref().map_or(0, GroupCommitWal::segment_count)
@@ -381,7 +330,7 @@ impl ShardStore {
     }
 
     fn drain(&self, take: impl FnOnce(&mut RowStore) -> Drained) -> Result<Option<LoggedDrain>> {
-        let (seq, drained) = {
+        let drained = {
             let mut inner = self.inner.lock();
             let drained = take(&mut inner.rows);
             if drained.row_count() == 0 {
@@ -390,10 +339,9 @@ impl ShardStore {
             // Open the op *before* the intent is logged: truncation must
             // stay blocked across the unlocked append below. A failed
             // append rolls both counters back via restore_unarchived.
-            inner.drain_counter += 1;
             inner.archives_inflight += 1;
             inner.records_archived += drained.row_count() as u64;
-            (DrainSeq { epoch: self.epoch, counter: inner.drain_counter }, drained)
+            drained
         };
         // The runs come apart outside the lock: a run a query still reads
         // is cloned, never waited for.
@@ -403,12 +351,12 @@ impl ShardStore {
         // The drained rows exist only in `rows` until the intent is logged
         // — the window the archive-op counter guards.
         sync_point("wal.shard.drain_window");
-        match wal.append_durable(&encode_drain_intent(seq, &rows)) {
+        match wal.append_durable(&tagged_payload(PAYLOAD_DRAIN_INTENT, &rows)) {
             Ok(lsn) => {
                 // An intent has no apply step; release its LSN at once (the
                 // open archive op blocks truncation for the drain window).
                 wal.confirm_applied(lsn);
-                Ok(Some((Some(seq), rows)))
+                Ok(Some((Some(lsn), rows)))
             }
             Err(e) => {
                 self.restore_unarchived(rows);
@@ -450,11 +398,11 @@ impl ShardStore {
     /// that had nothing to drain: truncations deferred by overlapping acks
     /// are eventually applied.
     ///
-    /// Returns the last drain seq of this open when the cut left nothing
-    /// but the fresh active segment: no drain up to it can ever be replayed
-    /// again, so its commit record is no longer needed. `None` when the
-    /// cut was deferred, clamped, or the shard has no WAL.
-    pub fn truncate_if_quiescent(&self) -> Result<Option<DrainSeq>> {
+    /// Returns the first LSN still in the WAL after the cut: no drain whose
+    /// intent lies below it can ever be replayed again, so its commit
+    /// record is no longer needed. `None` when the cut was deferred or the
+    /// shard has no WAL.
+    pub fn truncate_if_quiescent(&self) -> Result<Option<Lsn>> {
         let Some(wal) = &self.wal else { return Ok(None) };
         // Truncation is safe only when *everything* ever logged is durable
         // on OSS — no drain's upload is still in flight (its rows live only
@@ -474,59 +422,17 @@ impl ShardStore {
         }
         // Rotate first so the (non-deletable) active segment is empty.
         wal.rotate_now()?;
-        wal.truncate_until(wal.next_lsn())?;
-        let whole = wal.segment_count() == 1;
-        Ok(whole.then_some(DrainSeq { epoch: self.epoch, counter: inner.drain_counter }))
+        let first = wal.truncate_until(wal.next_lsn())?;
+        drop(inner);
+        Ok(Some(first))
     }
 }
 
-/// Reads, increments and durably persists the shard's epoch counter: the
-/// new value is staged in a temp file, fsynced, renamed over the counter,
-/// and the directory fsynced — a crash leaves the old or the new value,
-/// never a torn one. The previous epoch is the larger of the counter and a
-/// staged value a crash left behind, so a handed-out epoch is never reused.
-fn bump_epoch(dir: &Path) -> Result<u64> {
-    let (path, tmp) = (dir.join(EPOCH_FILE), dir.join(EPOCH_TMP_FILE));
-    let previous = match read_epoch(&path)?.max(read_epoch(&tmp)?) {
-        Some(epoch) => epoch,
-        // A torn counter with no staged value: the last epoch is unknown,
-        // and guessing could reuse the `DrainSeq` of a committed drain.
-        None if path.exists() => return Err(Error::corruption("epoch file is not a number")),
-        None => 0,
-    };
-    let epoch =
-        previous.checked_add(1).ok_or_else(|| Error::corruption("epoch counter exhausted"))?;
-    let mut staged = File::create(&tmp)?;
-    staged.write_all(epoch.to_string().as_bytes())?;
-    staged.sync_all()?;
-    fs::rename(&tmp, &path)?;
-    File::open(dir)?.sync_all()?;
-    Ok(epoch)
-}
-
-/// The epoch stored in `path`; `None` when the file is missing or torn.
-fn read_epoch(path: &Path) -> Result<Option<u64>> {
-    match fs::read(path) {
-        Ok(bytes) => Ok(std::str::from_utf8(&bytes).ok().and_then(|t| t.trim().parse().ok())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
-fn encode_drain_intent(seq: DrainSeq, rows: &[LogRecord]) -> Vec<u8> {
-    let mut payload = vec![PAYLOAD_DRAIN_INTENT];
-    put_uvarint(&mut payload, seq.epoch);
-    put_uvarint(&mut payload, seq.counter);
-    encode_batch_into(&mut payload, rows);
+/// A WAL payload: the tag, then the batch encoding of `records`.
+fn tagged_payload(tag: u8, records: &[LogRecord]) -> Vec<u8> {
+    let mut payload = vec![tag];
+    encode_batch_into(&mut payload, records);
     payload
-}
-
-fn decode_drain_intent(body: &[u8]) -> Result<(DrainSeq, Vec<LogRecord>)> {
-    let mut pos = 0;
-    let epoch = read_uvarint(body, &mut pos)?;
-    let counter = read_uvarint(body, &mut pos)?;
-    let rows = decode_batch(&body[pos..])?;
-    Ok((DrainSeq { epoch, counter }, rows))
 }
 
 #[cfg(test)]
@@ -534,7 +440,7 @@ mod tests {
     use super::*;
     use crate::group::FlushPolicy;
     use logstore_types::{Timestamp, Value};
-    use std::collections::HashMap;
+    use std::fs;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -561,21 +467,18 @@ mod tests {
         )
     }
 
-    /// Test resolver: an in-memory committed-drains table.
-    #[derive(Default)]
-    struct TableResolver {
-        commits: HashMap<DrainSeq, u64>,
+    /// Opens `dir` knowing of one committed drain: `chunks` chunks of the
+    /// drain whose intent is `lsn`, partitioned at `chunk_rows`.
+    fn open_with_commit(
+        dir: &Path,
+        config: WalConfig,
+        lsn: Lsn,
+        chunks: u64,
         chunk_rows: usize,
-    }
-
-    impl DrainResolver for TableResolver {
-        fn committed_chunks(&self, seq: DrainSeq) -> Option<u64> {
-            self.commits.get(&seq).copied()
-        }
-
-        fn chunk_rows(&self) -> usize {
-            self.chunk_rows
-        }
+    ) -> ShardStore {
+        let commit = DrainCommit { chunks, chunk_rows };
+        ShardStore::open_with(dir, config, &|l| (l == lsn).then_some(commit))
+            .expect("the wal must replay")
     }
 
     fn open(dir: &Path) -> ShardStore {
@@ -600,13 +503,13 @@ mod tests {
         rows.filter(|r| r.tenant_id == TenantId(tenant)).cloned().collect()
     }
 
-    fn drain_all(s: &ShardStore) -> (DrainSeq, Vec<LogRecord>) {
-        let (seq, rows) = s.drain_all(0).unwrap().expect("non-empty drain");
-        (seq.expect("durable shards name their drains"), rows)
+    fn drain_all(s: &ShardStore) -> (Lsn, Vec<LogRecord>) {
+        let (lsn, rows) = s.drain_all(0).unwrap().expect("non-empty drain");
+        (lsn.expect("durable shards name their drains"), rows)
     }
 
     /// The archive ack as the worker runs it: close the op, then truncate.
-    fn ack(s: &ShardStore) -> Option<DrainSeq> {
+    fn ack(s: &ShardStore) -> Option<Lsn> {
         s.ack_archive_op();
         s.truncate_if_quiescent().unwrap()
     }
@@ -657,44 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_increase_across_opens() {
-        let dir = temp_dir("epoch");
-        let first = open(&dir).epoch();
-        assert!(open(&dir).epoch() > first, "drain seqs must stay unique across restarts");
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn torn_epoch_file_beside_a_staged_value_does_not_brick_the_shard() {
-        let dir = temp_dir("epoch-torn");
-        let mut last = open(&dir).epoch();
-        let mut reopen = |what: &str| {
-            let epoch = ShardStore::open(&dir, WalConfig::default())
-                .unwrap_or_else(|e| panic!("{what}: {e}"))
-                .epoch();
-            assert!(epoch > last, "{what}: epoch {epoch} after {last}");
-            last = epoch;
-            epoch
-        };
-        // Killed after staging the next value, with the counter torn (what
-        // an in-place rewrite leaves between its truncate and its write).
-        let staged = reopen("clean reopen") + 1;
-        fs::write(dir.join(EPOCH_TMP_FILE), staged.to_string()).unwrap();
-        fs::write(dir.join(EPOCH_FILE), "").unwrap();
-        assert!(reopen("torn counter beside a staged value") > staged, "staged may be in use");
-        // Killed while staging: the temp is torn, the counter intact.
-        fs::write(dir.join(EPOCH_TMP_FILE), "").unwrap();
-        reopen("torn staged value");
-        // A stale, smaller staged value never drags the epoch backwards.
-        fs::write(dir.join(EPOCH_TMP_FILE), "1").unwrap();
-        reopen("stale staged value");
-        // With nothing to recover the last epoch from, refuse to guess.
-        fs::write(dir.join(EPOCH_FILE), "").unwrap();
-        assert!(ShardStore::open(&dir, WalConfig::default()).is_err());
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn drain_and_ack_truncate_wal() {
         let dir = temp_dir("checkpoint");
         let config = WalConfig { max_segment_bytes: 256, ..WalConfig::default() };
@@ -702,10 +567,10 @@ mod tests {
         for i in 0..100 {
             append(&s, vec![rec(1, i)]);
         }
-        let (_, drained) = drain_all(&s);
-        assert_eq!(drained.len(), 100);
+        let (lsn, drained) = drain_all(&s);
+        assert_eq!((lsn, drained.len()), (101, 100), "the intent follows the 100 batches");
         assert_eq!(s.counters(), (100, 100));
-        assert!(ack(&s).is_some(), "expected wal segments to be dropped");
+        assert_eq!(ack(&s), Some(102), "the cut must drop everything up to the intent");
         assert_eq!(s.wal_segments(), 1);
         drop(s);
         let s = ShardStore::open(&dir, config).unwrap();
@@ -735,24 +600,23 @@ mod tests {
         // One segment per group, so a cut could fall anywhere.
         let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
         let dir = temp_dir("pinned");
-        let seq = {
+        let lsn = {
             let s = ShardStore::open(&dir, config.clone()).unwrap();
             append(&s, vec![rec(1, 0)]);
             // A producer stalls between its WAL append and its apply while
             // a whole drain → upload → ack cycle runs on the shard.
             let late = vec![rec(1, 1)];
             let logged = s.log_batch(&ShardStore::encode_batch_payload(&late)).unwrap();
-            let (seq, drained) = drain_all(&s);
+            let (lsn, drained) = drain_all(&s);
             assert_eq!(drained.len(), 1);
             // The row store is empty and no op is open — but cutting at the
             // logged batch would keep the drain intent and drop the batch
             // it names, and cutting past it would lose an acked-to-be row.
             assert_eq!(ack(&s), None, "a logged batch awaiting its apply defers truncation");
             s.apply(late, logged);
-            seq
+            lsn
         };
-        let resolver = TableResolver { commits: HashMap::from([(seq, 1)]), chunk_rows: 10 };
-        let s = ShardStore::open_with(&dir, config, &resolver).expect("the wal must replay");
+        let s = open_with_commit(&dir, config, lsn, 1, 10);
         assert_eq!(rows_of(&s, 1), vec![rec(1, 1)], "exactly the late batch is buffered");
         let _ = fs::remove_dir_all(dir);
     }
@@ -800,19 +664,18 @@ mod tests {
     }
 
     /// Appends `0..n` one row per batch, drains them, and "crashes".
-    fn drained_then_crashed(dir: &Path, n: i64) -> DrainSeq {
+    fn drained_then_crashed(dir: &Path, n: i64) -> Lsn {
         let s = open(dir);
         for i in 0..n {
             append(&s, vec![rec(1, i)]);
         }
-        let (seq, drained) = drain_all(&s);
+        let (lsn, drained) = drain_all(&s);
         assert_eq!(drained.len() as i64, n);
-        seq
+        lsn
     }
 
-    fn open_with_commits(dir: &Path, seq: DrainSeq, chunks: u64, chunk_rows: usize) -> ShardStore {
-        let resolver = TableResolver { commits: HashMap::from([(seq, chunks)]), chunk_rows };
-        ShardStore::open_with(dir, WalConfig::default(), &resolver).unwrap()
+    fn open_with_commits(dir: &Path, lsn: Lsn, chunks: u64, chunk_rows: usize) -> ShardStore {
+        open_with_commit(dir, WalConfig::default(), lsn, chunks, chunk_rows)
     }
 
     #[test]
@@ -821,9 +684,9 @@ mod tests {
         // committed but before the ack truncated the WAL must NOT restore
         // rows that live in registered LogBlocks.
         let dir = temp_dir("commit-dedup");
-        let seq = drained_then_crashed(&dir, 30);
+        let lsn = drained_then_crashed(&dir, 30);
         // All 3 chunks (cap 10) committed: nothing comes back.
-        let s = open_with_commits(&dir, seq, 3, 10);
+        let s = open_with_commits(&dir, lsn, 3, 10);
         assert_eq!(s.buffered_rows(), 0, "committed rows must not resurrect");
         assert_eq!(s.counters(), (30, 30));
         let _ = fs::remove_dir_all(dir);
@@ -832,9 +695,9 @@ mod tests {
     #[test]
     fn partial_commit_restores_only_uncommitted_chunks() {
         let dir = temp_dir("commit-partial");
-        let seq = drained_then_crashed(&dir, 30);
+        let lsn = drained_then_crashed(&dir, 30);
         // Only the first chunk (rows ts 0..10) made it before the crash.
-        let s = open_with_commits(&dir, seq, 1, 10);
+        let s = open_with_commits(&dir, lsn, 1, 10);
         assert_eq!(s.buffered_rows(), 20);
         assert!(rows_of(&s, 1).iter().all(|r| r.ts.millis() >= 10), "committed chunk stays out");
         assert_eq!(s.counters(), (30, 10));
@@ -846,18 +709,18 @@ mod tests {
         // append 20 → drain (committed) → append 20 more → crash. Replay
         // must keep the first drain archived and restore only the tail.
         let dir = temp_dir("interleave");
-        let seq = {
+        let lsn = {
             let s = open(&dir);
             for i in 0..20 {
                 append(&s, vec![rec(1, i)]);
             }
-            let (seq, _) = drain_all(&s);
+            let (lsn, _) = drain_all(&s);
             for i in 20..40 {
                 append(&s, vec![rec(1, i)]);
             }
-            seq
+            lsn
         };
-        let s = open_with_commits(&dir, seq, 1, 100);
+        let s = open_with_commits(&dir, lsn, 1, 100);
         assert_eq!(s.buffered_rows(), 20);
         assert!(rows_of(&s, 1).iter().all(|r| r.ts.millis() >= 20));
         let _ = fs::remove_dir_all(dir);
@@ -950,19 +813,79 @@ mod tests {
 
     #[test]
     fn drain_seqs_are_unique_within_and_across_opens() {
+        // A drain is named by its intent's LSN, and LSNs never restart:
+        // not at a whole cut, not at a reopen after one.
         let dir = temp_dir("drain-seq");
         let mut seen = std::collections::HashSet::new();
         for _ in 0..3 {
             let s = open(&dir);
             for round in 0..2 {
                 append(&s, vec![rec(1, round)]);
-                let (seq, rows) = drain_all(&s);
-                assert!(seen.insert(seq), "duplicate drain seq {seq:?}");
+                let (lsn, rows) = drain_all(&s);
+                assert!(seen.insert(lsn), "duplicate drain lsn {lsn}");
                 s.restore_unarchived(rows);
-                // Drain the restored row again next round: new seq.
+                // Drain the restored row again next round: new LSN.
+            }
+            // Archive it for real: the ack's cut leaves only the fresh,
+            // empty active segment for the next open to start from.
+            let (lsn, _) = drain_all(&s);
+            assert!(seen.insert(lsn), "duplicate drain lsn {lsn}");
+            assert_eq!(ack(&s), Some(lsn + 1), "a whole cut");
+            assert_eq!(s.wal_segments(), 1);
+        }
+        assert_eq!(seen.len(), 9);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    mod hostile_records {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A WAL payload: a batch or drain intent of a few real rows, or a
+        /// known or unknown tag in front of arbitrary bytes.
+        fn payload() -> impl Strategy<Value = Vec<u8>> {
+            let rows = vec((1u64..3, 0i64..4), 0..6)
+                .prop_map(|keys| keys.into_iter().map(|(t, ts)| rec(t, ts)).collect::<Vec<_>>());
+            prop_oneof![
+                (0u8..3, rows).prop_map(|(tag, rows)| tagged_payload(tag, &rows)),
+                (0u8..3, vec(any::<u8>(), 0..48))
+                    .prop_map(|(tag, body)| [vec![tag], body].concat()),
+                vec(any::<u8>(), 0..48),
+            ]
+        }
+
+        proptest! {
+            /// Every frame is CRC-valid (the records go through the group
+            /// commit), so replay meets the bytes as they are: it returns a
+            /// shard whose counters add up, or a typed error — never a
+            /// panic.
+            #[test]
+            fn arbitrary_wal_records_replay_or_fail_typed(
+                payloads in vec(payload(), 0..8),
+                commit in prop_oneof![Just(None), (0u64..4, 0usize..4).prop_map(Some)],
+            ) {
+                let dir = temp_dir("hostile");
+                {
+                    let (wal, _) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
+                    for payload in &payloads {
+                        wal.append(payload).unwrap();
+                    }
+                }
+                let commit = commit.map(|(chunks, chunk_rows)| DrainCommit { chunks, chunk_rows });
+                let opened = ShardStore::open_with(&dir, WalConfig::default(), &|_| commit);
+                let _ = fs::remove_dir_all(&dir);
+                match opened {
+                    Ok(s) => {
+                        let (appended, archived) = s.counters();
+                        prop_assert_eq!(s.buffered_rows() as u64 + archived, appended);
+                    }
+                    Err(e) => prop_assert!(
+                        matches!(e, Error::Corruption(_) | Error::InvalidArgument(_)),
+                        "{e}"
+                    ),
+                }
             }
         }
-        assert_eq!(seen.len(), 6);
-        let _ = fs::remove_dir_all(dir);
     }
 }

@@ -21,7 +21,7 @@ use std::time::Duration;
 use logstore_sync::{sched, sync_point, OrderedMutex};
 use logstore_types::{LogRecord, TenantId, TimeRange, Timestamp, Value};
 use logstore_wal::{
-    DrainResolver, DrainSeq, GroupCommitWal, LoggedDrain, Lsn, RowSnapshot, ShardStore, WalConfig,
+    DrainCommit, GroupCommitWal, LoggedDrain, Lsn, RowSnapshot, ShardStore, WalConfig,
 };
 
 /// One fresh directory per schedule run (seeds must not share state).
@@ -96,19 +96,6 @@ fn group_commit_with_linger_survives_schedule_sweep() {
     sched::explore(0..25, || group_commit_round(Duration::from_millis(2)));
 }
 
-/// Replay-time commit table: at most one drain, committed as one chunk.
-struct TableResolver(Option<DrainSeq>);
-
-impl DrainResolver for TableResolver {
-    fn committed_chunks(&self, seq: DrainSeq) -> Option<u64> {
-        (self.0 == Some(seq)).then_some(1)
-    }
-
-    fn chunk_rows(&self) -> usize {
-        usize::MAX
-    }
-}
-
 fn wal_segments(dir: &PathBuf) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .expect("list shard dir")
@@ -181,7 +168,7 @@ fn shard_store_round(upload_succeeds: bool) {
         let (store, drained, dir) = (Arc::clone(&store), Arc::clone(&drained), dir.clone());
         let drain_order = Arc::clone(&drain_order);
         sched::spawn(move || {
-            let Some((seq, rows)) = store.drain_all(0).expect("drain") else { return };
+            let Some((lsn, rows)) = store.drain_all(0).expect("drain") else { return };
             *drain_order.lock() = rows.iter().map(|r| r.ts.millis()).collect();
             // The op is open: whatever else runs during the "upload", no
             // segment that existed at the drain may disappear.
@@ -195,7 +182,7 @@ fn shard_store_round(upload_succeeds: bool) {
             if upload_succeeds {
                 store.ack_archive_op();
                 store.truncate_if_quiescent().expect("ack truncation");
-                *drained.lock() = Some((seq, rows));
+                *drained.lock() = Some((lsn, rows));
             } else {
                 store.restore_unarchived(rows);
             }
@@ -234,7 +221,7 @@ fn shard_store_round(upload_succeeds: bool) {
 
     // Exactly the rows of an acked drain are gone; nothing else is.
     let (committed, archived_ts) = match drained.lock().take() {
-        Some((seq, rows)) => (seq, rows.iter().map(|r| r.ts.millis()).collect()),
+        Some((lsn, rows)) => (lsn, rows.iter().map(|r| r.ts.millis()).collect()),
         None => (None, Vec::new()),
     };
     let expect: Vec<i64> = (0..4).filter(|ts| !archived_ts.contains(ts)).collect();
@@ -245,9 +232,12 @@ fn shard_store_round(upload_succeeds: bool) {
 
     // A restart replays exactly the rows no committed drain carried away,
     // whether or not their segments were truncated meanwhile.
+    // The commit table: at most one drain, committed as one chunk.
     drop(store);
+    let one_chunk = DrainCommit { chunks: 1, chunk_rows: usize::MAX };
     let store =
-        ShardStore::open_with(&dir, config, &TableResolver(committed)).expect("reopen shard");
+        ShardStore::open_with(&dir, config, &|lsn| (committed == Some(lsn)).then_some(one_chunk))
+            .expect("reopen shard");
     assert_eq!(buffered_ts(&store), expect, "replayed rows");
     let (appended, archived) = store.counters();
     assert_eq!(store.buffered_rows() as u64, appended - archived);

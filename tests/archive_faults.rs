@@ -222,6 +222,37 @@ fn recovery_flush_acks_and_checkpoints() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A drain that committed part of its chunks and then crashed replays with
+/// the chunk cap it was partitioned with, not the one the restarted engine
+/// is configured with: exactly the uncommitted chunks come back.
+#[test]
+fn a_restart_with_a_different_logblock_cap_keeps_every_acked_row() {
+    let dir = temp_dir("cap-change");
+    let config_at = |cap: usize| {
+        let mut config = durable_config_at(&dir, 1);
+        config.max_rows_per_logblock = cap;
+        config
+    };
+    let s = LogStore::open(config_at(10)).unwrap();
+    s.ingest((0..30).map(|i| rec(1, i, "capped")).collect()).unwrap();
+    // Three chunks of 10; the first PUT lands, the second (and its
+    // retries, and everything after) fails.
+    let faults = s.shared().fault_layer();
+    faults.set_scope(FaultScope::Writes);
+    faults.fail_ops(&[faults.op_index() + 1..u64::MAX]);
+    assert!(s.flush().is_err());
+    assert_eq!(s.archive_stats().rows_restored, 20, "one chunk committed, two restored");
+    let parts = OpenParts {
+        store: Some(Arc::clone(&s.shared().store)),
+        metadata: Some(Arc::clone(&s.shared().metadata)),
+        hooks: None,
+    };
+    drop(s);
+    let s = LogStore::open_with(config_at(100), parts).unwrap();
+    assert_eq!(count(&s, 1), 30, "10 rows on OSS and 20 replayed into the row store");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Reports each `AfterDrain` to the test thread and holds the flush there
 /// until the test thread answers — the window in which the drained shard's
 /// rows are in neither the row store nor the LogBlock map.
