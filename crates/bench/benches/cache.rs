@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use logstore_cache::prefetch::merge_ranges;
-use logstore_cache::tiered::{BlockKey, TieredCache};
+use logstore_cache::tiered::TieredCache;
 use logstore_cache::Prefetcher;
 use logstore_codec::Compression;
 use logstore_logblock::LogBlockBuilder;
@@ -24,21 +24,24 @@ fn bench_cache_paths(c: &mut Criterion) {
     let store = SimulatedOss::new(MemoryStore::new(), LatencyModel::zero(), 1);
     store.inner().put("obj", &vec![1u8; 128 * 1024]).unwrap();
     let cache = TieredCache::memory_only(64 << 20);
-    let key = BlockKey { path: "obj".into(), offset: 0 };
-    cache.get_or_fetch(&key, || store.get_range("obj", 0, 128 * 1024)).unwrap();
+    let block = [(0u64, 128 * 1024u64)];
+    cache.get_or_fetch_run("obj", &block, &|run| store.get_block_run("obj", run)).unwrap();
 
     let mut group = c.benchmark_group("cache");
     group.sample_size(50);
     group.bench_function("memory hit (128 KiB block)", |b| {
-        b.iter(|| cache.get_or_fetch(black_box(&key), || unreachable!("must hit")).unwrap())
+        b.iter(|| {
+            cache.get_or_fetch_run("obj", black_box(&block), &|_| unreachable!("must hit")).unwrap()
+        })
     });
     group.bench_function("miss + fetch (128 KiB block)", |b| {
         let mut offset = 1u64;
         b.iter(|| {
             // A fresh key every iteration forces the miss path.
-            let key = BlockKey { path: "obj".into(), offset };
+            let fresh = [(offset, 128 * 1024)];
             offset += 1;
-            cache.get_or_fetch(&key, || store.get_range("obj", 0, 128 * 1024)).unwrap()
+            let fetch = |_: &[(u64, u64)]| Ok(vec![store.get_range("obj", 0, 128 * 1024)?]);
+            cache.get_or_fetch_run("obj", &fresh, &fetch).unwrap()
         })
     });
     group.finish();
@@ -181,12 +184,11 @@ fn bench_concurrent_zipf(c: &mut Criterion) {
                                             .unwrap();
                                         black_box(got);
                                     } else {
-                                        let key = BlockKey {
-                                            path: "hot".into(),
-                                            offset: start * BLOCK as u64,
-                                        };
+                                        let block = [(start * BLOCK as u64, BLOCK as u64)];
                                         let got = cache
-                                            .get_or_fetch(&key, || Ok(vec![start as u8; BLOCK]))
+                                            .get_or_fetch_run("hot", &block, &|_| {
+                                                Ok(vec![vec![start as u8; BLOCK]])
+                                            })
                                             .unwrap();
                                         black_box(got);
                                     }

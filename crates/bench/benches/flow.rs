@@ -2,8 +2,7 @@
 //! and full rebalance planning (greedy vs max-flow).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logstore_bench::balancing::{run, BalanceExperiment};
-use logstore_core::config::BalancerKind;
+use logstore_bench::balancing::{run, BalanceExperiment, BalancerKind};
 use logstore_flow::FlowNetwork;
 use std::hint::black_box;
 
@@ -41,7 +40,7 @@ fn bench_rebalance(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow/rebalance");
     group.sample_size(10);
     for kind in [BalancerKind::Greedy, BalancerKind::MaxFlow] {
-        group.bench_function(kind.planner().name(), |b| {
+        group.bench_function(kind.planner().expect("a balancing policy").name(), |b| {
             let exp = BalanceExperiment::paper_like(0.99);
             b.iter(|| black_box(run(&exp, kind).after.throughput))
         });

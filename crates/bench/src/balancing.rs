@@ -7,13 +7,35 @@
 //! a `ControlState` — and outcomes are produced by the queueing simulator
 //! in `logstore_flow::sim`.
 
-use logstore_core::config::BalancerKind;
+use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 use logstore_flow::ctrl::plan_tick;
 use logstore_flow::sim::{build_snapshot, simulate, ClusterTopology, SimConfig, SimResult};
 use logstore_flow::{ControlAction, ControlState, CtrlCmd, FlowControlConfig};
 use logstore_types::{ShardId, TenantId, WorkerId};
 use logstore_workload::WorkloadSpec;
 use std::collections::{BTreeMap, HashMap};
+
+/// The policy one experiment run balances with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BalancerKind {
+    /// No traffic control at all (the Fig 12 baseline).
+    None,
+    /// Algorithm 2.
+    Greedy,
+    /// Algorithm 3 (the engine's planner).
+    MaxFlow,
+}
+
+impl BalancerKind {
+    /// The planner this kind runs; `None` runs none.
+    pub fn planner(self) -> Option<&'static dyn Balancer> {
+        match self {
+            BalancerKind::None => None,
+            BalancerKind::Greedy => Some(&GreedyBalancer),
+            BalancerKind::MaxFlow => Some(&MaxFlowBalancer),
+        }
+    }
+}
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -87,16 +109,14 @@ pub fn run(exp: &BalanceExperiment, kind: BalancerKind) -> Outcome {
     let mut state = initial_state(&exp.topology, &exp.spec.tenant_ids());
 
     let before = simulate(state.routing(), &rates, &exp.topology, &exp.sim);
-    if kind == BalancerKind::None {
+    let Some(balancer) = kind.planner() else {
         return Outcome { after: before.clone(), before, routes: state.route_count(), ticks: 0 };
-    }
-
-    let balancer = kind.planner();
+    };
     let mut ticks = 0;
     let mut last = before.clone();
     for _ in 0..exp.max_ticks {
         let snapshot = build_snapshot(&last, &rates, &exp.topology);
-        let (action, plan) = plan_tick(&state, &snapshot, &exp.flow, balancer.as_ref());
+        let (action, plan) = plan_tick(&state, &snapshot, &exp.flow, balancer);
         if let Some(cmd) = plan {
             state.apply(&cmd);
         }

@@ -8,9 +8,8 @@
 //! * (b) write latency for a batch of 1000 log entries,
 //! * (c) the number of route rules.
 
-use logstore_bench::balancing::{run, BalanceExperiment};
+use logstore_bench::balancing::{run, BalanceExperiment, BalancerKind};
 use logstore_bench::print_table;
-use logstore_core::config::BalancerKind;
 
 fn main() {
     let thetas = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99];

@@ -1,9 +1,8 @@
 //! Figure 13: shard / worker access standard deviation, before vs after
 //! max-flow balancing, as the skew factor grows.
 
-use logstore_bench::balancing::{run, BalanceExperiment};
+use logstore_bench::balancing::{run, BalanceExperiment, BalancerKind};
 use logstore_bench::print_table;
-use logstore_core::config::BalancerKind;
 use logstore_flow::monitor::load_stddev;
 
 fn main() {

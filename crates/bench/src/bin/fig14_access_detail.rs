@@ -7,9 +7,8 @@
 //!   paper observes "the workload of workers is almost balanced, and the
 //!   CPU utilization of all workers is close to α (85%)".
 
-use logstore_bench::balancing::{run, BalanceExperiment};
+use logstore_bench::balancing::{run, BalanceExperiment, BalancerKind};
 use logstore_bench::print_table;
-use logstore_core::config::BalancerKind;
 
 fn main() {
     let theta = 0.99;

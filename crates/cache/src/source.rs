@@ -18,10 +18,10 @@
 //! lookup, no lock — whatever the cache has evicted since. Everything
 //! else falls through to the demand path above.
 
-use crate::tiered::{BlockKey, TieredCache};
+use crate::tiered::TieredCache;
 use logstore_logblock::pack::RangeSource;
 use logstore_oss::ObjectStore;
-use logstore_types::Result;
+use logstore_types::{Error, Result};
 use std::sync::Arc;
 
 /// Default cache block size (128 KiB — the middle of the paper's
@@ -119,11 +119,8 @@ impl<S: ObjectStore> CachedObjectSource<S> {
     }
 
     fn fetch_block(&self, block_offset: u64, block_len: u64) -> Result<Arc<Vec<u8>>> {
-        if let Some(held) = self.held_block(block_offset) {
-            return Ok(Arc::clone(held));
-        }
-        let key = BlockKey { path: self.path.clone(), offset: block_offset };
-        self.cache.get_or_fetch(&key, || self.store.get_range(&self.path, block_offset, block_len))
+        let mut run = self.fetch_covering_blocks(&[(block_offset, block_len)])?;
+        run.pop().ok_or_else(|| Error::Internal("a one-block run returned no block".into()))
     }
 
     /// Checks `[offset, offset+len)` against the object, rejecting
@@ -331,6 +328,48 @@ mod tests {
         assert_eq!(src.read_at(400, 300).unwrap(), object[400..700]);
         assert_eq!(store.metrics().get_requests, 1);
         assert_eq!(src.cache.stats().misses, 2);
+    }
+
+    /// Delegates to a [`MemoryStore`] but drops the last byte of every
+    /// range reply.
+    struct ShortRanges(MemoryStore);
+
+    impl ObjectStore for ShortRanges {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            self.0.put(path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.0.get(path)
+        }
+        fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+            let mut reply = self.0.get_range(path, offset, len)?;
+            reply.pop();
+            Ok(reply)
+        }
+        fn head(&self, path: &str) -> Result<u64> {
+            self.0.head(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.0.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.0.delete(path)
+        }
+    }
+
+    #[test]
+    fn a_short_origin_reply_is_an_error_on_every_read_path() {
+        let store = ShortRanges(MemoryStore::new());
+        store.put("obj", &[5u8; 3000]).unwrap();
+        let cache = Arc::new(TieredCache::memory_only(1 << 20));
+        let src =
+            CachedObjectSource::open_with_block_size(Arc::new(store), "obj", cache, 1024).unwrap();
+        // A spanning read, and the zero-copy read of one aligned block.
+        for err in [src.read_at(0, 3000).unwrap_err(), src.read_at_shared(1024, 1024).unwrap_err()]
+        {
+            assert!(matches!(err, Error::Corruption(_)), "{err}");
+        }
+        assert_eq!(src.cache().stats().bytes_from_origin, 0, "nothing short is cached");
     }
 
     #[test]

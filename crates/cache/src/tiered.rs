@@ -416,24 +416,6 @@ impl TieredCache {
         self.memory.shard_count()
     }
 
-    /// Fetches a block through the tiers, calling `fetch` only on a full
-    /// miss. Misses populate memory; memory evictions spill to disk.
-    /// Concurrent callers for the same key share one fetch.
-    pub fn get_or_fetch(
-        &self,
-        key: &BlockKey,
-        fetch: impl FnOnce() -> Result<Vec<u8>>,
-    ) -> Result<Arc<Vec<u8>>> {
-        if let Some(hit) = self.get_in_memory(key) {
-            return Ok(hit);
-        }
-        let (result, role) = self.flights.run(key.clone(), || self.load_through_tiers(key, fetch));
-        if role == FlightRole::Waited {
-            self.counters.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
     /// A flight leader's first step: re-check memory (a completed flight
     /// may have won the race), then disk, promoting a disk hit to memory.
     fn probe_tiers(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
@@ -445,30 +427,16 @@ impl TieredCache {
         })
     }
 
-    /// The flight-leader path: the tiers, then the origin.
-    fn load_through_tiers(
-        &self,
-        key: &BlockKey,
-        fetch: impl FnOnce() -> Result<Vec<u8>>,
-    ) -> Result<Arc<Vec<u8>>> {
-        if let Some(hit) = self.probe_tiers(key) {
-            return Ok(hit);
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let data = Arc::new(fetch()?);
-        self.counters.bytes_from_origin.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.insert(key.clone(), Arc::clone(&data));
-        Ok(data)
-    }
-
     /// Fetches a *contiguous run* of aligned blocks of one object —
     /// `blocks[i] = (offset, len)` with each block starting where the
-    /// previous one ends. Every block resolves through the same tiers and
-    /// singleflight table as [`TieredCache::get_or_fetch`]; blocks that
-    /// miss every tier are fetched with as few coalesced origin range GETs
-    /// as possible via `fetch_run(&[(offset, len), ...])`, which must
-    /// return one buffer per requested block (see
-    /// `logstore_oss::ObjectStore::get_block_run`).
+    /// previous one ends — through the tiers: misses populate memory,
+    /// memory evictions spill to disk, and concurrent callers for the same
+    /// block share one fetch. Blocks that miss every tier are fetched with
+    /// as few coalesced origin range GETs as possible via
+    /// `fetch_run(&[(offset, len), ...])`, which must return one buffer of
+    /// the requested length per block (see
+    /// `logstore_oss::ObjectStore::get_block_run`); a one-block run is the
+    /// single-block read.
     pub fn get_or_fetch_run(
         &self,
         path: &str,
@@ -653,6 +621,19 @@ mod tests {
         BlockKey { path: path.to_string(), offset }
     }
 
+    /// The single-block read: a one-block run of `len` bytes at `key`,
+    /// served by `origin` on a miss.
+    fn read_one(
+        cache: &TieredCache,
+        key: &BlockKey,
+        len: u64,
+        origin: impl Fn() -> Result<Vec<u8>>,
+    ) -> Result<Arc<Vec<u8>>> {
+        let mut run =
+            cache.get_or_fetch_run(&key.path, &[(key.offset, len)], &|_| Ok(vec![origin()?]))?;
+        Ok(run.remove(0))
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "logstore-cache-{tag}-{}-{:?}",
@@ -667,9 +648,9 @@ mod tests {
     fn memory_only_hit_miss_accounting() {
         let cache = TieredCache::memory_only(1 << 20);
         let k = key("obj", 0);
-        let v1 = cache.get_or_fetch(&k, || Ok(vec![1, 2, 3])).unwrap();
+        let v1 = read_one(&cache, &k, 3, || Ok(vec![1, 2, 3])).unwrap();
         assert_eq!(*v1, vec![1, 2, 3]);
-        let v2 = cache.get_or_fetch(&k, || panic!("must not refetch")).unwrap();
+        let v2 = read_one(&cache, &k, 3, || panic!("must not refetch")).unwrap();
         assert_eq!(*v2, vec![1, 2, 3]);
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
@@ -682,10 +663,10 @@ mod tests {
     fn fetch_error_propagates_and_is_not_cached() {
         let cache = TieredCache::memory_only(1 << 20);
         let k = key("obj", 0);
-        let err = cache.get_or_fetch(&k, || Err(logstore_types::Error::NotFound("gone".into())));
+        let err = read_one(&cache, &k, 1, || Err(logstore_types::Error::NotFound("gone".into())));
         assert!(err.is_err());
         // A later successful fetch works.
-        let v = cache.get_or_fetch(&k, || Ok(vec![9])).unwrap();
+        let v = read_one(&cache, &k, 1, || Ok(vec![9])).unwrap();
         assert_eq!(*v, vec![9]);
     }
 
@@ -697,11 +678,11 @@ mod tests {
         let cache = TieredCache::with_disk(150, disk);
         let k1 = key("obj", 0);
         let k2 = key("obj", 100);
-        cache.get_or_fetch(&k1, || Ok(vec![1u8; 100])).unwrap();
-        cache.get_or_fetch(&k2, || Ok(vec![2u8; 100])).unwrap(); // evicts k1 to disk
+        read_one(&cache, &k1, 100, || Ok(vec![1u8; 100])).unwrap();
+        read_one(&cache, &k2, 100, || Ok(vec![2u8; 100])).unwrap(); // evicts k1 to disk
         assert!(!cache.contains_in_memory(&k1));
         // k1 now comes from disk (no refetch) and is promoted.
-        let v = cache.get_or_fetch(&k1, || panic!("origin must not be hit")).unwrap();
+        let v = read_one(&cache, &k1, 100, || panic!("origin must not be hit")).unwrap();
         assert_eq!(*v, vec![1u8; 100]);
         assert_eq!(cache.stats().disk_hits, 1);
         assert!(cache.contains_in_memory(&k1));
@@ -760,14 +741,14 @@ mod tests {
         let cache = TieredCache::with_disk(150, disk);
         // Remove the disk root so every spill write fails.
         std::fs::remove_dir_all(&dir).unwrap();
-        let v1 = cache.get_or_fetch(&key("obj", 0), || Ok(vec![1u8; 100])).unwrap();
+        let v1 = read_one(&cache, &key("obj", 0), 100, || Ok(vec![1u8; 100])).unwrap();
         assert_eq!(v1.len(), 100);
         // Evicting k1 spills — the spill fails, but this read must succeed.
-        let v2 = cache.get_or_fetch(&key("obj", 100), || Ok(vec![2u8; 100])).unwrap();
+        let v2 = read_one(&cache, &key("obj", 100), 100, || Ok(vec![2u8; 100])).unwrap();
         assert_eq!(v2.len(), 100);
         assert_eq!(cache.stats().spill_failures, 1);
         // k1 is simply gone (miss), not an error.
-        let v1b = cache.get_or_fetch(&key("obj", 0), || Ok(vec![1u8; 100])).unwrap();
+        let v1b = read_one(&cache, &key("obj", 0), 100, || Ok(vec![1u8; 100])).unwrap();
         assert_eq!(v1b.len(), 100);
         assert_eq!(cache.stats().misses, 3);
     }
@@ -777,7 +758,7 @@ mod tests {
         let cache = TieredCache::memory_only(1 << 20);
         let k = key("obj", 4096);
         cache.insert(k.clone(), Arc::new(vec![7u8; 10]));
-        let v = cache.get_or_fetch(&k, || panic!("prefetched")).unwrap();
+        let v = read_one(&cache, &k, 10, || panic!("prefetched")).unwrap();
         assert_eq!(v.len(), 10);
         assert_eq!(cache.stats().memory_hits, 1);
         assert_eq!(cache.stats().misses, 0);
@@ -789,13 +770,13 @@ mod tests {
         assert_eq!(cache.shard_count(), 8);
         for i in 0..64u64 {
             let k = key("obj", i * 4096);
-            let v = cache.get_or_fetch(&k, || Ok(vec![i as u8; 1024])).unwrap();
+            let v = read_one(&cache, &k, 1024, || Ok(vec![i as u8; 1024])).unwrap();
             assert_eq!(*v, vec![i as u8; 1024]);
         }
         // Warm re-reads all hit.
         for i in 0..64u64 {
             let k = key("obj", i * 4096);
-            let v = cache.get_or_fetch(&k, || panic!("warm")).unwrap();
+            let v = read_one(&cache, &k, 1024, || panic!("warm")).unwrap();
             assert_eq!(*v, vec![i as u8; 1024]);
         }
         let stats = cache.stats();
@@ -885,9 +866,9 @@ mod tests {
         // Memory fits two 100-byte blocks; the rest of "dead" spills to disk.
         let cache = TieredCache::with_disk(250, disk);
         for i in 0..4u64 {
-            cache.get_or_fetch(&key("dead", i * 100), || Ok(vec![i as u8; 100])).unwrap();
+            read_one(&cache, &key("dead", i * 100), 100, || Ok(vec![i as u8; 100])).unwrap();
         }
-        cache.get_or_fetch(&key("live", 0), || Ok(vec![9u8; 10])).unwrap();
+        read_one(&cache, &key("live", 0), 10, || Ok(vec![9u8; 10])).unwrap();
         let removed = cache.evict_object("dead");
         assert_eq!(removed, 4, "every block of the object must go");
         for i in 0..4u64 {
@@ -895,9 +876,9 @@ mod tests {
         }
         // Dead blocks are cold again (refetched), the live object is not.
         let before = cache.stats().misses;
-        cache.get_or_fetch(&key("dead", 0), || Ok(vec![0u8; 100])).unwrap();
+        read_one(&cache, &key("dead", 0), 100, || Ok(vec![0u8; 100])).unwrap();
         assert_eq!(cache.stats().misses, before + 1);
-        cache.get_or_fetch(&key("live", 0), || panic!("live object stays cached")).unwrap();
+        read_one(&cache, &key("live", 0), 10, || panic!("live object stays cached")).unwrap();
         // The spilled files were deleted, only live cache files may remain.
         assert_eq!(cache.evict_object("dead"), 1, "only the refetched block remains");
         let _ = std::fs::remove_dir_all(dir);

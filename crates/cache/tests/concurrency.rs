@@ -3,7 +3,7 @@
 //! get/evict races, and fetch errors propagate to every waiter without
 //! becoming sticky.
 
-use logstore_cache::{BlockKey, CachedObjectSource, Prefetcher, TieredCache};
+use logstore_cache::{CachedObjectSource, Prefetcher, TieredCache};
 use logstore_logblock::pack::RangeSource;
 use logstore_oss::{LatencyModel, MemoryStore, ObjectStore, SimulatedOss};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,15 +135,15 @@ fn concurrent_get_evict_stress_on_tiny_sharded_cache() {
                     // under any scheduling, so the hit assertion below does
                     // not depend on cross-thread timing luck.
                     let k = (t * 31 + i * 17) % KEYS;
-                    let key = BlockKey { path: "stress".into(), offset: k * 1024 };
                     for _ in 0..2 {
-                        let fetches = Arc::clone(&fetches);
+                        let fetch = |_: &[(u64, u64)]| {
+                            fetches.fetch_add(1, Ordering::Relaxed);
+                            Ok(vec![vec![k as u8; 1024]])
+                        };
                         let v = cache
-                            .get_or_fetch(&key, move || {
-                                fetches.fetch_add(1, Ordering::Relaxed);
-                                Ok(vec![k as u8; 1024])
-                            })
-                            .unwrap();
+                            .get_or_fetch_run("stress", &[(k * 1024, 1024)], &fetch)
+                            .unwrap()
+                            .remove(0);
                         assert_eq!(v.len(), 1024);
                         assert!(v.iter().all(|&b| b == k as u8), "wrong bytes for key {k}");
                     }
@@ -168,19 +168,17 @@ fn concurrent_get_evict_stress_on_tiny_sharded_cache() {
 #[test]
 fn singleflight_error_propagates_to_waiters_and_is_not_sticky() {
     let cache = Arc::new(TieredCache::memory_only(1 << 20));
-    let key = BlockKey { path: "obj".into(), offset: 0 };
     const READERS: usize = 16;
     let barrier = Arc::new(Barrier::new(READERS));
     let attempts = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let cache = Arc::clone(&cache);
-            let key = key.clone();
             let barrier = Arc::clone(&barrier);
             let attempts = Arc::clone(&attempts);
             std::thread::spawn(move || {
                 barrier.wait();
-                cache.get_or_fetch(&key, move || {
+                cache.get_or_fetch_run("obj", &[(0, 3)], &|_| {
                     attempts.fetch_add(1, Ordering::Relaxed);
                     // Hold the flight open so the herd piles up on it.
                     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -203,8 +201,8 @@ fn singleflight_error_propagates_to_waiters_and_is_not_sticky() {
     assert!(leads < READERS as u64, "{leads} executions for {READERS} callers — no dedup");
     assert_eq!(cache.stats().singleflight_waits, READERS as u64 - leads);
     // …and the error is not cached: the next fetch runs and succeeds.
-    let v = cache.get_or_fetch(&key, || Ok(vec![1, 2, 3])).unwrap();
-    assert_eq!(*v, vec![1, 2, 3]);
+    let v = cache.get_or_fetch_run("obj", &[(0, 3)], &|_| Ok(vec![vec![1, 2, 3]])).unwrap();
+    assert_eq!(*v[0], vec![1, 2, 3]);
 }
 
 #[test]

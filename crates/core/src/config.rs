@@ -1,31 +1,8 @@
 //! Engine configuration.
 
 use logstore_codec::Compression;
-use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 use logstore_oss::{LatencyModel, RetryPolicy};
 use logstore_types::TableSchema;
-
-/// Which balancing algorithm the controller runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BalancerKind {
-    /// No traffic control at all (the Fig 12 baseline).
-    None,
-    /// Algorithm 2.
-    Greedy,
-    /// Algorithm 3 (production default).
-    MaxFlow,
-}
-
-impl BalancerKind {
-    /// The planner this kind names. `None` still yields one (max-flow):
-    /// callers skip the control tick for it, so it never runs.
-    pub fn planner(self) -> Box<dyn Balancer> {
-        match self {
-            BalancerKind::Greedy => Box::new(GreedyBalancer),
-            BalancerKind::MaxFlow | BalancerKind::None => Box::new(MaxFlowBalancer),
-        }
-    }
-}
 
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
@@ -81,8 +58,6 @@ pub struct ClusterConfig {
     /// ALL in-flight queries. With prefetch on these tasks compute over
     /// bytes already fetched, so this bounds CPU work, not requests.
     pub query_threads: usize,
-    /// Balancer selection.
-    pub balancer: BalancerKind,
     /// Replicate each shard's writes through an in-process Raft group of
     /// this size (1 = no replication).
     pub raft_replicas: usize,
@@ -122,7 +97,6 @@ impl ClusterConfig {
             cache_shards: 4,
             prefetch_threads: 4,
             query_threads: 4,
-            balancer: BalancerKind::MaxFlow,
             raft_replicas: 1,
             seed: 42,
             data_dir: None,

@@ -36,9 +36,9 @@
 //! `core.controller.cache` → `core.controller.plane`. The cache lock may
 //! be held while taking the plane on a miss; never the reverse.
 
-use crate::config::{BalancerKind, ClusterConfig};
+use crate::config::ClusterConfig;
 use crate::worker::{ShardWindow, Worker};
-use logstore_flow::balancer::Balancer;
+use logstore_flow::balancer::MaxFlowBalancer;
 use logstore_flow::ctrl::{plan_tick, ControlState, CtrlCmd};
 use logstore_flow::routing::{pick, Route};
 use logstore_flow::{ControlAction, FlowControlConfig, TrafficSnapshot};
@@ -288,7 +288,6 @@ struct ControlPlane {
     /// Where the client sends first.
     leader_hint: u32,
     next_req: u64,
-    balancer: Box<dyn Balancer>,
     flow: FlowControlConfig,
     /// Kill the leader right after the next rebalancing tick responds.
     arm_kill: bool,
@@ -392,7 +391,7 @@ impl ControlPlane {
             CtrlRequest::Tick { windows } => {
                 let state = self.state(i);
                 let snapshot = snapshot_from_windows(state, windows);
-                let (a, proposal) = plan_tick(state, &snapshot, &self.flow, self.balancer.as_ref());
+                let (a, proposal) = plan_tick(state, &snapshot, &self.flow, &MaxFlowBalancer);
                 action = Some(a);
                 proposal
             }
@@ -695,7 +694,6 @@ impl RouteCache {
 /// The engine-side controller facade: every method is a client RPC into
 /// the replicated control plane (plus a route cache on the hot paths).
 pub struct ClusterController {
-    balancer_kind: BalancerKind,
     cache: OrderedMutex<RouteCache>,
     plane: OrderedMutex<ControlPlane>,
     vacated_processed: AtomicU64,
@@ -721,7 +719,6 @@ impl ClusterController {
             killed: None,
             leader_hint: 0,
             next_req: 0,
-            balancer: config.balancer.planner(),
             flow: FlowControlConfig {
                 per_tenant_shard_limit: config.shard_capacity / 2,
                 ..FlowControlConfig::default()
@@ -732,7 +729,6 @@ impl ClusterController {
             plane.leader_hint = leader.raw();
         }
         ClusterController {
-            balancer_kind: config.balancer,
             cache: OrderedMutex::new("core.controller.cache", RouteCache::default()),
             plane: OrderedMutex::new("core.controller.plane", plane),
             vacated_processed: AtomicU64::new(0),
@@ -874,11 +870,7 @@ impl ClusterController {
     /// One traffic-control tick: fetches every worker's ingest window over
     /// the network, then asks the leader to plan. A rebalance is proposed
     /// as a concrete `CommitRebalance` and acknowledged only after quorum.
-    /// With [`BalancerKind::None`] this is a no-op (no network activity).
     pub fn control_tick(&self) -> Result<ControlAction> {
-        if self.balancer_kind == BalancerKind::None {
-            return Ok(ControlAction::None);
-        }
         let mut cache = self.cache.lock();
         let mut plane = self.plane.lock();
         let windows = plane.fetch_windows()?;
@@ -951,9 +943,6 @@ impl ClusterController {
         &self,
         windows: HashMap<WorkerId, HashMap<ShardId, ShardWindow>>,
     ) -> Result<ControlAction> {
-        if self.balancer_kind == BalancerKind::None {
-            return Ok(ControlAction::None);
-        }
         let mut cache = self.cache.lock();
         let resp = self.plane.lock().rpc(CtrlRequest::Tick { windows })?;
         let CtrlResponse::TickDone { action, epoch } = resp else {
@@ -981,9 +970,8 @@ mod tests {
         plane.state(0).topology()
     }
 
-    fn controller(balancer: BalancerKind) -> ClusterController {
-        let mut config = ClusterConfig::for_testing();
-        config.balancer = balancer;
+    fn controller() -> ClusterController {
+        let config = ClusterConfig::for_testing();
         let c = ClusterController::new(&config);
         for w in 0..config.workers {
             let shard_ids: Vec<ShardId> = (0..config.shards_per_worker)
@@ -996,7 +984,7 @@ mod tests {
 
     #[test]
     fn pick_shard_is_stable_per_tenant() {
-        let c = controller(BalancerKind::MaxFlow);
+        let c = controller();
         let s1 = c.pick_shard(TenantId(5), 0).unwrap();
         let s2 = c.pick_shard(TenantId(5), 1).unwrap();
         assert_eq!(s1, s2, "single-route tenant always lands on its home shard");
@@ -1005,7 +993,7 @@ mod tests {
 
     #[test]
     fn register_worker_redelivery_is_idempotent() {
-        let c = controller(BalancerKind::MaxFlow);
+        let c = controller();
         let before = topology(&c);
         let states = c.replica_states().unwrap();
         // Redeliver worker 0's registration several times.
@@ -1022,7 +1010,7 @@ mod tests {
 
     #[test]
     fn control_tick_rebalances_hot_tenant() {
-        let c = controller(BalancerKind::MaxFlow);
+        let c = controller();
         let hot = TenantId(1);
         let home = c.pick_shard(hot, 0).unwrap();
         // Simulate a window where the tenant hammers its home shard well
@@ -1045,22 +1033,8 @@ mod tests {
     }
 
     #[test]
-    fn balancer_none_never_acts() {
-        let c = controller(BalancerKind::None);
-        let hot = TenantId(1);
-        let home = c.pick_shard(hot, 0).unwrap();
-        let mut shard_windows = HashMap::new();
-        let window = ShardWindow { total: 500_000, per_tenant: HashMap::from([(hot, 500_000)]) };
-        shard_windows.insert(home, window);
-        let mut windows = HashMap::new();
-        windows.insert(topology(&c).shard_to_worker[&home], shard_windows);
-        assert_eq!(c.control_tick_with(windows).unwrap(), ControlAction::None);
-        assert_eq!(c.read_shards(hot).unwrap(), vec![home]);
-    }
-
-    #[test]
     fn leader_kill_and_heal_keeps_serving() {
-        let c = controller(BalancerKind::MaxFlow);
+        let c = controller();
         let t = TenantId(7);
         let before = c.pick_shard(t, 0).unwrap();
         let killed = c.kill_controller_leader().expect("kill the leader");
@@ -1080,7 +1054,7 @@ mod tests {
 
     #[test]
     fn rpc_survives_network_faults() {
-        let c = controller(BalancerKind::MaxFlow);
+        let c = controller();
         c.set_net_faults(0.3, 0.3, true);
         let t = TenantId(11);
         let shard = c.pick_shard(t, 0).unwrap();

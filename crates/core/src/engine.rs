@@ -417,7 +417,6 @@ impl LogStore {
         );
         self.shared.hooks.reached(CrashPoint::AfterUpload);
         let acked = if outcome.is_complete() {
-            self.shared.hooks.reached(CrashPoint::BeforeAck);
             worker.ack_archived(shard)
         } else {
             self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
@@ -764,11 +763,9 @@ mod tests {
         // A tenant that was ingested but never queried has no cached read
         // shards: the query must ask the control plane, and an unreachable
         // control plane must fail the query — not answer it without the
-        // tenant's real-time rows. Likewise a tick that cannot learn the
-        // pending vacations (no balancer: the tick itself sends nothing).
-        let mut config = ClusterConfig::for_testing();
-        config.balancer = crate::config::BalancerKind::None;
-        let s = LogStore::open(config).unwrap();
+        // tenant's real-time rows. Likewise a tick that cannot fetch the
+        // workers' windows.
+        let s = store();
         for i in 0..25 {
             s.ingest(vec![rec(7, i, 1, "unflushed")]).unwrap();
         }
@@ -783,28 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_compacts_the_replicated_log() {
-        let mut config = ClusterConfig::for_testing();
-        config.raft_replicas = 3;
-        config.workers = 1;
-        config.shards_per_worker = 1;
-        let s = LogStore::open(config).unwrap();
-        for i in 0..20 {
-            s.ingest(vec![rec(1, i, 1, "entry")]).unwrap();
-        }
-        let shard = logstore_types::ShardId(0);
-        let before = s.shared().workers.read()[0].raft_snapshot_index(shard).unwrap();
-        assert_eq!(before, Some(0), "no compaction before the first flush");
-        s.flush().unwrap();
-        let after = s.shared().workers.read()[0].raft_snapshot_index(shard).unwrap();
-        // 20 ingests plus the leader's election no-op barrier.
-        assert_eq!(after, Some(21), "archived entries must be compacted away");
-        // Everything is still queryable (from OSS now).
-        let result = s.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").unwrap();
-        assert_eq!(result.rows[0][0], Value::U64(20));
-    }
-
-    #[test]
     fn replicated_cluster_works_end_to_end() {
         let mut config = ClusterConfig::for_testing();
         config.raft_replicas = 3;
@@ -814,5 +789,12 @@ mod tests {
         s.ingest(vec![rec(1, 1, 1, "replicated")]).unwrap();
         let result = s.query("SELECT log FROM request_log WHERE tenant_id = 1").unwrap();
         assert_eq!(result.rows.len(), 1);
+        for i in 2..=20 {
+            s.ingest(vec![rec(1, i, 1, "entry")]).unwrap();
+        }
+        s.flush().unwrap();
+        // Everything is still queryable (from OSS now).
+        let result = s.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").unwrap();
+        assert_eq!(result.rows[0][0], Value::U64(20));
     }
 }

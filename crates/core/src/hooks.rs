@@ -18,10 +18,11 @@ use std::sync::Arc;
 
 /// Named points in the archive pipeline where a simulated crash can fire.
 ///
-/// The lattice follows the protocol order for one drain:
+/// Each point names a distinct durable state. The lattice follows the
+/// protocol order for one drain:
 /// ingest (`AfterWalAppend`) → drain+intent (`AfterDrain`) →
-/// upload+commit (`AfterUpload`) → ack (`BeforeAck`) →
-/// checkpoint (`BeforeCheckpoint`) → WAL truncation (`BeforeTruncate`),
+/// upload+commit (`AfterUpload`) → WAL cut (`AfterTruncate`) → prune of
+/// the drain commits the cut made unreachable,
 /// and for one compaction:
 /// plan (`CompactPlanned`) → upload (`CompactUploaded`) →
 /// swap+tombstone (`CompactCommitted`) → GC delete (`BeforeGcDelete`).
@@ -34,16 +35,13 @@ pub enum CrashPoint {
     /// upload has not started.
     AfterDrain,
     /// The upload finished (blocks durable on OSS and the drain committed
-    /// in the metadata store), but the shard has not been acked.
+    /// in the metadata store), but the shard has not been acked: the WAL
+    /// still holds the drained rows.
     AfterUpload,
-    /// The engine decided to ack an archived drain but hasn't called into
-    /// the shard yet.
-    BeforeAck,
-    /// Inside the ack, right before the shard closes the in-flight op and
-    /// considers truncation.
-    BeforeCheckpoint,
-    /// The shard is quiescent and about to drop WAL segments.
-    BeforeTruncate,
+    /// A quiescent shard cut its WAL, but the drain-commit records of the
+    /// intents it dropped are not pruned yet. Reached only when a cut
+    /// happened.
+    AfterTruncate,
     /// A compaction run is planned: the merged block's path is recorded as
     /// a pending intent in the metadata store, nothing uploaded yet.
     CompactPlanned,
@@ -59,13 +57,11 @@ pub enum CrashPoint {
 
 impl CrashPoint {
     /// Every point, in protocol order.
-    pub const ALL: [CrashPoint; 10] = [
+    pub const ALL: [CrashPoint; 8] = [
         CrashPoint::AfterWalAppend,
         CrashPoint::AfterDrain,
         CrashPoint::AfterUpload,
-        CrashPoint::BeforeAck,
-        CrashPoint::BeforeCheckpoint,
-        CrashPoint::BeforeTruncate,
+        CrashPoint::AfterTruncate,
         CrashPoint::CompactPlanned,
         CrashPoint::CompactUploaded,
         CrashPoint::CompactCommitted,

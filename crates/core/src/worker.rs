@@ -6,15 +6,16 @@
 //! accounting that feeds the traffic monitor. The store owns the storage
 //! protocol (log → apply, drain → ack/restore, truncation); the worker adds
 //! shard lookup, validation, BFC admission, replication, window accounting,
-//! crash hooks and drain-commit pruning. The data builder drains shards in
-//! the background (phase two, [`crate::databuilder`]).
+//! the `AfterTruncate` crash hook and drain-commit pruning. The data
+//! builder drains shards in the background (phase two,
+//! [`crate::databuilder`]).
 
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore};
 use logstore_raft::{InProcCluster, RaftConfig};
 use logstore_sync::OrderedMutex;
 use logstore_types::{Error, RecordBatch, Result, ShardId, TableSchema, TenantId, WorkerId};
-use logstore_wal::{ShardStore, WalConfig};
+use logstore_wal::{Lsn, ShardStore, WalConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,8 +36,10 @@ pub struct ShardWindow {
 struct ShardState {
     /// Phase-one storage: row store plus, on durable shards, the WAL.
     store: ShardStore,
-    /// The shard's replication group. Its replicas keep nothing: a replica
-    /// that falls behind rebuilds its rows from OSS, not from the log.
+    /// The shard's replication group. It keeps nothing past an append's
+    /// quorum wait: its replicas apply nothing, every node compacts its log
+    /// right after the commit, and a lagging follower catches up by an
+    /// empty snapshot.
     raft: Option<OrderedMutex<InProcCluster>>,
     window: OrderedMutex<ShardWindow>,
 }
@@ -134,10 +137,10 @@ impl Worker {
     /// locks held, so concurrent producers coalesce into shared group
     /// commits instead of queueing on the shard.
     ///
-    /// Replication overlaps local persistence: the batch is submitted to
-    /// the Raft group (short `propose` critical section) *before* the WAL
-    /// append, and the quorum wait happens after it — the ack requires
-    /// the later of quorum and local-durable, not their sum.
+    /// The ack needs local-durable, then quorum: the WAL payload itself
+    /// moves into the Raft group after the append, and one scope of the
+    /// group's lock proposes it, waits for its commit and compacts every
+    /// node's log.
     /// Consumes the batch — records move into the store, never cloned.
     pub fn append(&self, shard: ShardId, batch: RecordBatch) -> Result<()> {
         let state = self.shard(shard)?;
@@ -151,20 +154,13 @@ impl Worker {
                 "shard {shard} row store at {buffered} bytes"
             )));
         }
-        // One encode per sub-batch, shared by both durable paths: the WAL
-        // payload is a tag plus the batch body, the Raft entry an exact-size
-        // copy of the body (the group's logs keep it until an archive ack). A
+        // One encode per sub-batch, shared by both logs: the WAL appends
+        // the payload, then the Raft group takes the buffer itself. A
         // memory-only, unreplicated shard has no log and encodes nothing.
         let payload = if state.raft.is_some() || state.store.is_durable() {
             ShardStore::encode_batch_payload(&batch.records)
         } else {
             Vec::new()
-        };
-        // Submit to replication first: propose only (short raft lock),
-        // capturing the log index to wait on after local persistence.
-        let raft_index = match &state.raft {
-            Some(raft) => Some(raft.lock().propose(ShardStore::batch_body(&payload).to_vec())?),
-            None => None,
         };
         // Local WAL persistence with no locks held — producers staging
         // concurrently ride one group commit. Every error return below
@@ -172,10 +168,14 @@ impl Worker {
         // in doubt (never acked, never applied live) without pinning
         // truncation.
         let logged = state.store.log_batch(&payload)?;
-        // Now wait for quorum (the paper's sync_queue wait, §4.2): drive
-        // the group until the proposed entry commits on the leader.
-        if let (Some(raft), Some(index)) = (&state.raft, raft_index) {
-            raft.lock().commit(index, 1000)?;
+        // The quorum wait (the paper's sync_queue wait, §4.2): drive the
+        // group until the entry commits on the leader, then drop it from
+        // every node's log — the replicas apply nothing.
+        if let Some(raft) = &state.raft {
+            let mut group = raft.lock();
+            let index = group.propose(payload)?;
+            group.commit(index, 1000)?;
+            group.compact()?;
         }
         // Window accounting happens only on success; tally before the
         // records move into the store.
@@ -202,8 +202,8 @@ impl Worker {
     /// ([`ShardStore::snapshot`]), its buffered tenants, and the drains and
     /// restores of the archive step. Acks and truncation go through
     /// [`Worker::ack_archived`] and [`Worker::truncate_quiescent`] instead:
-    /// their `ShardStore` counterparts skip the crash hooks, the Raft
-    /// compaction and the pruning of the drain-commit table.
+    /// their `ShardStore` counterparts skip the crash hook and the pruning
+    /// of the drain-commit table.
     pub fn store(&self, shard: ShardId) -> Result<&ShardStore> {
         Ok(&self.shard(shard)?.store)
     }
@@ -220,25 +220,16 @@ impl Worker {
 
     /// The archive ack: called by the engine once a drain's rows — a whole
     /// shard's or one tenant's — are durable on OSS. Closes the drain's
-    /// archive op, truncates the WAL if the shard is now quiescent, and
-    /// compacts the replicated log on every replica (the checkpoint task
-    /// the paper's controller schedules); the replicas keep nothing, so
-    /// compacting past rows still buffered loses nothing. A crash between
-    /// closing the op and the cut leaves the WAL untruncated: replay
-    /// reconciles via the drain commit, and a later quiescent pass cuts.
-    /// Truncation I/O errors propagate — the WAL keeps the extra segments
-    /// (at-least-once replay), but the condition is loud instead of
-    /// silently leaking disk.
+    /// archive op and truncates the WAL if the shard is now quiescent (see
+    /// [`Worker::truncate_quiescent`] for what a cut prunes). Until the cut,
+    /// a crash replays the drained rows and the drain commit keeps them
+    /// out; a later quiescent pass cuts. Truncation I/O errors propagate —
+    /// the WAL keeps the extra segments (at-least-once replay), but the
+    /// condition is loud instead of silently leaking disk.
     pub fn ack_archived(&self, shard: ShardId) -> Result<()> {
-        let state = self.shard(shard)?;
-        self.hooks.reached(CrashPoint::BeforeCheckpoint);
-        state.store.ack_archive_op();
-        self.hooks.reached(CrashPoint::BeforeTruncate);
-        self.truncate_quiescent(shard)?;
-        match &state.raft {
-            Some(raft) => raft.lock().compact(),
-            None => Ok(()),
-        }
+        let cut = self.shard(shard)?.store.ack_archived()?;
+        self.prune_below(shard, cut);
+        Ok(())
     }
 
     /// Opportunistic WAL truncation: applies a truncation that an
@@ -246,18 +237,24 @@ impl Worker {
     /// archive in flight, nothing buffered). Closes no archive op, so it
     /// can never strip WAL coverage from a drain still in flight. Forced
     /// build passes call this for shards that had nothing to drain.
-    ///
-    /// A cut then prunes the shard's drain-commit records it made
-    /// unreachable: those of intents below the first LSN still in the WAL.
-    /// After the cut, not before: a crash in between leaves records nobody
-    /// reads, while a replayed intent whose record was already pruned would
-    /// restore rows that are on OSS.
     pub fn truncate_quiescent(&self, shard: ShardId) -> Result<()> {
         let cut = self.shard(shard)?.store.truncate_if_quiescent()?;
-        if let (Some(below), Some(metadata)) = (cut, &self.metadata) {
+        self.prune_below(shard, cut);
+        Ok(())
+    }
+
+    /// After a cut, prunes the shard's drain-commit records it made
+    /// unreachable: those of intents below the first LSN still in the WAL.
+    /// After the cut, not before: a crash in between (`AfterTruncate`)
+    /// leaves records nobody reads, and the next cut prunes them, while a
+    /// replayed intent whose record was already pruned would restore rows
+    /// that are on OSS.
+    fn prune_below(&self, shard: ShardId, cut: Option<Lsn>) {
+        let Some(below) = cut else { return };
+        self.hooks.reached(CrashPoint::AfterTruncate);
+        if let Some(metadata) = &self.metadata {
             metadata.prune_drain_commits(shard, below);
         }
-        Ok(())
     }
 
     /// Lifetime `(appended, archived)` record counters of a shard (always
@@ -266,19 +263,6 @@ impl Worker {
     /// harness checks after every recovery.
     pub fn shard_counters(&self, shard: ShardId) -> Result<Option<(u64, u64)>> {
         Ok(Some(self.shard(shard)?.store.counters()))
-    }
-
-    /// The replicated log's compaction point for `shard` (None when the
-    /// shard is unreplicated). Test/observability hook.
-    pub fn raft_snapshot_index(&self, shard: ShardId) -> Result<Option<u64>> {
-        let state = self.shard(shard)?;
-        Ok(state.raft.as_ref().map(|raft| {
-            let cluster = raft.lock();
-            match cluster.any_leader() {
-                Some(leader) => cluster.node(leader).snapshot_index(),
-                None => 0,
-            }
-        }))
     }
 
     /// Takes and resets this window's per-shard ingest counters.
@@ -512,14 +496,11 @@ mod tests {
     }
 
     #[test]
-    fn a_replicated_shard_retains_only_its_unarchived_window() {
-        // Every replica — followers too — must drop the replicated log's
-        // applied prefix at each ack, a one-tenant ack included, and nothing
-        // may keep a copy of what was applied: a shard's memory is its
-        // unarchived window, however long it has been ingesting.
-        let dir = temp_dir("retained-window");
-        let w = durable_worker(&dir, 3, WalConfig::default());
-        let store = w.store(ShardId(0)).unwrap();
+    fn a_replicated_shard_retains_nothing_past_its_quorum_wait() {
+        // The replicas apply nothing, so no node — follower or leader —
+        // may keep an entry once its append returned, however long the
+        // shard ingests without an archive ack.
+        let w = worker(3);
         let worst_retained = || {
             let cluster = w.shards[&ShardId(0)].raft.as_ref().expect("replicated shard").lock();
             let retained = (0..3u32)
@@ -528,24 +509,15 @@ mod tests {
             retained.max().unwrap()
         };
         let mut retained = Vec::new();
-        for round in 0..3 {
-            for i in 0..200 {
-                let batch = RecordBatch::from_records(vec![rec(1 + i as u64 % 2, round * 200 + i)]);
-                w.append(ShardId(0), batch).unwrap();
-            }
-            let (_seq, moved) = store.drain_tenant(TenantId(2)).unwrap().unwrap();
-            assert_eq!(moved.len(), 100);
-            w.ack_archived(ShardId(0)).unwrap();
-            retained.push(worst_retained());
-            let (_seq, rows) = store.drain_all(0).unwrap().unwrap();
-            assert_eq!(rows.len(), 100);
-            w.ack_archived(ShardId(0)).unwrap();
+        for i in 0..300 {
+            w.append(ShardId(0), RecordBatch::from_records(vec![rec(1 + i % 2, i as i64)]))
+                .unwrap();
             retained.push(worst_retained());
         }
-        // A follower learns the last commit one append later, so it may
-        // trail the compaction point by the entries in flight at the ack.
-        assert!(retained.iter().all(|&n| n <= 4), "in-memory log entries per ack: {retained:?}");
-        let _ = std::fs::remove_dir_all(dir);
+        // A follower learns an entry's commit one append later, so it may
+        // still hold the entry in flight.
+        assert!(retained.iter().all(|&n| n <= 1), "log entries after each append: {retained:?}");
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 300);
     }
 
     #[test]
@@ -606,15 +578,12 @@ mod tests {
 
     #[test]
     fn batch_payload_roundtrip() {
-        // What `append` proposes to Raft — the body of the one encoded WAL
-        // payload — is the plain batch encoding replicas decode.
+        // The one encoded payload — what the WAL appends and the Raft group
+        // then takes — is a tag byte in front of the plain batch encoding.
         let batch = RecordBatch::from_records(vec![rec(1, 5), rec(2, 6)]);
         let payload = ShardStore::encode_batch_payload(&batch.records);
-        let decoded = decode_batch(ShardStore::batch_body(&payload)).unwrap();
-        assert_eq!(decoded, batch.records);
-        assert_eq!(
-            ShardStore::batch_body(&payload),
-            logstore_codec::batch::encode_batch(&batch.records)
-        );
+        let (_tag, body) = payload.split_first().expect("a tagged payload");
+        assert_eq!(decode_batch(body).unwrap(), batch.records);
+        assert_eq!(body, logstore_codec::batch::encode_batch(&batch.records));
     }
 }

@@ -54,6 +54,13 @@ pub trait ObjectStore: Send + Sync {
             end = next.0.checked_add(next.1).ok_or_else(|| Error::invalid("range overflow"))?;
         }
         let payload = self.get_range(path, start, end - start)?;
+        if payload.len() as u64 != end - start {
+            return Err(Error::corruption(format!(
+                "range {start}+{} of '{path}' returned {} bytes",
+                end - start,
+                payload.len()
+            )));
+        }
         let mut out = Vec::with_capacity(blocks.len());
         let mut cursor = 0usize;
         for (_, len) in blocks {
@@ -164,6 +171,41 @@ mod tests {
         assert_eq!(parts[1], object[400..700]);
         assert_eq!(parts[2], object[700..800]);
         assert_eq!(store.get_block_run("obj", &[]).unwrap(), Vec::<Vec<u8>>::new());
+    }
+
+    /// Delegates to a [`crate::MemoryStore`] but drops the last byte of
+    /// every range reply.
+    struct ShortRanges(crate::MemoryStore);
+
+    impl ObjectStore for ShortRanges {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            self.0.put(path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.0.get(path)
+        }
+        fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+            let mut reply = self.0.get_range(path, offset, len)?;
+            reply.pop();
+            Ok(reply)
+        }
+        fn head(&self, path: &str) -> Result<u64> {
+            self.0.head(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.0.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.0.delete(path)
+        }
+    }
+
+    #[test]
+    fn a_short_range_reply_is_corruption_not_a_panic() {
+        let store = ShortRanges(crate::MemoryStore::new());
+        store.put("obj", &[7u8; 100]).unwrap();
+        let err = store.get_block_run("obj", &[(0, 40), (40, 60)]).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! must be *caught* within a bounded seed budget, and the correct
 //! variants must *survive* a full sweep.
 //!
-//! Each model is a miniature of a real workspace protocol (see the
+//! Three models are miniatures of a real workspace protocol (see the
 //! protocol tests in `crates/wal/tests/sched.rs` and
 //! `crates/cache/tests/sched.rs` for the real implementations under the
-//! same scheduler):
+//! same scheduler); the turnstile is a planted-ordering check of the
+//! scheduler itself:
 //!
 //! * **singleflight** — the cache leader/waiter Condvar protocol (PR 3):
 //!   the planted leader notifies *before* publishing the result, so a
 //!   waiter that re-checks first parks forever (lost wakeup → deadlock).
-//! * **turnstile** — the GroupCommitWal epoch turnstile (PR 6): the
-//!   planted committer skips the "wait for my turn" check, so sealed
-//!   epochs commit in lock-arrival order instead of epoch order.
+//! * **turnstile** — tickets drawn under one lock must be committed in
+//!   ticket order under another: the planted committer skips the "wait
+//!   for my turn" check, so tickets commit in lock-arrival order. No live
+//!   protocol has this shape (the group-commit WAL seals under its writer
+//!   lock and needs no turn); the model stays because only a scheduler
+//!   that really reorders lock arrivals catches the planted variant.
 //! * **archive ops** — the in-flight archive op counters gating WAL
 //!   truncation (PR 2): the planted truncator ignores the op gate and
 //!   drops the WAL while a drained-but-unarchived batch is in flight.
@@ -103,15 +107,15 @@ struct Writer {
     log: Vec<u64>,
 }
 
-/// Group-commit turnstile: staging assigns epochs, the writer must commit
-/// them in epoch order. Planted variant: committers skip the turn check.
+/// Turnstile: one lock hands out tickets, the writer must commit them in
+/// ticket order. Planted variant: committers skip the turn check.
 fn turnstile_model(planted: bool) {
     let staging = Arc::new(OrderedMutex::new("sync.test.turn_staging", 0u64));
     let writer = Arc::new(OrderedMutex::new(
         "sync.test.turn_writer",
         Writer { next_commit: 0, log: Vec::new() },
     ));
-    let turn = Arc::new(OrderedCondvar::new("sync.test.turn_cv"));
+    let turn = Arc::new(OrderedCondvar::new("sync.test.turn_wake"));
 
     let handles: Vec<_> = (0..3)
         .map(|_| {

@@ -11,9 +11,9 @@
 //! back through a condvar.
 //!
 //! The key scheduling property is *natural batching* (BtrLog's
-//! observation): the leader seals its epoch only when its turn at the
-//! writer arrives, so every producer that stages while the previous
-//! epoch's barrier is in flight rides the next frame. Throughput scales
+//! observation): the leader seals its epoch only once it holds the
+//! writer, so every producer that stages while the previous epoch's
+//! barrier is in flight rides the next frame. Throughput scales
 //! with producers while a lone producer keeps single-append latency —
 //! there is no mandatory linger (`group_commit_window` defaults to zero).
 //!
@@ -23,15 +23,19 @@
 //!
 //! * `wal.group.staging` — the arena, LSN allocator, durability watermark
 //!   and un-applied LSN set. Held for microseconds per stage/confirm.
-//! * `wal.group.writer` — the active [`SegmentWriter`], segment map and
-//!   epoch turn counter. Held across the (possibly fsyncing) group write.
+//! * `wal.group.writer` — the active [`SegmentWriter`] and segment map.
+//!   Held across the (possibly fsyncing) group write.
 //!
-//! Condvar waits (`staged_cv` for durability/arena-room, `turn_cv` for
-//! epoch order) hold only the mutex they wait on, which the
-//! [`OrderedCondvar`] discipline enforces in analysis builds. Producers
-//! call [`GroupCommitWal::append`] with **no** locks held
-//! ([`assert_no_locks_held`] at entry), so a slow fsync never stalls a
-//! thread that owns an engine lock.
+//! Epochs commit in LSN order without a turn counter: only an epoch's
+//! leader seals it, it seals while holding the writer, and the seal opens
+//! the next epoch. So at most one epoch is unsealed at a time, and no
+//! later leader can reach the writer before this one has written.
+//!
+//! The one condvar wait (`staged_cv`, for durability or arena room) holds
+//! only the staging mutex, which the [`OrderedCondvar`] discipline
+//! enforces in analysis builds. Producers call [`GroupCommitWal::append`]
+//! with **no** locks held ([`assert_no_locks_held`] at entry), so a slow
+//! fsync never stalls a thread that owns an engine lock.
 //!
 //! ## On-disk format and crash safety
 //!
@@ -134,8 +138,6 @@ struct Staging {
     arena: Vec<u8>,
     arena_entries: u64,
     arena_first_lsn: Lsn,
-    /// Epoch currently accumulating; bumped at seal.
-    epoch: u64,
     /// True once this epoch has a leader (the first stager).
     leader_claimed: bool,
     /// Next LSN to hand out.
@@ -152,15 +154,13 @@ struct Staging {
     unapplied: BTreeSet<Lsn>,
 }
 
-/// Writer-side state: the open segment and the epoch turnstile.
+/// Writer-side state: the open segment.
 #[derive(Debug)]
 struct WriterState {
     dir: PathBuf,
     active: SegmentWriter,
     /// First LSN of every live segment; the last is the active segment's.
     segments: BTreeSet<Lsn>,
-    /// The epoch whose leader may commit next (seal order == LSN order).
-    next_commit_epoch: u64,
     /// The LSN the next committed group will start at.
     write_next_lsn: Lsn,
 }
@@ -173,8 +173,6 @@ pub struct GroupCommitWal {
     /// Durability watermark advanced / arena room freed.
     staged_cv: OrderedCondvar,
     writer: OrderedMutex<WriterState>,
-    /// `next_commit_epoch` advanced.
-    turn_cv: OrderedCondvar,
     appends: AtomicU64,
     groups: AtomicU64,
     fsyncs: AtomicU64,
@@ -235,7 +233,6 @@ impl GroupCommitWal {
                     arena: Vec::new(),
                     arena_entries: 0,
                     arena_first_lsn: next_lsn,
-                    epoch: 0,
                     leader_claimed: false,
                     next_lsn,
                     durable_next: next_lsn,
@@ -247,15 +244,8 @@ impl GroupCommitWal {
             staged_cv: OrderedCondvar::new("wal.group.staged"),
             writer: OrderedMutex::new(
                 "wal.group.writer",
-                WriterState {
-                    dir,
-                    active,
-                    segments,
-                    next_commit_epoch: 0,
-                    write_next_lsn: next_lsn,
-                },
+                WriterState { dir, active, segments, write_next_lsn: next_lsn },
             ),
-            turn_cv: OrderedCondvar::new("wal.group.turn"),
             appends: AtomicU64::new(0),
             groups: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -285,7 +275,7 @@ impl GroupCommitWal {
             return Err(Error::invalid("wal payload exceeds group frame limit"));
         }
         assert_no_locks_held("wal.group.append");
-        let (lsn, my_epoch, leader) = {
+        let (lsn, leader) = {
             let mut st = self.staging.lock();
             loop {
                 if let Some(msg) = &st.failed {
@@ -311,11 +301,11 @@ impl GroupCommitWal {
             st.sync_requested |= want_sync;
             let leader = !st.leader_claimed;
             st.leader_claimed = true;
-            (lsn, st.epoch, leader)
+            (lsn, leader)
         };
 
         if leader {
-            self.commit_epoch(my_epoch)?;
+            self.commit_epoch()?;
             self.appends.fetch_add(1, Ordering::Relaxed);
             return Ok(lsn);
         }
@@ -332,10 +322,10 @@ impl GroupCommitWal {
         }
     }
 
-    /// Leader path: wait for this epoch's turn at the writer, seal the
-    /// arena (picking up everyone who staged meanwhile — natural
-    /// batching), write one group frame, apply one barrier, fan out.
-    fn commit_epoch(&self, my_epoch: u64) -> Result<()> {
+    /// Leader path: take the writer, seal the arena (picking up everyone
+    /// who staged meanwhile — natural batching), write one group frame,
+    /// apply one barrier, fan out.
+    fn commit_epoch(&self) -> Result<()> {
         // Optional linger: give stragglers `group_commit_window` to stage
         // before we queue for the writer. Off (zero) by default; arena
         // saturation notifies `staged_cv` to cut the linger short.
@@ -347,10 +337,6 @@ impl GroupCommitWal {
         }
 
         let mut wr = self.writer.lock();
-        while wr.next_commit_epoch != my_epoch {
-            self.turn_cv.wait(&mut wr);
-        }
-
         // Seal under writer → staging so seal order == write order ==
         // LSN order.
         let sealed = {
@@ -360,7 +346,6 @@ impl GroupCommitWal {
             st.arena_entries = 0;
             let first_lsn = st.arena_first_lsn;
             let sync_requested = std::mem::take(&mut st.sync_requested);
-            st.epoch += 1;
             st.leader_claimed = false;
             let poisoned_by = st.failed.clone();
             // Wake arena-room waiters (they will stage into the new epoch)
@@ -371,24 +356,14 @@ impl GroupCommitWal {
                 None => Ok((arena, entries, first_lsn, sync_requested)),
             }
         };
-        let (arena, entries, first_lsn, sync_requested) = match sealed {
-            Ok(s) => s,
-            Err(e) => {
-                // A previous commit already failed: discard the epoch
-                // without touching the broken writer, but keep the
-                // turnstile moving so queued leaders do not hang.
-                wr.next_commit_epoch += 1;
-                self.turn_cv.notify_all();
-                return Err(e);
-            }
-        };
+        // A previous commit already failed: discard the epoch without
+        // touching the broken writer.
+        let (arena, entries, first_lsn, sync_requested) = sealed?;
         let end_lsn = first_lsn + entries;
         let frame = encode_group_frame(entries, &arena);
 
         let result = self.write_group(&mut wr, &frame, first_lsn, sync_requested);
         wr.write_next_lsn = end_lsn;
-        wr.next_commit_epoch += 1;
-        self.turn_cv.notify_all();
         drop(wr);
 
         let mut st = self.staging.lock();

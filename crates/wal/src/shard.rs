@@ -12,10 +12,9 @@
 //! # Ingest
 //!
 //! [`ShardStore::encode_batch_payload`] encodes a batch once — the caller's
-//! replication log carries a copy of the same bytes
-//! ([`ShardStore::batch_body`]) — [`ShardStore::log_batch`] appends that
-//! payload to the WAL (unlocked) and returns a [`LoggedBatch`] that pins
-//! truncation at its LSN;
+//! replication log then takes the same buffer — [`ShardStore::log_batch`]
+//! appends that payload to the WAL (unlocked) and returns a
+//! [`LoggedBatch`] that pins truncation at its LSN;
 //! [`ShardStore::apply`] moves the rows into the row store under the lock
 //! and releases the pin. Dropping a `LoggedBatch` unapplied (the caller's
 //! replication failed) releases the pin too: the rows stay in the WAL "in
@@ -27,14 +26,14 @@
 //!
 //! [`ShardStore::drain_all`] / [`ShardStore::drain_tenant`] remove rows and
 //! open an *archive op*; the caller uploads them and closes the op with
-//! exactly one [`ShardStore::ack_archive_op`] (durable on OSS) or
+//! exactly one [`ShardStore::ack_archived`] (durable on OSS) or
 //! [`ShardStore::restore_unarchived`] (upload failed — the rows go back;
 //! the WAL never stopped covering them). Drain→ack windows may overlap
-//! (build passes and rebalance flushes run from several threads), so
-//! [`ShardStore::truncate_if_quiescent`] only drops WAL segments when no op
-//! is open, nothing is buffered and no logged batch awaits its apply: one
-//! pass's ack can never strip coverage from another pass's
-//! drained-but-not-yet-uploaded rows.
+//! (build passes and rebalance flushes run from several threads), so the
+//! ack's cut ([`ShardStore::truncate_if_quiescent`]) only drops WAL
+//! segments when no op is open, nothing is buffered and no logged batch
+//! awaits its apply: one pass's ack can never strip coverage from another
+//! pass's drained-but-not-yet-uploaded rows.
 //!
 //! # Drain intents: exactly-once across crashes
 //!
@@ -214,14 +213,6 @@ impl ShardStore {
         tagged_payload(PAYLOAD_BATCH, records)
     }
 
-    /// The batch body inside a payload made by
-    /// [`ShardStore::encode_batch_payload`] — the `encode_batch` bytes a
-    /// replication log carries, so replicating costs a copy, not a second
-    /// encode.
-    pub fn batch_body(payload: &[u8]) -> &[u8] {
-        payload.get(1..).unwrap_or_default()
-    }
-
     /// True when the shard has a WAL. A memory-only shard ignores what
     /// [`ShardStore::log_batch`] is given, so its caller need not encode.
     pub fn is_durable(&self) -> bool {
@@ -383,14 +374,14 @@ impl ShardStore {
     }
 
     /// The archive ack: closes one archive op whose drained rows are now
-    /// durable on OSS. Truncation is a separate step
-    /// ([`ShardStore::truncate_if_quiescent`]) so callers can interleave
-    /// crash hooks between the two.
-    pub fn ack_archive_op(&self) {
+    /// durable on OSS, then cuts the WAL if that left the shard quiescent.
+    /// Returns what [`ShardStore::truncate_if_quiescent`] returns.
+    pub fn ack_archived(&self) -> Result<Option<Lsn>> {
         let mut inner = self.inner.lock();
         inner.archives_inflight = inner.archives_inflight.saturating_sub(1);
         drop(inner);
         sync_point("wal.shard.ack_window");
+        self.truncate_if_quiescent()
     }
 
     /// Drops the WAL's archived prefix if that is provably safe right now.
@@ -508,10 +499,8 @@ mod tests {
         (lsn.expect("durable shards name their drains"), rows)
     }
 
-    /// The archive ack as the worker runs it: close the op, then truncate.
     fn ack(s: &ShardStore) -> Option<Lsn> {
-        s.ack_archive_op();
-        s.truncate_if_quiescent().unwrap()
+        s.ack_archived().unwrap()
     }
 
     #[test]
@@ -537,8 +526,7 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(s.drain_all(0).unwrap().is_none(), "nothing left to drain");
         s.restore_unarchived(moved);
-        s.ack_archive_op();
-        assert_eq!(s.truncate_if_quiescent().unwrap(), None);
+        assert_eq!(s.ack_archived().unwrap(), None);
         assert_eq!((s.buffered_rows(), s.counters()), (1, (3, 2)));
         assert!(s.buffered_bytes() > 0);
     }

@@ -1,7 +1,6 @@
 //! Schedule exploration of the *real* [`GroupCommitWal`] staging / seal /
-//! turnstile / fan-out protocol (the miniature turnstile model lives in
-//! `crates/sync/tests/sched.rs`) and of the [`ShardStore`] ingest / drain /
-//! ack / truncate protocol on top of it.
+//! fan-out protocol and of the [`ShardStore`] ingest / drain / ack /
+//! truncate protocol on top of it.
 //!
 //! Each seed drives one full run through a different interleaving of
 //! every `wal.group.*` / `wal.shard.*` lock, condvar and sync-point
@@ -40,7 +39,7 @@ const PRODUCERS: u64 = 3;
 const PER_PRODUCER: u64 = 2;
 
 /// The full producer protocol under one schedule: stage, lead or follow,
-/// commit through the epoch turnstile, fan out, replay.
+/// seal and commit under the writer lock, fan out, replay.
 fn group_commit_round(window: Duration) {
     let dir = fresh_dir();
     let config = WalConfig { group_commit_window: window, ..WalConfig::default() };
@@ -180,8 +179,7 @@ fn shard_store_round(upload_succeeds: bool) {
                 "truncated under an open archive op: {covering:?} -> {now:?}"
             );
             if upload_succeeds {
-                store.ack_archive_op();
-                store.truncate_if_quiescent().expect("ack truncation");
+                store.ack_archived().expect("ack truncation");
                 *drained.lock() = Some((lsn, rows));
             } else {
                 store.restore_unarchived(rows);

@@ -1,6 +1,5 @@
 //! Archive-pipeline fault injection: no ingested row may disappear, no
-//! matter where the drain → build → upload → ack → checkpoint chain
-//! breaks.
+//! matter where the drain → build → upload → ack → WAL cut chain breaks.
 //!
 //! The simulated OSS and the LogBlock map are in-memory and die with the
 //! engine, so cross-"crash" checks exercise the WAL half of the
@@ -11,10 +10,15 @@
 //! overlapped PUTs reach the fault injector in a scheduling-dependent
 //! order, so these tests check exactly-once counts, never a trace.
 
-use logstore::core::{ClusterConfig, CrashHooks, CrashPoint, LogStore, OpenParts, QueryOptions};
+use logstore::core::{
+    ClusterConfig, CrashHooks, CrashPoint, DrainId, LogStore, MetadataStore, OpenParts,
+    QueryOptions, SimCrash,
+};
 use logstore::oss::{FaultScope, RetryPolicy};
 use logstore::types::{LogRecord, ShardId, TenantId, Timestamp, Value};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -322,4 +326,62 @@ fn a_query_during_one_shards_upload_sees_the_other_shards_rows() {
     assert_eq!(seen_first, ROWS, "shard 0's rows must be readable from OSS");
     assert_eq!(archived, 8 * ROWS);
     assert_eq!(count(&s, first) + count(&s, second), 2 * ROWS);
+}
+
+/// Crashes the engine the first time it reaches `point`, with the typed
+/// panic the simulation harness uses.
+struct CrashOnce {
+    point: CrashPoint,
+    armed: AtomicBool,
+}
+
+impl CrashHooks for CrashOnce {
+    fn reached(&self, point: CrashPoint) {
+        if point == self.point && self.armed.swap(false, Ordering::SeqCst) {
+            std::panic::panic_any(SimCrash(point));
+        }
+    }
+}
+
+/// A crash between an ack's WAL cut and the pruning of the drain commits
+/// the cut made unreachable: the reopened engine holds every acked row
+/// exactly once — on OSS, with nothing replayed — and the next cut prunes
+/// the record the crash left behind.
+#[test]
+fn a_crash_after_the_cut_keeps_acked_rows_once_and_the_next_cut_prunes() {
+    let dir = temp_dir("after-truncate");
+    let mut config = durable_config(&dir);
+    config.workers = 1;
+    config.shards_per_worker = 1;
+    let commits_left = |metadata: &MetadataStore| {
+        let committed = |lsn| metadata.drain_commit(DrainId { shard: ShardId(0), lsn }).is_some();
+        (1..64).filter(|&lsn| committed(lsn)).count()
+    };
+    let hooks =
+        Arc::new(CrashOnce { point: CrashPoint::AfterTruncate, armed: AtomicBool::new(true) });
+    let s = LogStore::open_with(
+        config.clone(),
+        OpenParts { hooks: Some(hooks), ..OpenParts::default() },
+    )
+    .unwrap();
+    s.ingest((0..50).map(|i| rec(1, i, "acked once")).collect()).unwrap();
+    let crash = std::panic::catch_unwind(AssertUnwindSafe(|| s.flush()))
+        .expect_err("the flush must crash after its cut");
+    assert!(matches!(crash.downcast_ref(), Some(SimCrash(CrashPoint::AfterTruncate))));
+    let store = Arc::clone(&s.shared().store);
+    let metadata = Arc::clone(&s.shared().metadata);
+    drop(s);
+    assert_eq!(commits_left(&metadata), 1, "the crash left the drain's commit record");
+
+    let parts =
+        OpenParts { store: Some(store), metadata: Some(Arc::clone(&metadata)), hooks: None };
+    let s = LogStore::open_with(config, parts).unwrap();
+    let worker = s.shared().worker_snapshot().remove(0);
+    assert_eq!(worker.buffered_rows(ShardId(0)).unwrap(), 0, "the cut WAL replays nothing");
+    assert_eq!(count(&s, 1), 50, "every acked row, once, from OSS");
+    s.ingest((50..60).map(|i| rec(1, i, "after the crash")).collect()).unwrap();
+    s.flush().unwrap();
+    assert_eq!(commits_left(&metadata), 0, "the next cut prunes the record the crash left");
+    assert_eq!(count(&s, 1), 60);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -79,9 +79,9 @@ fn controller_cache_before_plane_order_is_pinned() {
 
 /// Worker order: `append` scopes store → raft → store → window strictly
 /// sequentially (never two at once; "store" is the shard store's
-/// `wal.shard.inner`); the archive ack path takes store then raft in
-/// separate scopes. Replicated shards make the raft
-/// lock real. Any accidental nesting (e.g. holding raft while touching
+/// `wal.shard.inner`, and the WAL append between the first two holds
+/// nothing); the archive ack path takes only the store. Replicated shards
+/// make the raft lock real. Any accidental nesting (e.g. holding raft while touching
 /// the window) shows up as a new edge and, combined with the reverse
 /// scope elsewhere, a cycle panic.
 #[test]
@@ -112,8 +112,8 @@ fn worker_append_and_archive_scopes_stay_disjoint() {
         j.join().unwrap();
     }
     flusher.join().unwrap();
-    // The full archive path (drain → upload → ack → raft checkpoint →
-    // truncate) once more, single-threaded, to close every scope pair.
+    // The full archive path (drain → upload → ack → truncate) once more,
+    // single-threaded, to close every scope pair.
     store.ingest(vec![rec(1, 999)]).expect("ingest");
     store.flush().expect("final flush");
 }
