@@ -10,7 +10,12 @@
 //! decisions stay a function of the input, not of scheduling.
 
 use logstore_sync::{OrderedCondvar, OrderedMutex};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+
+/// What a panicking task unwound with.
+type Payload = Box<dyn Any + Send>;
 
 struct WaveState<T, R> {
     /// Fed by the caller, drained by the worker threads.
@@ -21,6 +26,9 @@ struct WaveState<T, R> {
     in_flight: usize,
     /// The feed ended: idle workers exit.
     closed: bool,
+    /// The lowest-indexed panic so far, re-raised on the caller once every
+    /// worker has stopped. Once set, no further item is fed or started.
+    panic: Option<(usize, Payload)>,
 }
 
 struct Wave<T, R> {
@@ -37,6 +45,11 @@ impl<T, R> Wave<T, R> {
             let (idx, item) = {
                 let mut state = self.state.lock();
                 loop {
+                    // After a panic the wave is unwinding: queued items
+                    // are dropped unrun, as the inline path would.
+                    if state.panic.is_some() {
+                        return;
+                    }
                     if let Some(next) = state.queue.pop_front() {
                         break next;
                     }
@@ -46,12 +59,13 @@ impl<T, R> Wave<T, R> {
                     self.changed.wait(&mut state);
                 }
             };
-            // The task (an OSS request) runs with no lock held. Retiring
-            // through a drop guard frees the in-flight slot even when the
-            // task panics, so the feeder never waits on a dead worker
-            // (the scope re-raises the panic once every thread is joined).
-            let mut retire = Retire { wave: self, idx, result: None };
-            retire.result = Some(task(idx, item));
+            // The task (an OSS request) runs with no lock held. A panic is
+            // caught here and kept with its payload — the scope would
+            // re-raise only a generic "a scoped thread panicked" — and
+            // retiring through a drop guard frees the in-flight slot
+            // whatever happened, so the feeder never waits on a dead slot.
+            let mut retire = Retire { wave: self, idx, outcome: None };
+            retire.outcome = Some(std::panic::catch_unwind(AssertUnwindSafe(|| task(idx, item))));
         }
     }
 }
@@ -59,14 +73,20 @@ impl<T, R> Wave<T, R> {
 struct Retire<'a, T, R> {
     wave: &'a Wave<T, R>,
     idx: usize,
-    result: Option<R>,
+    outcome: Option<std::thread::Result<R>>,
 }
 
 impl<T, R> Drop for Retire<'_, T, R> {
     fn drop(&mut self) {
         let mut state = self.wave.state.lock();
-        if let Some(result) = self.result.take() {
-            state.results.push((self.idx, result));
+        match self.outcome.take() {
+            Some(Ok(result)) => state.results.push((self.idx, result)),
+            Some(Err(payload))
+                if state.panic.as_ref().is_none_or(|(first, _)| self.idx < *first) =>
+            {
+                state.panic = Some((self.idx, payload));
+            }
+            _ => {}
         }
         state.in_flight -= 1;
         drop(state);
@@ -99,10 +119,16 @@ impl<T, R> Drop for CloseOnDrop<'_, T, R> {
 /// wave lock held; completion order is free, the returned vector is index
 /// order.
 ///
+/// A task that panics stops the wave: no further item is pulled or
+/// started, the tasks already running finish, and the panic of the
+/// lowest-indexed task that panicked is re-raised on the caller with its
+/// own payload — a typed crash payload or an assertion message arrives
+/// intact, exactly as from the inline path.
+///
 /// `width <= 1` — or an iterator that announces at most one item — runs
 /// the same `task` inline on the caller with no thread: the serial
 /// reference path, and what keeps seeded simulations a pure function of
-/// their seed.
+/// their seed. A wider wave spawns at most one thread per item.
 pub fn ordered_wave<T, R, I, F>(width: usize, items: I, task: F) -> Vec<R>
 where
     T: Send,
@@ -117,7 +143,13 @@ where
     let wave = Wave {
         state: OrderedMutex::new(
             "oss.wave.state",
-            WaveState { queue: VecDeque::new(), results: Vec::new(), in_flight: 0, closed: false },
+            WaveState {
+                queue: VecDeque::new(),
+                results: Vec::new(),
+                in_flight: 0,
+                closed: false,
+                panic: None,
+            },
         ),
         changed: OrderedCondvar::new("oss.wave.changed"),
     };
@@ -129,8 +161,11 @@ where
             // at most `width` produced items exist at any time.
             {
                 let mut state = wave.state.lock();
-                while state.in_flight >= width {
+                while state.in_flight >= width && state.panic.is_none() {
                     wave.changed.wait(&mut state);
+                }
+                if state.panic.is_some() {
+                    break;
                 }
             }
             // Produced with no wave lock held (it may take engine locks).
@@ -148,7 +183,11 @@ where
             }
         }
     });
-    let mut results = wave.state.into_inner().results;
+    let state = wave.state.into_inner();
+    if let Some((_, payload)) = state.panic {
+        std::panic::resume_unwind(payload);
+    }
+    let mut results = state.results;
     results.sort_unstable_by_key(|(idx, _)| *idx);
     results.into_iter().map(|(_, result)| result).collect()
 }
@@ -238,6 +277,14 @@ mod tests {
         assert_eq!(out, (0..out.len()).collect::<Vec<_>>());
     }
 
+    /// The message a panic payload carries, if it is a string.
+    fn message(payload: &Payload) -> Option<&str> {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+    }
+
     #[test]
     fn a_panicking_task_propagates_instead_of_hanging() {
         let outcome = std::panic::catch_unwind(|| {
@@ -246,6 +293,30 @@ mod tests {
                 item
             })
         });
-        assert!(outcome.is_err());
+        let payload = outcome.expect_err("the wave must re-raise the task's panic");
+        let message = message(&payload).unwrap_or_default();
+        assert!(message.contains("task 3 fails"), "the task's own message is lost: {message:?}");
+    }
+
+    #[test]
+    fn a_typed_panic_payload_reaches_the_caller() {
+        #[derive(Debug, PartialEq)]
+        struct Crash(u32);
+        // Every task of the second half panics: whichever finishes first,
+        // the caller sees the lowest index's payload among those that ran.
+        let started = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            ordered_wave(4, 0..64u32, |_, item| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if item >= 5 {
+                    std::panic::panic_any(Crash(item));
+                }
+                item
+            })
+        }));
+        let payload = outcome.expect_err("the wave must re-raise the task's panic");
+        assert_eq!(payload.downcast_ref::<Crash>(), Some(&Crash(5)), "{payload:?}");
+        // The feed stops at the first panic: at most `width` items beyond it.
+        assert!(started.load(Ordering::SeqCst) <= 5 + 4, "the wave kept feeding");
     }
 }

@@ -47,6 +47,12 @@
 //!    against `xtask/knob-budget.txt`; counts may only shrink (each
 //!    independently settable value doubles the configurations the oracles
 //!    must cover).
+//! 10. **One fan-out mechanism** — outside test code, threads are spawned
+//!     only by the query pool (`crates/core/src/executor.rs`), the request
+//!     wave (`crates/oss/src/wave.rs`) and the seeded scheduler
+//!     (`crates/sync/src/sched.rs`): concurrency elsewhere — a build pass,
+//!     a background builder — rides one of them instead of hand-rolled
+//!     threads. No allowlist — the count is zero.
 //!
 //! An allowlist entry that no longer matches anything — a path whose file
 //! was deleted, a lock label no site carries — fails the lint, so a budget
@@ -79,8 +85,8 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
     ("fmt", &["fmt", "--check"], None),
     // Raw-lock ban, unwrap burn-down, simtest determinism, CrashPoint
     // coverage, forbid(unsafe_code), lock-label audit, swallowed-Result
-    // ban, rows by reference, knob budget. See DESIGN.md §Static & dynamic
-    // analysis.
+    // ban, rows by reference, knob budget, one fan-out mechanism. See
+    // DESIGN.md §Static & dynamic analysis.
     ("lint", &["run", "-q", "-p", "xtask", "--", "lint"], None),
     ("build", &["build", "--release"], None),
     // The criterion targets are `harness = false`: neither `cargo test` nor
@@ -277,6 +283,7 @@ fn lint() -> ExitCode {
     check_swallowed_results(&root, &mut failures);
     check_rows_by_reference(&root, &mut failures);
     check_knob_budget(&root, &mut failures);
+    check_thread_spawns(&root, &mut failures);
     if failures.is_empty() {
         println!("xtask lint: all checks passed");
         ExitCode::SUCCESS
@@ -834,6 +841,42 @@ fn check_knob_budget(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// The files whose non-test code may spawn a thread: the query pool, the
+/// request wave and the seeded scheduler.
+const THREAD_SPAWNERS: [&str; 3] =
+    ["crates/core/src/executor.rs", "crates/oss/src/wave.rs", "crates/sync/src/sched.rs"];
+
+/// 1-based numbers of the non-test lines of `text` that spawn a thread.
+fn thread_spawn_lines(text: &str) -> Vec<usize> {
+    const SPAWNS: [&str; 4] = ["thread::spawn", "thread::scope", "thread::Builder", ".spawn("];
+    let lines: Vec<&str> = text.lines().collect();
+    let code = lines[..test_boundary(&lines)].iter().map(|l| strip_line_comment(l));
+    code.enumerate()
+        .filter(|(_, code)| SPAWNS.iter().any(|spawn| code.contains(spawn)))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// Check 10: threads are spawned only by [`THREAD_SPAWNERS`].
+fn check_thread_spawns(root: &Path, failures: &mut Vec<String>) {
+    for (_, dir) in crate_src_dirs(root) {
+        for file in rust_files(&dir) {
+            let path = rel(root, &file);
+            if THREAD_SPAWNERS.contains(&path.as_str()) {
+                continue;
+            }
+            let text = fs::read_to_string(&file).expect("read source file");
+            for line in thread_spawn_lines(&text) {
+                failures.push(format!(
+                    "{path}:{line}: spawns a thread; run the work on `QueryPool` or as an \
+                     `ordered_wave` instead (threads come only from {})",
+                    THREAD_SPAWNERS.join(", ")
+                ));
+            }
+        }
+    }
+}
+
 /// Check 5: `#![forbid(unsafe_code)]` in every non-vendor crate root.
 fn check_forbid_unsafe(root: &Path, failures: &mut Vec<String>) {
     let mut roots: Vec<PathBuf> = Vec::new();
@@ -892,6 +935,19 @@ mod tests {
         assert_eq!(count_knobs(src, "A"), Some(2));
         assert_eq!(count_knobs(src, "B"), Some(2));
         assert_eq!(count_knobs(src, "C"), None);
+    }
+
+    #[test]
+    fn thread_spawns_are_found_in_non_test_code_only() {
+        let src = "use std::thread;\n\
+                   fn a() { std::thread::spawn(|| ()); }\n\
+                   // thread::spawn in a comment\n\
+                   fn b() { thread::scope(|s| { s.spawn(|| ()); }); }\n\
+                   fn c() { thread::Builder::new(); }\n\
+                   fn d() { let _ = std::thread::current(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn e() { std::thread::spawn(|| ()); } }\n";
+        assert_eq!(thread_spawn_lines(src), vec![2, 4, 5]);
     }
 
     #[test]
