@@ -68,8 +68,8 @@ fn realtime_shard() -> ShardStore {
         let tenant = if i % 10 < 7 { 1 } else { 2 + i % 3 };
         sub_batch.push(gen.record(TenantId(tenant), Timestamp(start.millis() + i as i64 * 5)));
         if sub_batch.len() == 8 {
-            let logged = store.log_batch(&[]).expect("memory-only shards log nothing");
-            store.apply(std::mem::replace(&mut sub_batch, Vec::with_capacity(8)), logged);
+            let records = std::mem::replace(&mut sub_batch, Vec::with_capacity(8));
+            store.append(records).expect("memory-only shards cannot fail an append");
         }
     }
     store

@@ -1,10 +1,10 @@
 //! Shared record-batch payload codec.
 //!
-//! Both durable paths that carry whole batches — the per-shard WAL and the
-//! Raft replication log — use the same wire format: a leading uvarint
+//! Every path that carries whole batches — the per-shard WAL and the
+//! benchmark's Raft probe — uses the same wire format: a leading uvarint
 //! record count followed by that many serialized rows ([`crate::valser`]).
-//! Centralizing the pair here keeps the two paths byte-compatible and gives
-//! both the same corruption guards: an implausible record count cannot
+//! Centralizing the pair here keeps the paths byte-compatible and gives
+//! them the same corruption guards: an implausible record count cannot
 //! trigger an unbounded allocation, and a payload with trailing bytes after
 //! the last record is rejected instead of silently dropping a suffix.
 //!

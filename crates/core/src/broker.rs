@@ -221,8 +221,8 @@ impl Broker {
                 // Routing/topology errors mean the request itself is bad
                 // (unknown shard, no worker) — those stay fatal.
                 Err(e @ Error::Cluster(_)) => return Err(e),
-                // A per-shard append failure (WAL, group commit, Raft)
-                // degrades the report instead of erasing the other
+                // A per-shard append failure (WAL, group commit, an
+                // oversized sub-batch) degrades the report instead of erasing the other
                 // sub-batches' outcomes; the rows were never acked.
                 Err(e) => {
                     report.failed += n;

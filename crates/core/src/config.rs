@@ -63,8 +63,8 @@ pub struct ClusterConfig {
     /// ALL in-flight queries. With prefetch on these tasks compute over
     /// bytes already fetched, so this bounds CPU work, not requests.
     pub query_threads: usize,
-    /// Replicate each shard's writes through an in-process Raft group of
-    /// this size (1 = no replication).
+    /// Ignored: a shard's WAL is its only log, not replicated. Kept only
+    /// because `bench_e2e` sets it; it goes when `bench_e2e` may change.
     pub raft_replicas: usize,
     /// RNG seed for all deterministic randomness.
     pub seed: u64,

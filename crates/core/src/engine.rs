@@ -95,11 +95,12 @@ pub struct IngestReport {
     pub accepted: u64,
     /// Records rejected by backpressure (retry after throttling).
     pub rejected: u64,
-    /// Records whose shard append failed terminally (WAL/group-commit or
-    /// replication error). Like `archive_degraded`, a per-shard failure
-    /// degrades the report instead of failing the whole multi-shard
-    /// ingest: the other sub-batches' outcomes still stand. Failed rows
-    /// were never acknowledged durable — the client re-sends them.
+    /// Records whose shard append failed terminally: a WAL/group-commit
+    /// error, or a sub-batch larger than the whole row-store limit (which
+    /// must be split before it is sent again). Like `archive_degraded`, a
+    /// per-shard failure degrades the report instead of failing the whole
+    /// multi-shard ingest: the other sub-batches' outcomes still stand.
+    /// Failed rows were never acknowledged durable.
     pub failed: u64,
     /// The first append failure behind `failed`, for diagnostics.
     pub first_failure: Option<String>,
@@ -617,10 +618,10 @@ fn spawn_worker(
         shard_ids,
         &config.schema,
         config.rowstore_backpressure_bytes,
-        config.raft_replicas,
+        1, // ignored: shards are not replicated
         config.data_dir.as_ref(),
         config.wal.clone(),
-        config.seed,
+        0, // ignored
         Some(metadata),
         Arc::clone(hooks),
     )?);
@@ -795,24 +796,5 @@ mod tests {
         assert!(matches!(err, Error::Cluster(_)), "{err}");
         s.shared().controller.clear_net_faults();
         assert_eq!(s.query(sql).unwrap().rows[0][0], Value::U64(25));
-    }
-
-    #[test]
-    fn replicated_cluster_works_end_to_end() {
-        let mut config = ClusterConfig::for_testing();
-        config.raft_replicas = 3;
-        config.workers = 1;
-        config.shards_per_worker = 1;
-        let s = LogStore::open(config).unwrap();
-        s.ingest(vec![rec(1, 1, 1, "replicated")]).unwrap();
-        let result = s.query("SELECT log FROM request_log WHERE tenant_id = 1").unwrap();
-        assert_eq!(result.rows.len(), 1);
-        for i in 2..=20 {
-            s.ingest(vec![rec(1, i, 1, "entry")]).unwrap();
-        }
-        s.flush().unwrap();
-        // Everything is still queryable (from OSS now).
-        let result = s.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").unwrap();
-        assert_eq!(result.rows[0][0], Value::U64(20));
     }
 }

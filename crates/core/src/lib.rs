@@ -4,8 +4,8 @@
 //! One [`engine::LogStore`] instance wires together:
 //!
 //! * **Workers** ([`worker`]) — shards with the two-phase write path:
-//!   a write-optimized row store (phase one, optionally Raft-replicated and
-//!   WAL-durable) drained by the **data builder** ([`databuilder`]) into
+//!   a write-optimized row store (phase one, WAL-durable when the engine
+//!   has a data dir) drained by the **data builder** ([`databuilder`]) into
 //!   per-tenant columnar LogBlocks uploaded to (simulated) OSS (phase two).
 //! * **Brokers** ([`broker`]) — SQL parsing, weighted routing of writes,
 //!   scatter/gather of reads over the real-time stores and the LogBlock

@@ -2,17 +2,15 @@
 //!
 //! A worker owns a set of shards. Each shard is one
 //! [`logstore_wal::ShardStore`] — the write-optimized row store, WAL-backed
-//! when the worker has a data dir — optionally Raft-replicated, plus ingest
-//! accounting that feeds the traffic monitor. The store owns the storage
-//! protocol (log → apply, drain → ack/restore, truncation); the worker adds
-//! shard lookup, validation, BFC admission, replication, window accounting,
-//! the `AfterTruncate` crash hook and drain-commit pruning. The data
-//! builder drains shards in the background (phase two,
-//! [`crate::databuilder`]).
+//! when the worker has a data dir — plus ingest accounting that feeds the
+//! traffic monitor. The store owns the storage protocol (append, drain →
+//! ack/restore, truncation); the worker adds shard lookup, validation, BFC
+//! admission, window accounting, the `AfterTruncate` crash hook and
+//! drain-commit pruning. The data builder drains shards in the background
+//! (phase two, [`crate::databuilder`]).
 
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore};
-use logstore_raft::{InProcCluster, RaftConfig};
 use logstore_sync::OrderedMutex;
 use logstore_types::{Error, RecordBatch, Result, ShardId, TableSchema, TenantId, WorkerId};
 use logstore_wal::{Lsn, ShardStore, WalConfig};
@@ -29,18 +27,13 @@ pub struct ShardWindow {
     pub per_tenant: HashMap<TenantId, u64>,
 }
 
-// One label per field across all shards: the worker never holds two of
-// store (`wal.shard.inner`, taken inside `ShardStore`)/raft/window at once
-// (each is taken in its own scope), and the debug lock analysis enforces
-// that.
+// One label per field across all shards: the worker never holds the
+// store (`wal.shard.inner`, taken inside `ShardStore`) and the window at
+// once (each is taken in its own scope), and the debug lock analysis
+// enforces that.
 struct ShardState {
     /// Phase-one storage: row store plus, on durable shards, the WAL.
     store: ShardStore,
-    /// The shard's replication group. It keeps nothing past an append's
-    /// quorum wait: its replicas apply nothing, every node compacts its log
-    /// right after the commit, and a lagging follower catches up by an
-    /// empty snapshot.
-    raft: Option<OrderedMutex<InProcCluster>>,
     window: OrderedMutex<ShardWindow>,
 }
 
@@ -61,16 +54,19 @@ impl Worker {
     /// replay reconciles drain intents against its drain-commit table so
     /// rows already on OSS are not resurrected. `hooks` injects simulated
     /// crash points ([`crate::hooks::noop_hooks`] in production).
+    ///
+    /// `raft_replicas` and `seed` are ignored: a shard's WAL is its only
+    /// log. They stay only because `bench_e2e` passes them.
     #[allow(clippy::too_many_arguments)] // construction-time wiring, called once per worker
     pub fn new(
         id: WorkerId,
         shard_ids: &[ShardId],
         schema: &TableSchema,
         backpressure_bytes: usize,
-        raft_replicas: usize,
+        _raft_replicas: usize,
         data_dir: Option<&PathBuf>,
         wal_config: WalConfig,
-        seed: u64,
+        _seed: u64,
         metadata: Option<&Arc<MetadataStore>>,
         hooks: Arc<dyn CrashHooks>,
     ) -> Result<Self> {
@@ -86,24 +82,10 @@ impl Worker {
                 }
                 None => ShardStore::in_memory(),
             };
-            let raft = if raft_replicas > 1 {
-                let mut cluster = InProcCluster::new(
-                    raft_replicas,
-                    RaftConfig::default(),
-                    seed ^ u64::from(shard.raw()),
-                );
-                cluster
-                    .run_until_leader(500)
-                    .ok_or_else(|| Error::Raft("shard group failed to elect".into()))?;
-                Some(OrderedMutex::new("core.worker.raft", cluster))
-            } else {
-                None
-            };
             shards.insert(
                 shard,
                 ShardState {
                     store,
-                    raft,
                     window: OrderedMutex::new("core.worker.window", ShardWindow::default()),
                 },
             );
@@ -132,50 +114,32 @@ impl Worker {
 
     /// Phase-one ingest of a batch into one shard — the lock-light fast
     /// path. Validation runs with no locks held; the BFC admission check
-    /// and the final row-store apply each take the shard store's lock only
-    /// briefly; the (possibly fsyncing) WAL group append runs with *no*
-    /// locks held, so concurrent producers coalesce into shared group
-    /// commits instead of queueing on the shard.
-    ///
-    /// The ack needs local-durable, then quorum: the WAL payload itself
-    /// moves into the Raft group after the append, and one scope of the
-    /// group's lock proposes it, waits for its commit and compacts every
-    /// node's log.
+    /// takes the shard store's lock briefly; [`ShardStore::append`] then
+    /// group-appends the batch to the WAL with *no* lock held, so
+    /// concurrent producers coalesce into shared group commits instead of
+    /// queueing on the shard, and applies it under the store's lock. The
+    /// ack needs the local WAL write to be durable, nothing more.
     /// Consumes the batch — records move into the store, never cloned.
     pub fn append(&self, shard: ShardId, batch: RecordBatch) -> Result<()> {
         let state = self.shard(shard)?;
         for r in &batch.records {
             r.validate(&self.schema)?;
         }
+        // A sub-batch larger than the whole limit is refused however empty
+        // the shard is: retrying it can never succeed.
+        let size = batch.approx_size();
+        if size > self.backpressure_bytes {
+            return Err(Error::InvalidArgument(format!(
+                "a {size}-byte sub-batch exceeds shard {shard}'s {}-byte row store limit",
+                self.backpressure_bytes
+            )));
+        }
         // BFC admission: one short scope of the store's lock.
         let buffered = state.store.buffered_bytes();
-        if buffered + batch.approx_size() > self.backpressure_bytes {
+        if buffered + size > self.backpressure_bytes {
             return Err(Error::Backpressure(format!(
                 "shard {shard} row store at {buffered} bytes"
             )));
-        }
-        // One encode per sub-batch, shared by both logs: the WAL appends
-        // the payload, then the Raft group takes the buffer itself. A
-        // memory-only, unreplicated shard has no log and encodes nothing.
-        let payload = if state.raft.is_some() || state.store.is_durable() {
-            ShardStore::encode_batch_payload(&batch.records)
-        } else {
-            Vec::new()
-        };
-        // Local WAL persistence with no locks held — producers staging
-        // concurrently ride one group commit. Every error return below
-        // drops `logged`, which releases its LSN: the rows stay in the WAL
-        // in doubt (never acked, never applied live) without pinning
-        // truncation.
-        let logged = state.store.log_batch(&payload)?;
-        // The quorum wait (the paper's sync_queue wait, §4.2): drive the
-        // group until the entry commits on the leader, then drop it from
-        // every node's log — the replicas apply nothing.
-        if let Some(raft) = &state.raft {
-            let mut group = raft.lock();
-            let index = group.propose(payload)?;
-            group.commit(index, 1000)?;
-            group.compact()?;
         }
         // Window accounting happens only on success; tally before the
         // records move into the store.
@@ -184,7 +148,7 @@ impl Worker {
         for r in &batch.records {
             *per_tenant.entry(r.tenant_id).or_default() += 1;
         }
-        state.store.apply(batch.records, logged);
+        state.store.append(batch.records)?;
         let mut window = state.window.lock();
         window.total += total;
         for (tenant, n) in per_tenant {
@@ -298,7 +262,6 @@ mod tests {
     fn new_worker(
         shards: &[ShardId],
         backpressure_bytes: usize,
-        replicas: usize,
         data_dir: Option<&PathBuf>,
         wal_config: WalConfig,
     ) -> Worker {
@@ -307,7 +270,7 @@ mod tests {
             shards,
             &TableSchema::request_log(),
             backpressure_bytes,
-            replicas,
+            1,
             data_dir,
             wal_config,
             7,
@@ -317,13 +280,13 @@ mod tests {
         .unwrap()
     }
 
-    fn worker(replicas: usize) -> Worker {
-        new_worker(&[ShardId(0), ShardId(1)], 1 << 20, replicas, None, WalConfig::default())
+    fn worker() -> Worker {
+        new_worker(&[ShardId(0), ShardId(1)], 1 << 20, None, WalConfig::default())
     }
 
     /// One durable shard under a fresh-per-test data dir.
-    fn durable_worker(dir: &PathBuf, replicas: usize, wal_config: WalConfig) -> Worker {
-        new_worker(&[ShardId(0)], 1 << 20, replicas, Some(dir), wal_config)
+    fn durable_worker(dir: &PathBuf) -> Worker {
+        new_worker(&[ShardId(0)], 1 << 20, Some(dir), WalConfig::default())
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -343,7 +306,7 @@ mod tests {
 
     #[test]
     fn append_scan_and_window_metrics() {
-        let w = worker(1);
+        let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 10), rec(2, 20)])).unwrap();
         w.append(ShardId(1), RecordBatch::from_records(vec![rec(1, 30)])).unwrap();
         assert_eq!(rows_of(&w, ShardId(0), 1), 1);
@@ -357,7 +320,7 @@ mod tests {
 
     #[test]
     fn unknown_shard_is_cluster_error() {
-        let w = worker(1);
+        let w = worker();
         let err = w.append(ShardId(9), RecordBatch::new()).unwrap_err();
         assert!(matches!(err, Error::Cluster(_)));
     }
@@ -365,7 +328,7 @@ mod tests {
     #[test]
     fn backpressure_on_full_rowstore() {
         // The limit fits one batch, not many.
-        let w = new_worker(&[ShardId(0)], 2000, 1, None, WalConfig::default());
+        let w = new_worker(&[ShardId(0)], 2000, None, WalConfig::default());
         let batch = RecordBatch::from_records((0..5).map(|i| rec(1, i)).collect());
         let mut hit_backpressure = false;
         for _ in 0..100 {
@@ -385,8 +348,21 @@ mod tests {
     }
 
     #[test]
+    fn a_sub_batch_over_the_whole_limit_is_not_retryable() {
+        // No drain can ever make room for it, so backpressure ("retry after
+        // throttling") would have the client retry forever.
+        let w = new_worker(&[ShardId(0)], 200, None, WalConfig::default());
+        let batch = RecordBatch::from_records((0..5).map(|i| rec(1, i)).collect());
+        assert!(batch.approx_size() > 200);
+        let err = w.append(ShardId(0), batch).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert!(!err.is_retryable());
+        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
+    }
+
+    #[test]
     fn restore_unarchived_returns_rows_to_the_shard() {
-        let w = worker(1);
+        let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
         let (_seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
         assert!(w.store(ShardId(1)).unwrap().drain_all(0).unwrap().is_none(), "shard 1 is empty");
@@ -400,23 +376,15 @@ mod tests {
 
     #[test]
     fn ack_archived_is_clean_for_memory_backends() {
-        let w = worker(1);
+        let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
         w.store(ShardId(0)).unwrap().drain_all(0).unwrap();
         w.ack_archived(ShardId(0)).unwrap();
     }
 
     #[test]
-    fn raft_replicated_appends_apply() {
-        let w = worker(3);
-        w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(1, 2)])).unwrap();
-        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
-        assert_eq!(rows_of(&w, ShardId(0), 1), 2);
-    }
-
-    #[test]
     fn drain_shard_for_build_respects_threshold() {
-        let w = worker(1);
+        let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
         assert!(w.store(ShardId(0)).unwrap().drain_all(usize::MAX).unwrap().is_none());
         let (_seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
@@ -426,7 +394,7 @@ mod tests {
 
     #[test]
     fn drain_tenant_for_rebalance() {
-        let w = worker(1);
+        let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
         let (_seq, moved) =
             w.store(ShardId(0)).unwrap().drain_tenant(TenantId(1)).unwrap().unwrap();
@@ -438,10 +406,10 @@ mod tests {
     #[test]
     fn durable_worker_recovers_from_wal() {
         let dir = temp_dir("durable");
-        durable_worker(&dir, 1, WalConfig::default())
+        durable_worker(&dir)
             .append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)]))
             .unwrap();
-        let w = durable_worker(&dir, 1, WalConfig::default());
+        let w = durable_worker(&dir);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 1);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -449,75 +417,16 @@ mod tests {
     #[test]
     fn invalid_records_rejected_before_wal() {
         let dir = temp_dir("validate");
-        let w = durable_worker(&dir, 1, WalConfig::default());
+        let w = durable_worker(&dir);
         let mut bad = rec(1, 1);
         bad.fields.pop();
         assert!(w.append(ShardId(0), RecordBatch::from_records(vec![bad])).is_err());
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
         // WAL stayed clean: reopen sees nothing.
         drop(w);
-        let w = durable_worker(&dir, 1, WalConfig::default());
+        let w = durable_worker(&dir);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn a_failed_quorum_wait_does_not_pin_the_wal() {
-        // The local WAL append succeeds, then replication stalls: the
-        // append fails, and its LSN must stop being a truncation floor —
-        // otherwise the shard's WAL never truncates again until restart.
-        let dir = temp_dir("quorum-lost");
-        let config = WalConfig { max_segment_bytes: 256, ..WalConfig::default() };
-        let w = durable_worker(&dir, 3, config.clone());
-        let raft = || w.shards[&ShardId(0)].raft.as_ref().expect("replicated shard").lock();
-        raft().set_drop_rate(1.0);
-        let err = w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 0)])).unwrap_err();
-        assert!(matches!(err, Error::Raft(_)), "{err}");
-        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0, "a failed append applies nothing");
-        // Heal, and let the terms the partition inflated settle on one
-        // leader before proposing again.
-        raft().set_drop_rate(0.0);
-        for _ in 0..200 {
-            raft().step();
-        }
-        raft().run_until_leader(2000).expect("healed group elects");
-        for i in 1..40 {
-            w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, i)])).unwrap();
-        }
-        let (_seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
-        assert_eq!(rows.len(), 39);
-        w.ack_archived(ShardId(0)).unwrap();
-        let segments = w.shards[&ShardId(0)].store.wal_segments();
-        assert_eq!(segments, 1, "the ack must truncate the WAL back to its active segment");
-        drop(w);
-        let w = durable_worker(&dir, 3, config);
-        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0, "acked rows must not resurrect");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn a_replicated_shard_retains_nothing_past_its_quorum_wait() {
-        // The replicas apply nothing, so no node — follower or leader —
-        // may keep an entry once its append returned, however long the
-        // shard ingests without an archive ack.
-        let w = worker(3);
-        let worst_retained = || {
-            let cluster = w.shards[&ShardId(0)].raft.as_ref().expect("replicated shard").lock();
-            let retained = (0..3u32)
-                .map(|id| cluster.node(logstore_types::NodeId(id)))
-                .map(|n| n.log_len() - n.snapshot_index());
-            retained.max().unwrap()
-        };
-        let mut retained = Vec::new();
-        for i in 0..300 {
-            w.append(ShardId(0), RecordBatch::from_records(vec![rec(1 + i % 2, i as i64)]))
-                .unwrap();
-            retained.push(worst_retained());
-        }
-        // A follower learns an entry's commit one append later, so it may
-        // still hold the entry in flight.
-        assert!(retained.iter().all(|&n| n <= 1), "log entries after each append: {retained:?}");
-        assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 300);
     }
 
     #[test]
@@ -578,8 +487,8 @@ mod tests {
 
     #[test]
     fn batch_payload_roundtrip() {
-        // The one encoded payload — what the WAL appends and the Raft group
-        // then takes — is a tag byte in front of the plain batch encoding.
+        // The encoded payload the WAL appends is a tag byte in front of the
+        // plain batch encoding.
         let batch = RecordBatch::from_records(vec![rec(1, 5), rec(2, 6)]);
         let payload = ShardStore::encode_batch_payload(&batch.records);
         let (_tag, body) = payload.split_first().expect("a tagged payload");

@@ -158,10 +158,7 @@ fn wal_segments_are_byte_identical_to_the_parent() {
         // batches left buffered.
         let shard = ShardStore::open(&dir, wal_config()).unwrap();
         let all = rows();
-        let append = |records: &[LogRecord]| {
-            let logged = shard.log_batch(&ShardStore::encode_batch_payload(records)).unwrap();
-            shard.apply(records.to_vec(), logged);
-        };
+        let append = |records: &[LogRecord]| shard.append(records.to_vec()).unwrap();
         all[..1280].chunks(64).for_each(append);
         let (lsn, drained) = shard.drain_all(0).unwrap().unwrap();
         assert_eq!((lsn, drained.len()), (Some(21), 1280), "the intent follows 20 batches");

@@ -1,8 +1,8 @@
 //! The deterministic simulated message network — the one type in the tree
 //! that queues messages between simulated nodes. The control plane's RPC
 //! links (`core::controller`) and every Raft group's links
-//! (`logstore_raft::InProcCluster`: the controller replicas and each
-//! shard's replicas) are instances of it.
+//! (`logstore_raft::InProcCluster`: the controller replicas) are instances
+//! of it.
 //!
 //! Endpoints are small integer addresses; [`SimNet::send`] enqueues a
 //! typed [`Envelope`] on the directed per-link queue, and each

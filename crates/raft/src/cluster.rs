@@ -23,8 +23,8 @@ pub trait Replica {
     fn restore(&mut self, data: &[u8]) -> Result<()>;
 }
 
-/// The replica of a group that only needs consensus (shard groups, probes,
-/// elections): applies nothing and keeps nothing.
+/// The replica of a group that only needs consensus (probes, elections):
+/// applies nothing and keeps nothing.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Discard;
 
@@ -65,7 +65,7 @@ pub struct InProcCluster<R = Discard> {
     replicas: Vec<R>,
     net: SimNet<RaftMessage>,
     /// The first failed [`Replica::restore`]: that replica has diverged, so
-    /// [`InProcCluster::commit`] and [`InProcCluster::compact`] refuse.
+    /// [`InProcCluster::compact`] refuses.
     diverged: Option<String>,
 }
 
@@ -173,23 +173,6 @@ impl<R: Replica> InProcCluster<R> {
     pub fn propose(&mut self, payload: Vec<u8>) -> Result<u64> {
         let leader = self.any_leader().ok_or_else(|| Error::Raft("no leader".into()))?;
         self.nodes[leader.raw() as usize].propose(payload)
-    }
-
-    /// The quorum wait (the paper's sync-queue wait, §4.2): steps the group
-    /// until the leader's commit index covers `index`, for at most
-    /// `max_steps` steps.
-    pub fn commit(&mut self, index: u64, max_steps: usize) -> Result<()> {
-        let leader =
-            self.any_leader().ok_or_else(|| Error::Raft("group lost its leader".into()))?;
-        let mut steps = 0;
-        while self.node(leader).commit_index() < index {
-            if steps > max_steps {
-                return Err(Error::Raft("replication stalled".into()));
-            }
-            self.step();
-            steps += 1;
-        }
-        self.healthy()
     }
 
     /// Group-wide log compaction: every node, follower or leader, folds its
@@ -485,7 +468,10 @@ mod tests {
         for round in 0..3u8 {
             for i in 0..200u8 {
                 let index = c.propose(vec![round, i]).unwrap();
-                c.commit(index, 1000).unwrap();
+                let leader = c.any_leader().unwrap();
+                while c.node(leader).commit_index() < index {
+                    c.step();
+                }
             }
             c.compact().unwrap();
             let worst = (0..3u32)
@@ -497,17 +483,5 @@ mod tests {
         // A follower learns the last commit one append later, so it may
         // trail the leader's compaction point by the entries in flight.
         assert!(retained.iter().all(|&n| n <= 4), "in-memory entries per round: {retained:?}");
-    }
-
-    #[test]
-    fn commit_reports_a_stalled_group() {
-        let mut c = cluster(3, 15);
-        c.run_until_leader(200).unwrap();
-        let index = c.propose(vec![1]).unwrap();
-        c.commit(index, 1000).unwrap();
-        c.set_drop_rate(1.0);
-        let index = c.propose(vec![2]).unwrap();
-        let err = c.commit(index, 50).unwrap_err();
-        assert!(matches!(err, Error::Raft(_)), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Raft consensus with backpressure flow control.
 //!
-//! LogStore replicates each shard's WAL across three replicas with Raft
-//! (paper §2 "Real-time and Low-latency Writes") and integrates the BFC
+//! The paper replicates each shard's WAL across three replicas with Raft
+//! (§2 "Real-time and Low-latency Writes") and integrates the BFC
 //! mechanism into the protocol's two blocking points (§4.2): the
 //! **sync queue** (entries appended but not yet replicated to a quorum) and
 //! the **apply queue** (entries committed but not yet applied to local
@@ -11,13 +11,12 @@
 //!
 //! The implementation is a deterministic, tick-driven state machine
 //! ([`node::RaftNode`]) plus the one group driver
-//! ([`cluster::InProcCluster`]) that both the controller replicas and the
-//! shard groups run: it carries the nodes' messages over a seeded
-//! `logstore_net::SimNet` (partition and message-loss injection), hands
-//! every committed entry to that node's [`cluster::Replica`] state machine
-//! instead of keeping it, and owns the quorum wait
-//! ([`cluster::InProcCluster::commit`]) and group-wide log compaction
-//! ([`cluster::InProcCluster::compact`]).
+//! ([`cluster::InProcCluster`]) that the controller replicas run: it
+//! carries the nodes' messages over a seeded `logstore_net::SimNet`
+//! (partition and message-loss injection), hands every committed entry to
+//! that node's [`cluster::Replica`] state machine instead of keeping it,
+//! and owns group-wide log compaction ([`cluster::InProcCluster::compact`]).
+//! Shard WALs are not replicated here: each shard has one local log.
 
 #![forbid(unsafe_code)]
 

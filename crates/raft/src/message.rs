@@ -65,7 +65,7 @@ pub enum RaftMessage {
         /// Term of that entry.
         last_included_term: u64,
         /// Opaque state-machine snapshot (in LogStore: the encoded control
-        /// state; empty for a shard group, whose replicas keep nothing).
+        /// state; empty for a [`crate::Discard`] group, which keeps nothing).
         data: Vec<u8>,
     },
 }

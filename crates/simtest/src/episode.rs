@@ -127,16 +127,15 @@ impl Episode {
     /// Runs `plan` end to end: every scheduled op, then the final clean
     /// flush and accounting battery.
     pub fn run(plan: &SimPlan) -> Result<EpisodeReport, SimFailure> {
-        let mut episode = Episode::new(plan.seed, plan.replicas)?;
+        let mut episode = Episode::new(plan.seed)?;
         for (step, op) in plan.ops.iter().enumerate() {
             episode.apply(step, op)?;
         }
         episode.finish(plan.ops.len())
     }
 
-    /// Builds the world and opens the first engine incarnation, with
-    /// `replicas` Raft replicas per shard.
-    pub fn new(seed: u64, replicas: usize) -> Result<Self, SimFailure> {
+    /// Builds the world and opens the first engine incarnation.
+    pub fn new(seed: u64) -> Result<Self, SimFailure> {
         silence_sim_crash_panics();
         let data_dir = std::env::temp_dir().join(format!(
             "logstore-simtest-{}-{}-{}",
@@ -147,7 +146,6 @@ impl Episode {
         let _ = std::fs::remove_dir_all(&data_dir);
         let mut config = ClusterConfig::for_testing();
         config.seed = seed;
-        config.raft_replicas = replicas;
         config.data_dir = Some(data_dir.clone());
         // Small thresholds so threshold flushes fire and drains span
         // several chunks (multi-block commits, partial-prefix crashes).
@@ -239,8 +237,8 @@ impl Episode {
                             ));
                         }
                         if r.failed != 0 {
-                            // The harness injects no WAL or replication
-                            // faults, so a degraded append is a real bug.
+                            // The harness injects no WAL faults, so a
+                            // degraded append is a real bug.
                             return Err(self.failure(
                                 step,
                                 format!(

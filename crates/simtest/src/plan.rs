@@ -74,8 +74,6 @@ pub enum SimOp {
 pub struct SimPlan {
     /// The seed this plan (and its episode) derives from.
     pub seed: u64,
-    /// Raft replicas per shard (1 = unreplicated).
-    pub replicas: usize,
     /// The schedule.
     pub ops: Vec<SimOp>,
 }
@@ -121,7 +119,7 @@ impl SimPlan {
             ops.push(op);
         }
         ops.push(SimOp::CheckInvariants);
-        SimPlan { seed, replicas: 1, ops }
+        SimPlan { seed, ops }
     }
 
     /// This plan without [`SimOp::ControlTick`] steps. The balancer's plan

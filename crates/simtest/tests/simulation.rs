@@ -114,7 +114,7 @@ fn acceptance_faults_and_crashes() {
         SimOp::CheckQueries { tenant: 2 },
         SimOp::CheckInvariants,
     ]);
-    let report = run_or_die(&SimPlan { seed: 0xacce97, replicas: 1, ops });
+    let report = run_or_die(&SimPlan { seed: 0xacce97, ops });
     assert!(report.crashes >= 6, "expected one crash per point, got {:?}", report.crash_points);
     let distinct: BTreeSet<CrashPoint> = report.crash_points.iter().copied().collect();
     assert!(distinct.len() >= 3, "need ≥3 distinct crash points, got {distinct:?}");
@@ -124,8 +124,7 @@ fn acceptance_faults_and_crashes() {
 }
 
 /// Focused sweep over every crash point, several seeds each, with the
-/// group-commit WAL as the durable path (it is the only durable path),
-/// first on unreplicated shards and then on shards replicated three ways.
+/// group-commit WAL as the durable path (it is the only durable path).
 /// Each episode ingests, arms exactly one point, triggers it (via ingest
 /// for the WAL-append point, via flush for the archive-pipeline points),
 /// recovers and runs the full differential battery — so a torn or
@@ -156,14 +155,12 @@ fn per_crash_point_group_commit_sweep() {
                 SimOp::FlushAll,
                 SimOp::CheckInvariants,
             ]);
-            for replicas in [1, 3] {
-                let plan = SimPlan { seed: seed ^ (point as u64) << 8, replicas, ops: ops.clone() };
-                assert_eq!(
-                    run_or_die(&plan).crash_points,
-                    vec![point],
-                    "seed {seed}, {replicas} replicas: expected exactly one crash at {point:?}"
-                );
-            }
+            let plan = SimPlan { seed: seed ^ (point as u64) << 8, ops };
+            assert_eq!(
+                run_or_die(&plan).crash_points,
+                vec![point],
+                "seed {seed}: expected exactly one crash at {point:?}"
+            );
         }
     }
 }
@@ -203,7 +200,7 @@ fn acceptance_controller_faults() {
         SimOp::FlushAll,
         SimOp::CheckInvariants,
     ];
-    let report = run_or_die(&SimPlan { seed: 0xc7_a1f5, replicas: 1, ops });
+    let report = run_or_die(&SimPlan { seed: 0xc7_a1f5, ops });
     assert!(report.rows_acked >= 490);
     assert!(report.checks > 0);
     assert!(
@@ -231,7 +228,7 @@ fn determinism_same_seed_same_trace() {
 #[test]
 fn harness_catches_injected_violation() {
     let seed = 424_242;
-    let mut episode = Episode::new(seed, 1).unwrap_or_else(|f| panic!("{f}"));
+    let mut episode = Episode::new(seed).unwrap_or_else(|f| panic!("{f}"));
     episode.apply(0, &SimOp::Ingest { tenant: 1, rows: 60 }).unwrap_or_else(|f| panic!("{f}"));
     episode.apply(1, &SimOp::FlushAll).unwrap_or_else(|f| panic!("{f}"));
     episode.inject_duplicate_row(1);

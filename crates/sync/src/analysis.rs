@@ -266,6 +266,15 @@ fn format_stack(held: &[Held]) -> String {
     held.iter().map(|h| format!("{}#{}", h.site, h.token)).collect::<Vec<_>>().join(", ")
 }
 
+/// Test-only: whether some thread has acquired `after` while holding
+/// `before` — an edge of the acquired-before graph. Lets a test pin that
+/// two locks are never held together, not merely never in both orders.
+#[doc(hidden)]
+pub fn acquired_before(before: &str, after: &str) -> bool {
+    let graph = GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
+    graph.get(before).is_some_and(|edges| edges.contains_key(after))
+}
+
 /// Test-only: number of locks the current thread holds. Used by the
 /// detector's own tests; not part of the public API surface.
 #[doc(hidden)]

@@ -80,8 +80,9 @@ pub type ReplayedRecord = (Lsn, Vec<u8>);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// `write(2)` to the OS per group (the default): survives a process
-    /// crash, not a power failure. Matches the paper's phase-one posture —
-    /// replication, not fsync, covers node loss.
+    /// crash, not a power failure. The paper's phase-one posture, where
+    /// replication, not fsync, covers node loss; this WAL is not
+    /// replicated, so node loss is not covered here.
     Flush,
     /// Flush + fsync per group: power-fail durable acks.
     Sync,

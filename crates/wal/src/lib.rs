@@ -3,8 +3,8 @@
 //!
 //! LogStore's first write phase ("local writing", paper §3) persists
 //! incoming logs to local disk with maximal throughput: generate the WAL,
-//! replicate it, apply it to a **row-oriented store with no indexes and no
-//! compression** ("avoiding the use of CPU-intensive optimizations ... to
+//! replicate it (here the local WAL is the only copy), apply it to a
+//! **row-oriented store with no indexes and no compression** ("avoiding the use of CPU-intensive optimizations ... to
 //! maximize the write throughput"). The second phase (remote archiving)
 //! later drains this store into columnar LogBlocks.
 //!
@@ -20,9 +20,9 @@
 //! * [`shard::ShardStore`] — the one per-shard phase-one store a worker
 //!   runs: an optional WAL (`None` = memory-only) outside one mutex
 //!   (`wal.shard.inner`) around the row store, counters and open archive
-//!   ops. It owns the whole protocol — log a batch with no lock held, apply
-//!   it under the lock, drain with a logged intent, restore or ack, truncate
-//!   when quiescent — and crash recovery (WAL replay reconciled against the
+//!   ops. It owns the whole protocol — append a batch (logged with no
+//!   lock held, applied under the lock), drain with a logged intent,
+//!   restore or ack, truncate when quiescent — and crash recovery (WAL replay reconciled against the
 //!   drain-commit table, which names each drain by its intent's LSN).
 
 #![forbid(unsafe_code)]
@@ -34,4 +34,4 @@ pub mod shard;
 
 pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 pub use rowstore::{Drained, RowSnapshot, RowStore, Run, RUN_ROWS};
-pub use shard::{DrainCommit, LoggedBatch, LoggedDrain, ShardStore};
+pub use shard::{DrainCommit, LoggedDrain, ShardStore};

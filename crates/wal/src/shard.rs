@@ -11,14 +11,12 @@
 //!
 //! # Ingest
 //!
-//! [`ShardStore::encode_batch_payload`] encodes a batch once — the caller's
-//! replication log then takes the same buffer — [`ShardStore::log_batch`]
-//! appends that payload to the WAL (unlocked) and returns a
-//! [`LoggedBatch`] that pins truncation at its LSN;
-//! [`ShardStore::apply`] moves the rows into the row store under the lock
-//! and releases the pin. Dropping a `LoggedBatch` unapplied (the caller's
-//! replication failed) releases the pin too: the rows stay in the WAL "in
-//! doubt" — replayed by a restart, never acknowledged, never applied live.
+//! [`ShardStore::append`] is the whole phase-one write: it encodes the
+//! batch (only when the shard has a WAL), group-appends it to the WAL with
+//! no lock held, then moves the rows into the row store under the lock.
+//! Between the two the batch's LSN pins truncation; a drop guard releases
+//! the pin if the apply unwinds, leaving the rows in the WAL "in doubt" —
+//! replayed by a restart, never acknowledged, never applied live.
 //! [`ShardStore::snapshot`] hands a query the runs it may have rows in, by
 //! reference, so that no row is ever read under the lock.
 //!
@@ -83,11 +81,10 @@ pub struct DrainCommit {
 /// pipeline.
 pub type LoggedDrain = (Option<Lsn>, Vec<LogRecord>);
 
-/// A batch that is in the WAL but not yet in the row store (the output of
-/// [`ShardStore::log_batch`]). Its LSN is a truncation floor until the
-/// batch is applied or this value is dropped.
+/// A batch that is in the WAL but not yet in the row store. Its LSN is a
+/// truncation floor until the batch is applied or this value is dropped.
 #[must_use = "apply the batch, or drop this to leave its rows in doubt"]
-pub struct LoggedBatch<'a> {
+struct LoggedBatch<'a> {
     pin: Option<(&'a GroupCommitWal, Lsn)>,
 }
 
@@ -213,17 +210,28 @@ impl ShardStore {
         tagged_payload(PAYLOAD_BATCH, records)
     }
 
-    /// True when the shard has a WAL. A memory-only shard ignores what
-    /// [`ShardStore::log_batch`] is given, so its caller need not encode.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
+    /// Phase-one ingest of one batch: appends it to the WAL with no lock
+    /// held, blocking on the group's barrier so concurrent producers share
+    /// one group commit, then moves the records into the row store under
+    /// the lock. A memory-only shard encodes and logs nothing. An error
+    /// means the WAL append failed and nothing was applied.
+    pub fn append(&self, records: Vec<LogRecord>) -> Result<()> {
+        let payload = match self.wal {
+            Some(_) => Self::encode_batch_payload(&records),
+            None => Vec::new(),
+        };
+        let logged = self.log_batch(&payload)?;
+        // Logged but not yet applied: the window in which a drain, an ack
+        // or a cut must keep the batch's WAL coverage.
+        sync_point("wal.shard.apply_window");
+        self.apply(records, logged);
+        Ok(())
     }
 
-    /// First half of an append: group-appends `payload` (made by
-    /// [`ShardStore::encode_batch_payload`]) to the WAL, blocking on the
-    /// group's barrier. Takes no shard lock — call it with no lock held. A
-    /// memory-only shard has nothing to log.
-    pub fn log_batch(&self, payload: &[u8]) -> Result<LoggedBatch<'_>> {
+    /// First half of [`ShardStore::append`]: group-appends `payload` (made
+    /// by [`ShardStore::encode_batch_payload`]) to the WAL. A memory-only
+    /// shard ignores the payload.
+    fn log_batch(&self, payload: &[u8]) -> Result<LoggedBatch<'_>> {
         let pin = match &self.wal {
             Some(wal) => {
                 debug_assert_eq!(payload.first(), Some(&PAYLOAD_BATCH), "not a batch payload");
@@ -234,9 +242,9 @@ impl ShardStore {
         Ok(LoggedBatch { pin })
     }
 
-    /// Second half of an append: moves the logged records into the row
-    /// store, then releases their LSN as a truncation floor.
-    pub fn apply(&self, records: Vec<LogRecord>, logged: LoggedBatch<'_>) {
+    /// Second half of [`ShardStore::append`]: moves the logged records into
+    /// the row store, then releases their LSN as a truncation floor.
+    fn apply(&self, records: Vec<LogRecord>, logged: LoggedBatch<'_>) {
         let mut inner = self.inner.lock();
         inner.records_appended += records.len() as u64;
         for r in records {
@@ -482,10 +490,8 @@ mod tests {
         WalConfig { max_segment_bytes: 256, flush: FlushPolicy::Sync, ..WalConfig::default() }
     }
 
-    /// Both halves of an append back to back.
     fn append(s: &ShardStore, records: Vec<LogRecord>) {
-        let logged = s.log_batch(&ShardStore::encode_batch_payload(&records)).unwrap();
-        s.apply(records, logged);
+        s.append(records).unwrap();
     }
 
     fn rows_of(s: &ShardStore, tenant: u64) -> Vec<LogRecord> {
@@ -568,8 +574,8 @@ mod tests {
 
     #[test]
     fn a_dropped_logged_batch_stops_pinning_truncation() {
-        // The caller's replication failed after the WAL append: the batch
-        // is never applied, and its LSN must not block truncation forever.
+        // The apply unwound after the WAL append: the batch is never
+        // applied, and its LSN must not block truncation forever.
         let dir = temp_dir("in-doubt");
         let s = ShardStore::open(&dir, small_segments()).unwrap();
         drop(s.log_batch(&ShardStore::encode_batch_payload(&[rec(1, 0)])).unwrap());

@@ -71,20 +71,3 @@ fn flushed_rows_do_not_replay_after_restart() {
     assert_eq!(logs, vec!["fresh"], "archived rows must not resurrect from the WAL");
     let _ = std::fs::remove_dir_all(dir);
 }
-
-#[test]
-fn replicated_durable_cluster_roundtrip() {
-    let dir = temp_dir("raft");
-    let mut config = durable_config(&dir);
-    config.raft_replicas = 3;
-    config.workers = 1;
-    config.shards_per_worker = 2;
-    let store = LogStore::open(config).expect("open");
-    for i in 0..50 {
-        store.ingest(vec![rec(1 + i % 2, i as i64, "replicated")]).expect("ingest");
-    }
-    let r1 = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1").unwrap();
-    let r2 = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 2").unwrap();
-    assert_eq!(r1.rows[0][0].as_u64().unwrap() + r2.rows[0][0].as_u64().unwrap(), 50);
-    let _ = std::fs::remove_dir_all(dir);
-}

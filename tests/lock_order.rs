@@ -5,8 +5,8 @@
 //! multi-lock code paths from several threads with the `logstore-sync`
 //! analysis active (debug builds, or `--features lock-analysis`): if a
 //! future change acquires any pair of engine locks in reverse order —
-//! the controller's `cache → plane`, the worker's store/raft/window
-//! scopes, or the engine's worker map — the acquisition panics with a
+//! the controller's `cache → plane`, the worker's store/window scopes,
+//! or the engine's worker map — the acquisition panics with a
 //! two-site cycle report and the test fails. In release builds without
 //! the feature the wrappers are passthroughs and this degenerates to a
 //! plain concurrency smoke test.
@@ -77,18 +77,15 @@ fn controller_cache_before_plane_order_is_pinned() {
     scaler.join().unwrap();
 }
 
-/// Worker order: `append` scopes store → raft → store → window strictly
-/// sequentially (never two at once; "store" is the shard store's
-/// `wal.shard.inner`, and the WAL append between the first two holds
-/// nothing); the archive ack path takes only the store. Replicated shards
-/// make the raft lock real. Any accidental nesting (e.g. holding raft while touching
-/// the window) shows up as a new edge and, combined with the reverse
-/// scope elsewhere, a cycle panic.
+/// Worker order: `append` scopes store → store → window strictly
+/// sequentially ("store" is the shard store's `wal.shard.inner`: admission,
+/// then the apply; the WAL append between the two holds nothing); the
+/// archive ack path takes only the store. Under the analysis the test also
+/// reads the acquired-before graph: no thread may ever have taken one of
+/// `wal.shard.inner` and `core.worker.window` while holding the other.
 #[test]
 fn worker_append_and_archive_scopes_stay_disjoint() {
-    let mut config = ClusterConfig::for_testing();
-    config.raft_replicas = 3;
-    let store = Arc::new(LogStore::open(config).expect("open"));
+    let store = Arc::new(LogStore::open(ClusterConfig::for_testing()).expect("open"));
     let writers: Vec<_> = (0..2u64)
         .map(|w| {
             let store = Arc::clone(&store);
@@ -116,4 +113,11 @@ fn worker_append_and_archive_scopes_stay_disjoint() {
     // single-threaded, to close every scope pair.
     store.ingest(vec![rec(1, 999)]).expect("ingest");
     store.flush().expect("final flush");
+    #[cfg(any(debug_assertions, feature = "lock-analysis"))]
+    {
+        use logstore_sync::analysis::acquired_before;
+        let (shard, window) = ("wal.shard.inner", "core.worker.window");
+        assert!(!acquired_before(shard, window), "the window was taken under the shard store");
+        assert!(!acquired_before(window, shard), "the shard store was taken under the window");
+    }
 }

@@ -8,7 +8,6 @@ use logstore_simtest::{Episode, SimOp, SimPlan};
 fn short_episode_with_crash_and_faults() {
     let plan = SimPlan {
         seed: 99,
-        replicas: 1,
         ops: vec![
             SimOp::Ingest { tenant: 1, rows: 80 },
             SimOp::Ingest { tenant: 2, rows: 40 },

@@ -85,8 +85,8 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
     ("fmt", &["fmt", "--check"], None),
     // Raw-lock ban, unwrap burn-down, simtest determinism, CrashPoint
     // coverage, forbid(unsafe_code), lock-label audit, swallowed-Result
-    // ban, rows by reference, knob budget, one fan-out mechanism. See
-    // DESIGN.md §Static & dynamic analysis.
+    // ban, rows by reference, knob budget, one fan-out mechanism, one Raft
+    // group. See DESIGN.md §Static & dynamic analysis.
     ("lint", &["run", "-q", "-p", "xtask", "--", "lint"], None),
     ("build", &["build", "--release"], None),
     // The criterion targets are `harness = false`: neither `cargo test` nor
@@ -284,6 +284,7 @@ fn lint() -> ExitCode {
     check_rows_by_reference(&root, &mut failures);
     check_knob_budget(&root, &mut failures);
     check_thread_spawns(&root, &mut failures);
+    check_raft_groups(&root, &mut failures);
     if failures.is_empty() {
         println!("xtask lint: all checks passed");
         ExitCode::SUCCESS
@@ -846,15 +847,18 @@ fn check_knob_budget(root: &Path, failures: &mut Vec<String>) {
 const THREAD_SPAWNERS: [&str; 3] =
     ["crates/core/src/executor.rs", "crates/oss/src/wave.rs", "crates/sync/src/sched.rs"];
 
+/// 1-based numbers of the non-test lines of `text` whose code (line
+/// comments stripped) satisfies `hit`.
+fn code_lines_where(text: &str, hit: impl Fn(&str) -> bool) -> Vec<usize> {
+    let lines: Vec<&str> = text.lines().collect();
+    let code = lines[..test_boundary(&lines)].iter().map(|l| strip_line_comment(l));
+    code.enumerate().filter(|(_, code)| hit(code)).map(|(i, _)| i + 1).collect()
+}
+
 /// 1-based numbers of the non-test lines of `text` that spawn a thread.
 fn thread_spawn_lines(text: &str) -> Vec<usize> {
     const SPAWNS: [&str; 4] = ["thread::spawn", "thread::scope", "thread::Builder", ".spawn("];
-    let lines: Vec<&str> = text.lines().collect();
-    let code = lines[..test_boundary(&lines)].iter().map(|l| strip_line_comment(l));
-    code.enumerate()
-        .filter(|(_, code)| SPAWNS.iter().any(|spawn| code.contains(spawn)))
-        .map(|(i, _)| i + 1)
-        .collect()
+    code_lines_where(text, |code| SPAWNS.iter().any(|spawn| code.contains(spawn)))
 }
 
 /// Check 10: threads are spawned only by [`THREAD_SPAWNERS`].
@@ -871,6 +875,37 @@ fn check_thread_spawns(root: &Path, failures: &mut Vec<String>) {
                     "{path}:{line}: spawns a thread; run the work on `QueryPool` or as an \
                      `ordered_wave` instead (threads come only from {})",
                     THREAD_SPAWNERS.join(", ")
+                ));
+            }
+        }
+    }
+}
+
+/// Where non-test code may name `InProcCluster`: the raft crate, and the
+/// controller, whose group is the engine's only one.
+const RAFT_GROUP_OWNERS: [&str; 2] = ["crates/raft/src/", "crates/core/src/controller.rs"];
+
+/// 1-based numbers of the non-test lines of `text` that name
+/// `InProcCluster`.
+fn raft_group_lines(text: &str) -> Vec<usize> {
+    code_lines_where(text, |code| find_token(code, "InProcCluster"))
+}
+
+/// Check 11: one Raft group, the controller's. A shard's WAL is its only
+/// log; a shard group comes back only on purpose, with this rule edited.
+fn check_raft_groups(root: &Path, failures: &mut Vec<String>) {
+    for (_, dir) in crate_src_dirs(root) {
+        for file in rust_files(&dir) {
+            let path = rel(root, &file);
+            if RAFT_GROUP_OWNERS.iter().any(|owner| path.starts_with(owner)) {
+                continue;
+            }
+            let text = fs::read_to_string(&file).expect("read source file");
+            for line in raft_group_lines(&text) {
+                failures.push(format!(
+                    "{path}:{line}: names `InProcCluster`; the controller's is the one Raft \
+                     group ({} only)",
+                    RAFT_GROUP_OWNERS.join(", ")
                 ));
             }
         }
@@ -948,6 +983,18 @@ mod tests {
                    #[cfg(test)]\n\
                    mod tests { fn e() { std::thread::spawn(|| ()); } }\n";
         assert_eq!(thread_spawn_lines(src), vec![2, 4, 5]);
+    }
+
+    #[test]
+    fn raft_groups_are_found_in_non_test_code_only() {
+        let src = "use logstore_raft::{InProcCluster, RaftConfig};\n\
+                   //! an `InProcCluster` in a comment\n\
+                   struct S { group: Option<InProcCluster> }\n\
+                   struct MyInProcCluster;\n\
+                   fn f() { logstore_raft::InProcCluster::new(3, RaftConfig::default(), 1); }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn g() { InProcCluster::new(3, Default::default(), 1); } }\n";
+        assert_eq!(raft_group_lines(src), vec![1, 3, 5]);
     }
 
     #[test]
