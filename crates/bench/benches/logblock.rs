@@ -59,25 +59,33 @@ fn bench_build(c: &mut Criterion) {
 }
 
 /// What one archive pass builds: a drain of interleaved tenants split into
-/// per-tenant chunks, each read in place into its own LogBlock.
+/// per-tenant chunks, each read in place into its own LogBlock. At every
+/// codec, so the compression share of a build is the difference the
+/// cases print (`build drain-sized chunk` is lz-high, the engine's).
 fn bench_build_drain(c: &mut Criterion) {
     let chunks = partition_into_chunks(drain_rows(), 65_536);
     let schema = std::sync::Arc::new(TableSchema::request_log());
     let mut group = c.benchmark_group("logblock/build");
     group.sample_size(10);
     group.throughput(Throughput::Elements(DRAIN_ROWS as u64));
-    group.bench_function("build drain-sized chunk", |b| {
-        b.iter(|| {
-            for chunk in black_box(&chunks) {
-                let mut builder =
-                    LogBlockBuilder::with_options(schema.clone(), Compression::LzHigh, 1024);
-                for record in &chunk.rows {
-                    builder.add_record(record).unwrap();
+    for (name, compression) in [
+        ("build drain-sized chunk", Compression::LzHigh),
+        ("build drain-sized chunk, lz-fast", Compression::LzFast),
+        ("build drain-sized chunk, none", Compression::None),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for chunk in black_box(&chunks) {
+                    let mut builder =
+                        LogBlockBuilder::with_options(schema.clone(), compression, 1024);
+                    for record in &chunk.rows {
+                        builder.add_record(record).unwrap();
+                    }
+                    black_box(builder.finish().unwrap());
                 }
-                black_box(builder.finish().unwrap());
-            }
-        })
-    });
+            })
+        });
+    }
     group.finish();
 }
 

@@ -39,7 +39,7 @@ pub mod pack;
 pub mod reader;
 pub mod scan;
 
-pub use builder::LogBlockBuilder;
+pub use builder::{BuildTimes, LogBlockBuilder};
 /// The typed column batch lives beside `Cell` in `logstore_types` (a
 /// real-time run caches its columns as the same type); re-exported here
 /// for the readers of decoded blocks.

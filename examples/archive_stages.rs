@@ -1,0 +1,87 @@
+//! Where phase two's time goes: loads drain-sized histories and flushes
+//! each, then prints the engine's archive stage timers
+//! (`LogStore::metrics_snapshot`) next to the flushes' wall time.
+//!
+//! ```sh
+//! cargo run --release --example archive_stages
+//! ```
+//!
+//! One worker with one shard, so a flush is one drain on the calling
+//! thread and the stages (drain, partition, build `add` / `encode` /
+//! `finish`, upload wave, admit, commit, ack) add up to the flush. OSS latency is the
+//! OSS-like model: a PUT round sleeps ≈ 25 ms.
+
+use logstore::core::{ClusterConfig, LogStore};
+use logstore::oss::LatencyModel;
+use logstore::types::Timestamp;
+use logstore::workload::{LogRecordGenerator, WorkloadSpec};
+use std::time::{Duration, Instant};
+
+/// Rows in one 4 MiB drain of generated records.
+const DRAIN_ROWS: usize = 17_000;
+/// Flushes timed.
+const ROUNDS: usize = 8;
+
+/// The stages of one archive step, as labelled in the snapshot.
+const STAGES: [&str; 9] = [
+    "core.engine.drain_ns",
+    "core.databuilder.partition_ns",
+    "core.databuilder.add_ns",
+    "core.databuilder.encode_ns",
+    "core.databuilder.finish_ns",
+    "core.databuilder.upload_ns",
+    "core.databuilder.admit_ns",
+    "core.databuilder.commit_ns",
+    "core.engine.ack_ns",
+];
+
+/// The `sum=` of histogram `label` in `snapshot`, in nanoseconds.
+fn stage_sum(snapshot: &str, label: &str) -> u64 {
+    snapshot
+        .lines()
+        .find_map(|line| line.strip_prefix(label)?.strip_prefix(' '))
+        .and_then(|rest| rest.split(' ').find_map(|field| field.strip_prefix("sum=")))
+        .and_then(|sum| sum.parse().ok())
+        .unwrap_or(0)
+}
+
+fn main() {
+    let mut config = ClusterConfig::paper_like();
+    config.workers = 1;
+    config.shards_per_worker = 1;
+    config.oss_latency = LatencyModel::oss_like();
+    config.block_rows = 1024;
+    config.max_rows_per_logblock = 65_536;
+    // No threshold pass during the load: each flush drains one history.
+    config.rowstore_flush_bytes = 32 << 20;
+    config.prefetch_threads = 8;
+    let store = LogStore::open(config).expect("open engine");
+    let mut generator = LogRecordGenerator::new(7);
+    let spec = WorkloadSpec::new(5, 0.99);
+    let mut flush_wall = Duration::ZERO;
+    for round in 0..ROUNDS as i64 {
+        let start = Timestamp(1_600_000_000_000 + round * 60_000);
+        let rows = generator.history(&spec, DRAIN_ROWS, start, Timestamp(start.millis() + 60_000));
+        for batch in rows.chunks(64) {
+            store.ingest(batch.to_vec()).expect("ingest");
+        }
+        let flush = Instant::now();
+        let report = store.flush().expect("flush");
+        flush_wall += flush.elapsed();
+        assert_eq!(report.rows_archived, DRAIN_ROWS as u64);
+    }
+    let snapshot = store.metrics_snapshot();
+    print!("{snapshot}");
+    let rows = (ROUNDS * DRAIN_ROWS) as f64;
+    println!("\nper archived row, {ROUNDS} flushes of {DRAIN_ROWS} rows:");
+    let mut staged = 0;
+    for label in STAGES {
+        let sum = stage_sum(&snapshot, label);
+        staged += sum;
+        println!("  {label:<28} {:>8.0} ns", sum as f64 / rows);
+    }
+    let wall = flush_wall.as_nanos() as f64;
+    println!("  {:<28} {:>8.0} ns", "stages, summed", staged as f64 / rows);
+    println!("  {:<28} {:>8.0} ns", "flush wall time", wall / rows);
+    println!("stages / flush wall = {:.3}", staged as f64 / wall);
+}

@@ -27,6 +27,7 @@ pub use logstore_core as core;
 pub use logstore_flow as flow;
 pub use logstore_index as index;
 pub use logstore_logblock as logblock;
+pub use logstore_obs as obs;
 pub use logstore_oss as oss;
 pub use logstore_query as query;
 pub use logstore_raft as raft;
