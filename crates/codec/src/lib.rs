@@ -27,4 +27,4 @@ pub mod rle;
 pub mod valser;
 pub mod varint;
 
-pub use frame::{compress, decompress, Compression};
+pub use frame::{compress, decompress, Compression, Compressor};

@@ -16,6 +16,34 @@
 //!   the CPU/ratio point of LZ4/Snappy in the paper's compression menu.
 //! * [`compress_high`] — hash-chain match finder with lazy evaluation.
 //!   Better ratio at more CPU; stands in for ZSTD, LogStore's default.
+//!
+//! # The high profile's match finder
+//!
+//! The output is fixed by one rule: at each position, the longest match
+//! among the [`HIGH_CHAIN_DEPTH`] newest earlier positions with the same
+//! hash of their first four bytes, within [`MAX_OFFSET`], the nearest on
+//! ties; and a lazy probe one position on that wins only when it is two or
+//! more bytes longer. `ChainFinder` evaluates that rule cheaply, and the
+//! test module keeps the plain evaluation as the byte-level oracle.
+//!
+//! * `head`, 64 Ki `u32`s, maps a hash to its newest position, stored as
+//!   a generation base plus the position. Each input takes the bases from
+//!   the previous input's end up, so reusing the finder invalidates the
+//!   whole table by moving the base: no 256 KiB refill per frame. The
+//!   table is cleared only when the `u32` space runs out.
+//! * `prev`, one `u16` per input byte, holds the distance back to the
+//!   previous position of the same chain, or 0 for none. A link longer
+//!   than [`MAX_OFFSET`] is stored as none: no match can reach it, so the
+//!   walk ends exactly where a distance check would have ended it, and the
+//!   walk's working set is half that of `u32` positions.
+//! * Each position is hashed once, when it is inserted; a walk starts from
+//!   `prev` of the position itself.
+//! * A candidate is first compared on the four bytes that end one past the
+//!   current best: only a candidate that matches there can be longer. Then
+//!   its prefix is compared eight bytes at a time.
+//! * The lazy probe asks for a match of at least the first match's length
+//!   plus two from the start, so it rejects most candidates on their first
+//!   four-byte compare.
 
 use crate::varint::{put_uvarint, read_uvarint};
 use logstore_types::{Error, Result};
@@ -40,11 +68,27 @@ fn hash(v: u32, bits: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - bits)) as usize
 }
 
-/// Length of the common prefix of `input[a..]` and `input[b..]` (bounded by
-/// the input end).
+#[inline]
+fn read8(input: &[u8], pos: usize) -> u64 {
+    u64::from_le_bytes(input[pos..pos + 8].try_into().expect("8 bytes available"))
+}
+
+/// Length of the common prefix of `input[a..]` and `input[b..]`, `a < b`
+/// (bounded by the input end). Compares eight bytes at a time: the first
+/// differing byte of two little-endian words is their XOR's lowest set
+/// byte.
 #[inline]
 fn common_len(input: &[u8], mut a: usize, mut b: usize) -> usize {
+    debug_assert!(a < b);
     let start = b;
+    while b + 8 <= input.len() {
+        let diff = read8(input, a) ^ read8(input, b);
+        if diff != 0 {
+            return b - start + (diff.trailing_zeros() / 8) as usize;
+        }
+        a += 8;
+        b += 8;
+    }
     while b < input.len() && input[a] == input[b] {
         a += 1;
         b += 1;
@@ -90,11 +134,18 @@ fn emit_final(out: &mut Vec<u8>, literals: &[u8]) {
 
 /// Greedy single-probe compression (the "fast" profile).
 pub fn compress_fast(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    put_uvarint(&mut out, input.len() as u64);
+    let mut out = Vec::new();
+    compress_fast_into(input, &mut out);
+    out
+}
+
+/// [`compress_fast`], appending to `out`.
+pub(crate) fn compress_fast_into(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(input.len() / 2 + 16);
+    put_uvarint(out, input.len() as u64);
     if input.len() < MIN_MATCH {
-        emit_final(&mut out, input);
-        return out;
+        emit_final(out, input);
+        return;
     }
     // table[h] stores position + 1; 0 means empty.
     let mut table = vec![0u32; 1 << FAST_HASH_BITS];
@@ -109,7 +160,7 @@ pub fn compress_fast(input: &[u8]) -> Vec<u8> {
             let c = cand - 1;
             if i - c <= MAX_OFFSET && read4(input, c) == read4(input, i) {
                 let mlen = MIN_MATCH + common_len(input, c + MIN_MATCH, i + MIN_MATCH);
-                emit_sequence(&mut out, &input[anchor..i], i - c, mlen);
+                emit_sequence(out, &input[anchor..i], i - c, mlen);
                 i += mlen;
                 anchor = i;
                 continue;
@@ -117,113 +168,152 @@ pub fn compress_fast(input: &[u8]) -> Vec<u8> {
         }
         i += 1;
     }
-    emit_final(&mut out, &input[anchor..]);
-    out
+    emit_final(out, &input[anchor..]);
 }
 
-struct ChainFinder {
+/// The high profile's match finder, reusable from input to input.
+///
+/// * `head[hash]` is the newest position with that hash of its first four
+///   bytes, stored as `base + pos`. An input owns the values from its
+///   `base` up, so starting the next input only moves `base` past this
+///   one (no refill); the table is cleared only when the `u32` space runs
+///   out.
+/// * `prev[pos]` is the distance back to the previous position with the
+///   same hash, or 0 when there is none within [`MAX_OFFSET`]: a match
+///   can reach no further, so a longer link ends the chain exactly where
+///   the walk would have stopped at it. Two bytes a link, and never read
+///   before it is written: positions are inserted in order, once each.
+#[derive(Debug, Default)]
+pub(crate) struct ChainFinder {
     head: Vec<u32>,
-    prev: Vec<u32>,
+    prev: Vec<u16>,
+    base: u32,
+    /// Where the next input's positions start.
+    next_base: u32,
+    /// Positions below this one are inserted.
+    inserted: usize,
 }
 
 impl ChainFinder {
-    fn new(len: usize) -> Self {
-        ChainFinder { head: vec![u32::MAX; 1 << HIGH_HASH_BITS], prev: vec![u32::MAX; len] }
+    /// Starts an input of `len` bytes.
+    fn reset(&mut self, len: usize) {
+        let len = u32::try_from(len).expect("an LZ input is under 4 GiB");
+        if self.head.is_empty() || self.next_base.checked_add(len).is_none() {
+            self.head.clear();
+            self.head.resize(1 << HIGH_HASH_BITS, 0);
+            // 0 marks an empty slot: no input starts there.
+            self.next_base = 1;
+        }
+        self.base = self.next_base;
+        self.next_base += len;
+        self.prev.resize(len as usize, 0);
+        self.inserted = 0;
     }
 
+    /// Inserts every position below `end` not inserted yet.
     #[inline]
-    fn insert(&mut self, input: &[u8], pos: usize) {
-        let h = hash(read4(input, pos), HIGH_HASH_BITS);
-        self.prev[pos] = self.head[h];
-        self.head[h] = pos as u32;
+    fn insert_until(&mut self, input: &[u8], end: usize) {
+        while self.inserted < end {
+            let pos = self.inserted;
+            let h = hash(read4(input, pos), HIGH_HASH_BITS);
+            let here = self.base + pos as u32;
+            let newest = self.head[h];
+            let back = if newest >= self.base { (here - newest) as usize } else { 0 };
+            self.prev[pos] = if back <= MAX_OFFSET { back as u16 } else { 0 };
+            self.head[h] = here;
+            self.inserted += 1;
+        }
     }
 
-    /// Longest match ending no further than [`MAX_OFFSET`] back from `pos`.
-    fn find(&self, input: &[u8], pos: usize) -> Option<(usize, usize)> {
-        let h = hash(read4(input, pos), HIGH_HASH_BITS);
-        let mut cand = self.head[h];
-        let mut best: Option<(usize, usize)> = None;
-        let mut depth = 0;
-        while cand != u32::MAX && depth < HIGH_CHAIN_DEPTH {
-            let c = cand as usize;
-            if c >= pos {
-                // `pos` (or a later position) may already be inserted when
-                // the lazy path probes ahead; a position cannot match itself.
-                cand = self.prev[c];
-                continue;
+    /// Longest match for the inserted position `pos`, among the
+    /// [`HIGH_CHAIN_DEPTH`] newest earlier positions of its chain within
+    /// [`MAX_OFFSET`], if one is longer than `shorter` (at least
+    /// `MIN_MATCH - 1`). Ties keep the nearer match.
+    ///
+    /// The answer is the nearest of the longest candidates, so it depends
+    /// only on which candidates the walk visits, not on how each is
+    /// rejected: a candidate that beats the best so far matches it one
+    /// byte further, hence on the four bytes ending there, which is the
+    /// first thing compared.
+    fn find(&self, input: &[u8], pos: usize, shorter: usize) -> Option<(usize, usize)> {
+        let most = input.len() - pos;
+        if shorter >= most {
+            return None;
+        }
+        let mut best = (0, shorter);
+        let mut c = pos;
+        for _ in 0..HIGH_CHAIN_DEPTH {
+            let back = self.prev[c] as usize;
+            if back == 0 {
+                break;
             }
+            c -= back;
             if pos - c > MAX_OFFSET {
                 break; // chain positions only get older
             }
-            // Cheap reject: check the byte just past the current best.
-            let best_len = best.map_or(MIN_MATCH - 1, |(_, l)| l);
-            if pos + best_len < input.len()
-                && c + best_len < input.len()
-                && input[c + best_len] == input[pos + best_len]
+            let edge = best.1 + 1 - 4;
+            if read4(input, c + edge) == read4(input, pos + edge)
                 && read4(input, c) == read4(input, pos)
             {
                 let len = MIN_MATCH + common_len(input, c + MIN_MATCH, pos + MIN_MATCH);
-                if len > best_len {
-                    best = Some((pos - c, len));
+                if len > best.1 {
+                    best = (pos - c, len);
+                    if len == most {
+                        break; // nothing can be longer
+                    }
                 }
             }
-            cand = self.prev[c];
-            depth += 1;
         }
-        best
+        (best.0 > 0).then_some(best)
     }
 }
 
 /// Hash-chain compression with lazy matching (the "high" profile).
 pub fn compress_high(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    put_uvarint(&mut out, input.len() as u64);
+    let mut out = Vec::new();
+    compress_high_into(&mut ChainFinder::default(), input, &mut out);
+    out
+}
+
+/// [`compress_high`], appending to `out` with a reused `finder`.
+pub(crate) fn compress_high_into(finder: &mut ChainFinder, input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(input.len() / 2 + 16);
+    put_uvarint(out, input.len() as u64);
     if input.len() < MIN_MATCH {
-        emit_final(&mut out, input);
-        return out;
+        emit_final(out, input);
+        return;
     }
-    let mut finder = ChainFinder::new(input.len());
+    finder.reset(input.len());
     let mut i = 0;
     let mut anchor = 0;
     let limit = input.len() - MIN_MATCH;
     while i <= limit {
-        finder.insert(input, i);
-        let Some((offset, len)) = finder.find(input, i) else {
+        finder.insert_until(input, i + 1);
+        let Some((offset, len)) = finder.find(input, i, MIN_MATCH - 1) else {
             i += 1;
             continue;
         };
-        // Lazy evaluation: if the match starting at i+1 is strictly longer,
-        // emit input[i] as a literal and take the later match instead.
+        // Lazy evaluation: if the match starting at i+1 is longer by two or
+        // more, emit input[i] as a literal and take the later match
+        // instead. Only such a match matters, so the search asks for no
+        // less.
         let (mut offset, mut len) = (offset, len);
         if i < limit {
-            finder.insert(input, i + 1);
-            if let Some((o2, l2)) = finder.find(input, i + 1) {
-                if l2 > len + 1 {
-                    i += 1;
-                    offset = o2;
-                    len = l2;
-                }
+            finder.insert_until(input, i + 2);
+            if let Some((o2, l2)) = finder.find(input, i + 1, len + 1) {
+                i += 1;
+                offset = o2;
+                len = l2;
             }
         }
-        emit_sequence(&mut out, &input[anchor..i], offset, len);
+        emit_sequence(out, &input[anchor..i], offset, len);
         // Index the positions covered by the match so later data can
-        // reference into it (skip ones already inserted).
-        let match_end = (i + len).min(limit + 1);
-        let mut p = i + 1;
-        while p < match_end {
-            if finder.prev[p] == u32::MAX {
-                let h = hash(read4(input, p), HIGH_HASH_BITS);
-                if finder.head[h] != p as u32 {
-                    finder.insert(input, p);
-                }
-            }
-            p += 1;
-        }
+        // reference into it.
+        finder.insert_until(input, (i + len).min(limit + 1));
         i += len;
         anchor = i;
     }
-    emit_final(&mut out, &input[anchor..]);
-    out
+    emit_final(out, &input[anchor..]);
 }
 
 fn read_len_nibble(input: &[u8], pos: &mut usize, nibble: usize) -> Result<usize> {
@@ -510,6 +600,251 @@ mod tests {
         }
     }
 
+    /// The high profile as it was before its finder was reused: fresh
+    /// `u32` head and chain tables per call, every link followed to its
+    /// position, bytes compared one at a time. Kept as the byte-level
+    /// oracle of [`compress_high`].
+    fn reference_compress_high(input: &[u8]) -> Vec<u8> {
+        const NONE: u32 = u32::MAX;
+        fn common_len_bytewise(input: &[u8], mut a: usize, mut b: usize) -> usize {
+            let start = b;
+            while b < input.len() && input[a] == input[b] {
+                a += 1;
+                b += 1;
+            }
+            b - start
+        }
+        struct Finder {
+            head: Vec<u32>,
+            prev: Vec<u32>,
+        }
+        impl Finder {
+            fn insert(&mut self, input: &[u8], pos: usize) {
+                let h = hash(read4(input, pos), HIGH_HASH_BITS);
+                self.prev[pos] = self.head[h];
+                self.head[h] = pos as u32;
+            }
+            fn find(&self, input: &[u8], pos: usize) -> Option<(usize, usize)> {
+                let h = hash(read4(input, pos), HIGH_HASH_BITS);
+                let mut cand = self.head[h];
+                let mut best: Option<(usize, usize)> = None;
+                let mut depth = 0;
+                while cand != NONE && depth < HIGH_CHAIN_DEPTH {
+                    let c = cand as usize;
+                    if c >= pos {
+                        cand = self.prev[c];
+                        continue;
+                    }
+                    if pos - c > MAX_OFFSET {
+                        break;
+                    }
+                    let best_len = best.map_or(MIN_MATCH - 1, |(_, l)| l);
+                    if pos + best_len < input.len()
+                        && c + best_len < input.len()
+                        && input[c + best_len] == input[pos + best_len]
+                        && read4(input, c) == read4(input, pos)
+                    {
+                        let len =
+                            MIN_MATCH + common_len_bytewise(input, c + MIN_MATCH, pos + MIN_MATCH);
+                        if len > best_len {
+                            best = Some((pos - c, len));
+                        }
+                    }
+                    cand = self.prev[c];
+                    depth += 1;
+                }
+                best
+            }
+        }
+        let mut out = Vec::new();
+        put_uvarint(&mut out, input.len() as u64);
+        if input.len() < MIN_MATCH {
+            emit_final(&mut out, input);
+            return out;
+        }
+        let mut finder =
+            Finder { head: vec![NONE; 1 << HIGH_HASH_BITS], prev: vec![NONE; input.len()] };
+        let mut i = 0;
+        let mut anchor = 0;
+        let limit = input.len() - MIN_MATCH;
+        while i <= limit {
+            finder.insert(input, i);
+            let Some((offset, len)) = finder.find(input, i) else {
+                i += 1;
+                continue;
+            };
+            let (mut offset, mut len) = (offset, len);
+            if i < limit {
+                finder.insert(input, i + 1);
+                if let Some((o2, l2)) = finder.find(input, i + 1) {
+                    if l2 > len + 1 {
+                        i += 1;
+                        offset = o2;
+                        len = l2;
+                    }
+                }
+            }
+            emit_sequence(&mut out, &input[anchor..i], offset, len);
+            let match_end = (i + len).min(limit + 1);
+            let mut p = i + 1;
+            while p < match_end {
+                if finder.prev[p] == NONE {
+                    let h = hash(read4(input, p), HIGH_HASH_BITS);
+                    if finder.head[h] != p as u32 {
+                        finder.insert(input, p);
+                    }
+                }
+                p += 1;
+            }
+            i += len;
+            anchor = i;
+        }
+        emit_final(&mut out, &input[anchor..]);
+        out
+    }
+
+    /// Asserts that a fresh and a reused finder both emit the oracle's
+    /// bytes for `data`.
+    fn assert_high_is_reference(finder: &mut ChainFinder, data: &[u8]) {
+        let expected = reference_compress_high(data);
+        assert_eq!(compress_high(data), expected, "fresh finder, {} bytes", data.len());
+        let mut out = vec![0xAB];
+        compress_high_into(finder, data, &mut out);
+        assert_eq!(out[0], 0xAB, "appends");
+        assert_eq!(out[1..], expected[..], "reused finder, {} bytes", data.len());
+    }
+
+    /// `count` distinct 4-byte words that share one bucket of the high
+    /// profile's hash: every chain link between them is a collision.
+    fn colliding_words(count: usize) -> Vec<[u8; 4]> {
+        let target = hash(0x6f6c_6c65, HIGH_HASH_BITS);
+        (0u32..)
+            .map(|k| 0x6f6c_6c65u32.wrapping_add(k.wrapping_mul(0x9e37)))
+            .filter(|v| hash(*v, HIGH_HASH_BITS) == target)
+            .take(count)
+            .map(u32::to_le_bytes)
+            .collect()
+    }
+
+    #[test]
+    fn high_is_the_reference_on_runs_past_the_window() {
+        let mut finder = ChainFinder::default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1712);
+        // One byte repeated past 64 KiB, a period-3 run past it, a
+        // pattern whose second copy is out of reach, and random bytes
+        // around a long run.
+        let mut inputs = vec![vec![0u8; 70_000], b"abc".repeat(30_000)];
+        let mut far = b"MAGIC-far".to_vec();
+        far.extend((0..70_000u32).map(|i| (i % 251) as u8 ^ (i / 251) as u8));
+        far.extend_from_slice(b"MAGIC-far");
+        inputs.push(far);
+        let mut noisy: Vec<u8> = (0..5_000).map(|_| rng.gen()).collect();
+        noisy.extend(std::iter::repeat_n(9u8, 80_000));
+        noisy.extend((0..5_000).map(|_| rng.gen::<u8>()));
+        inputs.push(noisy);
+        for data in &inputs {
+            assert_high_is_reference(&mut finder, data);
+        }
+    }
+
+    #[test]
+    fn high_is_the_reference_at_the_depth_and_window_edges() {
+        let mut finder = ChainFinder::default();
+        // The last `ABCD` has 65 earlier ones: the longest match is the
+        // 65th back (out of the walk's reach), the next longest the 64th
+        // (the last one it visits), and the 63 nearest share five bytes.
+        let mut deep = b"ABCD0123456789xyzLONGER!".to_vec();
+        deep.extend_from_slice(b"ABCD0123456789xyz-");
+        for k in 0..63u8 {
+            deep.extend_from_slice(&[b'A', b'B', b'C', b'D', b'Q', b'a' + k % 26, b'0' + k / 26]);
+        }
+        deep.extend_from_slice(b"ABCD0123456789xyzLONGER!");
+        assert_high_is_reference(&mut finder, &deep);
+        // A pattern whose only earlier copy is exactly `MAX_OFFSET` back,
+        // and one whose copy is a byte further. No 4-gram of the filler
+        // shares the pattern's hash, so the copy is the first link of its
+        // chain.
+        let filler = b"abcdefg";
+        let bucket = |w: &[u8]| hash(read4(w, 0), HIGH_HASH_BITS);
+        let doubled = filler.repeat(2);
+        assert!(doubled.windows(4).all(|w| bucket(w) != bucket(b"WXYZ")));
+        for gap in [MAX_OFFSET, MAX_OFFSET + 1] {
+            let mut far = b"WXYZ".to_vec();
+            far.extend(filler.iter().cycle().take(gap - 4));
+            far.extend_from_slice(b"WXYZ!");
+            assert_high_is_reference(&mut finder, &far);
+            // The last match, offset 0xffff, then the literal `!`.
+            let reached = compress_high(&far).ends_with(&[0xff, 0xff, 0x10, b'!']);
+            assert_eq!(reached, gap == MAX_OFFSET, "gap {gap}");
+        }
+    }
+
+    #[test]
+    fn high_is_the_reference_on_hash_collisions() {
+        let words = colliding_words(80);
+        let mut finder = ChainFinder::default();
+        // Chains longer than the walk's depth, all collisions: each word
+        // once, then every word again in a shifted order, byte-shifted.
+        let mut data: Vec<u8> = words.iter().flatten().copied().collect();
+        for shift in 1..5 {
+            data.extend(words.iter().cycle().skip(shift * 7).take(words.len()).flatten());
+            data.push(shift as u8);
+        }
+        assert_high_is_reference(&mut finder, &data);
+        // Colliding words with equal next bytes: the cheap reject passes
+        // and the full compare must decide.
+        let mut tied = Vec::new();
+        for (k, w) in words.iter().enumerate() {
+            tied.extend_from_slice(w);
+            tied.extend_from_slice(b"same-tail");
+            tied.push(k as u8 % 3);
+        }
+        assert_high_is_reference(&mut finder, &tied);
+    }
+
+    #[test]
+    fn high_is_the_reference_at_every_short_length() {
+        // Lengths around the 4-byte minimum match and the 8-byte compare.
+        let mut finder = ChainFinder::default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1711);
+        for len in 0..=40 {
+            for alphabet in [1u8, 2, 3, 255] {
+                for _ in 0..8 {
+                    let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
+                    assert_high_is_reference(&mut finder, &data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_finder_forgets_the_previous_input() {
+        // Long, short, long: the short input's positions sit where the
+        // long one's did, and the second long input must see neither.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1713);
+        let long_a: Vec<u8> = (0..50_000).map(|_| rng.gen_range(b'a'..b'e')).collect();
+        let short = long_a[1_000..1_400].to_vec();
+        let long_b: Vec<u8> = long_a.iter().rev().map(|b| b ^ 1).collect();
+        let mut finder = ChainFinder::default();
+        for data in [&long_a, &short, &long_b, &long_a] {
+            assert_high_is_reference(&mut finder, data);
+        }
+    }
+
+    #[test]
+    fn a_reused_finder_starts_over_when_its_positions_run_out() {
+        let mut finder = ChainFinder::default();
+        let data = b"GET /api/v1/users 200 GET /api/v1/users 404".repeat(40);
+        assert_high_is_reference(&mut finder, &data);
+        // The next input would overflow the u32 position space: the table
+        // is cleared, and nothing of the previous inputs is matched.
+        finder.next_base = u32::MAX - 100;
+        assert_high_is_reference(&mut finder, &data);
+        assert_eq!(finder.base, 1);
+        assert_high_is_reference(&mut finder, &data[..500]);
+        assert_eq!(finder.base, 1 + data.len() as u32);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -526,6 +861,38 @@ mod tests {
             for stream in [compress_fast(&data), compress_high(&data)] {
                 prop_assert_eq!(&decompress_bytewise(&stream), &data);
                 prop_assert_eq!(&decompress(&stream, data.len()).unwrap(), &data);
+            }
+        }
+
+        /// A finder reused across a sequence of inputs emits, for each,
+        /// the bytes of a fresh reference finder: short alphabets, runs of
+        /// every period from 1 to 16, words that collide in the hash.
+        #[test]
+        fn prop_high_is_the_reference(
+            inputs in proptest::collection::vec(
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u8..4, 1..17), 1usize..40, 0usize..3),
+                    0..30,
+                ),
+                1..4,
+            )
+        ) {
+            let words = colliding_words(16);
+            let mut finder = ChainFinder::default();
+            for segments in &inputs {
+                let mut data = Vec::new();
+                for (unit, times, kind) in segments {
+                    match kind {
+                        0 => data.extend(unit.iter().cycle().take(unit.len() * times)),
+                        1 => data.extend(unit.iter().map(|b| b'a' + b)),
+                        _ => data.extend(unit.iter().flat_map(|b| words[*b as usize * 4 % 16])),
+                    }
+                }
+                let expected = reference_compress_high(&data);
+                let mut out = Vec::new();
+                compress_high_into(&mut finder, &data, &mut out);
+                prop_assert_eq!(&out, &expected);
+                prop_assert_eq!(compress_high(&data), expected);
             }
         }
 
@@ -555,6 +922,38 @@ mod tests {
             garbage in proptest::collection::vec(any::<u8>(), 0..512)
         ) {
             let _ = decompress(&garbage, 1 << 16);
+        }
+    }
+
+    proptest! {
+        // Each case compresses ≈ 64 KiB twice in a debug build.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Inputs past 64 KiB whose pattern repeats at distances around
+        /// the last one a `u16` link holds (65 535) and the first it does
+        /// not, over a filler drawn from a short alphabet, ending in a
+        /// tail of 4, 5 or 8 bytes copied from earlier.
+        #[test]
+        fn prop_high_is_the_reference_at_the_window_edge(
+            pattern in proptest::collection::vec(any::<u8>(), 4..12),
+            gap in (MAX_OFFSET - 2)..(MAX_OFFSET + 3),
+            alphabet in 1u8..4,
+            seed in any::<u64>(),
+            tail in prop_oneof![Just(4usize), Just(5), Just(8)],
+            tail_from in 0usize..60_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut data = pattern.clone();
+            let filler = gap.saturating_sub(pattern.len());
+            data.extend((0..filler).map(|_| b'0' + rng.gen_range(0..alphabet)));
+            data.extend_from_slice(&pattern);
+            data.extend_from_slice(&pattern);
+            let copy = data[tail_from..tail_from + tail].to_vec();
+            data.extend_from_slice(&copy);
+            let mut finder = ChainFinder::default();
+            let mut out = Vec::new();
+            compress_high_into(&mut finder, &data, &mut out);
+            prop_assert_eq!(out, reference_compress_high(&data));
         }
     }
 }

@@ -21,7 +21,14 @@ const MIN_RUN: usize = 3;
 
 /// Compresses `input` with RLE.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 4 + 8);
+    let mut out = Vec::new();
+    compress_into(input, &mut out);
+    out
+}
+
+/// [`compress`], appending to `out`.
+pub(crate) fn compress_into(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(input.len() / 4 + 8);
     let mut i = 0;
     let mut lit_start = 0;
     while i < input.len() {
@@ -32,8 +39,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             run += 1;
         }
         if run >= MIN_RUN {
-            flush_literal(&mut out, &input[lit_start..i]);
-            put_uvarint(&mut out, (run as u64) * 2 + 1);
+            flush_literal(out, &input[lit_start..i]);
+            put_uvarint(out, (run as u64) * 2 + 1);
             out.push(b);
             i += run;
             lit_start = i;
@@ -41,8 +48,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             i += run;
         }
     }
-    flush_literal(&mut out, &input[lit_start..]);
-    out
+    flush_literal(out, &input[lit_start..]);
 }
 
 fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {

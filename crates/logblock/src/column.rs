@@ -11,7 +11,7 @@
 //! so row ids stay positional; the bitset is authoritative for NULL-ness.
 
 use logstore_codec::varint::{put_uvarint, read_uvarint};
-use logstore_codec::{compress, decompress, delta, Compression};
+use logstore_codec::{decompress, delta, Compression, Compressor};
 use logstore_types::{ColumnData, ColumnVec, DataType, Error, Result, Value};
 
 /// Hard cap for a decoded data frame (decompression-bomb guard).
@@ -105,19 +105,31 @@ impl PendingBlock {
         Ok(())
     }
 
-    /// Encodes the pushed rows as one column block and empties the block,
-    /// keeping its buffers.
-    pub(crate) fn encode(&mut self, compression: Compression) -> Vec<u8> {
-        let bitset_frame = compress(Compression::Rle, &self.nulls);
-        let data_frame = match &self.data {
-            PendingData::I64(nums) => compress(compression, &delta::encode_i64(nums)),
-            PendingData::U64(nums) => compress(compression, &delta::encode_u64(nums)),
-            PendingData::Bool(bytes) | PendingData::Str(bytes) => compress(compression, bytes),
-        };
-        let mut out = Vec::with_capacity(bitset_frame.len() + data_frame.len() + 4);
-        put_uvarint(&mut out, bitset_frame.len() as u64);
+    /// Encodes the pushed rows as one column block, appended to `out`, and
+    /// empties the block, keeping its buffers. The data frame is written
+    /// in place; only the small null-bitset frame passes through a
+    /// scratch buffer, because its length precedes it.
+    pub(crate) fn encode_into(
+        &mut self,
+        compression: Compression,
+        compressor: &mut Compressor,
+        out: &mut Vec<u8>,
+    ) {
+        let mut bitset_frame = Vec::new();
+        compressor.compress_into(Compression::Rle, &self.nulls, &mut bitset_frame);
+        put_uvarint(out, bitset_frame.len() as u64);
         out.extend_from_slice(&bitset_frame);
-        out.extend_from_slice(&data_frame);
+        match &self.data {
+            PendingData::I64(nums) => {
+                compressor.compress_into(compression, &delta::encode_i64(nums), out)
+            }
+            PendingData::U64(nums) => {
+                compressor.compress_into(compression, &delta::encode_u64(nums), out)
+            }
+            PendingData::Bool(bytes) | PendingData::Str(bytes) => {
+                compressor.compress_into(compression, bytes, out)
+            }
+        }
         self.len = 0;
         self.nulls.clear();
         match &mut self.data {
@@ -125,7 +137,6 @@ impl PendingBlock {
             PendingData::U64(nums) => nums.clear(),
             PendingData::Bool(bytes) | PendingData::Str(bytes) => bytes.clear(),
         }
-        out
     }
 }
 
@@ -139,7 +150,9 @@ pub fn encode_block(
     for v in values {
         block.push(v)?;
     }
-    Ok(block.encode(compression))
+    let mut out = Vec::new();
+    block.encode_into(compression, &mut Compressor::default(), &mut out);
+    Ok(out)
 }
 
 /// Splits a column block into its null bitset (decoded, one bit per row of
@@ -314,6 +327,7 @@ pub fn decode_block_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logstore_codec::compress;
     use proptest::prelude::*;
 
     fn roundtrip(dtype: DataType, values: Vec<Value>) {
