@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
+use logstore_index::inverted::memo_slot;
 use logstore_index::{BkdDictReader, BkdWriter, InvertedDictReader, InvertedIndexWriter, TermKind};
 use std::hint::black_box;
 
@@ -72,6 +73,52 @@ fn bench_inverted_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// `count` distinct terms of `kind` in one memo slot of the index writer.
+fn memo_colliding(kind: TermKind, prefix: &str, count: usize) -> Vec<String> {
+    let target = memo_slot(kind, &format!("{prefix}0"));
+    (0..)
+        .map(|n| format!("{prefix}{n}"))
+        .filter(|t| memo_slot(kind, t) == target)
+        .take(count)
+        .collect()
+}
+
+/// The memo's worst case: a free-text column of a drain, twelve tokens a
+/// line drawn from 64 tokens that share one memo slot, so nearly every
+/// push misses the memo and pays the keyed map on top of it. (Whole
+/// exact cells have no such case: a repeated cell skips its tokens
+/// whether or not its own lookup hit the memo.)
+fn bench_inverted_build_colliding(c: &mut Criterion) {
+    let tokens = memo_colliding(TermKind::Token, "t", 64);
+    let mut state = 1712u64;
+    let lines: Vec<String> = (0..DRAIN_ROWS)
+        .map(|_| {
+            let line: Vec<&str> = (0..12)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    tokens[(state >> 33) as usize % tokens.len()].as_str()
+                })
+                .collect();
+            line.join(" ")
+        })
+        .collect();
+    let mut group = c.benchmark_group("index/inverted");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(DRAIN_ROWS as u64));
+    group.bench_function("inverted build (17 k lines, every token colliding in the memo)", |b| {
+        b.iter(|| {
+            let mut writer = InvertedIndexWriter::new();
+            for (row_id, line) in black_box(&lines).iter().enumerate() {
+                writer.add_text(row_id as u32, line);
+            }
+            writer.finish_split()
+        })
+    });
+    group.finish();
+}
+
 fn bench_inverted(c: &mut Criterion) {
     let idx = inverted();
     let mut group = c.benchmark_group("index/inverted");
@@ -101,5 +148,11 @@ fn bench_bkd(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inverted_build, bench_inverted, bench_bkd);
+criterion_group!(
+    benches,
+    bench_inverted_build,
+    bench_inverted_build_colliding,
+    bench_inverted,
+    bench_bkd
+);
 criterion_main!(benches);

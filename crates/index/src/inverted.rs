@@ -25,16 +25,38 @@
 //! Full-column indexing is the largest CPU stage of a LogBlock build, and
 //! almost every token of every row is a term the writer has already seen
 //! (≈ 250 k tokens but ≈ 1 500 distinct terms in one drain). So
-//! [`InvertedIndexWriter`] allocates only on a term's *first* sighting:
-//! each token is lowercased and clamped into one reused scratch key
-//! `kind ++ term`, resolved by a borrowed lookup in a hash map from key to
-//! term id, and the row id is pushed onto that term's list. The map is
-//! only ever probed, never iterated for output: [`finish_split`] sorts the
-//! keys (bytewise order of `kind ++ term` is the dictionary's
-//! `(kind, term)` order), so the bytes written do not depend on the
-//! hasher. Tenants choose their tokens and builds run on shared threads,
-//! so the hasher must be keyed — std's `RandomState`, one key per writer;
-//! never a fixed public hash a tenant could aim collisions at.
+//! [`InvertedIndexWriter`] allocates only on a term's *first* sighting,
+//! and resolves a term to its id in two steps:
+//!
+//! 1. **The memo**: a direct-mapped table of `MEMO_SLOTS` (1 024) term ids,
+//!    indexed by a cheap unkeyed hash of `(kind, term as written)` — no
+//!    lowercasing, no keyed hash. A slot is a guess: it also holds 32
+//!    other bits of the hash, which turn most misses away, and the term it
+//!    names is compared with the one being pushed; a hit is only taken
+//!    when they are the same term.
+//! 2. **The map**, on a memo miss: the token is lowercased and clamped
+//!    into one reused scratch key `kind ++ term`, looked up by borrow in a
+//!    hash map from key to term id, and the memo slot is pointed at the
+//!    result.
+//!
+//! The map is the authority and its hasher is keyed — std's
+//! `RandomState`, one key per writer — because tenants choose their
+//! tokens and builds run on shared threads: a fixed public hash would let
+//! one tenant aim collisions at everyone's build. The memo's hash is
+//! public, and that is safe: tokens aimed at one memo slot only evict each
+//! other, so each push costs one failed comparison plus the map probe it
+//! would have paid without the memo — never a longer probe sequence.
+//!
+//! A whole cell short enough for an exact term (`ip`, `api`) repeats far
+//! more often than it is new, and its tokens are a function of it: the
+//! writer records the token ids of each exact term at its first sighting
+//! and, on every later one, pushes the row to the exact term and those
+//! ids without tokenizing the cell again.
+//!
+//! Nothing here decides bytes. Ids are positions in first-sighting order
+//! and are never written; [`finish_split`] sorts the terms by key (bytewise
+//! order of `kind ++ term` is the dictionary's `(kind, term)` order), so
+//! the output depends neither on a hasher nor on what the memo held.
 //!
 //! [`finish_split`]: InvertedIndexWriter::finish_split
 
@@ -77,16 +99,103 @@ impl TermKind {
 /// scanner applies the same constant so index and scan stay consistent.
 pub const MAX_EXACT_LEN: usize = 64;
 
+/// Slots of the writer's memo (a power of two).
+const MEMO_SLOTS: usize = 1024;
+
+/// The memo hash of `term` of `kind`, as written (before lowercasing): a
+/// multiplicative hash over eight-byte words, the last one read where it
+/// ends. Its top bits pick the slot ([`memo_slot`]), its low 32 bits are
+/// the slot's check. Unkeyed on purpose — see the module docs for why a
+/// collision costs nothing.
+#[inline]
+fn memo_hash(kind: TermKind, term: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let b = term.as_bytes();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().expect("four")));
+    let mut h = (u64::from(kind.tag()) | (b.len() as u64) << 8).wrapping_mul(K);
+    let mut at = 0;
+    while at + 8 < b.len() {
+        h = (h ^ word(at)).wrapping_mul(K).rotate_left(23);
+        at += 8;
+    }
+    let last = match b.len() {
+        8.. => word(b.len() - 8),
+        4..=7 => half(0) << 32 | half(b.len() - 4),
+        n => b[..n].iter().fold(0, |w, &x| w << 8 | u64::from(x)),
+    };
+    h = (h ^ last).wrapping_mul(K);
+    (h ^ h >> 29).wrapping_mul(K)
+}
+
+/// The memo slot of `term` of `kind`, as written.
+pub fn memo_slot(kind: TermKind, term: &str) -> usize {
+    (memo_hash(kind, term) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// One distinct term.
+#[derive(Debug)]
+struct Term {
+    /// `kind ++ term`, lowercased for tokens. The kind tags are ASCII, so
+    /// a key is itself valid UTF-8 and stays a `str` from cell to
+    /// dictionary.
+    key: Box<str>,
+    /// Ascending row ids.
+    rows: Vec<u32>,
+    /// For an exact term: its cell's token ids, a range of
+    /// `InvertedIndexWriter::cell_tokens`.
+    tokens: (u32, u32),
+}
+
+impl Term {
+    /// True when this is the term `raw` of `kind` resolves to.
+    #[inline]
+    fn is(&self, kind: TermKind, raw: &str) -> bool {
+        let (tag, term) = self.key.split_at(1);
+        tag.as_bytes()[0] == kind.tag()
+            && match kind {
+                TermKind::Exact => term == raw,
+                // `term` is lowercase: equal ignoring ASCII case is equal
+                // after the writer's lowercasing.
+                TermKind::Token => term.eq_ignore_ascii_case(raw),
+            }
+    }
+
+    #[inline]
+    fn push(&mut self, row_id: u32) {
+        if self.rows.last() != Some(&row_id) {
+            self.rows.push(row_id);
+        }
+    }
+}
+
 /// Accumulates terms while a LogBlock column is being built.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct InvertedIndexWriter {
-    /// `kind ++ term` → index into `lists`. The kind tags are ASCII, so a
-    /// key is itself valid UTF-8 and stays a `str` from cell to dictionary.
+    /// `kind ++ term` → index into `terms`: the authority, keyed hasher.
     ids: HashMap<Box<str>, u32>,
-    /// Ascending row ids per term, in first-sighting order.
-    lists: Vec<Vec<u32>>,
+    /// Distinct terms in first-sighting order.
+    terms: Vec<Term>,
+    /// Memo slot → (term id + 1, check): 0 is empty, and the check (the
+    /// low half of the memo hash) turns most misses away before the term
+    /// is read.
+    memo: Box<[(u32, u32)]>,
+    /// Token ids of the exact terms' cells, back to back.
+    cell_tokens: Vec<u32>,
     /// The key being looked up, reused across pushes.
     key: String,
+}
+
+impl Default for InvertedIndexWriter {
+    fn default() -> Self {
+        InvertedIndexWriter {
+            ids: HashMap::new(),
+            terms: Vec::new(),
+            memo: vec![(0, 0); MEMO_SLOTS].into_boxed_slice(),
+            cell_tokens: Vec::new(),
+            key: String::new(),
+        }
+    }
 }
 
 impl InvertedIndexWriter {
@@ -98,10 +207,25 @@ impl InvertedIndexWriter {
     /// Indexes one cell. Row ids must arrive in ascending order (they do:
     /// the builder feeds rows sequentially).
     pub fn add(&mut self, row_id: u32, value: &str) {
-        if value.len() <= MAX_EXACT_LEN {
-            self.push(TermKind::Exact, value, row_id);
+        if value.len() > MAX_EXACT_LEN {
+            return self.add_text(row_id, value);
         }
-        self.add_text(row_id, value);
+        let (id, new) = self.resolve(TermKind::Exact, value);
+        self.terms[id].push(row_id);
+        if new {
+            let start = self.cell_tokens.len() as u32;
+            for tok in tokenize(value) {
+                let (token, _) = self.resolve(TermKind::Token, clamp_term(tok));
+                self.terms[token].push(row_id);
+                self.cell_tokens.push(token as u32);
+            }
+            self.terms[id].tokens = (start, self.cell_tokens.len() as u32);
+        } else {
+            let (start, end) = self.terms[id].tokens;
+            for &token in &self.cell_tokens[start as usize..end as usize] {
+                self.terms[token as usize].push(row_id);
+            }
+        }
     }
 
     /// Indexes one cell as free text: tokens only, no exact term (used for
@@ -109,35 +233,46 @@ impl InvertedIndexWriter {
     /// keys would duplicate the column).
     pub fn add_text(&mut self, row_id: u32, value: &str) {
         for tok in tokenize(value) {
-            self.push(TermKind::Token, clamp_term(tok), row_id);
+            let (id, _) = self.resolve(TermKind::Token, clamp_term(tok));
+            self.terms[id].push(row_id);
         }
     }
 
-    fn push(&mut self, kind: TermKind, term: &str, row_id: u32) {
+    /// The id of `term` of `kind` (as written; tokens are lowercased
+    /// here), and whether this sighting created it.
+    #[inline]
+    fn resolve(&mut self, kind: TermKind, term: &str) -> (usize, bool) {
+        let hash = memo_hash(kind, term);
+        let (slot, check) = ((hash >> (64 - MEMO_SLOTS.trailing_zeros())) as usize, hash as u32);
+        let (cached, cached_check) = self.memo[slot];
+        if let Some(id) = cached.checked_sub(1) {
+            if cached_check == check && self.terms[id as usize].is(kind, term) {
+                return (id as usize, false);
+            }
+        }
         self.key.clear();
         self.key.push(char::from(kind.tag()));
         self.key.push_str(term);
         if kind == TermKind::Token {
             self.key[1..].make_ascii_lowercase();
         }
-        let id = match self.ids.get(self.key.as_str()) {
-            Some(&id) => id as usize,
+        let (id, new) = match self.ids.get(self.key.as_str()) {
+            Some(&id) => (id as usize, false),
             None => {
-                let id = self.lists.len();
-                self.ids.insert(self.key.as_str().into(), id as u32);
-                self.lists.push(Vec::new());
-                id
+                let id = self.terms.len();
+                let key: Box<str> = self.key.as_str().into();
+                self.ids.insert(key.clone(), id as u32);
+                self.terms.push(Term { key, rows: Vec::new(), tokens: (0, 0) });
+                (id, true)
             }
         };
-        let list = &mut self.lists[id];
-        if list.last() != Some(&row_id) {
-            list.push(row_id);
-        }
+        self.memo[slot] = (id as u32 + 1, check);
+        (id, new)
     }
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        self.lists.len()
+        self.terms.len()
     }
 
     /// Serializes the index as two parts: the term dictionary (small, read
@@ -145,17 +280,17 @@ impl InvertedIndexWriter {
     /// them as separate pack members lets a lookup on object storage fetch
     /// the dictionary plus *one* posting list instead of the whole index.
     pub fn finish_split(self) -> (Vec<u8>, Vec<u8>) {
-        let mut terms: Vec<(Box<str>, u32)> = self.ids.into_iter().collect();
-        terms.sort_unstable();
+        let mut terms = self.terms;
+        terms.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         let mut dict = Vec::new();
         let mut blob = Vec::new();
         put_uvarint(&mut dict, terms.len() as u64);
-        for (key, id) in &terms {
+        for term in &terms {
             let start = blob.len();
-            blob.extend_from_slice(&postings::encode(&self.lists[*id as usize]));
-            let (kind, term) = key.split_at(1);
+            postings::encode_into(&mut blob, &term.rows);
+            let (kind, text) = term.key.split_at(1);
             dict.extend_from_slice(kind.as_bytes());
-            put_str(&mut dict, term);
+            put_str(&mut dict, text);
             put_uvarint(&mut dict, start as u64);
             put_uvarint(&mut dict, (blob.len() - start) as u64);
         }
@@ -373,12 +508,144 @@ mod tests {
         }
     }
 
+    /// Distinct terms of `kind` that all land in one memo slot, spelled
+    /// `{prefix}{n}`: a writer fed them evicts itself on every push.
+    fn memo_colliding(kind: TermKind, prefix: &str, count: usize) -> Vec<String> {
+        let target = memo_slot(kind, &format!("{prefix}0"));
+        (0..)
+            .map(|n| format!("{prefix}{n}"))
+            .filter(|t| memo_slot(kind, t) == target)
+            .take(count)
+            .collect()
+    }
+
+    /// Tokens that collide in the memo as written in lower case, others
+    /// that collide in upper case (each also in the other case), and exact
+    /// cells that collide, plus a token spelled like one of the cells.
+    fn colliding_pool() -> &'static [String] {
+        static POOL: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        POOL.get_or_init(|| {
+            let mut pool = memo_colliding(TermKind::Token, "tok", 6);
+            pool.extend(memo_colliding(TermKind::Token, "TOK", 6));
+            let other_case: Vec<String> = pool
+                .iter()
+                .map(|t| if t.starts_with('t') { t.to_uppercase() } else { t.to_lowercase() })
+                .collect();
+            pool.extend(other_case);
+            let exact = memo_colliding(TermKind::Exact, "ip-", 6);
+            pool.extend(exact);
+            // An exact cell and its upper-case spelling in one slot, and a
+            // cell whose exact term and token share their text and slot.
+            let pair = (0..)
+                .map(|n| format!("Ab-{n}"))
+                .find(|t| {
+                    memo_slot(TermKind::Exact, t) == memo_slot(TermKind::Exact, &t.to_uppercase())
+                })
+                .expect("a colliding pair exists");
+            pool.push(pair.to_uppercase());
+            pool.push(pair);
+            let same_text = (0..)
+                .map(|n| format!("k{n}"))
+                .find(|t| memo_slot(TermKind::Exact, t) == memo_slot(TermKind::Token, t))
+                .expect("a colliding cell exists");
+            pool.push(same_text);
+            // Two terms of each kind with the whole memo hash in common:
+            // same slot and same check word, so only the term comparison
+            // tells them apart.
+            for kind in [TermKind::Exact, TermKind::Token] {
+                let (a, b) = memo_twins(kind);
+                pool.push(a);
+                pool.push(b);
+            }
+            pool
+        })
+    }
+
+    /// Two distinct 16-byte alphanumeric terms of `kind` with equal memo
+    /// hashes. For this length the hash reads the first word, then the
+    /// second, so a first word for the twin fixes the second word it
+    /// needs; the search keeps the first twin whose second word is
+    /// alphanumeric too.
+    fn memo_twins(kind: TermKind) -> (String, String) {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("eight bytes"));
+        let first = |w: u64| {
+            let h = (u64::from(kind.tag()) | 16 << 8).wrapping_mul(K);
+            (h ^ w).wrapping_mul(K).rotate_left(23)
+        };
+        let a = "memoTwinAlphaOne";
+        let target = first(word(&a.as_bytes()[..8])) ^ word(&a.as_bytes()[8..]);
+        let alnum = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        for n in 0u64.. {
+            let mut head = [b'0'; 8];
+            let mut k = n;
+            // The first byte is the word's lowest, which a product
+            // spreads furthest: it varies fastest.
+            for byte in head.iter_mut() {
+                *byte = alnum[(k % 62) as usize];
+                k /= 62;
+            }
+            let tail = (target ^ first(word(&head))).to_le_bytes();
+            if tail.iter().all(u8::is_ascii_alphanumeric) {
+                let b = String::from_utf8([head, tail].concat()).expect("ascii");
+                assert_eq!(memo_hash(kind, a), memo_hash(kind, &b));
+                if !b.eq_ignore_ascii_case(a) {
+                    return (a.to_string(), b);
+                }
+            }
+        }
+        unreachable!("the search is unbounded")
+    }
+
+    #[test]
+    fn memo_collisions_are_real() {
+        let pool = colliding_pool();
+        let slots = |kind| pool.iter().map(|t| memo_slot(kind, t)).collect::<Vec<_>>();
+        let tokens = slots(TermKind::Token);
+        assert!(tokens[..6].iter().all(|&s| s == tokens[0]));
+        assert!(tokens[6..12].iter().all(|&s| s == tokens[6]));
+        let exact = slots(TermKind::Exact);
+        assert!(exact[24..30].iter().all(|&s| s == exact[24]));
+        assert_eq!(exact[30], exact[31]);
+        assert_ne!(pool[30], pool[31]);
+        assert_eq!(exact[32], tokens[32]);
+        assert_eq!(memo_hash(TermKind::Exact, &pool[33]), memo_hash(TermKind::Exact, &pool[34]));
+        assert_eq!(memo_hash(TermKind::Token, &pool[35]), memo_hash(TermKind::Token, &pool[36]));
+        assert!(pool[33] != pool[34] && !pool[35].eq_ignore_ascii_case(&pool[36]));
+        assert!(memo_slot(TermKind::Token, "abc") < MEMO_SLOTS);
+    }
+
+    #[test]
+    fn memo_collisions_change_no_byte() {
+        // Every colliding term right after each other one, as a whole
+        // cell and as free text.
+        let pool = colliding_pool();
+        let (mut new, mut old) = (InvertedIndexWriter::new(), BTreeWriter::default());
+        let mut row = 0;
+        for a in pool {
+            for b in pool {
+                for cell in [a, b] {
+                    new.add(row, cell);
+                    old.add(row, cell);
+                    new.add_text(row + 1, cell);
+                    old.add_text(row + 1, cell);
+                    row += 2;
+                }
+            }
+        }
+        assert_eq!(new.term_count(), old.terms.len());
+        assert_eq!(new.finish_split(), old.finish_split());
+    }
+
     /// Cells that reach every branch of the writer: arbitrary Unicode
     /// (multi-byte separators, mixed case), tokens repeated within a row,
     /// empty cells, cells past `MAX_EXACT_LEN`, tokens past `MAX_TERM_LEN`
-    /// that differ only beyond the clamp.
+    /// that differ only beyond the clamp, and terms that collide in the
+    /// memo — whole exact cells and tokens in either case.
     fn cell_strategy() -> BoxedStrategy<String> {
         let word = prop_oneof![Just("err"), Just("ERR"), Just("Err"), Just("ok"), Just("é")];
+        let pool = colliding_pool();
+        let colliding = move || (0..pool.len()).prop_map(move |i| pool[i].clone());
         prop_oneof![
             ".{0,40}".boxed(),
             "[a-cA-C0-1 /=é—]{0,90}".boxed(),
@@ -387,6 +654,8 @@ mod tests {
                 .prop_map(|(long, tail)| format!("{long}{tail} z"))
                 .boxed(),
             Just(String::new()).boxed(),
+            colliding().boxed(),
+            proptest::collection::vec(colliding(), 1..5).prop_map(|ws| ws.join(" ")).boxed(),
         ]
         .boxed()
     }

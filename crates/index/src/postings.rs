@@ -9,16 +9,21 @@ use logstore_types::{Error, Result};
 /// delta is the id itself and subsequent deltas are `id[i] - id[i-1]`
 /// (always >= 1 for strictly ascending input).
 pub fn encode(ids: &[u32]) -> Vec<u8> {
-    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "posting ids must be strictly ascending");
     let mut out = Vec::with_capacity(ids.len() + 4);
-    put_uvarint(&mut out, ids.len() as u64);
+    encode_into(&mut out, ids);
+    out
+}
+
+/// [`encode`], appending to `out`.
+pub fn encode_into(out: &mut Vec<u8>, ids: &[u32]) {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "posting ids must be strictly ascending");
+    put_uvarint(out, ids.len() as u64);
     let mut prev = 0u32;
     for (i, &id) in ids.iter().enumerate() {
         let delta = if i == 0 { id } else { id - prev };
-        put_uvarint(&mut out, u64::from(delta));
+        put_uvarint(out, u64::from(delta));
         prev = id;
     }
-    out
 }
 
 /// Decodes a posting list produced by [`encode`].
