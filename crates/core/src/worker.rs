@@ -464,8 +464,15 @@ mod tests {
             max_rows_per_logblock: 4096,
         };
         let oss = logstore_oss::MemoryStore::new();
-        let outcome =
-            build_and_upload_drain(rows, &schema, &build, &oss, &metadata, Some(id), None);
+        let outcome = build_and_upload_drain(
+            rows,
+            &Arc::new(schema.clone()),
+            &build,
+            &oss,
+            &metadata,
+            Some(id),
+            None,
+        );
         assert!(outcome.is_complete(), "{:?}", outcome.error);
         assert!(metadata.drain_commit(id).is_some(), "the upload commits its drain");
         // A record at or past the first LSN the cut keeps is not the cut's
