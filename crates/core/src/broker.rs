@@ -204,6 +204,7 @@ impl Broker {
         // BTreeMap: sub-batches append in shard order, so the whole ingest
         // (including any crash hook firing mid-batch) is deterministic for
         // a given routing state — a simulation-replay requirement.
+        let start = std::time::Instant::now();
         let mut by_shard: std::collections::BTreeMap<ShardId, Vec<logstore_types::LogRecord>> =
             Default::default();
         for record in batch.records {
@@ -211,6 +212,7 @@ impl Broker {
             let shard = self.shared.controller.pick_shard(record.tenant_id, selector)?;
             by_shard.entry(shard).or_default().push(record);
         }
+        self.shared.ingest_timers.route.record_duration(start.elapsed());
         let mut report = IngestReport::default();
         for (shard, records) in by_shard {
             let worker = self.shared.worker_for(shard)?;
