@@ -80,11 +80,9 @@ const REALTIME_ROWS: u64 = 12_000;
 /// The real-time source alone: templates 4, 5 and 6 of `tenant_queries`
 /// (no time bound, so every fresh row of the tenant is in scope) over one
 /// shard's row store, from the snapshot to the partial. Warm: back to back.
-/// Cold: 64 MB are swept between iterations, so the cached columns come
+/// Cold: 64 MB are swept between iterations, so the runs' columns come
 /// from memory the way they do for a query that arrives between other
-/// work. The columns are transposed by the untimed first scan (its
-/// counters are printed): what is timed is what every later query pays.
-/// Elements are the tenant's rows in scope (`realtime_rows_scanned`):
+/// work. An untimed first scan prints its counters. Elements are the tenant's rows in scope (`realtime_rows_scanned`):
 /// 1e9 / thrpt is the ns per fresh row DESIGN.md quotes beside
 /// `logblock.scan_us_per_krow`.
 fn bench_realtime_scan(c: &mut Criterion) {
@@ -123,13 +121,11 @@ fn bench_realtime_scan(c: &mut Criterion) {
         };
         let (partial, stats, counters) = scan();
         println!(
-            "{name}: {} rows in scope of {REALTIME_ROWS}, {} partial bytes; {} runs, {} rows \
-             transposed, {} bytes of cached columns beside {} of rows",
+            "{name}: {} rows in scope of {REALTIME_ROWS}, {} partial bytes; {} runs of {} bytes \
+             of rows",
             stats.realtime_rows_scanned,
             partial_approx_bytes(&partial),
             counters.realtime_runs_visited,
-            counters.realtime_rows_transposed,
-            store.cached_column_bytes(),
             store.buffered_bytes(),
         );
         group.throughput(Throughput::Elements(stats.realtime_rows_scanned));

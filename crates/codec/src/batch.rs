@@ -30,7 +30,7 @@ pub fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
 pub fn encode_batch_into(out: &mut Vec<u8>, records: &[LogRecord]) {
     put_uvarint(out, records.len() as u64);
     for r in records {
-        put_cells(out, r.fields.len() + 2, r.keys().iter().chain(&r.fields));
+        put_cells(out, r.width(), r.cells());
     }
 }
 

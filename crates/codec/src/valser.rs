@@ -4,7 +4,7 @@
 //! values). One tag byte followed by a varint/length-prefixed payload.
 
 use crate::varint::{put_ivarint, put_str, put_uvarint, read_ivarint, read_str, read_uvarint};
-use logstore_types::{Error, Result, Value};
+use logstore_types::{Cell, Error, Result, Value};
 
 const TAG_NULL: u8 = 0;
 const TAG_I64: u8 = 1;
@@ -15,22 +15,28 @@ const TAG_BOOL_TRUE: u8 = 5;
 
 /// Appends a serialized value.
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(TAG_NULL),
-        Value::I64(x) => {
+    put_cell(buf, v.cell());
+}
+
+/// Appends a serialized cell: the bytes [`put_value`] writes for its owned
+/// copy.
+pub fn put_cell(buf: &mut Vec<u8>, cell: Cell<'_>) {
+    match cell {
+        Cell::Null => buf.push(TAG_NULL),
+        Cell::I64(x) => {
             buf.push(TAG_I64);
-            put_ivarint(buf, *x);
+            put_ivarint(buf, x);
         }
-        Value::U64(x) => {
+        Cell::U64(x) => {
             buf.push(TAG_U64);
-            put_uvarint(buf, *x);
+            put_uvarint(buf, x);
         }
-        Value::Str(s) => {
+        Cell::Str(s) => {
             buf.push(TAG_STR);
             put_str(buf, s);
         }
-        Value::Bool(false) => buf.push(TAG_BOOL_FALSE),
-        Value::Bool(true) => buf.push(TAG_BOOL_TRUE),
+        Cell::Bool(false) => buf.push(TAG_BOOL_FALSE),
+        Cell::Bool(true) => buf.push(TAG_BOOL_TRUE),
     }
 }
 
@@ -51,15 +57,15 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
 
 /// Serializes a row (a slice of values) with a leading arity.
 pub fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
-    put_cells(buf, row.len(), row);
+    put_cells(buf, row.len(), row.iter().map(Value::cell));
 }
 
 /// [`put_row`] over borrowed cells that need not be contiguous: `len` is
-/// how many values `cells` yields.
-pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Item = &'a Value>) {
+/// how many cells `cells` yields.
+pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Item = Cell<'a>>) {
     put_uvarint(buf, len as u64);
-    for v in cells {
-        put_value(buf, v);
+    for cell in cells {
+        put_cell(buf, cell);
     }
 }
 

@@ -739,25 +739,18 @@ fn blocks_pruned_by_map_counts_the_map_the_blocks_came_from() {
 }
 
 #[test]
-fn a_fresh_column_is_transposed_once_and_history_queries_visit_no_run() {
+fn a_fresh_run_is_scanned_in_place_and_history_queries_visit_no_run() {
     // Archived rows at ts 0..1500, fresh rows at ts 10 000.. in the row
     // store of one shard.
     let s = build_store(one_shard_config(), 1);
     s.ingest((10_000..10_400).map(rec).collect::<Vec<_>>()).unwrap();
     let unbounded = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND latency >= 300";
     let first = s.query_with_options(unbounded, &QueryOptions::default()).unwrap();
-    // The first query seals the tail and transposes what it reads of it —
-    // `tenant_id` and `latency`, 400 rows each — the second finds both
-    // cached.
+    // The query seals the tail and scans the run's own columns.
     assert_eq!(first.counters.realtime_runs_visited, 1);
-    assert_eq!(first.counters.realtime_rows_transposed, 800);
     let second = s.query_with_options(unbounded, &QueryOptions::default()).unwrap();
-    assert_eq!(second.counters.realtime_rows_transposed, 0);
     assert_eq!((&second.result, &second.stats), (&first.result, &first.stats));
     assert_eq!(second.result, oracle(&s, unbounded).result);
-    let worker = s.shared().worker_snapshot().remove(0);
-    let shard = worker.shard_ids()[0];
-    assert!(worker.store(shard).unwrap().cached_column_bytes() >= 400 * 16);
     // A window inside the history: the run's time bounds exclude it, no
     // row store row is looked at, and rows that arrive later stay in an
     // open tail nobody seals.
@@ -771,9 +764,6 @@ fn a_fresh_column_is_transposed_once_and_history_queries_visit_no_run() {
         (0, 1)
     );
     assert_eq!(bounded.stats.realtime_rows_scanned, 0);
-    assert_eq!(bounded.counters.realtime_rows_transposed, 0);
-    // The drain takes the cached columns with the runs.
     s.flush().unwrap();
-    assert_eq!(worker.store(shard).unwrap().cached_column_bytes(), 0);
     assert_eq!(count_of(&s.query_with_options(COUNT_ALL, &QueryOptions::default()).unwrap()), 1950);
 }

@@ -8,7 +8,7 @@
 
 use logstore_codec::valser::{put_value, read_value};
 use logstore_codec::varint::{put_uvarint, read_uvarint};
-use logstore_types::{CmpOp, Error, Result, Value};
+use logstore_types::{Cell, CmpOp, Error, Result, Value};
 use std::cmp::Ordering;
 
 /// Min/max/null statistics over a run of values.
@@ -38,20 +38,24 @@ impl Sma {
 
     /// Folds one value into the aggregate.
     pub fn update(&mut self, v: &Value) {
+        self.update_cell(v.cell());
+    }
+
+    /// [`Sma::update`] with a borrowed cell: a cell is copied only when it
+    /// becomes the new min or max.
+    pub fn update_cell(&mut self, cell: Cell<'_>) {
         self.row_count += 1;
-        if v.is_null() {
+        if cell.is_null() {
             self.null_count += 1;
             return;
         }
         match &self.min {
-            None => self.min = Some(v.clone()),
-            Some(m) if v.total_cmp(m) == Ordering::Less => self.min = Some(v.clone()),
-            _ => {}
+            Some(m) if cell.total_cmp(m.cell()) != Ordering::Less => {}
+            _ => self.min = Some(cell.to_value()),
         }
         match &self.max {
-            None => self.max = Some(v.clone()),
-            Some(m) if v.total_cmp(m) == Ordering::Greater => self.max = Some(v.clone()),
-            _ => {}
+            Some(m) if cell.total_cmp(m.cell()) != Ordering::Greater => {}
+            _ => self.max = Some(cell.to_value()),
         }
     }
 

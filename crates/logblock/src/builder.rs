@@ -10,9 +10,11 @@
 //! folded into the block SMA, and its bytes copied into the column's typed
 //! pending buffer ([`crate::column`]'s one encoder) — and the caller keeps
 //! its rows: the data builder hands them back if the upload fails. Nothing
-//! on this path clones a [`Value`] or builds a per-row `Vec`;
-//! [`LogBlockBuilder::add_record`] walks a [`LogRecord`] in place and
-//! [`LogBlockBuilder::add_row`] a positional slice, through the same body.
+//! on this path clones a [`Value`] or builds a per-row `Vec`: every row is
+//! read as borrowed [`Cell`]s, whether it comes as a [`LogRecord`]
+//! ([`LogBlockBuilder::add_record`]), a positional slice
+//! ([`LogBlockBuilder::add_row`]) or a row of a real-time run
+//! ([`LogBlockBuilder::add_cells`]).
 
 use crate::column::PendingBlock;
 use crate::meta::{
@@ -22,7 +24,7 @@ use crate::pack::PackWriter;
 use logstore_codec::{Compression, Compressor};
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::{BkdWriter, InvertedIndexWriter, Sma};
-use logstore_types::{DataType, Error, IndexKind, LogRecord, Result, TableSchema, Value};
+use logstore_types::{Cell, DataType, Error, IndexKind, LogRecord, Result, TableSchema, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,44 +134,51 @@ impl LogBlockBuilder {
     /// Appends one row (positional, matching the schema).
     pub fn add_row(&mut self, row: &[Value]) -> Result<()> {
         self.schema.check_row(row)?;
-        self.push_cells(row)
+        self.push_cells(row.iter().map(Value::cell))
     }
 
     /// Appends one record: the row [`LogRecord::to_row`] would expand it
     /// to, read in place.
     pub fn add_record(&mut self, record: &LogRecord) -> Result<()> {
         record.validate(&self.schema)?;
-        self.push_cells(record.keys().iter().chain(&record.fields))
+        self.push_cells(record.cells())
+    }
+
+    /// Appends one row of borrowed cells (positional, matching the schema):
+    /// what a row of a real-time run is read as.
+    pub fn add_cells(&mut self, row: &[Cell<'_>]) -> Result<()> {
+        self.schema.check_cells(row.len(), row.iter().copied())?;
+        self.push_cells(row.iter().copied())
     }
 
     /// Appends the cells of one row that already passed the schema check.
-    fn push_cells<'a>(&mut self, cells: impl IntoIterator<Item = &'a Value>) -> Result<()> {
+    fn push_cells<'a>(&mut self, cells: impl IntoIterator<Item = Cell<'a>>) -> Result<()> {
         if self.row_count == u32::MAX {
             return Err(Error::invalid("logblock row limit reached"));
         }
         let row_id = self.row_count;
-        for (state, (value, col)) in
+        for (state, (cell, col)) in
             self.columns.iter_mut().zip(cells.into_iter().zip(&self.schema.columns))
         {
             match &mut state.index {
                 IndexState::None => {}
                 IndexState::Inverted(w) => {
-                    if let Value::Str(s) = value {
+                    if let Cell::Str(s) = cell {
                         w.add(row_id, s);
                     }
                 }
                 IndexState::FullText(w) => {
-                    if let Value::Str(s) = value {
+                    if let Cell::Str(s) = cell {
                         w.add_text(row_id, s);
                     }
                 }
                 IndexState::Bkd(w) => {
-                    if !value.is_null() {
+                    if !cell.is_null() {
                         let ord = match col.data_type {
-                            DataType::Int64 => value
+                            DataType::Int64 => cell
                                 .as_i64()
                                 .ok_or_else(|| Error::invalid("int64 column with non-int value"))?,
-                            DataType::UInt64 => u64_to_ord(value.as_u64().ok_or_else(|| {
+                            DataType::UInt64 => u64_to_ord(cell.as_u64().ok_or_else(|| {
                                 Error::invalid("uint64 column with non-uint value")
                             })?),
                             _ => return Err(Error::invalid("bkd index on non-numeric column")),
@@ -178,8 +187,8 @@ impl LogBlockBuilder {
                     }
                 }
             }
-            state.pending_sma.update(value);
-            state.pending.push(value)?;
+            state.pending_sma.update_cell(cell);
+            state.pending.push(cell)?;
         }
         self.row_count += 1;
         if self.columns[0].pending.len() >= self.block_rows {

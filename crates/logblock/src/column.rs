@@ -12,7 +12,7 @@
 
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_codec::{decompress, delta, Compression, Compressor};
-use logstore_types::{ColumnData, ColumnVec, DataType, Error, Result, Value};
+use logstore_types::{Cell, ColumnData, ColumnVec, DataType, Error, Result, Value};
 
 /// Hard cap for a decoded data frame (decompression-bomb guard).
 const MAX_DATA_BYTES: usize = 1 << 30;
@@ -63,31 +63,31 @@ impl PendingBlock {
 
     /// Appends one cell. A value of the wrong type is rejected and leaves
     /// the block as it was.
-    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
+    pub(crate) fn push(&mut self, v: Cell<'_>) -> Result<()> {
         // Bitsets grow a byte at a time, when a row opens a new one.
         let (byte, bit) = (self.len / 8, 1u8 << (self.len % 8));
         let opens_byte = self.len.is_multiple_of(8);
         match (&mut self.data, v) {
-            (PendingData::I64(nums), Value::Null) => nums.push(0),
+            (PendingData::I64(nums), Cell::Null) => nums.push(0),
             (PendingData::I64(nums), v) => nums
                 .push(v.as_i64().ok_or_else(|| Error::invalid("non-int64 value in int64 column"))?),
-            (PendingData::U64(nums), Value::Null) => nums.push(0),
+            (PendingData::U64(nums), Cell::Null) => nums.push(0),
             (PendingData::U64(nums), v) => nums.push(
                 v.as_u64().ok_or_else(|| Error::invalid("non-uint64 value in uint64 column"))?,
             ),
-            (PendingData::Bool(bits), Value::Bool(_) | Value::Null) => {
+            (PendingData::Bool(bits), Cell::Bool(_) | Cell::Null) => {
                 if opens_byte {
                     bits.push(0);
                 }
-                if matches!(v, Value::Bool(true)) {
+                if v == Cell::Bool(true) {
                     bits[byte] |= bit;
                 }
             }
             (PendingData::Bool(_), _) => {
                 return Err(Error::invalid("non-bool value in bool column"))
             }
-            (PendingData::Str(buf), Value::Null) => put_uvarint(buf, 0),
-            (PendingData::Str(buf), Value::Str(s)) => {
+            (PendingData::Str(buf), Cell::Null) => put_uvarint(buf, 0),
+            (PendingData::Str(buf), Cell::Str(s)) => {
                 put_uvarint(buf, s.len() as u64);
                 buf.extend_from_slice(s.as_bytes());
             }
@@ -148,7 +148,7 @@ pub fn encode_block(
 ) -> Result<Vec<u8>> {
     let mut block = PendingBlock::new(dtype);
     for v in values {
-        block.push(v)?;
+        block.push(v.cell())?;
     }
     let mut out = Vec::new();
     block.encode_into(compression, &mut Compressor::default(), &mut out);

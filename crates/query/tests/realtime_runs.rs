@@ -1,6 +1,6 @@
 //! The real-time source against a row-at-a-time oracle.
 //!
-//! [`RowCollector`] evaluates a query over sealed runs through cached
+//! [`RowCollector`] evaluates a query over sealed runs through their
 //! column batches and the `eval_batch` kernels. The oracle below walks the
 //! same rows one by one — `tenant_id`, the time range, then
 //! `ColumnPredicate::matches` per conjunct on materialized cells, the way
@@ -208,11 +208,9 @@ proptest! {
                 prop_assert_eq!(&partial, &expected, "{} with seals {:?}", &sql, cut);
                 prop_assert_eq!(scanned, expected_scanned, "{} with seals {:?}", &sql, cut);
                 prop_assert!(counters.realtime_runs_visited <= runs.len() as u64);
-                // The columns are cached now: the same scan transposes
-                // nothing and answers the same.
-                let (again, _, counters) = collect(&plan, &scope, &runs);
+                // A scan leaves its runs as it found them.
+                let (again, _, _) = collect(&plan, &scope, &runs);
                 prop_assert_eq!(&again, &expected);
-                prop_assert_eq!(counters.realtime_rows_transposed, 0);
             }
             let merged = merge_partials(vec![expected]).unwrap();
             results.push(finalize(plan.finish_partial(merged).unwrap(), &query, &schema()).unwrap());
@@ -222,7 +220,7 @@ proptest! {
 }
 
 #[test]
-fn a_run_outside_the_window_is_counted_nowhere_and_a_run_inside_it_skips_the_ts_column() {
+fn a_window_counts_only_the_rows_inside_it() {
     let records: Vec<LogRecord> =
         (0..20).map(|ts| to_record(&(1, ts, None, None, Some(ts), None, None))).collect();
     let runs = cut_into_runs(&records, &[10]);
@@ -236,17 +234,15 @@ fn a_run_outside_the_window_is_counted_nowhere_and_a_run_inside_it_skips_the_ts_
         let plan = ScanPlan { predicates: Vec::new(), ..plan };
         (plan, QueryScope::extract(&query))
     };
-    // Every row of both runs is inside: `ts` is never transposed, only
-    // `tenant_id` is.
+    // Every row of both runs is inside.
     let (plan, scope) = window(0, 19);
     let (_, scanned, counters) = collect(&plan, &scope, &runs);
-    assert_eq!((scanned, counters.realtime_rows_transposed), (20, 20));
-    // The window cuts the second run: its `ts` is needed, the first run's
-    // still is not.
+    assert_eq!((scanned, counters.realtime_runs_visited), (20, 2));
+    // The window cuts the second run.
     let (plan, scope) = window(0, 14);
     assert_eq!(scope.range, TimeRange::new(Timestamp(0), Timestamp(14)));
-    let (partial, scanned, counters) = collect(&plan, &scope, &runs);
-    assert_eq!((scanned, counters.realtime_rows_transposed), (15, 10));
+    let (partial, scanned, _) = collect(&plan, &scope, &runs);
+    assert_eq!(scanned, 15);
     let Partial::Agg(states) = partial else { panic!("expected Agg") };
     assert_eq!(states[0].count, 15);
 }

@@ -27,12 +27,16 @@ impl LogRecord {
         LogRecord { tenant_id, ts, fields }
     }
 
-    /// The two leading key cells `[tenant_id, ts]` of the positional row.
-    /// They hold no heap data, so `keys().iter().chain(&self.fields)` walks
-    /// the full row by reference — what validation, the batch codec and the
-    /// LogBlock builder do instead of cloning it with [`LogRecord::to_row`].
-    pub fn keys(&self) -> [Value; 2] {
-        [Value::U64(self.tenant_id.raw()), Value::I64(self.ts.millis())]
+    /// Arity of the positional row `[tenant_id, ts, fields...]`.
+    pub fn width(&self) -> usize {
+        self.fields.len() + 2
+    }
+
+    /// The cells of the positional row, borrowed: what validation, the
+    /// batch codec and the LogBlock builder walk instead of cloning the
+    /// row with [`LogRecord::to_row`].
+    pub fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        (0..self.width()).map(|col| self.cell(col))
     }
 
     /// Cell `col` of the positional row `[tenant_id, ts, fields...]`,
@@ -72,7 +76,7 @@ impl LogRecord {
     /// Validates the record against `schema` (which must include the two
     /// leading key columns), in place.
     pub fn validate(&self, schema: &TableSchema) -> Result<()> {
-        schema.check_cells(self.fields.len() + 2, self.keys().iter().chain(&self.fields))
+        schema.check_cells(self.width(), self.cells())
     }
 
     /// Approximate wire size, used for traffic accounting and backpressure.

@@ -4,7 +4,7 @@
 //! [`TableSchema`] so a block can be parsed after being renamed or moved.
 //! Schemas are small and cloned freely behind `Arc` at higher layers.
 
-use crate::value::{DataType, Value};
+use crate::value::{Cell, DataType, Value};
 use crate::{Error, Result};
 
 /// Which secondary index is built for a column inside a LogBlock.
@@ -109,7 +109,12 @@ impl ColumnSchema {
 
     /// Validates that `v` may be stored in this column.
     pub fn check_value(&self, v: &Value) -> Result<()> {
-        match v.data_type() {
+        self.check_cell(v.cell())
+    }
+
+    /// [`ColumnSchema::check_value`] of a borrowed cell.
+    pub fn check_cell(&self, cell: Cell<'_>) -> Result<()> {
+        match cell.data_type() {
             None if self.nullable => Ok(()),
             None => Err(Error::invalid(format!("column '{}' is NOT NULL", self.name))),
             Some(dt) if dt == self.data_type => Ok(()),
@@ -185,15 +190,15 @@ impl TableSchema {
 
     /// Validates a full row against the schema.
     pub fn check_row(&self, row: &[Value]) -> Result<()> {
-        self.check_cells(row.len(), row)
+        self.check_cells(row.len(), row.iter().map(Value::cell))
     }
 
     /// [`TableSchema::check_row`] over borrowed cells that need not be
-    /// contiguous: `len` is how many values `cells` yields.
+    /// contiguous: `len` is how many cells `cells` yields.
     pub fn check_cells<'a>(
         &self,
         len: usize,
-        cells: impl IntoIterator<Item = &'a Value>,
+        cells: impl IntoIterator<Item = Cell<'a>>,
     ) -> Result<()> {
         if len != self.columns.len() {
             return Err(Error::invalid(format!(
@@ -202,8 +207,8 @@ impl TableSchema {
                 self.columns.len()
             )));
         }
-        for (col, v) in self.columns.iter().zip(cells) {
-            col.check_value(v)?;
+        for (col, cell) in self.columns.iter().zip(cells) {
+            col.check_cell(cell)?;
         }
         Ok(())
     }

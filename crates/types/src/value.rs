@@ -79,13 +79,7 @@ pub enum Value {
 impl Value {
     /// Returns the value's data type, or `None` for NULL.
     pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::I64(_) => Some(DataType::Int64),
-            Value::U64(_) => Some(DataType::UInt64),
-            Value::Str(_) => Some(DataType::String),
-            Value::Bool(_) => Some(DataType::Bool),
-        }
+        self.cell().data_type()
     }
 
     /// True if the value is NULL.
@@ -95,20 +89,12 @@ impl Value {
 
     /// Extracts an `i64`, coercing `U64` when it fits.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
+        self.cell().as_i64()
     }
 
     /// Extracts a `u64`, coercing non-negative `I64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            Value::I64(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
+        self.cell().as_u64()
     }
 
     /// Extracts a string slice.
@@ -152,10 +138,7 @@ impl Value {
     /// Approximate in-memory footprint in bytes, used for cache accounting
     /// and backpressure-by-size.
     pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Str(s) => std::mem::size_of::<Value>() + s.len(),
-            _ => std::mem::size_of::<Value>(),
-        }
+        self.cell().approx_size()
     }
 }
 
@@ -181,6 +164,43 @@ impl Cell<'_> {
     /// True if the cell is NULL.
     pub fn is_null(self) -> bool {
         matches!(self, Cell::Null)
+    }
+
+    /// The cell's type; `None` for NULL.
+    pub fn data_type(self) -> Option<DataType> {
+        match self {
+            Cell::Null => None,
+            Cell::I64(_) => Some(DataType::Int64),
+            Cell::U64(_) => Some(DataType::UInt64),
+            Cell::Str(_) => Some(DataType::String),
+            Cell::Bool(_) => Some(DataType::Bool),
+        }
+    }
+
+    /// Extracts an `i64`, coercing `U64` when it fits.
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            Cell::I64(v) => Some(v),
+            Cell::U64(v) => i64::try_from(v).ok(),
+            _ => None,
+        }
+    }
+
+    /// Extracts a `u64`, coercing non-negative `I64`.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Cell::U64(v) => Some(v),
+            Cell::I64(v) if v >= 0 => Some(v as u64),
+            _ => None,
+        }
+    }
+
+    /// [`Value::approx_size`] of the cell's owned copy.
+    pub fn approx_size(self) -> usize {
+        match self {
+            Cell::Str(s) => std::mem::size_of::<Value>() + s.len(),
+            _ => std::mem::size_of::<Value>(),
+        }
     }
 
     /// The owned copy of this cell.

@@ -3,13 +3,17 @@
 //! (`LogStore::metrics_snapshot`) next to the flushes' wall time.
 //!
 //! ```sh
-//! cargo run --release --example archive_stages
+//! cargo run --release --example archive_stages [flushes] [min coverage]
 //! ```
 //!
-//! One worker with one shard, so a flush is one drain on the calling
-//! thread and the stages (drain, partition, build `add` / `encode` /
-//! `finish`, upload wave, admit, commit, ack) add up to the flush. OSS latency is the
-//! OSS-like model: a PUT round sleeps ≈ 25 ms.
+//! One worker with one durable shard (its WAL in a temporary directory),
+//! so a flush is one drain on the calling thread — its intent encoded,
+//! written and synced as every drain of a durable engine is — and the
+//! stages (drain, partition, build `add` / `encode` / `finish`, upload
+//! wave, admit, commit, ack, release) add up to the flush. OSS latency is
+//! the OSS-like model: a PUT round sleeps ≈ 25 ms. With a minimum
+//! coverage, the run fails when the stages sum to less than that share of
+//! the flushes' wall time.
 
 use logstore::core::{ClusterConfig, LogStore};
 use logstore::oss::LatencyModel;
@@ -19,11 +23,11 @@ use std::time::{Duration, Instant};
 
 /// Rows in one 4 MiB drain of generated records.
 const DRAIN_ROWS: usize = 17_000;
-/// Flushes timed.
+/// Flushes timed unless the first argument says otherwise.
 const ROUNDS: usize = 8;
 
 /// The stages of one archive step, as labelled in the snapshot.
-const STAGES: [&str; 9] = [
+const STAGES: [&str; 10] = [
     "core.engine.drain_ns",
     "core.databuilder.partition_ns",
     "core.databuilder.add_ns",
@@ -33,6 +37,7 @@ const STAGES: [&str; 9] = [
     "core.databuilder.admit_ns",
     "core.databuilder.commit_ns",
     "core.engine.ack_ns",
+    "core.engine.release_ns",
 ];
 
 /// The `sum=` of histogram `label` in `snapshot`, in nanoseconds.
@@ -46,7 +51,13 @@ fn stage_sum(snapshot: &str, label: &str) -> u64 {
 }
 
 fn main() {
+    let mut args = std::env::args().skip(1);
+    let rounds = args.next().map_or(ROUNDS, |a| a.parse().expect("flushes: a number"));
+    let min_coverage: Option<f64> = args.next().map(|a| a.parse().expect("a share"));
+    let dir = std::env::temp_dir().join(format!("logstore-archive-stages-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut config = ClusterConfig::paper_like();
+    config.data_dir = Some(dir.clone());
     config.workers = 1;
     config.shards_per_worker = 1;
     config.oss_latency = LatencyModel::oss_like();
@@ -59,7 +70,7 @@ fn main() {
     let mut generator = LogRecordGenerator::new(7);
     let spec = WorkloadSpec::new(5, 0.99);
     let mut flush_wall = Duration::ZERO;
-    for round in 0..ROUNDS as i64 {
+    for round in 0..rounds as i64 {
         let start = Timestamp(1_600_000_000_000 + round * 60_000);
         let rows = generator.history(&spec, DRAIN_ROWS, start, Timestamp(start.millis() + 60_000));
         for batch in rows.chunks(64) {
@@ -72,8 +83,8 @@ fn main() {
     }
     let snapshot = store.metrics_snapshot();
     print!("{snapshot}");
-    let rows = (ROUNDS * DRAIN_ROWS) as f64;
-    println!("\nper archived row, {ROUNDS} flushes of {DRAIN_ROWS} rows:");
+    let rows = (rounds * DRAIN_ROWS) as f64;
+    println!("\nper archived row, {rounds} flushes of {DRAIN_ROWS} rows:");
     let mut staged = 0;
     for label in STAGES {
         let sum = stage_sum(&snapshot, label);
@@ -83,5 +94,11 @@ fn main() {
     let wall = flush_wall.as_nanos() as f64;
     println!("  {:<28} {:>8.0} ns", "stages, summed", staged as f64 / rows);
     println!("  {:<28} {:>8.0} ns", "flush wall time", wall / rows);
-    println!("stages / flush wall = {:.3}", staged as f64 / wall);
+    let coverage = staged as f64 / wall;
+    println!("stages / flush wall = {coverage:.3}");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Some(min) = min_coverage {
+        assert!(coverage >= min, "the stages cover {coverage:.3} of the flushes, under {min}");
+    }
 }

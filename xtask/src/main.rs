@@ -137,6 +137,20 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
         ],
         None,
     ),
+    // The stage timers must add up: both stage examples, at a small size,
+    // fail when their stages sum to under 90 % of the wall time they time
+    // (the flushes', the producers'), so a stage that grows outside every
+    // timer shows here.
+    (
+        "stage-coverage",
+        &["run", "--release", "-q", "--example", "archive_stages", "--", "2", "0.9"],
+        None,
+    ),
+    (
+        "stage-coverage",
+        &["run", "--release", "-q", "--example", "ingest_stages", "--", "60000", "0.9"],
+        None,
+    ),
     // The same detector that runs in every debug test, but over *release*
     // interleavings — optimized code races harder. Covers the simtest
     // episode sweep, the cache herd, the read-path structure tests (header
@@ -144,8 +158,7 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
     // `assert_no_locks_held` guards from wave threads; and the real-time
     // cases: a scan parked on its row-store snapshot while an append and a
     // whole flush go through the same shard, a flush landing between an
-    // attempt's map read and its row-store read, `wal.run.columns` taken
-    // from pool threads beside `wal.shard.inner`), the engine lock-order
+    // attempt's map read and its row-store read), the engine lock-order
     // regression tests, and the archive fault tests — whose uploader
     // threads cross the same guards with up to eight PUTs in flight.
     (
