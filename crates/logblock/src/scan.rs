@@ -145,7 +145,7 @@ fn select_ord(
 }
 
 /// Evaluates `cell op literal` over a typed batch — a decoded column block
-/// or a real-time run's cached column — inserting the row id `base + i` of
+/// or a column of a real-time run — inserting the row id `base + i` of
 /// every match into `out`. Exactly equivalent to calling
 /// [`ColumnPredicate::matches`] on each materialized cell (the row-at-a-time
 /// oracle), but with the operator and literal-type dispatch hoisted out of
