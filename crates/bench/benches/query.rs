@@ -62,7 +62,7 @@ fn bench_parallelism(c: &mut Criterion) {
 fn realtime_shard() -> ShardStore {
     let start = Timestamp(1_600_000_000_000);
     let mut gen = LogRecordGenerator::new(7);
-    let store = ShardStore::in_memory();
+    let store = ShardStore::in_memory(TableSchema::request_log().into());
     let mut sub_batch = Vec::with_capacity(8);
     for i in 0..REALTIME_ROWS {
         let tenant = if i % 10 < 7 { 1 } else { 2 + i % 3 };

@@ -125,6 +125,8 @@ impl BuildOutcome {
 ///
 /// Never returns `Err`: failures are reported through
 /// [`BuildOutcome::error`] together with the rows that still need a home.
+/// A record that is not a row of `schema` archives nothing: the outcome
+/// carries its error.
 pub fn build_and_upload<S: ObjectStore>(
     rows: Vec<LogRecord>,
     schema: &TableSchema,
@@ -132,7 +134,10 @@ pub fn build_and_upload<S: ObjectStore>(
     store: &S,
     metadata: &MetadataStore,
 ) -> BuildOutcome {
-    let drained = Drained::from_records(&rows);
+    if let Err(e) = rows.iter().try_for_each(|r| r.validate(schema)) {
+        return BuildOutcome { error: Some(e), ..BuildOutcome::default() };
+    }
+    let drained = Drained::from_records(schema, &rows);
     drop(rows);
     build_and_upload_drain(&drained, &Arc::new(schema.clone()), config, store, metadata, None, None)
 }
@@ -155,10 +160,10 @@ pub fn build_and_upload<S: ObjectStore>(
 /// Registration is atomic: a single [`MetadataStore::commit_drain`]
 /// registers the durable prefix and, with a [`DrainId`], records how many
 /// leading chunks of the drain it covers and the cap they were partitioned
-/// at. WAL replay after a crash re-derives the identical chunk sequence
-/// (`partition_runs` orders rows as replay's `partition_into_chunks` does,
-/// at that cap) and keeps exactly the committed prefix out of the row
-/// store — uploaded-but-uncommitted objects are garbage, never duplicates.
+/// at. WAL replay after a crash splits the replayed drain with the same
+/// [`partition_runs`] at that cap and keeps exactly the committed prefix
+/// out of the row store — uploaded-but-uncommitted objects are garbage,
+/// never duplicates.
 ///
 /// With a `cache`, the order is PUT → admit → register: after the wave
 /// joins and before anything is registered, the calling thread admits the
@@ -177,8 +182,8 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     let mut outcome = BuildOutcome::default();
     let start = Instant::now();
     // The canonical chunk sequence: tenants ascending, ts-sorted, capped.
-    // Identical on the WAL-replay side, so "chunk i of this drain" is
-    // unambiguous across crashes.
+    // WAL replay splits the drain with this same call, so "chunk i of this
+    // drain" is unambiguous across crashes.
     let runs = drained.runs();
     let chunks = partition_runs(runs, config.max_rows_per_logblock);
     outcome.stages.partition = start.elapsed();
@@ -389,6 +394,10 @@ mod tests {
         BuildConfig { compression: Compression::LzHigh, block_rows: 16, max_rows_per_logblock: 50 }
     }
 
+    fn drained(rows: &[LogRecord]) -> Drained {
+        Drained::from_records(&TableSchema::request_log(), rows)
+    }
+
     #[test]
     fn partitions_by_tenant_and_registers() {
         let store = MemoryStore::new();
@@ -563,7 +572,7 @@ mod tests {
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(8, i)).collect();
         let id = drain_id(2, 5);
         let outcome = build_and_upload_drain(
-            &Drained::from_records(&rows),
+            &drained(&rows),
             &Arc::new(TableSchema::request_log()),
             &config(),
             store.as_ref(),
@@ -615,7 +624,7 @@ mod tests {
             let prefetcher = Prefetcher::new(Arc::clone(&store), cache, 1024, width);
             let id = drain_id(0, 1);
             let outcome = build_and_upload_drain(
-                &Drained::from_records(&rows),
+                &drained(&rows),
                 &Arc::new(TableSchema::request_log()),
                 &config(),
                 store.as_ref(),
@@ -651,7 +660,7 @@ mod tests {
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(4, i)).collect();
         let id = drain_id(0, 1);
         let outcome = build_and_upload_drain(
-            &Drained::from_records(&rows),
+            &drained(&rows),
             &Arc::new(TableSchema::request_log()),
             &config(),
             &store,
@@ -667,7 +676,7 @@ mod tests {
         assert_eq!(metadata.drain_commit(id), Some(commit));
         // The same drain cannot commit twice.
         let again = build_and_upload_drain(
-            &Drained::from_records(&(0..10).map(|i| rec(4, i)).collect::<Vec<_>>()),
+            &drained(&(0..10).map(|i| rec(4, i)).collect::<Vec<_>>()),
             &Arc::new(TableSchema::request_log()),
             &config(),
             &store,
@@ -690,7 +699,7 @@ mod tests {
         // so replay treats the drain as never-uploaded and restores all.
         store.fail_next(1);
         let outcome = build_and_upload_drain(
-            &Drained::from_records(&rows),
+            &drained(&rows),
             &Arc::new(TableSchema::request_log()),
             &config(),
             &store,
@@ -711,9 +720,9 @@ mod tests {
         let rows: Vec<LogRecord> = (0..120).map(|i| rec(8, i)).collect();
         let id = drain_id(2, 5);
         // 3 chunks; the 2nd PUT fails → exactly chunk 0 is durable.
-        store.fail_ops(&[1..2]);
+        store.fail_ops(std::slice::from_ref(&(1..2)));
         let outcome = build_and_upload_drain(
-            &Drained::from_records(&rows),
+            &drained(&rows),
             &Arc::new(TableSchema::request_log()),
             &config(),
             &store,
@@ -771,13 +780,13 @@ mod tests {
             ) {
                 let schema = TableSchema::request_log();
                 let config = BuildConfig { max_rows_per_logblock: cap, ..config() };
-                let mut store = RowStore::new();
+                let mut store = RowStore::new(&schema);
                 for (i, r) in rows.iter().enumerate() {
                     if seals.contains(&i) {
                         // A snapshot that can have a row in the tail seals it.
                         (1..4).for_each(|t| drop(store.snapshot(TenantId(t), TimeRange::all())));
                     }
-                    store.insert(r);
+                    store.insert_batch(std::slice::from_ref(r));
                 }
                 let (oss, metadata) = (MemoryStore::new(), MetadataStore::new());
                 let drained = store.drain_all();

@@ -4,10 +4,11 @@
 //! [`logstore_wal::ShardStore`] — the write-optimized row store, WAL-backed
 //! when the worker has a data dir — plus ingest accounting that feeds the
 //! traffic monitor. The store owns the storage protocol (append, drain →
-//! ack/restore, truncation); the worker adds shard lookup, validation, BFC
-//! admission, window accounting, the `AfterTruncate` crash hook and
-//! drain-commit pruning. The data builder drains shards in the background
-//! (phase two, [`crate::databuilder`]).
+//! ack/restore, truncation) and validates every row against the table
+//! schema; the worker adds shard lookup, BFC admission, window accounting,
+//! the `AfterTruncate` crash hook and drain-commit pruning. The data
+//! builder drains shards in the background (phase two,
+//! [`crate::databuilder`]).
 
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{DrainId, MetadataStore};
@@ -28,9 +29,9 @@ pub struct IngestTimers {
     /// Splitting a request into per-shard sub-batches (the broker's, per
     /// request).
     pub(crate) route: Arc<Histogram>,
-    /// Validation, the size check and BFC admission.
+    /// The size check and BFC admission.
     admit: Arc<Histogram>,
-    /// Encoding the WAL payload.
+    /// Validating the rows against the schema and encoding the WAL payload.
     encode: Arc<Histogram>,
     /// The WAL group append.
     wal: Arc<Histogram>,
@@ -78,7 +79,6 @@ struct ShardState {
 pub struct Worker {
     id: WorkerId,
     shards: HashMap<ShardId, ShardState>,
-    schema: TableSchema,
     backpressure_bytes: usize,
     hooks: Arc<dyn CrashHooks>,
     /// The drain-commit table, pruned as shard WALs are cut.
@@ -108,17 +108,19 @@ impl Worker {
         metadata: Option<&Arc<MetadataStore>>,
         hooks: Arc<dyn CrashHooks>,
     ) -> Result<Self> {
+        let schema = Arc::new(schema.clone());
         let mut shards = HashMap::new();
         for &shard in shard_ids {
+            let schema = Arc::clone(&schema);
             let store = match data_dir {
                 Some(dir) => {
                     let shard_dir = dir
                         .join(format!("worker-{}", id.raw()))
                         .join(format!("shard-{}", shard.raw()));
                     let committed = |lsn| metadata?.drain_commit(DrainId { shard, lsn });
-                    ShardStore::open_with(shard_dir, wal_config.clone(), &committed)?
+                    ShardStore::open_with(shard_dir, wal_config.clone(), schema, &committed)?
                 }
-                None => ShardStore::in_memory(),
+                None => ShardStore::in_memory(schema),
             };
             shards.insert(
                 shard,
@@ -130,15 +132,7 @@ impl Worker {
         }
         let metadata = metadata.cloned();
         let timers = Arc::default();
-        Ok(Worker {
-            id,
-            shards,
-            schema: schema.clone(),
-            backpressure_bytes,
-            hooks,
-            metadata,
-            timers,
-        })
+        Ok(Worker { id, shards, backpressure_bytes, hooks, metadata, timers })
     }
 
     /// Records this worker's ingest stages in `timers` (an engine's).
@@ -166,19 +160,16 @@ impl Worker {
     }
 
     /// Phase-one ingest of a batch into one shard — the lock-light fast
-    /// path. Validation runs with no locks held; the BFC admission check
-    /// takes the shard store's lock briefly; [`ShardStore::append`] then
-    /// group-appends the batch to the WAL with *no* lock held, so
-    /// concurrent producers coalesce into shared group commits instead of
-    /// queueing on the shard, and applies it under the store's lock. The
-    /// ack needs the local WAL write to be durable, nothing more.
-    /// Consumes the batch — records move into the store, never cloned.
+    /// path. The BFC admission check takes the shard store's lock briefly;
+    /// [`ShardStore::append`] then validates the batch against the schema
+    /// and group-appends it to the WAL with *no* lock held, so concurrent
+    /// producers coalesce into shared group commits instead of queueing on
+    /// the shard, and applies it under the store's lock. The ack needs the
+    /// local WAL write to be durable, nothing more. Consumes the batch —
+    /// records move into the store, never cloned.
     pub fn append(&self, shard: ShardId, batch: RecordBatch) -> Result<()> {
         let start = Instant::now();
         let state = self.shard(shard)?;
-        for r in &batch.records {
-            r.validate(&self.schema)?;
-        }
         // A sub-batch larger than the whole limit is refused however empty
         // the shard is: retrying it can never succeed.
         let size = batch.approx_size();

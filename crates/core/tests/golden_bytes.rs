@@ -156,7 +156,8 @@ fn wal_segments_are_byte_identical_to_the_parent() {
         // Batches of 64 (the benchmark's ingest batch), a whole-shard drain
         // intent, more batches, a one-tenant drain intent, a tail of
         // batches left buffered.
-        let shard = ShardStore::open(&dir, wal_config()).unwrap();
+        let shard =
+            ShardStore::open(&dir, wal_config(), TableSchema::request_log().into()).unwrap();
         let all = rows();
         let append = |records: &[LogRecord]| shard.append(records.to_vec()).unwrap();
         all[..1280].chunks(64).for_each(append);
@@ -181,7 +182,7 @@ fn wal_segments_are_byte_identical_to_the_parent() {
         })
         .collect();
     // The head must also *replay* what the parent's bytes say.
-    let reopened = ShardStore::open(&dir, wal_config()).unwrap();
+    let reopened = ShardStore::open(&dir, wal_config(), TableSchema::request_log().into()).unwrap();
     assert_eq!(reopened.buffered_rows(), 2000);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);

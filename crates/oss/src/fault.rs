@@ -293,7 +293,7 @@ mod tests {
         // reads (queries, prefetch) interleave: reads don't advance the
         // counter.
         let s = FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 1);
-        s.fail_ops(&[1..2]);
+        s.fail_ops(std::slice::from_ref(&(1..2)));
         s.put("a", b"v").unwrap(); // write op 0
         for _ in 0..10 {
             let _ = s.get("a"); // out of scope, not counted
@@ -315,7 +315,7 @@ mod tests {
         s.fail_next(1);
         s.put("k", b"v").unwrap(); // writes now out of scope
         assert!(s.get("k").is_err());
-        s.fail_ops(&[100..200]);
+        s.fail_ops(std::slice::from_ref(&(100..200)));
         s.clear_faults();
         assert!(s.get("k").is_ok());
     }

@@ -228,12 +228,11 @@ mod tests {
         let peak = AtomicUsize::new(0);
         let produced = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
-        let items = (0..40usize).map(|i| {
+        let items = (0..40usize).inspect(|i| {
             // Item i is produced only once fewer than `width` of the
             // earlier items are unfinished.
             let ahead = produced.fetch_add(1, Ordering::SeqCst) - finished.load(Ordering::SeqCst);
             assert!(ahead < 3, "item {i} produced {ahead} ahead of completion");
-            i
         });
         let out = ordered_wave(3, items, |_, item| {
             let now = running.fetch_add(1, Ordering::SeqCst) + 1;

@@ -29,8 +29,7 @@ use logstore_logblock::scan::{
     eval_batch, evaluate_predicates, evaluate_predicates_vec, predicate_reads, DecodeStats,
 };
 use logstore_types::{
-    Cell, CmpOp, ColumnPredicate, ColumnVec, DataType, Error, Result, TableSchema, TenantId,
-    TimeRange, Value,
+    Cell, CmpOp, ColumnPredicate, ColumnVec, Error, Result, TableSchema, TenantId, TimeRange, Value,
 };
 use logstore_wal::Run;
 use std::collections::{BTreeMap, HashMap};
@@ -328,8 +327,8 @@ impl Fold {
 
 /// Where [`LogRecord`](logstore_types::LogRecord) keeps its two keys in the
 /// positional row, whatever the schema calls them.
-const TENANT_COL: (usize, DataType) = (0, DataType::UInt64);
-const TS_COL: (usize, DataType) = (1, DataType::Int64);
+const TENANT_COL: usize = 0;
+const TS_COL: usize = 1;
 
 /// The collector of one shard's real-time rows: the plan's predicates,
 /// projection and (with pushdown) aggregation applied run by run, over the
@@ -347,10 +346,10 @@ pub struct RowCollector {
     /// The scope: `tenant_id = tenant` as a literal, and the time range.
     tenant: Value,
     range: TimeRange,
-    /// `(schema column index, type, predicate)` triples.
-    preds: Vec<(usize, DataType, ColumnPredicate)>,
-    /// Schema index and type of each of [`ScanPlan::columns`].
-    out_cols: Vec<(usize, DataType)>,
+    /// `(schema column index, predicate)` pairs.
+    preds: Vec<(usize, ColumnPredicate)>,
+    /// Schema index of each of [`ScanPlan::columns`].
+    out_cols: Vec<usize>,
     /// The aggregation, for an aggregate plan with pushdown; `None` means
     /// row transport into `rows`.
     fold: Option<Fold>,
@@ -369,20 +368,19 @@ impl RowCollector {
         range: TimeRange,
     ) -> Result<RowCollector> {
         let col = |name: &str| {
-            let idx = schema
+            schema
                 .column_index(name)
-                .ok_or_else(|| Error::Query(format!("unknown column '{name}'")))?;
-            Ok((idx, schema.columns[idx].data_type))
+                .ok_or_else(|| Error::Query(format!("unknown column '{name}'")))
         };
         let mut preds = plan
             .predicates
             .iter()
-            .map(|p| col(&p.column).map(|(idx, dtype)| (idx, dtype, p.clone())))
+            .map(|p| col(&p.column).map(|idx| (idx, p.clone())))
             .collect::<Result<Vec<_>>>()?;
         // The conjunct that pins the tenant is what the scope evaluates:
         // once is enough.
-        preds.retain(|(idx, _, p)| {
-            !(*idx == TENANT_COL.0 && p.op == CmpOp::Eq && p.value.as_u64() == Some(tenant.raw()))
+        preds.retain(|(idx, p)| {
+            !(*idx == TENANT_COL && p.op == CmpOp::Eq && p.value.as_u64() == Some(tenant.raw()))
         });
         let out_cols = plan.columns.iter().map(|name| col(name)).collect::<Result<_>>()?;
         let fold = match &plan.agg {
@@ -413,25 +411,24 @@ impl RowCollector {
         self.runs_visited += 1;
         let n = u32::try_from(run.len())
             .map_err(|_| Error::Internal("real-time run exceeds the row-id space".into()))?;
-        let column = |(col, dtype): (usize, DataType)| run.column(col, dtype);
         let eval = |batch: &ColumnVec, op: CmpOp, literal: &Value| {
             let mut hits = RowIdSet::empty(n);
             eval_batch(batch, op, literal, 0, &mut hits);
             hits
         };
 
-        let mut scope = eval(&*column(TENANT_COL)?, CmpOp::Eq, &self.tenant);
+        let mut scope = eval(run.column(TENANT_COL), CmpOp::Eq, &self.tenant);
         if !run.within(self.range) {
-            let ts = column(TS_COL)?;
-            scope.intersect_with(&eval(&ts, CmpOp::Ge, &Value::I64(self.range.start.millis())));
-            scope.intersect_with(&eval(&ts, CmpOp::Le, &Value::I64(self.range.end.millis())));
+            let ts = run.column(TS_COL);
+            scope.intersect_with(&eval(ts, CmpOp::Ge, &Value::I64(self.range.start.millis())));
+            scope.intersect_with(&eval(ts, CmpOp::Le, &Value::I64(self.range.end.millis())));
         }
         let mut matched = scope.clone();
-        for (col, dtype, p) in &self.preds {
+        for (col, p) in &self.preds {
             if matched.is_empty() {
                 break;
             }
-            matched.intersect_with(&eval(&*column((*col, *dtype))?, p.op, &p.value));
+            matched.intersect_with(&eval(run.column(*col), p.op, &p.value));
         }
 
         // Late materialisation, as in a LogBlock: only a run with a match
@@ -441,7 +438,7 @@ impl RowCollector {
             // An aggregate looks at every matched cell: it folds them from
             // the run's columns.
             Some(fold) if !matched.is_empty() => {
-                let cols = self.out_cols.iter().map(|c| column(*c)).collect::<Result<Vec<_>>>()?;
+                let cols: Vec<&ColumnVec> = self.out_cols.iter().map(|c| run.column(*c)).collect();
                 for id in &matched {
                     fold.push_row(|c| cols[c].cell(id as usize));
                 }
@@ -453,7 +450,7 @@ impl RowCollector {
             None => {
                 let mut last = None;
                 for id in matched.iter().take(room) {
-                    let row = self.out_cols.iter().map(|(col, _)| run.cell(*col, id as usize));
+                    let row = self.out_cols.iter().map(|col| run.cell(*col, id as usize));
                     let row = row.map(Cell::to_value);
                     self.rows.push(row.collect());
                     last = Some(id);
@@ -637,7 +634,7 @@ mod tests {
                 let reader = block_of(make_rows(60).into_iter().filter(|r| r[0] == Value::U64(1)));
                 let mut head = records(60);
                 let tail = head.split_off(23);
-                let runs = [Run::from_rows(head), Run::from_rows(tail)];
+                let runs = [Run::from_rows(&schema(), &head), Run::from_rows(&schema(), &tail)];
 
                 let mut results = Vec::new();
                 for pushdown in [true, false] {
@@ -699,7 +696,7 @@ mod tests {
 
         // The real-time source stops inside the first run — at tenant 1's
         // second row, the fourth of the run — and never opens the second.
-        let runs: Vec<Run> = records(60).chunks(7).map(|c| Run::from_rows(c.to_vec())).collect();
+        let runs: Vec<Run> = records(60).chunks(7).map(|c| Run::from_rows(&schema(), c)).collect();
         let mut collector =
             RowCollector::new(&plan, &schema(), TenantId(1), TimeRange::all()).unwrap();
         assert!(!collector.push_run(&runs[0]).unwrap(), "the limit is met: stop");
@@ -749,7 +746,7 @@ mod tests {
         assert!(counters.decode.batches_evaluated > 0);
         assert!(counters.partial_bytes > 0);
         // Two real-time sources of one run each.
-        let run = [Run::from_rows(records(60))];
+        let run = [Run::from_rows(&schema(), &records(60))];
         for _ in 0..2 {
             let mut collector =
                 RowCollector::new(&plan, &schema(), TenantId(1), TimeRange::all()).unwrap();

@@ -119,7 +119,7 @@ proptest! {
         let of_tenant: Vec<Row> = rows.iter().filter(|r| r.0 == tenant).cloned().collect();
         let reader = build_block(&of_tenant, block_rows);
         let records: Vec<LogRecord> = rows.iter().map(to_record).collect();
-        let runs: Vec<Run> = records.chunks(run_rows).map(|c| Run::from_rows(c.to_vec())).collect();
+        let runs: Vec<Run> = records.chunks(run_rows).map(|c| Run::from_rows(&schema(), c)).collect();
 
         let mut results = Vec::new();
         for pushdown in [true, false] {

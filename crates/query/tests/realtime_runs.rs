@@ -158,7 +158,7 @@ fn cut_into_runs(records: &[LogRecord], seals: &[usize]) -> Vec<Run> {
     for &seal in seals.iter().chain(std::iter::once(&records.len())) {
         let end = seal.clamp(start, records.len());
         if end > start {
-            runs.push(Run::from_rows(records[start..end].to_vec()));
+            runs.push(Run::from_rows(&schema(), &records[start..end]));
             start = end;
         }
     }

@@ -1,11 +1,14 @@
-//! Deterministic partitioning of drained rows into archive chunks.
+//! The canonical partition of drained rows into archive chunks, over
+//! records: the reference the run-based partition is tested against.
 //!
 //! The archive pipeline identifies what a drain produced by a *chunk
 //! index*, not by object paths: the data builder uploads one LogBlock per
 //! chunk and commits "the first `k` chunks of drain X are durable", and
-//! WAL replay re-derives the same chunk sequence to decide which rows of a
-//! replayed drain intent are already on OSS. That only works if both sides
-//! partition identically, so the partition function lives here, shared.
+//! WAL replay splits a replayed drain intent with the same function the
+//! builder used (`logstore_wal::partition_runs`) to decide which of its
+//! rows are already on OSS. That function partitions the drain's runs in
+//! place; [`partition_into_chunks`] states the same order over records, so
+//! proptests and benchmarks can check and feed it.
 //!
 //! The order is fully determined by the input multiset: tenants ascending,
 //! each tenant's rows stable-sorted by timestamp (ties keep arrival
@@ -106,7 +109,7 @@ mod tests {
 
         /// Rows with globally distinct timestamps: with no ties, the chunk
         /// sequence must be a pure function of the row *set*, independent
-        /// of arrival order (the property WAL replay relies on).
+        /// of arrival order.
         fn distinct_rows() -> BoxedStrategy<Vec<LogRecord>> {
             (1usize..40, 1u64..5)
                 .prop_map(|(n, tenants)| {

@@ -91,43 +91,6 @@ impl ColumnVec {
         ColumnVec { data, ..ColumnVec::default() }
     }
 
-    /// A batch of `len` NULLs of `dtype`.
-    pub fn nulls(dtype: DataType, len: usize) -> ColumnVec {
-        let mut batch = ColumnVec::empty(dtype);
-        batch.push_nulls(len);
-        batch
-    }
-
-    /// Transposes one column out of rows: `cells` yields the column's cell
-    /// of each row, in row order. A cell of another type than `dtype` is an
-    /// error (`UInt64` and `Int64` convert where the value fits, as they do
-    /// on the write path).
-    pub fn from_cells<'a>(
-        dtype: DataType,
-        cells: impl ExactSizeIterator<Item = Cell<'a>>,
-    ) -> Result<ColumnVec> {
-        let mut batch = ColumnVec::empty(dtype);
-        for cell in cells {
-            if batch.push_exact(cell) {
-                continue;
-            }
-            let converted = match (dtype, cell) {
-                (DataType::Int64, Cell::U64(v)) => i64::try_from(v).ok().map(Cell::I64),
-                (DataType::UInt64, Cell::I64(v)) => u64::try_from(v).ok().map(Cell::U64),
-                _ => None,
-            };
-            if !converted.is_some_and(|c| batch.push_exact(c)) {
-                return Err(Error::invalid(match cell {
-                    Cell::Str(_) if dtype == DataType::String => {
-                        "string column batch exceeds 4 GiB".to_string()
-                    }
-                    _ => format!("{cell:?} in a {dtype} column"),
-                }));
-            }
-        }
-        Ok(batch)
-    }
-
     /// The type of the batch's cells.
     pub fn data_type(&self) -> DataType {
         match &self.data {
@@ -352,8 +315,17 @@ mod tests {
         (0..batch.len()).map(|i| batch.value(i)).collect()
     }
 
+    /// A batch of `dtype` holding `values`, pushed cell by cell.
+    fn batch_of(dtype: DataType, values: &[Value]) -> ColumnVec {
+        let mut batch = ColumnVec::empty(dtype);
+        for value in values {
+            assert!(batch.push_exact(value.cell()), "{value} in a {dtype} batch");
+        }
+        batch
+    }
+
     #[test]
-    fn from_cells_roundtrips_every_type_with_nulls() {
+    fn pushed_cells_roundtrip_every_type_with_nulls() {
         let cases: Vec<(DataType, Vec<Value>)> = vec![
             (DataType::Int64, vec![Value::I64(-5), Value::Null, Value::I64(i64::MAX)]),
             (DataType::UInt64, vec![Value::U64(u64::MAX), Value::Null, Value::U64(0)]),
@@ -370,31 +342,13 @@ mod tests {
             (DataType::String, vec![]),
         ];
         for (dtype, values) in cases {
-            let batch = ColumnVec::from_cells(dtype, values.iter().map(Value::cell)).unwrap();
+            let batch = batch_of(dtype, &values);
             assert_eq!(batch.len(), values.len());
             assert_eq!(cells_of(&batch), values, "{dtype}");
-            // What `from_cells` builds is what `from_parts` accepts.
+            // What pushes build is what `from_parts` accepts.
             let (nulls, data) = batch.into_parts();
             let again = ColumnVec::from_parts(values.len(), nulls, data).unwrap();
             assert_eq!(cells_of(&again), values, "{dtype}");
-        }
-    }
-
-    #[test]
-    fn from_cells_converts_numbers_that_fit_and_rejects_other_types() {
-        let fits = [Value::U64(7), Value::I64(8)];
-        let as_i64 = ColumnVec::from_cells(DataType::Int64, fits.iter().map(Value::cell)).unwrap();
-        assert_eq!(cells_of(&as_i64), vec![Value::I64(7), Value::I64(8)]);
-        let as_u64 = ColumnVec::from_cells(DataType::UInt64, fits.iter().map(Value::cell)).unwrap();
-        assert_eq!(cells_of(&as_u64), vec![Value::U64(7), Value::U64(8)]);
-        for (dtype, bad) in [
-            (DataType::Int64, Value::from("x")),
-            (DataType::Int64, Value::U64(u64::MAX)),
-            (DataType::UInt64, Value::I64(-1)),
-            (DataType::Bool, Value::I64(1)),
-            (DataType::String, Value::Bool(true)),
-        ] {
-            assert!(ColumnVec::from_cells(dtype, std::iter::once(bad.cell())).is_err(), "{bad}");
         }
     }
 
@@ -434,11 +388,9 @@ mod tests {
             ),
         ];
         for (dtype, values) in cases {
-            let whole = ColumnVec::from_cells(dtype, values.iter().map(Value::cell)).unwrap();
+            let whole = batch_of(dtype, &values);
             for cut in 0..=values.len() {
-                let batch = |vals: &[Value]| {
-                    ColumnVec::from_cells(dtype, vals.iter().map(Value::cell)).unwrap()
-                };
+                let batch = |vals: &[Value]| batch_of(dtype, vals);
                 let mut head = batch(&values[..cut]);
                 assert!(head.append(&batch(&values[cut..])), "{dtype} at {cut}");
                 assert_eq!(cells_of(&head), cells_of(&whole), "{dtype} at {cut}");
@@ -456,8 +408,8 @@ mod tests {
             }
             // A batch of another type is refused and changes nothing.
             let other = if dtype == DataType::Int64 { DataType::String } else { DataType::Int64 };
-            let mut copy = ColumnVec::from_cells(dtype, values.iter().map(Value::cell)).unwrap();
-            assert!(!copy.append(&ColumnVec::nulls(other, 3)));
+            let mut copy = batch_of(dtype, &values);
+            assert!(!copy.append(&batch_of(other, &[Value::Null, Value::Null])));
             assert_eq!(cells_of(&copy), values);
         }
     }
@@ -469,7 +421,10 @@ mod tests {
         assert!(!batch.push_exact(Cell::U64(4)), "no conversion");
         assert!(!batch.push_exact(Cell::Str("5")));
         assert_eq!(cells_of(&batch), vec![Value::I64(3), Value::Null]);
-        assert_eq!(cells_of(&ColumnVec::nulls(DataType::String, 2)), vec![Value::Null; 2]);
+        let mut strings = ColumnVec::empty(DataType::String);
+        strings.push_nulls(2);
+        assert!(!strings.push_exact(Cell::Bool(true)));
+        assert_eq!(cells_of(&strings), vec![Value::Null; 2]);
     }
 
     #[test]

@@ -118,18 +118,6 @@ impl RecordBatch {
     pub fn approx_size(&self) -> usize {
         self.records.iter().map(LogRecord::approx_size).sum()
     }
-
-    /// Minimum and maximum timestamps, if non-empty.
-    pub fn ts_bounds(&self) -> Option<(Timestamp, Timestamp)> {
-        let mut it = self.records.iter().map(|r| r.ts);
-        let first = it.next()?;
-        let (mut lo, mut hi) = (first, first);
-        for t in it {
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        Some((lo, hi))
-    }
 }
 
 impl FromIterator<LogRecord> for RecordBatch {
@@ -243,11 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_bounds_and_size() {
+    fn batch_len_and_size() {
         let b = RecordBatch::from_records(vec![sample(1, 5), sample(1, 2), sample(2, 9)]);
-        assert_eq!(b.ts_bounds(), Some((Timestamp(2), Timestamp(9))));
         assert_eq!(b.len(), 3);
-        assert!(b.approx_size() > 0);
-        assert_eq!(RecordBatch::new().ts_bounds(), None);
+        assert_eq!(b.approx_size(), 3 * sample(1, 5).approx_size());
+        assert!(RecordBatch::new().is_empty());
     }
 }

@@ -107,12 +107,7 @@ impl ColumnSchema {
         self
     }
 
-    /// Validates that `v` may be stored in this column.
-    pub fn check_value(&self, v: &Value) -> Result<()> {
-        self.check_cell(v.cell())
-    }
-
-    /// [`ColumnSchema::check_value`] of a borrowed cell.
+    /// Validates that `cell` may be stored in this column.
     pub fn check_cell(&self, cell: Cell<'_>) -> Result<()> {
         match cell.data_type() {
             None if self.nullable => Ok(()),

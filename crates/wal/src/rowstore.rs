@@ -5,10 +5,11 @@
 //! tenants (paper §3.1: "all log data is stored in a single huge table ...
 //! to improve space efficiency and reduce random I/O"). The table is a
 //! sequence of sealed, immutable [`Run`]s plus an open tail that inserts
-//! append to, and every run is a column batch: one typed [`ColumnVec`] per
-//! position of the positional row `[tenant_id, ts, fields...]`. An insert
-//! copies a record's cells into the tail's columns; the record itself is
-//! the caller's to drop, on the thread that allocated it.
+//! append to, and every run is a column batch: one [`ColumnVec`] per column
+//! of the table schema, of that column's type, holding the positional row
+//! `[tenant_id, ts, fields...]`. An insert copies the cells of records
+//! already validated against the schema into the tail's columns; the
+//! record itself is the caller's to drop, on the thread that allocated it.
 //!
 //! Queries over recent data take a [`RowSnapshot`] — the runs that can
 //! hold their tenant and time range, by reference — and scan its columns
@@ -17,9 +18,8 @@
 //! [`partition_runs`] orders their rows into archive chunks by index.
 
 use logstore_types::{
-    Cell, ColumnData, ColumnVec, DataType, LogRecord, Result, TenantId, TimeRange, Timestamp,
+    Cell, ColumnData, ColumnVec, DataType, LogRecord, TableSchema, TenantId, TimeRange, Timestamp,
 };
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -69,20 +69,17 @@ impl RunStats {
     }
 }
 
-/// A stretch of the arrival-ordered table as column batches. Sealed runs
-/// are immutable and shared by reference between the store, the queries
-/// reading them and the drain archiving them.
+/// A stretch of the arrival-ordered table as column batches, one per
+/// column of the table schema and of its type. Sealed runs are immutable
+/// and shared by reference between the store, the queries reading them
+/// and the drain archiving them.
 ///
-/// Every row of a run has the same *layout*: the same arity, and in each
-/// column cells of one type or NULL. A cell is stored exactly as it
-/// arrived — no `UInt64`/`Int64` conversion — so the cells read back are
-/// the record's cells, and a drain intent encoded from them carries the
-/// bytes the batches did. A row of another layout opens the next run.
-#[derive(Debug, Default)]
+/// A cell is stored exactly as it arrived, so the cells read back are the
+/// record's cells, and a drain intent encoded from them carries the bytes
+/// the batches did.
+#[derive(Debug)]
 pub struct Run {
     columns: Vec<ColumnVec>,
-    /// The type of each column's non-NULL cells, `None` while it has none.
-    types: Vec<Option<DataType>>,
     len: usize,
     /// Sum of the rows' [`LogRecord::approx_size`].
     bytes: usize,
@@ -90,13 +87,28 @@ pub struct Run {
 }
 
 impl Run {
+    /// An empty run with a column of each of `types`.
+    fn of_types(types: impl Iterator<Item = DataType>) -> Run {
+        let columns = types.map(ColumnVec::empty).collect();
+        Run { columns, len: 0, bytes: 0, stats: RunStats::default() }
+    }
+
+    /// An empty run typed by `schema`.
+    fn new(schema: &TableSchema) -> Run {
+        Run::of_types(schema.columns.iter().map(|column| column.data_type))
+    }
+
+    /// An empty run of this run's column types.
+    fn empty_like(&self) -> Run {
+        Run::of_types(self.columns.iter().map(ColumnVec::data_type))
+    }
+
     /// A run over `rows`, in the order given: what a test or a tool builds
-    /// by hand. Panics if the rows do not share one layout, which rows
-    /// validated against one schema always do.
-    pub fn from_rows(rows: Vec<LogRecord>) -> Run {
-        let mut run = Run::default();
-        let pushed = run.push_rows(rows.as_slice(), 0, rows.len());
-        assert_eq!(pushed, rows.len(), "rows of one run must share one layout");
+    /// by hand. Panics on a row outside `schema`.
+    pub fn from_rows(schema: &TableSchema, rows: &[LogRecord]) -> Run {
+        let mut run = Run::new(schema);
+        let pushed = run.push_rows(rows, 0, rows.len());
+        assert_eq!(pushed, rows.len(), "rows of a run must fit its schema");
         run
     }
 
@@ -110,7 +122,7 @@ impl Run {
         self.len == 0
     }
 
-    /// Arity of the run's rows.
+    /// Columns of the run: the schema's.
     pub fn width(&self) -> usize {
         self.columns.len()
     }
@@ -120,11 +132,10 @@ impl Run {
         self.bytes
     }
 
-    /// Cell `col` of row `row`, borrowed; a column past the run's arity
-    /// reads as NULL, as it does on a [`LogRecord`].
+    /// Cell `col` of row `row`, borrowed.
     #[inline]
     pub fn cell(&self, col: usize, row: usize) -> Cell<'_> {
-        self.columns.get(col).map_or(Cell::Null, |column| column.cell(row))
+        self.columns[col].cell(row)
     }
 
     /// The tenant of row `row`.
@@ -149,21 +160,10 @@ impl Run {
         range.start.millis() <= self.stats.min_ts && self.stats.max_ts <= range.end.millis()
     }
 
-    /// Column `col` of the positional row `[tenant_id, ts, fields...]` as a
-    /// typed batch of `dtype`: the run's own column, by reference, when it
-    /// has that type. Otherwise — a column with NULLs only, a column past
-    /// the run's arity, a `UInt64` cell asked for as `Int64` — a batch
-    /// converted from its cells, which is an error for a cell that is not
-    /// of `dtype`; rows are validated against the schema before they reach
-    /// the store, so a query meets the first case only.
-    pub fn column(&self, col: usize, dtype: DataType) -> Result<Cow<'_, ColumnVec>> {
-        match self.columns.get(col) {
-            Some(column) if column.data_type() == dtype => Ok(Cow::Borrowed(column)),
-            _ => {
-                let cells = (0..self.len).map(|row| self.cell(col, row));
-                Ok(Cow::Owned(ColumnVec::from_cells(dtype, cells)?))
-            }
-        }
+    /// Column `col` of the positional row `[tenant_id, ts, fields...]`: a
+    /// typed batch of the schema column's type.
+    pub fn column(&self, col: usize) -> &ColumnVec {
+        &self.columns[col]
     }
 
     /// The rows as records, in arrival order: a copy, for tests and tools.
@@ -178,55 +178,22 @@ impl Run {
         LogRecord::new(TenantId(tenants[row]), Timestamp(ts[row]), fields)
     }
 
-    /// True when row `row` is `record`: the same cells, the same arity.
-    fn row_is(&self, row: usize, record: &LogRecord) -> bool {
-        self.width() == record.fields.len() + 2
-            && (0..self.width()).all(|col| self.cell(col, row) == record.cell(col))
+    /// True when row `row` holds the cells of row `theirs` of `other`.
+    fn row_is(&self, row: usize, (other, theirs): (&Run, usize)) -> bool {
+        (0..self.width()).all(|col| self.cell(col, row) == other.cell(col, theirs))
     }
 
     /// Appends rows `start..end` of `rows`, column by column, as far as
-    /// they fit, and returns how many it appended. A row fits when it has
-    /// the run's arity (any, for an empty run) and every cell is NULL or
-    /// of its column's type (any, for a column of NULLs), with room in the
-    /// string arena.
+    /// their strings fit the arenas, and returns how many it appended.
     fn push_rows<R: Rows + ?Sized>(&mut self, rows: &R, start: usize, end: usize) -> usize {
-        if start == end {
-            return 0;
-        }
-        let width = rows.width(start);
-        if self.len == 0 && self.columns.len() != width {
-            self.columns = (0..width).map(|_| ColumnVec::default()).collect();
-            self.types = vec![None; width];
-        }
-        let end = (start..end).find(|&i| rows.width(i) != self.width()).unwrap_or(end);
         let (old, mut fit) = (self.len, end);
         // Each column takes cells until one does not fit; the rows every
         // column took are the rows appended.
-        let mut first_typed = vec![None; self.width()];
-        for (col, (column, ty)) in self.columns.iter_mut().zip(&mut self.types).enumerate() {
-            if ty.is_none() {
-                // The column's first non-NULL cell types it; the NULLs
-                // before it become NULLs of that type.
-                let typed = (start..fit).find_map(|i| Some((i, rows.cell(i, col).data_type()?)));
-                if let Some((i, dtype)) = typed {
-                    if column.data_type() != dtype {
-                        *column = ColumnVec::nulls(dtype, old);
-                    }
-                    (*ty, first_typed[col]) = (Some(dtype), Some(i));
-                }
-            }
+        for (col, column) in self.columns.iter_mut().enumerate() {
             fit = (start..fit).find(|&i| !column.push_exact(rows.cell(i, col))).unwrap_or(fit);
         }
         let appended = fit - start;
-        for (column, (ty, first)) in
-            self.columns.iter_mut().zip(self.types.iter_mut().zip(first_typed))
-        {
-            column.truncate(old + appended);
-            // A column typed only by a row that did not fit holds NULLs only.
-            if first.is_some_and(|i| i >= fit) {
-                *ty = None;
-            }
-        }
+        self.columns.iter_mut().for_each(|column| column.truncate(old + appended));
         self.len += appended;
         self.bytes += (start..fit).map(|i| rows.bytes(i)).sum::<usize>();
         let (tenants, ts) = keys_of(&self.columns);
@@ -236,47 +203,16 @@ impl Run {
         appended
     }
 
-    /// Appends a copy of every row of `other` in bulk, column buffer by
-    /// column buffer, if they fit as [`Run::push_rows`] says; returns
-    /// whether it did. An empty run takes any rows. Buffers grow with the
-    /// rows, never ahead of them: a query may seal the tail after a few.
+    /// Appends a copy of every row of `other`, a run of the same column
+    /// types, in bulk, column buffer by column buffer; returns `false` and
+    /// changes nothing when a string arena has no room for them.
     fn append(&mut self, other: &Run) -> bool {
-        if self.is_empty() {
-            let empty = |column: &ColumnVec| ColumnVec::empty(column.data_type());
-            self.columns = other.columns.iter().map(empty).collect();
-            self.types = vec![None; other.width()];
-        }
-        let agree = |(mine, theirs): (&Option<DataType>, &Option<DataType>)| {
-            mine.is_none() || theirs.is_none() || mine == theirs
-        };
-        if other.width() != self.width() || !self.types.iter().zip(&other.types).all(agree) {
-            return false;
-        }
         let len = self.len;
-        for (col, (theirs, their_ty)) in other.columns.iter().zip(&other.types).enumerate() {
-            let column = &mut self.columns[col];
-            if let (None, Some(dtype)) = (self.types[col], their_ty) {
-                // A column of NULLs takes the other side's type.
-                if column.data_type() != *dtype {
-                    *column = ColumnVec::nulls(*dtype, len);
-                }
-            }
-            let appended = match their_ty {
-                // The other side's NULLs only, whatever their placeholder type.
-                None => {
-                    column.push_nulls(theirs.len());
-                    true
-                }
-                Some(_) => column.append(theirs),
-            };
-            if !appended {
-                // A string arena is full: the run stays as it was.
-                self.columns[..=col].iter_mut().for_each(|column| column.truncate(len));
+        for col in 0..self.width() {
+            if !self.columns[col].append(&other.columns[col]) {
+                self.columns[..col].iter_mut().for_each(|column| column.truncate(len));
                 return false;
             }
-        }
-        for (ty, theirs) in self.types.iter_mut().zip(&other.types) {
-            *ty = ty.or(*theirs);
         }
         self.len += other.len;
         self.bytes += other.bytes;
@@ -287,7 +223,6 @@ impl Run {
     /// Removes every row, keeping the column buffers for the next rows.
     fn clear(&mut self) {
         self.columns.iter_mut().for_each(|column| column.truncate(0));
-        self.types.iter_mut().for_each(|ty| *ty = None);
         self.len = 0;
         self.bytes = 0;
         self.stats.clear();
@@ -297,18 +232,16 @@ impl Run {
     fn select(&self, keep: impl Fn(usize) -> bool) -> Run {
         let rows: Vec<(&Run, usize)> =
             (0..self.len).filter(|row| keep(*row)).map(|row| (self, row)).collect();
-        let mut run = Run::default();
-        let pushed = run.push_rows(rows.as_slice(), 0, rows.len());
-        debug_assert_eq!(pushed, rows.len(), "a subset of a run fits its layout");
+        let mut run = self.empty_like();
+        run.push_rows(rows.as_slice(), 0, rows.len());
         run
     }
 }
 
 /// The tenants and timestamps of a run's `columns`.
 fn keys_of(columns: &[ColumnVec]) -> (&[u64], &[i64]) {
-    match (columns.first().map(ColumnVec::data), columns.get(1).map(ColumnVec::data)) {
-        (Some(ColumnData::U64(tenants)), Some(ColumnData::I64(ts))) => (tenants, ts),
-        (None, None) => (&[], &[]),
+    match (columns[0].data(), columns[1].data()) {
+        (ColumnData::U64(tenants), ColumnData::I64(ts)) => (tenants, ts),
         _ => unreachable!("a run's first two columns hold record keys"),
     }
 }
@@ -316,8 +249,6 @@ fn keys_of(columns: &[ColumnVec]) -> (&[u64], &[i64]) {
 /// Rows to copy into runs: records, or rows of runs.
 trait Rows {
     fn count(&self) -> usize;
-    /// Arity of row `i`.
-    fn width(&self, i: usize) -> usize;
     /// Cell `col` of row `i`.
     fn cell(&self, i: usize, col: usize) -> Cell<'_>;
     /// [`LogRecord::approx_size`] of row `i`.
@@ -327,10 +258,6 @@ trait Rows {
 impl Rows for [LogRecord] {
     fn count(&self) -> usize {
         self.len()
-    }
-
-    fn width(&self, i: usize) -> usize {
-        self[i].width()
     }
 
     #[inline]
@@ -346,10 +273,6 @@ impl Rows for [LogRecord] {
 impl Rows for [(&Run, usize)] {
     fn count(&self) -> usize {
         self.len()
-    }
-
-    fn width(&self, i: usize) -> usize {
-        self[i].0.width()
     }
 
     #[inline]
@@ -385,10 +308,10 @@ pub struct Drained {
 }
 
 impl Drained {
-    /// Records as drained rows, in the order given (what a caller with
-    /// records rather than a drain archives).
-    pub fn from_records(records: &[LogRecord]) -> Drained {
-        let mut store = RowStore::new();
+    /// Records, validated against `schema`, as drained rows in the order
+    /// given (what a caller with records rather than a drain archives).
+    pub fn from_records(schema: &TableSchema, records: &[LogRecord]) -> Drained {
+        let mut store = RowStore::new(schema);
         store.insert_batch(records);
         store.drain_all()
     }
@@ -418,7 +341,8 @@ impl Drained {
     pub fn gather(&self, rows: impl IntoIterator<Item = (u32, u32)>) -> Drained {
         let rows: Vec<(&Run, usize)> =
             rows.into_iter().map(|(run, row)| (&*self.runs[run as usize], row as usize)).collect();
-        let mut store = RowStore::new();
+        let Some((first, _)) = rows.first() else { return Drained::default() };
+        let mut store = RowStore::with_tail(first.empty_like());
         store.append(rows.as_slice());
         store.drain_all()
     }
@@ -439,12 +363,13 @@ pub struct RunChunk {
     pub rows: Vec<(u32, u32)>,
 }
 
-/// Splits the rows of `runs` into the canonical chunk sequence of
-/// `logstore_types::partition_into_chunks` — tenants ascending, each
-/// tenant's rows by timestamp with ties in arrival order, at most
-/// `chunk_rows` (clamped to 1) per chunk — without moving a row: the sort
-/// is over `(tenant, ts, run, row)` keys, and the last two are the arrival
-/// order.
+/// Splits the rows of `runs` into the canonical chunk sequence — tenants
+/// ascending, each tenant's rows by timestamp with ties in arrival order,
+/// at most `chunk_rows` (clamped to 1) per chunk — without moving a row:
+/// the sort is over `(tenant, ts, run, row)` keys, and the last two are the
+/// arrival order. The data builder uploads a drain in this order and WAL
+/// replay splits a replayed drain with it, so "chunk `i` of drain `lsn`" is
+/// this function's answer on both sides.
 pub fn partition_runs(runs: &[Arc<Run>], chunk_rows: usize) -> Vec<RunChunk> {
     let chunk_rows = chunk_rows.max(1);
     let mut keys = Vec::with_capacity(runs.iter().map(|run| run.len()).sum());
@@ -468,20 +393,33 @@ pub fn partition_runs(runs: &[Arc<Run>], chunk_rows: usize) -> Vec<RunChunk> {
 }
 
 /// In-memory row store for one shard.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RowStore {
     /// Sealed runs, oldest first.
     runs: Vec<Arc<Run>>,
-    /// The open tail: rows newer than every run's.
+    /// The open tail: rows newer than every run's. Its column types are
+    /// the store's.
     tail: Run,
     rows: usize,
     bytes: usize,
 }
 
 impl RowStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        RowStore::default()
+    /// Creates an empty store for rows of `schema`.
+    pub fn new(schema: &TableSchema) -> Self {
+        RowStore::with_tail(Run::new(schema))
+    }
+
+    /// An empty store whose open tail is `tail`.
+    fn with_tail(tail: Run) -> Self {
+        RowStore { runs: Vec::new(), tail, rows: 0, bytes: 0 }
+    }
+
+    /// True when the store's columns have the types of `schema`'s: whether
+    /// it may take rows validated against `schema`.
+    pub fn is_typed_by(&self, schema: &TableSchema) -> bool {
+        let types = self.tail.columns.iter().map(ColumnVec::data_type);
+        types.eq(schema.columns.iter().map(|column| column.data_type))
     }
 
     /// Number of buffered rows.
@@ -505,19 +443,15 @@ impl RowStore {
         self.stats().filter_map(|stats| stats.tenant_rows.get(&tenant)).map(|n| u64::from(*n)).sum()
     }
 
-    /// Appends one record's cells (already validated upstream); the record
-    /// stays the caller's.
-    pub fn insert(&mut self, record: &LogRecord) {
-        self.insert_batch(std::slice::from_ref(record));
-    }
-
-    /// Appends the cells of `records`, in order, column by column.
+    /// Appends the cells of `records`, in order, column by column. The
+    /// records must be valid rows of the store's schema (a cell of another
+    /// type panics); they stay the caller's.
     pub fn insert_batch(&mut self, records: &[LogRecord]) {
         self.append(records);
     }
 
-    /// Appends `rows` to the tail, sealing it whenever it is full or the
-    /// next row does not fit its layout.
+    /// Appends `rows` to the tail, sealing it whenever it is full or a
+    /// string arena has no room for the next row.
     fn append<R: Rows + ?Sized>(&mut self, rows: &R) {
         let mut at = 0;
         while at < rows.count() {
@@ -530,17 +464,17 @@ impl RowStore {
             self.rows += pushed;
             self.bytes += self.tail.bytes - before;
             if pushed == 0 {
-                assert!(!self.tail.is_empty(), "a row of more than 4 GiB");
+                assert!(!self.tail.is_empty(), "a row outside the schema, or of more than 4 GiB");
                 self.seal_tail();
             }
             at += pushed;
         }
     }
 
-    /// Moves every row of `staged` — a store that took rows off the lock —
-    /// after this store's, in order: its sealed runs as they are, its tail
-    /// copied onto this tail in bulk. Leaves `staged` empty, its tail's
-    /// buffers kept for the next rows.
+    /// Moves every row of `staged` — a store of the same column types that
+    /// took rows off the lock — after this store's, in order: its sealed
+    /// runs as they are, its tail copied onto this tail in bulk. Leaves
+    /// `staged` empty, its tail's buffers kept for the next rows.
     pub fn absorb(&mut self, staged: &mut RowStore) {
         self.rows += staged.rows;
         self.bytes += staged.bytes;
@@ -553,8 +487,7 @@ impl RowStore {
         }
         if self.tail.len + staged.tail.len > RUN_ROWS || !self.tail.append(&staged.tail) {
             self.seal_tail();
-            let appended = self.tail.append(&staged.tail);
-            debug_assert!(appended, "an empty run takes any rows");
+            assert!(self.tail.append(&staged.tail), "an empty run takes any rows of its types");
         }
         staged.clear();
     }
@@ -572,7 +505,8 @@ impl RowStore {
         if self.tail.is_empty() {
             return;
         }
-        self.runs.push(Arc::new(std::mem::take(&mut self.tail)));
+        let fresh = self.tail.empty_like();
+        self.runs.push(Arc::new(std::mem::replace(&mut self.tail, fresh)));
     }
 
     /// The runs that may hold rows of `tenant` within `range`, by
@@ -638,27 +572,30 @@ impl RowStore {
         self.runs.extend(drained.runs);
     }
 
-    /// Removes one buffered copy of each record in `targets` (multiset
-    /// removal by value equality), returning how many were found. WAL
-    /// replay uses this to re-apply a drain intent: the drained rows are
-    /// somewhere in the store (their appends replayed earlier), in
-    /// unknown positions because earlier drains already removed others.
+    /// Removes one buffered copy of each row of `drained` (multiset removal
+    /// by value), returning how many were found. WAL replay re-applies a
+    /// drain intent with it: the drained rows are somewhere in the store
+    /// (their appends replayed earlier), in unknown positions because
+    /// earlier drains already removed others.
     ///
-    /// One pass over the runs: a run whose bounds rule every target out is
-    /// not looked into, one without a match is kept as it is, and one with
-    /// matches is rebuilt from the rows it keeps.
-    pub fn remove_batch(&mut self, targets: &[LogRecord]) -> usize {
-        if targets.is_empty() {
-            return 0;
-        }
-        // Bucket the targets by (tenant, ts) so the scan below compares
-        // whole rows only against plausible candidates.
-        let mut pending: HashMap<(TenantId, i64), Vec<&LogRecord>> = HashMap::new();
+    /// One pass over the runs: a run whose bounds rule every row of the
+    /// drain out is not looked into, one without a match is kept as it is,
+    /// and one with matches is rebuilt from the rows it keeps.
+    pub fn remove(&mut self, drained: &Drained) -> usize {
+        // Bucket the drained rows by (tenant, ts) so the scan below
+        // compares whole rows only against plausible candidates.
+        let mut pending: HashMap<(u64, i64), Vec<(&Run, usize)>> = HashMap::new();
         let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
-        for t in targets {
-            pending.entry((t.tenant_id, t.ts.millis())).or_default().push(t);
-            min_ts = min_ts.min(t.ts.millis());
-            max_ts = max_ts.max(t.ts.millis());
+        for run in drained.runs() {
+            let (tenants, ts) = run.keys();
+            for (row, key) in tenants.iter().copied().zip(ts.iter().copied()).enumerate() {
+                pending.entry(key).or_default().push((run, row));
+            }
+            min_ts = min_ts.min(run.stats.min_ts);
+            max_ts = max_ts.max(run.stats.max_ts);
+        }
+        if pending.is_empty() {
+            return 0;
         }
         self.seal_tail();
         let mut found = 0;
@@ -670,10 +607,10 @@ impl RowStore {
             let (tenants, ts) = run.keys();
             let mut gone = vec![false; run.len()];
             for (row, gone) in gone.iter_mut().enumerate() {
-                let Some(candidates) = pending.get_mut(&(TenantId(tenants[row]), ts[row])) else {
+                let Some(candidates) = pending.get_mut(&(tenants[row], ts[row])) else {
                     continue;
                 };
-                if let Some(i) = candidates.iter().position(|t| run.row_is(row, t)) {
+                if let Some(i) = candidates.iter().position(|theirs| run.row_is(row, *theirs)) {
                     candidates.swap_remove(i);
                     *gone = true;
                 }
@@ -709,6 +646,17 @@ mod tests {
     use super::*;
     use logstore_types::{partition_into_chunks, Value};
 
+    impl RowStore {
+        /// Appends one record's cells.
+        fn insert(&mut self, record: &LogRecord) {
+            self.insert_batch(std::slice::from_ref(record));
+        }
+    }
+
+    fn schema() -> TableSchema {
+        TableSchema::request_log()
+    }
+
     fn rec(t: u64, ts: i64, latency: i64) -> LogRecord {
         LogRecord::new(
             TenantId(t),
@@ -724,11 +672,13 @@ mod tests {
     }
 
     fn store_with(records: Vec<LogRecord>) -> RowStore {
-        let mut s = RowStore::new();
-        for r in &records {
-            s.insert(r);
-        }
+        let mut s = RowStore::new(&schema());
+        s.insert_batch(&records);
         s
+    }
+
+    fn drained_of(records: &[LogRecord]) -> Drained {
+        Drained::from_records(&schema(), records)
     }
 
     fn range(start: i64, end: i64) -> TimeRange {
@@ -788,7 +738,7 @@ mod tests {
 
     #[test]
     fn the_tail_seals_itself_at_the_run_size() {
-        let mut s = RowStore::new();
+        let mut s = RowStore::new(&schema());
         for i in 0..(RUN_ROWS as i64 + 3) {
             s.insert(&rec(1, i, 0));
         }
@@ -801,39 +751,41 @@ mod tests {
     fn a_run_is_column_batches_of_the_cells_as_they_arrived() {
         let mut s = store_with(vec![rec(1, 10, 5), rec(2, 20, 6), rec(1, 30, 7)]);
         let run = s.snapshot(TenantId(1), TimeRange::all()).runs.remove(0);
-        let latency = run.column(4, DataType::Int64).unwrap();
-        assert!(matches!(latency, Cow::Borrowed(_)), "the run's own column");
+        let latency = run.column(4);
         assert_eq!((0..3).map(|i| latency.value(i)).collect::<Vec<_>>(), [5, 6, 7].map(Value::I64));
-        assert_eq!(run.column(0, DataType::UInt64).unwrap().value(1), Value::U64(2));
-        // A cell of another type than the schema's is an error, not a
-        // silently different answer; a column past the rows is NULL.
-        assert!(run.column(5, DataType::Int64).is_err());
-        let past = run.column(9, DataType::String).unwrap();
-        assert_eq!((past.len(), past.value(2)), (3, Value::Null));
+        assert_eq!(run.column(0).value(1), Value::U64(2));
+        assert_eq!(run.records(), vec![rec(1, 10, 5), rec(2, 20, 6), rec(1, 30, 7)]);
     }
 
     #[test]
-    fn a_row_of_another_layout_opens_the_next_run() {
-        // NULLs, then a column's first typed cell, then a `UInt64` where
-        // the column holds `Int64`, then another arity: each cell reads
-        // back exactly as it arrived, and the intent bytes cannot drift.
-        let row = |fields: Vec<Value>| LogRecord::new(TenantId(1), Timestamp(1), fields);
-        let rows = vec![
-            row(vec![Value::Null, Value::Null]),
-            row(vec![Value::from("a"), Value::Null]),
-            row(vec![Value::Null, Value::I64(-1)]),
-            row(vec![Value::from("b"), Value::U64(7)]),
-            row(vec![Value::Bool(true)]),
-            row(vec![Value::Bool(false)]),
-        ];
-        let mut s = store_with(rows.clone());
-        assert_eq!(s.row_count(), 6);
+    fn every_run_is_typed_by_the_schema() {
+        // A column of NULLs only is a column of its schema type in the
+        // tail, in a sealed run, in what a tenant drain splits off and in
+        // what a drain gathers: no row retypes a run.
+        let types: Vec<DataType> = schema().columns.iter().map(|c| c.data_type).collect();
+        let typed = |run: &Run| -> Vec<DataType> {
+            (0..run.width()).map(|c| run.column(c).data_type()).collect()
+        };
+        let mut quiet = rec(1, 1, 0);
+        quiet.fields[2] = Value::Null;
+        let mut s = store_with(vec![quiet.clone(), quiet.clone()]);
+        assert!(s.is_typed_by(&schema()));
+        assert_eq!(typed(&s.tail), types);
+        assert_eq!(
+            s.snapshot(TenantId(1), TimeRange::all()).runs[0].column(4).value(1),
+            Value::Null
+        );
+        s.insert(&rec(2, 2, 7));
+        let split = s.drain_tenant(TenantId(2));
         let drained = s.drain_all();
-        assert_eq!(drained.runs().iter().map(|r| r.len()).collect::<Vec<_>>(), vec![3, 1, 2]);
-        assert_eq!(drained.records(), rows);
-        let strings = drained.runs()[0].column(2, DataType::String).unwrap();
-        assert!(matches!(strings, Cow::Borrowed(_)), "typed by its first non-NULL cell");
-        assert_eq!(strings.value(0), Value::Null);
+        let gathered = drained.gather([(0, 1), (0, 0)]);
+        for run in [split.runs(), drained.runs(), gathered.runs()].concat() {
+            assert_eq!(typed(&run), types);
+        }
+        assert_eq!(gathered.records(), vec![quiet.clone(), quiet]);
+        assert!(drained.gather([]).is_empty());
+        let other = TableSchema::new("other", schema().columns[..2].to_vec()).unwrap();
+        assert!(!s.is_typed_by(&other));
     }
 
     #[test]
@@ -852,40 +804,41 @@ mod tests {
     }
 
     #[test]
-    fn remove_batch_is_multiset_removal() {
+    fn remove_is_multiset_removal() {
         // Two identical rows buffered, one in the removal set: exactly one
         // copy goes, byte/tenant accounting follows.
         let dup = rec(1, 10, 5);
         let mut s = store_with(vec![dup.clone(), dup.clone(), rec(2, 20, 6)]);
         let before = s.bytes();
-        assert_eq!(s.remove_batch(std::slice::from_ref(&dup)), 1);
+        assert_eq!(s.remove(&drained_of(std::slice::from_ref(&dup))), 1);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.tenant_rows(TenantId(1)), 1);
         assert_eq!(s.bytes(), before - dup.approx_size());
         // Absent rows are simply not found; a row that differs in one cell
         // is another row.
-        assert_eq!(s.remove_batch(&[rec(9, 9, 9), rec(1, 10, 6)]), 0);
+        assert_eq!(s.remove(&drained_of(&[rec(9, 9, 9), rec(1, 10, 6)])), 0);
+        assert_eq!(s.remove(&Drained::default()), 0);
         // Removing the second copy empties the tenant.
-        assert_eq!(s.remove_batch(&[dup]), 1);
+        assert_eq!(s.remove(&drained_of(&[dup])), 1);
         assert_eq!(s.tenant_rows(TenantId(1)), 0);
         assert_eq!(s.tenants(), vec![TenantId(2)]);
     }
 
     #[test]
-    fn remove_batch_keeps_runs_it_takes_nothing_from() {
-        let mut s = RowStore::new();
+    fn remove_keeps_runs_it_takes_nothing_from() {
+        let mut s = RowStore::new(&schema());
         for i in 0..(2 * RUN_ROWS as i64) {
             s.insert(&rec(1 + (i % 2) as u64, i, 0));
         }
         s.seal_tail();
         let [first, second] = [0, 1].map(|i| Arc::clone(&s.runs[i]));
-        assert_eq!(s.remove_batch(&[rec(2, RUN_ROWS as i64 + 1, 0), rec(1, 0, 0)]), 2);
+        assert_eq!(s.remove(&drained_of(&[rec(2, RUN_ROWS as i64 + 1, 0), rec(1, 0, 0)])), 2);
         assert!(!Arc::ptr_eq(&s.runs[0], &first) && !Arc::ptr_eq(&s.runs[1], &second));
-        assert_eq!(s.remove_batch(&[rec(1, 2, 0)]), 1);
+        assert_eq!(s.remove(&drained_of(&[rec(1, 2, 0)])), 1);
         assert_eq!(s.runs[0].len(), RUN_ROWS - 2);
         let untouched = Arc::clone(&s.runs[1]);
-        assert_eq!(s.remove_batch(&[rec(1, 4, 0)]), 1);
-        assert!(Arc::ptr_eq(&s.runs[1], &untouched), "out of the targets' bounds");
+        assert_eq!(s.remove(&drained_of(&[rec(1, 4, 0)])), 1);
+        assert!(Arc::ptr_eq(&s.runs[1], &untouched), "out of the drain's bounds");
         assert_eq!(s.row_count(), 2 * RUN_ROWS - 4);
     }
 
@@ -920,8 +873,23 @@ mod tests {
 
     mod props {
         use super::*;
+        use logstore_types::ColumnSchema;
         use proptest::collection::vec;
         use proptest::prelude::*;
+
+        /// The keys, a row number and a nullable `Int64`.
+        fn small_schema() -> TableSchema {
+            TableSchema::new(
+                "small",
+                vec![
+                    ColumnSchema::new("tenant_id", DataType::UInt64).not_null(),
+                    ColumnSchema::new("ts", DataType::Int64).not_null(),
+                    ColumnSchema::new("seq", DataType::UInt64),
+                    ColumnSchema::new("c", DataType::Int64),
+                ],
+            )
+            .unwrap()
+        }
 
         /// Rows of a few tenants, timestamps with ties, and a NULL in some
         /// cells: what the canonical order must break ties on.
@@ -947,7 +915,7 @@ mod tests {
                 cap in 1usize..9,
                 seals in vec(0usize..60, 0..4),
             ) {
-                let mut s = RowStore::new();
+                let mut s = RowStore::new(&small_schema());
                 for (i, r) in rows.iter().enumerate() {
                     if seals.contains(&i) {
                         s.seal_tail();

@@ -18,7 +18,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use logstore_sync::{sched, sync_point, OrderedMutex};
-use logstore_types::{LogRecord, TenantId, TimeRange, Timestamp, Value};
+use logstore_types::{
+    ColumnSchema, DataType, LogRecord, TableSchema, TenantId, TimeRange, Timestamp, Value,
+};
 use logstore_wal::{
     DrainCommit, GroupCommitWal, LoggedDrain, Lsn, RowSnapshot, ShardStore, WalConfig,
 };
@@ -105,6 +107,16 @@ fn wal_segments(dir: &PathBuf) -> Vec<String> {
     names
 }
 
+/// The rows' table: the keys and the producer that appended the row.
+fn schema() -> Arc<TableSchema> {
+    let columns = vec![
+        ColumnSchema::new("tenant_id", DataType::UInt64).not_null(),
+        ColumnSchema::new("ts", DataType::Int64).not_null(),
+        ColumnSchema::new("producer", DataType::Int64),
+    ];
+    Arc::new(TableSchema::new("sched", columns).expect("a valid schema"))
+}
+
 /// `ts` of every row a snapshot holds, in snapshot (arrival) order.
 fn snapshot_ts(snapshot: &RowSnapshot) -> Vec<i64> {
     snapshot.runs.iter().flat_map(|run| run.records()).map(|r| r.ts.millis()).collect()
@@ -126,7 +138,7 @@ fn buffered_ts(store: &ShardStore) -> Vec<i64> {
 fn shard_store_round(upload_succeeds: bool) {
     let dir = fresh_dir();
     let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
-    let store = Arc::new(ShardStore::open(&dir, config.clone()).expect("open shard"));
+    let store = Arc::new(ShardStore::open(&dir, config.clone(), schema()).expect("open shard"));
     let drained = Arc::new(OrderedMutex::new("wal.test.sched_drained", None::<LoggedDrain>));
     // `ts` of the drain's rows in the order it handed them out, whether or
     // not the upload then "succeeds".
@@ -234,9 +246,10 @@ fn shard_store_round(upload_succeeds: bool) {
     // The commit table: at most one drain, committed as one chunk.
     drop(store);
     let one_chunk = DrainCommit { chunks: 1, chunk_rows: usize::MAX };
-    let store =
-        ShardStore::open_with(&dir, config, &|lsn| (committed == Some(lsn)).then_some(one_chunk))
-            .expect("reopen shard");
+    let store = ShardStore::open_with(&dir, config, schema(), &|lsn| {
+        (committed == Some(lsn)).then_some(one_chunk)
+    })
+    .expect("reopen shard");
     assert_eq!(buffered_ts(&store), expect, "replayed rows");
     let (appended, archived) = store.counters();
     assert_eq!(store.buffered_rows() as u64, appended - archived);

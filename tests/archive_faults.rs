@@ -252,7 +252,7 @@ fn a_restart_with_a_different_logblock_cap_keeps_every_acked_row() {
     // retries, and everything after) fails.
     let faults = s.shared().fault_layer();
     faults.set_scope(FaultScope::Writes);
-    faults.fail_ops(&[faults.op_index() + 1..u64::MAX]);
+    faults.fail_ops(std::slice::from_ref(&(faults.op_index() + 1..u64::MAX)));
     assert!(s.flush().is_err());
     assert_eq!(s.archive_stats().rows_restored, 20, "one chunk committed, two restored");
     let parts = OpenParts {

@@ -2,7 +2,8 @@
 //! across process "restarts" (engine reopen over the same data dir).
 
 use logstore::core::{ClusterConfig, LogStore};
-use logstore::types::{LogRecord, TenantId, Timestamp, Value};
+use logstore::types::{Error, LogRecord, TenantId, Timestamp, Value};
+use logstore::wal::{GroupCommitWal, ShardStore, WalConfig};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -69,5 +70,24 @@ fn flushed_rows_do_not_replay_after_restart() {
     let result = store.query("SELECT log FROM request_log WHERE tenant_id = 1").expect("query");
     let logs: Vec<&str> = result.rows.iter().filter_map(|r| r[0].as_str()).collect();
     assert_eq!(logs, vec!["fresh"], "archived rows must not resurrect from the WAL");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_wal_record_outside_the_schema_fails_the_open() {
+    // A CRC-valid batch in a shard's WAL: one `request_log` row and one of
+    // five cells, which no append of this shard could have logged. Replay
+    // must refuse the WAL, not buffer a row that every flush then fails on.
+    let dir = temp_dir("outside-schema");
+    {
+        let shard_dir = dir.join("worker-0").join("shard-0");
+        let (wal, _) = GroupCommitWal::open(shard_dir, WalConfig::default()).expect("open wal");
+        let mut short = rec(1, 200, "five cells");
+        short.fields.truncate(3);
+        let payload = ShardStore::encode_batch_payload(&[rec(1, 100, "valid"), short]);
+        wal.append(&payload).expect("append");
+    }
+    let err = LogStore::open(durable_config(&dir)).err().expect("the open must fail");
+    assert!(matches!(err, Error::Corruption(_)), "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -293,7 +293,7 @@ fn query_spans_row_store_and_oss_after_partial_archive() {
     // The 4th upcoming write fails; everything after it in that drain is
     // abandoned and restored.
     let faults = store.shared().fault_layer();
-    faults.fail_ops(&[faults.op_index() + 3..faults.op_index() + 4]);
+    faults.fail_ops(std::slice::from_ref(&(faults.op_index() + 3..faults.op_index() + 4)));
     store.flush().expect_err("the scheduled upload fault must fail the flush");
     assert!(faults.injected() >= 1, "the scheduled fault never fired");
 

@@ -98,15 +98,15 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
     // group, keyed hashers. See DESIGN.md §Static & dynamic analysis.
     ("lint", &["run", "-q", "-p", "xtask", "--", "lint"], None),
     ("build", &["build", "--release"], None),
-    // The criterion targets are `harness = false`: neither `cargo test` nor
-    // `cargo clippy` compiles them, so an API they import can be removed
-    // without anything noticing. Build them.
+    // The criterion targets are `harness = false`: `cargo test` does not
+    // compile them, so an API they import could be removed without the test
+    // stage noticing. Build them (the clippy stage lints them too).
     ("build", &["build", "--release", "--benches", "-p", "logstore-bench"], None),
     // --workspace: the root manifest is both a package and the workspace,
     // so a bare `cargo test -q` would only run the facade crate's suites.
     // Debug tests run with the logstore-sync lock-order analysis active.
     ("test", &["test", "--workspace", "-q"], None),
-    ("clippy", &["clippy", "--workspace", "--", "-D", "warnings"], None),
+    ("clippy", &["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"], None),
     // A fixed, bounded seed sweep of whole-engine episodes plus the raft
     // churn sweep (release mode keeps wall-clock low). The per-episode
     // seeds are fixed so a red run here reproduces anywhere; any failure
