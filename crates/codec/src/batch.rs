@@ -37,19 +37,26 @@ pub fn encode_batch_into(out: &mut Vec<u8>, records: &[LogRecord]) {
 /// Decodes a payload written by [`encode_batch`].
 pub fn decode_batch(payload: &[u8]) -> Result<Vec<LogRecord>> {
     let mut pos = 0;
-    let n = read_uvarint(payload, &mut pos)? as usize;
+    let out = read_batch(payload, &mut pos)?;
+    if pos != payload.len() {
+        return Err(Error::corruption("trailing bytes after batch"));
+    }
+    Ok(out)
+}
+
+/// Decodes one [`encode_batch`] payload starting at `*pos`, advancing
+/// `*pos` past it: for a payload that frames a batch among other fields.
+pub fn read_batch(buf: &[u8], pos: &mut usize) -> Result<Vec<LogRecord>> {
+    let n = read_uvarint(buf, pos)? as usize;
     // Every record costs at least one byte on the wire, so a count larger
     // than the remaining payload is corrupt — and must not size-hint an
     // allocation.
-    if n > payload.len() {
+    if n > buf.len() - *pos {
         return Err(Error::corruption("batch count implausible"));
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(LogRecord::from_row(read_row(payload, &mut pos)?)?);
-    }
-    if pos != payload.len() {
-        return Err(Error::corruption("trailing bytes after batch"));
+        out.push(LogRecord::from_row(read_row(buf, pos)?)?);
     }
     Ok(out)
 }

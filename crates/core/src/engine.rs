@@ -429,16 +429,17 @@ impl LogStore {
     /// admit → register → **ack**, with the engine's OSS request
     /// concurrency.
     ///
-    /// The durability order is the point of this function. Draining does
-    /// not checkpoint anything; only after *all* of the drained rows are
-    /// durable on OSS does the ack truncate the WAL. On a terminal upload
-    /// failure the un-uploaded rows go back into the shard's row store —
-    /// still WAL-covered, so a crash at any point loses nothing — and a
-    /// later step re-archives them. Every drain that took rows is closed
-    /// by exactly one ack or restore, whatever failed before it, or its
-    /// rows would vanish from the row store with the archive op left
-    /// dangling. Returns what was registered, or the first error: the
-    /// drain intent's, the upload's, else the ack's.
+    /// The durability order is the point of this function. The drain
+    /// logs a checkpoint holding its rows before the upload starts; only
+    /// after *all* of the drained rows are durable on OSS does the ack log
+    /// itself and cut the WAL. On a terminal upload failure the
+    /// un-uploaded rows go back into the shard's row store — still
+    /// WAL-covered, so a crash at any point loses nothing — and a later
+    /// step re-archives them. Every drain that took rows is closed by
+    /// exactly one ack or restore, whatever failed before it, or its rows
+    /// would vanish from the row store with the drain left open. Returns
+    /// what was registered, or the first error: the checkpoint's, the
+    /// upload's, else the ack's.
     fn archive_step(&self, worker: &Worker, shard: ShardId, drain: Drain) -> Result<BuildReport> {
         let store = worker.store(shard)?;
         let start = Instant::now();
@@ -448,16 +449,8 @@ impl LogStore {
             }
             Drain::Tenant(tenant) => store.drain_tenant(tenant),
         };
-        // A drain intent that failed to log left its rows in the row store.
-        let Some((lsn, drained)) = drained? else {
-            if matches!(drain, Drain::Shard { force: true }) {
-                // Nothing to drain produces no ack, yet the shard may hold
-                // a truncation an earlier overlapping ack had to defer —
-                // apply it now that it is quiescent.
-                worker.truncate_quiescent(shard)?;
-            }
-            return Ok(BuildReport::default());
-        };
+        // A checkpoint that failed to log left its rows in the row store.
+        let Some((lsn, drained)) = drained? else { return Ok(BuildReport::default()) };
         self.archive_timers.drain.record_duration(start.elapsed());
         // Registered before any path allocation: while this guard lives,
         // the GC pass will not sweep our pending upload paths as orphans.
@@ -476,14 +469,14 @@ impl LogStore {
         self.archive_timers.record(&outcome);
         let acked = if outcome.is_complete() {
             let start = Instant::now();
-            let acked = worker.ack_archived(shard);
+            let acked = worker.ack_archived(shard, lsn);
             self.archive_timers.ack.record_duration(start.elapsed());
             acked
         } else {
             self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
             self.archive_rows_restored
                 .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
-            store.restore_unarchived(outcome.unarchived);
+            store.restore_unarchived(lsn, outcome.unarchived);
             Ok(())
         };
         // The drain's runs die here, unless a query still reads one: then

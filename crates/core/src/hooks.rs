@@ -5,7 +5,7 @@
 //! the simulation harness injects an implementation that panics with a
 //! [`SimCrash`] payload at a scheduled point, unwinds out of the engine,
 //! drops it mid-protocol and reopens from disk — exercising exactly the
-//! windows the drain-intent recovery protocol exists for. Plain dependency
+//! windows the drain-checkpoint recovery protocol exists for. Plain dependency
 //! injection, no cfg gates: the production default costs one virtual call
 //! per point.
 //!
@@ -20,9 +20,9 @@ use std::sync::Arc;
 ///
 /// Each point names a distinct durable state. The lattice follows the
 /// protocol order for one drain:
-/// ingest (`AfterWalAppend`) → drain+intent (`AfterDrain`) →
-/// upload+commit (`AfterUpload`) → WAL cut (`AfterTruncate`) → prune of
-/// the drain commits the cut made unreachable,
+/// ingest (`AfterWalAppend`) → drain+checkpoint (`AfterDrain`) →
+/// upload+commit (`AfterUpload`) → ack+WAL cut (`AfterTruncate`) → prune
+/// of the drain commits no replay reads any more,
 /// and for one compaction:
 /// plan (`CompactPlanned`) → upload (`CompactUploaded`) →
 /// swap+tombstone (`CompactCommitted`) → GC delete (`BeforeGcDelete`).
@@ -31,16 +31,16 @@ pub enum CrashPoint {
     /// An ingest batch is durable in the WAL and applied to the row store,
     /// but the caller has not been acknowledged yet.
     AfterWalAppend,
-    /// Rows left the row store; the drain intent is synced in the WAL; the
-    /// upload has not started.
+    /// Rows left the row store; the drain's checkpoint is synced in the
+    /// WAL; the upload has not started.
     AfterDrain,
     /// The upload finished (blocks durable on OSS and the drain committed
     /// in the metadata store), but the shard has not been acked: the WAL
     /// still holds the drained rows.
     AfterUpload,
-    /// A quiescent shard cut its WAL, but the drain-commit records of the
-    /// intents it dropped are not pruned yet. Reached only when a cut
-    /// happened.
+    /// A durable shard logged the ack and cut its WAL, but the
+    /// drain-commit records no replay reads any more are not pruned yet.
+    /// Not reached on a memory-only shard.
     AfterTruncate,
     /// A compaction run is planned: the merged block's path is recorded as
     /// a pending intent in the metadata store, nothing uploaded yet.

@@ -11,14 +11,14 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Durable identity of one shard drain across the whole cluster: the
-/// shard plus the LSN of the drain's intent in that shard's WAL. The key
+/// shard plus the LSN of the drain's checkpoint in that shard's WAL. The key
 /// of the drain-commit table that makes the archive upload exactly-once
 /// across crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DrainId {
     /// The shard the rows were drained from.
     pub shard: ShardId,
-    /// The LSN of the drain intent.
+    /// The LSN of the drain's checkpoint.
     pub lsn: Lsn,
 }
 
@@ -86,9 +86,9 @@ struct Inner {
     next_block_seq: u64,
     // Drain-commit table: how many leading chunks of each drain are
     // durable and registered, and the cap they were partitioned at. WAL
-    // replay looks each intent up here to keep committed rows out of the
-    // row store; a shard's entries are pruned once its WAL no longer holds
-    // their intents.
+    // replay looks up each drain it settles without an ack, to keep
+    // committed rows out of the row store; a shard's entries are pruned
+    // once no replay settles their drains.
     drain_commits: HashMap<DrainId, DrainCommit>,
     // Paths whose objects must eventually be deleted from OSS but are no
     // longer (or were never) in the live map. Persistent until a delete
@@ -197,10 +197,10 @@ impl MetadataStore {
         self.inner.read().drain_commits.get(&id).copied()
     }
 
-    /// Drops the commit records of `shard`'s drains whose intent LSN is
-    /// below `below`. Call it only after the shard's WAL was cut below
-    /// `below`: a replayed intent whose record is gone restores rows that
-    /// are already on OSS.
+    /// Drops the commit records of `shard`'s drains whose checkpoint LSN
+    /// is below `below`. Call it only once no replay of the shard's WAL
+    /// settles a drain below `below` through this table: a drain settled
+    /// after its record is gone restores rows that are already on OSS.
     pub fn prune_drain_commits(&self, shard: ShardId, below: Lsn) {
         let mut inner = self.inner.write();
         inner.drain_commits.retain(|id, _| id.shard != shard || id.lsn >= below);

@@ -4,7 +4,7 @@
 //! [`logstore_wal::ShardStore`] — the write-optimized row store, WAL-backed
 //! when the worker has a data dir — plus ingest accounting that feeds the
 //! traffic monitor. The store owns the storage protocol (append, drain →
-//! ack/restore, truncation) and validates every row against the table
+//! ack/restore, the WAL cut) and validates every row against the table
 //! schema; the worker adds shard lookup, BFC admission, window accounting,
 //! the `AfterTruncate` crash hook and drain-commit pruning. The data
 //! builder drains shards in the background (phase two,
@@ -218,10 +218,9 @@ impl Worker {
 
     /// One shard's phase-one store: its runs for a query
     /// ([`ShardStore::snapshot`]), its buffered tenants, and the drains and
-    /// restores of the archive step. Acks and truncation go through
-    /// [`Worker::ack_archived`] and [`Worker::truncate_quiescent`] instead:
-    /// their `ShardStore` counterparts skip the crash hook and the pruning
-    /// of the drain-commit table.
+    /// restores of the archive step. Acks go through
+    /// [`Worker::ack_archived`] instead: [`ShardStore::ack_archived`] skips
+    /// the crash hook and the pruning of the drain-commit table.
     pub fn store(&self, shard: ShardId) -> Result<&ShardStore> {
         Ok(&self.shard(shard)?.store)
     }
@@ -236,43 +235,18 @@ impl Worker {
         Ok(self.shard(shard)?.store.buffered_rows())
     }
 
-    /// The archive ack: called by the engine once a drain's rows — a whole
-    /// shard's or one tenant's — are durable on OSS. Closes the drain's
-    /// archive op and truncates the WAL if the shard is now quiescent (see
-    /// [`Worker::truncate_quiescent`] for what a cut prunes). Until the cut,
-    /// a crash replays the drained rows and the drain commit keeps them
-    /// out; a later quiescent pass cuts. Truncation I/O errors propagate —
-    /// the WAL keeps the extra segments (at-least-once replay), but the
-    /// condition is loud instead of silently leaking disk.
-    pub fn ack_archived(&self, shard: ShardId) -> Result<()> {
-        let cut = self.shard(shard)?.store.ack_archived()?;
-        self.prune_below(shard, cut);
-        Ok(())
-    }
-
-    /// Opportunistic WAL truncation: applies a truncation that an
-    /// overlapping ack had to defer, once the shard is quiescent (no
-    /// archive in flight, nothing buffered). Closes no archive op, so it
-    /// can never strip WAL coverage from a drain still in flight. Forced
-    /// build passes call this for shards that had nothing to drain.
-    pub fn truncate_quiescent(&self, shard: ShardId) -> Result<()> {
-        let cut = self.shard(shard)?.store.truncate_if_quiescent()?;
-        self.prune_below(shard, cut);
-        Ok(())
-    }
-
-    /// After a cut, prunes the shard's drain-commit records it made
-    /// unreachable: those of intents below the first LSN still in the WAL.
-    /// After the cut, not before: a crash in between (`AfterTruncate`)
-    /// leaves records nobody reads, and the next cut prunes them, while a
-    /// replayed intent whose record was already pruned would restore rows
-    /// that are on OSS.
-    fn prune_below(&self, shard: ShardId, cut: Option<Lsn>) {
-        let Some(below) = cut else { return };
+    /// The archive ack, once the rows of drain `drain` are durable on OSS:
+    /// the store logs it and cuts its WAL ([`ShardStore::ack_archived`]),
+    /// then the drain-commit records no replay reads any more are pruned —
+    /// after the cut, so a crash in between (`AfterTruncate`) only leaves
+    /// records the next ack prunes. WAL I/O errors propagate.
+    pub fn ack_archived(&self, shard: ShardId, drain: Option<Lsn>) -> Result<()> {
+        let Some(below) = self.shard(shard)?.store.ack_archived(drain)? else { return Ok(()) };
         self.hooks.reached(CrashPoint::AfterTruncate);
         if let Some(metadata) = &self.metadata {
             metadata.prune_drain_commits(shard, below);
         }
+        Ok(())
     }
 
     /// Lifetime `(appended, archived)` record counters of a shard (always
@@ -418,11 +392,11 @@ mod tests {
     fn restore_unarchived_returns_rows_to_the_shard() {
         let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
-        let (_seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        let (lsn, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
         assert!(w.store(ShardId(1)).unwrap().drain_all(0).unwrap().is_none(), "shard 1 is empty");
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
         // Upload "failed": the engine hands the rows back.
-        w.store(ShardId(0)).unwrap().restore_unarchived(rows);
+        w.store(ShardId(0)).unwrap().restore_unarchived(lsn, rows);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
         assert_eq!(rows_of(&w, ShardId(0), 1), 1);
         assert_eq!(w.shard_counters(ShardId(0)).unwrap(), Some((2, 0)));
@@ -432,8 +406,9 @@ mod tests {
     fn ack_archived_is_clean_for_memory_backends() {
         let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        w.store(ShardId(0)).unwrap().drain_all(0).unwrap();
-        w.ack_archived(ShardId(0)).unwrap();
+        let (lsn, _) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        assert_eq!(lsn, None, "no WAL, no checkpoint to name");
+        w.ack_archived(ShardId(0), lsn).unwrap();
     }
 
     #[test]
@@ -484,10 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_cut_prunes_the_drain_commits_it_made_unreachable() {
+    fn an_ack_prunes_the_drain_commits_no_replay_reads() {
         // Every durable drain leaves one record in the drain-commit table.
-        // Once an ack's cut leaves none of the drain's intents in the WAL,
-        // the record is dead weight and must go.
+        // Once the drain is acked and no replay settles it through the
+        // table, the record is dead weight and must go.
         let dir = temp_dir("prune");
         let metadata = Arc::new(MetadataStore::new());
         let schema = TableSchema::request_log();
@@ -529,15 +504,15 @@ mod tests {
         );
         assert!(outcome.is_complete(), "{:?}", outcome.error);
         assert!(metadata.drain_commit(id).is_some(), "the upload commits its drain");
-        // A record at or past the first LSN the cut keeps is not the cut's
-        // to prune (a later drain's, or another shard's).
+        // A record at or past the LSN the next checkpoint could take is not
+        // the ack's to prune (a later drain's, or another shard's).
         let later = DrainId { lsn: id.lsn + 1, ..id };
         let elsewhere = DrainId { shard: ShardId(1), ..id };
         for other in [later, elsewhere] {
             metadata.commit_drain(Some(other), Vec::new(), 4096).unwrap();
         }
-        w.ack_archived(ShardId(0)).unwrap();
-        assert_eq!(metadata.drain_commit(id), None, "the ack's cut must prune the record");
+        w.ack_archived(ShardId(0), Some(id.lsn)).unwrap();
+        assert_eq!(metadata.drain_commit(id), None, "the ack must prune the record");
         assert!(
             metadata.drain_commit(later).is_some() && metadata.drain_commit(elsewhere).is_some()
         );

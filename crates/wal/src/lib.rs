@@ -20,11 +20,12 @@
 //!   ([`Drained`]).
 //! * [`shard::ShardStore`] — the one per-shard phase-one store a worker
 //!   runs: an optional WAL (`None` = memory-only) outside one mutex
-//!   (`wal.shard.inner`) around the row store, counters and open archive
-//!   ops. It owns the whole protocol — append a batch (logged with no
-//!   lock held, applied under the lock), drain with a logged intent,
-//!   restore or ack, truncate when quiescent — and crash recovery (WAL replay reconciled against the
-//!   drain-commit table, which names each drain by its intent's LSN).
+//!   (`wal.shard.inner`) around the row store, counters and open drains.
+//!   It owns the whole protocol — append a batch (logged with no lock
+//!   held, applied under the lock), drain with a logged checkpoint,
+//!   restore, or ack and cut the WAL — and crash recovery (replay from the
+//!   last checkpoint, reconciled against the drain-commit table, which
+//!   names each drain by its checkpoint's LSN).
 
 #![forbid(unsafe_code)]
 

@@ -15,11 +15,16 @@
 //! that ran it, so the stages add up to the producers' wall time; what is
 //! left over is the untimed glue between them. With a minimum coverage,
 //! the run fails when the stages sum to less than that share of it.
+//!
+//! Last come the WAL's bytes on disk — the largest shard's and the sum of
+//! the `.log` files under the data directory — once the producers stop and
+//! again after a final forced flush.
 
 use logstore::core::{ClusterConfig, LogStore};
 use logstore::oss::LatencyModel;
 use logstore::types::Timestamp;
 use logstore::workload::{LogRecordGenerator, WorkloadSpec};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Rows each producer ingests unless the first argument says otherwise.
@@ -60,6 +65,19 @@ fn field(snapshot: &str, label: &str, key: &str) -> u64 {
         key => rest.and_then(|rest| rest.split(' ').find_map(|f| f.strip_prefix(key))),
     };
     value.and_then(|v| v.parse().ok()).unwrap_or(0)
+}
+
+/// The largest shard's WAL bytes and the sum over every shard: the sizes
+/// of the `.log` files in each `worker-*/shard-*` directory under `dir`.
+fn wal_bytes(dir: &Path) -> (u64, u64) {
+    let entries = |dir: &Path| std::fs::read_dir(dir).expect("list a data directory");
+    let shards = entries(dir).flat_map(|worker| entries(&worker.expect("a worker").path()));
+    let per_shard = shards.map(|shard| {
+        let files = entries(&shard.expect("a shard").path()).map(|f| f.expect("a file").path());
+        let logs = files.filter(|f| f.extension().is_some_and(|ext| ext == "log"));
+        logs.map(|f| f.metadata().expect("a segment").len()).sum::<u64>()
+    });
+    per_shard.fold((0, 0), |(max, sum), bytes| (max.max(bytes), sum + bytes))
 }
 
 fn main() {
@@ -145,6 +163,13 @@ fn main() {
         due("sum="),
         due("max<="),
     );
+    let wal = |when: &str| {
+        let (max, sum) = wal_bytes(&dir);
+        println!("WAL bytes {when}: largest shard {max}, all shards {sum}");
+    };
+    wal("after the producers stop");
+    store.flush().expect("final flush");
+    wal("after the final forced flush");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     if let Some(min) = min_coverage {

@@ -208,8 +208,8 @@ fn crash_after_failed_flush_at(upload_width: usize) {
 }
 
 /// The ack protocol end to end: a failed flush keeps the WAL (rows would
-/// replay), the recovery flush succeeds, acks, and checkpoints — after
-/// which the WAL is empty and nothing resurrects on reopen.
+/// replay), the recovery flush succeeds, acks, and cuts the WAL — after
+/// which nothing resurrects on reopen.
 #[test]
 fn recovery_flush_acks_and_checkpoints() {
     let dir = temp_dir("ack");
@@ -228,8 +228,8 @@ fn recovery_flush_acks_and_checkpoints() {
         assert_eq!(count(&s, 1), 200, "archived rows stay queryable from OSS");
     }
     // The in-memory OSS died with the engine, so anything the reopened
-    // engine still sees must have come from the WAL. A truncated WAL —
-    // the ack happened — replays nothing.
+    // engine still sees must have come from the WAL. A drain whose ack is
+    // logged replays nothing.
     let s = LogStore::open(durable_config(&dir)).unwrap();
     assert_eq!(count(&s, 1), 0, "acked rows must not replay: the checkpoint truncated the WAL");
     let _ = std::fs::remove_dir_all(dir);

@@ -86,9 +86,9 @@ fn concurrent_ingest_flush_query_and_ticks() {
 fn concurrent_flushes_on_durable_shards_lose_nothing() {
     // The drain→upload→ack windows of concurrent build passes overlap
     // (ingest piggybacks flush_if_needed while a forced flush runs). An
-    // ack must never truncate WAL segments covering another pass's
-    // drained-but-not-yet-uploaded rows, and the final quiescent ack must
-    // still truncate everything.
+    // ack's cut must never drop the WAL coverage of another pass's
+    // drained-but-not-yet-uploaded rows, and after the final ack no acked
+    // row may replay.
     let dir =
         std::env::temp_dir().join(format!("logstore-it-concurrent-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -140,15 +140,14 @@ fn concurrent_flushes_on_durable_shards_lose_nothing() {
             })
             .sum();
         assert_eq!(total, ingested.load(Ordering::Relaxed));
-        // A quiescent forced flush acks whatever is still buffered and
-        // applies any truncation the overlapping acks had to defer.
+        // A quiescent forced flush acks whatever is still buffered.
         store.flush().expect("final flush");
         ingested.load(Ordering::Relaxed)
     };
     assert_eq!(ingested, 4 * 40 * 10);
     // "Crash": the in-memory OSS died with the engine, so anything the
-    // reopened engine sees came from the WAL. The quiescent ack truncated
-    // it — acked rows must not resurrect.
+    // reopened engine sees came from the WAL. Every drain was acked, so
+    // no acked row may resurrect.
     let store = LogStore::open(config).expect("reopen durable");
     for t in 1..=4u64 {
         let n = store

@@ -91,3 +91,79 @@ fn a_wal_record_outside_the_schema_fails_the_open() {
     assert!(matches!(err, Error::Corruption(_)), "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// `.log` bytes of the WAL segments under one shard directory. A segment
+/// an ack deletes meanwhile counts as gone.
+fn wal_bytes(shard_dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(shard_dir) else { return 0 };
+    entries
+        .filter_map(|entry| entry.ok())
+        .filter(|entry| entry.file_name().to_string_lossy().ends_with(".log"))
+        .filter_map(|entry| entry.metadata().ok())
+        .map(|meta| meta.len())
+        .sum()
+}
+
+#[test]
+fn sustained_ingest_keeps_the_wal_bounded() {
+    // Two producers keep both shards of one worker busy, with no forced
+    // flush: only the threshold passes ingest runs drain and ack. Each
+    // ack cuts its shard's WAL, so the WAL stays near what one or two
+    // drains hold instead of growing with everything ever ingested.
+    const THRESHOLD: usize = 64 << 10;
+    const BOUND: u64 = 32 * THRESHOLD as u64;
+    let dir = temp_dir("sustained");
+    let mut config = durable_config(&dir);
+    config.workers = 1;
+    config.shards_per_worker = 2;
+    config.rowstore_flush_bytes = THRESHOLD;
+    config.compression = logstore::codec::Compression::None;
+    let shard_dirs: Vec<PathBuf> =
+        (0..2).map(|s| dir.join("worker-0").join(format!("shard-{s}"))).collect();
+    let message = "x".repeat(200);
+    let buffered = {
+        let store = LogStore::open(config.clone()).expect("open");
+        let worst = std::thread::scope(|scope| {
+            let producers: Vec<_> = (0..2u64)
+                .map(|p| {
+                    let (store, shard_dirs, message) = (&store, &shard_dirs, &message);
+                    scope.spawn(move || {
+                        let mut worst = 0;
+                        for round in 0..260i64 {
+                            // Every tenant in every batch, so both shards
+                            // take rows.
+                            let batch = (0..100)
+                                .map(|i| rec(1 + (i % 8) as u64, round * 100 + i, message))
+                                .collect();
+                            store.ingest(batch).expect("ingest");
+                            if round % 10 == p as i64 {
+                                worst =
+                                    shard_dirs.iter().map(|d| wal_bytes(d)).fold(worst, u64::max);
+                            }
+                        }
+                        worst
+                    })
+                })
+                .collect();
+            producers.into_iter().map(|p| p.join().unwrap()).max().unwrap()
+        });
+        let worker = store.shared().worker_snapshot().remove(0);
+        let mut buffered = Vec::new();
+        for (shard, shard_dir) in worker.shard_ids().into_iter().zip(&shard_dirs) {
+            let (appended, _) = worker.shard_counters(shard).unwrap().unwrap();
+            let row_bytes = rec(1, 0, &message).approx_size() as u64;
+            assert!(appended * row_bytes >= 100 * THRESHOLD as u64, "test sizing: {shard}");
+            let now = wal_bytes(shard_dir);
+            assert!(worst.max(now) <= BOUND, "{shard}: {} WAL bytes over {BOUND}", worst.max(now));
+            buffered.push(worker.buffered_rows(shard).unwrap());
+        }
+        buffered
+        // Dropped without a flush: a crash.
+    };
+    let store = LogStore::open(config).expect("reopen");
+    let worker = store.shared().worker_snapshot().remove(0);
+    let replayed: Vec<usize> =
+        worker.shard_ids().into_iter().map(|shard| worker.buffered_rows(shard).unwrap()).collect();
+    assert_eq!(replayed, buffered, "a reopen holds exactly the rows that were buffered");
+    let _ = std::fs::remove_dir_all(dir);
+}
