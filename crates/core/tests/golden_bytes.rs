@@ -203,10 +203,14 @@ const GOLDEN_COMPACTED: &[(&str, usize, u32)] = &[
 ];
 /// Re-recorded when segments were named by their first LSN (1, 21, 22) and
 /// a drain intent lost its two seq varints (the intent's LSN names the
-/// drain): the segments holding an intent shrank by exactly 2 bytes each,
-/// the first is byte-identical, and no boundary moved.
+/// drain), and again when each drain intent became a checkpoint of the
+/// shard: the first segment is byte-identical, the whole-shard drain's
+/// record grew by 6 bytes (its header and an empty kept-row count), and the
+/// one-tenant drain's record now carries the rows it keeps, so a fourth
+/// segment (33) opens.
 const GOLDEN_WAL: &[(&str, usize, u32)] = &[
     ("wal-0000000000000001.log", 131363, 4294754263),
-    ("wal-0000000000000021.log", 131118, 1481871828),
-    ("wal-0000000000000022.log", 93746, 1279580537),
+    ("wal-0000000000000021.log", 131124, 3844288289),
+    ("wal-0000000000000022.log", 132629, 1795942870),
+    ("wal-0000000000000033.log", 8322, 1032264137),
 ];
