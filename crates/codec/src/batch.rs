@@ -1,71 +1,59 @@
-//! Shared record-batch payload codec.
+//! The record-batch payload of the benchmark's probes.
 //!
-//! Every path that carries whole batches — the per-shard WAL and the
-//! benchmark's Raft probe — uses the same wire format: a leading uvarint
-//! record count followed by that many serialized rows ([`crate::valser`]).
-//! Centralizing the pair here keeps the paths byte-compatible and gives
-//! them the same corruption guards: an implausible record count cannot
-//! trigger an unbounded allocation, and a payload with trailing bytes after
-//! the last record is rejected instead of silently dropping a suffix.
+//! A row-major, self-describing encoding: a leading uvarint record count
+//! followed by that many serialized rows ([`crate::valser`]), one tag per
+//! cell. The benchmark's codec and Raft probes encode sub-batches with it;
+//! no engine path writes or reads it — the WAL logs a sub-batch as the
+//! LogBlock column blocks of its staged runs. It goes with those probes
+//! (ROADMAP 1(a)).
 //!
-//! Records are written by reference — each row is framed exactly as
-//! [`crate::valser::put_row`] would frame the expanded
-//! [`LogRecord::to_row`], without building that row — and decoded values
-//! move into their record.
+//! Records are written by reference: no [`LogRecord::to_row`] is built.
 
-use crate::valser::{put_cells, read_row};
-use crate::varint::{put_uvarint, read_uvarint};
-use logstore_types::{Error, LogRecord, Result};
+use crate::valser::put_cells;
+use crate::varint::put_uvarint;
+use logstore_types::LogRecord;
 
-/// Serializes records into a WAL/Raft batch payload.
+/// Serializes records into a batch payload.
 pub fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_batch_into(&mut out, records);
-    out
-}
-
-/// Appends the [`encode_batch`] payload of `records` to `out`, so a caller
-/// that frames the batch (a tag, a drain seq) builds one buffer instead of
-/// copying the payload into a second.
-pub fn encode_batch_into(out: &mut Vec<u8>, records: &[LogRecord]) {
-    put_uvarint(out, records.len() as u64);
+    put_uvarint(&mut out, records.len() as u64);
     for r in records {
-        put_cells(out, r.width(), r.cells());
+        put_cells(&mut out, r.width(), r.cells());
     }
-}
-
-/// Decodes a payload written by [`encode_batch`].
-pub fn decode_batch(payload: &[u8]) -> Result<Vec<LogRecord>> {
-    let mut pos = 0;
-    let out = read_batch(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(Error::corruption("trailing bytes after batch"));
-    }
-    Ok(out)
-}
-
-/// Decodes one [`encode_batch`] payload starting at `*pos`, advancing
-/// `*pos` past it: for a payload that frames a batch among other fields.
-pub fn read_batch(buf: &[u8], pos: &mut usize) -> Result<Vec<LogRecord>> {
-    let n = read_uvarint(buf, pos)? as usize;
-    // Every record costs at least one byte on the wire, so a count larger
-    // than the remaining payload is corrupt — and must not size-hint an
-    // allocation.
-    if n > buf.len() - *pos {
-        return Err(Error::corruption("batch count implausible"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(LogRecord::from_row(read_row(buf, pos)?)?);
-    }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::valser::put_row;
-    use logstore_types::{TenantId, Timestamp, Value};
+    use crate::valser::tests::{put_row, read_row};
+    use crate::varint::read_uvarint;
+    use logstore_types::{Error, Result, TenantId, Timestamp, Value};
+
+    /// Decodes a payload written by [`encode_batch`]: its round-trip
+    /// reference.
+    fn decode_batch(payload: &[u8]) -> Result<Vec<LogRecord>> {
+        let pos = &mut 0;
+        let n = read_uvarint(payload, pos)? as usize;
+        // Every record costs at least one byte on the wire, so a count
+        // larger than the remaining payload is corrupt — and must not
+        // size-hint an allocation.
+        if n > payload.len() - *pos {
+            return Err(Error::corruption("batch count implausible"));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row = read_row(payload, pos)?.into_iter();
+            let (Some(Value::U64(tenant)), Some(Value::I64(ts))) = (row.next(), row.next()) else {
+                return Err(Error::corruption("a row without its keys"));
+            };
+            out.push(LogRecord::new(TenantId(tenant), Timestamp(ts), row.collect()));
+        }
+        if *pos != payload.len() {
+            return Err(Error::corruption("trailing bytes after batch"));
+        }
+        Ok(out)
+    }
 
     fn rec(t: u64, ts: i64) -> LogRecord {
         LogRecord::new(
@@ -140,18 +128,15 @@ mod tests {
             }
 
             // The by-reference encoder writes the bytes of the row-shaped
-            // framing it replaced, appended after whatever the buffer held.
+            // framing it replaced.
             #[test]
             fn prop_encoding_is_the_put_row_framing(batch in batch_strategy()) {
-                let mut want = vec![0xa5];
+                let mut want = Vec::new();
                 put_uvarint(&mut want, batch.len() as u64);
                 for r in &batch {
                     put_row(&mut want, &r.to_row());
                 }
-                let mut got = vec![0xa5];
-                encode_batch_into(&mut got, &batch);
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(encode_batch(&batch), &want[1..]);
+                prop_assert_eq!(encode_batch(&batch), want);
             }
 
             // Any strict truncation must surface as corruption — never a

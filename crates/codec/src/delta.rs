@@ -30,10 +30,7 @@ pub fn decode_i64(buf: &[u8], max_len: usize) -> Result<Vec<i64>> {
 /// `out` is cleared first.
 pub fn decode_i64_into(buf: &[u8], max_len: usize, out: &mut Vec<i64>) -> Result<()> {
     let mut pos = 0;
-    let n = read_uvarint(buf, &mut pos)? as usize;
-    if n > max_len {
-        return Err(Error::corruption("delta stream longer than declared"));
-    }
+    let n = read_count(buf, &mut pos, max_len)?;
     out.clear();
     out.reserve(n);
     let mut prev = 0i64;
@@ -45,6 +42,20 @@ pub fn decode_i64_into(buf: &[u8], max_len: usize, out: &mut Vec<i64>) -> Result
         return Err(Error::corruption("trailing bytes after delta stream"));
     }
     Ok(())
+}
+
+/// Reads a stream's value count: at most `max_len`, and no more than the
+/// bytes left, since every value takes one — so a forged count sizes
+/// nothing.
+fn read_count(buf: &[u8], pos: &mut usize, max_len: usize) -> Result<usize> {
+    let n = read_uvarint(buf, pos)? as usize;
+    if n > max_len {
+        return Err(Error::corruption("delta stream longer than declared"));
+    }
+    if n > buf.len() - *pos {
+        return Err(Error::corruption("delta count past the stream"));
+    }
+    Ok(n)
 }
 
 /// Encodes a sequence of `u64` values (delta via wrapping i64 arithmetic).
@@ -70,10 +81,7 @@ pub fn decode_u64(buf: &[u8], max_len: usize) -> Result<Vec<u64>> {
 /// `out` is cleared first.
 pub fn decode_u64_into(buf: &[u8], max_len: usize, out: &mut Vec<u64>) -> Result<()> {
     let mut pos = 0;
-    let n = read_uvarint(buf, &mut pos)? as usize;
-    if n > max_len {
-        return Err(Error::corruption("delta stream longer than declared"));
-    }
+    let n = read_count(buf, &mut pos, max_len)?;
     out.clear();
     out.reserve(n);
     let mut prev = 0u64;
@@ -119,6 +127,19 @@ mod tests {
     fn length_guard() {
         let enc = encode_i64(&[1, 2, 3]);
         assert!(decode_i64(&enc, 2).is_err());
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_left_is_rejected_before_reserving() {
+        // Two bytes declaring 2^31 values, under a caller bound that
+        // allows them: the count must not size the output.
+        let mut forged = Vec::new();
+        put_uvarint(&mut forged, 1 << 31);
+        forged.push(0);
+        let mut out = Vec::new();
+        assert!(decode_i64_into(&forged, usize::MAX, &mut out).is_err());
+        assert!(decode_u64(&forged, usize::MAX).is_err());
+        assert_eq!(out.capacity(), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Compact binary serialization of [`Value`]s.
 //!
-//! Used by the WAL (row payloads) and by LogBlock metadata (SMA min/max
-//! values). One tag byte followed by a varint/length-prefixed payload.
+//! Used by LogBlock metadata (SMA min/max values) and by the benchmark
+//! probes' row payloads ([`crate::batch`]). One tag byte followed by a
+//! varint/length-prefixed payload.
 
 use crate::varint::{put_ivarint, put_str, put_uvarint, read_ivarint, read_str, read_uvarint};
 use logstore_types::{Cell, Error, Result, Value};
@@ -55,13 +56,7 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     })
 }
 
-/// Serializes a row (a slice of values) with a leading arity.
-pub fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
-    put_cells(buf, row.len(), row.iter().map(Value::cell));
-}
-
-/// [`put_row`] over borrowed cells that need not be contiguous: `len` is
-/// how many cells `cells` yields.
+/// Serializes a row of `len` borrowed cells with a leading arity.
 pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Item = Cell<'a>>) {
     put_uvarint(buf, len as u64);
     for cell in cells {
@@ -69,25 +64,31 @@ pub fn put_cells<'a>(buf: &mut Vec<u8>, len: usize, cells: impl IntoIterator<Ite
     }
 }
 
-/// Reads a row written by [`put_row`].
-pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
-    let n = read_uvarint(buf, pos)? as usize;
-    // Every value costs at least its tag byte, so an arity larger than the
-    // bytes left is corrupt — and must not size-hint an allocation.
-    if n > (1 << 20).min(buf.len().saturating_sub(*pos)) {
-        return Err(Error::corruption("row arity implausibly large"));
-    }
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        row.push(read_value(buf, pos)?);
-    }
-    Ok(row)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Serializes a row (a slice of values) with a leading arity.
+    pub(crate) fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
+        put_cells(buf, row.len(), row.iter().map(Value::cell));
+    }
+
+    /// Reads a row written by [`put_row`]: its round-trip reference.
+    pub(crate) fn read_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
+        let n = read_uvarint(buf, pos)? as usize;
+        // Every value costs at least its tag byte, so an arity larger than
+        // the bytes left is corrupt — and must not size-hint an
+        // allocation.
+        if n > (1 << 20).min(buf.len().saturating_sub(*pos)) {
+            return Err(Error::corruption("row arity implausibly large"));
+        }
+        let mut row = Vec::with_capacity(n);
+        for _ in 0..n {
+            row.push(read_value(buf, pos)?);
+        }
+        Ok(row)
+    }
 
     fn roundtrip(v: &Value) {
         let mut buf = Vec::new();

@@ -8,7 +8,7 @@ use logstore_logblock::column::encode_block;
 use logstore_logblock::meta::col_member;
 use logstore_logblock::scan::{evaluate_predicates, ScanStats};
 use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader};
-use logstore_types::{CmpOp, ColumnPredicate, LogRecord, TableSchema, Value};
+use logstore_types::{CmpOp, ColumnPredicate, LogRecord, TableSchema, TenantId, Timestamp, Value};
 use proptest::prelude::*;
 
 fn arb_row() -> impl Strategy<Value = Vec<Value>> {
@@ -93,7 +93,9 @@ proptest! {
         let mut by_record = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
         for row in &rows {
             by_row.add_row(row).unwrap();
-            by_record.add_record(&LogRecord::from_row(row.clone()).unwrap()).unwrap();
+            let (tenant, ts) = (row[0].as_u64().unwrap(), row[1].as_i64().unwrap());
+            let record = LogRecord::new(TenantId(tenant), Timestamp(ts), row[2..].to_vec());
+            by_record.add_record(&record).unwrap();
         }
         let pack = by_row.finish().unwrap();
         prop_assert_eq!(&by_record.finish().unwrap(), &pack);

@@ -4,7 +4,7 @@ use crate::ids::TenantId;
 use crate::schema::TableSchema;
 use crate::time::Timestamp;
 use crate::value::{Cell, Value};
-use crate::{Error, Result};
+use crate::Result;
 
 /// One log entry as received by the ingest path.
 ///
@@ -58,19 +58,6 @@ impl LogRecord {
         row.push(Value::I64(self.ts.millis()));
         row.extend(self.fields.iter().cloned());
         row
-    }
-
-    /// Rebuilds a record from a full positional row; the values after the
-    /// two keys move into the record.
-    pub fn from_row(row: Vec<Value>) -> Result<Self> {
-        let mut cells = row.into_iter();
-        let (Some(tenant_id), Some(ts)) = (cells.next(), cells.next()) else {
-            return Err(Error::invalid("row shorter than the two key columns"));
-        };
-        let tenant_id =
-            tenant_id.as_u64().ok_or_else(|| Error::invalid("tenant_id column must be UInt64"))?;
-        let ts = ts.as_i64().ok_or_else(|| Error::invalid("ts column must be Int64"))?;
-        Ok(LogRecord { tenant_id: TenantId(tenant_id), ts: Timestamp(ts), fields: cells.collect() })
     }
 
     /// Validates the record against `schema` (which must include the two
@@ -155,14 +142,6 @@ mod tests {
         let cells: Vec<Value> = (0..row.len()).map(|c| r.cell(c).to_value()).collect();
         assert_eq!(cells, row);
         assert_eq!(r.cell(row.len()), Cell::Null);
-        assert_eq!(LogRecord::from_row(row).unwrap(), r);
-    }
-
-    #[test]
-    fn from_row_rejects_bad_keys() {
-        assert!(LogRecord::from_row(vec![Value::I64(1)]).is_err());
-        assert!(LogRecord::from_row(vec![Value::from("x"), Value::I64(1)]).is_err());
-        assert!(LogRecord::from_row(vec![Value::U64(1), Value::from("x")]).is_err());
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl RunStats {
 /// and the drain archiving them.
 ///
 /// A cell is stored exactly as it arrived, so the cells read back are the
-/// record's cells, and a checkpoint encoded from them carries the bytes
-/// the batches did.
+/// record's cells; the WAL logs a run as its columns' blocks, and a replay
+/// decodes them back into a run ([`Run::from_columns`]).
 #[derive(Debug)]
 pub struct Run {
     columns: Vec<ColumnVec>,
@@ -101,6 +101,15 @@ impl Run {
     /// An empty run of this run's column types.
     fn empty_like(&self) -> Run {
         Run::of_types(self.columns.iter().map(ColumnVec::data_type))
+    }
+
+    /// A run of decoded `columns` of one length, typed as the schema's,
+    /// its bytes and stats counted from the cells as inserts count them.
+    pub(crate) fn from_columns(columns: Vec<ColumnVec>) -> Run {
+        let mut run = Run { len: columns[0].len(), columns, bytes: 0, stats: RunStats::default() };
+        run.bytes = (0..run.len).map(|row| run.row_bytes(row)).sum();
+        run.count_keys(0);
+        run
     }
 
     /// A run over `rows`, in the order given: what a test or a tool builds
@@ -136,6 +145,19 @@ impl Run {
     #[inline]
     pub fn cell(&self, col: usize, row: usize) -> Cell<'_> {
         self.columns[col].cell(row)
+    }
+
+    /// [`LogRecord::approx_size`] of row `row`.
+    fn row_bytes(&self, row: usize) -> usize {
+        16 + (2..self.width()).map(|col| self.cell(col, row).approx_size()).sum::<usize>()
+    }
+
+    /// Adds the keys of rows `from..` to what the run knows of its rows.
+    fn count_keys(&mut self, from: usize) {
+        let (tenants, ts) = keys_of(&self.columns);
+        for (tenant, ts) in tenants[from..].iter().zip(&ts[from..]) {
+            self.stats.add(TenantId(*tenant), *ts);
+        }
     }
 
     /// The tenant of row `row`.
@@ -191,10 +213,7 @@ impl Run {
         self.columns.iter_mut().for_each(|column| column.truncate(old + appended));
         self.len += appended;
         self.bytes += (start..fit).map(|i| rows.bytes(i)).sum::<usize>();
-        let (tenants, ts) = keys_of(&self.columns);
-        for (tenant, ts) in tenants[old..].iter().zip(&ts[old..]) {
-            self.stats.add(TenantId(*tenant), *ts);
-        }
+        self.count_keys(old);
         appended
     }
 
@@ -278,7 +297,7 @@ impl Rows for [(&Run, usize)] {
 
     fn bytes(&self, i: usize) -> usize {
         let (run, row) = self[i];
-        16 + (2..run.width()).map(|col| run.cell(col, row).approx_size()).sum::<usize>()
+        run.row_bytes(row)
     }
 }
 
@@ -309,6 +328,11 @@ impl Drained {
         let mut store = RowStore::new(schema);
         store.insert_batch(records);
         store.drain_all()
+    }
+
+    /// Runs as drained rows, in the order given.
+    pub(crate) fn from_runs(runs: Vec<Run>) -> Drained {
+        Drained { runs: runs.into_iter().map(Arc::new).collect() }
     }
 
     /// Rows drained.
@@ -485,6 +509,23 @@ impl RowStore {
             assert!(self.tail.append(&staged.tail), "an empty run takes any rows of its types");
         }
         staged.clear();
+    }
+
+    /// Appends a batch's `runs`, decoded from the WAL, as [`RowStore::absorb`]
+    /// appended the staging store they were (the last one its tail).
+    pub(crate) fn absorb_runs(&mut self, mut runs: Vec<Run>) {
+        let Some(tail) = runs.pop() else { return };
+        let mut staged = RowStore::with_tail(tail);
+        staged.runs = runs.into_iter().map(Arc::new).collect();
+        staged.rows = staged.runs().map(Run::len).sum();
+        staged.bytes = staged.runs().map(Run::bytes).sum();
+        self.absorb(&mut staged);
+    }
+
+    /// The sealed runs, then the open tail if it has rows.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &Run> + Clone {
+        let tail = (!self.tail.is_empty()).then_some(&self.tail);
+        self.runs.iter().map(|run| &**run).chain(tail)
     }
 
     /// Removes every row, keeping the tail's buffers for the next rows.

@@ -13,9 +13,10 @@
 //!
 //! [`ShardStore::append`] is the whole phase-one write: it validates the
 //! batch against the shard's table schema — the one place rows are
-//! validated — encodes it (only when the shard has a WAL), copies its cells
-//! into column batches of their own, group-appends the payload with no lock
-//! held, then appends the column batches to the row store's tail under the
+//! validated — copies its cells into column runs of their own, encodes the
+//! payload from the runs (only when the shard has a WAL: a LogBlock column
+//! block per column, the batch's one encoding), group-appends it with no
+//! lock held, then appends the runs to the row store's tail under the
 //! lock and confirms the LSN applied before it drops the lock. In between
 //! the LSN is *unapplied*; a drop guard confirms it if the apply unwinds,
 //! leaving the rows "in doubt" — never acknowledged, never applied live.
@@ -28,7 +29,7 @@
 //! log (fsynced) a **checkpoint** of the shard at the take: `take` (the
 //! WAL's next LSN), `unapplied` (the LSNs below it logged but not applied),
 //! `open` (the checkpoints of earlier drains neither acked nor restored),
-//! the archived counter, the drained rows, then the kept rows — the rest of
+//! the archived counter, the drained runs, then the kept runs — the rest of
 //! the store, none after a `drain_all`. A drain that would take rows while
 //! another has taken and not logged yet waits for it (`wal.shard.logged`),
 //! so checkpoint LSN order is take order. The checkpoint's LSN names the
@@ -38,26 +39,30 @@
 //! (an ack record names it) or [`ShardStore::restore_unarchived`] (the
 //! rows go back).
 //!
-//! Replay starts at the last checkpoint C: its kept rows, then the batches
-//! it names in `unapplied` or `[C.take, C)`. Each drain of `C.open` and C
-//! is then archived in full if an ack names it, else its committed prefix
-//! ([`DrainCommit`], split with [`partition_runs`] as the builder uploaded
-//! it) stays out and the rest goes back with [`RowStore::restore`]. Every
-//! batch after C follows; without a checkpoint, every batch. A record that
-//! does not decode or is not a row of the schema, or an LSN C names that
-//! the WAL lacks or that holds another kind of record, is
+//! Replay decodes the logged runs straight back into runs. It starts at the
+//! last checkpoint C: its kept runs, then the batches it names in
+//! `unapplied` or `[C.take, C)`, each joining the tail as its live append
+//! did. Each drain of `C.open` and C is then archived in full if an ack
+//! names it, else its committed prefix ([`DrainCommit`], split with
+//! [`partition_runs`] as the builder uploaded it) stays out and the rest
+//! goes back with [`RowStore::restore`]. Every batch after C follows;
+//! without a checkpoint, every batch. Runs that do not decode as the
+//! schema types them (another schema's fingerprint, a block the column
+//! codec rejects, a NULL in a NOT NULL column), or an LSN C names that the
+//! WAL lacks or that holds another kind of record, is
 //! [`Error::Corruption`]; an ack of a drain no longer in the WAL is
 //! ignored. Replay reads nothing below C's bound `min(take, unapplied,
 //! open)`, which never decreases, so every ack rotates the active segment
 //! and drops the whole segments below the last bound.
 
 use crate::group::{GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
-use crate::rowstore::{partition_runs, Drained, RowSnapshot, RowStore};
-use logstore_codec::batch::{decode_batch, encode_batch_into, read_batch};
-use logstore_codec::valser::put_cells;
+use crate::rowstore::{partition_runs, Drained, RowSnapshot, RowStore, Run, RUN_ROWS};
+use logstore_codec::crc::crc32c;
 use logstore_codec::varint::{put_uvarint, read_uvarint};
+use logstore_codec::Compression;
+use logstore_logblock::column::{decode_block_into, encode_column_into};
 use logstore_sync::{sync_point, OrderedCondvar, OrderedMutex};
-use logstore_types::{Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
+use logstore_types::{ColumnVec, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 use std::path::Path;
@@ -90,12 +95,14 @@ pub type LoggedDrain = (Option<Lsn>, Drained);
 /// engine's ingest stage timers. The stages add up to the call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AppendTimes {
-    /// Validating the rows against the schema and encoding the WAL payload
-    /// (no encoding on a memory-only shard).
+    /// Validating the rows against the schema, staging them into column
+    /// runs and encoding the WAL payload from the runs (no encoding on a
+    /// memory-only shard).
     pub encode: Duration,
     /// The group append: waiting for, and sharing, a group commit.
     pub wal: Duration,
-    /// Moving the rows into the row store, the lock wait included.
+    /// Appending the staged runs to the row store under the lock, the lock
+    /// wait included.
     pub apply: Duration,
 }
 
@@ -140,24 +147,102 @@ impl Checkpoint {
         put_uvarint(out, self.archived);
     }
 
-    /// Decodes checkpoint `lsn`'s body: the header, the drained rows and
-    /// the kept rows.
-    fn decode(
-        schema: &TableSchema,
-        lsn: Lsn,
-        body: &[u8],
-    ) -> Result<(Self, Drained, Vec<LogRecord>)> {
+    /// Decodes checkpoint `lsn`'s body: the header, the drained runs and
+    /// the kept runs.
+    fn decode(typing: &Typing, lsn: Lsn, body: &[u8]) -> Result<(Self, Drained, Drained)> {
         let pos = &mut 0;
         let take = read_uvarint(body, pos)?;
         let (unapplied, open) = (read_lsns(body, pos)?, read_lsns(body, pos)?);
         let archived = read_uvarint(body, pos)?;
-        let drained = rows_of(schema, lsn, read_batch(body, pos))?;
-        let kept = rows_of(schema, lsn, read_batch(body, pos))?;
-        if *pos != body.len() {
-            return Err(corrupt(lsn, "trailing bytes"));
+        let [drained, kept] = typing.read_runs(lsn, body, pos)?.map(Drained::from_runs);
+        Ok((Checkpoint { take, unapplied, open, archived }, drained, kept))
+    }
+}
+
+/// The schema the WAL's runs are typed by, and its fingerprint — a crc32c
+/// over each column's type and nullability — which leads them in a record.
+struct Typing {
+    schema: Arc<TableSchema>,
+    fingerprint: [u8; 4],
+}
+
+impl Typing {
+    fn new(schema: Arc<TableSchema>) -> Typing {
+        let typed: Vec<u8> =
+            schema.columns.iter().flat_map(|c| [c.data_type.tag(), c.nullable.into()]).collect();
+        Typing { fingerprint: crc32c(&typed).to_le_bytes(), schema }
+    }
+
+    /// Appends `uvarint count | (uvarint rows | (uvarint len | column
+    /// block)^width)^count`, each block's data frame raw.
+    fn put_runs<'a>(out: &mut Vec<u8>, runs: impl Iterator<Item = &'a Run> + Clone) {
+        put_uvarint(out, runs.clone().count() as u64);
+        let mut block = Vec::new();
+        for run in runs {
+            put_uvarint(out, run.len() as u64);
+            for col in 0..run.width() {
+                block.clear();
+                encode_column_into(run.column(col), Compression::None, &mut block);
+                put_uvarint(out, block.len() as u64);
+                out.extend_from_slice(&block);
+            }
         }
-        let header = Checkpoint { take, unapplied, open, archived };
-        Ok((header, Drained::from_records(schema, &drained), kept))
+    }
+
+    /// The batch payload of the rows `staged` holds.
+    fn batch_payload(&self, staged: &RowStore) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(16 + staged.bytes());
+        payload.push(PAYLOAD_BATCH);
+        payload.extend_from_slice(&self.fingerprint);
+        Typing::put_runs(&mut payload, staged.runs());
+        payload
+    }
+
+    /// Reads the fingerprint, then the `N` [`Typing::put_runs`] lists that
+    /// end record `lsn`'s body, each column decoded as the schema types it.
+    /// A run of no rows or of more than the store seals is corruption, and
+    /// so is a NULL in a NOT NULL column.
+    fn read_runs<const N: usize>(
+        &self,
+        lsn: Lsn,
+        body: &[u8],
+        pos: &mut usize,
+    ) -> Result<[Vec<Run>; N]> {
+        if body.get(*pos..*pos + 4) != Some(&self.fingerprint[..]) {
+            return Err(corrupt(lsn, "runs of another schema"));
+        }
+        *pos += 4;
+        let mut lists = [(); N].map(|()| Vec::new());
+        for runs in &mut lists {
+            let count = read_uvarint(body, pos)?;
+            // Every run takes bytes: a count past the body sizes nothing.
+            runs.reserve(count.min((body.len() - *pos) as u64) as usize);
+            for _ in 0..count {
+                let rows = read_uvarint(body, pos)?;
+                if !(1..=RUN_ROWS as u64).contains(&rows) {
+                    return Err(corrupt(lsn, format!("a run of {rows} rows")));
+                }
+                let mut columns = Vec::with_capacity(self.schema.width());
+                for column in &self.schema.columns {
+                    let len = read_uvarint(body, pos)? as usize;
+                    let block = body.get(*pos..).and_then(|rest| rest.get(..len));
+                    let block = block.ok_or_else(|| corrupt(lsn, "a block past the body"))?;
+                    let mut cells = ColumnVec::default();
+                    decode_block_into(column.data_type, block, rows as u32, &mut cells)
+                        .map_err(|e| corrupt(lsn, e))?;
+                    if !column.nullable && cells.has_nulls() {
+                        return Err(corrupt(lsn, format!("a NULL in NOT NULL '{}'", column.name)));
+                    }
+                    *pos += len;
+                    columns.push(cells);
+                }
+                runs.push(Run::from_columns(columns));
+            }
+        }
+        match *pos == body.len() {
+            true => Ok(lists),
+            false => Err(corrupt(lsn, "trailing bytes")),
+        }
     }
 }
 
@@ -187,7 +272,7 @@ pub struct ShardStore {
     /// `None` on a memory-only shard.
     wal: Option<GroupCommitWal>,
     /// The table every buffered and logged row is a row of.
-    schema: Arc<TableSchema>,
+    typing: Typing,
     inner: OrderedMutex<Inner>,
     /// `Inner::logging` went false.
     logged: OrderedCondvar,
@@ -198,7 +283,7 @@ impl ShardStore {
     /// WAL behind it, so nothing survives a restart and drains carry no LSN.
     pub fn in_memory(schema: Arc<TableSchema>) -> Self {
         let rows = RowStore::new(&schema);
-        Self::assemble(None, schema, rows, (0, 0))
+        Self::assemble(None, Typing::new(schema), rows, (0, 0))
     }
 
     /// Opens the shard directory, replaying any existing WAL. Drains the
@@ -226,14 +311,15 @@ impl ShardStore {
         committed: &dyn Fn(Lsn) -> Option<DrainCommit>,
     ) -> Result<Self> {
         let (wal, log) = GroupCommitWal::open(dir, config)?;
-        let (rows, counters) = replay(&schema, &log, committed)?;
-        Ok(Self::assemble(Some(wal), schema, rows, counters))
+        let typing = Typing::new(schema);
+        let (rows, counters) = replay(&typing, &log, committed)?;
+        Ok(Self::assemble(Some(wal), typing, rows, counters))
     }
 
     /// The one construction site, so the lock label names one lock.
     fn assemble(
         wal: Option<GroupCommitWal>,
-        schema: Arc<TableSchema>,
+        typing: Typing,
         rows: RowStore,
         (records_appended, records_archived): (u64, u64),
     ) -> Self {
@@ -249,19 +335,23 @@ impl ShardStore {
         };
         ShardStore {
             wal,
-            schema,
+            typing,
             inner: OrderedMutex::new("wal.shard.inner", inner),
             logged: OrderedCondvar::new("wal.shard.logged"),
         }
     }
 
-    /// Encodes records into the tagged batch WAL payload (pure): the tag
-    /// and the batch body in one buffer.
+    /// The batch payload a shard of [`TableSchema::request_log`] logs for
+    /// its `records` (pure), for the benchmark's WAL probes; ROADMAP 1(a)
+    /// deletes it along with them.
+    #[doc(hidden)]
     pub fn encode_batch_payload(records: &[LogRecord]) -> Vec<u8> {
-        let mut payload = vec![PAYLOAD_BATCH];
-        encode_batch_into(&mut payload, records);
-        payload
+        let typing = Typing::new(Arc::new(TableSchema::request_log()));
+        let mut staged = RowStore::new(&typing.schema);
+        staged.insert_batch(records);
+        typing.batch_payload(&staged)
     }
+
     /// Phase-one ingest of one batch: validates it against the schema,
     /// appends it to the WAL with no lock held, blocking on the group's
     /// barrier so concurrent producers share one group commit, then moves
@@ -277,22 +367,22 @@ impl ShardStore {
     pub fn append_timed(&self, records: Vec<LogRecord>) -> Result<AppendTimes> {
         STAGING.with_borrow_mut(|staged| {
             let start = Instant::now();
+            let schema = &self.typing.schema;
             for r in &records {
-                r.validate(&self.schema)?;
+                r.validate(schema)?;
             }
+            let staged = match staged {
+                Some(staged) if staged.is_typed_by(schema) => staged,
+                // This thread's first append, or its first to a shard of
+                // another schema: the only time staging allocates.
+                _ => staged.insert(RowStore::new(schema)),
+            };
+            stage(staged, records);
             let payload = match self.wal {
-                Some(_) => Self::encode_batch_payload(&records),
+                Some(_) => self.typing.batch_payload(staged),
                 None => Vec::new(),
             };
             let encoded = Instant::now();
-            let staged = match staged {
-                Some(staged) if staged.is_typed_by(&self.schema) => staged,
-                // This thread's first append, or its first to a shard of
-                // another schema: the only time staging allocates.
-                _ => staged.insert(RowStore::new(&self.schema)),
-            };
-            stage(staged, records);
-            let staged_at = Instant::now();
             let logged = self.log_batch(&payload)?;
             let logged_at = Instant::now();
             // Logged but not yet applied: the window in which a checkpoint
@@ -301,15 +391,15 @@ impl ShardStore {
             self.apply(staged, logged);
             Ok(AppendTimes {
                 encode: encoded - start,
-                wal: logged_at - staged_at,
-                apply: (staged_at - encoded) + logged_at.elapsed(),
+                wal: logged_at - encoded,
+                apply: logged_at.elapsed(),
             })
         })
     }
 
-    /// First half of [`ShardStore::append`]: group-appends `payload` (made
-    /// by [`ShardStore::encode_batch_payload`]) to the WAL. A memory-only
-    /// shard ignores the payload.
+    /// First half of [`ShardStore::append`]: group-appends `payload`, the
+    /// batch payload of the staged rows, to the WAL. A memory-only shard
+    /// ignores the payload.
     fn log_batch(&self, payload: &[u8]) -> Result<LoggedBatch<'_>> {
         let pin = match &self.wal {
             Some(wal) => {
@@ -416,11 +506,15 @@ impl ShardStore {
         // The runs are immutable: the checkpoint is encoded from them
         // outside the lock, beside any query still reading them.
         sync_point("wal.shard.drain_window");
-        // The payload: tag, header, the drained rows, the kept rows.
+        // The payload: tag, header, fingerprint, the drained runs, the kept
+        // runs.
         let mut payload = Vec::with_capacity(16 + drained.bytes() + kept.bytes());
         payload.push(PAYLOAD_CHECKPOINT);
         checkpoint.put_header(&mut payload);
-        [&drained, &kept].into_iter().for_each(|rows| put_runs(&mut payload, rows));
+        payload.extend_from_slice(&self.typing.fingerprint);
+        for rows in [&drained, &kept] {
+            Typing::put_runs(&mut payload, rows.runs().iter().map(|run| &**run));
+        }
         let logged = wal.append_unpinned(&payload, true);
         let mut inner = self.inner.lock();
         inner.logging = false;
@@ -481,7 +575,7 @@ impl ShardStore {
 /// Rebuilds a shard's rows and `(appended, archived)` counters from its
 /// WAL, `log` (see the module docs).
 fn replay(
-    schema: &TableSchema,
+    typing: &Typing,
     log: &[ReplayedRecord],
     committed: &dyn Fn(Lsn) -> Option<DrainCommit>,
 ) -> Result<(RowStore, (u64, u64))> {
@@ -496,13 +590,14 @@ fn replay(
             (lsn, tag, _) => return Err(corrupt(lsn, format!("unknown tag {tag}"))),
         }
     }
-    let (mut rows, mut archived) = (RowStore::new(schema), 0u64);
+    let batch = |lsn, body| typing.read_runs(lsn, body, &mut 0).map(|[runs]| runs);
+    let (mut rows, mut archived) = (RowStore::new(&typing.schema), 0u64);
     let after = match last {
         None => 0,
         Some(i) => {
             let (c, _, body) = split(&log[i])?;
-            let (checkpoint, drained, kept) = Checkpoint::decode(schema, c, body)?;
-            rows.insert_batch(&kept);
+            let (checkpoint, drained, kept) = Checkpoint::decode(typing, c, body)?;
+            rows.restore(kept);
             archived = checkpoint.archived;
             // The record at `lsn`, which checkpoint `c` names.
             let named =
@@ -513,9 +608,7 @@ fn replay(
             let wrong = |lsn| corrupt(c, format!("names {lsn}, a record of another kind"));
             for lsn in checkpoint.unapplied.iter().copied().chain(checkpoint.take..c) {
                 match named(lsn)? {
-                    (_, PAYLOAD_BATCH, body) => {
-                        rows.insert_batch(&rows_of(schema, lsn, decode_batch(body))?)
-                    }
+                    (_, PAYLOAD_BATCH, body) => rows.absorb_runs(batch(lsn, body)?),
                     (_, PAYLOAD_ACK, _) if lsn >= checkpoint.take => {}
                     _ => return Err(wrong(lsn)),
                 }
@@ -528,7 +621,7 @@ fn replay(
                 let drained = match (drained, named(drain)?) {
                     (Some(drained), _) => drained,
                     (None, (_, PAYLOAD_CHECKPOINT, body)) => {
-                        Checkpoint::decode(schema, drain, body)?.1
+                        Checkpoint::decode(typing, drain, body)?.1
                     }
                     _ => return Err(wrong(drain)),
                 };
@@ -543,7 +636,7 @@ fn replay(
     };
     for record in &log[after..] {
         if let (lsn, PAYLOAD_BATCH, body) = split(record)? {
-            rows.insert_batch(&rows_of(schema, lsn, decode_batch(body))?);
+            rows.absorb_runs(batch(lsn, body)?);
         }
     }
     let appended = archived.checked_add(rows.row_count() as u64);
@@ -580,36 +673,15 @@ thread_local! {
     static STAGING: RefCell<Option<RowStore>> = const { RefCell::new(None) };
 }
 
-/// Copies the cells of `records` into `staged`, for [`RowStore::absorb`]
-/// to append under the lock in bulk. The records are dropped here: while
-/// their cells are still in cache from the payload encode, and on the
-/// producer that allocated them.
+/// Copies the cells of `records` into `staged`, for the payload to be
+/// encoded from and for [`RowStore::absorb`] to append under the lock in
+/// bulk. The records are dropped here, on the producer that allocated
+/// them.
 fn stage(staged: &mut RowStore, records: Vec<LogRecord>) {
     // Whatever an append that failed or unwound left here was never
     // applied.
     staged.clear();
     staged.insert_batch(&records);
-}
-
-/// Appends the batch encoding of the rows of `drained` — the bytes
-/// [`encode_batch_into`] writes for them as records — encoded from the
-/// runs' cells.
-fn put_runs(out: &mut Vec<u8>, drained: &Drained) {
-    put_uvarint(out, drained.len() as u64);
-    for run in drained.runs() {
-        for row in 0..run.len() {
-            put_cells(out, run.width(), (0..run.width()).map(|col| run.cell(col, row)));
-        }
-    }
-}
-
-/// Decoded rows of record `lsn`, validated: a CRC-valid row that is not a
-/// row of the schema was never appended by this shard — corrupt, like one
-/// that does not decode.
-fn rows_of(schema: &TableSchema, lsn: Lsn, rows: Result<Vec<LogRecord>>) -> Result<Vec<LogRecord>> {
-    let rows =
-        rows.and_then(|rows| rows.iter().try_for_each(|r| r.validate(schema)).map(|()| rows));
-    rows.map_err(|e| corrupt(lsn, e))
 }
 
 /// Reads a count, then that many LSNs.
@@ -766,9 +838,10 @@ mod tests {
         assert_eq!(s.counters(), (100, 100));
         assert_eq!(ack(&s, lsn), Some(102), "no drain is left to settle");
         // Every segment below the one holding the take (and the checkpoint)
-        // is cut; the ack went into a segment of its own and rotated to a
-        // fresh active one.
-        assert_eq!(segments(&dir), [97, 102, 103]);
+        // is cut — four batches fill a segment, so the take opens one of
+        // its own — and the ack went into a segment of its own and rotated
+        // to a fresh active one.
+        assert_eq!(segments(&dir), [101, 102, 103]);
         drop(s);
         let s = ShardStore::open(&dir, config, schema()).unwrap();
         assert_eq!(s.buffered_rows(), 0, "archived rows must not resurrect");
@@ -1089,17 +1162,19 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
             /// Staged in sub-batches and appended in bulk, the rows read
-            /// back as they arrived, and the rows a checkpoint encodes from
-            /// the runs are the batch the records encode to.
+            /// back as they arrived; the payload of each sub-batch's staged
+            /// runs replays into the same runs, rows and bytes, and so do
+            /// the runs a checkpoint logs.
             #[test]
             fn prop_rows_from_runs_are_the_record_batch(
                 rows in rows(),
                 cuts in vec(0usize..40, 0..6),
                 seal_at in vec(0usize..40, 0..3),
             ) {
-                let schema = every_type();
-                let mut store = RowStore::new(&schema);
-                let mut staged = RowStore::new(&schema);
+                let typing = Typing::new(Arc::new(every_type()));
+                let mut store = RowStore::new(&typing.schema);
+                let mut replayed = RowStore::new(&typing.schema);
+                let mut staged = RowStore::new(&typing.schema);
                 let mut cuts = cuts;
                 cuts.push(rows.len());
                 cuts.sort_unstable();
@@ -1107,19 +1182,29 @@ mod tests {
                 for cut in cuts {
                     let cut = cut.clamp(start, rows.len());
                     stage(&mut staged, rows[start..cut].to_vec());
+                    let payload = typing.batch_payload(&staged);
+                    let [runs] = typing.read_runs(1, &payload[1..], &mut 0).unwrap();
+                    replayed.absorb_runs(runs);
                     store.absorb(&mut staged);
                     if seal_at.contains(&cut) {
                         store.snapshot(TenantId(1), TimeRange::all());
+                        replayed.snapshot(TenantId(1), TimeRange::all());
                     }
                     start = cut;
                 }
                 prop_assert_eq!(store.row_count(), rows.len());
                 prop_assert_eq!(store.bytes(), rows.iter().map(LogRecord::approx_size).sum::<usize>());
+                let run_rows = |s: &RowStore| s.runs().map(Run::len).collect::<Vec<_>>();
+                prop_assert_eq!(run_rows(&replayed), run_rows(&store));
+                prop_assert_eq!(replayed.bytes(), store.bytes());
+                prop_assert_eq!(&replayed.drain_all().records(), &rows);
                 let drained = store.drain_all();
                 prop_assert_eq!(&drained.records(), &rows);
-                let mut by_runs = Vec::new();
-                put_runs(&mut by_runs, &drained);
-                prop_assert_eq!(by_runs, logstore_codec::batch::encode_batch(&rows));
+                let mut logged = typing.fingerprint.to_vec();
+                Typing::put_runs(&mut logged, drained.runs().iter().map(|run| &**run));
+                let [back] = typing.read_runs(1, &logged, &mut 0).unwrap();
+                let back = Drained::from_runs(back);
+                prop_assert_eq!((back.records(), back.bytes()), (rows, drained.bytes()));
             }
         }
     }
@@ -1184,7 +1269,7 @@ mod tests {
                     let path = entry.unwrap().path();
                     fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
                 }
-                let counters = s.counters();
+                let (counters, bytes) = (s.counters(), s.buffered_bytes());
                 let live = s.drain_all(0).unwrap().map(|(_, rows)| rows.records());
                 drop(s);
                 let lookup = |lsn| drain.and_then(|(l, commit)| (l == lsn).then_some(commit));
@@ -1192,6 +1277,7 @@ mod tests {
                 let _ = (fs::remove_dir_all(&dir), fs::remove_dir_all(&copy));
                 let replayed = replayed.unwrap();
                 prop_assert_eq!(replayed.counters(), counters);
+                prop_assert_eq!(replayed.buffered_bytes(), bytes);
                 let rows = replayed.drain_all(0).unwrap().map(|(_, rows)| rows.records());
                 prop_assert_eq!(rows, live);
             }
@@ -1399,20 +1485,17 @@ mod tests {
 
     mod hostile_records {
         use super::*;
+        use logstore_codec::compress;
         use proptest::collection::vec;
         use proptest::prelude::*;
 
-        /// A few rows of the schema, and now and then one of five cells,
-        /// outside it.
+        fn typing() -> Typing {
+            Typing::new(schema())
+        }
+
+        /// A few rows of the schema.
         fn rows() -> impl Strategy<Value = Vec<LogRecord>> {
-            let row = (1u64..3, 0i64..4, 0u8..8).prop_map(|(t, ts, odd)| {
-                let mut row = rec(t, ts);
-                if odd == 0 {
-                    row.fields.truncate(3);
-                }
-                row
-            });
-            vec(row, 0..6)
+            vec((1u64..3, 0i64..4).prop_map(|(t, ts)| rec(t, ts)), 0..6)
         }
 
         /// LSNs in and out of a WAL of at most 8 records.
@@ -1424,14 +1507,115 @@ mod tests {
             })
         }
 
+        /// `rows` staged as one run, if there are any.
+        fn runs_of(rows: &[LogRecord]) -> Vec<Run> {
+            (!rows.is_empty()).then(|| Run::from_rows(&schema(), rows)).into_iter().collect()
+        }
+
+        /// The columns of `rows`, staged as one run.
+        fn columns_of(rows: &[LogRecord]) -> Vec<ColumnVec> {
+            let run = Run::from_rows(&schema(), rows);
+            (0..run.width()).map(|col| run.column(col).clone()).collect()
+        }
+
+        /// A column block of each of `columns`.
+        fn blocks(columns: &[ColumnVec]) -> Vec<Vec<u8>> {
+            let block = |column| {
+                let mut block = Vec::new();
+                encode_column_into(column, Compression::None, &mut block);
+                block
+            };
+            columns.iter().map(block).collect()
+        }
+
+        /// One run's bytes: a row count, then a block of each column.
+        fn run_bytes(rows: u64, columns: &[ColumnVec]) -> Vec<u8> {
+            raw_run(rows, &blocks(columns))
+        }
+
+        /// One run's bytes around the given column blocks.
+        fn raw_run(rows: u64, blocks: &[Vec<u8>]) -> Vec<u8> {
+            let mut out = Vec::new();
+            put_uvarint(&mut out, rows);
+            for block in blocks {
+                put_uvarint(&mut out, block.len() as u64);
+                out.extend_from_slice(block);
+            }
+            out
+        }
+
+        /// A batch payload under `tag` of `count` runs of the given bytes,
+        /// with the schema's fingerprint.
+        fn batch(tag: u8, count: u64, runs: &[u8]) -> Vec<u8> {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&typing().fingerprint);
+            put_uvarint(&mut payload, count);
+            payload.extend_from_slice(runs);
+            payload
+        }
+
+        /// A batch that no append of the shard logs, made from `rows` (at
+        /// least one) by one of eight defects, `at` picking where.
+        fn hostile(defect: u8, rows: &[LogRecord], at: usize) -> Vec<u8> {
+            let n = rows.len() as u64;
+            let columns = columns_of(rows);
+            let valid = batch(PAYLOAD_BATCH, 1, &run_bytes(n, &columns));
+            match defect {
+                // Cut anywhere past the fingerprint.
+                0 => valid[..5 + at % (valid.len() - 5)].to_vec(),
+                // One column block without its last byte.
+                1 => {
+                    let mut blocks = blocks(&columns);
+                    blocks[at % columns.len()].pop();
+                    batch(PAYLOAD_BATCH, 1, &raw_run(n, &blocks))
+                }
+                // More runs than the body holds.
+                2 => batch(PAYLOAD_BATCH, u64::MAX >> (at % 60), &run_bytes(n, &columns)),
+                // More rows than the blocks hold.
+                3 => batch(PAYLOAD_BATCH, 1, &run_bytes(n + 1 + at as u64 % 64, &columns)),
+                // A run longer than any the store seals.
+                4 => {
+                    let long = vec![rows[0].clone(); RUN_ROWS + 1];
+                    batch(PAYLOAD_BATCH, 1, &run_bytes(long.len() as u64, &columns_of(&long)))
+                }
+                // A NULL tenant or timestamp.
+                5 => {
+                    let mut columns = columns;
+                    let key = &mut columns[at % 2];
+                    *key = ColumnVec::empty(key.data_type());
+                    key.push_nulls(rows.len());
+                    batch(PAYLOAD_BATCH, 1, &run_bytes(n, &columns))
+                }
+                // A byte that is not UTF-8 in a string column.
+                6 => {
+                    let mut blocks = blocks(&columns);
+                    let bitset = compress(Compression::Rle, &vec![0; rows.len().div_ceil(8)]);
+                    let data: Vec<u8> = rows.iter().flat_map(|_| [1, 0xff]).collect();
+                    let string = &mut blocks[2];
+                    string.clear();
+                    put_uvarint(string, bitset.len() as u64);
+                    string.extend_from_slice(&bitset);
+                    string.extend_from_slice(&compress(Compression::None, &data));
+                    batch(PAYLOAD_BATCH, 1, &raw_run(n, &blocks))
+                }
+                // Runs of another schema.
+                _ => {
+                    let mut payload = valid;
+                    payload[1 + at % 4] ^= 1 << (at % 8);
+                    payload
+                }
+            }
+        }
+
         /// A WAL payload: a batch, a checkpoint whose header names LSNs in
-        /// and out of the WAL, an ack of a known or unknown drain, a row
-        /// batch under the unknown tag 3, or a known or unknown tag in front
-        /// of arbitrary bytes.
+        /// and out of the WAL, an ack of a known or unknown drain, a batch
+        /// under the unknown tag 3, a known or unknown tag in front of
+        /// arbitrary bytes, or a [`hostile`] batch.
         fn payload() -> impl Strategy<Value = Vec<u8>> {
-            let batch = |tag: u8, rows: &[LogRecord]| {
+            let valid = |tag: u8, rows: &[LogRecord]| {
                 let mut payload = vec![tag];
-                encode_batch_into(&mut payload, rows);
+                payload.extend_from_slice(&typing().fingerprint);
+                Typing::put_runs(&mut payload, runs_of(rows).iter());
                 payload
             };
             let header = (0u64..12, lsns(), lsns(), 0u64..40);
@@ -1439,8 +1623,10 @@ mod tests {
                 |((take, unapplied, open, archived), drained, kept)| {
                     let mut payload = vec![PAYLOAD_CHECKPOINT];
                     Checkpoint { take, unapplied, open, archived }.put_header(&mut payload);
-                    encode_batch_into(&mut payload, &drained);
-                    encode_batch_into(&mut payload, &kept);
+                    payload.extend_from_slice(&typing().fingerprint);
+                    for rows in [&drained, &kept] {
+                        Typing::put_runs(&mut payload, runs_of(rows).iter());
+                    }
                     payload
                 },
             );
@@ -1449,39 +1635,74 @@ mod tests {
                 put_uvarint(&mut payload, lsn);
                 payload
             });
+            let some_rows = vec((1u64..3, 0i64..4).prop_map(|(t, ts)| rec(t, ts)), 1..6);
             // Mostly batches, so that whole WALs replay too.
             prop_oneof![
-                8 => rows().prop_map(move |rows| batch(PAYLOAD_BATCH, &rows)),
+                8 => rows().prop_map(move |rows| valid(PAYLOAD_BATCH, &rows)),
                 3 => checkpoint,
                 2 => ack,
-                1 => rows().prop_map(move |rows| batch(3, &rows)),
+                1 => rows().prop_map(move |rows| valid(3, &rows)),
                 1 => (0u8..4, vec(any::<u8>(), 0..48))
                     .prop_map(|(tag, body)| [vec![tag], body].concat()),
                 1 => vec(any::<u8>(), 0..48),
+                4 => (0u8..8, some_rows, any::<usize>())
+                    .prop_map(|(defect, rows, at)| hostile(defect, &rows, at)),
             ]
+        }
+
+        /// Appends `payloads` to a fresh WAL in `dir` through the group
+        /// commit, so every frame is CRC-valid, and opens the shard.
+        fn replay(
+            dir: &Path,
+            payloads: &[Vec<u8>],
+            commit: Option<DrainCommit>,
+        ) -> Result<ShardStore> {
+            {
+                let (wal, _) = GroupCommitWal::open(dir, WalConfig::default()).unwrap();
+                for payload in payloads {
+                    wal.append(payload).unwrap();
+                }
+            }
+            let opened = ShardStore::open_with(dir, WalConfig::default(), schema(), &|_| commit);
+            let _ = fs::remove_dir_all(dir);
+            opened
+        }
+
+        #[test]
+        fn every_hostile_batch_fails_the_open() {
+            let rows: Vec<LogRecord> = (0..11).map(|i| rec(1 + i % 2, i as i64)).collect();
+            let dir = temp_dir("hostile-each");
+            let valid = ShardStore::encode_batch_payload(&rows);
+            assert_eq!(
+                replay(&dir, std::slice::from_ref(&valid), None).unwrap().buffered_rows(),
+                11
+            );
+            for defect in 0..8 {
+                for at in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
+                    let payloads = [valid.clone(), hostile(defect, &rows, at)];
+                    match replay(&dir, &payloads, None) {
+                        Err(Error::Corruption(_)) => {}
+                        Err(e) => panic!("defect {defect} at {at}: {e}"),
+                        Ok(_) => panic!("defect {defect} at {at} replayed"),
+                    }
+                }
+            }
         }
 
         proptest! {
             /// Every frame is CRC-valid (the records go through the group
             /// commit), so replay meets the bytes as they are: it returns a
             /// shard whose counters add up, or a typed error — never a
-            /// panic. A record outside the schema is corruption.
+            /// panic. Runs a shard of the schema could not have logged are
+            /// corruption.
             #[test]
             fn arbitrary_wal_records_replay_or_fail_typed(
                 payloads in vec(payload(), 0..8),
                 commit in prop_oneof![Just(None), (0u64..4, 0usize..4).prop_map(Some)],
             ) {
                 let dir = temp_dir("hostile");
-                {
-                    let (wal, _) = GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
-                    for payload in &payloads {
-                        wal.append(payload).unwrap();
-                    }
-                }
                 let commit = commit.map(|(chunks, chunk_rows)| DrainCommit { chunks, chunk_rows });
-                let opened = ShardStore::open_with(&dir, WalConfig::default(), schema(), &|_| commit);
-                let _ = fs::remove_dir_all(&dir);
-                match opened {
+                match replay(&dir, &payloads, commit) {
                     Ok(s) => {
                         let (appended, archived) = s.counters();
                         prop_assert_eq!(s.buffered_rows() as u64 + archived, appended);

@@ -2,9 +2,10 @@
 //! across process "restarts" (engine reopen over the same data dir).
 
 use logstore::core::{ClusterConfig, LogStore};
-use logstore::types::{Error, LogRecord, TenantId, Timestamp, Value};
-use logstore::wal::{GroupCommitWal, ShardStore, WalConfig};
+use logstore::types::{Error, LogRecord, TableSchema, TenantId, Timestamp, Value};
+use logstore::wal::{ShardStore, WalConfig};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -75,17 +76,19 @@ fn flushed_rows_do_not_replay_after_restart() {
 
 #[test]
 fn a_wal_record_outside_the_schema_fails_the_open() {
-    // A CRC-valid batch in a shard's WAL: one `request_log` row and one of
-    // five cells, which no append of this shard could have logged. Replay
-    // must refuse the WAL, not buffer a row that every flush then fails on.
+    // A CRC-valid batch in a shard's WAL: a row of five cells, logged by a
+    // shard of a five-column table, which no append of a `request_log`
+    // shard could have logged. Replay must refuse the WAL, not buffer runs
+    // that every flush then fails on.
     let dir = temp_dir("outside-schema");
     {
         let shard_dir = dir.join("worker-0").join("shard-0");
-        let (wal, _) = GroupCommitWal::open(shard_dir, WalConfig::default()).expect("open wal");
+        let five = TableSchema::new("five", TableSchema::request_log().columns[..5].to_vec());
+        let shard = ShardStore::open(shard_dir, WalConfig::default(), Arc::new(five.unwrap()))
+            .expect("open a shard of the five-column table");
         let mut short = rec(1, 200, "five cells");
         short.fields.truncate(3);
-        let payload = ShardStore::encode_batch_payload(&[rec(1, 100, "valid"), short]);
-        wal.append(&payload).expect("append");
+        shard.append(vec![short]).expect("a row of the five-column table");
     }
     let err = LogStore::open(durable_config(&dir)).err().expect("the open must fail");
     assert!(matches!(err, Error::Corruption(_)), "{err}");
