@@ -203,14 +203,13 @@ const GOLDEN_COMPACTED: &[(&str, usize, u32)] = &[
 ];
 /// Re-recorded when segments were named by their first LSN (1, 21, 22) and
 /// a drain intent lost its two seq varints (the intent's LSN names the
-/// drain), and again when each drain intent became a checkpoint of the
-/// shard: the first segment is byte-identical, the whole-shard drain's
-/// record grew by 6 bytes (its header and an empty kept-row count), and the
-/// one-tenant drain's record now carries the rows it keeps, so a fourth
-/// segment (33) opens.
+/// drain), when each drain intent became a checkpoint of the shard, and
+/// again when batches and checkpoints came to carry column runs as LogBlock
+/// column blocks instead of self-describing rows: the twenty batches are
+/// smaller, so the first segment has not reached its size when the
+/// whole-shard checkpoint (21) is logged, and the second (22) holds
+/// everything after it, the one-tenant checkpoint (32) included.
 const GOLDEN_WAL: &[(&str, usize, u32)] = &[
-    ("wal-0000000000000001.log", 131363, 4294754263),
-    ("wal-0000000000000021.log", 131124, 3844288289),
-    ("wal-0000000000000022.log", 132629, 1795942870),
-    ("wal-0000000000000033.log", 8322, 1032264137),
+    ("wal-0000000000000001.log", 232431, 81612610),
+    ("wal-0000000000000022.log", 125290, 1188019624),
 ];
