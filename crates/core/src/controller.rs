@@ -821,7 +821,7 @@ impl ClusterController {
     }
 
     /// Acknowledges one vacated route's flush: the edge leaves the pending
-    /// set and the read settling window, through the replicated log.
+    /// set, and with it the tenant's reads, through the replicated log.
     pub fn vacate_done(&self, tenant: TenantId, shard: ShardId) -> Result<()> {
         let mut cache = self.cache.lock();
         let resp = self.plane.lock().rpc(CtrlRequest::VacateDone { tenant, shard })?;
@@ -840,8 +840,9 @@ impl ClusterController {
         self.vacated_processed.load(Ordering::Relaxed)
     }
 
-    /// Shards a read for `tenant` must consult (old ∪ new plans while a
-    /// rebalance settles; the ring home for unplaced tenants).
+    /// Shards a read for `tenant` must consult (its current routes and its
+    /// vacated edges whose flush is not acknowledged yet; the ring home for
+    /// unplaced tenants).
     pub fn read_shards(&self, tenant: TenantId) -> Result<Vec<ShardId>> {
         let mut cache = self.cache.lock();
         if let Some(shards) = cache.read_shards.get(&tenant) {

@@ -20,7 +20,7 @@ use logstore_query::exec::QueryResult;
 use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, Timestamp, WorkerId,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,18 +125,6 @@ pub struct ArchiveStats {
     pub rows_restored: u64,
 }
 
-/// Which rows one archive step takes off a shard.
-enum Drain {
-    /// The whole shard, once it is over the flush threshold or when forced
-    /// (a build pass).
-    Shard { force: bool },
-    /// One tenant's rows, off the shard its route left (the
-    /// flush-instead-of-migrate optimization, §4.1.5). If the upload fails
-    /// the rows stay queryable on the old shard and the next build pass
-    /// re-archives them: a missed rebalance, never a lost row.
-    Tenant(TenantId),
-}
-
 /// An embedded LogStore cluster.
 pub struct LogStore {
     config: ClusterConfig,
@@ -237,7 +225,7 @@ impl LogStore {
         // cover (the tenant had been rebalanced off its home shard before
         // the restart). Reinstall a route for every (tenant, shard) pair
         // holding buffered rows, or those rows would be invisible to reads.
-        let mut recovered: std::collections::BTreeMap<TenantId, Vec<ShardId>> = Default::default();
+        let mut recovered: BTreeMap<TenantId, Vec<ShardId>> = BTreeMap::new();
         for worker in &workers {
             for shard in worker.shard_ids() {
                 for tenant in worker.store(shard)?.buffered_tenants() {
@@ -362,8 +350,9 @@ impl LogStore {
             // row store only when its own upload is about to start, so
             // they are out of query reach for one drain's upload, never
             // for the uploads of the shards ahead of it.
+            let min_bytes = if force { 0 } else { self.config.rowstore_flush_bytes };
             let steps = worker.shard_ids().into_iter();
-            steps.map(|shard| self.archive_step(&worker, shard, Drain::Shard { force })).collect()
+            steps.map(|shard| self.archive_step(&worker, shard, min_bytes)).collect()
         });
         // A worker was due when one of its steps archived rows or failed.
         let due = |steps: &Vec<Result<BuildReport>>| {
@@ -399,6 +388,15 @@ impl LogStore {
     /// a shard are packaged and flushed to OSS instead of migrating between
     /// nodes (paper §4.1.5) — this is what "helps to reduce node load in
     /// the case of system hotspots".
+    ///
+    /// The flush is the build pass's own drain: each shard that a vacated
+    /// tenant still has rows on is archived whole, once per tick however
+    /// many of its tenants left it, and then every vacated edge of the
+    /// shard is acknowledged. Its other tenants' rows go to OSS early, as
+    /// smaller LogBlocks that compaction merges later. If the archive
+    /// step fails, the shard's edges stay pending, so reads still reach
+    /// the rows it restored, and a later tick retries: a missed rebalance,
+    /// never a lost row.
     pub fn control_tick(&self) -> Result<ControlAction> {
         let action = self.shared.controller.control_tick()?;
         // Vacated edges persist in the replicated state until their flush
@@ -406,15 +404,21 @@ impl LogStore {
         // just the one that produced them: a controller crash between the
         // rebalance commit and the flush leaves the edge pending, and the
         // next tick (under the new leader) finishes the job. One bad
-        // tenant flush must not starve the others: every vacated route is
-        // attempted and the first error returned afterwards.
-        let mut first_error: Option<Error> = None;
+        // shard must not starve the others: every shard is attempted and
+        // the first error returned afterwards.
+        let mut vacated: BTreeMap<ShardId, Vec<TenantId>> = BTreeMap::new();
         for (tenant, shard) in self.shared.controller.vacated_routes()? {
-            let flushed = self
-                .shared
-                .worker_for(shard)
-                .and_then(|worker| self.archive_step(&worker, shard, Drain::Tenant(tenant)))
-                .and_then(|_| self.shared.controller.vacate_done(tenant, shard));
+            vacated.entry(shard).or_default().push(tenant);
+        }
+        let mut first_error: Option<Error> = None;
+        for (shard, tenants) in vacated {
+            let flushed = self.shared.worker_for(shard).and_then(|worker| {
+                let buffered = worker.store(shard)?.buffered_tenants();
+                if tenants.iter().any(|tenant| buffered.contains(tenant)) {
+                    self.archive_step(&worker, shard, 0)?;
+                }
+                tenants.iter().try_for_each(|&t| self.shared.controller.vacate_done(t, shard))
+            });
             if let Err(e) = flushed {
                 first_error.get_or_insert(e);
             }
@@ -425,9 +429,9 @@ impl LogStore {
         }
     }
 
-    /// The archive step, phase two for one shard: drain → build → upload →
-    /// admit → register → **ack**, with the engine's OSS request
-    /// concurrency.
+    /// The archive step, phase two for one shard: drain (every row, once at
+    /// least `min_bytes` are buffered) → build → upload → admit → register
+    /// → **ack**, with the engine's OSS request concurrency.
     ///
     /// The durability order is the point of this function. The drain
     /// logs a checkpoint holding its rows before the upload starts; only
@@ -440,17 +444,18 @@ impl LogStore {
     /// would vanish from the row store with the drain left open. Returns
     /// what was registered, or the first error: the checkpoint's, the
     /// upload's, else the ack's.
-    fn archive_step(&self, worker: &Worker, shard: ShardId, drain: Drain) -> Result<BuildReport> {
+    fn archive_step(
+        &self,
+        worker: &Worker,
+        shard: ShardId,
+        min_bytes: usize,
+    ) -> Result<BuildReport> {
         let store = worker.store(shard)?;
         let start = Instant::now();
-        let drained = match drain {
-            Drain::Shard { force } => {
-                store.drain_all(if force { 0 } else { self.config.rowstore_flush_bytes })
-            }
-            Drain::Tenant(tenant) => store.drain_tenant(tenant),
-        };
         // A checkpoint that failed to log left its rows in the row store.
-        let Some((lsn, drained)) = drained? else { return Ok(BuildReport::default()) };
+        let Some((lsn, drained)) = store.drain_all(min_bytes)? else {
+            return Ok(BuildReport::default());
+        };
         self.archive_timers.drain.record_duration(start.elapsed());
         // Registered before any path allocation: while this guard lives,
         // the GC pass will not sweep our pending upload paths as orphans.
@@ -801,6 +806,40 @@ mod tests {
         assert_eq!(count(&snapshot, "core.engine.workers_due").as_deref(), Some("count=1"));
         let labels: Vec<&str> = snapshot.lines().map(|l| l.split(' ').next().unwrap()).collect();
         assert!(labels.windows(2).all(|w| w[0] < w[1]), "sorted by label: {labels:?}");
+    }
+
+    #[test]
+    fn a_tick_that_vacates_two_tenants_of_one_shard_drains_it_once() {
+        let mut config = ClusterConfig::for_testing();
+        config.shard_capacity = 5_000;
+        let s = LogStore::open(config).unwrap();
+        // Four tenants on shard 0: the balancer splits the two hot ones and
+        // moves the two small ones off shard 0 altogether.
+        let tenants = [(1, 3000), (2, 3000), (3, 100), (4, 100)];
+        for (tenant, rows) in tenants {
+            s.shared().controller.restore_routes(TenantId(tenant), &[ShardId(0)]).unwrap();
+            s.ingest((0..rows).map(|i| rec(tenant, i, 1, "x")).collect()).unwrap();
+        }
+        let drains = |s: &LogStore| {
+            let snapshot = s.metrics_snapshot();
+            let line = snapshot.lines().find_map(|l| l.strip_prefix("core.engine.drain_ns "));
+            line.and_then(|l| l.split(' ').next()?.strip_prefix("count=")?.parse::<u64>().ok())
+        };
+        assert_eq!(drains(&s), Some(0), "nothing was over the flush threshold");
+        let action = s.control_tick().unwrap();
+        assert!(matches!(action, ControlAction::Rebalanced { .. }), "{action:?}");
+        let vacated = s.shared().controller.vacated_processed();
+        assert!(vacated >= 2, "two tenants with rows must leave shard 0, {vacated} did");
+        assert_eq!(drains(&s), Some(1), "one drain for the one vacated shard, not one per edge");
+        assert!(s.shared().controller.vacated_routes().unwrap().is_empty());
+        for (tenant, rows) in tenants {
+            let sql = format!("SELECT COUNT(*) FROM request_log WHERE tenant_id = {tenant}");
+            assert_eq!(
+                s.query(&sql).unwrap().rows[0][0],
+                Value::U64(rows as u64),
+                "tenant {tenant}"
+            );
+        }
     }
 
     #[test]

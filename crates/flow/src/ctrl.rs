@@ -129,14 +129,15 @@ pub enum CtrlCmd {
         routes: Vec<Route>,
     },
     /// Atomically replaces the whole routing table with the balancer's
-    /// plan. The displaced table is retained for settling-window reads and
-    /// the `(tenant, shard)` edges it loses become pending vacations.
+    /// plan. The `(tenant, shard)` edges it loses join the pending
+    /// vacations, and reads keep reaching them until each one's flush is
+    /// acknowledged; an edge the new table routes again leaves the set.
     CommitRebalance {
         /// The complete new table: every routed tenant with its routes.
         assignments: Vec<(TenantId, Vec<Route>)>,
     },
     /// Acknowledges that a vacated route's buffered rows were flushed to
-    /// OSS: the edge leaves the pending set and the settling window.
+    /// OSS: the edge leaves the pending set, and with it the tenant's reads.
     VacateRoute {
         /// The tenant whose route was vacated.
         tenant: TenantId,
@@ -192,7 +193,7 @@ impl CtrlCmd {
         let cmd = match r.u8()? {
             CMD_REGISTER => {
                 let worker = WorkerId(r.u32()?);
-                let n = r.u32()? as usize;
+                let n = r.count(12)?;
                 let mut shards = Vec::with_capacity(n);
                 for _ in 0..n {
                     shards.push((ShardId(r.u32()?), r.u64()?));
@@ -205,7 +206,7 @@ impl CtrlCmd {
                 CtrlCmd::SetRoute { tenant, routes }
             }
             CMD_REBALANCE => {
-                let n = r.u32()? as usize;
+                let n = r.count(12)?;
                 let mut assignments = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tenant = TenantId(r.u64()?);
@@ -232,7 +233,7 @@ fn encode_routes(out: &mut Vec<u8>, routes: &[Route]) {
 }
 
 fn decode_routes(r: &mut Reader<'_>) -> Result<Vec<Route>> {
-    let n = r.u32()? as usize;
+    let n = r.count(12)?;
     let mut routes = Vec::with_capacity(n);
     for _ in 0..n {
         routes.push((ShardId(r.u32()?), f64::from_bits(r.u64()?)));
@@ -248,9 +249,8 @@ pub struct ControlState {
     shard_to_worker: BTreeMap<ShardId, WorkerId>,
     worker_shards: BTreeMap<WorkerId, Vec<(ShardId, u64)>>,
     routes: RoutingTable,
-    /// The displaced plan, retained so reads can fan out to old ∪ new
-    /// shards until each vacated edge's flush is acknowledged.
-    prev_routes: RoutingTable,
+    /// Edges rebalances took out of the table whose flush is not yet
+    /// acknowledged: reads fan out to them beside the current routes.
     pending_vacated: BTreeSet<(TenantId, ShardId)>,
     version: u64,
     epoch: u64,
@@ -266,7 +266,8 @@ impl Default for ControlState {
     }
 }
 
-const STATE_MAGIC: &[u8; 4] = b"CTR1";
+/// `CTR1` snapshots also carried the displaced route table.
+const STATE_MAGIC: &[u8; 4] = b"CTR2";
 
 impl ControlState {
     /// An empty state: no workers, no routes.
@@ -276,7 +277,6 @@ impl ControlState {
             shard_to_worker: BTreeMap::new(),
             worker_shards: BTreeMap::new(),
             routes: RoutingTable::new(),
-            prev_routes: RoutingTable::new(),
             pending_vacated: BTreeSet::new(),
             version: 0,
             epoch: 0,
@@ -334,18 +334,15 @@ impl ControlState {
                     return false; // retried commit of the plan already in force
                 }
                 let old = std::mem::replace(&mut self.routes, new_table);
-                self.pending_vacated.clear();
+                // Edges still pending from an earlier plan stay pending: their
+                // shards may still buffer the tenant's rows.
                 for (tenant, routes) in old.iter() {
-                    let current = self.routes.routes(tenant);
-                    for (shard, _) in routes {
-                        let still_routed =
-                            current.is_some_and(|rs| rs.iter().any(|(s, _)| s == shard));
-                        if !still_routed {
-                            self.pending_vacated.insert((tenant, *shard));
-                        }
-                    }
+                    self.pending_vacated.extend(routes.iter().map(|(shard, _)| (tenant, *shard)));
                 }
-                self.prev_routes = old;
+                let routes = &self.routes;
+                self.pending_vacated.retain(|(tenant, shard)| {
+                    !routes.routes(*tenant).is_some_and(|rs| rs.iter().any(|(s, _)| s == shard))
+                });
                 self.version += 1;
                 self.epoch += 1;
                 true
@@ -354,7 +351,6 @@ impl ControlState {
                 if !self.pending_vacated.remove(&(*tenant, *shard)) {
                     return false; // already vacated (or never pending)
                 }
-                self.prev_routes.remove_route(*tenant, *shard);
                 self.vacated_total += 1;
                 self.version += 1;
                 self.epoch += 1;
@@ -384,14 +380,20 @@ impl ControlState {
         self.ring.assign(tenant)
     }
 
-    /// The shards a read for `tenant` must fan out to: the union of the
-    /// current routes and the still-settling previous routes, falling back
+    /// The shards a read for `tenant` must fan out to: its current routes
+    /// and its pending vacated edges — reads go "to the nodes in both old
+    /// and new plans within a period of time" (paper §4.1.5) — falling back
     /// to the ring's home shard for unplaced tenants.
     pub fn read_shards(&self, tenant: TenantId) -> Vec<ShardId> {
-        let shards = self.routes.read_shards(&self.prev_routes, tenant);
+        let routed = self.routes.routes(tenant).into_iter().flatten().map(|(shard, _)| *shard);
+        let edges = (tenant, ShardId(u32::MIN))..=(tenant, ShardId(u32::MAX));
+        let pending = self.pending_vacated.range(edges).map(|(_, shard)| *shard);
+        let mut shards: Vec<ShardId> = routed.chain(pending).collect();
         if shards.is_empty() {
             return self.ring.assign(tenant).into_iter().collect();
         }
+        shards.sort_unstable();
+        shards.dedup();
         shards
     }
 
@@ -472,12 +474,10 @@ impl ControlState {
                 out.extend_from_slice(&cap.to_le_bytes());
             }
         }
-        for table in [&self.routes, &self.prev_routes] {
-            out.extend_from_slice(&(table.tenant_count() as u32).to_le_bytes());
-            for (tenant, routes) in table.iter() {
-                out.extend_from_slice(&tenant.raw().to_le_bytes());
-                encode_routes(&mut out, routes);
-            }
+        out.extend_from_slice(&(self.routes.tenant_count() as u32).to_le_bytes());
+        for (tenant, routes) in self.routes.iter() {
+            out.extend_from_slice(&tenant.raw().to_le_bytes());
+            encode_routes(&mut out, routes);
         }
         out.extend_from_slice(&(self.pending_vacated.len() as u32).to_le_bytes());
         for &(tenant, shard) in &self.pending_vacated {
@@ -498,30 +498,28 @@ impl ControlState {
             return Err(Error::invalid("bad ControlState snapshot magic"));
         }
         let mut state = ControlState::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(12)? {
             let shard = ShardId(r.u32()?);
             state.shard_capacity.insert(shard, r.u64()?);
         }
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(8)? {
             let shard = ShardId(r.u32()?);
             state.shard_to_worker.insert(shard, WorkerId(r.u32()?));
         }
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(8)? {
             let worker = WorkerId(r.u32()?);
-            let n = r.u32()? as usize;
+            let n = r.count(12)?;
             let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
                 shards.push((ShardId(r.u32()?), r.u64()?));
             }
             state.worker_shards.insert(worker, shards);
         }
-        for table in [&mut state.routes, &mut state.prev_routes] {
-            for _ in 0..r.u32()? {
-                let tenant = TenantId(r.u64()?);
-                table.restore(tenant, decode_routes(&mut r)?);
-            }
+        for _ in 0..r.count(12)? {
+            let tenant = TenantId(r.u64()?);
+            state.routes.restore(tenant, decode_routes(&mut r)?);
         }
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(12)? {
             let tenant = TenantId(r.u64()?);
             state.pending_vacated.insert((tenant, ShardId(r.u32()?)));
         }
@@ -553,6 +551,18 @@ impl<'a> Reader<'a> {
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
+    }
+
+    /// A `u32` count of elements that take at least `min_bytes` each (the
+    /// fixed-width fields each one starts with): a count the rest of the
+    /// payload cannot hold is an error, so nothing is sized or looped from
+    /// it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_bytes) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(Error::invalid(format!("a count of {n} past the control-plane payload"))),
+        }
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -803,6 +813,138 @@ mod tests {
         // And the codec round-trips the final state too.
         let c = ControlState::decode(&a.encode()).unwrap();
         assert_eq!(c.encode(), a.encode());
+    }
+
+    /// A second rebalance before the first one's flush was acknowledged:
+    /// the edge it left pending is still read, because its shard may still
+    /// buffer the tenant's rows.
+    #[test]
+    fn a_later_rebalance_keeps_an_unflushed_vacated_edge() {
+        let mut state = ControlState::new();
+        state.apply(&register(0, &[0, 1, 2], 100));
+        state.apply(&CtrlCmd::SetRoute { tenant: TenantId(1), routes: vec![(ShardId(0), 1.0)] });
+        let plan = |shard| CtrlCmd::CommitRebalance {
+            assignments: vec![(TenantId(1), vec![(ShardId(shard), 1.0)])],
+        };
+        assert!(state.apply(&plan(1)));
+        // Shard 0's flush failed: no VacateRoute before the next plan.
+        assert!(state.apply(&plan(2)));
+        let (t, s) = (TenantId(1), ShardId);
+        assert_eq!(state.pending_vacated(), vec![(t, s(0)), (t, s(1))]);
+        assert_eq!(state.read_shards(t), vec![s(0), s(1), s(2)]);
+        // A plan that routes a pending edge again takes it out of the set.
+        assert!(state.apply(&plan(0)));
+        assert_eq!(state.pending_vacated(), vec![(t, s(1)), (t, s(2))]);
+        assert_eq!(state.read_shards(t), vec![s(0), s(1), s(2)]);
+        assert!(state.apply(&CtrlCmd::VacateRoute { tenant: t, shard: s(1) }));
+        assert_eq!(state.read_shards(t), vec![s(0), s(2)]);
+        let decoded = ControlState::decode(&state.encode()).unwrap();
+        assert_eq!(decoded.read_shards(t), vec![s(0), s(2)]);
+    }
+
+    /// Reads reach a tenant's current routes and its own pending edges,
+    /// never another tenant's.
+    #[test]
+    fn read_shards_union_current_routes_and_pending_edges() {
+        let mut state = ControlState::new();
+        state.apply(&register(0, &[0, 1, 2, 3], 100));
+        for (tenant, shard) in [(1, 0), (2, 3)] {
+            let routes = vec![(ShardId(shard), 1.0)];
+            state.apply(&CtrlCmd::SetRoute { tenant: TenantId(tenant), routes });
+        }
+        state.apply(&CtrlCmd::CommitRebalance {
+            assignments: vec![
+                (TenantId(1), vec![(ShardId(1), 0.5), (ShardId(2), 0.5)]),
+                (TenantId(2), vec![(ShardId(3), 1.0)]),
+            ],
+        });
+        assert_eq!(state.read_shards(TenantId(1)), vec![ShardId(0), ShardId(1), ShardId(2)]);
+        assert_eq!(state.read_shards(TenantId(2)), vec![ShardId(3)]);
+        let home = state.home(TenantId(0)).unwrap();
+        assert_eq!(state.read_shards(TenantId(0)), vec![home], "unplaced: the ring home only");
+    }
+
+    /// A count no payload of that length can hold is an error before any
+    /// vector is sized from it (it aborted the process on a 137 GB
+    /// allocation), and a snapshot in the layout before the pending-edge
+    /// read set fails typed.
+    #[test]
+    fn a_count_past_the_payload_is_an_error() {
+        let count = [0xff; 4];
+        let payloads = [
+            [&[CMD_REBALANCE][..], &count].concat(),
+            [&[CMD_REGISTER][..], &[0; 4], &count].concat(),
+            [&[CMD_SET_ROUTE][..], &[0; 8], &count].concat(),
+        ];
+        for payload in payloads {
+            assert!(matches!(CtrlCmd::decode(&payload), Err(Error::InvalidArgument(_))));
+        }
+        let state = two_worker_state().encode();
+        let mut huge = STATE_MAGIC.to_vec();
+        huge.extend_from_slice(&count);
+        let old = [&b"CTR1"[..], &state[4..]].concat();
+        for snapshot in [huge, old] {
+            assert!(matches!(ControlState::decode(&snapshot), Err(Error::InvalidArgument(_))));
+        }
+    }
+
+    mod hostile {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Valid encodings of every command and of a state with workers,
+        /// routes and a pending edge.
+        fn valid() -> Vec<Vec<u8>> {
+            let mut state = two_worker_state();
+            state.apply(&CtrlCmd::CommitRebalance {
+                assignments: vec![(TenantId(1), vec![(ShardId(1), 0.5), (ShardId(2), 0.5)])],
+            });
+            let cmds = [
+                register(3, &[6, 7], 1000),
+                CtrlCmd::SetRoute { tenant: TenantId(9), routes: vec![(ShardId(1), 1.0)] },
+                CtrlCmd::CommitRebalance {
+                    assignments: vec![(TenantId(2), vec![(ShardId(1), 0.25), (ShardId(3), 0.75)])],
+                },
+                CtrlCmd::VacateRoute { tenant: TenantId(4), shard: ShardId(2) },
+            ];
+            cmds.iter().map(CtrlCmd::encode).chain([state.encode()]).collect()
+        }
+
+        /// Decodes `bytes` both ways. Each returns, `Ok` or `Err`; a state
+        /// that decodes re-encodes to bytes that decode to it again.
+        fn decode_both(bytes: &[u8]) {
+            let _ = CtrlCmd::decode(bytes);
+            if let Ok(state) = ControlState::decode(bytes) {
+                let again = ControlState::decode(&state.encode()).unwrap();
+                assert_eq!(again.encode(), state.encode());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// Arbitrary bytes, and valid encodings with a few bytes
+            /// overwritten, cut or extended, decode or fail typed: never a
+            /// panic, never an allocation sized by an unchecked count.
+            #[test]
+            fn prop_control_plane_decoders_return_on_any_bytes(
+                bytes in vec(any::<u8>(), 0..64),
+                which in 0usize..5,
+                edits in vec((any::<usize>(), any::<u8>()), 1..4),
+                cut in any::<usize>(),
+            ) {
+                decode_both(&bytes);
+                let mut mutated = valid().swap_remove(which);
+                for (at, byte) in edits {
+                    let at = at % mutated.len();
+                    mutated[at] = byte;
+                }
+                decode_both(&mutated);
+                decode_both(&mutated[..cut % (mutated.len() + 1)]);
+                mutated.extend_from_slice(&bytes);
+                decode_both(&mutated);
+            }
+        }
     }
 
     #[test]

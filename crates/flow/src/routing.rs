@@ -7,8 +7,8 @@
 //! the paper's Figure 12(c) compares how many routes each balancer needs.
 //!
 //! This is the one representation of routes in the system: the replicated
-//! [`crate::ctrl::ControlState`] holds its current and settling tables as
-//! [`RoutingTable`]s, the balancers plan over them, and brokers pick from
+//! [`crate::ctrl::ControlState`] holds its current table as a
+//! [`RoutingTable`], the balancers plan over it, and brokers pick from
 //! the same [`Route`] slices with [`pick`]. Tables are `BTreeMap`-backed,
 //! so iteration (and everything encoded from it) is deterministic.
 
@@ -58,24 +58,11 @@ impl RoutingTable {
         Ok(())
     }
 
-    /// Reinstalls routes exactly as a snapshot recorded them. Settling
-    /// tables keep their weights when an edge is vacated, so re-normalizing
-    /// here would make a decoded replica differ from the one that encoded.
+    /// Reinstalls routes exactly as a snapshot recorded them: re-normalizing
+    /// weights that were normalized once already could move their last
+    /// bits, and a decoded replica would differ from the one that encoded.
     pub(crate) fn restore(&mut self, tenant: TenantId, routes: Vec<Route>) {
         self.routes.insert(tenant, routes);
-    }
-
-    /// Drops one tenant→shard edge (and the tenant with its last edge).
-    /// The remaining weights are left as they were: only the settling
-    /// table loses edges, and it answers "which shards", never "what
-    /// share".
-    pub(crate) fn remove_route(&mut self, tenant: TenantId, shard: ShardId) {
-        if let Some(routes) = self.routes.get_mut(&tenant) {
-            routes.retain(|(s, _)| *s != shard);
-            if routes.is_empty() {
-                self.routes.remove(&tenant);
-            }
-        }
     }
 
     /// A tenant's routes, if any.
@@ -101,23 +88,6 @@ impl RoutingTable {
     /// Iterates `(tenant, routes)` pairs in tenant order.
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, &[Route])> {
         self.routes.iter().map(|(t, r)| (*t, r.as_slice()))
-    }
-
-    /// The union of shards serving `tenant` in `self` and `older` — the set
-    /// a broker must fan reads out to while a rebalance is settling (paper
-    /// §4.1.5: reads go "to the nodes in both old and new plans within a
-    /// period of time").
-    pub fn read_shards(&self, older: &RoutingTable, tenant: TenantId) -> Vec<ShardId> {
-        let mut shards: Vec<ShardId> = self
-            .routes(tenant)
-            .into_iter()
-            .chain(older.routes(tenant))
-            .flatten()
-            .map(|(shard, _)| *shard)
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
     }
 }
 
@@ -185,16 +155,6 @@ mod tests {
     fn pick_unrouted_tenant_is_none() {
         let t = RoutingTable::new();
         assert_eq!(t.pick(TenantId(5), 0), None);
-    }
-
-    #[test]
-    fn read_shards_union_old_and_new() {
-        let mut old = RoutingTable::new();
-        old.set_routes(TenantId(1), vec![(ShardId(0), 1.0)]).unwrap();
-        let mut new = RoutingTable::new();
-        new.set_routes(TenantId(1), vec![(ShardId(1), 0.5), (ShardId(2), 0.5)]).unwrap();
-        assert_eq!(new.read_shards(&old, TenantId(1)), vec![ShardId(0), ShardId(1), ShardId(2)]);
-        assert_eq!(new.read_shards(&old, TenantId(9)), Vec::<ShardId>::new());
     }
 
     #[test]

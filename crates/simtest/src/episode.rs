@@ -6,6 +6,7 @@ use logstore_core::{
     ClusterConfig, CrashHooks, CrashPoint, LogStore, MetadataStore, OpenParts, QueryOptions,
     SimCrash, Store,
 };
+use logstore_flow::ControlAction;
 use logstore_oss::{
     FaultScope, FaultyStore, LatencyModel, MemoryStore, ObjectStore, RetryPolicy, RetryingStore,
     SimulatedOss,
@@ -66,6 +67,8 @@ pub struct EpisodeReport {
     pub checks: u64,
     /// LogBlocks on OSS at episode end.
     pub blocks: usize,
+    /// Control ticks that committed a rebalance.
+    pub rebalances: u64,
     /// The full event trace (deterministic for a seed, modulo control
     /// ticks — see [`SimPlan::without_control_ticks`]).
     pub trace: Vec<String>,
@@ -323,6 +326,9 @@ impl Episode {
             }
             SimOp::ControlTick => match self.guarded(|engine| engine.control_tick()) {
                 Outcome::Done(Ok(action)) => {
+                    if matches!(action, ControlAction::Rebalanced { .. }) {
+                        self.report.rebalances += 1;
+                    }
                     self.trace(step, format!("control-tick {action:?}"));
                 }
                 Outcome::Done(Err(_)) => {
@@ -718,12 +724,30 @@ impl Episode {
         Ok(())
     }
 
-    /// `buffered == appended − archived` on every durable shard.
+    /// `buffered == appended − archived` on every durable shard, and every
+    /// tenant a shard buffers rows of reads that shard: an acked row is
+    /// never out of its tenant's read set.
     fn check_counters(&mut self, step: usize) -> Result<(), SimFailure> {
         let engine = self.engine.as_ref().expect("episode engine is open");
         let workers = engine.shared().worker_snapshot();
         for worker in workers {
             for shard in worker.shard_ids() {
+                let store = worker
+                    .store(shard)
+                    .map_err(|e| self.plain_failure(step, format!("store: {e}")))?;
+                for tenant in store.buffered_tenants() {
+                    let reads = engine.shared().controller.read_shards(tenant).map_err(|e| {
+                        self.plain_failure(step, format!("read_shards({tenant}): {e}"))
+                    })?;
+                    if !reads.contains(&shard) {
+                        return Err(self.plain_failure(
+                            step,
+                            format!(
+                                "{shard} buffers rows of {tenant}, whose reads go to {reads:?}"
+                            ),
+                        ));
+                    }
+                }
                 let counters = worker
                     .shard_counters(shard)
                     .map_err(|e| self.plain_failure(step, format!("shard_counters: {e}")))?;

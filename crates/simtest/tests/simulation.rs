@@ -51,14 +51,16 @@ fn seeded_episode_sweep() {
     for seed in sweep_seeds() {
         let report = run_or_die(&SimPlan::from_seed(seed));
         println!(
-            "seed {seed}: {} ops, {} crashes {:?}, {} faults, {} rows acked, {} checks, {} blocks",
+            "seed {seed}: {} ops, {} crashes {:?}, {} faults, {} rows acked, {} checks, {} blocks, \
+             {} rebalances",
             report.ops,
             report.crashes,
             report.crash_points,
             report.faults_injected,
             report.rows_acked,
             report.checks,
-            report.blocks
+            report.blocks,
+            report.rebalances
         );
         assert!(report.checks > 0, "seed {seed}: no invariant battery ran");
     }

@@ -25,13 +25,13 @@
 //!
 //! # Drains, checkpoints and the cut
 //!
-//! [`ShardStore::drain_all`] / [`ShardStore::drain_tenant`] take rows and
-//! log (fsynced) a **checkpoint** of the shard at the take: `take` (the
-//! WAL's next LSN), `unapplied` (the LSNs below it logged but not applied),
-//! `open` (the checkpoints of earlier drains neither acked nor restored),
-//! the archived counter, the drained runs, then the kept runs — the rest of
-//! the store, none after a `drain_all`. A drain that would take rows while
-//! another has taken and not logged yet waits for it (`wal.shard.logged`),
+//! [`ShardStore::drain_all`] takes every buffered row and logs (fsynced) a
+//! **checkpoint** of the shard at the take: `take` (the WAL's next LSN),
+//! `unapplied` (the LSNs below it logged but not applied), `open` (the
+//! checkpoints of earlier drains neither acked nor restored), the archived
+//! counter and the drained runs — exactly what it drained, since the store
+//! is empty after the take. A drain that would take rows while another has
+//! taken and not logged yet waits for it (`wal.shard.logged`),
 //! so checkpoint LSN order is take order. The checkpoint's LSN names the
 //! drain: the uploader commits "the first `k` chunks of drain `lsn`,
 //! partitioned at `chunk_rows`, are durable" atomically in the metadata
@@ -40,7 +40,7 @@
 //! rows go back).
 //!
 //! Replay decodes the logged runs straight back into runs. It starts at the
-//! last checkpoint C: its kept runs, then the batches it names in
+//! last checkpoint C, from an empty store: the batches C names in
 //! `unapplied` or `[C.take, C)`, each joining the tail as its live append
 //! did. Each drain of `C.open` and C is then archived in full if an ack
 //! names it, else its committed prefix ([`DrainCommit`], split with
@@ -147,15 +147,14 @@ impl Checkpoint {
         put_uvarint(out, self.archived);
     }
 
-    /// Decodes checkpoint `lsn`'s body: the header, the drained runs and
-    /// the kept runs.
-    fn decode(typing: &Typing, lsn: Lsn, body: &[u8]) -> Result<(Self, Drained, Drained)> {
+    /// Decodes checkpoint `lsn`'s body: the header and the drained runs.
+    fn decode(typing: &Typing, lsn: Lsn, body: &[u8]) -> Result<(Self, Drained)> {
         let pos = &mut 0;
         let take = read_uvarint(body, pos)?;
         let (unapplied, open) = (read_lsns(body, pos)?, read_lsns(body, pos)?);
         let archived = read_uvarint(body, pos)?;
-        let [drained, kept] = typing.read_runs(lsn, body, pos)?.map(Drained::from_runs);
-        Ok((Checkpoint { take, unapplied, open, archived }, drained, kept))
+        let drained = Drained::from_runs(typing.read_runs(lsn, body, pos)?);
+        Ok((Checkpoint { take, unapplied, open, archived }, drained))
     }
 }
 
@@ -173,9 +172,11 @@ impl Typing {
         Typing { fingerprint: crc32c(&typed).to_le_bytes(), schema }
     }
 
-    /// Appends `uvarint count | (uvarint rows | (uvarint len | column
-    /// block)^width)^count`, each block's data frame raw.
-    fn put_runs<'a>(out: &mut Vec<u8>, runs: impl Iterator<Item = &'a Run> + Clone) {
+    /// Appends the fingerprint, then `uvarint count | (uvarint rows |
+    /// (uvarint len | column block)^width)^count`, each block's data frame
+    /// raw: what ends a batch and a checkpoint.
+    fn put_runs<'a>(&self, out: &mut Vec<u8>, runs: impl Iterator<Item = &'a Run> + Clone) {
+        out.extend_from_slice(&self.fingerprint);
         put_uvarint(out, runs.clone().count() as u64);
         let mut block = Vec::new();
         for run in runs {
@@ -193,54 +194,45 @@ impl Typing {
     fn batch_payload(&self, staged: &RowStore) -> Vec<u8> {
         let mut payload = Vec::with_capacity(16 + staged.bytes());
         payload.push(PAYLOAD_BATCH);
-        payload.extend_from_slice(&self.fingerprint);
-        Typing::put_runs(&mut payload, staged.runs());
+        self.put_runs(&mut payload, staged.runs());
         payload
     }
 
-    /// Reads the fingerprint, then the `N` [`Typing::put_runs`] lists that
-    /// end record `lsn`'s body, each column decoded as the schema types it.
-    /// A run of no rows or of more than the store seals is corruption, and
-    /// so is a NULL in a NOT NULL column.
-    fn read_runs<const N: usize>(
-        &self,
-        lsn: Lsn,
-        body: &[u8],
-        pos: &mut usize,
-    ) -> Result<[Vec<Run>; N]> {
+    /// Reads the [`Typing::put_runs`] list that ends record `lsn`'s body,
+    /// each column decoded as the schema types it. Another fingerprint is
+    /// corruption, and so are a run of no rows or of more than the store
+    /// seals and a NULL in a NOT NULL column.
+    fn read_runs(&self, lsn: Lsn, body: &[u8], pos: &mut usize) -> Result<Vec<Run>> {
         if body.get(*pos..*pos + 4) != Some(&self.fingerprint[..]) {
             return Err(corrupt(lsn, "runs of another schema"));
         }
         *pos += 4;
-        let mut lists = [(); N].map(|()| Vec::new());
-        for runs in &mut lists {
-            let count = read_uvarint(body, pos)?;
-            // Every run takes bytes: a count past the body sizes nothing.
-            runs.reserve(count.min((body.len() - *pos) as u64) as usize);
-            for _ in 0..count {
-                let rows = read_uvarint(body, pos)?;
-                if !(1..=RUN_ROWS as u64).contains(&rows) {
-                    return Err(corrupt(lsn, format!("a run of {rows} rows")));
-                }
-                let mut columns = Vec::with_capacity(self.schema.width());
-                for column in &self.schema.columns {
-                    let len = read_uvarint(body, pos)? as usize;
-                    let block = body.get(*pos..).and_then(|rest| rest.get(..len));
-                    let block = block.ok_or_else(|| corrupt(lsn, "a block past the body"))?;
-                    let mut cells = ColumnVec::default();
-                    decode_block_into(column.data_type, block, rows as u32, &mut cells)
-                        .map_err(|e| corrupt(lsn, e))?;
-                    if !column.nullable && cells.has_nulls() {
-                        return Err(corrupt(lsn, format!("a NULL in NOT NULL '{}'", column.name)));
-                    }
-                    *pos += len;
-                    columns.push(cells);
-                }
-                runs.push(Run::from_columns(columns));
+        let count = read_uvarint(body, pos)?;
+        // Every run takes bytes: a count past the body sizes nothing.
+        let mut runs = Vec::with_capacity(count.min((body.len() - *pos) as u64) as usize);
+        for _ in 0..count {
+            let rows = read_uvarint(body, pos)?;
+            if !(1..=RUN_ROWS as u64).contains(&rows) {
+                return Err(corrupt(lsn, format!("a run of {rows} rows")));
             }
+            let mut columns = Vec::with_capacity(self.schema.width());
+            for column in &self.schema.columns {
+                let len = read_uvarint(body, pos)? as usize;
+                let block = body.get(*pos..).and_then(|rest| rest.get(..len));
+                let block = block.ok_or_else(|| corrupt(lsn, "a block past the body"))?;
+                let mut cells = ColumnVec::default();
+                decode_block_into(column.data_type, block, rows as u32, &mut cells)
+                    .map_err(|e| corrupt(lsn, e))?;
+                if !column.nullable && cells.has_nulls() {
+                    return Err(corrupt(lsn, format!("a NULL in NOT NULL '{}'", column.name)));
+                }
+                *pos += len;
+                columns.push(cells);
+            }
+            runs.push(Run::from_columns(columns));
         }
         match *pos == body.len() {
-            true => Ok(lists),
+            true => Ok(runs),
             false => Err(corrupt(lsn, "trailing bytes")),
         }
     }
@@ -461,31 +453,10 @@ impl ShardStore {
 
     /// Drains every buffered row, oldest first, if at least `min_bytes` are
     /// buffered (`0` = unconditionally); `None` when nothing was drained.
-    /// The checkpoint is logged before it returns; if it cannot be, the
-    /// rows go straight back and the error surfaces.
+    /// The checkpoint is logged, with no lock held, before it returns; if it
+    /// cannot be, the rows go straight back and the error surfaces.
     pub fn drain_all(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
-        self.drain(
-            |rows| rows.row_count() > 0 && rows.bytes() >= min_bytes,
-            |rows| (rows.drain_all(), Drained::default()),
-        )
-    }
-
-    /// Drains one tenant's rows (rebalancing flush); its checkpoint keeps
-    /// the rest of the store. Same contract as [`ShardStore::drain_all`].
-    pub fn drain_tenant(&self, tenant: TenantId) -> Result<Option<LoggedDrain>> {
-        self.drain(
-            |rows| rows.tenant_rows(tenant) > 0,
-            |rows| (rows.drain_tenant(tenant), rows.share()),
-        )
-    }
-
-    /// Takes `(drained, kept)` rows once `wants` them, then logs the
-    /// checkpoint with no lock held.
-    fn drain(
-        &self,
-        wants: impl Fn(&RowStore) -> bool,
-        take: impl FnOnce(&mut RowStore) -> (Drained, Drained),
-    ) -> Result<Option<LoggedDrain>> {
+        let wants = |rows: &RowStore| rows.row_count() > 0 && rows.bytes() >= min_bytes;
         let mut inner = self.inner.lock();
         // Another drain took rows and has not logged its checkpoint: wait
         // for it, so that checkpoint LSN order is take order.
@@ -495,7 +466,7 @@ impl ShardStore {
         if !wants(&inner.rows) {
             return Ok(None);
         }
-        let (drained, kept) = take(&mut inner.rows);
+        let drained = inner.rows.drain_all();
         inner.records_archived += drained.len() as u64;
         let Some(wal) = &self.wal else { return Ok(Some((None, drained))) };
         let (take, unapplied) = wal.next_and_unapplied();
@@ -506,15 +477,11 @@ impl ShardStore {
         // The runs are immutable: the checkpoint is encoded from them
         // outside the lock, beside any query still reading them.
         sync_point("wal.shard.drain_window");
-        // The payload: tag, header, fingerprint, the drained runs, the kept
-        // runs.
-        let mut payload = Vec::with_capacity(16 + drained.bytes() + kept.bytes());
+        // The payload: tag, header, fingerprint, the drained runs.
+        let mut payload = Vec::with_capacity(16 + drained.bytes());
         payload.push(PAYLOAD_CHECKPOINT);
         checkpoint.put_header(&mut payload);
-        payload.extend_from_slice(&self.typing.fingerprint);
-        for rows in [&drained, &kept] {
-            Typing::put_runs(&mut payload, rows.runs().iter().map(|run| &**run));
-        }
+        self.typing.put_runs(&mut payload, drained.runs().iter().map(|run| &**run));
         let logged = wal.append_unpinned(&payload, true);
         let mut inner = self.inner.lock();
         inner.logging = false;
@@ -590,14 +557,13 @@ fn replay(
             (lsn, tag, _) => return Err(corrupt(lsn, format!("unknown tag {tag}"))),
         }
     }
-    let batch = |lsn, body| typing.read_runs(lsn, body, &mut 0).map(|[runs]| runs);
+    let batch = |lsn, body| typing.read_runs(lsn, body, &mut 0);
     let (mut rows, mut archived) = (RowStore::new(&typing.schema), 0u64);
     let after = match last {
         None => 0,
         Some(i) => {
             let (c, _, body) = split(&log[i])?;
-            let (checkpoint, drained, kept) = Checkpoint::decode(typing, c, body)?;
-            rows.restore(kept);
+            let (checkpoint, drained) = Checkpoint::decode(typing, c, body)?;
             archived = checkpoint.archived;
             // The record at `lsn`, which checkpoint `c` names.
             let named =
@@ -796,16 +762,17 @@ mod tests {
     #[test]
     fn memory_only_shard_runs_the_same_protocol_without_a_wal() {
         let s = ShardStore::in_memory(schema());
-        append(&s, vec![rec(1, 1), rec(2, 2), rec(1, 3)]);
+        append(&s, vec![rec(1, 1), rec(2, 2)]);
         assert!(s.drain_all(usize::MAX).unwrap().is_none(), "under the flush threshold");
-        let (seq, moved) = s.drain_tenant(TenantId(2)).unwrap().unwrap();
-        assert_eq!((seq, moved.len()), (None, 1), "no WAL, no checkpoint to name");
+        let (seq, moved) = s.drain_all(0).unwrap().unwrap();
+        assert_eq!((seq, moved.len()), (None, 2), "no WAL, no checkpoint to name");
+        append(&s, vec![rec(1, 3)]);
         let (_, rest) = s.drain_all(0).unwrap().unwrap();
-        assert_eq!(rest.len(), 2);
+        assert_eq!(rest.len(), 1);
         assert!(s.drain_all(0).unwrap().is_none(), "nothing left to drain");
         s.restore_unarchived(seq, moved);
         assert_eq!(s.ack_archived(None).unwrap(), None);
-        assert_eq!((s.buffered_rows(), s.counters()), (1, (3, 2)));
+        assert_eq!((s.buffered_rows(), s.counters()), (2, (3, 1)));
         assert!(s.buffered_bytes() > 0);
     }
 
@@ -1052,28 +1019,31 @@ mod tests {
     }
 
     #[test]
-    fn a_restored_tenant_drain_replays_while_acked_rows_do_not() {
-        // A rebalance flush (drain_tenant) overlapping a full build pass:
-        // the pass acks, the tenant flush fails and rolls back. The
-        // tenant's rows must stay WAL-covered; the pass's must not return.
-        let dir = temp_dir("overlap-tenant");
+    fn a_restored_drain_replays_while_a_later_acked_drain_does_not() {
+        // Two overlapping drains: the later one acks, the earlier one's
+        // upload fails and rolls back. The earlier drain's rows must stay
+        // WAL-covered; the later one's must not return.
+        let dir = temp_dir("overlap-restored");
         {
             let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-            for i in 0..40 {
-                append(&s, vec![rec(1 + (i % 2) as u64, i)]);
+            for i in 0..20 {
+                append(&s, vec![rec(2, i)]);
             }
-            let (tenant_lsn, moved) = s.drain_tenant(TenantId(2)).unwrap().unwrap();
+            let (earlier, moved) = drain_all(&s);
             assert_eq!(moved.len(), 20);
+            for i in 20..40 {
+                append(&s, vec![rec(1, i)]);
+            }
             let (lsn, rest) = drain_all(&s);
             assert_eq!(rest.len(), 20);
-            // The full pass acks first; the tenant flush is still in flight.
-            assert_eq!(ack(&s, lsn), tenant_lsn);
-            s.restore_unarchived(tenant_lsn, moved);
+            // The later drain acks first; the earlier one is still in flight.
+            assert_eq!(ack(&s, lsn), Some(earlier));
+            s.restore_unarchived(Some(earlier), moved);
             assert_eq!(s.buffered_rows(), 20);
         }
         let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-        assert_eq!(rows_of(&s, 2).len(), 20, "restored tenant rows must stay WAL-covered");
-        assert_eq!(s.buffered_rows(), 20, "the acked pass's rows must not return");
+        assert_eq!(rows_of(&s, 2).len(), 20, "restored rows must stay WAL-covered");
+        assert_eq!(s.buffered_rows(), 20, "the acked drain's rows must not return");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1183,7 +1153,7 @@ mod tests {
                     let cut = cut.clamp(start, rows.len());
                     stage(&mut staged, rows[start..cut].to_vec());
                     let payload = typing.batch_payload(&staged);
-                    let [runs] = typing.read_runs(1, &payload[1..], &mut 0).unwrap();
+                    let runs = typing.read_runs(1, &payload[1..], &mut 0).unwrap();
                     replayed.absorb_runs(runs);
                     store.absorb(&mut staged);
                     if seal_at.contains(&cut) {
@@ -1200,9 +1170,9 @@ mod tests {
                 prop_assert_eq!(&replayed.drain_all().records(), &rows);
                 let drained = store.drain_all();
                 prop_assert_eq!(&drained.records(), &rows);
-                let mut logged = typing.fingerprint.to_vec();
-                Typing::put_runs(&mut logged, drained.runs().iter().map(|run| &**run));
-                let [back] = typing.read_runs(1, &logged, &mut 0).unwrap();
+                let mut logged = Vec::new();
+                typing.put_runs(&mut logged, drained.runs().iter().map(|run| &**run));
+                let back = typing.read_runs(1, &logged, &mut 0).unwrap();
                 let back = Drained::from_runs(back);
                 prop_assert_eq!((back.records(), back.bytes()), (rows, drained.bytes()));
             }
@@ -1227,27 +1197,21 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-            /// A drain of every row or of one tenant, then the restore of
-            /// what its commit (the first `k` chunks at cap `c`, or none)
-            /// leaves unarchived, as the live archive step does: a reopen
-            /// rebuilds the rows the live store holds, in their order, and
-            /// its counters.
+            /// A drain, then the restore of what its commit (the first `k`
+            /// chunks at cap `c`, or none) leaves unarchived, as the live
+            /// archive step does: a reopen rebuilds the rows the live store
+            /// holds, in their order, and its counters.
             #[test]
             fn prop_replay_rebuilds_what_the_live_path_holds(
                 before in sub_batches(),
-                tenant in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
                 commit in prop_oneof![Just(None), (0u64..5, 1usize..5).prop_map(Some)],
                 after in sub_batches(),
             ) {
                 let dir = temp_dir("replay-prop");
                 let s = open(&dir);
                 before.into_iter().for_each(|batch| append(&s, batch));
-                let logged = match tenant {
-                    None => s.drain_all(0).unwrap(),
-                    Some(t) => s.drain_tenant(TenantId(t)).unwrap(),
-                };
                 let mut drain = None;
-                if let Some((lsn, drained)) = logged {
+                if let Some((lsn, drained)) = s.drain_all(0).unwrap() {
                     let lsn = lsn.expect("durable shards name their drains");
                     let unarchived = match commit {
                         None => drained,
@@ -1295,8 +1259,8 @@ mod tests {
         #[derive(Debug, Clone)]
         enum Op {
             Append(Vec<LogRecord>),
-            /// Every row, or one tenant's.
-            Drain(Option<u64>),
+            /// Every row.
+            Drain,
             /// The upload of the drain's first `k` chunks at cap `c`
             /// commits.
             Commit(usize, u64, usize),
@@ -1312,7 +1276,7 @@ mod tests {
             let row = (1u64..4, 0i64..6).prop_map(|(t, ts)| rec(t, ts));
             let op = prop_oneof![
                 4 => vec(row, 1..5).prop_map(Op::Append),
-                3 => prop_oneof![Just(None), (1u64..4).prop_map(Some)].prop_map(Op::Drain),
+                3 => Just(Op::Drain),
                 3 => (0usize..2, 1u64..4, 1usize..5).prop_map(|(d, k, c)| Op::Commit(d, k, c)),
                 3 => (0usize..2).prop_map(Op::Ack),
                 2 => (0usize..2).prop_map(Op::Restore),
@@ -1323,7 +1287,7 @@ mod tests {
 
         /// Every buffered row, in arrival order.
         fn live_rows(s: &ShardStore) -> Vec<LogRecord> {
-            s.inner.lock().rows.share().records()
+            s.inner.lock().rows.runs().flat_map(Run::records).collect()
         }
 
         /// Segments small enough that the cut has whole segments to drop.
@@ -1363,18 +1327,14 @@ mod tests {
                         append(&self.s, rows);
                         self.appended_since = true;
                     }
-                    Op::Drain(tenant) if self.open.len() < 2 => {
-                        let logged = match tenant {
-                            None => self.s.drain_all(0).unwrap(),
-                            Some(t) => self.s.drain_tenant(TenantId(t)).unwrap(),
-                        };
-                        if let Some((lsn, drained)) = logged {
+                    Op::Drain if self.open.len() < 2 => {
+                        if let Some((lsn, drained)) = self.s.drain_all(0).unwrap() {
                             self.open.push((lsn.expect("a durable shard"), drained));
                             (self.ordered, self.appended_since, self.restored_last) =
                                 (true, false, 0);
                         }
                     }
-                    Op::Drain(_) => {}
+                    Op::Drain => {}
                     Op::Commit(d, chunks, chunk_rows) => {
                         if let Some(d) = pick(&self.open, d) {
                             self.commits.insert(self.open[d].0, DrainCommit { chunks, chunk_rows });
@@ -1458,9 +1418,8 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
-            /// Appends, drains of every row or of one tenant, commits,
-            /// acks, restores and restarts, with up to two drains open at
-            /// once: every ack leaves the WAL cut to what a replay reads,
+            /// Appends, drains, commits, acks, restores and restarts, with
+            /// up to two drains open at once: every ack leaves the WAL cut to what a replay reads,
             /// and every restart rebuilds the live rows and counters.
             #[test]
             fn prop_archive_ops_replay_and_every_ack_cuts(ops in ops()) {
@@ -1614,22 +1573,17 @@ mod tests {
         fn payload() -> impl Strategy<Value = Vec<u8>> {
             let valid = |tag: u8, rows: &[LogRecord]| {
                 let mut payload = vec![tag];
-                payload.extend_from_slice(&typing().fingerprint);
-                Typing::put_runs(&mut payload, runs_of(rows).iter());
+                typing().put_runs(&mut payload, runs_of(rows).iter());
                 payload
             };
             let header = (0u64..12, lsns(), lsns(), 0u64..40);
-            let checkpoint = (header, rows(), rows()).prop_map(
-                |((take, unapplied, open, archived), drained, kept)| {
+            let checkpoint =
+                (header, rows()).prop_map(|((take, unapplied, open, archived), drained)| {
                     let mut payload = vec![PAYLOAD_CHECKPOINT];
                     Checkpoint { take, unapplied, open, archived }.put_header(&mut payload);
-                    payload.extend_from_slice(&typing().fingerprint);
-                    for rows in [&drained, &kept] {
-                        Typing::put_runs(&mut payload, runs_of(rows).iter());
-                    }
+                    typing().put_runs(&mut payload, runs_of(&drained).iter());
                     payload
-                },
-            );
+                });
             let ack = (0u64..12).prop_map(|lsn| {
                 let mut payload = vec![PAYLOAD_ACK];
                 put_uvarint(&mut payload, lsn);
