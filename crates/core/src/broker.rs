@@ -247,7 +247,10 @@ impl Broker {
     /// as OSS `NotFound`; when the block has indeed left the map, the
     /// whole attempt is restarted against the fresh map (counted in
     /// [`QueryExecution::stale_retries`]). A `NotFound` for a block the
-    /// map still claims is real corruption and stays fatal.
+    /// map still claims is real corruption and stays fatal. A drain
+    /// registered between the attempt's map read and its snapshot of the
+    /// drained shard restarts it too: its rows may have been in neither,
+    /// or in both.
     pub fn query(&self, sql: &str, opts: &QueryOptions) -> Result<QueryExecution> {
         let wall_start = std::time::Instant::now();
         let oss_before = self.shared.oss_sim().metrics().modelled_time_ns;
@@ -310,28 +313,39 @@ impl Broker {
             if opts.parallelism == 0 { self.shared.query_pool.threads() } else { opts.parallelism };
         let pool = &self.shared.query_pool;
         let mut gathered = Gathered::default();
+        self.shared.hooks.query_reached(QueryPoint::BeforeMapRead);
+        // Real-time stores of every shard serving the tenant (old and new
+        // routes during a rebalance window), each with its settle sequence,
+        // read before the map: a shard a route left held none of the
+        // tenant's rows when it left, and a settle that registers a drain
+        // between the map read and the shard's snapshot moves the sequence
+        // on, so the snapshot says the attempt is stale.
+        let mut shards = Vec::new();
+        if !scope.is_empty_window() {
+            for shard in self.shared.controller.read_shards(tenant)? {
+                let settles = self.shared.worker_for(shard)?.store(shard)?.settles();
+                shards.push((shard, settles));
+            }
+        }
         // Archived LogBlocks, pruned by the LogBlock map. The map is read
         // before any row store is — a shard task snapshots its store when
         // it starts — and read once: the entries and the total are of one
         // map, whatever compaction or expiry does next.
-        self.shared.hooks.query_reached(QueryPoint::BeforeMapRead);
         let (mut entries, mapped) = self.shared.metadata.blocks_for(tenant, scope.range);
         if scope.is_empty_window() {
             entries.clear();
         }
         let blocks_pruned_by_map = mapped - entries.len() as u64;
         if !scope.is_empty_window() {
-            // Scatter: one task per source, in canonical order. Real-time
-            // stores of every shard serving the tenant (old and new routes
-            // during a rebalance window) first, sorted by shard id; then
-            // the LogBlocks, sorted by object path (paths embed the build
-            // sequence, so this is registration order).
-            let mut shards = self.shared.controller.read_shards(tenant)?;
+            // Scatter: one task per source, in canonical order. The shards
+            // first, sorted by shard id; then the LogBlocks, sorted by
+            // object path (paths embed the build sequence, so this is
+            // registration order).
             shards.sort_unstable();
             entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
             let mut tasks: Vec<Task<SourcePartial>> = shards
                 .into_iter()
-                .map(|shard| self.shard_task(shard, plan, scope, tenant))
+                .map(|(shard, settles)| self.shard_task(shard, settles, plan, scope, tenant))
                 .collect();
             if opts.use_cache && opts.use_prefetch && !entries.is_empty() {
                 // The row stores are scanned on the pool while this thread
@@ -459,10 +473,12 @@ impl Broker {
             .collect()
     }
 
-    /// The scan of one shard's real-time store.
+    /// The scan of one shard's real-time store, stale unless its snapshot
+    /// is of settle sequence `settles`, the one read before the map.
     fn shard_task(
         &self,
         shard: ShardId,
+        settles: u64,
         plan: &Arc<ScanPlan>,
         scope: &QueryScope,
         tenant: logstore_types::TenantId,
@@ -473,11 +489,15 @@ impl Broker {
         Box::new(move || {
             let mut stats = QueryStats::default();
             let worker = shared.worker_for(shard)?;
+            shared.hooks.query_reached(QueryPoint::BeforeRowStoreSnapshot);
             // The runs that may hold the tenant's rows, by reference: the
             // shard lock is gone before the first row is looked at. With
             // pushdown the shard returns aggregate states, and an unordered
             // LIMIT stops the walk early.
             let snapshot = worker.store(shard)?.snapshot(tenant, range);
+            if snapshot.settles != settles {
+                return Err(Error::Stale(format!("{shard} settled a drain mid-query")));
+            }
             shared.hooks.query_reached(QueryPoint::RowStoreSnapshot);
             let mut counters = ExecutionCounters {
                 realtime_runs_pruned: snapshot.runs_pruned,

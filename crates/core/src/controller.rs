@@ -903,6 +903,12 @@ impl ClusterController {
         self.plane.lock().arm_kill = true;
     }
 
+    /// True while a kill armed by [`ClusterController::arm_kill_on_rebalance`]
+    /// has not fired (nor been disarmed by a heal).
+    pub fn kill_armed(&self) -> bool {
+        self.plane.lock().arm_kill
+    }
+
     /// Revives every killed replica and heals all controller partitions.
     pub fn heal_controllers(&self) {
         let mut plane = self.plane.lock();

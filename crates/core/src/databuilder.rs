@@ -95,6 +95,18 @@ pub struct BuildStages {
     pub commit: Duration,
 }
 
+impl BuildStages {
+    /// Takes the build stages (`add`, `encode`, `finish`) of `built`, whose
+    /// builds ran inside the upload wave: they leave the upload stage.
+    pub(crate) fn add_build(&mut self, built: &BuildStages) {
+        let building = built.add + built.encode + built.finish;
+        self.upload = self.upload.saturating_sub(building);
+        self.add += built.add;
+        self.encode += built.encode;
+        self.finish += built.finish;
+    }
+}
+
 /// The full result of a build pass, including the failure path.
 ///
 /// The chunks before the lowest failed index are durable and registered
@@ -180,35 +192,83 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     cache: Option<&Prefetcher<S>>,
 ) -> BuildOutcome {
     let mut outcome = BuildOutcome::default();
-    let start = Instant::now();
-    // The canonical chunk sequence: tenants ascending, ts-sorted, capped.
-    // WAL replay splits the drain with this same call, so "chunk i of this
-    // drain" is unambiguous across crashes.
-    let runs = drained.runs();
-    let chunks = partition_runs(runs, config.max_rows_per_logblock);
-    outcome.stages.partition = start.elapsed();
-    // Set by whichever uploader first sees a failure; the caller checks it
-    // before building the next chunk.
+    let chunks = partition(drained, config, &mut outcome.stages);
     let failed = AtomicBool::new(false);
-    let stages = &mut outcome.stages;
-    let mut building = Duration::ZERO;
-    let built = chunks.iter().map_while(|chunk| {
+    let mut built = BuildStages::default();
+    let blocks = build_blocks(&chunks, drained, schema, config, metadata, &failed, &mut built);
+    let uploads = put_blocks(blocks, &failed, store, cache, &mut outcome.stages);
+    outcome.stages.add_build(&built);
+    let entries = admit_prefix(uploads, cache, &mut outcome);
+    commit_prefix(entries, &chunks, drained, config, metadata, drain, &mut outcome);
+    outcome
+}
+
+/// One chunk's LogBlock: its catalog entry and its packed bytes.
+pub(crate) type Block = (LogBlockEntry, Vec<u8>);
+
+/// The canonical chunk sequence of `drained`: tenants ascending,
+/// ts-sorted, capped. WAL replay splits the drain with this same call, so
+/// "chunk i of this drain" is unambiguous across crashes.
+pub(crate) fn partition(
+    drained: &Drained,
+    config: &BuildConfig,
+    stages: &mut BuildStages,
+) -> Vec<RunChunk> {
+    let start = Instant::now();
+    let chunks = partition_runs(drained.runs(), config.max_rows_per_logblock);
+    stages.partition = start.elapsed();
+    chunks
+}
+
+/// The LogBlocks of `chunks`, each built when it is pulled, in chunk
+/// order, until `failed` is set: an uploader saw a failure, or was handed
+/// a chunk that failed to build. Adds the build stages to `stages`.
+pub(crate) fn build_blocks<'a>(
+    chunks: &'a [RunChunk],
+    drained: &'a Drained,
+    schema: &'a Arc<TableSchema>,
+    config: &'a BuildConfig,
+    metadata: &'a MetadataStore,
+    failed: &'a AtomicBool,
+    stages: &'a mut BuildStages,
+) -> impl Iterator<Item = Result<Block>> + 'a {
+    chunks.iter().map_while(move |chunk| {
         (!failed.load(Ordering::SeqCst)).then(|| {
             let start = Instant::now();
-            let block = build_chunk(chunk, runs, schema, config, metadata);
+            let block = build_chunk(chunk, drained.runs(), schema, config, metadata);
             let wall = start.elapsed();
-            building += wall;
-            block.map(|(entry, bytes, times)| {
-                stages.encode += times.encode;
-                stages.finish += times.finish;
-                stages.add += wall.saturating_sub(times.encode + times.finish);
-                (entry, bytes)
-            })
+            match block {
+                Ok((entry, bytes, times)) => {
+                    stages.encode += times.encode;
+                    stages.finish += times.finish;
+                    stages.add += wall.saturating_sub(times.encode + times.finish);
+                    Ok((entry, bytes))
+                }
+                Err(e) => {
+                    stages.add += wall;
+                    Err(e)
+                }
+            }
         })
-    });
+    })
+}
+
+/// PUTs `blocks` as one [`ordered_wave`] — up to [`Prefetcher::width`] in
+/// flight under an engine, one at a time inline without one — and returns
+/// the results in chunk order. The first failure sets `failed`, which stops
+/// the feed. The wave's wall time, less the time `blocks` spent building,
+/// is the upload stage.
+pub(crate) fn put_blocks<S: ObjectStore>(
+    blocks: impl Iterator<Item = Result<Block>>,
+    failed: &AtomicBool,
+    store: &S,
+    cache: Option<&Prefetcher<S>>,
+    stages: &mut BuildStages,
+) -> Vec<Result<Block>> {
     let width = cache.map_or(1, Prefetcher::width);
     let wave = Instant::now();
-    let uploads = ordered_wave(width, built, |_, block: Result<(LogBlockEntry, Vec<u8>)>| {
+    let blocks = blocks.map_while(|block| (!failed.load(Ordering::SeqCst)).then_some(block));
+    let uploads = ordered_wave(width, blocks, |_, block: Result<Block>| {
         // The durability order is load-bearing: the object must exist on
         // OSS before it is registered (a registered-but-missing block
         // would fail queries; an uploaded-but-unregistered block merely
@@ -222,8 +282,18 @@ pub fn build_and_upload_drain<S: ObjectStore>(
         }
         uploaded
     });
-    outcome.stages.upload = wave.elapsed().saturating_sub(building);
-    // The durable prefix: every chunk before the lowest failed index.
+    stages.upload = wave.elapsed();
+    uploads
+}
+
+/// The durable prefix of `uploads` — every chunk before the lowest failed
+/// index — admitted to the cache in chunk order; the failure, if any, goes
+/// to the outcome.
+pub(crate) fn admit_prefix<S: ObjectStore>(
+    uploads: Vec<Result<Block>>,
+    cache: Option<&Prefetcher<S>>,
+    outcome: &mut BuildOutcome,
+) -> Vec<LogBlockEntry> {
     let admit = Instant::now();
     let mut entries = Vec::with_capacity(uploads.len());
     for upload in uploads {
@@ -241,6 +311,21 @@ pub fn build_and_upload_drain<S: ObjectStore>(
         }
     }
     outcome.stages.admit = admit.elapsed();
+    entries
+}
+
+/// Registers `entries`, the durable prefix of drain `drain`'s `chunks`, in
+/// one [`MetadataStore::commit_drain`], and fills in the outcome: the
+/// report, every row not in a registered block, the commit's error.
+pub(crate) fn commit_prefix(
+    entries: Vec<LogBlockEntry>,
+    chunks: &[RunChunk],
+    drained: &Drained,
+    config: &BuildConfig,
+    metadata: &MetadataStore,
+    drain: Option<DrainId>,
+    outcome: &mut BuildOutcome,
+) {
     // Zero durable chunks commit nothing: replay then restores every row.
     let commit = Instant::now();
     let blocks: Vec<(TenantId, LogBlockEntry)> =
@@ -265,7 +350,6 @@ pub fn build_and_upload_drain<S: ObjectStore>(
         let rest = chunks[committed..].iter().flat_map(|chunk| chunk.rows.iter().copied());
         outcome.unarchived = drained.gather(rest);
     }
-    outcome
 }
 
 /// Builds one chunk's LogBlock and allocates its path, returning the
@@ -350,18 +434,26 @@ impl ArchiveTimers {
         }
     }
 
-    /// Records one drain's build-and-upload stages.
-    pub(crate) fn record(&self, outcome: &BuildOutcome) {
-        let s = &outcome.stages;
+    /// Records one drain's build stages: partition, `add`, `encode` and
+    /// `finish`.
+    pub(crate) fn record_build(&self, s: &BuildStages) {
         for (histogram, d) in [
             (&self.partition, s.partition),
             (&self.add, s.add),
             (&self.encode, s.encode),
             (&self.finish, s.finish),
-            (&self.upload, s.upload),
-            (&self.admit, s.admit),
-            (&self.commit, s.commit),
         ] {
+            histogram.record_duration(d);
+        }
+    }
+
+    /// Records one drain's settle stages — upload wave, admit and commit —
+    /// and the rows it archived.
+    pub(crate) fn record_settle(&self, outcome: &BuildOutcome) {
+        let s = &outcome.stages;
+        for (histogram, d) in
+            [(&self.upload, s.upload), (&self.admit, s.admit), (&self.commit, s.commit)]
+        {
             histogram.record_duration(d);
         }
         self.rows.add(outcome.report.rows_archived);

@@ -4,10 +4,13 @@ use crate::broker::{Broker, QueryExecution};
 use crate::compactor::{self, CompactionConfig, CompactionReport, GcReport};
 use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
-use crate::databuilder::{build_and_upload_drain, ArchiveTimers, BuildConfig, BuildReport};
+use crate::databuilder::{
+    admit_prefix, build_blocks, commit_prefix, partition, put_blocks, ArchiveTimers, Block,
+    BuildConfig, BuildOutcome, BuildReport, BuildStages,
+};
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
-use crate::metadata::{DrainId, MetadataStore, TenantInfo};
+use crate::metadata::{BuildGuard, DrainId, MetadataStore, TenantInfo};
 use crate::worker::{IngestTimers, Worker};
 use logstore_cache::{CacheStats, DiskBlockCache, Prefetcher, TieredCache};
 use logstore_flow::ControlAction;
@@ -20,8 +23,10 @@ use logstore_query::exec::QueryResult;
 use logstore_types::{
     Error, LogRecord, RecordBatch, Result, ShardId, TableSchema, TenantId, Timestamp, WorkerId,
 };
+use logstore_wal::{Drained, Lsn, RunChunk};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,7 +113,8 @@ pub struct IngestReport {
     pub failed: u64,
     /// The first append failure behind `failed`, for diagnostics.
     pub first_failure: Option<String>,
-    /// True when the piggybacked build pass hit a terminal archive failure.
+    /// True when the piggybacked build pass hit a terminal archive failure,
+    /// or reported one that an earlier pass's settle hit off the caller.
     /// The accepted rows are still durable (WAL + row store) and will be
     /// re-archived, but a persistently degraded archive path grows the row
     /// store toward backpressure — details in [`LogStore::archive_stats`].
@@ -127,14 +133,38 @@ pub struct ArchiveStats {
 
 /// An embedded LogStore cluster.
 pub struct LogStore {
+    /// Where a threshold pass settles its drains: `min(workers,
+    /// prefetch_threads)` threads, none at `prefetch_threads = 1`. First, so
+    /// that it drops first: its drop waits for every settle in flight
+    /// before anything a settle uses is torn down.
+    settle_pool: Option<QueryPool>,
     config: ClusterConfig,
     shared: Arc<ClusterShared>,
     broker: Broker,
-    build_config: BuildConfig,
-    archive_failed_passes: AtomicU64,
-    archive_rows_restored: AtomicU64,
+    archiver: Arc<Archiver>,
     metrics: Registry,
-    archive_timers: ArchiveTimers,
+}
+
+/// A drain taken from `shard`: its checkpoint's LSN, its rows and their
+/// canonical chunks.
+struct Taken {
+    shard: ShardId,
+    lsn: Option<Lsn>,
+    drained: Drained,
+    chunks: Vec<RunChunk>,
+}
+
+/// What an archive step works with, shared with the settles it hands to
+/// the settle pool.
+struct Archiver {
+    shared: Arc<ClusterShared>,
+    build_config: BuildConfig,
+    failed_passes: AtomicU64,
+    rows_restored: AtomicU64,
+    timers: ArchiveTimers,
+    /// The first failure of a settle that ran on the settle pool, for the
+    /// next build pass to report.
+    settle_error: logstore_sync::OrderedMutex<Option<Error>>,
 }
 
 /// Externally-owned parts a [`LogStore::open_with`] call can inject.
@@ -224,11 +254,11 @@ impl LogStore {
         // tenant rows on shards the freshly-built routing table does not
         // cover (the tenant had been rebalanced off its home shard before
         // the restart). Reinstall a route for every (tenant, shard) pair
-        // holding buffered rows, or those rows would be invisible to reads.
+        // holding rows, or those rows would be invisible to reads.
         let mut recovered: BTreeMap<TenantId, Vec<ShardId>> = BTreeMap::new();
         for worker in &workers {
             for shard in worker.shard_ids() {
-                for tenant in worker.store(shard)?.buffered_tenants() {
+                for tenant in worker.store(shard)?.held_tenants() {
                     recovered.entry(tenant).or_default().push(shard);
                 }
             }
@@ -259,21 +289,25 @@ impl LogStore {
             ingest_timers,
         });
         let broker = Broker::new(Arc::clone(&shared));
-        let build_config = BuildConfig {
-            compression: config.compression,
-            block_rows: config.block_rows,
-            max_rows_per_logblock: config.max_rows_per_logblock,
+        let archiver = Arc::new(Archiver {
+            shared: Arc::clone(&shared),
+            build_config: BuildConfig {
+                compression: config.compression,
+                block_rows: config.block_rows,
+                max_rows_per_logblock: config.max_rows_per_logblock,
+            },
+            failed_passes: AtomicU64::new(0),
+            rows_restored: AtomicU64::new(0),
+            timers: archive_timers,
+            settle_error: logstore_sync::OrderedMutex::new("core.engine.settle_error", None),
+        });
+        // As wide as a forced pass: one settle per worker at once.
+        let settle_width = (config.workers as usize).min(config.prefetch_threads);
+        let settle_pool = match config.prefetch_threads > 1 {
+            true => Some(QueryPool::new(settle_width)?),
+            false => None,
         };
-        Ok(LogStore {
-            config,
-            shared,
-            broker,
-            build_config,
-            archive_failed_passes: AtomicU64::new(0),
-            archive_rows_restored: AtomicU64::new(0),
-            metrics,
-            archive_timers,
-        })
+        Ok(LogStore { settle_pool, config, shared, broker, archiver, metrics })
     }
 
     /// The active configuration.
@@ -287,13 +321,19 @@ impl LogStore {
     }
 
     /// Ingests a batch of records through the broker (phase one), then
-    /// runs the data builder on any shard over its flush threshold.
+    /// runs a threshold pass ([`LogStore::flush_if_needed`]): a shard over
+    /// its flush threshold is drained and built here, and at
+    /// `prefetch_threads > 1` its upload, registration and ack — the
+    /// settle — run on the settle pool, so the call returns without waiting
+    /// for OSS. Until the settle ends, the drained rows stay readable from
+    /// their shard.
     ///
     /// An archive failure does not fail an accepted ingest: the accepted
     /// rows are durable in phase one (WAL + row store), the archive step
     /// restores any drained-but-not-uploaded rows, and a later pass
     /// re-archives them. It is surfaced as [`IngestReport::archive_degraded`]
-    /// so writers notice before backpressure; counters are in
+    /// — by this call, or for a settle that failed off the caller, by the
+    /// next pass — so writers notice before backpressure; counters are in
     /// [`LogStore::archive_stats`].
     pub fn ingest(&self, records: Vec<LogRecord>) -> Result<IngestReport> {
         let mut report = self.broker.ingest(RecordBatch::from_records(records))?;
@@ -314,13 +354,20 @@ impl LogStore {
     /// Forces phase two now: drains every shard into LogBlocks on OSS.
     /// One build pass over every worker, the workers side by side, each
     /// archiving its shards in order: the pass costs about one worker's
-    /// builds plus its last OSS round, not the sum over all shards.
+    /// builds plus its last OSS round, not the sum over all shards. It is
+    /// a barrier: each shard's drain first waits for a settle still in
+    /// flight there, so every row buffered when it was called is on OSS
+    /// when it returns `Ok`.
     pub fn flush(&self) -> Result<BuildReport> {
         self.run_builder(true)
     }
 
     /// Runs phase two only for shards over the flush threshold: a serial
-    /// build pass on the calling thread, as ingest's piggybacked check.
+    /// build pass on the calling thread, as ingest's piggybacked check. At
+    /// `prefetch_threads > 1` each due shard is drained and built here and
+    /// settled on the settle pool, so the report counts only what this
+    /// call settled itself — nothing then; a settle that fails there is
+    /// reported by the next pass, this one's or a forced one's.
     pub fn flush_if_needed(&self) -> Result<BuildReport> {
         self.run_builder(false)
     }
@@ -328,9 +375,10 @@ impl LogStore {
     /// One build pass: one task per worker, each running the archive step
     /// on that worker's shards in shard order. A forced pass runs the
     /// workers' tasks as one [`ordered_wave`] of `min(workers,
-    /// prefetch_threads)` in flight; a threshold pass, and any pass at
-    /// `prefetch_threads = 1`, runs on the calling thread in (worker,
-    /// shard) order.
+    /// prefetch_threads)` in flight and settles every drain on its task's
+    /// thread; a threshold pass, and any pass at `prefetch_threads = 1`,
+    /// runs on the calling thread in (worker, shard) order, and a threshold
+    /// pass hands each settle to the settle pool when there is one.
     ///
     /// Every shard is processed even when an earlier one fails — the
     /// remaining shards still need their drain — and the first error in
@@ -341,39 +389,45 @@ impl LogStore {
     /// paths come from one global counter and interleave across workers.
     ///
     /// The pass's wall time is recorded when any worker was due, and a
-    /// threshold pass records how many were.
+    /// threshold pass records how many were. A settle failure from the
+    /// settle pool that no pass has reported yet is this pass's error, after
+    /// its own.
     fn run_builder(&self, force: bool) -> Result<BuildReport> {
         let start = Instant::now();
         let width = if force { self.shared.prefetcher.width() } else { 1 };
+        let settle_pool = if force { None } else { self.settle_pool.as_ref() };
         let passes = ordered_wave(width, self.shared.worker_snapshot(), |_, worker| {
-            // One shard at a time, drain to ack: a shard's rows leave the
-            // row store only when its own upload is about to start, so
-            // they are out of query reach for one drain's upload, never
-            // for the uploads of the shards ahead of it.
+            // One shard at a time: a shard's drain waits for its own last
+            // settle, never for the settles of the shards ahead of it.
             let min_bytes = if force { 0 } else { self.config.rowstore_flush_bytes };
             let steps = worker.shard_ids().into_iter();
-            steps.map(|shard| self.archive_step(&worker, shard, min_bytes)).collect()
+            let step = |shard| self.archiver.archive_step(&worker, shard, min_bytes, settle_pool);
+            steps.map(step).collect()
         });
-        // A worker was due when one of its steps archived rows or failed.
-        let due = |steps: &Vec<Result<BuildReport>>| {
-            steps.iter().any(|step| step.as_ref().map_or(true, |r| r.rows_archived > 0))
+        // A worker was due when one of its steps took rows or failed.
+        let due = |steps: &Vec<Result<Option<BuildReport>>>| {
+            steps.iter().any(|step| step.as_ref().map_or(true, Option::is_some))
         };
         let workers_due = passes.iter().filter(|steps| due(steps)).count() as u64;
+        let timers = &self.archiver.timers;
         if workers_due > 0 {
-            self.archive_timers.pass.record_duration(start.elapsed());
+            timers.pass.record_duration(start.elapsed());
         }
         if !force {
-            self.archive_timers.workers_due.record(workers_due);
+            timers.workers_due.record(workers_due);
         }
         let mut total = BuildReport::default();
         let mut first_error: Option<Error> = None;
         for step in passes.into_iter().flat_map(Vec::into_iter) {
             match step {
-                Ok(report) => total.merge(&report),
+                Ok(report) => total.merge(&report.unwrap_or_default()),
                 Err(e) => {
                     first_error.get_or_insert(e);
                 }
             }
+        }
+        if let Some(e) = self.archiver.settle_error.lock().take() {
+            first_error.get_or_insert(e);
         }
         match first_error {
             Some(e) => Err(e),
@@ -389,14 +443,16 @@ impl LogStore {
     /// nodes (paper §4.1.5) — this is what "helps to reduce node load in
     /// the case of system hotspots".
     ///
-    /// The flush is the build pass's own drain: each shard that a vacated
-    /// tenant still has rows on is archived whole, once per tick however
-    /// many of its tenants left it, and then every vacated edge of the
-    /// shard is acknowledged. Its other tenants' rows go to OSS early, as
-    /// smaller LogBlocks that compaction merges later. If the archive
-    /// step fails, the shard's edges stay pending, so reads still reach
-    /// the rows it restored, and a later tick retries: a missed rebalance,
-    /// never a lost row.
+    /// The flush is the build pass's own drain: each shard that still holds
+    /// rows of a vacated tenant — buffered, or drained by a settle still in
+    /// flight — is archived whole, once per tick however many of its
+    /// tenants left it, settled on this thread. Then every vacated edge of
+    /// the shard whose tenant it no longer holds rows of is acknowledged.
+    /// Its other tenants' rows go to OSS early, as smaller LogBlocks that
+    /// compaction merges later. If the archive step fails, or a threshold
+    /// pass took the tenant's newest rows meanwhile, the edge stays
+    /// pending, so reads still reach the rows, and a later tick retries: a
+    /// missed rebalance, never a lost row.
     pub fn control_tick(&self) -> Result<ControlAction> {
         let action = self.shared.controller.control_tick()?;
         // Vacated edges persist in the replicated state until their flush
@@ -413,11 +469,14 @@ impl LogStore {
         let mut first_error: Option<Error> = None;
         for (shard, tenants) in vacated {
             let flushed = self.shared.worker_for(shard).and_then(|worker| {
-                let buffered = worker.store(shard)?.buffered_tenants();
-                if tenants.iter().any(|tenant| buffered.contains(tenant)) {
-                    self.archive_step(&worker, shard, 0)?;
+                let store = worker.store(shard)?;
+                let held = store.held_tenants();
+                if tenants.iter().any(|tenant| held.contains(tenant)) {
+                    self.archiver.archive_step(&worker, shard, 0, None)?;
                 }
-                tenants.iter().try_for_each(|&t| self.shared.controller.vacate_done(t, shard))
+                let held = store.held_tenants();
+                let left = tenants.iter().filter(|tenant| !held.contains(tenant));
+                left.into_iter().try_for_each(|&t| self.shared.controller.vacate_done(t, shard))
             });
             if let Err(e) = flushed {
                 first_error.get_or_insert(e);
@@ -426,72 +485,6 @@ impl LogStore {
         match first_error {
             Some(e) => Err(e),
             None => Ok(action),
-        }
-    }
-
-    /// The archive step, phase two for one shard: drain (every row, once at
-    /// least `min_bytes` are buffered) → build → upload → admit → register
-    /// → **ack**, with the engine's OSS request concurrency.
-    ///
-    /// The durability order is the point of this function. The drain
-    /// logs a checkpoint holding its rows before the upload starts; only
-    /// after *all* of the drained rows are durable on OSS does the ack log
-    /// itself and cut the WAL. On a terminal upload failure the
-    /// un-uploaded rows go back into the shard's row store — still
-    /// WAL-covered, so a crash at any point loses nothing — and a later
-    /// step re-archives them. Every drain that took rows is closed by
-    /// exactly one ack or restore, whatever failed before it, or its rows
-    /// would vanish from the row store with the drain left open. Returns
-    /// what was registered, or the first error: the checkpoint's, the
-    /// upload's, else the ack's.
-    fn archive_step(
-        &self,
-        worker: &Worker,
-        shard: ShardId,
-        min_bytes: usize,
-    ) -> Result<BuildReport> {
-        let store = worker.store(shard)?;
-        let start = Instant::now();
-        // A checkpoint that failed to log left its rows in the row store.
-        let Some((lsn, drained)) = store.drain_all(min_bytes)? else {
-            return Ok(BuildReport::default());
-        };
-        self.archive_timers.drain.record_duration(start.elapsed());
-        // Registered before any path allocation: while this guard lives,
-        // the GC pass will not sweep our pending upload paths as orphans.
-        let _build = self.shared.metadata.begin_build();
-        self.shared.hooks.reached(CrashPoint::AfterDrain);
-        let outcome = build_and_upload_drain(
-            &drained,
-            &self.shared.schema,
-            &self.build_config,
-            self.shared.store.as_ref(),
-            &self.shared.metadata,
-            lsn.map(|lsn| DrainId { shard, lsn }),
-            Some(&self.shared.prefetcher),
-        );
-        self.shared.hooks.reached(CrashPoint::AfterUpload);
-        self.archive_timers.record(&outcome);
-        let acked = if outcome.is_complete() {
-            let start = Instant::now();
-            let acked = worker.ack_archived(shard, lsn);
-            self.archive_timers.ack.record_duration(start.elapsed());
-            acked
-        } else {
-            self.archive_failed_passes.fetch_add(1, Ordering::Relaxed);
-            self.archive_rows_restored
-                .fetch_add(outcome.unarchived.len() as u64, Ordering::Relaxed);
-            store.restore_unarchived(lsn, outcome.unarchived);
-            Ok(())
-        };
-        // The drain's runs die here, unless a query still reads one: then
-        // its last reader frees it.
-        let release = Instant::now();
-        drop(drained);
-        self.archive_timers.release.record_duration(release.elapsed());
-        match outcome.error {
-            Some(e) => Err(e),
-            None => acked.map(|()| outcome.report),
         }
     }
 
@@ -564,7 +557,7 @@ impl LogStore {
             self.shared.store.as_ref(),
             &self.shared.metadata,
             &self.shared.schema,
-            &self.build_config,
+            &self.archiver.build_config,
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
             Some(&self.shared.prefetcher),
@@ -631,8 +624,8 @@ impl LogStore {
     /// Archive-pipeline failure counters.
     pub fn archive_stats(&self) -> ArchiveStats {
         ArchiveStats {
-            failed_passes: self.archive_failed_passes.load(Ordering::Relaxed),
-            rows_restored: self.archive_rows_restored.load(Ordering::Relaxed),
+            failed_passes: self.archiver.failed_passes.load(Ordering::Relaxed),
+            rows_restored: self.archiver.rows_restored.load(Ordering::Relaxed),
         }
     }
 
@@ -655,6 +648,216 @@ impl LogStore {
     /// Total route edges in the routing table (Fig 12(c)).
     pub fn route_count(&self) -> usize {
         self.shared.controller.route_count()
+    }
+}
+
+impl Archiver {
+    /// The archive step, phase two for one shard: take (drain every row,
+    /// once at least `min_bytes` are buffered, and build) → settle (upload →
+    /// admit → register → **ack**), with the engine's OSS request
+    /// concurrency. `None` when there was nothing to take.
+    ///
+    /// With a `settle_pool` — a threshold pass at `prefetch_threads > 1` —
+    /// the take builds every chunk on the calling thread, in the canonical
+    /// order, and the settle runs on the pool: the step returns an empty
+    /// report once the build is done. Without one — a forced pass, a
+    /// control tick, any pass at width 1 — the chunks are built as the
+    /// PUT wave pulls them and the settle runs here; the paths and bytes are
+    /// the same either way.
+    ///
+    /// The durability order is the point of this function. The take logs a
+    /// checkpoint holding its rows before the upload starts; only after
+    /// *all* of the drained rows are durable on OSS does the ack log itself
+    /// and cut the WAL. Until the registration, the drained rows stay on the
+    /// shard's side list, readable; on a terminal upload failure the
+    /// un-uploaded rows go back into the shard's row store — still
+    /// WAL-covered, so a crash at any point loses nothing — and a later
+    /// step re-archives them. Every drain that took rows is closed by
+    /// exactly one ack or restore, whatever failed before it, or its rows
+    /// would vanish with the drain left open; if the step unwinds instead,
+    /// the shard's next drain re-raises the panic rather than wait for a
+    /// settle that never comes. Returns what was registered here, or the
+    /// first error: the checkpoint's, the upload's, else the ack's.
+    fn archive_step(
+        self: &Arc<Self>,
+        worker: &Arc<Worker>,
+        shard: ShardId,
+        min_bytes: usize,
+        settle_pool: Option<&QueryPool>,
+    ) -> Result<Option<BuildReport>> {
+        let store = worker.store(shard)?;
+        let start = Instant::now();
+        // A checkpoint that failed to log left its rows in the row store.
+        let Some((lsn, drained)) = store.take(min_bytes)? else {
+            return Ok(None);
+        };
+        self.timers.drain.record_duration(start.elapsed());
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            // Registered before any path allocation: while this guard
+            // lives, the GC pass will not sweep our pending upload paths
+            // as orphans. It goes with the settle, to its commit.
+            let build = self.shared.metadata.begin_build();
+            self.shared.hooks.reached(CrashPoint::AfterDrain);
+            let mut outcome = BuildOutcome::default();
+            let chunks = partition(&drained, &self.build_config, &mut outcome.stages);
+            let taken = Taken { shard, lsn, drained, chunks };
+            match settle_pool {
+                Some(pool) => {
+                    self.hand_off(pool, worker, taken, outcome, build);
+                    Ok(BuildReport::default())
+                }
+                None => {
+                    let settled = self.archive_here(worker, &taken, &mut outcome);
+                    drop(build);
+                    self.release(taken.drained);
+                    store.settled();
+                    settled
+                }
+            }
+        }));
+        match step {
+            Ok(settled) => settled.map(Some),
+            Err(payload) => {
+                store.abandon(Box::new("an archive step of this shard panicked"));
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    /// Builds the drain's chunks as the PUT wave pulls them and settles it,
+    /// all on the calling thread.
+    fn archive_here(
+        &self,
+        worker: &Worker,
+        taken: &Taken,
+        outcome: &mut BuildOutcome,
+    ) -> Result<BuildReport> {
+        let shared = &self.shared;
+        let (failed, mut built) = (AtomicBool::new(false), BuildStages::default());
+        let blocks = build_blocks(
+            &taken.chunks,
+            &taken.drained,
+            &shared.schema,
+            &self.build_config,
+            &shared.metadata,
+            &failed,
+            &mut built,
+        );
+        let settled = self.settle(worker, taken, blocks, &failed, outcome);
+        outcome.stages.add_build(&built);
+        self.timers.record_build(&outcome.stages);
+        self.timers.record_settle(outcome);
+        settled
+    }
+
+    /// Builds every chunk of the drain here, in chunk order — up to the
+    /// first that fails to build — and hands the settle to `pool`. A
+    /// failure of the settle waits in `settle_error` for the next pass,
+    /// stored before the shard's next drain may go; a panic abandons the
+    /// shard's drain with its payload, for that drain to re-raise.
+    fn hand_off(
+        self: &Arc<Self>,
+        pool: &QueryPool,
+        worker: &Arc<Worker>,
+        taken: Taken,
+        mut outcome: BuildOutcome,
+        build: BuildGuard,
+    ) {
+        let shared = &self.shared;
+        let failed = AtomicBool::new(false);
+        let mut blocks: Vec<Result<Block>> = Vec::with_capacity(taken.chunks.len());
+        let stages = &mut outcome.stages;
+        let config = &self.build_config;
+        let (chunks, drained) = (&taken.chunks, &taken.drained);
+        for block in
+            build_blocks(chunks, drained, &shared.schema, config, &shared.metadata, &failed, stages)
+        {
+            let built = block.is_ok();
+            blocks.push(block);
+            if !built {
+                break;
+            }
+        }
+        self.timers.record_build(&outcome.stages);
+        let (archiver, worker) = (Arc::clone(self), Arc::clone(worker));
+        pool.detach(move || {
+            let shard = taken.shard;
+            let settled = catch_unwind(AssertUnwindSafe(|| {
+                let blocks = blocks.into_iter();
+                let settled = archiver.settle(&worker, &taken, blocks, &failed, &mut outcome);
+                drop(build);
+                archiver.timers.record_settle(&outcome);
+                archiver.release(taken.drained);
+                settled
+            }));
+            let Ok(store) = worker.store(shard) else { return };
+            match settled {
+                Ok(settled) => {
+                    if let Err(e) = settled {
+                        archiver.settle_error.lock().get_or_insert(e);
+                    }
+                    store.settled();
+                }
+                Err(payload) => store.abandon(payload),
+            }
+        });
+    }
+
+    /// The settle of `taken`, whose chunks are `blocks` as far as they were
+    /// built: the PUT wave, the admission of its durable prefix, and — as
+    /// the shard's [`ShardStore::settle`], so that the drained rows leave
+    /// its side list in the same step — the metadata commit, and the
+    /// restore of what it left unarchived; then the ack of a whole drain.
+    /// Adds the settle stages to `outcome`.
+    ///
+    /// [`ShardStore::settle`]: logstore_wal::ShardStore::settle
+    fn settle(
+        &self,
+        worker: &Worker,
+        taken: &Taken,
+        blocks: impl Iterator<Item = Result<Block>>,
+        failed: &AtomicBool,
+        outcome: &mut BuildOutcome,
+    ) -> Result<BuildReport> {
+        let (shared, Taken { shard, lsn, drained, chunks }) = (&self.shared, taken);
+        let store = worker.store(*shard)?;
+        let prefetcher = Some(&shared.prefetcher);
+        let uploads =
+            put_blocks(blocks, failed, shared.store.as_ref(), prefetcher, &mut outcome.stages);
+        let entries = admit_prefix(uploads, prefetcher, outcome);
+        let drain = lsn.map(|lsn| DrainId { shard: *shard, lsn });
+        let complete = store.settle(*lsn, || {
+            let (config, metadata) = (&self.build_config, &shared.metadata);
+            commit_prefix(entries, chunks, drained, config, metadata, drain, outcome);
+            if outcome.is_complete() {
+                return (true, None);
+            }
+            self.failed_passes.fetch_add(1, Ordering::Relaxed);
+            let unarchived = std::mem::take(&mut outcome.unarchived);
+            self.rows_restored.fetch_add(unarchived.len() as u64, Ordering::Relaxed);
+            (false, Some(unarchived))
+        });
+        shared.hooks.reached(CrashPoint::AfterUpload);
+        let acked = if complete {
+            let start = Instant::now();
+            let acked = worker.ack_archived(*shard, *lsn);
+            self.timers.ack.record_duration(start.elapsed());
+            acked
+        } else {
+            Ok(())
+        };
+        match outcome.error.take() {
+            Some(e) => Err(e),
+            None => acked.map(|()| outcome.report.clone()),
+        }
+    }
+
+    /// The drain's runs die here, unless a query still reads one: then its
+    /// last reader frees it.
+    fn release(&self, drained: Drained) {
+        let release = Instant::now();
+        drop(drained);
+        self.timers.release.record_duration(release.elapsed());
     }
 }
 
@@ -839,6 +1042,78 @@ mod tests {
                 Value::U64(rows as u64),
                 "tenant {tenant}"
             );
+        }
+    }
+
+    /// Parks the first archive step to reach `AfterDrain` until the test
+    /// lets it go (or ten seconds pass).
+    struct ParkFirstDrain {
+        armed: AtomicBool,
+        reached: logstore_sync::OrderedMutex<std::sync::mpsc::Sender<()>>,
+        resume: logstore_sync::OrderedMutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl CrashHooks for ParkFirstDrain {
+        fn reached(&self, point: CrashPoint) {
+            if point == CrashPoint::AfterDrain && self.armed.swap(false, Ordering::SeqCst) {
+                let _ = self.reached.lock().send(());
+                let _ = self.resume.lock().recv_timeout(std::time::Duration::from_secs(10));
+            }
+        }
+    }
+
+    #[test]
+    fn a_tick_acks_no_edge_whose_rows_a_failing_drain_holds() {
+        // Four tenants on shard 0; the balancer moves the two small ones off
+        // it. A flush has drained shard 0 and is about to upload when the
+        // tick runs, and the upload then fails: the rows go back to shard
+        // 0, so the edges must still be pending for reads to reach them.
+        let mut config = ClusterConfig::for_testing();
+        config.shard_capacity = 5_000;
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel();
+        let hooks = Arc::new(ParkFirstDrain {
+            armed: AtomicBool::new(true),
+            reached: logstore_sync::OrderedMutex::new("core.engine.test_reached", reached_tx),
+            resume: logstore_sync::OrderedMutex::new("core.engine.test_resume", resume_rx),
+        });
+        let s =
+            LogStore::open_with(config, OpenParts { hooks: Some(hooks), ..OpenParts::default() })
+                .unwrap();
+        let tenants = [(1, 3000), (2, 3000), (3, 100), (4, 100)];
+        for (tenant, rows) in tenants {
+            s.shared().controller.restore_routes(TenantId(tenant), &[ShardId(0)]).unwrap();
+            s.ingest((0..rows).map(|i| rec(tenant, i, 1, "x")).collect()).unwrap();
+        }
+        let count = |tenant: u64| {
+            let sql = format!("SELECT COUNT(*) FROM request_log WHERE tenant_id = {tenant}");
+            s.query(&sql).unwrap().rows[0][0].clone()
+        };
+        s.shared().fault_layer().set_scope(FaultScope::Writes);
+        s.shared().fault_layer().set_probability(1.0);
+        let (flushed, ticked) = std::thread::scope(|scope| {
+            let flush = scope.spawn(|| s.flush());
+            reached_rx.recv().expect("the flush drains shard 0");
+            // The tick rebalances and, holding the moved tenants' rows
+            // drained, waits for the flush's settle.
+            let tick = scope.spawn(|| s.control_tick());
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            resume_tx.send(()).unwrap();
+            (flush.join().unwrap(), tick.join().unwrap())
+        });
+        for (tenant, rows) in tenants {
+            assert_eq!(count(tenant), Value::U64(rows as u64), "tenant {tenant} mid-failure");
+        }
+        assert!(flushed.is_err(), "every PUT fails");
+        assert!(ticked.is_err(), "the tick's own flush of shard 0 fails too: {ticked:?}");
+        let pending = s.shared().controller.vacated_routes().unwrap();
+        assert!(pending.iter().any(|&(t, shard)| t == TenantId(3) && shard == ShardId(0)));
+        s.shared().fault_layer().set_probability(0.0);
+        s.flush().unwrap();
+        s.control_tick().unwrap();
+        assert!(s.shared().controller.vacated_routes().unwrap().is_empty());
+        for (tenant, rows) in tenants {
+            assert_eq!(count(tenant), Value::U64(rows as u64), "tenant {tenant}");
         }
     }
 

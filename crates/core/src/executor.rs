@@ -129,6 +129,12 @@ impl QueryPool {
         Scattered { results: (0..total).map(|_| None).collect(), pending: Some(result_rx) }
     }
 
+    /// Runs `job` on a pool thread, detached from the caller: dropping the
+    /// pool waits for it.
+    pub(crate) fn detach(&self, job: impl FnOnce() + Send + 'static) {
+        self.submit(Box::new(job));
+    }
+
     fn submit(&self, job: Job) {
         // The sender lives until Drop takes it, so a live pool always
         // sends; if the channel is somehow gone or disconnected, degrade

@@ -74,9 +74,12 @@ impl CrashPoint {
 /// points: a test parks a query at one to decide what happens beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPoint {
-    /// The attempt is about to read the LogBlock map, the first thing it
-    /// reads.
+    /// The attempt is about to read what it reads first: the tenant's
+    /// shards, their settle sequences and the LogBlock map.
     BeforeMapRead,
+    /// A source task is about to snapshot its shard's row store: the map
+    /// was read.
+    BeforeRowStoreSnapshot,
     /// A source task holds its shard's row-store snapshot and has not
     /// looked at a row yet; no lock is held.
     RowStoreSnapshot,

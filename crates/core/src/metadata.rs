@@ -9,6 +9,7 @@ use logstore_types::{Error, Result, ShardId, TenantId, TimeRange, Timestamp};
 use logstore_wal::{DrainCommit, Lsn};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Durable identity of one shard drain across the whole cluster: the
 /// shard plus the LSN of the drain's checkpoint in that shard's WAL. The key
@@ -64,15 +65,16 @@ pub struct MetadataStore {
     // While this is non-zero, `sweep_stale_pending` refuses to reclassify
     // pending paths as garbage: a builder registers itself *before*
     // allocating, so any path a live build holds is protected. Kept as an
-    // atomic (not in `Inner`) so [`BuildGuard::drop`] never takes a lock.
-    builds_in_flight: AtomicU64,
+    // atomic (not in `Inner`) so [`BuildGuard::drop`] never takes a lock,
+    // and shared so that a guard can outlive the borrow that took it.
+    builds_in_flight: Arc<AtomicU64>,
 }
 
 impl Default for MetadataStore {
     fn default() -> Self {
         MetadataStore {
             inner: OrderedRwLock::new("core.metadata.inner", Inner::default()),
-            builds_in_flight: AtomicU64::new(0),
+            builds_in_flight: Arc::new(AtomicU64::new(0)),
         }
     }
 }
@@ -104,15 +106,17 @@ struct Inner {
 
 /// RAII registration of an in-flight build (archive upload or compaction).
 /// While any guard is alive, [`MetadataStore::sweep_stale_pending`] leaves
-/// pending paths alone. Take the guard *before* allocating paths.
+/// pending paths alone. Take the guard *before* allocating paths. It owns
+/// its registration, so a build that finishes on another thread takes it
+/// along.
 #[derive(Debug)]
-pub struct BuildGuard<'a> {
-    meta: &'a MetadataStore,
+pub struct BuildGuard {
+    builds_in_flight: Arc<AtomicU64>,
 }
 
-impl Drop for BuildGuard<'_> {
+impl Drop for BuildGuard {
     fn drop(&mut self) {
-        self.meta.builds_in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.builds_in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -135,9 +139,9 @@ impl MetadataStore {
     /// Registers an in-flight build. Hold the returned guard across the
     /// whole allocate→upload→commit window so the GC pass cannot sweep the
     /// build's pending paths out from under it.
-    pub fn begin_build(&self) -> BuildGuard<'_> {
+    pub fn begin_build(&self) -> BuildGuard {
         self.builds_in_flight.fetch_add(1, Ordering::SeqCst);
-        BuildGuard { meta: self }
+        BuildGuard { builds_in_flight: Arc::clone(&self.builds_in_flight) }
     }
 
     /// Allocates a unique LogBlock object path for a tenant. Per-tenant

@@ -709,6 +709,31 @@ fn a_row_racing_a_drain_is_never_counted_twice() {
 }
 
 #[test]
+fn a_drain_registered_between_the_map_read_and_the_snapshot_restarts_the_attempt() {
+    // The attempt has read the map — no block yet — and is about to take
+    // its snapshot of the shard when a flush drains it, registers the
+    // drain and acks it. The snapshot would hold none of the rows, and
+    // the map the attempt read none: the shard's settle sequence moved
+    // between the two reads, so the attempt is stale and the retry counts
+    // every row, once.
+    let (s, exec) = query_parked_at(
+        one_shard_config(),
+        QueryPoint::BeforeRowStoreSnapshot,
+        |s| {
+            s.ingest((0..250).map(rec).collect::<Vec<_>>()).unwrap();
+        },
+        COUNT_ALL,
+        |s| {
+            s.flush().unwrap();
+        },
+    );
+    assert_eq!(count_of(&exec), 250);
+    assert!(exec.stale_retries >= 1, "the straddling attempt was not restarted");
+    assert_eq!(s.block_count(), 1, "the flush did register the rows");
+    assert_eq!(exec.result, oracle(&s, COUNT_ALL).result);
+}
+
+#[test]
 fn blocks_pruned_by_map_counts_the_map_the_blocks_came_from() {
     // Three small LogBlocks of which the window overlaps one; at the moment
     // the attempt is about to read the map, compaction swaps them for one

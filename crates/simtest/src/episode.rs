@@ -69,6 +69,9 @@ pub struct EpisodeReport {
     pub blocks: usize,
     /// Control ticks that committed a rebalance.
     pub rebalances: u64,
+    /// Controller leaders killed mid-rebalance: an armed
+    /// [`SimOp::KillController`] that a rebalancing tick fired.
+    pub rebalance_kills: u64,
     /// The full event trace (deterministic for a seed, modulo control
     /// ticks — see [`SimPlan::without_control_ticks`]).
     pub trace: Vec<String>,
@@ -130,7 +133,17 @@ impl Episode {
     /// Runs `plan` end to end: every scheduled op, then the final clean
     /// flush and accounting battery.
     pub fn run(plan: &SimPlan) -> Result<EpisodeReport, SimFailure> {
-        let mut episode = Episode::new(plan.seed)?;
+        Self::run_with_shard_capacity(plan, ClusterConfig::for_testing().shard_capacity)
+    }
+
+    /// [`Episode::run`] with every shard's ingest capacity — the rows per
+    /// control window over which the balancer moves a tenant — set to
+    /// `shard_capacity`.
+    pub fn run_with_shard_capacity(
+        plan: &SimPlan,
+        shard_capacity: u64,
+    ) -> Result<EpisodeReport, SimFailure> {
+        let mut episode = Episode::with_shard_capacity(plan.seed, shard_capacity)?;
         for (step, op) in plan.ops.iter().enumerate() {
             episode.apply(step, op)?;
         }
@@ -139,6 +152,11 @@ impl Episode {
 
     /// Builds the world and opens the first engine incarnation.
     pub fn new(seed: u64) -> Result<Self, SimFailure> {
+        Self::with_shard_capacity(seed, ClusterConfig::for_testing().shard_capacity)
+    }
+
+    /// [`Episode::new`] with every shard's capacity `shard_capacity`.
+    pub fn with_shard_capacity(seed: u64, shard_capacity: u64) -> Result<Self, SimFailure> {
         silence_sim_crash_panics();
         let data_dir = std::env::temp_dir().join(format!(
             "logstore-simtest-{}-{}-{}",
@@ -149,6 +167,7 @@ impl Episode {
         let _ = std::fs::remove_dir_all(&data_dir);
         let mut config = ClusterConfig::for_testing();
         config.seed = seed;
+        config.shard_capacity = shard_capacity;
         config.data_dir = Some(data_dir.clone());
         // Small thresholds so threshold flushes fire and drains span
         // several chunks (multi-block commits, partial-prefix crashes).
@@ -324,23 +343,34 @@ impl Episode {
                     }
                 }
             }
-            SimOp::ControlTick => match self.guarded(|engine| engine.control_tick()) {
-                Outcome::Done(Ok(action)) => {
-                    if matches!(action, ControlAction::Rebalanced { .. }) {
-                        self.report.rebalances += 1;
+            SimOp::ControlTick => {
+                let armed = self.engine().shared().controller.kill_armed();
+                match self.guarded(|engine| engine.control_tick()) {
+                    Outcome::Done(result) => {
+                        if armed && !self.engine().shared().controller.kill_armed() {
+                            self.report.rebalance_kills += 1;
+                            self.trace(step, "kill-controller fired mid-rebalance".to_string());
+                        }
+                        match result {
+                            Ok(action) => {
+                                if matches!(action, ControlAction::Rebalanced { .. }) {
+                                    self.report.rebalances += 1;
+                                }
+                                self.trace(step, format!("control-tick {action:?}"));
+                            }
+                            // A vacated-route flush lost to the fault window;
+                            // the rows went back to their old shard. Legal.
+                            Err(_) => {
+                                self.trace(step, "control-tick degraded (faults)".to_string())
+                            }
+                        }
                     }
-                    self.trace(step, format!("control-tick {action:?}"));
+                    Outcome::Crashed(point) => {
+                        self.trace(step, format!("control-tick CRASH {point:?}"));
+                        self.recover(step, point)?;
+                    }
                 }
-                Outcome::Done(Err(_)) => {
-                    // A vacated-route flush lost to the fault window; the
-                    // rows went back to their old shard. Legal.
-                    self.trace(step, "control-tick degraded (faults)".to_string());
-                }
-                Outcome::Crashed(point) => {
-                    self.trace(step, format!("control-tick CRASH {point:?}"));
-                    self.recover(step, point)?;
-                }
-            },
+            }
             SimOp::CheckQueries { tenant } => {
                 self.trace(step, format!("check-queries t{tenant}"));
                 self.check_tenant(step, *tenant, false)?;
@@ -725,8 +755,9 @@ impl Episode {
     }
 
     /// `buffered == appended − archived` on every durable shard, and every
-    /// tenant a shard buffers rows of reads that shard: an acked row is
-    /// never out of its tenant's read set.
+    /// tenant a shard holds rows of — buffered, or drained by a settle not
+    /// yet over — reads that shard: an acked row is never out of its
+    /// tenant's read set.
     fn check_counters(&mut self, step: usize) -> Result<(), SimFailure> {
         let engine = self.engine.as_ref().expect("episode engine is open");
         let workers = engine.shared().worker_snapshot();
@@ -735,7 +766,7 @@ impl Episode {
                 let store = worker
                     .store(shard)
                     .map_err(|e| self.plain_failure(step, format!("store: {e}")))?;
-                for tenant in store.buffered_tenants() {
+                for tenant in store.held_tenants() {
                     let reads = engine.shared().controller.read_shards(tenant).map_err(|e| {
                         self.plain_failure(step, format!("read_shards({tenant}): {e}"))
                     })?;

@@ -202,7 +202,14 @@ fn acceptance_controller_faults() {
         SimOp::FlushAll,
         SimOp::CheckInvariants,
     ];
-    let report = run_or_die(&SimPlan { seed: 0xc7_a1f5, ops });
+    // Shards of 100 rows per control window, which the episode's ingest
+    // exceeds, so that ticks rebalance and the armed kill fires (at
+    // `for_testing()`'s 100 000 no tick of the episode rebalances).
+    let plan = SimPlan { seed: 0xc7_a1f5, ops };
+    let report =
+        Episode::run_with_shard_capacity(&plan, 100).unwrap_or_else(|failure| panic!("{failure}"));
+    assert!(report.rebalances >= 1, "no tick rebalanced: {:#?}", report.trace);
+    assert_eq!(report.rebalance_kills, 1, "the mid-rebalance kill: {:#?}", report.trace);
     assert!(report.rows_acked >= 490);
     assert!(report.checks > 0);
     assert!(

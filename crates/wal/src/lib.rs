@@ -36,4 +36,4 @@ pub mod shard;
 
 pub use group::{FlushPolicy, GroupCommitStats, GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 pub use rowstore::{partition_runs, Drained, RowSnapshot, RowStore, Run, RunChunk, RUN_ROWS};
-pub use shard::{AppendTimes, DrainCommit, LoggedDrain, ShardStore};
+pub use shard::{AppendTimes, DrainCommit, LoggedDrain, Payload, ShardStore};

@@ -166,6 +166,11 @@ impl Run {
         keys_of(&self.columns)
     }
 
+    /// The tenants the run has rows of, ascending.
+    pub(crate) fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
+        self.stats.tenant_rows.keys().copied()
+    }
+
     /// True when every row's `ts` lies inside `range`, so a scan need not
     /// look at the column to know.
     pub fn within(&self, range: TimeRange) -> bool {
@@ -292,6 +297,23 @@ pub struct RowSnapshot {
     /// Runs left out because their tenant counts or time bounds exclude the
     /// query.
     pub runs_pruned: u64,
+    /// The shard's settle sequence number when the snapshot was taken
+    /// ([`crate::ShardStore::settles`]); `0` from a bare [`RowStore`].
+    pub settles: u64,
+}
+
+impl RowSnapshot {
+    /// Adds those of `runs` that may hold `tenant` within `range`, in the
+    /// order given, and counts the rest as pruned.
+    pub(crate) fn add(&mut self, runs: &[Arc<Run>], tenant: TenantId, range: TimeRange) {
+        for run in runs {
+            if run.stats.may_hold(tenant, range) {
+                self.runs.push(Arc::clone(run));
+            } else {
+                self.runs_pruned += 1;
+            }
+        }
+    }
 }
 
 /// Rows a drain took out of the store, in the runs they sat in and in
@@ -529,13 +551,7 @@ impl RowStore {
             self.seal_tail();
         }
         let mut snapshot = RowSnapshot::default();
-        for run in &self.runs {
-            if run.stats.may_hold(tenant, range) {
-                snapshot.runs.push(Arc::clone(run));
-            } else {
-                snapshot.runs_pruned += 1;
-            }
-        }
+        snapshot.add(&self.runs, tenant, range);
         snapshot
     }
 

@@ -39,6 +39,25 @@
 //! (an ack record names it) or [`ShardStore::restore_unarchived`] (the
 //! rows go back).
 //!
+//! # Settles and the side list
+//!
+//! [`ShardStore::take`] is the engine's drain: its runs leave the row store
+//! but not the shard. They wait on a **side list**, which
+//! [`ShardStore::snapshot`] still hands out, until [`ShardStore::settle`]
+//! runs the metadata commit that registers the drain's LogBlocks and, under
+//! the lock, drops the side runs — folding what the commit left unarchived
+//! back into the store — so a row is always in the store, on the side list
+//! or in the LogBlock map. The shard's **settle sequence**
+//! ([`ShardStore::settles`]) is odd from just before the commit until the
+//! side runs are gone; a snapshot reports it, so a query that read it
+//! before its map read and finds it changed knows that a commit straddled
+//! the two and retries. A taken drain is *unsettled* until
+//! [`ShardStore::settled`] says its settle — the ack included — is over,
+//! and a shard holds one at most: every drain waits for it, and a forced
+//! drain (`min_bytes == 0`) waits even with nothing to take, so it is a
+//! barrier. A settle that panicked is [`ShardStore::abandon`]ed instead:
+//! every later drain re-raises the panic rather than wait.
+//!
 //! Replay decodes the logged runs straight back into runs. It starts at the
 //! last checkpoint C, from an empty store: the batches C names in
 //! `unapplied` or `[C.take, C)`, each joining the tail as its live append
@@ -63,6 +82,7 @@ use logstore_codec::Compression;
 use logstore_logblock::column::{decode_block_into, encode_column_into};
 use logstore_sync::{sync_point, OrderedCondvar, OrderedMutex};
 use logstore_types::{ColumnVec, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 use std::path::Path;
@@ -85,6 +105,9 @@ pub struct DrainCommit {
     /// The chunk row cap the uploader partitioned with.
     pub chunk_rows: usize,
 }
+
+/// What a panicking settle unwound with.
+pub type Payload = Box<dyn Any + Send>;
 
 /// A drain whose checkpoint is logged: the checkpoint's LSN (`None` on a
 /// memory-only shard) plus the drained rows, ready for the archive
@@ -257,6 +280,16 @@ struct Inner {
     cut: Lsn,
     /// The LSN of the last logged checkpoint; a drain still logging is above.
     last: Lsn,
+    /// A taken drain is not settled: the next drain waits for it.
+    settling: bool,
+    /// The runs of the taken drain until its commit: snapshots still hand
+    /// them out.
+    side: Vec<Arc<Run>>,
+    /// The settle sequence: odd from just before a settle's commit until
+    /// its side runs are gone.
+    settles: u64,
+    /// A settle of this shard panicked: what every later drain re-raises.
+    abandoned: Option<Payload>,
 }
 
 /// Recoverable phase-one storage for one shard (see the module docs).
@@ -266,7 +299,8 @@ pub struct ShardStore {
     /// The table every buffered and logged row is a row of.
     typing: Typing,
     inner: OrderedMutex<Inner>,
-    /// `Inner::logging` went false.
+    /// `Inner::logging` or `Inner::settling` went false, the settle
+    /// sequence went even, or a settle was abandoned.
     logged: OrderedCondvar,
 }
 
@@ -324,6 +358,10 @@ impl ShardStore {
             logging: false,
             cut: 0,
             last: 0,
+            settling: false,
+            side: Vec::new(),
+            settles: 0,
+            abandoned: None,
         };
         ShardStore {
             wal,
@@ -416,15 +454,36 @@ impl ShardStore {
     }
 
     /// The runs that may hold rows of `tenant` within `range`, by
-    /// reference and in arrival order. The lock is held for as long as it
-    /// takes to look at each run's bounds — no row is visited under it —
-    /// and the caller reads the snapshot with no lock at all: appends and
-    /// drains go on beside it, and what a drain takes away meanwhile stays
-    /// readable through the snapshot.
+    /// reference and in arrival order: the side list's, then the store's.
+    /// The lock is held for as long as it takes to look at each run's
+    /// bounds — no row is visited under it — and the caller reads the
+    /// snapshot with no lock at all: appends and drains go on beside it,
+    /// and what a drain takes away meanwhile stays readable through the
+    /// snapshot. It reports the settle sequence it was taken at.
     pub fn snapshot(&self, tenant: TenantId, range: TimeRange) -> RowSnapshot {
-        let snapshot = self.inner.lock().rows.snapshot(tenant, range);
+        let snapshot = {
+            let mut inner = self.inner.lock();
+            let mut snapshot = RowSnapshot { settles: inner.settles, ..RowSnapshot::default() };
+            snapshot.add(&inner.side, tenant, range);
+            let rows = inner.rows.snapshot(tenant, range);
+            snapshot.runs.extend(rows.runs);
+            snapshot.runs_pruned += rows.runs_pruned;
+            snapshot
+        };
         sync_point("wal.shard.snapshot_window");
         snapshot
+    }
+
+    /// The settle sequence, once no settle is between its commit and the
+    /// removal of its side runs (it is even then). A reader that takes it
+    /// before it reads the LogBlock map, and finds it unchanged in its
+    /// snapshot, saw every row exactly once: in the map or in the shard.
+    pub fn settles(&self) -> u64 {
+        let mut inner = self.inner.lock();
+        while inner.settles % 2 == 1 {
+            self.logged.wait(&mut inner);
+        }
+        inner.settles
     }
 
     /// Rows currently buffered.
@@ -443,6 +502,18 @@ impl ShardStore {
         self.inner.lock().rows.tenants()
     }
 
+    /// Tenants the shard holds rows of: buffered, or on the side list of a
+    /// taken drain not yet registered. Until a tenant is out of this set,
+    /// its reads must reach the shard.
+    pub fn held_tenants(&self) -> Vec<TenantId> {
+        let inner = self.inner.lock();
+        let mut tenants = inner.rows.tenants();
+        tenants.extend(inner.side.iter().flat_map(|run| run.tenants()));
+        tenants.sort_unstable();
+        tenants.dedup();
+        tenants
+    }
+
     /// Lifetime counters: `(appended, archived)` record counts. The
     /// difference is always the buffered row count — the accounting
     /// invariant the simulation harness checks after every recovery.
@@ -455,18 +526,48 @@ impl ShardStore {
     /// buffered (`0` = unconditionally); `None` when nothing was drained.
     /// The checkpoint is logged, with no lock held, before it returns; if it
     /// cannot be, the rows go straight back and the error surfaces.
+    ///
+    /// A drain that would take rows first waits for the shard's last drain
+    /// to log its checkpoint and for a taken one to settle; a forced one
+    /// waits even with nothing to take. If a settle of the shard was
+    /// abandoned, this re-raises its panic instead.
     pub fn drain_all(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
+        self.drain(min_bytes, false)
+    }
+
+    /// [`ShardStore::drain_all`], the drained runs kept on the side list —
+    /// still in every snapshot — until [`ShardStore::settle`] registers
+    /// them, and the drain unsettled until [`ShardStore::settled`] (or
+    /// [`ShardStore::abandon`]): the engine's drain.
+    pub fn take(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
+        self.drain(min_bytes, true)
+    }
+
+    fn drain(&self, min_bytes: usize, hold: bool) -> Result<Option<LoggedDrain>> {
         let wants = |rows: &RowStore| rows.row_count() > 0 && rows.bytes() >= min_bytes;
         let mut inner = self.inner.lock();
-        // Another drain took rows and has not logged its checkpoint: wait
-        // for it, so that checkpoint LSN order is take order.
-        while inner.logging && wants(&inner.rows) {
+        // Waiting for the checkpoint keeps checkpoint LSN order take order;
+        // waiting for the settle keeps one unsettled drain per shard.
+        loop {
+            if let Some(payload) = inner.abandoned.take() {
+                inner.abandoned = Some(Box::new("an earlier settle of this shard panicked"));
+                drop(inner);
+                std::panic::resume_unwind(payload);
+            }
+            let busy = inner.logging || inner.settling;
+            if !busy || (min_bytes > 0 && !wants(&inner.rows)) {
+                break;
+            }
             self.logged.wait(&mut inner);
         }
         if !wants(&inner.rows) {
             return Ok(None);
         }
         let drained = inner.rows.drain_all();
+        if hold {
+            inner.settling = true;
+            inner.side = drained.runs().to_vec();
+        }
         inner.records_archived += drained.len() as u64;
         let Some(wal) = &self.wal else { return Ok(Some((None, drained))) };
         let (take, unapplied) = wal.next_and_unapplied();
@@ -497,22 +598,75 @@ impl ShardStore {
             }
             Err(e) => {
                 inner.records_archived -= drained.len() as u64;
+                inner.settling = false;
+                inner.side.clear();
                 inner.rows.restore(drained);
                 Err(e)
             }
         }
     }
 
+    /// Settles drain `drain`: `commit` registers what of it is durable on
+    /// OSS (the metadata commit) and returns what it leaves unarchived —
+    /// `None` when the whole drain is archived and its ack follows, or
+    /// `Some(rows)` to close the drain by handing those rows back, as
+    /// [`ShardStore::restore_unarchived`] does. The settle sequence is odd
+    /// while `commit` runs, and the side runs go, the unarchived rows with
+    /// them back into the store, under the lock that makes it even again.
+    /// If `commit` unwinds, the sequence goes even and the side runs stay:
+    /// the drain is the crash's to settle, on replay.
+    pub fn settle<T>(
+        &self,
+        drain: Option<Lsn>,
+        commit: impl FnOnce() -> (T, Option<Drained>),
+    ) -> T {
+        /// Ends the odd stretch if the commit unwinds.
+        struct Even<'a>(&'a ShardStore);
+        impl Drop for Even<'_> {
+            fn drop(&mut self) {
+                let mut inner = self.0.inner.lock();
+                inner.settles += 1;
+                self.0.logged.notify_all();
+            }
+        }
+        self.inner.lock().settles += 1;
+        let even = Even(self);
+        sync_point("wal.shard.settle_window");
+        let (value, unarchived) = commit();
+        std::mem::forget(even);
+        let mut inner = self.inner.lock();
+        inner.side.clear();
+        if let Some(rows) = unarchived {
+            fold_back(&mut inner, drain, rows);
+        }
+        inner.settles += 1;
+        self.logged.notify_all();
+        value
+    }
+
     /// Closes drain `drain` after a failed upload: its unarchived `rows` go
     /// back after every buffered row, as they are. Nothing is logged: a
     /// replay settles the drain through its commit record.
     pub fn restore_unarchived(&self, drain: Option<Lsn>, rows: Drained) {
+        fold_back(&mut self.inner.lock(), drain, rows);
+    }
+
+    /// Ends the settle of the taken drain, its ack or restore done: the
+    /// next drain may go.
+    pub fn settled(&self) {
         let mut inner = self.inner.lock();
-        if let Some(lsn) = drain {
-            inner.open.remove(&lsn);
-        }
-        inner.records_archived = inner.records_archived.saturating_sub(rows.len() as u64);
-        inner.rows.restore(rows);
+        inner.settling = false;
+        inner.side.clear();
+        self.logged.notify_all();
+    }
+
+    /// Marks the shard's unsettled drain as abandoned by a settle that
+    /// panicked with `payload`: every drain from now on re-raises it (the
+    /// first with the payload itself) instead of waiting for the settle.
+    pub fn abandon(&self, payload: Payload) {
+        let mut inner = self.inner.lock();
+        inner.abandoned.get_or_insert(payload);
+        self.logged.notify_all();
     }
 
     /// The archive ack: closes drain `drain`, whose rows are durable on OSS,
@@ -537,6 +691,16 @@ impl ShardStore {
         wal.cut(cut)?;
         Ok(Some(settled_below))
     }
+}
+
+/// Closes drain `drain` by putting its unarchived `rows` back after every
+/// buffered row.
+fn fold_back(inner: &mut Inner, drain: Option<Lsn>, rows: Drained) {
+    if let Some(lsn) = drain {
+        inner.open.remove(&lsn);
+    }
+    inner.records_archived = inner.records_archived.saturating_sub(rows.len() as u64);
+    inner.rows.restore(rows);
 }
 
 /// Rebuilds a shard's rows and `(appended, archived)` counters from its
@@ -1090,6 +1254,41 @@ mod tests {
         let rows: Vec<i64> =
             held.runs.iter().flat_map(|run| run.records()).map(|r| r.ts.millis()).collect();
         assert_eq!(rows, (0..10).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn drained_rows_stay_readable_until_their_drain_settles() {
+        let dir = temp_dir("side-list");
+        let s = open(&dir);
+        append(&s, (0..10).map(|i| rec(1, i)).collect());
+        let before = s.snapshot(TenantId(1), TimeRange::all()).settles;
+        let (lsn, drained) = s.take(0).unwrap().expect("rows to take");
+        append(&s, vec![rec(2, 10)]);
+        // A plain drain waits for the taken one to settle, unless it is not
+        // due.
+        assert!(s.drain_all(usize::MAX).unwrap().is_none());
+        // Drained, uploading: the rows are on the side list, which a
+        // snapshot hands out before the store's runs.
+        let snapshot = s.snapshot(TenantId(1), TimeRange::all());
+        assert_eq!(snapshot.runs.iter().map(|run| run.len()).sum::<usize>(), 10);
+        assert_eq!(snapshot.settles, before, "no settle yet");
+        assert_eq!(s.held_tenants(), vec![TenantId(1), TenantId(2)]);
+        assert_eq!(s.buffered_tenants(), vec![TenantId(2)]);
+        // A settle whose commit kept the first three rows off OSS: the
+        // sequence is odd inside the commit, and the side runs go with the
+        // three rows back into the store under the lock that ends it.
+        s.settle(lsn, || {
+            assert_eq!(s.inner.lock().settles, before + 1, "odd while committing");
+            ((), Some(drained.gather((0..3).map(|row| (0, row)))))
+        });
+        assert_eq!(s.settles(), before + 2);
+        assert_eq!(rows_of(&s, 1).len(), 3);
+        assert_eq!(s.counters(), (11, 7));
+        // The drain is settled: the next one does not wait.
+        s.settled();
+        let (_, rest) = drain_all(&s);
+        assert_eq!(rest.len(), 4);
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -11,7 +11,8 @@
 //! written and synced as every drain of a durable engine is — and the
 //! stages (drain, partition, build `add` / `encode` / `finish`, upload
 //! wave, admit, commit, ack, release) add up to the flush. OSS latency is
-//! the OSS-like model: a PUT round sleeps ≈ 25 ms. With a minimum
+//! the OSS-like model, slept at time scale 1: a PUT round sleeps ≈ 25 ms.
+//! With a minimum
 //! coverage, the run fails when the stages sum to less than that share of
 //! the flushes' wall time.
 
@@ -60,7 +61,8 @@ fn main() {
     config.data_dir = Some(dir.clone());
     config.workers = 1;
     config.shards_per_worker = 1;
-    config.oss_latency = LatencyModel::oss_like();
+    // Slept, not only modelled: the upload wave waits for its PUTs.
+    config.oss_latency = LatencyModel::oss_like().with_time_scale(1.0);
     config.block_rows = 1024;
     config.max_rows_per_logblock = 65_536;
     // No threshold pass during the load: each flush drains one history.

@@ -10,11 +10,14 @@
 //! The engine is the end-to-end benchmark's: 4 workers × 2 shards, a
 //! durable WAL in a temporary directory, the OSS-like latency model slept
 //! at time scale 1 (a PUT round ≈ 25 ms) and a 4 MiB flush threshold, so
-//! the threshold passes that `ingest` runs inline archive shards on the
-//! producers, as under `ingest_sat`. Every stage is timed on the thread
-//! that ran it, so the stages add up to the producers' wall time; what is
-//! left over is the untimed glue between them. With a minimum coverage,
-//! the run fails when the stages sum to less than that share of it.
+//! the threshold passes that `ingest` runs take shards on the producers —
+//! drain and build — as under `ingest_sat`, and settle them — upload,
+//! admit, commit, ack, release — on the engine's settle pool. Every stage
+//! is timed on the thread that ran it, so the ingest and take stages add
+//! up to the producers' wall time; what is left over is the untimed glue
+//! between them. The settle stages are printed apart, per archived row.
+//! With a minimum coverage, the run fails when the producers' stages sum
+//! to less than that share of their wall time.
 //!
 //! Last come the WAL's bytes on disk — the largest shard's and the sum of
 //! the `.log` files under the data directory — once the producers stop and
@@ -42,13 +45,17 @@ const INGEST: [&str; 6] = [
     "core.worker.window_ns",
 ];
 
-/// The stages of one archive step.
-const ARCHIVE: [&str; 10] = [
+/// The stages of an archive step's take, on the producer.
+const TAKE: [&str; 5] = [
     "core.engine.drain_ns",
     "core.databuilder.partition_ns",
     "core.databuilder.add_ns",
     "core.databuilder.encode_ns",
     "core.databuilder.finish_ns",
+];
+
+/// The stages of its settle, on the settle pool.
+const SETTLE: [&str; 5] = [
     "core.databuilder.upload_ns",
     "core.databuilder.admit_ns",
     "core.databuilder.commit_ns",
@@ -90,7 +97,7 @@ fn main() {
     let mut config = ClusterConfig::paper_like();
     config.workers = 4;
     config.shards_per_worker = 2;
-    config.oss_latency = LatencyModel::oss_like();
+    config.oss_latency = LatencyModel::oss_like().with_time_scale(1.0);
     config.data_dir = Some(dir.clone());
     config.rowstore_flush_bytes = 4 << 20;
     config.block_rows = 1024;
@@ -140,22 +147,28 @@ fn main() {
         ingest += sum;
         println!("  {label:<30} {:>8.0}", sum as f64 / ingested);
     }
-    println!("archive stages, ns per archived row:");
-    let mut archive = 0;
-    for label in ARCHIVE {
-        let sum = field(&snapshot, label, "sum=");
-        archive += sum;
-        println!("  {label:<30} {:>8.0}", sum as f64 / archived.max(1.0));
-    }
-    println!("  {:<30} {:>8.0}", "archive step", archive as f64 / archived.max(1.0));
+    let stages = |title: &str, labels: &[&str]| {
+        println!("{title}, ns per archived row:");
+        let mut total = 0;
+        for label in labels {
+            let sum = field(&snapshot, label, "sum=");
+            total += sum;
+            println!("  {label:<30} {:>8.0}", sum as f64 / archived.max(1.0));
+        }
+        println!("  {:<30} {:>8.0}", "summed", total as f64 / archived.max(1.0));
+        total
+    };
+    let take = stages("take stages (on the producers)", &TAKE);
+    let settle = stages("settle stages (on the settle pool)", &SETTLE);
     let wall: u128 = walls.iter().map(Duration::as_nanos).sum();
-    let staged = ingest + archive;
+    let staged = ingest + take;
     println!("per ingested row:");
     println!("  {:<30} {:>8.0}", "ingest stages", ingest as f64 / ingested);
-    println!("  {:<30} {:>8.0}", "archive stages", archive as f64 / ingested);
+    println!("  {:<30} {:>8.0}", "take stages", take as f64 / ingested);
     println!("  {:<30} {:>8.0}", "producers' wall time", wall as f64 / ingested);
+    println!("  {:<30} {:>8.0}", "settle stages, off them", settle as f64 / ingested);
     let coverage = staged as f64 / wall as f64;
-    println!("stages / producers' wall = {coverage:.3}");
+    println!("producers' stages / producers' wall = {coverage:.3}");
     let due = |key| field(&snapshot, "core.engine.workers_due", key);
     println!(
         "threshold passes {}, workers found due in them {}, most in one pass <= {}",

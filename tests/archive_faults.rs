@@ -18,7 +18,7 @@ use logstore::core::{
     ClusterConfig, CrashHooks, CrashPoint, DrainId, LogStore, MetadataStore, OpenParts,
     QueryOptions, SimCrash,
 };
-use logstore::oss::{FaultScope, RetryPolicy};
+use logstore::oss::{FaultScope, LatencyModel, RetryPolicy};
 use logstore::types::{LogRecord, ShardId, TenantId, Timestamp, Value};
 use logstore::workload::queries::tenant_queries;
 use logstore::workload::{LogRecordGenerator, WorkloadSpec};
@@ -517,10 +517,11 @@ impl CrashHooks for RecordSteps {
 }
 
 /// With room for more than one step in flight, a forced pass runs two
-/// workers' steps together, and a threshold pass stays on the calling
-/// thread even with every worker due; with one request per operation a
-/// pass runs every step on the calling thread in (worker, shard) order,
-/// drain to cut, exactly as a serial loop over the shards would.
+/// workers' steps together, and a threshold pass takes every due shard on
+/// the calling thread — drain and build — and settles each on the settle
+/// pool; with one request per operation a pass runs every step on the
+/// calling thread in (worker, shard) order, drain to cut, exactly as a
+/// serial loop over the shards would.
 #[test]
 fn a_pass_overlaps_workers_when_it_may_and_stays_serial_when_it_must() {
     const TENANTS: u64 = 16;
@@ -535,8 +536,8 @@ fn a_pass_overlaps_workers_when_it_may_and_stays_serial_when_it_must() {
     assert_eq!(s.flush().unwrap().rows_archived, TENANTS * ROWS as u64);
     assert!(meet.met.load(Ordering::SeqCst), "no two workers' steps were in flight together");
 
-    // A threshold pass runs on the calling thread: one ingest puts every
-    // shard of both workers over a one-byte threshold.
+    // A threshold pass takes on the calling thread and settles off it: one
+    // ingest puts every shard of both workers over a one-byte threshold.
     let record = Arc::new(RecordSteps::default());
     let parts = OpenParts { hooks: Some(Arc::clone(&record) as _), ..OpenParts::default() };
     let mut config = ClusterConfig::for_testing();
@@ -546,10 +547,21 @@ fn a_pass_overlaps_workers_when_it_may_and_stays_serial_when_it_must() {
     record.shared.set(Arc::downgrade(s.shared())).unwrap();
     let batch = (1..=TENANTS).flat_map(|t| (0..ROWS).map(move |i| rec(t, i, "every worker due")));
     assert_eq!(s.ingest(batch.collect()).unwrap().accepted, TENANTS * ROWS as u64);
+    // Dropping the engine waits for its settles.
+    drop(s);
     let seen = record.seen.lock().unwrap().clone();
-    let drains = seen.iter().filter(|(point, ..)| *point == CrashPoint::AfterDrain).count();
+    let at = |point| seen.iter().filter(move |(at, ..)| *at == point);
+    let drains = at(CrashPoint::AfterDrain).count();
     assert_eq!(drains, 4, "test sizing: the ingest's threshold pass drains every shard");
-    assert!(seen.iter().all(|(.., thread)| *thread == caller), "a threshold pass left the caller");
+    assert!(
+        at(CrashPoint::AfterDrain).all(|(.., thread)| *thread == caller),
+        "a threshold pass took off the caller"
+    );
+    assert_eq!(at(CrashPoint::AfterUpload).count(), 4, "every drain settled");
+    assert!(
+        at(CrashPoint::AfterUpload).all(|(.., thread)| *thread != caller),
+        "a threshold pass settled on the caller"
+    );
 
     let dir = temp_dir("serial-pass");
     let record = Arc::new(RecordSteps::default());
@@ -607,5 +619,235 @@ fn a_concurrent_pass_archives_what_the_serial_pass_does() {
                 "{sql}"
             );
         }
+    }
+}
+
+// ---- Threshold passes settle off the producer ----
+
+/// Parks the first archive step to reach `point` after each arming until
+/// the test lets it go (or ten seconds pass), and reports the arrival.
+struct ParkAt {
+    point: CrashPoint,
+    armed: AtomicBool,
+    reached: Mutex<mpsc::Sender<()>>,
+    resume: Mutex<mpsc::Receiver<()>>,
+}
+
+impl ParkAt {
+    /// An armed hook, the receiver of its arrivals and the sender that
+    /// resumes them.
+    fn armed(point: CrashPoint) -> (Arc<ParkAt>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (reached_tx, reached_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel();
+        let hooks = ParkAt {
+            point,
+            armed: AtomicBool::new(true),
+            reached: Mutex::new(reached_tx),
+            resume: Mutex::new(resume_rx),
+        };
+        (Arc::new(hooks), reached_rx, resume_tx)
+    }
+}
+
+impl CrashHooks for ParkAt {
+    fn reached(&self, point: CrashPoint) {
+        if point == self.point && self.armed.swap(false, Ordering::SeqCst) {
+            let _ = self.reached.lock().unwrap().send(());
+            let _ = self.resume.lock().unwrap().recv_timeout(Duration::from_secs(10));
+        }
+    }
+}
+
+/// One worker with one durable shard, eight requests per operation.
+fn one_durable_shard(dir: &Path) -> ClusterConfig {
+    let mut config = durable_config_at(dir, 8);
+    config.workers = 1;
+    config.shards_per_worker = 1;
+    config
+}
+
+/// A query at every point of a slow drain counts every acked row once:
+/// the drained rows stay readable from their shard until the drain is
+/// registered, and from the map after.
+#[test]
+fn a_query_at_every_point_of_a_slow_drain_counts_each_row_once() {
+    for point in [CrashPoint::AfterDrain, CrashPoint::AfterUpload, CrashPoint::AfterTruncate] {
+        let dir = temp_dir(&format!("slow-drain-{point:?}"));
+        let (hooks, reached, resume) = ParkAt::armed(point);
+        let parts = OpenParts { hooks: Some(hooks), ..OpenParts::default() };
+        let s = LogStore::open_with(one_durable_shard(&dir), parts).unwrap();
+        s.ingest((0..300).map(|i| rec(1, i, "slow drain")).collect()).unwrap();
+        let seen = std::thread::scope(|scope| {
+            let flush = scope.spawn(|| s.flush());
+            reached.recv().unwrap();
+            let seen = count(&s, 1);
+            resume.send(()).unwrap();
+            flush.join().unwrap().unwrap();
+            seen
+        });
+        assert_eq!(seen, 300, "{point:?}: a query while the drain is parked");
+        assert_eq!(count(&s, 1), 300, "{point:?}");
+        drop(s);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A threshold pass at width 8 returns once its drain is built: the
+/// settle runs on the settle pool. A query the producer issues while the
+/// settle is parked after its registration, or after its ack, counts every
+/// acked row once.
+#[test]
+fn a_threshold_pass_returns_before_its_settle_and_reads_count_each_row_once() {
+    for point in [CrashPoint::AfterUpload, CrashPoint::AfterTruncate] {
+        let dir = temp_dir(&format!("settle-parked-{point:?}"));
+        let (hooks, reached, resume) = ParkAt::armed(point);
+        let mut config = one_durable_shard(&dir);
+        config.rowstore_flush_bytes = 16 << 10;
+        let parts = OpenParts { hooks: Some(hooks), ..OpenParts::default() };
+        let s = LogStore::open_with(config, parts).unwrap();
+        let rows: Vec<LogRecord> = (0..2_000).map(|i| rec(1, i, "over the threshold")).collect();
+        let (returned, seen) = std::thread::scope(|scope| {
+            let (done_tx, done_rx) = mpsc::channel();
+            let s = &s;
+            scope.spawn(move || done_tx.send(s.ingest(rows).unwrap()));
+            reached.recv_timeout(Duration::from_secs(10)).expect("the pass settles");
+            let returned = done_rx.recv_timeout(Duration::from_secs(5));
+            let seen = count(s, 1);
+            resume.send(()).unwrap();
+            (returned, seen)
+        });
+        let report = returned.expect("the ingest waited for its settle");
+        assert_eq!(report.accepted, 2_000);
+        assert_eq!(seen, 2_000, "{point:?}: a query while the settle is parked");
+        s.flush().unwrap();
+        assert_eq!(count(&s, 1), 2_000, "{point:?}");
+        drop(s);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A settle that fails off the caller is reported by a later pass over
+/// its shard — the next threshold pass, which waits for it when the shard
+/// is due, or a forced one, which always does — and counted in
+/// `failed_passes`; its rows stay readable, and are on OSS once the faults
+/// clear and a flush runs.
+#[test]
+fn a_settle_that_fails_off_the_caller_degrades_a_later_pass() {
+    // Parked after the failure, so the pass that handed it off has long
+    // returned when the settle ends.
+    let (hooks, reached, resume) = ParkAt::armed(CrashPoint::AfterUpload);
+    let mut config = ClusterConfig::for_testing();
+    config.prefetch_threads = 4;
+    config.workers = 1;
+    config.shards_per_worker = 1;
+    config.rowstore_flush_bytes = 16 << 10;
+    let parts = OpenParts { hooks: Some(Arc::clone(&hooks) as _), ..OpenParts::default() };
+    let s = LogStore::open_with(config, parts).unwrap();
+    let batch = |from: i64| (from..from + 1_000).map(|i| rec(1, i, "degraded")).collect::<Vec<_>>();
+    let mut acked = 0;
+
+    // The settle's PUTs fail; the next threshold pass reports it.
+    write_faults(&s, 1.0);
+    let report = s.ingest(batch(0)).unwrap();
+    acked += report.accepted;
+    reached.recv_timeout(Duration::from_secs(10)).expect("the settle ran");
+    assert!(!report.archive_degraded, "reported before the settle had failed");
+    assert_eq!(s.archive_stats().failed_passes, 1);
+    assert_eq!(count(&s, 1), acked, "the restored rows are readable");
+    write_faults(&s, 0.0);
+    resume.send(()).unwrap();
+    let report = s.ingest(batch(1_000)).unwrap();
+    acked += report.accepted;
+    assert!(report.archive_degraded, "the next threshold pass reports the failed settle");
+    s.flush().unwrap();
+    assert_eq!(count(&s, 1), acked);
+
+    // Again; this time a forced pass reports it.
+    write_faults(&s, 1.0);
+    hooks.armed.store(true, Ordering::SeqCst);
+    acked += s.ingest(batch(2_000)).unwrap().accepted;
+    reached.recv_timeout(Duration::from_secs(10)).expect("the settle ran");
+    write_faults(&s, 0.0);
+    resume.send(()).unwrap();
+    assert!(s.flush().is_err(), "the forced pass reports the failed settle");
+    let stats = s.archive_stats();
+    assert_eq!((stats.failed_passes, stats.rows_restored), (2, 2_000));
+    s.flush().unwrap();
+    assert_eq!(count(&s, 1), acked);
+    let worker = s.shared().worker_snapshot().remove(0);
+    assert_eq!(worker.buffered_rows(ShardId(0)).unwrap(), 0, "every acked row is on OSS");
+}
+
+/// A crash in a settle on the settle pool reaches the shard's next drain
+/// with its payload — here a forced pass's — instead of leaving it waiting
+/// for a settle that never ends; the engine reopened on the surviving OSS
+/// and metadata holds every acked row exactly once.
+#[test]
+fn a_crash_in_a_settle_reaches_the_next_drain_of_its_shard() {
+    for point in [CrashPoint::AfterUpload, CrashPoint::AfterTruncate] {
+        let dir = temp_dir(&format!("settle-crash-{point:?}"));
+        let mut config = one_durable_shard(&dir);
+        config.rowstore_flush_bytes = 16 << 10;
+        let hooks = Arc::new(CrashOnce { point, armed: AtomicBool::new(true) });
+        let parts = OpenParts { hooks: Some(hooks), ..OpenParts::default() };
+        let s = LogStore::open_with(config.clone(), parts).unwrap();
+        s.ingest((0..2_000).map(|i| rec(1, i, "crash in a settle")).collect()).unwrap();
+        let crash = std::panic::catch_unwind(AssertUnwindSafe(|| s.flush()))
+            .expect_err("the next drain of the shard must re-raise the settle's crash");
+        assert!(
+            matches!(crash.downcast_ref(), Some(&SimCrash(at)) if at == point),
+            "{point:?}: the crash reached the drain without its payload"
+        );
+        let parts = OpenParts {
+            store: Some(Arc::clone(&s.shared().store)),
+            metadata: Some(Arc::clone(&s.shared().metadata)),
+            hooks: None,
+        };
+        drop(s);
+        let s = LogStore::open_with(config, parts).unwrap();
+        assert_eq!(count(&s, 1), 2_000, "{point:?}: after reopen");
+        s.flush().unwrap();
+        assert_eq!(count(&s, 1), 2_000, "{point:?}: after the next flush");
+        drop(s);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Dropping an engine while threshold passes' settles are still uploading
+/// waits for them: the engine reopened on the surviving OSS and metadata
+/// holds every acked row exactly once, at either width.
+#[test]
+fn dropping_an_engine_with_settles_in_flight_keeps_every_acked_row_once() {
+    for width in [1, 8] {
+        let dir = temp_dir(&format!("drop-in-flight-{width}"));
+        let mut config = durable_config_at(&dir, width);
+        config.rowstore_flush_bytes = 8 << 10;
+        // Each PUT sleeps a few milliseconds, so settles are in flight.
+        config.oss_latency = LatencyModel::oss_like().with_time_scale(0.1);
+        let s = LogStore::open(config.clone()).unwrap();
+        const TENANTS: u64 = 4;
+        let mut acked = [0u64; TENANTS as usize + 1];
+        for round in 0..20i64 {
+            for tenant in 1..=TENANTS {
+                let rows = (round * 100..round * 100 + 100).map(|i| rec(tenant, i, "in flight"));
+                acked[tenant as usize] += s.ingest(rows.collect()).unwrap().accepted;
+            }
+        }
+        let parts = OpenParts {
+            store: Some(Arc::clone(&s.shared().store)),
+            metadata: Some(Arc::clone(&s.shared().metadata)),
+            hooks: None,
+        };
+        drop(s);
+        let s = LogStore::open_with(config, parts).unwrap();
+        for t in 1..=TENANTS {
+            assert_eq!(count(&s, t), acked[t as usize], "width {width}: tenant {t}");
+        }
+        s.flush().unwrap();
+        for t in 1..=TENANTS {
+            assert_eq!(count(&s, t), acked[t as usize], "width {width}: tenant {t} flushed");
+        }
+        drop(s);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
