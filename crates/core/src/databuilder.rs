@@ -7,16 +7,18 @@
 //! registers them in the controller's LogBlock map. Oversized tenants are
 //! split across multiple LogBlocks.
 //!
-//! One drain is a pipeline, not a loop. The calling thread does what only
-//! it can do deterministically — partition, build and allocate paths in
-//! canonical chunk order — while an [`ordered_wave`] of uploader threads
-//! PUTs the blocks already built, so a drain costs about its build CPU
-//! plus one OSS round trip instead of one round trip per LogBlock.
+//! One drain is three steps: build, PUT wave, commit. The calling thread
+//! does what only it can do deterministically — partition, build and
+//! allocate paths in canonical chunk order, every chunk up to the first
+//! that fails to build — then an [`ordered_wave`] of uploader threads PUTs
+//! the built blocks, so a drain costs about its build CPU plus one OSS
+//! round trip per wave-width of LogBlocks instead of one per LogBlock.
 //! Completion order is free; **commit order is not**: after the wave
 //! joins, exactly the chunks before the lowest failed index are
-//! registered. A later chunk whose PUT happened to succeed stays an
-//! uploaded-but-unregistered orphan under its pending path, which the GC
-//! pass sweeps, tombstones and deletes like any crash-orphaned upload.
+//! registered. A later chunk — built anyway, or whose PUT happened to
+//! succeed — stays an unregistered orphan under its pending path, which
+//! the GC pass sweeps, tombstones and deletes like any crash-orphaned
+//! upload.
 //!
 //! A drain that runs under an engine also **admits** each block of the
 //! durable prefix to the cache — between its PUT and its registration, so
@@ -73,8 +75,8 @@ impl BuildReport {
 }
 
 /// Where one drain's build-and-upload time went, stage by stage. Each
-/// stage is wall time on the drain's calling thread, so the stages add up
-/// to the call's wall time.
+/// stage is wall time on the thread that ran it, so the stages add up to
+/// the call's wall time.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BuildStages {
     /// Splitting the drain into per-tenant, time-sorted chunks.
@@ -86,25 +88,12 @@ pub struct BuildStages {
     pub encode: Duration,
     /// Index dictionaries, metadata and pack, every chunk.
     pub finish: Duration,
-    /// The upload wave apart from the builds it overlaps: waiting for
-    /// PUTs.
+    /// The PUT wave of the built blocks: waiting for their PUTs.
     pub upload: Duration,
     /// Admitting the durable prefix to the cache.
     pub admit: Duration,
     /// Registering it ([`MetadataStore::commit_drain`]).
     pub commit: Duration,
-}
-
-impl BuildStages {
-    /// Takes the build stages (`add`, `encode`, `finish`) of `built`, whose
-    /// builds ran inside the upload wave: they leave the upload stage.
-    pub(crate) fn add_build(&mut self, built: &BuildStages) {
-        let building = built.add + built.encode + built.finish;
-        self.upload = self.upload.saturating_sub(building);
-        self.add += built.add;
-        self.encode += built.encode;
-        self.finish += built.finish;
-    }
 }
 
 /// The full result of a build pass, including the failure path.
@@ -162,12 +151,13 @@ pub fn build_and_upload<S: ObjectStore>(
 ///
 /// The chunk sequence, every block's bytes and every path are the same at
 /// any width: chunks are built and their paths allocated on the calling
-/// thread in canonical order, only the PUTs overlap. After the wave joins,
-/// the committed set is the chunks before the **lowest failed index** —
-/// out-of-order completion cannot widen it, because a chunk's own success
-/// is never enough to register it. Every chunk from that index on comes
-/// back in [`BuildOutcome::unarchived`], in chunk order; the caller stops
-/// building as soon as it observes a failure.
+/// thread in canonical order, before the wave, and only the PUTs overlap.
+/// After the wave joins, the committed set is the chunks before the
+/// **lowest failed index** — out-of-order completion cannot widen it,
+/// because a chunk's own success is never enough to register it. Every
+/// chunk from that index on comes back in [`BuildOutcome::unarchived`], in
+/// chunk order; the wave stops feeding PUTs as soon as it observes a
+/// failure.
 ///
 /// Registration is atomic: a single [`MetadataStore::commit_drain`]
 /// registers the durable prefix and, with a [`DrainId`], records how many
@@ -193,11 +183,8 @@ pub fn build_and_upload_drain<S: ObjectStore>(
 ) -> BuildOutcome {
     let mut outcome = BuildOutcome::default();
     let chunks = partition(drained, config, &mut outcome.stages);
-    let failed = AtomicBool::new(false);
-    let mut built = BuildStages::default();
-    let blocks = build_blocks(&chunks, drained, schema, config, metadata, &failed, &mut built);
-    let uploads = put_blocks(blocks, &failed, store, cache, &mut outcome.stages);
-    outcome.stages.add_build(&built);
+    let blocks = build_blocks(&chunks, drained, schema, config, metadata, &mut outcome.stages);
+    let uploads = put_blocks(blocks, store, cache, &mut outcome.stages);
     let entries = admit_prefix(uploads, cache, &mut outcome);
     commit_prefix(entries, &chunks, drained, config, metadata, drain, &mut outcome);
     outcome
@@ -220,54 +207,57 @@ pub(crate) fn partition(
     chunks
 }
 
-/// The LogBlocks of `chunks`, each built when it is pulled, in chunk
-/// order, until `failed` is set: an uploader saw a failure, or was handed
-/// a chunk that failed to build. Adds the build stages to `stages`.
-pub(crate) fn build_blocks<'a>(
-    chunks: &'a [RunChunk],
-    drained: &'a Drained,
-    schema: &'a Arc<TableSchema>,
-    config: &'a BuildConfig,
-    metadata: &'a MetadataStore,
-    failed: &'a AtomicBool,
-    stages: &'a mut BuildStages,
-) -> impl Iterator<Item = Result<Block>> + 'a {
-    chunks.iter().map_while(move |chunk| {
-        (!failed.load(Ordering::SeqCst)).then(|| {
-            let start = Instant::now();
-            let block = build_chunk(chunk, drained.runs(), schema, config, metadata);
-            let wall = start.elapsed();
-            match block {
-                Ok((entry, bytes, times)) => {
-                    stages.encode += times.encode;
-                    stages.finish += times.finish;
-                    stages.add += wall.saturating_sub(times.encode + times.finish);
-                    Ok((entry, bytes))
-                }
-                Err(e) => {
-                    stages.add += wall;
-                    Err(e)
-                }
+/// The LogBlocks of `chunks`, built in chunk order up to and including the
+/// first that fails to build. Adds the build stages to `stages`.
+pub(crate) fn build_blocks(
+    chunks: &[RunChunk],
+    drained: &Drained,
+    schema: &Arc<TableSchema>,
+    config: &BuildConfig,
+    metadata: &MetadataStore,
+    stages: &mut BuildStages,
+) -> Vec<Result<Block>> {
+    let mut blocks = Vec::with_capacity(chunks.len());
+    for chunk in chunks {
+        let start = Instant::now();
+        let block = build_chunk(chunk, drained.runs(), schema, config, metadata);
+        let wall = start.elapsed();
+        let block = match block {
+            Ok((entry, bytes, times)) => {
+                stages.encode += times.encode;
+                stages.finish += times.finish;
+                stages.add += wall.saturating_sub(times.encode + times.finish);
+                Ok((entry, bytes))
             }
-        })
-    })
+            Err(e) => {
+                stages.add += wall;
+                Err(e)
+            }
+        };
+        let failed = block.is_err();
+        blocks.push(block);
+        if failed {
+            break;
+        }
+    }
+    blocks
 }
 
 /// PUTs `blocks` as one [`ordered_wave`] — up to [`Prefetcher::width`] in
 /// flight under an engine, one at a time inline without one — and returns
-/// the results in chunk order. The first failure sets `failed`, which stops
-/// the feed. The wave's wall time, less the time `blocks` spent building,
-/// is the upload stage.
+/// the results in chunk order. The first failure stops the feed. The
+/// wave's wall time is the upload stage.
 pub(crate) fn put_blocks<S: ObjectStore>(
-    blocks: impl Iterator<Item = Result<Block>>,
-    failed: &AtomicBool,
+    blocks: Vec<Result<Block>>,
     store: &S,
     cache: Option<&Prefetcher<S>>,
     stages: &mut BuildStages,
 ) -> Vec<Result<Block>> {
     let width = cache.map_or(1, Prefetcher::width);
     let wave = Instant::now();
-    let blocks = blocks.map_while(|block| (!failed.load(Ordering::SeqCst)).then_some(block));
+    let failed = AtomicBool::new(false);
+    let feed = blocks.into_iter();
+    let blocks = feed.map_while(|block| (!failed.load(Ordering::SeqCst)).then_some(block));
     let uploads = ordered_wave(width, blocks, |_, block: Result<Block>| {
         // The durability order is load-bearing: the object must exist on
         // OSS before it is registered (a registered-but-missing block
@@ -398,6 +388,8 @@ fn build_chunk(
 ///
 /// [`LogStore`]: crate::LogStore
 pub(crate) struct ArchiveTimers {
+    /// A take's wait for the shard's unsettled drain, per take that waited.
+    pub(crate) settle_wait: Arc<Histogram>,
     pub(crate) drain: Arc<Histogram>,
     partition: Arc<Histogram>,
     add: Arc<Histogram>,
@@ -418,6 +410,7 @@ pub(crate) struct ArchiveTimers {
 impl ArchiveTimers {
     pub(crate) fn register(registry: &mut Registry) -> Self {
         ArchiveTimers {
+            settle_wait: registry.histogram("core.engine.settle_wait_ns"),
             drain: registry.histogram("core.engine.drain_ns"),
             partition: registry.histogram("core.databuilder.partition_ns"),
             add: registry.histogram("core.databuilder.add_ns"),

@@ -6,7 +6,7 @@ use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
 use crate::databuilder::{
     admit_prefix, build_blocks, commit_prefix, partition, put_blocks, ArchiveTimers, Block,
-    BuildConfig, BuildOutcome, BuildReport, BuildStages,
+    BuildConfig, BuildOutcome, BuildReport,
 };
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
@@ -26,7 +26,7 @@ use logstore_types::{
 use logstore_wal::{Drained, Lsn, RunChunk};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,13 +145,18 @@ pub struct LogStore {
     metrics: Registry,
 }
 
-/// A drain taken from `shard`: its checkpoint's LSN, its rows and their
-/// canonical chunks.
+/// A drain taken from `shard` and built, ready to settle: its checkpoint's
+/// LSN, its rows, their canonical chunks, the chunks' LogBlocks as far as
+/// they built, the guard that keeps the GC pass off their paths, and the
+/// outcome so far.
 struct Taken {
     shard: ShardId,
     lsn: Option<Lsn>,
     drained: Drained,
     chunks: Vec<RunChunk>,
+    blocks: Vec<Result<Block>>,
+    build: BuildGuard,
+    outcome: BuildOutcome,
 }
 
 /// What an archive step works with, shared with the settles it hands to
@@ -652,18 +657,17 @@ impl LogStore {
 }
 
 impl Archiver {
-    /// The archive step, phase two for one shard: take (drain every row,
-    /// once at least `min_bytes` are buffered, and build) → settle (upload →
-    /// admit → register → **ack**), with the engine's OSS request
-    /// concurrency. `None` when there was nothing to take.
+    /// The archive step, phase two for one shard, with the engine's OSS
+    /// request concurrency: take (drain every row, once at least
+    /// `min_bytes` are buffered, and build every chunk in canonical order,
+    /// up to the first that fails to build) → settle (PUT wave → admit →
+    /// register → **ack**). `None` when there was nothing to take.
     ///
-    /// With a `settle_pool` — a threshold pass at `prefetch_threads > 1` —
-    /// the take builds every chunk on the calling thread, in the canonical
-    /// order, and the settle runs on the pool: the step returns an empty
-    /// report once the build is done. Without one — a forced pass, a
-    /// control tick, any pass at width 1 — the chunks are built as the
-    /// PUT wave pulls them and the settle runs here; the paths and bytes are
-    /// the same either way.
+    /// The take runs here. With a `settle_pool` — a threshold pass at
+    /// `prefetch_threads > 1` — the settle runs on the pool and the step
+    /// returns an empty report once the build is done; without one — a
+    /// forced pass, a control tick, any pass at width 1 — it runs here.
+    /// Either way it is the same [`Archiver::settle`].
     ///
     /// The durability order is the point of this function. The take logs a
     /// checkpoint holding its rows before the upload starts; only after
@@ -672,12 +676,11 @@ impl Archiver {
     /// shard's side list, readable; on a terminal upload failure the
     /// un-uploaded rows go back into the shard's row store — still
     /// WAL-covered, so a crash at any point loses nothing — and a later
-    /// step re-archives them. Every drain that took rows is closed by
-    /// exactly one ack or restore, whatever failed before it, or its rows
-    /// would vanish with the drain left open; if the step unwinds instead,
-    /// the shard's next drain re-raises the panic rather than wait for a
-    /// settle that never comes. Returns what was registered here, or the
-    /// first error: the checkpoint's, the upload's, else the ack's.
+    /// step re-archives them. Every drain that took rows is settled,
+    /// whatever failed before it, or the shard's next take would wait for
+    /// good; if the step unwinds instead, that take re-raises the panic.
+    /// Returns what was registered here, or the first error: the
+    /// checkpoint's, the upload's, else the ack's.
     fn archive_step(
         self: &Arc<Self>,
         worker: &Arc<Worker>,
@@ -688,32 +691,49 @@ impl Archiver {
         let store = worker.store(shard)?;
         let start = Instant::now();
         // A checkpoint that failed to log left its rows in the row store.
-        let Some((lsn, drained)) = store.take(min_bytes)? else {
-            return Ok(None);
-        };
-        self.timers.drain.record_duration(start.elapsed());
+        let (taken, waited) = store.take_timed(min_bytes)?;
+        if !waited.is_zero() {
+            self.timers.settle_wait.record_duration(waited);
+        }
+        let Some((lsn, drained)) = taken else { return Ok(None) };
+        self.timers.drain.record_duration(start.elapsed().saturating_sub(waited));
         let step = catch_unwind(AssertUnwindSafe(|| {
+            let (shared, config) = (&self.shared, &self.build_config);
             // Registered before any path allocation: while this guard
             // lives, the GC pass will not sweep our pending upload paths
             // as orphans. It goes with the settle, to its commit.
-            let build = self.shared.metadata.begin_build();
-            self.shared.hooks.reached(CrashPoint::AfterDrain);
+            let build = shared.metadata.begin_build();
+            shared.hooks.reached(CrashPoint::AfterDrain);
             let mut outcome = BuildOutcome::default();
-            let chunks = partition(&drained, &self.build_config, &mut outcome.stages);
-            let taken = Taken { shard, lsn, drained, chunks };
-            match settle_pool {
-                Some(pool) => {
-                    self.hand_off(pool, worker, taken, outcome, build);
-                    Ok(BuildReport::default())
+            let chunks = partition(&drained, config, &mut outcome.stages);
+            let stages = &mut outcome.stages;
+            let blocks =
+                build_blocks(&chunks, &drained, &shared.schema, config, &shared.metadata, stages);
+            self.timers.record_build(&outcome.stages);
+            let taken = Taken { shard, lsn, drained, chunks, blocks, build, outcome };
+            let Some(pool) = settle_pool else {
+                let settled = self.settle(worker, taken);
+                store.settled();
+                return settled;
+            };
+            // A failure waits in `settle_error` for the next pass, stored
+            // before the shard's next take may go; a panic abandons the
+            // shard's drain with its payload, for that take to re-raise.
+            let (archiver, worker) = (Arc::clone(self), Arc::clone(worker));
+            pool.detach(move || {
+                let settled = catch_unwind(AssertUnwindSafe(|| archiver.settle(&worker, taken)));
+                let Ok(store) = worker.store(shard) else { return };
+                match settled {
+                    Ok(settled) => {
+                        if let Err(e) = settled {
+                            archiver.settle_error.lock().get_or_insert(e);
+                        }
+                        store.settled();
+                    }
+                    Err(payload) => store.abandon(payload),
                 }
-                None => {
-                    let settled = self.archive_here(worker, &taken, &mut outcome);
-                    drop(build);
-                    self.release(taken.drained);
-                    store.settled();
-                    settled
-                }
-            }
+            });
+            Ok(BuildReport::default())
         }));
         match step {
             Ok(settled) => settled.map(Some),
@@ -724,111 +744,26 @@ impl Archiver {
         }
     }
 
-    /// Builds the drain's chunks as the PUT wave pulls them and settles it,
-    /// all on the calling thread.
-    fn archive_here(
-        &self,
-        worker: &Worker,
-        taken: &Taken,
-        outcome: &mut BuildOutcome,
-    ) -> Result<BuildReport> {
-        let shared = &self.shared;
-        let (failed, mut built) = (AtomicBool::new(false), BuildStages::default());
-        let blocks = build_blocks(
-            &taken.chunks,
-            &taken.drained,
-            &shared.schema,
-            &self.build_config,
-            &shared.metadata,
-            &failed,
-            &mut built,
-        );
-        let settled = self.settle(worker, taken, blocks, &failed, outcome);
-        outcome.stages.add_build(&built);
-        self.timers.record_build(&outcome.stages);
-        self.timers.record_settle(outcome);
-        settled
-    }
-
-    /// Builds every chunk of the drain here, in chunk order — up to the
-    /// first that fails to build — and hands the settle to `pool`. A
-    /// failure of the settle waits in `settle_error` for the next pass,
-    /// stored before the shard's next drain may go; a panic abandons the
-    /// shard's drain with its payload, for that drain to re-raise.
-    fn hand_off(
-        self: &Arc<Self>,
-        pool: &QueryPool,
-        worker: &Arc<Worker>,
-        taken: Taken,
-        mut outcome: BuildOutcome,
-        build: BuildGuard,
-    ) {
-        let shared = &self.shared;
-        let failed = AtomicBool::new(false);
-        let mut blocks: Vec<Result<Block>> = Vec::with_capacity(taken.chunks.len());
-        let stages = &mut outcome.stages;
-        let config = &self.build_config;
-        let (chunks, drained) = (&taken.chunks, &taken.drained);
-        for block in
-            build_blocks(chunks, drained, &shared.schema, config, &shared.metadata, &failed, stages)
-        {
-            let built = block.is_ok();
-            blocks.push(block);
-            if !built {
-                break;
-            }
-        }
-        self.timers.record_build(&outcome.stages);
-        let (archiver, worker) = (Arc::clone(self), Arc::clone(worker));
-        pool.detach(move || {
-            let shard = taken.shard;
-            let settled = catch_unwind(AssertUnwindSafe(|| {
-                let blocks = blocks.into_iter();
-                let settled = archiver.settle(&worker, &taken, blocks, &failed, &mut outcome);
-                drop(build);
-                archiver.timers.record_settle(&outcome);
-                archiver.release(taken.drained);
-                settled
-            }));
-            let Ok(store) = worker.store(shard) else { return };
-            match settled {
-                Ok(settled) => {
-                    if let Err(e) = settled {
-                        archiver.settle_error.lock().get_or_insert(e);
-                    }
-                    store.settled();
-                }
-                Err(payload) => store.abandon(payload),
-            }
-        });
-    }
-
-    /// The settle of `taken`, whose chunks are `blocks` as far as they were
-    /// built: the PUT wave, the admission of its durable prefix, and — as
-    /// the shard's [`ShardStore::settle`], so that the drained rows leave
-    /// its side list in the same step — the metadata commit, and the
-    /// restore of what it left unarchived; then the ack of a whole drain.
-    /// Adds the settle stages to `outcome`.
+    /// The settle of `taken`: the PUT wave of its built chunks, the
+    /// admission of the durable prefix, and — as the shard's
+    /// [`ShardStore::settle`], so that the drained rows leave its side list
+    /// in the same step — the metadata commit and the fold-back of what it
+    /// left unarchived; then the ack of a whole drain. Records the settle
+    /// stages and releases the drain; the caller ends the settle
+    /// ([`ShardStore::settled`]).
     ///
     /// [`ShardStore::settle`]: logstore_wal::ShardStore::settle
-    fn settle(
-        &self,
-        worker: &Worker,
-        taken: &Taken,
-        blocks: impl Iterator<Item = Result<Block>>,
-        failed: &AtomicBool,
-        outcome: &mut BuildOutcome,
-    ) -> Result<BuildReport> {
-        let (shared, Taken { shard, lsn, drained, chunks }) = (&self.shared, taken);
-        let store = worker.store(*shard)?;
+    /// [`ShardStore::settled`]: logstore_wal::ShardStore::settled
+    fn settle(&self, worker: &Worker, taken: Taken) -> Result<BuildReport> {
+        let Taken { shard, lsn, drained, chunks, blocks, build, mut outcome } = taken;
+        let (shared, store) = (&self.shared, worker.store(shard)?);
         let prefetcher = Some(&shared.prefetcher);
-        let uploads =
-            put_blocks(blocks, failed, shared.store.as_ref(), prefetcher, &mut outcome.stages);
-        let entries = admit_prefix(uploads, prefetcher, outcome);
-        let drain = lsn.map(|lsn| DrainId { shard: *shard, lsn });
-        let complete = store.settle(*lsn, || {
+        let uploads = put_blocks(blocks, shared.store.as_ref(), prefetcher, &mut outcome.stages);
+        let entries = admit_prefix(uploads, prefetcher, &mut outcome);
+        let drain = lsn.map(|lsn| DrainId { shard, lsn });
+        let complete = store.settle(|| {
             let (config, metadata) = (&self.build_config, &shared.metadata);
-            commit_prefix(entries, chunks, drained, config, metadata, drain, outcome);
+            commit_prefix(entries, &chunks, &drained, config, metadata, drain, &mut outcome);
             if outcome.is_complete() {
                 return (true, None);
             }
@@ -840,15 +775,18 @@ impl Archiver {
         shared.hooks.reached(CrashPoint::AfterUpload);
         let acked = if complete {
             let start = Instant::now();
-            let acked = worker.ack_archived(*shard, *lsn);
+            let acked = worker.ack_archived(shard, lsn);
             self.timers.ack.record_duration(start.elapsed());
             acked
         } else {
             Ok(())
         };
+        drop(build);
+        self.timers.record_settle(&outcome);
+        self.release(drained);
         match outcome.error.take() {
             Some(e) => Err(e),
-            None => acked.map(|()| outcome.report.clone()),
+            None => acked.map(|()| outcome.report),
         }
     }
 
@@ -897,6 +835,7 @@ fn spawn_worker(
 mod tests {
     use super::*;
     use logstore_types::Value;
+    use std::sync::atomic::AtomicBool;
 
     fn rec(t: u64, ts: i64, latency: i64, msg: &str) -> LogRecord {
         LogRecord::new(
@@ -1005,6 +944,9 @@ mod tests {
             assert_eq!(count(&snapshot, stage).as_deref(), Some("count=1"), "{stage}");
         }
         assert_eq!(line(&snapshot, "core.databuilder.rows").as_deref(), Some("2"));
+        // No settle was in flight: no take waited.
+        let waits = count(&snapshot, "core.engine.settle_wait_ns");
+        assert_eq!(waits.as_deref(), Some("count=0"));
         // A forced pass is not a threshold pass.
         assert_eq!(count(&snapshot, "core.engine.workers_due").as_deref(), Some("count=1"));
         let labels: Vec<&str> = snapshot.lines().map(|l| l.split(' ').next().unwrap()).collect();

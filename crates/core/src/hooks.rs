@@ -91,9 +91,7 @@ pub trait CrashHooks: Send + Sync {
     /// Called when execution reaches `point`. A simulation implementation
     /// may panic with a [`SimCrash`] payload to abort the episode here;
     /// the default does nothing.
-    fn reached(&self, point: CrashPoint) {
-        let _ = point;
-    }
+    fn reached(&self, _point: CrashPoint) {}
 
     /// Called when a query attempt reaches `point`, on whichever thread got
     /// there (a pool thread for a source task), with no lock held — the

@@ -3,8 +3,8 @@
 //! A worker owns a set of shards. Each shard is one
 //! [`logstore_wal::ShardStore`] — the write-optimized row store, WAL-backed
 //! when the worker has a data dir — plus ingest accounting that feeds the
-//! traffic monitor. The store owns the storage protocol (append, drain →
-//! ack/restore, the WAL cut) and validates every row against the table
+//! traffic monitor. The store owns the storage protocol (append, take →
+//! settle → ack, the WAL cut) and validates every row against the table
 //! schema; the worker adds shard lookup, BFC admission, window accounting,
 //! the `AfterTruncate` crash hook and drain-commit pruning. The data
 //! builder drains shards in the background (phase two,
@@ -218,8 +218,8 @@ impl Worker {
     }
 
     /// One shard's phase-one store: its runs for a query
-    /// ([`ShardStore::snapshot`]), its buffered tenants, and the drains and
-    /// restores of the archive step. Acks go through
+    /// ([`ShardStore::snapshot`]), the tenants it holds rows of, and the
+    /// takes and settles of the archive step. Acks go through
     /// [`Worker::ack_archived`] instead: [`ShardStore::ack_archived`] skips
     /// the crash hook and the pruning of the drain-commit table.
     pub fn store(&self, shard: ShardId) -> Result<&ShardStore> {
@@ -371,8 +371,8 @@ mod tests {
             }
         }
         assert!(hit_backpressure);
-        // Draining relieves the pressure.
-        assert!(w.store(ShardId(0)).unwrap().drain_all(0).unwrap().is_some());
+        // Taking the rows relieves the pressure.
+        assert!(w.store(ShardId(0)).unwrap().take(0).unwrap().is_some());
         w.append(ShardId(0), batch).unwrap();
     }
 
@@ -390,14 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn restore_unarchived_returns_rows_to_the_shard() {
+    fn a_settle_that_folds_back_returns_rows_to_the_shard() {
         let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
-        let (lsn, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
-        assert!(w.store(ShardId(1)).unwrap().drain_all(0).unwrap().is_none(), "shard 1 is empty");
+        let (_, rows) = w.store(ShardId(0)).unwrap().take(0).unwrap().unwrap();
+        assert!(w.store(ShardId(1)).unwrap().take(0).unwrap().is_none(), "shard 1 is empty");
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
-        // Upload "failed": the engine hands the rows back.
-        w.store(ShardId(0)).unwrap().restore_unarchived(lsn, rows);
+        // Upload "failed": the engine's settle hands the rows back.
+        w.store(ShardId(0)).unwrap().settle(|| ((), Some(rows)));
+        w.store(ShardId(0)).unwrap().settled();
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 2);
         assert_eq!(rows_of(&w, ShardId(0), 1), 1);
         assert_eq!(w.shard_counters(ShardId(0)).unwrap(), Some((2, 0)));
@@ -407,7 +408,7 @@ mod tests {
     fn ack_archived_is_clean_for_memory_backends() {
         let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        let (lsn, _) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        let (lsn, _) = w.store(ShardId(0)).unwrap().take(0).unwrap().unwrap();
         assert_eq!(lsn, None, "no WAL, no checkpoint to name");
         w.ack_archived(ShardId(0), lsn).unwrap();
     }
@@ -416,8 +417,8 @@ mod tests {
     fn drain_shard_for_build_respects_threshold() {
         let w = worker();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1)])).unwrap();
-        assert!(w.store(ShardId(0)).unwrap().drain_all(usize::MAX).unwrap().is_none());
-        let (_seq, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        assert!(w.store(ShardId(0)).unwrap().take(usize::MAX).unwrap().is_none());
+        let (_seq, rows) = w.store(ShardId(0)).unwrap().take(0).unwrap().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(w.buffered_rows(ShardId(0)).unwrap(), 0);
     }
@@ -475,7 +476,8 @@ mod tests {
         };
         let w = open();
         w.append(ShardId(0), RecordBatch::from_records(vec![rec(1, 1), rec(2, 2)])).unwrap();
-        let (lsn, rows) = w.store(ShardId(0)).unwrap().drain_all(0).unwrap().unwrap();
+        let store = w.store(ShardId(0)).unwrap();
+        let (lsn, rows) = store.take(0).unwrap().unwrap();
         let id = DrainId { shard: ShardId(0), lsn: lsn.expect("durable shards name their drains") };
         let build = BuildConfig {
             compression: logstore_codec::Compression::LzHigh,
@@ -483,15 +485,10 @@ mod tests {
             max_rows_per_logblock: 4096,
         };
         let oss = logstore_oss::MemoryStore::new();
-        let outcome = build_and_upload_drain(
-            &rows,
-            &Arc::new(schema.clone()),
-            &build,
-            &oss,
-            &metadata,
-            Some(id),
-            None,
-        );
+        let outcome = store.settle(|| {
+            let schema = Arc::new(schema.clone());
+            (build_and_upload_drain(&rows, &schema, &build, &oss, &metadata, Some(id), None), None)
+        });
         assert!(outcome.is_complete(), "{:?}", outcome.error);
         assert!(metadata.drain_commit(id).is_some(), "the upload commits its drain");
         // A record at or past the LSN the next checkpoint could take is not
@@ -502,6 +499,7 @@ mod tests {
             metadata.commit_drain(Some(other), Vec::new(), 4096).unwrap();
         }
         w.ack_archived(ShardId(0), Some(id.lsn)).unwrap();
+        store.settled();
         assert_eq!(metadata.drain_commit(id), None, "the ack must prune the record");
         assert!(
             metadata.drain_commit(later).is_some() && metadata.drain_commit(elsewhere).is_some()
@@ -526,7 +524,7 @@ mod tests {
         let (_, log) = logstore_wal::GroupCommitWal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(log, vec![(1, payload)]);
         let shard = ShardStore::open(&dir, WalConfig::default(), schema).unwrap();
-        let (_, rows) = shard.drain_all(0).unwrap().expect("the batch replays");
+        let (_, rows) = shard.take(0).unwrap().expect("the batch replays");
         assert_eq!(rows.records(), batch.records);
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -133,17 +133,7 @@ impl Episode {
     /// Runs `plan` end to end: every scheduled op, then the final clean
     /// flush and accounting battery.
     pub fn run(plan: &SimPlan) -> Result<EpisodeReport, SimFailure> {
-        Self::run_with_shard_capacity(plan, ClusterConfig::for_testing().shard_capacity)
-    }
-
-    /// [`Episode::run`] with every shard's ingest capacity — the rows per
-    /// control window over which the balancer moves a tenant — set to
-    /// `shard_capacity`.
-    pub fn run_with_shard_capacity(
-        plan: &SimPlan,
-        shard_capacity: u64,
-    ) -> Result<EpisodeReport, SimFailure> {
-        let mut episode = Episode::with_shard_capacity(plan.seed, shard_capacity)?;
+        let mut episode = Episode::with_shard_capacity(plan.seed, plan.shard_capacity)?;
         for (step, op) in plan.ops.iter().enumerate() {
             episode.apply(step, op)?;
         }

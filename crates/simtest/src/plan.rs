@@ -1,6 +1,6 @@
 //! Seed → schedule expansion.
 
-use logstore_core::CrashPoint;
+use logstore_core::{ClusterConfig, CrashPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,9 +76,18 @@ pub struct SimPlan {
     pub seed: u64,
     /// The schedule.
     pub ops: Vec<SimOp>,
+    /// Every shard's ingest capacity: the rows per control window over
+    /// which the balancer moves a tenant.
+    pub shard_capacity: u64,
 }
 
 impl SimPlan {
+    /// `ops` under `seed`, every shard at [`ClusterConfig::for_testing`]'s
+    /// capacity, which no episode's ingest reaches: no tick rebalances.
+    pub fn new(seed: u64, ops: Vec<SimOp>) -> SimPlan {
+        SimPlan { seed, ops, shard_capacity: ClusterConfig::for_testing().shard_capacity }
+    }
+
     /// Expands `seed` into a schedule. The same seed always yields the
     /// same plan.
     pub fn from_seed(seed: u64) -> SimPlan {
@@ -119,7 +128,21 @@ impl SimPlan {
             ops.push(op);
         }
         ops.push(SimOp::CheckInvariants);
-        SimPlan { seed, ops }
+        // Drawn last, so the schedule is the same at any capacity: 30-50 %
+        // of the rows ingested in the plan's busiest control window, so
+        // that the window overloads the shards its hottest tenants are
+        // on without saturating all of them, and most plans whose ticks
+        // follow ingest rebalance.
+        let (mut window, mut busiest) = (0u64, 0u64);
+        for op in &ops {
+            match op {
+                SimOp::Ingest { rows, .. } => window += *rows as u64,
+                SimOp::ControlTick => busiest = busiest.max(std::mem::take(&mut window)),
+                _ => {}
+            }
+        }
+        let shard_capacity = (busiest * rng.gen_range(30..=50u64) / 100).max(1);
+        SimPlan { seed, ops, shard_capacity }
     }
 
     /// This plan without [`SimOp::ControlTick`] steps. The balancer's plan

@@ -48,8 +48,10 @@ fn run_or_die(plan: &SimPlan) -> logstore_simtest::EpisodeReport {
 
 #[test]
 fn seeded_episode_sweep() {
+    let mut rebalances = 0;
     for seed in sweep_seeds() {
         let report = run_or_die(&SimPlan::from_seed(seed));
+        rebalances += report.rebalances;
         println!(
             "seed {seed}: {} ops, {} crashes {:?}, {} faults, {} rows acked, {} checks, {} blocks, \
              {} rebalances",
@@ -64,6 +66,10 @@ fn seeded_episode_sweep() {
         );
         assert!(report.checks > 0, "seed {seed}: no invariant battery ran");
     }
+    // The vacate step (flushing a rebalanced tenant's rows) meets faults
+    // and crash points only in episodes that rebalance.
+    let fixed = std::env::var("SIMTEST_SEED").is_err();
+    assert!(!fixed || rebalances > 0, "no episode of the fixed sweep rebalanced");
 }
 
 /// The acceptance episode: a sustained OSS fault window (p ≥ 0.25) plus
@@ -116,7 +122,7 @@ fn acceptance_faults_and_crashes() {
         SimOp::CheckQueries { tenant: 2 },
         SimOp::CheckInvariants,
     ]);
-    let report = run_or_die(&SimPlan { seed: 0xacce97, ops });
+    let report = run_or_die(&SimPlan::new(0xacce97, ops));
     assert!(report.crashes >= 6, "expected one crash per point, got {:?}", report.crash_points);
     let distinct: BTreeSet<CrashPoint> = report.crash_points.iter().copied().collect();
     assert!(distinct.len() >= 3, "need ≥3 distinct crash points, got {distinct:?}");
@@ -157,7 +163,7 @@ fn per_crash_point_group_commit_sweep() {
                 SimOp::FlushAll,
                 SimOp::CheckInvariants,
             ]);
-            let plan = SimPlan { seed: seed ^ (point as u64) << 8, ops };
+            let plan = SimPlan::new(seed ^ (point as u64) << 8, ops);
             assert_eq!(
                 run_or_die(&plan).crash_points,
                 vec![point],
@@ -205,9 +211,8 @@ fn acceptance_controller_faults() {
     // Shards of 100 rows per control window, which the episode's ingest
     // exceeds, so that ticks rebalance and the armed kill fires (at
     // `for_testing()`'s 100 000 no tick of the episode rebalances).
-    let plan = SimPlan { seed: 0xc7_a1f5, ops };
-    let report =
-        Episode::run_with_shard_capacity(&plan, 100).unwrap_or_else(|failure| panic!("{failure}"));
+    let plan = SimPlan { shard_capacity: 100, ..SimPlan::new(0xc7_a1f5, ops) };
+    let report = run_or_die(&plan);
     assert!(report.rebalances >= 1, "no tick rebalanced: {:#?}", report.trace);
     assert_eq!(report.rebalance_kills, 1, "the mid-rebalance kill: {:#?}", report.trace);
     assert!(report.rows_acked >= 490);

@@ -20,12 +20,13 @@
 //!   ([`Drained`]).
 //! * [`shard::ShardStore`] — the one per-shard phase-one store a worker
 //!   runs: an optional WAL (`None` = memory-only) outside one mutex
-//!   (`wal.shard.inner`) around the row store, counters and open drains.
-//!   It owns the whole protocol — append a batch (logged with no lock
-//!   held, applied under the lock), drain with a logged checkpoint,
-//!   restore, or ack and cut the WAL — and crash recovery (replay from the
-//!   last checkpoint, reconciled against the drain-commit table, which
-//!   names each drain by its checkpoint's LSN).
+//!   (`wal.shard.inner`) around the row store, counters and the one
+//!   unsettled drain. It owns the whole protocol — append a batch (logged
+//!   with no lock held, applied under the lock), take with a logged
+//!   checkpoint, settle (fold back what the commit left), ack and cut the
+//!   WAL — and crash recovery (replay from the last checkpoint, reconciled
+//!   against the drain-commit table, which names each drain by its
+//!   checkpoint's LSN).
 
 #![forbid(unsafe_code)]
 

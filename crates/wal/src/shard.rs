@@ -2,12 +2,12 @@
 //! with crash recovery.
 //!
 //! [`ShardStore`] is the one type that knows whether a shard has a WAL
-//! (`None` = a memory-only shard), how a drain is checkpointed, acked and
-//! rolled back, and where the WAL may be cut. Its methods take `&self`: the
+//! (`None` = a memory-only shard), how a drain is checkpointed, settled
+//! and acked, and where the WAL may be cut. Its methods take `&self`: the
 //! WAL sits *outside* the one internal mutex (`wal.shard.inner`: rows,
-//! counters, open drains), so every group append — a batch, a checkpoint or
-//! an ack — runs with no lock held and concurrent producers share group
-//! commits.
+//! counters, the unsettled drain), so every group append — a batch, a
+//! checkpoint or an ack — runs with no lock held and concurrent producers
+//! share group commits.
 //!
 //! # Ingest
 //!
@@ -23,56 +23,60 @@
 //! [`ShardStore::snapshot`] hands a query the runs it may have rows in, by
 //! reference, so that no row is ever read under the lock.
 //!
-//! # Drains, checkpoints and the cut
+//! # One drain, checkpoints and the cut
 //!
-//! [`ShardStore::drain_all`] takes every buffered row and logs (fsynced) a
-//! **checkpoint** of the shard at the take: `take` (the WAL's next LSN),
-//! `unapplied` (the LSNs below it logged but not applied), `open` (the
-//! checkpoints of earlier drains neither acked nor restored), the archived
-//! counter and the drained runs — exactly what it drained, since the store
-//! is empty after the take. A drain that would take rows while another has
-//! taken and not logged yet waits for it (`wal.shard.logged`),
-//! so checkpoint LSN order is take order. The checkpoint's LSN names the
-//! drain: the uploader commits "the first `k` chunks of drain `lsn`,
-//! partitioned at `chunk_rows`, are durable" atomically in the metadata
-//! store, and the drain ends in exactly one [`ShardStore::ack_archived`]
-//! (an ack record names it) or [`ShardStore::restore_unarchived`] (the
-//! rows go back).
+//! [`ShardStore::take`] is the shard's one drain. It takes every buffered
+//! row and logs (fsynced) a **checkpoint** of the shard at the take:
+//! `take` (the WAL's next LSN), `unapplied` (the LSNs below it logged but
+//! not applied), the archived counter and the drained runs — exactly what
+//! it drained, since the store is empty after the take. The checkpoint's
+//! LSN names the drain: the uploader commits "the first `k` chunks of
+//! drain `lsn`, partitioned at `chunk_rows`, are durable" atomically in
+//! the metadata store.
 //!
-//! # Settles and the side list
+//! The drained runs leave the row store but not the shard. They wait on a
+//! **side list**, which [`ShardStore::snapshot`] still hands out, until
+//! [`ShardStore::settle`] runs the metadata commit that registers the
+//! drain's LogBlocks and, under the lock, drops the side runs — folding
+//! what the commit left unarchived back into the store — so a row is
+//! always in the store, on the side list or in the LogBlock map. The
+//! shard's **settle sequence** ([`ShardStore::settles`]) is odd from just
+//! before the commit until the side runs are gone; a snapshot reports it,
+//! so a query that read it before its map read and finds it changed knows
+//! that a commit straddled the two and retries. The drain then ends in an
+//! [`ShardStore::ack_archived`] (an ack record names it) if the commit
+//! archived it whole, and in [`ShardStore::settled`] either way.
 //!
-//! [`ShardStore::take`] is the engine's drain: its runs leave the row store
-//! but not the shard. They wait on a **side list**, which
-//! [`ShardStore::snapshot`] still hands out, until [`ShardStore::settle`]
-//! runs the metadata commit that registers the drain's LogBlocks and, under
-//! the lock, drops the side runs — folding what the commit left unarchived
-//! back into the store — so a row is always in the store, on the side list
-//! or in the LogBlock map. The shard's **settle sequence**
-//! ([`ShardStore::settles`]) is odd from just before the commit until the
-//! side runs are gone; a snapshot reports it, so a query that read it
-//! before its map read and finds it changed knows that a commit straddled
-//! the two and retries. A taken drain is *unsettled* until
-//! [`ShardStore::settled`] says its settle — the ack included — is over,
-//! and a shard holds one at most: every drain waits for it, and a forced
-//! drain (`min_bytes == 0`) waits even with nothing to take, so it is a
-//! barrier. A settle that panicked is [`ShardStore::abandon`]ed instead:
-//! every later drain re-raises the panic rather than wait.
+//! A drain is *unsettled* from its take until [`ShardStore::settled`], and
+//! a shard holds one at most: a take waits for it, and a forced take
+//! (`min_bytes == 0`) waits even with nothing to take, so it is a barrier.
+//! A settle that panicked is [`ShardStore::abandon`]ed instead: every later
+//! take re-raises the panic rather than wait, and logs nothing.
+//!
+//! So when a take logs its checkpoint, every earlier drain of the shard is
+//! closed: acked; folded back, its unarchived rows in the store and so in
+//! this checkpoint; or committed whole with an ack that failed to log, its
+//! commit record saying every chunk is on OSS. No earlier drain is left for
+//! a replay from this checkpoint to settle, and the checkpoint names none.
+//! For the same reason the drain an ack names is the last checkpoint —
+//! none is logged before its settle ends — and every drain below it is
+//! closed: no replay reads a commit record below the acked LSN + 1.
 //!
 //! Replay decodes the logged runs straight back into runs. It starts at the
 //! last checkpoint C, from an empty store: the batches C names in
 //! `unapplied` or `[C.take, C)`, each joining the tail as its live append
-//! did. Each drain of `C.open` and C is then archived in full if an ack
-//! names it, else its committed prefix ([`DrainCommit`], split with
-//! [`partition_runs`] as the builder uploaded it) stays out and the rest
-//! goes back with [`RowStore::restore`]. Every batch after C follows;
-//! without a checkpoint, every batch. Runs that do not decode as the
-//! schema types them (another schema's fingerprint, a block the column
-//! codec rejects, a NULL in a NOT NULL column), or an LSN C names that the
-//! WAL lacks or that holds another kind of record, is
-//! [`Error::Corruption`]; an ack of a drain no longer in the WAL is
-//! ignored. Replay reads nothing below C's bound `min(take, unapplied,
-//! open)`, which never decreases, so every ack rotates the active segment
-//! and drops the whole segments below the last bound.
+//! did. C's drain is then archived in full if an ack names it, else its
+//! committed prefix ([`DrainCommit`], split with [`partition_runs`] as the
+//! builder uploaded it) stays out and the rest goes back with
+//! [`RowStore::restore`]. Every batch after C follows; without a
+//! checkpoint, every batch. Runs that do not decode as the schema types
+//! them (another schema's fingerprint, a block the column codec rejects, a
+//! NULL in a NOT NULL column), or an LSN C names that the WAL lacks or that
+//! holds another kind of record, is [`Error::Corruption`]; an ack of a
+//! drain no longer in the WAL is ignored. Replay reads nothing below C's
+//! bound `min(take, unapplied)`, which never decreases, so every ack
+//! rotates the active segment and drops the whole segments below the last
+//! bound.
 
 use crate::group::{GroupCommitWal, Lsn, ReplayedRecord, WalConfig};
 use crate::rowstore::{partition_runs, Drained, RowSnapshot, RowStore, Run, RUN_ROWS};
@@ -84,7 +88,7 @@ use logstore_sync::{sync_point, OrderedCondvar, OrderedMutex};
 use logstore_types::{ColumnVec, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,7 +153,6 @@ impl Drop for LoggedBatch<'_> {
 struct Checkpoint {
     take: Lsn,
     unapplied: Vec<Lsn>,
-    open: Vec<Lsn>,
     /// Records archived at the take, this drain's included.
     archived: u64,
 }
@@ -157,27 +160,23 @@ struct Checkpoint {
 impl Checkpoint {
     /// The cut bound: the lowest LSN a replay starting here reads.
     fn bound(&self) -> Lsn {
-        let lowest = self.unapplied.first().into_iter().chain(self.open.first());
-        lowest.copied().fold(self.take, Lsn::min)
+        self.unapplied.first().map_or(self.take, |&lowest| lowest.min(self.take))
     }
 
     fn put_header(&self, out: &mut Vec<u8>) {
         put_uvarint(out, self.take);
-        for set in [&self.unapplied, &self.open] {
-            put_uvarint(out, set.len() as u64);
-            set.iter().for_each(|&lsn| put_uvarint(out, lsn));
-        }
+        put_uvarint(out, self.unapplied.len() as u64);
+        self.unapplied.iter().for_each(|&lsn| put_uvarint(out, lsn));
         put_uvarint(out, self.archived);
     }
 
     /// Decodes checkpoint `lsn`'s body: the header and the drained runs.
     fn decode(typing: &Typing, lsn: Lsn, body: &[u8]) -> Result<(Self, Drained)> {
         let pos = &mut 0;
-        let take = read_uvarint(body, pos)?;
-        let (unapplied, open) = (read_lsns(body, pos)?, read_lsns(body, pos)?);
+        let (take, unapplied) = (read_uvarint(body, pos)?, read_lsns(body, pos)?);
         let archived = read_uvarint(body, pos)?;
         let drained = Drained::from_runs(typing.read_runs(lsn, body, pos)?);
-        Ok((Checkpoint { take, unapplied, open, archived }, drained))
+        Ok((Checkpoint { take, unapplied, archived }, drained))
     }
 }
 
@@ -266,21 +265,11 @@ struct Inner {
     rows: RowStore,
     /// Count of records ever appended (recovered + new).
     records_appended: u64,
-    /// Records drained to the archiver so far (restores subtract).
+    /// Records drained to the archiver so far (fold-backs subtract).
     records_archived: u64,
-    /// Checkpoint LSNs of drains neither acked nor restored: the next
-    /// checkpoint's `open`.
-    open: BTreeSet<Lsn>,
-    /// Drains the last checkpoint settles on replay (its `open` and
-    /// itself) that no ack has closed: their drain commits are still read.
-    unsettled: BTreeSet<Lsn>,
-    /// A drain took rows and has not logged its checkpoint yet.
-    logging: bool,
     /// The bound of the last logged checkpoint: acks cut below it.
     cut: Lsn,
-    /// The LSN of the last logged checkpoint; a drain still logging is above.
-    last: Lsn,
-    /// A taken drain is not settled: the next drain waits for it.
+    /// A taken drain is not settled: the next take waits for it.
     settling: bool,
     /// The runs of the taken drain until its commit: snapshots still hand
     /// them out.
@@ -288,7 +277,7 @@ struct Inner {
     /// The settle sequence: odd from just before a settle's commit until
     /// its side runs are gone.
     settles: u64,
-    /// A settle of this shard panicked: what every later drain re-raises.
+    /// A settle of this shard panicked: what every later take re-raises.
     abandoned: Option<Payload>,
 }
 
@@ -299,8 +288,8 @@ pub struct ShardStore {
     /// The table every buffered and logged row is a row of.
     typing: Typing,
     inner: OrderedMutex<Inner>,
-    /// `Inner::logging` or `Inner::settling` went false, the settle
-    /// sequence went even, or a settle was abandoned.
+    /// `Inner::settling` went false, the settle sequence went even, or a
+    /// settle was abandoned.
     logged: OrderedCondvar,
 }
 
@@ -353,11 +342,7 @@ impl ShardStore {
             rows,
             records_appended,
             records_archived,
-            open: BTreeSet::new(),
-            unsettled: BTreeSet::new(),
-            logging: false,
             cut: 0,
-            last: 0,
             settling: false,
             side: Vec::new(),
             settles: 0,
@@ -525,55 +510,47 @@ impl ShardStore {
     /// Drains every buffered row, oldest first, if at least `min_bytes` are
     /// buffered (`0` = unconditionally); `None` when nothing was drained.
     /// The checkpoint is logged, with no lock held, before it returns; if it
-    /// cannot be, the rows go straight back and the error surfaces.
+    /// cannot be, the rows go straight back and the error surfaces. The
+    /// drained runs stay on the side list — still in every snapshot — until
+    /// [`ShardStore::settle`] registers them, and the drain is unsettled
+    /// until [`ShardStore::settled`] (or [`ShardStore::abandon`]).
     ///
-    /// A drain that would take rows first waits for the shard's last drain
-    /// to log its checkpoint and for a taken one to settle; a forced one
-    /// waits even with nothing to take. If a settle of the shard was
-    /// abandoned, this re-raises its panic instead.
-    pub fn drain_all(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
-        self.drain(min_bytes, false)
-    }
-
-    /// [`ShardStore::drain_all`], the drained runs kept on the side list —
-    /// still in every snapshot — until [`ShardStore::settle`] registers
-    /// them, and the drain unsettled until [`ShardStore::settled`] (or
-    /// [`ShardStore::abandon`]): the engine's drain.
+    /// A take that would take rows first waits for the shard's unsettled
+    /// drain to settle; a forced one waits even with nothing to take. If a
+    /// settle of the shard was abandoned, this re-raises its panic instead.
     pub fn take(&self, min_bytes: usize) -> Result<Option<LoggedDrain>> {
-        self.drain(min_bytes, true)
+        self.take_timed(min_bytes).map(|(drain, _)| drain)
     }
 
-    fn drain(&self, min_bytes: usize, hold: bool) -> Result<Option<LoggedDrain>> {
+    /// [`ShardStore::take`], also saying how long it waited for the shard's
+    /// unsettled drain.
+    pub fn take_timed(&self, min_bytes: usize) -> Result<(Option<LoggedDrain>, Duration)> {
         let wants = |rows: &RowStore| rows.row_count() > 0 && rows.bytes() >= min_bytes;
         let mut inner = self.inner.lock();
-        // Waiting for the checkpoint keeps checkpoint LSN order take order;
-        // waiting for the settle keeps one unsettled drain per shard.
+        let mut waited = Duration::ZERO;
         loop {
             if let Some(payload) = inner.abandoned.take() {
                 inner.abandoned = Some(Box::new("an earlier settle of this shard panicked"));
                 drop(inner);
                 std::panic::resume_unwind(payload);
             }
-            let busy = inner.logging || inner.settling;
-            if !busy || (min_bytes > 0 && !wants(&inner.rows)) {
+            if !inner.settling || (min_bytes > 0 && !wants(&inner.rows)) {
                 break;
             }
+            let wait = Instant::now();
             self.logged.wait(&mut inner);
+            waited += wait.elapsed();
         }
         if !wants(&inner.rows) {
-            return Ok(None);
+            return Ok((None, waited));
         }
         let drained = inner.rows.drain_all();
-        if hold {
-            inner.settling = true;
-            inner.side = drained.runs().to_vec();
-        }
+        inner.settling = true;
+        inner.side = drained.runs().to_vec();
         inner.records_archived += drained.len() as u64;
-        let Some(wal) = &self.wal else { return Ok(Some((None, drained))) };
+        let Some(wal) = &self.wal else { return Ok((Some((None, drained)), waited)) };
         let (take, unapplied) = wal.next_and_unapplied();
-        let open = inner.open.iter().copied().collect();
-        let checkpoint = Checkpoint { take, unapplied, open, archived: inner.records_archived };
-        inner.logging = true;
+        let checkpoint = Checkpoint { take, unapplied, archived: inner.records_archived };
         drop(inner);
         // The runs are immutable: the checkpoint is encoded from them
         // outside the lock, beside any query still reading them.
@@ -585,22 +562,18 @@ impl ShardStore {
         self.typing.put_runs(&mut payload, drained.runs().iter().map(|run| &**run));
         let logged = wal.append_unpinned(&payload, true);
         let mut inner = self.inner.lock();
-        inner.logging = false;
-        self.logged.notify_all();
         match logged {
             Ok(lsn) => {
-                inner.open.insert(lsn);
-                inner.unsettled = inner.open.clone();
                 debug_assert!(checkpoint.bound() >= inner.cut, "the cut bound went back");
                 inner.cut = checkpoint.bound();
-                inner.last = lsn;
-                Ok(Some((Some(lsn), drained)))
+                Ok((Some((Some(lsn), drained)), waited))
             }
             Err(e) => {
                 inner.records_archived -= drained.len() as u64;
                 inner.settling = false;
                 inner.side.clear();
                 inner.rows.restore(drained);
+                self.logged.notify_all();
                 Err(e)
             }
         }
@@ -609,17 +582,14 @@ impl ShardStore {
     /// Settles drain `drain`: `commit` registers what of it is durable on
     /// OSS (the metadata commit) and returns what it leaves unarchived —
     /// `None` when the whole drain is archived and its ack follows, or
-    /// `Some(rows)` to close the drain by handing those rows back, as
-    /// [`ShardStore::restore_unarchived`] does. The settle sequence is odd
+    /// `Some(rows)` to close the drain by handing those rows back after
+    /// every buffered row, as they are — nothing is logged: a replay settles
+    /// the drain through its commit record. The settle sequence is odd
     /// while `commit` runs, and the side runs go, the unarchived rows with
     /// them back into the store, under the lock that makes it even again.
     /// If `commit` unwinds, the sequence goes even and the side runs stay:
     /// the drain is the crash's to settle, on replay.
-    pub fn settle<T>(
-        &self,
-        drain: Option<Lsn>,
-        commit: impl FnOnce() -> (T, Option<Drained>),
-    ) -> T {
+    pub fn settle<T>(&self, commit: impl FnOnce() -> (T, Option<Drained>)) -> T {
         /// Ends the odd stretch if the commit unwinds.
         struct Even<'a>(&'a ShardStore);
         impl Drop for Even<'_> {
@@ -637,22 +607,16 @@ impl ShardStore {
         let mut inner = self.inner.lock();
         inner.side.clear();
         if let Some(rows) = unarchived {
-            fold_back(&mut inner, drain, rows);
+            inner.records_archived = inner.records_archived.saturating_sub(rows.len() as u64);
+            inner.rows.restore(rows);
         }
         inner.settles += 1;
         self.logged.notify_all();
         value
     }
 
-    /// Closes drain `drain` after a failed upload: its unarchived `rows` go
-    /// back after every buffered row, as they are. Nothing is logged: a
-    /// replay settles the drain through its commit record.
-    pub fn restore_unarchived(&self, drain: Option<Lsn>, rows: Drained) {
-        fold_back(&mut self.inner.lock(), drain, rows);
-    }
-
-    /// Ends the settle of the taken drain, its ack or restore done: the
-    /// next drain may go.
+    /// Ends the settle of the taken drain, its ack or fold-back done: the
+    /// next take may go.
     pub fn settled(&self) {
         let mut inner = self.inner.lock();
         inner.settling = false;
@@ -661,7 +625,7 @@ impl ShardStore {
     }
 
     /// Marks the shard's unsettled drain as abandoned by a settle that
-    /// panicked with `payload`: every drain from now on re-raises it (the
+    /// panicked with `payload`: every take from now on re-raises it (the
     /// first with the payload itself) instead of waiting for the settle.
     pub fn abandon(&self, payload: Payload) {
         let mut inner = self.inner.lock();
@@ -669,38 +633,22 @@ impl ShardStore {
         self.logged.notify_all();
     }
 
-    /// The archive ack: closes drain `drain`, whose rows are durable on OSS,
-    /// logs an ack record naming it and cuts the WAL below the last
-    /// checkpoint's bound, with no lock held. Returns the LSN below which a
-    /// replay settles no drain through its commit record any more (`None`
-    /// on a memory-only shard).
+    /// The archive ack of the unsettled drain `drain`, whose rows are
+    /// durable on OSS: logs an ack record naming it and cuts the WAL below
+    /// the last checkpoint's bound, with no lock held. Returns the LSN below
+    /// which a replay settles no drain through its commit record any more:
+    /// `drain + 1`, the drain being the last checkpoint (see the module
+    /// docs); `None` on a memory-only shard.
     pub fn ack_archived(&self, drain: Option<Lsn>) -> Result<Option<Lsn>> {
         let (Some(wal), Some(lsn)) = (&self.wal, drain) else { return Ok(None) };
-        let (cut, settled_below) = {
-            let mut inner = self.inner.lock();
-            inner.open.remove(&lsn);
-            inner.unsettled.remove(&lsn);
-            // Not the WAL's next LSN, which a drain still logging has passed.
-            let below = inner.unsettled.first().copied().unwrap_or(inner.last + 1);
-            (inner.cut, below)
-        };
+        let cut = self.inner.lock().cut;
         let mut ack = vec![PAYLOAD_ACK];
         put_uvarint(&mut ack, lsn);
         wal.append_unpinned(&ack, false)?;
         sync_point("wal.shard.ack_window");
         wal.cut(cut)?;
-        Ok(Some(settled_below))
+        Ok(Some(lsn + 1))
     }
-}
-
-/// Closes drain `drain` by putting its unarchived `rows` back after every
-/// buffered row.
-fn fold_back(inner: &mut Inner, drain: Option<Lsn>, rows: Drained) {
-    if let Some(lsn) = drain {
-        inner.open.remove(&lsn);
-    }
-    inner.records_archived = inner.records_archived.saturating_sub(rows.len() as u64);
-    inner.rows.restore(rows);
 }
 
 /// Rebuilds a shard's rows and `(appended, archived)` counters from its
@@ -735,27 +683,14 @@ fn replay(
                     Some(record) => split(record),
                     None => Err(corrupt(c, format!("names {lsn}, which the wal does not hold"))),
                 };
-            let wrong = |lsn| corrupt(c, format!("names {lsn}, a record of another kind"));
             for lsn in checkpoint.unapplied.iter().copied().chain(checkpoint.take..c) {
                 match named(lsn)? {
                     (_, PAYLOAD_BATCH, body) => rows.absorb_runs(batch(lsn, body)?),
-                    (_, PAYLOAD_ACK, _) if lsn >= checkpoint.take => {}
-                    _ => return Err(wrong(lsn)),
+                    _ => return Err(corrupt(c, format!("names {lsn}, a record of another kind"))),
                 }
             }
-            let open = checkpoint.open.iter().map(|&drain| (drain, None));
-            for (drain, drained) in open.chain([(c, Some(drained))]) {
-                if acked.contains(&drain) {
-                    continue;
-                }
-                let drained = match (drained, named(drain)?) {
-                    (Some(drained), _) => drained,
-                    (None, (_, PAYLOAD_CHECKPOINT, body)) => {
-                        Checkpoint::decode(typing, drain, body)?.1
-                    }
-                    _ => return Err(wrong(drain)),
-                };
-                let unarchived = unarchived(drained, committed(drain));
+            if !acked.contains(&c) {
+                let unarchived = unarchived(drained, committed(c));
                 archived = archived
                     .checked_sub(unarchived.len() as u64)
                     .ok_or_else(|| corrupt(c, "restores more rows than it archived"))?;
@@ -788,7 +723,7 @@ fn corrupt(lsn: Lsn, what: impl std::fmt::Display) -> Error {
 /// The rows of drain `drained` that `commit` leaves off OSS. Never
 /// committed: the live path restored (or would have restored) every row.
 /// Committed: the first chunks are durable on OSS, and the rest go back as
-/// a live [`ShardStore::restore_unarchived`] puts them.
+/// a live [`ShardStore::settle`] folds them back.
 fn unarchived(drained: Drained, commit: Option<DrainCommit>) -> Drained {
     let Some(commit) = commit else { return drained };
     let chunks = partition_runs(drained.runs(), commit.chunk_rows);
@@ -892,13 +827,24 @@ mod tests {
         rows.filter(|r| r.tenant_id == TenantId(tenant)).collect()
     }
 
-    fn drain_all(s: &ShardStore) -> (Lsn, Drained) {
-        let (lsn, rows) = s.drain_all(0).unwrap().expect("non-empty drain");
+    fn take(s: &ShardStore) -> (Lsn, Drained) {
+        let (lsn, rows) = s.take(0).unwrap().expect("non-empty drain");
         (lsn.expect("durable shards name their drains"), rows)
     }
 
+    /// Archives the unsettled drain `lsn` whole: its settle, its ack and the
+    /// end of its settle. Returns the ack's prune bound.
     fn ack(s: &ShardStore, lsn: Lsn) -> Option<Lsn> {
-        s.ack_archived(Some(lsn)).unwrap()
+        s.settle(|| ((), None));
+        let below = s.ack_archived(Some(lsn)).unwrap();
+        s.settled();
+        below
+    }
+
+    /// Ends the unsettled drain as a failed upload does: `rows` go back.
+    fn fold_back(s: &ShardStore, rows: Drained) {
+        s.settle(|| ((), Some(rows)));
+        s.settled();
     }
 
     /// The first LSN of every WAL segment in `dir`, ascending.
@@ -927,16 +873,19 @@ mod tests {
     fn memory_only_shard_runs_the_same_protocol_without_a_wal() {
         let s = ShardStore::in_memory(schema());
         append(&s, vec![rec(1, 1), rec(2, 2)]);
-        assert!(s.drain_all(usize::MAX).unwrap().is_none(), "under the flush threshold");
-        let (seq, moved) = s.drain_all(0).unwrap().unwrap();
+        assert!(s.take(usize::MAX).unwrap().is_none(), "under the flush threshold");
+        let (seq, moved) = s.take(0).unwrap().unwrap();
         assert_eq!((seq, moved.len()), (None, 2), "no WAL, no checkpoint to name");
         append(&s, vec![rec(1, 3)]);
-        let (_, rest) = s.drain_all(0).unwrap().unwrap();
-        assert_eq!(rest.len(), 1);
-        assert!(s.drain_all(0).unwrap().is_none(), "nothing left to drain");
-        s.restore_unarchived(seq, moved);
+        fold_back(&s, moved);
+        let (_, all) = s.take(0).unwrap().unwrap();
+        assert_eq!(all.len(), 3, "the late row, then the folded-back ones");
+        s.settle(|| ((), None));
         assert_eq!(s.ack_archived(None).unwrap(), None);
-        assert_eq!((s.buffered_rows(), s.counters()), (2, (3, 1)));
+        s.settled();
+        assert!(s.take(0).unwrap().is_none(), "nothing left to drain");
+        assert_eq!((s.buffered_rows(), s.counters()), (0, (3, 3)));
+        append(&s, vec![rec(1, 4)]);
         assert!(s.buffered_bytes() > 0);
     }
 
@@ -964,7 +913,7 @@ mod tests {
         for i in 0..100 {
             append(&s, vec![rec(1, i)]);
         }
-        let (lsn, drained) = drain_all(&s);
+        let (lsn, drained) = take(&s);
         assert_eq!((lsn, drained.len()), (101, 100), "the checkpoint follows the 100 batches");
         assert_eq!(s.counters(), (100, 100));
         assert_eq!(ack(&s, lsn), Some(102), "no drain is left to settle");
@@ -991,7 +940,7 @@ mod tests {
         for i in 1..40 {
             append(&s, vec![rec(1, i)]);
         }
-        let (lsn, _) = drain_all(&s);
+        let (lsn, _) = take(&s);
         assert!(ack(&s, lsn).is_some());
         assert!(segments(&dir)[0] > 1, "the in-doubt lsn no longer pins the wal");
         let _ = fs::remove_dir_all(dir);
@@ -1009,7 +958,7 @@ mod tests {
             // a whole drain → upload → ack cycle runs on the shard.
             let late = vec![rec(1, 1)];
             let logged = s.log_batch(&ShardStore::encode_batch_payload(&late)).unwrap();
-            let (lsn, drained) = drain_all(&s);
+            let (lsn, drained) = take(&s);
             assert_eq!((lsn, drained.len()), (3, 1));
             // The checkpoint names the late batch as unapplied: the cut
             // keeps it, and drops the batch the drain took.
@@ -1026,17 +975,17 @@ mod tests {
     }
 
     #[test]
-    fn restore_unarchived_rolls_back_a_failed_archive() {
+    fn a_fold_back_rolls_back_a_failed_archive() {
         let dir = temp_dir("restore");
         let s = open(&dir);
         for i in 0..10 {
             append(&s, vec![rec(1, i)]);
         }
-        let (lsn, drained) = drain_all(&s);
+        let (_, drained) = take(&s);
         assert_eq!(s.buffered_rows(), 0);
         assert_eq!(s.counters(), (10, 10));
         // Upload "failed": put everything back.
-        s.restore_unarchived(Some(lsn), drained);
+        fold_back(&s, drained);
         assert_eq!(s.buffered_rows(), 10);
         assert_eq!(s.counters(), (10, 0));
         assert_eq!(rows_of(&s, 1).len(), 10);
@@ -1058,7 +1007,7 @@ mod tests {
             for i in 0..25 {
                 append(&s, vec![rec(1, i)]);
             }
-            let (_, drained) = drain_all(&s);
+            let (_, drained) = take(&s);
             assert_eq!(drained.len(), 25);
             // Crash before the upload completed: no ack.
         }
@@ -1073,7 +1022,7 @@ mod tests {
         for i in 0..n {
             append(&s, vec![rec(1, i)]);
         }
-        let (lsn, drained) = drain_all(&s);
+        let (lsn, drained) = take(&s);
         assert_eq!(drained.len() as i64, n);
         lsn
     }
@@ -1118,7 +1067,7 @@ mod tests {
             for i in 0..20 {
                 append(&s, vec![rec(1, i)]);
             }
-            let (lsn, _) = drain_all(&s);
+            let (lsn, _) = take(&s);
             for i in 20..40 {
                 append(&s, vec![rec(1, i)]);
             }
@@ -1127,87 +1076,6 @@ mod tests {
         let s = open_with_commits(&dir, lsn, 1, 100);
         assert_eq!(s.buffered_rows(), 20);
         assert!(rows_of(&s, 1).iter().all(|r| r.ts.millis() >= 20));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    /// 50 rows drained (pass A), 30 more appended and drained (pass B):
-    /// the shard and the two drains' LSNs.
-    fn two_overlapping_drains(dir: &Path) -> (ShardStore, Lsn, Lsn) {
-        let s = ShardStore::open(dir, small_segments(), schema()).unwrap();
-        for i in 0..50 {
-            append(&s, vec![rec(1, i)]);
-        }
-        let (a, rows) = drain_all(&s);
-        assert_eq!(rows.len(), 50);
-        for i in 50..80 {
-            append(&s, vec![rec(1, i)]);
-        }
-        let (b, rows) = drain_all(&s);
-        assert_eq!(rows.len(), 30);
-        (s, a, b)
-    }
-
-    #[test]
-    fn an_ack_cuts_while_another_drain_is_in_flight() {
-        // The drain→ack window of one build pass can overlap another's:
-        // pass A drains, new rows arrive and pass B drains them, then A
-        // acks while B's upload is still in flight. A's ack cuts the
-        // batches both drains took, and keeps B's checkpoint, which holds
-        // B's rows.
-        let dir = temp_dir("overlap");
-        {
-            let (s, a, b) = two_overlapping_drains(&dir);
-            assert_eq!(ack(&s, a), Some(b), "B is still settled through its commit");
-            let first = segments(&dir)[0];
-            assert!(1 < first && first <= a, "the cut stops at A, which B's checkpoint names");
-            // Crash here: B's upload never completed, so its rows must
-            // come back; A's are on OSS and acked, so they must not.
-        }
-        let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-        assert_eq!(s.buffered_rows(), 30, "in-flight rows survive, acked rows do not return");
-        assert_eq!(s.counters(), (80, 50));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn the_last_overlapping_ack_leaves_nothing_to_replay() {
-        let dir = temp_dir("overlap-last");
-        {
-            let (s, a, b) = two_overlapping_drains(&dir);
-            assert_eq!(ack(&s, a), Some(b));
-            assert_eq!(ack(&s, b), Some(b + 1), "past both drains: nothing left to settle");
-        }
-        let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-        assert_eq!(s.buffered_rows(), 0, "fully-acked rows must not resurrect");
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn a_restored_drain_replays_while_a_later_acked_drain_does_not() {
-        // Two overlapping drains: the later one acks, the earlier one's
-        // upload fails and rolls back. The earlier drain's rows must stay
-        // WAL-covered; the later one's must not return.
-        let dir = temp_dir("overlap-restored");
-        {
-            let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-            for i in 0..20 {
-                append(&s, vec![rec(2, i)]);
-            }
-            let (earlier, moved) = drain_all(&s);
-            assert_eq!(moved.len(), 20);
-            for i in 20..40 {
-                append(&s, vec![rec(1, i)]);
-            }
-            let (lsn, rest) = drain_all(&s);
-            assert_eq!(rest.len(), 20);
-            // The later drain acks first; the earlier one is still in flight.
-            assert_eq!(ack(&s, lsn), Some(earlier));
-            s.restore_unarchived(Some(earlier), moved);
-            assert_eq!(s.buffered_rows(), 20);
-        }
-        let s = ShardStore::open(&dir, small_segments(), schema()).unwrap();
-        assert_eq!(rows_of(&s, 2).len(), 20, "restored rows must stay WAL-covered");
-        assert_eq!(s.buffered_rows(), 20, "the acked drain's rows must not return");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1221,14 +1089,14 @@ mod tests {
             let s = open(&dir);
             for round in 0..2 {
                 append(&s, vec![rec(1, round)]);
-                let (lsn, rows) = drain_all(&s);
+                let (lsn, rows) = take(&s);
                 assert!(seen.insert(lsn), "duplicate drain lsn {lsn}");
-                s.restore_unarchived(Some(lsn), rows);
+                fold_back(&s, rows);
                 // Drain the restored row again next round: new LSN.
             }
             // Archive it for real: the ack's cut leaves the checkpoint's
             // segment and the fresh, empty active one.
-            let (lsn, _) = drain_all(&s);
+            let (lsn, _) = take(&s);
             assert!(seen.insert(lsn), "duplicate drain lsn {lsn}");
             assert_eq!(ack(&s, lsn), Some(lsn + 1), "nothing left to settle");
             assert!(segments(&dir).len() <= 2);
@@ -1244,7 +1112,7 @@ mod tests {
         append(&s, (0..10).map(|i| rec(1, i)).collect());
         let held = s.snapshot(TenantId(1), TimeRange::all());
         append(&s, vec![rec(2, 10)]);
-        let (lsn, drained) = drain_all(&s);
+        let (lsn, drained) = take(&s);
         // The drain hands over the very runs the query holds, and the
         // query still sees every row it took.
         assert!(Arc::ptr_eq(&held.runs[0], &drained.runs()[0]));
@@ -1265,9 +1133,9 @@ mod tests {
         let before = s.snapshot(TenantId(1), TimeRange::all()).settles;
         let (lsn, drained) = s.take(0).unwrap().expect("rows to take");
         append(&s, vec![rec(2, 10)]);
-        // A plain drain waits for the taken one to settle, unless it is not
+        // A take waits for the unsettled one to settle, unless it is not
         // due.
-        assert!(s.drain_all(usize::MAX).unwrap().is_none());
+        assert!(s.take(usize::MAX).unwrap().is_none());
         // Drained, uploading: the rows are on the side list, which a
         // snapshot hands out before the store's runs.
         let snapshot = s.snapshot(TenantId(1), TimeRange::all());
@@ -1278,7 +1146,7 @@ mod tests {
         // A settle whose commit kept the first three rows off OSS: the
         // sequence is odd inside the commit, and the side runs go with the
         // three rows back into the store under the lock that ends it.
-        s.settle(lsn, || {
+        s.settle(|| {
             assert_eq!(s.inner.lock().settles, before + 1, "odd while committing");
             ((), Some(drained.gather((0..3).map(|row| (0, row)))))
         });
@@ -1287,7 +1155,8 @@ mod tests {
         assert_eq!(s.counters(), (11, 7));
         // The drain is settled: the next one does not wait.
         s.settled();
-        let (_, rest) = drain_all(&s);
+        let (next, rest) = take(&s);
+        assert!(next > lsn.unwrap());
         assert_eq!(rest.len(), 4);
         let _ = fs::remove_dir_all(dir);
     }
@@ -1396,9 +1265,9 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-            /// A drain, then the restore of what its commit (the first `k`
+            /// A take, then the fold-back of what its commit (the first `k`
             /// chunks at cap `c`, or none) leaves unarchived, as the live
-            /// archive step does: a reopen rebuilds the rows the live store
+            /// archive step's settle does: a reopen rebuilds the rows the live store
             /// holds, in their order, and its counters.
             #[test]
             fn prop_replay_rebuilds_what_the_live_path_holds(
@@ -1410,18 +1279,11 @@ mod tests {
                 let s = open(&dir);
                 before.into_iter().for_each(|batch| append(&s, batch));
                 let mut drain = None;
-                if let Some((lsn, drained)) = s.drain_all(0).unwrap() {
+                if let Some((lsn, drained)) = s.take(0).unwrap() {
                     let lsn = lsn.expect("durable shards name their drains");
-                    let unarchived = match commit {
-                        None => drained,
-                        Some((chunks, chunk_rows)) => {
-                            drain = Some((lsn, DrainCommit { chunks, chunk_rows }));
-                            let split = partition_runs(drained.runs(), chunk_rows);
-                            let rest = &split[split.len().min(chunks as usize)..];
-                            drained.gather(rest.iter().flat_map(|c| c.rows.iter().copied()))
-                        }
-                    };
-                    s.restore_unarchived(Some(lsn), unarchived);
+                    let commit = commit.map(|(chunks, chunk_rows)| DrainCommit { chunks, chunk_rows });
+                    drain = commit.map(|commit| (lsn, commit));
+                    fold_back(&s, unarchived(drained, commit));
                 }
                 after.into_iter().for_each(|batch| append(&s, batch));
                 // Replay a copy of the WAL as it is now: the live rows are
@@ -1433,7 +1295,7 @@ mod tests {
                     fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
                 }
                 let (counters, bytes) = (s.counters(), s.buffered_bytes());
-                let live = s.drain_all(0).unwrap().map(|(_, rows)| rows.records());
+                let live = s.take(0).unwrap().map(|(_, rows)| rows.records());
                 drop(s);
                 let lookup = |lsn| drain.and_then(|(l, commit)| (l == lsn).then_some(commit));
                 let replayed = ShardStore::open_with(&copy, WalConfig::default(), schema(), &lookup);
@@ -1441,7 +1303,7 @@ mod tests {
                 let replayed = replayed.unwrap();
                 prop_assert_eq!(replayed.counters(), counters);
                 prop_assert_eq!(replayed.buffered_bytes(), bytes);
-                let rows = replayed.drain_all(0).unwrap().map(|(_, rows)| rows.records());
+                let rows = replayed.take(0).unwrap().map(|(_, rows)| rows.records());
                 prop_assert_eq!(rows, live);
             }
         }
@@ -1453,20 +1315,19 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::HashMap;
 
-        /// One step of the archive protocol; a drain index picks one of
-        /// the open drains.
+        /// One step of the archive protocol.
         #[derive(Debug, Clone)]
         enum Op {
             Append(Vec<LogRecord>),
-            /// Every row.
-            Drain,
+            /// Every row, unless a drain is unsettled.
+            Take,
             /// The upload of the drain's first `k` chunks at cap `c`
             /// commits.
-            Commit(usize, u64, usize),
+            Commit(u64, usize),
             /// The whole drain is on OSS: commit, then ack.
-            Ack(usize),
+            Ack,
             /// The upload failed: what its commit leaves goes back.
-            Restore(usize),
+            FoldBack,
             /// A crash and a restart.
             Reopen,
         }
@@ -1475,10 +1336,10 @@ mod tests {
             let row = (1u64..4, 0i64..6).prop_map(|(t, ts)| rec(t, ts));
             let op = prop_oneof![
                 4 => vec(row, 1..5).prop_map(Op::Append),
-                3 => Just(Op::Drain),
-                3 => (0usize..2, 1u64..4, 1usize..5).prop_map(|(d, k, c)| Op::Commit(d, k, c)),
-                3 => (0usize..2).prop_map(Op::Ack),
-                2 => (0usize..2).prop_map(Op::Restore),
+                3 => Just(Op::Take),
+                3 => (1u64..4, 1usize..5).prop_map(|(k, c)| Op::Commit(k, c)),
+                3 => Just(Op::Ack),
+                2 => Just(Op::FoldBack),
                 1 => Just(Op::Reopen),
             ];
             vec(op, 0..40)
@@ -1494,66 +1355,54 @@ mod tests {
             WalConfig { max_segment_bytes: 512, ..WalConfig::default() }
         }
 
-        /// Live drains, the drain-commit table and what a restart must
-        /// rebuild.
+        /// The unsettled drain, the drain-commit table and what a restart
+        /// must rebuild.
         struct Model {
             dir: PathBuf,
             s: ShardStore,
-            open: Vec<(Lsn, Drained)>,
+            unsettled: Option<(Lsn, Drained)>,
             commits: HashMap<Lsn, DrainCommit>,
-            /// False once a restore since the last checkpoint put rows
-            /// where a replay, which settles drains in LSN order before
-            /// the batches after the checkpoint, does not.
-            ordered: bool,
-            /// A batch was applied since the last checkpoint.
+            /// A batch was applied since the last checkpoint: a fold-back
+            /// now puts rows after it, where a replay, which settles the
+            /// drain before the batches after its checkpoint, does not.
             appended_since: bool,
-            /// The last drain restored since the last checkpoint.
-            restored_last: Lsn,
+            /// No fold-back since the last checkpoint came after a batch.
+            ordered: bool,
         }
 
         impl Model {
-            fn restored(&mut self, lsn: Lsn) {
-                self.ordered &= !self.appended_since && self.restored_last < lsn;
-                self.restored_last = lsn;
-            }
-
             fn step(&mut self, op: Op) {
-                let pick = |open: &Vec<(Lsn, Drained)>, d: usize| {
-                    (!open.is_empty()).then(|| d % open.len())
-                };
                 match op {
                     Op::Append(rows) => {
                         append(&self.s, rows);
                         self.appended_since = true;
                     }
-                    Op::Drain if self.open.len() < 2 => {
-                        if let Some((lsn, drained)) = self.s.drain_all(0).unwrap() {
-                            self.open.push((lsn.expect("a durable shard"), drained));
-                            (self.ordered, self.appended_since, self.restored_last) =
-                                (true, false, 0);
+                    Op::Take if self.unsettled.is_none() => {
+                        if let Some((lsn, drained)) = self.s.take(0).unwrap() {
+                            self.unsettled = Some((lsn.expect("a durable shard"), drained));
+                            (self.ordered, self.appended_since) = (true, false);
                         }
                     }
-                    Op::Drain => {}
-                    Op::Commit(d, chunks, chunk_rows) => {
-                        if let Some(d) = pick(&self.open, d) {
-                            self.commits.insert(self.open[d].0, DrainCommit { chunks, chunk_rows });
+                    Op::Take => {}
+                    Op::Commit(chunks, chunk_rows) => {
+                        if let Some((lsn, _)) = &self.unsettled {
+                            self.commits.insert(*lsn, DrainCommit { chunks, chunk_rows });
                         }
                     }
-                    Op::Ack(d) => {
-                        let Some(d) = pick(&self.open, d) else { return };
-                        let (lsn, _) = self.open.remove(d);
+                    Op::Ack => {
+                        let Some((lsn, _)) = self.unsettled.take() else { return };
                         let whole = DrainCommit { chunks: u64::MAX, chunk_rows: 1 };
                         self.commits.insert(lsn, whole);
                         let below = ack(&self.s, lsn).expect("a durable shard");
+                        prop_assert_eq!(below, lsn + 1);
                         self.commits.retain(|&drain, _| drain >= below);
                         self.check_cut();
                     }
-                    Op::Restore(d) => {
-                        let Some(d) = pick(&self.open, d) else { return };
-                        let (lsn, drained) = self.open.remove(d);
+                    Op::FoldBack => {
+                        let Some((lsn, drained)) = self.unsettled.take() else { return };
                         let rest = unarchived(drained, self.commits.get(&lsn).copied());
-                        self.s.restore_unarchived(Some(lsn), rest);
-                        self.restored(lsn);
+                        fold_back(&self.s, rest);
+                        self.ordered &= !self.appended_since;
                     }
                     Op::Reopen => self.reopen(),
                 }
@@ -1582,18 +1431,17 @@ mod tests {
                 prop_assert!(wal_bytes <= read + segment, "{wal_bytes} > {read} + {segment}");
             }
 
-            /// A crash and a restart: the open drains are settled through
-            /// their commits, and the rebuilt store is the live one plus
-            /// what those commits leave unarchived.
+            /// A crash and a restart: the unsettled drain is settled
+            /// through its commit, and the rebuilt store is the live one
+            /// plus what that commit leaves unarchived.
             fn reopen(&mut self) {
                 let mut want = live_rows(&self.s);
                 let (appended, mut archived) = self.s.counters();
-                self.open.sort_by_key(|(lsn, _)| *lsn);
-                for (lsn, drained) in std::mem::take(&mut self.open) {
+                if let Some((lsn, drained)) = self.unsettled.take() {
                     let rest = unarchived(drained, self.commits.get(&lsn).copied());
                     archived -= rest.len() as u64;
                     want.extend(rest.records());
-                    self.restored(lsn);
+                    self.ordered &= !self.appended_since;
                 }
                 let placeholder = ShardStore::in_memory(schema());
                 drop(std::mem::replace(&mut self.s, placeholder));
@@ -1611,14 +1459,15 @@ mod tests {
                 }
                 prop_assert_eq!(got, want);
                 // The rebuilt store is what a replay of the same WAL rebuilds.
-                (self.ordered, self.appended_since, self.restored_last) = (true, false, 0);
+                (self.ordered, self.appended_since) = (true, false);
             }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
-            /// Appends, drains, commits, acks, restores and restarts, with
-            /// up to two drains open at once: every ack leaves the WAL cut to what a replay reads,
+            /// Appends, takes, commits, acks, fold-backs and restarts, one
+            /// drain unsettled at a time: every ack leaves the WAL cut to
+            /// what a replay reads and bounds the prune at its drain + 1,
             /// and every restart rebuilds the live rows and counters.
             #[test]
             fn prop_archive_ops_replay_and_every_ack_cuts(ops in ops()) {
@@ -1627,11 +1476,10 @@ mod tests {
                 let mut model = Model {
                     dir: dir.clone(),
                     s,
-                    open: Vec::new(),
+                    unsettled: None,
                     commits: HashMap::new(),
-                    ordered: true,
                     appended_since: false,
-                    restored_last: 0,
+                    ordered: true,
                 };
                 ops.into_iter().for_each(|op| model.step(op));
                 model.reopen();
@@ -1775,14 +1623,13 @@ mod tests {
                 typing().put_runs(&mut payload, runs_of(rows).iter());
                 payload
             };
-            let header = (0u64..12, lsns(), lsns(), 0u64..40);
-            let checkpoint =
-                (header, rows()).prop_map(|((take, unapplied, open, archived), drained)| {
-                    let mut payload = vec![PAYLOAD_CHECKPOINT];
-                    Checkpoint { take, unapplied, open, archived }.put_header(&mut payload);
-                    typing().put_runs(&mut payload, runs_of(&drained).iter());
-                    payload
-                });
+            let header = (0u64..12, lsns(), 0u64..40);
+            let checkpoint = (header, rows()).prop_map(|((take, unapplied, archived), drained)| {
+                let mut payload = vec![PAYLOAD_CHECKPOINT];
+                Checkpoint { take, unapplied, archived }.put_header(&mut payload);
+                typing().put_runs(&mut payload, runs_of(&drained).iter());
+                payload
+            });
             let ack = (0u64..12).prop_map(|lsn| {
                 let mut payload = vec![PAYLOAD_ACK];
                 put_uvarint(&mut payload, lsn);

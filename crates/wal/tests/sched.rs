@@ -1,5 +1,5 @@
 //! Schedule exploration of the *real* [`GroupCommitWal`] staging / seal /
-//! fan-out protocol and of the [`ShardStore`] ingest / drain / ack
+//! fan-out protocol and of the [`ShardStore`] ingest / take / settle / ack
 //! protocol on top of it.
 //!
 //! Each seed drives one full run through a different interleaving of
@@ -24,7 +24,7 @@ use logstore_types::{
 };
 use logstore_wal::segment::parse_segment_lsn;
 use logstore_wal::{
-    DrainCommit, GroupCommitWal, LoggedDrain, Lsn, RowSnapshot, ShardStore, WalConfig,
+    DrainCommit, Drained, GroupCommitWal, LoggedDrain, Lsn, RowSnapshot, ShardStore, WalConfig,
 };
 
 /// One fresh directory per schedule run (seeds must not share state).
@@ -136,12 +136,18 @@ fn buffered_ts(store: &ShardStore) -> Vec<i64> {
     ts
 }
 
+/// `ts` of every row of `rows`, in drain order.
+fn drained_ts(rows: &Drained) -> Vec<i64> {
+    rows.records().iter().map(|r| r.ts.millis()).collect()
+}
+
 /// The shard protocol under one schedule: 2 producers x 2 appends race two
-/// overlapping drains (each upload "succeeds" -> ack, or "fails" ->
-/// restore), and a reader that takes a row-store snapshot, holds it across
-/// whatever the others do — the drains and their acks or restores
-/// included — and takes a second one. Tiny segments: every group rotates,
-/// so a wrong cut always has a whole segment to drop.
+/// archivers, each taking the shard (the second take waits for the first
+/// one's settle) and settling it — the upload "succeeds" -> commit, ack, or
+/// "fails" -> the rows fold back — and a reader that takes a row-store
+/// snapshot, holds it across whatever the others do — the takes and their
+/// settles included — and takes a second one. Tiny segments: every group
+/// rotates, so a wrong cut always has a whole segment to drop.
 fn shard_store_round(upload_succeeds: bool) {
     let dir = fresh_dir();
     let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
@@ -169,8 +175,8 @@ fn shard_store_round(upload_succeeds: bool) {
         let (store, snapshots) = (Arc::clone(&store), Arc::clone(&snapshots));
         sched::spawn(move || {
             let held = store.snapshot(TenantId(1), TimeRange::all());
-            // Whatever runs here — appends, the drains, their acks or
-            // restores — `held` keeps the rows it took.
+            // Whatever runs here — appends, the takes, their settles —
+            // `held` keeps the rows it took.
             sync_point("wal.test.reader_holds");
             let later = store.snapshot(TenantId(1), TimeRange::all());
             snapshots.lock().extend([snapshot_ts(&held), snapshot_ts(&later)]);
@@ -184,19 +190,22 @@ fn shard_store_round(upload_succeeds: bool) {
             // random schedule reaches the drain long before a producer's
             // append completes: try a few times, so the drain → ack window
             // is explored under both strategies.
-            let drain = (0..4).find_map(|_| store.drain_all(0).expect("drain"));
+            let drain = (0..4).find_map(|_| store.take(0).expect("take"));
             let Some((lsn, rows)) = drain else { return };
-            drain_orders.lock().push(rows.records().iter().map(|r| r.ts.millis()).collect());
-            // Whatever else runs during the "upload" — the other drain's
-            // ack included — no cut may drop this drain's checkpoint.
+            drain_orders.lock().push(drained_ts(&rows));
+            // Whatever else runs during the "upload" — appends, snapshots,
+            // the other archiver's wait — no cut may drop this drain's
+            // checkpoint.
             sync_point("wal.test.upload_window");
             assert!(first_segment(&dir) <= lsn, "the cut dropped open drain {lsn:?}'s checkpoint");
             if upload_succeeds {
+                store.settle(|| ((), None));
                 store.ack_archived(lsn).expect("ack");
                 acked.lock().push((lsn, rows));
             } else {
-                store.restore_unarchived(lsn, rows);
+                store.settle(|| ((), Some(rows)));
             }
+            store.settled();
         }));
     }
     for h in handles {
@@ -205,7 +214,11 @@ fn shard_store_round(upload_succeeds: bool) {
 
     // Every snapshot holds each row at most once, and a drain hands rows
     // out in arrival order: the rows a snapshot and a drain share are in
-    // the same order in both (a restore puts them back in that order too).
+    // the same order in both. A fold-back puts the drain's rows after the
+    // rows appended since its take, where a snapshot taken before it had
+    // them on the side list ahead of those rows: with uploads failing,
+    // only the first drain (which follows no fold-back) is held to that.
+    let checked = if upload_succeeds { 2 } else { 1 };
     for snapshot in snapshots.lock().iter() {
         let mut distinct = snapshot.clone();
         distinct.sort_unstable();
@@ -215,7 +228,7 @@ fn shard_store_round(upload_succeeds: bool) {
         let shared = |of: &[i64], other: &[i64]| -> Vec<i64> {
             of.iter().copied().filter(|ts| other.contains(ts)).collect()
         };
-        for drain_order in drain_orders.lock().iter() {
+        for drain_order in drain_orders.lock().iter().take(checked) {
             assert_eq!(
                 shared(snapshot, drain_order),
                 shared(drain_order, snapshot),
@@ -250,11 +263,11 @@ fn shard_store_round(upload_succeeds: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Seed budget: with the take-order wait removed from the drain the sweep
-/// fails at seed 78, with the apply confirming its LSN after it drops
-/// the shard lock at seed 22, and with a seal that copies the tail
-/// instead of taking it (a row twice in one snapshot, or a drain and the
-/// live store disagreeing) at seed 0.
+/// Seed budget: 150 seeds per upload outcome. With a take that does not
+/// wait for the shard's unsettled drain the sweep fails at seed 78, with
+/// the apply confirming its LSN after it drops the shard lock at seed 22,
+/// and with a seal that copies the tail instead of taking it (a row twice
+/// in one snapshot, or a drain and the live store disagreeing) at seed 0.
 #[test]
 fn shard_store_survives_schedule_sweep() {
     for upload_succeeds in [true, false] {
@@ -262,13 +275,14 @@ fn shard_store_survives_schedule_sweep() {
     }
 }
 
-/// A crash after one drain's upload committed and before its ack, while
-/// another drain's ack prunes the commit table as the worker does: one
-/// thread appends a row, drains, "uploads", commits and acks, pruning every
-/// commit below the bound the ack returns; another appends a row, drains,
-/// commits and crashes (never acks). Either drain can take first, and the
-/// ack can run while the other drain's checkpoint is logged but not yet
-/// known to the store. After the crash, no committed row comes back.
+/// A crash in one drain's settle, after its upload committed and before its
+/// ack, raced against another drain's ack-and-prune, which prunes the commit
+/// table as the worker does: one thread appends a row, takes, "uploads",
+/// commits and acks, pruning every commit below the bound the ack returns;
+/// another appends a row, takes, commits and crashes, abandoning the shard
+/// as the engine does for a settle that panicked. Either can take first,
+/// and a take that finds the other's settle abandoned re-raises its panic.
+/// After the crash, a restart brings back no committed row.
 fn drain_commit_round() {
     let dir = fresh_dir();
     let config = WalConfig { max_segment_bytes: 1, ..WalConfig::default() };
@@ -285,18 +299,23 @@ fn drain_commit_round() {
             sched::spawn(move || {
                 let records = vec![LogRecord::new(TenantId(1), Timestamp(ts), vec![Value::I64(0)])];
                 store.append(records).expect("append");
-                let Some((Some(lsn), rows)) = store.drain_all(0).expect("drain") else { return };
+                let take = std::panic::AssertUnwindSafe(|| store.take(0).expect("take"));
+                let taken = std::panic::catch_unwind(take);
+                let Ok(Some((Some(lsn), rows))) = taken else { return };
                 sync_point("wal.test.upload_window");
                 let one_chunk = DrainCommit { chunks: 1, chunk_rows: usize::MAX };
                 commits.lock().insert(lsn, one_chunk);
-                drained.lock().extend(rows.records().iter().map(|r| r.ts.millis()));
-                if acks {
-                    let below =
-                        store.ack_archived(Some(lsn)).expect("ack").expect("a durable shard");
-                    // The worker's `AfterTruncate` hook runs here.
-                    sync_point("wal.test.prune_window");
-                    commits.lock().retain(|&drain, _| drain >= below);
+                drained.lock().extend(drained_ts(&rows));
+                if !acks {
+                    store.abandon(Box::new("a crash between the commit and the ack"));
+                    return;
                 }
+                store.settle(|| ((), None));
+                let below = store.ack_archived(Some(lsn)).expect("ack").expect("a durable shard");
+                // The worker's `AfterTruncate` hook runs here.
+                sync_point("wal.test.prune_window");
+                commits.lock().retain(|&drain, _| drain >= below);
+                store.settled();
             })
         })
         .collect();
@@ -314,11 +333,15 @@ fn drain_commit_round() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Seed budget: with the ack's prune bound taken as the WAL's next LSN
-/// (which passes a checkpoint still being logged) the sweep fails at
-/// seed 24.
+/// Seed budget: 150 seeds. With a take that does not wait for the shard's
+/// unsettled drain the sweep fails at seed 38 (the later checkpoint names
+/// the earlier one among its batches: replay fails with corruption), and
+/// with the apply confirming its LSN after it drops the shard lock at seed
+/// 26. The ack's prune bound no longer matters here — at the WAL's next LSN
+/// or at `u64::MAX` every seed passes — because the shard's next take, and
+/// so every later drain commit, waits for the ack's settle to end.
 #[test]
-fn an_ack_never_prunes_the_commit_of_a_drain_still_logging() {
+fn no_committed_row_comes_back_after_a_crash_in_a_settle() {
     sched::explore(0..150, drain_commit_round);
 }
 
@@ -351,14 +374,11 @@ fn settle_round() {
             sched::spawn(move || {
                 store.append(row(ts)).expect("append");
                 let taken = store.take(0).expect("take");
-                let ts_of = |rows: &logstore_wal::Drained| -> Vec<i64> {
-                    rows.records().iter().map(|r| r.ts.millis()).collect()
-                };
-                let rows = taken.as_ref().map(|(_, rows)| ts_of(rows)).unwrap_or_default();
+                let rows = taken.as_ref().map(|(_, rows)| drained_ts(rows)).unwrap_or_default();
                 takes.lock().push((rows.clone(), ended.load(Ordering::SeqCst)));
                 let Some((lsn, _)) = taken else { return };
                 sync_point("wal.test.upload_window");
-                store.settle(lsn, || {
+                store.settle(|| {
                     map.lock().extend(&rows);
                     ((), None)
                 });

@@ -9,8 +9,9 @@
 //! One worker with one durable shard (its WAL in a temporary directory),
 //! so a flush is one drain on the calling thread — its intent encoded,
 //! written and synced as every drain of a durable engine is — and the
-//! stages (drain, partition, build `add` / `encode` / `finish`, upload
-//! wave, admit, commit, ack, release) add up to the flush. OSS latency is
+//! stages (the wait for the shard's unsettled drain, drain, partition,
+//! build `add` / `encode` / `finish`, upload wave, admit, commit, ack,
+//! release) add up to the flush. OSS latency is
 //! the OSS-like model, slept at time scale 1: a PUT round sleeps ≈ 25 ms.
 //! With a minimum
 //! coverage, the run fails when the stages sum to less than that share of
@@ -28,7 +29,8 @@ const DRAIN_ROWS: usize = 17_000;
 const ROUNDS: usize = 8;
 
 /// The stages of one archive step, as labelled in the snapshot.
-const STAGES: [&str; 10] = [
+const STAGES: [&str; 11] = [
+    "core.engine.settle_wait_ns",
     "core.engine.drain_ns",
     "core.databuilder.partition_ns",
     "core.databuilder.add_ns",

@@ -11,7 +11,8 @@
 //! durable WAL in a temporary directory, the OSS-like latency model slept
 //! at time scale 1 (a PUT round ≈ 25 ms) and a 4 MiB flush threshold, so
 //! the threshold passes that `ingest` runs take shards on the producers —
-//! drain and build — as under `ingest_sat`, and settle them — upload,
+//! wait for the shard's unsettled drain, drain and build — as under
+//! `ingest_sat`, and settle them — upload,
 //! admit, commit, ack, release — on the engine's settle pool. Every stage
 //! is timed on the thread that ran it, so the ingest and take stages add
 //! up to the producers' wall time; what is left over is the untimed glue
@@ -46,7 +47,8 @@ const INGEST: [&str; 6] = [
 ];
 
 /// The stages of an archive step's take, on the producer.
-const TAKE: [&str; 5] = [
+const TAKE: [&str; 6] = [
+    "core.engine.settle_wait_ns",
     "core.engine.drain_ns",
     "core.databuilder.partition_ns",
     "core.databuilder.add_ns",

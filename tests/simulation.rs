@@ -6,9 +6,9 @@ use logstore_simtest::{Episode, SimOp, SimPlan};
 
 #[test]
 fn short_episode_with_crash_and_faults() {
-    let plan = SimPlan {
-        seed: 99,
-        ops: vec![
+    let plan = SimPlan::new(
+        99,
+        vec![
             SimOp::Ingest { tenant: 1, rows: 80 },
             SimOp::Ingest { tenant: 2, rows: 40 },
             SimOp::FaultWindow { probability: 0.3 },
@@ -21,7 +21,7 @@ fn short_episode_with_crash_and_faults() {
             SimOp::CheckQueries { tenant: 2 },
             SimOp::CheckInvariants,
         ],
-    };
+    );
     let report = Episode::run(&plan).unwrap_or_else(|failure| panic!("{failure}"));
     assert_eq!(report.rows_acked, 160);
     assert_eq!(report.crashes, 1);
