@@ -1,7 +1,7 @@
 //! The `LogStore` facade: one embedded, multi-tenant log database.
 
 use crate::broker::{Broker, QueryExecution};
-use crate::compactor::{self, CompactionConfig, CompactionReport, GcReport};
+use crate::compactor::{self, CompactionConfig, CompactionReport, CompactionTimers, GcReport};
 use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
 use crate::databuilder::{
@@ -142,6 +142,7 @@ pub struct LogStore {
     shared: Arc<ClusterShared>,
     broker: Broker,
     archiver: Arc<Archiver>,
+    compaction_timers: CompactionTimers,
     metrics: Registry,
 }
 
@@ -234,6 +235,7 @@ impl LogStore {
         let mut metrics = Registry::new();
         let ingest_timers = Arc::new(IngestTimers::register(&mut metrics));
         let archive_timers = ArchiveTimers::register(&mut metrics);
+        let compaction_timers = CompactionTimers::register(&mut metrics);
         let mut workers = Vec::with_capacity(config.workers as usize);
         let mut shard_to_worker = HashMap::new();
         for w in 0..config.workers {
@@ -312,7 +314,7 @@ impl LogStore {
             true => Some(QueryPool::new(settle_width)?),
             false => None,
         };
-        Ok(LogStore { settle_pool, config, shared, broker, archiver, metrics })
+        Ok(LogStore { settle_pool, config, shared, broker, archiver, compaction_timers, metrics })
     }
 
     /// The active configuration.
@@ -556,9 +558,11 @@ impl LogStore {
     /// cache holds are read from it, and what is merged from them is
     /// cached in their place. Safe to run
     /// concurrently with ingest, queries and expiration: a lost race
-    /// surfaces as a skipped run, never as data loss.
+    /// surfaces as a skipped run, never as data loss. A pass that returns a
+    /// report records its stages (`core.compactor.*_ns`) and the rows it
+    /// rewrote.
     pub fn compact(&self) -> Result<CompactionReport> {
-        compactor::run_compaction(
+        let report = compactor::run_compaction(
             self.shared.store.as_ref(),
             &self.shared.metadata,
             &self.shared.schema,
@@ -566,20 +570,25 @@ impl LogStore {
             &self.compaction_config(),
             self.shared.hooks.as_ref(),
             Some(&self.shared.prefetcher),
-        )
+        )?;
+        self.compaction_timers.record(&report);
+        Ok(report)
     }
 
     /// One GC pass: sweeps orphaned uploads into the tombstone list and
     /// deletes tombstoned objects from OSS, `prefetch_threads` at a time
     /// (evicting their handles and blocks from the cache). Failed deletes
-    /// are retried by the next pass.
+    /// are retried by the next pass. Records the delete wave
+    /// (`core.compactor.gc_delete_ns`).
     pub fn gc(&self) -> GcReport {
-        compactor::run_gc(
+        let report = compactor::run_gc(
             self.shared.store.as_ref(),
             &self.shared.metadata,
             Some(&self.shared.prefetcher),
             self.shared.hooks.as_ref(),
-        )
+        );
+        self.compaction_timers.record_gc(&report);
+        report
     }
 
     fn compaction_config(&self) -> CompactionConfig {
@@ -620,8 +629,10 @@ impl LogStore {
     /// append, apply and window per sub-batch — and the archive step's:
     /// drain, partition, build (`add`, `encode`, `finish`), upload wave,
     /// admit, commit, ack and release, per drain; the wall time of each
-    /// build pass that archived rows; and the workers due per threshold
-    /// pass.
+    /// build pass that archived rows; the workers due per threshold pass;
+    /// compaction's — plan, fetch, decode, build (`add`, `encode`,
+    /// `finish`), upload and swap — per compaction pass, with the rows it
+    /// rewrote; and each GC pass's delete wave.
     pub fn metrics_snapshot(&self) -> String {
         self.metrics.snapshot()
     }
@@ -951,6 +962,41 @@ mod tests {
         assert_eq!(count(&snapshot, "core.engine.workers_due").as_deref(), Some("count=1"));
         let labels: Vec<&str> = snapshot.lines().map(|l| l.split(' ').next().unwrap()).collect();
         assert!(labels.windows(2).all(|w| w[0] < w[1]), "sorted by label: {labels:?}");
+    }
+
+    #[test]
+    fn metrics_snapshot_times_every_compaction_stage() {
+        let s = store();
+        let count = |snapshot: &str, label: &str| {
+            let prefix = format!("{label} ");
+            let line = snapshot.lines().find_map(|l| l.strip_prefix(&prefix).map(str::to_string));
+            line.expect("registered").split(' ').next().map(str::to_string)
+        };
+        // Two flushes of one tenant: two small LogBlocks, one merge run.
+        for ts in [100, 200] {
+            s.ingest(vec![rec(1, ts, 10, "a"), rec(1, ts + 1, 10, "b")]).unwrap();
+            s.flush().unwrap();
+        }
+        let report = s.compact().unwrap();
+        assert_eq!((report.runs_committed, report.rows_rewritten), (1, 4));
+        let gc = s.gc();
+        assert_eq!(gc.deleted, 2);
+        let snapshot = s.metrics_snapshot();
+        for stage in [
+            "core.compactor.plan_ns",
+            "core.compactor.fetch_ns",
+            "core.compactor.decode_ns",
+            "core.compactor.add_ns",
+            "core.compactor.encode_ns",
+            "core.compactor.finish_ns",
+            "core.compactor.upload_ns",
+            "core.compactor.swap_ns",
+            "core.compactor.gc_delete_ns",
+        ] {
+            assert_eq!(count(&snapshot, stage).as_deref(), Some("count=1"), "{stage}");
+        }
+        let rows = snapshot.lines().find_map(|l| l.strip_prefix("core.compactor.rows "));
+        assert_eq!(rows, Some("4"));
     }
 
     #[test]

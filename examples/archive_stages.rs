@@ -1,6 +1,7 @@
 //! Where phase two's time goes: loads drain-sized histories and flushes
 //! each, then prints the engine's archive stage timers
-//! (`LogStore::metrics_snapshot`) next to the flushes' wall time.
+//! (`LogStore::metrics_snapshot`) next to the flushes' wall time; then
+//! does the same for compaction.
 //!
 //! ```sh
 //! cargo run --release --example archive_stages [flushes] [min coverage]
@@ -13,9 +14,14 @@
 //! build `add` / `encode` / `finish`, upload wave, admit, commit, ack,
 //! release) add up to the flush. OSS latency is
 //! the OSS-like model, slept at time scale 1: a PUT round sleeps ≈ 25 ms.
-//! With a minimum
-//! coverage, the run fails when the stages sum to less than that share of
-//! the flushes' wall time.
+//!
+//! The compaction round then flushes a few small histories and runs one
+//! `compact()`, which merges every tenant's LogBlocks (all under the
+//! engine's small-block cut), and prints its stages (plan, fetch, decode,
+//! build `add` / `encode` / `finish`, upload, swap) per rewritten row next
+//! to `compact()`'s wall time. With a minimum coverage, the run fails when
+//! the flush stages or the compaction stages sum to less than that share
+//! of their wall time.
 
 use logstore::core::{ClusterConfig, LogStore};
 use logstore::oss::LatencyModel;
@@ -27,6 +33,9 @@ use std::time::{Duration, Instant};
 const DRAIN_ROWS: usize = 17_000;
 /// Flushes timed unless the first argument says otherwise.
 const ROUNDS: usize = 8;
+/// Small flushes before the compaction round, and the rows of each.
+const SMALL_FLUSHES: usize = 8;
+const SMALL_ROWS: usize = 2_048;
 
 /// The stages of one archive step, as labelled in the snapshot.
 const STAGES: [&str; 11] = [
@@ -43,6 +52,18 @@ const STAGES: [&str; 11] = [
     "core.engine.release_ns",
 ];
 
+/// The stages of one compaction pass.
+const COMPACTION_STAGES: [&str; 8] = [
+    "core.compactor.plan_ns",
+    "core.compactor.fetch_ns",
+    "core.compactor.decode_ns",
+    "core.compactor.add_ns",
+    "core.compactor.encode_ns",
+    "core.compactor.finish_ns",
+    "core.compactor.upload_ns",
+    "core.compactor.swap_ns",
+];
+
 /// The `sum=` of histogram `label` in `snapshot`, in nanoseconds.
 fn stage_sum(snapshot: &str, label: &str) -> u64 {
     snapshot
@@ -51,6 +72,21 @@ fn stage_sum(snapshot: &str, label: &str) -> u64 {
         .and_then(|rest| rest.split(' ').find_map(|field| field.strip_prefix("sum=")))
         .and_then(|sum| sum.parse().ok())
         .unwrap_or(0)
+}
+
+/// Prints each of `stages` per row of `rows` beside `wall`, and returns
+/// the share of `wall` the stages cover.
+fn report(snapshot: &str, stages: &[&str], rows: f64, wall: Duration, wall_label: &str) -> f64 {
+    let mut staged = 0;
+    for label in stages {
+        let sum = stage_sum(snapshot, label);
+        staged += sum;
+        println!("  {label:<28} {:>8.0} ns", sum as f64 / rows);
+    }
+    let wall = wall.as_nanos() as f64;
+    println!("  {:<28} {:>8.0} ns", "stages, summed", staged as f64 / rows);
+    println!("  {wall_label:<28} {:>8.0} ns", wall / rows);
+    staged as f64 / wall
 }
 
 fn main() {
@@ -73,36 +109,47 @@ fn main() {
     let store = LogStore::open(config).expect("open engine");
     let mut generator = LogRecordGenerator::new(7);
     let spec = WorkloadSpec::new(5, 0.99);
-    let mut flush_wall = Duration::ZERO;
-    for round in 0..rounds as i64 {
-        let start = Timestamp(1_600_000_000_000 + round * 60_000);
-        let rows = generator.history(&spec, DRAIN_ROWS, start, Timestamp(start.millis() + 60_000));
+    let mut minute = 0;
+    let mut flush = |rows: usize| {
+        let start = Timestamp(1_600_000_000_000 + minute * 60_000);
+        minute += 1;
+        let rows = generator.history(&spec, rows, start, Timestamp(start.millis() + 60_000));
         for batch in rows.chunks(64) {
             store.ingest(batch.to_vec()).expect("ingest");
         }
         let flush = Instant::now();
         let report = store.flush().expect("flush");
-        flush_wall += flush.elapsed();
-        assert_eq!(report.rows_archived, DRAIN_ROWS as u64);
-    }
+        assert_eq!(report.rows_archived, rows.len() as u64);
+        flush.elapsed()
+    };
+    let flush_wall: Duration = (0..rounds).map(|_| flush(DRAIN_ROWS)).sum();
     let snapshot = store.metrics_snapshot();
     print!("{snapshot}");
-    let rows = (rounds * DRAIN_ROWS) as f64;
     println!("\nper archived row, {rounds} flushes of {DRAIN_ROWS} rows:");
-    let mut staged = 0;
-    for label in STAGES {
-        let sum = stage_sum(&snapshot, label);
-        staged += sum;
-        println!("  {label:<28} {:>8.0} ns", sum as f64 / rows);
-    }
-    let wall = flush_wall.as_nanos() as f64;
-    println!("  {:<28} {:>8.0} ns", "stages, summed", staged as f64 / rows);
-    println!("  {:<28} {:>8.0} ns", "flush wall time", wall / rows);
-    let coverage = staged as f64 / wall;
+    let rows = (rounds * DRAIN_ROWS) as f64;
+    let coverage = report(&snapshot, &STAGES, rows, flush_wall, "flush wall time");
     println!("stages / flush wall = {coverage:.3}");
+
+    for _ in 0..SMALL_FLUSHES {
+        flush(SMALL_ROWS);
+    }
+    let compact = Instant::now();
+    let merged = store.compact().expect("compact");
+    let compact_wall = compact.elapsed();
+    let snapshot = store.metrics_snapshot();
+    println!(
+        "\nper rewritten row, one compact() of {} blocks into {} ({} rows):",
+        merged.blocks_merged, merged.runs_committed, merged.rows_rewritten
+    );
+    let rows = merged.rows_rewritten.max(1) as f64;
+    let compaction =
+        report(&snapshot, &COMPACTION_STAGES, rows, compact_wall, "compact() wall time");
+    println!("stages / compact() wall = {compaction:.3}");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     if let Some(min) = min_coverage {
         assert!(coverage >= min, "the stages cover {coverage:.3} of the flushes, under {min}");
+        assert!(merged.rows_rewritten > 0, "the compaction round merged nothing");
+        assert!(compaction >= min, "the stages cover {compaction:.3} of compact(), under {min}");
     }
 }
