@@ -13,7 +13,7 @@ use logstore_cache::Prefetcher;
 use logstore_codec::Compression;
 use logstore_logblock::LogBlockBuilder;
 use logstore_oss::{LatencyModel, MemoryStore, ObjectStore, SimulatedOss};
-use logstore_types::{TableSchema, Value};
+use logstore_types::{Cell, TableSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -65,14 +65,16 @@ fn logblock_128k() -> Vec<u8> {
             LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 1024);
         for i in 0..rows {
             let trace = i.wrapping_mul(2654435761) as u32;
-            b.add_row(&[
-                Value::U64(1),
-                Value::I64(i),
-                Value::from(format!("10.0.{}.{}", i % 200, trace % 250)),
-                Value::from("/api/v1/users"),
-                Value::I64((i * 7 + 13) % 600),
-                Value::Bool(i % 9 == 0),
-                Value::from(format!("request {i} served trace={trace:08x}")),
+            let ip = format!("10.0.{}.{}", i % 200, trace % 250);
+            let log = format!("request {i} served trace={trace:08x}");
+            b.add_cells(&[
+                Cell::U64(1),
+                Cell::I64(i),
+                Cell::Str(&ip),
+                Cell::Str("/api/v1/users"),
+                Cell::I64((i * 7 + 13) % 600),
+                Cell::Bool(i % 9 == 0),
+                Cell::Str(&log),
             ])
             .expect("row matches the schema");
         }

@@ -9,7 +9,9 @@ use logstore_logblock::scan::{
 };
 use logstore_logblock::{LogBlockBuilder, LogBlockReader};
 use logstore_query::{analyze, parse_query, partial_approx_bytes, QueryStats, ScanPlan};
-use logstore_types::{partition_into_chunks, CmpOp, ColumnPredicate, TableSchema, TenantId, Value};
+use logstore_types::{
+    partition_into_chunks, Cell, CmpOp, ColumnPredicate, TableSchema, TenantId, Value,
+};
 use std::hint::black_box;
 
 const ROWS: usize = 20_000;
@@ -30,16 +32,22 @@ fn rows() -> Vec<Vec<Value>> {
         .collect()
 }
 
+/// `rows` as the borrowed cells the builder reads.
+fn cells(rows: &[Vec<Value>]) -> Vec<Vec<Cell<'_>>> {
+    rows.iter().map(|row| row.iter().map(Value::cell).collect()).collect()
+}
+
 fn build_block(compression: Compression) -> Vec<u8> {
     let mut b = LogBlockBuilder::with_options(TableSchema::request_log(), compression, 1024);
-    for row in rows() {
-        b.add_row(&row).unwrap();
+    for row in cells(&rows()) {
+        b.add_cells(&row).unwrap();
     }
     b.finish().unwrap()
 }
 
 fn bench_build(c: &mut Criterion) {
-    let data = rows();
+    let rows = rows();
+    let data = cells(&rows);
     let mut group = c.benchmark_group("logblock/build");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
@@ -49,7 +57,7 @@ fn bench_build(c: &mut Criterion) {
                 let mut builder =
                     LogBlockBuilder::with_options(TableSchema::request_log(), compression, 1024);
                 for row in &data {
-                    builder.add_row(black_box(row)).unwrap();
+                    builder.add_cells(black_box(row)).unwrap();
                 }
                 builder.finish().unwrap()
             })
@@ -75,11 +83,14 @@ fn bench_build_drain(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
+                let mut row = Vec::with_capacity(schema.width());
                 for chunk in black_box(&chunks) {
                     let mut builder =
                         LogBlockBuilder::with_options(schema.clone(), compression, 1024);
                     for record in &chunk.rows {
-                        builder.add_record(record).unwrap();
+                        row.clear();
+                        row.extend(record.cells());
+                        builder.add_cells(&row).unwrap();
                     }
                     black_box(builder.finish().unwrap());
                 }
@@ -126,7 +137,7 @@ fn bench_collect_block(c: &mut Criterion) {
     let mut builder = LogBlockBuilder::with_options(schema.clone(), Compression::LzHigh, 1024);
     let mut rows = 0u64;
     for record in drain_rows().iter().filter(|r| r.tenant_id == TenantId(1)) {
-        builder.add_record(record).unwrap();
+        builder.add_cells(&record.cells().collect::<Vec<_>>()).unwrap();
         rows += 1;
     }
     let reader = LogBlockReader::open(builder.finish().unwrap()).unwrap();

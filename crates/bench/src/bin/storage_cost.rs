@@ -31,7 +31,7 @@ fn main() {
         let mut builder = LogBlockBuilder::with_options(TableSchema::request_log(), codec, 4096);
         let wall = std::time::Instant::now();
         for r in &history {
-            builder.add_row(&r.to_row()).expect("add row");
+            builder.add_cells(&r.cells().collect::<Vec<_>>()).expect("add row");
         }
         let bytes = builder.finish().expect("finish");
         let secs = wall.elapsed().as_secs_f64();

@@ -37,8 +37,8 @@ use logstore_codec::Compression;
 use logstore_logblock::{BuildTimes, LogBlockBuilder};
 use logstore_obs::{Counter, Histogram, Registry};
 use logstore_oss::{ordered_wave, ObjectStore};
-use logstore_types::{Cell, Error, LogRecord, Result, TableSchema, TenantId, Timestamp};
-use logstore_wal::{partition_runs, Drained, Run, RunChunk};
+use logstore_types::{Cell, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
+use logstore_wal::{partition_runs, Drained, RunChunk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,7 +81,7 @@ impl BuildReport {
 pub struct BuildStages {
     /// Splitting the drain into per-tenant, time-sorted chunks.
     pub partition: Duration,
-    /// `LogBlockBuilder::add_*` (index terms, SMAs, column pushes) and
+    /// `LogBlockBuilder::add_cells` (index terms, SMAs, column pushes) and
     /// path allocation, every chunk.
     pub add: Duration,
     /// Column block encoding and compression, every chunk.
@@ -220,20 +220,32 @@ pub(crate) fn build_blocks(
     let mut blocks = Vec::with_capacity(chunks.len());
     for chunk in chunks {
         let start = Instant::now();
-        let block = build_chunk(chunk, drained.runs(), schema, config, metadata);
-        let wall = start.elapsed();
-        let block = match block {
-            Ok((entry, bytes, times)) => {
-                stages.encode += times.encode;
-                stages.finish += times.finish;
-                stages.add += wall.saturating_sub(times.encode + times.finish);
-                Ok((entry, bytes))
+        let mut row: Vec<Cell> = Vec::with_capacity(schema.width());
+        let built = build_logblock(Arc::clone(schema), config, |add| {
+            for &(r, i) in &chunk.rows {
+                // Read in place: the drained runs must stay intact to be
+                // handed back if the upload fails.
+                let (run, i) = (&drained.runs()[r as usize], i as usize);
+                row.clear();
+                row.extend((0..run.width()).map(|col| run.cell(col, i)));
+                add(&row)?;
             }
-            Err(e) => {
-                stages.add += wall;
-                Err(e)
-            }
-        };
+            Ok(())
+        });
+        let times = built.as_ref().map_or(BuildTimes::default(), |(_, _, times)| *times);
+        let block = built.map(|(bytes, range, _)| {
+            let entry = LogBlockEntry {
+                path: metadata.allocate_block_path(chunk.tenant),
+                min_ts: range.start,
+                max_ts: range.end,
+                rows: chunk.rows.len() as u64,
+                bytes: bytes.len() as u64,
+            };
+            (entry, bytes)
+        });
+        stages.encode += times.encode;
+        stages.finish += times.finish;
+        stages.add += start.elapsed().saturating_sub(times.encode + times.finish);
         let failed = block.is_err();
         blocks.push(block);
         if failed {
@@ -342,44 +354,24 @@ pub(crate) fn commit_prefix(
     }
 }
 
-/// Builds one chunk's LogBlock and allocates its path, returning the
-/// catalog entry, the packed bytes and the builder's own times. Runs on the
-/// drain's calling thread in chunk order, which is what makes paths and
-/// bytes independent of the upload width.
-fn build_chunk(
-    chunk: &RunChunk,
-    runs: &[Arc<Run>],
-    schema: &Arc<TableSchema>,
+/// Builds one LogBlock at `config`'s codec and block size from the rows
+/// `fill` hands to its sink, each row as borrowed cells in schema order
+/// ([`LogBlockBuilder::add_cells`]), and returns its pack bytes, the time
+/// range its `ts` SMA records and the builder's own times. Every LogBlock
+/// the engine writes is built here: a drain's chunk ([`build_blocks`]) and a
+/// compaction's merge. Allocates no path: a chunk's comes from
+/// [`MetadataStore::allocate_block_path`], a merged block's from
+/// [`MetadataStore::begin_compaction`].
+pub(crate) fn build_logblock(
+    schema: impl Into<Arc<TableSchema>>,
     config: &BuildConfig,
-    metadata: &MetadataStore,
-) -> Result<(LogBlockEntry, Vec<u8>, BuildTimes)> {
-    let mut builder =
-        LogBlockBuilder::with_options(Arc::clone(schema), config.compression, config.block_rows);
-    let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
-    let mut row: Vec<Cell> = Vec::with_capacity(schema.width());
-    for &(r, i) in &chunk.rows {
-        // Read in place: the drained runs must stay intact to be handed
-        // back if the upload fails.
-        let (run, i) = (&runs[r as usize], i as usize);
-        row.clear();
-        row.extend((0..run.width()).map(|col| run.cell(col, i)));
-        builder.add_cells(&row)?;
-        if let Cell::I64(ts) = row[1] {
-            min_ts = min_ts.min(ts);
-            max_ts = max_ts.max(ts);
-        }
-    }
-    let (min_ts, max_ts) = (Timestamp(min_ts), Timestamp(max_ts));
-    let (bytes, times) = builder.finish_timed()?;
-    let path = metadata.allocate_block_path(chunk.tenant);
-    let entry = LogBlockEntry {
-        path,
-        min_ts,
-        max_ts,
-        rows: chunk.rows.len() as u64,
-        bytes: bytes.len() as u64,
-    };
-    Ok((entry, bytes, times))
+    fill: impl FnOnce(&mut dyn FnMut(&[Cell<'_>]) -> Result<()>) -> Result<()>,
+) -> Result<(Vec<u8>, TimeRange, BuildTimes)> {
+    let mut builder = LogBlockBuilder::with_options(schema, config.compression, config.block_rows);
+    fill(&mut |row| builder.add_cells(row))?;
+    let (bytes, range, times) = builder.finish_timed()?;
+    let range = range.ok_or_else(|| Error::invalid("a LogBlock with no ts range"))?;
+    Ok((bytes, range, times))
 }
 
 /// The engine's archive stage timers, one histogram per stage of
@@ -536,8 +528,8 @@ mod tests {
         let bytes = store.get(&entry.path).unwrap();
         let reader = LogBlockReader::open(bytes).unwrap();
         assert_eq!(reader.row_count(), 40);
-        let ts = reader.read_column(1).unwrap();
-        let vals: Vec<i64> = ts.iter().map(|v| v.as_i64().unwrap()).collect();
+        let ts = reader.read_rows(&(0..40).collect::<Vec<u32>>(), &[1]).unwrap();
+        let vals: Vec<i64> = ts.iter().map(|row| row[0].as_i64().unwrap()).collect();
         assert!(vals.windows(2).all(|w| w[0] <= w[1]), "rows must be ts-sorted");
         assert_eq!(entry.min_ts, Timestamp(61));
         assert_eq!(entry.max_ts, Timestamp(100));
@@ -888,7 +880,7 @@ mod tests {
                         let mut builder = LogBlockBuilder::with_options(
                             schema.clone(), config.compression, config.block_rows,
                         );
-                        chunk.rows.iter().for_each(|r| builder.add_record(r).unwrap());
+                        chunk.rows.iter().for_each(|r| builder.add_row(&r.to_row()).unwrap());
                         builder.finish().unwrap()
                     })
                     .collect();

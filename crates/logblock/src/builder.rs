@@ -1,30 +1,32 @@
 //! Building LogBlocks from rows.
 //!
-//! The data builder on each worker drains the row store and feeds rows (all
-//! belonging to one tenant, in timestamp order) into a [`LogBlockBuilder`],
-//! which cuts column blocks every `block_rows` rows, maintains SMAs at both
-//! granularities, builds the per-column indexes and finally emits one packed
-//! object ready for upload.
+//! Every LogBlock the engine writes is built from column batches through
+//! one input, [`LogBlockBuilder::add_cells`]: the data builder feeds it the
+//! rows of a drain's real-time runs (all of one tenant, in timestamp
+//! order), and compaction the rows of its sources' decoded column blocks.
+//! The builder cuts column blocks every `block_rows` rows, maintains SMAs
+//! at both granularities, builds the per-column indexes and finally emits
+//! one packed object ready for upload, with the time range its `ts` SMA
+//! records ([`LogBlockBuilder::finish_timed`]).
 //!
 //! Rows are read **by reference**. A cell is looked at once — indexed,
 //! folded into the block SMA, and its bytes copied into the column's typed
 //! pending buffer ([`crate::column`]'s one encoder) — and the caller keeps
 //! its rows: the data builder hands them back if the upload fails. Nothing
-//! on this path clones a [`Value`] or builds a per-row `Vec`: every row is
-//! read as borrowed [`Cell`]s, whether it comes as a [`LogRecord`]
-//! ([`LogBlockBuilder::add_record`]), a positional slice
-//! ([`LogBlockBuilder::add_row`]) or a row of a real-time run
-//! ([`LogBlockBuilder::add_cells`]).
+//! on this path clones a [`Value`] or builds a per-row `Vec`. A row of
+//! owned values ([`LogBlockBuilder::add_row`], for tests and tools) is read
+//! as borrowed [`Cell`]s the same way.
 
 use crate::column::PendingBlock;
 use crate::meta::{
-    col_member, index_data_member, index_member, BlockMeta, ColumnMeta, LogBlockMeta, META_MEMBER,
+    col_member, index_data_member, index_member, time_range, BlockMeta, ColumnMeta, LogBlockMeta,
+    META_MEMBER,
 };
 use crate::pack::PackWriter;
 use logstore_codec::{Compression, Compressor};
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::{BkdWriter, InvertedIndexWriter, Sma};
-use logstore_types::{Cell, DataType, Error, IndexKind, LogRecord, Result, TableSchema, Value};
+use logstore_types::{Cell, DataType, Error, IndexKind, Result, TableSchema, TimeRange, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,36 +118,15 @@ impl LogBlockBuilder {
         }
     }
 
-    /// The schema being built against.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
-    }
-
-    /// Rows added so far.
-    pub fn row_count(&self) -> u32 {
-        self.row_count
-    }
-
-    /// True if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.row_count == 0
-    }
-
     /// Appends one row (positional, matching the schema).
     pub fn add_row(&mut self, row: &[Value]) -> Result<()> {
         self.schema.check_row(row)?;
         self.push_cells(row.iter().map(Value::cell))
     }
 
-    /// Appends one record: the row [`LogRecord::to_row`] would expand it
-    /// to, read in place.
-    pub fn add_record(&mut self, record: &LogRecord) -> Result<()> {
-        record.validate(&self.schema)?;
-        self.push_cells(record.cells())
-    }
-
     /// Appends one row of borrowed cells (positional, matching the schema):
-    /// what a row of a real-time run is read as.
+    /// what a row of a real-time run or of a decoded column block is read
+    /// as.
     pub fn add_cells(&mut self, row: &[Cell<'_>]) -> Result<()> {
         self.schema.check_cells(row.len(), row.iter().copied())?;
         self.push_cells(row.iter().copied())
@@ -223,11 +204,14 @@ impl LogBlockBuilder {
 
     /// Serializes the LogBlock into pack bytes.
     pub fn finish(self) -> Result<Vec<u8>> {
-        self.finish_timed().map(|(bytes, _)| bytes)
+        self.finish_timed().map(|(bytes, ..)| bytes)
     }
 
-    /// [`LogBlockBuilder::finish`], also saying where the build's time went.
-    pub fn finish_timed(mut self) -> Result<(Vec<u8>, BuildTimes)> {
+    /// [`LogBlockBuilder::finish`], also returning the range of the block's
+    /// `ts` column as its SMA records it ([`LogBlockMeta::time_range`]:
+    /// `None` for a block of no rows or of a schema without `ts`) and where
+    /// the build's time went.
+    pub fn finish_timed(mut self) -> Result<(Vec<u8>, Option<TimeRange>, BuildTimes)> {
         self.cut_blocks();
         let start = Instant::now();
         let mut pack = PackWriter::new();
@@ -247,6 +231,7 @@ impl LogBlockBuilder {
             });
             index_payloads.push((index_bytes, state.data));
         }
+        let time_range = time_range(&self.schema, &column_metas);
         let meta = LogBlockMeta::serialize_parts(&self.schema, self.row_count, &column_metas);
         pack.add(META_MEMBER, meta)?;
         for (i, (index_bytes, data)) in index_payloads.into_iter().enumerate() {
@@ -258,7 +243,7 @@ impl LogBlockBuilder {
         }
         let bytes = pack.finish();
         self.times.finish = start.elapsed();
-        Ok((bytes, self.times))
+        Ok((bytes, time_range, self.times))
     }
 }
 
@@ -286,7 +271,6 @@ mod tests {
         for i in 0..100 {
             b.add_row(&sample_row(1, 1000 + i, "10.0.0.1", i)).unwrap();
         }
-        assert_eq!(b.row_count(), 100);
         let bytes = b.finish().unwrap();
         let handle = LogBlockHandle::open(&bytes).unwrap();
         let pack = handle.manifest();
@@ -309,7 +293,8 @@ mod tests {
         let mut bad = sample_row(1, 1, "x", 1);
         bad[0] = Value::from("not-a-tenant");
         assert!(b.add_row(&bad).is_err());
-        assert!(b.is_empty());
+        let bytes = b.finish().unwrap();
+        assert_eq!(LogBlockHandle::open(&bytes).unwrap().meta().row_count, 0);
     }
 
     #[test]
@@ -328,10 +313,14 @@ mod tests {
         for ts in [500i64, 100, 900] {
             b.add_row(&sample_row(1, ts, "ip", 1)).unwrap();
         }
-        let bytes = b.finish().unwrap();
+        let (bytes, range, _) = b.finish_timed().unwrap();
         let handle = LogBlockHandle::open(&bytes).unwrap();
         let r = handle.meta().time_range().unwrap();
         assert_eq!(r.start.millis(), 100);
         assert_eq!(r.end.millis(), 900);
+        assert_eq!(range, Some(r), "the builder returns the range the meta records");
+        let (_, empty, _) =
+            LogBlockBuilder::new(TableSchema::request_log()).finish_timed().unwrap();
+        assert_eq!(empty, None);
     }
 }

@@ -223,24 +223,6 @@ impl<S: RangeSource> LogBlockReader<S> {
         decode_block_into(dtype, &bytes, bm.row_count, out)
     }
 
-    /// Loads a whole column (all blocks, concatenated).
-    pub fn read_column(&self, col: usize) -> Result<Vec<Value>> {
-        let n_blocks = self
-            .meta()
-            .columns
-            .get(col)
-            .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?
-            .blocks
-            .len();
-        let mut out = Vec::with_capacity(self.row_count() as usize);
-        let mut batch = ColumnVec::default();
-        for b in 0..n_blocks {
-            self.read_block_vec(col, b, &mut batch)?;
-            out.extend((0..batch.len()).map(|i| batch.value(i)));
-        }
-        Ok(out)
-    }
-
     /// The output half of a scan (Fig 8: "merge the row-id sets, *then*
     /// load the matching rows"): for each of `columns`, in order, decodes
     /// only the column blocks that hold at least one of the sorted
@@ -265,15 +247,10 @@ impl<S: RangeSource> LogBlockReader<S> {
                 .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
             let mut i = 0; // cursor into row_ids
             for (bi, bm) in cm.blocks.iter().enumerate() {
+                // The blocks tile the rows in order (`LogBlockMeta`'s
+                // parse): every id below this block's start was consumed
+                // by an earlier block.
                 let Some(&next) = row_ids.get(i) else { break };
-                // Blocks are contiguous from 0; an id below this block's
-                // start should have been consumed by an earlier block.
-                if next < bm.row_start {
-                    return Err(Error::invalid(format!(
-                        "row id {next} below block start {}",
-                        bm.row_start
-                    )));
-                }
                 let block_end = bm.row_start + bm.row_count;
                 if next >= block_end {
                     continue;
@@ -334,16 +311,21 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Every row of `r`, columns `projection`.
+    fn all_rows<S: RangeSource>(r: &LogBlockReader<S>, projection: &[usize]) -> Vec<Vec<Value>> {
+        let ids: Vec<u32> = (0..r.row_count()).collect();
+        r.read_rows(&ids, projection).unwrap()
+    }
+
     #[test]
     fn open_and_read_columns() {
         let r = LogBlockReader::open(build_block(100, 16)).unwrap();
         assert_eq!(r.row_count(), 100);
-        let ts = r.read_column(1).unwrap();
-        assert_eq!(ts.len(), 100);
-        assert_eq!(ts[0], Value::I64(1000));
-        assert_eq!(ts[99], Value::I64(1099));
-        let ips = r.read_column(2).unwrap();
-        assert_eq!(ips[7], Value::from("10.0.0.2"));
+        let rows = all_rows(&r, &[1, 2]);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(rows[0][0], Value::I64(1000));
+        assert_eq!(rows[99][0], Value::I64(1099));
+        assert_eq!(rows[7][1], Value::from("10.0.0.2"));
     }
 
     #[test]
@@ -374,7 +356,7 @@ mod tests {
         let second =
             LogBlockReader::with_handle(NoDict(bytes, dict_range), Arc::clone(&first.handle));
         assert_eq!(second.index_lookup_exact(api_col, "/api/users").unwrap(), expected);
-        assert_eq!(second.read_column(1).unwrap(), first.read_column(1).unwrap());
+        assert_eq!(all_rows(&second, &[1]), all_rows(&first, &[1]));
     }
 
     #[test]

@@ -8,7 +8,9 @@ use logstore_logblock::column::encode_block;
 use logstore_logblock::meta::col_member;
 use logstore_logblock::scan::{evaluate_predicates, ScanStats};
 use logstore_logblock::{LogBlockBuilder, LogBlockHandle, LogBlockReader};
-use logstore_types::{CmpOp, ColumnPredicate, LogRecord, TableSchema, TenantId, Timestamp, Value};
+use logstore_types::{
+    Cell, CmpOp, ColumnPredicate, LogRecord, TableSchema, TenantId, Timestamp, Value,
+};
 use proptest::prelude::*;
 
 fn arb_row() -> impl Strategy<Value = Vec<Value>> {
@@ -80,7 +82,7 @@ proptest! {
     /// The builder's pending column buffers and `column::encode_block` are
     /// one encoder: every column block inside a built pack is the bytes
     /// `encode_block` gives for that block's cells — whether the rows came
-    /// in as slices or as records read in place.
+    /// in as slices of values or as the cells of records read in place.
     #[test]
     fn builder_column_bytes_are_encode_block_bytes(
         rows in proptest::collection::vec(arb_row(), 1..120),
@@ -90,15 +92,15 @@ proptest! {
         let codec = Compression::from_tag(codec_tag).unwrap();
         let schema = TableSchema::request_log();
         let mut by_row = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
-        let mut by_record = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
+        let mut by_cells = LogBlockBuilder::with_options(schema.clone(), codec, block_rows);
         for row in &rows {
             by_row.add_row(row).unwrap();
             let (tenant, ts) = (row[0].as_u64().unwrap(), row[1].as_i64().unwrap());
             let record = LogRecord::new(TenantId(tenant), Timestamp(ts), row[2..].to_vec());
-            by_record.add_record(&record).unwrap();
+            by_cells.add_cells(&record.cells().collect::<Vec<Cell>>()).unwrap();
         }
         let pack = by_row.finish().unwrap();
-        prop_assert_eq!(&by_record.finish().unwrap(), &pack);
+        prop_assert_eq!(&by_cells.finish().unwrap(), &pack);
 
         let handle = LogBlockHandle::open(&pack).unwrap();
         for (c, (col, meta)) in schema.columns.iter().zip(&handle.meta().columns).enumerate() {

@@ -12,24 +12,34 @@ use logstore::logblock::{LogBlockBuilder, LogBlockReader};
 use logstore::oss::{MemoryStore, ObjectStore};
 use logstore::query::exec::{finalize, merge_partials, QueryStats};
 use logstore::query::{analyze, parse_query, ScanPlan};
-use logstore::types::{TableSchema, TenantId, Timestamp, Value};
+use logstore::types::{TableSchema, TenantId, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// One generated source row: (ts, latency, fail, log message).
-type Row = (i64, i64, bool, String);
+/// One generated source row: ts, then the nullable columns — ip, api,
+/// latency, fail, log — each of which may be NULL.
+type Row = (i64, Option<String>, Option<String>, Option<i64>, Option<bool>, Option<String>);
+
+/// `value`, or NULL one time in four.
+fn nullable<T: std::fmt::Debug + Clone + 'static>(
+    value: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Option<T>> {
+    prop_oneof![3 => value.prop_map(Some), 1 => Just(None)]
+}
 
 fn row_strategy() -> impl Strategy<Value = Row> {
     (
         0..10_000i64,
-        0..500i64,
-        any::<bool>(),
-        prop_oneof![
+        nullable(prop_oneof![Just("10.0.0.1".to_string()), Just("10.0.0.2".to_string())]),
+        nullable(prop_oneof![Just("/api".to_string()), Just("/api/v2".to_string())]),
+        nullable(0..500i64),
+        nullable(any::<bool>()),
+        nullable(prop_oneof![
             Just("ok".to_string()),
             Just("timeout calling upstream".to_string()),
             Just("slow query".to_string()),
             Just("cache miss".to_string()),
-        ],
+        ]),
     )
 }
 
@@ -38,57 +48,63 @@ fn blocks_strategy() -> impl Strategy<Value = Vec<Vec<Row>>> {
 }
 
 fn to_values(tenant: u64, row: &Row) -> Vec<Value> {
-    let (ts, latency, fail, msg) = row;
+    let (ts, ip, api, latency, fail, log) = row;
+    let string = |s: &Option<String>| s.as_deref().map_or(Value::Null, Value::from);
     vec![
         Value::U64(tenant),
         Value::I64(*ts),
-        Value::from("10.0.0.1"),
-        Value::from("/api"),
-        Value::I64(*latency),
-        Value::Bool(*fail),
-        Value::from(msg.as_str()),
+        string(ip),
+        string(api),
+        latency.map_or(Value::Null, Value::I64),
+        fail.map_or(Value::Null, Value::Bool),
+        string(log),
     ]
 }
+
+/// Rows per column block of the merge. The sources are cut at fewer, so
+/// the merge's cuts fall inside the sources' blocks.
+const MERGED_BLOCK_ROWS: usize = 16;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn merged_block_scans_bit_identically(blocks in blocks_strategy()) {
+    fn merged_block_scans_bit_identically(
+        blocks in blocks_strategy(),
+        source_block_rows in 1..MERGED_BLOCK_ROWS,
+    ) {
         let schema = TableSchema::request_log();
         let store = Arc::new(MemoryStore::new());
         let metadata = MetadataStore::new();
         let tenant = TenantId(1);
         let build = BuildConfig {
             compression: Default::default(),
-            block_rows: 16,
+            block_rows: MERGED_BLOCK_ROWS,
             max_rows_per_logblock: 4096,
         };
 
-        // Build and register the N source blocks exactly as the data
-        // builder would: rows in arrival order, one object per block.
+        // Build and register the N source blocks as the data builder
+        // would, at a smaller column block: rows in arrival order, one
+        // object per block.
         let mut source_bytes = Vec::new();
         for rows in &blocks {
             let mut builder = LogBlockBuilder::with_options(
                 schema.clone(),
                 build.compression,
-                build.block_rows,
+                source_block_rows,
             );
-            let mut min_ts = i64::MAX;
-            let mut max_ts = i64::MIN;
             for row in rows {
                 builder.add_row(&to_values(tenant.raw(), row)).unwrap();
-                min_ts = min_ts.min(row.0);
-                max_ts = max_ts.max(row.0);
             }
-            let bytes = builder.finish().unwrap();
+            let (bytes, range, _) = builder.finish_timed().unwrap();
+            let range = range.unwrap();
             let path = metadata.allocate_block_path(tenant);
             store.put(&path, &bytes).unwrap();
             metadata
                 .register_block(tenant, LogBlockEntry {
                     path,
-                    min_ts: Timestamp(min_ts),
-                    max_ts: Timestamp(max_ts),
+                    min_ts: range.start,
+                    max_ts: range.end,
                     rows: rows.len() as u64,
                     bytes: bytes.len() as u64,
                 })
@@ -121,12 +137,18 @@ proptest! {
             .flat_map(|rows| rows.iter().map(|r| to_values(tenant.raw(), r)))
             .collect();
         prop_assert_eq!(merged.row_count() as usize, all_rows.len());
-        for col in 0..schema.width() {
-            let scanned = merged.read_column(col).unwrap();
-            for (i, row) in all_rows.iter().enumerate() {
-                prop_assert_eq!(&scanned[i], &row[col], "col {} row {}", col, i);
-            }
+        let ids: Vec<u32> = (0..merged.row_count()).collect();
+        let columns: Vec<usize> = (0..schema.width()).collect();
+        let scanned = merged.read_rows(&ids, &columns).unwrap();
+        for (i, (got, row)) in scanned.iter().zip(&all_rows).enumerate() {
+            prop_assert_eq!(got, row, "row {}", i);
         }
+        let first_cut = merged.meta().columns[0].blocks[0].row_count as usize;
+        prop_assert_eq!(first_cut, all_rows.len().min(MERGED_BLOCK_ROWS));
+        // The merged entry's range is its rows' exact range.
+        let ts = all_rows.iter().map(|row| row[1].as_i64().unwrap());
+        let range = (ts.clone().min().unwrap(), ts.max().unwrap());
+        prop_assert_eq!((merged_entries[0].min_ts.millis(), merged_entries[0].max_ts.millis()), range);
 
         // 2. Real queries see identical results through the merged block
         // and through the sources (partials folded in block order, the
