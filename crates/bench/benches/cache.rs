@@ -11,7 +11,8 @@ use logstore_cache::prefetch::merge_ranges;
 use logstore_cache::tiered::TieredCache;
 use logstore_cache::Prefetcher;
 use logstore_codec::Compression;
-use logstore_logblock::LogBlockBuilder;
+use logstore_logblock::column::whole_batch;
+use logstore_logblock::{ColumnVec, LogBlockBuilder};
 use logstore_oss::{LatencyModel, MemoryStore, ObjectStore, SimulatedOss};
 use logstore_types::{Cell, TableSchema};
 use rand::rngs::StdRng;
@@ -61,13 +62,14 @@ fn bench_merge_ranges(c: &mut Criterion) {
 /// reaches it.
 fn logblock_128k() -> Vec<u8> {
     let build = |rows: i64| {
-        let mut b =
-            LogBlockBuilder::with_options(TableSchema::request_log(), Compression::LzHigh, 1024);
+        let schema = TableSchema::request_log();
+        let mut batch: Vec<ColumnVec> =
+            schema.columns.iter().map(|c| ColumnVec::empty(c.data_type)).collect();
         for i in 0..rows {
             let trace = i.wrapping_mul(2654435761) as u32;
             let ip = format!("10.0.{}.{}", i % 200, trace % 250);
             let log = format!("request {i} served trace={trace:08x}");
-            b.add_cells(&[
+            let row = [
                 Cell::U64(1),
                 Cell::I64(i),
                 Cell::Str(&ip),
@@ -75,9 +77,11 @@ fn logblock_128k() -> Vec<u8> {
                 Cell::I64((i * 7 + 13) % 600),
                 Cell::Bool(i % 9 == 0),
                 Cell::Str(&log),
-            ])
-            .expect("row matches the schema");
+            ];
+            batch.iter_mut().zip(row).for_each(|(column, cell)| assert!(column.push_exact(cell)));
         }
+        let mut b = LogBlockBuilder::with_options(schema, Compression::LzHigh, 1024);
+        b.add(&[&batch], &whole_batch(rows as usize)).expect("rows match the schema");
         b.finish().expect("finish")
     };
     (1..).map(|n| build(n * 250)).find(|bytes| bytes.len() >= 128 * 1024).expect("unbounded")

@@ -13,7 +13,7 @@ const ROWS: u32 = 100_000;
 fn inverted() -> (InvertedDictReader, Vec<u8>) {
     let mut w = InvertedIndexWriter::new();
     for i in 0..ROWS {
-        w.add(i, &format!("GET /api/v1/endpoint{} status={}", i % 500, 200 + i % 5));
+        w.add(i, format!("GET /api/v1/endpoint{} status={}", i % 500, 200 + i % 5));
     }
     let (dict, postings) = w.finish_split();
     (InvertedDictReader::open(&dict).unwrap(), postings)

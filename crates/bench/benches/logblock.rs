@@ -4,15 +4,16 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
 use logstore_codec::Compression;
+use logstore_logblock::column::whole_batch;
 use logstore_logblock::scan::{
     evaluate_predicates, evaluate_predicates_vec, DecodeStats, ScanStats,
 };
-use logstore_logblock::{LogBlockBuilder, LogBlockReader};
+use logstore_logblock::{ColumnVec, LogBlockBuilder, LogBlockReader};
 use logstore_query::{analyze, parse_query, partial_approx_bytes, QueryStats, ScanPlan};
-use logstore_types::{
-    partition_into_chunks, Cell, CmpOp, ColumnPredicate, TableSchema, TenantId, Value,
-};
+use logstore_types::{CmpOp, ColumnPredicate, TableSchema, TenantId, Value};
+use logstore_wal::{partition_runs, Run, RUN_ROWS};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const ROWS: usize = 20_000;
 
@@ -32,22 +33,26 @@ fn rows() -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// `rows` as the borrowed cells the builder reads.
-fn cells(rows: &[Vec<Value>]) -> Vec<Vec<Cell<'_>>> {
-    rows.iter().map(|row| row.iter().map(Value::cell).collect()).collect()
+/// `rows` as one column batch, the builder's input.
+fn batch(rows: &[Vec<Value>]) -> Vec<ColumnVec> {
+    let schema = TableSchema::request_log();
+    let column = |(c, col): (usize, &logstore_types::ColumnSchema)| {
+        let mut batch = ColumnVec::empty(col.data_type);
+        rows.iter().for_each(|row| assert!(batch.push_exact(row[c].cell())));
+        batch
+    };
+    schema.columns.iter().enumerate().map(column).collect()
 }
 
 fn build_block(compression: Compression) -> Vec<u8> {
     let mut b = LogBlockBuilder::with_options(TableSchema::request_log(), compression, 1024);
-    for row in cells(&rows()) {
-        b.add_cells(&row).unwrap();
-    }
+    b.add(&[&batch(&rows())], &whole_batch(ROWS)).unwrap();
     b.finish().unwrap()
 }
 
 fn bench_build(c: &mut Criterion) {
-    let rows = rows();
-    let data = cells(&rows);
+    let data = batch(&rows());
+    let selection = whole_batch(ROWS);
     let mut group = c.benchmark_group("logblock/build");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
@@ -56,9 +61,7 @@ fn bench_build(c: &mut Criterion) {
             b.iter(|| {
                 let mut builder =
                     LogBlockBuilder::with_options(TableSchema::request_log(), compression, 1024);
-                for row in &data {
-                    builder.add_cells(black_box(row)).unwrap();
-                }
+                builder.add(&[black_box(&data)], &selection).unwrap();
                 builder.finish().unwrap()
             })
         });
@@ -66,13 +69,18 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// What one archive pass builds: a drain of interleaved tenants split into
-/// per-tenant chunks, each read in place into its own LogBlock. At every
-/// codec, so the compression share of a build is the difference the
-/// cases print (`build drain-sized chunk` is lz-high, the engine's).
+/// What one archive pass builds, read the way the data builder reads it: a
+/// drain of interleaved tenants in the row store's 4 096-row runs, split
+/// into per-tenant chunks whose ts-sorted selections interleave the runs,
+/// each chunk built into its own LogBlock. At every codec, so the
+/// compression share of a build is the difference the cases print (`build
+/// drain-sized chunk` is lz-high, the engine's).
 fn bench_build_drain(c: &mut Criterion) {
-    let chunks = partition_into_chunks(drain_rows(), 65_536);
-    let schema = std::sync::Arc::new(TableSchema::request_log());
+    let schema = Arc::new(TableSchema::request_log());
+    let runs: Vec<Arc<Run>> =
+        drain_rows().chunks(RUN_ROWS).map(|rows| Arc::new(Run::from_rows(&schema, rows))).collect();
+    let chunks = partition_runs(&runs, 65_536);
+    let batches: Vec<&[ColumnVec]> = runs.iter().map(|run| run.columns()).collect();
     let mut group = c.benchmark_group("logblock/build");
     group.sample_size(10);
     group.throughput(Throughput::Elements(DRAIN_ROWS as u64));
@@ -83,15 +91,10 @@ fn bench_build_drain(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut row = Vec::with_capacity(schema.width());
                 for chunk in black_box(&chunks) {
                     let mut builder =
                         LogBlockBuilder::with_options(schema.clone(), compression, 1024);
-                    for record in &chunk.rows {
-                        row.clear();
-                        row.extend(record.cells());
-                        builder.add_cells(&row).unwrap();
-                    }
+                    builder.add(&batches, &chunk.rows).unwrap();
                     black_box(builder.finish().unwrap());
                 }
             })
@@ -135,11 +138,11 @@ fn bench_scan(c: &mut Criterion) {
 fn bench_collect_block(c: &mut Criterion) {
     let schema = TableSchema::request_log();
     let mut builder = LogBlockBuilder::with_options(schema.clone(), Compression::LzHigh, 1024);
-    let mut rows = 0u64;
-    for record in drain_rows().iter().filter(|r| r.tenant_id == TenantId(1)) {
-        builder.add_cells(&record.cells().collect::<Vec<_>>()).unwrap();
-        rows += 1;
-    }
+    let mut records = drain_rows();
+    records.retain(|r| r.tenant_id == TenantId(1));
+    let tenant = Run::from_rows(&schema, &records);
+    builder.add(&[tenant.columns()], &whole_batch(records.len())).unwrap();
+    let rows = records.len() as u64;
     let reader = LogBlockReader::open(builder.finish().unwrap()).unwrap();
     let templates = [
         (

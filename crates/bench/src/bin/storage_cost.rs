@@ -10,9 +10,11 @@
 
 use logstore_bench::print_table;
 use logstore_codec::Compression;
+use logstore_logblock::column::whole_batch;
 use logstore_logblock::pack::PackManifest;
 use logstore_logblock::LogBlockBuilder;
 use logstore_types::{TableSchema, Timestamp};
+use logstore_wal::Run;
 use logstore_workload::{LogRecordGenerator, WorkloadSpec};
 
 fn main() {
@@ -26,13 +28,14 @@ fn main() {
         raw_bytes as f64 / (1 << 20) as f64
     );
 
+    // The rows as the column batch a drain hands the builder.
+    let batch = Run::from_rows(&TableSchema::request_log(), &history);
+    let selection = whole_batch(rows);
     let mut table = Vec::new();
     for codec in [Compression::None, Compression::LzFast, Compression::LzHigh] {
         let mut builder = LogBlockBuilder::with_options(TableSchema::request_log(), codec, 4096);
         let wall = std::time::Instant::now();
-        for r in &history {
-            builder.add_cells(&r.cells().collect::<Vec<_>>()).expect("add row");
-        }
+        builder.add(&[batch.columns()], &selection).expect("rows of the schema");
         let bytes = builder.finish().expect("finish");
         let secs = wall.elapsed().as_secs_f64();
         let pack = PackManifest::read(&bytes).expect("reopen");

@@ -10,13 +10,19 @@ use logstore_types::{Error, Result};
 /// Encodes a sequence of `i64` values.
 pub fn encode_i64(values: &[i64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 2 + 8);
-    put_uvarint(&mut out, values.len() as u64);
+    encode_i64_into(values, &mut out);
+    out
+}
+
+/// Appends the bytes [`encode_i64`] returns to `out`, so an encoder that
+/// writes many blocks reuses one buffer.
+pub fn encode_i64_into(values: &[i64], out: &mut Vec<u8>) {
+    put_uvarint(out, values.len() as u64);
     let mut prev = 0i64;
     for &v in values {
-        put_ivarint(&mut out, v.wrapping_sub(prev));
+        put_ivarint(out, v.wrapping_sub(prev));
         prev = v;
     }
-    out
 }
 
 /// Decodes a sequence produced by [`encode_i64`].
@@ -61,13 +67,18 @@ fn read_count(buf: &[u8], pos: &mut usize, max_len: usize) -> Result<usize> {
 /// Encodes a sequence of `u64` values (delta via wrapping i64 arithmetic).
 pub fn encode_u64(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 2 + 8);
-    put_uvarint(&mut out, values.len() as u64);
+    encode_u64_into(values, &mut out);
+    out
+}
+
+/// Appends the bytes [`encode_u64`] returns to `out`.
+pub fn encode_u64_into(values: &[u64], out: &mut Vec<u8>) {
+    put_uvarint(out, values.len() as u64);
     let mut prev = 0u64;
     for &v in values {
-        put_ivarint(&mut out, v.wrapping_sub(prev) as i64);
+        put_ivarint(out, v.wrapping_sub(prev) as i64);
         prev = v;
     }
-    out
 }
 
 /// Decodes a sequence produced by [`encode_u64`].

@@ -4,8 +4,8 @@
 //! tenants; as history ages, the block map fragments and every query pays
 //! one-plus OSS GETs per tiny block. The compactor merges runs of small
 //! adjacent-in-time blocks of one tenant into a single large block — built
-//! like a drain's chunk, from decoded column blocks read as cells, by the
-//! data builder's one build function — and retires the sources through a
+//! like a drain's chunk, from decoded column blocks gathered column by
+//! column, by the data builder's one build function — and retires the sources through a
 //! crash-safe **plan → build → upload → swap → tombstone → delete**
 //! protocol:
 //!
@@ -40,6 +40,7 @@ use crate::databuilder::{build_logblock, BuildConfig};
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
 use logstore_cache::Prefetcher;
+use logstore_logblock::column::whole_batch;
 use logstore_logblock::{ColumnVec, LogBlockReader};
 use logstore_obs::{Counter, Histogram, Registry};
 use logstore_oss::{ordered_wave, ObjectStore};
@@ -87,7 +88,10 @@ pub struct CompactionStages {
     pub fetch: Duration,
     /// Opening the sources and decoding their column blocks.
     pub decode: Duration,
-    /// `LogBlockBuilder::add_cells` (index terms, SMAs, column pushes).
+    /// [`LogBlockBuilder::add`] (batch checks, column gathers, SMAs, index
+    /// terms).
+    ///
+    /// [`LogBlockBuilder::add`]: logstore_logblock::LogBlockBuilder::add
     pub add: Duration,
     /// Column block encoding and compression.
     pub encode: Duration,
@@ -287,9 +291,10 @@ fn compact_one_run<S: ObjectStore>(
 ///
 /// The merge is built like a drain's chunk ([`build_logblock`]): each
 /// source is decoded one column block at a time — block `i` of every
-/// column into one reused batch per column — and its rows are read from
-/// the batches as borrowed cells, so a merge holds one block of one
-/// source decoded, never a run of them. The builder recomputes SMA /
+/// column into one reused batch per column — and the batches are added
+/// whole, so a merge holds one block of one source decoded, never a run of
+/// them. The builder's batch check keeps a source with a NULL in a NOT NULL
+/// column out of the merge. The builder recomputes SMA /
 /// inverted / BKD indexes from scratch. Adds the fetch and build stages to
 /// `stages`.
 fn build_merged_block<S: ObjectStore>(
@@ -314,7 +319,7 @@ fn build_merged_block<S: ObjectStore>(
     let start = Instant::now();
     let mut decode = Duration::ZERO;
     let mut batches = vec![ColumnVec::default(); schema.width()];
-    let built = build_logblock(schema.clone(), build, |add| {
+    let built = build_logblock(schema.clone(), build, |builder| {
         for hit in resident {
             // One fetched object per miss, in the same order.
             let bytes = match hit {
@@ -337,12 +342,8 @@ fn build_merged_block<S: ObjectStore>(
                     reader.read_block_vec(col, block, batch)?;
                 }
                 decode += decoding.elapsed();
-                let mut row = Vec::with_capacity(batches.len());
-                for i in 0..batches[0].len() {
-                    row.clear();
-                    row.extend(batches.iter().map(|batch| batch.cell(i)));
-                    add(&row)?;
-                }
+                let rows = batches.first().map_or(0, ColumnVec::len);
+                builder.add(&[&batches], &whole_batch(rows))?;
             }
         }
         Ok(())
@@ -561,6 +562,86 @@ mod tests {
         assert_eq!(store.object_count(), 0);
         assert!(m.pending_paths().is_empty());
         assert!(m.tombstones().is_empty());
+    }
+
+    /// `bytes` with row 0 of its one `tenant_id` column block made NULL:
+    /// the column block re-encoded, its length in the meta, both members
+    /// re-packed under a fresh manifest checksum.
+    fn null_in_tenant_id(bytes: Vec<u8>) -> Vec<u8> {
+        use logstore_logblock::column::ColumnEncoder;
+        use logstore_logblock::meta::{col_member, META_MEMBER};
+        use logstore_logblock::{LogBlockHandle, PackManifest, PackWriter};
+        let mut meta = LogBlockHandle::open(&bytes).unwrap().meta().clone();
+        assert_eq!(meta.columns[0].blocks.len(), 1, "one column block");
+        let mut tenant = ColumnVec::default();
+        LogBlockReader::open(bytes.clone()).unwrap().read_block_vec(0, 0, &mut tenant).unwrap();
+        let rows = tenant.len();
+        let (mut nulls, data) = tenant.into_parts();
+        nulls[0] |= 1;
+        let forged = ColumnVec::from_parts(rows, nulls, data).unwrap();
+        let block = ColumnEncoder::default().encode(&forged, build().compression).to_vec();
+        meta.columns[0].blocks[0].len = block.len() as u64;
+        let manifest = PackManifest::read(&bytes).unwrap();
+        let mut pack = PackWriter::new();
+        for entry in manifest.members() {
+            let member = match entry.name.as_str() {
+                META_MEMBER => meta.serialize(),
+                name if name == col_member(0) => block.clone(),
+                name => manifest.read_member_shared(&bytes, name).unwrap().to_vec(),
+            };
+            pack.add(entry.name.clone(), member).unwrap();
+        }
+        pack.finish()
+    }
+
+    fn build() -> BuildConfig {
+        BuildConfig {
+            compression: Compression::LzHigh,
+            block_rows: 64,
+            max_rows_per_logblock: 4096,
+        }
+    }
+
+    #[test]
+    fn a_source_with_a_null_in_a_not_null_column_merges_nothing() {
+        let schema = TableSchema::request_log();
+        let store = MemoryStore::new();
+        let m = MetadataStore::new();
+        let t = TenantId(3);
+        for (source, forged) in [(0i64, false), (1, true)] {
+            let mut b = LogBlockBuilder::with_options(schema.clone(), build().compression, 64);
+            let ts = |i: i64| source * 100 + i;
+            for i in 0..10 {
+                let log = Value::from(format!("line {}", ts(i)));
+                let row = [Value::U64(t.raw()), Value::I64(ts(i)), Value::from("ip")];
+                let rest = [Value::from("/p"), Value::I64(i), Value::Bool(false), log];
+                b.add_row(&[row.as_slice(), &rest].concat()).unwrap();
+            }
+            let bytes = b.finish().unwrap();
+            let bytes = if forged { null_in_tenant_id(bytes) } else { bytes };
+            let reader = LogBlockReader::open(bytes.clone()).unwrap();
+            let mut tenant = ColumnVec::default();
+            reader.read_block_vec(0, 0, &mut tenant).unwrap();
+            assert_eq!(tenant.has_nulls(), forged, "the forged source decodes, its NULL in it");
+            let path = m.allocate_block_path(t);
+            store.put(&path, &bytes).unwrap();
+            let bytes = bytes.len() as u64;
+            let entry = LogBlockEntry {
+                path,
+                min_ts: Timestamp(ts(0)),
+                max_ts: Timestamp(ts(9)),
+                rows: 10,
+                bytes,
+            };
+            m.register_block(t, entry).unwrap();
+        }
+        let before = m.all_blocks(t);
+        let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
+        let compacted = run_compaction(&store, &m, &schema, &build(), &config, &NoopHooks, None);
+        assert!(matches!(compacted, Err(Error::InvalidArgument(_))), "{compacted:?}");
+        assert_eq!(m.all_blocks(t), before, "the sources stay the live blocks");
+        assert_eq!(store.object_count(), 2, "no merged block was uploaded");
+        assert!(m.pending_paths().is_empty());
     }
 
     #[test]

@@ -34,10 +34,10 @@
 use crate::metadata::{DrainId, LogBlockEntry, MetadataStore};
 use logstore_cache::Prefetcher;
 use logstore_codec::Compression;
-use logstore_logblock::{BuildTimes, LogBlockBuilder};
+use logstore_logblock::{BuildTimes, ColumnVec, LogBlockBuilder};
 use logstore_obs::{Counter, Histogram, Registry};
 use logstore_oss::{ordered_wave, ObjectStore};
-use logstore_types::{Cell, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
+use logstore_types::{Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
 use logstore_wal::{partition_runs, Drained, RunChunk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -81,8 +81,8 @@ impl BuildReport {
 pub struct BuildStages {
     /// Splitting the drain into per-tenant, time-sorted chunks.
     pub partition: Duration,
-    /// `LogBlockBuilder::add_cells` (index terms, SMAs, column pushes) and
-    /// path allocation, every chunk.
+    /// [`LogBlockBuilder::add`] (batch checks, column gathers, SMAs, index
+    /// terms) and path allocation, every chunk.
     pub add: Duration,
     /// Column block encoding and compression, every chunk.
     pub encode: Duration,
@@ -218,20 +218,12 @@ pub(crate) fn build_blocks(
     stages: &mut BuildStages,
 ) -> Vec<Result<Block>> {
     let mut blocks = Vec::with_capacity(chunks.len());
+    // Read in place: the runs are handed back whole if an upload fails.
+    let runs: Vec<&[ColumnVec]> = drained.runs().iter().map(|run| run.columns()).collect();
     for chunk in chunks {
         let start = Instant::now();
-        let mut row: Vec<Cell> = Vec::with_capacity(schema.width());
-        let built = build_logblock(Arc::clone(schema), config, |add| {
-            for &(r, i) in &chunk.rows {
-                // Read in place: the drained runs must stay intact to be
-                // handed back if the upload fails.
-                let (run, i) = (&drained.runs()[r as usize], i as usize);
-                row.clear();
-                row.extend((0..run.width()).map(|col| run.cell(col, i)));
-                add(&row)?;
-            }
-            Ok(())
-        });
+        let built =
+            build_logblock(Arc::clone(schema), config, |builder| builder.add(&runs, &chunk.rows));
         let times = built.as_ref().map_or(BuildTimes::default(), |(_, _, times)| *times);
         let block = built.map(|(bytes, range, _)| {
             let entry = LogBlockEntry {
@@ -354,21 +346,20 @@ pub(crate) fn commit_prefix(
     }
 }
 
-/// Builds one LogBlock at `config`'s codec and block size from the rows
-/// `fill` hands to its sink, each row as borrowed cells in schema order
-/// ([`LogBlockBuilder::add_cells`]), and returns its pack bytes, the time
-/// range its `ts` SMA records and the builder's own times. Every LogBlock
-/// the engine writes is built here: a drain's chunk ([`build_blocks`]) and a
-/// compaction's merge. Allocates no path: a chunk's comes from
-/// [`MetadataStore::allocate_block_path`], a merged block's from
-/// [`MetadataStore::begin_compaction`].
+/// Builds one LogBlock at `config`'s codec and block size from what `fill`
+/// adds to the builder ([`LogBlockBuilder::add`]), and returns its pack
+/// bytes, the time range its `ts` SMA records and the builder's own times.
+/// Every LogBlock the engine writes is built here: a drain's chunk
+/// ([`build_blocks`]) and a compaction's merge. Allocates no path: a
+/// chunk's comes from [`MetadataStore::allocate_block_path`], a merged
+/// block's from [`MetadataStore::begin_compaction`].
 pub(crate) fn build_logblock(
     schema: impl Into<Arc<TableSchema>>,
     config: &BuildConfig,
-    fill: impl FnOnce(&mut dyn FnMut(&[Cell<'_>]) -> Result<()>) -> Result<()>,
+    fill: impl FnOnce(&mut LogBlockBuilder) -> Result<()>,
 ) -> Result<(Vec<u8>, TimeRange, BuildTimes)> {
     let mut builder = LogBlockBuilder::with_options(schema, config.compression, config.block_rows);
-    fill(&mut |row| builder.add_cells(row))?;
+    fill(&mut builder)?;
     let (bytes, range, times) = builder.finish_timed()?;
     let range = range.ok_or_else(|| Error::invalid("a LogBlock with no ts range"))?;
     Ok((bytes, range, times))

@@ -131,7 +131,9 @@ impl BkdDictReader {
         let n_points = read_uvarint(data, &mut pos)? as usize;
         let _leaf_size = read_uvarint(data, &mut pos)? as usize;
         let n_leaves = read_uvarint(data, &mut pos)? as usize;
-        if n_leaves > n_points + 1 {
+        // A fence takes at least three bytes: a count past them sizes
+        // nothing.
+        if n_leaves > n_points.saturating_add(1) || n_leaves > (data.len() - pos) / 3 {
             return Err(Error::corruption("bkd leaf count implausible"));
         }
         let mut fences = Vec::with_capacity(n_leaves);
@@ -139,7 +141,9 @@ impl BkdDictReader {
         let mut offset = 0usize;
         for _ in 0..n_leaves {
             fence = fence.wrapping_add(read_ivarint(data, &mut pos)?);
-            offset += read_uvarint(data, &mut pos)? as usize;
+            offset = offset
+                .checked_add(read_uvarint(data, &mut pos)? as usize)
+                .ok_or_else(|| Error::corruption("bkd leaf offset overflows"))?;
             let len = read_uvarint(data, &mut pos)? as usize;
             fences.push((fence, offset, len));
         }
@@ -185,7 +189,8 @@ impl BkdDictReader {
     ) -> Result<()> {
         let mut pos = 0;
         let count = read_uvarint(blob, &mut pos)? as usize;
-        if count > self.n_points {
+        // A point takes at least two bytes, its value and its row id.
+        if count > self.n_points || count > (blob.len() - pos) / 2 {
             return Err(Error::corruption("bkd leaf count out of range"));
         }
         let mut values = Vec::with_capacity(count);
@@ -288,6 +293,29 @@ mod tests {
         let r = build(&points, 2);
         assert_eq!(r.query_range(i64::MIN, -1).unwrap(), vec![0, 1]);
         assert_eq!(r.query_range(0, i64::MAX).unwrap(), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn forged_counts_are_corruption_and_size_nothing() {
+        // A fence array claiming 2^40 points in 2^39 leaves, in ten bytes.
+        let mut dict = Vec::new();
+        [1u64 << 40, 8, 1 << 39].iter().for_each(|&v| put_uvarint(&mut dict, v));
+        assert!(matches!(BkdDictReader::open(&dict), Err(Error::Corruption(_))));
+        // Fences whose offsets overflow.
+        let mut dict = Vec::new();
+        [4u64, 2, 2].iter().for_each(|&v| put_uvarint(&mut dict, v));
+        for _ in 0..2 {
+            put_ivarint(&mut dict, 0);
+            put_uvarint(&mut dict, u64::MAX);
+            put_uvarint(&mut dict, 1);
+        }
+        assert!(matches!(BkdDictReader::open(&dict), Err(Error::Corruption(_))));
+        // A leaf claiming more points than its bytes hold.
+        let reader = BkdDictReader { n_points: usize::MAX, fences: Vec::new() };
+        let mut leaf = Vec::new();
+        put_uvarint(&mut leaf, 1 << 40);
+        let scanned = reader.scan_leaf_bytes(&leaf, 0, 1, 10, &mut Vec::new());
+        assert!(matches!(scanned, Err(Error::Corruption(_))));
     }
 
     #[test]

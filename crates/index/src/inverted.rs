@@ -61,7 +61,7 @@
 //! [`finish_split`]: InvertedIndexWriter::finish_split
 
 use crate::postings;
-use crate::tokenizer::{clamp_term, tokenize};
+use crate::tokenizer::{clamp_term, token_ranges, MAX_TERM_LEN};
 use logstore_codec::varint::{put_str, put_uvarint, read_str, read_uvarint};
 use logstore_types::{Error, Result};
 use std::collections::HashMap;
@@ -108,9 +108,8 @@ const MEMO_SLOTS: usize = 1024;
 /// the slot's check. Unkeyed on purpose — see the module docs for why a
 /// collision costs nothing.
 #[inline]
-fn memo_hash(kind: TermKind, term: &str) -> u64 {
+fn memo_hash(kind: TermKind, b: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let b = term.as_bytes();
     let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
     let half = |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().expect("four")));
     let mut h = (u64::from(kind.tag()) | (b.len() as u64) << 8).wrapping_mul(K);
@@ -128,9 +127,15 @@ fn memo_hash(kind: TermKind, term: &str) -> u64 {
     (h ^ h >> 29).wrapping_mul(K)
 }
 
+/// [`clamp_term`] over a token's bytes: ASCII, so any cut is a char
+/// boundary.
+fn clamp(token: &[u8]) -> &[u8] {
+    &token[..token.len().min(MAX_TERM_LEN)]
+}
+
 /// The memo slot of `term` of `kind`, as written.
 pub fn memo_slot(kind: TermKind, term: &str) -> usize {
-    (memo_hash(kind, term) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    (memo_hash(kind, term.as_bytes()) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// One distinct term.
@@ -150,9 +155,9 @@ struct Term {
 impl Term {
     /// True when this is the term `raw` of `kind` resolves to.
     #[inline]
-    fn is(&self, kind: TermKind, raw: &str) -> bool {
-        let (tag, term) = self.key.split_at(1);
-        tag.as_bytes()[0] == kind.tag()
+    fn is(&self, kind: TermKind, raw: &[u8]) -> bool {
+        let (tag, term) = self.key.as_bytes().split_at(1);
+        tag[0] == kind.tag()
             && match kind {
                 TermKind::Exact => term == raw,
                 // `term` is lowercase: equal ignoring ASCII case is equal
@@ -205,19 +210,25 @@ impl InvertedIndexWriter {
     }
 
     /// Indexes one cell. Row ids must arrive in ascending order (they do:
-    /// the builder feeds rows sequentially).
-    pub fn add(&mut self, row_id: u32, value: &str) {
+    /// the builder feeds rows sequentially). A cell is its bytes, UTF-8
+    /// unless the caller broke its own contract: a cell that is not is not
+    /// indexed whole, only its (ASCII) tokens are.
+    pub fn add(&mut self, row_id: u32, value: impl AsRef<[u8]>) {
+        let value = value.as_ref();
         if value.len() > MAX_EXACT_LEN {
             return self.add_text(row_id, value);
         }
-        let (id, new) = self.resolve(TermKind::Exact, value);
+        let Some((id, new)) = self.resolve(TermKind::Exact, value) else {
+            return self.add_text(row_id, value);
+        };
         self.terms[id].push(row_id);
         if new {
             let start = self.cell_tokens.len() as u32;
-            for tok in tokenize(value) {
-                let (token, _) = self.resolve(TermKind::Token, clamp_term(tok));
-                self.terms[token].push(row_id);
-                self.cell_tokens.push(token as u32);
+            for run in token_ranges(value) {
+                if let Some((token, _)) = self.resolve(TermKind::Token, clamp(&value[run])) {
+                    self.terms[token].push(row_id);
+                    self.cell_tokens.push(token as u32);
+                }
             }
             self.terms[id].tokens = (start, self.cell_tokens.len() as u32);
         } else {
@@ -231,28 +242,31 @@ impl InvertedIndexWriter {
     /// Indexes one cell as free text: tokens only, no exact term (used for
     /// `IndexKind::FullText` columns, where whole log lines as dictionary
     /// keys would duplicate the column).
-    pub fn add_text(&mut self, row_id: u32, value: &str) {
-        for tok in tokenize(value) {
-            let (id, _) = self.resolve(TermKind::Token, clamp_term(tok));
-            self.terms[id].push(row_id);
+    pub fn add_text(&mut self, row_id: u32, value: impl AsRef<[u8]>) {
+        let value = value.as_ref();
+        for run in token_ranges(value) {
+            if let Some((id, _)) = self.resolve(TermKind::Token, clamp(&value[run])) {
+                self.terms[id].push(row_id);
+            }
         }
     }
 
     /// The id of `term` of `kind` (as written; tokens are lowercased
-    /// here), and whether this sighting created it.
+    /// here), and whether this sighting created it; `None` for a term that
+    /// is not UTF-8.
     #[inline]
-    fn resolve(&mut self, kind: TermKind, term: &str) -> (usize, bool) {
+    fn resolve(&mut self, kind: TermKind, term: &[u8]) -> Option<(usize, bool)> {
         let hash = memo_hash(kind, term);
         let (slot, check) = ((hash >> (64 - MEMO_SLOTS.trailing_zeros())) as usize, hash as u32);
         let (cached, cached_check) = self.memo[slot];
         if let Some(id) = cached.checked_sub(1) {
             if cached_check == check && self.terms[id as usize].is(kind, term) {
-                return (id as usize, false);
+                return Some((id as usize, false));
             }
         }
         self.key.clear();
         self.key.push(char::from(kind.tag()));
-        self.key.push_str(term);
+        self.key.push_str(std::str::from_utf8(term).ok()?);
         if kind == TermKind::Token {
             self.key[1..].make_ascii_lowercase();
         }
@@ -267,7 +281,7 @@ impl InvertedIndexWriter {
             }
         };
         self.memo[slot] = (id as u32 + 1, check);
-        (id, new)
+        Some((id, new))
     }
 
     /// Number of distinct terms.
@@ -357,6 +371,7 @@ impl InvertedDictReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::tokenize;
     use proptest::prelude::*;
 
     /// A split index held in memory, read the way a LogBlock reads it:
@@ -588,7 +603,7 @@ mod tests {
             let tail = (target ^ first(word(&head))).to_le_bytes();
             if tail.iter().all(u8::is_ascii_alphanumeric) {
                 let b = String::from_utf8([head, tail].concat()).expect("ascii");
-                assert_eq!(memo_hash(kind, a), memo_hash(kind, &b));
+                assert_eq!(memo_hash(kind, a.as_bytes()), memo_hash(kind, b.as_bytes()));
                 if !b.eq_ignore_ascii_case(a) {
                     return (a.to_string(), b);
                 }
@@ -609,8 +624,9 @@ mod tests {
         assert_eq!(exact[30], exact[31]);
         assert_ne!(pool[30], pool[31]);
         assert_eq!(exact[32], tokens[32]);
-        assert_eq!(memo_hash(TermKind::Exact, &pool[33]), memo_hash(TermKind::Exact, &pool[34]));
-        assert_eq!(memo_hash(TermKind::Token, &pool[35]), memo_hash(TermKind::Token, &pool[36]));
+        let hash = |kind, t: &String| memo_hash(kind, t.as_bytes());
+        assert_eq!(hash(TermKind::Exact, &pool[33]), hash(TermKind::Exact, &pool[34]));
+        assert_eq!(hash(TermKind::Token, &pool[35]), hash(TermKind::Token, &pool[36]));
         assert!(pool[33] != pool[34] && !pool[35].eq_ignore_ascii_case(&pool[36]));
         assert!(memo_slot(TermKind::Token, "abc") < MEMO_SLOTS);
     }

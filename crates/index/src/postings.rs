@@ -32,14 +32,16 @@ pub fn encode_into(out: &mut Vec<u8>, ids: &[u32]) {
 pub fn decode(buf: &[u8], max_row: u32) -> Result<Vec<u32>> {
     let mut pos = 0;
     let n = read_uvarint(buf, &mut pos)? as usize;
-    if n > max_row as usize {
+    // Every id takes a byte: a count past them sizes nothing.
+    if n > max_row as usize || n > buf.len() - pos {
         return Err(Error::corruption("posting list longer than row universe"));
     }
     let mut out = Vec::with_capacity(n);
     let mut prev: u64 = 0;
     for i in 0..n {
         let delta = read_uvarint(buf, &mut pos)?;
-        let id = if i == 0 { delta } else { prev + delta };
+        let id = if i == 0 { Some(delta) } else { prev.checked_add(delta) };
+        let id = id.ok_or_else(|| Error::corruption("posting id overflows"))?;
         if id >= u64::from(max_row) {
             return Err(Error::corruption("posting id out of range"));
         }
@@ -122,6 +124,17 @@ pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn forged_counts_and_overflowing_ids_are_corruption() {
+        let mut forged = Vec::new();
+        put_uvarint(&mut forged, 1000);
+        put_uvarint(&mut forged, 1);
+        assert!(matches!(decode(&forged, 1 << 20), Err(Error::Corruption(_))));
+        let mut overflow = Vec::new();
+        [2, 5, u64::MAX].iter().for_each(|&v| put_uvarint(&mut overflow, v));
+        assert!(matches!(decode(&overflow, u32::MAX), Err(Error::Corruption(_))));
+    }
 
     #[test]
     fn roundtrip_basic() {

@@ -44,18 +44,28 @@ impl Sma {
     /// [`Sma::update`] with a borrowed cell: a cell is copied only when it
     /// becomes the new min or max.
     pub fn update_cell(&mut self, cell: Cell<'_>) {
-        self.row_count += 1;
-        if cell.is_null() {
-            self.null_count += 1;
-            return;
+        let null = cell.is_null();
+        self.fold(1, u32::from(null), (!null).then_some((cell, cell)));
+    }
+
+    /// Folds in `row_count` values, `null_count` of them NULL, whose
+    /// smallest and largest non-null values are `extremes`: what a column
+    /// block builder knows of a segment once it has read it. A cell is
+    /// copied only when it becomes the new min or max.
+    pub fn fold(
+        &mut self,
+        row_count: u32,
+        null_count: u32,
+        extremes: Option<(Cell<'_>, Cell<'_>)>,
+    ) {
+        self.row_count += row_count;
+        self.null_count += null_count;
+        let Some((min, max)) = extremes else { return };
+        if self.min.as_ref().is_none_or(|m| min.total_cmp(m.cell()) == Ordering::Less) {
+            self.min = Some(min.to_value());
         }
-        match &self.min {
-            Some(m) if cell.total_cmp(m.cell()) != Ordering::Less => {}
-            _ => self.min = Some(cell.to_value()),
-        }
-        match &self.max {
-            Some(m) if cell.total_cmp(m.cell()) != Ordering::Greater => {}
-            _ => self.max = Some(cell.to_value()),
+        if self.max.as_ref().is_none_or(|m| max.total_cmp(m.cell()) == Ordering::Greater) {
+            self.max = Some(max.to_value());
         }
     }
 

@@ -12,7 +12,12 @@
 /// every byte of a multi-byte UTF-8 sequence is ≥ 0x80, hence a separator,
 /// and a run starts and ends next to ASCII bytes — on char boundaries.
 pub fn tokenize(text: &str) -> impl Iterator<Item = &str> + '_ {
-    let bytes = text.as_bytes();
+    token_ranges(text.as_bytes()).map(|run| &text[run])
+}
+
+/// The byte ranges of [`tokenize`]'s runs in `bytes`, which need not be
+/// text: the runs are ASCII, whatever surrounds them.
+pub fn token_ranges(bytes: &[u8]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
     let mut pos = 0;
     std::iter::from_fn(move || {
         while !bytes.get(pos)?.is_ascii_alphanumeric() {
@@ -22,7 +27,7 @@ pub fn tokenize(text: &str) -> impl Iterator<Item = &str> + '_ {
         while bytes.get(pos).is_some_and(u8::is_ascii_alphanumeric) {
             pos += 1;
         }
-        Some(&text[start..pos])
+        Some(start..pos)
     })
 }
 

@@ -1,23 +1,20 @@
-//! Building LogBlocks from rows.
+//! Building LogBlocks from column batches.
 //!
-//! Every LogBlock the engine writes is built from column batches through
-//! one input, [`LogBlockBuilder::add_cells`]: the data builder feeds it the
-//! rows of a drain's real-time runs (all of one tenant, in timestamp
-//! order), and compaction the rows of its sources' decoded column blocks.
-//! The builder cuts column blocks every `block_rows` rows, maintains SMAs
-//! at both granularities, builds the per-column indexes and finally emits
-//! one packed object ready for upload, with the time range its `ts` SMA
-//! records ([`LogBlockBuilder::finish_timed`]).
+//! Every LogBlock is built through one input, [`LogBlockBuilder::add`]:
+//! typed column batches and a selection of `(batch, row)` pairs — a drain's
+//! runs and a chunk's ts-sorted rows, or a compaction source's decoded
+//! block whole. The builder cuts column blocks every `block_rows` rows,
+//! keeps SMAs at both granularities, builds the per-column indexes and
+//! emits one packed object with the time range its `ts` SMA records
+//! ([`LogBlockBuilder::finish_timed`]).
 //!
-//! Rows are read **by reference**. A cell is looked at once — indexed,
-//! folded into the block SMA, and its bytes copied into the column's typed
-//! pending buffer ([`crate::column`]'s one encoder) — and the caller keeps
-//! its rows: the data builder hands them back if the upload fails. Nothing
-//! on this path clones a [`Value`] or builds a per-row `Vec`. A row of
-//! owned values ([`LogBlockBuilder::add_row`], for tests and tools) is read
-//! as borrowed [`Cell`]s the same way.
+//! Columns are **gathered**: a batch is checked once, then each column of
+//! a `block_rows` segment is copied in one typed loop ([`crate::column`]'s
+//! one encoder) that folds the block SMA and feeds the column's index
+//! writer. The caller keeps its batches: the data builder hands a drain's
+//! runs back if the upload fails.
 
-use crate::column::PendingBlock;
+use crate::column::{PendingBlock, Visit};
 use crate::meta::{
     col_member, index_data_member, index_member, time_range, BlockMeta, ColumnMeta, LogBlockMeta,
     META_MEMBER,
@@ -26,7 +23,9 @@ use crate::pack::PackWriter;
 use logstore_codec::{Compression, Compressor};
 use logstore_index::bkd::u64_to_ord;
 use logstore_index::{BkdWriter, InvertedIndexWriter, Sma};
-use logstore_types::{Cell, DataType, Error, IndexKind, Result, TableSchema, TimeRange, Value};
+use logstore_types::{
+    Cell, ColumnVec, DataType, Error, IndexKind, Result, TableSchema, TimeRange, Value,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,8 +50,64 @@ struct ColumnState {
     index: IndexState,
 }
 
+/// What one column's gather folds its cells into: the segment's NULLs and
+/// extremes, borrowed from its batches, and the column's index writer.
+struct Fold<'a, 's> {
+    first_row: u32,
+    index: &'s mut IndexState,
+    nulls: u32,
+    extremes: Option<(Cell<'a>, Cell<'a>)>,
+}
+
+impl<'a> Fold<'a, '_> {
+    /// Folds a non-null cell into the extremes: one comparison for most
+    /// cells, as a new minimum is no new maximum.
+    fn extreme(&mut self, cell: Cell<'a>) {
+        match &mut self.extremes {
+            Some((lo, _)) if cell.total_cmp(*lo).is_lt() => *lo = cell,
+            Some((_, hi)) if cell.total_cmp(*hi).is_gt() => *hi = cell,
+            Some(_) => {}
+            None => self.extremes = Some((cell, cell)),
+        }
+    }
+}
+
+impl<'a> Visit<'a> for Fold<'a, '_> {
+    fn cell(&mut self, row: usize, cell: Cell<'a>) {
+        let row_id = self.first_row + row as u32;
+        match (cell, &mut *self.index) {
+            (Cell::Null, _) => {
+                self.nulls += 1;
+                return;
+            }
+            (Cell::I64(v), IndexState::Bkd(w)) => w.add(v, row_id),
+            (Cell::U64(v), IndexState::Bkd(w)) => w.add(u64_to_ord(v), row_id),
+            _ => {}
+        }
+        self.extreme(cell);
+    }
+
+    fn bytes(&mut self, row: usize, bytes: &'a [u8]) {
+        let row_id = self.first_row + row as u32;
+        match &mut *self.index {
+            IndexState::Inverted(w) => w.add(row_id, bytes),
+            IndexState::FullText(w) => w.add_text(row_id, bytes),
+            IndexState::None | IndexState::Bkd(_) => {}
+        }
+        // Bytes order as text does: only a cell past the extremes so far is
+        // read as text (and one that is not UTF-8 is left out of the SMA).
+        let inside = matches!(self.extremes, Some((Cell::Str(lo), Cell::Str(hi)))
+            if (lo.as_bytes()..=hi.as_bytes()).contains(&bytes));
+        if !inside {
+            if let Ok(text) = std::str::from_utf8(bytes) {
+                self.extreme(Cell::Str(text));
+            }
+        }
+    }
+}
+
 /// Where a builder's time went, for the engine's archive stage timers:
-/// the rest of a build is `add_*` (index terms, SMAs, column pushes).
+/// the rest of a build is `add` (index terms, SMAs, column gathers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BuildTimes {
     /// Encoding column blocks: the column codec and its compression.
@@ -118,62 +173,76 @@ impl LogBlockBuilder {
         }
     }
 
-    /// Appends one row (positional, matching the schema).
+    /// Appends one row (positional, matching the schema) as a one-row
+    /// batch.
     pub fn add_row(&mut self, row: &[Value]) -> Result<()> {
         self.schema.check_row(row)?;
-        self.push_cells(row.iter().map(Value::cell))
+        let mut batch: Vec<ColumnVec> =
+            self.schema.columns.iter().map(|c| ColumnVec::empty(c.data_type)).collect();
+        batch.iter_mut().zip(row).for_each(|(column, value)| {
+            column.push_exact(value.cell());
+        });
+        self.add(&[&batch], &[(0, 0)])
     }
 
-    /// Appends one row of borrowed cells (positional, matching the schema):
-    /// what a row of a real-time run or of a decoded column block is read
-    /// as.
-    pub fn add_cells(&mut self, row: &[Cell<'_>]) -> Result<()> {
-        self.schema.check_cells(row.len(), row.iter().copied())?;
-        self.push_cells(row.iter().copied())
+    /// Appends the selected `rows`, in order: `(batch, row)` pairs into
+    /// `batches`, each one [`ColumnVec`] per schema column. Every batch —
+    /// its width, column types and lengths, no NULL in a NOT NULL column —
+    /// and every pair is checked first; a failure adds no row
+    /// (`InvalidArgument`).
+    pub fn add(&mut self, batches: &[&[ColumnVec]], rows: &[(u32, u32)]) -> Result<()> {
+        self.check(batches, rows)?;
+        let mut rows = rows;
+        while !rows.is_empty() {
+            let room = self.block_rows - self.columns[0].pending.len();
+            let (segment, rest) = rows.split_at(room.min(rows.len()));
+            for (col, state) in self.columns.iter_mut().enumerate() {
+                let (index, first_row) = (&mut state.index, self.row_count);
+                let mut fold = Fold { first_row, index, nulls: 0, extremes: None };
+                state.pending.gather(batches, col, segment, &mut fold);
+                state.pending_sma.fold(segment.len() as u32, fold.nulls, fold.extremes);
+            }
+            self.row_count += segment.len() as u32;
+            if self.columns[0].pending.len() >= self.block_rows {
+                self.cut_blocks();
+            }
+            rows = rest;
+        }
+        Ok(())
     }
 
-    /// Appends the cells of one row that already passed the schema check.
-    fn push_cells<'a>(&mut self, cells: impl IntoIterator<Item = Cell<'a>>) -> Result<()> {
-        if self.row_count == u32::MAX {
+    /// Checks `batches` against the schema and `rows` against `batches`,
+    /// once per call.
+    fn check(&self, batches: &[&[ColumnVec]], rows: &[(u32, u32)]) -> Result<()> {
+        if rows.len() > (u32::MAX - self.row_count) as usize {
             return Err(Error::invalid("logblock row limit reached"));
         }
-        let row_id = self.row_count;
-        for (state, (cell, col)) in
-            self.columns.iter_mut().zip(cells.into_iter().zip(&self.schema.columns))
-        {
-            match &mut state.index {
-                IndexState::None => {}
-                IndexState::Inverted(w) => {
-                    if let Cell::Str(s) = cell {
-                        w.add(row_id, s);
-                    }
-                }
-                IndexState::FullText(w) => {
-                    if let Cell::Str(s) = cell {
-                        w.add_text(row_id, s);
-                    }
-                }
-                IndexState::Bkd(w) => {
-                    if !cell.is_null() {
-                        let ord = match col.data_type {
-                            DataType::Int64 => cell
-                                .as_i64()
-                                .ok_or_else(|| Error::invalid("int64 column with non-int value"))?,
-                            DataType::UInt64 => u64_to_ord(cell.as_u64().ok_or_else(|| {
-                                Error::invalid("uint64 column with non-uint value")
-                            })?),
-                            _ => return Err(Error::invalid("bkd index on non-numeric column")),
-                        };
-                        w.add(ord, row_id);
-                    }
+        let columns = &self.schema.columns;
+        for batch in batches {
+            let len = batch.first().map_or(0, ColumnVec::len);
+            if batch.len() != columns.len() || batch.iter().any(|column| column.len() != len) {
+                return Err(Error::invalid(
+                    "a batch is one column per schema column, of one length",
+                ));
+            }
+            for (column, col) in batch.iter().zip(columns) {
+                if column.data_type() != col.data_type || (column.has_nulls() && !col.nullable) {
+                    return Err(Error::invalid(format!("a batch does not fit column {col:?}")));
                 }
             }
-            state.pending_sma.update_cell(cell);
-            state.pending.push(cell)?;
         }
-        self.row_count += 1;
-        if self.columns[0].pending.len() >= self.block_rows {
-            self.cut_blocks();
+        let numeric = |dtype| matches!(dtype, DataType::Int64 | DataType::UInt64);
+        if !rows.is_empty()
+            && columns.iter().any(|c| c.index == IndexKind::Bkd && !numeric(c.data_type))
+        {
+            return Err(Error::invalid("bkd index on non-numeric column"));
+        }
+        let outside = |&(batch, row): &(u32, u32)| {
+            let rows = batches.get(batch as usize).and_then(|batch| batch.first());
+            rows.is_none_or(|column| row as usize >= column.len())
+        };
+        if rows.iter().any(outside) {
+            return Err(Error::invalid("a selected row outside its batches"));
         }
         Ok(())
     }
@@ -295,6 +364,43 @@ mod tests {
         assert!(b.add_row(&bad).is_err());
         let bytes = b.finish().unwrap();
         assert_eq!(LogBlockHandle::open(&bytes).unwrap().meta().row_count, 0);
+    }
+
+    /// `rows` of `request_log` as one column batch.
+    fn batch(rows: &[Vec<Value>]) -> Vec<ColumnVec> {
+        let schema = TableSchema::request_log();
+        let column = |(c, col): (usize, &logstore_types::ColumnSchema)| {
+            let mut batch = ColumnVec::empty(col.data_type);
+            rows.iter().for_each(|row| assert!(batch.push_exact(row[c].cell())));
+            batch
+        };
+        schema.columns.iter().enumerate().map(column).collect()
+    }
+
+    #[test]
+    fn a_batch_the_schema_refuses_adds_no_rows() {
+        let mut b = LogBlockBuilder::with_options(TableSchema::request_log(), Compression::None, 4);
+        let good = batch(&[sample_row(1, 10, "a", 1), sample_row(1, 11, "b", 2)]);
+        b.add(&[&good], &crate::column::whole_batch(2)).unwrap();
+        // `latency` as strings: the wrong type, though the selection only
+        // reads the good batch's rows before it.
+        let mut wrong_type = good.clone();
+        wrong_type[4] = batch(&[sample_row(1, 12, "c", 3)])[2].clone();
+        let refused = b.add(&[&good, &wrong_type], &[(0, 0), (1, 0)]);
+        assert!(matches!(refused, Err(Error::InvalidArgument(_))), "{refused:?}");
+        // A NULL in NOT NULL `tenant_id`.
+        let mut null_key = good.clone();
+        null_key[0] = ColumnVec::empty(DataType::UInt64);
+        null_key[0].push_nulls(2);
+        assert!(matches!(b.add(&[&null_key], &[(0, 1)]), Err(Error::InvalidArgument(_))));
+        // Rows and batches that are not there.
+        assert!(matches!(b.add(&[&good], &[(0, 2)]), Err(Error::InvalidArgument(_))));
+        assert!(matches!(b.add(&[&good], &[(1, 0)]), Err(Error::InvalidArgument(_))));
+        assert!(matches!(b.add(&[&good[..6]], &[(0, 0)]), Err(Error::InvalidArgument(_))));
+        let bytes = b.finish().unwrap();
+        let handle = LogBlockHandle::open(&bytes).unwrap();
+        assert_eq!(handle.meta().row_count, 2, "only the good batch's rows");
+        assert!(handle.meta().columns.iter().all(|c| c.sma.row_count == 2));
     }
 
     #[test]

@@ -17,22 +17,20 @@ use logstore_types::{Cell, ColumnData, ColumnVec, DataType, Error, Result, Value
 /// Hard cap for a decoded data frame (decompression-bomb guard).
 const MAX_DATA_BYTES: usize = 1 << 30;
 
-/// One column block being accumulated, already in the layout its encoding
-/// reads: the null bitset, and the values as the typed buffer the column
-/// codec takes (for strings, the length-prefixed bytes that *are* the data
-/// frame's input). Cells are copied in by reference — no [`Value`] is
-/// cloned or kept — and the buffers are reused from block to block.
-///
-/// This is the one column encoder: [`crate::LogBlockBuilder`] pushes cells
-/// as rows arrive, [`encode_block`] pushes a slice of them, and
-/// [`encode_column_into`] fills it from a typed batch in bulk (the WAL's
-/// runs).
+/// One column block being accumulated, in the layout its encoding reads:
+/// the null bitset and the codec's typed input (for strings, the
+/// length-prefixed bytes of the data frame), every buffer reused. The one
+/// column encoder: [`PendingBlock::gather`] is its one input, for the
+/// builder and for [`ColumnEncoder`] (the WAL's runs).
 #[derive(Debug)]
 pub(crate) struct PendingBlock {
     len: usize,
     /// Bit `i` set ⇒ row `i` is NULL.
     nulls: Vec<u8>,
     data: PendingData,
+    /// The null bitset's frame, whose length precedes it in the block, and
+    /// then the delta stream of an integer block.
+    scratch: Vec<u8>,
 }
 
 /// Typed values of a [`PendingBlock`] (placeholder 0 / false / empty in
@@ -47,6 +45,22 @@ enum PendingData {
     Str(Vec<u8>),
 }
 
+/// What a gather shows of each cell it appends, by the cell's position in
+/// the selection: the builder folds SMAs and feeds index writers from it.
+pub(crate) trait Visit<'a> {
+    /// A cell that is not a string, or a NULL.
+    fn cell(&mut self, _row: usize, _cell: Cell<'a>) {}
+    /// A string cell's bytes (UTF-8 in every batch the crates build).
+    fn bytes(&mut self, _row: usize, _bytes: &'a [u8]) {}
+}
+
+impl Visit<'_> for () {}
+
+/// Sets bit `i` of `bits`.
+fn set_bit(bits: &mut [u8], i: usize) {
+    bits[i / 8] |= 1 << (i % 8);
+}
+
 impl PendingBlock {
     pub(crate) fn new(dtype: DataType) -> Self {
         let data = match dtype {
@@ -55,117 +69,99 @@ impl PendingBlock {
             DataType::Bool => PendingData::Bool(Vec::new()),
             DataType::String => PendingData::Str(Vec::new()),
         };
-        PendingBlock { len: 0, nulls: Vec::new(), data }
+        PendingBlock { len: 0, nulls: Vec::new(), data, scratch: Vec::new() }
     }
 
-    /// Rows pushed since the last [`PendingBlock::encode`].
+    /// Rows gathered since the last [`PendingBlock::encode_into`].
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Appends one cell. A value of the wrong type is rejected and leaves
-    /// the block as it was.
-    pub(crate) fn push(&mut self, v: Cell<'_>) -> Result<()> {
-        // Bitsets grow a byte at a time, when a row opens a new one.
-        let (byte, bit) = (self.len / 8, 1u8 << (self.len % 8));
-        let opens_byte = self.len.is_multiple_of(8);
-        match (&mut self.data, v) {
-            (PendingData::I64(nums), Cell::Null) => nums.push(0),
-            (PendingData::I64(nums), v) => nums
-                .push(v.as_i64().ok_or_else(|| Error::invalid("non-int64 value in int64 column"))?),
-            (PendingData::U64(nums), Cell::Null) => nums.push(0),
-            (PendingData::U64(nums), v) => nums.push(
-                v.as_u64().ok_or_else(|| Error::invalid("non-uint64 value in uint64 column"))?,
-            ),
-            (PendingData::Bool(bits), Cell::Bool(_) | Cell::Null) => {
-                if opens_byte {
-                    bits.push(0);
+    /// Appends column `col` of the selected `rows`, each a `(batch, row)`
+    /// pair into `batches`, and shows each appended cell to `visit`. The
+    /// caller has checked that every pair is in bounds; a cell of another
+    /// type than the block's is read as NULL, and a NULL slot takes the
+    /// placeholder whatever the batch holds there.
+    pub(crate) fn gather<'a>(
+        &mut self,
+        batches: &[&'a [ColumnVec]],
+        col: usize,
+        rows: &[(u32, u32)],
+        visit: &mut impl Visit<'a>,
+    ) {
+        let (start, len) = (self.len, self.len + rows.len());
+        self.len = len;
+        self.nulls.resize(len.div_ceil(8), 0);
+        if let PendingData::Bool(bits) = &mut self.data {
+            bits.resize(len.div_ceil(8), 0);
+        }
+        for (k, &(batch, row)) in rows.iter().enumerate() {
+            let column: &'a ColumnVec = &batches[batch as usize][col];
+            let row = row as usize;
+            let null = column.has_nulls() && column.is_null(row);
+            match (&mut self.data, column.data()) {
+                (PendingData::I64(out), ColumnData::I64(vals)) if !null => {
+                    out.push(vals[row]);
+                    visit.cell(k, Cell::I64(vals[row]));
                 }
-                if v == Cell::Bool(true) {
-                    bits[byte] |= bit;
+                (PendingData::U64(out), ColumnData::U64(vals)) if !null => {
+                    out.push(vals[row]);
+                    visit.cell(k, Cell::U64(vals[row]));
+                }
+                (PendingData::Bool(out), ColumnData::Bool(bits)) if !null => {
+                    let value = bits[row / 8] & (1 << (row % 8)) != 0;
+                    if value {
+                        set_bit(out, start + k);
+                    }
+                    visit.cell(k, Cell::Bool(value));
+                }
+                (PendingData::Str(out), ColumnData::Str { data, ranges }) if !null => {
+                    let bytes = &data[ranges[row].0 as usize..ranges[row].1 as usize];
+                    put_uvarint(out, bytes.len() as u64);
+                    out.extend_from_slice(bytes);
+                    visit.bytes(k, bytes);
+                }
+                (pending, _) => {
+                    match pending {
+                        PendingData::I64(out) => out.push(0),
+                        PendingData::U64(out) => out.push(0),
+                        PendingData::Bool(_) => {}
+                        PendingData::Str(out) => out.push(0),
+                    }
+                    set_bit(&mut self.nulls, start + k);
+                    visit.cell(k, Cell::Null);
                 }
             }
-            (PendingData::Bool(_), _) => {
-                return Err(Error::invalid("non-bool value in bool column"))
-            }
-            (PendingData::Str(buf), Cell::Null) => put_uvarint(buf, 0),
-            (PendingData::Str(buf), Cell::Str(s)) => {
-                put_uvarint(buf, s.len() as u64);
-                buf.extend_from_slice(s.as_bytes());
-            }
-            (PendingData::Str(_), _) => {
-                return Err(Error::invalid("non-string value in string column"))
-            }
         }
-        if opens_byte {
-            self.nulls.push(0);
-        }
-        if v.is_null() {
-            self.nulls[byte] |= bit;
-        }
-        self.len += 1;
-        Ok(())
     }
 
-    /// A block of every row of `column`, filled in bulk: the rows
-    /// [`PendingBlock::push`] appends for its cells one by one, a NULL slot
-    /// taking the placeholder whatever the batch holds there.
-    fn of_column(column: &ColumnVec) -> Self {
-        let n = column.len();
-        let null = |row| column.has_nulls() && column.is_null(row);
-        let bits = |on: &dyn Fn(usize) -> bool| {
-            let mut bits = vec![0u8; n.div_ceil(8)];
-            (0..n).filter(|&row| on(row)).for_each(|row| bits[row / 8] |= 1 << (row % 8));
-            bits
-        };
-        let data = match column.data() {
-            ColumnData::I64(vals) => {
-                PendingData::I64((0..n).map(|row| if null(row) { 0 } else { vals[row] }).collect())
-            }
-            ColumnData::U64(vals) => {
-                PendingData::U64((0..n).map(|row| if null(row) { 0 } else { vals[row] }).collect())
-            }
-            ColumnData::Bool(vals) => {
-                PendingData::Bool(bits(&|row| !null(row) && vals[row / 8] & (1 << (row % 8)) != 0))
-            }
-            ColumnData::Str { data, ranges } => {
-                let mut buf = Vec::with_capacity(data.len() + n);
-                for (row, &(start, end)) in ranges.iter().enumerate() {
-                    let s = if null(row) { &[][..] } else { &data[start as usize..end as usize] };
-                    put_uvarint(&mut buf, s.len() as u64);
-                    buf.extend_from_slice(s);
-                }
-                PendingData::Str(buf)
-            }
-        };
-        PendingBlock { len: n, nulls: bits(&null), data }
-    }
-
-    /// Encodes the pushed rows as one column block, appended to `out`, and
-    /// empties the block, keeping its buffers. The data frame is written
-    /// in place; only the small null-bitset frame passes through a
-    /// scratch buffer, because its length precedes it.
+    /// Encodes the gathered rows as one column block, appended to `out`,
+    /// and empties the block, keeping its buffers. The data frame is
+    /// written in place; only the small null-bitset frame passes through
+    /// scratch, because its length precedes it.
     pub(crate) fn encode_into(
         &mut self,
         compression: Compression,
         compressor: &mut Compressor,
         out: &mut Vec<u8>,
     ) {
-        let mut bitset_frame = Vec::new();
-        compressor.compress_into(Compression::Rle, &self.nulls, &mut bitset_frame);
-        put_uvarint(out, bitset_frame.len() as u64);
-        out.extend_from_slice(&bitset_frame);
-        match &self.data {
+        self.scratch.clear();
+        compressor.compress_into(Compression::Rle, &self.nulls, &mut self.scratch);
+        put_uvarint(out, self.scratch.len() as u64);
+        out.extend_from_slice(&self.scratch);
+        self.scratch.clear();
+        let data = match &self.data {
             PendingData::I64(nums) => {
-                compressor.compress_into(compression, &delta::encode_i64(nums), out)
+                delta::encode_i64_into(nums, &mut self.scratch);
+                &self.scratch
             }
             PendingData::U64(nums) => {
-                compressor.compress_into(compression, &delta::encode_u64(nums), out)
+                delta::encode_u64_into(nums, &mut self.scratch);
+                &self.scratch
             }
-            PendingData::Bool(bytes) | PendingData::Str(bytes) => {
-                compressor.compress_into(compression, bytes, out)
-            }
-        }
+            PendingData::Bool(bytes) | PendingData::Str(bytes) => bytes,
+        };
+        compressor.compress_into(compression, data, out);
         self.len = 0;
         self.nulls.clear();
         match &mut self.data {
@@ -176,25 +172,41 @@ impl PendingBlock {
     }
 }
 
-/// Encodes one column block.
-pub fn encode_block(
-    dtype: DataType,
-    values: &[Value],
-    compression: Compression,
-) -> Result<Vec<u8>> {
-    let mut block = PendingBlock::new(dtype);
-    for v in values {
-        block.push(v.cell())?;
-    }
-    let mut out = Vec::new();
-    block.encode_into(compression, &mut Compressor::default(), &mut out);
-    Ok(out)
+/// The selection of every row of batch 0, in order: how a contiguous
+/// batch (a decoded block, a WAL run, a tool's rows) is read.
+pub fn whole_batch(rows: usize) -> Vec<(u32, u32)> {
+    (0..rows as u32).map(|row| (0, row)).collect()
 }
 
-/// Encodes `column` as one column block appended to `out`: the bytes
-/// [`encode_block`] writes for its cells.
-pub fn encode_column_into(column: &ColumnVec, compression: Compression, out: &mut Vec<u8>) {
-    PendingBlock::of_column(column).encode_into(compression, &mut Compressor::default(), out);
+/// Encodes whole column batches one block at a time through one set of
+/// buffers — a pending block per type, the compressor, the block — so
+/// that encoding allocates only while a batch is larger than any before.
+#[derive(Debug, Default)]
+pub struct ColumnEncoder {
+    pending: Vec<(DataType, PendingBlock)>,
+    compressor: Compressor,
+    block: Vec<u8>,
+    whole: Vec<(u32, u32)>,
+}
+
+impl ColumnEncoder {
+    /// `column` as one column block, borrowed until the next call.
+    pub fn encode(&mut self, column: &ColumnVec, compression: Compression) -> &[u8] {
+        let n = column.len();
+        if self.whole.len() < n {
+            self.whole = whole_batch(n);
+        }
+        let dtype = column.data_type();
+        let at = self.pending.iter().position(|(held, _)| *held == dtype).unwrap_or_else(|| {
+            self.pending.push((dtype, PendingBlock::new(dtype)));
+            self.pending.len() - 1
+        });
+        let pending = &mut self.pending[at].1;
+        pending.gather(&[std::slice::from_ref(column)], 0, &self.whole[..n], &mut ());
+        self.block.clear();
+        pending.encode_into(compression, &mut self.compressor, &mut self.block);
+        &self.block
+    }
 }
 
 /// Splits a column block of `n` rows of `dtype` into its null bitset
@@ -372,6 +384,21 @@ mod tests {
     use super::*;
     use logstore_codec::compress;
     use proptest::prelude::*;
+
+    /// Encodes `values` as one column block: the reference the builder's
+    /// blocks are held to. A value that is not of `dtype` (or NULL) is
+    /// `InvalidArgument`.
+    fn encode_block(
+        dtype: DataType,
+        values: &[Value],
+        compression: Compression,
+    ) -> Result<Vec<u8>> {
+        let mut column = ColumnVec::empty(dtype);
+        if !values.iter().all(|v| column.push_exact(v.cell())) {
+            return Err(Error::invalid(format!("a value that is not {dtype} in a {dtype} column")));
+        }
+        Ok(ColumnEncoder::default().encode(&column, compression).to_vec())
+    }
 
     fn roundtrip(dtype: DataType, values: Vec<Value>) {
         // One ColumnVec across codecs/types exercises buffer reuse.
@@ -612,10 +639,9 @@ mod tests {
             let mut column = ColumnVec::empty(dtype);
             values.iter().for_each(|v| assert!(column.push_exact(v.cell())));
             let want = encode_block(dtype, &values, compression).unwrap();
+            let mut encoder = ColumnEncoder::default();
             for column in [junk_in_null_slots(&column), column] {
-                let mut got = vec![0xa5];
-                encode_column_into(&column, compression, &mut got);
-                prop_assert_eq!(&got[1..], &want[..]);
+                prop_assert_eq!(encoder.encode(&column, compression), &want[..]);
             }
         }
     }

@@ -183,6 +183,12 @@ impl Run {
         &self.columns[col]
     }
 
+    /// Every column, in schema order: the run as one batch of the
+    /// LogBlock builder's input.
+    pub fn columns(&self) -> &[ColumnVec] {
+        &self.columns
+    }
+
     /// The rows as records, in arrival order: a copy, for tests and tools.
     pub fn records(&self) -> Vec<LogRecord> {
         (0..self.len).map(|row| self.record(row)).collect()

@@ -83,7 +83,7 @@ use crate::rowstore::{partition_runs, Drained, RowSnapshot, RowStore, Run, RUN_R
 use logstore_codec::crc::crc32c;
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_codec::Compression;
-use logstore_logblock::column::{decode_block_into, encode_column_into};
+use logstore_logblock::column::{decode_block_into, ColumnEncoder};
 use logstore_sync::{sync_point, OrderedCondvar, OrderedMutex};
 use logstore_types::{ColumnVec, Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
 use std::any::Any;
@@ -200,16 +200,16 @@ impl Typing {
     fn put_runs<'a>(&self, out: &mut Vec<u8>, runs: impl Iterator<Item = &'a Run> + Clone) {
         out.extend_from_slice(&self.fingerprint);
         put_uvarint(out, runs.clone().count() as u64);
-        let mut block = Vec::new();
-        for run in runs {
-            put_uvarint(out, run.len() as u64);
-            for col in 0..run.width() {
-                block.clear();
-                encode_column_into(run.column(col), Compression::None, &mut block);
-                put_uvarint(out, block.len() as u64);
-                out.extend_from_slice(&block);
+        ENCODER.with_borrow_mut(|encoder| {
+            for run in runs {
+                put_uvarint(out, run.len() as u64);
+                for column in run.columns() {
+                    let block = encoder.encode(column, Compression::None);
+                    put_uvarint(out, block.len() as u64);
+                    out.extend_from_slice(block);
+                }
             }
-        }
+        })
     }
 
     /// The batch payload of the rows `staged` holds.
@@ -736,6 +736,12 @@ thread_local! {
     /// kept between appends so that staging allocates nothing; typed by the
     /// schema of the shard the thread last appended to.
     static STAGING: RefCell<Option<RowStore>> = const { RefCell::new(None) };
+
+    /// The column encoder this thread's WAL records are encoded through —
+    /// its pending buffers, its scratch and the block it copies into the
+    /// payload kept between records, so that encoding allocates nothing
+    /// once it has seen a run of each size.
+    static ENCODER: RefCell<ColumnEncoder> = RefCell::new(ColumnEncoder::default());
 }
 
 /// Copies the cells of `records` into `staged`, for the payload to be
@@ -1520,18 +1526,16 @@ mod tests {
 
         /// The columns of `rows`, staged as one run.
         fn columns_of(rows: &[LogRecord]) -> Vec<ColumnVec> {
-            let run = Run::from_rows(&schema(), rows);
-            (0..run.width()).map(|col| run.column(col).clone()).collect()
+            Run::from_rows(&schema(), rows).columns().to_vec()
         }
 
         /// A column block of each of `columns`.
         fn blocks(columns: &[ColumnVec]) -> Vec<Vec<u8>> {
-            let block = |column| {
-                let mut block = Vec::new();
-                encode_column_into(column, Compression::None, &mut block);
-                block
-            };
-            columns.iter().map(block).collect()
+            let mut encoder = ColumnEncoder::default();
+            columns
+                .iter()
+                .map(|column| encoder.encode(column, Compression::None).to_vec())
+                .collect()
         }
 
         /// One run's bytes: a row count, then a block of each column.
