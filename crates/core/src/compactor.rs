@@ -25,6 +25,11 @@
 //!    objects ([`CrashPoint::BeforeGcDelete`]), keeping every path whose
 //!    delete fails for the next pass.
 //!
+//! A pass PUTs its merged blocks as a drain does, through the one LogBlock
+//! PUT wave (`databuilder::put_blocks`). A failed build or a lost plan race
+//! stays in its run; a terminal PUT failure ends the pass, as it ends a
+//! drain: the runs not yet fed are never planned and wait for the next.
+//!
 //! The delete is *last* and *retryable by construction*: at every crash
 //! point each object is either live in the map, a pending intent, or a
 //! tombstone — never forgotten. This is the same ordering argument that
@@ -36,15 +41,15 @@
 //! `assert_no_locks_held` guards enforce this): every metadata transaction
 //! completes before the next I/O starts.
 
-use crate::databuilder::{build_logblock, BuildConfig};
+use crate::databuilder::{build_logblock, put_blocks, Block, BuildConfig};
 use crate::hooks::{CrashHooks, CrashPoint};
 use crate::metadata::{LogBlockEntry, MetadataStore};
 use logstore_cache::Prefetcher;
 use logstore_logblock::column::whole_batch;
-use logstore_logblock::{ColumnVec, LogBlockReader};
+use logstore_logblock::{ColumnVec, LogBlockBuilder, LogBlockReader};
 use logstore_obs::{Counter, Histogram, Registry};
 use logstore_oss::{ordered_wave, ObjectStore};
-use logstore_types::{Error, Result, TableSchema, TenantId, TimeRange};
+use logstore_types::{Error, Result, TableSchema, TenantId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,7 +102,8 @@ pub struct CompactionStages {
     pub encode: Duration,
     /// Index dictionaries, metadata and pack.
     pub finish: Duration,
-    /// The merged block's PUT, and its admission to the cache.
+    /// The merged blocks' PUT wave, less its feed's planning and building,
+    /// and their admission to the cache.
     pub upload: Duration,
     /// Swapping the sources for the merged block in the map.
     pub swap: Duration,
@@ -126,6 +132,16 @@ pub struct CompactionRun {
     /// The source entries, in per-tenant path order (adjacent-in-time for
     /// blocks of one shard's drain sequence).
     pub sources: Vec<LogBlockEntry>,
+}
+
+impl CompactionRun {
+    fn source_paths(&self) -> Vec<String> {
+        self.sources.iter().map(|e| e.path.clone()).collect()
+    }
+
+    fn rows(&self) -> u64 {
+        self.sources.iter().map(|e| e.rows).sum()
+    }
 }
 
 /// Selects merge runs: per tenant, sort blocks by path (allocation order —
@@ -164,12 +180,14 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
     runs
 }
 
-/// Executes every planned run through the full protocol, reading each
-/// run's sources from `cache` where it holds them whole and from OSS
-/// otherwise, with up to [`Prefetcher::width`] GETs in flight (one at a
-/// time without a cache). Per-run errors are isolated (one tenant's
-/// failure must not abort another's merge); the first error is returned
-/// after every run was attempted, alongside nothing — the report only
+/// Executes every planned run through the full protocol. The merged
+/// blocks' PUT wave (up to [`Prefetcher::width`] in flight, inline without
+/// a cache) is fed on the calling thread, which plans and builds one run
+/// at a time — the sources read from `cache` where it holds them whole —
+/// while the PUTs before it are in flight. Once the wave has joined, the
+/// caller settles each run in run order (upload, admission, swap), so
+/// every crash point fires on it, in each run's own order. The first
+/// error in run order is returned, alongside nothing — the report only
 /// counts committed work.
 pub fn run_compaction<S: ObjectStore>(
     store: &S,
@@ -181,17 +199,66 @@ pub fn run_compaction<S: ObjectStore>(
     cache: Option<&Prefetcher<S>>,
 ) -> Result<CompactionReport> {
     let mut report = CompactionReport::default();
-    let mut first_error: Option<Error> = None;
     let plan = Instant::now();
+    // Protect the merged paths from the stale-pending sweep until the
+    // last run has settled.
+    let _build_guard = metadata.begin_build();
     let runs = plan_compactions(metadata, config);
-    report.stages.plan = plan.elapsed();
-    for run in runs {
-        let stages = &mut report.stages;
-        match compact_one_run(store, metadata, schema, build, hooks, &run, cache, stages) {
+    let stages = &mut report.stages;
+    stages.plan = plan.elapsed();
+    // Per fed run, once built: its merged path and whether a source was a
+    // cache hit (the merged block then inherits residency).
+    let mut built: Vec<Option<(String, bool)>> = Vec::with_capacity(runs.len());
+    let mut feeding = Duration::ZERO;
+    let feed = runs.iter().map(|run| {
+        let fed = Instant::now();
+        let merged_path = metadata.begin_compaction(run.tenant, &run.source_paths());
+        stages.plan += fed.elapsed();
+        let merged = merged_path.and_then(|path| {
+            hooks.reached(CrashPoint::CompactPlanned);
+            // Nothing provably on OSS under the merged path; tombstone it
+            // so GC cleans up whatever half-state a real store might hold.
+            build_merged_block(store, schema, build, run, &path, cache, stages)
+                .inspect_err(|_| metadata.abort_compaction(&path))
+        });
+        built.push(merged.as_ref().ok().map(|((entry, _), hit)| (entry.path.clone(), *hit)));
+        feeding += fed.elapsed();
+        merged.map(|(block, _)| block)
+    });
+    let mut wave = Duration::ZERO;
+    let uploads = put_blocks(feed, store, cache, &mut wave);
+    stages.upload = wave.saturating_sub(feeding);
+
+    let mut first_error: Option<Error> = None;
+    for ((run, built), upload) in runs.iter().zip(built).zip(uploads) {
+        let settled = upload.and_then(|(entry, bytes)| {
+            let settle = Instant::now();
+            hooks.reached(CrashPoint::CompactUploaded);
+            // PUT → admit → register: a block merged from anything the
+            // cache held stays readable from memory across the swap. Should
+            // the swap lose its race, GC's delete of the object evicts it.
+            if let Some(cache) = cache.filter(|_| built.as_ref().is_some_and(|(_, hit)| *hit)) {
+                cache.admit(&entry.path, &bytes);
+            }
+            let swap = Instant::now();
+            stages.upload += swap - settle;
+            let committed = metadata.commit_compaction(run.tenant, entry, &run.source_paths());
+            stages.swap += swap.elapsed();
+            committed?;
+            hooks.reached(CrashPoint::CompactCommitted);
+            Ok(bytes.len() as u64)
+        });
+        // A failed PUT or a lost swap race (a concurrent expire/compact
+        // unmapped a source): the merged path is tombstoned for GC. The
+        // feed settled a failed plan or build.
+        if let (Err(_), Some((path, _))) = (&settled, &built) {
+            metadata.abort_compaction(path);
+        }
+        match settled {
             Ok(bytes_uploaded) => {
                 report.runs_committed += 1;
                 report.blocks_merged += run.sources.len() as u64;
-                report.rows_rewritten += run.sources.iter().map(|e| e.rows).sum::<u64>();
+                report.rows_rewritten += run.rows();
                 report.bytes_uploaded += bytes_uploaded;
             }
             Err(Error::Stale(_)) => report.runs_lost_races += 1,
@@ -200,112 +267,39 @@ pub fn run_compaction<S: ObjectStore>(
             }
         }
     }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    first_error.map_or(Ok(report), Err)
 }
 
-/// One run through plan→build→upload→swap (tombstoning is part of the
-/// swap transaction; deletion belongs to [`run_gc`]). Returns the merged
-/// block's size; adds the run's time to `stages`.
-#[allow(clippy::too_many_arguments)] // run_compaction's context, threaded through each run
-fn compact_one_run<S: ObjectStore>(
-    store: &S,
-    metadata: &MetadataStore,
-    schema: &TableSchema,
-    build: &BuildConfig,
-    hooks: &dyn CrashHooks,
-    run: &CompactionRun,
-    cache: Option<&Prefetcher<S>>,
-    stages: &mut CompactionStages,
-) -> Result<u64> {
-    let plan = Instant::now();
-    // Protect the merged path from the stale-pending sweep while we build.
-    let _build_guard = metadata.begin_build();
-    let source_paths: Vec<String> = run.sources.iter().map(|e| e.path.clone()).collect();
-    let merged_path = metadata.begin_compaction(run.tenant, &source_paths);
-    stages.plan += plan.elapsed();
-    let merged_path = merged_path?;
-    hooks.reached(CrashPoint::CompactPlanned);
-
-    let merged = build_merged_block(store, schema, build, &run.sources, cache, stages);
-    let (built, range, inherited) = match merged {
-        Ok(merged) => merged,
-        Err(e) => {
-            // Nothing provably on OSS under the merged path; tombstone it
-            // so GC cleans up whatever half-state a real store might hold.
-            metadata.abort_compaction(&merged_path);
-            return Err(e);
-        }
-    };
-    let upload = Instant::now();
-    if let Err(e) = store.put(&merged_path, &built) {
-        metadata.abort_compaction(&merged_path);
-        return Err(e);
-    }
-    hooks.reached(CrashPoint::CompactUploaded);
-    // PUT → admit → register. Residency is inherited: a block merged from
-    // anything the cache held stays readable from memory across the swap,
-    // and a merge of cold history leaves the cache alone. Should the swap
-    // below lose its race, the admitted path is tombstoned and the GC pass
-    // that deletes the object evicts it.
-    if let Some(cache) = cache.filter(|_| inherited) {
-        cache.admit(&merged_path, &built);
-    }
-    stages.upload += upload.elapsed();
-
-    // The merged range is the one its own `ts` SMA records; the rows are
-    // the sources', concatenated.
-    let entry = LogBlockEntry {
-        path: merged_path.clone(),
-        min_ts: range.start,
-        max_ts: range.end,
-        rows: run.sources.iter().map(|e| e.rows).sum(),
-        bytes: built.len() as u64,
-    };
-    let swap = Instant::now();
-    let committed = metadata.commit_compaction(run.tenant, entry, &source_paths);
-    stages.swap += swap.elapsed();
-    if let Err(e) = committed {
-        // A concurrent expire/compact unmapped a source. The merged upload
-        // is now garbage: tombstone it and let GC delete it.
-        metadata.abort_compaction(&merged_path);
-        return Err(e);
-    }
-    hooks.reached(CrashPoint::CompactCommitted);
-    Ok(built.len() as u64)
-}
-
-/// Reads every source block and rebuilds one merged block; beside it, the
-/// time range its `ts` SMA records and whether any source came from the
-/// cache. A source the memory tier holds
-/// whole is taken from there — without a hit counted or a block refreshed
-/// ([`Prefetcher::resident`]: the sources are about to die, and the hit
-/// counters keep meaning queries). The rest are fetched whole as one
-/// [`ordered_wave`] (one GET round per [`Prefetcher::width`] sources
-/// instead of one per source) and put nothing in the cache. All are consumed in run order
-/// (per-tenant path order) — the same order a query's scatter visits the
-/// originals — so a scan of the merged block is bit-identical to scanning
-/// the sources in sequence, at any width and any residency.
+/// Reads every source block of `run` and rebuilds one merged block under
+/// `path` (its range the one its `ts` SMA records, its rows the sources'),
+/// beside whether any source came from the cache. A source the memory tier
+/// holds whole is taken from there — without a hit counted or a block
+/// refreshed ([`Prefetcher::resident`]: the sources are about to die, and
+/// the hit counters keep meaning queries). The rest are fetched whole as
+/// one [`ordered_wave`] (one GET round per [`Prefetcher::width`] sources)
+/// and put nothing in the cache. All are consumed in run order — the order
+/// a query's scatter visits the originals — so a scan of the merged block
+/// is bit-identical to scanning the sources in sequence, at any width and
+/// any residency.
 ///
 /// The merge is built like a drain's chunk ([`build_logblock`]): each
 /// source is decoded one column block at a time — block `i` of every
 /// column into one reused batch per column — and the batches are added
-/// whole, so a merge holds one block of one source decoded, never a run of
-/// them. The builder's batch check keeps a source with a NULL in a NOT NULL
-/// column out of the merge. The builder recomputes SMA /
-/// inverted / BKD indexes from scratch. Adds the fetch and build stages to
-/// `stages`.
+/// whole, so a merge holds one block of one source decoded. The builder's
+/// batch check keeps a source with a NULL in a NOT NULL column out of the
+/// merge; SMA / inverted / BKD indexes are rebuilt from scratch. Adds the
+/// fetch and build stages to `stages`.
 fn build_merged_block<S: ObjectStore>(
     store: &S,
     schema: &TableSchema,
     build: &BuildConfig,
-    sources: &[LogBlockEntry],
+    run: &CompactionRun,
+    path: &str,
     cache: Option<&Prefetcher<S>>,
     stages: &mut CompactionStages,
-) -> Result<(Vec<u8>, TimeRange, bool)> {
+) -> Result<(Block, bool)> {
     let fetch = Instant::now();
+    let sources = &run.sources;
     let resident: Vec<Option<Vec<u8>>> = sources
         .iter()
         .map(|source| cache.and_then(|c| c.resident(&source.path, source.bytes)))
@@ -319,7 +313,7 @@ fn build_merged_block<S: ObjectStore>(
     let start = Instant::now();
     let mut decode = Duration::ZERO;
     let mut batches = vec![ColumnVec::default(); schema.width()];
-    let built = build_logblock(schema.clone(), build, |builder| {
+    let fill = |builder: &mut LogBlockBuilder| {
         for hit in resident {
             // One fetched object per miss, in the same order.
             let bytes = match hit {
@@ -347,13 +341,13 @@ fn build_merged_block<S: ObjectStore>(
             }
         }
         Ok(())
-    });
-    let (bytes, range, times) = built?;
+    };
+    let (block, times) = build_logblock(schema.clone(), build, run.rows(), || path.into(), fill)?;
     stages.decode += decode;
     stages.encode += times.encode;
     stages.finish += times.finish;
     stages.add += start.elapsed().saturating_sub(decode + times.encode + times.finish);
-    Ok((bytes, range, inherited))
+    Ok((block, inherited))
 }
 
 /// The GC pass: sweeps orphaned pending paths (no build in flight ⇒ their
@@ -602,46 +596,153 @@ mod tests {
         }
     }
 
+    /// Puts and registers tenant `t`'s source block number `source`: ten
+    /// rows, `ts` from `source * 100`. A `forged` one has a NULL in its
+    /// first row's `tenant_id` (`null_in_tenant_id`).
+    fn put_source<S: ObjectStore>(
+        store: &S,
+        m: &MetadataStore,
+        t: TenantId,
+        source: i64,
+        forged: bool,
+    ) {
+        let schema = TableSchema::request_log();
+        let mut b = LogBlockBuilder::with_options(schema, build().compression, 64);
+        let ts = |i: i64| source * 100 + i;
+        for i in 0..10 {
+            let log = Value::from(format!("line {}", ts(i)));
+            let row = [Value::U64(t.raw()), Value::I64(ts(i)), Value::from("ip")];
+            let rest = [Value::from("/p"), Value::I64(i), Value::Bool(false), log];
+            b.add_row(&[row.as_slice(), &rest].concat()).unwrap();
+        }
+        let bytes = b.finish().unwrap();
+        let bytes = if forged { null_in_tenant_id(bytes) } else { bytes };
+        let reader = LogBlockReader::open(bytes.clone()).unwrap();
+        let mut tenant = ColumnVec::default();
+        reader.read_block_vec(0, 0, &mut tenant).unwrap();
+        assert_eq!(tenant.has_nulls(), forged, "the forged source decodes, its NULL in it");
+        let path = m.allocate_block_path(t);
+        store.put(&path, &bytes).unwrap();
+        let bytes = bytes.len() as u64;
+        let entry = LogBlockEntry {
+            path,
+            min_ts: Timestamp(ts(0)),
+            max_ts: Timestamp(ts(9)),
+            rows: 10,
+            bytes,
+        };
+        m.register_block(t, entry).unwrap();
+    }
+
+    /// The `ts` of every row in tenant `t`'s mapped blocks, sorted.
+    fn mapped_ts<S: ObjectStore>(store: &S, m: &MetadataStore, t: TenantId) -> Vec<i64> {
+        let mut ts = Vec::new();
+        for entry in m.all_blocks(t) {
+            let reader = LogBlockReader::open(store.get(&entry.path).unwrap()).unwrap();
+            let ids: Vec<u32> = (0..reader.row_count()).collect();
+            for row in reader.read_rows(&ids, &[1]).unwrap() {
+                let Value::I64(v) = row[0] else { panic!("ts is an I64: {row:?}") };
+                ts.push(v);
+            }
+        }
+        ts.sort_unstable();
+        ts
+    }
+
+    fn merge_all() -> CompactionConfig {
+        CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 }
+    }
+
     #[test]
     fn a_source_with_a_null_in_a_not_null_column_merges_nothing() {
         let schema = TableSchema::request_log();
         let store = MemoryStore::new();
         let m = MetadataStore::new();
         let t = TenantId(3);
-        for (source, forged) in [(0i64, false), (1, true)] {
-            let mut b = LogBlockBuilder::with_options(schema.clone(), build().compression, 64);
-            let ts = |i: i64| source * 100 + i;
-            for i in 0..10 {
-                let log = Value::from(format!("line {}", ts(i)));
-                let row = [Value::U64(t.raw()), Value::I64(ts(i)), Value::from("ip")];
-                let rest = [Value::from("/p"), Value::I64(i), Value::Bool(false), log];
-                b.add_row(&[row.as_slice(), &rest].concat()).unwrap();
-            }
-            let bytes = b.finish().unwrap();
-            let bytes = if forged { null_in_tenant_id(bytes) } else { bytes };
-            let reader = LogBlockReader::open(bytes.clone()).unwrap();
-            let mut tenant = ColumnVec::default();
-            reader.read_block_vec(0, 0, &mut tenant).unwrap();
-            assert_eq!(tenant.has_nulls(), forged, "the forged source decodes, its NULL in it");
-            let path = m.allocate_block_path(t);
-            store.put(&path, &bytes).unwrap();
-            let bytes = bytes.len() as u64;
-            let entry = LogBlockEntry {
-                path,
-                min_ts: Timestamp(ts(0)),
-                max_ts: Timestamp(ts(9)),
-                rows: 10,
-                bytes,
-            };
-            m.register_block(t, entry).unwrap();
-        }
+        put_source(&store, &m, t, 0, false);
+        put_source(&store, &m, t, 1, true);
         let before = m.all_blocks(t);
-        let config = CompactionConfig { small_block_rows: 100, min_run: 2, max_merged_rows: 100 };
-        let compacted = run_compaction(&store, &m, &schema, &build(), &config, &NoopHooks, None);
+        let compacted =
+            run_compaction(&store, &m, &schema, &build(), &merge_all(), &NoopHooks, None);
         assert!(matches!(compacted, Err(Error::InvalidArgument(_))), "{compacted:?}");
         assert_eq!(m.all_blocks(t), before, "the sources stay the live blocks");
         assert_eq!(store.object_count(), 2, "no merged block was uploaded");
         assert!(m.pending_paths().is_empty());
+    }
+
+    /// One pass over three tenants' runs, A, B and C, one merge each. A
+    /// failed build stays in its run; a failed PUT ends the pass, and what
+    /// it left is settled (committed, or sources live) and collected.
+    #[test]
+    fn a_failed_build_stays_in_its_run_and_a_failed_put_ends_the_pass() {
+        let schema = TableSchema::request_log();
+        let [a, b, c] = [TenantId(1), TenantId(2), TenantId(3)];
+        // Two sources per tenant; `forged` gives the named tenant's second
+        // source a NULL in a NOT NULL column.
+        let setup = |forged: Option<TenantId>| {
+            let store = Arc::new(FaultyStore::new(MemoryStore::new(), FaultScope::Writes, 0.0, 7));
+            let m = MetadataStore::new();
+            for t in [a, b, c] {
+                put_source(store.as_ref(), &m, t, 0, false);
+                put_source(store.as_ref(), &m, t, 1, forged == Some(t));
+            }
+            (store, m)
+        };
+        let rows: Vec<i64> = (0..10).chain(100..110).collect();
+        for width in [1, 8] {
+            let compact = |store: &Arc<FaultyStore<MemoryStore>>, m: &MetadataStore| {
+                let wave = prefetcher(store, width);
+                let cache = (width > 1).then_some(&wave);
+                run_compaction(
+                    store.as_ref(),
+                    m,
+                    &schema,
+                    &build(),
+                    &merge_all(),
+                    &NoopHooks,
+                    cache,
+                )
+            };
+
+            // Build failure: B's batch check refuses a source.
+            let (store, m) = setup(Some(b));
+            let b_sources = m.all_blocks(b);
+            let compacted = compact(&store, &m);
+            assert!(matches!(compacted, Err(Error::InvalidArgument(_))), "{width}: {compacted:?}");
+            assert_eq!(m.all_blocks(b), b_sources, "width {width}: B's sources stay live");
+            for t in [a, c] {
+                assert_eq!(m.all_blocks(t).len(), 1, "width {width}: {t:?} committed");
+                assert_eq!(mapped_ts(store.as_ref(), &m, t), rows);
+            }
+            assert!(m.pending_paths().is_empty());
+
+            // PUT failure: the first merged PUT of the pass fails.
+            let (store, m) = setup(None);
+            let sources: Vec<_> = [a, b, c].map(|t| m.all_blocks(t)).into();
+            store.fail_next(1);
+            assert!(compact(&store, &m).is_err(), "width {width}: the PUT error is returned");
+            if width == 1 {
+                // A's PUT was the first: B and C were never planned.
+                assert_eq!([a, b, c].map(|t| m.all_blocks(t)).to_vec(), sources);
+                assert!(m.pending_paths().is_empty(), "no path planned after A's");
+                let tombstones = m.tombstones();
+                assert_eq!(tombstones.len(), 1, "A's merged path: {tombstones:?}");
+                assert!(sources.iter().flatten().all(|e| e.path != tombstones[0]));
+                let report = compact(&store, &m).unwrap();
+                assert_eq!(report.runs_committed, 3, "the next pass merges all three");
+            } else {
+                // Which PUT failed is up to the wave's scheduling.
+                for (t, before) in [a, b, c].into_iter().zip(&sources) {
+                    let now = m.all_blocks(t);
+                    assert!(now == *before || now.len() == 1, "width {width}, {t:?}: {now:?}");
+                }
+            }
+            run_gc(store.as_ref(), &m, None, &NoopHooks);
+            assert!(m.pending_paths().is_empty(), "width {width}");
+            for t in [a, b, c] {
+                assert_eq!(mapped_ts(store.as_ref(), &m, t), rows, "width {width}, {t:?}");
+            }
+        }
     }
 
     #[test]

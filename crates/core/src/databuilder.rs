@@ -37,7 +37,7 @@ use logstore_codec::Compression;
 use logstore_logblock::{BuildTimes, ColumnVec, LogBlockBuilder};
 use logstore_obs::{Counter, Histogram, Registry};
 use logstore_oss::{ordered_wave, ObjectStore};
-use logstore_types::{Error, LogRecord, Result, TableSchema, TenantId, TimeRange};
+use logstore_types::{Error, LogRecord, Result, TableSchema, TenantId};
 use logstore_wal::{partition_runs, Drained, RunChunk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -156,8 +156,7 @@ pub fn build_and_upload<S: ObjectStore>(
 /// **lowest failed index** — out-of-order completion cannot widen it,
 /// because a chunk's own success is never enough to register it. Every
 /// chunk from that index on comes back in [`BuildOutcome::unarchived`], in
-/// chunk order; the wave stops feeding PUTs as soon as it observes a
-/// failure.
+/// chunk order.
 ///
 /// Registration is atomic: a single [`MetadataStore::commit_drain`]
 /// registers the durable prefix and, with a [`DrainId`], records how many
@@ -184,7 +183,7 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     let mut outcome = BuildOutcome::default();
     let chunks = partition(drained, config, &mut outcome.stages);
     let blocks = build_blocks(&chunks, drained, schema, config, metadata, &mut outcome.stages);
-    let uploads = put_blocks(blocks, store, cache, &mut outcome.stages);
+    let uploads = put_blocks(blocks, store, cache, &mut outcome.stages.upload);
     let entries = admit_prefix(uploads, cache, &mut outcome);
     commit_prefix(entries, &chunks, drained, config, metadata, drain, &mut outcome);
     outcome
@@ -222,19 +221,12 @@ pub(crate) fn build_blocks(
     let runs: Vec<&[ColumnVec]> = drained.runs().iter().map(|run| run.columns()).collect();
     for chunk in chunks {
         let start = Instant::now();
-        let built =
-            build_logblock(Arc::clone(schema), config, |builder| builder.add(&runs, &chunk.rows));
-        let times = built.as_ref().map_or(BuildTimes::default(), |(_, _, times)| *times);
-        let block = built.map(|(bytes, range, _)| {
-            let entry = LogBlockEntry {
-                path: metadata.allocate_block_path(chunk.tenant),
-                min_ts: range.start,
-                max_ts: range.end,
-                rows: chunk.rows.len() as u64,
-                bytes: bytes.len() as u64,
-            };
-            (entry, bytes)
-        });
+        let rows = chunk.rows.len() as u64;
+        let path = || metadata.allocate_block_path(chunk.tenant);
+        let fill = |builder: &mut LogBlockBuilder| builder.add(&runs, &chunk.rows);
+        let built = build_logblock(Arc::clone(schema), config, rows, path, fill);
+        let times = built.as_ref().map_or(BuildTimes::default(), |(_, times)| *times);
+        let block = built.map(|(block, _)| block);
         stages.encode += times.encode;
         stages.finish += times.finish;
         stages.add += start.elapsed().saturating_sub(times.encode + times.finish);
@@ -247,36 +239,36 @@ pub(crate) fn build_blocks(
     blocks
 }
 
-/// PUTs `blocks` as one [`ordered_wave`] — up to [`Prefetcher::width`] in
-/// flight under an engine, one at a time inline without one — and returns
-/// the results in chunk order. The first failure stops the feed. The
-/// wave's wall time is the upload stage.
+/// The engine's one LogBlock PUT wave: an [`ordered_wave`] of `feed`'s
+/// blocks — up to [`Prefetcher::width`] in flight under an engine, inline
+/// without one — whose results come back in feed order; `upload` is set to
+/// its wall time. The feed is pulled on the calling thread: a drain's
+/// built chunks, or a compaction that plans and builds as it is pulled.
+/// The first failed PUT stops the feed; an `Err` item of the feed itself
+/// (a failed build, a lost plan race) passes through and stops nothing.
 pub(crate) fn put_blocks<S: ObjectStore>(
-    blocks: Vec<Result<Block>>,
+    feed: impl IntoIterator<Item = Result<Block>>,
     store: &S,
     cache: Option<&Prefetcher<S>>,
-    stages: &mut BuildStages,
+    upload: &mut Duration,
 ) -> Vec<Result<Block>> {
     let width = cache.map_or(1, Prefetcher::width);
     let wave = Instant::now();
     let failed = AtomicBool::new(false);
-    let feed = blocks.into_iter();
-    let blocks = feed.map_while(|block| (!failed.load(Ordering::SeqCst)).then_some(block));
+    let mut feed = feed.into_iter();
+    // Checked before each pull; the range keeps a one-block wave inline.
+    let bound = feed.size_hint().1.unwrap_or(usize::MAX);
+    let blocks = (0..bound).map_while(|_| (!failed.load(Ordering::SeqCst)).then(|| feed.next())?);
     let uploads = ordered_wave(width, blocks, |_, block: Result<Block>| {
+        let (entry, bytes) = block?;
         // The durability order is load-bearing: the object must exist on
         // OSS before it is registered (a registered-but-missing block
         // would fail queries; an uploaded-but-unregistered block merely
         // wastes space until GC deletes it).
-        let uploaded = block.and_then(|(entry, bytes)| {
-            store.put(&entry.path, &bytes)?;
-            Ok((entry, bytes))
-        });
-        if uploaded.is_err() {
-            failed.store(true, Ordering::SeqCst);
-        }
-        uploaded
+        store.put(&entry.path, &bytes).inspect_err(|_| failed.store(true, Ordering::SeqCst))?;
+        Ok((entry, bytes))
     });
-    stages.upload = wave.elapsed();
+    *upload = wave.elapsed();
     uploads
 }
 
@@ -346,23 +338,28 @@ pub(crate) fn commit_prefix(
     }
 }
 
-/// Builds one LogBlock at `config`'s codec and block size from what `fill`
-/// adds to the builder ([`LogBlockBuilder::add`]), and returns its pack
-/// bytes, the time range its `ts` SMA records and the builder's own times.
-/// Every LogBlock the engine writes is built here: a drain's chunk
-/// ([`build_blocks`]) and a compaction's merge. Allocates no path: a
-/// chunk's comes from [`MetadataStore::allocate_block_path`], a merged
-/// block's from [`MetadataStore::begin_compaction`].
+/// Builds one LogBlock of `rows` rows at `config`'s codec and block size
+/// from what `fill` adds to the builder ([`LogBlockBuilder::add`]), and
+/// returns it — its entry's range the one its `ts` SMA records — beside
+/// the builder's own times. Every LogBlock the engine writes is built
+/// here: a drain's chunk ([`build_blocks`]) and a compaction's merge.
+/// `path` is asked for once the build succeeded: a chunk's comes from
+/// [`MetadataStore::allocate_block_path`], a merged block's from
+/// [`MetadataStore::begin_compaction`].
 pub(crate) fn build_logblock(
     schema: impl Into<Arc<TableSchema>>,
     config: &BuildConfig,
+    rows: u64,
+    path: impl FnOnce() -> String,
     fill: impl FnOnce(&mut LogBlockBuilder) -> Result<()>,
-) -> Result<(Vec<u8>, TimeRange, BuildTimes)> {
+) -> Result<(Block, BuildTimes)> {
     let mut builder = LogBlockBuilder::with_options(schema, config.compression, config.block_rows);
     fill(&mut builder)?;
     let (bytes, range, times) = builder.finish_timed()?;
     let range = range.ok_or_else(|| Error::invalid("a LogBlock with no ts range"))?;
-    Ok((bytes, range, times))
+    let (min_ts, max_ts, size) = (range.start, range.end, bytes.len() as u64);
+    let entry = LogBlockEntry { path: path(), min_ts, max_ts, rows, bytes: size };
+    Ok(((entry, bytes), times))
 }
 
 /// The engine's archive stage timers, one histogram per stage of

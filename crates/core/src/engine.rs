@@ -769,7 +769,8 @@ impl Archiver {
         let Taken { shard, lsn, drained, chunks, blocks, build, mut outcome } = taken;
         let (shared, store) = (&self.shared, worker.store(shard)?);
         let prefetcher = Some(&shared.prefetcher);
-        let uploads = put_blocks(blocks, shared.store.as_ref(), prefetcher, &mut outcome.stages);
+        let upload = &mut outcome.stages.upload;
+        let uploads = put_blocks(blocks, shared.store.as_ref(), prefetcher, upload);
         let entries = admit_prefix(uploads, prefetcher, &mut outcome);
         let drain = lsn.map(|lsn| DrainId { shard, lsn });
         let complete = store.settle(|| {

@@ -26,6 +26,8 @@ use std::sync::Arc;
 /// and for one compaction:
 /// plan (`CompactPlanned`) → upload (`CompactUploaded`) →
 /// swap+tombstone (`CompactCommitted`) → GC delete (`BeforeGcDelete`).
+/// A pass settles its runs after its PUT wave, so a crash at one run's
+/// point can leave later runs uploaded but uncommitted, which GC sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CrashPoint {
     /// An ingest batch is durable in the WAL and applied to the row store,

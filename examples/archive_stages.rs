@@ -19,9 +19,12 @@
 //! `compact()`, which merges every tenant's LogBlocks (all under the
 //! engine's small-block cut), and prints its stages (plan, fetch, decode,
 //! build `add` / `encode` / `finish`, upload, swap) per rewritten row next
-//! to `compact()`'s wall time. With a minimum coverage, the run fails when
-//! the flush stages or the compaction stages sum to less than that share
-//! of their wall time.
+//! to `compact()`'s wall time. The merged blocks are PUT as one wave, as a
+//! drain's are: each run is planned and built while the PUTs before it are
+//! in flight, so `upload` is the wave's wall time beyond that work — about
+//! one PUT round per pass, not one per run. With a minimum coverage, the
+//! run fails when the flush stages or the compaction stages sum to less
+//! than that share of their wall time.
 
 use logstore::core::{ClusterConfig, LogStore};
 use logstore::oss::LatencyModel;

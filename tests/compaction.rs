@@ -4,10 +4,14 @@
 //! LogBlocks, and the query-vs-expire race surfacing as a clean retry
 //! instead of a raw OSS `NotFound`.
 
-use logstore::core::{ClusterConfig, CrashHooks, CrashPoint, LogStore, OpenParts, QueryOptions};
+use logstore::core::{
+    ClusterConfig, CrashHooks, CrashPoint, LogStore, OpenParts, QueryOptions, SimCrash,
+};
+use logstore::oss::LatencyModel;
 use logstore::oss::ObjectStore;
 use logstore::types::{LogRecord, TenantId, Timestamp, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 fn rec(t: u64, ts: i64, msg: &str) -> LogRecord {
@@ -473,8 +477,9 @@ fn open_querying_at(
 /// A block is never visible before it is cached. The map names a merged
 /// block from `commit_compaction` on and a drained block from
 /// `commit_drain` on; a query issued at the very next crash point — the
-/// first run of a two-run pass has committed, the second has not started;
-/// the drain is registered, not yet acked — must find header and bytes in
+/// first run of a two-run pass has committed, the second may be uploaded
+/// but is not swapped in yet; the drain is registered, not yet acked —
+/// must find header and bytes in
 /// memory. (Handles used to be inserted after the whole pass, or the whole
 /// drain, had returned: such a query opened the header itself and then
 /// fetched the data, two serial rounds.)
@@ -530,4 +535,60 @@ fn a_lost_race_leaves_the_merged_block_cached_only_until_gc() {
     assert!(cache.handle(aborted[0]).is_none());
     assert_eq!(cache.evict_object(aborted[0]), 0, "no block of it is left either");
     assert_eq!(count(&s, 1), 0);
+}
+
+/// A crash inside a pass whose merged blocks are PUT as one wave. The
+/// engine crashes at the *second* run's plan, upload or swap, with the
+/// PUTs of the runs beside it in flight or done, and the same engine then
+/// collects and compacts again: every row counts once, nothing is left
+/// pending, and OSS holds only what the map names or the tombstone list
+/// will delete. (A crash at one run's point can leave later runs uploaded
+/// but uncommitted; the GC pass sweeps them.)
+#[test]
+fn a_crash_inside_a_multi_run_pass_loses_and_leaks_nothing() {
+    let mut config = ClusterConfig::for_testing();
+    config.prefetch_threads = 8;
+    config.oss_latency = LatencyModel::oss_like().with_time_scale(0.1);
+    let tenants = [1u64, 2, 3, 4];
+    // The merged paths the crash leaves pending: at the second run's plan,
+    // the first run's and its own; at its upload, its own and the two later
+    // runs' (the wave was fed every run before the first settled); at its
+    // swap, the two later runs'.
+    let pending = [
+        (CrashPoint::CompactPlanned, 2),
+        (CrashPoint::CompactUploaded, 3),
+        (CrashPoint::CompactCommitted, 2),
+    ];
+    for (point, orphans) in pending {
+        let reached = AtomicU64::new(0);
+        let s = open_with_hook(config.clone(), point, move |_| {
+            if reached.fetch_add(1, Ordering::SeqCst) == 1 {
+                std::panic::panic_any(SimCrash(point));
+            }
+        });
+        for t in tenants {
+            small_blocks(&s, t, 3);
+        }
+        let crashed = catch_unwind(AssertUnwindSafe(|| s.compact())).expect_err("no crash");
+        let at = crashed.downcast_ref::<SimCrash>().map(|crash| crash.0);
+        assert_eq!(at, Some(point), "the injected crash, not another panic");
+
+        assert_eq!(s.gc().orphans_swept, orphans, "{point:?}");
+        s.compact().unwrap();
+        let metadata = &s.shared().metadata;
+        for t in tenants {
+            assert_eq!(count(&s, t), 90, "{point:?}: tenant {t}");
+            assert_eq!(metadata.all_blocks(TenantId(t)).len(), 1, "{point:?}: tenant {t}");
+        }
+        assert!(metadata.pending_paths().is_empty(), "{point:?}");
+        let known: Vec<String> = tenants
+            .iter()
+            .flat_map(|&t| metadata.all_blocks(TenantId(t)))
+            .map(|entry| entry.path)
+            .chain(metadata.tombstones())
+            .collect();
+        for path in s.shared().fault_layer().inner().list("tenants/").unwrap() {
+            assert!(known.contains(&path), "{point:?}: {path} is neither mapped nor tombstoned");
+        }
+    }
 }
