@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use logstore_bench::dataset::{drain_rows, DRAIN_ROWS};
 use logstore_index::inverted::memo_slot;
-use logstore_index::{BkdDictReader, BkdWriter, InvertedDictReader, InvertedIndexWriter, TermKind};
+use logstore_index::{
+    BkdDictReader, BkdWriter, InvertedDictReader, InvertedIndexWriter, RowIdSet, TermKind,
+};
 use std::hint::black_box;
 
 const ROWS: u32 = 100_000;
@@ -15,7 +17,7 @@ fn inverted() -> (InvertedDictReader, Vec<u8>) {
     for i in 0..ROWS {
         w.add(i, format!("GET /api/v1/endpoint{} status={}", i % 500, 200 + i % 5));
     }
-    let (dict, postings) = w.finish_split();
+    let (dict, postings) = w.finish_split(ROWS);
     (InvertedDictReader::open(&dict).unwrap(), postings)
 }
 
@@ -28,22 +30,20 @@ fn bkd() -> (BkdDictReader, Vec<u8>) {
     (BkdDictReader::open(&fences).unwrap(), leaves)
 }
 
-fn lookup(idx: &(InvertedDictReader, Vec<u8>), kind: TermKind, term: &str) -> Vec<u32> {
+fn lookup(idx: &(InvertedDictReader, Vec<u8>), kind: TermKind, term: &str) -> RowIdSet {
     match idx.0.lookup_range(kind, term) {
         Some((offset, len)) => {
             InvertedDictReader::decode_postings(&idx.1[offset..offset + len], ROWS).unwrap()
         }
-        None => Vec::new(),
+        None => RowIdSet::empty(ROWS),
     }
 }
 
-fn query_range(idx: &(BkdDictReader, Vec<u8>), lo: i64, hi: i64) -> Vec<u32> {
-    let mut out = Vec::new();
+fn query_range(idx: &(BkdDictReader, Vec<u8>), lo: i64, hi: i64) -> RowIdSet {
+    let mut out = RowIdSet::empty(ROWS);
     for (offset, len) in idx.0.leaf_ranges(lo, hi) {
-        idx.0.scan_leaf_bytes(&idx.1[offset..offset + len], lo, hi, ROWS, &mut out).unwrap();
+        idx.0.scan_leaf_bytes(&idx.1[offset..offset + len], lo, hi, &mut out).unwrap();
     }
-    out.sort_unstable();
-    out.dedup();
     out
 }
 
@@ -67,7 +67,7 @@ fn bench_inverted_build(c: &mut Criterion) {
                 writers[1].add(row_id as u32, api);
                 writers[2].add_text(row_id as u32, log);
             }
-            writers.map(InvertedIndexWriter::finish_split)
+            writers.map(|w| w.finish_split(DRAIN_ROWS as u32))
         })
     });
     group.finish();
@@ -113,7 +113,7 @@ fn bench_inverted_build_colliding(c: &mut Criterion) {
             for (row_id, line) in black_box(&lines).iter().enumerate() {
                 writer.add_text(row_id as u32, line);
             }
-            writer.finish_split()
+            writer.finish_split(DRAIN_ROWS as u32)
         })
     });
     group.finish();

@@ -192,17 +192,22 @@ fn wal_segments_are_byte_identical_to_the_parent() {
     assert_fingerprints("wal", &segments, GOLDEN_WAL);
 }
 
+/// Re-recorded, with `GOLDEN_COMPACTED`, as a format change: a numeric
+/// column sorted in its block (a drained chunk's `ts` and its one-tenant
+/// `tenant_id`) carries no BKD tree, and a posting list is delta-varints
+/// or a bitset over the block's rows, whichever is smaller, behind a
+/// `count << 1 | container` head. Column blocks are unchanged.
 const GOLDEN_DRAIN: &[(&str, usize, u32)] = &[
-    ("tenants/1/blk-000000000001.pack", 79128, 2160778358),
-    ("tenants/1/blk-000000000002.pack", 79274, 1055912920),
-    ("tenants/1/blk-000000000003.pack", 75708, 2947609981),
-    ("tenants/2/blk-000000000004.pack", 79976, 334943535),
-    ("tenants/2/blk-000000000005.pack", 39543, 3340079414),
-    ("tenants/3/blk-000000000006.pack", 42670, 557773890),
+    ("tenants/1/blk-000000000001.pack", 61395, 3242110038),
+    ("tenants/1/blk-000000000002.pack", 61488, 204482520),
+    ("tenants/1/blk-000000000003.pack", 58604, 3468213218),
+    ("tenants/2/blk-000000000004.pack", 61798, 4161938097),
+    ("tenants/2/blk-000000000005.pack", 31568, 3947101617),
+    ("tenants/3/blk-000000000006.pack", 33756, 3544415725),
 ];
 const GOLDEN_COMPACTED: &[(&str, usize, u32)] = &[
-    ("tenants/1/blk-000000000007.pack", 207129, 326827125),
-    ("tenants/2/blk-000000000008.pack", 110715, 886711032),
+    ("tenants/1/blk-000000000007.pack", 153015, 460924945),
+    ("tenants/2/blk-000000000008.pack", 84373, 3954618026),
 ];
 /// Re-recorded when segments were named by their first LSN (1, 21, 22) and
 /// a drain intent lost its two seq varints (the intent's LSN names the

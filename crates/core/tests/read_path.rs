@@ -293,10 +293,14 @@ fn a_one_run_query_fetches_inline_on_the_calling_thread() {
     let s = build_store(config(), 3);
     forget_all_but_the_headers(&s);
     // The LogBlock map prunes to the first block; the SMAs leave one `ts`
-    // column block undecided, so the plan is `col.1` alone: one run.
-    let sql = "SELECT ts FROM request_log WHERE tenant_id = 1 AND ts <= 700";
+    // column block undecided, so the plan is `col.1` — inside the header's
+    // cache block, as `ts` is sorted in its block and carries no tree — and
+    // the output's `col.4`: one run.
+    let sql = "SELECT latency FROM request_log WHERE tenant_id = 1 AND ts <= 700";
     let (path, _) = block_paths(&s).remove(0);
-    assert_eq!(runs_of(&raw_handle(&s, &path), &["col.1".to_string()], BLOCK, &[0]), 1);
+    let members = ["col.1".to_string(), "col.4".to_string()];
+    assert_eq!(runs_of(&raw_handle(&s, &path), &members[..1], BLOCK, &[0]), 0);
+    assert_eq!(runs_of(&raw_handle(&s, &path), &members, BLOCK, &[0]), 1);
 
     let gate = Gate::install(&s, &[1]);
     let exec = s.query_with_options(sql, &QueryOptions::default()).unwrap();

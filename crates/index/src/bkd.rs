@@ -16,6 +16,7 @@
 //! leaves: per leaf, varint count, ivarint value deltas, varint row ids
 //! ```
 
+use crate::rowset::RowIdSet;
 use logstore_codec::varint::{put_ivarint, put_uvarint, read_ivarint, read_uvarint};
 use logstore_types::{Error, Result};
 
@@ -40,6 +41,8 @@ pub fn ord_to_u64(v: i64) -> u64 {
 pub struct BkdWriter {
     points: Vec<(i64, u32)>,
     leaf_size: usize,
+    /// No point so far has a smaller value than the one added before it.
+    sorted: bool,
 }
 
 impl Default for BkdWriter {
@@ -57,12 +60,20 @@ impl BkdWriter {
     /// Creates a writer with a custom leaf size (must be > 0).
     pub fn with_leaf_size(leaf_size: usize) -> Self {
         assert!(leaf_size > 0, "leaf size must be positive");
-        BkdWriter { points: Vec::new(), leaf_size }
+        BkdWriter { points: Vec::new(), leaf_size, sorted: true }
     }
 
     /// Adds one point.
     pub fn add(&mut self, value: i64, row_id: u32) {
+        self.sorted &= self.points.last().is_none_or(|&(last, _)| last <= value);
         self.points.push((value, row_id));
+    }
+
+    /// True when the points arrived in non-decreasing value order — for a
+    /// writer fed in row order, a column sorted in its block, which a
+    /// constant column is too.
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
     }
 
     /// Number of points added.
@@ -177,16 +188,9 @@ impl BkdDictReader {
             .collect()
     }
 
-    /// Scans one fetched leaf for values in `[lo, hi]`, appending matching
-    /// row ids.
-    pub fn scan_leaf_bytes(
-        &self,
-        blob: &[u8],
-        lo: i64,
-        hi: i64,
-        max_row: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
+    /// Scans one fetched leaf for values in `[lo, hi]`, adding matching
+    /// row ids to `out`; a row id outside `out`'s universe is corruption.
+    pub fn scan_leaf_bytes(&self, blob: &[u8], lo: i64, hi: i64, out: &mut RowIdSet) -> Result<()> {
         let mut pos = 0;
         let count = read_uvarint(blob, &mut pos)? as usize;
         // A point takes at least two bytes, its value and its row id.
@@ -201,11 +205,11 @@ impl BkdDictReader {
         }
         for &value in &values {
             let id = read_uvarint(blob, &mut pos)?;
-            if id >= u64::from(max_row) {
+            if id >= u64::from(out.universe()) {
                 return Err(Error::corruption("bkd row id out of range"));
             }
             if value >= lo && value <= hi {
-                out.push(id as u32);
+                out.insert(id as u32);
             }
         }
         Ok(())
@@ -227,16 +231,14 @@ mod tests {
     }
 
     impl Tree {
-        /// Sorted, deduplicated row ids of points with `lo <= value <= hi`.
+        /// Sorted row ids of points with `lo <= value <= hi`.
         fn query_range(&self, lo: i64, hi: i64) -> Result<Vec<u32>> {
-            let mut out = Vec::new();
+            let mut out = RowIdSet::empty(self.max_row);
             for (offset, len) in self.dict.leaf_ranges(lo, hi) {
                 let leaf = &self.leaves[offset..offset + len];
-                self.dict.scan_leaf_bytes(leaf, lo, hi, self.max_row, &mut out)?;
+                self.dict.scan_leaf_bytes(leaf, lo, hi, &mut out)?;
             }
-            out.sort_unstable();
-            out.dedup();
-            Ok(out)
+            Ok(out.to_vec())
         }
     }
 
@@ -314,8 +316,19 @@ mod tests {
         let reader = BkdDictReader { n_points: usize::MAX, fences: Vec::new() };
         let mut leaf = Vec::new();
         put_uvarint(&mut leaf, 1 << 40);
-        let scanned = reader.scan_leaf_bytes(&leaf, 0, 1, 10, &mut Vec::new());
+        let scanned = reader.scan_leaf_bytes(&leaf, 0, 1, &mut RowIdSet::empty(10));
         assert!(matches!(scanned, Err(Error::Corruption(_))));
+    }
+
+    #[test]
+    fn sortedness_is_non_decreasing_arrival() {
+        let writer = |values: &[i64]| {
+            let mut w = BkdWriter::new();
+            values.iter().enumerate().for_each(|(row, &v)| w.add(v, row as u32));
+            w.is_sorted()
+        };
+        assert!(writer(&[]) && writer(&[3]) && writer(&[7, 7, 7]) && writer(&[-1, 0, 0, 9]));
+        assert!(!writer(&[1, 2, 1]) && !writer(&[5, 4]));
     }
 
     #[test]
@@ -349,9 +362,9 @@ mod tests {
         assert!(BkdDictReader::open(&padded).is_err());
         // A leaf cut short, or naming a row the block lacks.
         let dict = BkdDictReader::open(&dict).unwrap();
-        let mut out = Vec::new();
-        assert!(dict.scan_leaf_bytes(&leaves[..leaves.len() / 2], 0, 99, 100, &mut out).is_err());
-        assert!(dict.scan_leaf_bytes(&leaves, 0, 99, 50, &mut out).is_err());
+        let half = &leaves[..leaves.len() / 2];
+        assert!(dict.scan_leaf_bytes(half, 0, 99, &mut RowIdSet::empty(100)).is_err());
+        assert!(dict.scan_leaf_bytes(&leaves, 0, 99, &mut RowIdSet::empty(50)).is_err());
     }
 
     proptest! {

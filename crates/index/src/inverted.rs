@@ -17,6 +17,10 @@
 //! postings:   the concatenated posting lists the dictionary points into
 //! ```
 //!
+//! Each posting list is delta-varints or a bitset over the block's rows,
+//! whichever is smaller ([`crate::postings`]), so the writer needs the
+//! block's row count when it finishes.
+//!
 //! The dictionary is parsed eagerly at open (it is small); posting lists are
 //! range-read and decoded on demand.
 //!
@@ -61,6 +65,7 @@
 //! [`finish_split`]: InvertedIndexWriter::finish_split
 
 use crate::postings;
+use crate::rowset::RowIdSet;
 use crate::tokenizer::{clamp_term, token_ranges, MAX_TERM_LEN};
 use logstore_codec::varint::{put_str, put_uvarint, read_str, read_uvarint};
 use logstore_types::{Error, Result};
@@ -289,11 +294,12 @@ impl InvertedIndexWriter {
         self.terms.len()
     }
 
-    /// Serializes the index as two parts: the term dictionary (small, read
-    /// eagerly) and the postings blob (large, range-read per term). Storing
-    /// them as separate pack members lets a lookup on object storage fetch
-    /// the dictionary plus *one* posting list instead of the whole index.
-    pub fn finish_split(self) -> (Vec<u8>, Vec<u8>) {
+    /// Serializes the index of a block of `rows` rows as two parts: the
+    /// term dictionary (small, read eagerly) and the postings blob (large,
+    /// range-read per term). Storing them as separate pack members lets a
+    /// lookup on object storage fetch the dictionary plus *one* posting
+    /// list instead of the whole index.
+    pub fn finish_split(self, rows: u32) -> (Vec<u8>, Vec<u8>) {
         let mut terms = self.terms;
         terms.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         let mut dict = Vec::new();
@@ -301,7 +307,7 @@ impl InvertedIndexWriter {
         put_uvarint(&mut dict, terms.len() as u64);
         for term in &terms {
             let start = blob.len();
-            postings::encode_into(&mut blob, &term.rows);
+            postings::encode_into(&mut blob, &term.rows, rows);
             let (kind, text) = term.key.split_at(1);
             dict.extend_from_slice(kind.as_bytes());
             put_str(&mut dict, text);
@@ -362,9 +368,10 @@ impl InvertedDictReader {
             .map(|i| (self.dict[i].2, self.dict[i].3))
     }
 
-    /// Decodes a posting list fetched from the blob.
-    pub fn decode_postings(bytes: &[u8], max_row: u32) -> Result<Vec<u32>> {
-        postings::decode(bytes, max_row)
+    /// Decodes a posting list fetched from the blob of a block of `rows`
+    /// rows.
+    pub fn decode_postings(bytes: &[u8], rows: u32) -> Result<RowIdSet> {
+        postings::decode(bytes, rows)
     }
 }
 
@@ -385,10 +392,11 @@ mod tests {
     impl Index {
         fn lookup(&self, kind: TermKind, term: &str) -> Result<Vec<u32>> {
             match self.dict.lookup_range(kind, term) {
-                Some((offset, len)) => InvertedDictReader::decode_postings(
+                Some((offset, len)) => Ok(InvertedDictReader::decode_postings(
                     &self.blob[offset..offset + len],
                     self.max_row,
-                ),
+                )?
+                .to_vec()),
                 None => Ok(Vec::new()),
             }
         }
@@ -407,7 +415,7 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             w.add(i as u32, v);
         }
-        let (dict, blob) = w.finish_split();
+        let (dict, blob) = w.finish_split(values.len() as u32);
         let dict = InvertedDictReader::open(&dict).unwrap();
         Index { dict, blob, max_row: values.len() as u32 }
     }
@@ -455,7 +463,7 @@ mod tests {
     fn corrupted_bytes_rejected() {
         let mut w = InvertedIndexWriter::new();
         w.add(0, "hello world");
-        let (dict, blob) = w.finish_split();
+        let (dict, blob) = w.finish_split(100);
         assert!(InvertedDictReader::open(&dict[..dict.len() / 2]).is_err());
         assert!(InvertedDictReader::open(&[]).is_err());
         // The dictionary is a whole pack member: nothing may follow it.
@@ -507,13 +515,13 @@ mod tests {
             }
         }
 
-        fn finish_split(self) -> (Vec<u8>, Vec<u8>) {
+        fn finish_split(self, rows: u32) -> (Vec<u8>, Vec<u8>) {
             let mut dict = Vec::new();
             let mut blob = Vec::new();
             put_uvarint(&mut dict, self.terms.len() as u64);
             for ((kind, term), ids) in &self.terms {
                 let start = blob.len();
-                blob.extend_from_slice(&postings::encode(ids));
+                blob.extend_from_slice(&postings::encode(ids, rows));
                 dict.push(*kind);
                 put_str(&mut dict, term);
                 put_uvarint(&mut dict, start as u64);
@@ -650,7 +658,7 @@ mod tests {
             }
         }
         assert_eq!(new.term_count(), old.terms.len());
-        assert_eq!(new.finish_split(), old.finish_split());
+        assert_eq!(new.finish_split(row), old.finish_split(row));
     }
 
     /// Cells that reach every branch of the writer: arbitrary Unicode
@@ -693,10 +701,11 @@ mod tests {
                 }
             }
             prop_assert_eq!(new.term_count(), old.terms.len());
-            let (dict, blob) = new.finish_split();
+            let rows = cells.len() as u32;
+            let (dict, blob) = new.finish_split(rows);
             // Sorted, nothing trailing: the reader's own checks.
             prop_assert!(InvertedDictReader::open(&dict).is_ok());
-            prop_assert_eq!((dict, blob), old.finish_split());
+            prop_assert_eq!((dict, blob), old.finish_split(rows));
         }
     }
 

@@ -39,6 +39,24 @@ impl RowIdSet {
         s
     }
 
+    /// The set whose words are the little-endian `bytes`: bit `i % 8` of
+    /// byte `i / 8` is row `i`. `None` unless `bytes` is exactly
+    /// `ceil(len / 8)` long and sets no bit at or past `len`.
+    pub fn from_le_bytes(len: u32, bytes: &[u8]) -> Option<Self> {
+        if bytes.len() != len.div_ceil(8) as usize {
+            return None;
+        }
+        let mut s = Self::empty(len);
+        for (word, chunk) in s.words.iter_mut().zip(bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *word = u64::from_le_bytes(le);
+        }
+        let tail = s.words.last().copied();
+        s.trim_tail();
+        (s.words.last().copied() == tail).then_some(s)
+    }
+
     /// The universe size.
     pub fn universe(&self) -> u32 {
         self.len
@@ -267,6 +285,16 @@ mod tests {
     fn universe_mismatch_panics() {
         let mut a = RowIdSet::empty(10);
         a.intersect_with(&RowIdSet::empty(20));
+    }
+
+    #[test]
+    fn le_bytes_are_the_words() {
+        let s = RowIdSet::from_le_bytes(70, &[0b101, 0, 0, 0, 0, 0, 0, 0x80, 0b10_0000]).unwrap();
+        assert_eq!(s.to_vec(), vec![0, 2, 63, 69]);
+        assert!(RowIdSet::from_le_bytes(70, &[0; 8]).is_none(), "a byte short");
+        assert!(RowIdSet::from_le_bytes(70, &[0; 10]).is_none(), "a byte over");
+        assert!(RowIdSet::from_le_bytes(70, &[0, 0, 0, 0, 0, 0, 0, 0, 0x40]).is_none(), "row 70");
+        assert_eq!(RowIdSet::from_le_bytes(0, &[]), Some(RowIdSet::empty(0)));
     }
 
     #[test]

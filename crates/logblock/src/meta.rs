@@ -54,7 +54,9 @@ pub struct ColumnMeta {
     pub compression: Compression,
     /// Column-level SMA (merge of all block SMAs).
     pub sma: Sma,
-    /// Which index the column carries.
+    /// Which index the column carries in this LogBlock: the schema's, or
+    /// `None` where the builder found the index would answer nothing the
+    /// SMAs do not (a numeric column sorted in its block).
     pub index: IndexKind,
     /// Column block headers, in row order.
     pub blocks: Vec<BlockMeta>,
@@ -150,6 +152,9 @@ impl LogBlockMeta {
                 .ok_or_else(|| Error::corruption("bad compression tag"))?;
             let sma = Sma::deserialize(data, &mut pos)?;
             let index = IndexKind::from_tag(next_byte(data, &mut pos)?)
+                .filter(|&index| {
+                    index == IndexKind::None || index == schema.columns[columns.len()].index
+                })
                 .ok_or_else(|| Error::corruption("bad index tag"))?;
             let n_blocks = read_uvarint(data, &mut pos)? as usize;
             if n_blocks > row_count as usize + 1 {

@@ -25,7 +25,7 @@ use crate::meta::{
 use crate::pack::{PackManifest, RangeSource};
 use crate::scan::DecodeStats;
 use logstore_index::inverted::TermKind;
-use logstore_index::{BkdDictReader, InvertedDictReader};
+use logstore_index::{BkdDictReader, InvertedDictReader, RowIdSet};
 use logstore_sync::OrderedMutex;
 use logstore_types::{Cell, ColumnVec, DataType, Error, IndexKind, Result, TableSchema, Value};
 use std::collections::HashMap;
@@ -59,6 +59,17 @@ impl LogBlockHandle {
     pub fn open<S: RangeSource + ?Sized>(source: &S) -> Result<Self> {
         let manifest = PackManifest::read(source)?;
         let meta = LogBlockMeta::deserialize(&manifest.read_member_shared(source, META_MEMBER)?)?;
+        // The planner names index members from the meta alone: every index
+        // the meta names must be in the pack.
+        let indexed = meta.columns.iter().enumerate().filter(|(_, cm)| cm.index != IndexKind::None);
+        for (col, _) in indexed {
+            if [index_member(col), index_data_member(col)]
+                .iter()
+                .any(|m| manifest.entry(m).is_none())
+            {
+                return Err(Error::corruption(format!("column {col}'s index is not in the pack")));
+            }
+        }
         let dicts = OrderedMutex::new("logblock.reader.dicts", HashMap::new());
         Ok(LogBlockHandle { manifest, meta, dicts })
     }
@@ -94,13 +105,15 @@ impl LogBlockHandle {
             .columns
             .get(col)
             .ok_or_else(|| Error::invalid(format!("column {col} out of range")))?;
+        // The block's own index tag, not the schema's: a column sorted in
+        // its block carries none.
+        if cm.index == IndexKind::None {
+            return Err(Error::invalid(format!("column {col} has no index")));
+        }
         let bytes = self.manifest.read_member_shared(source, &index_member(col))?;
         let dict = match cm.index {
-            IndexKind::Inverted | IndexKind::FullText => {
-                CachedDict::Inverted(InvertedDictReader::open(&bytes)?)
-            }
             IndexKind::Bkd => CachedDict::Bkd(BkdDictReader::open(&bytes)?),
-            IndexKind::None => return Err(Error::invalid(format!("column {col} has no index"))),
+            _ => CachedDict::Inverted(InvertedDictReader::open(&bytes)?),
         };
         let dict = Arc::new(dict);
         self.dicts.lock().insert(col, Arc::clone(&dict));
@@ -152,16 +165,16 @@ impl<S: RangeSource> LogBlockReader<S> {
 
     /// Lazy exact-term lookup on a string column's inverted index: reads
     /// the dictionary (cached per reader) and the one posting list.
-    pub fn index_lookup_exact(&self, col: usize, value: &str) -> Result<Vec<u32>> {
+    pub fn index_lookup_exact(&self, col: usize, value: &str) -> Result<RowIdSet> {
         self.inverted_lookup(col, TermKind::Exact, value)
     }
 
     /// Lazy token lookup (full-text CONTAINS).
-    pub fn index_lookup_token(&self, col: usize, token: &str) -> Result<Vec<u32>> {
+    pub fn index_lookup_token(&self, col: usize, token: &str) -> Result<RowIdSet> {
         self.inverted_lookup(col, TermKind::Token, &token.to_ascii_lowercase())
     }
 
-    fn inverted_lookup(&self, col: usize, kind: TermKind, term: &str) -> Result<Vec<u32>> {
+    fn inverted_lookup(&self, col: usize, kind: TermKind, term: &str) -> Result<RowIdSet> {
         let dict = self.dict(col)?;
         let CachedDict::Inverted(dict) = dict.as_ref() else {
             return Err(Error::invalid(format!("column {col} has no inverted index")));
@@ -172,25 +185,23 @@ impl<S: RangeSource> LogBlockReader<S> {
                     self.read_member_range(&index_data_member(col), offset as u64, len as u64)?;
                 InvertedDictReader::decode_postings(&bytes, self.row_count())
             }
-            None => Ok(Vec::new()),
+            None => Ok(RowIdSet::empty(self.row_count())),
         }
     }
 
     /// Lazy BKD range query on a numeric column: reads the fence array
     /// (cached per reader) and only the intersecting leaves.
-    pub fn index_query_range(&self, col: usize, lo: i64, hi: i64) -> Result<Vec<u32>> {
+    pub fn index_query_range(&self, col: usize, lo: i64, hi: i64) -> Result<RowIdSet> {
         let dict = self.dict(col)?;
         let CachedDict::Bkd(dict) = dict.as_ref() else {
             return Err(Error::invalid(format!("column {col} has no bkd index")));
         };
-        let mut out = Vec::new();
+        let mut out = RowIdSet::empty(self.row_count());
         for (offset, len) in dict.leaf_ranges(lo, hi) {
             let bytes =
                 self.read_member_range(&index_data_member(col), offset as u64, len as u64)?;
-            dict.scan_leaf_bytes(&bytes, lo, hi, self.row_count(), &mut out)?;
+            dict.scan_leaf_bytes(&bytes, lo, hi, &mut out)?;
         }
-        out.sort_unstable();
-        out.dedup();
         Ok(out)
     }
 
@@ -392,19 +403,35 @@ mod tests {
         let r = LogBlockReader::open(build_block(50, 8)).unwrap();
         let api_col = r.schema().column_index("api").unwrap();
         let hits = r.index_lookup_exact(api_col, "/api/users").unwrap();
-        assert_eq!(hits, (0..50).filter(|i| i % 2 == 0).collect::<Vec<u32>>());
+        assert_eq!(hits.to_vec(), (0..50).filter(|i| i % 2 == 0).collect::<Vec<u32>>());
         let token_hits = r.index_lookup_token(api_col, "ORDERS").unwrap();
-        assert_eq!(token_hits, (0..50).filter(|i| i % 2 == 1).collect::<Vec<u32>>());
+        assert_eq!(token_hits.to_vec(), (0..50).filter(|i| i % 2 == 1).collect::<Vec<u32>>());
         assert!(r.index_query_range(api_col, 0, 1).is_err(), "api carries no bkd tree");
     }
 
     #[test]
     fn bkd_index_lookup_through_reader() {
+        // `tenant_id` cycles 0, 1, 2: out of order, so it keeps its tree.
         let r = LogBlockReader::open(build_block(50, 8)).unwrap();
+        let tenant_col = r.schema().column_index("tenant_id").unwrap();
+        let one = logstore_index::bkd::u64_to_ord(1);
+        let hits = r.index_query_range(tenant_col, one, one).unwrap();
+        assert_eq!(hits.to_vec(), (0..50).filter(|i| i % 3 == 1).collect::<Vec<u32>>());
+        let tenant = r.index_lookup_exact(tenant_col, "1");
+        assert!(tenant.is_err(), "tenant_id carries no inverted index");
+    }
+
+    #[test]
+    fn a_column_sorted_in_its_block_has_no_tree() {
+        // `ts` ascends: its column blocks' SMAs answer what a tree would.
+        let bytes = build_block(50, 8);
+        let r = LogBlockReader::open(bytes).unwrap();
         let ts_col = r.schema().column_index("ts").unwrap();
-        let hits = r.index_query_range(ts_col, 1010, 1019).unwrap();
-        assert_eq!(hits, (10..20).collect::<Vec<u32>>());
-        assert!(r.index_lookup_exact(ts_col, "1010").is_err(), "ts carries no inverted index");
+        assert_eq!(r.schema().columns[ts_col].index, IndexKind::Bkd);
+        assert_eq!(r.meta().columns[ts_col].index, IndexKind::None);
+        assert!(r.handle.manifest().entry(&index_member(ts_col)).is_none());
+        assert!(r.handle.manifest().entry(&index_data_member(ts_col)).is_none());
+        assert!(r.index_query_range(ts_col, 1010, 1019).is_err());
     }
 
     #[test]

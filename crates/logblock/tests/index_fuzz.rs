@@ -4,10 +4,15 @@
 //!
 //! The index members of one column of a built object — its inverted or
 //! BKD dictionary (`index.<i>`), its postings / leaves (`index.<i>.data`),
-//! or both — are bit-flipped, truncated, have a large varint spliced in, or
-//! have their leading count forged, and the object is re-packed around
-//! them under a fresh manifest checksum, so that every edit reaches the
-//! index parsers.
+//! or both — are bit-flipped, truncated, have a large varint spliced in,
+//! have their leading count forged, or have bits flipped inside the posting
+//! list of the column's most frequent term (a bitset over the block's rows
+//! from a few dozen rows on), and the object is re-packed around them under
+//! a fresh manifest checksum, so that every edit reaches the index parsers.
+//!
+//! The object's `tenant_id` and `ts` are out of order from its second row
+//! on, as a merge of overlapping blocks is: a column sorted in its block
+//! carries no BKD, and these two keep theirs.
 //! Every lookup must return `Err` or a result, and none may panic or make
 //! an allocation larger than [`ALLOCATION_PER_BYTE`] times the object's
 //! length (plus a fixed 64 KiB): an allocation sized by an unchecked count
@@ -18,6 +23,7 @@
 
 use logstore_codec::varint::{put_uvarint, read_uvarint};
 use logstore_codec::Compression;
+use logstore_index::{InvertedDictReader, RowIdSet, TermKind};
 use logstore_logblock::meta::{index_data_member, index_member};
 use logstore_logblock::{LogBlockBuilder, LogBlockReader, PackManifest, PackWriter};
 use logstore_types::{IndexKind, TableSchema, Value};
@@ -90,8 +96,8 @@ fn object(rows: usize, block_rows: usize) -> Vec<u8> {
         let null_every = |n: usize, v: Value| if i % n == 0 { Value::Null } else { v };
         builder
             .add_row(&[
-                Value::U64(i as u64 % 3),
-                Value::I64(1_000 + i as i64 * 7),
+                Value::U64((i ^ 1) as u64 % 3),
+                Value::I64(1_000 + (i ^ 1) as i64 * 7),
                 null_every(5, Value::from(format!("10.0.0.{}", i % 9))),
                 null_every(7, Value::from(["/a", "/b/c", "/d"][i % 3])),
                 null_every(4, Value::I64(i as i64 * 13 % 500)),
@@ -118,6 +124,32 @@ enum Mutation {
     /// Replace the member's leading varint — a term, point or posting
     /// count in every index member — with `value`.
     Count(u64),
+    /// Flip bit `bit` of the byte at each position inside the posting list
+    /// of the column's most frequent term ([`FREQUENT`]); the whole member
+    /// where the column has no such list.
+    InList(Vec<(usize, u8)>),
+}
+
+/// The most frequent term of each inverted and full-text column.
+const FREQUENT: [(usize, TermKind, &str); 3] = [
+    (2, TermKind::Exact, "10.0.0.4"),
+    (3, TermKind::Exact, "/b/c"),
+    (6, TermKind::Token, "request"),
+];
+
+/// Where the posting list of column `col`'s most frequent term lies in its
+/// `index.<col>.data` member, if the object's dictionary parses and has it.
+fn frequent_list(bytes: &Vec<u8>, col: usize) -> Option<(usize, usize)> {
+    let (_, kind, term) = FREQUENT.iter().find(|(c, ..)| *c == col)?;
+    let dict =
+        PackManifest::read(bytes).ok()?.read_member_shared(bytes, &index_member(col)).ok()?;
+    InvertedDictReader::open(&dict).ok()?.lookup_range(*kind, term)
+}
+
+/// True when the posting list at `range` of `data` is a bitset.
+fn is_bitset(data: &[u8], (offset, _): (usize, usize)) -> bool {
+    let mut pos = 0;
+    read_uvarint(&data[offset..], &mut pos).is_ok_and(|head| head & 1 == 1)
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -127,10 +159,13 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         any::<usize>().prop_map(Mutation::Truncate),
         (any::<usize>(), large()).prop_map(|(at, value)| Mutation::Splice { at, value }),
         large().prop_map(Mutation::Count),
+        collection::vec((any::<usize>(), 0u8..8), 1..4).prop_map(Mutation::InList),
     ]
 }
 
-fn mutate(mut bytes: Vec<u8>, mutation: &Mutation) -> Vec<u8> {
+/// `bytes` mutated; `list` is where the frequent term's posting list lies
+/// in them.
+fn mutate(mut bytes: Vec<u8>, mutation: &Mutation, list: Option<(usize, usize)>) -> Vec<u8> {
     let len = bytes.len().max(1);
     let varint = |value| {
         let mut varint = Vec::new();
@@ -142,6 +177,13 @@ fn mutate(mut bytes: Vec<u8>, mutation: &Mutation) -> Vec<u8> {
             flips.iter().for_each(|&(at, bit)| bytes[at % len] ^= 1 << bit)
         }
         Mutation::Flip(_) => {}
+        Mutation::InList(ref flips) => {
+            let (start, n) =
+                list.filter(|&(o, n)| n > 0 && o + n <= bytes.len()).unwrap_or((0, len));
+            if !bytes.is_empty() {
+                flips.iter().for_each(|&(at, bit)| bytes[start + at % n] ^= 1 << bit)
+            }
+        }
         Mutation::Truncate(at) => bytes.truncate(at % len),
         Mutation::Splice { at, value } => {
             let (at, varint) = (at % len, varint(value));
@@ -174,11 +216,11 @@ fn repack(bytes: &Vec<u8>, name: &str, member: Vec<u8>) -> Vec<u8> {
 /// A query's index reads of every indexed column: exact terms and tokens
 /// on the inverted and full-text indexes, ranges on the BKD trees. Returns
 /// how many lookups succeeded and the row ids they found.
-fn look_up(bytes: Vec<u8>) -> logstore_types::Result<(usize, Vec<Vec<u32>>)> {
+fn look_up(bytes: Vec<u8>) -> logstore_types::Result<(usize, Vec<RowIdSet>)> {
     let reader = LogBlockReader::open(bytes)?;
     let (mut ok, mut found) = (0, Vec::new());
     for col in INDEXED {
-        let lookups: Vec<logstore_types::Result<Vec<u32>>> = match reader.meta().columns[col].index
+        let lookups: Vec<logstore_types::Result<RowIdSet>> = match reader.meta().columns[col].index
         {
             IndexKind::Inverted | IndexKind::FullText => vec![
                 reader.index_lookup_exact(col, "10.0.0.4"),
@@ -205,7 +247,7 @@ proptest! {
 
     #[test]
     fn prop_mutated_index_members_fail_or_answer_without_unchecked_allocations(
-        rows in 1usize..300,
+        rows in 2usize..300,
         block_rows in 1usize..64,
         col in 0usize..INDEXED.len(),
         mutations in collection::vec((any::<bool>(), mutation()), 1..3),
@@ -213,7 +255,15 @@ proptest! {
         let built = object(rows, block_rows);
         let (ok, _) = look_up(built.clone()).unwrap();
         prop_assert!(ok > 0, "the built object answers");
+        let reader = LogBlockReader::open(built.clone()).unwrap();
+        let kinds: Vec<IndexKind> = INDEXED.iter().map(|&c| reader.meta().columns[c].index).collect();
+        prop_assert_eq!(kinds, reader.schema().columns.iter().map(|c| c.index).filter(|&k| k != IndexKind::None).collect::<Vec<_>>(), "every indexed column keeps its index");
         let col = INDEXED[col];
+        let list = frequent_list(&built, col);
+        if rows >= 64 && col == 6 {
+            let data = PackManifest::read(&built).unwrap().read_member_shared(&built, &index_data_member(col)).unwrap();
+            prop_assert!(list.is_some_and(|list| is_bitset(&data, list)), "a bitset list to mutate");
+        }
         let mut bytes = built;
         for (data, mutation) in &mutations {
             let name = if *data { index_data_member(col) } else { index_member(col) };
@@ -222,7 +272,8 @@ proptest! {
                 .read_member_shared(&bytes, &name)
                 .unwrap()
                 .to_vec();
-            bytes = repack(&bytes, &name, mutate(member, mutation));
+            let list = list.filter(|_| *data);
+            bytes = repack(&bytes, &name, mutate(member, mutation, list));
         }
         let bound = ALLOCATION_PER_BYTE * bytes.len() + (64 << 10);
         let largest = largest_allocation(|| drop(look_up(bytes)));

@@ -7,7 +7,9 @@
 //! has its manifest edited and re-sealed with a fresh checksum, or has one
 //! column — its data member and its meta — taken from the same rows built
 //! at another block size, so that its column blocks are cut elsewhere than
-//! column 0's. Every
+//! column 0's, or has its meta name an index for a column the pack holds
+//! no index members of (a sorted column — `ts` here — carries none in the
+//! meta the builder writes). Every
 //! case must return `Err` or decode — block `i` of each column holding
 //! that block's rows — and none may panic or make an allocation larger
 //! than the decoders' own bounds allow for an object of its size: an
@@ -19,12 +21,12 @@
 use logstore_codec::crc::crc32c;
 use logstore_codec::varint::put_uvarint;
 use logstore_codec::Compression;
-use logstore_logblock::meta::{col_member, META_MEMBER};
+use logstore_logblock::meta::{col_member, index_data_member, index_member, META_MEMBER};
 use logstore_logblock::pack::PROLOGUE_LEN;
 use logstore_logblock::{
     ColumnVec, LogBlockBuilder, LogBlockHandle, LogBlockReader, PackManifest, PackWriter,
 };
-use logstore_types::{TableSchema, Value};
+use logstore_types::{IndexKind, TableSchema, Value};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,6 +120,9 @@ enum Mutation {
     Reseal { at: usize, byte: u8 },
     /// Take column `col` from the same rows built at `block_rows`.
     Relayout { col: usize, block_rows: usize },
+    /// Name the schema's index of column `col` in the meta and leave its
+    /// index members out of the pack.
+    ForgeIndex { col: usize },
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -129,6 +134,7 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| Mutation::Reseal { at, byte }),
         (1usize..7, 1usize..64)
             .prop_map(|(col, block_rows)| Mutation::Relayout { col, block_rows }),
+        (0usize..7).prop_map(|col| Mutation::ForgeIndex { col }),
     ]
 }
 
@@ -178,8 +184,27 @@ fn mutate(mut bytes: Vec<u8>, mutation: &Mutation, rebuild: impl Fn(usize) -> Ve
         Mutation::Relayout { col, block_rows } => {
             bytes = transplant(bytes, rebuild(block_rows), col)
         }
+        Mutation::ForgeIndex { col } => bytes = forge_index(bytes, col),
     }
     bytes
+}
+
+/// `bytes` with a meta that names the schema's index for column `col` and
+/// a pack without that column's index members.
+fn forge_index(bytes: Vec<u8>, col: usize) -> Vec<u8> {
+    let mut meta = LogBlockHandle::open(&bytes).unwrap().meta().clone();
+    meta.columns[col].index = meta.schema.columns[col].index;
+    let mut pack = PackWriter::new();
+    let dropped = [index_member(col), index_data_member(col)];
+    for entry in PackManifest::read(&bytes).unwrap().members() {
+        let data = match entry.name.as_str() {
+            META_MEMBER => meta.serialize(),
+            name if dropped.iter().any(|d| d == name) => continue,
+            name => member(&bytes, name),
+        };
+        pack.add(entry.name.clone(), data).unwrap();
+    }
+    pack.finish()
 }
 
 /// Compaction's read of one source: every column block of every column,
@@ -218,7 +243,13 @@ proptest! {
         let codec = Compression::from_tag(codec).unwrap();
         let built = object(rows, block_rows, codec);
         prop_assert!(read_like_compaction(built.clone()).is_ok(), "the built object decodes");
+        let ts = LogBlockHandle::open(&built).unwrap().meta().columns[1].index;
+        prop_assert_eq!(ts, IndexKind::None, "ts is sorted in its block: no BKD");
         let bytes = mutate(built, &mutation, |block_rows| object(rows, block_rows, codec));
+        if let Mutation::ForgeIndex { col } = mutation {
+            let named = TableSchema::request_log().columns[col].index != IndexKind::None;
+            prop_assert_eq!(read_like_compaction(bytes.clone()).is_err(), named, "{:?}", mutation);
+        }
         // What a decoder may size from an object of this length: an LZ
         // frame expands at most 255×, and a decoded row takes at most
         // eight bytes of index per byte of frame.

@@ -381,7 +381,9 @@ fn fresh_and_merged_blocks_are_read_from_memory_and_compaction_reads_resident_so
 #[test]
 fn compaction_of_cold_sources_leaves_the_cache_alone() {
     let mut config = ClusterConfig::for_testing();
-    config.cache_block_size = 512;
+    // Cache blocks well under a source's ≈ 700 bytes, so that a query of
+    // two of its columns leaves the object's tail uncached.
+    config.cache_block_size = 128;
     let s = LogStore::open(config).unwrap();
     let gets = || s.oss_metrics().get_requests;
     let prefetcher = &s.shared().prefetcher;
