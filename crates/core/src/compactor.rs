@@ -186,7 +186,10 @@ pub fn plan_compactions(metadata: &MetadataStore, config: &CompactionConfig) -> 
 /// at a time — the sources read from `cache` where it holds them whole —
 /// while the PUTs before it are in flight. Once the wave has joined, the
 /// caller settles each run in run order (upload, admission, swap), so
-/// every crash point fires on it, in each run's own order. The first
+/// every crash point fires on it, in each run's own order. Only a run
+/// with a resident source keeps its merged bytes past their PUT, to admit
+/// them; every other run keeps its catalog entry alone, so a pass over
+/// cold history holds at most the wave's width of merged blocks. The first
 /// error in run order is returned, alongside nothing — the report only
 /// counts committed work.
 pub fn run_compaction<S: ObjectStore>(
@@ -206,9 +209,8 @@ pub fn run_compaction<S: ObjectStore>(
     let runs = plan_compactions(metadata, config);
     let stages = &mut report.stages;
     stages.plan = plan.elapsed();
-    // Per fed run, once built: its merged path and whether a source was a
-    // cache hit (the merged block then inherits residency).
-    let mut built: Vec<Option<(String, bool)>> = Vec::with_capacity(runs.len());
+    // Per fed run, once built: its merged path.
+    let mut built: Vec<Option<String>> = Vec::with_capacity(runs.len());
     let mut feeding = Duration::ZERO;
     let feed = runs.iter().map(|run| {
         let fed = Instant::now();
@@ -221,9 +223,11 @@ pub fn run_compaction<S: ObjectStore>(
             build_merged_block(store, schema, build, run, &path, cache, stages)
                 .inspect_err(|_| metadata.abort_compaction(&path))
         });
-        built.push(merged.as_ref().ok().map(|((entry, _), hit)| (entry.path.clone(), *hit)));
+        built.push(merged.as_ref().ok().map(|((entry, _), _)| entry.path.clone()));
         feeding += fed.elapsed();
-        merged.map(|(block, _)| block)
+        // Only a block merged from a resident source is admitted: every
+        // other one drops its bytes once its PUT returns.
+        merged
     });
     let mut wave = Duration::ZERO;
     let uploads = put_blocks(feed, store, cache, &mut wave);
@@ -237,21 +241,22 @@ pub fn run_compaction<S: ObjectStore>(
             // PUT → admit → register: a block merged from anything the
             // cache held stays readable from memory across the swap. Should
             // the swap lose its race, GC's delete of the object evicts it.
-            if let Some(cache) = cache.filter(|_| built.as_ref().is_some_and(|(_, hit)| *hit)) {
+            if let (Some(cache), Some(bytes)) = (cache, bytes) {
                 cache.admit(&entry.path, &bytes);
             }
             let swap = Instant::now();
             stages.upload += swap - settle;
+            let uploaded = entry.bytes;
             let committed = metadata.commit_compaction(run.tenant, entry, &run.source_paths());
             stages.swap += swap.elapsed();
             committed?;
             hooks.reached(CrashPoint::CompactCommitted);
-            Ok(bytes.len() as u64)
+            Ok(uploaded)
         });
         // A failed PUT or a lost swap race (a concurrent expire/compact
         // unmapped a source): the merged path is tombstoned for GC. The
         // feed settled a failed plan or build.
-        if let (Err(_), Some((path, _))) = (&settled, &built) {
+        if let (Err(_), Some(path)) = (&settled, &built) {
             metadata.abort_compaction(path);
         }
         match settled {

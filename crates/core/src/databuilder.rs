@@ -183,7 +183,7 @@ pub fn build_and_upload_drain<S: ObjectStore>(
     let mut outcome = BuildOutcome::default();
     let chunks = partition(drained, config, &mut outcome.stages);
     let blocks = build_blocks(&chunks, drained, schema, config, metadata, &mut outcome.stages);
-    let uploads = put_blocks(blocks, store, cache, &mut outcome.stages.upload);
+    let uploads = put_blocks(admitted(blocks), store, cache, &mut outcome.stages.upload);
     let entries = admit_prefix(uploads, cache, &mut outcome);
     commit_prefix(entries, &chunks, drained, config, metadata, drain, &mut outcome);
     outcome
@@ -191,6 +191,18 @@ pub fn build_and_upload_drain<S: ObjectStore>(
 
 /// One chunk's LogBlock: its catalog entry and its packed bytes.
 pub(crate) type Block = (LogBlockEntry, Vec<u8>);
+
+/// A LogBlock after its PUT: its catalog entry, and its bytes where they
+/// are kept for the cache.
+pub(crate) type Uploaded = (LogBlockEntry, Option<Vec<u8>>);
+
+/// A drain's built chunks as [`put_blocks`]'s feed: every one is admitted
+/// to the cache after its PUT, so every one keeps its bytes.
+pub(crate) fn admitted(
+    blocks: Vec<Result<Block>>,
+) -> impl ExactSizeIterator<Item = Result<(Block, bool)>> {
+    blocks.into_iter().map(|block| block.map(|block| (block, true)))
+}
 
 /// The canonical chunk sequence of `drained`: tenants ascending,
 /// ts-sorted, capped. WAL replay splits the drain with this same call, so
@@ -244,14 +256,17 @@ pub(crate) fn build_blocks(
 /// without one — whose results come back in feed order; `upload` is set to
 /// its wall time. The feed is pulled on the calling thread: a drain's
 /// built chunks, or a compaction that plans and builds as it is pulled.
-/// The first failed PUT stops the feed; an `Err` item of the feed itself
-/// (a failed build, a lost plan race) passes through and stops nothing.
+/// Each block says whether its bytes are kept past its PUT (to be
+/// admitted to the cache); the others are dropped as soon as the PUT
+/// returns, so a wave holds at most its width of them. The first failed
+/// PUT stops the feed; an `Err` item of the feed itself (a failed build, a
+/// lost plan race) passes through and stops nothing.
 pub(crate) fn put_blocks<S: ObjectStore>(
-    feed: impl IntoIterator<Item = Result<Block>>,
+    feed: impl IntoIterator<Item = Result<(Block, bool)>>,
     store: &S,
     cache: Option<&Prefetcher<S>>,
     upload: &mut Duration,
-) -> Vec<Result<Block>> {
+) -> Vec<Result<Uploaded>> {
     let width = cache.map_or(1, Prefetcher::width);
     let wave = Instant::now();
     let failed = AtomicBool::new(false);
@@ -259,14 +274,14 @@ pub(crate) fn put_blocks<S: ObjectStore>(
     // Checked before each pull; the range keeps a one-block wave inline.
     let bound = feed.size_hint().1.unwrap_or(usize::MAX);
     let blocks = (0..bound).map_while(|_| (!failed.load(Ordering::SeqCst)).then(|| feed.next())?);
-    let uploads = ordered_wave(width, blocks, |_, block: Result<Block>| {
-        let (entry, bytes) = block?;
+    let uploads = ordered_wave(width, blocks, |_, block: Result<(Block, bool)>| {
+        let ((entry, bytes), keep) = block?;
         // The durability order is load-bearing: the object must exist on
         // OSS before it is registered (a registered-but-missing block
         // would fail queries; an uploaded-but-unregistered block merely
         // wastes space until GC deletes it).
         store.put(&entry.path, &bytes).inspect_err(|_| failed.store(true, Ordering::SeqCst))?;
-        Ok((entry, bytes))
+        Ok((entry, keep.then_some(bytes)))
     });
     *upload = wave.elapsed();
     uploads
@@ -276,7 +291,7 @@ pub(crate) fn put_blocks<S: ObjectStore>(
 /// index — admitted to the cache in chunk order; the failure, if any, goes
 /// to the outcome.
 pub(crate) fn admit_prefix<S: ObjectStore>(
-    uploads: Vec<Result<Block>>,
+    uploads: Vec<Result<Uploaded>>,
     cache: Option<&Prefetcher<S>>,
     outcome: &mut BuildOutcome,
 ) -> Vec<LogBlockEntry> {
@@ -285,7 +300,7 @@ pub(crate) fn admit_prefix<S: ObjectStore>(
     for upload in uploads {
         match upload {
             Ok((entry, bytes)) => {
-                if let Some(cache) = cache {
+                if let (Some(cache), Some(bytes)) = (cache, bytes) {
                     cache.admit(&entry.path, &bytes);
                 }
                 entries.push(entry);

@@ -5,8 +5,8 @@ use crate::compactor::{self, CompactionConfig, CompactionReport, CompactionTimer
 use crate::config::{ClusterConfig, QueryOptions};
 use crate::controller::ClusterController;
 use crate::databuilder::{
-    admit_prefix, build_blocks, commit_prefix, partition, put_blocks, ArchiveTimers, Block,
-    BuildConfig, BuildOutcome, BuildReport,
+    admit_prefix, admitted, build_blocks, commit_prefix, partition, put_blocks, ArchiveTimers,
+    Block, BuildConfig, BuildOutcome, BuildReport,
 };
 use crate::executor::QueryPool;
 use crate::hooks::{noop_hooks, CrashHooks, CrashPoint};
@@ -770,7 +770,7 @@ impl Archiver {
         let (shared, store) = (&self.shared, worker.store(shard)?);
         let prefetcher = Some(&shared.prefetcher);
         let upload = &mut outcome.stages.upload;
-        let uploads = put_blocks(blocks, shared.store.as_ref(), prefetcher, upload);
+        let uploads = put_blocks(admitted(blocks), shared.store.as_ref(), prefetcher, upload);
         let entries = admit_prefix(uploads, prefetcher, &mut outcome);
         let drain = lsn.map(|lsn| DrainId { shard, lsn });
         let complete = store.settle(|| {
