@@ -151,6 +151,26 @@ const STAGES: &[(&str, &[&str], Option<&str>)] = &[
         &["run", "--release", "-q", "--example", "ingest_stages", "--", "60000", "0.9"],
         None,
     ),
+    // Index bytes must pay for themselves: the benchmark's aged shape,
+    // built as the engine builds it, may pack no more LogBlock bytes per
+    // raw byte than `xtask/storage-budget.txt` allows. The budget only
+    // shrinks.
+    (
+        "storage-cost",
+        &[
+            "run",
+            "--release",
+            "-q",
+            "-p",
+            "logstore-bench",
+            "--bin",
+            "storage_cost",
+            "--",
+            "--budget",
+            "xtask/storage-budget.txt",
+        ],
+        None,
+    ),
     // The same detector that runs in every debug test, but over *release*
     // interleavings — optimized code races harder. Covers the simtest
     // episode sweep, the cache herd, the read-path structure tests (header
