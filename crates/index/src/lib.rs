@@ -5,7 +5,10 @@
 //! columns a **BKD tree**, and every column and column block carries
 //! **Small Materialized Aggregates** (min/max) for data skipping. This crate
 //! implements all three from scratch, plus the row-id bitmap used to combine
-//! per-predicate results.
+//! per-predicate results — which is also the layout of a dense posting
+//! list ([`postings`]). A numeric column that is sorted in its LogBlock
+//! needs no tree (its column-block SMAs fence it); the LogBlock builder
+//! asks [`BkdWriter::is_sorted`] and leaves such a tree out.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,9 @@
 //! * **Columnar-oriented** — queries read only the columns they touch.
 //! * **Full-column indexed and skippable** — every column carries an
 //!   inverted or BKD index, and every column and column block carries an
-//!   SMA (min/max) for data skipping.
+//!   SMA (min/max) for data skipping. A numeric column sorted in its block
+//!   is skippable by its column-block SMAs alone and carries no tree (its
+//!   `ColumnMeta::index` says `None`).
 //!
 //! Physically, one LogBlock is one *pack* object (the paper tars the many
 //! small per-block files into a single large file with a seekable manifest;
